@@ -1,11 +1,12 @@
-"""Vectorised whole-layer task execution vs the per-task reference loop.
+"""Whole-layer task execution vs the per-task reference loop.
 
 The PR this bench gates restructured ``execute_kernel_tasks`` from one
 Python iteration per task (OperandSpec construction, per-pair cycle
 models, per-task scheduling) into a single structure-of-arrays pass per
 kernel (:mod:`repro.runtime.vectorized`): one batched Analyzer decide
 over every (task, pair), batched operand byte/nnz arithmetic, grouped
-cycle reductions and CSR-native stripe splitting.
+cycle reductions and CSR-native stripe splitting.  The per-task loop
+survives as ``execute_kernel_tasks_reference``, the oracle.
 
 The bench replays each kernel of a compiled inference — identical views,
 task lists and accumulate state — through both loops on fresh
@@ -21,14 +22,13 @@ import numpy as np
 
 from _common import Metric, emit, format_table, get_program, register_bench
 from repro.hw import Accelerator
-from repro.runtime import CoreTimeline
-from repro.runtime.executor import (
-    KernelAssembly,
-    RuntimeSystem,
+from repro.runtime import (
+    CoreTimeline,
+    execute_kernel_tasks,
     execute_kernel_tasks_reference,
 )
+from repro.runtime.executor import KernelAssembly, RuntimeSystem
 from repro.runtime.strategies import make_strategy
-from repro.runtime.vectorized import execute_kernel_tasks_vectorised
 
 REPEATS = 3
 
@@ -92,7 +92,6 @@ def _replay(calls, config, loop_fn):
             kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
             tasks, assembly, acc_view, act,
         )
-        assert stats is not None, "vectorised loop backed out unexpectedly"
         timeline.barrier()
         stats_list.append(stats)
         outputs.append(assembly.finalize()[0])
@@ -125,7 +124,7 @@ def _time_cell(ds, model):
     ref = vec = None
     ref_s = vec_s = float("inf")
     for _ in range(REPEATS):
-        vec = _replay(calls, program.config, execute_kernel_tasks_vectorised)
+        vec = _replay(calls, program.config, execute_kernel_tasks)
         vec_s = min(vec_s, vec[0])
     for _ in range(max(REPEATS - 1, 1)):
         ref = _replay(calls, program.config, execute_kernel_tasks_reference)

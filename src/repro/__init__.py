@@ -27,8 +27,6 @@ serving traffic through ``engine.serve(requests)``.  See MIGRATION.md
 for the mapping from the legacy ``Compiler``/``RuntimeSystem`` wiring.
 """
 
-import warnings as _warnings
-
 from repro.config import AcceleratorConfig, u250_default, small_test_config
 from repro.compiler import Compiler, CompiledProgram
 from repro.datasets import DATASET_NAMES, GraphData, TABLE_VI, load_dataset
@@ -79,45 +77,6 @@ from repro.sched import (
 
 __version__ = "1.7.0"
 
-#: legacy top-level entry points -> (module, attribute, replacement hint).
-#: Accessing them still works but warns once per process: the Engine
-#: facade owns program caching, device wiring and strategy selection now.
-_DEPRECATED_ENTRY_POINTS = {
-    "run_strategy": (
-        "repro.runtime.executor", "run_strategy",
-        "Engine().compile(...) + Engine.infer(handle, strategy=...)",
-    ),
-    "RuntimeSystem": (
-        "repro.runtime.executor", "RuntimeSystem",
-        "Engine.infer (or repro.runtime.RuntimeSystem for low-level use)",
-    ),
-}
-#: names already warned about (deprecation shims warn exactly once)
-_warned_deprecations: set = set()
-
-
-def __getattr__(name: str):
-    entry = _DEPRECATED_ENTRY_POINTS.get(name)
-    if entry is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    module_name, attr, replacement = entry
-    if name not in _warned_deprecations:
-        _warned_deprecations.add(name)
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} instead "
-            f"(see MIGRATION.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attr)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_ENTRY_POINTS))
-
-
 __all__ = [
     "AcceleratorConfig",
     "u250_default",
@@ -165,9 +124,7 @@ __all__ = [
     "ShardedResult",
     "plan_shards",
     "run_sharded",
-    "RuntimeSystem",
     "end_to_end_seconds",
     "make_strategy",
-    "run_strategy",
     "__version__",
 ]

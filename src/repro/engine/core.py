@@ -257,6 +257,8 @@ class Engine:
         program itself (and therefore its cache fingerprint) is
         unchanged: sharding repartitions execution, not compilation.
         """
+        if not isinstance(shards, int) or shards < 1:
+            raise ValueError(f"shards must be an integer >= 1, got {shards!r}")
         graph_id: str | None = None
         graph_version: int | None = None
         if isinstance(graph, MutableGraph):

@@ -94,7 +94,7 @@ class TaskBatch:
 
     def subset(self, mask: np.ndarray) -> "TaskBatch":
         """The batch restricted to tasks where ``mask`` is True (order
-        preserved) — how shard executors slice one kernel's grid."""
+        preserved)."""
         mask = np.asarray(mask, dtype=bool)
         counts = self.counts[mask]
         starts = np.zeros(mask.sum() + 1, dtype=np.int64)
@@ -106,6 +106,20 @@ class TaskBatch:
             js=self.js[pair_mask],
             starts=starts,
         )
+
+    def block_rows(self, lo: int, hi: int) -> "TaskBatch":
+        """The tasks whose output block row lies in ``[lo, hi)`` — how
+        the kernel driver slices one kernel's grid into lanes.  A range
+        covering the whole grid returns the batch itself."""
+        mask = (self.rows >= lo) & (self.rows < hi)
+        return self if mask.all() else self.subset(mask)
+
+
+def owned_block_rows(v0: int, v1: int, block_rows: int) -> tuple[int, int]:
+    """Block rows owned by vertex range ``[v0, v1)`` under a
+    ``block_rows`` blocking: a block belongs to the range holding its
+    *first* vertex."""
+    return -(-v0 // block_rows), -(-v1 // block_rows)  # ceil
 
 
 @dataclass

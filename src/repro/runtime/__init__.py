@@ -34,16 +34,16 @@ from repro.runtime.strategies import (
     STRATEGIES,
     make_strategy,
 )
-from repro.runtime.scheduler import CoreTimeline, wave_fill_schedule
+from repro.runtime.scheduler import CoreTimeline
 from repro.runtime.executor import (
     InferenceResult,
     RuntimeSystem,
     end_to_end_seconds,
     execute_kernel_tasks,
-    execute_kernel_tasks_reference,
+    run_strategy,
 )
+from repro.runtime.reference import execute_kernel_tasks_reference
 from repro.runtime.stats import KernelStats, TaskLoopStats
-from repro.runtime.vectorized import execute_kernel_tasks_vectorised
 
 __all__ = [
     "PerformanceModel",
@@ -62,13 +62,12 @@ __all__ = [
     "STRATEGIES",
     "make_strategy",
     "CoreTimeline",
-    "wave_fill_schedule",
     "RuntimeSystem",
     "InferenceResult",
     "end_to_end_seconds",
+    "run_strategy",
     "execute_kernel_tasks",
     "execute_kernel_tasks_reference",
-    "execute_kernel_tasks_vectorised",
     "KernelStats",
     "TaskLoopStats",
 ]

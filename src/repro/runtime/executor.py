@@ -17,7 +17,9 @@ The functional output is exact: integration tests compare it bit-for-bit
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,40 +33,49 @@ from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn.activations import activation_fn
 from repro.hw.accelerator import Accelerator
-from repro.hw.core import OperandSpec, PairDecision
 from repro.hw.memory import pcie_transfer_seconds
-from repro.hw.report import CODE_ORDER, SKIP_CODE, CycleReport, Primitive
 from repro.ir.kernel import KernelIR
+from repro.ir.scheme import owned_block_rows
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.scheduler import CoreTimeline
-from repro.runtime.stats import KernelStats, TaskLoopStats, total_primitive_counts
-from repro.runtime.strategies import MappingStrategy
-from repro.runtime.vectorized import (
-    execute_kernel_tasks_vectorised,
-    finalise_task_loop,
-)
+from repro.runtime.stats import KernelStats, mean_over_max, total_primitive_counts
+from repro.runtime.strategies import MappingStrategy, make_strategy
+from repro.runtime.vectorized import execute_kernel_tasks
 
 #: outputs larger than this (elements) are assembled sparsely — e.g. the
 #: 65k x 61k hop outputs of SGC on NELL never materialise densely
 DENSE_ASSEMBLY_LIMIT = 50_000_000
 
 
-@dataclass
-class InferenceResult:
-    """Everything a run produces: exact output + full cycle accounting."""
+@dataclass(kw_only=True)
+class RunResult:
+    """What a run reports however many devices it used; the latency
+    model is the subclass's (:class:`InferenceResult` sums cycles,
+    :class:`~repro.shard.executor.ShardedResult` sums layer barriers)."""
 
     output: object  # ndarray | csr_matrix
     strategy_name: str
     model_name: str
     data_name: str
     config: AcceleratorConfig
+    #: total soft-processor time spent on K2P analysis (seconds)
+    runtime_overhead_seconds: float = 0.0
+
+    def output_dense(self) -> np.ndarray:
+        if sp.issparse(self.output):
+            return np.asarray(self.output.todense(), dtype=DTYPE)
+        return np.asarray(self.output, dtype=DTYPE)
+
+
+@dataclass(kw_only=True)
+class InferenceResult(RunResult):
+    """Everything a run produces: exact output + full cycle accounting."""
+
     kernel_stats: list[KernelStats]
     #: sum of kernel makespans on the accelerator (cycles)
     accel_cycles: float
     #: runtime-system time that could not be hidden (cycles)
     exposed_overhead_cycles: float
-    #: total soft-processor time spent on K2P analysis (seconds)
-    runtime_overhead_seconds: float
     compile_timings: CompileTimings
     input_bytes: int
     core_busy: np.ndarray
@@ -118,15 +129,7 @@ class InferenceResult:
         return sum(ks.num_pairs for ks in self.kernel_stats)
 
     def load_balance(self) -> float:
-        mx = float(self.core_busy.max()) if self.core_busy.size else 0.0
-        if mx == 0.0:
-            return 1.0
-        return float(self.core_busy.mean()) / mx
-
-    def output_dense(self) -> np.ndarray:
-        if sp.issparse(self.output):
-            return np.asarray(self.output.todense(), dtype=DTYPE)
-        return np.asarray(self.output, dtype=DTYPE)
+        return mean_over_max(self.core_busy)
 
     def speedup_vs(self, other: "InferenceResult") -> float:
         """How much faster *this* run is than ``other`` (>1 = faster)."""
@@ -281,225 +284,6 @@ class KernelAssembly:
         return out_mat, density
 
 
-def execute_kernel_tasks(
-    kernel: KernelIR,
-    xv: PartitionedMatrix,
-    yv: PartitionedMatrix,
-    x_stored_sparse: bool,
-    y_stored_sparse: bool,
-    accelerator: Accelerator,
-    strategy: MappingStrategy,
-    timeline: CoreTimeline,
-    tasks: list,
-    assembly: "KernelAssembly",
-    acc_view: Optional[PartitionedMatrix],
-    act,
-    *,
-    tracer=NULL_TRACER,
-    track: str = "dev0",
-    balance: str = "fifo",
-    task_batch=None,
-    vectorised: bool = True,
-) -> TaskLoopStats:
-    """Execute a subset of one kernel's tasks on one accelerator.
-
-    The inner loop of the runtime (Analyzer batch decisions -> Scheduler
-    core assignment -> core execution -> output write-back), shared by
-    the single-device :class:`RuntimeSystem` and the multi-device
-    :class:`~repro.shard.executor.ShardedRuntime` — which is what makes
-    sharded outputs bit-exact against single-device runs.
-
-    By default this dispatches to the vectorised structure-of-arrays
-    pass (:func:`~repro.runtime.vectorized.execute_kernel_tasks_vectorised`),
-    which is bit-exact against :func:`execute_kernel_tasks_reference` —
-    same outputs, CycleReport totals, primitive counts, wave counts and
-    timeline events.  ``vectorised=False`` forces the per-task reference
-    loop (the oracle the tests and benches compare against).
-
-    ``balance`` selects core assignment: ``"fifo"`` is Algorithm 8's
-    earliest-available dispatch in task order (the reference semantics);
-    ``"sorted"`` opts into duration-sorted count-capped wave filling,
-    which never needs more waves than FIFO.  ``task_batch`` optionally
-    supplies the precomputed :class:`~repro.ir.scheme.TaskBatch` SoA
-    (cached on the execution scheme) so the vectorised path skips
-    rebuilding index arrays per call.
-
-    When a partition pair would overflow the on-chip buffers, the
-    vectorised pass backs out before touching any state and the
-    reference loop runs instead (raising the historical
-    ``BufferOverflowError`` mid-execution, exactly as before).
-    """
-    if vectorised:
-        stats = execute_kernel_tasks_vectorised(
-            kernel, xv, yv, x_stored_sparse, y_stored_sparse,
-            accelerator, strategy, timeline, tasks, assembly, acc_view, act,
-            tracer=tracer, track=track, balance=balance, task_batch=task_batch,
-        )
-        if stats is not None:
-            return stats
-    return execute_kernel_tasks_reference(
-        kernel, xv, yv, x_stored_sparse, y_stored_sparse,
-        accelerator, strategy, timeline, tasks, assembly, acc_view, act,
-        tracer=tracer, track=track,
-    )
-
-
-def execute_kernel_tasks_reference(
-    kernel: KernelIR,
-    xv: PartitionedMatrix,
-    yv: PartitionedMatrix,
-    x_stored_sparse: bool,
-    y_stored_sparse: bool,
-    accelerator: Accelerator,
-    strategy: MappingStrategy,
-    timeline: CoreTimeline,
-    tasks: list,
-    assembly: KernelAssembly,
-    acc_view: Optional[PartitionedMatrix],
-    act,
-    *,
-    tracer=NULL_TRACER,
-    track: str = "dev0",
-) -> TaskLoopStats:
-    """The per-task reference loop: one Python iteration per task.
-
-    Kept as the bit-exactness oracle for the vectorised pass (the
-    ``block_nnz_grid_reference`` pattern): tests and the
-    ``bench_executor_vectorised`` BenchSpec assert the two produce
-    identical outputs, cycle totals, primitive counts, wave counts and
-    timeline events.  ``tasks`` may be any subset of the kernel's task
-    grid; writes land in the shared ``assembly``.
-
-    ``tracer``/``track`` emit per-wave and per-task spans *after* the
-    loop, from the timeline events it already records — the inner loop
-    itself is untouched, so tracing cannot perturb bit-exactness and the
-    disabled path costs one attribute check per call.
-    """
-    acc = accelerator
-    soft = acc.soft_processor
-    stats = TaskLoopStats()
-    events_before = len(timeline.events)
-
-    x_dens = xv.density_grid
-    y_dens = yv.density_grid
-    x_nnzg = xv._nnz_grid
-    y_nnzg = yv._nnz_grid
-    x_rs = xv.row_block_sizes
-    x_cs = xv.col_block_sizes
-    y_cs = yv.col_block_sizes
-
-    # only as many cores stream from DDR as there are concurrently
-    # *dispatched* tasks — all-zero output partitions never reach a core,
-    # so they must not inflate the bandwidth shares (decide_batch is
-    # side-effect-free, so this pre-pass is safe to run twice)
-    if acc_view is not None:
-        dispatched = len(tasks)
-    else:
-        dispatched = 0
-        for task in tasks:
-            i, k = task.out_row, task.out_col
-            js = np.fromiter(
-                (p[0] for p in task.pairs), dtype=np.int64,
-                count=len(task.pairs),
-            )
-            codes, _ = strategy.decide_batch(
-                kernel, x_dens[i, js], y_dens[js, k],
-                int(x_rs[i]), x_cs[js], int(y_cs[k]),
-            )
-            if (np.asarray(codes) != SKIP_CODE).any():
-                dispatched += 1
-    concurrency = min(acc.num_cores, dispatched)
-    for core in acc.cores:
-        core.active_cores = concurrency
-
-    for t_idx, task in enumerate(tasks):
-        i, k = task.out_row, task.out_col
-        m = int(x_rs[i])
-        d = int(y_cs[k])
-        # one vectorised Analyzer pass per task (Algorithm 7 over the
-        # K inner blocks) instead of a Python decide() call per pair
-        js = np.fromiter(
-            (p[0] for p in task.pairs), dtype=np.int64, count=len(task.pairs)
-        )
-        ax_arr = x_dens[i, js]
-        ay_arr = y_dens[js, k]
-        codes, transp = strategy.decide_batch(
-            kernel, ax_arr, ay_arr, m, x_cs[js], d
-        )
-        stats.num_pairs += len(js)
-        skipped = int((codes == SKIP_CODE).sum())
-        if skipped:
-            stats.counts[Primitive.SKIP] += skipped
-        pairs_work = []
-        for idx in np.flatnonzero(codes != SKIP_CODE):
-            j = int(js[idx])
-            decision = PairDecision(
-                CODE_ORDER[codes[idx]], transposed=bool(transp[idx])
-            )
-            n = int(x_cs[j])
-            x_nnz = int(x_nnzg[i, j])
-            y_nnz = int(y_nnzg[j, k])
-            # On-chip capacity fallback: SPMM randomly accesses its
-            # right operand during the row-wise product, so Y must be
-            # resident in COO form (3 words/nonzero).  When it does
-            # not fit BufferO, the runtime degrades the pair to SpDMM
-            # (whose sparse operand streams; the dense operand fits
-            # by g(So) construction).
-            if decision.primitive is Primitive.SPMM and not acc.cores[
-                0
-            ].coo_fits(y_nnz):
-                decision = PairDecision(Primitive.SPDMM)
-            x_elems = m * n
-            y_elems = n * d
-            x_spec = OperandSpec(
-                data=xv.block(i, j),
-                nbytes=12 * x_nnz if x_stored_sparse else 4 * x_elems,
-                nnz=x_nnz,
-                density=float(ax_arr[idx]),
-                stored_sparse=x_stored_sparse,
-                shape=(m, n),
-            )
-            y_spec = OperandSpec(
-                data=yv.block(j, k),
-                nbytes=12 * y_nnz if y_stored_sparse else 4 * y_elems,
-                nnz=y_nnz,
-                density=float(ay_arr[idx]),
-                stored_sparse=y_stored_sparse,
-                shape=(n, d),
-            )
-            pairs_work.append((x_spec, y_spec, decision))
-
-        acc_init = acc_view.dense_block(i, k) if acc_view is not None else None
-        if not pairs_work and acc_init is None:
-            # entire output partition is zero: the runtime skips the
-            # task outright (no dispatch, no write-back)
-            continue
-
-        core_id = timeline.peek_next_core()
-        core = acc.cores[core_id]
-        result = core.execute_task(
-            pairs_work,
-            (m, d),
-            write_sparse=not assembly.dense_assembly,
-            accumulate_init=acc_init,
-            activation=act,
-        )
-        dispatch_s = soft.dispatch_seconds(1) + soft.sparsity_receive_seconds(1)
-        duration = result.latency + soft.seconds_to_accel_cycles(dispatch_s)
-        timeline.assign_to(
-            core_id, duration, kernel_id=kernel.kernel_id, task_index=t_idx
-        )
-
-        stats.report.merge(result.report)
-        stats.counts.update(result.primitive_counts)
-        assembly.total_out_nnz += result.output_nnz
-        assembly.write(i, k, m, d, result.z)
-
-    return finalise_task_loop(
-        stats, kernel, acc, timeline, events_before, tracer, track
-    )
-
-
 def exposed_analysis_cycles(
     soft, analysis_s: float, num_tasks: int, kernel_cycles: float
 ) -> float:
@@ -516,8 +300,148 @@ def exposed_analysis_cycles(
     return lead_in + max(0.0, a_cycles - kernel_cycles)
 
 
+#: the one-lane case: every output row of every kernel
+ALL_ROWS = (0, sys.maxsize)
+
+
+@dataclass
+class Lane:
+    """One device's share of every kernel in a run.
+
+    The kernel driver splits each kernel's task grid by output block row
+    across its lanes; a single-device run is the one-lane, ``ALL_ROWS``
+    case, a sharded run has one lane per shard.
+    """
+
+    accelerator: Accelerator
+    #: trace track of the lane's wave/task spans
+    track: str = "dev0"
+    #: output rows (vertices) ``[v0, v1)`` this lane computes
+    rows: tuple[int, int] = ALL_ROWS
+    timeline: CoreTimeline = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.timeline = CoreTimeline(self.accelerator.num_cores)
+
+
+def run_kernels(
+    program: CompiledProgram,
+    strategy: MappingStrategy,
+    lanes: list[Lane],
+    store: dict,
+    *,
+    tracer=NULL_TRACER,
+) -> Iterator[tuple[KernelIR, list[KernelStats]]]:
+    """The kernel driver: walk ``program`` in dependency order over ``lanes``.
+
+    Per kernel: resolve the operand/accumulate views, run each lane's
+    block rows of the task grid through the task loop on the lane's
+    device, assemble the output into ``store`` under the kernel's output
+    name with an on-the-fly storage-format decision, and yield the
+    kernel with one :class:`KernelStats` per lane.  Every lane writes
+    disjoint blocks of one shared assembly, so the output does not
+    depend on how the grid is split.  The caller owns what the numbers
+    mean (latency model, halo, spans) and reads
+    ``store[program.output_name]`` when the walk ends.
+    """
+    for lane in lanes:
+        lane.accelerator.reset()
+    views: dict = {}
+    stored_sparse = dict(program.stored_sparse)
+
+    def view(name: str, blocking: tuple[int, int]) -> PartitionedMatrix:
+        if name not in store:
+            return program.view(name, *blocking)
+        key = (name, *blocking)
+        pm = views.get(key)
+        if pm is None:
+            pm = views[key] = PartitionedMatrix(store[name], *blocking, name=name)
+        return pm
+
+    for kernel in program.graph.topo_order():
+        scheme = kernel.exec_scheme
+        if scheme is None:
+            raise RuntimeError(f"kernel {kernel.kernel_id} has no execution scheme")
+        xv = view(kernel.x_name, scheme.x_blocking)
+        yv = view(kernel.y_name, scheme.y_blocking)
+        if xv.num_col_blocks != yv.num_row_blocks:
+            raise RuntimeError(
+                f"inner blocking mismatch on {kernel.kernel_id}: "
+                f"{xv.num_col_blocks} vs {yv.num_row_blocks}"
+            )
+        act = (
+            activation_fn(kernel.activation) if kernel.activation_enabled else None
+        )
+        acc_view = (
+            view(kernel.accumulate_into, scheme.out_blocking)
+            if kernel.accumulate_into
+            else None
+        )
+        assembly = KernelAssembly.for_kernel(xv, yv, scheme)
+        grid = scheme.task_batch()
+
+        lane_stats = []
+        for lane in lanes:
+            acc, timeline = lane.accelerator, lane.timeline
+            tasks = grid.block_rows(
+                *owned_block_rows(*lane.rows, scheme.out_blocking[0])
+            )
+            busy_before = timeline.busy.copy()
+            stats = execute_kernel_tasks(
+                kernel, xv, yv,
+                stored_sparse[kernel.x_name], stored_sparse[kernel.y_name],
+                acc, strategy, timeline, tasks, assembly, acc_view, act,
+                tracer=tracer, track=lane.track,
+            )
+            cycles = timeline.barrier()
+            soft = acc.soft_processor
+            analysis_s = (
+                soft.k2p_decision_seconds(stats.num_pairs)
+                if strategy.charges_analysis
+                else 0.0
+            )
+            report = stats.report
+            lane_stats.append(KernelStats(
+                kernel_id=kernel.kernel_id,
+                ktype=kernel.ktype,
+                num_tasks=tasks.num_tasks,
+                num_pairs=stats.num_pairs,
+                cycles=cycles,
+                primitive_counts=stats.counts,
+                macs=report.macs,
+                bytes_read=report.bytes_read,
+                bytes_written=report.bytes_written,
+                compute_cycles=report.compute,
+                memory_cycles=report.memory,
+                transform_cycles=report.transform,
+                profile_cycles=report.profile,
+                out_density=0.0,  # known once every lane has written
+                analysis_seconds=analysis_s,
+                core_busy=timeline.busy - busy_before,
+                num_waves=stats.waves,
+                tasks_executed=stats.tasks_executed,
+                exposed_cycles=exposed_analysis_cycles(
+                    soft, analysis_s, tasks.num_tasks, cycles
+                ),
+            ))
+
+        out_mat, out_density = assembly.finalize()
+        store[kernel.out_name] = out_mat
+        stored_sparse[kernel.out_name] = (
+            choose_storage_format(out_density) if assembly.dense_assembly else True
+        )
+        # drop any stale views of this name (re-runs within one program)
+        for key in [kk for kk in views if kk[0] == kernel.out_name]:
+            del views[key]
+        for ks in lane_stats:
+            ks.out_density = out_density
+        yield kernel, lane_stats
+
+
 class RuntimeSystem:
-    """Drives one accelerator through one compiled program.
+    """Drives one accelerator through one compiled program: the one-lane
+    case of :func:`run_kernels`, with the single-device latency model
+    (kernel makespans plus exposed analysis, summed in cycles).
 
     ``tracer``/``track`` arm span tracing (:mod:`repro.obs`): per-kernel
     execution spans on ``track``, per-wave/per-task spans nested under
@@ -533,222 +457,89 @@ class RuntimeSystem:
         *,
         tracer=NULL_TRACER,
         track: str = "dev0",
-        balance: str = "fifo",
-        vectorised: bool = True,
     ) -> None:
         if accelerator.config.psys != strategy.config.psys:
             raise ValueError("strategy and accelerator configs disagree")
-        if balance not in ("fifo", "sorted"):
-            raise ValueError(
-                f"unknown balance mode {balance!r}; use 'fifo' or 'sorted'"
-            )
         self.accelerator = accelerator
         self.strategy = strategy
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.track = track
-        self.balance = balance
-        self.vectorised = vectorised
 
-    # -- public API ------------------------------------------------------
     def run(self, program: CompiledProgram) -> InferenceResult:
-        acc = self.accelerator
-        acc.reset()
-        soft = acc.soft_processor
-        timeline = CoreTimeline(acc.num_cores)
-
-        local_store: dict = {}
-        local_views: dict = {}
-        stored_sparse = dict(program.stored_sparse)
-
+        cfg = self.accelerator.config
+        lane = Lane(self.accelerator, self.track)
+        timeline = lane.timeline
+        store: dict = {}
         kernel_stats: list[KernelStats] = []
-        analysis_seconds: list[float] = []
-        kernel_cycles: list[float] = []
+        start_cycles = timeline.now
 
-        for kernel in program.graph.topo_order():
-            ks, analysis_s = self._run_kernel(
-                kernel, program, local_store, local_views, stored_sparse,
-                timeline,
-            )
+        for kernel, (ks,) in run_kernels(
+            program, self.strategy, [lane], store, tracer=self.tracer
+        ):
+            if self.tracer.enabled:
+                start_s = cfg.cycles_to_seconds(start_cycles)
+                self.tracer.span(
+                    self.track,
+                    kernel.kernel_id,
+                    start_s,
+                    cfg.cycles_to_seconds(timeline.now),
+                    cat="kernel",
+                    ktype=kernel.ktype.name,
+                    tasks=ks.num_tasks,
+                    pairs=ks.num_pairs,
+                    waves=ks.num_waves,
+                    out_density=round(ks.out_density, 6),
+                )
+                if ks.analysis_seconds > 0.0:
+                    # K2P analysis overlaps execution of this kernel (§VI-B);
+                    # draw it alongside on the host track
+                    self.tracer.span(
+                        "host/analyzer",
+                        f"{kernel.kernel_id}/k2p",
+                        start_s,
+                        start_s + ks.analysis_seconds,
+                        cat="analysis",
+                        pairs=ks.num_pairs,
+                    )
             kernel_stats.append(ks)
-            analysis_seconds.append(analysis_s)
-            kernel_cycles.append(ks.cycles)
+            start_cycles = timeline.now
 
-        exposed_per_kernel = [
-            exposed_analysis_cycles(
-                soft, analysis_seconds[i], ks.num_tasks, kernel_cycles[i]
-            )
-            for i, ks in enumerate(kernel_stats)
-        ]
-        exposed = sum(exposed_per_kernel)
+        accel_cycles = float(sum(ks.cycles for ks in kernel_stats))
         if self.tracer.enabled:
             # one exposed-overhead span per kernel, laid end to end after
             # the device spans so kernel + exposed durations sum exactly
             # to total_cycles (validate_trace reconciles against this)
-            cfg = acc.config
-            cursor = float(sum(kernel_cycles))
-            for ks, exp_c in zip(kernel_stats, exposed_per_kernel):
-                if exp_c > 0.0:
+            cursor = accel_cycles
+            for ks in kernel_stats:
+                if ks.exposed_cycles > 0.0:
                     self.tracer.span(
                         "host/exposed",
                         f"{ks.kernel_id}/exposed",
                         cfg.cycles_to_seconds(cursor),
-                        cfg.cycles_to_seconds(cursor + exp_c),
+                        cfg.cycles_to_seconds(cursor + ks.exposed_cycles),
                         cat="exposed",
                     )
-                    cursor += exp_c
+                    cursor += ks.exposed_cycles
 
-        output = local_store[program.output_name]
         return InferenceResult(
-            output=output,
+            output=store[program.output_name],
             strategy_name=self.strategy.name,
             model_name=program.model.name,
             data_name=program.data_name,
-            config=acc.config,
+            config=cfg,
             kernel_stats=kernel_stats,
-            accel_cycles=float(sum(kernel_cycles)),
-            exposed_overhead_cycles=float(exposed),
-            runtime_overhead_seconds=float(sum(analysis_seconds)),
+            accel_cycles=accel_cycles,
+            exposed_overhead_cycles=float(
+                sum(ks.exposed_cycles for ks in kernel_stats)
+            ),
+            runtime_overhead_seconds=float(
+                sum(ks.analysis_seconds for ks in kernel_stats)
+            ),
             compile_timings=program.timings,
             input_bytes=program.input_bytes(),
             core_busy=timeline.busy.copy(),
             timeline_events=timeline.events,
         )
-
-    # -- internals ----------------------------------------------------------
-    def _view(
-        self,
-        name: str,
-        blocking: tuple[int, int],
-        program: CompiledProgram,
-        local_store: dict,
-        local_views: dict,
-    ) -> PartitionedMatrix:
-        if name in local_store:
-            key = (name, blocking[0], blocking[1])
-            pm = local_views.get(key)
-            if pm is None:
-                pm = PartitionedMatrix(
-                    local_store[name], blocking[0], blocking[1], name=name
-                )
-                local_views[key] = pm
-            return pm
-        return program.view(name, *blocking)
-
-    def _run_kernel(
-        self,
-        kernel: KernelIR,
-        program: CompiledProgram,
-        local_store: dict,
-        local_views: dict,
-        stored_sparse: dict,
-        timeline: CoreTimeline,
-    ) -> tuple[KernelStats, float]:
-        acc = self.accelerator
-        soft = acc.soft_processor
-        scheme = kernel.exec_scheme
-        if scheme is None:
-            raise RuntimeError(f"kernel {kernel.kernel_id} has no execution scheme")
-
-        xv = self._view(kernel.x_name, scheme.x_blocking, program, local_store, local_views)
-        yv = self._view(kernel.y_name, scheme.y_blocking, program, local_store, local_views)
-        if xv.num_col_blocks != yv.num_row_blocks:
-            raise RuntimeError(
-                f"inner blocking mismatch on {kernel.kernel_id}: "
-                f"{xv.num_col_blocks} vs {yv.num_row_blocks}"
-            )
-        x_stored_sparse = stored_sparse[kernel.x_name]
-        y_stored_sparse = stored_sparse[kernel.y_name]
-
-        act = (
-            activation_fn(kernel.activation) if kernel.activation_enabled else None
-        )
-        acc_view = (
-            self._view(kernel.accumulate_into, scheme.out_blocking, program,
-                       local_store, local_views)
-            if kernel.accumulate_into
-            else None
-        )
-        assembly = KernelAssembly.for_kernel(xv, yv, scheme)
-        busy_before = timeline.busy.copy()
-        start_cycles = timeline.now
-
-        stats = execute_kernel_tasks(
-            kernel, xv, yv, x_stored_sparse, y_stored_sparse,
-            acc, self.strategy, timeline, scheme.tasks(), assembly,
-            acc_view, act, tracer=self.tracer, track=self.track,
-            balance=self.balance, task_batch=scheme.task_batch(),
-            vectorised=self.vectorised,
-        )
-        cycles = timeline.barrier()
-
-        # assemble + store the produced feature matrix
-        out_mat, out_density = assembly.finalize()
-        local_store[kernel.out_name] = out_mat
-        stored_sparse[kernel.out_name] = (
-            choose_storage_format(out_density)
-            if assembly.dense_assembly
-            else True
-        )
-        # drop any stale views of this name (re-runs within one program)
-        for key in [kk for kk in local_views if kk[0] == kernel.out_name]:
-            del local_views[key]
-
-        analysis_s = (
-            soft.k2p_decision_seconds(stats.num_pairs)
-            if self.strategy.charges_analysis
-            else 0.0
-        )
-
-        if self.tracer.enabled:
-            cfg = acc.config
-            start_s = cfg.cycles_to_seconds(start_cycles)
-            end_s = cfg.cycles_to_seconds(timeline.now)
-            self.tracer.span(
-                self.track,
-                kernel.kernel_id,
-                start_s,
-                end_s,
-                cat="kernel",
-                ktype=kernel.ktype.name,
-                tasks=scheme.num_tasks,
-                pairs=stats.num_pairs,
-                waves=stats.waves,
-                out_density=round(out_density, 6),
-            )
-            if analysis_s > 0.0:
-                # K2P analysis overlaps execution of this kernel (§VI-B);
-                # draw it alongside on the host track
-                self.tracer.span(
-                    "host/analyzer",
-                    f"{kernel.kernel_id}/k2p",
-                    start_s,
-                    start_s + analysis_s,
-                    cat="analysis",
-                    pairs=stats.num_pairs,
-                )
-
-        report = stats.report
-        ks = KernelStats(
-            kernel_id=kernel.kernel_id,
-            ktype=kernel.ktype,
-            num_tasks=scheme.num_tasks,
-            num_pairs=stats.num_pairs,
-            cycles=cycles,
-            primitive_counts=stats.counts,
-            macs=report.macs,
-            bytes_read=report.bytes_read,
-            bytes_written=report.bytes_written,
-            compute_cycles=report.compute,
-            memory_cycles=report.memory,
-            transform_cycles=report.transform,
-            profile_cycles=report.profile,
-            out_density=out_density,
-            analysis_seconds=analysis_s,
-            core_busy=timeline.busy - busy_before,
-            num_waves=stats.waves,
-            tasks_executed=stats.tasks_executed,
-        )
-        return ks, analysis_s
 
 
 def end_to_end_seconds(
@@ -775,15 +566,8 @@ def run_strategy(
     *,
     tracer=NULL_TRACER,
     track: str = "dev0",
-    balance: str = "fifo",
-    vectorised: bool = True,
 ) -> InferenceResult:
     """Convenience: run one program under one named strategy."""
-    from repro.runtime.strategies import make_strategy
-
     acc = accelerator or Accelerator(program.config)
     strategy = make_strategy(strategy_name, acc.config)
-    return RuntimeSystem(
-        acc, strategy, tracer=tracer, track=track,
-        balance=balance, vectorised=vectorised,
-    ).run(program)
+    return RuntimeSystem(acc, strategy, tracer=tracer, track=track).run(program)

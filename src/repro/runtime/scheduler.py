@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.runtime.stats import mean_over_max
+
 
 @dataclass
 class TimelineEvent:
@@ -82,52 +84,10 @@ class CoreTimeline:
 
     def load_balance(self) -> float:
         """Mean busy time / max busy time in [0, 1]; 1.0 = perfectly even."""
-        mx = float(self.busy.max())
-        if mx == 0.0:
-            return 1.0
-        # float summation in mean() can overshoot max by an ulp when all
-        # cores carry identical load; clamp to keep the [0, 1] contract
-        return min(float(self.busy.mean()) / mx, 1.0)
+        return mean_over_max(self.busy)
 
     def utilisation(self) -> float:
         """Aggregate busy fraction of the schedule so far."""
         if self._now == 0.0:
             return 1.0
         return float(self.busy.sum()) / (self._now * self.num_cores)
-
-
-def wave_fill_schedule(
-    durations: np.ndarray,
-    available: np.ndarray,
-    cap: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Duration-sorted, count-capped core assignment (``balance="sorted"``).
-
-    Tasks are dispatched longest-first (classic LPT, here driven by the
-    CSR-nnz-dominated duration estimates) to the least-loaded core that
-    still has capacity.  The per-core cap of ``ceil(E / cores)`` tasks is
-    what makes the scheme safe: FIFO dispatch puts at least
-    ``ceil(E / cores)`` tasks on *some* core (pigeonhole), so the capped
-    fill can never need more scheduling waves than FIFO — pure LPT
-    without the cap can (e.g. durations ``[1, 1, 1, 1, 10]`` on two
-    cores fill 4 waves against FIFO's 3).
-
-    Returns ``(order, cores)``: positions into ``durations`` in dispatch
-    order, and the core chosen for each dispatched position.
-    """
-    durations = np.asarray(durations, dtype=np.float64)
-    load = np.asarray(available, dtype=np.float64).copy()
-    e = durations.shape[0]
-    c = load.shape[0]
-    if cap is None:
-        cap = -(e // -c) if c else 0
-    order = np.argsort(-durations, kind="stable")
-    cores = np.empty(e, dtype=np.int64)
-    counts = np.zeros(c, dtype=np.int64)
-    for pos, item in enumerate(order):
-        masked = np.where(counts < cap, load, np.inf)
-        core = int(np.argmin(masked))
-        cores[pos] = core
-        load[core] += durations[item]
-        counts[core] += 1
-    return order, cores

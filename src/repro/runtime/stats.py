@@ -17,13 +17,23 @@ from repro.hw.report import CycleReport, Primitive
 from repro.ir.kernel import KernelType
 
 
+def mean_over_max(busy: np.ndarray) -> float:
+    """Load balance of a busy-time vector: mean / max in [0, 1]; 1.0 =
+    perfectly even (also for an empty or all-idle vector)."""
+    mx = float(busy.max()) if busy.size else 0.0
+    if mx == 0.0:
+        return 1.0
+    # float summation in mean() can overshoot max by an ulp when every
+    # entry carries identical load; clamp to keep the [0, 1] contract
+    return min(float(busy.mean()) / mx, 1.0)
+
+
 @dataclass
 class TaskLoopStats:
     """Accounting one ``execute_kernel_tasks`` call accumulates.
 
-    Lives here (not in :mod:`repro.runtime.executor`) so the reference
-    and vectorised task loops can share it without an import cycle; the
-    executor re-exports it for backwards compatibility.
+    Lives here (not in :mod:`repro.runtime.executor`) so the task loop
+    and its reference oracle can share it without an import cycle.
     """
 
     report: CycleReport = field(default_factory=CycleReport)
@@ -64,16 +74,15 @@ class KernelStats:
     num_waves: int = 0
     #: tasks actually dispatched (all-zero output partitions are skipped)
     tasks_executed: int = 0
+    #: K2P analysis the kernel's execution could not hide (§VI-B; cycles)
+    exposed_cycles: float = 0.0
 
     @property
     def skipped_pairs(self) -> int:
         return self.primitive_counts.get(Primitive.SKIP, 0)
 
     def load_balance(self) -> float:
-        mx = float(self.core_busy.max()) if self.core_busy.size else 0.0
-        if mx == 0.0:
-            return 1.0
-        return float(self.core_busy.mean()) / mx
+        return mean_over_max(self.core_busy)
 
 
 def total_primitive_counts(kernel_stats: list[KernelStats]) -> Counter:

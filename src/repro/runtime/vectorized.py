@@ -1,9 +1,11 @@
-"""Vectorised whole-layer task execution (structure-of-arrays inner loop).
+"""The task loop: whole-layer structure-of-arrays execution.
 
-The reference runtime (``execute_kernel_tasks_reference``) walks one
-Python iteration per task and one :class:`OperandSpec` pair per inner
-block — the dominant simulator cost on large graphs.  This module runs
-the same semantics as four batched passes over the whole kernel:
+The inner loop of the runtime (Analyzer decisions -> Scheduler core
+assignment -> core execution -> output write-back).  The reference
+oracle (:mod:`repro.runtime.reference`) walks one Python iteration
+per task and one :class:`OperandSpec` pair per inner block — the
+dominant simulator cost on large graphs.  :func:`execute_kernel_tasks`
+runs the same semantics as four batched passes over the whole kernel:
 
 1. **Decide + account** — one ``strategy.decide_batch`` call over every
    (task, pair) of the kernel, followed by batched byte/nnz/density
@@ -20,28 +22,23 @@ the same semantics as four batched passes over the whole kernel:
    ``np.add.accumulate`` so kernel totals match the reference's
    accumulation order exactly).
 4. **Dispatch** — the only remaining sequential part: Algorithm 8's
-   earliest-available core choice and the per-core mode-switch state
-   machine.  ``balance="sorted"`` opts into CSR-style duration-sorted,
-   count-capped wave filling, which provably never needs more waves than
-   FIFO dispatch (pigeonhole: its per-core cap is ``ceil(E / cores)``,
-   a lower bound on the FIFO maximum).
+   earliest-available core choice (FIFO in task order) and the per-core
+   mode-switch state machine.
 
 Bit-exactness against the reference loop — outputs, CycleReport totals,
 primitive counts, wave counts and the timeline event set — is asserted
 by ``tests/test_executor_vectorised.py`` and the
-``bench_executor_vectorised`` BenchSpec.  When a pair would overflow the
-on-chip buffers the function returns ``None`` *before any state
-mutation* and the caller falls back to the reference loop (which raises
-the exact historical error).
+``bench_executor_vectorised`` BenchSpec.  A pair that would overflow the
+on-chip buffers raises :class:`~repro.hw.buffers.BufferOverflowError`
+*before any state mutation*.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.formats.dense import DTYPE
+from repro.hw.buffers import BufferOverflowError
 from repro.hw.core import _matmul, batch_pair_cycles, batch_task_writeback
 from repro.hw.report import (
     CODE_ORDER,
@@ -54,7 +51,6 @@ from repro.hw.report import (
 from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.ir.scheme import TaskBatch
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.scheduler import wave_fill_schedule
 from repro.runtime.stats import TaskLoopStats
 
 try:  # direct sparsetools entry: skips scipy's per-call dispatch overhead
@@ -65,7 +61,7 @@ except Exception:  # pragma: no cover - exotic scipy builds
     _CSR_MATVECS = None
 
 __all__ = [
-    "execute_kernel_tasks_vectorised",
+    "execute_kernel_tasks",
     "finalise_task_loop",
 ]
 
@@ -81,8 +77,9 @@ def finalise_task_loop(
 ) -> TaskLoopStats:
     """Shared post-loop bookkeeping: wave counts + wave/task trace spans.
 
-    Both executor paths derive waves and spans from the timeline events
-    they just booked, so tracing cannot perturb bit-exactness.
+    The task loop and its reference oracle derive waves and spans from
+    the timeline events they just booked, so tracing cannot perturb
+    bit-exactness.
     """
     executed = timeline.events[events_before:]
     stats.tasks_executed = len(executed)
@@ -118,7 +115,7 @@ def finalise_task_loop(
     return stats
 
 
-def execute_kernel_tasks_vectorised(
+def execute_kernel_tasks(
     kernel,
     xv,
     yv,
@@ -127,25 +124,25 @@ def execute_kernel_tasks_vectorised(
     accelerator,
     strategy,
     timeline,
-    tasks: list,
+    tasks: TaskBatch,
     assembly,
     acc_view,
     act,
     *,
     tracer=NULL_TRACER,
     track: str = "dev0",
-    balance: str = "fifo",
-    task_batch: Optional[TaskBatch] = None,
-) -> Optional[TaskLoopStats]:
-    """Vectorised twin of ``execute_kernel_tasks_reference``.
+) -> TaskLoopStats:
+    """Execute a slice of one kernel's task grid on one accelerator.
 
-    Returns ``None`` (without mutating any accelerator, timeline, ledger
-    or assembly state) when a pair would overflow the on-chip buffers —
-    the caller then re-runs the reference loop, which raises the
-    historical :class:`~repro.hw.buffers.BufferOverflowError`.
+    ``tasks`` is any :class:`~repro.ir.scheme.TaskBatch` over the
+    kernel's grid (the whole grid, or one lane's block rows); writes
+    land in the shared ``assembly``.  Bit-exact against the oracle in
+    :mod:`repro.runtime.reference`, which takes the same arguments.
+
+    Raises :class:`~repro.hw.buffers.BufferOverflowError` — without
+    having mutated any accelerator, timeline, ledger or assembly state —
+    when a pair does not fit the on-chip buffers.
     """
-    if balance not in ("fifo", "sorted"):
-        raise ValueError(f"unknown balance mode {balance!r}")
     acc = accelerator
     cfg = acc.config
     soft = acc.soft_processor
@@ -153,7 +150,7 @@ def execute_kernel_tasks_vectorised(
     stats = TaskLoopStats()
     events_before = len(timeline.events)
 
-    t_count = len(tasks)
+    t_count = tasks.num_tasks
     if t_count == 0:
         for core in acc.cores:
             core.active_cores = 0
@@ -161,12 +158,11 @@ def execute_kernel_tasks_vectorised(
             stats, kernel, acc, timeline, events_before, tracer, track
         )
 
-    batch = task_batch if task_batch is not None else TaskBatch.from_tasks(tasks)
-    rows = batch.rows
-    cols = batch.cols
-    js = batch.js
-    counts = batch.counts
-    p_count = batch.num_pairs
+    rows = tasks.rows
+    cols = tasks.cols
+    js = tasks.js
+    counts = tasks.counts
+    p_count = tasks.num_pairs
     tix = np.repeat(np.arange(t_count, dtype=np.int64), counts)
 
     x_rs = xv.row_block_sizes
@@ -200,14 +196,22 @@ def execute_kernel_tasks_vectorised(
     live = codes != SKIP_CODE
     elems_x = m_p * n_p
     elems_y = n_p * d_p
-    # capacity pre-check mirroring execute_pair; any violation -> fall
-    # back to the reference loop before any state is touched
-    viol = (codes == GEMM_CODE) & ((elems_x > words_u) | (elems_y > words_u))
-    spdmm_m = codes == SPDMM_CODE
-    viol |= spdmm_m & (np.where(transp, elems_x, elems_y) > words_u)
-    viol |= (codes == SPMM_CODE) & (3 * y_nnz_p > words_u)
-    if viol.any():
-        return None
+    # capacity pre-check mirroring execute_pair (SPMM's resident COO
+    # operand already fits, by the degrade above), before any state is
+    # touched
+    need_p = np.where(
+        codes == GEMM_CODE,
+        np.maximum(elems_x, elems_y),
+        np.where(codes == SPDMM_CODE, np.where(transp, elems_x, elems_y), 0),
+    )
+    over = np.flatnonzero(need_p > words_u)
+    if over.size:
+        p = int(over[0])
+        raise BufferOverflowError(
+            f"kernel {kernel.kernel_id}: pair X[{i_p[p]},{js[p]}] @ "
+            f"Y[{js[p]},{k_p[p]}] needs {need_p[p]} words, "
+            f"BufferU holds {words_u}"
+        )
 
     lp = np.flatnonzero(live)
     lt = tix[lp]
@@ -395,23 +399,10 @@ def execute_kernel_tasks_vectorised(
         ],
         dtype=np.int64,
     )
-    if balance == "sorted" and exec_idx.size:
-        est = base_t[exec_idx] + internal_t[exec_idx] * msc
-        order_pos, chosen_cores = wave_fill_schedule(
-            est, timeline.available.copy()
-        )
-        dispatch_order = exec_idx[order_pos]
-    else:
-        dispatch_order = exec_idx
-        chosen_cores = None
     total_switches = 0
-    for pos, t in enumerate(dispatch_order):
+    for t in exec_idx:
         t = int(t)
-        core_id = (
-            int(chosen_cores[pos])
-            if chosen_cores is not None
-            else timeline.peek_next_core()
-        )
+        core_id = timeline.peek_next_core()
         fc = int(first_code_t[t])
         bsw = (
             1

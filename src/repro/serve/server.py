@@ -526,17 +526,8 @@ class InferenceServer:
                 # per-kernel durations (execution + exposed analysis);
                 # normalise float-summation drift into the last segment
                 # so the segments reconstruct latency_s exactly
-                from repro.runtime.executor import exposed_analysis_cycles
-
-                soft = self.pool.devices[device].soft_processor
                 segs = [
-                    self.config.cycles_to_seconds(
-                        ks.cycles
-                        + exposed_analysis_cycles(
-                            soft, ks.analysis_seconds, ks.num_tasks,
-                            ks.cycles,
-                        )
-                    )
+                    self.config.cycles_to_seconds(ks.cycles + ks.exposed_cycles)
                     for ks in result.kernel_stats
                 ]
                 if segs:

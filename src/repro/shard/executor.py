@@ -5,11 +5,12 @@ an :class:`~repro.engine.pool.AcceleratorPool`, one shard (contiguous
 vertex range, planned by :func:`~repro.shard.planner.plan_shards`) per
 device:
 
-- every kernel's task grid is split by output block row, and each
-  shard's subset runs through the *same*
-  :func:`~repro.runtime.executor.execute_kernel_tasks` inner loop the
-  single-device runtime uses, on the shard's own device — outputs are
-  therefore **bit-exact** against a single-device ``run_strategy``;
+- each shard is one *lane* of the runtime's kernel driver
+  (:func:`~repro.runtime.executor.run_kernels`): every kernel's task
+  grid is split by output block row and each shard's slice runs through
+  the same task loop a single-device run (the one-lane case) uses, on
+  the shard's own device — outputs are therefore **bit-exact** against
+  a single-device ``run_strategy``;
 - a **per-layer barrier** separates kernels: the layer's modelled time
   is the slowest shard's (halo + analysis-exposed + execution) time,
   exactly how Algorithm 8's per-kernel barrier works one level down;
@@ -30,25 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.compiler.compile import CompiledProgram
-from repro.compiler.sparsity import choose_storage_format
-from repro.config import AcceleratorConfig
 from repro.engine.pool import AcceleratorPool
-from repro.formats.dense import DTYPE
-from repro.formats.partition import PartitionedMatrix
-from repro.gnn.activations import activation_fn
 from repro.hw.memory import pcie_transfer_seconds
 from repro.ir.kernel import KernelType
 from repro.obs.tracer import NULL_TRACER
-from repro.runtime.executor import (
-    InferenceResult,
-    KernelAssembly,
-    execute_kernel_tasks,
-    exposed_analysis_cycles,
-)
-from repro.runtime.scheduler import CoreTimeline
+from repro.runtime.executor import InferenceResult, Lane, RunResult, run_kernels
+from repro.runtime.stats import mean_over_max
 from repro.runtime.strategies import MappingStrategy, make_strategy
 from repro.shard.planner import ShardPlan, halo_vertices, plan_shards
 
@@ -78,19 +68,12 @@ class ShardKernelStats:
     barrier_s: float
 
 
-@dataclass
-class ShardedResult:
+@dataclass(kw_only=True)
+class ShardedResult(RunResult):
     """Outcome of one sharded run: exact output + the modelled schedule."""
 
-    output: object  # ndarray | csr_matrix
     plan: ShardPlan
-    strategy_name: str
-    model_name: str
-    data_name: str
-    config: AcceleratorConfig
     kernel_stats: list[ShardKernelStats] = field(default_factory=list)
-    #: total soft-processor K2P analysis time across shards (seconds)
-    runtime_overhead_seconds: float = 0.0
 
     @property
     def num_shards(self) -> int:
@@ -176,20 +159,11 @@ class ShardedResult:
 
     def load_balance(self) -> float:
         """Mean shard busy time / max shard busy time; 1.0 = even."""
-        busy = self.shard_busy_s
-        mx = float(busy.max()) if busy.size else 0.0
-        if mx == 0.0:
-            return 1.0
-        return min(float(busy.mean()) / mx, 1.0)
+        return mean_over_max(self.shard_busy_s)
 
     def speedup_vs(self, single: InferenceResult) -> float:
         """Modelled speedup over a single-device run (>1 = faster)."""
         return single.latency_s / self.latency_s
-
-    def output_dense(self) -> np.ndarray:
-        if sp.issparse(self.output):
-            return np.asarray(self.output.todense(), dtype=DTYPE)
-        return np.asarray(self.output, dtype=DTYPE)
 
     def format_report(self) -> str:
         lines = [
@@ -268,9 +242,6 @@ class ShardedRuntime:
         *,
         book_on_pool: bool = True,
         tracer=NULL_TRACER,
-        on_layer=None,
-        balance: str = "fifo",
-        vectorised: bool = True,
     ) -> None:
         if plan.num_shards > pool.num_devices:
             raise ValueError(
@@ -284,15 +255,7 @@ class ShardedRuntime:
         self.strategy = strategy
         self.plan = plan
         self.book_on_pool = book_on_pool
-        self.balance = balance
-        self.vectorised = vectorised
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: optional layer-boundary admission hook: called as
-        #: ``on_layer(kernel_id, layer_index, t_start_s, barrier_s)``
-        #: after each layer's barrier resolves (run-local clock) — the
-        #: point at which a continuous scheduler may admit new requests
-        #: into this execution
-        self.on_layer = on_layer
         #: per-operand halo vertex counts, cached across kernels; the
         #: plan already computed the balance adjacency's counts
         self._halo_cache: dict[str, np.ndarray] = {}
@@ -317,15 +280,12 @@ class ShardedRuntime:
     def run(self, program: CompiledProgram) -> ShardedResult:
         plan = self.plan
         config = self.pool.config
-        devices = self.pool.devices[: plan.num_shards]
-        for dev in devices:
-            dev.reset()
-        timelines = [CoreTimeline(dev.num_cores) for dev in devices]
-
-        local_store: dict = {}
-        local_views: dict = {}
-        stored_sparse = dict(program.stored_sparse)
-
+        n = plan.num_shards
+        lanes = [
+            Lane(dev, f"shard{shard.index}", (shard.v0, shard.v1))
+            for dev, shard in zip(self.pool.devices, plan.shards)
+        ]
+        store: dict = {}
         kernel_stats: list[ShardKernelStats] = []
         analysis_total = 0.0
         layer_ready = 0.0
@@ -333,92 +293,26 @@ class ShardedRuntime:
         #: independent of the pool clock, which may carry prior bookings
         t_layer = 0.0
 
-        def view(name: str, blocking: tuple[int, int]) -> PartitionedMatrix:
-            if name in local_store:
-                key = (name, blocking[0], blocking[1])
-                pm = local_views.get(key)
-                if pm is None:
-                    pm = PartitionedMatrix(
-                        local_store[name], blocking[0], blocking[1], name=name
-                    )
-                    local_views[key] = pm
-                return pm
-            return program.view(name, *blocking)
-
-        for kernel in program.graph.topo_order():
-            scheme = kernel.exec_scheme
-            if scheme is None:
-                raise RuntimeError(
-                    f"kernel {kernel.kernel_id} has no execution scheme"
-                )
-            xv = view(kernel.x_name, scheme.x_blocking)
-            yv = view(kernel.y_name, scheme.y_blocking)
-            if xv.num_col_blocks != yv.num_row_blocks:
-                raise RuntimeError(
-                    f"inner blocking mismatch on {kernel.kernel_id}: "
-                    f"{xv.num_col_blocks} vs {yv.num_row_blocks}"
-                )
-            x_stored_sparse = stored_sparse[kernel.x_name]
-            y_stored_sparse = stored_sparse[kernel.y_name]
-            act = (
-                activation_fn(kernel.activation)
-                if kernel.activation_enabled
-                else None
-            )
-            acc_view = (
-                view(kernel.accumulate_into, scheme.out_blocking)
-                if kernel.accumulate_into
-                else None
-            )
-            assembly = KernelAssembly.for_kernel(xv, yv, scheme)
-            all_tasks = scheme.tasks()
-            full_batch = scheme.task_batch()
-            out_br = scheme.out_blocking[0]
-
+        for kernel, lane_stats in run_kernels(
+            program, self.strategy, lanes, store
+        ):
             if kernel.ktype is KernelType.AGGREGATE:
                 halo_rows = self._halo_counts(program, kernel.x_name)
                 # each halo vertex contributes one feature row of Y
-                halo_bytes = halo_rows * int(yv.shape[1]) * 4
+                # (as wide as the Aggregate's output)
+                halo_bytes = halo_rows * kernel.output_dim * 4
             else:
-                halo_bytes = np.zeros(plan.num_shards, dtype=np.int64)
+                halo_bytes = np.zeros(n, dtype=np.int64)
             halo_s = np.array(
                 [pcie_transfer_seconds(int(b), config) for b in halo_bytes]
             )
-
-            n = plan.num_shards
-            cycles = np.zeros(n)
-            exposed = np.zeros(n)
-            tasks_n = np.zeros(n, dtype=np.int64)
-            pairs_n = np.zeros(n, dtype=np.int64)
-            seconds = np.zeros(n)
-            for s, shard in enumerate(plan.shards):
-                lo, hi = plan.block_range(shard, out_br)
-                tasks = [t for t in all_tasks if lo <= t.out_row < hi]
-                acc = devices[s]
-                stats = execute_kernel_tasks(
-                    kernel, xv, yv, x_stored_sparse, y_stored_sparse,
-                    acc, self.strategy, timelines[s], tasks, assembly,
-                    acc_view, act, balance=self.balance,
-                    vectorised=self.vectorised,
-                    task_batch=full_batch.subset(
-                        (full_batch.rows >= lo) & (full_batch.rows < hi)
-                    ),
-                )
-                cycles[s] = timelines[s].barrier()
-                analysis_s = (
-                    acc.soft_processor.k2p_decision_seconds(stats.num_pairs)
-                    if self.strategy.charges_analysis
-                    else 0.0
-                )
-                analysis_total += analysis_s
-                exposed[s] = exposed_analysis_cycles(
-                    acc.soft_processor, analysis_s, len(tasks), cycles[s]
-                )
-                tasks_n[s] = len(tasks)
-                pairs_n[s] = stats.num_pairs
-                seconds[s] = halo_s[s] + config.cycles_to_seconds(
-                    cycles[s] + exposed[s]
-                )
+            for ks in lane_stats:
+                analysis_total += ks.analysis_seconds
+            cycles = np.array([ks.cycles for ks in lane_stats])
+            exposed = np.array([ks.exposed_cycles for ks in lane_stats])
+            tasks_n = np.array([ks.num_tasks for ks in lane_stats], dtype=np.int64)
+            pairs_n = np.array([ks.num_pairs for ks in lane_stats], dtype=np.int64)
+            seconds = halo_s + config.cycles_to_seconds(cycles + exposed)
 
             barrier_s = float(seconds.max()) if n else 0.0
             if self.tracer.enabled:
@@ -427,16 +321,16 @@ class ShardedRuntime:
                 # shard granularity: halo -> exec -> barrier-wait per
                 # shard track, plus one layer span on "timeline" whose
                 # durations sum exactly to ShardedResult.latency_s
-                for s in range(n):
+                for s, lane in enumerate(lanes):
                     if halo_s[s] > 0.0:
                         self.tracer.span(
-                            f"shard{s}", f"{kernel.kernel_id}/halo",
+                            lane.track, f"{kernel.kernel_id}/halo",
                             t_layer, t_layer + halo_s[s], cat="halo",
                             halo_bytes=int(halo_bytes[s]),
                         )
                     exec_end = t_layer + seconds[s]
                     self.tracer.span(
-                        f"shard{s}", kernel.kernel_id,
+                        lane.track, kernel.kernel_id,
                         t_layer + halo_s[s], exec_end, cat="kernel",
                         ktype=kernel.ktype.name,
                         tasks=int(tasks_n[s]),
@@ -444,21 +338,17 @@ class ShardedRuntime:
                     )
                     if barrier_s - seconds[s] > 0.0:
                         self.tracer.span(
-                            f"shard{s}", f"{kernel.kernel_id}/barrier-wait",
+                            lane.track, f"{kernel.kernel_id}/barrier-wait",
                             exec_end, t_layer + barrier_s, cat="barrier",
                         )
                     self.tracer.counter(
-                        f"shard{s}", "halo_bytes", t_layer,
+                        lane.track, "halo_bytes", t_layer,
                         int(halo_bytes[s]),
                     )
                 self.tracer.span(
                     "timeline", kernel.kernel_id,
                     t_layer, t_layer + barrier_s, cat="layer",
                     slowest_shard=int(np.argmax(seconds)) if n else 0,
-                )
-            if self.on_layer is not None:
-                self.on_layer(
-                    kernel.kernel_id, len(kernel_stats), t_layer, barrier_s
                 )
             t_layer += barrier_s
             if self.book_on_pool:
@@ -483,20 +373,8 @@ class ShardedRuntime:
                 )
             )
 
-            out_mat, out_density = assembly.finalize()
-            local_store[kernel.out_name] = out_mat
-            stored_sparse[kernel.out_name] = (
-                choose_storage_format(out_density)
-                if assembly.dense_assembly
-                else True
-            )
-            for key in [
-                kk for kk in local_views if kk[0] == kernel.out_name
-            ]:
-                del local_views[key]
-
         return ShardedResult(
-            output=local_store[program.output_name],
+            output=store[program.output_name],
             plan=plan,
             strategy_name=self.strategy.name,
             model_name=program.model.name,
@@ -516,7 +394,6 @@ def run_sharded(
     plan: ShardPlan | None = None,
     book_on_pool: bool = True,
     tracer=NULL_TRACER,
-    on_layer=None,
 ) -> ShardedResult:
     """Convenience: plan + execute one program across ``num_shards``
     devices (a dedicated pool is created unless one is passed)."""
@@ -526,6 +403,5 @@ def run_sharded(
         pool = AcceleratorPool(program.config, plan.num_shards)
     strategy = make_strategy(strategy_name, pool.config)
     return ShardedRuntime(
-        pool, strategy, plan, book_on_pool=book_on_pool, tracer=tracer,
-        on_layer=on_layer,
+        pool, strategy, plan, book_on_pool=book_on_pool, tracer=tracer
     ).run(program)

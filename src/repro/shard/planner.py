@@ -30,6 +30,7 @@ import numpy as np
 
 from repro.compiler.compile import CompiledProgram
 from repro.ir.kernel import KernelType
+from repro.ir.scheme import owned_block_rows
 
 __all__ = ["Shard", "ShardPlan", "halo_vertices", "plan_shards"]
 
@@ -102,9 +103,7 @@ class ShardPlan:
         few trailing rows are computed by the owner of its first vertex
         (ownership is an accounting notion; numerics are unaffected).
         """
-        lo = -(-shard.v0 // block_rows)  # ceil
-        hi = -(-shard.v1 // block_rows)
-        return lo, hi
+        return owned_block_rows(shard.v0, shard.v1, block_rows)
 
     def describe(self) -> str:
         lines = [

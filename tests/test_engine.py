@@ -5,12 +5,10 @@ Covers: bit-exact equivalence of ``Engine.infer`` against the legacy
 model x dataset matrix, the backend registry (lookup, errors, custom
 registration), program-cache sharing between direct engine use and
 serving, the ``engine.mutate`` dynamic-graph path, and the top-level
-deprecation shims (which must warn exactly once per process).
+removal of the 1.1 deprecation shims.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -285,29 +283,16 @@ class TestMutation:
 
 
 class TestDeprecationShims:
-    def test_shims_resolve_to_the_real_entry_points(self):
-        from repro.runtime.executor import RuntimeSystem as real_rs
-
-        assert repro.run_strategy is run_strategy
-        assert repro.RuntimeSystem is real_rs
-
-    def test_shims_warn_exactly_once_per_name(self):
-        repro._warned_deprecations.clear()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            getattr(repro, "run_strategy")
-            getattr(repro, "run_strategy")
-            getattr(repro, "RuntimeSystem")
-            getattr(repro, "RuntimeSystem")
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 2  # one per deprecated name
-        assert all("Engine" in str(w.message) for w in deprecations)
-
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.definitely_not_an_attribute
+        # the 1.1 shims are gone in 2.0: the low-level names live in
+        # repro.runtime only
+        for name in ("run_strategy", "RuntimeSystem"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
+            assert name not in repro.__all__
+            assert hasattr(repro.runtime, name)
 
 
 class TestOverheadHarness:

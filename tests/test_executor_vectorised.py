@@ -1,15 +1,20 @@
-"""The vectorised task loop vs the per-task reference loop.
+"""The task loop vs the per-task reference loop.
 
 The whole-layer structure-of-arrays pass of
 :mod:`repro.runtime.vectorized` is only admissible because it is
-*bit-exact* against :func:`~repro.runtime.executor
+*bit-exact* against :func:`~repro.runtime.reference
 .execute_kernel_tasks_reference`: same outputs, CycleReport totals,
 primitive counts, wave counts and timeline events.  These tests pin that
 contract across models, strategies, datasets and sharding, plus the
-supporting machinery (TaskBatch SoA, stripe block splitting, the
-count-capped sorted balancer) and the active-core accounting bugfix the
-vectorised rewrite surfaced.
+supporting machinery (TaskBatch SoA, stripe block splitting), the
+active-core accounting bugfix the vectorised rewrite surfaced and the
+buffer-overflow error.  Whole-program oracle runs substitute the
+reference loop for the kernel driver's module-level task loop; nothing
+in ``src/`` selects between the two.
 """
+
+import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -22,16 +27,16 @@ from repro.datasets.catalog import DatasetSpec, GraphData
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn import build_model, init_weights
+import repro.runtime.executor as executor_mod
 from repro.hw import Accelerator
+from repro.hw.buffers import BufferOverflowError
 from repro.hw.report import CycleReport
 from repro.ir.scheme import TaskBatch
 from repro.runtime import (
     CoreTimeline,
     execute_kernel_tasks,
     execute_kernel_tasks_reference,
-    execute_kernel_tasks_vectorised,
     make_strategy,
-    wave_fill_schedule,
 )
 from repro.runtime.executor import KernelAssembly, run_strategy
 
@@ -49,6 +54,16 @@ def _events(result):
     ]
 
 
+def oracle_run(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` with the reference loop substituted for
+    the driver's task loop — the whole-program oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            executor_mod, "execute_kernel_tasks", execute_kernel_tasks_reference
+        )
+        return fn(*args, **kwargs)
+
+
 def assert_results_identical(rv, rr):
     """Bit-exact equality of two InferenceResults (no tolerances)."""
     np.testing.assert_array_equal(_dense(rv.output), _dense(rr.output))
@@ -61,7 +76,7 @@ def assert_results_identical(rv, rr):
             "cycles", "macs", "bytes_read", "bytes_written",
             "compute_cycles", "memory_cycles", "transform_cycles",
             "profile_cycles", "out_density", "analysis_seconds",
-            "num_waves", "tasks_executed", "num_pairs",
+            "num_waves", "tasks_executed", "num_pairs", "exposed_cycles",
         ):
             assert getattr(kv, f) == getattr(kr, f), (kv.kernel_id, f)
         assert kv.primitive_counts == kr.primitive_counts
@@ -123,13 +138,13 @@ class TestBitExactness:
     )
     def test_matches_reference(self, co_programs, model_name, strategy):
         program = co_programs[model_name]
-        rv = run_strategy(program, strategy, vectorised=True)
-        rr = run_strategy(program, strategy, vectorised=False)
+        rv = run_strategy(program, strategy)
+        rr = oracle_run(run_strategy, program, strategy)
         assert_results_identical(rv, rr)
 
     def test_matches_reference_with_skipped_tasks(self, zero_slab_program):
-        rv = run_strategy(zero_slab_program, "Dynamic", vectorised=True)
-        rr = run_strategy(zero_slab_program, "Dynamic", vectorised=False)
+        rv = run_strategy(zero_slab_program, "Dynamic")
+        rr = oracle_run(run_strategy, zero_slab_program, "Dynamic")
         assert_results_identical(rv, rr)
         # the slab really does knock out whole tasks
         assert any(
@@ -144,12 +159,10 @@ class TestBitExactness:
         cfg = program.config
         plan = plan_shards(program, 2)
         strategy = make_strategy("Dynamic", cfg)
-        rv = ShardedRuntime(
-            AcceleratorPool(cfg, 2), strategy, plan, vectorised=True
-        ).run(program)
-        rr = ShardedRuntime(
-            AcceleratorPool(cfg, 2), strategy, plan, vectorised=False
-        ).run(program)
+        rv = ShardedRuntime(AcceleratorPool(cfg, 2), strategy, plan).run(program)
+        rr = oracle_run(
+            ShardedRuntime(AcceleratorPool(cfg, 2), strategy, plan).run, program
+        )
         np.testing.assert_array_equal(_dense(rv.output), _dense(rr.output))
         assert rv.latency_s == rr.latency_s
         for kv, kr in zip(rv.kernel_stats, rr.kernel_stats):
@@ -158,7 +171,10 @@ class TestBitExactness:
 
 
 def _loop_args(program, kernel, acc, tasks):
-    """Plumbing for a direct execute_kernel_tasks call on one kernel."""
+    """Plumbing for a direct execute_kernel_tasks call on one kernel;
+    ``tasks`` is a TaskBatch or a Task list."""
+    if not isinstance(tasks, TaskBatch):
+        tasks = TaskBatch.from_tasks(tasks)
     scheme = kernel.exec_scheme
     xv = program.view(kernel.x_name, *scheme.x_blocking)
     yv = program.view(kernel.y_name, *scheme.y_blocking)
@@ -202,16 +218,17 @@ class TestActiveCoreAccounting:
     understated.  Both paths now count *dispatched* tasks.
     """
 
-    @pytest.mark.parametrize("vectorised", [True, False])
+    @pytest.mark.parametrize("reference", [True, False])
     def test_active_cores_counts_dispatched_only(
-        self, zero_slab_program, vectorised
+        self, zero_slab_program, reference
     ):
         program = zero_slab_program
         kernel = _aggregate_kernel(program)
         acc = Accelerator(program.config)
-        args = _loop_args(program, kernel, acc, kernel.exec_scheme.tasks())
-        stats = execute_kernel_tasks(*args, vectorised=vectorised)
-        assert stats.tasks_executed < len(kernel.exec_scheme.tasks())
+        args = _loop_args(program, kernel, acc, kernel.exec_scheme.task_batch())
+        loop = execute_kernel_tasks_reference if reference else execute_kernel_tasks
+        stats = loop(*args)
+        assert stats.tasks_executed < kernel.exec_scheme.num_tasks
         expected = min(acc.num_cores, stats.tasks_executed)
         for core in acc.cores:
             assert core.active_cores == expected
@@ -339,13 +356,12 @@ class TestDegenerateInputs:
         kernel = _first_input_kernel(program)
         tasks = kernel.exec_scheme.tasks()[:1]
         accs = [Accelerator(program.config) for _ in range(2)]
-        sv = execute_kernel_tasks_vectorised(
+        sv = execute_kernel_tasks(
             *_loop_args(program, kernel, accs[0], tasks)
         )
         sr = execute_kernel_tasks_reference(
             *_loop_args(program, kernel, accs[1], tasks)
         )
-        assert sv is not None
         assert sv.report == sr.report
         assert sv.counts == sr.counts
         assert sv.tasks_executed == sr.tasks_executed == 1
@@ -383,9 +399,8 @@ class TestDegenerateInputs:
         accs = [Accelerator(program.config) for _ in range(2)]
         av = _loop_args(program, kernel, accs[0], subset)
         ar = _loop_args(program, kernel, accs[1], subset)
-        sv = execute_kernel_tasks_vectorised(*av)
+        sv = execute_kernel_tasks(*av)
         sr = execute_kernel_tasks_reference(*ar)
-        assert sv is not None
         assert sv.report == sr.report
         assert sv.counts == sr.counts
         assert sv.waves == sr.waves
@@ -394,34 +409,49 @@ class TestDegenerateInputs:
         assert evv == evr
 
 
-class TestSortedBalance:
-    def test_sorted_never_needs_more_waves(self, co_programs):
-        for model_name in ("GCN", "GIN"):
-            program = co_programs[model_name]
-            rf = run_strategy(program, "Dynamic", balance="fifo")
-            rs = run_strategy(program, "Dynamic", balance="sorted")
-            np.testing.assert_array_equal(
-                _dense(rf.output), _dense(rs.output)
+class TestBufferOverflow:
+    """A pair that does not fit BufferU is a typed error raised before
+    the loop touches any state — not a silent hand-off to the oracle."""
+
+    def test_overflow_names_the_pair_and_leaves_state_untouched(
+        self, co_programs
+    ):
+        program = co_programs["GCN"]
+        kernel = _first_input_kernel(program)
+        # same psys (all RuntimeSystem checks), buffers far too small
+        # for the partitions this program was compiled into
+        small = program.config.replace(
+            buffers=dataclasses.replace(
+                program.config.buffers, words_per_buffer=8
             )
-            for kf, ks in zip(rf.kernel_stats, rs.kernel_stats):
-                assert ks.num_waves <= kf.num_waves
+        )
+        acc = Accelerator(small)
+        args = _loop_args(program, kernel, acc, kernel.exec_scheme.task_batch())
+        timeline, assembly = args[7], args[9]
+        out_before = assembly.out_dense.copy()
+        with pytest.raises(BufferOverflowError) as err:
+            execute_kernel_tasks(*args)
+        message = str(err.value)
+        assert kernel.kernel_id in message
+        assert re.search(r"X\[\d+,\d+\] @ Y\[\d+,\d+\]", message)
+        needed, held = map(
+            int, re.search(r"needs (\d+) words.*holds (\d+)", message).groups()
+        )
+        assert needed > held == acc.cores[0].buffers.buffer_u.words
+        assert timeline.events == []
+        assert not timeline.busy.any()
+        np.testing.assert_array_equal(assembly.out_dense, out_before)
+        assert assembly.total_out_nnz == 0
+        assert acc.memory.ledger.bytes_read == 0
+        assert acc.memory.ledger.bytes_written == 0
+        assert all(core.active_cores is None for core in acc.cores)
 
-    def test_unknown_balance_rejected(self, co_programs):
-        with pytest.raises(ValueError, match="balance"):
-            run_strategy(co_programs["GCN"], "Dynamic", balance="lpt")
-
-    @given(
-        durations=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=64),
-        cores=st.integers(1, 8),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_wave_fill_respects_cap(self, durations, cores):
-        d = np.asarray(durations)
-        order, assigned = wave_fill_schedule(d, np.zeros(cores))
-        # a permutation of all tasks...
-        assert sorted(order.tolist()) == list(range(len(d)))
-        # ...with no core taking more than ceil(E / C) tasks, which by
-        # pigeonhole is what FIFO puts on its fullest core
-        cap = -(len(d) // -cores)
-        counts = np.bincount(assigned, minlength=cores)
-        assert counts.max() <= cap
+    def test_overflow_surfaces_through_run_strategy(self, co_programs):
+        program = co_programs["GCN"]
+        small = program.config.replace(
+            buffers=dataclasses.replace(
+                program.config.buffers, words_per_buffer=8
+            )
+        )
+        with pytest.raises(BufferOverflowError, match="needs"):
+            run_strategy(program, "Dynamic", accelerator=Accelerator(small))

@@ -325,19 +325,6 @@ class TestLayerBoundaries:
         assert len(bounds) == len(res.kernel_stats) + 1
         assert bounds == sorted(bounds)
 
-    def test_on_layer_hook_fires_once_per_kernel(self, sharded):
-        calls = []
-        res = run_sharded(
-            sharded, 2,
-            on_layer=lambda kid, n, t, b: calls.append((kid, n, t, b)),
-        )
-        assert len(calls) == len(res.kernel_stats)
-        # t is the boundary at which the layer *ends*; monotone and the
-        # barrier increments sum to the run latency
-        times = [t for _, _, t, _ in calls]
-        assert times == sorted(times)
-        assert sum(b for _, _, _, b in calls) == pytest.approx(res.latency_s)
-
 
 # ---------------------------------------------------------------------------
 # the continuous scheduler end to end

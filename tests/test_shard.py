@@ -148,6 +148,64 @@ class TestBitExactness:
         assert sharded.latency_s == pytest.approx(single.latency_s, rel=1e-9)
         assert sharded.halo_bytes == 0 and sharded.halo_s == 0.0
 
+    @pytest.mark.parametrize("model", ("GCN", "GraphSAGE"))
+    def test_single_device_is_the_one_lane_case(self, model):
+        """One shard and one device are the same lane through the same
+        driver: identical outputs and, kernel by kernel, identical
+        makespans, exposed analysis, pair and task counts."""
+        program = compile_program(model, "CO")
+        single = run_strategy(program, "Dynamic")
+        sharded = run_sharded(program, 1)
+        np.testing.assert_array_equal(
+            sharded.output_dense(), single.output_dense()
+        )
+        assert len(sharded.kernel_stats) == len(single.kernel_stats)
+        for sks, ks in zip(sharded.kernel_stats, single.kernel_stats):
+            assert sks.kernel_id == ks.kernel_id
+            assert sks.shard_cycles[0] == ks.cycles
+            assert sks.shard_exposed_cycles[0] == ks.exposed_cycles
+            assert sks.shard_pairs[0] == ks.num_pairs
+            assert sks.shard_tasks[0] == ks.num_tasks
+        assert sharded.runtime_overhead_seconds == single.runtime_overhead_seconds
+
+
+class TestOneDriver:
+    """Single-device and sharded runs go through the one kernel driver:
+    a recorder substituted for its module-level task loop sees every
+    kernel x lane call of both."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        import repro.runtime.executor as executor_mod
+
+        seen = []
+        original = executor_mod.execute_kernel_tasks
+
+        def recorder(kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
+                     tasks, *rest, **kw):
+            seen.append((kernel.kernel_id, kw["track"], tasks.num_tasks))
+            return original(kernel, xv, yv, x_ss, y_ss, acc, strategy,
+                            timeline, tasks, *rest, **kw)
+
+        monkeypatch.setattr(executor_mod, "execute_kernel_tasks", recorder)
+        return seen
+
+    def test_run_strategy_is_one_lane_per_kernel(self, gcn_co, calls):
+        result = run_strategy(gcn_co, "Dynamic")
+        assert calls == [
+            (ks.kernel_id, "dev0", ks.num_tasks) for ks in result.kernel_stats
+        ]
+
+    def test_run_sharded_is_one_call_per_kernel_and_shard(self, gcn_co, calls):
+        result = run_sharded(gcn_co, 3)
+        assert calls == [
+            (ks.kernel_id, f"shard{s}", int(ks.shard_tasks[s]))
+            for ks in result.kernel_stats
+            for s in range(result.num_shards)
+        ]
+        for kernel, ks in zip(gcn_co.graph.topo_order(), result.kernel_stats):
+            assert ks.shard_tasks.sum() == kernel.exec_scheme.num_tasks
+
 
 class TestModelledSchedule:
     def test_latency_is_the_sum_of_layer_barriers(self, gcn_co):
@@ -207,6 +265,13 @@ class TestModelledSchedule:
 
 
 class TestEngineIntegration:
+    @pytest.mark.parametrize("shards", (None, 0, -2, 2.0, "2"))
+    def test_invalid_shards_rejected_at_the_engine_boundary(self, shards):
+        engine = Engine(make_tiny_config(), pool_size=2)
+        with pytest.raises(ValueError, match="shards") as err:
+            engine.compile("GCN", "CO", scale=SCALE, seed=3, shards=shards)
+        assert repr(shards) in str(err.value)
+
     def test_compile_with_shards_attaches_a_plan(self):
         engine = Engine(make_tiny_config(), pool_size=2)
         handle = engine.compile("GCN", "CO", scale=SCALE, seed=3, shards=2)
