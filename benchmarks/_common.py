@@ -16,6 +16,7 @@ densities, which the generators preserve — see DESIGN.md).  Set
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -150,6 +151,17 @@ def run(model_name: str, ds_name: str, strategy: str, sparsity_pct: int = 0,
     )
 
 
+def best_of(fn, repeats: int = 5):
+    """``(fn()'s result, fastest wall seconds)`` over ``repeats`` calls."""
+    best = float("inf")
+    out = None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return out, best
+
+
 def emit(name: str, table: str) -> str:
     """Print a rendered table and persist it under results/."""
     print("\n" + table)
@@ -166,6 +178,7 @@ __all__ = [
     "BenchContext",
     "Metric",
     "RunSummary",
+    "best_of",
     "emit",
     "engine_for",
     "format_table",

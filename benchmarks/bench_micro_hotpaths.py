@@ -7,7 +7,10 @@ dominant inner loops, both rewritten as single numpy passes in this PR:
    every compile and re-profile runs.  The ``np.add.at`` scatter-add
    became a CSR-native ``np.bincount`` over contiguous ``indptr`` slices
    (the reference implementation is kept as
-   ``block_nnz_grid_reference``).
+   ``block_nnz_grid_reference``).  Dense operands — every intermediate
+   feature matrix of a warm ``infer`` — are counted as a boolean mask,
+   contiguous axis first; the dense cell below is GIN/CiteSeer's
+   3327x3703 intermediate, the costliest census of the perf ledger.
 2. ``runtime.analyzer.Analyzer.decide_batch`` — Algorithm 7 over all K
    pairs of a task in one vectorised pass instead of one Python
    ``decide()`` call (dataclass construction included) per pair.
@@ -18,12 +21,10 @@ are bit-identical, and reports the speedup — the committed baseline under
 (>= 2x on both at the default scale) and CI's guard that it stays in.
 """
 
-import time
-
 import numpy as np
 import scipy.sparse as sp
 
-from _common import Metric, emit, format_table, register_bench
+from _common import Metric, best_of, emit, format_table, register_bench
 from repro import u250_default
 from repro.formats.partition import block_nnz_grid, block_nnz_grid_reference
 from repro.hw.core import PairDecision
@@ -35,18 +36,11 @@ from repro.runtime.analyzer import Analyzer, PairInfo
 GRID_N = 6000
 GRID_DENSITY = 0.02
 GRID_BLOCK = 256
+DENSE_SHAPE = (3327, 3703)
+DENSE_DENSITY = 0.5
+DENSE_BLOCK = 720
 NUM_PAIRS = 100_000
 REPEATS = 5
-
-
-def _best_of(fn, repeats=REPEATS):
-    best = float("inf")
-    out = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return out, best
 
 
 def _grid_inputs():
@@ -57,6 +51,13 @@ def _grid_inputs():
     )
 
 
+def _dense_inputs():
+    rng = np.random.default_rng(13)
+    mat = rng.uniform(0.5, 1.5, size=DENSE_SHAPE).astype(np.float32)
+    mat[rng.random(DENSE_SHAPE) >= DENSE_DENSITY] = 0.0
+    return mat
+
+
 @register_bench(
     "micro_block_nnz_grid",
     tier=("smoke", "full"),
@@ -64,32 +65,51 @@ def _grid_inputs():
     # same-machine before/after ratio: the bincount-vs-scatter gap is
     # machine-stable in class but not in digits; the band still catches
     # the vectorisation being reverted (speedup collapsing toward 1x)
-    tolerances={"speedup": 0.6},
+    tolerances={"speedup": 0.6, "dense_speedup": 0.6},
 )
 def _grid_spec(ctx):
     """Hot path 1: block-nnz census, np.bincount vs np.add.at scatter."""
     mat = _grid_inputs()
-    ref, ref_s = _best_of(
+    ref, ref_s = best_of(
         lambda: block_nnz_grid_reference(mat, GRID_BLOCK, GRID_BLOCK)
     )
-    new, new_s = _best_of(lambda: block_nnz_grid(mat, GRID_BLOCK, GRID_BLOCK))
+    new, new_s = best_of(lambda: block_nnz_grid(mat, GRID_BLOCK, GRID_BLOCK))
     assert np.array_equal(ref, new), "vectorised grid must be bit-exact"
     speedup = ref_s / new_s
+    dense = _dense_inputs()
+    dref, dref_s = best_of(
+        lambda: block_nnz_grid_reference(dense, DENSE_BLOCK, DENSE_BLOCK),
+        repeats=2,
+    )
+    dnew, dnew_s = best_of(
+        lambda: block_nnz_grid(dense, DENSE_BLOCK, DENSE_BLOCK)
+    )
+    assert np.array_equal(dref, dnew), "dense census must be bit-exact"
+    dense_speedup = dref_s / dnew_s
     emit("micro_block_nnz_grid", format_table(
-        ["variant", "best of 5 (ms)", "speedup"],
+        ["operand", "variant", "best (ms)", "speedup"],
         [
-            ["np.add.at (reference)", f"{ref_s * 1e3:.3f}", "1.00x"],
-            ["np.bincount", f"{new_s * 1e3:.3f}", f"{speedup:.2f}x"],
+            ["CSR", "np.add.at (reference)", f"{ref_s * 1e3:.3f}", "1.00x"],
+            ["CSR", "np.bincount", f"{new_s * 1e3:.3f}", f"{speedup:.2f}x"],
+            ["dense", "np.nonzero + np.add.at (reference)",
+             f"{dref_s * 1e3:.3f}", "1.00x"],
+            ["dense", "mask, columns then rows", f"{dnew_s * 1e3:.3f}",
+             f"{dense_speedup:.2f}x"],
         ],
         title=(
             f"M1a: block_nnz_grid, {GRID_N}x{GRID_N} CSR "
-            f"@ {GRID_DENSITY:.0%} density, {GRID_BLOCK}-blocks"
+            f"@ {GRID_DENSITY:.0%} density, {GRID_BLOCK}-blocks; "
+            f"{DENSE_SHAPE[0]}x{DENSE_SHAPE[1]} float32 ndarray "
+            f"@ {DENSE_DENSITY:.0%}, {DENSE_BLOCK}-blocks"
         ),
     ))
     assert speedup > 1.5, f"vectorised grid only {speedup:.2f}x faster"
+    assert dense_speedup > 1.5, f"dense census only {dense_speedup:.2f}x faster"
     return {
         "speedup": Metric("speedup", speedup, "x", "higher"),
         "vectorized_ms": Metric("vectorized_ms", new_s * 1e3, "ms"),
+        "dense_speedup": Metric("dense_speedup", dense_speedup, "x", "higher"),
+        "dense_ms": Metric("dense_ms", dnew_s * 1e3, "ms"),
     }
 
 
@@ -127,10 +147,10 @@ def _k2p_spec(ctx):
     """Hot path 2: Algorithm 7 K2P mapping, batched vs per-pair decide()."""
     analyzer = Analyzer(u250_default())
     ax, ay = _pair_inputs()
-    (ref_codes, ref_t), ref_s = _best_of(
+    (ref_codes, ref_t), ref_s = best_of(
         lambda: _decide_scalar(analyzer, ax, ay), repeats=3
     )
-    (new_codes, new_t), new_s = _best_of(
+    (new_codes, new_t), new_s = best_of(
         lambda: analyzer.decide_batch(ax, ay), repeats=REPEATS
     )
     assert np.array_equal(ref_codes, new_codes), "decisions must be bit-exact"

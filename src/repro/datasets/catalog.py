@@ -137,6 +137,10 @@ def load_dataset(
     # small scales (DESIGN.md substitution notes)
     e = max(int(round(spec.edges * s**1.5)), v)
     f = feature_dim if feature_dim is not None else spec.features
+    if f < 1:
+        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     max_edges = v * (v - 1) // (2 if spec.symmetric else 1)
     e = min(e, max_edges)
     a = powerlaw_graph(v, e, seed=seed, symmetric=spec.symmetric)

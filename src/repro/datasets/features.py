@@ -5,6 +5,12 @@ Vertex feature matrices in the benchmark graphs range from near-empty
 produces a matrix whose nonzero count matches ``round(density * V * f)``
 exactly; sparse outputs are CSR, dense ones ndarray (mirroring the
 compiler's off-chip storage-format policy threshold).
+
+The sparse path rejection-samples flat cell ids (rounds merged by
+:func:`repro.formats.csr.sorted_unique`), subsamples to the exact count,
+then draws the values; the dense path draws every value and zeroes an
+exact-count random subset.  The output for a given ``(shape, density,
+seed)`` is a contract: golden digests in ``tests/test_datasets.py``.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.formats.csr import sorted_unique
 from repro.formats.dense import DTYPE
 from repro.formats.partition import SPARSE_STORAGE_THRESHOLD
 
@@ -50,7 +57,7 @@ def sparse_features(
     while need > 0:
         batch = max(int(need * 1.3), 256)
         cand = rng.integers(0, total, size=batch, dtype=np.int64)
-        flat = np.unique(np.concatenate([flat, cand]))
+        flat = sorted_unique(np.concatenate([flat, cand]))
         need = target - flat.size
         rounds += 1
         if rounds > 200:  # pragma: no cover - safety valve

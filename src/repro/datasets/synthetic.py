@@ -7,6 +7,13 @@ samples edges until the exact target count is reached, deduplicating and
 rejecting self-loops.  Hub positions are shuffled so block partitions see
 realistic density variation (different parts of A having different
 densities is central to the paper's fine-grained mapping).
+
+The output for given arguments is a contract (golden digests in
+``tests/test_datasets.py``): uniforms are drawn in a fixed order and the
+endpoint cdf is inverted exactly as ``Generator.choice`` inverts it, only
+through a guide table instead of one binary search per draw; rounds are
+merged by :func:`repro.formats.csr.sorted_unique`, and the sorted edge
+keys are written straight into canonical CSR.
 """
 
 from __future__ import annotations
@@ -14,7 +21,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from repro.formats.csr import sorted_unique
 from repro.formats.dense import DTYPE
+
+#: buckets of the endpoint sampler's guide table (a power of two, so a
+#: uniform's bucket ``floor(u * _GUIDE)`` is computed exactly in float64)
+_GUIDE = 1 << 16
 
 
 def _zipf_weights(
@@ -28,6 +40,34 @@ def _zipf_weights(
     w = (1.0 - uniform_mix) * w + uniform_mix / n
     rng.shuffle(w)  # hubs scattered over vertex ids
     return w / w.sum()
+
+
+def _endpoint_sampler(p: np.ndarray):
+    """``draw(rng, size)`` equal to ``rng.choice(len(p), size, p=p)``
+    element for element, consuming the same ``rng.random(size)``.
+
+    ``guide[b]`` counts the cdf entries ``<= b / _GUIDE``, i.e. those with
+    ``ceil(cdf * _GUIDE) <= b`` (both scalings are exact).  A uniform in
+    bucket ``b`` lies in ``[b, b + 1) / _GUIDE``, so unless a cdf step
+    falls inside its bucket, ``guide[b]`` is the binary search's answer;
+    only the uniforms of the (at most ``len(p)``) other buckets are searched.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    guide = np.bincount(
+        np.ceil(cdf * _GUIDE).astype(np.intp), minlength=_GUIDE + 1
+    ).cumsum(dtype=np.int64)  # rng.choice returns int64 on every platform
+    straddles = guide[1:] != guide[:-1]
+
+    def draw(rng: np.random.Generator, size: int) -> np.ndarray:
+        u = rng.random(size)
+        bucket = (u * _GUIDE).astype(np.intp)
+        idx = guide[bucket]
+        hard = np.flatnonzero(straddles[bucket])
+        idx[hard] = cdf.searchsorted(u[hard], "right")
+        return idx
+
+    return draw
 
 
 def powerlaw_graph(
@@ -54,8 +94,10 @@ def powerlaw_graph(
     max_possible = num_vertices * (num_vertices - 1) // (2 if symmetric else 1)
     if num_edges > max_possible:
         raise ValueError(f"too many edges requested: {num_edges} > {max_possible}")
+    if np.isnan(exponent):
+        raise ValueError(f"exponent must be a number, got {exponent}")
     rng = np.random.default_rng(seed)
-    p = _zipf_weights(num_vertices, exponent, rng)
+    draw = _endpoint_sampler(_zipf_weights(num_vertices, exponent, rng))
 
     seen = np.zeros(0, dtype=np.int64)
     need = num_edges
@@ -63,17 +105,17 @@ def powerlaw_graph(
     rounds = 0
     while need > 0:
         batch = max(int(need * 1.5), 1024)
-        src = rng.choice(num_vertices, size=batch, p=p)
-        dst = rng.choice(num_vertices, size=batch, p=p)
+        src = draw(rng, batch)
+        dst = draw(rng, batch)
         mask = src != dst
         src, dst = src[mask], dst[mask]
         if symmetric:
             lo = np.minimum(src, dst)
             hi = np.maximum(src, dst)
-            keys = lo.astype(np.int64) * v + hi
+            keys = lo * v + hi
         else:
-            keys = src.astype(np.int64) * v + dst
-        seen = np.unique(np.concatenate([seen, keys]))
+            keys = src * v + dst
+        seen = sorted_unique(np.concatenate([seen, keys]))
         need = num_edges - seen.size
         rounds += 1
         if rounds > 200:  # pragma: no cover - safety valve
@@ -81,13 +123,15 @@ def powerlaw_graph(
     if seen.size > num_edges:
         seen = rng.choice(seen, size=num_edges, replace=False)
 
-    rows = (seen // v).astype(np.int64)
-    cols = (seen % v).astype(np.int64)
+    # the keys, sorted, are the matrix in row-major order: canonical CSR
+    # without the coo -> csr -> sort_indices round trip
     if symmetric:
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-    vals = np.ones(rows.size, dtype=DTYPE)
+        seen = np.concatenate([seen, seen % v * v + seen // v])
+    seen = np.sort(seen)
+    indptr = seen.searchsorted(np.arange(num_vertices + 1, dtype=np.int64) * v)
     a = sp.csr_matrix(
-        (vals, (rows, cols)), shape=(num_vertices, num_vertices), dtype=DTYPE
+        (np.ones(seen.size, dtype=DTYPE), seen % v, indptr),
+        shape=(num_vertices, num_vertices),
     )
-    a.sum_duplicates()
+    a.has_canonical_format = True
     return a

@@ -69,7 +69,10 @@ def block_nnz_grid(
     block row — no row-coordinate materialisation at all, ~6x faster
     than the scatter-add (``np.add.at``) this replaced (see
     ``block_nnz_grid_reference`` and the ``micro_block_nnz_grid``
-    bench), and bit-identical to it.  Everything else (dense, COO,
+    bench), and bit-identical to it.  A dense operand is counted as a
+    boolean mask (``-0.0`` a zero, ``NaN`` a nonzero), each row's column
+    blocks first (the contiguous axis), block rows second: no coordinate
+    arrays, no integer copy of the operand.  Everything else (COO,
     explicit zeros, duplicates) goes through the linearised-coordinate
     bincount.
     """
@@ -92,16 +95,18 @@ def block_nnz_grid(
             grid[i] = np.bincount(col_blocks[lo:hi], minlength=nc)
         return grid
     if not sp.issparse(mat):
-        # dense path: blockwise popcount via two reduceat passes beats
-        # materialising the O(nnz) coordinate arrays (a ~50%-dense
-        # intermediate feature matrix yields tens of millions of them)
-        nz = (np.asarray(mat) != 0).astype(np.int64)
-        row_starts = np.arange(0, mat.shape[0], block_rows)
-        col_starts = np.arange(0, mat.shape[1], block_cols)
-        grid = np.add.reduceat(nz, row_starts, axis=0)
-        return np.ascontiguousarray(
-            np.add.reduceat(grid, col_starts, axis=1)
+        # the mask is C-ordered whatever the input's layout; a row's count
+        # inside one column block is at most min(block_cols, columns), so
+        # the narrowest unsigned type holding that bound cannot wrap
+        mask = np.not_equal(np.asarray(mat), 0, order="C").view(np.uint8)
+        per_row = np.add.reduceat(
+            mask, np.arange(0, mat.shape[1], block_cols), axis=1,
+            dtype=np.min_scalar_type(min(block_cols, mat.shape[1])),
         )
+        return np.ascontiguousarray(np.add.reduceat(
+            per_row, np.arange(0, mat.shape[0], block_rows), axis=0,
+            dtype=np.int64,
+        ))
     rows, cols = _nonzero_coords(mat)
     if not rows.size:
         return np.zeros((nr, nc), dtype=np.int64)

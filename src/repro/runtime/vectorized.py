@@ -263,7 +263,7 @@ def execute_kernel_tasks(
     if lp.size:
         tl = lp[transp[lp]]
         if tl.size:
-            merged_t[np.unique(tix[tl])] = True
+            merged_t[tix[tl]] = True
 
     # ---- phase 2: functional pass (original task order) ----------------
     x_sparse = xv.is_sparse_storage

@@ -125,8 +125,10 @@ def halo_vertices(a, v0: int, v1: int) -> int:
     their own range — the feature rows a shard must receive before an
     Aggregate kernel."""
     cols = a.indices[a.indptr[v0]:a.indptr[v1]]
-    outside = cols[(cols < v0) | (cols >= v1)]
-    return int(np.unique(outside).size)
+    referenced = np.zeros(a.shape[1], dtype=bool)
+    referenced[cols] = True
+    referenced[v0:v1] = False
+    return int(np.count_nonzero(referenced))
 
 
 def _balanced_boundaries(
