@@ -539,8 +539,13 @@ class Engine:
 
         ``server_kwargs`` are forwarded to
         :class:`~repro.serve.server.InferenceServer` (``max_batch_size``,
-        ``max_wait_s``, ``return_outputs``, ``mutation_policy``); servers
-        are memoized per kwargs so repeated sweeps stay warm.
+        ``max_wait_s``, ``return_outputs``, ``mutation_policy``, and
+        ``scheduler`` with its ``slo_policy`` / ``admission`` /
+        ``autoscaler``); servers are memoized per kwargs so repeated
+        sweeps stay warm.  Every sweep runs through the one serve loop
+        (:mod:`repro.sched.scheduler`); ``scheduler`` names its dispatch
+        policy, by default ``"legacy"`` — book each closed batch ahead
+        and whole.
         """
         from repro.serve.server import InferenceServer
 

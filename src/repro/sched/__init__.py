@@ -1,19 +1,23 @@
-"""Continuous-batching scheduler with SLO tiers (`repro.sched`).
+"""The serve loop and what it schedules by (`repro.sched`).
 
-Replaces the fire-whole-batches loop of
-:class:`~repro.serve.server.InferenceServer` with an event-driven
-scheduler on the same virtual clock:
+Every :meth:`InferenceServer.serve <repro.serve.server.InferenceServer.serve>`
+sweep runs through the one event-driven loop here, on the virtual clock:
 
+- :mod:`repro.sched.scheduler` — the loop: arrivals, batch windows,
+  cache lookups charged to the host clock, dispatch, completion;
 - :mod:`repro.sched.slo` — SLO classes (interactive / bulk) with
   per-class priority, batching window and latency target;
 - :mod:`repro.sched.admission` — queue-depth-bounded admission control
   (admit / defer / shed);
 - :mod:`repro.sched.autoscaler` — queue-depth/utilization pool
-  autoscaling with hysteresis;
-- :mod:`repro.sched.scheduler` — the event loop: continuous batching
-  with join-in-flight at layer boundaries and priority preemption.
+  autoscaling with hysteresis.
 
-Enable it per server::
+``InferenceServer(scheduler=...)`` names the loop's dispatch policy
+(:data:`repro.serve.batcher.POLICIES`).  The default, ``"legacy"``,
+schedules every request as one class and books each closed batch ahead
+and whole; ``"continuous"`` acts on SLO classes and books layer by layer,
+which is what makes join-in-flight, preemption, admission control and
+autoscaling possible::
 
     from repro.serve import InferenceServer
     from repro.sched import SLOPolicy, PoolAutoscaler
@@ -24,9 +28,6 @@ Enable it per server::
         slo_policy=SLOPolicy.default(interactive_target_p99_s=5e-3),
         autoscaler=PoolAutoscaler(min_devices=1),
     )
-
-``scheduler="legacy"`` (the default) leaves the original batcher path
-untouched — bit-exact with servers built before this subsystem existed.
 """
 
 from repro.sched.admission import AdmissionController, AdmissionDecision

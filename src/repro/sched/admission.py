@@ -41,6 +41,10 @@ class AdmissionDecision:
             )
 
 
+#: the one decision that carries no reason (immutable, so shared)
+_ADMIT = AdmissionDecision("admit")
+
+
 class AdmissionController:
     """Per-class queue-depth-bounded admit / defer / shed decisions."""
 
@@ -79,7 +83,7 @@ class AdmissionController:
     ) -> AdmissionDecision:
         bound = slo_class.max_queue_depth
         if bound is None or queue_depth < bound:
-            return AdmissionDecision("admit")
+            return _ADMIT
         hard = math.ceil(bound * self.hard_limit_factor)
         if slo_class.overload == "shed":
             return AdmissionDecision(

@@ -1,8 +1,21 @@
-"""The continuous-batching event loop.
+"""The serve loop: one discrete-event scheduler on the virtual clock.
 
-Replaces the legacy two-phase serve loop (collect whole micro-batches,
-then book them) with a discrete-event scheduler on the same virtual
-clock.  Four ideas, in dependency order:
+Every ``InferenceServer.serve`` sweep runs here.  The loop merges the
+arrival-sorted request stream with a small heap of timers (batch
+windows, compiles finishing, layer boundaries, completions) and, for
+each inference arrival, does the same things in the same order whatever
+the dispatch policy: resolve the graph, validate, look the program up in
+the cache (charging a miss's compile to the one host clock), and add the
+request to the forming micro-batch of its ``batch_key``.  A batch closes
+when it fills or when its window expires.
+
+What happens to a closed batch, and which class a request is scheduled
+as, is the :class:`~repro.serve.batcher.DispatchPolicy` named by
+``InferenceServer(scheduler=...)``.  ``"legacy"`` schedules everything as
+one class and books each closed batch ahead and whole, so nothing below
+ever comes into play.  ``"continuous"`` keeps closed batches in a ready
+queue and books them layer by layer, which is what the rest of this
+module is about:
 
 **Per-layer segments.**  Every distinct (program, strategy, shards)
 execution decomposes into an input-PCIe segment plus one segment per
@@ -15,11 +28,11 @@ layer boundaries into scheduling points.
 **Join-in-flight.**  Requests sharing a ``batch_key`` are bit-identical
 runs, so a request arriving while a compatible execution is in flight
 *joins* it at the next layer boundary and shares its result — zero added
-service time.  This is what keeps goodput up under overload: the legacy
-batcher caps sharing at ``max_batch_size`` per batch and re-executes
-every subsequent batch, while the continuous scheduler lets the backlog
-ride one booking.  (The founding group still respects
-``max_batch_size``; joins are free riders on an already-paid booking.)
+service time.  This is what keeps goodput up under overload: booking
+ahead caps sharing at ``max_batch_size`` per batch and re-executes every
+subsequent batch, while joins let the backlog ride one booking.  (The
+founding group still respects ``max_batch_size``; joins are free riders
+on an already-paid booking.)
 
 **Priority + preemption.**  Closed groups dispatch in SLO-priority
 order, and a strictly-higher-priority group may preempt an unsharded
@@ -33,27 +46,31 @@ joinable).
 :class:`~repro.sched.admission.AdmissionController` (shed/defer past
 per-class queue bounds); every arrival/completion lets the
 :class:`~repro.sched.autoscaler.PoolAutoscaler` resize the pool's
-active set with hysteresis.
+active set with hysteresis.  A queued group's shard width is a floor on
+the active set, as a device that owns work is.
 
-Accounting invariants preserved from the legacy path: for every
-response, ``latency_s = queue_s + execute_s + barrier_s``; a joiner's
-``start_s`` is its join boundary (queue time ends when its execution
-window begins) with ``barrier_s = 0``.  An un-preempted, un-joined sweep
-books exactly the same device seconds as the legacy path.
+Accounting invariants, under both policies: for every response,
+``latency_s = queue_s + execute_s + barrier_s``; a joiner's ``start_s``
+is its join boundary (queue time ends when its execution window begins)
+with ``barrier_s = 0``.  An un-preempted, un-joined execution books
+exactly the device seconds the same batch booked whole would.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left
+import operator
+from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.hw.memory import pcie_transfer_seconds
+from repro.obs.metrics import MetricsRegistry
 from repro.sched.admission import AdmissionController
 from repro.sched.autoscaler import PoolAutoscaler
 from repro.sched.slo import SLOClass, SLOPolicy
-from repro.serve.batcher import MicroBatch
+from repro.serve.batcher import POLICIES, MicroBatch
 from repro.serve.request import (
     InferenceRequest,
     InferenceResponse,
@@ -61,6 +78,10 @@ from repro.serve.request import (
 )
 
 __all__ = ["ContinuousScheduler"]
+
+#: what every request is scheduled as under a one-class dispatch policy:
+#: no priority to order by, no queue bound to shed at, the server's window
+_ONE_CLASS = SLOPolicy((SLOClass(name="all", priority=0),))
 
 
 @dataclass
@@ -84,8 +105,23 @@ class _Group:
     slo: SLOClass
     deadline: float
     #: dispatch-order tiebreak within equal priority (open order)
-    order: int = 0
+    order: int
+    #: devices the batch spans when it runs
+    shards: int
     deferred_ids: set = field(default_factory=set)
+
+    @property
+    def key(self) -> tuple:
+        """What the group is filed under while it is open."""
+        return (self.batch.key, self.slo.name)
+
+    @property
+    def rank(self) -> tuple:
+        """Dispatch order: priority first, then open order."""
+        return (-self.slo.priority, self.order)
+
+
+_RANK = operator.attrgetter("rank")
 
 
 class _Execution:
@@ -144,12 +180,15 @@ class _Execution:
 
 
 class ContinuousScheduler:
-    """Event-driven continuous batching over one ``InferenceServer``.
+    """The serve loop over one ``InferenceServer``, for one sweep.
 
-    One instance runs one sweep; the server constructs it per
-    :meth:`~repro.serve.server.InferenceServer.serve` call so all state
+    The server constructs one per
+    :meth:`~repro.serve.server.InferenceServer.serve` call, so all state
     here is sweep-local (the admission controller and autoscaler may be
-    caller-owned and are reset at the start of :meth:`run`).
+    caller-owned and are reset at the start of :meth:`run`).  The
+    dispatch policy is the server's ``scheduler``; ``policy`` is the SLO
+    policy responses are graded against and, under a dispatch policy
+    that acts on classes, scheduled by.
     """
 
     def __init__(
@@ -159,52 +198,107 @@ class ContinuousScheduler:
         policy: SLOPolicy | None = None,
         admission: AdmissionController | None = None,
         autoscaler: PoolAutoscaler | None = None,
-        preempt: bool = True,
     ) -> None:
         self.server = server
-        self.policy = policy if policy is not None else SLOPolicy.default()
+        self.dispatch = POLICIES[server.scheduler]
+        self.slo_policy = policy
+        #: the classes requests are scheduled as
+        self.classes = (
+            _ONE_CLASS
+            if self.dispatch.one_class
+            else policy if policy is not None else SLOPolicy.default()
+        )
         self.admission = (
             admission
             if admission is not None
-            else AdmissionController(self.policy)
+            else AdmissionController(self.classes)
         )
         self.autoscaler = autoscaler
-        self.preempt = preempt
+        pool = server.pool
+        #: the widest request the sweep can ever start: the pool, or the
+        #: most devices the autoscaler will activate
+        cap = None if autoscaler is None else autoscaler.max_devices
+        self._max_shards = min(pool.num_devices, cap or pool.num_devices)
+
+        #: the sweep's counters; ``ServingReport`` is built from these
+        self.metrics = MetricsRegistry()
+        for name in ("batches", "mutations", "patches", "patch_fallbacks",
+                     "sharded_batches", "sharded_requests", "halo_bytes"):
+            self.metrics.counter(f"serve.{name}")  # reported even at zero
+        self.metrics.gauge("serve.max_shard_width")
+        self.responses: list[InferenceResponse] = []
+        #: seconds and evictions the metrics catalogue has no name for
+        self.patch_s = 0.0
+        self.halo_s = 0.0
+        self.mutation_evictions = 0
+
+        self._timers: list[tuple] = []
+        self._seq = itertools.count()
+        self._groups: dict[tuple, _Group] = {}
+        self._order = itertools.count()
+        #: closed groups whose program is compiled, in dispatch order
+        self._ready: list[_Group] = []
+        self._unready: list[_Group] = []
+        #: book-ahead only: (ready time, close order, group)
+        self._booked: list[tuple[float, int, _Group]] = []
+        #: requests in open or closed-but-undispatched groups
+        self._waiting = 0
+        #: deepest backlog (waiting + parked) seen after an arrival
+        self._max_depth = 0
+        self._deferred: deque[tuple[InferenceRequest, str | None]] = deque()
+        self._inflight: dict[tuple, _Execution] = {}
+        self._assignment: list = [None] * pool.num_devices
+        self._paused_stack: list[list] = [[] for _ in range(pool.num_devices)]
+        self._programs: dict[tuple, object] = {}
+        #: request id -> (compile seconds charged, cache hit)
+        self._lookups: dict[int, tuple[float, bool]] = {}
+        #: virtual time each program's compile (or patch) finishes this
+        #: sweep — a cache hit on a program whose miss is still compiling
+        #: must wait for it (compiles from previous sweeps are long done)
+        self._program_ready: dict[tuple, float] = {}
+        #: the host CPU is one resource: compiles and mutation patches
+        #: serialise against each other on the virtual clock
+        self._host_free_s = 0.0
 
     # -- queue state ----------------------------------------------------
-    def _waiting(self) -> int:
-        """Requests in open or closed-but-undispatched groups."""
-        return sum(g.batch.size for g in self._groups.values()) + sum(
-            g.batch.size for g in self._ready
-        ) + sum(g.batch.size for g in self._unready)
-
     def _queue_depth(self) -> int:
         """The admission-facing backlog: waiting + parked (deferred)."""
-        return self._waiting() + len(self._deferred)
+        return self._waiting + len(self._deferred)
 
-    def _busy_devices(self) -> int:
-        """Active devices owning a running or paused execution."""
-        return sum(
-            1
-            for d in range(self.server.pool.num_active)
-            if self._assignment[d] is not None or self._paused_stack[d]
+    def _occupied(self, device: int) -> bool:
+        """Does the device own a running or paused execution?"""
+        return (
+            self._assignment[device] is not None
+            or bool(self._paused_stack[device])
         )
 
     def _idle_active(self) -> list[int]:
         return [
             d
             for d in range(self.server.pool.num_active)
-            if self._assignment[d] is None and not self._paused_stack[d]
+            if not self._occupied(d)
         ]
+
+    def _count(self, name: str, amount: float = 1) -> None:
+        self.metrics.counter(name).inc(amount)
+
+    def _after(self, t: float, callback, payload) -> None:
+        """Arm a timer: ``callback(payload, t)`` fires at virtual time
+        ``t``, after every arrival at ``t`` and in arming order among
+        timers sharing an instant."""
+        heapq.heappush(self._timers, (t, next(self._seq), callback, payload))
 
     # -- the event loop -------------------------------------------------
     def run(self, requests: list):
-        """Serve the stream to completion; returns a ``ServingReport``."""
+        """Serve the stream to completion; returns a ``ServingReport``.
+
+        ``requests`` may mix inference and mutation requests; events are
+        processed in arrival order, mutations first on timestamp ties.
+        """
         server = self.server
-        pool = server.pool
-        tracer = server.tracer
-        hits0, misses0 = server.cache.hits, server.cache.misses
-        compile0, saved0 = server.cache.compile_s, server.cache.saved_s
+        pool, cache, tracer = server.pool, server.cache, server.tracer
+        hits, misses = cache.hits, cache.misses
+        compile_s, saved_s = cache.compile_s, cache.saved_s
         pool.reset()
         self.admission.reset()
         if self.autoscaler is not None:
@@ -212,110 +306,107 @@ class ContinuousScheduler:
             initial = min(self.autoscaler.min_devices, pool.num_devices)
             pool.set_active(initial, now=0.0)
 
-        self._groups: dict[tuple, _Group] = {}
-        self._ready: list[_Group] = []
-        self._unready: list[_Group] = []
-        self._inflight: dict[tuple, _Execution] = {}
-        self._assignment: list = [None] * pool.num_devices
-        self._paused_stack: list[list] = [[] for _ in range(pool.num_devices)]
-        self._deferred: list[tuple[InferenceRequest, str | None]] = []
-        self._executions: list[_Execution] = []
-        self._responses: list[InferenceResponse] = []
-        self._programs: dict[tuple, object] = {}
-        self._compile_charges: dict[int, float] = {}
-        self._hit_flags: dict[int, bool] = {}
-        self._program_ready: dict[tuple, float] = {}
-        self._host = {"free": 0.0}
-        self._mutation_counters = {
-            "mutations": 0, "patches": 0, "fallbacks": 0,
-            "patch_s": 0.0, "evictions": 0,
-        }
-        self._shard_counters = {
-            "batches": 0, "requests": 0, "width": 0,
-            "halo_bytes": 0, "halo_s": 0.0,
-        }
-        self._shed: list[dict] = []
-        self._joined = 0
-        self._deferred_total = 0
-        self._preemptions = 0
-        self._max_depth = 0
-        self._order = itertools.count()
-        self._ready_hint = 0.0
-
-        events = sorted(
+        timers = self._timers
+        arrivals = sorted(
             requests,
             key=lambda r: (r.arrival_s, isinstance(r, InferenceRequest)),
         )
-        heap: list[tuple] = []
-        seq = itertools.count()
-        for ev in events:
-            heapq.heappush(heap, (ev.arrival_s, next(seq), "arrival", ev))
-        self._heap, self._seq = heap, seq
-        arrivals_left = len(events)
-
-        while heap:
-            t, _, kind, payload = heapq.heappop(heap)
-            if kind == "arrival":
-                arrivals_left -= 1
-                if isinstance(payload, MutationRequest):
-                    server._apply_mutation(
-                        payload, t, self._program_ready, self._host,
-                        self._mutation_counters,
-                    )
-                else:
-                    req, graph_id = server._resolve(payload)
-                    self._validate(req)
-                    self._admit(req, graph_id, t, deferred=False)
-                self._max_depth = max(self._max_depth, self._queue_depth())
-                if tracer.enabled:
-                    tracer.counter(
-                        "sched", "queue_depth", t, self._queue_depth()
-                    )
-                self._autoscale(t)
-                self._schedule(t)
-                if arrivals_left == 0:
-                    self._end_of_stream(t)
-            elif kind == "window":
-                gkey, deadline, group = payload
-                if self._groups.get(gkey) is group and (
-                    group.deadline == deadline
-                ):
-                    self._close_group(gkey, deadline)
-                    self._schedule(t)
-            elif kind == "gready":
-                group = payload
-                self._unready.remove(group)
-                self._ready.append(group)
-                self._schedule(t)
-            elif kind == "seg":
-                self._on_segment_end(payload, t)
-            elif kind == "done":
-                self._finish(payload, t)
-
-        return self._build_report(
-            hits0, misses0, compile0, saved0,
-        )
-
-    # -- admission ------------------------------------------------------
-    def _validate(self, req: InferenceRequest) -> None:
-        pool = self.server.pool
-        if req.shards < 1:
-            raise ValueError(
-                f"request {req.request_id} asks for {req.shards} shards"
+        for event in arrivals:
+            t = event.arrival_s
+            # strictly earlier timers only: a window ending at this very
+            # instant stays open for a same-instant arrival to join
+            while timers and timers[0][0] < t:
+                due_s, _, callback, payload = heapq.heappop(timers)
+                callback(payload, due_s)
+            if isinstance(event, MutationRequest):
+                self._mutate(event, t)
+            else:
+                req, graph_id = server.engine.resolve_request(event)
+                self._validate(req)
+                self._admit(req, graph_id, t, deferred=False)
+            depth = self._waiting + len(self._deferred)
+            if depth > self._max_depth:
+                self._max_depth = depth
+            if tracer.enabled:
+                tracer.counter("serve", "queue_depth", t, depth)
+            self._autoscale(t)
+            self._schedule(t)
+        if arrivals:
+            self._end_of_stream(arrivals[-1].arrival_s)
+        while timers:
+            due_s, _, callback, payload = heapq.heappop(timers)
+            callback(payload, due_s)
+        for ready_s, _, group in sorted(self._booked, key=lambda b: b[:2]):
+            self._book_whole(group, ready_s)
+        if self._queue_depth():
+            raise RuntimeError(
+                f"the serve loop ran out of events with "
+                f"{self._queue_depth()} admitted request(s) undispatched"
             )
-        if req.shards > pool.num_devices:
+
+        self._count("serve.cache_hits", cache.hits - hits)
+        self._count("serve.cache_misses", cache.misses - misses)
+        self._count("serve.compile_s", cache.compile_s - compile_s)
+        self._count("serve.compile_saved_s", cache.saved_s - saved_s)
+        if not self.dispatch.book_ahead:
+            self._account_in_flight()
+        return server._report(self)
+
+    # -- arrivals -------------------------------------------------------
+    def _mutate(self, mutation: MutationRequest, now: float) -> None:
+        """Apply one mutation at virtual time ``now`` and charge its cost.
+
+        The cache reconciliation itself (patch or evict, per the server's
+        mutation policy) is the engine's job; here the work is booked on
+        the sweep's host clock: patches and compiles share one host, so
+        they serialise against each other on the virtual timeline.
+        """
+        outcome = self.server.engine.apply_delta(
+            mutation.graph_id, mutation.delta,
+            policy=self.server.mutation_policy,
+        )
+        self._count("serve.mutations")
+        self.mutation_evictions += outcome.evictions
+        for event in outcome.patches:
+            # the patch queues behind whatever the host is doing (an
+            # in-flight compile of this very program included) and holds
+            # the host while it runs
+            start = max(
+                now, self._host_free_s,
+                self._program_ready.get(event.old_key, now),
+            )
+            self._host_free_s = start + event.report.wall_s
+            self._program_ready[event.new_key] = self._host_free_s
+            self._count(
+                "serve.patches" if event.report.patched
+                else "serve.patch_fallbacks"
+            )
+            self.patch_s += event.report.wall_s
+
+    def _validate(self, req: InferenceRequest) -> None:
+        if not 1 <= req.shards <= self._max_shards:
+            pool = self.server.pool
             raise ValueError(
-                f"request {req.request_id} asks for {req.shards} shards "
-                f"but the pool has {pool.num_devices} device(s)"
+                f"request {req.request_id} asks for {req.shards} shards, "
+                f"but shards must be within [1, {self._max_shards}]: the "
+                f"pool has {pool.num_devices} device(s)"
+                + (
+                    f", of which the autoscaler activates at most "
+                    f"{self._max_shards}"
+                    if self._max_shards < pool.num_devices
+                    else ""
+                )
             )
 
     def _class_of(self, req: InferenceRequest) -> SLOClass:
+        if self.dispatch.one_class:
+            return self.classes.classes[0]
         try:
-            return self.policy.get(req.slo)
+            return self.classes.get(req.slo)
         except KeyError as exc:
             raise ValueError(
                 f"request {req.request_id} carries SLO class {req.slo!r} "
-                f"but the policy defines {self.policy.names}"
+                f"but the policy defines {self.classes.names}"
             ) from exc
 
     def _admit(
@@ -326,24 +417,24 @@ class ContinuousScheduler:
         *,
         deferred: bool,
     ) -> None:
-        server = self.server
-        tracer = server.tracer
+        tracer = self.server.tracer
         cls = self._class_of(req)
-        pkey = req.batch_key(server.config)
+        prog_key = req.program_key(self.server.config)
+        pkey = req.batch_key(self.server.config, prog_key)
 
         # join-in-flight first: a join consumes no capacity, so it is
         # exempt from admission bounds — shedding a joinable request
         # would refuse work that is already paid for
         exec_ = self._inflight.get(pkey)
         if exec_ is not None and exec_.joinable(now):
-            self._bookkeep_compile(req, graph_id, pkey, now)
+            self._lookup(req, graph_id, prog_key, pkey, now)
             member = _Member(
                 req, exec_.attach_time(now), joined=True, deferred=deferred
             )
             exec_.members.append(member)
             if member.attach_s is None:
                 exec_.pending_joins.append(member)
-            self._joined += 1
+            self._count("serve.sched.joined")
             if tracer.enabled:
                 tracer.instant(
                     "sched", f"req{req.request_id}/join", now,
@@ -352,48 +443,41 @@ class ContinuousScheduler:
             return
 
         if not deferred:
-            decision = self.admission.decide(cls, self._queue_depth())
-            if decision.action == "shed":
-                self._shed.append(
-                    {
-                        "request_id": req.request_id,
-                        "slo": req.slo,
-                        "t_s": now,
-                        "reason": decision.reason,
-                    }
+            decision = self.admission.decide(
+                cls, self._waiting + len(self._deferred)
+            )
+            if decision.action != "admit":
+                if decision.action == "defer":
+                    self._deferred.append((req, graph_id))
+                self._count(
+                    "serve.sched.shed" if decision.action == "shed"
+                    else "serve.sched.deferred"
                 )
                 if tracer.enabled:
                     tracer.instant(
-                        "sched", f"req{req.request_id}/shed", now,
-                        cat="shed", slo=req.slo, reason=decision.reason,
-                    )
-                return
-            if decision.action == "defer":
-                self._deferred.append((req, graph_id))
-                self._deferred_total += 1
-                if tracer.enabled:
-                    tracer.instant(
-                        "sched", f"req{req.request_id}/defer", now,
-                        cat="defer", slo=req.slo, reason=decision.reason,
+                        "sched", f"req{req.request_id}/{decision.action}",
+                        now, cat=decision.action, slo=req.slo,
+                        reason=decision.reason,
                     )
                 return
 
-        self._bookkeep_compile(req, graph_id, pkey, now)
-        self._group_add(req, cls, pkey, now, deferred=deferred)
+        ready_s = self._lookup(req, graph_id, prog_key, pkey, now)
+        self._group_add(req, cls, pkey, ready_s, now, deferred=deferred)
 
-    def _bookkeep_compile(
+    def _lookup(
         self,
         req: InferenceRequest,
         graph_id: str | None,
+        prog_key: tuple,
         pkey: tuple,
         now: float,
-    ) -> None:
-        """Program-cache lookup + host-clock compile charge (as legacy)."""
+    ) -> float:
+        """Program-cache lookup + host-clock compile charge; returns the
+        virtual time the request's program is ready to run."""
         server = self.server
         tracer = server.tracer
-        prog_key = req.program_key(server.config)
         program, compile_s, hit = server.cache.get_or_compile(
-            prog_key, lambda: server._compile(req)
+            prog_key, lambda: server.engine.compile_request(req)
         )
         if tracer.enabled:
             tracer.instant(
@@ -402,38 +486,40 @@ class ContinuousScheduler:
                 cache="hit" if hit else "miss", shards=req.shards,
             )
         if not hit:
-            compile_start = max(now, self._host["free"])
-            self._host["free"] = compile_start + compile_s
-            self._program_ready[prog_key] = self._host["free"]
+            # the compile queues behind the host's in-flight work
+            compile_start = max(now, self._host_free_s)
+            self._host_free_s = compile_start + compile_s
+            self._program_ready[prog_key] = self._host_free_s
             if tracer.enabled:
                 tracer.span(
                     "host/compile",
                     f"compile {req.model}/{req.dataset_name}",
-                    compile_start, self._host["free"], cat="compile",
+                    compile_start, self._host_free_s, cat="compile",
                 )
         if graph_id is not None:
-            server._graph_keys[graph_id][prog_key] = (
-                server._graphs[graph_id].version
+            engine = server.engine
+            engine._graph_keys[graph_id][prog_key] = (
+                engine._graphs[graph_id].version
             )
         self._programs[pkey] = program
-        self._compile_charges[req.request_id] = compile_s
-        self._hit_flags[req.request_id] = hit
-        self._ready_hint = max(
-            now, self._program_ready.get(prog_key, now)
-        )
+        self._lookups[req.request_id] = (compile_s, hit)
+        return max(now, self._program_ready.get(prog_key, now))
 
+    # -- batch windows --------------------------------------------------
     def _group_add(
         self,
         req: InferenceRequest,
         cls: SLOClass,
         pkey: tuple,
+        ready_s: float,
         now: float,
         *,
         deferred: bool,
     ) -> None:
         gkey = (pkey, cls.name)
         group = self._groups.get(gkey)
-        if group is None:
+        opened = group is None
+        if opened:
             wait = (
                 cls.max_wait_s
                 if cls.max_wait_s is not None
@@ -442,44 +528,159 @@ class ContinuousScheduler:
             batch = MicroBatch(
                 key=pkey, requests=[], opened_s=now, ready_s=now
             )
-            group = _Group(
-                batch, cls, deadline=now + wait, order=next(self._order)
+            group = self._groups[gkey] = _Group(
+                batch, cls, deadline=now + wait, order=next(self._order),
+                shards=req.shards,
             )
-            self._groups[gkey] = group
-            heapq.heappush(
-                self._heap,
-                (
-                    group.deadline, next(self._seq), "window",
-                    (gkey, group.deadline, group),
-                ),
-            )
-        group.batch.requests.append(req)
-        group.batch.ready_s = max(group.batch.ready_s, self._ready_hint)
+            self._after(group.deadline, self._window_expired, group)
+        batch = group.batch
+        batch.requests.append(req)
+        if ready_s > batch.ready_s:
+            batch.ready_s = ready_s
         if deferred:
             group.deferred_ids.add(req.request_id)
-        if group.batch.size >= self.server.max_batch_size:
-            self._close_group(gkey, now)
+        self._waiting += 1
+        if opened and req.shards > self.server.pool.num_active:
+            # a queued batch's width is a floor on the active set: it
+            # grows now, because no later event need come to grow it
+            self._resize(
+                req.shards, now, f"queued batch spans {req.shards} devices"
+            )
+        if len(batch.requests) >= self.server.max_batch_size:
+            self._close_group(group, now)
 
-    def _close_group(self, gkey: tuple, now: float) -> None:
-        group = self._groups.pop(gkey)
+    def _window_expired(self, group: _Group, now: float) -> None:
+        if self._groups.get(group.key) is group:
+            self._close_group(group, now)
+            self._schedule(now)
+
+    def _close_group(self, group: _Group, now: float) -> None:
+        batch = group.batch
+        del self._groups[group.key]
         tracer = self.server.tracer
         if tracer.enabled:
+            # the batch-formation window: first member's admission to
+            # the size trigger or window expiry that closed the batch
             tracer.span(
-                "sched", f"batch{group.batch.batch_id}/form",
-                group.batch.opened_s, now, cat="batch",
-                size=group.batch.size, slo=group.slo.name,
+                "serve", f"batch{batch.batch_id}/form",
+                batch.opened_s, now, cat="batch", size=batch.size,
+                key=str(batch.requests[0].model), slo=group.slo.name,
             )
-        if group.batch.ready_s <= now:
-            self._ready.append(group)
+        if self.dispatch.book_ahead:
+            # booked once the stream has been read, in ready order, so a
+            # batch stuck waiting on a compile never blocks an idle
+            # device from taking later-closed but earlier-ready work
+            self._waiting -= batch.size
+            self._booked.append(
+                (max(batch.ready_s, now), len(self._booked), group)
+            )
+        elif batch.ready_s <= now:
+            insort(self._ready, group, key=_RANK)
         else:
             # compile still running: becomes schedulable at ready_s
             self._unready.append(group)
-            heapq.heappush(
-                self._heap,
-                (group.batch.ready_s, next(self._seq), "gready", group),
-            )
+            self._after(batch.ready_s, self._group_ready, group)
+
+    def _group_ready(self, group: _Group, now: float) -> None:
+        self._unready.remove(group)
+        insort(self._ready, group, key=_RANK)
+        self._schedule(now)
+
+    def _end_of_stream(self, t: float) -> None:
+        """No further arrivals can join: flush the parking lot and close
+        the open groups now instead of idling out their windows (which
+        would floor the makespan and understate throughput)."""
+        while self._deferred:
+            req, graph_id = self._deferred.popleft()
+            self._admit(req, graph_id, t, deferred=True)
+        for group in list(self._groups.values()):
+            self._close_group(group, t)
+        self._schedule(t)
 
     # -- dispatch -------------------------------------------------------
+    def _prepare(self, batch: MicroBatch, ready_s: float):
+        """Simulate (or replay) the batch's execution and count it;
+        returns ``(memo, input_s)``.  PCIe input transfer and K2P
+        analysis (inside ``latency_s``) are paid once for the whole
+        batch — the amortization micro-batching buys."""
+        server = self.server
+        first = batch.requests[0]
+        program = self._programs[batch.key]
+        memo = server._execute(
+            batch.key, program, first.strategy, ready_s, first.shards
+        )
+        self._count("serve.batches")
+        if memo.shards > 1:
+            self._count("serve.sharded_batches")
+            self._count("serve.sharded_requests", batch.size)
+            self._count("serve.halo_bytes", memo.halo_bytes)
+            self.halo_s += memo.halo_s
+            width = self.metrics.gauge("serve.max_shard_width")
+            width.set(max(width.value, memo.shards))
+        return memo, pcie_transfer_seconds(program.input_bytes(), server.config)
+
+    def _respond(
+        self, req: InferenceRequest, batch_id: int, batch_size: int,
+        device: int, memo, start_s: float, finish_s: float,
+        service_s: float, barrier_s: float,
+        joined: bool = False, deferred: bool = False,
+    ) -> None:
+        # strict: a request the loop never looked up is an admission
+        # bug — raising beats silently reporting it as a cache hit
+        # (inflated hit rates)
+        compile_s, hit = self._lookups[req.request_id]
+        self.responses.append(
+            InferenceResponse(
+                request_id=req.request_id,
+                model=req.model,
+                dataset=req.dataset_name,
+                strategy=req.strategy,
+                arrival_s=req.arrival_s,
+                compile_s=compile_s,
+                start_s=start_s,
+                finish_s=finish_s,
+                service_s=service_s,
+                cache_hit=hit,
+                batch_id=batch_id,
+                batch_size=batch_size,
+                device=device,
+                shards=memo.shards,
+                barrier_s=barrier_s,
+                accel_cycles=memo.accel_cycles,
+                output=memo.output if self.server.return_outputs else None,
+                slo=req.slo,
+                joined=joined,
+                deferred=deferred,
+            )
+        )
+
+    def _book_whole(self, group: _Group, ready_s: float) -> None:
+        """Book-ahead dispatch: one reservation for the whole execution."""
+        pool = self.server.pool
+        batch = group.batch
+        memo, input_s = self._prepare(batch, ready_s)
+        service_s = input_s + memo.latency_s
+        if memo.shards > 1:
+            # a sharded batch occupies all of its shard devices from the
+            # common start to the last per-layer barrier; per-device busy
+            # stays honest (each shard's own work + its input-PCIe share)
+            busy = [b + input_s / memo.shards for b in memo.shard_busy_s]
+            devices, start, end = pool.submit_group(
+                service_s, memo.shards, ready_s, busy_s=busy,
+                batch_id=batch.batch_id, batch_size=batch.size,
+            )
+            device = devices[0]
+        else:
+            device, start, end = pool.submit(
+                service_s, ready_s, batch_id=batch.batch_id,
+                batch_size=batch.size,
+            )
+        for req in batch.requests:
+            self._respond(
+                req, batch.batch_id, batch.size, device, memo,
+                start, end, service_s, memo.barrier_s,
+            )
+
     def _schedule(self, t: float) -> None:
         """Start as many ready groups as idle active devices allow.
 
@@ -490,43 +691,29 @@ class ContinuousScheduler:
             idle = self._idle_active()
             if not idle:
                 return
-            best = None
-            best_key = None
-            for i, g in enumerate(self._ready):
-                if g.batch.requests[0].shards > len(idle):
-                    continue
-                k = (-g.slo.priority, g.order)
-                if best_key is None or k < best_key:
-                    best, best_key = i, k
-            if best is None:
+            fits = next(
+                (i for i, g in enumerate(self._ready)
+                 if g.shards <= len(idle)),
+                None,
+            )
+            if fits is None:
                 return
-            group = self._ready.pop(best)
-            self._start_execution(group, t, idle)
-
-    def _segments_of(self, memo, input_s: float) -> list[float]:
-        segs = [input_s] + [float(s) for s in memo.segments_s]
-        return segs
+            self._start_execution(self._ready.pop(fits), t, idle)
 
     def _start_execution(
         self, group: _Group, t: float, idle: list[int]
     ) -> None:
-        server = self.server
-        pool = server.pool
-        tracer = server.tracer
+        pool = self.server.pool
+        tracer = self.server.tracer
         batch = group.batch
-        first = batch.requests[0]
+        self._waiting -= batch.size
         ready_s = max(batch.ready_s, t)
-        memo = server._execute(
-            batch.key, self._programs[batch.key], first.strategy,
-            ready_s, first.shards,
-        )
-        program = self._programs[batch.key]
-        input_s = pcie_transfer_seconds(program.input_bytes(), server.config)
+        memo, input_s = self._prepare(batch, ready_s)
         exec_ = _Execution(
             exec_id=batch.batch_id,
             key=batch.key,
             memo=memo,
-            segments=self._segments_of(memo, input_s),
+            segments=[input_s, *map(float, memo.segments_s)],
             priority=group.slo.priority,
         )
         exec_.members = [
@@ -538,8 +725,8 @@ class ContinuousScheduler:
         ]
         if memo.shards > 1:
             # barrier-locked group: one atomic booking per member device,
-            # all held from the common start to the last barrier (same
-            # busy accounting as the legacy submit_group path)
+            # all held from the common start to the last barrier (the
+            # busy accounting of a whole submit_group booking)
             chosen = sorted(
                 sorted(idle, key=lambda d: (pool.available[d], d))[
                     : memo.shards
@@ -567,16 +754,7 @@ class ContinuousScheduler:
             for seg in exec_.segments:
                 exec_.boundaries.append(cursor)
                 cursor += seg
-            heapq.heappush(
-                self._heap,
-                (start + service_s, next(self._seq), "done", exec_),
-            )
-            sc = self._shard_counters
-            sc["batches"] += 1
-            sc["requests"] += batch.size
-            sc["width"] = max(sc["width"], memo.shards)
-            sc["halo_bytes"] += memo.halo_bytes
-            sc["halo_s"] += memo.halo_s
+            self._after(start + service_s, self._finish, exec_)
         else:
             dev = min(idle, key=lambda d: (pool.available[d], d))
             start, end = pool.submit_on(
@@ -588,11 +766,8 @@ class ContinuousScheduler:
             exec_.devices = [dev]
             exec_.start_s = start
             exec_.seg_end_s = end
-            heapq.heappush(
-                self._heap, (end, next(self._seq), "seg", exec_)
-            )
+            self._after(end, self._on_segment_end, exec_)
         self._inflight[batch.key] = exec_
-        self._executions.append(exec_)
         if tracer.enabled:
             tracer.instant(
                 "sched", f"exec{exec_.exec_id}/start", exec_.start_s,
@@ -609,7 +784,7 @@ class ContinuousScheduler:
             self._finish(exec_, t)
             return
         dev = exec_.devices[0]
-        if self.preempt and self._try_preempt(exec_, dev, t):
+        if self._try_preempt(exec_, dev, t):
             return
         self._book_next_segment(exec_, dev, t)
 
@@ -627,26 +802,23 @@ class ContinuousScheduler:
         for member in exec_.pending_joins:
             member.attach_s = start
         exec_.pending_joins.clear()
-        heapq.heappush(self._heap, (end, next(self._seq), "seg", exec_))
+        self._after(end, self._on_segment_end, exec_)
 
     def _try_preempt(self, exec_: _Execution, dev: int, t: float) -> bool:
         """Pause ``exec_`` for a strictly-higher-priority ready group."""
-        best = None
-        best_key = None
+        preemptor = None
         for i, g in enumerate(self._ready):
             if g.slo.priority <= exec_.priority:
-                continue
-            if g.batch.requests[0].shards > 1:
-                continue  # sharded groups wait for a full idle set
-            k = (-g.slo.priority, g.order)
-            if best_key is None or k < best_key:
-                best, best_key = i, k
-        if best is None:
+                break  # dispatch order: nothing behind ranks higher
+            if g.shards == 1:  # sharded groups wait for a full idle set
+                preemptor = i
+                break
+        if preemptor is None:
             return False
-        group = self._ready.pop(best)
+        group = self._ready.pop(preemptor)
         exec_.paused = True
         exec_.preemptions += 1
-        self._preemptions += 1
+        self._count("serve.sched.preemptions")
         self._paused_stack[dev].append(exec_)
         self._assignment[dev] = None
         tracer = self.server.tracer
@@ -660,8 +832,7 @@ class ContinuousScheduler:
 
     # -- completion -----------------------------------------------------
     def _finish(self, exec_: _Execution, t: float) -> None:
-        server = self.server
-        tracer = server.tracer
+        tracer = self.server.tracer
         exec_.finish_s = t
         if self._inflight.get(exec_.key) is exec_:
             del self._inflight[exec_.key]
@@ -669,31 +840,11 @@ class ContinuousScheduler:
         for m in exec_.members:
             req = m.req
             start = exec_.start_s if not m.joined else m.attach_s
-            self._responses.append(
-                InferenceResponse(
-                    request_id=req.request_id,
-                    model=req.model,
-                    dataset=req.dataset_name,
-                    strategy=req.strategy,
-                    arrival_s=req.arrival_s,
-                    compile_s=self._compile_charges.get(req.request_id, 0.0),
-                    start_s=start,
-                    finish_s=t,
-                    service_s=t - start,
-                    cache_hit=self._hit_flags[req.request_id],
-                    batch_id=exec_.exec_id,
-                    batch_size=size,
-                    device=exec_.devices[0],
-                    shards=exec_.memo.shards,
-                    barrier_s=exec_.memo.barrier_s if not m.joined else 0.0,
-                    accel_cycles=exec_.memo.accel_cycles,
-                    output=(
-                        exec_.memo.output if server.return_outputs else None
-                    ),
-                    slo=req.slo,
-                    joined=m.joined,
-                    deferred=m.deferred,
-                )
+            self._respond(
+                req, exec_.exec_id, size, exec_.devices[0], exec_.memo,
+                start, t, t - start,
+                exec_.memo.barrier_s if not m.joined else 0.0,
+                m.joined, m.deferred,
             )
             if tracer.enabled and start > req.arrival_s:
                 tracer.span(
@@ -724,21 +875,11 @@ class ContinuousScheduler:
         """Re-admit parked requests once the queue drains (FIFO)."""
         while self._deferred:
             req, graph_id = self._deferred[0]
-            cls = self._class_of(req)
-            watermark = self.admission.low_watermark(cls)
-            if watermark is not None and self._waiting() >= watermark:
+            watermark = self.admission.low_watermark(self._class_of(req))
+            if watermark is not None and self._waiting >= watermark:
                 break
-            self._deferred.pop(0)
+            self._deferred.popleft()
             self._admit(req, graph_id, t, deferred=True)
-
-    def _end_of_stream(self, t: float) -> None:
-        """No further arrivals: flush the parking lot and open groups."""
-        while self._deferred:
-            req, graph_id = self._deferred.pop(0)
-            self._admit(req, graph_id, t, deferred=True)
-        for gkey in list(self._groups):
-            self._close_group(gkey, t)
-        self._schedule(t)
 
     # -- autoscaling ----------------------------------------------------
     def _autoscale(self, now: float) -> None:
@@ -746,70 +887,81 @@ class ContinuousScheduler:
             return
         pool = self.server.pool
         active = pool.num_active
-        busy = self._busy_devices()
-        depth = self._queue_depth()
         proposal = self.autoscaler.propose(
-            now, active=active, queue_depth=depth, busy_devices=busy,
+            now, active=active, queue_depth=self._queue_depth(),
+            busy_devices=sum(map(self._occupied, range(active))),
             pool_devices=pool.num_devices,
         )
         if proposal is None:
             return
         target, reason = proposal
+        if target < active:
+            # never park a device that owns work — drain first — nor one
+            # a queued batch needs to start at all
+            queued = itertools.chain(
+                self._groups.values(), self._unready, self._ready
+            )
+            floor = max(
+                [g.shards for g in queued]
+                + [d + 1 for d in range(active) if self._occupied(d)],
+                default=0,
+            )
+            target = max(target, floor)
+            if target >= active:
+                return
+        self._resize(target, now, reason)
+        if target > active:
+            self._schedule(now)
+
+    def _resize(self, target: int, now: float, reason: str) -> None:
+        """Commit an active-set transition to the pool and the log."""
+        pool = self.server.pool
+        active = pool.num_active
         if target > active:
             pool.set_active(
                 target, now=now,
                 provision_delay_s=self.autoscaler.provision_delay_s,
             )
+            self._count("serve.sched.scale_ups")
         else:
-            # never park a device that owns work — drain first
-            occupied = [
-                d
-                for d in range(active)
-                if self._assignment[d] is not None or self._paused_stack[d]
-            ]
-            target = max(target, max(occupied, default=-1) + 1)
-            if target >= active:
-                return
             pool.set_active(target, now=now)
+            self._count("serve.sched.scale_downs")
         self.autoscaler.commit(
             now, from_devices=active, to_devices=target, reason=reason,
-            queue_depth=depth, busy_devices=busy,
+            queue_depth=self._queue_depth(),
+            busy_devices=sum(map(self._occupied, range(active))),
         )
         tracer = self.server.tracer
         if tracer.enabled:
             tracer.counter("sched", "active_devices", now, target)
-        if target > active:
-            self._schedule(now)
 
     # -- reporting ------------------------------------------------------
-    def _build_report(self, hits0, misses0, compile0, saved0):
-        server = self.server
-        scale_events = (
-            [e.to_dict() for e in self.autoscaler.events]
-            if self.autoscaler is not None
-            else []
+    def _account_in_flight(self) -> None:
+        """The ``serve.sched.*`` catalogue: what in-flight dispatch did.
+
+        trace-analyze attributes per-class queue-wait from the
+        ``sched/<class>`` spans; these give the matching
+        counter/histogram view.
+        """
+        metrics = self.metrics
+        for name in ("joined", "shed", "deferred", "preemptions",
+                     "scale_ups", "scale_downs"):
+            metrics.counter(f"serve.sched.{name}")  # reported even at zero
+        self._count(
+            "serve.sched.admitted",
+            sum(c["admit"] for c in self.admission.snapshot().values()),
         )
-        sched_extras = {
-            "scheduler": "continuous",
-            "shed": self._shed,
-            "deferred": self._deferred_total,
-            "joined": self._joined,
-            "preemptions": self._preemptions,
-            "executions": len(self._executions),
-            "scale_events": scale_events,
-            "active_devices": server.pool.num_active,
-            "max_queue_depth": self._max_depth,
-            "admission": self.admission.snapshot(),
-        }
-        return server._report(
-            self._responses,
-            len(self._executions),
-            hits=server.cache.hits - hits0,
-            misses=server.cache.misses - misses0,
-            compile_s=server.cache.compile_s - compile0,
-            saved_s=server.cache.saved_s - saved0,
-            mutation_counters=self._mutation_counters,
-            shard_counters=self._shard_counters,
-            policy=self.policy,
-            sched_extras=sched_extras,
+        self._count(
+            "serve.sched.executions", metrics.counter("serve.batches").value
         )
+        metrics.gauge("serve.sched.active_devices").set(
+            self.server.pool.num_active
+        )
+        metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)
+        for slo in sorted({r.slo for r in self.responses}):
+            latency = metrics.histogram(f"serve.sched.{slo}.latency_s")
+            queue = metrics.histogram(f"serve.sched.{slo}.queue_s")
+            for r in self.responses:
+                if r.slo == slo:
+                    latency.observe(r.latency_s)
+                    queue.observe(r.queue_s)

@@ -4,13 +4,18 @@ Turns the one-shot Dynasparse simulator into a traffic-serving system:
 
 - :mod:`repro.serve.request` — request/response dataclasses and program
   fingerprints;
-- :mod:`repro.serve.cache` — LRU cache of compiled programs;
-- :mod:`repro.serve.batcher` — micro-batching of compatible requests;
-- :mod:`repro.serve.pool` — N simulated devices, earliest-idle dispatch;
+- :mod:`repro.serve.batcher` — what a micro-batch is, and the two
+  dispatch policies (``scheduler="legacy"`` | ``"continuous"``);
 - :mod:`repro.serve.workload` — Poisson / bursty / steady traffic
   generators with skewed model/dataset mixes;
-- :mod:`repro.serve.server` — the orchestrator and
+- :mod:`repro.serve.server` — the front-end: serving knobs, one
+  simulation per distinct execution, and
   :class:`~repro.serve.server.ServingReport`.
+
+The serve loop is :mod:`repro.sched.scheduler` (one loop, whatever the
+policy); the program cache and the device pool a server uses belong to
+its :class:`~repro.engine.core.Engine` (:mod:`repro.engine.cache`,
+:mod:`repro.engine.pool`).
 
 Quickstart::
 
@@ -23,9 +28,7 @@ Quickstart::
     print(report.format_report())
 """
 
-from repro.serve.batcher import MicroBatch, MicroBatcher
-from repro.serve.cache import CacheStats, ProgramCache
-from repro.serve.pool import AcceleratorPool, DispatchEvent
+from repro.serve.batcher import POLICIES, DispatchPolicy, MicroBatch
 from repro.serve.request import InferenceRequest, InferenceResponse, MutationRequest
 from repro.serve.server import (
     MUTATION_POLICIES,
@@ -45,17 +48,14 @@ from repro.serve.workload import (
 __all__ = [
     "ARRIVAL_KINDS",
     "MUTATION_POLICIES",
+    "POLICIES",
     "SCHEDULERS",
-    "AcceleratorPool",
-    "CacheStats",
-    "DispatchEvent",
+    "DispatchPolicy",
     "InferenceRequest",
     "InferenceResponse",
     "InferenceServer",
     "MicroBatch",
-    "MicroBatcher",
     "MutationRequest",
-    "ProgramCache",
     "ServingReport",
     "bursty_arrivals",
     "churn_stream",

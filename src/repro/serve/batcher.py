@@ -1,24 +1,26 @@
-"""Micro-batching queue: group compatible requests before dispatch.
+"""Micro-batches, and the two policies for dispatching a closed one.
 
-Requests sharing a ``batch_key`` (same compiled program *and* mapping
-strategy) produce identical accelerator runs, so the server executes each
-batch once: one PCIe input transfer, one K2P analysis pass, one set of
-kernel launches — amortized over every request in the batch.
+Requests sharing a ``batch_key`` (same compiled program, mapping strategy
+*and* shard width) produce identical accelerator runs, so the server
+executes each batch once: one PCIe input transfer, one K2P analysis pass,
+one set of kernel launches — amortized over every request in the batch.
 
-The batcher trades latency for that amortization with two knobs, the same
+Batching trades latency for that amortization with two knobs, the same
 ones production inference servers expose:
 
 ``max_batch_size``
-    a group is dispatched the moment it reaches this many requests;
+    a group closes the moment it reaches this many requests;
 
 ``max_wait_s``
-    a group is dispatched once its *oldest* request has waited this long
+    a group closes once its *oldest* request has waited this long
     (virtual seconds), so a lone request is never starved waiting for
-    company that may not come.
+    company that may not come.  The window is strict: a group whose
+    deadline is *at* an arrival's instant is still open for that arrival,
+    so ``max_wait_s=0`` coalesces same-instant arrivals.
 
-The batcher is clock-agnostic: callers pass ``now`` explicitly and poll
-:meth:`MicroBatcher.due`, which keeps it trivially testable and lets the
-server drive it from the virtual event loop.
+Groups form, and close, in the one serve loop
+(:mod:`repro.sched.scheduler`); :data:`POLICIES` names what that loop
+does differently per ``InferenceServer(scheduler=...)`` value.
 """
 
 from __future__ import annotations
@@ -48,91 +50,28 @@ class MicroBatch:
         return len(self.requests)
 
 
-class MicroBatcher:
-    """Time-and-size triggered batching queue, one group per batch key."""
+@dataclass(frozen=True)
+class DispatchPolicy:
+    """The two decisions the serve loop takes differently by policy."""
 
-    def __init__(self, max_batch_size: int = 8, max_wait_s: float = 1e-3) -> None:
-        if max_batch_size < 1:
-            raise ValueError("max_batch_size must be >= 1")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0")
-        self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
-        self._groups: dict[tuple, MicroBatch] = {}
+    name: str
+    #: every request is scheduled as one class on the server's
+    #: ``max_wait_s`` window: SLO tags are reporting-only (any tag is
+    #: accepted) and there is no priority and no queue bound to act on
+    one_class: bool
+    #: a closed batch is booked *ahead and whole*: once the stream has
+    #: been read, closed batches are booked in (ready time, close order),
+    #: each as one ``input + latency`` reservation.  Nothing is ever in
+    #: flight, so there is nothing to join or preempt, no backlog for an
+    #: autoscaler to watch, and no in-flight accounting in the report
+    book_ahead: bool
 
-    @property
-    def pending(self) -> int:
-        """Number of requests currently waiting in open groups."""
-        return sum(g.size for g in self._groups.values())
 
-    def add(
-        self, request: InferenceRequest, key: tuple, *, ready_s: float | None = None
-    ) -> MicroBatch | None:
-        """Queue a request; returns the group if it just filled up.
-
-        ``ready_s`` is the time the request's program becomes available
-        (arrival + compile charge on a cache miss); the group can start no
-        earlier than the latest ready time of its members.
-        """
-        if ready_s is None:
-            ready_s = request.arrival_s
-        group = self._groups.get(key)
-        if group is None:
-            group = MicroBatch(
-                key=key, requests=[], opened_s=request.arrival_s, ready_s=ready_s
-            )
-            self._groups[key] = group
-        group.requests.append(request)
-        group.ready_s = max(group.ready_s, ready_s)
-        if group.size >= self.max_batch_size:
-            del self._groups[key]
-            return group
-        return None
-
-    def deadline(self, group: MicroBatch) -> float:
-        """Latest virtual time the group may keep waiting."""
-        return group.opened_s + self.max_wait_s
-
-    def due(self, now: float) -> list[MicroBatch]:
-        """Pop every group whose deadline is strictly before ``now``.
-
-        Strict comparison so ``max_wait_s=0`` still batches requests
-        arriving at the same instant (a deadline *at* ``now`` lets a
-        same-key arrival at ``now`` join the group first); with
-        ``max_wait_s=0`` a group is therefore dispatched at the first
-        event *after* its opening instant — immediate-dispatch up to
-        same-instant coalescing.
-
-        Deadline ties order by group *open* order (``batch_id`` is
-        monotonic in creation), so dispatch is stable FIFO rather than
-        dict-insertion-order dependent.
-        """
-        ready = [g for g in self._groups.values() if self.deadline(g) < now]
-        for g in ready:
-            del self._groups[g.key]
-        ready.sort(key=lambda g: (self.deadline(g), g.batch_id))
-        return ready
-
-    def next_deadline(self) -> float | None:
-        """Earliest pending timeout, or ``None`` on an empty batcher.
-
-        ``None`` (rather than ``inf`` or a raise) lets an event loop use
-        it directly as "no timer to arm".
-        """
-        if not self._groups:
-            return None
-        return min(self.deadline(g) for g in self._groups.values())
-
-    def drain(self) -> list[MicroBatch]:
-        """Pop all remaining groups (end of the request stream).
-
-        Same stable FIFO order as :meth:`due`: (deadline, open order) —
-        two groups opened at the same instant drain in the order their
-        first requests were admitted.
-        """
-        groups = sorted(
-            self._groups.values(),
-            key=lambda g: (self.deadline(g), g.batch_id),
-        )
-        self._groups.clear()
-        return groups
+#: ``InferenceServer(scheduler=...)`` value -> what it means
+POLICIES = {
+    p.name: p
+    for p in (
+        DispatchPolicy("legacy", one_class=True, book_ahead=True),
+        DispatchPolicy("continuous", one_class=False, book_ahead=False),
+    )
+}

@@ -4,7 +4,7 @@ An :class:`InferenceRequest` describes one unit of traffic: which model to
 run on which graph, under which mapping strategy, and *when* it arrives
 (virtual seconds).  Requests referencing the same compiled program are
 interchangeable up to their arrival time, which is what lets the server
-cache compilation (:mod:`repro.serve.cache`) and micro-batch execution
+cache compilation (:mod:`repro.engine.cache`) and micro-batch execution
 (:mod:`repro.serve.batcher`).
 
 Two fingerprints are derived from a request (both built from the shared
@@ -63,9 +63,9 @@ class InferenceRequest:
     shards: int = 1
     #: arrival time on the virtual clock, in seconds
     arrival_s: float = 0.0
-    #: SLO class tag ("interactive" | "bulk") — consumed by the
-    #: continuous scheduler (repro.sched) for priority, admission and
-    #: per-class reporting; the legacy batcher ignores it.  Deliberately
+    #: SLO class tag ("interactive" | "bulk") — the "continuous" dispatch
+    #: policy acts on it (priority, admission, batching window); under
+    #: "legacy" it only groups the report's per-class block.  Deliberately
     #: NOT part of program_key/batch_key: the class changes *when* a
     #: request runs, never *what* it computes.
     slo: str = "bulk"
@@ -78,10 +78,16 @@ class InferenceRequest:
             config,
         )
 
-    def batch_key(self, config: AcceleratorConfig) -> tuple:
+    def batch_key(
+        self, config: AcceleratorConfig, program_key: tuple | None = None
+    ) -> tuple:
         """Fingerprint of the (program, strategy, shard width) execution
-        this request can share with others in one micro-batch."""
-        return self.program_key(config) + (self.strategy, self.shards)
+        this request can share with others in one micro-batch.  Callers
+        holding the request's ``program_key`` pass it rather than pay for
+        a second fingerprint."""
+        if program_key is None:
+            program_key = self.program_key(config)
+        return program_key + (self.strategy, self.shards)
 
     @property
     def dataset_name(self) -> str:

@@ -55,8 +55,10 @@ def to_dict_field_coverage(ctx: FileContext):
         if to_dict is None:
             continue
         body_src = ast.unparse(to_dict)
-        if "asdict" in body_src:
-            continue  # dataclasses.asdict covers every field by construction
+        if "asdict" in body_src or "fields(self)" in body_src:
+            # dataclasses.asdict / a walk over fields(self) covers every
+            # field by construction; what the walk leaves out it names
+            continue
         for field_name in _dataclass_fields(node):
             # covered if to_dict reads self.<field> or names the key
             if f"self.{field_name}" in body_src or f"'{field_name}'" in body_src \

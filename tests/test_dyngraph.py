@@ -24,11 +24,11 @@ from repro.dyngraph import (
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn.adjacency import gcn_norm, gin_adj, mean_norm
+from repro.engine.cache import ProgramCache
 from repro.serve import (
     InferenceRequest,
     InferenceServer,
     MutationRequest,
-    ProgramCache,
     churn_stream,
 )
 
@@ -454,39 +454,45 @@ class TestServeChurn:
     def _admit(self, server, graph, model="GCN"):
         """Compile and cache one program for a dynamic graph, returning
         its program key (what the serve loop does at admission)."""
-        req, gid = server._resolve(
+        engine = server.engine
+        req, gid = engine.resolve_request(
             InferenceRequest(model=model, dataset=graph.graph_id)
         )
         prog_key = req.program_key(server.config)
-        server.cache.get_or_compile(prog_key, lambda: server._compile(req))
-        server._graph_keys[gid][prog_key] = graph.version
+        server.cache.get_or_compile(
+            prog_key, lambda: engine.compile_request(req))
+        engine._graph_keys[gid][prog_key] = graph.version
         return prog_key
 
-    def _counters(self):
-        return {"mutations": 0, "patches": 0, "fallbacks": 0,
-                "patch_s": 0.0, "evictions": 0}
+    def _patches(self, sweep):
+        return sweep.metrics.counter("serve.patches").value
 
     def test_patched_program_waits_for_inflight_compile(self):
+        from repro.sched import ContinuousScheduler
+
         graph = MutableGraph(load_dataset("CO", scale=0.3, seed=0),
                              graph_id="rt")
         server = InferenceServer(CFG, mutation_policy="patch")
         server.register_graph(graph)
         prog_key = self._admit(server, graph)
         # the miss that produced this program is still compiling at t=5.0
-        program_ready = {prog_key: 5.0}
-        counters = self._counters()
-        server._apply_mutation(
+        sweep = ContinuousScheduler(server)
+        sweep._program_ready[prog_key] = sweep._host_free_s = 5.0
+        sweep._mutate(
             MutationRequest(graph_id="rt",
                             delta=GraphDelta.edges(inserts=[(0, 9)]),
                             arrival_s=1.0),
-            1.0, program_ready, {"free": 5.0}, counters,
+            1.0,
         )
-        assert counters["patches"] == 1
-        (new_key,) = server._graph_keys["rt"]
+        assert self._patches(sweep) == 1
+        (new_key,) = server.engine._graph_keys["rt"]
         assert new_key != prog_key
-        assert program_ready[new_key] > 5.0  # compile + patch, not 1.0 + patch
+        # compile + patch, not 1.0 + patch
+        assert sweep._program_ready[new_key] > 5.0
 
     def test_out_of_band_mutation_evicts_instead_of_patching(self):
+        from repro.sched import ContinuousScheduler
+
         graph = MutableGraph(load_dataset("CO", scale=0.3, seed=1),
                              graph_id="oob")
         server = InferenceServer(CFG, mutation_policy="patch")
@@ -494,18 +500,18 @@ class TestServeChurn:
         prog_key = self._admit(server, graph)
         # mutate the graph directly, bypassing the server
         graph.apply(GraphDelta.edges(inserts=[(0, 9)]))
-        counters = self._counters()
-        server._apply_mutation(
+        sweep = ContinuousScheduler(server)
+        sweep._mutate(
             MutationRequest(graph_id="oob",
                             delta=GraphDelta.edges(inserts=[(1, 8)]),
                             arrival_s=0.0),
-            0.0, {}, {"free": 0.0}, counters,
+            0.0,
         )
         # the cached program's lineage is broken: evicted, never patched
-        assert counters["patches"] == 0
-        assert counters["evictions"] == 1
+        assert self._patches(sweep) == 0
+        assert sweep.mutation_evictions == 1
         assert server.cache.peek(prog_key) is None
-        assert server._graph_keys["oob"] == {}
+        assert server.engine._graph_keys["oob"] == {}
 
     def test_mutation_for_unregistered_graph_raises(self):
         server = InferenceServer(CFG)

@@ -6,7 +6,7 @@ sharded runtime exposes, and the continuous scheduler end to end:
 legacy equivalence on light traffic, join-in-flight under overload,
 shed/defer admission, layer-boundary preemption, autoscaler event flow,
 and the per-response phase invariant.  Also holds the satellite
-regression tests for the micro-batcher edge cases, per-class workload
+regression tests for the batch-window edge cases, per-class workload
 tagging, and the extended ``ServingReport`` round-trip.
 """
 
@@ -31,7 +31,6 @@ from repro.serve import (
     SCHEDULERS,
     InferenceRequest,
     InferenceServer,
-    MicroBatcher,
     synthesize,
 )
 from repro.shard import run_sharded
@@ -395,7 +394,7 @@ class TestContinuousServe:
             assert np.array_equal(resp.output, lout[resp.request_id])
 
     def test_joins_share_an_inflight_execution(self):
-        server = tiny_server(max_wait_s=0.0)
+        server = tiny_server(max_wait_s=0.0, scheduler="continuous")
         exec_s = warm(server)
         # founder at t=0; followers arrive mid-execution and must board
         # at layer boundaries instead of founding new batches
@@ -564,15 +563,6 @@ class TestPreemption:
             ).responses[0]
             assert np.array_equal(resp.output, ref.output)
 
-    def test_preemption_can_be_disabled(self):
-        server, exec_s = self.prepared_server()
-        sched = ContinuousScheduler(server, policy=server.slo_policy,
-                                    preempt=False)
-        report = sched.run(self.make_requests(exec_s))
-        assert report.preemptions == 0
-        by_slo = {r.slo: r for r in report.responses}
-        assert by_slo["interactive"].finish_s > by_slo["bulk"].finish_s
-
 
 class TestAutoscalerIntegration:
     def test_pool_grows_under_backlog_and_drains_back(self):
@@ -622,6 +612,48 @@ class TestAutoscalerIntegration:
         if dev1:
             assert min(e.start for e in dev1) >= t_grow + 0.05 - 1e-12
 
+    def test_a_queued_shard_width_is_a_floor_on_the_active_set(self):
+        # one 2-shard request on an active set of 1 used to sit in the
+        # ready queue forever: nothing scaled up for it and the sweep
+        # returned 0 responses, 0 shed, 0 deferred
+        server = tiny_server(
+            pool_size=4, scheduler="continuous", max_wait_s=0.0,
+            autoscaler=PoolAutoscaler(min_devices=1),
+        )
+        report = server.serve([tiny_request(shards=2)])
+        (response,) = report.responses
+        assert response.shards == 2
+        grow = report.autoscaler_events[0]
+        assert (grow["from_devices"], grow["to_devices"]) == (1, 2)
+        assert "spans 2 devices" in grow["reason"]
+        # the issue's own reproduction (default config: the planner
+        # collapses so small a graph to one shard, it is still answered)
+        server = InferenceServer(
+            pool_size=4, scheduler="continuous", max_wait_s=0.0,
+            autoscaler=PoolAutoscaler(min_devices=1),
+        )
+        lost = InferenceRequest(model="GCN", dataset="CO", scale=0.2,
+                                shards=2)
+        assert len(server.serve([lost]).responses) == 1
+
+    def test_shards_above_the_autoscaler_ceiling_are_rejected(self):
+        server = tiny_server(
+            pool_size=4, scheduler="continuous",
+            autoscaler=PoolAutoscaler(min_devices=1, max_devices=1),
+        )
+        with pytest.raises(ValueError, match=r"shards.*\[1, 1\]"):
+            server.serve([tiny_request(shards=2)])
+        with pytest.raises(ValueError, match=r"shards.*\[1, 2\]"):
+            tiny_server(pool_size=2).serve([tiny_request(shards=3)])
+
+    def test_undispatched_work_is_an_error_not_a_short_report(
+            self, monkeypatch):
+        monkeypatch.setattr(ContinuousScheduler, "_schedule",
+                            lambda self, t: None)
+        server = tiny_server(scheduler="continuous")
+        with pytest.raises(RuntimeError, match="1 admitted request"):
+            server.serve([tiny_request()])
+
     def test_without_autoscaler_the_whole_pool_is_active(self):
         server = tiny_server(pool_size=2, scheduler="continuous")
         warm(server)
@@ -636,45 +668,40 @@ class TestAutoscalerIntegration:
 
 
 class TestBatcherRegressions:
-    def req(self, **kw):
-        return tiny_request(**kw)
+    """Window edge cases, through ``serve()`` on one warm device."""
 
-    def key(self, r):
-        return r.batch_key(make_tiny_config())
-
-    def test_next_deadline_is_none_when_empty(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_s=1e-3)
-        assert b.next_deadline() is None
-        r = self.req(arrival_s=0.1)
-        b.add(r, self.key(r), ready_s=0.1)
-        assert b.next_deadline() == pytest.approx(0.1 + 1e-3)
-        b.drain()
-        assert b.next_deadline() is None
+    def served(self, requests, **server_kw):
+        server = tiny_server(max_batch_size=4, **server_kw)
+        for seed in (3, 4, 5):
+            warm(server, seed=seed)
+        return server.serve(requests).responses
 
     def test_zero_wait_is_due_immediately(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_s=0.0)
-        r = self.req(arrival_s=0.5)
-        b.add(r, self.key(r), ready_s=0.5)
-        assert b.next_deadline() == pytest.approx(0.5)
-        # due() uses a strict < so a same-instant arrival can still
-        # coalesce before dispatch; an instant later the group flushes
-        assert b.due(0.5) == []
-        assert len(b.due(0.5 + 1e-12)) == 1
+        # the window test is a strict <: a same-instant arrival can
+        # still coalesce, an instant later the group has flushed
+        a, b, c = (tiny_request(arrival_s=t)
+                   for t in (0.5, 0.5, 0.5 + 1e-12))
+        by_id = {r.request_id: r
+                 for r in self.served([a, b, c], max_wait_s=0.0)}
+        assert by_id[a.request_id].batch_id == by_id[b.request_id].batch_id
+        assert by_id[c.request_id].batch_id != by_id[a.request_id].batch_id
+        assert by_id[a.request_id].start_s == 0.5
 
     def test_due_and_drain_are_fifo_on_deadline_ties(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_s=1e-3)
-        keys = []
-        for seed in (3, 4, 5):  # three distinct groups, same deadline
-            r = self.req(seed=seed, arrival_s=0.2)
-            keys.append(self.key(r))
-            b.add(r, keys[-1], ready_s=0.2)
-        drained = b.drain()
-        assert [g.key for g in drained] == keys
-        for seed in (5, 4, 3):
-            r = self.req(seed=seed, arrival_s=0.2)
-            b.add(r, self.key(r), ready_s=0.2)
-        due = b.due(1.0)
-        assert [g.requests[0].seed for g in due] == [5, 4, 3]
+        # three groups opened at one instant share a deadline: they
+        # dispatch in open order, whether their windows expire (a late
+        # arrival keeps the stream going) or the stream ends first
+        for seeds in ((3, 4, 5), (5, 4, 3)):
+            tied = [tiny_request(seed=seed, arrival_s=0.2) for seed in seeds]
+            drained = self.served(list(tied), max_wait_s=1e-3)
+            assert [r.request_id for r in drained] == \
+                [r.request_id for r in tied]
+            late = tiny_request(seed=3, arrival_s=1.0)
+            expired = self.served([*tied, late], max_wait_s=1e-3)
+            assert [r.request_id for r in expired] == \
+                [r.request_id for r in [*tied, late]]
+            starts = [r.start_s for r in expired]
+            assert starts == sorted(starts) and starts[0] == 0.2 + 1e-3
 
 
 class TestWorkloadClassSkew:

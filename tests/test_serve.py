@@ -14,12 +14,11 @@ from conftest import make_tiny_config
 
 from repro.datasets import load_dataset
 from repro.gnn import build_model, init_weights, reference_inference
+from repro.engine.cache import ProgramCache
+from repro.engine.pool import AcceleratorPool
 from repro.serve import (
-    AcceleratorPool,
     InferenceRequest,
     InferenceServer,
-    MicroBatcher,
-    ProgramCache,
     bursty_arrivals,
     poisson_arrivals,
     steady_arrivals,
@@ -143,47 +142,77 @@ def _compile_tiny():
 
 
 class TestMicroBatcher:
+    """Batch formation, observed through ``serve()`` on a warm server:
+    a batch starts on an idle device the instant it closes, so
+    ``start_s`` tells when and why it closed."""
+
+    KEYS = {"k1": 3, "k2": 4, "k3": 5}
+
+    def served(self, requests, **server_kw):
+        server = tiny_server(pool_size=4, **server_kw)
+        for seed in self.KEYS.values():
+            server.serve([tiny_request(seed=seed)])
+        report = server.serve(requests)
+        assert len(report.responses) == len(requests)
+        return {r.request_id: r for r in report.responses}
+
+    def req(self, key, arrival_s):
+        return tiny_request(seed=self.KEYS[key], arrival_s=arrival_s)
+
     def test_groups_by_key_and_flushes_at_max_size(self):
-        b = MicroBatcher(max_batch_size=2, max_wait_s=1.0)
-        r1, r2, r3 = (tiny_request(arrival_s=t) for t in (0.0, 0.1, 0.2))
-        assert b.add(r1, ("k1",)) is None
-        assert b.add(r3, ("k2",)) is None
-        full = b.add(r2, ("k1",))
-        assert full is not None and full.size == 2
-        assert [r.request_id for r in full.requests] == \
-            [r1.request_id, r2.request_id]
-        assert b.pending == 1  # k2 still open
+        r1, r3, r2 = (self.req(k, t) for k, t in
+                      (("k1", 0.0), ("k2", 0.2), ("k1", 0.1)))
+        by_id = self.served([r1, r3, r2], max_batch_size=2, max_wait_s=1.0)
+        full, other = by_id[r1.request_id], by_id[r3.request_id]
+        assert by_id[r2.request_id].batch_id == full.batch_id
+        assert full.batch_size == 2 and other.batch_size == 1
+        assert other.batch_id != full.batch_id
+        # closed by the second member's arrival, not by the 1 s window
+        assert full.start_s == 0.1
 
     def test_max_wait_flushes_the_oldest_group(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=0.5)
-        b.add(tiny_request(arrival_s=0.0), ("k1",))
-        b.add(tiny_request(arrival_s=0.3), ("k2",))
-        assert b.due(now=0.4) == []
-        assert b.next_deadline() == pytest.approx(0.5)
-        due = b.due(now=0.6)
-        assert [g.key for g in due] == [("k1",)]
-        assert b.pending == 1
+        a, b, c, late = (self.req(k, t) for k, t in
+                         (("k1", 0.0), ("k2", 0.3), ("k1", 0.5), ("k3", 2.0)))
+        by_id = self.served([a, b, c, late], max_batch_size=8, max_wait_s=0.5)
+        # k1's window is its *oldest* member's: it ends at 0.5, and the
+        # comparison is strict, so the arrival at 0.5 itself still joins
+        assert by_id[a.request_id].batch_id == by_id[c.request_id].batch_id
+        assert by_id[a.request_id].start_s == 0.5
+        assert by_id[b.request_id].start_s == 0.8
+        assert by_id[b.request_id].batch_size == 1
 
     def test_ready_time_tracks_slowest_member(self):
-        b = MicroBatcher(max_batch_size=2, max_wait_s=1.0)
-        b.add(tiny_request(arrival_s=0.0), ("k",), ready_s=0.7)
-        full = b.add(tiny_request(arrival_s=0.1), ("k",), ready_s=0.1)
-        assert full.ready_s == pytest.approx(0.7)
+        # the first member misses and compiles; the second hits while
+        # that compile is still running and must wait for it too
+        server = tiny_server(max_batch_size=2, max_wait_s=1.0)
+        miss, hit = tiny_request(arrival_s=0.0), tiny_request(arrival_s=1e-9)
+        first, second = server.serve([miss, hit]).responses
+        assert (first.cache_hit, second.cache_hit) == (False, True)
+        assert first.compile_s > 1e-9 and second.compile_s == 0.0
+        assert first.batch_id == second.batch_id
+        assert first.start_s == second.start_s == first.compile_s
 
     def test_zero_wait_still_batches_simultaneous_arrivals(self):
-        b = MicroBatcher(max_batch_size=4, max_wait_s=0.0)
-        b.add(tiny_request(arrival_s=1.0), ("k",))
-        assert b.due(now=1.0) == []      # same instant: group stays open
-        b.add(tiny_request(arrival_s=1.0), ("k",))
-        (flushed,) = b.due(now=1.1)
-        assert flushed.size == 2
+        a, b, later = (self.req("k1", t) for t in (1.0, 1.0, 1.1))
+        by_id = self.served([a, b, later], max_batch_size=4, max_wait_s=0.0)
+        # same instant: the group stays open for the second arrival
+        assert by_id[a.request_id].batch_id == by_id[b.request_id].batch_id
+        assert by_id[a.request_id].batch_size == 2
+        assert by_id[a.request_id].start_s == 1.0
+        assert by_id[later.request_id].batch_size == 1
 
     def test_drain_empties_the_queue(self):
-        b = MicroBatcher(max_batch_size=8, max_wait_s=1.0)
-        b.add(tiny_request(arrival_s=0.0), ("k1",))
-        b.add(tiny_request(arrival_s=0.1), ("k2",))
-        assert {g.key for g in b.drain()} == {("k1",), ("k2",)}
-        assert b.pending == 0
+        # end of stream: both groups close at the last arrival instead of
+        # idling out their 1 s windows, in (deadline, open order)
+        a, b = self.req("k1", 0.0), self.req("k2", 0.1)
+        server = tiny_server(max_batch_size=8, max_wait_s=1.0)
+        for seed in self.KEYS.values():
+            server.serve([tiny_request(seed=seed)])
+        first, second = server.serve([b, a]).responses
+        assert (first.request_id, second.request_id) == \
+            (a.request_id, b.request_id)
+        assert first.start_s == 0.1
+        assert second.start_s == first.finish_s  # one device, k1 then k2
 
 
 class TestAcceleratorPool:
@@ -415,9 +444,9 @@ class TestArrivalRateContract:
 
 class TestServingAccountingFixes:
     def test_missing_hit_flag_raises_instead_of_reporting_a_hit(self):
-        # a request absent from the accounting maps used to be reported
-        # as cache_hit=True, silently inflating the hit rate
-        from repro.serve.batcher import MicroBatch
+        # a request the loop never looked up used to be reported as
+        # cache_hit=True, silently inflating the hit rate
+        from repro.sched import ContinuousScheduler
 
         server = tiny_server()
         req = tiny_request(arrival_s=0.0)
@@ -426,10 +455,11 @@ class TestServingAccountingFixes:
         key = stray.batch_key(server.config)
         program = server.cache.peek(stray.program_key(server.config))
         assert program is not None
-        batch = MicroBatch(key=key, requests=[stray], opened_s=0.0,
-                           ready_s=0.0)
+        memo = server._execute(key, program, stray.strategy, 0.0)
+        sweep = ContinuousScheduler(server)
         with pytest.raises(KeyError):
-            server._dispatch(batch, 0.0, {key: program}, [], {}, {})
+            sweep._respond(stray, 0, 1, 0, memo, 0.0, 1.0, 1.0, 0.0)
+        assert sweep.responses == []
 
     def test_run_memo_tracks_live_cache_capacity(self):
         from repro.engine import Engine

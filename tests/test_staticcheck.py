@@ -226,12 +226,15 @@ class TestProjectRules:
         assert findings and "'dropped'" in findings[0].message
 
     def test_rpr501_asdict_covers_all(self, tmp_path):
-        src = (
-            "from dataclasses import asdict, dataclass\n\n"
-            "@dataclass\nclass Report:\n    kept: int\n    dropped: int\n\n"
-            "    def to_dict(self):\n        return asdict(self)\n"
-        )
-        assert check(tmp_path, src, codes=["RPR501"]) == []
+        # asdict, or a walk over fields(self), covers every field
+        for body in ("asdict(self)",
+                     "{f.name: getattr(self, f.name) for f in fields(self)}"):
+            src = (
+                "from dataclasses import asdict, dataclass, fields\n\n"
+                "@dataclass\nclass Report:\n    kept: int\n    dropped: int\n\n"
+                f"    def to_dict(self):\n        return {body}\n"
+            )
+            assert check(tmp_path, src, codes=["RPR501"]) == []
 
 
 class TestRatchet:
