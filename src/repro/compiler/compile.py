@@ -74,6 +74,10 @@ class CompiledProgram:
     #: names whose sparsity was profiled at compile time (§III-B)
     compile_time_profiled: frozenset = frozenset()
     _views: dict = field(default_factory=dict, repr=False)
+    #: memoised executions, (strategy, shards) -> the serving layer's
+    #: replayable outcome.  They live and die with the program: a patch
+    #: builds a new program and so starts empty, eviction drops both
+    _runs: dict = field(default_factory=dict, repr=False)
 
     def view(self, name: str, block_rows: int, block_cols: int) -> PartitionedMatrix:
         """Partitioned view of a stored matrix (cached; cheap re-blocking)."""
@@ -83,11 +87,6 @@ class CompiledProgram:
             pm = PartitionedMatrix(self.store[name], block_rows, block_cols, name=name)
             self._views[key] = pm
         return pm
-
-    def invalidate_view(self, name: str) -> None:
-        """Drop cached views of a matrix (when the runtime overwrites it)."""
-        for key in [k for k in self._views if k[0] == name]:
-            del self._views[key]
 
     def input_bytes(self) -> int:
         """Bytes moved host->FPGA before execution (adjacency, weights,

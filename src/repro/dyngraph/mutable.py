@@ -22,8 +22,9 @@ occurrence (sequential-assignment semantics).
 
 Snapshots of mutated versions carry a serving content fingerprint
 (``dyn:<uid>:v<version>``) piggybacked on the memo
-:mod:`repro.serve.request` uses, so request fingerprinting of a dynamic
-graph is O(1) instead of an O(nnz) content hash per version.
+:func:`repro.engine.keys.graph_content_digest` keeps, so request
+fingerprinting of a dynamic graph is O(1) instead of an O(nnz) content
+hash per version.
 """
 
 from __future__ import annotations

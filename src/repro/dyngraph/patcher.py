@@ -101,9 +101,8 @@ class ProgramPatcher:
         nnz_old = int(new_data.a.nnz) - applied.a_nnz_delta
         churn = applied.num_structural_edge_changes / max(nnz_old, 1)
         if churn > self.policy.max_edge_fraction:
-            return self._recompile(
-                program, new_data, t0,
-                applied,
+            return self.recompile(
+                program, new_data, applied,
                 reason=f"edge churn {churn:.2%} exceeds policy "
                        f"{self.policy.max_edge_fraction:.2%}",
             )
@@ -114,9 +113,8 @@ class ProgramPatcher:
         if self.policy.recheck_partition:
             n1, n2 = choose_partition_sizes(kernels, program.config)
             if (n1, n2) != (program.n1, program.n2):
-                return self._recompile(
-                    program, new_data, t0,
-                    applied,
+                return self.recompile(
+                    program, new_data, applied,
                     reason=f"partition sizes stale: "
                            f"({program.n1}, {program.n2}) -> ({n1}, {n2})",
                 )
@@ -185,16 +183,17 @@ class ProgramPatcher:
         )
         return patched, report
 
-    # -- internals -------------------------------------------------------
-    def _recompile(
+    def recompile(
         self,
         program: CompiledProgram,
         new_data: GraphData,
-        t0: float,
         applied: AppliedDelta,
         *,
         reason: str,
     ) -> tuple[CompiledProgram, PatchReport]:
+        """The fallback: a full compile of ``program``'s model, with its
+        weights, on the mutated graph; ``reason`` says why no patch."""
+        t0 = time.perf_counter()
         weights = {
             name: program.store[name] for name in program.model.weight_shapes()
         }
@@ -213,6 +212,7 @@ class ProgramPatcher:
         )
         return fresh, report
 
+    # -- internals -------------------------------------------------------
     def _reanalyze(
         self,
         program: CompiledProgram,

@@ -73,6 +73,12 @@ class ProgramCache:
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
 
+    def keys(self) -> list[tuple]:
+        """The cached programs' keys, least recently used first.  A key
+        names its program's model, graph and graph version, so this is
+        the lineage record; a copy, so callers may re-key as they walk."""
+        return list(self._entries)
+
     def peek(self, key: tuple) -> Optional[CompiledProgram]:
         """Look up without touching recency or hit/miss counters."""
         return self._entries.get(key)

@@ -132,6 +132,11 @@ class MutationOutcome:
         return self.applied.version_to != self.applied.version_from
 
 
+def _rekeyed(key: tuple, snapshot: GraphData) -> tuple:
+    """``key`` with its graph fingerprint moved to ``snapshot``'s."""
+    return (key[0], dataset_fingerprint(snapshot)) + key[2:]
+
+
 class Engine:
     """Unified session over compilation, execution, mutation and serving."""
 
@@ -159,15 +164,9 @@ class Engine:
         self._trace_cursor = 0.0
         #: registered dynamic graphs: graph_id -> MutableGraph
         self._graphs: dict[str, MutableGraph] = {}
-        #: program-cache keys backed by each dynamic graph, mapped to the
-        #: graph version they were compiled against (re-keyed on every
-        #: mutation; a version mismatch means the graph was mutated
-        #: out-of-band and the entry can only be evicted, not patched)
-        self._graph_keys: dict[str, dict[tuple, int]] = {}
         #: loaded datasets, LRU-bounded alongside the program cache
         self._datasets: OrderedDict[tuple, GraphData] = OrderedDict()
         self._backends: dict[str, ExecutionBackend] = {}
-        self._servers: dict[tuple, object] = {}
 
     # -- backends -------------------------------------------------------
     def backend(self, name: str | None = None) -> ExecutionBackend:
@@ -193,7 +192,6 @@ class Engine:
         if existing is not None and existing is not graph:
             raise ValueError(f"graph id {graph.graph_id!r} already registered")
         self._graphs[graph.graph_id] = graph
-        self._graph_keys.setdefault(graph.graph_id, {})
         return graph.graph_id
 
     def load_graph(
@@ -278,17 +276,8 @@ class Engine:
                 model, data.num_features, data.hidden_dim, data.num_classes
             )
         )
-
-        def compile_fn() -> CompiledProgram:
-            w = weights
-            if w is None:
-                w = init_weights(model_spec, seed=seed)
-                if prune > 0:
-                    w = prune_weights(w, prune)
-            return Compiler(self.config).compile(model_spec, data, w)
-
         if weights is not None:
-            program = compile_fn()
+            program = self._build(model_spec, data, seed, prune, weights)
             key, compile_s, hit = None, program.timings.total_s, False
         else:
             key = program_key(
@@ -297,9 +286,9 @@ class Engine:
                 else graph,
                 scale, seed, prune, self.config,
             )
-            program, compile_s, hit = self.cache.get_or_compile(key, compile_fn)
-        if graph_id is not None and key is not None:
-            self._graph_keys[graph_id][key] = graph_version
+            program, compile_s, hit = self.cache.get_or_compile(
+                key, lambda: self._build(model_spec, data, seed, prune)
+            )
         if self.tracer.enabled:
             label = f"{model_spec.name}/{data.name}"
             if hit:
@@ -345,6 +334,22 @@ class Engine:
             shard_plan=shard_plan,
         )
 
+    def _build(
+        self,
+        model: ModelSpec,
+        data: GraphData,
+        seed: int,
+        prune: float,
+        weights: dict | None = None,
+    ) -> CompiledProgram:
+        """The one uncached compile: explicit ``weights``, or the seeded
+        initial weights pruned by ``prune``."""
+        if weights is None:
+            weights = init_weights(model, seed=seed)
+            if prune > 0:
+                weights = prune_weights(weights, prune)
+        return Compiler(self.config).compile(model, data, weights)
+
     # -- infer ----------------------------------------------------------
     def infer(
         self,
@@ -388,40 +393,35 @@ class Engine:
         graph = self._graphs.get(graph_id)
         if graph is None:
             raise KeyError(f"mutation targets unregistered graph {graph_id!r}")
+        before = graph.snapshot()
         applied = graph.apply(delta)
         outcome = MutationOutcome(applied=applied)
         if not outcome.structural:
             return outcome  # structural no-op: cached programs stay valid
-        keys = self._graph_keys.get(graph_id, {})
-        if not keys:
-            return outcome
-        if policy == "evict":
-            outcome.evictions += self.cache.invalidate(
-                lambda key, _program: key in keys
-            )
-            self._graph_keys[graph_id] = {}
-            return outcome
+        # a program's key is its lineage: snapshots are named by graph id
+        # and fingerprinted per version.  An inline GraphData that merely
+        # shares the name matches too; its content digest differs from
+        # every snapshot's, so it is evicted below, never patched
+        backed = [key for key in self.cache.keys() if key[1][0] == graph_id]
+        in_sync: list[tuple] = []
+        if backed and policy == "patch":
+            # an entry compiled from any other version (the graph was
+            # mutated out-of-band, not through this engine) cannot be
+            # brought up to date by this delta alone: evicted, not patched
+            old_fp = dataset_fingerprint(before)
+            in_sync = [key for key in backed if key[1] == old_fp]
+        stale = set(backed).difference(in_sync)
+        outcome.evictions = self.cache.invalidate(
+            lambda key, _program: key in stale
+        )
         snapshot = graph.snapshot()
-        new_fp = dataset_fingerprint(snapshot)
-        new_keys: dict[tuple, int] = {}
-        for old_key, cached_version in keys.items():
-            if cached_version != applied.version_from:
-                # the graph was mutated out-of-band (not through this
-                # engine): this delta alone cannot bring the entry up to
-                # date, so it must be evicted, not patched
-                outcome.evictions += self.cache.invalidate(
-                    lambda key, _program, _old=old_key: key == _old
-                )
-                continue
-            program = self.cache.pop(old_key)
-            if program is None:
-                continue  # lost to LRU pressure in the meantime
-            patched, report = self.patcher.patch(program, snapshot, applied)
-            new_key = (old_key[0], new_fp) + old_key[2:]
+        for old_key in in_sync:
+            patched, report = self.patcher.patch(
+                self.cache.pop(old_key), snapshot, applied
+            )
+            new_key = _rekeyed(old_key, snapshot)
             self.cache.put(new_key, patched)
-            new_keys[new_key] = applied.version_to
             outcome.patches.append(PatchEvent(old_key, new_key, report))
-        self._graph_keys[graph_id] = new_keys
         return outcome
 
     def mutate(self, handle: ProgramHandle, delta: GraphDelta) -> PatchReport | None:
@@ -442,79 +442,50 @@ class Engine:
         graph = self._graphs.get(handle.graph_id)
         if graph is None:
             raise KeyError(f"graph {handle.graph_id!r} is not registered")
-        old_key = handle.key
         outcome = self.apply_delta(handle.graph_id, delta, policy="patch")
         if not outcome.structural:
             return None
-        snapshot = graph.snapshot()
-        for event in outcome.patches:
-            if event.old_key == old_key:
-                patched = self.cache.peek(event.new_key)
-                if patched is not None:
-                    handle.program = patched
-                handle.key = event.new_key
-                handle.data = snapshot
-                handle.graph_version = graph.version
-                return event.report
-        # the handle's program was not reconciled through the cache
-        # (uncacheable compile, LRU-evicted, or out-of-band version skew):
-        # patch it directly when the versions line up, recompile otherwise
-        applied = outcome.applied
-        if handle.graph_version == applied.version_from:
-            patched, report = self.patcher.patch(handle.program, snapshot, applied)
+        snapshot, applied = graph.snapshot(), outcome.applied
+        event = next(
+            (e for e in outcome.patches if e.old_key == handle.key), None
+        )
+        if event is not None:  # reconciled through the cache
+            handle.program, report = self.cache.peek(event.new_key), event.report
+        elif handle.graph_version == applied.version_from:
+            # in sync but not in the cache (uncacheable compile, or lost
+            # to LRU pressure): patch the handle's own program
+            handle.program, report = self.patcher.patch(
+                handle.program, snapshot, applied
+            )
         else:
-            import time
-
-            t0 = time.perf_counter()
-            w = {
-                name: handle.program.store[name]
-                for name in handle.model.weight_shapes()
-            }
-            patched = Compiler(self.config).compile(handle.model, snapshot, w)
-            report = PatchReport(
-                patched=False,
+            handle.program, report = self.patcher.recompile(
+                handle.program, snapshot, applied,
                 reason=(
                     f"handle at graph version {handle.graph_version}, delta "
                     f"applies {applied.version_from} -> {applied.version_to}: "
                     f"out-of-band mutation forces a recompile"
                 ),
-                wall_s=time.perf_counter() - t0,
-                version_from=applied.version_from,
-                version_to=applied.version_to,
-                a_nnz_delta=applied.a_nnz_delta,
-                h_nnz_delta=applied.h_nnz_delta,
-                dirty_blocks=0,
-                reanalyzed_pairs=0,
-                decision_flips=0,
             )
-        handle.program = patched
         handle.data = snapshot
         handle.graph_version = graph.version
         if handle.key is not None:
-            new_key = (handle.key[0], dataset_fingerprint(snapshot)) + handle.key[2:]
-            handle.key = new_key
-            # keep cache and _graph_keys in lockstep: registering the key
-            # without caching the program would leave a dangling entry
-            self.cache.put(new_key, patched)
-            self._graph_keys[handle.graph_id][new_key] = graph.version
+            handle.key = _rekeyed(handle.key, snapshot)
+            self.cache.put(handle.key, handle.program)
         return report
 
     # -- serving admission ---------------------------------------------
-    def resolve_request(
-        self, request: "InferenceRequest"
-    ) -> tuple["InferenceRequest", str | None]:
+    def resolve_request(self, request: "InferenceRequest") -> "InferenceRequest":
         """Bind a dynamic-graph request to the graph's *current* snapshot.
 
-        Returns ``(request, graph_id)`` — the request is replaced with an
-        inline-``GraphData`` one when its dataset names a registered
-        mutable graph, so fingerprints key on the live version (snapshots
-        carry an O(1) content digest).  ``graph_id`` is None for static
-        requests.
+        A request whose dataset names a registered mutable graph is
+        replaced with an inline-``GraphData`` one, so fingerprints key on
+        the live version (snapshots carry an O(1) content digest); any
+        other request is returned as it is.
         """
         if isinstance(request.dataset, str) and request.dataset in self._graphs:
-            graph = self._graphs[request.dataset]
-            return replace(request, dataset=graph.snapshot()), graph.graph_id
-        return request, None
+            snapshot = self._graphs[request.dataset].snapshot()
+            return replace(request, dataset=snapshot)
+        return request
 
     def compile_request(self, request: "InferenceRequest") -> CompiledProgram:
         """Compile the program one serving request needs (no caching —
@@ -526,10 +497,7 @@ class Engine:
         model = build_model(
             request.model, data.num_features, data.hidden_dim, data.num_classes
         )
-        weights = init_weights(model, seed=request.seed)
-        if request.prune > 0:
-            weights = prune_weights(weights, request.prune)
-        return Compiler(self.config).compile(model, data, weights)
+        return self._build(model, data, request.seed, request.prune)
 
     # -- serve ----------------------------------------------------------
     def serve(self, requests: list, **server_kwargs) -> "ServingReport":
@@ -541,17 +509,14 @@ class Engine:
         :class:`~repro.serve.server.InferenceServer` (``max_batch_size``,
         ``max_wait_s``, ``return_outputs``, ``mutation_policy``, and
         ``scheduler`` with its ``slo_policy`` / ``admission`` /
-        ``autoscaler``); servers are memoized per kwargs so repeated
-        sweeps stay warm.  Every sweep runs through the one serve loop
+        ``autoscaler``).  A server holds knobs, not results: compiled
+        programs and their memoised executions live in the program cache,
+        so repeated sweeps stay warm whatever kwargs each one passes.
+        Every sweep runs through the one serve loop
         (:mod:`repro.sched.scheduler`); ``scheduler`` names its dispatch
         policy, by default ``"legacy"`` — book each closed batch ahead
         and whole.
         """
         from repro.serve.server import InferenceServer
 
-        key = tuple(sorted(server_kwargs.items()))
-        server = self._servers.get(key)
-        if server is None:
-            server = InferenceServer(engine=self, **server_kwargs)
-            self._servers[key] = server
-        return server.serve(requests)
+        return InferenceServer(engine=self, **server_kwargs).serve(requests)

@@ -245,7 +245,7 @@ class ContinuousScheduler:
         self._waiting = 0
         #: deepest backlog (waiting + parked) seen after an arrival
         self._max_depth = 0
-        self._deferred: deque[tuple[InferenceRequest, str | None]] = deque()
+        self._deferred: deque[InferenceRequest] = deque()
         self._inflight: dict[tuple, _Execution] = {}
         self._assignment: list = [None] * pool.num_devices
         self._paused_stack: list[list] = [[] for _ in range(pool.num_devices)]
@@ -321,9 +321,9 @@ class ContinuousScheduler:
             if isinstance(event, MutationRequest):
                 self._mutate(event, t)
             else:
-                req, graph_id = server.engine.resolve_request(event)
+                req = server.engine.resolve_request(event)
                 self._validate(req)
-                self._admit(req, graph_id, t, deferred=False)
+                self._admit(req, t, deferred=False)
             depth = self._waiting + len(self._deferred)
             if depth > self._max_depth:
                 self._max_depth = depth
@@ -412,7 +412,6 @@ class ContinuousScheduler:
     def _admit(
         self,
         req: InferenceRequest,
-        graph_id: str | None,
         now: float,
         *,
         deferred: bool,
@@ -427,7 +426,7 @@ class ContinuousScheduler:
         # would refuse work that is already paid for
         exec_ = self._inflight.get(pkey)
         if exec_ is not None and exec_.joinable(now):
-            self._lookup(req, graph_id, prog_key, pkey, now)
+            self._lookup(req, prog_key, pkey, now)
             member = _Member(
                 req, exec_.attach_time(now), joined=True, deferred=deferred
             )
@@ -448,7 +447,7 @@ class ContinuousScheduler:
             )
             if decision.action != "admit":
                 if decision.action == "defer":
-                    self._deferred.append((req, graph_id))
+                    self._deferred.append(req)
                 self._count(
                     "serve.sched.shed" if decision.action == "shed"
                     else "serve.sched.deferred"
@@ -461,13 +460,12 @@ class ContinuousScheduler:
                     )
                 return
 
-        ready_s = self._lookup(req, graph_id, prog_key, pkey, now)
+        ready_s = self._lookup(req, prog_key, pkey, now)
         self._group_add(req, cls, pkey, ready_s, now, deferred=deferred)
 
     def _lookup(
         self,
         req: InferenceRequest,
-        graph_id: str | None,
         prog_key: tuple,
         pkey: tuple,
         now: float,
@@ -496,11 +494,6 @@ class ContinuousScheduler:
                     f"compile {req.model}/{req.dataset_name}",
                     compile_start, self._host_free_s, cat="compile",
                 )
-        if graph_id is not None:
-            engine = server.engine
-            engine._graph_keys[graph_id][prog_key] = (
-                engine._graphs[graph_id].version
-            )
         self._programs[pkey] = program
         self._lookups[req.request_id] = (compile_s, hit)
         return max(now, self._program_ready.get(prog_key, now))
@@ -591,8 +584,7 @@ class ContinuousScheduler:
         the open groups now instead of idling out their windows (which
         would floor the makespan and understate throughput)."""
         while self._deferred:
-            req, graph_id = self._deferred.popleft()
-            self._admit(req, graph_id, t, deferred=True)
+            self._admit(self._deferred.popleft(), t, deferred=True)
         for group in list(self._groups.values()):
             self._close_group(group, t)
         self._schedule(t)
@@ -606,9 +598,7 @@ class ContinuousScheduler:
         server = self.server
         first = batch.requests[0]
         program = self._programs[batch.key]
-        memo = server._execute(
-            batch.key, program, first.strategy, ready_s, first.shards
-        )
+        memo = server._execute(program, first.strategy, ready_s, first.shards)
         self._count("serve.batches")
         if memo.shards > 1:
             self._count("serve.sharded_batches")
@@ -874,12 +864,12 @@ class ContinuousScheduler:
     def _readmit_deferred(self, t: float) -> None:
         """Re-admit parked requests once the queue drains (FIFO)."""
         while self._deferred:
-            req, graph_id = self._deferred[0]
+            req = self._deferred[0]
             watermark = self.admission.low_watermark(self._class_of(req))
             if watermark is not None and self._waiting >= watermark:
                 break
             self._deferred.popleft()
-            self._admit(req, graph_id, t, deferred=True)
+            self._admit(req, t, deferred=True)
 
     # -- autoscaling ----------------------------------------------------
     def _autoscale(self, now: float) -> None:

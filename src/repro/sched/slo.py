@@ -10,8 +10,8 @@ promised (``target_p99_s``, reporting/goodput only — the scheduler does
 not deadline-schedule), and how the admission controller treats it under
 overload (``max_queue_depth`` + ``overload``).
 
-Everything is a frozen dataclass so a policy can key the engine's
-server memo (``Engine.serve(..., slo_policy=...)``).
+Everything is a frozen dataclass: one policy is shared by every sweep
+it is passed to (``Engine.serve(..., slo_policy=...)``).
 """
 
 from __future__ import annotations

@@ -32,14 +32,7 @@ import numpy as np
 
 from repro.config import AcceleratorConfig
 from repro.datasets.catalog import GraphData
-from repro.engine.keys import (
-    config_fingerprint as config_fingerprint,  # back-compat re-export
-    dataset_fingerprint,
-    program_key,
-)
-
-# back-compat alias: the fingerprint helpers originated here
-_dataset_fingerprint = dataset_fingerprint
+from repro.engine.keys import program_key
 
 _request_ids = itertools.count()
 

@@ -32,7 +32,6 @@ identical sweep compiles nothing — the warm/cold comparison behind the
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -63,12 +62,12 @@ SCHEDULERS = tuple(POLICIES)
 @dataclass(frozen=True)
 class _RunMemo:
     """Replayable outcome of one distinct (program, strategy, shards)
-    execution."""
+    execution, kept on the program (``CompiledProgram._runs``)."""
 
     latency_s: float
     accel_cycles: float
-    #: dense output, kept only when the server returns outputs
-    output: np.ndarray | None
+    #: dense output, frozen: every response served from this memo shares it
+    output: np.ndarray
     #: devices the execution spans (1 = unsharded)
     shards: int = 1
     #: per-shard device-occupancy seconds (empty when unsharded)
@@ -349,18 +348,6 @@ class InferenceServer:
         #: what happens to cached programs when their graph mutates (see
         #: repro.engine.core.MUTATION_POLICIES)
         self.mutation_policy = mutation_policy
-        #: distinct (program, strategy) executions already simulated,
-        #: LRU-bounded alongside the program cache so long-lived servers
-        #: don't accumulate outputs for programs that were evicted
-        self._run_memo: OrderedDict[tuple, _RunMemo] = OrderedDict()
-
-    @property
-    def _lru_capacity(self) -> int:
-        """The memo LRU bound, read live from the engine's cache so the
-        memo keeps tracking the engine even if the cache is re-bounded
-        after the server is constructed (it used to be frozen at
-        construction time)."""
-        return self.engine.cache.capacity
 
     # -- engine-owned resources (shared, never duplicated here) ---------
     @property
@@ -405,11 +392,13 @@ class InferenceServer:
             accelerator = self.pool.devices[self.pool.peek_device(ready_s)]
         return run_strategy(program, strategy, accelerator=accelerator)
 
-    def _execute(self, key: tuple, program: CompiledProgram, strategy: str,
+    def _execute(self, program: CompiledProgram, strategy: str,
                  ready_s: float, shards: int = 1) -> _RunMemo:
-        memo = self._run_memo.get(key)
+        """The program's memoised (strategy, shards) execution, simulated
+        on first use.  The memo is the program's, so it outlives this
+        server and goes when the cache drops or patches the program."""
+        memo = program._runs.get((strategy, shards))
         if memo is not None:
-            self._run_memo.move_to_end(key)
             return memo
         result = self._simulate(program, strategy, shards, ready_s)
         if shards > 1:
@@ -442,21 +431,17 @@ class InferenceServer:
             if segs:
                 segs[-1] += result.latency_s - sum(segs)
             extra = {"segments_s": tuple(segs)}
-        output = None
-        if self.return_outputs:
-            output = result.output_dense()
-            # the same array is shared by every response served from
-            # this memo; freeze it so an in-place client mutation
-            # raises instead of silently corrupting later responses
-            output.setflags(write=False)
-        memo = self._run_memo[key] = _RunMemo(
+        output = result.output_dense()
+        # the same array is shared by every response served from this
+        # memo; freeze it so an in-place client mutation raises instead
+        # of silently corrupting later responses
+        output.setflags(write=False)
+        memo = program._runs[strategy, shards] = _RunMemo(
             latency_s=result.latency_s,
             accel_cycles=accel_cycles,
             output=output,
             **extra,
         )
-        while len(self._run_memo) > self._lru_capacity:
-            self._run_memo.popitem(last=False)
         return memo
 
     # -- public API -----------------------------------------------------
@@ -635,17 +620,16 @@ class InferenceServer:
     def estimate_service_s(self, request: InferenceRequest) -> float:
         """Per-batch device occupancy of one request's program (seconds).
 
-        Side-effect free: reads the program cache / run memo if they
-        already hold this program but never populates or recounts them,
-        so calibrating on a server before its first ``serve`` sweep does
-        not silently turn that sweep warm.
+        Side-effect free: reads the program cache and the program's run
+        memo if they already hold this request's, but never populates or
+        recounts them, so calibrating on a server before its first
+        ``serve`` sweep does not silently turn that sweep warm.
         """
-        request, _ = self.engine.resolve_request(request)
-        program_key = request.program_key(self.config)
-        program = self.cache.peek(program_key)
+        request = self.engine.resolve_request(request)
+        program = self.cache.peek(request.program_key(self.config))
         if program is None:
             program = self.engine.compile_request(request)
-        memo = self._run_memo.get(request.batch_key(self.config, program_key))
+        memo = program._runs.get((request.strategy, request.shards))
         if memo is None:
             memo = self._simulate(program, request.strategy, request.shards)
         return (

@@ -24,11 +24,6 @@ from repro.staticcheck.core import CLOCKED_PACKAGES, FileContext, register_rule
 WALLCLOCK_ALLOWLIST: dict[str, str] = {
     "src/repro/engine/overhead.py":
         "measures the facade's own host-side overhead vs run_strategy",
-    "src/repro/engine/core.py":
-        "compile wall_s counter: host compile cost reported alongside "
-        "(never added to) device virtual time",
-    "src/repro/engine/cache.py":
-        "program-cache compile_s/saved_s wall counters (host compile cost)",
     "src/repro/baselines/reference.py":
         "times the numpy reference inference on the actual host CPU",
     "src/repro/dyngraph/churn.py":

@@ -83,3 +83,22 @@ def tiny_gcn_program(tiny_dataset, tiny_config):
     weights = init_weights(model, seed=11)
     program = Compiler(tiny_config).compile(model, data, weights)
     return program, model, weights
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """Every call of the one task loop, as ``(kernel id, track, tasks)``:
+    a recorder substituted for the kernel driver's module-level loop."""
+    import repro.runtime.executor as executor_mod
+
+    seen = []
+    original = executor_mod.execute_kernel_tasks
+
+    def recorder(kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
+                 tasks, *rest, **kw):
+        seen.append((kernel.kernel_id, kw["track"], tasks.num_tasks))
+        return original(kernel, xv, yv, x_ss, y_ss, acc, strategy,
+                        timeline, tasks, *rest, **kw)
+
+    monkeypatch.setattr(executor_mod, "execute_kernel_tasks", recorder)
+    return seen

@@ -455,13 +455,12 @@ class TestServeChurn:
         """Compile and cache one program for a dynamic graph, returning
         its program key (what the serve loop does at admission)."""
         engine = server.engine
-        req, gid = engine.resolve_request(
+        req = engine.resolve_request(
             InferenceRequest(model=model, dataset=graph.graph_id)
         )
         prog_key = req.program_key(server.config)
         server.cache.get_or_compile(
             prog_key, lambda: engine.compile_request(req))
-        engine._graph_keys[gid][prog_key] = graph.version
         return prog_key
 
     def _patches(self, sweep):
@@ -485,8 +484,8 @@ class TestServeChurn:
             1.0,
         )
         assert self._patches(sweep) == 1
-        (new_key,) = server.engine._graph_keys["rt"]
-        assert new_key != prog_key
+        (new_key,) = server.cache.keys()
+        assert new_key != prog_key and new_key[1][0] == "rt"
         # compile + patch, not 1.0 + patch
         assert sweep._program_ready[new_key] > 5.0
 
@@ -511,7 +510,7 @@ class TestServeChurn:
         assert self._patches(sweep) == 0
         assert sweep.mutation_evictions == 1
         assert server.cache.peek(prog_key) is None
-        assert server.engine._graph_keys["oob"] == {}
+        assert server.cache.keys() == []
 
     def test_mutation_for_unregistered_graph_raises(self):
         server = InferenceServer(CFG)

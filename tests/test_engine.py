@@ -250,9 +250,10 @@ class TestMutation:
         engine.cache.pop(handle.key)  # simulate LRU pressure
         report = engine.mutate(handle, GraphDelta.edges(inserts=[(0, 9)]))
         assert report is not None
-        # the fallback path must keep cache and _graph_keys in lockstep
+        # the fallback path re-caches the program under its new key, and
+        # that key is all the lineage there is
         assert engine.cache.peek(handle.key) is handle.program
-        assert handle.key in engine._graph_keys["eng-evicted"]
+        assert engine.cache.keys() == [handle.key]
 
     def test_mutate_requires_a_mutable_graph(self):
         engine = Engine(make_tiny_config())
@@ -270,6 +271,41 @@ class TestMutation:
         )
         assert outcome.structural and outcome.evictions == 1
         assert engine.cache.peek(handle.key) is None
+
+    def test_namesake_inline_graph_is_evicted_never_patched(self):
+        # lineage is read off the cache keys, and a key names its graph
+        # by name: an inline GraphData that shares a registered graph's
+        # name but not its content is no snapshot of it, so the graph's
+        # next mutation evicts its program (the one case where the
+        # key-derived rule is wider than tracking compiles by hand)
+        from dataclasses import replace
+
+        cfg = make_tiny_config()
+        engine = Engine(cfg)
+        graph = self._graph("eng-twin")
+        handle = engine.compile("GCN", graph, seed=0)
+        namesake = replace(
+            load_dataset("CO", scale=0.3, seed=1), name="eng-twin"
+        )
+        twin = engine.compile("GCN", namesake, seed=0)
+        assert twin.key != handle.key and twin.key[1][0] == "eng-twin"
+        outcome = engine.apply_delta(
+            "eng-twin", GraphDelta.edges(inserts=[(0, 9)])
+        )
+        assert [e.old_key for e in outcome.patches] == [handle.key]
+        assert outcome.evictions == 1
+        assert engine.cache.peek(twin.key) is None
+        # served exactly afterwards: a recompile of its own content
+        (response,) = engine.serve(
+            [InferenceRequest(model="GCN", dataset=namesake)]
+        ).responses
+        assert not response.cache_hit
+        fresh = Compiler(cfg).compile(
+            twin.model, namesake, init_weights(twin.model, seed=0)
+        )
+        np.testing.assert_array_equal(
+            response.output, run_strategy(fresh, "Dynamic").output_dense()
+        )
 
     def test_apply_delta_rejects_unknown_policy_and_graph(self):
         engine = Engine(make_tiny_config())

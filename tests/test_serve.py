@@ -452,31 +452,78 @@ class TestServingAccountingFixes:
         req = tiny_request(arrival_s=0.0)
         server.serve([req])  # warm the program cache
         stray = tiny_request(arrival_s=0.0)
-        key = stray.batch_key(server.config)
         program = server.cache.peek(stray.program_key(server.config))
         assert program is not None
-        memo = server._execute(key, program, stray.strategy, 0.0)
+        memo = server._execute(program, stray.strategy, 0.0)
         sweep = ContinuousScheduler(server)
         with pytest.raises(KeyError):
             sweep._respond(stray, 0, 1, 0, memo, 0.0, 1.0, 1.0, 0.0)
         assert sweep.responses == []
 
-    def test_run_memo_tracks_live_cache_capacity(self):
+    def test_executions_outlive_the_server_that_ran_them(self, kernel_calls):
+        # replaces test_run_memo_tracks_live_cache_capacity: there is no
+        # server-side memo left to bound.  The executions are the cached
+        # program's, so a second engine.serve stays warm whatever kwargs
+        # it passes, and dropping the program drops them
         from repro.engine import Engine
 
-        engine = Engine(make_tiny_config(), cache_capacity=8)
-        server = InferenceServer(engine=engine, max_batch_size=4,
-                                 max_wait_s=1e-3)
-        for seed in (1, 2, 3):
-            server.serve([tiny_request(arrival_s=0.0, seed=seed)])
-        assert len(server._run_memo) == 3
-        # re-bound the engine's cache after construction: the memo LRU
-        # must follow (it used to stay frozen at the construction-time
-        # capacity)
-        engine.cache.capacity = 1
-        assert server._lru_capacity == 1
-        server.serve([tiny_request(arrival_s=0.0, seed=4)])
-        assert len(server._run_memo) == 1
+        engine = Engine(make_tiny_config())
+        stream = [
+            tiny_request(arrival_s=1e-4 * i, seed=seed, strategy=strategy)
+            for i, (seed, strategy) in enumerate(
+                [(1, "Dynamic"), (2, "Dynamic"), (1, "S1"), (1, "Dynamic")]
+            )
+        ]
+        cold = engine.serve(stream, max_batch_size=8)
+        assert kernel_calls
+        del kernel_calls[:]
+        warm = engine.serve(stream, max_batch_size=4, return_outputs=False)
+        assert kernel_calls == []
+        assert warm.cache_misses == 0
+        assert all(r.output is None for r in warm.responses)
+        assert all(r.output is not None for r in cold.responses)
+        engine.cache.invalidate(lambda _key, _program: True)
+        engine.serve(stream, max_batch_size=4)
+        assert kernel_calls
+
+    @pytest.mark.parametrize("policy", ["patch", "evict"])
+    def test_mutation_drops_a_programs_executions(self, policy, kernel_calls):
+        from repro.dyngraph import GraphDelta, MutableGraph
+        from repro.engine import Engine
+
+        engine = Engine(make_tiny_config())
+        graph = MutableGraph(load_dataset("CO", scale=SCALE, seed=3),
+                             graph_id="memo")
+        engine.register_graph(graph)
+        read = [InferenceRequest(model="GCN", dataset="memo")]
+        engine.serve(read)
+        (old_key,) = engine.cache.keys()
+        stale = engine.cache.peek(old_key)
+        assert list(stale._runs) == [("Dynamic", 1)]
+        outcome = engine.apply_delta(
+            "memo", GraphDelta.edges(inserts=[(0, 9)]), policy=policy
+        )
+        if policy == "patch":
+            (new_key,) = engine.cache.keys()
+            assert new_key == outcome.patches[0].new_key != old_key
+            # a patch is a new program: it starts with no executions, and
+            # the one it replaced (in-flight batches may hold it) keeps its own
+            assert engine.cache.peek(new_key)._runs == {}
+            assert list(stale._runs) == [("Dynamic", 1)]
+        else:
+            assert engine.cache.keys() == [] and outcome.evictions == 1
+        del kernel_calls[:]
+        (response,) = engine.serve(read).responses
+        assert kernel_calls  # re-simulated on the mutated graph
+        data = graph.snapshot()
+        model = build_model("GCN", data.num_features, data.hidden_dim,
+                            data.num_classes)
+        np.testing.assert_allclose(
+            response.output,
+            reference_inference(model, data.a, data.h0,
+                                init_weights(model, seed=0)),
+            rtol=1e-4, atol=1e-5,
+        )
 
 
 class TestShardedServingCounters:

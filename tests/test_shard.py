@@ -174,31 +174,16 @@ class TestOneDriver:
     a recorder substituted for its module-level task loop sees every
     kernel x lane call of both."""
 
-    @pytest.fixture()
-    def calls(self, monkeypatch):
-        import repro.runtime.executor as executor_mod
-
-        seen = []
-        original = executor_mod.execute_kernel_tasks
-
-        def recorder(kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
-                     tasks, *rest, **kw):
-            seen.append((kernel.kernel_id, kw["track"], tasks.num_tasks))
-            return original(kernel, xv, yv, x_ss, y_ss, acc, strategy,
-                            timeline, tasks, *rest, **kw)
-
-        monkeypatch.setattr(executor_mod, "execute_kernel_tasks", recorder)
-        return seen
-
-    def test_run_strategy_is_one_lane_per_kernel(self, gcn_co, calls):
+    def test_run_strategy_is_one_lane_per_kernel(self, gcn_co, kernel_calls):
         result = run_strategy(gcn_co, "Dynamic")
-        assert calls == [
+        assert kernel_calls == [
             (ks.kernel_id, "dev0", ks.num_tasks) for ks in result.kernel_stats
         ]
 
-    def test_run_sharded_is_one_call_per_kernel_and_shard(self, gcn_co, calls):
+    def test_run_sharded_is_one_call_per_kernel_and_shard(
+            self, gcn_co, kernel_calls):
         result = run_sharded(gcn_co, 3)
-        assert calls == [
+        assert kernel_calls == [
             (ks.kernel_id, f"shard{s}", int(ks.shard_tasks[s]))
             for ks in result.kernel_stats
             for s in range(result.num_shards)

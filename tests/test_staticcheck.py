@@ -189,6 +189,16 @@ class TestClockRuleScoping:
         for rel in WALLCLOCK_ALLOWLIST:
             assert Path(rel).parts[2] not in CLOCKED_PACKAGES
 
+    @pytest.mark.parametrize("rel", sorted(WALLCLOCK_ALLOWLIST))
+    def test_every_exemption_still_has_its_reason(self, rel, tmp_path):
+        # an exemption may not outlive the wall-clock read it excuses:
+        # the allowlisted file exists and, checked under a path that is
+        # not exempt, RPR101 fires on it
+        source = (REPO_ROOT / rel).read_text(encoding="utf-8")
+        findings = check(tmp_path, source, codes=["RPR101"],
+                         rel="src/repro/analysis/mod.py")
+        assert findings, f"{rel} reads no wall clock: drop its exemption"
+
     def test_non_library_paths_ignored(self, tmp_path):
         bad = RULE_FIXTURES["RPR101"][0]
         assert check(tmp_path, bad, codes=["RPR101"],
