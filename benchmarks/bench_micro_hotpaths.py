@@ -1,7 +1,7 @@
-"""M1 — microbenchmarks of the two vectorised runtime hot paths.
+"""M1 — microbenchmarks of the vectorised runtime hot paths.
 
-``repro bench --profile`` on the compile and inference paths surfaced two
-dominant inner loops, both rewritten as single numpy passes in this PR:
+``repro bench --profile`` on the compile and inference paths surfaced
+these inner loops, each rewritten as single numpy / native passes:
 
 1. ``formats.partition.block_nnz_grid`` — the per-block nonzero census
    every compile and re-profile runs.  The ``np.add.at`` scatter-add
@@ -14,6 +14,15 @@ dominant inner loops, both rewritten as single numpy passes in this PR:
 2. ``runtime.analyzer.Analyzer.decide_batch`` — Algorithm 7 over all K
    pairs of a task in one vectorised pass instead of one Python
    ``decide()`` call (dataclass construction included) per pair.
+3. ``hw.spmm_unit.spmm_workloads`` — the exact per-SCP loads of every
+   SPMM pair, one int64 prefix sum instead of ``tocoo`` and two
+   ``np.add.at`` scatters (kept below as the comparison).
+4. The task loop's pair product with both operands stored sparse: S2D
+   into one reusable scratch + ``csr_matvecs`` instead of SciPy's
+   ``(x @ y).todense()`` (kept below as the comparison) and its fresh
+   dense temporary per pair.  The pair is what a warm inference of the
+   perf ledger multiplies: a 720x720 adjacency block against a 720x500
+   block of 10%-dense features.
 
 Each bench times before/after on the same inputs, asserts the results
 are bit-identical, and reports the speedup — the committed baseline under
@@ -26,10 +35,13 @@ import scipy.sparse as sp
 
 from _common import Metric, best_of, emit, format_table, register_bench
 from repro import u250_default
+from repro.formats.dense import DTYPE
 from repro.formats.partition import block_nnz_grid, block_nnz_grid_reference
 from repro.hw.core import PairDecision
 from repro.hw.report import PRIMITIVE_CODES
+from repro.hw.spmm_unit import spmm_workloads
 from repro.runtime.analyzer import Analyzer, PairInfo
+from repro.runtime.vectorized import _accumulate_csr_product
 
 #: default scale of both microbenches (identical in smoke and full: the
 #: kernels are milliseconds, and the baseline must record the real ratio)
@@ -41,6 +53,12 @@ DENSE_DENSITY = 0.5
 DENSE_BLOCK = 720
 NUM_PAIRS = 100_000
 REPEATS = 5
+#: the ledger's sparse x sparse pair (N1 = 720, PubMed's 500 features)
+PAIR_N1 = 720
+PAIR_D = 500
+PAIR_X_NNZ = 600
+PAIR_Y_DENSITY = 0.10
+PAIR_CALLS = 50
 
 
 def _grid_inputs():
@@ -168,6 +186,122 @@ def _k2p_spec(ctx):
     return {
         "speedup": Metric("speedup", speedup, "x", "higher"),
         "vectorized_ms": Metric("vectorized_ms", new_s * 1e3, "ms"),
+    }
+
+
+def _operand_pair():
+    rng = np.random.default_rng(31)
+    x = sp.random(
+        PAIR_N1, PAIR_N1, density=PAIR_X_NNZ / PAIR_N1**2, format="csr",
+        dtype=np.float32, rng=rng,
+    )
+    y = sp.random(
+        PAIR_N1, PAIR_D, density=PAIR_Y_DENSITY, format="csr",
+        dtype=np.float32, rng=rng,
+    )
+    return x, y
+
+
+def _per_pair(fn, *args):
+    """``fn(*args)`` ``PAIR_CALLS`` times over (one call is too short to
+    time); the last result."""
+    return lambda: [fn(*args) for _ in range(PAIR_CALLS)][-1]
+
+
+def _spmm_workloads_scatter(x, y, psys):
+    """``spmm_workloads`` as it was: COO rows + two ``np.add.at``."""
+    y_row_nnz = np.diff(y.indptr)
+    xc = x.tocoo()
+    row_macs = np.zeros(x.shape[0], dtype=np.int64)
+    np.add.at(row_macs, xc.row, y_row_nnz[xc.col])
+    scp_loads = np.zeros(psys, dtype=np.int64)
+    np.add.at(scp_loads, np.arange(x.shape[0]) % psys, row_macs)
+    return scp_loads, int(row_macs.sum())
+
+
+@register_bench(
+    "micro_spmm_workloads",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath"),
+    tolerances={"speedup": 0.6},
+)
+def _spmm_workloads_spec(ctx):
+    """Hot path 3: exact SPMM per-SCP loads, prefix sum vs np.add.at."""
+    x, y = _operand_pair()
+    psys = u250_default().psys
+    (ref_loads, ref_macs), ref_s = best_of(
+        _per_pair(_spmm_workloads_scatter, x, y, psys)
+    )
+    (new_loads, new_macs), new_s = best_of(_per_pair(spmm_workloads, x, y, psys))
+    assert np.array_equal(ref_loads, new_loads) and ref_macs == new_macs
+    speedup = ref_s / new_s
+    emit("micro_spmm_workloads", format_table(
+        ["variant", "best (us / pair)", "speedup"],
+        [
+            ["tocoo + 2x np.add.at", f"{ref_s / PAIR_CALLS * 1e6:.1f}", "1.00x"],
+            ["prefix sum + fold", f"{new_s / PAIR_CALLS * 1e6:.1f}",
+             f"{speedup:.2f}x"],
+        ],
+        title=(
+            f"M1c: spmm_workloads, {PAIR_N1}x{PAIR_N1} block of "
+            f"{x.nnz} nonzeros against {PAIR_N1}x{PAIR_D} "
+            f"@ {PAIR_Y_DENSITY:.0%}, psys={psys}"
+        ),
+    ))
+    assert speedup > 1.2, f"prefix-sum workloads only {speedup:.2f}x faster"
+    return {
+        "speedup": Metric("speedup", speedup, "x", "higher"),
+        "per_pair_us": Metric("per_pair_us", new_s / PAIR_CALLS * 1e6, "us"),
+    }
+
+
+def _pair_product_scipy(x, y):
+    """The statement the task loop used for a sparse x sparse pair."""
+    return np.asarray((x @ y).todense(), dtype=DTYPE)
+
+
+@register_bench(
+    "micro_pair_product",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath"),
+    tolerances={"speedup": 0.6},
+)
+def _pair_product_spec(ctx):
+    """Hot path 4: sparse x sparse pair, S2D + csr_matvecs vs csr @ csr."""
+    x, y = _operand_pair()
+    s2d = np.empty(PAIR_N1 * PAIR_D, dtype=DTYPE)
+    out = np.empty((PAIR_N1, PAIR_D), dtype=DTYPE)
+
+    def native():
+        out.fill(0)
+        _accumulate_csr_product(x, y, None, s2d, out)
+        return out
+
+    ref, ref_s = best_of(_per_pair(_pair_product_scipy, x, y))
+    new, new_s = best_of(_per_pair(native))
+    assert ref.tobytes() == new.tobytes(), "pair product must be bit-exact"
+    speedup = ref_s / new_s
+    emit("micro_pair_product", format_table(
+        ["variant", "best (us / pair)", "fresh bytes / pair", "speedup"],
+        [
+            ["(x @ y).todense()", f"{ref_s / PAIR_CALLS * 1e6:.1f}",
+             f"{ref.nbytes:,}", "1.00x"],
+            ["S2D scratch + csr_matvecs", f"{new_s / PAIR_CALLS * 1e6:.1f}",
+             "0", f"{speedup:.2f}x"],
+        ],
+        title=(
+            f"M1d: pair product, {PAIR_N1}x{PAIR_N1} block of {x.nnz} "
+            f"nonzeros @ {PAIR_N1}x{PAIR_D} CSR @ {PAIR_Y_DENSITY:.0%} "
+            f"(scratch held for the call: {s2d.nbytes + out.nbytes:,} B)"
+        ),
+    ))
+    assert speedup > 1.2, f"native pair product only {speedup:.2f}x faster"
+    return {
+        "speedup": Metric("speedup", speedup, "x", "higher"),
+        "per_pair_us": Metric("per_pair_us", new_s / PAIR_CALLS * 1e6, "us"),
+        "temp_bytes_saved": Metric(
+            "temp_bytes_saved", float(ref.nbytes), "B", "higher"
+        ),
     }
 
 

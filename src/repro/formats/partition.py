@@ -143,6 +143,10 @@ class PartitionedMatrix:
         (subfibers); ``W`` uses ``(N2, N2)``.
     name:
         Identifier used by the runtime's density table and stats.
+    nnz_grid:
+        ``block_nnz_grid`` of ``matrix`` under this blocking, when the
+        caller already holds it (the write-back profiler's counts, a
+        patched view's old grid).  Omitted, the matrix is scanned.
     """
 
     def __init__(
@@ -151,6 +155,7 @@ class PartitionedMatrix:
         block_rows: int,
         block_cols: int,
         name: str = "",
+        nnz_grid: np.ndarray | None = None,
     ) -> None:
         if block_rows < 1 or block_cols < 1:
             raise ValueError("block dimensions must be positive")
@@ -166,7 +171,15 @@ class PartitionedMatrix:
         self.block_rows = int(block_rows)
         self.block_cols = int(block_cols)
         self.name = name
-        self._nnz_grid = block_nnz_grid(self.matrix, self.block_rows, self.block_cols)
+        dims = grid_dims(self.matrix.shape, self.block_rows, self.block_cols)
+        if nnz_grid is None:
+            nnz_grid = block_nnz_grid(self.matrix, self.block_rows, self.block_cols)
+        elif nnz_grid.dtype != np.int64 or nnz_grid.shape != dims:
+            raise ValueError(
+                f"nnz_grid must be int64 of shape {dims}, "
+                f"got {nnz_grid.dtype} of shape {nnz_grid.shape}"
+            )
+        self._nnz_grid = nnz_grid
         # Row-stripe cache for sparse matrices: tasks sweep blocks in
         # row-major order, so converting each N-row stripe to CSC once
         # makes the subsequent column slices O(nnz_block) instead of
@@ -283,6 +296,11 @@ class PartitionedMatrix:
         return as_csr(self.block(i, j))
 
     # -- sparsity ------------------------------------------------------------
+    @property
+    def nnz_grid(self) -> np.ndarray:
+        """Exact nonzero count of every block; not to be written to."""
+        return self._nnz_grid
+
     def block_nnz(self, i: int, j: int) -> int:
         self._check_index(i, j)
         return int(self._nnz_grid[i, j])
@@ -419,23 +437,13 @@ class PartitionedMatrix:
         """A new view of the mutated matrix reusing ``old``'s nnz grid.
 
         The O(nnz) ``block_nnz_grid`` scan of ``__init__`` is replaced by
-        copying the old grid and applying the delta in O(delta) — the
+        handing it the old grid and applying the delta in O(delta) — the
         incremental re-profiling at the heart of ``repro.dyngraph``.
         ``old`` is left untouched (it may still back cached programs).
         Returns ``(view, dirty_blocks)``.
         """
-        pm = cls.__new__(cls)
-        pm.matrix = old.matrix
-        pm.is_sparse_storage = old.is_sparse_storage
-        pm.block_rows = old.block_rows
-        pm.block_cols = old.block_cols
-        pm.name = old.name
-        pm._nnz_grid = old._nnz_grid.copy()
-        pm._stripe_cache = {}
-        pm._block_row_cache = {}
-        pm._row_sizes = old._row_sizes
-        pm._col_sizes = old._col_sizes
-        pm._density_grid = None
+        # the grid is never written in place (the delta is staged on a copy)
+        pm = cls(old.matrix, old.block_rows, old.block_cols, old.name, old._nnz_grid)
         dirty = pm.apply_structural_delta(
             new_matrix, added_rows, added_cols, removed_rows, removed_cols
         )

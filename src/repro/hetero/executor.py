@@ -108,6 +108,8 @@ class HeterogeneousRuntime:
         views: dict = {}
 
         def view(name: str, br: int, bc: int) -> PartitionedMatrix:
+            if name in program.store:  # censused once per program
+                return program.view(name, br, bc)
             key = (name, br, bc)
             if key not in views:
                 views[key] = PartitionedMatrix(store[name], br, bc, name=name)
@@ -124,7 +126,7 @@ class HeterogeneousRuntime:
             xv = view(kernel.x_name, *scheme.x_blocking)
             yv = view(kernel.y_name, *scheme.y_blocking)
             x_dens, y_dens = xv.density_grid, yv.density_grid
-            x_nnz, y_nnz = xv._nnz_grid, yv._nnz_grid
+            x_nnz, y_nnz = xv.nnz_grid, yv.nnz_grid
             x_rs, x_cs = xv.row_block_sizes, xv.col_block_sizes
             y_cs = yv.col_block_sizes
 

@@ -33,7 +33,12 @@ def spmm_workloads(
 
     The multiply count of output row ``j`` is
     ``sum_{i in nonzeros of X[j]} nnz(Y[i])``; SCP ``j mod psys``
-    accumulates the loads of its assigned rows.
+    accumulates the loads of its assigned rows.  Both are integer sums,
+    so the order of addition cannot matter and no scatter is needed:
+    row loads are one int64 prefix sum over ``nnz(Y[i])`` gathered at X's
+    column indices, differenced at X's row pointers; SCP loads are the
+    column sums of the row loads zero-padded to a multiple of ``psys``
+    and folded to ``(-1, psys)``.  ``run_spmm_faithful`` is the oracle.
     """
     xs = as_csr(x)
     ys = as_csr(y)
@@ -43,15 +48,12 @@ def spmm_workloads(
     if ys.nnz and np.any(ys.data == 0):
         ys = ys.copy()
         ys.eliminate_zeros()
-    y_row_nnz = np.diff(ys.indptr)
-    xc = xs.tocoo()
-    row_macs = np.zeros(xs.shape[0], dtype=np.int64)
-    if xc.nnz:
-        np.add.at(row_macs, xc.row, y_row_nnz[xc.col])
-    scp_loads = np.zeros(psys, dtype=np.int64)
-    if xs.shape[0]:
-        np.add.at(scp_loads, np.arange(xs.shape[0]) % psys, row_macs)
-    return scp_loads, int(row_macs.sum())
+    rows = xs.shape[0]
+    prefix = np.zeros(xs.nnz + 1, dtype=np.int64)
+    np.cumsum(np.diff(ys.indptr)[xs.indices], dtype=np.int64, out=prefix[1:])
+    row_macs = np.zeros(-(-rows // psys) * psys, dtype=np.int64)
+    row_macs[:rows] = np.diff(prefix[xs.indptr])
+    return row_macs.reshape(-1, psys).sum(axis=0), int(prefix[-1])
 
 
 def spmm_compute_cycles(

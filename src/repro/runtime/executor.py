@@ -30,7 +30,7 @@ from repro.compiler.compile import CompiledProgram, CompileTimings
 from repro.compiler.sparsity import choose_storage_format
 from repro.config import AcceleratorConfig
 from repro.formats.dense import DTYPE
-from repro.formats.partition import PartitionedMatrix
+from repro.formats.partition import PartitionedMatrix, grid_dims
 from repro.gnn.activations import activation_fn
 from repro.hw.accelerator import Accelerator
 from repro.hw.memory import pcie_transfer_seconds
@@ -224,7 +224,9 @@ class KernelAssembly:
     assembly can be shared by executors that split one kernel's task
     grid across devices (:mod:`repro.shard`): each device writes its own
     blocks and :meth:`finalize` produces the same matrix the
-    single-device run assembles.
+    single-device run assembles.  ``nnz_grid`` holds the write-back
+    profiler's count per output partition (unwritten: 0): the output's
+    census under ``out_blocking``.
     """
 
     rows: int
@@ -233,27 +235,35 @@ class KernelAssembly:
     out_bc: int
     dense_assembly: bool
     out_dense: Optional[np.ndarray]
+    nnz_grid: np.ndarray
     sp_rows: list = field(default_factory=list)
     sp_cols: list = field(default_factory=list)
     sp_vals: list = field(default_factory=list)
-    total_out_nnz: int = 0
+
+    @property
+    def total_out_nnz(self) -> int:
+        return int(self.nnz_grid.sum())
 
     @classmethod
     def for_kernel(cls, xv, yv, scheme) -> "KernelAssembly":
         rows, cols = xv.shape[0], yv.shape[1]
         dense_assembly = rows * cols <= DENSE_ASSEMBLY_LIMIT
+        out_br, out_bc = scheme.out_blocking
         return cls(
             rows=rows,
             cols=cols,
-            out_br=scheme.out_blocking[0],
-            out_bc=scheme.out_blocking[1],
+            out_br=out_br,
+            out_bc=out_bc,
             dense_assembly=dense_assembly,
+            nnz_grid=np.zeros(grid_dims((rows, cols), out_br, out_bc), np.int64),
             out_dense=(
                 np.zeros((rows, cols), dtype=DTYPE) if dense_assembly else None
             ),
         )
 
-    def write(self, i: int, k: int, m: int, d: int, z: np.ndarray) -> None:
+    def write(self, i: int, k: int, m: int, d: int, z: np.ndarray, nnz: int) -> None:
+        """Store output partition ``(i, k)`` and its profiled nonzero count."""
+        self.nnz_grid[i, k] = nnz
         r0, c0 = i * self.out_br, k * self.out_bc
         if self.dense_assembly:
             self.out_dense[r0 : r0 + m, c0 : c0 + d] = z
@@ -343,10 +353,18 @@ def run_kernels(
     depend on how the grid is split.  The caller owns what the numbers
     mean (latency model, halo, spans) and reads
     ``store[program.output_name]`` when the walk ends.
+
+    A compile-time operand is censused once per program
+    (``program.view``).  An intermediate is not scanned: its census is
+    the producing kernel's write-back profiler counts whenever the
+    consumer blocks it as the producer wrote it (``out_blocking``); any
+    other blocking scans with ``block_nnz_grid``.
     """
     for lane in lanes:
         lane.accelerator.reset()
     views: dict = {}
+    #: (name, *out_blocking) -> profiled nnz grid of each output produced
+    censuses: dict = {}
     stored_sparse = dict(program.stored_sparse)
 
     def view(name: str, blocking: tuple[int, int]) -> PartitionedMatrix:
@@ -355,7 +373,9 @@ def run_kernels(
         key = (name, *blocking)
         pm = views.get(key)
         if pm is None:
-            pm = views[key] = PartitionedMatrix(store[name], *blocking, name=name)
+            pm = views[key] = PartitionedMatrix(
+                store[name], *blocking, name=name, nnz_grid=censuses.get(key)
+            )
         return pm
 
     for kernel in program.graph.topo_order():
@@ -430,9 +450,11 @@ def run_kernels(
         stored_sparse[kernel.out_name] = (
             choose_storage_format(out_density) if assembly.dense_assembly else True
         )
-        # drop any stale views of this name (re-runs within one program)
-        for key in [kk for kk in views if kk[0] == kernel.out_name]:
-            del views[key]
+        # drop this name's stale views and census (re-runs within one program)
+        for table in (views, censuses):
+            for key in [kk for kk in table if kk[0] == kernel.out_name]:
+                del table[key]
+        censuses[(kernel.out_name, *scheme.out_blocking)] = assembly.nnz_grid
         for ks in lane_stats:
             ks.out_density = out_density
         yield kernel, lane_stats

@@ -63,8 +63,8 @@ def execute_kernel_tasks_reference(
 
     x_dens = xv.density_grid
     y_dens = yv.density_grid
-    x_nnzg = xv._nnz_grid
-    y_nnzg = yv._nnz_grid
+    x_nnzg = xv.nnz_grid
+    y_nnzg = yv.nnz_grid
     x_rs = xv.row_block_sizes
     x_cs = xv.col_block_sizes
     y_cs = yv.col_block_sizes
@@ -168,8 +168,7 @@ def execute_kernel_tasks_reference(
 
         stats.report.merge(result.report)
         stats.counts.update(result.primitive_counts)
-        assembly.total_out_nnz += result.output_nnz
-        assembly.write(i, k, m, d, result.z)
+        assembly.write(i, k, m, d, result.z, result.output_nnz)
 
     return finalise_task_loop(
         stats, kernel, acc, timeline, events_before, tracer, track

@@ -13,10 +13,20 @@ runs the same semantics as four batched passes over the whole kernel:
    dispatched-task concurrency count, and per-pair compute/transform
    cycle arrays via the batched unit formulas in :mod:`repro.hw`.
 2. **Functional** — per executed task (original order, preserving the
-   float32 accumulation order and assembly write order bit for bit), the
-   partition products through CSR-native fast paths
-   (:meth:`PartitionedMatrix.csr_blocks_for_row` + direct
-   ``csr_matvecs``), plus the data-dependent SPMM cycle counts.
+   float32 accumulation order and assembly write order bit for bit), one
+   native call per operand pair.  A CSR X block
+   (:meth:`PartitionedMatrix.csr_blocks_for_row`) goes through
+   ``csr_matvecs`` against a dense Y block as it is, or against a CSR Y
+   block expanded into one reusable partition-sized scratch
+   (:func:`_accumulate_csr_product`, which carries the exactness
+   argument); the first such row partial of a task that starts from zero
+   lands straight in the task's output, later ones are formed apart and
+   added, keeping the ``z + P`` grouping.  Everything else takes
+   ``_matmul``, the definition: a dense X block, an X block row holding
+   ``inf``/``NaN``, and every pair where SciPy's private entry points
+   are missing.  The data-dependent SPMM cycle counts are taken here,
+   and each output partition's write-back nonzero count is recorded in
+   the assembly as the next kernel's census.
 3. **Write-back accounting** — batched profiler/merger/D2S cycles and
    task latencies (sequential float reductions via ``np.add.at`` /
    ``np.add.accumulate`` so kernel totals match the reference's
@@ -53,12 +63,12 @@ from repro.ir.scheme import TaskBatch
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.stats import TaskLoopStats
 
-try:  # direct sparsetools entry: skips scipy's per-call dispatch overhead
-    from scipy.sparse import _sparsetools as _spt
-
-    _CSR_MATVECS = getattr(_spt, "csr_matvecs", None)
-except Exception:  # pragma: no cover - exotic scipy builds
-    _CSR_MATVECS = None
+try:  # SciPy's private C kernels, called without the per-call dispatch
+    from scipy.sparse import _sparsetools
+except ImportError:  # a SciPy that moved them: every pair takes _matmul
+    _sparsetools = None
+_CSR_MATVECS = getattr(_sparsetools, "csr_matvecs", None)
+_CSR_TODENSE = getattr(_sparsetools, "csr_todense", None)
 
 __all__ = [
     "execute_kernel_tasks",
@@ -113,6 +123,39 @@ def finalise_task_loop(
                     cat="task",
                 )
     return stats
+
+
+def _accumulate_csr_product(xblk, yblk, y_flat, s2d, out) -> None:
+    """``out += xblk @ yblk`` for a CSR ``xblk`` with finite data; into
+    an all-``+0.0`` ``out`` (every caller's) it leaves the float32 bits
+    of ``(xblk @ yblk).todense()``.
+
+    ``y_flat`` is a dense ``yblk`` flattened.  ``None`` says ``yblk`` is
+    CSR: it is expanded into ``s2d`` first, as the Sparse-to-Dense module
+    fills BufferU (zero-fill, ``csr_todense`` adds each stored entry to
+    its cell).  One ``csr_matvecs`` call then does ``out[i, :] += v *
+    Y[j, :]`` for each entry ``v`` of X row ``i``, in stored order.
+
+    SciPy's ``csr_matmat`` keeps one float32 sum per output cell, starts
+    it at ``+0.0`` and adds ``v * Y[j, k]`` over the same ``v`` in the
+    same order, but only where ``Y[j, k]`` is stored.  Here a structural
+    zero of Y contributes ``v * 0.0 = +-0.0``, and that changes no sum:
+    ``s + +-0.0 == s`` for ``s != 0``, and a sum that started at ``+0.0``
+    is never ``-0.0`` (``a + b`` is ``-0.0`` only when both are), so it
+    stays ``+0.0``.  Stored zeros and ``-0.0`` in either operand need no
+    guard: both routes multiply them like any entry, and a stored
+    ``-0.0`` of Y becoming ``+0.0`` in the buffer flips only the sign of
+    a zero added to such a sum.  A non-finite ``v`` is the exception
+    (``inf * 0.0`` is ``NaN`` where ``csr_matmat`` skips the cell): the
+    task loop sends an X block row with non-finite data to ``_matmul``.
+    """
+    m, n = xblk.shape
+    d = out.shape[1]
+    if y_flat is None:
+        y_flat = s2d[: n * d]
+        y_flat.fill(0)
+        _CSR_TODENSE(n, d, yblk.indptr, yblk.indices, yblk.data, y_flat)
+    _CSR_MATVECS(m, n, d, xblk.indptr, xblk.indices, xblk.data, y_flat, out.ravel())
 
 
 def execute_kernel_tasks(
@@ -178,8 +221,8 @@ def execute_kernel_tasks(
     n_p = x_cs[js].astype(np.int64)
     ax = xv.density_grid[i_p, js]
     ay = yv.density_grid[js, k_p]
-    x_nnz_p = xv._nnz_grid[i_p, js].astype(np.int64)
-    y_nnz_p = yv._nnz_grid[js, k_p].astype(np.int64)
+    x_nnz_p = xv.nnz_grid[i_p, js].astype(np.int64)
+    y_nnz_p = yv.nnz_grid[js, k_p].astype(np.int64)
 
     # ---- phase 1: one whole-kernel Analyzer pass + cycle accounting ----
     codes, transp = strategy.decide_batch(kernel, ax, ay, m_p, n_p, d_p)
@@ -275,6 +318,7 @@ def execute_kernel_tasks(
     seg_hi = np.searchsorted(lt, exec_idx, "right")
     x_row_blocks = None
     x_row_blocks_i = -1
+    x_row_finite = True
     # dense operand blocks are views reused across the task grid (every
     # output column revisits y(j, k); every output row revisits x(i, j))
     # — memoising them drops ~1/3 of the per-pair Python overhead.  The
@@ -285,7 +329,13 @@ def execute_kernel_tasks(
     #: reusable accumulation target of csr_matvecs — refilled with zeros
     #: before every product, so the bits match a fresh allocation
     scratch: dict = {}
-    fast_spmv = x_sparse and not y_sparse and _CSR_MATVECS is not None
+    native = x_sparse and _CSR_MATVECS is not None
+    s2d = None
+    if native and y_sparse:
+        native = _CSR_TODENSE is not None
+        #: BufferU's analogue: one y_blocking partition, refilled per
+        #: pair, so no dense copy of a sparse operand outlives its pair
+        s2d = np.empty(int(x_cs.max(initial=0) * y_cs.max(initial=0)), DTYPE)
     for seg in range(exec_idx.shape[0]):
         t = int(exec_idx[seg])
         i = int(rows[t])
@@ -296,6 +346,8 @@ def execute_kernel_tasks(
             z = np.array(acc_view.dense_block(i, k), dtype=DTYPE, copy=True)
         else:
             z = np.zeros((m, d), dtype=DTYPE)
+        #: z is still the +0.0 it was allocated as
+        blank = acc_view is None
         row_part = z
         col_part = None
         s = int(seg_lo[seg])
@@ -303,6 +355,9 @@ def execute_kernel_tasks(
         if s != e and x_sparse and x_row_blocks_i != i:
             x_row_blocks = xv.csr_blocks_for_row(i)
             x_row_blocks_i = i
+            x_row_finite = s2d is None or all(
+                np.isfinite(blk.data).all() for blk in x_row_blocks
+            )
         for q in range(s, e):
             p = int(lp[q])
             j = int(js[p])
@@ -328,33 +383,32 @@ def execute_kernel_tasks(
                 cyc, mc = spmm_compute_cycles(xblk, yblk, cfg)
                 comp_p[p] = cyc
                 macs_p[p] = mc
-            if fast_spmv:
-                out = scratch.get((m, d))
-                if out is None:
-                    out = np.empty((m, d), dtype=DTYPE)
-                    scratch[(m, d)] = out
-                out.fill(0)
-                _CSR_MATVECS(
-                    m, xblk.shape[1], d,
-                    xblk.indptr, xblk.indices, xblk.data,
-                    y_flat, out.ravel(),
-                )
-                partial = out
+            if native and x_row_finite:
+                if blank and not transp[p]:
+                    # 0 + P has the bits of P (P is never -0.0), so the
+                    # first row partial needs no buffer of its own
+                    partial = z
+                else:
+                    partial = scratch.get((m, d))
+                    if partial is None:
+                        partial = scratch[(m, d)] = np.empty((m, d), dtype=DTYPE)
+                    partial.fill(0)
+                _accumulate_csr_product(xblk, yblk, y_flat, s2d, partial)
             else:
                 partial = _matmul(xblk, yblk)
             if transp[p]:
                 if col_part is None:
                     col_part = np.zeros((m, d), dtype=DTYPE)
                 col_part += partial
-            else:
+            elif partial is not z:
                 row_part += partial
+            blank = blank and bool(transp[p])
         z = row_part if col_part is None else row_part + col_part
         if act is not None:
             z = np.asarray(act(z), dtype=DTYPE)
         nnz = int(np.count_nonzero(z))
         out_nnz_t[t] = nnz
-        assembly.total_out_nnz += nnz
-        assembly.write(i, k, m, d, z)
+        assembly.write(i, k, m, d, z, nnz)
 
     # ---- phase 3: write-back accounting + task latencies ---------------
     size_t = m_t * d_t

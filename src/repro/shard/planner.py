@@ -204,7 +204,7 @@ def plan_shards(program: CompiledProgram, num_shards: int) -> ShardPlan:
     n1 = program.n1
     av = program.view(agg.x_name, n1, n1)
     num_vertices = av.shape[0]
-    row_nnz = av._nnz_grid.sum(axis=1)
+    row_nnz = av.nnz_grid.sum(axis=1)
     effective = min(num_shards, int(row_nnz.size))
     bounds = _balanced_boundaries(
         row_nnz, effective, program.config.num_cores

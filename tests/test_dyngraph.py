@@ -235,7 +235,7 @@ class TestIncrementalReprofiling:
                 )
                 rebuilt = PartitionedMatrix(patched, 5, 3, name=name)
                 np.testing.assert_array_equal(
-                    views[name]._nnz_grid, rebuilt._nnz_grid
+                    views[name].nnz_grid, rebuilt.nnz_grid
                 )
                 np.testing.assert_array_equal(
                     views[name].density_grid, rebuilt.density_grid
@@ -248,7 +248,7 @@ class TestIncrementalReprofiling:
                 h_view, snap.h0, *applied.h_structural()
             )
             h_rebuilt = PartitionedMatrix(snap.h0, 4, 2, name="H0")
-            np.testing.assert_array_equal(h_view._nnz_grid, h_rebuilt._nnz_grid)
+            np.testing.assert_array_equal(h_view.nnz_grid, h_rebuilt.nnz_grid)
             profiles["H0"] = update_profile(profiles["H0"], applied.h_nnz_delta)
             assert profiles["H0"] == profile_matrix("H0", snap.h0)
 
@@ -278,7 +278,7 @@ class TestPartitionedMatrixDelta:
     def test_over_removal_rejected_without_torn_state(self):
         original = sp.eye(6, format="csr", dtype=DTYPE)
         pm = PartitionedMatrix(original, 2, 2)
-        grid_before = pm._nnz_grid.copy()
+        grid_before = pm.nnz_grid.copy()
         with pytest.raises(ValueError, match="negative"):
             # block (0, 1) holds no nonzeros: removing from it must fail
             pm.apply_structural_delta(
@@ -288,7 +288,7 @@ class TestPartitionedMatrixDelta:
             )
         # the failed delta must not leave the view half-patched
         assert pm.matrix is original
-        np.testing.assert_array_equal(pm._nnz_grid, grid_before)
+        np.testing.assert_array_equal(pm.nnz_grid, grid_before)
 
     def test_dirty_blocks_reported(self):
         pm = PartitionedMatrix(sp.eye(8, format="csr", dtype=DTYPE), 4, 4)

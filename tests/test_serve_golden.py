@@ -335,7 +335,8 @@ def exact(value):
     return value
 
 
-def sweep_digest(key: str, report) -> str:
+def sweep_payload(key: str, report) -> list:
+    """Everything the digest covers, bit-exact and JSON-serialisable."""
     summary = report.to_dict()
     if not key.endswith("/pinned"):
         summary = strip_wallclock(summary)
@@ -346,8 +347,29 @@ def sweep_digest(key: str, report) -> str:
          r.compile_s, r.cache_hit, r.joined, r.deferred, r.slo)
         for r in report.responses
     ]
-    payload = json.dumps(exact([summary, rows]))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return exact([summary, rows])
+
+
+def payload_digest(payload: list) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def sweep_digest(key: str, report) -> str:
+    return payload_digest(sweep_payload(key, report))
+
+
+def first_difference(a: list, b: list) -> str | None:
+    """Where two payloads part: the first differing response row, else
+    the first differing report entry; ``None`` when they are equal."""
+    (summary_a, rows_a), (summary_b, rows_b) = a, b
+    for what, xs, ys in (("response row", rows_a, rows_b),
+                         ("report entry", summary_a, summary_b)):
+        for i, (x, y) in enumerate(zip(xs, ys)):
+            if x != y:
+                return f"{what} {i}: {str(x)[:400]} then {str(y)[:400]}"
+        if len(xs) != len(ys):
+            return f"{len(xs)} then {len(ys)} {what}s"
+    return None
 
 
 # Recorded with ``python tests/test_serve_golden.py`` at commit e087005,
@@ -412,8 +434,26 @@ def test_table_is_complete():
 
 
 @pytest.mark.parametrize("key", CELLS)
-def test_sweep_is_bit_identical_to_recorded(key):
-    assert sweep_digest(key, sweep(key)) == GOLDEN_DIGESTS[key]
+def test_sweep_is_bit_identical_to_recorded(key, tmp_path):
+    payload = sweep_payload(key, sweep(key))
+    if payload_digest(payload) == GOLDEN_DIGESTS[key]:
+        return
+    # The table holds digests only, so say what can be said without the
+    # recorded payload: keep this run's, and run the cell a second time.
+    # Two runs of one tree that differ are a host-clock leak (ROADMAP
+    # item 1) and the first differing row is where it enters; two equal
+    # runs are a real change, to be diffed against the dump of a passing
+    # tree.
+    dump = tmp_path / "payload.json"
+    dump.write_text(json.dumps(payload, indent=1))
+    again = sweep_payload(key, CELLS[key]())
+    moved = first_difference(payload, again)
+    if moved:
+        verdict = f"NOT reproducible, a second run of this tree differs at {moved}"
+    else:
+        verdict = "reproducible, a second run of this tree is identical"
+    pytest.fail(f"{key}: digest {payload_digest(payload)} != recorded "
+                f"{GOLDEN_DIGESTS[key]}; {verdict}; payload dumped to {dump}")
 
 
 def test_cells_reach_what_they_name():

@@ -1,0 +1,413 @@
+"""The exact warm path: pair products, the profiled census, SPMM workloads.
+
+A warm inference is the task loop's functional pass and little else, and
+each statement of it that was made faster has to stay *the same
+function*, bit for bit:
+
+- the pair product with both operands stored sparse (S2D into one
+  scratch + ``csr_matvecs``) against SciPy's ``csr @ csr``;
+- the write-back profiler's counts, reused as the consumer's census,
+  against ``block_nnz_grid`` of the stored output;
+- ``spmm_workloads`` (prefix sums) against Algorithm 6 walked element
+  by element;
+- the ``_matmul`` route the loop falls back to when SciPy's private
+  kernels are missing, against the fast route and the reference loop.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+
+import repro.formats.partition as partition_mod
+import repro.runtime.executor as executor_mod
+import repro.runtime.vectorized as vectorized_mod
+from repro import Engine
+from repro.compiler import Compiler
+from repro.config import u250_default
+from repro.datasets import load_dataset
+from repro.formats.dense import DTYPE
+from repro.formats.partition import PartitionedMatrix, block_nnz_grid
+from repro.gnn import build_model, init_weights
+from repro.hw import Accelerator
+from repro.hw.spmm_unit import run_spmm_faithful, spmm_workloads
+from repro.runtime import execute_kernel_tasks_reference, make_strategy
+from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
+from repro.shard import plan_shards
+
+from conftest import make_tiny_config
+from test_executor_vectorised import assert_results_identical, oracle_run
+
+MODELS = ("GCN", "GraphSAGE", "GIN", "SGC")
+
+
+def bits(a) -> bytes:
+    """The exact float32 bits (``NaN == NaN``, ``-0.0 != +0.0``)."""
+    return np.ascontiguousarray(a, dtype=DTYPE).tobytes()
+
+
+def compiled(model_name, data, config):
+    model = build_model(
+        model_name, data.num_features, data.hidden_dim, data.num_classes
+    )
+    weights = init_weights(model, seed=5)
+    return Compiler(config).compile(model, data, weights)
+
+
+# -- (a) the pair product ------------------------------------------------
+#: values that make a float32 product care about order, sign and zero
+VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 1e-30, -1e-30, 3e38, -3e38, 1 / 3, 1e-45]
+)
+
+
+@st.composite
+def csr_blocks(draw, rows, cols, values=VALUES):
+    """A canonical CSR block with drawn structure: empty rows/columns,
+    all-zero blocks and explicit stored zeros (``0.0`` and ``-0.0`` are
+    in ``values``) all occur."""
+    mask = draw(
+        st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)
+    )
+    if draw(st.booleans()):  # thin it out: empty rows and columns
+        keep = draw(st.integers(0, 3))
+        mask = [m and (i % 4 < keep) for i, m in enumerate(mask)]
+    mask = np.array(mask, dtype=bool).reshape(rows, cols)
+    data = np.array(
+        draw(st.lists(values, min_size=int(mask.sum()), max_size=int(mask.sum()))),
+        dtype=DTYPE,
+    )
+    index_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1)))).astype(index_dtype)
+    indices = np.nonzero(mask)[1].astype(index_dtype)
+    blk = sp.csr_matrix((rows, cols), dtype=DTYPE)
+    # assigned, not passed to the constructor: scipy would drop the
+    # index dtype and the task loop's blocks are hand-built the same way
+    blk.data, blk.indices, blk.indptr = data, indices, indptr
+    return blk
+
+
+@st.composite
+def operand_pairs(draw, x_values=VALUES):
+    m, n, d = (draw(st.integers(1, 9)) for _ in range(3))
+    return draw(csr_blocks(m, n, x_values)), draw(csr_blocks(n, d))
+
+
+def csr_csr_reference(x, y) -> np.ndarray:
+    """The statement the fast route replaced (still ``_matmul``'s)."""
+    return np.asarray((x @ y).todense(), dtype=DTYPE)
+
+
+def fast_product(x, y) -> np.ndarray:
+    m, n = x.shape
+    d = y.shape[1]
+    out = np.zeros((m, d), dtype=DTYPE)
+    # garbage in the scratch must not matter: it is zero-filled per pair
+    s2d = np.full(n * d + 3, np.nan, dtype=DTYPE)
+    vectorized_mod._accumulate_csr_product(x, y, None, s2d, out)
+    return out
+
+
+class TestPairProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    def test_s2d_matvecs_is_csr_matmat_bit_for_bit(self, pair):
+        x, y = pair
+        assert bits(fast_product(x, y)) == bits(csr_csr_reference(x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operand_pairs())
+    def test_dense_y_route_agrees_too(self, pair):
+        x, y = pair
+        out = np.zeros((x.shape[0], y.shape[1]), dtype=DTYPE)
+        y_flat = np.asarray(y.todense(), dtype=DTYPE).ravel()
+        vectorized_mod._accumulate_csr_product(x, None, y_flat, None, out)
+        assert bits(out) == bits(csr_csr_reference(x, y))
+
+    @pytest.mark.parametrize("shape", [(1, 7, 1), (7, 1, 7), (1, 1, 1), (5, 3, 1)])
+    def test_thin_shapes(self, shape):
+        m, n, d = shape
+        rng = np.random.default_rng(0)
+        x = sp.random(m, n, 0.7, format="csr", dtype=DTYPE, rng=rng)
+        y = sp.random(n, d, 0.7, format="csr", dtype=DTYPE, rng=rng)
+        assert bits(fast_product(x, y)) == bits(csr_csr_reference(x, y))
+
+    def test_nonfinite_x_is_the_one_place_the_routes_differ(self):
+        """``inf`` in X against a structural zero of Y: ``csr_matmat``
+        skips the cell, a dense Y makes it ``NaN`` — so the guard in
+        the task loop is needed, not decorative."""
+        x = sp.csr_matrix(np.array([[np.inf, 1.0]], dtype=DTYPE))
+        y = sp.csr_matrix(np.array([[0.0, 2.0], [3.0, 0.0]], dtype=DTYPE))
+        assert bits(fast_product(x, y)) != bits(csr_csr_reference(x, y))
+
+
+@pytest.fixture(scope="module")
+def tiny_programs():
+    """GCN and GraphSAGE on a slice of Cora, many small partitions.
+    GraphSAGE's ``A_mean @ H0`` multiplies two CSR operands."""
+    data = load_dataset("CO", scale=0.15, seed=3)
+    cfg = make_tiny_config()
+    return {name: compiled(name, data, cfg) for name in ("GCN", "GraphSAGE")}
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("poison", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_adjacency_keeps_the_reference_bits(
+        self, tiny_programs, poison
+    ):
+        program = tiny_programs["GraphSAGE"]
+        name = next(
+            k.x_name for k in program.graph.topo_order()
+            if sp.issparse(program.store[k.x_name])
+            and sp.issparse(program.store[k.y_name])
+        )
+        a = program.store[name]
+        saved = a.data.copy()
+        try:
+            # a few poisoned entries in some block rows, none in others:
+            # both routes run in one kernel
+            a.data[:: max(1, a.nnz // 5)][:3] = poison
+            program._views.clear()
+            rv = run_strategy(program, "S2")
+            rr = oracle_run(run_strategy, program, "S2")
+        finally:
+            a.data[:] = saved
+            program._views.clear()
+        assert not np.isfinite(rv.output_dense()).all()
+        assert bits(rv.output_dense()) == bits(rr.output_dense())
+        assert rv.total_cycles == rr.total_cycles
+
+
+# -- (b) the profiler's counts are the census ----------------------------
+@pytest.fixture(scope="module")
+def census_programs():
+    cfg = u250_default()
+    datasets = (load_dataset("CO", seed=0), load_dataset("PU", scale=0.1, seed=0))
+    return [compiled(m, data, cfg) for data in datasets for m in MODELS]
+
+
+def lanes_for(program, n):
+    if n == 1:
+        return [Lane(Accelerator(program.config))]
+    return [
+        Lane(Accelerator(program.config), f"dev{s.index}", (s.v0, s.v1))
+        for s in plan_shards(program, n).shards
+    ]
+
+
+def check_census_of_every_kernel(program, strategy_name, lanes, monkeypatch):
+    """Run ``program`` and compare, at every kernel's finalize, the
+    recorded grid with a scan of the matrix just assembled."""
+    checked = []
+    finalize = KernelAssembly.finalize
+
+    def checking_finalize(self):
+        out_mat, density = finalize(self)
+        scanned = block_nnz_grid(out_mat, self.out_br, self.out_bc)
+        assert self.nnz_grid.dtype == scanned.dtype
+        np.testing.assert_array_equal(self.nnz_grid, scanned)
+        checked.append(self)
+        return out_mat, density
+
+    monkeypatch.setattr(KernelAssembly, "finalize", checking_finalize)
+    strategy = make_strategy(strategy_name, program.config)
+    for _ in run_kernels(program, strategy, lanes, {}):
+        pass
+    assert len(checked) == program.num_kernels
+
+
+class TestProfiledCensus:
+    @pytest.mark.parametrize("dense_assembly", [True, False])
+    @pytest.mark.parametrize("num_lanes", [1, 2, 4])
+    @pytest.mark.parametrize("strategy", ["S1", "S2", "Dynamic"])
+    def test_recorded_grid_is_the_scan(
+        self, census_programs, strategy, num_lanes, dense_assembly, monkeypatch
+    ):
+        if not dense_assembly:
+            monkeypatch.setattr(executor_mod, "DENSE_ASSEMBLY_LIMIT", 0)
+        for program in census_programs:
+            check_census_of_every_kernel(
+                program, strategy, lanes_for(program, num_lanes), monkeypatch
+            )
+
+    @pytest.mark.parametrize("dense_assembly", [True, False])
+    def test_reference_loop_records_the_same_grid(
+        self, census_programs, dense_assembly, monkeypatch
+    ):
+        if not dense_assembly:
+            monkeypatch.setattr(executor_mod, "DENSE_ASSEMBLY_LIMIT", 0)
+        monkeypatch.setattr(
+            executor_mod, "execute_kernel_tasks", execute_kernel_tasks_reference
+        )
+        for program in census_programs:
+            for num_lanes in (1, 2):
+                check_census_of_every_kernel(
+                    program, "Dynamic", lanes_for(program, num_lanes), monkeypatch
+                )
+
+    def test_skipped_and_negative_zero_and_nan_partitions(self):
+        """What the count means is what the scan means: an unwritten
+        partition is 0, ``-0.0`` is a zero, ``NaN`` a nonzero."""
+        z = np.array([[-0.0, np.nan], [0.0, 2.0]], dtype=DTYPE)
+        for dense in (True, False):
+            asm = KernelAssembly(
+                rows=4, cols=2, out_br=2, out_bc=2, dense_assembly=dense,
+                out_dense=np.zeros((4, 2), dtype=DTYPE) if dense else None,
+                nnz_grid=np.zeros((2, 1), dtype=np.int64),
+            )
+            asm.write(1, 0, 2, 2, z, int(np.count_nonzero(z)))
+            out_mat, density = asm.finalize()
+            np.testing.assert_array_equal(
+                asm.nnz_grid, block_nnz_grid(out_mat, 2, 2)
+            )
+            assert asm.nnz_grid.tolist() == [[0], [2]]
+            assert asm.total_out_nnz == 2 and density == 2 / 8
+
+    @pytest.mark.parametrize("model_name", MODELS)
+    def test_warm_inference_scans_no_intermediate(self, model_name, monkeypatch):
+        """The ledger's ``warm_sweep`` cells: once the program's own
+        operands are viewed, an inference calls ``block_nnz_grid`` on
+        nothing (every consumer blocking equals its producer's)."""
+        engine = Engine()
+        handle = engine.compile(model_name, "PU", scale=0.25, seed=0)
+        cold = engine.infer(handle, strategy="Dynamic")
+        calls = []
+        scan = partition_mod.block_nnz_grid
+
+        def recording_scan(mat, block_rows, block_cols):
+            calls.append((mat.shape, block_rows, block_cols))
+            return scan(mat, block_rows, block_cols)
+
+        monkeypatch.setattr(partition_mod, "block_nnz_grid", recording_scan)
+        warm = engine.infer(handle, strategy="Dynamic")
+        assert calls == []
+        assert_results_identical(warm, cold)
+
+    def test_constructor_rejects_a_grid_of_another_blocking(self):
+        """The driver hands a grid over only under the producer's own
+        blocking; the constructor rejects one that cannot be the census
+        of the blocking it is given."""
+        m = np.arange(24, dtype=DTYPE).reshape(4, 6)
+        grid = block_nnz_grid(m, 2, 3)
+        assert PartitionedMatrix(m, 2, 3, nnz_grid=grid).nnz == 23
+        with pytest.raises(ValueError, match="nnz_grid"):
+            PartitionedMatrix(m, 2, 2, nnz_grid=grid)
+        with pytest.raises(ValueError, match="nnz_grid"):
+            PartitionedMatrix(m, 2, 3, nnz_grid=grid.astype(np.int32))
+
+
+# -- (c) SPMM workloads ---------------------------------------------------
+def faithful_loads(x, y, psys):
+    """Per-SCP multiply counts, walked entry by entry (Algorithm 6's
+    ``scp_cycles`` in :func:`run_spmm_faithful`)."""
+    loads = np.zeros(psys, dtype=np.int64)
+    xs, ys = sp.csr_matrix(x), sp.csr_matrix(y)
+    y_row_nnz = [
+        int(np.count_nonzero(ys.data[ys.indptr[i]:ys.indptr[i + 1]]))
+        for i in range(ys.shape[0])
+    ]
+    for j in range(xs.shape[0]):
+        for idx in range(xs.indptr[j], xs.indptr[j + 1]):
+            if xs.data[idx] != 0:
+                loads[j % psys] += y_row_nnz[xs.indices[idx]]
+    return loads
+
+
+class TestSpmmWorkloads:
+    @settings(max_examples=150, deadline=None)
+    @given(operand_pairs(), st.sampled_from([1, 2, 4, 16]))
+    def test_matches_algorithm_6(self, pair, psys):
+        x, y = pair  # rows < psys, rows % psys != 0, zero rows, stored zeros
+        loads, macs = spmm_workloads(x, y, psys)
+        expected = faithful_loads(x, y, psys)
+        assert loads.dtype == np.int64 and loads.shape == (psys,)
+        np.testing.assert_array_equal(loads, expected)
+        assert macs == int(expected.sum())
+
+    @pytest.mark.parametrize("rows", [3, 4, 10])
+    def test_against_run_spmm_faithful_cycles(self, rows, tiny_config):
+        rng = np.random.default_rng(rows)
+        x = sp.random(rows, 12, 0.4, format="csr", dtype=DTYPE, rng=rng)
+        y = sp.random(12, 9, 0.4, format="csr", dtype=DTYPE, rng=rng)
+        x.data[::3] = 0  # explicit zeros do no work
+        loads, _ = spmm_workloads(x, y, tiny_config.psys)
+        _, cycles = run_spmm_faithful(x, y, tiny_config)
+        assert int(loads.max()) + tiny_config.pipeline_depth == cycles
+
+    def test_mac_totals_past_int32(self):
+        """70,000 X entries each meeting a Y row of 40,000: 2.8e9
+        multiplies, past 2^31, from int32 index arrays."""
+        m, d = 70_000, 40_000
+        x = sp.csr_matrix(np.ones((m, 1), dtype=DTYPE))
+        y = sp.csr_matrix(np.ones((1, d), dtype=DTYPE))
+        assert x.indices.dtype == y.indptr.dtype == np.int32
+        loads, macs = spmm_workloads(x, y, 4)
+        assert macs == m * d > 2**31
+        assert loads.tolist() == [m * d // 4] * 4
+        loads, macs = spmm_workloads(x, y, 1)
+        assert loads.tolist() == [m * d]
+
+
+# -- the private SciPy entry points --------------------------------------
+class TestNativeEntryPoints:
+    def test_scipy_still_has_them_with_this_signature(self):
+        """Fails by name on the SciPy release that moves or re-types
+        ``csr_matvecs`` / ``csr_todense``, rather than silently costing
+        a quarter of every warm inference."""
+        assert callable(vectorized_mod._CSR_MATVECS)
+        assert callable(vectorized_mod._CSR_TODENSE)
+        for index_dtype in (np.int32, np.int64):
+            indptr = np.array([0, 1, 2], dtype=index_dtype)
+            indices = np.array([1, 0], dtype=index_dtype)
+            data = np.array([2.0, 3.0], dtype=DTYPE)
+            dense = np.zeros(4, dtype=DTYPE)
+            vectorized_mod._CSR_TODENSE(2, 2, indptr, indices, data, dense)
+            assert dense.tolist() == [0.0, 2.0, 3.0, 0.0]
+            out = np.zeros(4, dtype=DTYPE)
+            vectorized_mod._CSR_MATVECS(2, 2, 2, indptr, indices, data, dense, out)
+            assert out.tolist() == [6.0, 0.0, 0.0, 6.0]
+
+    @pytest.mark.parametrize("missing", ["_CSR_MATVECS", "_CSR_TODENSE"])
+    @pytest.mark.parametrize("model_name", ["GCN", "GraphSAGE"])
+    def test_fallback_is_bit_identical(
+        self, tiny_programs, missing, model_name, monkeypatch
+    ):
+        """Without the entry points every pair takes ``_matmul``: same
+        result as the fast route and as the reference loop."""
+        program = tiny_programs[model_name]
+        fast = run_strategy(program, "Dynamic")
+        products = []
+        monkeypatch.setattr(vectorized_mod, missing, None)
+        monkeypatch.setattr(
+            vectorized_mod, "_matmul",
+            lambda x, y, _m=vectorized_mod._matmul: products.append(1) or _m(x, y),
+        )
+        slow = run_strategy(program, "Dynamic")
+        assert_results_identical(slow, fast)
+        assert_results_identical(slow, oracle_run(run_strategy, program, "Dynamic"))
+        assert products  # the fallback really ran
+
+
+# -- the third view site --------------------------------------------------
+def test_hetero_run_censuses_stored_operands_once(tiny_programs, monkeypatch):
+    from repro.hetero.executor import HeterogeneousRuntime
+
+    program = tiny_programs["GCN"]
+    program._views.clear()
+    scans = []
+    scan = partition_mod.block_nnz_grid
+    monkeypatch.setattr(
+        partition_mod, "block_nnz_grid",
+        lambda mat, br, bc: scans.append(mat.shape) or scan(mat, br, bc),
+    )
+    runtime = HeterogeneousRuntime()
+    first = runtime.run(program)
+    first_scans = len(scans)
+    # A, H0 and the weights were viewed through the program, which keeps them
+    stored = [key for key in program._views if key[0] in program.store]
+    assert len(stored) >= 3
+    second = runtime.run(program)
+    assert second == first
+    # only the intermediates the run materialises itself are scanned again
+    assert len(scans) - first_scans == first_scans - len(stored)
