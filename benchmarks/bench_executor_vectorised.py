@@ -5,8 +5,11 @@ Python iteration per task (OperandSpec construction, per-pair cycle
 models, per-task scheduling) into a single structure-of-arrays pass per
 kernel (:mod:`repro.runtime.vectorized`): one batched Analyzer decide
 over every (task, pair), batched operand byte/nnz arithmetic, grouped
-cycle reductions and CSR-native stripe splitting.  The per-task loop
-survives as ``execute_kernel_tasks_reference``, the oracle.
+cycle reductions and one native product per operand pair.  The per-task
+loop survives as ``execute_kernel_tasks_reference``, the oracle.  (The
+CSR-native stripe split that rewrite also brought is no longer part of
+the ratio: ``PartitionedMatrix.block`` reads the same block-major layout
+as ``csr_blocks_for_row``, so the reference loop has it too.)
 
 The bench replays each kernel of a compiled inference — identical views,
 task lists and accumulate state — through both loops on fresh
@@ -37,7 +40,7 @@ REPEATS = 3
 #: wide-feature synthetic).  PU is in both: it is the task-count-bound
 #: cell where the loop rewrite dominates (the headline speedup); the
 #: dense cells are BLAS-bound, so Amdahl caps their loop-replay gain
-#: near 2-4x even though the loop itself shrank ~10x.
+#: near 1.2-1.8x even though the loop itself shrank ~10x.
 TIER_CELLS = {
     "smoke": (("PU", "GCN"),),
     "full": (
@@ -123,10 +126,10 @@ def _time_cell(ds, model):
     calls = _capture_kernel_calls(program)
     ref = vec = None
     ref_s = vec_s = float("inf")
+    # alternating, so a noisy spell on the box lands on both loops
     for _ in range(REPEATS):
         vec = _replay(calls, program.config, execute_kernel_tasks)
         vec_s = min(vec_s, vec[0])
-    for _ in range(max(REPEATS - 1, 1)):
         ref = _replay(calls, program.config, execute_kernel_tasks_reference)
         ref_s = min(ref_s, ref[0])
     _assert_bit_exact(ref, vec, f"{ds}/{model}")
@@ -165,11 +168,18 @@ def _executor_vectorised(ctx):
     ))
     worst = min(speedups)
     best = max(speedups)
-    # floors, not targets: the task-bound cell must stay clearly vectorised
-    # (>4x; measured ~8x) and no cell may regress to parity (>2x even for
-    # the BLAS-bound ones, which measure 2.3-3.6x with CI noise)
-    assert best > 4.0, f"best cell only {best:.2f}x faster"
-    assert worst > 2.0, f"vectorised loop only {worst:.2f}x faster"
+    # floors, not targets.  Both loops read their sparse blocks off one
+    # block-major layout (formats.partition), so the ratio is the loop
+    # structure alone: while the reference sliced every pair's block
+    # through SciPy, three quarters of its time was that slicing and the
+    # cells read 9-11x (PU) down to 2.1x (FL).  The task-bound cell must
+    # stay clearly vectorised (measured 2.3-3.9x) and no cell may fall
+    # back to parity with the oracle: the BLAS-bound cells measure
+    # 1.17-1.8x (both loops spend most of their time in the same BLAS
+    # calls), so their floor is parity itself, and it is what guards
+    # them: the baseline band, 0.6 of a ratio near 1.3, is looser.
+    assert best > 1.8, f"best cell only {best:.2f}x faster"
+    assert worst > 1.0, f"vectorised loop only {worst:.2f}x the oracle's speed"
     return {
         "speedup": Metric("speedup", best, "x", "higher"),
         "speedup_min": Metric("speedup_min", worst, "x", "higher"),

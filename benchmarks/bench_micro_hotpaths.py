@@ -23,6 +23,15 @@ these inner loops, each rewritten as single numpy / native passes:
    dense temporary per pair.  The pair is what a warm inference of the
    perf ledger multiplies: a 720x720 adjacency block against a 720x500
    block of 10%-dense features.
+5. ``formats.partition``'s split of a sparse operand into its CSR
+   blocks: one block-major layout (one radix sort of a 16-bit block id,
+   or no sort at all for one block column) instead of a SciPy slice,
+   ``sort_indices``, an int64 ``argsort`` and a bincount per block row
+   (kept below as the comparison).  The three operands are the ones a
+   patched program of the perf ledger re-splits or a cold one splits.
+6. ``dyngraph.mutable._csr_find`` — where a delta's edges sit in the
+   stored adjacency: every edge bisects its own row, all of them in
+   step, instead of a Python iteration per edge (kept below).
 
 Each bench times before/after on the same inputs, asserts the results
 are bit-identical, and reports the speedup — the committed baseline under
@@ -34,9 +43,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from _common import Metric, best_of, emit, format_table, register_bench
-from repro import u250_default
+from repro import load_dataset, u250_default
+from repro.dyngraph.mutable import _csr_find
 from repro.formats.dense import DTYPE
-from repro.formats.partition import block_nnz_grid, block_nnz_grid_reference
+from repro.formats.partition import (
+    PartitionedMatrix,
+    block_nnz_grid,
+    block_nnz_grid_reference,
+)
+from repro.gnn import build_adjacency_variants
 from repro.hw.core import PairDecision
 from repro.hw.report import PRIMITIVE_CODES
 from repro.hw.spmm_unit import spmm_workloads
@@ -59,6 +74,16 @@ PAIR_D = 500
 PAIR_X_NNZ = 600
 PAIR_Y_DENSITY = 0.10
 PAIR_CALLS = 50
+#: the operands the perf ledger splits: (label, dataset, scale, operand,
+#: block columns) under N1 = 720 row blocking
+SPLIT_N1 = 720
+SPLIT_CELLS = (
+    ("A_norm PU@0.5 14x14", "PU", 0.5, "A_norm", SPLIT_N1),
+    ("H0 PU@0.5 14x1", "PU", 0.5, "H0", None),
+    ("A_norm RE@0.02 7x7", "RE", 0.02, "A_norm", SPLIT_N1),
+)
+#: share of the stored edges one mutation of ``serve_churn`` touches
+FIND_EDGE_FRACTION = 0.005
 
 
 def _grid_inputs():
@@ -302,6 +327,158 @@ def _pair_product_spec(ctx):
         "temp_bytes_saved": Metric(
             "temp_bytes_saved", float(ref.nbytes), "B", "higher"
         ),
+    }
+
+
+def _split_stripe_by_stripe(mat, block_rows, block_cols):
+    """``csr_blocks_for_row`` over every block row, as it was: a SciPy
+    slice, ``sort_indices``, an int64 ``argsort`` and a bincount per
+    stripe; each block as its ``(data, indices, indptr)``."""
+    nrows_total, ncols = mat.shape
+    nc = -(-ncols // block_cols)
+    out = []
+    for r0 in range(0, nrows_total, block_rows):
+        stripe = mat[r0 : r0 + block_rows, :].tocsr()
+        stripe.sort_indices()
+        nrows = stripe.shape[0]
+        idx = stripe.indices
+        cb = idx // block_cols
+        order = np.argsort(cb, kind="stable")
+        data_s = stripe.data[order]
+        local_s = (idx - cb * block_cols).astype(idx.dtype, copy=False)[order]
+        entry_rows = np.repeat(
+            np.arange(nrows, dtype=np.int64), np.diff(stripe.indptr)
+        )
+        counts2d = np.bincount(
+            cb * nrows + entry_rows, minlength=nc * nrows
+        ).reshape(nc, nrows)
+        indptr2d = np.zeros((nc, nrows + 1), dtype=np.int64)
+        np.cumsum(counts2d, axis=1, out=indptr2d[:, 1:])
+        offsets = np.concatenate(([0], np.cumsum(indptr2d[:, -1])))
+        out.append([
+            (data_s[offsets[b] : offsets[b + 1]],
+             local_s[offsets[b] : offsets[b + 1]],
+             indptr2d[b].astype(idx.dtype, copy=False))
+            for b in range(nc)
+        ])
+    return out
+
+
+def _split_layout(mat, block_rows, block_cols, census):
+    """The same blocks off a fresh view's block-major layout (the census
+    handed over, as a patched program's views get it)."""
+    view = PartitionedMatrix(mat, block_rows, block_cols, nnz_grid=census)
+    return [
+        [(blk.data, blk.indices, blk.indptr) for blk in view.csr_blocks_for_row(i)]
+        for i in range(view.num_row_blocks)
+    ]
+
+
+def _split_operand(dataset, scale, operand):
+    data = load_dataset(dataset, scale=scale, seed=0)
+    if operand == "H0":
+        return data.h0.tocsr()
+    return build_adjacency_variants(data.a, {operand})[operand]
+
+
+def _same_blocks(ref, new) -> bool:
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b)
+        for ref_row, new_row in zip(ref, new, strict=True)
+        for ref_blk, new_blk in zip(ref_row, new_row, strict=True)
+        for a, b in zip(ref_blk, new_blk)
+    )
+
+
+@register_bench(
+    "micro_block_split",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath"),
+    tolerances={"speedup": 0.6, "one_column_speedup": 0.6, "large_speedup": 0.6},
+)
+def _block_split_spec(ctx):
+    """Hot path 5: CSR blocks of a sparse operand, one layout vs per stripe."""
+    rows, metrics = [], {}
+    names = ("speedup", "one_column_speedup", "large_speedup")
+    for name, (label, dataset, scale, operand, block_cols) in zip(names, SPLIT_CELLS):
+        mat = _split_operand(dataset, scale, operand)
+        block_cols = block_cols or mat.shape[1]
+        census = block_nnz_grid(mat, SPLIT_N1, block_cols)
+        ref, ref_s = best_of(
+            lambda: _split_stripe_by_stripe(mat, SPLIT_N1, block_cols))
+        new, new_s = best_of(
+            lambda: _split_layout(mat, SPLIT_N1, block_cols, census))
+        assert _same_blocks(ref, new), f"{label}: blocks must be byte-identical"
+        speedup = ref_s / new_s
+        rows.append([label, f"{mat.nnz:,}", f"{ref_s * 1e3:.3f}",
+                     f"{new_s * 1e3:.3f}", f"{speedup:.2f}x"])
+        metrics[name] = Metric(name, speedup, "x", "higher")
+        # the ledger's serve_churn operand (first cell) in absolute terms
+        metrics.setdefault("layout_ms", Metric("layout_ms", new_s * 1e3, "ms"))
+        assert speedup > 1.2, f"{label}: layout only {speedup:.2f}x faster"
+    emit("micro_block_split", format_table(
+        ["operand", "stored", "per stripe (ms)", "one layout (ms)", "speedup"],
+        rows,
+        title=f"M1e: every CSR block of a sparse operand, {SPLIT_N1}-row blocks",
+    ))
+    return metrics
+
+
+def _csr_find_per_edge(mat, rows, cols):
+    """``_csr_find`` as it was: one binary search per edge, in Python."""
+    indptr, indices = mat.indptr, mat.indices
+    out = np.full(rows.size, -1, dtype=np.int64)
+    for k in range(rows.size):
+        lo, hi = int(indptr[rows[k]]), int(indptr[rows[k] + 1])
+        pos = lo + int(np.searchsorted(indices[lo:hi], cols[k]))
+        if pos < hi and indices[pos] == cols[k]:
+            out[k] = pos
+    return out
+
+
+def _find_inputs():
+    """PU@0.5's adjacency and one mutation's worth of lookups: half the
+    delta's edges stored (the deletes), half random (the inserts)."""
+    a = load_dataset("PU", scale=0.5, seed=0).a.tocsr()
+    rng = np.random.default_rng(37)
+    k = max(1, int(a.nnz * FIND_EDGE_FRACTION / 2))
+    coo = a.tocoo()
+    gone = rng.choice(a.nnz, size=k, replace=False)
+    rows = np.concatenate((coo.row[gone], rng.integers(0, a.shape[0], k)))
+    cols = np.concatenate((coo.col[gone], rng.integers(0, a.shape[0], k)))
+    return a, rows.astype(np.int64), cols.astype(np.int64)
+
+
+@register_bench(
+    "micro_csr_find",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath", "dyngraph"),
+    tolerances={"speedup": 0.6},
+)
+def _csr_find_spec(ctx):
+    """Hot path 6: a delta's edges in the stored adjacency, search vs loop."""
+    a, rows, cols = _find_inputs()
+    ref, ref_s = best_of(lambda: _csr_find_per_edge(a, rows, cols))
+    new, new_s = best_of(lambda: _csr_find(a, rows, cols))
+    assert np.array_equal(ref, new) and (new >= 0).sum() >= rows.size // 2
+    speedup = ref_s / new_s
+    emit("micro_csr_find", format_table(
+        ["variant", "best (ms)", "speedup"],
+        [
+            ["searchsorted per edge", f"{ref_s * 1e3:.3f}", "1.00x"],
+            ["every edge bisects its row, in step", f"{new_s * 1e3:.3f}",
+             f"{speedup:.2f}x"],
+        ],
+        title=(
+            f"M1f: _csr_find, {rows.size} lookups "
+            f"({FIND_EDGE_FRACTION:.1%} edge delta) in PU@0.5's "
+            f"{a.nnz:,} stored edges"
+        ),
+    ))
+    assert speedup > 1.5, f"vectorised find only {speedup:.2f}x faster"
+    return {
+        "speedup": Metric("speedup", speedup, "x", "higher"),
+        "vectorized_ms": Metric("vectorized_ms", new_s * 1e3, "ms"),
     }
 
 

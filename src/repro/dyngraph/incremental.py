@@ -14,12 +14,17 @@ therefore update in O(delta) straight from the applied delta
 (:meth:`~repro.formats.partition.PartitionedMatrix.from_patched`,
 :func:`~repro.compiler.sparsity.update_profile`) — no re-scan.
 
-**Values** are the part *not* worth splicing: re-scaling every stored
-value is one fused vectorised multiply over the nnz array, which is
-cheaper than assembling a spliced matrix (any splice pays a sort), and
-far cheaper than the builders' sparse matrix products.  The
-``renormalize_*`` functions below reuse the mutated adjacency's CSR
-index structure as-is and recompute values with exactly the float32
+**Values** are the part *not* worth splicing: a degree change rescales a
+whole row and a whole column, so re-scaling every stored value — two
+vectorised multiplies over the nnz array, the row scale repeated along
+``indptr`` with no row ids materialised — is cheaper than finding which
+values moved, and far cheaper than the builders' sparse matrix products.
+(The splice pays no sort of what is stored either: :class:`MutableGraph`
+merges a delta's sorted additions into the kept entries at their
+insertion points, and :class:`~repro.formats.partition.PartitionedMatrix`
+re-splits the patched operand in one pass.)  The
+``patch_*`` functions below reuse the mutated adjacency's CSR index
+structure as-is and recompute values with exactly the float32
 operation sequence of the from-scratch builders, so the result is
 **bit-identical** to recompiling — including downstream accumulation
 order — which is what the dyngraph exactness tests assert.
@@ -66,12 +71,10 @@ def _scaled_like(
     float32 products, in the same order, as the diagonal matmuls in the
     from-scratch builders, so every value is bit-identical.
     """
-    rows = np.repeat(
-        np.arange(source.shape[0], dtype=np.intp), np.diff(source.indptr)
-    )
-    vals = scale_left[rows] * source.data
+    vals = np.repeat(scale_left, np.diff(source.indptr))
+    vals *= source.data
     if scale_right is not None:
-        vals = vals * scale_right[source.indices]
+        vals *= scale_right[source.indices]
     out = sp.csr_matrix(
         (vals.astype(DTYPE, copy=False), source.indices, source.indptr),
         shape=source.shape,

@@ -42,20 +42,34 @@ from repro.formats.dense import DTYPE
 _graph_uids = itertools.count()
 
 
-def _csr_find(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Data-array position of each (row, col), or -1 when absent.
-
-    O(delta * log(row nnz)) binary searches on the canonical CSR index
-    structure — the delta is small by assumption, the matrix is not.
-    """
+def _csr_lower_bound(
+    mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    """Where each (row, col) sits, or would be inserted, in the canonical
+    CSR's ``indices`` / ``data``: every query bisects its own row, all of
+    them in step, so the cost is O(delta * log(row nnz)) with no Python
+    iteration per edge and no pass over what is stored."""
     indptr, indices = mat.indptr, mat.indices
-    out = np.full(rows.size, -1, dtype=np.int64)
-    for k in range(rows.size):
-        lo, hi = int(indptr[rows[k]]), int(indptr[rows[k] + 1])
-        pos = lo + int(np.searchsorted(indices[lo:hi], cols[k]))
-        if pos < hi and indices[pos] == cols[k]:
-            out[k] = pos
-    return out
+    lo = indptr[rows].astype(np.int64)
+    hi = indptr[rows + 1].astype(np.int64)
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        # a settled query (lo == hi) may point one past the last stored
+        # entry: read it clipped, and leave it where it is
+        below = (indices.take(mid, mode="clip") < cols) & (lo < hi)
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    return lo
+
+
+def _csr_find(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Data-array position of each (row, col), or -1 when absent."""
+    if not mat.nnz:
+        return np.full(rows.size, -1, dtype=np.int64)
+    pos = _csr_lower_bound(mat, rows, cols)
+    # past its row's end a position holds another row's entry, or none
+    found = (pos < mat.indptr[rows + 1]) & (mat.indices.take(pos, mode="clip") == cols)
+    return np.where(found, pos, -1)
 
 
 def _dedup_last(rows: np.ndarray, cols: np.ndarray, width: int) -> np.ndarray:
@@ -76,14 +90,43 @@ def _rebuild_csr(
     add_cols: np.ndarray,
     add_vals: np.ndarray,
 ) -> sp.csr_matrix:
-    """New canonical CSR = old entries under ``keep`` mask + additions."""
-    old_rows = np.repeat(
-        np.arange(mat.shape[0], dtype=np.int64), np.diff(mat.indptr)
+    """New canonical CSR = old entries under ``keep`` mask + additions.
+
+    The kept entries are already in canonical order, so the (few, absent,
+    duplicate-free) additions are sorted among themselves and merged in
+    at their insertion points; nothing sorts what is stored.
+    """
+    n_rows = mat.shape[0]
+    order = np.lexsort((add_cols, add_rows))
+    add_rows, add_cols = add_rows[order], add_cols[order]
+    gone = np.flatnonzero(~keep)
+    # where each addition lands: its insertion point among the old
+    # entries, less the removed ones before it, plus the additions before it
+    slot = _csr_lower_bound(mat, add_rows, add_cols)
+    slot -= np.searchsorted(gone, slot)
+    slot += np.arange(order.size)
+    total = keep.size - gone.size + order.size
+    old = np.ones(total, dtype=bool)
+    old[slot] = False
+    idx_dtype = sp.get_index_dtype(maxval=max(total, *mat.shape))
+    indices = np.empty(total, dtype=idx_dtype)
+    indices[old] = mat.indices[keep]
+    indices[slot] = add_cols
+    vals = np.empty(total, dtype=DTYPE)
+    vals[old] = data[keep]
+    vals[slot] = add_vals[order]
+    # every row gains its additions and loses its removals
+    gone_rows = np.searchsorted(mat.indptr, gone, "right") - 1
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(
+        np.bincount(add_rows, minlength=n_rows)
+        - np.bincount(gone_rows, minlength=n_rows),
+        out=indptr[1:],
     )
-    rows = np.concatenate((old_rows[keep], add_rows))
-    cols = np.concatenate((mat.indices[keep].astype(np.int64), add_cols))
-    vals = np.concatenate((data[keep], add_vals.astype(DTYPE)))
-    return sp.csr_matrix((vals, (rows, cols)), shape=mat.shape, dtype=DTYPE)
+    indptr += mat.indptr
+    out = sp.csr_matrix((vals, indices, indptr.astype(idx_dtype)), shape=mat.shape)
+    out.has_canonical_format = True  # by construction; spares the O(nnz) check
+    return out
 
 
 class MutableGraph:
@@ -183,12 +226,14 @@ class MutableGraph:
             keep_d = _dedup_last(del_r, del_c, n)
             del_r, del_c = del_r[keep_d], del_c[keep_d]
 
+        pos = _csr_find(
+            a, np.concatenate((del_r, ins_r)), np.concatenate((del_c, ins_c))
+        )
         # deletes first: a pair both deleted and inserted ends up present
-        del_pos = _csr_find(a, del_r, del_c)
+        del_pos, ins_pos = pos[: del_r.size], pos[del_r.size :]
         hit = del_pos >= 0
         removed_rows, removed_cols, removed_pos = del_r[hit], del_c[hit], del_pos[hit]
         # ...but only if the insert is not re-creating a just-deleted edge
-        ins_pos = _csr_find(a, ins_r, ins_c)
         if removed_pos.size and ins_pos.size:
             recreated = np.isin(ins_pos, removed_pos)
             # re-created edges are additions (their old entry is removed)

@@ -37,6 +37,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.compiler.compile import CompiledProgram, Compiler
 from repro.compiler.parser import parse_model
 from repro.compiler.partitioner import choose_partition_sizes
@@ -46,7 +48,7 @@ from repro.dyngraph.delta import AppliedDelta
 from repro.dyngraph.incremental import patch_variant, variant_structural_delta
 from repro.formats.partition import PartitionedMatrix
 from repro.ir.scheme import build_scheme
-from repro.runtime.analyzer import Analyzer, PairInfo
+from repro.runtime.analyzer import Analyzer
 
 
 @dataclass(frozen=True)
@@ -239,29 +241,24 @@ class ProgramPatcher:
             new_x = views[xkey]
             ykey = (kernel.y_name, *scheme.y_blocking)
             y_view = views.get(ykey) or program._views.get(ykey)
+            bi, bj = dirty[:, 0], dirty[:, 1]
             if y_view is not None:
-                y_dens = y_view.density_grid
-                num_k = y_view.num_col_blocks
+                ay = y_view.density_grid[bj]
             elif kernel.y_name in program.profiles:
                 # no cached blocked view: use the operand's global density
-                y_dens = None
                 num_k = max(1, -(-kernel.output_dim // scheme.y_blocking[1]))
+                ay = np.full(
+                    (len(dirty), num_k), program.profiles[kernel.y_name].density
+                )
             else:
                 continue  # runtime-profiled intermediate: nothing known
-            y_global = program.profiles.get(kernel.y_name)
-            for i, j in dirty:
-                ax_old = float(old_x.density_grid[i, j])
-                ax_new = float(new_x.density_grid[i, j])
-                m, n = new_x.block_shape(i, j)
-                for k in range(num_k):
-                    ay = (
-                        float(y_dens[j, k]) if y_dens is not None
-                        else float(y_global.density)
-                    )
-                    d = n  # decision depends on densities, not exact dims
-                    old_p = analyzer.decide(PairInfo(ax_old, ay, m, n, d)).primitive
-                    new_p = analyzer.decide(PairInfo(ax_new, ay, m, n, d)).primitive
-                    reanalyzed += 1
-                    if old_p is not new_p:
-                        flips += 1
+            # the decision depends on densities, not on block dimensions
+            old_codes, _ = analyzer.decide_batch(
+                np.broadcast_to(old_x.density_grid[bi, bj][:, None], ay.shape), ay
+            )
+            new_codes, _ = analyzer.decide_batch(
+                np.broadcast_to(new_x.density_grid[bi, bj][:, None], ay.shape), ay
+            )
+            reanalyzed += ay.size
+            flips += int(np.count_nonzero(old_codes != new_codes))
         return reanalyzed, flips

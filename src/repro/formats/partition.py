@@ -8,14 +8,29 @@ The compiler partitions the three matrix kinds (§IV-C):
 - weight ``W`` (f1 x f2) into ``N2 x N2`` *blocks* ``W_ij``.
 
 :class:`PartitionedMatrix` is a *lazy view*: it keeps the full matrix once
-(CSR for sparse data, ndarray for dense) and materialises any block on
-demand.  This mirrors the hardware, where partitions are just address
-ranges in DDR, and lets the Aggregate kernel view ``H`` as ``N1 x N2``
-fibers while the Update kernel views the *same* bytes as ``N2 x N2``
-subfibers without any copying.  Per-block nonzero counts are precomputed
-vectorised (one pass over the nonzeros), giving the exact density table the
-compiler profiles at compile time and the Sparsity Profiler reproduces at
-runtime.
+(CSR for sparse data, ndarray for dense) and hands out blocks on demand.
+This mirrors the hardware, where partitions are just address ranges in
+DDR, and lets the Aggregate kernel view ``H`` as ``N1 x N2`` fibers while
+the Update kernel views the *same* bytes as ``N2 x N2`` subfibers.
+
+A sparse operand is re-laid-out once per view, into **one block-major
+layout** (:class:`_BlockLayout`): its stored entries ordered by (block
+row, block column), row-major inside a block, so every block is a slice.
+``csr_blocks_for_row``, sparse ``block`` and ``dense_block`` read it; the
+first of them builds it, and its arrays are read-only.  Building it costs
+about one pass over what is stored — one radix sort of an 8- or 16-bit
+block id, no sort and no copy when the view has one block column — which
+is what a runtime whose operands change under it (``repro.dyngraph``
+patches the adjacency on every mutation) can afford to pay again.
+Memory rule: nothing sized ``num_blocks x block_rows`` is allocated for
+the whole matrix at once; per-block ``indptr`` arrays are built one block
+row at a time, on first touch, and the sort's temporaries do not outlive
+it.
+
+Per-block nonzero counts are taken by :func:`block_nnz_grid` (one
+vectorised pass) unless the caller hands them over, giving the exact
+density table the compiler profiles at compile time and the Sparsity
+Profiler reproduces at runtime.
 """
 
 from __future__ import annotations
@@ -26,7 +41,7 @@ from typing import Union
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.csr import as_csr, as_dense
+from repro.formats.csr import as_csr, as_dense, sorted_unique
 from repro.formats.dense import DTYPE
 
 MatrixLike = Union[np.ndarray, sp.spmatrix]
@@ -56,6 +71,114 @@ def _nonzero_coords(mat: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
         mask = coo.data != 0
         return coo.row[mask], coo.col[mask]
     return np.nonzero(np.asarray(mat))
+
+
+class _BlockLayout:
+    """The stored entries of one CSR operand in block-major order.
+
+    Entries are ordered by (block row, block column) and row-major inside
+    a block, so block ``(i, j)`` is the slice ``extents[i * nc + j] :
+    extents[i * nc + j + 1]`` of ``data`` / ``local`` (column indices
+    relative to the block), and ``extents`` are the prefix sums of the
+    per-block stored-entry counts.  One stable sort of the entries' block
+    ids builds it; a view with one block column needs no sort and no copy,
+    because CSR order already is block-major there (its blocks are
+    ``indptr`` slices of the stored arrays).
+
+    Memory rule: nothing sized ``num_blocks x block_rows`` exists for the
+    whole matrix at once.  The per-block ``indptr`` arrays are built one
+    block row at a time, on first touch (:meth:`block_row`), and the sort
+    temporaries (keys, block columns, the permutation) die with
+    ``__init__``.
+    """
+
+    def __init__(self, mat: sp.csr_matrix, block_rows: int, block_cols: int) -> None:
+        if not mat.has_sorted_indices:
+            mat = mat.copy()
+            mat.sort_indices()
+        nr, nc = grid_dims(mat.shape, block_rows, block_cols)
+        # what SciPy's own slicing would index a block of this matrix with
+        idx_dtype = sp.get_index_dtype(maxval=max(mat.nnz, *mat.shape))
+        self.shape = mat.shape
+        self.block_rows, self.block_cols, self.nc = block_rows, block_cols, nc
+        self.indptr, self.indices = mat.indptr, mat.indices
+        # where each block row's stored entries start and end
+        edges = np.minimum(np.arange(nr + 1) * block_rows, mat.shape[0])
+        bounds = mat.indptr[edges].astype(np.int64)
+        if nc <= 1:
+            self.data = mat.data
+            self.local = mat.indices.astype(idx_dtype, copy=False)
+            self.extents = bounds
+        else:
+            # row-major block id of every stored entry, in the narrowest
+            # type that names every block: NumPy's stable sort of an 8- or
+            # 16-bit key is a radix sort (0.2 ms against 1.2 ms for the
+            # int64 key on a 41k-entry adjacency, one pass fewer again
+            # under 256 blocks), and this sort is most of a split
+            key_dtype = next(
+                t for t in (np.uint8, np.uint16, np.int64)
+                if nr * nc - 1 <= np.iinfo(t).max
+            )
+            col_block = mat.indices // block_cols
+            keys = col_block.astype(key_dtype)
+            # nc itself may not fit the key (1 x 256 blocks): offsets in int64
+            keys += np.repeat(
+                (np.arange(nr) * nc).astype(key_dtype), np.diff(bounds)
+            )
+            order = np.argsort(keys, kind="stable")
+            self.data = mat.data.take(order)
+            # column inside its block, written over the block columns
+            col_block *= block_cols
+            np.subtract(mat.indices, col_block, out=col_block)
+            self.local = col_block.astype(idx_dtype, copy=False).take(order)
+            # a block starts where the sorted keys first reach its id
+            self.extents = np.append(
+                np.searchsorted(keys.take(order), np.arange(nr * nc, dtype=key_dtype)),
+                keys.size,
+            )
+        # every reader is handed the same blocks, and with one block column
+        # they are the stored operand's own bytes: read-only views
+        self.data, self.local = self.data.view(), self.local.view()
+        self.data.flags.writeable = self.local.flags.writeable = False
+        #: block row -> its list of CSR blocks, filled on first touch
+        self.rows: list[list | None] = [None] * nr
+
+    def block_row(self, i: int) -> list:
+        """The CSR blocks of block row ``i``, split once."""
+        blocks = self.rows[i]
+        if blocks is not None:
+            return blocks
+        nc, bc = self.nc, self.block_cols
+        r0 = i * self.block_rows
+        r1 = min(r0 + self.block_rows, self.shape[0])
+        nrows = r1 - r0
+        row_ptr = self.indptr[r0 : r1 + 1]
+        lo, hi = int(row_ptr[0]), int(row_ptr[-1])
+        idx_dtype = self.local.dtype
+        indptr = np.zeros((nc, nrows + 1), dtype=idx_dtype)
+        if nc == 1:
+            indptr[0] = row_ptr - lo
+        else:
+            # stored entries per (block column, local row), prefix-summed
+            # into every block's indptr at once
+            slot = (self.indices[lo:hi] // bc) * np.int64(nrows)
+            slot += np.repeat(np.arange(nrows), np.diff(row_ptr))
+            np.cumsum(
+                np.bincount(slot, minlength=nc * nrows).reshape(nc, nrows),
+                axis=1, out=indptr[:, 1:],
+            )
+        indptr.flags.writeable = False
+        extents = self.extents[i * nc : (i + 1) * nc + 1].tolist()
+        blocks = []
+        for b in range(nc):
+            blk = sp.csr_matrix.__new__(sp.csr_matrix)
+            blk.data = self.data[extents[b] : extents[b + 1]]
+            blk.indices = self.local[extents[b] : extents[b + 1]]
+            blk.indptr = indptr[b]
+            blk._shape = (nrows, min(bc, self.shape[1] - b * bc))
+            blocks.append(blk)
+        self.rows[i] = blocks
+        return blocks
 
 
 def block_nnz_grid(
@@ -133,6 +256,13 @@ def block_nnz_grid_reference(
 class PartitionedMatrix:
     """A matrix plus a block decomposition (Fig. 5) and its density table.
 
+    Sparse storage keeps one structure over the operand besides the
+    census: the block-major layout (:class:`_BlockLayout`), built by the
+    first block read and dropped when the view is rebound to a mutated
+    matrix.  Every block row is split once, however many there are, and
+    every reader (``block``, ``dense_block``, ``csr_blocks_for_row``) is
+    handed the same read-only block objects.
+
     Parameters
     ----------
     matrix:
@@ -180,13 +310,8 @@ class PartitionedMatrix:
                 f"got {nnz_grid.dtype} of shape {nnz_grid.shape}"
             )
         self._nnz_grid = nnz_grid
-        # Row-stripe cache for sparse matrices: tasks sweep blocks in
-        # row-major order, so converting each N-row stripe to CSC once
-        # makes the subsequent column slices O(nnz_block) instead of
-        # O(nnz_stripe) — the difference between seconds and minutes on
-        # Flickr/Reddit-scale adjacency matrices.
-        self._stripe_cache: dict[int, sp.csc_matrix] = {}
-        self._block_row_cache: dict[int, list] = {}
+        #: the block-major layout, built by the first sparse block read
+        self._layout: _BlockLayout | None = None
         self._row_sizes: np.ndarray | None = None
         self._col_sizes: np.ndarray | None = None
         self._density_grid: np.ndarray | None = None
@@ -220,74 +345,28 @@ class PartitionedMatrix:
     def block(self, i: int, j: int) -> MatrixLike:
         """Block (i, j) in the matrix's storage type (CSR or ndarray)."""
         self._check_index(i, j)
+        if self.is_sparse_storage:
+            return self.csr_blocks_for_row(i)[j]
         r0, c0 = i * self.block_rows, j * self.block_cols
-        r1 = min(r0 + self.block_rows, self.shape[0])
-        c1 = min(c0 + self.block_cols, self.shape[1])
-        if not self.is_sparse_storage:
-            return self.matrix[r0:r1, c0:c1]
-        stripe = self._stripe_cache.get(i)
-        if stripe is None:
-            stripe = self.matrix[r0:r1, :].tocsc()
-            self._stripe_cache[i] = stripe
-            if len(self._stripe_cache) > 512:  # bound stale stripes
-                self._stripe_cache.pop(next(iter(self._stripe_cache)))
-        return stripe[:, c0:c1].tocsr()
+        return self.matrix[r0 : r0 + self.block_rows, c0 : c0 + self.block_cols]
 
     def csr_blocks_for_row(self, i: int) -> list:
-        """All CSR blocks of block row ``i`` in one vectorised stripe split.
+        """All CSR blocks of block row ``i``, read off the block-major
+        layout (:class:`_BlockLayout`).
 
-        The per-block ``stripe[:, c0:c1].tocsr()`` slicing in
-        :meth:`block` is the simulator's hottest path on large graphs
-        (scipy's getitem + constructor overhead per block).  This method
-        splits a whole row stripe into its column blocks with one stable
-        argsort over the stripe's column-block ids plus bincount/cumsum
-        index arithmetic, then assembles each block's CSR arrays
-        directly.  Entry order within each block is identical to the
-        CSC-sliced path (row-major, columns ascending), so functional
-        products are bit-identical.  Only valid for sparse storage.
+        SciPy's own slicing costs a getitem and a constructor per block;
+        the layout splits the whole operand with one sort and hands every
+        caller the same block objects, which are not to be written to.
+        Inside a block
+        entries are row-major with ascending columns, the order SciPy's
+        own slicing gives, so functional products are bit-identical.
+        Only valid for sparse storage.
         """
         if not self.is_sparse_storage:
             raise TypeError("csr_blocks_for_row requires sparse storage")
-        blocks = self._block_row_cache.get(i)
-        if blocks is not None:
-            return blocks
-        r0 = i * self.block_rows
-        r1 = min(r0 + self.block_rows, self.shape[0])
-        stripe = self.matrix[r0:r1, :].tocsr()
-        stripe.sort_indices()
-        nrows = r1 - r0
-        nc = self.num_col_blocks
-        bc = self.block_cols
-        ncols = self.shape[1]
-        idx = stripe.indices
-        idx_dtype = idx.dtype
-        cb = idx // bc
-        order = np.argsort(cb, kind="stable")
-        data_s = stripe.data[order]
-        local_s = (idx - cb * bc).astype(idx_dtype, copy=False)[order]
-        entry_rows = np.repeat(
-            np.arange(nrows, dtype=np.int64), np.diff(stripe.indptr)
-        )
-        counts2d = np.bincount(
-            cb * nrows + entry_rows, minlength=nc * nrows
-        ).reshape(nc, nrows)
-        indptr2d = np.zeros((nc, nrows + 1), dtype=np.int64)
-        np.cumsum(counts2d, axis=1, out=indptr2d[:, 1:])
-        offsets = np.concatenate(([0], np.cumsum(indptr2d[:, -1])))
-        blocks = []
-        for b in range(nc):
-            w = min(bc, ncols - b * bc)
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            blk = sp.csr_matrix.__new__(sp.csr_matrix)
-            blk.data = data_s[lo:hi]
-            blk.indices = local_s[lo:hi]
-            blk.indptr = indptr2d[b].astype(idx_dtype, copy=False)
-            blk._shape = (nrows, w)
-            blocks.append(blk)
-        self._block_row_cache[i] = blocks
-        if len(self._block_row_cache) > 512:  # bound stale stripes
-            self._block_row_cache.pop(next(iter(self._block_row_cache)))
-        return blocks
+        if self._layout is None:
+            self._layout = _BlockLayout(self.matrix, self.block_rows, self.block_cols)
+        return self._layout.block_row(i)
 
     def dense_block(self, i: int, j: int) -> np.ndarray:
         return as_dense(self.block(i, j))
@@ -369,11 +448,12 @@ class PartitionedMatrix:
         ``added_*`` / ``removed_*`` are the coordinates whose population
         changed (zero -> nonzero and nonzero -> zero respectively); value
         changes between nonzeros need no grid update.  The per-block nnz
-        grid is adjusted in O(delta), touched row-stripe caches are
-        dropped, and the density grid is invalidated — no re-scan of the
-        matrix happens.  Returns the unique dirty ``(block_i, block_j)``
-        coordinates as an ``(n, 2)`` array (the blocks whose density
-        changed, which is what the Analyzer must re-decide).
+        grid is adjusted in O(delta + blocks), the block-major layout and
+        the density grid are dropped (the next block read re-splits the
+        new matrix) — no re-scan of the matrix happens here.  Returns the
+        unique dirty ``(block_i, block_j)`` coordinates as an ``(n, 2)``
+        array (the blocks whose density changed, which is what the
+        Analyzer must re-decide).
         """
         if tuple(new_matrix.shape) != self.shape:
             raise ValueError(
@@ -391,23 +471,30 @@ class PartitionedMatrix:
 
         # stage the grid update on a copy so a validation failure leaves
         # the view untouched rather than half-patched
-        bi = np.concatenate((added_rows, removed_rows)) // self.block_rows
-        bj = np.concatenate((added_cols, removed_cols)) // self.block_cols
-        if bi.size:
-            signs = np.concatenate(
-                (
-                    np.ones(added_rows.size, dtype=np.int64),
-                    -np.ones(removed_rows.size, dtype=np.int64),
-                )
-            )
-            grid = self._nnz_grid.copy()
-            np.add.at(grid, (bi, bj), signs)
+        nc = self.num_col_blocks
+        rows = np.concatenate((added_rows, removed_rows))
+        cols = np.concatenate((added_cols, removed_cols))
+        if rows.size:
+            if (
+                min(rows.min(), cols.min()) < 0
+                or rows.max() >= self.shape[0]
+                or cols.max() >= self.shape[1]
+            ):
+                raise IndexError(f"delta coordinate outside shape {self.shape}")
+            # row-major block id of every flipped coordinate
+            flat = rows // self.block_rows * nc + cols // self.block_cols
+            blocks = self.num_blocks
+            grid = (
+                self._nnz_grid.ravel()
+                + np.bincount(flat[: added_rows.size], minlength=blocks)
+                - np.bincount(flat[added_rows.size :], minlength=blocks)
+            ).reshape(self._nnz_grid.shape)
             if grid.min() < 0:
                 raise ValueError(
                     "nnz grid went negative: removed coordinates were not "
                     "all populated"
                 )
-            dirty = np.unique(np.stack((bi, bj), axis=1), axis=0)
+            dirty = np.stack(np.divmod(sorted_unique(flat), nc), axis=1)
         else:
             grid = self._nnz_grid
             dirty = np.empty((0, 2), dtype=np.int64)
@@ -418,10 +505,8 @@ class PartitionedMatrix:
             self.matrix = np.ascontiguousarray(np.asarray(new_matrix, dtype=DTYPE))
         self._nnz_grid = grid
         self._density_grid = None
-        # every cached stripe observes the old bytes; rebinding the matrix
-        # invalidates them all (stripes rebuild lazily on next access)
-        self._stripe_cache.clear()
-        self._block_row_cache.clear()
+        # the layout observes the old bytes; the next block read rebuilds it
+        self._layout = None
         return dirty
 
     @classmethod

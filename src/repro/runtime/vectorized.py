@@ -14,8 +14,11 @@ runs the same semantics as four batched passes over the whole kernel:
    cycle arrays via the batched unit formulas in :mod:`repro.hw`.
 2. **Functional** — per executed task (original order, preserving the
    float32 accumulation order and assembly write order bit for bit), one
-   native call per operand pair.  A CSR X block
-   (:meth:`PartitionedMatrix.csr_blocks_for_row`) goes through
+   native call per operand pair.  A CSR X block (a slice of the
+   operand's block-major layout, which the first
+   :meth:`PartitionedMatrix.csr_blocks_for_row` of a view builds in one
+   pass: the first inference after a patch is a warm one plus that
+   split) goes through
    ``csr_matvecs`` against a dense Y block as it is, or against a CSR Y
    block expanded into one reusable partition-sized scratch
    (:func:`_accumulate_csr_product`, which carries the exactness

@@ -307,7 +307,10 @@ class TestCsrBlocksForRow:
             blocks = pm.csr_blocks_for_row(i)
             assert len(blocks) == pm.num_col_blocks
             for j, blk in enumerate(blocks):
-                ref = pm.block(i, j)
+                # SciPy's own slicing, not pm.block: both read one layout
+                ref = mat[i * 16 : (i + 1) * 16, j * 12 : (j + 1) * 12]
+                ref.sort_indices()
+                assert pm.block(i, j) is blk
                 assert blk.shape == ref.shape
                 np.testing.assert_array_equal(blk.indptr, ref.indptr)
                 np.testing.assert_array_equal(blk.indices, ref.indices)

@@ -76,8 +76,17 @@ def numbered(requests: list) -> list:
 
 
 def exec_s(srv: InferenceServer, **overrides) -> float:
-    """Warm one program; returns its one-request execution time."""
-    return srv.serve([request(**overrides)]).responses[0].execute_s
+    """Warm one program; returns its one-request execution time.
+
+    The compile is charged a constant 1 ms.  The continuous loop books a
+    cold execution segment by segment from the instant its compile ends,
+    so the seconds the response reports are rounded at the magnitude of
+    the compile's host time: a compile slower than 2**-9 s (1.95 ms; it
+    takes about 1.2) moves them by a few ulp, and with them every arrival
+    time a cell derives from this number.  The table was recorded below
+    that bound, where any compile time gives the same float."""
+    with mock.patch.object(CompileTimings, "total_s", property(lambda self: 1e-3)):
+        return srv.serve([request(**overrides)]).responses[0].execute_s
 
 
 def warm_then_serve(srv: InferenceServer, requests: list):
