@@ -15,6 +15,7 @@ light load to overload.  The headline claims this bench checks:
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
 from repro.serve import InferenceRequest, InferenceServer, synthesize
+from repro.serve.comparison import serving_comparison
 
 CFG = u250_default()
 MODELS = ("GCN", "GIN")
@@ -33,13 +34,6 @@ def _server(pool_size: int) -> InferenceServer:
     )
 
 
-def _saturating_rate(pool_size: int) -> float:
-    """Arrival rate offering ~8x the pool's service capacity."""
-    probes = [InferenceRequest(model=m, dataset=d)
-              for m in MODELS for d in DATASETS]
-    return _server(1).saturating_rate(probes, pool_size=pool_size)
-
-
 def _workload(rate_rps: float):
     return synthesize(
         NUM_REQUESTS,
@@ -52,15 +46,12 @@ def _workload(rate_rps: float):
 
 
 def _pool_sweep():
-    rate = _saturating_rate(pool_size=8)
-    workload = _workload(rate)
-    rows = []
-    for pool in (1, 2, 4, 8):
-        server = _server(pool)
-        server.serve(workload)          # cold: populate the cache
-        warm = server.serve(workload)   # warm: pure pool scaling
-        rows.append((pool, warm))
-    return rows
+    """Warm report per pool size, on one stream saturating the largest."""
+    comparison = serving_comparison(
+        NUM_REQUESTS, pools=(1, 2, 4, 8), models=MODELS, datasets=DATASETS,
+        seed=17, max_batch_size=MAX_BATCH, config=CFG,
+    )
+    return [(pool, warm) for pool, (_, warm) in comparison.sweeps.items()]
 
 
 def _pool_table(rows):

@@ -19,11 +19,8 @@ Runs two ways:
 import argparse
 import sys
 
-import numpy as np
-
-from _common import Metric, emit, format_table, get_program, register_bench
-from repro.runtime.executor import run_strategy
-from repro.shard import run_sharded
+from _common import Metric, emit, get_program, register_bench
+from repro.shard.scaling import shard_scaling_sweep
 
 SHARD_COUNTS = (2, 4)
 #: PubMed at full scale: big enough that 28 Aggregate block rows split
@@ -35,34 +32,7 @@ MIN_SPEEDUP_4DEV = 2.0
 
 def sweep(model_name: str, ds_name: str):
     """Single-device baseline + one sharded run per shard count."""
-    program = get_program(model_name, ds_name)
-    single = run_strategy(program, "Dynamic")
-    runs = {}
-    for n in SHARD_COUNTS:
-        result = run_sharded(program, n)
-        exact = bool(np.array_equal(
-            result.output_dense(), single.output_dense()
-        ))
-        runs[n] = (result, exact)
-    return single, runs
-
-
-def _table(single, runs) -> str:
-    rows = [["1", f"{single.latency_ms:.4f}", "1.00x", "0", "0.0%", "-",
-             "yes"]]
-    for n, (r, exact) in sorted(runs.items()):
-        rows.append([
-            str(r.num_shards), f"{r.latency_ms:.4f}",
-            f"{r.speedup_vs(single):.2f}x", f"{r.halo_bytes:,}",
-            f"{r.halo_fraction * 100:.1f}%", f"{r.load_balance():.3f}",
-            "yes" if exact else "NO",
-        ])
-    return format_table(
-        ["shards", "latency (ms)", "speedup", "halo bytes", "halo %",
-         "balance", "bit-exact"],
-        rows,
-        title="S1: sharded scaling vs device count (modelled)",
-    )
+    return shard_scaling_sweep(get_program(model_name, ds_name), SHARD_COUNTS)
 
 
 @register_bench(
@@ -77,13 +47,12 @@ def _table(single, runs) -> str:
 )
 def _spec(ctx):
     """Sharded multi-device scaling: speedup and halo fraction."""
-    cfg = SMOKE if ctx.smoke else FULL
-    single, runs = sweep(**cfg)
-    emit("bench_sharded_scaling", _table(single, runs))
-    assert all(exact for _, exact in runs.values()), (
+    result = sweep(**(SMOKE if ctx.smoke else FULL))
+    emit("bench_sharded_scaling", result.format_report())
+    assert not result.mismatches, (
         "sharded output diverged from the single-device run"
     )
-    r4 = runs[4][0]
+    single, r4 = result.single, result.runs[4]
     speedup4 = r4.speedup_vs(single)
     assert speedup4 >= MIN_SPEEDUP_4DEV, (
         f"4-device modelled speedup {speedup4:.2f}x below "
@@ -91,7 +60,7 @@ def _spec(ctx):
     )
     return {
         "speedup_2dev": Metric(
-            "speedup_2dev", runs[2][0].speedup_vs(single), "x", "higher"
+            "speedup_2dev", result.runs[2].speedup_vs(single), "x", "higher"
         ),
         "speedup_4dev": Metric("speedup_4dev", speedup4, "x", "higher"),
         "halo_fraction_4dev": Metric(
@@ -105,13 +74,13 @@ def _spec(ctx):
 
 def test_sharded_bit_exact_and_scaling(benchmark):
     """>=2x modelled speedup at 4 devices, outputs bit-exact throughout."""
-    single, runs = benchmark.pedantic(
+    result = benchmark.pedantic(
         lambda: sweep(**SMOKE), rounds=1, iterations=1
     )
-    emit("bench_sharded_scaling", _table(single, runs))
-    assert all(exact for _, exact in runs.values())
-    assert runs[4][0].speedup_vs(single) >= MIN_SPEEDUP_4DEV
-    assert 0.0 < runs[4][0].halo_fraction < 1.0
+    emit("bench_sharded_scaling", result.format_report())
+    assert not result.mismatches
+    assert result.runs[4].speedup_vs(result.single) >= MIN_SPEEDUP_4DEV
+    assert 0.0 < result.runs[4].halo_fraction < 1.0
 
 
 def main(argv=None) -> int:
@@ -121,24 +90,18 @@ def main(argv=None) -> int:
         help="smoke instance (PubMed; the full tier sweeps Flickr)",
     )
     args = parser.parse_args(argv)
-    cfg = SMOKE if args.smoke else FULL
-    single, runs = sweep(**cfg)
-    print(_table(single, runs))
+    result = sweep(**(SMOKE if args.smoke else FULL))
+    print(result.format_report())
 
-    failures = []
-    if not all(exact for _, exact in runs.values()):
-        failures.append("sharded output diverged from single-device run")
-    speedup4 = runs[4][0].speedup_vs(single)
+    r4 = result.runs[4]
+    speedup4 = r4.speedup_vs(result.single)
     if speedup4 < MIN_SPEEDUP_4DEV:
-        failures.append(
-            f"4-device speedup {speedup4:.2f}x below {MIN_SPEEDUP_4DEV}x"
-        )
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
+        print(f"\nFAIL: 4-device speedup {speedup4:.2f}x below "
+              f"{MIN_SPEEDUP_4DEV}x")
+    if result.mismatches or speedup4 < MIN_SPEEDUP_4DEV:
         return 1
     print(f"\nOK: bit-exact at {SHARD_COUNTS} shards; 4-device speedup "
-          f"{speedup4:.2f}x, halo fraction "
-          f"{runs[4][0].halo_fraction:.1%}")
+          f"{speedup4:.2f}x, halo fraction {r4.halo_fraction:.1%}")
     return 0
 
 

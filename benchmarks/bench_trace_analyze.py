@@ -48,10 +48,7 @@ def measure(*, model, dataset, scale, shards, config):
     engine = Engine(config, pool_size=shards, tracer=tracer)
     handle = engine.compile(model, dataset, scale=scale, shards=shards)
     result = engine.infer(handle, backend="sharded")
-    trace_model = TraceModel.from_tracer(tracer, meta={
-        "expected_total_s": result.latency_s,
-        "num_cores": config.num_cores,
-    })
+    trace_model = TraceModel.from_tracer(tracer, meta=result.trace_meta())
 
     t0 = time.perf_counter()
     att = attribute(trace_model)

@@ -1,138 +1,98 @@
 """Command-line interface: ``python -m repro``.
 
-Gives downstream users the paper's core experiment without writing code:
+The paper's core experiment, and the subsystems grown around it, without
+writing code:
 
     python -m repro run --model GCN --dataset CO --strategy Dynamic
-    python -m repro run --dataset RE --backend hetero
+    python -m repro run --dataset RE --backend hetero --json
     python -m repro compare --model GCN --dataset CI
-    python -m repro resources
-    python -m repro datasets
     python -m repro serve-bench --pool 4 --requests 200 --arrival poisson
     python -m repro shard-bench --dataset PU --shards 2,4
     python -m repro trace GCN PU --shards 4 --out trace.json
-    python -m repro trace-analyze trace.json --what-if overlap-halo
-    python -m repro dyngraph-bench --dataset PU --edge-fraction 0.01
-    python -m repro engine-bench --repeats 9
 
-Every subcommand drives the :class:`~repro.engine.core.Engine` facade —
-the same entry point library users get — so the CLI exercises the
-production path, not a parallel wiring.  Latency, primitive histogram and
-overhead are printed in the paper's units; ``compare`` reproduces one
-cell of Table VII; ``run --backend cpu|gpu|hetero`` prices the program on
-the analytical backends instead of the cycle-accurate simulator.
-``serve-bench`` replays a synthetic request stream through the batched
-multi-accelerator server four times — cold then warm (program cache
-populated) on one device, cold then warm on ``--pool`` devices — and
-prints each sweep's :class:`~repro.serve.server.ServingReport` —
-throughput, latency percentiles, queueing delay, cache hit rate and
-per-device utilization — plus a scaling/caching summary.  ``engine-bench``
-measures the facade's own overhead against bare ``run_strategy``.
+Every subcommand is **parse -> call -> emit**: build arguments from the
+flags, make the library call a Python user would make (the
+:class:`~repro.engine.core.Engine` facade, or the experiment that sits
+beside its subject: ``repro.shard.scaling``, ``repro.serve.comparison``,
+``repro.dyngraph.churn``, ``repro.engine.overhead``), and hand the result
+to :func:`_emit`.  Results print (``format_report()``) and serialise
+(``to_dict()``, under ``--json``) themselves; nothing here knows a
+result's fields.
+
+Checks live at the library boundary.  A range or membership check on a
+value the library call also receives belongs in the function or
+constructor it feeds, raised as a ``ValueError`` / ``KeyError`` naming the
+argument; :func:`main` turns those into one ``<command>: <library
+message>`` line and exit status 1.  Only argument *parsing* (``--shards
+two``) is rejected here.  The gate runners (``bench`` / ``perf-diff`` in
+``repro.perf.cli``, ``staticcheck`` in ``repro.staticcheck.cli``) wire
+their own subcommands: they report on the repository, not on a run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
-from repro import (
-    Engine,
-    backend_names,
-    estimate_resources,
-    make_strategy,
-    u250_default,
-)
-from repro.datasets import DATASET_NAMES, TABLE_VI
+from repro import Engine, backend_names, estimate_resources, u250_default
+from repro.baselines.cpu_gpu import OutOfMemoryError
+from repro.datasets import DATASET_NAMES, format_catalog
 from repro.gnn import MODEL_NAMES
-from repro.harness import format_table, sci, speedup_fmt
-from repro.serve import (
-    ARRIVAL_KINDS,
-    SCHEDULERS,
-    InferenceRequest,
-    InferenceServer,
-    synthesize,
-)
+from repro.serve import ARRIVAL_KINDS, SCHEDULERS
 
 
-def _compile(args, engine: Engine):
+def _emit(args, result, ok: bool = True, out: str | None = None) -> int:
+    """The one emitter: print the result's own report (its ``to_dict()``
+    as JSON under ``--json``), write the same text to ``out`` when given,
+    and return the exit status."""
+    if getattr(args, "json", False):
+        text = json.dumps(result.to_dict(), indent=2)
+    else:
+        text = result.format_report()
+    print(text)
+    if out:
+        path = Path(out)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n")
+        print(f"report written to {path}")
+    return 0 if ok else 1
+
+
+def _names(value: str) -> list[str]:
+    """A comma-separated flag value as a list of names."""
+    return [name.strip() for name in value.split(",") if name.strip()]
+
+
+def _pick(args, *names: str) -> dict:
+    """The named flags as keyword arguments, where a flag and the library
+    parameter it feeds share a name."""
+    return {name: getattr(args, name) for name in names}
+
+
+def _compile(args, engine: Engine, **kwargs):
     return engine.compile(
         args.model, args.dataset, scale=args.scale, seed=args.seed,
-        prune=args.prune,
+        prune=args.prune, **kwargs,
     )
 
 
 def cmd_run(args) -> int:
-    from repro.baselines.cpu_gpu import OutOfMemoryError
-
     engine = Engine(u250_default())
-    handle = _compile(args, engine)
-    try:
-        result = engine.infer(handle, strategy=args.strategy,
-                              backend=args.backend)
-    except OutOfMemoryError as exc:
-        # the paper's N/A cells (e.g. NELL on PyG-GPU): a clean CLI
-        # error, not a traceback
-        raise SystemExit(f"run: {exc}")
-    if args.json:
-        if hasattr(result, "to_dict"):
-            payload = result.to_dict()
-        else:
-            payload = {
-                "model": handle.model_name,
-                "dataset": handle.data_name,
-                "latency_ms": result.latency_ms,
-            }
-            if hasattr(result, "framework"):
-                payload["framework"] = result.framework
-        payload["backend"] = args.backend
-        print(json.dumps(payload, indent=2))
-        return 0
-    print(f"{handle.model_name} on {handle.data_name} "
-          f"(scale {handle.data.scale}), strategy {args.strategy}, "
-          f"backend {args.backend}:")
-    print(f"  latency           : {sci(result.latency_ms)} ms")
-    if args.backend != "simulated":
-        # analytical backends price the schedule; only the simulator
-        # carries per-kernel cycle accounting
-        if hasattr(result, "device_seconds"):
-            per_dev = ", ".join(
-                f"{d}: {s * 1e3:.4f} ms" for d, s in result.device_seconds.items()
-            )
-            print(f"  device seconds    : {per_dev}")
-            print(f"  primitives        : "
-                  f"{ {p.value: c for p, c in result.primitive_counts.items()} }")
-        if hasattr(result, "framework"):
-            print(f"  framework model   : {result.framework}")
-        return 0
-    print(f"  kernels/tasks/pairs: {handle.program.num_kernels}/"
-          f"{result.num_tasks}/{result.num_pairs}")
-    print(f"  primitives        : "
-          f"{ {p.value: c for p, c in result.primitive_totals.items()} }")
-    print(f"  runtime overhead  : {result.overhead_fraction * 100:.2f}%")
-    print(f"  load balance      : {result.load_balance():.3f}")
-    return 0
+    return _emit(args, engine.infer(
+        _compile(args, engine), strategy=args.strategy, backend=args.backend
+    ))
 
 
 def cmd_compare(args) -> int:
+    from repro.analysis.compare import format_comparison
+
     engine = Engine(u250_default())
     handle = _compile(args, engine)
-    results = {
-        strat: engine.infer(handle, strategy=strat)
-        for strat in ("S1", "S2", "Dynamic")
-    }
-    dyn = results["Dynamic"]
-    rows = [
-        [s, sci(results[s].latency_ms),
-         speedup_fmt(results[s].total_cycles / dyn.total_cycles)]
-        for s in ("S1", "S2", "Dynamic")
-    ]
-    print(format_table(
-        ["strategy", "latency (ms)", "vs Dynamic"],
-        rows, title=f"{handle.model_name} on {handle.data_name} "
-                    f"(Table VII cell)",
-    ))
+    dynamic = engine.infer(handle, strategy="Dynamic")
+    for static in ("S1", "S2"):  # one Table VII cell, kernel by kernel
+        print(format_comparison(dynamic, engine.infer(handle, strategy=static)))
     return 0
 
 
@@ -140,637 +100,113 @@ def cmd_engine_bench(args) -> int:
     from repro.config import small_test_config
     from repro.engine.overhead import measure_facade_overhead
 
-    if args.repeats < 1:
-        raise SystemExit("engine-bench: --repeats must be >= 1")
-    config = u250_default() if args.full_config else small_test_config()
-    result = measure_facade_overhead(
-        model=args.model,
-        dataset=args.dataset,
-        scale=args.scale,
-        strategy=args.strategy,
-        repeats=args.repeats,
-        config=config,
-    )
-    print(result.format_report())
-    return 0
+    return _emit(args, measure_facade_overhead(
+        config=u250_default() if args.full_config else small_test_config(),
+        **_pick(args, "model", "dataset", "scale", "strategy", "repeats"),
+    ))
 
 
 def cmd_shard_bench(args) -> int:
-    import numpy as np
+    from repro.shard.scaling import shard_scaling_sweep
 
     try:
-        counts = sorted({int(s) for s in args.shards.split(",") if s.strip()})
+        counts = [int(n) for n in _names(args.shards)]
     except ValueError:
         raise SystemExit(
             f"shard-bench: --shards must be comma-separated integers, "
             f"got {args.shards!r}"
         )
-    if not counts or any(c < 1 for c in counts):
-        raise SystemExit("shard-bench: --shards entries must be >= 1")
-    engine = Engine(u250_default(), pool_size=max(counts))
-    handle = _compile(args, engine)
-    single = engine.infer(handle, strategy=args.strategy)
-    if not args.json:
-        print(f"{handle.model_name} on {handle.data_name} "
-              f"(scale {handle.data.scale}), strategy {args.strategy}: "
-              f"single-device latency {sci(single.latency_ms)} ms")
-
-    rows, mismatches, sweeps = [], [], []
-    last = None
-    for n in counts:
-        h = engine.compile(args.model, args.dataset, scale=args.scale,
-                           seed=args.seed, prune=args.prune, shards=n)
-        if h.shard_plan is None:  # shards=1 compiles unsharded by design
-            from repro.shard import plan_shards
-
-            h.shard_plan = plan_shards(h.program, n)
-        result = engine.infer(h, strategy=args.strategy, backend="sharded")
-        last = result
-        exact = bool(np.array_equal(
-            result.output_dense(), single.output_dense()
-        ))
-        if not exact:
-            mismatches.append(n)
-        if args.json:
-            sweep = result.to_dict()
-            sweep["speedup"] = result.speedup_vs(single)
-            sweep["bit_exact"] = exact
-            sweeps.append(sweep)
-        rows.append([
-            result.num_shards, sci(result.latency_ms),
-            speedup_fmt(result.speedup_vs(single)),
-            f"{result.halo_bytes:,}",
-            f"{result.halo_fraction * 100:.1f}%",
-            f"{result.load_balance():.3f}",
-            "yes" if exact else "NO",
-        ])
-    if args.json:
-        print(json.dumps({
-            "single_device": single.to_dict(),
-            "sweeps": sweeps,
-            "mismatched_shard_counts": mismatches,
-        }, indent=2))
-        return 1 if mismatches else 0
-    print(format_table(
-        ["shards", "latency (ms)", "speedup", "halo bytes", "halo %",
-         "balance", "bit-exact"],
-        rows, title="sharded scaling vs single device (modelled)",
-    ))
-    if args.plan and last is not None:
-        print("\n" + last.plan.describe())
-    if mismatches:
-        print(f"\nFAIL: sharded output diverges from the single-device "
-              f"run at shard count(s) {mismatches}")
-        return 1
-    return 0
+    program = _compile(args, Engine(u250_default())).program
+    sweep = shard_scaling_sweep(program, counts, strategy=args.strategy)
+    status = _emit(args, sweep, ok=not sweep.mismatches)
+    if args.plan and not args.json:
+        print("\n" + sweep.runs[max(sweep.runs)].plan.describe())
+    return status
 
 
 def cmd_serve_bench(args) -> int:
-    config = u250_default()
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
-    datasets = [d.strip() for d in args.datasets.split(",") if d.strip()]
-    if args.pool < 1:
-        raise SystemExit("serve-bench: --pool must be >= 1")
-    if not models or any(m not in MODEL_NAMES for m in models):
-        raise SystemExit(
-            f"serve-bench: --models must be a comma-separated subset of "
-            f"{MODEL_NAMES}, got {args.models!r}"
-        )
-    if not datasets or any(d not in DATASET_NAMES for d in datasets):
-        raise SystemExit(
-            f"serve-bench: --datasets must be a comma-separated subset of "
-            f"{DATASET_NAMES}, got {args.datasets!r}"
-        )
-    if args.rate is not None and args.rate <= 0:
-        raise SystemExit("serve-bench: --rate must be positive")
-    if args.max_batch < 1:
-        raise SystemExit("serve-bench: --max-batch must be >= 1")
-    if args.cache < 1:
-        raise SystemExit("serve-bench: --cache must be >= 1")
-    if args.max_wait_ms < 0:
-        raise SystemExit("serve-bench: --max-wait-ms must be >= 0")
-    if args.requests < 1:
-        raise SystemExit("serve-bench: --requests must be >= 1")
-    if not 0.0 <= args.prune <= 1.0:
-        raise SystemExit("serve-bench: --prune must be in [0, 1]")
-    if args.skew < 0:
-        raise SystemExit("serve-bench: --skew must be >= 0")
-    if args.scale is not None and not 0.0 < args.scale <= 1.0:
-        raise SystemExit("serve-bench: --scale must be in (0, 1]")
-    if not 0.0 <= args.class_skew <= 1.0:
-        raise SystemExit("serve-bench: --class-skew must be in [0, 1]")
-    if args.slo_p99_ms is not None and args.slo_p99_ms <= 0:
-        raise SystemExit("serve-bench: --slo-p99-ms must be positive")
-    if args.queue_bound is not None and args.queue_bound < 1:
-        raise SystemExit("serve-bench: --queue-bound must be >= 1")
-    if args.scheduler != "continuous" and (
-        args.queue_bound is not None or args.autoscale
-    ):
-        raise SystemExit(
-            "serve-bench: --queue-bound/--autoscale require "
-            "--scheduler continuous"
-        )
-    try:
-        make_strategy(args.strategy, config)
-    except (ValueError, KeyError) as exc:
-        raise SystemExit(f"serve-bench: invalid --strategy: {exc}")
-    max_wait_s = args.max_wait_ms * 1e-3
+    from repro.serve.comparison import serving_comparison
 
-    slo_policy = None
-    if args.scheduler == "continuous" or args.slo_p99_ms is not None:
-        from repro.sched import SLOPolicy
-
-        slo_policy = SLOPolicy.default(
-            interactive_target_p99_s=(
-                None if args.slo_p99_ms is None else args.slo_p99_ms * 1e-3
-            ),
-            interactive_queue_depth=args.queue_bound,
-            bulk_queue_depth=args.queue_bound,
-        )
-
-    tracer = None
-    if args.trace:
-        from repro.obs import Tracer
-
-        tracer = Tracer()
-
-    def new_server(pool_size: int, traced: bool = False) -> InferenceServer:
-        # each sweep family gets its own engine (cache + device pool);
-        # the server is a serving front-end over it
-        engine = Engine(config, pool_size=pool_size,
-                        cache_capacity=args.cache,
-                        tracer=tracer if traced else None)
-        admission = autoscaler = None
-        if args.scheduler == "continuous":
-            from repro.sched import AdmissionController, PoolAutoscaler
-
-            if args.queue_bound is not None:
-                admission = AdmissionController(slo_policy)
-            if args.autoscale:
-                autoscaler = PoolAutoscaler(min_devices=1)
-        return InferenceServer(
-            engine=engine,
-            max_batch_size=args.max_batch,
-            max_wait_s=max_wait_s,
-            return_outputs=False,
-            scheduler=args.scheduler,
-            slo_policy=slo_policy,
-            admission=admission,
-            autoscaler=autoscaler,
-        )
-
-    rate = args.rate
-    if rate is None:
-        # calibrate the arrival rate to a multiple of the pool's service
-        # capacity so the scaling comparison runs against a saturating
-        # workload
-        factor = 8.0
-        probe = new_server(1)
-        probes = [
-            InferenceRequest(
-                model=m, dataset=d, strategy=args.strategy,
-                prune=args.prune, scale=args.scale, seed=args.seed,
-            )
-            for m in models for d in datasets
-        ]
-        rate = probe.saturating_rate(probes, pool_size=args.pool,
-                                     factor=factor)
-        if not args.json:
-            print(f"calibrated arrival rate: {rate:,.0f} req/s "
-                  f"(~{factor:.0f}x the {args.pool}-device pool's service "
-                  f"capacity)")
-
-    workload = synthesize(
+    return _emit(args, serving_comparison(
         args.requests,
-        arrival=args.arrival,
-        rate_rps=rate,
-        models=models,
-        datasets=datasets,
-        strategies=(args.strategy,),
-        prune_levels=(args.prune,),
-        scale=args.scale,
-        skew=args.skew,
-        seed=args.seed,
-        class_skew=args.class_skew,
-    )
-
-    quiet = args.json
-    baseline_server = new_server(1)
-    baseline = baseline_server.serve(workload)
-    if not quiet:
-        print(f"\n== cold sweep, pool size 1 ==\n{baseline.format_report()}")
-    baseline_warm = baseline_server.serve(workload)
-    if not quiet:
-        print(f"\n== warm sweep, pool size 1 ==\n"
-              f"{baseline_warm.format_report()}")
-    server = new_server(args.pool, traced=tracer is not None)
-    cold = server.serve(workload)
-    if tracer is not None:
-        # the cold pool sweep is the interesting trace: compiles, batch
-        # formation, queueing and per-device dispatch all happen there
-        from repro.obs import write_trace
-
-        path = write_trace(tracer, args.trace, meta={
-            "source": "serve-bench",
-            "pool_size": args.pool,
-            "requests": args.requests,
-            "sweep": "cold",
-        })
-        tracer.clear()  # keep the warm sweep's records separate
-        if not quiet:
-            print(f"\ntrace of the cold pool sweep written to {path}")
-    if not quiet:
-        print(f"\n== cold sweep, pool size {args.pool} ==\n"
-              f"{cold.format_report()}")
-    warm = server.serve(workload)
-    if not quiet:
-        print(f"\n== warm sweep, pool size {args.pool} ==\n"
-              f"{warm.format_report()}")
-
-    # warm-vs-warm isolates pool scaling from one-time compile charges
-    scaling = (
-        warm.throughput_rps / baseline_warm.throughput_rps
-        if baseline_warm.throughput_rps else 0.0
-    )
-    if args.json:
-        print(json.dumps({
-            "arrival_rate_rps": rate,
-            "pool_size": args.pool,
-            "sweeps": {
-                "cold_pool1": baseline.to_dict(),
-                "warm_pool1": baseline_warm.to_dict(),
-                f"cold_pool{args.pool}": cold.to_dict(),
-                f"warm_pool{args.pool}": warm.to_dict(),
-            },
-            "throughput_scaling": scaling,
-        }, indent=2))
-        return 0
-    print("\nsummary:")
-    print(f"  throughput scaling : {scaling:.2f}x with {args.pool} devices "
-          f"(ideal {args.pool:.2f}x, warm cache)")
-    print(f"  warm cache         : {warm.cache_misses} recompiles, hit rate "
-          f"{warm.cache_hit_rate * 100:.1f}%, "
-          f"compile time saved {warm.compile_saved_s * 1e3:.1f} ms")
-    print(f"  warm vs cold p50   : {cold.latency_p50_s * 1e3:.3f} ms -> "
-          f"{warm.latency_p50_s * 1e3:.3f} ms")
-    if args.scheduler == "continuous":
-        print(f"  goodput (warm)     : {warm.goodput_rps:,.0f} req/s of "
-              f"{warm.throughput_rps:,.0f} req/s throughput")
-        print(f"  continuous batching: {warm.joined_requests} joined, "
-              f"{warm.shed_requests} shed, {warm.deferred_requests} "
-              f"deferred, {warm.preemptions} preemptions")
-    return 0
+        pools=(1, args.pool),
+        rate_rps=args.rate,
+        models=_names(args.models),
+        datasets=_names(args.datasets),
+        max_batch_size=args.max_batch,
+        max_wait_s=args.max_wait_ms * 1e-3,
+        cache_capacity=args.cache,
+        slo_p99_s=None if args.slo_p99_ms is None else args.slo_p99_ms * 1e-3,
+        **_pick(args, "arrival", "strategy", "prune", "scale", "skew",
+                "class_skew", "seed", "scheduler", "queue_bound",
+                "autoscale", "trace"),
+    ))
 
 
 def cmd_trace(args) -> int:
-    from repro.obs import (
-        Tracer,
-        flame_summary,
-        to_perfetto,
-        validate_trace,
-        write_jsonl,
-        write_trace,
-    )
+    from repro.obs import TraceCheck, Tracer, export_run, validate_trace
 
-    if args.rtol <= 0:
-        raise SystemExit("trace: --rtol must be positive")
     if args.validate is not None:
-        errors = validate_trace(args.validate, rtol=args.rtol)
-        if errors:
-            for err in errors:
-                print(f"invalid: {err}")
-            return 1
-        print(f"{args.validate}: trace is valid")
-        return 0
-
-    if args.shards < 1:
-        raise SystemExit("trace: --shards must be >= 1")
-    tracer = Tracer(task_spans=not args.no_task_spans)
-    engine = Engine(u250_default(), pool_size=args.shards, tracer=tracer)
-    handle = engine.compile(
-        args.model, args.dataset, scale=args.scale, seed=args.seed,
-        prune=args.prune, shards=args.shards,
-    )
-    if args.shards > 1:
-        result = engine.infer(handle, strategy=args.strategy,
-                              backend="sharded")
-        reconcile_cats = ["layer"]
+        check = TraceCheck(
+            args.validate, validate_trace(args.validate, rtol=args.rtol)
+        )
     else:
-        result = engine.infer(handle, strategy=args.strategy)
-        reconcile_cats = ["kernel", "exposed"]
-    config = engine.config
-    meta = {
-        "model": handle.model_name,
-        "dataset": handle.data_name,
-        "strategy": args.strategy,
-        "shards": args.shards,
-        "expected_total_s": result.latency_s,
-        "reconcile_cats": reconcile_cats,
-        # accelerator parameters the what-if projections scale against
-        "num_cores": config.num_cores,
-        "pcie_gbps": config.memory.pcie_gbps,
-    }
-    path = write_trace(tracer, args.out, meta=meta)
-    errors = validate_trace(to_perfetto(tracer, meta=meta), rtol=args.rtol)
-    print(f"{handle.model_name} on {handle.data_name}, "
-          f"{args.shards} shard(s): latency {sci(result.latency_ms)} ms")
-    print(f"trace written to {path} — load it at https://ui.perfetto.dev")
-    if args.jsonl:
-        print(f"event log written to {write_jsonl(tracer, args.jsonl)}")
-    print(flame_summary(tracer, top=args.top))
-    if errors:
-        for err in errors:
-            print(f"invalid: {err}")
-        return 1
-    print("trace validated: span sums reconcile with the reported latency")
-    return 0
+        tracer = Tracer(task_spans=not args.no_task_spans)
+        engine = Engine(u250_default(), pool_size=args.shards, tracer=tracer)
+        result = engine.infer(
+            _compile(args, engine, shards=args.shards),
+            strategy=args.strategy,
+            backend="sharded" if args.shards > 1 else "simulated",
+        )
+        check = export_run(tracer, result, args.out, jsonl=args.jsonl,
+                           top=args.top, rtol=args.rtol)
+    return _emit(args, check, ok=not check.errors)
 
 
 def cmd_trace_analyze(args) -> int:
-    from repro.obs import (
-        TraceError,
-        TraceModel,
-        attribute,
-        diff_traces,
-        parse_what_if,
-        project,
-    )
+    from repro.obs import TraceError, analyze_trace
 
     try:
-        model = TraceModel.from_file(args.trace)
-        att = attribute(model)
-        what_ifs = [
-            project(model, **parse_what_if(spec))
-            for spec in (args.what_if or [])
-        ]
-        diff = diff_traces(model, TraceModel.from_file(args.diff)) \
-            if args.diff else None
+        analysis = analyze_trace(
+            args.trace, what_if=args.what_if or (), diff=args.diff,
+            top=args.top,
+        )
     except TraceError as exc:
         print(f"trace-analyze: {exc}", file=sys.stderr)
         return 1
-
-    lines = [att.format_report()]
-    lines.extend(wi.describe() for wi in what_ifs)
-    if diff is not None:
-        lines.append(diff.format_report(top=args.top))
-    report = "\n".join(lines)
-
-    if args.json:
-        payload = {
-            "trace": str(args.trace),
-            "attribution": att.to_dict(),
-            "what_ifs": [wi.to_dict() for wi in what_ifs],
-        }
-        if diff is not None:
-            payload["diff"] = diff.to_dict(top=args.top)
-            payload["diff"]["baseline"] = str(args.diff)
-        print(json.dumps(payload, indent=2))
-    else:
-        print(report)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report + "\n")
-        print(f"attribution report written to {out}")
-    if not att.reconciles():
-        print(
-            f"trace-analyze: critical-path sum does not reconcile with the "
-            f"reported latency (residual {att.residual_frac():.2%})",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    status = _emit(args, analysis, analysis.attribution.reconciles(), args.out)
+    if status:
+        print("trace-analyze: critical-path sum does not reconcile with the "
+              "reported latency (the report gives the residual)",
+              file=sys.stderr)
+    return status
 
 
 def cmd_dyngraph_bench(args) -> int:
     from repro.dyngraph import churn_experiment, patch_vs_recompile
 
-    if args.dataset not in DATASET_NAMES:
-        raise SystemExit(
-            f"dyngraph-bench: --dataset must be one of {DATASET_NAMES}"
-        )
-    if args.model not in MODEL_NAMES:
-        raise SystemExit(f"dyngraph-bench: --model must be one of {MODEL_NAMES}")
-    if not 0.0 < args.scale <= 1.0:
-        raise SystemExit("dyngraph-bench: --scale must be in (0, 1]")
-    if not 0.0 < args.edge_fraction <= 1.0:
-        raise SystemExit("dyngraph-bench: --edge-fraction must be in (0, 1]")
-    if args.repeats < 1:
-        raise SystemExit("dyngraph-bench: --repeats must be >= 1")
-    if args.requests < 2 or args.mutation_every < 2:
-        raise SystemExit(
-            "dyngraph-bench: --requests and --mutation-every must be >= 2"
-        )
-    if args.pool < 1:
-        raise SystemExit("dyngraph-bench: --pool must be >= 1")
-    if args.churn_scale is not None and not 0.0 < args.churn_scale <= 1.0:
-        raise SystemExit("dyngraph-bench: --churn-scale must be in (0, 1]")
-
-    micro = patch_vs_recompile(
-        dataset=args.dataset,
-        scale=args.scale,
-        model_name=args.model,
-        edge_fraction=args.edge_fraction,
-        repeats=args.repeats,
-        seed=args.seed,
+    shared = dict(
+        dataset=args.dataset, model_name=args.model,
+        edge_fraction=args.edge_fraction, seed=args.seed,
     )
-    print(
-        f"patch vs recompile — {micro.model} on {micro.dataset} "
-        f"(scale {micro.scale}, nnz {micro.nnz:,}), "
-        f"{micro.delta_edges} edge changes/delta "
-        f"({micro.delta_edges / micro.nnz:.2%} churn):"
-    )
-    print(f"  full recompile    : {sci(micro.recompile_s * 1e3)} ms "
-          f"(compile + view materialisation)")
-    print(f"  program patch     : {sci(micro.patch_s * 1e3)} ms "
-          f"({micro.dirty_blocks} dirty blocks, "
-          f"{micro.reanalyzed_pairs} K2P re-decisions, "
-          f"{micro.decision_flips} flips)")
-    print(f"  speedup           : {micro.speedup:.1f}x")
-
-    churn_scale = args.churn_scale
-    if churn_scale is None:
+    _emit(args, patch_vs_recompile(
+        scale=args.scale, repeats=args.repeats, **shared
+    ))
+    print()
+    return _emit(args, churn_experiment(
         # serving simulates every program version: default to a smaller
         # instance than the microbenchmark to keep the sweep quick
-        churn_scale = min(args.scale, 0.25)
-    print(f"\nchurn serving stream: {args.dataset} at scale {churn_scale}, "
-          f"{args.requests} events, mutation every {args.mutation_every}")
-    reports = churn_experiment(
-        dataset=args.dataset,
-        scale=churn_scale,
-        model_name=args.model,
+        scale=(min(args.scale, 0.25) if args.churn_scale is None
+               else args.churn_scale),
         num_requests=args.requests,
-        mutation_every=args.mutation_every,
-        edge_fraction=args.edge_fraction,
         pool_size=args.pool,
-        seed=args.seed,
-    )
-    for policy in ("patch", "evict"):
-        print(f"\n== churn serving, mutation policy: {policy} ==")
-        print(reports[policy].format_report())
-    patch_r, evict_r = reports["patch"], reports["evict"]
-    ratio = (
-        patch_r.throughput_rps / evict_r.throughput_rps
-        if evict_r.throughput_rps else float("inf")
-    )
-    print("\nsummary:")
-    print(f"  churn throughput   : patch {patch_r.throughput_rps:,.0f} req/s vs "
-          f"evict {evict_r.throughput_rps:,.0f} req/s ({ratio:.2f}x)")
-    print(f"  compile time spent : patch {patch_r.compile_s * 1e3:.1f} ms "
-          f"(+ {patch_r.patch_s * 1e3:.1f} ms patching) vs "
-          f"evict {evict_r.compile_s * 1e3:.1f} ms")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.harness import results_dir
-    from repro.perf import (
-        default_baseline_dir,
-        discover,
-        profile_bench,
-        run_suite,
-        select,
-    )
-
-    if args.repeats < 1:
-        raise SystemExit("bench: --repeats must be >= 1")
-    try:
-        discover(args.benchmarks_dir)
-    except FileNotFoundError as exc:
-        raise SystemExit(f"bench: {exc}")
-    names = (
-        [n.strip() for n in args.names.split(",") if n.strip()]
-        if args.names
-        else None
-    )
-    tags = (
-        [t.strip() for t in args.tags.split(",") if t.strip()]
-        if args.tags
-        else None
-    )
-    try:
-        specs = select(tier=args.tier, names=names, tags=tags)
-    except (KeyError, ValueError) as exc:
-        raise SystemExit(f"bench: {exc}")
-    if not specs and not args.list:
-        raise SystemExit(
-            f"bench: no registered bench matches tier {args.tier!r}"
-            + (f" and tags {tags}" if tags else "")
-        )
-
-    if args.list:
-        for spec in specs:
-            tiers = "/".join(spec.tiers)
-            tag_s = f" [{', '.join(spec.tags)}]" if spec.tags else ""
-            print(f"{spec.name:<32} {tiers:<11}{tag_s}  {spec.description}")
-        return 0
-
-    if args.profile:
-        # same selection (names, tags AND tier) as the run path
-        for spec in specs:
-            print(profile_bench(spec, tier=args.tier).format_table())
-        return 0
-
-    out_dir = Path(args.out) if args.out else results_dir() / "bench"
-    baseline_dir = Path(args.baseline_dir) if args.baseline_dir else (
-        default_baseline_dir()
-    )
-    check = args.check_baseline and not args.update_baseline
-    if check and not baseline_dir.is_dir():
-        # a missing store must fail loudly — comparing against nothing
-        # would report a vacuously green gate
-        raise SystemExit(
-            f"bench: baseline directory {baseline_dir} does not exist "
-            "(run --update-baseline first or pass --baseline-dir)"
-        )
-    scale_mode = "full" if os.environ.get("REPRO_FULL_SCALE") == "1" else "bench"
-    report = run_suite(
-        specs,
-        tier=args.tier,
-        repeats=args.repeats,
-        out_dir=out_dir,
-        baseline_dir=baseline_dir if check else None,
-        scale_mode=scale_mode,
-    )
-    print("\n".join(report.summary_lines()))
-    if args.update_baseline:
-        if report.failures:
-            print("baseline NOT refreshed: fix the failing bench(es) first")
-            return 1
-        # promote exactly this run's results — out_dir may hold stale
-        # BENCH_*.json from earlier, differently-selected runs
-        for result in report.results:
-            result.write(baseline_dir)
-        print(
-            f"baseline refreshed: {len(report.results)} file(s) "
-            f"-> {baseline_dir}"
-        )
-    if report.failures:
-        return 1
-    if check and report.regressions:
-        return 1
-    return 0
-
-
-def cmd_perf_diff(args) -> int:
-    from repro.perf import compare_dirs, default_baseline_dir
-
-    new_dir = Path(args.new)
-    base_dir = Path(args.baseline) if args.baseline else default_baseline_dir()
-    for d, label in ((new_dir, "result"), (base_dir, "baseline")):
-        if not d.is_dir():
-            raise SystemExit(f"perf-diff: {label} directory {d} does not exist")
-    comparisons, missing = compare_dirs(new_dir, base_dir)
-    if not comparisons and not missing:
-        raise SystemExit(
-            f"perf-diff: no overlapping BENCH_*.json between {new_dir} "
-            f"and {base_dir}"
-        )
-    shown = 0
-    for c in comparisons:
-        if c.classification != "within" or args.all:
-            print(c.describe())
-            shown += 1
-    for name in missing:
-        print(f"(no baseline for {name})")
-    regressions = [c for c in comparisons if c.is_regression]
-    if not shown and not missing:
-        print(f"{len(comparisons)} metric(s) compared, all within tolerance")
-    if args.attribute and (regressions or args.all):
-        # pair the BENCH numbers with the trace artifacts: which span
-        # group moved, and where the latency lives on the critical path
-        from repro.obs import attribution_lines
-
-        trace_path = Path(args.trace) if args.trace else new_dir / "trace.json"
-        baseline_trace = (
-            Path(args.baseline_trace) if args.baseline_trace
-            else base_dir / "trace.json"
-        )
-        print()
-        for line in attribution_lines(trace_path, baseline_trace):
-            print(line)
-    if regressions:
-        print(f"{len(regressions)} regression(s) beyond tolerance")
-        return 1
-    return 0
-
-
-def cmd_resources(args) -> int:
-    print(estimate_resources(u250_default()).format_table())
-    return 0
-
-
-def cmd_datasets(args) -> int:
-    rows = [
-        [s.name, s.full_name, f"{s.vertices:,}", f"{s.edges:,}",
-         f"{s.features:,}", s.classes, s.hidden_dim, s.default_scale]
-        for s in TABLE_VI.values()
-    ]
-    print(format_table(
-        ["key", "name", "vertices", "edges", "features", "classes",
-         "hidden", "default scale"],
-        rows, title="Table VI benchmark datasets",
+        mutation_every=args.mutation_every,
+        **shared,
     ))
+
+
+def cmd_table(args) -> int:
+    print(args.table())
     return 0
 
 
@@ -780,60 +216,69 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    # flags several subcommands share, declared once
+    def graph(p, dataset="CO"):
         p.add_argument("--model", choices=MODEL_NAMES, default="GCN")
-        p.add_argument("--dataset", choices=DATASET_NAMES, default="CO")
+        p.add_argument("--dataset", choices=DATASET_NAMES, default=dataset)
+
+    def sizing(p):
         p.add_argument("--scale", type=float, default=None,
                        help="dataset scale in (0, 1]")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--prune", type=float, default=0.0,
                        help="weight sparsity in [0, 1]")
 
-    p_run = sub.add_parser("run", help="run one model/dataset/strategy")
-    common(p_run)
-    p_run.add_argument("--strategy", default="Dynamic",
+    def common(p):
+        graph(p)
+        sizing(p)
+
+    def strategy(p):
+        p.add_argument("--strategy", default="Dynamic",
                        help="Dynamic | S1 | S2 | Oracle | Fixed-<prim>")
+
+    def as_json(p):
+        p.add_argument("--json", action="store_true",
+                       help="emit the result as JSON instead of text")
+
+    p_run = command("run", cmd_run, "run one model/dataset/strategy")
+    common(p_run)
+    strategy(p_run)
     p_run.add_argument("--backend", choices=backend_names(),
                        default="simulated",
                        help="execution backend from the engine registry")
-    p_run.add_argument("--json", action="store_true",
-                       help="emit the result as JSON instead of text")
-    p_run.set_defaults(func=cmd_run)
+    as_json(p_run)
 
-    p_cmp = sub.add_parser("compare", help="S1 vs S2 vs Dynamic")
-    common(p_cmp)
-    p_cmp.set_defaults(func=cmd_compare)
+    common(command("compare", cmd_compare, "S1 vs S2 vs Dynamic"))
 
-    p_shard = sub.add_parser(
-        "shard-bench",
-        help="sharded multi-device scaling vs a single device "
-             "(repro.shard); exits 1 if outputs are not bit-exact",
+    p_shard = command(
+        "shard-bench", cmd_shard_bench,
+        "sharded multi-device scaling vs a single device "
+        "(repro.shard); exits 1 if outputs are not bit-exact",
     )
     common(p_shard)
-    p_shard.add_argument("--strategy", default="Dynamic",
-                        help="Dynamic | S1 | S2 | Oracle | Fixed-<prim>")
+    strategy(p_shard)
     p_shard.add_argument("--shards", default="2,4",
                         help="comma-separated shard counts to sweep")
     p_shard.add_argument("--plan", action="store_true",
                         help="print the largest sweep's shard plan")
-    p_shard.add_argument("--json", action="store_true",
-                        help="emit the sweep results as JSON instead of text")
-    p_shard.set_defaults(func=cmd_shard_bench)
+    as_json(p_shard)
 
-    p_trace = sub.add_parser(
-        "trace",
-        help="run one traced inference and export a Perfetto trace.json "
-             "(repro.obs); or validate an existing trace with --validate",
+    p_trace = command(
+        "trace", cmd_trace,
+        "run one traced inference and export a Perfetto trace.json "
+        "(repro.obs); or validate an existing trace with --validate",
     )
     p_trace.add_argument("model", nargs="?", choices=MODEL_NAMES,
                          default="GCN")
     p_trace.add_argument("dataset", nargs="?", choices=DATASET_NAMES,
                          default="CO")
-    p_trace.add_argument("--scale", type=float, default=None,
-                         help="dataset scale in (0, 1]")
-    p_trace.add_argument("--seed", type=int, default=0)
-    p_trace.add_argument("--prune", type=float, default=0.0)
-    p_trace.add_argument("--strategy", default="Dynamic")
+    sizing(p_trace)
+    strategy(p_trace)
     p_trace.add_argument("--shards", type=int, default=1,
                          help="trace a sharded run across N devices")
     p_trace.add_argument("--out", default="trace.json",
@@ -851,12 +296,11 @@ def main(argv=None) -> int:
     p_trace.add_argument("--rtol", type=float, default=0.01,
                          help="relative tolerance of the span-sum "
                               "reconciliation check")
-    p_trace.set_defaults(func=cmd_trace)
 
-    p_ta = sub.add_parser(
-        "trace-analyze",
-        help="critical-path attribution, what-if projections and trace "
-             "diffing over an exported trace.json (repro.obs.analyze)",
+    p_ta = command(
+        "trace-analyze", cmd_trace_analyze,
+        "critical-path attribution, what-if projections and trace "
+        "diffing over an exported trace.json (repro.obs.analyze)",
     )
     p_ta.add_argument("trace", help="trace.json produced by `repro trace`")
     p_ta.add_argument("--diff", default=None, metavar="OTHER",
@@ -869,15 +313,13 @@ def main(argv=None) -> int:
                            "cores=N (repeatable)")
     p_ta.add_argument("--top", type=int, default=10,
                       help="span-group rows shown in the diff report")
-    p_ta.add_argument("--json", action="store_true",
-                      help="emit the analysis as JSON instead of text")
+    as_json(p_ta)
     p_ta.add_argument("--out", default=None, metavar="PATH",
-                      help="also write the text report here (CI artifact)")
-    p_ta.set_defaults(func=cmd_trace_analyze)
+                      help="also write the report here (CI artifact)")
 
-    p_srv = sub.add_parser(
-        "serve-bench",
-        help="replay synthetic traffic through the repro.serve subsystem",
+    p_srv = command(
+        "serve-bench", cmd_serve_bench,
+        "replay synthetic traffic through the repro.serve subsystem",
     )
     p_srv.add_argument("--pool", type=int, default=4,
                        help="number of simulated devices in the pool")
@@ -890,9 +332,8 @@ def main(argv=None) -> int:
                        help="comma-separated model mix")
     p_srv.add_argument("--datasets", default="CO,CI",
                        help="comma-separated dataset mix")
-    p_srv.add_argument("--strategy", default="Dynamic")
-    p_srv.add_argument("--prune", type=float, default=0.0)
-    p_srv.add_argument("--scale", type=float, default=None)
+    strategy(p_srv)
+    sizing(p_srv)
     p_srv.add_argument("--skew", type=float, default=0.0,
                        help="Zipf skew of the model/dataset popularity")
     p_srv.add_argument("--max-batch", type=int, default=8)
@@ -900,7 +341,6 @@ def main(argv=None) -> int:
                        help="micro-batching window in virtual milliseconds")
     p_srv.add_argument("--cache", type=int, default=64,
                        help="program-cache capacity")
-    p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument("--scheduler", choices=SCHEDULERS, default="legacy",
                        help="batching scheduler: the fire-whole-batches "
                             "micro-batcher or the continuous-batching "
@@ -920,17 +360,13 @@ def main(argv=None) -> int:
     p_srv.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Perfetto trace of the cold pool "
                             "sweep to PATH")
-    p_srv.add_argument("--json", action="store_true",
-                       help="emit all sweep reports as JSON instead of text")
-    p_srv.set_defaults(func=cmd_serve_bench)
+    as_json(p_srv)
 
-    p_dyn = sub.add_parser(
-        "dyngraph-bench",
-        help="patch-vs-recompile and churn-serving benchmarks "
-             "(repro.dyngraph)",
+    p_dyn = command(
+        "dyngraph-bench", cmd_dyngraph_bench,
+        "patch-vs-recompile and churn-serving benchmarks (repro.dyngraph)",
     )
-    p_dyn.add_argument("--dataset", default="PU")
-    p_dyn.add_argument("--model", default="GCN")
+    graph(p_dyn, dataset="PU")
     p_dyn.add_argument("--scale", type=float, default=1.0,
                        help="dataset scale for the microbenchmark")
     p_dyn.add_argument("--churn-scale", type=float, default=None,
@@ -946,94 +382,44 @@ def main(argv=None) -> int:
                        help="every N-th event is a mutation")
     p_dyn.add_argument("--pool", type=int, default=2)
     p_dyn.add_argument("--seed", type=int, default=0)
-    p_dyn.set_defaults(func=cmd_dyngraph_bench)
 
-    p_eng = sub.add_parser(
-        "engine-bench",
-        help="measure Engine facade overhead vs direct run_strategy",
+    p_eng = command(
+        "engine-bench", cmd_engine_bench,
+        "measure Engine facade overhead vs direct run_strategy",
     )
-    p_eng.add_argument("--model", choices=MODEL_NAMES, default="GCN")
-    p_eng.add_argument("--dataset", choices=DATASET_NAMES, default="CO")
+    graph(p_eng)
     p_eng.add_argument("--scale", type=float, default=0.25)
-    p_eng.add_argument("--strategy", default="Dynamic")
+    strategy(p_eng)
     p_eng.add_argument("--repeats", type=int, default=9,
                        help="best-of-N timing repeats")
     p_eng.add_argument("--full-config", action="store_true",
                        help="use the U250 config instead of the small "
                             "test config")
-    p_eng.set_defaults(func=cmd_engine_bench)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run registered benchmark specs and emit BENCH_<name>.json "
-             "(repro.perf)",
-    )
-    p_bench.add_argument("--tier", choices=("smoke", "full"), default="smoke",
-                         help="smoke: seconds-fast CI gate; full: the "
-                              "complete paper suite")
-    p_bench.add_argument("--names", default=None,
-                         help="comma-separated bench names (default: all "
-                              "in the tier)")
-    p_bench.add_argument("--tags", default=None,
-                         help="comma-separated tag filter")
-    p_bench.add_argument("--out", default=None,
-                         help="result directory (default: results/bench)")
-    p_bench.add_argument("--repeats", type=int, default=1,
-                         help="wall-clock repeats per spec (min is kept)")
-    p_bench.add_argument("--benchmarks-dir", default=None,
-                         help="directory with bench_*.py scripts "
-                              "(default: $REPRO_BENCHMARKS_DIR or "
-                              "./benchmarks)")
-    p_bench.add_argument("--baseline-dir", default=None,
-                         help="baseline store (default: results/baselines)")
-    p_bench.add_argument("--check-baseline", action="store_true",
-                         help="compare against the baseline store and exit "
-                              "1 on any regression beyond tolerance")
-    p_bench.add_argument("--update-baseline", action="store_true",
-                         help="promote this run's results to the baseline "
-                              "store")
-    p_bench.add_argument("--list", action="store_true",
-                         help="list the selected specs and exit")
-    p_bench.add_argument("--profile", action="store_true",
-                         help="run under cProfile and print hotspots "
-                              "instead of emitting results")
-    p_bench.set_defaults(func=cmd_bench)
-
-    p_diff = sub.add_parser(
-        "perf-diff",
-        help="compare BENCH_*.json result directories; exit 1 on "
-             "regression beyond tolerance",
-    )
-    p_diff.add_argument("new", help="directory with the new BENCH_*.json")
-    p_diff.add_argument("baseline", nargs="?", default=None,
-                        help="comparison directory (default: "
-                             "results/baselines)")
-    p_diff.add_argument("--all", action="store_true",
-                        help="also print metrics within tolerance")
-    p_diff.add_argument("--attribute", action="store_true",
-                        help="on regression (or with --all), pair the "
-                             "BENCH numbers with trace artifacts: diff "
-                             "span groups vs the baseline trace and print "
-                             "the new trace's critical-path attribution")
-    p_diff.add_argument("--trace", default=None, metavar="PATH",
-                        help="new trace.json (default: <new>/trace.json)")
-    p_diff.add_argument("--baseline-trace", default=None, metavar="PATH",
-                        help="baseline trace.json (default: "
-                             "<baseline>/trace.json)")
-    p_diff.set_defaults(func=cmd_perf_diff)
-
+    # the gate runners wire their own subcommands (bench, perf-diff;
+    # staticcheck): they report on the repository, not on a run
+    from repro.perf.cli import add_parsers as add_perf_parsers
     from repro.staticcheck.cli import add_parser as add_staticcheck_parser
 
+    add_perf_parsers(sub)
     add_staticcheck_parser(sub)
 
-    p_res = sub.add_parser("resources", help="Fig. 9 resource table")
-    p_res.set_defaults(func=cmd_resources)
-
-    p_ds = sub.add_parser("datasets", help="Table VI dataset catalog")
-    p_ds.set_defaults(func=cmd_datasets)
+    command("resources", cmd_table, "Fig. 9 resource table").set_defaults(
+        table=lambda: estimate_resources(u250_default()).format_table()
+    )
+    command("datasets", cmd_table, "Table VI dataset catalog").set_defaults(
+        table=format_catalog
+    )
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, FileNotFoundError, OutOfMemoryError) as exc:
+        # the library's own message, whichever boundary raised it (an
+        # OutOfMemoryError is one of the paper's N/A cells, e.g. NELL on
+        # PyG-GPU): one clean line, not a traceback
+        message = exc.args[0] if len(exc.args) == 1 else exc
+        raise SystemExit(f"{args.command}: {message}")
 
 
 if __name__ == "__main__":

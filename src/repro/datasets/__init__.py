@@ -15,6 +15,7 @@ from repro.datasets.catalog import (
     DatasetSpec,
     GraphData,
     TABLE_VI,
+    format_catalog,
     load_dataset,
 )
 from repro.datasets.synthetic import powerlaw_graph
@@ -25,6 +26,7 @@ __all__ = [
     "DatasetSpec",
     "GraphData",
     "TABLE_VI",
+    "format_catalog",
     "load_dataset",
     "powerlaw_graph",
     "sparse_features",

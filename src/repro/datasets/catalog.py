@@ -69,6 +69,22 @@ TABLE_VI: dict[str, DatasetSpec] = {
 DATASET_NAMES = tuple(TABLE_VI)
 
 
+def format_catalog() -> str:
+    """Table VI as text (``repro datasets``)."""
+    from repro.harness import format_table
+
+    return format_table(
+        ["key", "name", "vertices", "edges", "features", "classes",
+         "hidden", "default scale"],
+        [
+            [s.name, s.full_name, f"{s.vertices:,}", f"{s.edges:,}",
+             f"{s.features:,}", s.classes, s.hidden_dim, s.default_scale]
+            for s in TABLE_VI.values()
+        ],
+        title="Table VI benchmark datasets",
+    )
+
+
 @dataclass
 class GraphData:
     """A loaded dataset: adjacency + input features + metadata."""

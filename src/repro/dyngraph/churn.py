@@ -24,7 +24,7 @@ dyngraph-bench`` CLI):
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.compiler.compile import CompiledProgram, Compiler
 from repro.config import u250_default
@@ -69,6 +69,24 @@ class MicrobenchResult:
     def speedup(self) -> float:
         return self.recompile_s / self.patch_s if self.patch_s > 0 else float("inf")
 
+    def format_report(self) -> str:
+        return (
+            f"patch vs recompile — {self.model} on {self.dataset} "
+            f"(scale {self.scale}, nnz {self.nnz:,}), "
+            f"{self.delta_edges} edge changes/delta "
+            f"({self.delta_edges / self.nnz:.2%} churn):\n"
+            f"  full recompile    : {self.recompile_s * 1e3:.3f} ms "
+            f"(compile + view materialisation)\n"
+            f"  program patch     : {self.patch_s * 1e3:.3f} ms "
+            f"({self.dirty_blocks} dirty blocks, "
+            f"{self.reanalyzed_pairs} K2P re-decisions, "
+            f"{self.decision_flips} flips)\n"
+            f"  speedup           : {self.speedup:.1f}x"
+        )
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "speedup": self.speedup}
+
 
 def patch_vs_recompile(
     *,
@@ -82,6 +100,10 @@ def patch_vs_recompile(
     policy: PatchPolicy | None = None,
 ) -> MicrobenchResult:
     """Time patching a ``edge_fraction`` delta against full recompiles."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    if not 0.0 < edge_fraction <= 1.0:
+        raise ValueError(f"edge_fraction must be in (0, 1], got {edge_fraction}")
     data = load_dataset(dataset, scale=scale, seed=seed)
     graph = MutableGraph(data, graph_id=f"{dataset}-bench")
     snapshot = graph.snapshot()
@@ -143,6 +165,33 @@ def patch_vs_recompile(
     )
 
 
+class ChurnReports(dict):
+    """``{"patch": ServingReport, "evict": ServingReport}``: one stream
+    served under both mutation policies."""
+
+    def format_report(self) -> str:
+        patch, evict = self["patch"], self["evict"]
+        ratio = (
+            patch.throughput_rps / evict.throughput_rps
+            if evict.throughput_rps else float("inf")
+        )
+        return "\n".join([
+            f"churn serving stream: {patch.num_requests} requests, "
+            f"{patch.num_mutations} mutations",
+            *(
+                f"\n== churn serving, mutation policy: {policy} ==\n"
+                f"{report.format_report()}"
+                for policy, report in self.items()
+            ),
+            "\nsummary:",
+            f"  churn throughput   : patch {patch.throughput_rps:,.0f} req/s "
+            f"vs evict {evict.throughput_rps:,.0f} req/s ({ratio:.2f}x)",
+            f"  compile time spent : patch {patch.compile_s * 1e3:.1f} ms "
+            f"(+ {patch.patch_s * 1e3:.1f} ms patching) vs "
+            f"evict {evict.compile_s * 1e3:.1f} ms",
+        ])
+
+
 def churn_experiment(
     *,
     dataset: str = "PU",
@@ -155,7 +204,7 @@ def churn_experiment(
     max_batch_size: int = 4,
     rate_rps: float | None = None,
     seed: int = 0,
-) -> dict:
+) -> ChurnReports:
     """Serve one interleaved infer/mutate stream under both mutation
     policies; returns ``{"patch": ServingReport, "evict": ServingReport}``.
 
@@ -173,6 +222,11 @@ def churn_experiment(
     from repro.serve.server import InferenceServer
     from repro.serve.workload import churn_stream
 
+    if num_requests < 2:
+        raise ValueError(
+            f"num_requests must be >= 2 (a churn stream needs traffic "
+            f"around its mutations), got {num_requests}"
+        )
     rate = rate_rps
     if rate is None:
         data = load_dataset(dataset, scale=scale, seed=seed)
@@ -185,7 +239,7 @@ def churn_experiment(
         span_s = 3.0 * max(probe.timings.total_s, 1e-4)
         rate = num_requests / span_s
 
-    reports: dict = {}
+    reports = ChurnReports()
     for policy in ("patch", "evict"):
         data = load_dataset(dataset, scale=scale, seed=seed)
         graph = MutableGraph(data, graph_id=f"{dataset}-churn")

@@ -128,6 +128,24 @@ class RooflineResult:
     def latency_ms(self) -> float:
         return self.latency_s * 1e3
 
+    def format_report(self) -> str:
+        return (
+            f"{self.model_name} on {self.data_name} — backend {self.backend}\n"
+            f"  latency           : {self.latency_ms:.4f} ms\n"
+            f"  framework model   : {self.framework} (roofline estimate; the "
+            f"mapping strategy does not apply)"
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable summary (``repro run --backend cpu|gpu --json``)."""
+        return {
+            "model": self.model_name,
+            "dataset": self.data_name,
+            "backend": self.backend,
+            "framework": self.framework,
+            "latency_ms": self.latency_s * 1e3,
+        }
+
 
 @register_backend("simulated")
 class SimulatedBackend(ExecutionBackend):

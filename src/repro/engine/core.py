@@ -346,7 +346,7 @@ class Engine:
         initial weights pruned by ``prune``."""
         if weights is None:
             weights = init_weights(model, seed=seed)
-            if prune > 0:
+            if prune != 0:
                 weights = prune_weights(weights, prune)
         return Compiler(self.config).compile(model, data, weights)
 

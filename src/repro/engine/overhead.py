@@ -15,7 +15,7 @@ comparison isolates the facade's own cost from simulation noise.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.config import AcceleratorConfig, small_test_config
 from repro.engine.core import Engine
@@ -52,6 +52,9 @@ class OverheadResult:
             f"  Engine.infer        : {self.engine_s * 1e3:9.3f} ms\n"
             f"  facade overhead     : {self.overhead_fraction * 100:+.2f}%"
         )
+
+    def to_dict(self) -> dict:
+        return {**asdict(self), "overhead_fraction": self.overhead_fraction}
 
 
 def measure_facade_overhead(

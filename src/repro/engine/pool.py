@@ -51,7 +51,7 @@ class AcceleratorPool:
         self, config: AcceleratorConfig | None = None, num_devices: int = 1
     ) -> None:
         if num_devices < 1:
-            raise ValueError("need at least one device")
+            raise ValueError(f"num_devices must be >= 1, got {num_devices}")
         self.config = config or u250_default()
         self.devices = [Accelerator(self.config) for _ in range(num_devices)]
         self.available = np.zeros(num_devices, dtype=np.float64)

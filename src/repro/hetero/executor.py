@@ -15,7 +15,7 @@ adding a dense-throughput device help a sparsity-adaptive system?*
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,8 +26,8 @@ from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn.activations import activation_fn
 from repro.hetero.devices import DeviceModel, FPGA_DEVICE, GPU_DEVICE
-from repro.hw.report import Primitive
-from repro.runtime.analyzer import Analyzer, PairInfo
+from repro.hw.report import CODE_ORDER, Primitive
+from repro.runtime.analyzer import Analyzer
 
 
 def materialize_intermediates(program: CompiledProgram) -> dict:
@@ -63,11 +63,14 @@ def materialize_intermediates(program: CompiledProgram) -> dict:
 class HeteroResult:
     """Outcome of a heterogeneous schedule."""
 
+    model_name: str
+    data_name: str
     total_seconds: float
     device_seconds: dict
     device_pairs: Counter
     transfer_seconds: float
     primitive_counts: Counter
+    backend: str = field(default="hetero", init=False)
 
     @property
     def latency_s(self) -> float:
@@ -79,6 +82,34 @@ class HeteroResult:
 
     def dominant_device(self) -> str:
         return max(self.device_seconds, key=self.device_seconds.get)
+
+    def format_report(self) -> str:
+        summary = self.to_dict()
+        per_dev = ", ".join(
+            f"{dev}: {s * 1e3:.4f} ms ({self.device_pairs.get(dev, 0)} pairs)"
+            for dev, s in self.device_seconds.items()
+        )
+        return (
+            f"{self.model_name} on {self.data_name} — backend {self.backend}\n"
+            f"  latency           : {self.latency_ms:.4f} ms "
+            f"(PCIe hops {self.transfer_seconds * 1e3:.4f} ms)\n"
+            f"  device seconds    : {per_dev}\n"
+            f"  primitives        : {summary['primitives']}"
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable summary (``repro run --backend hetero --json``)."""
+        prims = sorted(self.primitive_counts.items(), key=lambda kv: kv[0].value)
+        return {
+            "model": self.model_name,
+            "dataset": self.data_name,
+            "backend": self.backend,
+            "latency_ms": self.total_seconds * 1e3,
+            "device_seconds": dict(self.device_seconds),
+            "device_pairs": dict(self.device_pairs),
+            "transfer_seconds": self.transfer_seconds,
+            "primitives": {p.value: int(c) for p, c in prims},
+        }
 
 
 class HeterogeneousRuntime:
@@ -135,19 +166,18 @@ class HeterogeneousRuntime:
                 i, k = task.out_row, task.out_col
                 m, d = int(x_rs[i]), int(y_cs[k])
                 prev_device: str | None = None
-                for j, _ in task.pairs:
-                    info = PairInfo(
-                        float(x_dens[i, j]), float(y_dens[j, k]),
-                        m, int(x_cs[j]), d,
-                    )
-                    decision = analyzer.decide(info)
-                    prims[decision.primitive] += 1
-                    if decision.primitive is Primitive.SKIP:
+                js = [j for j, _ in task.pairs]
+                # Algorithm 7 over the task's pairs in one pass
+                codes, _ = analyzer.decide_batch(x_dens[i, js], y_dens[js, k])
+                for j, code in zip(js, codes):
+                    primitive = CODE_ORDER[code]
+                    prims[primitive] += 1
+                    if primitive is Primitive.SKIP:
                         continue
-                    dev = self.device_for(decision.primitive)
+                    dev = self.device_for(primitive)
                     nnz_sparse = int(min(x_nnz[i, j], y_nnz[j, k]))
                     t = dev.pair_seconds(
-                        decision.primitive, m, info.n, d, nnz_sparse, cfg
+                        primitive, m, int(x_cs[j]), d, nnz_sparse, cfg
                     )
                     if prev_device is not None and prev_device != dev.name:
                         # the accumulator crosses PCIe to the new device
@@ -163,6 +193,8 @@ class HeterogeneousRuntime:
             total_s += kernel_s / max(cores, 1)
 
         return HeteroResult(
+            model_name=program.model.name,
+            data_name=program.data_name,
             total_seconds=total_s,
             device_seconds=device_seconds,
             device_pairs=device_pairs,

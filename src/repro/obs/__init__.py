@@ -36,10 +36,12 @@ from repro.obs.analyze import (
     Attribution,
     GroupDelta,
     PathSegment,
+    TraceAnalysis,
     TraceDiff,
     TraceError,
     TraceModel,
     WhatIf,
+    analyze_trace,
     attribute,
     attribution_lines,
     critical_path,
@@ -48,6 +50,8 @@ from repro.obs.analyze import (
     project,
 )
 from repro.obs.export import (
+    TraceCheck,
+    export_run,
     flame_summary,
     to_jsonl,
     to_perfetto,
@@ -75,15 +79,19 @@ __all__ = [
     "NullTracer",
     "PathSegment",
     "Span",
+    "TraceAnalysis",
+    "TraceCheck",
     "TraceDiff",
     "TraceError",
     "TraceModel",
     "Tracer",
     "WhatIf",
+    "analyze_trace",
     "attribute",
     "attribution_lines",
     "critical_path",
     "diff_traces",
+    "export_run",
     "flame_summary",
     "parse_what_if",
     "project",

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,8 +43,10 @@ __all__ = [
     "PathSegment",
     "TraceDiff",
     "TraceError",
+    "TraceAnalysis",
     "TraceModel",
     "WhatIf",
+    "analyze_trace",
     "attribute",
     "attribution_lines",
     "critical_path",
@@ -796,6 +799,65 @@ def diff_traces(new_source, base_source) -> TraceDiff:
         groups=tuple(deltas),
         new_total_s=float(sum(g.total_new_s for g in deltas)),
         base_total_s=float(sum(g.total_base_s for g in deltas)),
+    )
+
+
+# -- the trace-analyze report -------------------------------------------
+@dataclass(frozen=True)
+class TraceAnalysis:
+    """Everything ``repro trace-analyze`` reports about one trace."""
+
+    trace: str
+    attribution: Attribution
+    what_ifs: tuple[WhatIf, ...] = ()
+    #: span-group diff against the ``baseline`` trace, ``top`` rows shown
+    diff: TraceDiff | None = None
+    baseline: str | None = None
+    top: int = 10
+
+    def format_report(self) -> str:
+        lines = [self.attribution.format_report()]
+        lines.extend(wi.describe() for wi in self.what_ifs)
+        if self.diff is not None:
+            lines.append(self.diff.format_report(top=self.top))
+        return "\n".join(lines)
+
+    def to_dict(self) -> dict:
+        payload = {
+            "trace": self.trace,
+            "attribution": self.attribution.to_dict(),
+            "what_ifs": [wi.to_dict() for wi in self.what_ifs],
+        }
+        if self.diff is not None:
+            payload["diff"] = dict(
+                self.diff.to_dict(top=self.top), baseline=self.baseline
+            )
+        return payload
+
+
+def analyze_trace(
+    trace: str | Path,
+    *,
+    what_if: Sequence[str] = (),
+    diff: str | Path | None = None,
+    top: int = 10,
+) -> TraceAnalysis:
+    """Attribute an exported trace's critical path, project each
+    ``what_if`` spec (:func:`parse_what_if` tokens) and, given a
+    baseline trace, diff the span groups against it."""
+    model = TraceModel.from_file(trace)
+    return TraceAnalysis(
+        trace=str(trace),
+        attribution=attribute(model),
+        what_ifs=tuple(
+            project(model, **parse_what_if(spec)) for spec in what_if
+        ),
+        diff=(
+            diff_traces(model, TraceModel.from_file(diff))
+            if diff is not None else None
+        ),
+        baseline=None if diff is None else str(diff),
+        top=top,
     )
 
 

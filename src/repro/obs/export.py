@@ -22,11 +22,14 @@ so exporter drift cannot ship silently.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.obs.tracer import Tracer
 
 __all__ = [
+    "TraceCheck",
+    "export_run",
     "flame_summary",
     "to_jsonl",
     "to_perfetto",
@@ -215,6 +218,52 @@ def flame_summary(tracer: Tracer, *, top: int = 12) -> str:
 _KNOWN_PHASES = {"X", "i", "C", "M"}
 
 
+@dataclass
+class TraceCheck:
+    """What ``repro trace`` reports: a trace file, what
+    :func:`validate_trace` found in it and, after a fresh run, the
+    header, side files and flame summary of the export."""
+
+    path: Path
+    errors: list[str]
+    summary: list[str] = field(default_factory=list)
+
+    def format_report(self) -> str:
+        verdict = [f"invalid: {err}" for err in self.errors] or [
+            f"trace validated: {self.path} is well-formed and its span "
+            f"sums reconcile with the reported latency"
+        ]
+        return "\n".join(self.summary + verdict)
+
+
+def export_run(
+    tracer: Tracer,
+    result,
+    path: str | Path,
+    *,
+    jsonl: str | Path | None = None,
+    top: int = 12,
+    rtol: float = RECONCILE_RTOL,
+) -> TraceCheck:
+    """Write the trace of one traced run (``result.trace_meta()`` arms
+    the reconciliation), optionally a JSONL event log beside it, and
+    validate what was written."""
+    meta = result.trace_meta()
+    trace = to_perfetto(tracer, meta=meta)  # rendered once: written, then validated
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(trace))
+    summary = [
+        f"{meta['model']} on {meta['dataset']}, {meta['shards']} shard(s): "
+        f"latency {meta['expected_total_s'] * 1e3:.4f} ms",
+        f"trace written to {path} — load it at https://ui.perfetto.dev",
+    ]
+    if jsonl is not None:
+        summary.append(f"event log written to {write_jsonl(tracer, jsonl)}")
+    summary.append(flame_summary(tracer, top=top))
+    return TraceCheck(path, validate_trace(trace, rtol=rtol), summary)
+
+
 def validate_trace(
     trace: dict | str | Path, *, rtol: float = RECONCILE_RTOL
 ) -> list[str]:
@@ -226,6 +275,8 @@ def validate_trace(
     span duration sums reconcile with the run's reported latency to
     within ``rtol`` (default :data:`RECONCILE_RTOL`).
     """
+    if rtol <= 0:
+        raise ValueError(f"rtol must be positive, got {rtol}")
     if not isinstance(trace, dict):
         path = Path(trace)
         try:

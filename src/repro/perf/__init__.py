@@ -22,7 +22,6 @@ from repro.perf.baseline import (
     compare,
     compare_dirs,
     default_baseline_dir,
-    update_baselines,
 )
 from repro.perf.profiler import Hotspot, ProfileReport, profile_bench
 from repro.perf.runner import SuiteReport, run_bench, run_suite
@@ -72,5 +71,4 @@ __all__ = [
     "run_bench",
     "run_suite",
     "select",
-    "update_baselines",
 ]

@@ -20,9 +20,9 @@ machine-independent and sit in a much tighter band.
 
 from __future__ import annotations
 
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.perf.schema import BenchResult, Metric, load_dir
 
@@ -173,15 +173,43 @@ def compare(
     return out
 
 
-def compare_dirs(
-    new_dir: Path, base_dir: Path
-) -> tuple[list[Regression], list[str]]:
-    """Compare every result in ``new_dir`` against ``base_dir``.
+class DirComparison(NamedTuple):
+    """``(comparisons, missing)`` of two result directories; ``missing``
+    lists bench names that have no baseline yet (informational, not a
+    failure — a brand-new bench cannot regress)."""
 
-    Returns ``(comparisons, missing)`` where ``missing`` lists bench
-    names that have no baseline yet (informational, not a failure — a
-    brand-new bench cannot regress).
-    """
+    comparisons: list[Regression]
+    missing: list[str]
+
+    @property
+    def regressions(self) -> list[Regression]:
+        return [c for c in self.comparisons if c.is_regression]
+
+    def format_report(self, *, show_all: bool = False) -> str:
+        """Every metric outside its tolerance band (all of them with
+        ``show_all``), benches without a baseline, and the verdict."""
+        lines = [
+            c.describe() for c in self.comparisons
+            if show_all or c.classification != "within"
+        ]
+        lines += [f"(no baseline for {name})" for name in self.missing]
+        if not lines:
+            lines.append(
+                f"{len(self.comparisons)} metric(s) compared, all within "
+                f"tolerance"
+            )
+        if self.regressions:
+            lines.append(
+                f"{len(self.regressions)} regression(s) beyond tolerance"
+            )
+        return "\n".join(lines)
+
+
+def compare_dirs(new_dir: Path, base_dir: Path) -> DirComparison:
+    """Compare every result in ``new_dir`` against ``base_dir``."""
+    for label, d in (("result", new_dir), ("baseline", base_dir)):
+        if not Path(d).is_dir():
+            raise FileNotFoundError(f"{label} directory {d} does not exist")
     new_results = load_dir(new_dir)
     baselines = load_dir(base_dir)
     comparisons: list[Regression] = []
@@ -192,29 +220,16 @@ def compare_dirs(
             missing.append(name)
             continue
         comparisons.extend(compare(result, base))
-    return comparisons, missing
-
-
-def update_baselines(new_dir: Path, base_dir: Path) -> list[Path]:
-    """Promote every ``BENCH_*.json`` in ``new_dir`` to the baseline
-    store (overwriting), returning the written paths."""
-    base_dir = Path(base_dir)
-    base_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    for path in sorted(Path(new_dir).glob("BENCH_*.json")):
-        target = base_dir / path.name
-        shutil.copyfile(path, target)
-        written.append(target)
-    return written
+    return DirComparison(comparisons, missing)
 
 
 __all__ = [
     "TIME_TOLERANCE",
     "DEFAULT_TOLERANCE",
+    "DirComparison",
     "Regression",
     "default_baseline_dir",
     "metric_tolerance",
     "compare",
     "compare_dirs",
-    "update_baselines",
 ]

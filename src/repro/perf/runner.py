@@ -70,6 +70,8 @@ class SuiteReport:
     failures: dict[str, str] = field(default_factory=dict)
     comparisons: list[Regression] = field(default_factory=list)
     missing_baselines: list[str] = field(default_factory=list)
+    #: what :meth:`promote` did (empty until it is called)
+    promotion: str = ""
 
     @property
     def regressions(self) -> list[Regression]:
@@ -79,7 +81,23 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.failures and not self.regressions
 
-    def summary_lines(self) -> list[str]:
+    def promote(self, baseline_dir: Path) -> None:
+        """Make this run the baseline, unless a bench failed.  Exactly
+        this run's results are written: ``out_dir`` may hold stale
+        ``BENCH_*.json`` from earlier, differently-selected runs."""
+        if self.failures:
+            self.promotion = (
+                "baseline NOT refreshed: fix the failing bench(es) first"
+            )
+            return
+        for result in self.results:
+            result.write(baseline_dir)
+        self.promotion = (
+            f"baseline refreshed: {len(self.results)} file(s) "
+            f"-> {baseline_dir}"
+        )
+
+    def format_report(self) -> str:
         lines = [
             f"ran {len(self.results)} bench(es) at tier {self.tier!r} "
             f"-> {self.out_dir}"
@@ -94,7 +112,9 @@ class SuiteReport:
         n_reg = len(self.regressions)
         if n_reg:
             lines.append(f"{n_reg} regression(s) beyond tolerance")
-        return lines
+        if self.promotion:
+            lines.append(self.promotion)
+        return "\n".join(lines)
 
 
 def run_suite(
@@ -111,6 +131,11 @@ def run_suite(
     """Run a selection of registered specs and persist their results."""
     if specs is None:
         specs = select(tier=tier, names=names, tags=tags)
+    if not specs:
+        raise ValueError(
+            f"no registered bench matches tier {tier!r}"
+            + (f" and tags {list(tags)}" if tags else "")
+        )
     out_dir = Path(out_dir)
     report = SuiteReport(tier=tier, out_dir=out_dir)
     fingerprint = EnvFingerprint.collect(scale_mode=scale_mode)

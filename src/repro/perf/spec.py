@@ -54,6 +54,14 @@ class BenchSpec:
     def runs_in(self, tier: str) -> bool:
         return tier in self.tiers
 
+    def describe(self) -> str:
+        """The one-line ``repro bench --list`` entry."""
+        tags = f" [{', '.join(self.tags)}]" if self.tags else ""
+        return (
+            f"{self.name:<32} {'/'.join(self.tiers):<11}{tags}  "
+            f"{self.description}"
+        )
+
 
 _REGISTRY: dict[str, BenchSpec] = {}
 

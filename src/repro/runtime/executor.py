@@ -20,7 +20,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -60,11 +60,62 @@ class RunResult:
     config: AcceleratorConfig
     #: total soft-processor time spent on K2P analysis (seconds)
     runtime_overhead_seconds: float = 0.0
+    #: the execution backend that produces this result type
+    backend: str = field(default="simulated", init=False)
+
+    #: span categories whose durations sum to ``latency_s`` in a trace of
+    #: this run (what ``validate_trace`` reconciles)
+    reconcile_cats = ()
+    #: devices the run spanned
+    num_shards = 1
+    #: fields ``to_dict`` leaves out, by name: matrices, hardware objects,
+    #: per-core vectors and raw events are huge or not JSON (--json
+    #: consumers compare summaries, not payloads); the per-kernel, compile
+    #: and plan records appear as the subclass's ``_summary()`` keys
+    _UNSERIALISED = frozenset({
+        "output", "config", "core_busy", "timeline_events",
+        "kernel_stats", "compile_timings", "plan",
+    })
+    _KEYS = {"model_name": "model", "data_name": "dataset",
+             "strategy_name": "strategy"}
 
     def output_dense(self) -> np.ndarray:
         if sp.issparse(self.output):
             return np.asarray(self.output.todense(), dtype=DTYPE)
         return np.asarray(self.output, dtype=DTYPE)
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable summary (``repro run`` / ``shard-bench
+        --json``): every field not named in ``_UNSERIALISED``, then the
+        latency, the balance and the subclass's derived keys
+        (``_summary()``) — a new field is serialised unless someone
+        names it."""
+        summary = {}
+        for f in fields(self):
+            if f.name not in self._UNSERIALISED:
+                value = getattr(self, f.name)
+                summary[self._KEYS.get(f.name, f.name)] = (
+                    value.item() if isinstance(value, np.generic) else value
+                )
+        summary["latency_ms"] = self.latency_ms
+        summary["load_balance"] = self.load_balance()
+        summary.update(self._summary())
+        return summary
+
+    def trace_meta(self) -> dict:
+        """``otherData`` for a trace of this run: the latency and span
+        categories ``validate_trace`` reconciles, and the accelerator
+        parameters the what-if projections scale against."""
+        return {
+            "model": self.model_name,
+            "dataset": self.data_name,
+            "strategy": self.strategy_name,
+            "shards": self.num_shards,
+            "expected_total_s": self.latency_s,
+            "reconcile_cats": list(self.reconcile_cats),
+            "num_cores": self.config.num_cores,
+            "pcie_gbps": self.config.memory.pcie_gbps,
+        }
 
 
 @dataclass(kw_only=True)
@@ -80,6 +131,8 @@ class InferenceResult(RunResult):
     input_bytes: int
     core_busy: np.ndarray
     timeline_events: list = field(default_factory=list, repr=False)
+
+    reconcile_cats = ("kernel", "exposed")
 
     # -- latency --------------------------------------------------------
     @property
@@ -164,32 +217,17 @@ class InferenceResult(RunResult):
             )
         return "\n".join(lines)
 
-    # the dense output matrix, config object, per-core busy vector and raw
-    # timeline events are deliberately not serialised: they are huge, and
-    # --json consumers compare summaries, not payloads
-    def to_dict(self) -> dict:  # staticcheck: ignore[RPR501]
-        """JSON-serialisable summary (``repro run --json`` payload)."""
+    def _summary(self) -> dict:
         return {
-            "model": self.model_name,
-            "dataset": self.data_name,
-            "strategy": self.strategy_name,
-            "latency_ms": self.latency_ms,
             "total_cycles": self.total_cycles,
-            "accel_cycles": self.accel_cycles,
-            "exposed_overhead_cycles": self.exposed_overhead_cycles,
-            "runtime_overhead_seconds": self.runtime_overhead_seconds,
             "overhead_fraction": self.overhead_fraction,
-            "load_balance": self.load_balance(),
             "num_tasks": self.num_tasks,
             "num_pairs": self.num_pairs,
             "total_macs": int(self.total_macs),
             "bytes_read": int(self.bytes_read),
             "bytes_written": int(self.bytes_written),
-            "input_bytes": int(self.input_bytes),
             "compile": {
-                "parse_s": self.compile_timings.parse_s,
-                "partition_s": self.compile_timings.partition_s,
-                "profile_s": self.compile_timings.profile_s,
+                **asdict(self.compile_timings),
                 "total_s": self.compile_timings.total_s,
             },
             "kernels": [

@@ -27,10 +27,10 @@ import numpy as np
 
 from repro.config import AcceleratorConfig
 from repro.hw.core import PairDecision
-from repro.hw.report import PRIMITIVE_CODES, SPDMM_CODE, Primitive
+from repro.hw.report import CODE_ORDER, PRIMITIVE_CODES, SPDMM_CODE, Primitive
 from repro.ir.kernel import KernelIR, KernelType
 from repro.runtime.analyzer import Analyzer, PairInfo
-from repro.runtime.perf_model import argmin_primitive, argmin_primitive_batch
+from repro.runtime.perf_model import argmin_primitive_batch
 
 
 class MappingStrategy(ABC):
@@ -45,9 +45,6 @@ class MappingStrategy(ABC):
         self.config = config
 
     @abstractmethod
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        """Map one (Xit, Ytj) pair to a primitive."""
-
     def decide_batch(
         self,
         kernel: KernelIR,
@@ -60,36 +57,25 @@ class MappingStrategy(ABC):
         """Map all ``K`` pairs of one task at once.
 
         Returns int8 primitive codes (:data:`repro.hw.report.CODE_ORDER`)
-        and the per-pair SpDMM ``transposed`` flags.  The base
-        implementation delegates to :meth:`decide` pair by pair, so a
-        strategy that only overrides the scalar method stays bit-exact;
-        the built-in strategies override this with vectorised paths.
+        and the per-pair SpDMM ``transposed`` flags.
 
         ``m``, ``n`` and ``d`` may each be a scalar or an array aligned
         with ``alpha_x`` — the vectorised executor batches *all* pairs of
         a kernel in one call, so the output-partition dims vary across
         the batch.
         """
-        k = len(alpha_x)
-        m_b = np.broadcast_to(np.asarray(m), (k,))
-        n_b = np.broadcast_to(np.asarray(n), (k,))
-        d_b = np.broadcast_to(np.asarray(d), (k,))
-        codes = np.empty(k, dtype=np.int8)
-        transposed = np.zeros(k, dtype=bool)
-        for idx in range(k):
-            dec = self.decide(
-                kernel,
-                PairInfo(
-                    alpha_x=float(alpha_x[idx]),
-                    alpha_y=float(alpha_y[idx]),
-                    m=int(m_b[idx]),
-                    n=int(n_b[idx]),
-                    d=int(d_b[idx]),
-                ),
-            )
-            codes[idx] = PRIMITIVE_CODES[dec.primitive]
-            transposed[idx] = dec.transposed
-        return codes, transposed
+
+    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
+        """Map one (Xit, Ytj) pair to a primitive: the batch of one."""
+        codes, transposed = self.decide_batch(
+            kernel,
+            np.array([info.alpha_x]),
+            np.array([info.alpha_y]),
+            info.m,
+            np.array([info.n]),
+            info.d,
+        )
+        return PairDecision(CODE_ORDER[codes[0]], transposed=bool(transposed[0]))
 
 
 class DynamicMapping(MappingStrategy):
@@ -101,9 +87,6 @@ class DynamicMapping(MappingStrategy):
     def __init__(self, config: AcceleratorConfig) -> None:
         super().__init__(config)
         self._analyzer = Analyzer(config)
-
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        return self._analyzer.decide(info)
 
     def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
         return self._analyzer.decide_batch(alpha_x, alpha_y)
@@ -119,11 +102,6 @@ class Static1(MappingStrategy):
 
     name = "S1"
 
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        if kernel.ktype is KernelType.AGGREGATE:
-            return PairDecision(Primitive.SPDMM)
-        return PairDecision(Primitive.GEMM)
-
     def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
         prim = (
             Primitive.SPDMM
@@ -138,9 +116,6 @@ class Static2(MappingStrategy):
 
     name = "S2"
 
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        return PairDecision(Primitive.SPDMM)
-
     def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
         return _constant_batch(Primitive.SPDMM, len(alpha_x))
 
@@ -150,13 +125,6 @@ class OracleMapping(MappingStrategy):
 
     name = "Oracle"
     charges_analysis = True
-
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        prim = argmin_primitive(
-            info.m, info.n, info.d, info.alpha_x, info.alpha_y, self.config
-        )
-        transposed = prim is Primitive.SPDMM and info.alpha_y < info.alpha_x
-        return PairDecision(prim, transposed=transposed)
 
     def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
         ax = np.asarray(alpha_x, dtype=np.float64)
@@ -175,9 +143,6 @@ class FixedMapping(MappingStrategy):
         super().__init__(config)
         self.primitive = primitive
         self.name = f"Fixed-{primitive.value}"
-
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        return PairDecision(self.primitive)
 
     def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
         return _constant_batch(self.primitive, len(alpha_x))

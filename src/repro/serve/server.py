@@ -289,6 +289,10 @@ class InferenceServer:
             raise ValueError(
                 f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}"
             )
+        if max_batch_size < 1:
+            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        if max_wait_s < 0:
+            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
         if POLICIES[scheduler].one_class:
             # slo_policy is allowed (it sets the goodput targets the
             # report grades against) but machinery that acts on classes

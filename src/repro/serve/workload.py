@@ -139,6 +139,8 @@ def synthesize(
         raise ValueError("num_requests must be >= 1")
     if not 0.0 <= class_skew <= 1.0:
         raise ValueError(f"class_skew must be within [0, 1], got {class_skew}")
+    if skew < 0:
+        raise ValueError(f"skew must be >= 0, got {skew}")
     if arrival not in ARRIVAL_KINDS:
         raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
     if arrival == "poisson":
@@ -215,6 +217,8 @@ def churn_stream(
         raise ValueError("num_requests must be >= 1")
     if mutation_every < 2:
         raise ValueError("mutation_every must be >= 2 (streams need traffic)")
+    if not 0.0 < edge_fraction <= 1.0:
+        raise ValueError(f"edge_fraction must be in (0, 1], got {edge_fraction}")
     if arrival not in ARRIVAL_KINDS:
         raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
     if arrival == "poisson":

@@ -74,6 +74,9 @@ class ShardedResult(RunResult):
 
     plan: ShardPlan
     kernel_stats: list[ShardKernelStats] = field(default_factory=list)
+    backend: str = field(default="sharded", init=False)
+
+    reconcile_cats = ("layer",)
 
     @property
     def num_shards(self) -> int:
@@ -187,24 +190,15 @@ class ShardedResult(RunResult):
             )
         return "\n".join(lines)
 
-    # the stitched output matrix and config object are deliberately not
-    # serialised; bit-exactness is asserted upstream and reported as a flag
-    def to_dict(self) -> dict:  # staticcheck: ignore[RPR501]
-        """JSON-serialisable summary (``repro shard-bench --json``)."""
+    def _summary(self) -> dict:
         return {
-            "model": self.model_name,
-            "dataset": self.data_name,
-            "strategy": self.strategy_name,
             "num_shards": self.num_shards,
-            "latency_ms": self.latency_ms,
             "halo_bytes": self.halo_bytes,
             "halo_s": self.halo_s,
             "halo_fraction": self.halo_fraction,
-            "load_balance": self.load_balance(),
             "nnz_balance": self.plan.nnz_balance(),
             "zero_halo_latency_ms": self.zero_halo_latency_s() * 1e3,
             "overlap_halo_latency_ms": self.overlap_halo_latency_s() * 1e3,
-            "runtime_overhead_seconds": self.runtime_overhead_seconds,
             "kernels": [
                 {
                     "kernel_id": ks.kernel_id,

@@ -19,6 +19,7 @@ from repro.perf import (
     EnvFingerprint,
     Metric,
     Regression,
+    SuiteReport,
     compare,
     compare_dirs,
     load_dir,
@@ -26,7 +27,6 @@ from repro.perf import (
     run_bench,
     run_suite,
     select,
-    update_baselines,
 )
 from repro.perf import spec as spec_mod
 from repro.runtime.analyzer import Analyzer, PairInfo
@@ -289,8 +289,10 @@ class TestCompareDirs:
         assert [c.classification for c in comparisons] == ["regression"]
         assert missing == ["b"]
 
-        written = update_baselines(new, base)
-        assert sorted(p.name for p in written) == [
+        report = SuiteReport("smoke", new, results=list(load_dir(new).values()))
+        report.promote(base)
+        assert "refreshed: 2 file(s)" in report.format_report()
+        assert sorted(p.name for p in base.glob("BENCH_*.json")) == [
             "BENCH_a.json", "BENCH_b.json"]
         comparisons, missing = compare_dirs(new, base)
         assert missing == []
@@ -591,23 +593,27 @@ class TestVectorizedHotPaths:
             assert codes[i] == PRIMITIVE_CODES[dec.primitive], (ax[i], ay[i])
             assert bool(transposed[i]) == dec.transposed
 
-    def test_base_class_batch_fallback_used_by_custom_strategy(self):
-        class OnlyScalar(MappingStrategy):
-            name = "only-scalar"
+    def test_base_class_decide_is_the_batch_of_one(self):
+        class OnlyBatch(MappingStrategy):
+            name = "only-batch"
 
-            def decide(self, kernel, info):
-                from repro.hw.core import PairDecision
-                prim = (Primitive.GEMM if info.alpha_x >= 0.5
-                        else Primitive.SPMM)
-                return PairDecision(prim)
+            def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
+                codes = np.where(np.asarray(alpha_x) >= 0.5,
+                                 PRIMITIVE_CODES[Primitive.GEMM],
+                                 PRIMITIVE_CODES[Primitive.SPDMM])
+                return codes.astype(np.int8), np.asarray(alpha_y) < alpha_x
 
-        ax, ay = _density_grid(31)
-        codes, transposed = OnlyScalar(CFG).decide_batch(
-            None, ax, ay, 512, np.full(31, 512), 128)
-        expected = [PRIMITIVE_CODES[Primitive.GEMM] if a >= 0.5
-                    else PRIMITIVE_CODES[Primitive.SPMM] for a in ax]
-        assert codes.tolist() == expected
-        assert not transposed.any()
+        strategy = OnlyBatch(CFG)
+        for ax, ay in zip(*_density_grid(31)):
+            dec = strategy.decide(None, PairInfo(float(ax), float(ay),
+                                                 512, 512, 128))
+            assert dec.primitive is (Primitive.GEMM if ax >= 0.5
+                                     else Primitive.SPDMM)
+            assert dec.transposed == bool(ay < ax)
+        # a strategy that only defines the scalar form cannot exist
+        with pytest.raises(TypeError, match="decide_batch"):
+            type("OnlyScalar", (MappingStrategy,),
+                 {"decide": lambda self, kernel, info: None})(CFG)
 
     def test_model_cycles_batch_bit_exact(self):
         ax, ay = _density_grid(67)
