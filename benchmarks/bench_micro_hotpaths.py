@@ -17,12 +17,17 @@ these inner loops, each rewritten as single numpy / native passes:
 3. ``hw.spmm_unit.spmm_workloads`` — the exact per-SCP loads of every
    SPMM pair, one int64 prefix sum instead of ``tocoo`` and two
    ``np.add.at`` scatters (kept below as the comparison).
-4. The task loop's pair product with both operands stored sparse: S2D
-   into one reusable scratch + ``csr_matvecs`` instead of SciPy's
-   ``(x @ y).todense()`` (kept below as the comparison) and its fresh
-   dense temporary per pair.  The pair is what a warm inference of the
-   perf ledger multiplies: a 720x720 adjacency block against a 720x500
-   block of 10%-dense features.
+4. The task loop's pair product with both operands stored sparse, on
+   its two routes, instead of SciPy's ``(x @ y).todense()`` (kept below
+   as the comparison) and its fresh dense temporary per pair: entry by
+   entry (``csr_matmat`` into a reusable scratch, the product's stored
+   cells added where they fall) and S2D into one reusable scratch +
+   ``csr_matvecs``.  The pair is what a warm inference of the perf
+   ledger multiplies, a 720x720 adjacency block against a 720x500 block
+   of features, at CiteSeer/Cora's feature density (1%), PubMed's (10%)
+   and past the crossover (30%); the bench prints which route the
+   task loop's rule takes at each and the crossover its three constants
+   encode.
 5. ``formats.partition``'s split of a sparse operand into its CSR
    blocks: one block-major layout (one radix sort of a 16-bit block id,
    or no sort at all for one block column) instead of a SciPy slice,
@@ -56,7 +61,14 @@ from repro.hw.core import PairDecision
 from repro.hw.report import PRIMITIVE_CODES
 from repro.hw.spmm_unit import spmm_workloads
 from repro.runtime.analyzer import Analyzer, PairInfo
-from repro.runtime.vectorized import _accumulate_csr_product
+from repro.runtime.vectorized import (
+    _NS_PER_CELL,
+    _NS_PER_MAC,
+    _NS_PER_ROW_CELL,
+    _accumulate_csr_product,
+    _add_csr_csr_product,
+    _entry_route,
+)
 
 #: default scale of both microbenches (identical in smoke and full: the
 #: kernels are milliseconds, and the baseline must record the real ratio)
@@ -73,6 +85,9 @@ PAIR_N1 = 720
 PAIR_D = 500
 PAIR_X_NNZ = 600
 PAIR_Y_DENSITY = 0.10
+#: Y densities of the two-route comparison (CI/CO features, PU's, past
+#: the crossover)
+ROUTE_Y_DENSITIES = (0.01, PAIR_Y_DENSITY, 0.30)
 PAIR_CALLS = 50
 #: the operands the perf ledger splits: (label, dataset, scale, operand,
 #: block columns) under N1 = 720 row blocking
@@ -214,14 +229,14 @@ def _k2p_spec(ctx):
     }
 
 
-def _operand_pair():
+def _operand_pair(y_density=PAIR_Y_DENSITY):
     rng = np.random.default_rng(31)
     x = sp.random(
         PAIR_N1, PAIR_N1, density=PAIR_X_NNZ / PAIR_N1**2, format="csr",
         dtype=np.float32, rng=rng,
     )
     y = sp.random(
-        PAIR_N1, PAIR_D, density=PAIR_Y_DENSITY, format="csr",
+        PAIR_N1, PAIR_D, density=y_density, format="csr",
         dtype=np.float32, rng=rng,
     )
     return x, y
@@ -289,43 +304,80 @@ def _pair_product_scipy(x, y):
     "micro_pair_product",
     tier=("smoke", "full"),
     tags=("micro", "hotpath"),
-    tolerances={"speedup": 0.6},
+    tolerances={
+        "speedup": 0.6, "entry_speedup_1pct": 0.6, "entry_speedup_10pct": 0.6,
+        "entry_speedup_30pct": 0.6,
+    },
 )
 def _pair_product_spec(ctx):
-    """Hot path 4: sparse x sparse pair, S2D + csr_matvecs vs csr @ csr."""
-    x, y = _operand_pair()
-    s2d = np.empty(PAIR_N1 * PAIR_D, dtype=DTYPE)
-    out = np.empty((PAIR_N1, PAIR_D), dtype=DTYPE)
+    """Hot path 4: sparse x sparse pair, entry by entry vs S2D vs csr @ csr."""
+    n1, d = PAIR_N1, PAIR_D
+    s2d = np.empty(n1 * d, dtype=DTYPE)
+    partial = np.empty((n1, d), dtype=DTYPE)
+    work: dict = {}
+    # the running sum of a task whose earlier pairs started it from +0.0
+    z0 = _pair_product_scipy(*_operand_pair(0.05))
+    rows, metrics = [], {}
+    for y_density in ROUTE_Y_DENSITIES:
+        x, y = _operand_pair(y_density)
 
-    def native():
-        out.fill(0)
-        _accumulate_csr_product(x, y, None, s2d, out)
-        return out
+        # each arm is what the task loop runs for a pair after the first
+        def by_scipy(z):
+            z += _pair_product_scipy(x, y)
 
-    ref, ref_s = best_of(_per_pair(_pair_product_scipy, x, y))
-    new, new_s = best_of(_per_pair(native))
-    assert ref.tobytes() == new.tobytes(), "pair product must be bit-exact"
-    speedup = ref_s / new_s
+        def by_s2d(z):
+            partial.fill(0)
+            _accumulate_csr_product(x, y, None, s2d, partial)
+            z += partial
+
+        def by_entry(z):
+            _add_csr_csr_product(x, y, work, z)
+
+        sums, seconds = [], []
+        for arm in (by_scipy, by_s2d, by_entry):
+            z = z0.copy()
+            arm(z)
+            sums.append(z.tobytes())
+            seconds.append(best_of(_per_pair(arm, z))[1] / PAIR_CALLS)
+        assert sums[0] == sums[1] == sums[2], (
+            "pair product must be bit-exact on every route"
+        )
+        ref_s, s2d_s, entry_s = seconds
+        rows.append([
+            f"{y_density:.0%}", f"{ref_s * 1e6:.1f}", f"{s2d_s * 1e6:.1f}",
+            f"{entry_s * 1e6:.1f}", f"{s2d_s / entry_s:.2f}x",
+            "entry" if _entry_route(x.nnz, y.nnz, n1, n1, d) else "S2D",
+        ])
+        name = f"entry_speedup_{y_density:.0%}".replace("%", "pct")
+        metrics[name] = Metric(name, s2d_s / entry_s, "x", "higher")
+        if y_density == PAIR_Y_DENSITY:
+            speedup = ref_s / s2d_s
+            metrics["speedup"] = Metric("speedup", speedup, "x", "higher")
+            metrics["per_pair_us"] = Metric("per_pair_us", s2d_s * 1e6, "us")
+    # the Y density at which the rule hands this X block over to S2D
+    crossover = (
+        _NS_PER_CELL * 2 * n1 + _NS_PER_ROW_CELL * x.nnz
+    ) / (_NS_PER_MAC * x.nnz)
     emit("micro_pair_product", format_table(
-        ["variant", "best (us / pair)", "fresh bytes / pair", "speedup"],
-        [
-            ["(x @ y).todense()", f"{ref_s / PAIR_CALLS * 1e6:.1f}",
-             f"{ref.nbytes:,}", "1.00x"],
-            ["S2D scratch + csr_matvecs", f"{new_s / PAIR_CALLS * 1e6:.1f}",
-             "0", f"{speedup:.2f}x"],
-        ],
+        ["Y density", "z += (x @ y).todense()", "S2D + csr_matvecs + add",
+         "csr_matmat + scatter", "entry vs S2D", "rule takes"],
+        rows,
         title=(
-            f"M1d: pair product, {PAIR_N1}x{PAIR_N1} block of {x.nnz} "
-            f"nonzeros @ {PAIR_N1}x{PAIR_D} CSR @ {PAIR_Y_DENSITY:.0%} "
-            f"(scratch held for the call: {s2d.nbytes + out.nbytes:,} B)"
+            f"M1d: pair product, best us / pair, {n1}x{n1} block of {x.nnz} "
+            f"nonzeros @ {n1}x{d} CSR; the rule's {_NS_PER_MAC:g} / "
+            f"{_NS_PER_CELL:g} / {_NS_PER_ROW_CELL:g} ns put the crossover "
+            f"at {crossover:.1%} (S2D scratch held for the call: "
+            f"{s2d.nbytes + partial.nbytes:,} B)"
         ),
     ))
     assert speedup > 1.2, f"native pair product only {speedup:.2f}x faster"
+    sparse_gain = metrics["entry_speedup_1pct"].value
+    assert sparse_gain > 2, f"entry route only {sparse_gain:.2f}x faster at 1%"
     return {
-        "speedup": Metric("speedup", speedup, "x", "higher"),
-        "per_pair_us": Metric("per_pair_us", new_s / PAIR_CALLS * 1e6, "us"),
+        **metrics,
+        "crossover_y_density": Metric("crossover_y_density", crossover, "ratio"),
         "temp_bytes_saved": Metric(
-            "temp_bytes_saved", float(ref.nbytes), "B", "higher"
+            "temp_bytes_saved", float(partial.nbytes), "B", "higher"
         ),
     }
 

@@ -142,6 +142,10 @@ class _BlockLayout:
         self.data.flags.writeable = self.local.flags.writeable = False
         #: block row -> its list of CSR blocks, filled on first touch
         self.rows: list[list | None] = [None] * nr
+        #: block row -> whether its stored data is all finite, on first ask
+        self.finite: list[bool | None] = [None] * nr
+        #: whether no stored entry is a zero, on first ask
+        self.zero_free: bool | None = None
 
     def block_row(self, i: int) -> list:
         """The CSR blocks of block row ``i``, split once."""
@@ -362,11 +366,33 @@ class PartitionedMatrix:
         own slicing gives, so functional products are bit-identical.
         Only valid for sparse storage.
         """
+        return self._block_layout().block_row(i)
+
+    def _block_layout(self) -> _BlockLayout:
         if not self.is_sparse_storage:
-            raise TypeError("csr_blocks_for_row requires sparse storage")
+            raise TypeError("block layouts require sparse storage")
         if self._layout is None:
             self._layout = _BlockLayout(self.matrix, self.block_rows, self.block_cols)
-        return self._layout.block_row(i)
+        return self._layout
+
+    def block_row_is_finite(self, i: int) -> bool:
+        """Whether block row ``i`` of a sparse operand stores no ``inf`` or
+        ``NaN``: one scan of the row's slice of the layout, kept with it."""
+        layout = self._block_layout()
+        finite = layout.finite[i]
+        if finite is None:
+            lo, hi = layout.extents[[i * layout.nc, (i + 1) * layout.nc]]
+            finite = layout.finite[i] = bool(np.isfinite(layout.data[lo:hi]).all())
+        return finite
+
+    @property
+    def stores_no_zeros(self) -> bool:
+        """Whether every stored entry of a sparse operand is nonzero (so
+        every block of it is): one scan, kept with the layout."""
+        layout = self._block_layout()
+        if layout.zero_free is None:
+            layout.zero_free = bool(layout.data.all())
+        return layout.zero_free
 
     def dense_block(self, i: int, j: int) -> np.ndarray:
         return as_dense(self.block(i, j))

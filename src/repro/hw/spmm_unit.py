@@ -21,15 +21,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import AcceleratorConfig
-from repro.formats.csr import as_csr, MatrixLike
+from repro.formats.csr import as_csr, eliminate_zeros, MatrixLike
 from repro.formats.dense import DTYPE
 from repro.hw.report import CycleReport
 
 
 def spmm_workloads(
-    x: MatrixLike, y: MatrixLike, psys: int
+    x: MatrixLike, y: MatrixLike, psys: int, zero_free: bool = False
 ) -> tuple[np.ndarray, int]:
     """Exact (per-SCP cycle loads, total MACs) for ``Z = X @ Y``.
+
+    ``zero_free``: both operands are CSR and store no zeros (the task
+    loop asks each operand's block layout once), so neither is rescanned.
 
     The multiply count of output row ``j`` is
     ``sum_{i in nonzeros of X[j]} nnz(Y[i])``; SCP ``j mod psys``
@@ -40,14 +43,13 @@ def spmm_workloads(
     column sums of the row loads zero-padded to a multiple of ``psys``
     and folded to ``(-1, psys)``.  ``run_spmm_faithful`` is the oracle.
     """
-    xs = as_csr(x)
-    ys = as_csr(y)
-    if xs.nnz and np.any(xs.data == 0):
-        xs = xs.copy()
-        xs.eliminate_zeros()
-    if ys.nnz and np.any(ys.data == 0):
-        ys = ys.copy()
-        ys.eliminate_zeros()
+    xs, ys = x, y
+    if not zero_free:
+        xs, ys = as_csr(x), as_csr(y)
+        if xs.nnz and np.any(xs.data == 0):
+            xs = eliminate_zeros(xs)
+        if ys.nnz and np.any(ys.data == 0):
+            ys = eliminate_zeros(ys)
     rows = xs.shape[0]
     prefix = np.zeros(xs.nnz + 1, dtype=np.int64)
     np.cumsum(np.diff(ys.indptr)[xs.indices], dtype=np.int64, out=prefix[1:])
@@ -57,10 +59,10 @@ def spmm_workloads(
 
 
 def spmm_compute_cycles(
-    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig
+    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig, zero_free: bool = False
 ) -> tuple[int, int]:
     """(cycles, macs): latency is the busiest SCP plus pipeline fill."""
-    scp_loads, macs = spmm_workloads(x, y, config.psys)
+    scp_loads, macs = spmm_workloads(x, y, config.psys, zero_free)
     if macs == 0:
         return 0, 0
     return int(scp_loads.max()) + config.pipeline_depth, macs

@@ -18,18 +18,25 @@ runs the same semantics as four batched passes over the whole kernel:
    operand's block-major layout, which the first
    :meth:`PartitionedMatrix.csr_blocks_for_row` of a view builds in one
    pass: the first inference after a patch is a warm one plus that
-   split) goes through
-   ``csr_matvecs`` against a dense Y block as it is, or against a CSR Y
-   block expanded into one reusable partition-sized scratch
-   (:func:`_accumulate_csr_product`, which carries the exactness
-   argument); the first such row partial of a task that starts from zero
-   lands straight in the task's output, later ones are formed apart and
-   added, keeping the ``z + P`` grouping.  Everything else takes
-   ``_matmul``, the definition: a dense X block, an X block row holding
-   ``inf``/``NaN``, and every pair where SciPy's private entry points
-   are missing.  The data-dependent SPMM cycle counts are taken here,
-   and each output partition's write-back nonzero count is recorded in
-   the assembly as the next kernel's census.
+   split) against a CSR Y block takes the route the census of phase 1
+   picks (:func:`_entry_route`, never a model, dataset or strategy
+   name): entry by entry, ``csr_matmat`` into a reusable scratch and the
+   product's stored cells added where they fall in the task's running
+   sum (:func:`_add_csr_csr_product`: the pair costs what its stored
+   entries cost; a task seeded from ``accumulate_into`` is kept off it),
+   or, once the multiply-adds would cost more than two dense sweeps, Y
+   expanded into one reusable partition-sized scratch and ``csr_matvecs``
+   (:func:`_accumulate_csr_product`, which needs X finite: asked of the
+   view once per block row, only here).  Against a dense Y block it is
+   ``csr_matvecs`` on the block as it is.  The first dense row partial of
+   a task that starts from zero lands straight in the task's output,
+   later ones are formed apart and added, keeping the ``z + P`` grouping.
+   Everything else takes ``_matmul``, the definition: a dense X block, an
+   X block row holding ``inf``/``NaN`` on the S2D route, and every pair
+   when one of SciPy's four private entry points is missing.  The
+   data-dependent SPMM cycle counts are taken here, and each output
+   partition's write-back nonzero count is recorded in the assembly as
+   the next kernel's census.
 3. **Write-back accounting** — batched profiler/merger/D2S cycles and
    task latencies (sequential float reductions via ``np.add.at`` /
    ``np.add.accumulate`` so kernel totals match the reference's
@@ -72,6 +79,16 @@ except ImportError:  # a SciPy that moved them: every pair takes _matmul
     _sparsetools = None
 _CSR_MATVECS = getattr(_sparsetools, "csr_matvecs", None)
 _CSR_TODENSE = getattr(_sparsetools, "csr_todense", None)
+_CSR_MATMAT = getattr(_sparsetools, "csr_matmat", None)
+_CSR_MATMAT_MAXNNZ = getattr(_sparsetools, "csr_matmat_maxnnz", None)
+
+#: host nanoseconds of the two CSR x CSR routes: a multiply-add of
+#: ``csr_matmat`` (``maxnnz`` pass and scatter included), a cell of the
+#: S2D route's ``m x d`` and ``n x d`` sweeps, a cell of ``csr_matvecs``'s
+#: row update per stored entry of X (see the ``micro_pair_product`` bench)
+_NS_PER_MAC = 9.0
+_NS_PER_CELL = 0.5
+_NS_PER_ROW_CELL = 0.25
 
 __all__ = [
     "execute_kernel_tasks",
@@ -159,6 +176,48 @@ def _accumulate_csr_product(xblk, yblk, y_flat, s2d, out) -> None:
         y_flat.fill(0)
         _CSR_TODENSE(n, d, yblk.indptr, yblk.indices, yblk.data, y_flat)
     _CSR_MATVECS(m, n, d, xblk.indptr, xblk.indices, xblk.data, y_flat, out.ravel())
+
+
+def _entry_route(x_nnz, y_nnz, m, n, d) -> np.ndarray:
+    """Which CSR x CSR pairs multiply entry by entry: those whose expected
+    multiply-adds (each entry of X meets ``y_nnz / n`` entries of Y) cost
+    less than sweeping the S2D route's dense buffers.  A pure function of
+    the census phase 1 already holds per pair."""
+    return _NS_PER_MAC * x_nnz * y_nnz < n * (
+        _NS_PER_CELL * (m + n) * d + _NS_PER_ROW_CELL * x_nnz * d
+    )
+
+
+def _add_csr_csr_product(xblk, yblk, work, out) -> bool:
+    """``out += (xblk @ yblk).todense()`` entry by entry, through the
+    definition's own kernels: ``csr_matmat`` into the reusable ``(indptr,
+    indices, data)`` of ``work``, then ``csr_todense`` adds each stored
+    cell of the product to ``out``.  O(multiply-adds + product entries);
+    no buffer sized like a partition is touched and no finite-data guard
+    is needed.
+
+    The bits are those of forming the dense product apart and adding it,
+    for an ``out`` that holds no ``-0.0`` (a sum that started at ``+0.0``
+    never does): a stored cell gets the same one float32 add, an unstored
+    one would have added ``+0.0``.  ``False``, with ``out`` untouched,
+    when the four index arrays do not share a dtype.
+    """
+    m, d = out.shape
+    xp, xj, yp, yj = xblk.indptr, xblk.indices, yblk.indptr, yblk.indices
+    idx = xp.dtype
+    if not (xj.dtype == idx and yp.dtype == idx and yj.dtype == idx):
+        return False
+    nmax = _CSR_MATMAT_MAXNNZ(m, d, xp, xj, yp, yj)
+    if nmax:
+        cp, cj, cx = work.get(idx) or (np.empty(0, idx),) * 3
+        if cp.size <= m:
+            cp = np.empty(m + 1, idx)
+        if cj.size < nmax:
+            cj, cx = np.empty(nmax, idx), np.empty(nmax, DTYPE)
+        work[idx] = cp, cj, cx
+        _CSR_MATMAT(m, d, xp, xj, xblk.data, yp, yj, yblk.data, cp, cj, cx)
+        _CSR_TODENSE(m, d, cp, cj, cx, out.ravel())
+    return True
 
 
 def execute_kernel_tasks(
@@ -321,7 +380,6 @@ def execute_kernel_tasks(
     seg_hi = np.searchsorted(lt, exec_idx, "right")
     x_row_blocks = None
     x_row_blocks_i = -1
-    x_row_finite = True
     # dense operand blocks are views reused across the task grid (every
     # output column revisits y(j, k); every output row revisits x(i, j))
     # — memoising them drops ~1/3 of the per-pair Python overhead.  The
@@ -332,13 +390,27 @@ def execute_kernel_tasks(
     #: reusable accumulation target of csr_matvecs — refilled with zeros
     #: before every product, so the bits match a fresh allocation
     scratch: dict = {}
-    native = x_sparse and _CSR_MATVECS is not None
+    #: SPMM pairs of two layouts that store no zeros rescan neither block
+    zero_free = bool(
+        x_sparse and y_sparse and (lc == SPMM_CODE).any()
+        and xv.stores_no_zeros and yv.stores_no_zeros
+    )
+    native = x_sparse and None not in (
+        _CSR_MATVECS, _CSR_TODENSE, _CSR_MATMAT, _CSR_MATMAT_MAXNNZ
+    )
     s2d = None
+    #: CSR x CSR pairs that multiply entry by entry
+    entry_p = np.zeros(p_count, dtype=bool)
+    #: csr_matmat's reusable output arrays, grown to the largest product
+    work: dict = {}
     if native and y_sparse:
-        native = _CSR_TODENSE is not None
         #: BufferU's analogue: one y_blocking partition, refilled per
         #: pair, so no dense copy of a sparse operand outlives its pair
         s2d = np.empty(int(x_cs.max(initial=0) * y_cs.max(initial=0)), DTYPE)
+        # a z seeded from acc_view may hold -0.0, where adding only the
+        # product's stored cells is not adding the dense product
+        if acc_view is None:
+            entry_p = _entry_route(x_nnz_p, y_nnz_p, m_p, n_p, d_p)
     for seg in range(exec_idx.shape[0]):
         t = int(exec_idx[seg])
         i = int(rows[t])
@@ -358,9 +430,6 @@ def execute_kernel_tasks(
         if s != e and x_sparse and x_row_blocks_i != i:
             x_row_blocks = xv.csr_blocks_for_row(i)
             x_row_blocks_i = i
-            x_row_finite = s2d is None or all(
-                np.isfinite(blk.data).all() for blk in x_row_blocks
-            )
         for q in range(s, e):
             p = int(lp[q])
             j = int(js[p])
@@ -383,29 +452,30 @@ def execute_kernel_tasks(
                 else:
                     yblk, y_flat = cached
             if codes[p] == SPMM_CODE:
-                cyc, mc = spmm_compute_cycles(xblk, yblk, cfg)
+                cyc, mc = spmm_compute_cycles(xblk, yblk, cfg, zero_free)
                 comp_p[p] = cyc
                 macs_p[p] = mc
-            if native and x_row_finite:
-                if blank and not transp[p]:
-                    # 0 + P has the bits of P (P is never -0.0), so the
-                    # first row partial needs no buffer of its own
-                    partial = z
+            flipped = bool(transp[p])
+            if flipped and col_part is None:
+                col_part = np.zeros((m, d), dtype=DTYPE)
+            part = col_part if flipped else row_part
+            if not (entry_p[p] and _add_csr_csr_product(xblk, yblk, work, part)):
+                if native and (y_flat is not None or xv.block_row_is_finite(i)):
+                    if blank and not flipped:
+                        # 0 + P has the bits of P (P is never -0.0), so
+                        # the first row partial needs no buffer of its own
+                        partial = z
+                    else:
+                        partial = scratch.get((m, d))
+                        if partial is None:
+                            partial = scratch[(m, d)] = np.empty((m, d), dtype=DTYPE)
+                        partial.fill(0)
+                    _accumulate_csr_product(xblk, yblk, y_flat, s2d, partial)
                 else:
-                    partial = scratch.get((m, d))
-                    if partial is None:
-                        partial = scratch[(m, d)] = np.empty((m, d), dtype=DTYPE)
-                    partial.fill(0)
-                _accumulate_csr_product(xblk, yblk, y_flat, s2d, partial)
-            else:
-                partial = _matmul(xblk, yblk)
-            if transp[p]:
-                if col_part is None:
-                    col_part = np.zeros((m, d), dtype=DTYPE)
-                col_part += partial
-            elif partial is not z:
-                row_part += partial
-            blank = blank and bool(transp[p])
+                    partial = _matmul(xblk, yblk)
+                if partial is not z:
+                    part += partial
+            blank = blank and flipped
         z = row_part if col_part is None else row_part + col_part
         if act is not None:
             z = np.asarray(act(z), dtype=DTYPE)

@@ -4,8 +4,10 @@ A warm inference is the task loop's functional pass and little else, and
 each statement of it that was made faster has to stay *the same
 function*, bit for bit:
 
-- the pair product with both operands stored sparse (S2D into one
-  scratch + ``csr_matvecs``) against SciPy's ``csr @ csr``;
+- the pair product with both operands stored sparse, on either route
+  (entry by entry through ``csr_matmat``; S2D into one scratch +
+  ``csr_matvecs``), against SciPy's ``csr @ csr``, and the rule that
+  picks the route from the census;
 - the write-back profiler's counts, reused as the consumer's census,
   against ``block_nnz_grid`` of the stored output;
 - ``spmm_workloads`` (prefix sums) against Algorithm 6 walked element
@@ -30,13 +32,23 @@ from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 from repro.gnn import build_model, init_weights
 from repro.hw import Accelerator
+from repro.hw.report import SPDMM_CODE
 from repro.hw.spmm_unit import run_spmm_faithful, spmm_workloads
-from repro.runtime import execute_kernel_tasks_reference, make_strategy
+from repro.runtime import (
+    execute_kernel_tasks,
+    execute_kernel_tasks_reference,
+    make_strategy,
+)
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
+from repro.runtime.strategies import MappingStrategy
 from repro.shard import plan_shards
 
 from conftest import make_tiny_config
-from test_executor_vectorised import assert_results_identical, oracle_run
+from test_executor_vectorised import (
+    _loop_args,
+    assert_results_identical,
+    oracle_run,
+)
 
 MODELS = ("GCN", "GraphSAGE", "GIN", "SGC")
 
@@ -108,12 +120,75 @@ def fast_product(x, y) -> np.ndarray:
     return out
 
 
+def same_index_dtype(x, y) -> bool:
+    return x.indptr.dtype == y.indptr.dtype
+
+
+def entry_product(x, y):
+    """``(product, taken)`` on the entry-by-entry route, its scratch as
+    an earlier, larger pair of the same call would have left it."""
+    m, d = x.shape[0], y.shape[1]
+    out = np.zeros((m, d), dtype=DTYPE)
+    idx = x.indptr.dtype
+    work = {idx: (
+        np.full(m + 4, -7, dtype=idx),
+        np.full(m * d + 3, -7, dtype=idx),
+        np.full(m * d + 3, np.nan, dtype=DTYPE),
+    )}
+    return out, vectorized_mod._add_csr_csr_product(x, y, work, out)
+
+
+#: what a poisoned adjacency holds, against structural zeros of Y
+NONFINITE = st.sampled_from([np.inf, -np.inf, np.nan, 1.0, -2.5, 0.0, -0.0])
+
+
 class TestPairProduct:
     @settings(max_examples=300, deadline=None)
     @given(operand_pairs())
     def test_s2d_matvecs_is_csr_matmat_bit_for_bit(self, pair):
         x, y = pair
         assert bits(fast_product(x, y)) == bits(csr_csr_reference(x, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    def test_entry_route_is_csr_matmat_bit_for_bit(self, pair):
+        x, y = pair
+        out, taken = entry_product(x, y)
+        # an int32 block against an int64 one falls through, untouched
+        assert taken == same_index_dtype(x, y)
+        expected = csr_csr_reference(x, y) if taken else np.zeros_like(out)
+        assert bits(out) == bits(expected)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @settings(max_examples=200, deadline=None)
+    @given(operand_pairs(x_values=NONFINITE))
+    def test_entry_route_needs_no_finite_guard(self, pair):
+        x, y = pair
+        out, taken = entry_product(x, y)
+        if taken:
+            assert bits(out) == bits(csr_csr_reference(x, y))
+
+    @settings(max_examples=100, deadline=None)
+    @given(operand_pairs(), operand_pairs())
+    def test_entry_route_adds_like_a_dense_partial(self, first, second):
+        """Onto a sum that started at ``+0.0``, adding the product's
+        stored cells is adding the dense product (``z + P`` grouping)."""
+        m, d = first[0].shape[0], first[1].shape[1]
+        z = csr_csr_reference(*first)
+        rng = np.random.default_rng(m * 16 + d)
+        x = sp.random(m, 5, 0.4, format="csr", dtype=DTYPE, rng=rng)
+        y = sp.random(5, d, 0.4, format="csr", dtype=DTYPE, rng=rng)
+        expected = z + csr_csr_reference(x, y)
+        assert vectorized_mod._add_csr_csr_product(x, y, {}, z)
+        assert bits(z) == bits(expected)
+
+    def test_entry_route_with_an_empty_product_allocates_nothing(self):
+        x = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=DTYPE))
+        y = sp.csr_matrix((2, 3), dtype=DTYPE)
+        out = np.zeros((2, 3), dtype=DTYPE)
+        work = {}
+        assert vectorized_mod._add_csr_csr_product(x, y, work, out)
+        assert work == {} and bits(out) == bits(np.zeros((2, 3)))
 
     @settings(max_examples=100, deadline=None)
     @given(operand_pairs())
@@ -131,6 +206,7 @@ class TestPairProduct:
         x = sp.random(m, n, 0.7, format="csr", dtype=DTYPE, rng=rng)
         y = sp.random(n, d, 0.7, format="csr", dtype=DTYPE, rng=rng)
         assert bits(fast_product(x, y)) == bits(csr_csr_reference(x, y))
+        assert bits(entry_product(x, y)[0]) == bits(csr_csr_reference(x, y))
 
     def test_nonfinite_x_is_the_one_place_the_routes_differ(self):
         """``inf`` in X against a structural zero of Y: ``csr_matmat``
@@ -177,6 +253,183 @@ class TestNonFiniteGuard:
         assert not np.isfinite(rv.output_dense()).all()
         assert bits(rv.output_dense()) == bits(rr.output_dense())
         assert rv.total_cycles == rr.total_cycles
+
+
+def csr_csr_kernel(program):
+    """The first kernel multiplying two stored-sparse operands."""
+    return next(
+        k for k in program.graph.topo_order()
+        if sp.issparse(program.store[k.x_name])
+        and sp.issparse(program.store[k.y_name])
+    )
+
+
+def both_loops(program, kernel, strategy=None, acc_view=None):
+    """One kernel through the task loop and the reference loop:
+    ``[(output bits, stats, timeline events)] * 2``."""
+    runs = []
+    for loop in (execute_kernel_tasks, execute_kernel_tasks_reference):
+        args = list(_loop_args(
+            program, kernel, Accelerator(program.config),
+            kernel.exec_scheme.task_batch(),
+        ))
+        if strategy is not None:
+            args[6] = strategy
+        args[10] = acc_view
+        stats = loop(*args)
+        runs.append((bits(args[9].finalize()[0]), stats, args[7].events))
+    return runs
+
+
+class OrientedSpDMM(MappingStrategy):
+    """Every pair SpDMM, transposed where Y is the sparser operand."""
+
+    name = "oriented"
+
+    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
+        codes = np.full(len(alpha_x), SPDMM_CODE, dtype=np.int8)
+        return codes, np.asarray(alpha_y) < np.asarray(alpha_x)
+
+
+@pytest.fixture()
+def route_spy(monkeypatch):
+    """Which product function every pair of a run went through."""
+    taken = {"entry": 0, "s2d": 0, "dense_y": 0, "matmul": 0}
+    entry = vectorized_mod._add_csr_csr_product
+    accumulate = vectorized_mod._accumulate_csr_product
+    matmul = vectorized_mod._matmul
+
+    def spy_entry(x, y, work, out):
+        ok = entry(x, y, work, out)
+        taken["entry"] += ok
+        return ok
+
+    def spy_accumulate(x, y, y_flat, s2d, out):
+        taken["s2d" if y_flat is None else "dense_y"] += 1
+        return accumulate(x, y, y_flat, s2d, out)
+
+    def spy_matmul(x, y):
+        taken["matmul"] += 1
+        return matmul(x, y)
+
+    monkeypatch.setattr(vectorized_mod, "_add_csr_csr_product", spy_entry)
+    monkeypatch.setattr(vectorized_mod, "_accumulate_csr_product", spy_accumulate)
+    monkeypatch.setattr(vectorized_mod, "_matmul", spy_matmul)
+    return taken
+
+
+class TestEntryRoute:
+    def test_transposed_pairs_equal_the_reference(self, tiny_programs, route_spy):
+        program = tiny_programs["GraphSAGE"]
+        kernel = csr_csr_kernel(program)
+        strategy = OrientedSpDMM(program.config)
+        xv = program.view(kernel.x_name, *kernel.exec_scheme.x_blocking)
+        yv = program.view(kernel.y_name, *kernel.exec_scheme.y_blocking)
+        # both orientations occur among this kernel's live pairs
+        live = (xv.density_grid[:, :, None] > 0) & (yv.density_grid[None] > 0)
+        flipped = yv.density_grid[None] < xv.density_grid[:, :, None]
+        assert (live & flipped).any() and (live & ~flipped).any()
+        fast, reference = both_loops(program, kernel, strategy)
+        assert fast == reference
+        assert route_spy["entry"] > 0 and route_spy["s2d"] == 0
+
+    def test_a_task_seeded_with_negative_zero_keeps_the_dense_route(
+        self, tiny_programs, route_spy
+    ):
+        """``-0.0 + (+0.0)`` is ``+0.0``: adding only the stored cells
+        of the product would leave the ``-0.0`` the reference loses."""
+        program = tiny_programs["GraphSAGE"]
+        kernel = csr_csr_kernel(program)
+        scheme = kernel.exec_scheme
+        shape = (program.store[kernel.x_name].shape[0],
+                 program.store[kernel.y_name].shape[1])
+        seed = PartitionedMatrix(np.full(shape, -0.0, dtype=DTYPE), *scheme.out_blocking)
+        fast, reference = both_loops(program, kernel, acc_view=seed)
+        assert fast == reference
+        assert route_spy["entry"] == 0 and route_spy["s2d"] > 0
+        out = np.frombuffer(fast[0], dtype=DTYPE)
+        assert not np.signbit(out[out == 0]).any()
+
+    def test_rule_is_a_function_of_the_census_alone(self):
+        rule = vectorized_mod._entry_route
+        n1, d = 720, 500
+        # a ledger pair: a few hundred adjacency entries, 10%-dense features
+        assert rule(450, n1 * d // 10, n1, n1, d)
+        # 30%-dense against 30%-dense: sweeping two buffers is cheaper
+        assert not rule(3 * n1 * n1 // 10, 3 * n1 * d // 10, n1, n1, d)
+        # nothing to multiply on either side costs nothing entry by entry
+        assert rule(0, n1 * d, n1, n1, d) and rule(n1 * n1, 0, n1, n1, d)
+        census = [np.array(c) for c in ([450, 155520], [36000, 108000], n1, n1, d)]
+        assert rule(*census).tolist() == [True, False]
+
+    @pytest.mark.parametrize("dataset,scale", [("CO", 1.0), ("CI", 1.0), ("PU", 0.25)])
+    def test_every_input_aggregate_pair_of_gin_goes_entry_by_entry(
+        self, dataset, scale, monkeypatch
+    ):
+        """Adjacency blocks against blocks of input features: the same
+        pairs take the same route whatever the strategy maps them to."""
+        decisions = {}
+        rule = vectorized_mod._entry_route
+
+        def recording_rule(*census):
+            routed = rule(*census)
+            decisions[strategy].append(([c.tolist() for c in census], routed.tolist()))
+            return routed
+
+        monkeypatch.setattr(vectorized_mod, "_entry_route", recording_rule)
+        engine = Engine()
+        handle = engine.compile("GIN", dataset, scale=scale, seed=0)
+        for strategy in ("S1", "S2", "Dynamic"):
+            decisions[strategy] = []
+            engine.infer(handle, strategy=strategy)
+        assert decisions["S1"] == decisions["S2"] == decisions["Dynamic"]
+        (_, routed), = decisions["S1"]  # L1.agg is the one CSR x CSR kernel
+        assert routed and all(routed)
+
+    def test_no_partition_sized_fill_for_a_csr_csr_pair(self, monkeypatch):
+        """GIN x CiteSeer, the ledger's costliest cold cell: no pair of
+        two sparse blocks expands Y into the S2D scratch or forms a dense
+        product (every such pair did one or the other before the route)."""
+        dense_products = []
+        accumulate = vectorized_mod._accumulate_csr_product
+        matmul = vectorized_mod._matmul
+
+        def spy_accumulate(x, y, y_flat, s2d, out):
+            dense_products.append(y_flat is None)
+            return accumulate(x, y, y_flat, s2d, out)
+
+        def spy_matmul(x, y):
+            dense_products.append(sp.issparse(x) and sp.issparse(y))
+            return matmul(x, y)
+
+        monkeypatch.setattr(vectorized_mod, "_accumulate_csr_product", spy_accumulate)
+        monkeypatch.setattr(vectorized_mod, "_matmul", spy_matmul)
+        engine = Engine()
+        handle = engine.compile("GIN", "CI", seed=0)
+        engine.infer(handle, strategy="Dynamic")
+        assert dense_products and not any(dense_products)
+
+
+class TestFiniteScan:
+    def test_asked_once_per_view_and_again_after_a_rebind(self):
+        rng = np.random.default_rng(3)
+        mat = sp.random(40, 30, 0.3, format="csr", dtype=DTYPE, rng=rng)
+        view = PartitionedMatrix(mat, 16, 8)
+        assert all(view.block_row_is_finite(i) for i in range(3))
+        poisoned = mat.copy()
+        poisoned.data[poisoned.indptr[20]] = np.nan  # block row 1
+        mat.data[:] = poisoned.data
+        assert view.block_row_is_finite(1)  # kept with the layout
+        view.apply_structural_delta(poisoned, [], [], [], [])
+        assert [view.block_row_is_finite(i) for i in range(3)] == [True, False, True]
+
+    def test_only_a_block_row_with_an_s2d_pair_is_scanned(self, tiny_programs):
+        program = tiny_programs["GraphSAGE"]
+        kernel = csr_csr_kernel(program)
+        program._views.clear()
+        run_strategy(program, "S2")  # every CSR x CSR pair goes entry by entry
+        xv = program.view(kernel.x_name, *kernel.exec_scheme.x_blocking)
+        assert xv._layout.finite == [None] * xv.num_row_blocks
 
 
 # -- (b) the profiler's counts are the census ----------------------------
@@ -325,6 +578,32 @@ class TestSpmmWorkloads:
         np.testing.assert_array_equal(loads, expected)
         assert macs == int(expected.sum())
 
+    @settings(max_examples=100, deadline=None)
+    @given(operand_pairs(), st.sampled_from([1, 4, 16]))
+    def test_zero_free_operands_are_not_rescanned(self, pair, psys):
+        """What the task loop passes when both layouts store no zeros:
+        the same counts, with no conversion and no ``data == 0`` scan."""
+        x, y = (m.copy() for m in pair)
+        x.eliminate_zeros()
+        y.eliminate_zeros()
+        loads, macs = spmm_workloads(x, y, psys, zero_free=True)
+        expected, expected_macs = spmm_workloads(x, y, psys)
+        np.testing.assert_array_equal(loads, expected)
+        assert macs == expected_macs
+
+    def test_the_layout_says_whether_an_operand_stores_zeros(self):
+        rng = np.random.default_rng(7)
+        mat = sp.random(40, 30, 0.2, format="csr", dtype=DTYPE, rng=rng)
+        assert PartitionedMatrix(mat, 16, 8).stores_no_zeros
+        mat.data[5] = -0.0
+        view = PartitionedMatrix(mat, 16, 8)
+        assert not view.stores_no_zeros
+        # kept with the layout: a rebind to the cleaned matrix asks again
+        clean = mat.copy()
+        clean.eliminate_zeros()
+        view.apply_structural_delta(clean, [], [], [], [])
+        assert view.stores_no_zeros
+
     @pytest.mark.parametrize("rows", [3, 4, 10])
     def test_against_run_spmm_faithful_cycles(self, rows, tiny_config):
         rng = np.random.default_rng(rows)
@@ -352,11 +631,13 @@ class TestSpmmWorkloads:
 # -- the private SciPy entry points --------------------------------------
 class TestNativeEntryPoints:
     def test_scipy_still_has_them_with_this_signature(self):
-        """Fails by name on the SciPy release that moves or re-types
-        ``csr_matvecs`` / ``csr_todense``, rather than silently costing
-        a quarter of every warm inference."""
+        """Fails by name on the SciPy release that moves or re-types one
+        of the four, rather than silently costing a third of every warm
+        inference."""
         assert callable(vectorized_mod._CSR_MATVECS)
         assert callable(vectorized_mod._CSR_TODENSE)
+        assert callable(vectorized_mod._CSR_MATMAT)
+        assert callable(vectorized_mod._CSR_MATMAT_MAXNNZ)
         for index_dtype in (np.int32, np.int64):
             indptr = np.array([0, 1, 2], dtype=index_dtype)
             indices = np.array([1, 0], dtype=index_dtype)
@@ -367,8 +648,22 @@ class TestNativeEntryPoints:
             out = np.zeros(4, dtype=DTYPE)
             vectorized_mod._CSR_MATVECS(2, 2, 2, indptr, indices, data, dense, out)
             assert out.tolist() == [6.0, 0.0, 0.0, 6.0]
+            # [[0, 2], [3, 0]] squared, into arrays the caller owns
+            operand = (indptr, indices)
+            assert vectorized_mod._CSR_MATMAT_MAXNNZ(2, 2, *operand, *operand) == 2
+            cp, cj = np.empty(3, dtype=index_dtype), np.empty(2, dtype=index_dtype)
+            cx = np.empty(2, dtype=DTYPE)
+            vectorized_mod._CSR_MATMAT(
+                2, 2, *operand, data, *operand, data, cp, cj, cx
+            )
+            assert (cp.tolist(), cj.tolist(), cx.tolist()) == (
+                [0, 1, 2], [0, 1], [6.0, 6.0]
+            )
 
-    @pytest.mark.parametrize("missing", ["_CSR_MATVECS", "_CSR_TODENSE"])
+    @pytest.mark.parametrize(
+        "missing",
+        ["_CSR_MATVECS", "_CSR_TODENSE", "_CSR_MATMAT", "_CSR_MATMAT_MAXNNZ"],
+    )
     @pytest.mark.parametrize("model_name", ["GCN", "GraphSAGE"])
     def test_fallback_is_bit_identical(
         self, tiny_programs, missing, model_name, monkeypatch
@@ -386,7 +681,11 @@ class TestNativeEntryPoints:
         slow = run_strategy(program, "Dynamic")
         assert_results_identical(slow, fast)
         assert_results_identical(slow, oracle_run(run_strategy, program, "Dynamic"))
-        assert products  # the fallback really ran
+        # the fallback really ran, for every live pair
+        assert len(products) == sum(
+            sum(n for prim, n in ks.primitive_counts.items() if prim.name != "SKIP")
+            for ks in slow.kernel_stats
+        )
 
 
 # -- the third view site --------------------------------------------------
