@@ -74,9 +74,10 @@ class CompiledProgram:
     #: names whose sparsity was profiled at compile time (§III-B)
     compile_time_profiled: frozenset = frozenset()
     _views: dict = field(default_factory=dict, repr=False)
-    #: memoised executions, (strategy, shards) -> the serving layer's
-    #: replayable outcome.  They live and die with the program: a patch
-    #: builds a new program and so starts empty, eviction drops both
+    #: recorded executions, (strategy, shards) -> the result object, written
+    #: by ``Engine.execute`` alone and replayed by the serve path.  They
+    #: live and die with the program: a patch builds a new program and so
+    #: starts empty, eviction drops both
     _runs: dict = field(default_factory=dict, repr=False)
 
     def view(self, name: str, block_rows: int, block_cols: int) -> PartitionedMatrix:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.baselines.cpu_gpu import OutOfMemoryError, framework_latency
-from repro.runtime.executor import InferenceResult, run_strategy
+from repro.runtime.executor import InferenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.engine.core import Engine, ProgramHandle
@@ -157,10 +157,7 @@ class SimulatedBackend(ExecutionBackend):
     """
 
     def run(self, handle: "ProgramHandle", *, strategy: str = "Dynamic") -> InferenceResult:
-        return run_strategy(
-            handle.program, strategy, accelerator=self.engine.device(0),
-            tracer=self.engine.tracer,
-        )
+        return self.engine.execute(handle.program, strategy)
 
 
 class _RooflineBackend(ExecutionBackend):
@@ -216,18 +213,12 @@ class ShardedBackend(ExecutionBackend):
     """
 
     def run(self, handle: "ProgramHandle", *, strategy: str = "Dynamic"):
-        from repro.runtime.strategies import make_strategy
-        from repro.shard.executor import ShardedRuntime
         from repro.shard.planner import plan_shards
 
         plan = handle.shard_plan
         if plan is None:
             plan = plan_shards(handle.program, self.engine.pool.num_devices)
-        runtime = ShardedRuntime(
-            self.engine.pool, make_strategy(strategy, self.engine.config), plan,
-            tracer=self.engine.tracer,
-        )
-        return runtime.run(handle.program)
+        return self.engine.execute(handle.program, strategy, plan=plan)
 
 
 @register_backend("hetero")

@@ -54,6 +54,7 @@ from repro.gnn.models import ModelSpec, build_model, init_weights
 from repro.gnn.pruning import prune_weights
 from repro.hw.accelerator import Accelerator
 from repro.obs.tracer import NULL_TRACER
+from repro.runtime.executor import run_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.request import InferenceRequest
@@ -365,9 +366,58 @@ class Engine:
         (bit-identical to the legacy ``RuntimeSystem`` path), ``hetero``
         a :class:`~repro.hetero.executor.HeteroResult`, and ``cpu`` /
         ``gpu`` a :class:`~repro.engine.backends.RooflineResult`.  Every
-        result exposes ``latency_s`` and ``latency_ms``.
+        result exposes ``latency_s`` and ``latency_ms``.  A simulated or
+        sharded run goes through :meth:`execute`: simulated anew on every
+        call, and left as the program's record for the serve path.
         """
         return self.backend(backend).run(handle, strategy=strategy)
+
+    def execute(
+        self,
+        program: CompiledProgram,
+        strategy: str = "Dynamic",
+        shards: int = 1,
+        *,
+        plan=None,
+        ready_s: float | None = None,
+    ):
+        """The one door to a simulated execution of ``program``.
+
+        The result (an ``InferenceResult``, or a ``ShardedResult`` when
+        ``shards > 1`` or a shard ``plan`` is given) becomes the program's
+        record, ``program._runs[strategy, shards]``.  Whoever simulates
+        overwrites it; only the serve path replays it.
+
+        ``ready_s=None`` is a caller's own run (:meth:`infer`): simulated
+        every time, traced by the session tracer, on device 0 or, sharded,
+        booked on the pool's clock.  A time is the serve path saying when
+        its batch is ready: the record is returned if there is one, else
+        the run is simulated untraced and unbooked on the device that
+        would start it first (sharded: the first ``shards`` devices).
+        """
+        serving = ready_s is not None
+        if plan is not None:
+            shards = plan.num_shards
+        if serving and (strategy, shards) in program._runs:
+            return program._runs[strategy, shards]
+        tracer = NULL_TRACER if serving else self.tracer
+        if plan is not None or shards > 1:
+            from repro.shard.executor import run_sharded
+
+            run = run_sharded(
+                program, shards, strategy_name=strategy, pool=self.pool,
+                plan=plan, book_on_pool=not serving, tracer=tracer,
+            )
+        else:
+            device = self.pool.peek_device(ready_s) if serving else 0
+            run = run_strategy(
+                program, strategy, accelerator=self.device(device), tracer=tracer
+            )
+        # a one-shard plan is not the unsharded run (it sums per-layer
+        # seconds, not cycles: the last ulp differs), so never its record
+        if run.num_shards > 1 or plan is None:
+            program._runs[strategy, shards] = run
+        return run
 
     # -- mutate ---------------------------------------------------------
     def apply_delta(
@@ -510,12 +560,11 @@ class Engine:
         ``max_wait_s``, ``return_outputs``, ``mutation_policy``, and
         ``scheduler`` with its ``slo_policy`` / ``admission`` /
         ``autoscaler``).  A server holds knobs, not results: compiled
-        programs and their memoised executions live in the program cache,
-        so repeated sweeps stay warm whatever kwargs each one passes.
-        Every sweep runs through the one serve loop
-        (:mod:`repro.sched.scheduler`); ``scheduler`` names its dispatch
-        policy, by default ``"legacy"`` — book each closed batch ahead
-        and whole.
+        programs and their recorded executions (:meth:`execute`) live in
+        the program cache, so a sweep is warm for whatever
+        :meth:`infer` or an earlier sweep already ran.  ``scheduler`` names
+        the one serve loop's dispatch policy, by default ``"legacy"``:
+        book each closed batch ahead and whole.
         """
         from repro.serve.server import InferenceServer
 

@@ -1,19 +1,20 @@
-"""A pool of simulated accelerators with an earliest-idle dispatcher.
+"""A pool of simulated accelerators on one shared virtual clock.
 
 Scales the single-device simulator to N devices the same way
 :class:`~repro.runtime.scheduler.CoreTimeline` scales one kernel across
-Computation Cores: a per-device available-time vector on a shared virtual
-clock.  ``submit`` books a batch on the device that can start it first
-(earliest-idle-device scheduling — the multi-device analogue of Algorithm
-8's idle-core interrupts), and per-device busy time is tracked so the
-server can report utilization and detect load imbalance.
+Computation Cores: a per-device available-time vector.  Three rules pick
+the device(s) a booking lands on: ``submit`` takes the device that can
+start first (the multi-device analogue of Algorithm 8's idle-core
+interrupts), ``submit_on`` the one it is told, ``submit_group`` the N
+earliest-available, held to a common barrier.  What a booking *is* is
+written once (``_book``): the device's availability and busy seconds, a
+:class:`DispatchEvent`, a dispatch span.
 
-Each slot owns a real :class:`~repro.hw.accelerator.Accelerator` instance:
-the engine runs a batch's functional/cycle simulation on the chosen
-device's hardware state, so the pool is not just bookkeeping — outputs
-come from the same simulator a single-shot run uses.  The pool is owned
-by the :class:`~repro.engine.core.Engine`; the serving front-end books
-batches on it but never wires devices itself.
+Each slot owns a real :class:`~repro.hw.accelerator.Accelerator`: the
+engine runs a batch's functional/cycle simulation on the chosen device's
+hardware state, so outputs come from the same simulator a single-shot run
+uses.  The pool is owned by the :class:`~repro.engine.core.Engine`; the
+serving front-end books batches on it but never wires devices itself.
 """
 
 from __future__ import annotations
@@ -111,6 +112,29 @@ class AcceleratorPool:
             best = int(candidates[np.argmin(active[candidates])])
         return best
 
+    def _book(
+        self, device: int, start: float, service_s: float, work_s: float,
+        batch_id: int, batch_size: int, label: str, **span_args,
+    ) -> float:
+        """The one booking: hold ``device`` from ``start`` for
+        ``service_s`` seconds, charge it ``work_s`` busy, log the
+        :class:`DispatchEvent` and the dispatch span; returns the end.
+        How the device and the start were chosen is the caller's rule."""
+        if service_s < 0:
+            raise ValueError("service_s must be non-negative")
+        end = start + service_s
+        self.available[device] = end
+        self.busy[device] += work_s
+        self.events.append(
+            DispatchEvent(device, start, end, batch_id, batch_size)
+        )
+        if self.tracer.enabled:
+            self.tracer.span(
+                f"pool/dev{device}", label, start, end, cat="dispatch",
+                batch_size=batch_size, **span_args,
+            )
+        return end
+
     def submit(
         self,
         service_s: float,
@@ -119,27 +143,12 @@ class AcceleratorPool:
         batch_id: int = -1,
         batch_size: int = 1,
     ) -> tuple[int, float, float]:
-        """Book ``service_s`` seconds of work; returns (device, start, end)."""
-        if service_s < 0:
-            raise ValueError("service_s must be non-negative")
+        """Book ``service_s`` seconds of work on the device that can start
+        it first (:meth:`peek_device`); returns (device, start, end)."""
         device = self.peek_device(ready_s)
-        start = float(max(self.available[device], ready_s))
-        end = start + service_s
-        self.available[device] = end
-        self.busy[device] += service_s
-        self.events.append(
-            DispatchEvent(device, start, end, batch_id, batch_size)
+        start, end = self.submit_on(
+            device, service_s, ready_s, batch_id=batch_id, batch_size=batch_size
         )
-        if self.tracer.enabled:
-            self.tracer.span(
-                f"pool/dev{device}",
-                f"batch{batch_id}",
-                start,
-                end,
-                cat="dispatch",
-                batch_size=batch_size,
-                queued_s=start - ready_s,
-            )
         return device, start, end
 
     def submit_on(
@@ -163,29 +172,17 @@ class AcceleratorPool:
         member held to a barrier is occupied, not working, for part of
         the booking).  Returns ``(start, end)``.
         """
-        if service_s < 0:
-            raise ValueError("service_s must be non-negative")
         if not 0 <= device < self.num_devices:
             raise ValueError(
                 f"device must be within [0, {self.num_devices}), got {device}"
             )
         start = float(max(self.available[device], ready_s))
-        end = start + service_s
-        self.available[device] = end
-        self.busy[device] += service_s if busy_s is None else float(busy_s)
-        self.events.append(
-            DispatchEvent(device, start, end, batch_id, batch_size)
+        end = self._book(
+            device, start, service_s,
+            service_s if busy_s is None else float(busy_s),
+            batch_id, batch_size, label or f"batch{batch_id}",
+            queued_s=start - ready_s,
         )
-        if self.tracer.enabled:
-            self.tracer.span(
-                f"pool/dev{device}",
-                label or f"batch{batch_id}",
-                start,
-                end,
-                cat="dispatch",
-                batch_size=batch_size,
-                queued_s=start - ready_s,
-            )
         return start, end
 
     def submit_group(
@@ -209,8 +206,6 @@ class AcceleratorPool:
         availability reflects the barrier.  Returns
         ``(devices, start, end)``.
         """
-        if service_s < 0:
-            raise ValueError("service_s must be non-negative")
         if not 1 <= num_devices <= self._num_active:
             raise ValueError(
                 f"group needs {num_devices} device(s), pool has "
@@ -222,26 +217,12 @@ class AcceleratorPool:
         order = np.argsort(starts, kind="stable")
         chosen = sorted(int(d) for d in order[:num_devices])
         start = float(starts[chosen].max())
-        end = start + service_s
         for idx, device in enumerate(chosen):
-            self.available[device] = end
-            self.busy[device] += (
-                service_s if busy_s is None else float(busy_s[idx])
+            busy = service_s if busy_s is None else float(busy_s[idx])
+            end = self._book(
+                device, start, service_s, busy, batch_id, batch_size,
+                f"batch{batch_id}/shard{idx}", group=num_devices, busy_s=busy,
             )
-            self.events.append(
-                DispatchEvent(device, start, end, batch_id, batch_size)
-            )
-            if self.tracer.enabled:
-                self.tracer.span(
-                    f"pool/dev{device}",
-                    f"batch{batch_id}/shard{idx}",
-                    start,
-                    end,
-                    cat="dispatch",
-                    batch_size=batch_size,
-                    group=len(chosen),
-                    busy_s=service_s if busy_s is None else float(busy_s[idx]),
-                )
         return chosen, start, end
 
     @property

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.dense import DenseMatrix, Layout, DTYPE
+from repro.formats.dense import Layout, DTYPE
 
 INDEX_DTYPE = np.int32
 #: off-chip bytes per stored nonzero: (col, row, value) tuple of 32-bit words
@@ -104,9 +104,6 @@ class COOMatrix:
         # duplicate coordinates accumulate, matching hardware reduce semantics
         np.add.at(out, (self.row, self.col), self.val)
         return out
-
-    def to_dense_matrix(self) -> DenseMatrix:
-        return DenseMatrix(self.to_dense(), self.layout)
 
     def to_scipy(self) -> sp.csr_matrix:
         return sp.csr_matrix(

@@ -397,9 +397,6 @@ class PartitionedMatrix:
     def dense_block(self, i: int, j: int) -> np.ndarray:
         return as_dense(self.block(i, j))
 
-    def csr_block(self, i: int, j: int) -> sp.csr_matrix:
-        return as_csr(self.block(i, j))
-
     # -- sparsity ------------------------------------------------------------
     @property
     def nnz_grid(self) -> np.ndarray:

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.config import AcceleratorConfig
 from repro.formats.convert import DenseToSparseModule, SparseToDenseModule
-from repro.formats.csr import MatrixLike, as_dense
+from repro.formats.csr import MatrixLike, matmul
 from repro.formats.dense import DTYPE
 from repro.formats.density import SparsityProfiler
 from repro.formats.layout import LayoutMerger, LayoutTransformationUnit
@@ -217,7 +216,7 @@ class ComputationCore:
         else:  # pragma: no cover - enum is exhaustive
             raise ValueError(f"unknown primitive {prim}")
 
-        z = _matmul(x.data, y.data)
+        z = matmul(x.data, y.data)
         report.merge(comp)
         if self._last_primitive is not None and self._last_primitive is not prim:
             report.mode_switches += 1
@@ -405,14 +404,3 @@ def batch_task_writeback(
     else:
         write_bytes = 4 * sizes
     return profile, transform, write_bytes
-
-
-def _matmul(x: MatrixLike, y: MatrixLike) -> np.ndarray:
-    """Ground-truth dense product regardless of operand types."""
-    if sp.issparse(x):
-        return np.asarray(
-            (x @ y).todense() if sp.issparse(y) else x @ as_dense(y), dtype=DTYPE
-        )
-    if sp.issparse(y):
-        return np.asarray((y.T @ as_dense(x).T).T, dtype=DTYPE)
-    return np.asarray(as_dense(x) @ as_dense(y), dtype=DTYPE)

@@ -59,22 +59,9 @@ class HistogramMetric:
     def observe(self, value: float) -> None:
         self.values.append(float(value))
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def sum(self) -> float:
-        return float(np.sum(self.values)) if self.values else 0.0
-
-    @property
-    def mean(self) -> float:
-        return float(np.mean(self.values)) if self.values else 0.0
-
-    def percentile(self, q: float) -> float:
-        if not self.values:
-            return 0.0
-        return float(np.percentile(self.values, q))
+    def extend(self, values) -> None:
+        """Observe a whole array at once."""
+        self.values.extend(np.asarray(values, dtype=np.float64).tolist())
 
     def snapshot(self) -> dict:
         if not self.values:

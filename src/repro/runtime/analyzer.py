@@ -25,7 +25,8 @@ import numpy as np
 
 from repro.config import AcceleratorConfig
 from repro.hw.core import PairDecision
-from repro.hw.report import GEMM_CODE, SKIP_CODE, SPDMM_CODE, SPMM_CODE, Primitive
+from repro.hw.report import CODE_ORDER, SKIP_CODE, SPDMM_CODE
+from repro.runtime.perf_model import region_primitive_batch
 
 
 @dataclass(frozen=True)
@@ -44,21 +45,13 @@ class Analyzer:
 
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        self._spdmm_threshold = 2.0 / config.psys
 
     def decide(self, info: PairInfo) -> PairDecision:
-        ax, ay = info.alpha_x, info.alpha_y
-        a_min = ax if ax <= ay else ay
-        if a_min == 0.0:
-            return PairDecision(Primitive.SKIP)
-        if a_min >= 0.5:
-            return PairDecision(Primitive.GEMM)
-        a_max = ay if ax <= ay else ax
-        if a_max >= self._spdmm_threshold:
-            # argmin-density operand into BufferU; if that is Y, execute
-            # transposed (ties keep X in BufferU)
-            return PairDecision(Primitive.SPDMM, transposed=ay < ax)
-        return PairDecision(Primitive.SPMM)
+        """One pair: the batch of one."""
+        codes, transposed = self.decide_batch(
+            np.array([info.alpha_x]), np.array([info.alpha_y])
+        )
+        return PairDecision(CODE_ORDER[codes[0]], transposed=bool(transposed[0]))
 
     def decide_batch(
         self, alpha_x: np.ndarray, alpha_y: np.ndarray
@@ -66,21 +59,18 @@ class Analyzer:
         """Algorithm 7 over ``K`` pairs at once: ``(codes, transposed)``.
 
         ``codes`` is an int8 array in :data:`repro.hw.report.CODE_ORDER`;
-        ``transposed`` is the SpDMM orientation flag per pair.  Decision-
-        for-decision identical to :meth:`decide` — same thresholds, same
-        comparisons — but one numpy pass instead of a Python call per
-        pair; the runtime's hot inner loop (see the
-        ``micro_k2p_decision_batch`` bench for the measured speedup).
+        ``transposed`` is the SpDMM orientation flag per pair.  The
+        §VI-A region rule
+        (:func:`~repro.runtime.perf_model.region_primitive_batch`, where
+        the two thresholds live) plus the zero case and the orientation:
+        the argmin-density operand goes to BufferU, and if that is Y the
+        product executes transposed (ties keep X in BufferU).  One numpy
+        pass: the runtime's hot inner loop (see the
+        ``micro_k2p_decision_batch`` bench).
         """
         ax = np.asarray(alpha_x, dtype=np.float64)
         ay = np.asarray(alpha_y, dtype=np.float64)
-        a_min = np.minimum(ax, ay)
-        a_max = np.maximum(ax, ay)
-        # write in inverse-priority order so each later mask overrides
-        # the previous ones exactly as the scalar if/elif chain does
-        codes = np.full(ax.shape, SPMM_CODE, dtype=np.int8)
-        codes[a_max >= self._spdmm_threshold] = SPDMM_CODE
-        codes[a_min >= 0.5] = GEMM_CODE
-        codes[a_min == 0.0] = SKIP_CODE
+        codes = region_primitive_batch(ax, ay, self.config)
+        codes[np.minimum(ax, ay) == 0.0] = SKIP_CODE
         transposed = (codes == SPDMM_CODE) & (ay < ax)
         return codes, transposed

@@ -66,8 +66,17 @@ class RunResult:
     #: span categories whose durations sum to ``latency_s`` in a trace of
     #: this run (what ``validate_trace`` reconciles)
     reconcile_cats = ()
-    #: devices the run spanned
+    #: devices the run spanned, and what a multi-device run reports beyond
+    #: a single-device one (per-shard occupancy, halo traffic, mean barrier
+    #: wait): the serving layer replays either kind under these names
     num_shards = 1
+    shard_busy_s = ()
+    halo_bytes = 0
+    halo_s = 0.0
+    barrier_s = 0.0
+    #: the frozen copy of ``output`` served responses share (see
+    #: :meth:`served_output`)
+    _served = None
     #: fields ``to_dict`` leaves out, by name: matrices, hardware objects,
     #: per-core vectors and raw events are huge or not JSON (--json
     #: consumers compare summaries, not payloads); the per-kernel, compile
@@ -83,6 +92,16 @@ class RunResult:
         if sp.issparse(self.output):
             return np.asarray(self.output.todense(), dtype=DTYPE)
         return np.asarray(self.output, dtype=DTYPE)
+
+    def served_output(self) -> np.ndarray:
+        """The read-only dense copy every response served from this run
+        shares (made on first use): a client's in-place edit raises instead
+        of corrupting later responses, and ``output`` itself stays the
+        caller's to write."""
+        if self._served is None:
+            self._served = np.array(self.output_dense())
+            self._served.setflags(write=False)
+        return self._served
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary (``repro run`` / ``shard-bench
@@ -147,6 +166,17 @@ class InferenceResult(RunResult):
     @property
     def latency_ms(self) -> float:
         return self.config.cycles_to_ms(self.total_cycles)
+
+    @property
+    def segments_s(self) -> tuple:
+        """Per-kernel durations (execution + exposed analysis), the
+        continuous scheduler's join/preemption boundaries: float-summation
+        drift goes into the last one, so they sum to ``latency_s`` exactly."""
+        to_s = self.config.cycles_to_seconds
+        segs = [to_s(ks.cycles + ks.exposed_cycles) for ks in self.kernel_stats]
+        if segs:
+            segs[-1] += self.latency_s - sum(segs)
+        return tuple(segs)
 
     @property
     def overhead_fraction(self) -> float:

@@ -29,69 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import AcceleratorConfig
-from repro.hw.report import GEMM_CODE, SPDMM_CODE, SPMM_CODE, Primitive
-
-
-def model_cycles(
-    primitive: Primitive,
-    m: int,
-    n: int,
-    d: int,
-    alpha_x: float,
-    alpha_y: float,
-    config: AcceleratorConfig,
-) -> float:
-    """Predicted execution cycles of one primitive (Table IV)."""
-    if not (0.0 <= alpha_x <= 1.0 and 0.0 <= alpha_y <= 1.0):
-        raise ValueError("densities must lie in [0, 1]")
-    p2 = config.psys * config.psys
-    volume = m * n * d
-    if primitive is Primitive.GEMM:
-        return volume / p2
-    if primitive is Primitive.SPDMM:
-        return min(alpha_x, alpha_y) * 2.0 * volume / p2
-    if primitive is Primitive.SPMM:
-        return alpha_x * alpha_y * volume / config.psys
-    if primitive is Primitive.SKIP:
-        return 0.0
-    raise ValueError(f"unknown primitive {primitive}")
-
-
-def region_primitive(
-    alpha_x: float, alpha_y: float, config: AcceleratorConfig
-) -> Primitive:
-    """The closed-form optimal mode of §VI-A (ignores the zero case)."""
-    a_min = min(alpha_x, alpha_y)
-    a_max = max(alpha_x, alpha_y)
-    if a_min >= 0.5:
-        return Primitive.GEMM
-    if a_max >= 2.0 / config.psys:
-        return Primitive.SPDMM
-    return Primitive.SPMM
-
-
-def argmin_primitive(
-    m: int,
-    n: int,
-    d: int,
-    alpha_x: float,
-    alpha_y: float,
-    config: AcceleratorConfig,
-) -> Primitive:
-    """Brute-force minimiser of the model, with Algorithm 7's tie-breaks
-    (GEMM wins ties at ``alpha_min = 1/2``; SpDMM wins at
-    ``alpha_max = 2/psys``)."""
-    candidates = (Primitive.GEMM, Primitive.SPDMM, Primitive.SPMM)
-    costs = {
-        prim: model_cycles(prim, m, n, d, alpha_x, alpha_y, config)
-        for prim in candidates
-    }
-    best = min(costs.values())
-    # deterministic tie-break in region order
-    for prim in candidates:
-        if costs[prim] <= best:
-            return prim
-    return Primitive.GEMM  # pragma: no cover - unreachable
+from repro.hw.report import (
+    CODE_ORDER,
+    GEMM_CODE,
+    PRIMITIVE_CODES,
+    SPDMM_CODE,
+    SPMM_CODE,
+    Primitive,
+)
 
 
 def model_cycles_batch(
@@ -104,19 +49,17 @@ def model_cycles_batch(
 ) -> np.ndarray:
     """Table IV for ``K`` pairs at once: a ``(3, K)`` cycle array.
 
-    Rows follow the code order ``GEMM, SpDMM, SPMM``.  Each column is
-    bit-identical to three :func:`model_cycles` calls — same float64
-    operations in the same order — but evaluated as whole-array numpy
-    expressions, which is what makes the Oracle strategy's inner loop
-    (one model evaluation per partition pair) tractable on large grids.
-    ``m``, ``n``, ``d`` may be scalars or arrays broadcastable to ``K``.
+    Rows follow the code order ``GEMM, SpDMM, SPMM``.  Whole-array numpy
+    expressions in float64, which is what makes the Oracle strategy's
+    inner loop (one model evaluation per partition pair) tractable on
+    large grids.  ``m``, ``n``, ``d`` may be scalars or arrays
+    broadcastable to ``K``.
     """
     ax = np.asarray(alpha_x, dtype=np.float64)
     ay = np.asarray(alpha_y, dtype=np.float64)
-    if ax.size and (ax.min() < 0.0 or ax.max() > 1.0):
-        raise ValueError("densities must lie in [0, 1]")
-    if ay.size and (ay.min() < 0.0 or ay.max() > 1.0):
-        raise ValueError("densities must lie in [0, 1]")
+    for alpha in (ax, ay):
+        if alpha.size and (alpha.min() < 0.0 or alpha.max() > 1.0):
+            raise ValueError("densities must lie in [0, 1]")
     p2 = config.psys * config.psys
     volume = (
         np.asarray(m, dtype=np.int64)
@@ -129,19 +72,53 @@ def model_cycles_batch(
     return np.stack(np.broadcast_arrays(gemm, spdmm, spmm))
 
 
+def model_cycles(
+    primitive: Primitive,
+    m: int,
+    n: int,
+    d: int,
+    alpha_x: float,
+    alpha_y: float,
+    config: AcceleratorConfig,
+) -> float:
+    """Predicted execution cycles of one primitive (Table IV): the
+    batch of one."""
+    if primitive not in PRIMITIVE_CODES:
+        raise ValueError(f"unknown primitive {primitive}")
+    costs = model_cycles_batch(m, n, d, alpha_x, alpha_y, config)
+    if primitive is Primitive.SKIP:
+        return 0.0
+    return float(costs[PRIMITIVE_CODES[primitive]])
+
+
+def region_thresholds(config: AcceleratorConfig) -> tuple[float, float]:
+    """The §VI-A region boundaries: the ``alpha_min`` from which GEMM wins
+    and the ``alpha_max`` from which SpDMM beats SPMM."""
+    return 0.5, 2.0 / config.psys
+
+
 def region_primitive_batch(
     alpha_x, alpha_y, config: AcceleratorConfig
 ) -> np.ndarray:
-    """Vectorised §VI-A region rule: int8 primitive codes per pair
-    (:data:`repro.hw.report.CODE_ORDER`)."""
+    """The closed-form optimal mode of §VI-A (ignores the zero case):
+    int8 primitive codes per pair (:data:`repro.hw.report.CODE_ORDER`).
+    GEMM wins the tie at ``alpha_min = 1/2``, SpDMM at ``alpha_max =
+    2/psys``."""
     ax = np.asarray(alpha_x, dtype=np.float64)
     ay = np.asarray(alpha_y, dtype=np.float64)
-    a_min = np.minimum(ax, ay)
-    a_max = np.maximum(ax, ay)
-    codes = np.full(a_min.shape, SPMM_CODE, dtype=np.int8)
-    codes[a_max >= 2.0 / config.psys] = SPDMM_CODE
-    codes[a_min >= 0.5] = GEMM_CODE
+    gemm_from, spdmm_from = region_thresholds(config)
+    # written in inverse-priority order: each later mask overrides
+    codes = np.full(np.broadcast(ax, ay).shape, SPMM_CODE, dtype=np.int8)
+    codes[np.maximum(ax, ay) >= spdmm_from] = SPDMM_CODE
+    codes[np.minimum(ax, ay) >= gemm_from] = GEMM_CODE
     return codes
+
+
+def region_primitive(
+    alpha_x: float, alpha_y: float, config: AcceleratorConfig
+) -> Primitive:
+    """:func:`region_primitive_batch` of one pair."""
+    return CODE_ORDER[int(region_primitive_batch(alpha_x, alpha_y, config))]
 
 
 def argmin_primitive_batch(
@@ -152,14 +129,25 @@ def argmin_primitive_batch(
     alpha_y,
     config: AcceleratorConfig,
 ) -> np.ndarray:
-    """Vectorised :func:`argmin_primitive`: int8 codes with the same
-    deterministic tie-break (first of GEMM, SpDMM, SPMM at the minimum)."""
+    """Brute-force minimiser of the model: int8 codes with Algorithm 7's
+    tie-breaks (the first of GEMM, SpDMM, SPMM at the minimum)."""
     costs = model_cycles_batch(m, n, d, alpha_x, alpha_y, config)
     best = costs.min(axis=0, keepdims=True)
     # argmax over the boolean mask returns the *first* primitive (in
-    # region order) whose cost reaches the minimum — Algorithm 7's
-    # tie-break, identical to the scalar loop
+    # region order) whose cost reaches the minimum
     return np.argmax(costs <= best, axis=0).astype(np.int8)
+
+
+def argmin_primitive(
+    m: int,
+    n: int,
+    d: int,
+    alpha_x: float,
+    alpha_y: float,
+    config: AcceleratorConfig,
+) -> Primitive:
+    """:func:`argmin_primitive_batch` of one pair."""
+    return CODE_ORDER[int(argmin_primitive_batch(m, n, d, alpha_x, alpha_y, config))]
 
 
 @dataclass
@@ -179,7 +167,5 @@ class PerformanceModel:
 
     def crossover_densities(self) -> dict:
         """The §VI-A region boundaries for this configuration."""
-        return {
-            "gemm_spdmm_alpha_min": 0.5,
-            "spdmm_spmm_alpha_max": 2.0 / self.config.psys,
-        }
+        gemm_from, spdmm_from = region_thresholds(self.config)
+        return {"gemm_spdmm_alpha_min": gemm_from, "spdmm_spmm_alpha_max": spdmm_from}

@@ -57,9 +57,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.formats.csr import matmul as _matmul
 from repro.formats.dense import DTYPE
 from repro.hw.buffers import BufferOverflowError
-from repro.hw.core import _matmul, batch_pair_cycles, batch_task_writeback
+from repro.hw.core import batch_pair_cycles, batch_task_writeback
 from repro.hw.report import (
     CODE_ORDER,
     PRIMITIVE_CODES,

@@ -128,15 +128,15 @@ class _Execution:
     """One booked execution: segments, devices, members, join state."""
 
     __slots__ = (
-        "exec_id", "key", "memo", "members", "pending_joins", "segments",
+        "exec_id", "key", "run", "members", "pending_joins", "segments",
         "seg_idx", "seg_end_s", "devices", "start_s", "finish_s",
         "priority", "paused", "atomic", "boundaries", "preemptions",
     )
 
-    def __init__(self, exec_id, key, memo, segments, priority):
+    def __init__(self, exec_id, key, run, segments, priority):
         self.exec_id = exec_id
         self.key = key
-        self.memo = memo
+        self.run = run
         self.members: list[_Member] = []
         self.pending_joins: list[_Member] = []
         #: segment 0 is the input-PCIe transfer, then one per layer
@@ -184,24 +184,22 @@ class ContinuousScheduler:
 
     The server constructs one per
     :meth:`~repro.serve.server.InferenceServer.serve` call, so all state
-    here is sweep-local (the admission controller and autoscaler may be
-    caller-owned and are reset at the start of :meth:`run`).  The
-    dispatch policy is the server's ``scheduler``; ``policy`` is the SLO
-    policy responses are graded against and, under a dispatch policy
-    that acts on classes, scheduled by.
+    here is sweep-local (the server's admission controller and autoscaler
+    may be caller-owned and are reset at the start of :meth:`run`).  The
+    knobs are the server's: its ``scheduler`` is the dispatch policy, its
+    ``slo_policy`` what responses are graded against and, under a
+    dispatch policy that acts on classes, scheduled by.
     """
 
-    def __init__(
-        self,
-        server,
-        *,
-        policy: SLOPolicy | None = None,
-        admission: AdmissionController | None = None,
-        autoscaler: PoolAutoscaler | None = None,
-    ) -> None:
+    def __init__(self, server) -> None:
         self.server = server
+        #: the engine's resources, bound once for the sweep
+        self.engine = engine = server.engine
+        self.pool, self.cache = engine.pool, engine.cache
+        self.config, self.tracer = engine.config, engine.tracer
         self.dispatch = POLICIES[server.scheduler]
-        self.slo_policy = policy
+        self.slo_policy = policy = server.slo_policy
+        admission = server.admission
         #: the classes requests are scheduled as
         self.classes = (
             _ONE_CLASS
@@ -213,12 +211,7 @@ class ContinuousScheduler:
             if admission is not None
             else AdmissionController(self.classes)
         )
-        self.autoscaler = autoscaler
-        pool = server.pool
-        #: the widest request the sweep can ever start: the pool, or the
-        #: most devices the autoscaler will activate
-        cap = None if autoscaler is None else autoscaler.max_devices
-        self._max_shards = min(pool.num_devices, cap or pool.num_devices)
+        self.autoscaler: PoolAutoscaler | None = server.autoscaler
 
         #: the sweep's counters; ``ServingReport`` is built from these
         self.metrics = MetricsRegistry()
@@ -247,8 +240,8 @@ class ContinuousScheduler:
         self._max_depth = 0
         self._deferred: deque[InferenceRequest] = deque()
         self._inflight: dict[tuple, _Execution] = {}
-        self._assignment: list = [None] * pool.num_devices
-        self._paused_stack: list[list] = [[] for _ in range(pool.num_devices)]
+        self._assignment: list = [None] * self.pool.num_devices
+        self._paused_stack: list[list] = [[] for _ in self._assignment]
         self._programs: dict[tuple, object] = {}
         #: request id -> (compile seconds charged, cache hit)
         self._lookups: dict[int, tuple[float, bool]] = {}
@@ -275,7 +268,7 @@ class ContinuousScheduler:
     def _idle_active(self) -> list[int]:
         return [
             d
-            for d in range(self.server.pool.num_active)
+            for d in range(self.pool.num_active)
             if not self._occupied(d)
         ]
 
@@ -290,13 +283,9 @@ class ContinuousScheduler:
 
     # -- the event loop -------------------------------------------------
     def run(self, requests: list):
-        """Serve the stream to completion; returns a ``ServingReport``.
-
-        ``requests`` may mix inference and mutation requests; events are
-        processed in arrival order, mutations first on timestamp ties.
-        """
-        server = self.server
-        pool, cache, tracer = server.pool, server.cache, server.tracer
+        """Serve the stream to completion; returns a ``ServingReport``
+        (events in arrival order, mutations first on timestamp ties)."""
+        pool, cache, tracer = self.pool, self.cache, self.tracer
         hits, misses = cache.hits, cache.misses
         compile_s, saved_s = cache.compile_s, cache.saved_s
         pool.reset()
@@ -321,8 +310,8 @@ class ContinuousScheduler:
             if isinstance(event, MutationRequest):
                 self._mutate(event, t)
             else:
-                req = server.engine.resolve_request(event)
-                self._validate(req)
+                req = self.engine.resolve_request(event)
+                self.server._check_shards(req)
                 self._admit(req, t, deferred=False)
             depth = self._waiting + len(self._deferred)
             if depth > self._max_depth:
@@ -350,7 +339,7 @@ class ContinuousScheduler:
         self._count("serve.compile_saved_s", cache.saved_s - saved_s)
         if not self.dispatch.book_ahead:
             self._account_in_flight()
-        return server._report(self)
+        return self.server._report(self)
 
     # -- arrivals -------------------------------------------------------
     def _mutate(self, mutation: MutationRequest, now: float) -> None:
@@ -361,7 +350,7 @@ class ContinuousScheduler:
         the sweep's host clock: patches and compiles share one host, so
         they serialise against each other on the virtual timeline.
         """
-        outcome = self.server.engine.apply_delta(
+        outcome = self.engine.apply_delta(
             mutation.graph_id, mutation.delta,
             policy=self.server.mutation_policy,
         )
@@ -383,21 +372,6 @@ class ContinuousScheduler:
             )
             self.patch_s += event.report.wall_s
 
-    def _validate(self, req: InferenceRequest) -> None:
-        if not 1 <= req.shards <= self._max_shards:
-            pool = self.server.pool
-            raise ValueError(
-                f"request {req.request_id} asks for {req.shards} shards, "
-                f"but shards must be within [1, {self._max_shards}]: the "
-                f"pool has {pool.num_devices} device(s)"
-                + (
-                    f", of which the autoscaler activates at most "
-                    f"{self._max_shards}"
-                    if self._max_shards < pool.num_devices
-                    else ""
-                )
-            )
-
     def _class_of(self, req: InferenceRequest) -> SLOClass:
         if self.dispatch.one_class:
             return self.classes.classes[0]
@@ -416,10 +390,9 @@ class ContinuousScheduler:
         *,
         deferred: bool,
     ) -> None:
-        tracer = self.server.tracer
         cls = self._class_of(req)
-        prog_key = req.program_key(self.server.config)
-        pkey = req.batch_key(self.server.config, prog_key)
+        prog_key = req.program_key(self.config)
+        pkey = req.batch_key(self.config, prog_key)
 
         # join-in-flight first: a join consumes no capacity, so it is
         # exempt from admission bounds — shedding a joinable request
@@ -434,8 +407,8 @@ class ContinuousScheduler:
             if member.attach_s is None:
                 exec_.pending_joins.append(member)
             self._count("serve.sched.joined")
-            if tracer.enabled:
-                tracer.instant(
+            if self.tracer.enabled:
+                self.tracer.instant(
                     "sched", f"req{req.request_id}/join", now,
                     cat="join", exec_id=exec_.exec_id, slo=req.slo,
                 )
@@ -452,8 +425,8 @@ class ContinuousScheduler:
                     "serve.sched.shed" if decision.action == "shed"
                     else "serve.sched.deferred"
                 )
-                if tracer.enabled:
-                    tracer.instant(
+                if self.tracer.enabled:
+                    self.tracer.instant(
                         "sched", f"req{req.request_id}/{decision.action}",
                         now, cat=decision.action, slo=req.slo,
                         reason=decision.reason,
@@ -472,13 +445,11 @@ class ContinuousScheduler:
     ) -> float:
         """Program-cache lookup + host-clock compile charge; returns the
         virtual time the request's program is ready to run."""
-        server = self.server
-        tracer = server.tracer
-        program, compile_s, hit = server.cache.get_or_compile(
-            prog_key, lambda: server.engine.compile_request(req)
+        program, compile_s, hit = self.cache.get_or_compile(
+            prog_key, lambda: self.engine.compile_request(req)
         )
-        if tracer.enabled:
-            tracer.instant(
+        if self.tracer.enabled:
+            self.tracer.instant(
                 "serve", f"req{req.request_id}/enqueue", now,
                 cat="enqueue", model=str(req.model),
                 cache="hit" if hit else "miss", shards=req.shards,
@@ -488,8 +459,8 @@ class ContinuousScheduler:
             compile_start = max(now, self._host_free_s)
             self._host_free_s = compile_start + compile_s
             self._program_ready[prog_key] = self._host_free_s
-            if tracer.enabled:
-                tracer.span(
+            if self.tracer.enabled:
+                self.tracer.span(
                     "host/compile",
                     f"compile {req.model}/{req.dataset_name}",
                     compile_start, self._host_free_s, cat="compile",
@@ -533,7 +504,7 @@ class ContinuousScheduler:
         if deferred:
             group.deferred_ids.add(req.request_id)
         self._waiting += 1
-        if opened and req.shards > self.server.pool.num_active:
+        if opened and req.shards > self.pool.num_active:
             # a queued batch's width is a floor on the active set: it
             # grows now, because no later event need come to grow it
             self._resize(
@@ -550,11 +521,10 @@ class ContinuousScheduler:
     def _close_group(self, group: _Group, now: float) -> None:
         batch = group.batch
         del self._groups[group.key]
-        tracer = self.server.tracer
-        if tracer.enabled:
+        if self.tracer.enabled:
             # the batch-formation window: first member's admission to
             # the size trigger or window expiry that closed the batch
-            tracer.span(
+            self.tracer.span(
                 "serve", f"batch{batch.batch_id}/form",
                 batch.opened_s, now, cat="batch", size=batch.size,
                 key=str(batch.requests[0].model), slo=group.slo.name,
@@ -591,27 +561,29 @@ class ContinuousScheduler:
 
     # -- dispatch -------------------------------------------------------
     def _prepare(self, batch: MicroBatch, ready_s: float):
-        """Simulate (or replay) the batch's execution and count it;
-        returns ``(memo, input_s)``.  PCIe input transfer and K2P
-        analysis (inside ``latency_s``) are paid once for the whole
-        batch — the amortization micro-batching buys."""
-        server = self.server
+        """Replay (or simulate, the first time) the batch's execution
+        through the engine's one door and count it; returns ``(run,
+        input_s)``.  PCIe input transfer and K2P analysis (inside
+        ``latency_s``) are paid once for the whole batch: the
+        amortization micro-batching buys."""
         first = batch.requests[0]
         program = self._programs[batch.key]
-        memo = server._execute(program, first.strategy, ready_s, first.shards)
+        run = self.engine.execute(
+            program, first.strategy, first.shards, ready_s=ready_s
+        )
         self._count("serve.batches")
-        if memo.shards > 1:
+        if run.num_shards > 1:
             self._count("serve.sharded_batches")
             self._count("serve.sharded_requests", batch.size)
-            self._count("serve.halo_bytes", memo.halo_bytes)
-            self.halo_s += memo.halo_s
+            self._count("serve.halo_bytes", run.halo_bytes)
+            self.halo_s += run.halo_s
             width = self.metrics.gauge("serve.max_shard_width")
-            width.set(max(width.value, memo.shards))
-        return memo, pcie_transfer_seconds(program.input_bytes(), server.config)
+            width.set(max(width.value, run.num_shards))
+        return run, pcie_transfer_seconds(program.input_bytes(), self.config)
 
     def _respond(
         self, req: InferenceRequest, batch_id: int, batch_size: int,
-        device: int, memo, start_s: float, finish_s: float,
+        device: int, run, start_s: float, finish_s: float,
         service_s: float, barrier_s: float,
         joined: bool = False, deferred: bool = False,
     ) -> None:
@@ -634,10 +606,12 @@ class ContinuousScheduler:
                 batch_id=batch_id,
                 batch_size=batch_size,
                 device=device,
-                shards=memo.shards,
+                shards=run.num_shards,
                 barrier_s=barrier_s,
-                accel_cycles=memo.accel_cycles,
-                output=memo.output if self.server.return_outputs else None,
+                accel_cycles=run.total_cycles,
+                output=(
+                    run.served_output() if self.server.return_outputs else None
+                ),
                 slo=req.slo,
                 joined=joined,
                 deferred=deferred,
@@ -646,29 +620,28 @@ class ContinuousScheduler:
 
     def _book_whole(self, group: _Group, ready_s: float) -> None:
         """Book-ahead dispatch: one reservation for the whole execution."""
-        pool = self.server.pool
         batch = group.batch
-        memo, input_s = self._prepare(batch, ready_s)
-        service_s = input_s + memo.latency_s
-        if memo.shards > 1:
+        run, input_s = self._prepare(batch, ready_s)
+        service_s = input_s + run.latency_s
+        if run.num_shards > 1:
             # a sharded batch occupies all of its shard devices from the
             # common start to the last per-layer barrier; per-device busy
             # stays honest (each shard's own work + its input-PCIe share)
-            busy = [b + input_s / memo.shards for b in memo.shard_busy_s]
-            devices, start, end = pool.submit_group(
-                service_s, memo.shards, ready_s, busy_s=busy,
+            busy = [b + input_s / run.num_shards for b in run.shard_busy_s]
+            devices, start, end = self.pool.submit_group(
+                service_s, run.num_shards, ready_s, busy_s=busy,
                 batch_id=batch.batch_id, batch_size=batch.size,
             )
             device = devices[0]
         else:
-            device, start, end = pool.submit(
+            device, start, end = self.pool.submit(
                 service_s, ready_s, batch_id=batch.batch_id,
                 batch_size=batch.size,
             )
         for req in batch.requests:
             self._respond(
-                req, batch.batch_id, batch.size, device, memo,
-                start, end, service_s, memo.barrier_s,
+                req, batch.batch_id, batch.size, device, run,
+                start, end, service_s, run.barrier_s,
             )
 
     def _schedule(self, t: float) -> None:
@@ -693,17 +666,15 @@ class ContinuousScheduler:
     def _start_execution(
         self, group: _Group, t: float, idle: list[int]
     ) -> None:
-        pool = self.server.pool
-        tracer = self.server.tracer
-        batch = group.batch
+        pool, batch = self.pool, group.batch
         self._waiting -= batch.size
         ready_s = max(batch.ready_s, t)
-        memo, input_s = self._prepare(batch, ready_s)
+        run, input_s = self._prepare(batch, ready_s)
         exec_ = _Execution(
             exec_id=batch.batch_id,
             key=batch.key,
-            memo=memo,
-            segments=[input_s, *map(float, memo.segments_s)],
+            run=run,
+            segments=[input_s, *map(float, run.segments_s)],
             priority=group.slo.priority,
         )
         exec_.members = [
@@ -713,23 +684,18 @@ class ContinuousScheduler:
             )
             for r in batch.requests
         ]
-        if memo.shards > 1:
+        if run.num_shards > 1:
             # barrier-locked group: one atomic booking per member device,
             # all held from the common start to the last barrier (the
             # busy accounting of a whole submit_group booking)
-            chosen = sorted(
-                sorted(idle, key=lambda d: (pool.available[d], d))[
-                    : memo.shards
-                ]
-            )
-            start = max(
-                ready_s, max(float(pool.available[d]) for d in chosen)
-            )
-            service_s = input_s + memo.latency_s
+            by_idle = sorted(idle, key=lambda d: (pool.available[d], d))
+            chosen = sorted(by_idle[: run.num_shards])
+            start = max(ready_s, max(float(pool.available[d]) for d in chosen))
+            service_s = input_s + run.latency_s
             for i, d in enumerate(chosen):
                 pool.submit_on(
                     d, service_s, start,
-                    busy_s=memo.shard_busy_s[i] + input_s / memo.shards,
+                    busy_s=run.shard_busy_s[i] + input_s / run.num_shards,
                     batch_id=exec_.exec_id, batch_size=batch.size,
                     label=f"batch{exec_.exec_id}/shard{i}",
                 )
@@ -739,11 +705,9 @@ class ContinuousScheduler:
             exec_.start_s = start
             # admission points: every segment start; the last one (start
             # of the final barrier interval) is the last join point
-            exec_.boundaries = []
-            cursor = start
-            for seg in exec_.segments:
-                exec_.boundaries.append(cursor)
-                cursor += seg
+            exec_.boundaries = list(
+                itertools.accumulate(exec_.segments[:-1], initial=start)
+            )
             self._after(start + service_s, self._finish, exec_)
         else:
             dev = min(idle, key=lambda d: (pool.available[d], d))
@@ -758,11 +722,11 @@ class ContinuousScheduler:
             exec_.seg_end_s = end
             self._after(end, self._on_segment_end, exec_)
         self._inflight[batch.key] = exec_
-        if tracer.enabled:
-            tracer.instant(
+        if self.tracer.enabled:
+            self.tracer.instant(
                 "sched", f"exec{exec_.exec_id}/start", exec_.start_s,
                 cat="dispatch", size=batch.size, slo=group.slo.name,
-                shards=memo.shards, devices=str(exec_.devices),
+                shards=run.num_shards, devices=str(exec_.devices),
             )
 
     # -- layer boundaries ------------------------------------------------
@@ -781,9 +745,8 @@ class ContinuousScheduler:
     def _book_next_segment(
         self, exec_: _Execution, dev: int, t: float
     ) -> None:
-        pool = self.server.pool
         seg = exec_.segments[exec_.seg_idx]
-        start, end = pool.submit_on(
+        start, end = self.pool.submit_on(
             dev, seg, t,
             batch_id=exec_.exec_id, batch_size=len(exec_.members),
             label=f"batch{exec_.exec_id}/seg{exec_.seg_idx}",
@@ -811,9 +774,8 @@ class ContinuousScheduler:
         self._count("serve.sched.preemptions")
         self._paused_stack[dev].append(exec_)
         self._assignment[dev] = None
-        tracer = self.server.tracer
-        if tracer.enabled:
-            tracer.instant(
+        if self.tracer.enabled:
+            self.tracer.instant(
                 "sched", f"exec{exec_.exec_id}/preempted", t,
                 cat="preempt", by=group.batch.batch_id, device=dev,
             )
@@ -822,7 +784,6 @@ class ContinuousScheduler:
 
     # -- completion -----------------------------------------------------
     def _finish(self, exec_: _Execution, t: float) -> None:
-        tracer = self.server.tracer
         exec_.finish_s = t
         if self._inflight.get(exec_.key) is exec_:
             del self._inflight[exec_.key]
@@ -831,21 +792,21 @@ class ContinuousScheduler:
             req = m.req
             start = exec_.start_s if not m.joined else m.attach_s
             self._respond(
-                req, exec_.exec_id, size, exec_.devices[0], exec_.memo,
+                req, exec_.exec_id, size, exec_.devices[0], exec_.run,
                 start, t, t - start,
-                exec_.memo.barrier_s if not m.joined else 0.0,
+                exec_.run.barrier_s if not m.joined else 0.0,
                 m.joined, m.deferred,
             )
-            if tracer.enabled and start > req.arrival_s:
-                tracer.span(
+            if self.tracer.enabled and start > req.arrival_s:
+                self.tracer.span(
                     f"sched/{req.slo}", f"req{req.request_id}/queue-wait",
                     req.arrival_s, start, cat="queue",
                     joined=m.joined, deferred=m.deferred,
                 )
-        if tracer.enabled:
-            tracer.span(
+        if self.tracer.enabled:
+            self.tracer.span(
                 "sched", f"exec{exec_.exec_id}", exec_.start_s, t,
-                cat="exec", size=size, shards=exec_.memo.shards,
+                cat="exec", size=size, shards=exec_.run.num_shards,
                 preemptions=exec_.preemptions,
             )
         for dev in exec_.devices:
@@ -875,12 +836,11 @@ class ContinuousScheduler:
     def _autoscale(self, now: float) -> None:
         if self.autoscaler is None:
             return
-        pool = self.server.pool
-        active = pool.num_active
+        active = self.pool.num_active
         proposal = self.autoscaler.propose(
             now, active=active, queue_depth=self._queue_depth(),
             busy_devices=sum(map(self._occupied, range(active))),
-            pool_devices=pool.num_devices,
+            pool_devices=self.pool.num_devices,
         )
         if proposal is None:
             return
@@ -904,54 +864,37 @@ class ContinuousScheduler:
             self._schedule(now)
 
     def _resize(self, target: int, now: float, reason: str) -> None:
-        """Commit an active-set transition to the pool and the log."""
-        pool = self.server.pool
-        active = pool.num_active
+        """Commit an active-set transition to the self.pool and the log."""
+        active = self.pool.num_active
         if target > active:
-            pool.set_active(
+            self.pool.set_active(
                 target, now=now,
                 provision_delay_s=self.autoscaler.provision_delay_s,
             )
             self._count("serve.sched.scale_ups")
         else:
-            pool.set_active(target, now=now)
+            self.pool.set_active(target, now=now)
             self._count("serve.sched.scale_downs")
         self.autoscaler.commit(
             now, from_devices=active, to_devices=target, reason=reason,
             queue_depth=self._queue_depth(),
             busy_devices=sum(map(self._occupied, range(active))),
         )
-        tracer = self.server.tracer
-        if tracer.enabled:
-            tracer.counter("sched", "active_devices", now, target)
+        if self.tracer.enabled:
+            self.tracer.counter("sched", "active_devices", now, target)
 
     # -- reporting ------------------------------------------------------
     def _account_in_flight(self) -> None:
-        """The ``serve.sched.*`` catalogue: what in-flight dispatch did.
-
-        trace-analyze attributes per-class queue-wait from the
-        ``sched/<class>`` spans; these give the matching
-        counter/histogram view.
-        """
+        """The ``serve.sched.*`` counters and gauges: what in-flight
+        dispatch did.  (The per-class ``serve.sched.<class>.*`` histograms,
+        the counter view of trace-analyze's ``sched/<class>`` queue-wait
+        spans, are fed by the report's one pass over the responses.)"""
         metrics = self.metrics
         for name in ("joined", "shed", "deferred", "preemptions",
                      "scale_ups", "scale_downs"):
             metrics.counter(f"serve.sched.{name}")  # reported even at zero
-        self._count(
-            "serve.sched.admitted",
-            sum(c["admit"] for c in self.admission.snapshot().values()),
-        )
-        self._count(
-            "serve.sched.executions", metrics.counter("serve.batches").value
-        )
-        metrics.gauge("serve.sched.active_devices").set(
-            self.server.pool.num_active
-        )
+        admitted = sum(c["admit"] for c in self.admission.snapshot().values())
+        self._count("serve.sched.admitted", admitted)
+        self._count("serve.sched.executions", metrics.counter("serve.batches").value)
+        metrics.gauge("serve.sched.active_devices").set(self.pool.num_active)
         metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)
-        for slo in sorted({r.slo for r in self.responses}):
-            latency = metrics.histogram(f"serve.sched.{slo}.latency_s")
-            queue = metrics.histogram(f"serve.sched.{slo}.queue_s")
-            for r in self.responses:
-                if r.slo == slo:
-                    latency.observe(r.latency_s)
-                    queue.observe(r.queue_s)

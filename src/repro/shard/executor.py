@@ -87,6 +87,21 @@ class ShardedResult(RunResult):
         """Modelled end-to-end latency: the sum of layer barriers."""
         return float(sum(ks.barrier_s for ks in self.kernel_stats))
 
+    @property
+    def total_cycles(self) -> float:
+        return self.latency_s * self.config.freq_hz
+
+    @property
+    def segments_s(self) -> tuple:
+        """The per-layer barrier intervals: they sum to ``latency_s``."""
+        return tuple(float(ks.barrier_s) for ks in self.kernel_stats)
+
+    @property
+    def barrier_s(self) -> float:
+        """Mean per-shard idle time at layer barriers (the mean of a
+        trace's barrier-wait span sums)."""
+        return max(self.latency_s - float(np.mean(self.shard_busy_s)), 0.0)
+
     def layer_boundaries_s(self) -> list[float]:
         """Cumulative layer-boundary times on the run-local clock.
 

@@ -68,10 +68,3 @@ def imported_names(tree: ast.Module, module: str) -> dict[str, str]:
             for alias in node.names:
                 bound[alias.asname or alias.name] = alias.name
     return bound
-
-
-def iter_calls(tree: ast.Module):
-    """Every ast.Call in the tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node

@@ -2,10 +2,11 @@
 
 The serialised surface (``to_dict`` payloads consumed by ``--json`` CLI
 modes, CI artifacts and the perf baselines) and the import surface
-(``__all__``, PEP 562 deprecation shims) are contracts with code we do
-not control.  These rules catch the two historical failure modes:
-``to_dict`` silently dropping a newly added field, and deprecation shims
-warning on every access instead of once.
+(``__all__``) are contracts with code we do not control.  These rules
+catch ``to_dict`` silently dropping a newly added field and ``__all__``
+naming something the module never binds.  (RPR502, warn-once PEP 562
+deprecation shims, went with the last shim: ``tests/test_engine.py``
+asserts no module under ``src/`` defines ``__getattr__``.)
 """
 
 from __future__ import annotations
@@ -68,31 +69,6 @@ def to_dict_field_coverage(ctx: FileContext):
                 f"{node.name}.to_dict() never serialises field "
                 f"{field_name!r}: --json consumers and baselines will "
                 f"silently miss it"
-            )
-
-
-@register_rule("RPR502", "api", "error")
-def deprecation_shim_warns_once(ctx: FileContext):
-    """Module ``__getattr__`` deprecation shims must guard ``warnings.warn`` to fire once."""
-    if not ctx.is_library:
-        return
-    for node in ctx.tree.body:
-        if not (isinstance(node, ast.FunctionDef) and node.name == "__getattr__"):
-            continue
-        src = ast.unparse(node)
-        if ".warn(" not in src and "warn(" not in src:
-            continue
-        has_membership_guard = any(
-            isinstance(sub, ast.Compare)
-            and any(isinstance(op, (ast.In, ast.NotIn)) for op in sub.ops)
-            for sub in ast.walk(node)
-        )
-        records_warned = ".add(" in src or "setdefault(" in src or "[name]" in src
-        if not (has_membership_guard and records_warned):
-            yield node.lineno, (
-                "module __getattr__ warns without a warned-names guard: "
-                "deprecation shims must warn exactly once per process "
-                "(membership test + record, see repro/__init__.py)"
             )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.staticcheck.astutil import dotted_name, imported_names, module_aliases
+from repro.staticcheck.astutil import dotted_name, module_aliases
 from repro.staticcheck.core import FileContext, register_rule
 
 #: ``np.random`` attributes that are *not* global-state draws
@@ -21,13 +21,6 @@ _NP_RANDOM_OK = {
 }
 #: ``random`` module attributes that are constructors, not global draws
 _STDLIB_RANDOM_OK = {"Random", "SystemRandom", "getstate", "setstate"}
-
-
-def _numpy_aliases(tree: ast.Module) -> set[str]:
-    return module_aliases(tree, "numpy") | {
-        local for local, orig in imported_names(tree, "numpy").items()
-        if orig == "random"
-    }
 
 
 @register_rule("RPR201", "determinism", "error")

@@ -329,6 +329,15 @@ class TestDeprecationShims:
                 getattr(repro, name)
             assert name not in repro.__all__
             assert hasattr(repro.runtime, name)
+        # ...and no module grew a PEP 562 hook since (what staticcheck's
+        # RPR502 policed while there were shims to police)
+        import importlib
+        import pkgutil
+
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name != "repro.__main__":
+                module = importlib.import_module(info.name)
+                assert "__getattr__" not in vars(module), info.name
 
 
 class TestOverheadHarness:

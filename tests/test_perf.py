@@ -563,15 +563,40 @@ class TestVectorizedHotPaths:
             block_nnz_grid_reference(csr, 16, 16),
         )
 
+    # Algorithm 7 at its boundaries on the U250 (psys = 16, so the SpDMM
+    # threshold 2/psys is 0.125): (alpha_x, alpha_y) -> (primitive,
+    # transposed), the expected answer written out.  The scalar forms are
+    # the batch of one, so agreement between them proves nothing; both are
+    # held to this table instead.
+    BELOW = float(np.nextafter(0.125, 0.0))
+    ALGORITHM_7 = [
+        ((0.0, 1.0), (Primitive.SKIP, False)),     # alpha = 0: skip...
+        ((0.7, 0.0), (Primitive.SKIP, False)),     # ...whichever side it is on
+        ((0.0, 0.0), (Primitive.SKIP, False)),
+        ((0.0, 0.05), (Primitive.SKIP, False)),
+        ((0.5, 0.5), (Primitive.GEMM, False)),     # alpha_min = 1/2: GEMM wins
+        ((0.5, 0.9), (Primitive.GEMM, False)),
+        ((0.9, 0.5), (Primitive.GEMM, False)),     # no orientation but SpDMM's
+        ((0.4999, 0.9), (Primitive.SPDMM, False)),  # X sparser: X in BufferU
+        ((0.9, 0.4999), (Primitive.SPDMM, True)),   # ay < ax: transposed
+        ((0.3, 0.3), (Primitive.SPDMM, False)),     # tie keeps X in BufferU
+        ((0.01, 0.125), (Primitive.SPDMM, False)),  # alpha_max = 2/psys: SpDMM
+        ((0.125, 0.01), (Primitive.SPDMM, True)),
+        ((0.125, 0.125), (Primitive.SPDMM, False)),
+        ((0.01, BELOW), (Primitive.SPMM, False)),   # one ulp under: SPMM
+        ((BELOW, 0.01), (Primitive.SPMM, False)),   # SPMM is never transposed
+        ((1.0, 1.0), (Primitive.GEMM, False)),
+    ]
+
     def test_analyzer_decide_batch_matches_scalar(self):
         analyzer = Analyzer(CFG)
-        ax, ay = _density_grid()
-        codes, transposed = analyzer.decide_batch(ax, ay)
-        for i in range(len(ax)):
-            dec = analyzer.decide(PairInfo(float(ax[i]), float(ay[i]),
-                                           512, 512, 128))
-            assert CODE_ORDER[codes[i]] is dec.primitive, (ax[i], ay[i])
-            assert bool(transposed[i]) == dec.transposed, (ax[i], ay[i])
+        pairs = [pair for pair, _ in self.ALGORITHM_7]
+        codes, transposed = analyzer.decide_batch(*map(np.array, zip(*pairs)))
+        for i, ((ax, ay), (primitive, flag)) in enumerate(self.ALGORITHM_7):
+            assert (CODE_ORDER[codes[i]], bool(transposed[i])) == \
+                (primitive, flag), (ax, ay)
+            dec = analyzer.decide(PairInfo(ax, ay, 512, 512, 128))
+            assert (dec.primitive, dec.transposed) == (primitive, flag), (ax, ay)
 
     @pytest.mark.parametrize("strategy", [
         DynamicMapping(CFG), Static1(CFG), Static2(CFG), OracleMapping(CFG),
@@ -616,24 +641,47 @@ class TestVectorizedHotPaths:
                  {"decide": lambda self, kernel, info: None})(CFG)
 
     def test_model_cycles_batch_bit_exact(self):
-        ax, ay = _density_grid(67)
-        batch = model_cycles_batch(512, 512, 128, ax, ay, CFG)
-        for i, (code, prim) in enumerate(
-            [(0, Primitive.GEMM), (1, Primitive.SPDMM), (2, Primitive.SPMM)]
-        ):
-            for k in range(len(ax)):
-                assert batch[code, k] == model_cycles(
-                    prim, 512, 512, 128, float(ax[k]), float(ay[k]), CFG)
+        # Table IV on a 512 x 512 x 128 pair: volume 2**25, psys**2 = 256.
+        # Dyadic densities, so every expected cycle count is exact
+        table = [  # (alpha_x, alpha_y) -> (GEMM, SpDMM, SPMM) cycles
+            ((1.0, 1.0), (131072.0, 262144.0, 2097152.0)),
+            ((0.25, 0.5), (131072.0, 65536.0, 262144.0)),
+            ((0.5, 0.25), (131072.0, 65536.0, 262144.0)),
+            ((0.0625, 0.125), (131072.0, 16384.0, 16384.0)),
+            ((0.0, 0.75), (131072.0, 0.0, 0.0)),
+        ]
+        pairs = [pair for pair, _ in table]
+        batch = model_cycles_batch(512, 512, 128, *map(np.array, zip(*pairs)), CFG)
+        prims = (Primitive.GEMM, Primitive.SPDMM, Primitive.SPMM)
+        for k, ((ax, ay), expected) in enumerate(table):
+            assert tuple(batch[:, k]) == expected, (ax, ay)
+            assert tuple(
+                model_cycles(p, 512, 512, 128, ax, ay, CFG) for p in prims
+            ) == expected, (ax, ay)
+        assert model_cycles(Primitive.SKIP, 512, 512, 128, 0.0, 1.0, CFG) == 0.0
 
     def test_argmin_and_region_batch_bit_exact(self):
-        ax, ay = _density_grid(67)
+        # Table IV's tie-breaks, and where the closed-form regions and the
+        # model's argmin part: (alpha_x, alpha_y) -> (argmin, region)
+        G, D, S = Primitive.GEMM, Primitive.SPDMM, Primitive.SPMM
+        table = [
+            ((0.5, 0.5), (G, G)),        # GEMM == SpDMM cycles: GEMM wins
+            ((0.5, 1.0), (G, G)),
+            ((0.0625, 0.125), (D, D)),   # SpDMM == SPMM cycles: SpDMM wins
+            ((0.125, 0.0625), (D, D)),
+            ((0.25, 0.75), (D, D)),
+            ((0.0625, 0.0625), (S, S)),
+            ((0.0, 0.75), (D, D)),       # both zero-cost: first in region order
+            ((0.0, 0.0625), (D, S)),     # the regions ignore the zero case
+        ]
+        pairs = [pair for pair, _ in table]
+        ax, ay = map(np.array, zip(*pairs))
         argmin = argmin_primitive_batch(512, 512, 128, ax, ay, CFG)
         region = region_primitive_batch(ax, ay, CFG)
-        for k in range(len(ax)):
-            assert CODE_ORDER[argmin[k]] is argmin_primitive(
-                512, 512, 128, float(ax[k]), float(ay[k]), CFG)
-            assert CODE_ORDER[region[k]] is region_primitive(
-                float(ax[k]), float(ay[k]), CFG)
+        for k, ((x, y), expected) in enumerate(table):
+            assert (CODE_ORDER[argmin[k]], CODE_ORDER[region[k]]) == expected, (x, y)
+            assert (argmin_primitive(512, 512, 128, x, y, CFG),
+                    region_primitive(x, y, CFG)) == expected, (x, y)
 
     def test_batch_density_validation(self):
         with pytest.raises(ValueError, match="densities"):

@@ -454,7 +454,7 @@ class TestServingAccountingFixes:
         stray = tiny_request(arrival_s=0.0)
         program = server.cache.peek(stray.program_key(server.config))
         assert program is not None
-        memo = server._execute(program, stray.strategy, 0.0)
+        memo = server.engine.execute(program, stray.strategy, ready_s=0.0)
         sweep = ContinuousScheduler(server)
         with pytest.raises(KeyError):
             sweep._respond(stray, 0, 1, 0, memo, 0.0, 1.0, 1.0, 0.0)

@@ -1,0 +1,316 @@
+"""The serve path says each thing once: one door to a simulated
+execution, one booking, one pass over a sweep's responses.
+
+The digests below were recorded at commit 20ed90e, before the source
+edits that collapsed the three (``python tests/test_serve_path.py``
+prints the two tables that need no private name; the execution table was
+read off ``InferenceServer._execute``'s ``_RunMemo`` there).  Never
+regenerate a table to make a change pass.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+from conftest import make_tiny_config
+from test_serve_golden import exact, strip_wallclock
+
+from repro.engine import Engine
+from repro.engine.pool import AcceleratorPool
+from repro.obs import Tracer
+from repro.serve import InferenceRequest, InferenceServer
+from repro.serve.comparison import serving_comparison
+
+SCALE = 0.15
+MODELS = ("GCN", "GraphSAGE", "GIN", "SGC")
+
+
+def digest(payload) -> str:
+    return hashlib.sha256(json.dumps(exact(payload)).encode()).hexdigest()
+
+
+# -- one booking --------------------------------------------------------
+def booking_payload() -> list:
+    """A scripted sequence over the three ``submit*`` methods: equal-start
+    ties under each chooser, explicit and defaulted labels, per-member
+    busy seconds, a parked device, a provisioning delay and the four
+    argument errors.  Every time is dyadic, so the floats are exact."""
+    pool = AcceleratorPool(make_tiny_config(), 4)
+    pool.tracer = Tracer()
+    returned = [
+        pool.submit(1.0, 0.0, batch_id=0, batch_size=2),  # all idle: dev0
+        pool.submit(0.5, 0.0, batch_id=1),
+        # every device starts at 2.0: the longest idle wins
+        pool.submit(0.25, 2.0, batch_id=2, batch_size=3),
+        pool.submit_on(3, 0.75, 0.125, batch_id=3, label="batch3/seg0"),
+        pool.submit_on(3, 0.5, 0.25, busy_s=0.125, batch_id=3, batch_size=4),
+        pool.submit_group(0.5, 2, 0.375, busy_s=[0.25, 0.375], batch_id=4,
+                          batch_size=2),
+        pool.submit_group(0.125, 3, 0.0, batch_id=5),
+    ]
+    pool.set_active(2, now=3.0)
+    returned += [
+        pool.submit(0.5, 0.0, batch_id=6),  # dev2/dev3 are parked
+        pool.submit_on(3, 0.25, 0.0, batch_id=7, label="parked"),
+        # both active devices start at 5.0: the stable sort keeps dev0 first
+        pool.submit_group(0.25, 2, 5.0, busy_s=[0.0625, 0.125], batch_id=8),
+    ]
+    pool.set_active(4, now=6.0, provision_delay_s=0.5)
+    returned += [
+        pool.submit(0.125, 6.0, batch_id=9),
+        pool.submit_group(1.0, 4, 0.0, batch_id=10, batch_size=8),
+        pool.submit(0.0, 0.0),
+    ]
+    errors = []
+    for call in (
+        lambda: pool.submit(-1.0, 0.0),
+        lambda: pool.submit_on(0, -1.0, 0.0),
+        lambda: pool.submit_on(4, 1.0, 0.0),
+        lambda: pool.submit_group(-1.0, 2, 0.0),
+        lambda: pool.submit_group(1.0, 5, 0.0),
+        lambda: pool.submit_group(1.0, 2, 0.0, busy_s=[1.0]),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        errors.append(str(err.value))
+    return [
+        returned,
+        [(e.device, e.start, e.end, e.batch_id, e.batch_size)
+         for e in pool.events],
+        [float(b) for b in pool.busy],
+        [float(a) for a in pool.available],
+        [(s.track, s.name, s.cat, s.start_s, s.dur_s, s.kind, s.args)
+         for s in pool.tracer.spans],
+        errors,
+    ]
+
+
+BOOKING_DIGEST = (
+    "477bd6fa45c0802521bd5aca8f5c956f6d883089e202038269c4c0ac1839fe2f"
+)
+
+
+def test_the_booking_table_is_the_parents():
+    assert digest(booking_payload()) == BOOKING_DIGEST
+
+
+def test_every_booking_is_one_event_and_one_span():
+    payload = booking_payload()
+    events, spans = payload[1], payload[4]
+    assert len(events) == len(spans) == 20
+    for (device, start, end, *_), (track, _, cat, s0, dur, *_) in zip(
+        events, spans
+    ):
+        assert (track, cat, s0, dur) == (
+            f"pool/dev{device}", "dispatch", start, end - start)
+
+
+# -- one door, one record -----------------------------------------------
+EXECUTION_CELLS = [
+    (model, shards, strategy)
+    for model in MODELS for shards in (1, 2) for strategy in ("Dynamic", "S1")
+]
+
+#: sha256 over the seven numbers the scheduler reads off an execution
+#: (``float.hex``), as ``_RunMemo`` held them at 20ed90e
+EXECUTION_DIGESTS = {
+    "GCN/x1/Dynamic":
+        "2c5cd87016ba4b48b8a736dcb4032609944ef82c7acd618a4c0dbdf8f1674682",
+    "GCN/x1/S1":
+        "30d283235a308a5f6bf3230a252371f7a04e153502cbbc3251853f6d6eed6d5a",
+    "GCN/x2/Dynamic":
+        "1d2055e7b666b129380159238ac37a59ea9a83819082588889012639f575b772",
+    "GCN/x2/S1":
+        "7c06ced9e61bb0c874b398dc491696506096a47274375e6d3699d2fcdde5130d",
+    "GraphSAGE/x1/Dynamic":
+        "6d578aae1876e7d4d3499f614903e50cfd20893d71c9b1ca1b4e920661e9e9f7",
+    "GraphSAGE/x1/S1":
+        "48a3109436c8f32e2c4c9df82fda985d8ff58db970838feacb217873ff8b6637",
+    "GraphSAGE/x2/Dynamic":
+        "b41d493eb4f2698b9698cef4e0b90ee2595a94d2d3d6ed56b663df0810474e87",
+    "GraphSAGE/x2/S1":
+        "1691182fcbae798bb2e560d3c87ec3c9da1217e85dd6341dd972ea1107a228ba",
+    "GIN/x1/Dynamic":
+        "b81348f1d59e50e50b969f514bc2429f929596055004995f3ef88ab00ebf7842",
+    "GIN/x1/S1":
+        "d7d014fcc33e8122fdf1d3c8f8eac65769f76db021d7ae090b265dd6f0c04db9",
+    "GIN/x2/Dynamic":
+        "21119826e370b65429434da70679355156f181ce40f8b0590af06b13b9135335",
+    "GIN/x2/S1":
+        "c3e8fea0b25e01e804e56386bdbc727b85cd7497fd121ed37eb9d75b452c1b82",
+    "SGC/x1/Dynamic":
+        "744d3d6fe9e2cc6ee5bab05cc3c770316d697b5aefd5d363b5c2b4d1de11ed18",
+    "SGC/x1/S1":
+        "fc6e713edf841328162e54e58acf2dc6b9020a16de80583440a43e451a8bc42f",
+    "SGC/x2/Dynamic":
+        "d61f71b5b95a279829737f50c969ed34323dffb4eeedc774ff26eb47fab6c07b",
+    "SGC/x2/S1":
+        "cbac99952b5dddc0519d8fbf40fb0d4a61fc32bd3c7cbf8182ec9ed8c5792ec0",
+}
+
+
+def execution_request(model, shards, strategy) -> InferenceRequest:
+    return InferenceRequest(model=model, dataset="CO", scale=SCALE, seed=3,
+                            strategy=strategy, shards=shards)
+
+
+def seven_numbers(run) -> list:
+    """What the scheduler reads off a recorded execution."""
+    return [
+        run.latency_s, float(run.total_cycles),
+        [float(b) for b in run.shard_busy_s], int(run.halo_bytes),
+        float(run.halo_s), float(run.barrier_s),
+        [float(s) for s in run.segments_s],
+    ]
+
+
+class TestOneDoor:
+    @pytest.mark.parametrize("model,shards,strategy", EXECUTION_CELLS)
+    def test_results_answer_what_the_memo_held(self, model, shards, strategy):
+        engine = Engine(make_tiny_config(), pool_size=2)
+        request = execution_request(model, shards, strategy)
+        program = engine.compile_request(request)
+        run = engine.execute(program, strategy, shards, ready_s=0.0)
+        assert run.num_shards == shards
+        assert sum(run.segments_s) == run.latency_s  # exactly
+        key = f"{model}/x{shards}/{strategy}"
+        assert digest(seven_numbers(run)) == EXECUTION_DIGESTS[key]
+
+    # ``kernel_calls`` (conftest) records every entry of the one task
+    # loop: an empty list after a replay means nothing was simulated
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_program_warmed_by_infer_is_warm_for_serve(self, kernel_calls,
+                                                          shards):
+        engine = Engine(make_tiny_config(), pool_size=2)
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3,
+                                shards=shards)
+        result = engine.infer(
+            handle, backend="sharded" if shards > 1 else None)
+        assert kernel_calls
+        del kernel_calls[:]
+        request = execution_request("GCN", shards, "Dynamic")
+        report = engine.serve([request, request])
+        assert kernel_calls == []  # the record was replayed
+        assert report.cache_misses == 0
+        for response in report.responses:
+            assert np.array_equal(response.output, result.output_dense())
+
+    def test_infer_after_serve_overwrites_the_record(self, kernel_calls):
+        engine = Engine(make_tiny_config())
+        request = execution_request("GCN", 1, "Dynamic")
+        engine.serve([request])
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
+        served = handle.program._runs["Dynamic", 1]
+        del kernel_calls[:]
+        result = engine.infer(handle)
+        assert kernel_calls  # simulated again, not replayed
+        assert handle.program._runs["Dynamic", 1] is result is not served
+        assert result.latency_s == served.latency_s
+
+    def test_n_infers_are_n_walks(self, kernel_calls):
+        engine = Engine(make_tiny_config())
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
+        results = [engine.infer(handle) for _ in range(3)]
+        assert len(kernel_calls) == 3 * handle.program.num_kernels
+        assert len({id(r) for r in results}) == 3
+
+    def test_the_array_infer_returned_stays_writable(self):
+        engine = Engine(make_tiny_config())
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
+        result = engine.infer(handle)
+        before = result.output_dense().copy()
+        first, second = engine.serve(
+            [execution_request("GCN", 1, "Dynamic") for _ in range(2)],
+            max_batch_size=1,
+        ).responses
+        # served outputs share one frozen copy...
+        assert first.output is second.output
+        assert not first.output.flags.writeable
+        # ...which is not the caller's array
+        result.output[0, 0] += 1.0
+        assert np.array_equal(first.output, before)
+
+    def test_a_one_shard_plan_is_not_the_unsharded_record(self):
+        # one sums cycles then converts, the other sums per-layer seconds
+        engine = Engine(make_tiny_config(), pool_size=1)
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
+        engine.infer(handle, backend="sharded")
+        assert handle.program._runs == {}
+
+
+class TestEstimateChecksWhatTheLoopChecks:
+    @pytest.mark.parametrize("shards", [0, 3])
+    def test_shards_outside_the_pool_raise_the_loops_message(self, shards):
+        server = InferenceServer(config=make_tiny_config(), pool_size=2)
+        request = execution_request("GCN", shards, "Dynamic")
+        with pytest.raises(ValueError, match=r"shards must be within \[1, 2\]"
+                           r": the pool has 2 device") as estimated:
+            server.estimate_service_s(request)
+        with pytest.raises(ValueError) as served:
+            server.serve([request])
+        assert str(estimated.value) == str(served.value)
+        with pytest.raises(ValueError, match="shards"):
+            server.saturating_rate([request])
+
+
+# -- one pass -------------------------------------------------------------
+def json_cell_payload(scheduler: str) -> dict:
+    """The warm sweeps of ``tests/test_cli.py``'s two serve-bench
+    ``JSON_CELLS`` (cold sweeps charge host-measured compile seconds)."""
+    comparison = serving_comparison(
+        12, pools=(1, 2), models=("GCN",), datasets=("CO",), scale=SCALE,
+        scheduler=scheduler,
+    )
+    return {
+        f"warm_pool{n}": strip_wallclock(warm.to_dict())
+        for n, (_, warm) in comparison.sweeps.items()
+    }
+
+
+JSON_CELL_DIGESTS = {
+    "legacy":
+        "055af5698c2521842126de945296ef0b2007c8db900b387c7bc354c9e8f9dadf",
+    "continuous":
+        "9e72559a2574fcb1f9f3436ba65ce46904d2963198bcedbee3dccfd08ff27193",
+}
+
+
+@pytest.mark.parametrize("scheduler", sorted(JSON_CELL_DIGESTS))
+def test_report_dictionary_is_bit_for_bit_the_parents(scheduler):
+    assert digest(json_cell_payload(scheduler)) == JSON_CELL_DIGESTS[scheduler]
+
+
+def test_report_fields_are_the_snapshots():
+    """Every number the report and the sweep's registry both hold is one
+    number: the field is read off the snapshot, not computed beside it."""
+    report = Engine(make_tiny_config(), pool_size=2).serve(
+        [execution_request("GCN", 1 + i % 2, "Dynamic") for i in range(9)],
+        scheduler="continuous",
+    )
+    hists = report.metrics["histograms"]
+    latency = hists["serve.latency_s"]
+    assert latency["count"] == report.num_requests
+    assert (report.latency_p50_s, report.latency_p95_s, report.latency_p99_s,
+            report.latency_mean_s) == (
+        latency["p50"], latency["p95"], latency["p99"], latency["mean"])
+    queue = hists["serve.queue_s"]
+    assert (report.queue_mean_s, report.queue_p95_s) == (
+        queue["mean"], queue["p95"])
+    assert report.phase_breakdown["queue_wait"] == queue
+    for name, block in report.class_breakdown.items():
+        per_class = hists[f"serve.sched.{name}.latency_s"]
+        assert (block["count"], block["p50_s"], block["p95_s"], block["p99_s"],
+                block["mean_s"]) == (
+            per_class["count"], per_class["p50"], per_class["p95"],
+            per_class["p99"], per_class["mean"])
+        assert block["queue_p95_s"] == hists[f"serve.sched.{name}.queue_s"]["p95"]
+
+
+if __name__ == "__main__":
+    print("BOOKING_DIGEST =", repr(digest(booking_payload())))
+    for scheduler in sorted(JSON_CELL_DIGESTS):
+        print(f"JSON_CELL_DIGESTS[{scheduler!r}] =",
+              repr(digest(json_cell_payload(scheduler))))

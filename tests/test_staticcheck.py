@@ -113,15 +113,6 @@ RULE_FIXTURES = {
         "class C:\n    def __post_init__(self):\n"
         "        object.__setattr__(self, 'x', 1)\n",
     ),
-    "RPR502": (
-        "import warnings\n\ndef __getattr__(name):\n"
-        "    warnings.warn(f'{name} deprecated', DeprecationWarning)\n"
-        "    return 1\n",
-        "import warnings\n\n_warned = set()\n\ndef __getattr__(name):\n"
-        "    if name not in _warned:\n        _warned.add(name)\n"
-        "        warnings.warn(f'{name} deprecated', DeprecationWarning)\n"
-        "    return 1\n",
-    ),
     "RPR503": (
         "__all__ = ['exists', 'ghost']\n\ndef exists():\n    return 1\n",
         "__all__ = ['exists']\n\ndef exists():\n    return 1\n",
