@@ -25,7 +25,6 @@ from repro.dyngraph import (
     PatchPolicy,
     ProgramPatcher,
     random_delta,
-    warm_views,
 )
 from repro.runtime.executor import run_strategy
 from repro.serve import InferenceServer, churn_stream
@@ -38,7 +37,6 @@ def main() -> None:
     print(f"graph: {graph}")
 
     handle = engine.compile("GCN", graph, seed=0)
-    warm_views(handle.program)  # materialise the per-block density tables
 
     # 2. a batched mutation: edge churn + a feature write ---------------
     delta = GraphDelta.edges(
@@ -62,7 +60,6 @@ def main() -> None:
     weights = init_weights(handle.model, seed=0)
     t0 = time.perf_counter()
     fresh = Compiler().compile(handle.model, graph.snapshot(), weights)
-    warm_views(fresh)
     print(f"full recompile for comparison: "
           f"{(time.perf_counter() - t0) * 1e3:.2f} ms wall")
 

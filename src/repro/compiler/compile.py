@@ -4,31 +4,35 @@
 *times each phase* (wall clock) so the Table IX experiment reports honest
 measured numbers:
 
-1. **Parse** — lower the model to the IR computation graph and
-   materialise the preprocessed adjacency operands;
-2. **Partition** — Algorithm 9 picks ``(N1, N2)``, and every kernel gets
-   its execution scheme (Algorithms 2/3);
-3. **Profile** — count nonzeros of all compile-time-known matrices and
-   fix their off-chip storage format.
+1. **Parse** — materialise the preprocessed adjacency operands;
+2. **Partition** — lower the model to the IR computation graph,
+   Algorithm 9 picks ``(N1, N2)``, and every kernel gets its execution
+   scheme (Algorithms 2/3): :meth:`Compiler.lower`, which a program patch
+   re-runs as its staleness check;
+3. **Profile** — partition every compile-time-known matrix the way the
+   schemes read it, counting nonzeros per partition (§III-B); a matrix's
+   profile and off-chip storage format follow from that census's total.
 
 The :class:`CompiledProgram` is the "optimized IR" of Fig. 3: kernels in
 topological order with schemes attached, a matrix store modelling DDR
-contents, per-matrix storage formats, and a partitioned-view cache the
-runtime shares (views are index arithmetic in hardware; here they carry
-the precomputed per-block nonzero grids).
+contents, per-matrix profiles, and the partitioned views the runtime
+reads (views are index arithmetic in hardware; here they carry the
+per-block nonzero grids).  A compiled program, and a patched one, holds
+the view of every ``(stored operand, blocking)`` its kernels read: no
+stored operand is scanned after compile time.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 
 from repro.config import AcceleratorConfig, u250_default
 from repro.compiler.parser import parse_model
 from repro.compiler.partitioner import choose_partition_sizes
-from repro.compiler.sparsity import MatrixProfile, profile_matrix
+from repro.compiler.sparsity import profile_of
 from repro.datasets.catalog import GraphData
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn.adjacency import build_adjacency_variants
@@ -65,14 +69,12 @@ class CompiledProgram:
     n2: int
     #: matrix store: name -> csr_matrix | ndarray (the DDR image)
     store: dict
-    #: off-chip storage format per matrix: name -> stored sparse?
-    stored_sparse: dict
+    #: name -> :class:`~repro.compiler.sparsity.MatrixProfile`
     profiles: dict
     timings: CompileTimings
     config: AcceleratorConfig
     output_name: str = "H_out"
-    #: names whose sparsity was profiled at compile time (§III-B)
-    compile_time_profiled: frozenset = frozenset()
+    #: (name, block_rows, block_cols) -> view, filled at compile time
     _views: dict = field(default_factory=dict, repr=False)
     #: recorded executions, (strategy, shards) -> the result object, written
     #: by ``Engine.execute`` alone and replayed by the serve path.  They
@@ -80,8 +82,14 @@ class CompiledProgram:
     #: starts empty, eviction drops both
     _runs: dict = field(default_factory=dict, repr=False)
 
+    @property
+    def stored_sparse(self) -> dict:
+        """Off-chip storage format per matrix: name -> stored sparse?"""
+        return {name: p.stored_sparse for name, p in self.profiles.items()}
+
     def view(self, name: str, block_rows: int, block_cols: int) -> PartitionedMatrix:
-        """Partitioned view of a stored matrix (cached; cheap re-blocking)."""
+        """Partitioned view of a stored matrix: the one the compiler
+        censused, or a re-blocking scanned on first ask and kept."""
         key = (name, block_rows, block_cols)
         pm = self._views.get(key)
         if pm is None:
@@ -139,42 +147,49 @@ class Compiler:
                 f"{data.h0.shape[1]}"
             )
 
-        # ---- step 1: parse (IR generation + adjacency preprocessing) ----
+        # ---- step 1: adjacency preprocessing ----
         t0 = time.perf_counter()
-        graph = parse_model(model, data.meta())
         adjacency = build_adjacency_variants(data.a, model.adjacency_names())
         t1 = time.perf_counter()
 
-        # ---- step 2: data partitioning + execution schemes ----
-        kernels = graph.topo_order()
-        n1, n2 = choose_partition_sizes(kernels, self.config)
-        for kernel in kernels:
-            kernel.exec_scheme = build_scheme(kernel, n1, n2)
+        # ---- step 2: IR generation, data partitioning, execution schemes ----
+        graph, n1, n2 = self.lower(model, data.meta())
         t2 = time.perf_counter()
 
-        # ---- step 3: sparsity preprocessing + storage formats ----
-        store: dict = {"H0": data.h0, **adjacency, **weights}
-        profiles: dict[str, MatrixProfile] = {}
-        stored_sparse: dict[str, bool] = {}
-        for name, mat in store.items():
-            prof = profile_matrix(name, mat)
-            profiles[name] = prof
-            stored_sparse[name] = prof.stored_sparse
-        t3 = time.perf_counter()
-
-        timings = CompileTimings(
-            parse_s=t1 - t0, partition_s=t2 - t1, profile_s=t3 - t2
-        )
-        return CompiledProgram(
+        # ---- step 3: per-partition census, profiles, storage formats ----
+        program = CompiledProgram(
             model=model,
             data_name=data.name,
             graph=graph,
             n1=n1,
             n2=n2,
-            store=store,
-            stored_sparse=stored_sparse,
-            profiles=profiles,
-            timings=timings,
+            store={"H0": data.h0, **adjacency, **weights},
+            profiles={},
+            timings=CompileTimings(t1 - t0, t2 - t1, profile_s=0.0),
             config=self.config,
-            compile_time_profiled=frozenset(store),
         )
+        for kernel in graph.topo_order():
+            scheme = kernel.exec_scheme
+            for name, blocking in (
+                (kernel.x_name, scheme.x_blocking),
+                (kernel.y_name, scheme.y_blocking),
+            ):
+                if name in program.store:
+                    view = program.view(name, *blocking)
+                    program.profiles[name] = profile_of(name, view.shape, view.nnz)
+        program.timings = replace(
+            program.timings, profile_s=time.perf_counter() - t2
+        )
+        return program
+
+    def lower(self, model: ModelSpec, meta) -> tuple[ComputationGraph, int, int]:
+        """The IR computation graph of ``model`` on a graph with metadata
+        ``meta``, Algorithm 9's ``(N1, N2)`` for it, and every kernel's
+        execution scheme attached.  No matrix is read: a patch lowers the
+        mutated metadata again and is stale when ``(N1, N2)`` moved."""
+        graph = parse_model(model, meta)
+        kernels = graph.topo_order()
+        n1, n2 = choose_partition_sizes(kernels, self.config)
+        for kernel in kernels:
+            kernel.exec_scheme = build_scheme(kernel, n1, n2)
+        return graph, n1, n2

@@ -11,8 +11,9 @@ recompiled from scratch —
   (:class:`GraphDelta`) and their exact effects (:class:`AppliedDelta`);
 - :mod:`repro.dyngraph.mutable` — :class:`MutableGraph`, versioned
   immutable snapshots under mutation with a change log;
-- :mod:`repro.dyngraph.incremental` — bit-exact splicing of normalised
-  adjacency operands (touched rows/columns only);
+- :mod:`repro.dyngraph.incremental` — which coordinates of a normalised
+  adjacency operand a delta flips (its values are rebuilt by the
+  compiler's own builders, :mod:`repro.gnn.adjacency`);
 - :mod:`repro.dyngraph.patcher` — :class:`ProgramPatcher`: O(delta)
   patching of compiled programs (profiles, partitioned views, dirty-block
   K2P re-analysis) with a recompile fallback policy;
@@ -33,15 +34,9 @@ from repro.dyngraph.churn import (
     MicrobenchResult,
     churn_experiment,
     patch_vs_recompile,
-    warm_views,
 )
 from repro.dyngraph.delta import AppliedDelta, GraphDelta, random_delta
-from repro.dyngraph.incremental import (
-    patch_gcn_norm,
-    patch_mean_norm,
-    patch_variant,
-    variant_structural_delta,
-)
+from repro.dyngraph.incremental import variant_structural_delta
 from repro.dyngraph.mutable import MutableGraph
 from repro.dyngraph.patcher import PatchPolicy, PatchReport, ProgramPatcher
 
@@ -54,11 +49,7 @@ __all__ = [
     "PatchReport",
     "ProgramPatcher",
     "churn_experiment",
-    "patch_gcn_norm",
-    "patch_mean_norm",
-    "patch_variant",
     "patch_vs_recompile",
     "random_delta",
     "variant_structural_delta",
-    "warm_views",
 ]

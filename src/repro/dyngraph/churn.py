@@ -8,11 +8,9 @@ dyngraph-bench`` CLI):
     the microbenchmark — apply a small random edge delta to a mid-size
     graph and compare the wall-clock cost of
     :meth:`~repro.dyngraph.patcher.ProgramPatcher.patch` against a full
-    ``Compiler.compile``.  Both sides are timed to the same readiness
-    bar: a profiled program *with materialised partitioned views* (the
-    per-block density tables the runtime needs), since a recompile
-    throws those away and the first run after it pays the O(nnz)
-    rebuild.
+    ``Compiler.compile``.  Both sides end at the same readiness bar: a
+    profiled program holding the censused view of every operand its
+    kernels read, which is what either call returns.
 
 ``churn_experiment``
     the serving comparison — the same interleaved infer/mutate stream
@@ -26,26 +24,13 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 
-from repro.compiler.compile import CompiledProgram, Compiler
+from repro.compiler.compile import Compiler
 from repro.config import u250_default
 from repro.datasets.catalog import load_dataset
 from repro.dyngraph.delta import random_delta
 from repro.dyngraph.mutable import MutableGraph
 from repro.dyngraph.patcher import PatchPolicy, ProgramPatcher
 from repro.gnn import build_model, init_weights
-
-
-def warm_views(program: CompiledProgram) -> None:
-    """Materialise the partitioned views (and density grids) the
-    program's kernels read — the state a recompile discards."""
-    for kernel in program.graph.topo_order():
-        scheme = kernel.exec_scheme
-        for name, blocking in (
-            (kernel.x_name, scheme.x_blocking),
-            (kernel.y_name, scheme.y_blocking),
-        ):
-            if name in program.store:
-                program.view(name, *blocking).density_grid
 
 
 @dataclass(frozen=True)
@@ -57,9 +42,9 @@ class MicrobenchResult:
     scale: float
     nnz: int
     delta_edges: int
-    #: best-of-N seconds of compile + view materialisation per mutation
+    #: best-of-N seconds of a full compile per mutation
     recompile_s: float
-    #: best-of-N seconds of patch (incl. re-materialising dirty densities)
+    #: best-of-N seconds of a patch
     patch_s: float
     dirty_blocks: int
     reanalyzed_pairs: int
@@ -75,8 +60,7 @@ class MicrobenchResult:
             f"(scale {self.scale}, nnz {self.nnz:,}), "
             f"{self.delta_edges} edge changes/delta "
             f"({self.delta_edges / self.nnz:.2%} churn):\n"
-            f"  full recompile    : {self.recompile_s * 1e3:.3f} ms "
-            f"(compile + view materialisation)\n"
+            f"  full recompile    : {self.recompile_s * 1e3:.3f} ms\n"
             f"  program patch     : {self.patch_s * 1e3:.3f} ms "
             f"({self.dirty_blocks} dirty blocks, "
             f"{self.reanalyzed_pairs} K2P re-decisions, "
@@ -114,7 +98,6 @@ def patch_vs_recompile(
     weights = init_weights(model, seed=seed)
     compiler = Compiler(u250_default())
     program = compiler.compile(model, snapshot, weights)
-    warm_views(program)
     patcher = ProgramPatcher(policy)
 
     n_changes = max(1, int(graph.nnz * edge_fraction / 2))
@@ -133,13 +116,11 @@ def patch_vs_recompile(
         snapshot = graph.snapshot()
 
         t0 = time.perf_counter()
-        fresh = compiler.compile(model, snapshot, weights)
-        warm_views(fresh)
+        compiler.compile(model, snapshot, weights)
         recompile_s = min(recompile_s, time.perf_counter() - t0)
 
         t0 = time.perf_counter()
         program, report = patcher.patch(program, snapshot, applied)
-        warm_views(program)
         # best-of-N (timeit-style): the minimum is the noise-robust
         # estimate of each path's intrinsic cost
         patch_s = min(patch_s, time.perf_counter() - t0)

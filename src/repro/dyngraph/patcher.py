@@ -10,12 +10,14 @@ delta almost all of that work reproduces bytes that did not change.
 stays valid — cached responses and in-flight batches may still reference
 it) by:
 
-1. re-deriving the IR graph and execution schemes (cheap, pure Python)
-   after a **staleness check**: if Algorithm 9 would now choose different
-   ``(N1, N2)`` partition sizes, or the delta exceeds the policy's churn
-   budget, it falls back to a full recompile;
-2. splicing touched rows/columns into the stored adjacency operands
-   (:mod:`repro.dyngraph.incremental`) — bit-identical to rebuilding;
+1. re-deriving the IR graph and execution schemes (cheap, pure Python:
+   the compiler's own :meth:`~repro.compiler.compile.Compiler.lower`),
+   which is also the **staleness check**: if Algorithm 9 now chooses
+   different ``(N1, N2)`` partition sizes, or the delta exceeds the
+   policy's churn budget, it falls back to a full recompile;
+2. rebuilding the stored adjacency operands with the compiler's own
+   builders (:mod:`repro.gnn.adjacency`: two multiplies over the mutated
+   adjacency's index structure);
 3. updating matrix profiles in O(1) from the structural nnz delta
    (:func:`repro.compiler.sparsity.update_profile`);
 4. patching every cached partitioned view's nnz grid in O(delta +
@@ -35,19 +37,17 @@ and returned in the :class:`PatchReport`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.compiler.compile import CompiledProgram, Compiler
-from repro.compiler.parser import parse_model
-from repro.compiler.partitioner import choose_partition_sizes
 from repro.compiler.sparsity import update_profile
 from repro.datasets.catalog import GraphData
 from repro.dyngraph.delta import AppliedDelta
-from repro.dyngraph.incremental import patch_variant, variant_structural_delta
+from repro.dyngraph.incremental import variant_structural_delta
 from repro.formats.partition import PartitionedMatrix
-from repro.ir.scheme import build_scheme
+from repro.gnn.adjacency import ADJACENCY_BUILDERS
 from repro.runtime.analyzer import Analyzer
 
 
@@ -59,9 +59,6 @@ class PatchPolicy:
     #: economy (the splice pass approaches a rebuild's cost and density
     #: drift makes most blocks dirty anyway)
     max_edge_fraction: float = 0.02
-    #: re-run Algorithm 9 on the mutated metadata and recompile when the
-    #: chosen (N1, N2) partition sizes went stale
-    recheck_partition: bool = True
 
 
 @dataclass(frozen=True)
@@ -78,11 +75,24 @@ class PatchReport:
     a_nnz_delta: int
     h_nnz_delta: int
     #: dirty (density-changed) blocks across all patched views
-    dirty_blocks: int
+    dirty_blocks: int = 0
     #: K2P pair decisions re-run for dirty blocks (Analyzer, dirty only)
-    reanalyzed_pairs: int
+    reanalyzed_pairs: int = 0
     #: re-run decisions that chose a different primitive than before
-    decision_flips: int
+    decision_flips: int = 0
+
+    @classmethod
+    def since(cls, t0: float, applied: AppliedDelta, **outcome) -> "PatchReport":
+        """The report of a patch or fallback started at ``perf_counter``
+        reading ``t0``: the delta's own numbers plus ``outcome``."""
+        return cls(
+            wall_s=time.perf_counter() - t0,
+            version_from=applied.version_from,
+            version_to=applied.version_to,
+            a_nnz_delta=applied.a_nnz_delta,
+            h_nnz_delta=applied.h_nnz_delta,
+            **outcome,
+        )
 
 
 class ProgramPatcher:
@@ -110,23 +120,19 @@ class ProgramPatcher:
             )
 
         # -- staleness check: would Algorithm 9 still pick (N1, N2)? ----
-        graph = parse_model(program.model, new_data.meta())
-        kernels = graph.topo_order()
-        if self.policy.recheck_partition:
-            n1, n2 = choose_partition_sizes(kernels, program.config)
-            if (n1, n2) != (program.n1, program.n2):
-                return self.recompile(
-                    program, new_data, applied,
-                    reason=f"partition sizes stale: "
-                           f"({program.n1}, {program.n2}) -> ({n1}, {n2})",
-                )
-        for kernel in kernels:
-            kernel.exec_scheme = build_scheme(kernel, program.n1, program.n2)
+        graph, n1, n2 = Compiler(program.config).lower(
+            program.model, new_data.meta()
+        )
+        if (n1, n2) != (program.n1, program.n2):
+            return self.recompile(
+                program, new_data, applied,
+                reason=f"partition sizes stale: "
+                       f"({program.n1}, {program.n2}) -> ({n1}, {n2})",
+            )
 
-        # -- splice operands, patch profiles and views ------------------
+        # -- rebuild operands, patch profiles and views -----------------
         store = dict(program.store)
         profiles = dict(program.profiles)
-        stored_sparse = dict(program.stored_sparse)
         views = dict(program._views)
         dirty_by_view: dict[tuple, object] = {}
 
@@ -135,7 +141,6 @@ class ProgramPatcher:
             profiles[name] = update_profile(
                 profiles[name], int(ar.size) - int(rr.size)
             )
-            stored_sparse[name] = profiles[name].stored_sparse
             for key in [k for k in views if k[0] == name]:
                 views[key], dirty = PartitionedMatrix.from_patched(
                     views[key], new_matrix, ar, ac, rr, rc
@@ -144,46 +149,27 @@ class ProgramPatcher:
 
         if applied.touches_adjacency:
             for name in sorted(program.model.adjacency_names()):
-                new_variant = patch_variant(name, new_data.a)
                 patch_matrix(
-                    name, new_variant, *variant_structural_delta(name, applied)
+                    name,
+                    ADJACENCY_BUILDERS[name](new_data.a),
+                    *variant_structural_delta(name, applied),
                 )
         if applied.touches_features:
             patch_matrix("H0", new_data.h0, *applied.h_structural())
 
         reanalyzed, flips = self._reanalyze(
-            program, kernels, views, dirty_by_view
+            program, graph.topo_order(), views, dirty_by_view
         )
-
-        patched = CompiledProgram(
-            model=program.model,
-            data_name=new_data.name,
-            graph=graph,
-            n1=program.n1,
-            n2=program.n2,
-            store=store,
-            stored_sparse=stored_sparse,
-            profiles=profiles,
-            timings=program.timings,
-            config=program.config,
-            output_name=program.output_name,
-            compile_time_profiled=frozenset(store),
-            _views=views,
+        # executions recorded on the ancestor are not the patched program's
+        patched = replace(
+            program, data_name=new_data.name, graph=graph, store=store,
+            profiles=profiles, _views=views, _runs={},
         )
-        dirty_blocks = sum(len(d) for d in dirty_by_view.values())
-        report = PatchReport(
-            patched=True,
-            reason="",
-            wall_s=time.perf_counter() - t0,
-            version_from=applied.version_from,
-            version_to=applied.version_to,
-            a_nnz_delta=applied.a_nnz_delta,
-            h_nnz_delta=applied.h_nnz_delta,
-            dirty_blocks=dirty_blocks,
-            reanalyzed_pairs=reanalyzed,
-            decision_flips=flips,
+        return patched, PatchReport.since(
+            t0, applied, patched=True, reason="",
+            dirty_blocks=sum(len(d) for d in dirty_by_view.values()),
+            reanalyzed_pairs=reanalyzed, decision_flips=flips,
         )
-        return patched, report
 
     def recompile(
         self,
@@ -200,19 +186,7 @@ class ProgramPatcher:
             name: program.store[name] for name in program.model.weight_shapes()
         }
         fresh = Compiler(program.config).compile(program.model, new_data, weights)
-        report = PatchReport(
-            patched=False,
-            reason=reason,
-            wall_s=time.perf_counter() - t0,
-            version_from=applied.version_from,
-            version_to=applied.version_to,
-            a_nnz_delta=applied.a_nnz_delta,
-            h_nnz_delta=applied.h_nnz_delta,
-            dirty_blocks=0,
-            reanalyzed_pairs=0,
-            decision_flips=0,
-        )
-        return fresh, report
+        return fresh, PatchReport.since(t0, applied, patched=False, reason=reason)
 
     # -- internals -------------------------------------------------------
     def _reanalyze(
@@ -239,19 +213,11 @@ class ProgramPatcher:
                 continue
             old_x = program._views[xkey]
             new_x = views[xkey]
-            ykey = (kernel.y_name, *scheme.y_blocking)
-            y_view = views.get(ykey) or program._views.get(ykey)
-            bi, bj = dirty[:, 0], dirty[:, 1]
-            if y_view is not None:
-                ay = y_view.density_grid[bj]
-            elif kernel.y_name in program.profiles:
-                # no cached blocked view: use the operand's global density
-                num_k = max(1, -(-kernel.output_dim // scheme.y_blocking[1]))
-                ay = np.full(
-                    (len(dirty), num_k), program.profiles[kernel.y_name].density
-                )
-            else:
+            y_view = views.get((kernel.y_name, *scheme.y_blocking))
+            if y_view is None:
                 continue  # runtime-profiled intermediate: nothing known
+            bi, bj = dirty[:, 0], dirty[:, 1]
+            ay = y_view.density_grid[bj]
             # the decision depends on densities, not on block dimensions
             old_codes, _ = analyzer.decide_batch(
                 np.broadcast_to(old_x.density_grid[bi, bj][:, None], ay.shape), ay

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TypeVar
 
 import numpy as np
 
@@ -33,9 +34,31 @@ from repro.formats.coo import COOMatrix
 from repro.formats.dense import DTYPE, Layout
 
 
-def _check_width(width: int) -> None:
-    if width < 1 or width & (width - 1):
-        raise ValueError(f"lane width must be a power of two, got {width}")
+#: a size, or an int64 array of sizes: what a cycle formula is asked
+Sizes = TypeVar("Sizes", int, np.ndarray)
+
+
+class StreamingUnit:
+    """A unit that streams ``width`` elements per cycle through a
+    ``pipeline_stages``-deep pipeline: D2S, S2D, the LTU, the Layout
+    Merger and the Sparsity Profiler, each with its own depth."""
+
+    def __init__(self, width: int = 16) -> None:
+        if width < 1 or width & (width - 1):
+            raise ValueError(f"lane width must be a power of two, got {width}")
+        self.width = width
+
+    @property
+    def pipeline_stages(self) -> int:
+        return int(math.log2(self.width)) if self.width > 1 else 1
+
+    def cycles_for(self, num_elements: Sizes) -> Sizes:
+        """Cycles of one streaming pass: ``ceil(num_elements / width) +
+        pipeline_stages``, and zero when nothing streams.  Integer
+        arithmetic throughout, so it takes an ``int`` or an ``int64`` array
+        of sizes and answers in kind."""
+        passes = -(num_elements // -self.width)
+        return (passes + self.pipeline_stages) * (num_elements != 0)
 
 
 @dataclass(frozen=True)
@@ -48,7 +71,7 @@ class ConversionReport:
     pipeline_stages: int
 
 
-class DenseToSparseModule:
+class DenseToSparseModule(StreamingUnit):
     """D2S unit: compacts a dense stream into (index, value) pairs.
 
     Parameters
@@ -58,14 +81,6 @@ class DenseToSparseModule:
         delivers 16 32-bit words per cycle, so the paper sizes the unit at
         ``n = 16``.
     """
-
-    def __init__(self, width: int = 16) -> None:
-        _check_width(width)
-        self.width = width
-
-    @property
-    def pipeline_stages(self) -> int:
-        return int(math.log2(self.width)) if self.width > 1 else 1
 
     # -- faithful pipeline simulation (Fig. 8) -------------------------
     def compact_staged(
@@ -141,35 +156,15 @@ class DenseToSparseModule:
         )
         return coo, report
 
-    def cycles_for(self, num_elements: int) -> int:
-        """Streaming cycles to push ``num_elements`` through the unit."""
-        if num_elements == 0:
-            return 0
-        return math.ceil(num_elements / self.width) + self.pipeline_stages
 
-    def cycles_for_batch(self, num_elements: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cycles_for` over an int array of sizes."""
-        e = np.asarray(num_elements, dtype=np.int64)
-        cycles = -(e // -self.width) + self.pipeline_stages
-        return np.where(e == 0, 0, cycles)
-
-
-class SparseToDenseModule:
+class SparseToDenseModule(StreamingUnit):
     """S2D unit: scatters (index, value) pairs back into a dense stream.
 
     §V-B2: *"The architecture of S2D is similar to D2S, but in the reverse
     direction."*  Throughput is therefore also ``width`` lanes per cycle,
     but the number of cycles is bounded by the *dense* output size because
-    zero lanes must still be emitted.
+    zero lanes must still be emitted: ``cycles_for`` takes the dense size.
     """
-
-    def __init__(self, width: int = 16) -> None:
-        _check_width(width)
-        self.width = width
-
-    @property
-    def pipeline_stages(self) -> int:
-        return int(math.log2(self.width)) if self.width > 1 else 1
 
     def convert(self, coo: COOMatrix) -> tuple[np.ndarray, ConversionReport]:
         dense = coo.to_dense()
@@ -181,14 +176,3 @@ class SparseToDenseModule:
             pipeline_stages=self.pipeline_stages,
         )
         return dense, report
-
-    def cycles_for(self, num_dense_elements: int) -> int:
-        if num_dense_elements == 0:
-            return 0
-        return math.ceil(num_dense_elements / self.width) + self.pipeline_stages
-
-    def cycles_for_batch(self, num_dense_elements: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cycles_for` over an int array of sizes."""
-        e = np.asarray(num_dense_elements, dtype=np.int64)
-        cycles = -(e // -self.width) + self.pipeline_stages
-        return np.where(e == 0, 0, cycles)

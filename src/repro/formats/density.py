@@ -11,13 +11,13 @@ extend the critical path when double buffering is on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
+from repro.formats.convert import StreamingUnit
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseMatrix
 
@@ -96,7 +96,7 @@ class ProfileReport:
     cycles: int
 
 
-class SparsityProfiler:
+class SparsityProfiler(StreamingUnit):
     """Adder-tree nonzero counter at the Result Buffer output port.
 
     Parameters
@@ -106,25 +106,10 @@ class SparsityProfiler:
         ``psys`` in the implementation).
     """
 
-    def __init__(self, width: int = 16) -> None:
-        if width < 1 or width & (width - 1):
-            raise ValueError(f"profiler width must be a power of two, got {width}")
-        self.width = width
-
     @property
     def adder_tree_depth(self) -> int:
-        return int(math.log2(self.width)) if self.width > 1 else 1
-
-    def cycles_for(self, elements: int) -> int:
-        if elements == 0:
-            return 0
-        return math.ceil(elements / self.width) + self.adder_tree_depth
-
-    def cycles_for_batch(self, elements: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cycles_for` over an int array of sizes."""
-        e = np.asarray(elements, dtype=np.int64)
-        cycles = -(e // -self.width) + self.adder_tree_depth
-        return np.where(e == 0, 0, cycles)
+        """The pipeline behind the comparators: ``log2(width)`` adders deep."""
+        return self.pipeline_stages
 
     def profile(self, mat: MatrixLike) -> ProfileReport:
         """Count nonzeros the way the hardware does (streaming pass)."""

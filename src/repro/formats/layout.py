@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.formats.convert import StreamingUnit
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseMatrix, DTYPE
 
@@ -34,30 +35,14 @@ class TransformReport:
     cycles: int
 
 
-class LayoutTransformationUnit:
+class LayoutTransformationUnit(StreamingUnit):
     """Streaming permutation network that transposes layouts."""
-
-    def __init__(self, width: int = 16) -> None:
-        if width < 1 or width & (width - 1):
-            raise ValueError(f"lane width must be a power of two, got {width}")
-        self.width = width
 
     @property
     def pipeline_stages(self) -> int:
         # bitonic permutation network depth: log2(w) * (log2(w)+1) / 2
         lg = int(math.log2(self.width)) if self.width > 1 else 1
         return lg * (lg + 1) // 2
-
-    def cycles_for(self, num_elements: int) -> int:
-        if num_elements == 0:
-            return 0
-        return math.ceil(num_elements / self.width) + self.pipeline_stages
-
-    def cycles_for_batch(self, num_elements: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`cycles_for` over an int array of sizes."""
-        e = np.asarray(num_elements, dtype=np.int64)
-        cycles = -(e // -self.width) + self.pipeline_stages
-        return np.where(e == 0, 0, cycles)
 
     def transform_dense(self, mat: DenseMatrix) -> tuple[DenseMatrix, TransformReport]:
         """Flip a dense matrix's layout (logical content unchanged)."""
@@ -70,7 +55,7 @@ class LayoutTransformationUnit:
         return out, TransformReport(mat.nnz, self.cycles_for(mat.nnz))
 
 
-class LayoutMerger:
+class LayoutMerger(StreamingUnit):
     """Merges row-major and column-major partial results of ``Z``.
 
     §V-B2: the Result Buffer keeps two partial accumulators of ``Z`` (one
@@ -78,10 +63,8 @@ class LayoutMerger:
     row-major matrix.
     """
 
-    def __init__(self, width: int = 16) -> None:
-        if width < 1 or width & (width - 1):
-            raise ValueError(f"lane width must be a power of two, got {width}")
-        self.width = width
+    #: one streaming pass, no pipeline fill
+    pipeline_stages = 0
 
     def merge(
         self, row_major_part: np.ndarray, col_major_part: np.ndarray
@@ -92,11 +75,4 @@ class LayoutMerger:
         if a.shape != b.shape:
             raise ValueError(f"partial result shapes differ: {a.shape} vs {b.shape}")
         merged = a + b
-        cycles = math.ceil(merged.size / self.width) if merged.size else 0
-        return merged, TransformReport(merged.size, cycles)
-
-    def cycles_for_batch(self, sizes: np.ndarray) -> np.ndarray:
-        """Vectorised merge-cycle accounting (one streaming pass, no
-        pipeline fill — mirrors :meth:`merge`)."""
-        e = np.asarray(sizes, dtype=np.int64)
-        return np.where(e == 0, 0, -(e // -self.width))
+        return merged, TransformReport(merged.size, self.cycles_for(merged.size))

@@ -14,6 +14,7 @@ adding a dense-throughput device help a sparsity-adaptive system?*
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -23,11 +24,11 @@ import scipy.sparse as sp
 from repro.compiler.compile import CompiledProgram
 from repro.formats.csr import matmul
 from repro.formats.dense import DTYPE
-from repro.formats.partition import PartitionedMatrix
 from repro.gnn.activations import activation_fn
 from repro.hetero.devices import DeviceModel, FPGA_DEVICE, GPU_DEVICE
 from repro.hw.report import CODE_ORDER, Primitive
 from repro.runtime.analyzer import Analyzer
+from repro.runtime.executor import operand_view
 
 
 def materialize_intermediates(program: CompiledProgram) -> dict:
@@ -136,15 +137,8 @@ class HeterogeneousRuntime:
         cores = self.fpga_parallel_cores or cfg.num_cores
 
         store = materialize_intermediates(program)
-        views: dict = {}
-
-        def view(name: str, br: int, bc: int) -> PartitionedMatrix:
-            if name in program.store:  # censused once per program
-                return program.view(name, br, bc)
-            key = (name, br, bc)
-            if key not in views:
-                views[key] = PartitionedMatrix(store[name], br, bc, name=name)
-            return views[key]
+        # nothing here profiles a write-back: intermediates are scanned
+        view = functools.partial(operand_view, program, store, {}, {})
 
         device_seconds = {self.gpu.name: 0.0, self.fpga.name: 0.0}
         device_pairs: Counter = Counter()
@@ -154,8 +148,8 @@ class HeterogeneousRuntime:
 
         for kernel in program.graph.topo_order():
             scheme = kernel.exec_scheme
-            xv = view(kernel.x_name, *scheme.x_blocking)
-            yv = view(kernel.y_name, *scheme.y_blocking)
+            xv = view(kernel.x_name, scheme.x_blocking)
+            yv = view(kernel.y_name, scheme.y_blocking)
             x_dens, y_dens = xv.density_grid, yv.density_grid
             x_nnz, y_nnz = xv.nnz_grid, yv.nnz_grid
             x_rs, x_cs = xv.row_block_sizes, xv.col_block_sizes

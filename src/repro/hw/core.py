@@ -33,7 +33,7 @@ from repro.formats.dense import DTYPE
 from repro.formats.density import SparsityProfiler
 from repro.formats.layout import LayoutMerger, LayoutTransformationUnit
 from repro.hw.buffers import BufferOverflowError, CoreBuffers
-from repro.hw.gemm_unit import gemm_compute_cycles, gemm_compute_cycles_batch
+from repro.hw.gemm_unit import gemm_compute_cycles
 from repro.hw.memory import ExternalMemory
 from repro.hw.report import (
     GEMM_CODE,
@@ -43,7 +43,7 @@ from repro.hw.report import (
     PairExecution,
     Primitive,
 )
-from repro.hw.spdmm_unit import spdmm_compute_cycles, spdmm_compute_cycles_batch
+from repro.hw.spdmm_unit import spdmm_compute_cycles
 from repro.hw.spmm_unit import spmm_compute_cycles
 
 
@@ -337,15 +337,15 @@ def batch_pair_cycles(
     transform = np.zeros(codes.shape, dtype=np.int64)
 
     if gemm.any():
-        compute[gemm] = gemm_compute_cycles_batch(
+        compute[gemm] = gemm_compute_cycles(
             m[gemm], n[gemm], d[gemm], core.config
         )
         macs[gemm] = (elems_x * d)[gemm]
-        tr = core.ltu.cycles_for_batch(elems_y)[gemm]
+        tr = core.ltu.cycles_for(elems_y)[gemm]
         if x_stored_sparse:
-            tr = tr + core.s2d.cycles_for_batch(elems_x)[gemm]
+            tr = tr + core.s2d.cycles_for(elems_x)[gemm]
         if y_stored_sparse:
-            tr = tr + core.s2d.cycles_for_batch(elems_y)[gemm]
+            tr = tr + core.s2d.cycles_for(elems_y)[gemm]
         transform[gemm] = tr
     if spdmm.any():
         sparse_nnz = np.where(transposed, y_nnz, x_nnz)
@@ -354,26 +354,26 @@ def batch_pair_cycles(
         sparse_stored = np.where(transposed, y_stored_sparse, x_stored_sparse)
         dense_stored = np.where(transposed, x_stored_sparse, y_stored_sparse)
         dense_cols = np.where(transposed, m, d)
-        compute[spdmm] = spdmm_compute_cycles_batch(
+        compute[spdmm] = spdmm_compute_cycles(
             sparse_nnz[spdmm], dense_cols[spdmm], core.config
         )
         macs[spdmm] = (sparse_nnz * dense_cols)[spdmm]
         tr = np.where(
-            ~sparse_stored, core.d2s.cycles_for_batch(sparse_elems), 0
+            ~sparse_stored, core.d2s.cycles_for(sparse_elems), 0
         )
         tr = tr + np.where(
-            dense_stored, core.s2d.cycles_for_batch(dense_elems), 0
+            dense_stored, core.s2d.cycles_for(dense_elems), 0
         )
         tr = tr + np.where(
-            transposed, core.ltu.cycles_for_batch(dense_elems), 0
+            transposed, core.ltu.cycles_for(dense_elems), 0
         )
         transform[spdmm] = tr[spdmm]
     if spmm.any():
         tr = np.zeros(codes.shape, dtype=np.int64)
         if not x_stored_sparse:
-            tr = tr + core.d2s.cycles_for_batch(elems_x)
+            tr = tr + core.d2s.cycles_for(elems_x)
         if not y_stored_sparse:
-            tr = tr + core.d2s.cycles_for_batch(elems_y)
+            tr = tr + core.d2s.cycles_for(elems_y)
         transform[spmm] = tr[spmm]
     return compute, transform, macs
 
@@ -394,13 +394,13 @@ def batch_task_writeback(
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     out_nnz = np.asarray(out_nnz, dtype=np.int64)
-    profile = core.profiler.cycles_for_batch(sizes)
+    profile = core.profiler.cycles_for(sizes)
     transform = np.where(
-        np.asarray(merged, dtype=bool), core.merger.cycles_for_batch(sizes), 0
+        np.asarray(merged, dtype=bool), core.merger.cycles_for(sizes), 0
     )
     if write_sparse:
         write_bytes = 12 * out_nnz
-        transform = transform + core.d2s.cycles_for_batch(sizes)
+        transform = transform + core.d2s.cycles_for(sizes)
     else:
         write_bytes = 4 * sizes
     return profile, transform, write_bytes

@@ -19,31 +19,21 @@ import math
 import numpy as np
 
 from repro.config import AcceleratorConfig
+from repro.formats.convert import Sizes
 from repro.formats.csr import as_dense, MatrixLike
 from repro.formats.dense import DTYPE
 from repro.hw.report import CycleReport
 
 
-def gemm_compute_cycles(m: int, n: int, d: int, config: AcceleratorConfig) -> int:
-    """Exact systolic-array cycles for an ``(m, n) @ (n, d)`` product."""
-    if m == 0 or n == 0 or d == 0:
-        return 0
-    p = config.psys
-    tiles = math.ceil(m / p) * math.ceil(d / p)
-    return tiles * (n + 2 * p)
-
-
-def gemm_compute_cycles_batch(
-    m: np.ndarray, n: np.ndarray, d: np.ndarray, config: AcceleratorConfig
-) -> np.ndarray:
-    """Vectorised :func:`gemm_compute_cycles` over aligned int arrays."""
-    m = np.asarray(m, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
+def gemm_compute_cycles(
+    m: Sizes, n: Sizes, d: Sizes, config: AcceleratorConfig
+) -> Sizes:
+    """Exact systolic-array cycles for an ``(m, n) @ (n, d)`` product:
+    ints, or aligned int64 arrays of them (integer arithmetic throughout).
+    A zero ``m`` or ``d`` leaves no tile; a zero ``n`` nothing to stream."""
     p = config.psys
     tiles = -(m // -p) * -(d // -p)
-    cycles = tiles * (n + 2 * p)
-    return np.where((m == 0) | (n == 0) | (d == 0), 0, cycles)
+    return tiles * (n + 2 * p) * (n != 0)
 
 
 def run_gemm(

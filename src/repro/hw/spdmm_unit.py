@@ -24,42 +24,30 @@ import math
 import numpy as np
 
 from repro.config import AcceleratorConfig
+from repro.formats.convert import Sizes
 from repro.formats.csr import as_csr, as_dense, MatrixLike
 from repro.formats.dense import DTYPE
 from repro.hw.report import CycleReport
 
 
 def spdmm_compute_cycles(
-    nnz_sparse: int, dense_cols: int, config: AcceleratorConfig
-) -> int:
-    """Conflict-free SpDMM cycles.
+    nnz_sparse: Sizes, dense_cols: Sizes, config: AcceleratorConfig
+) -> Sizes:
+    """Conflict-free SpDMM cycles, for ints or aligned int64 arrays.
 
     Two throughput limits apply: the Update Units retire
     ``psys**2 / 2`` MACs per cycle (``nnz * d`` MACs total), and BufferU
-    feeds at most ``psys / 2`` nonzeros per cycle.
+    feeds at most ``psys / 2`` nonzeros per cycle.  ``psys`` is a power of
+    two >= 2 (``AcceleratorConfig``), so both rates are integers and the
+    ceilings are integer divisions.
     """
-    if nnz_sparse == 0 or dense_cols == 0:
-        return 0
-    p = config.psys
-    mac_bound = math.ceil(nnz_sparse * dense_cols / (p * p / 2))
-    fetch_bound = math.ceil(nnz_sparse / (p / 2))
-    return max(mac_bound, fetch_bound) + config.pipeline_depth
-
-
-def spdmm_compute_cycles_batch(
-    nnz_sparse: np.ndarray, dense_cols: np.ndarray, config: AcceleratorConfig
-) -> np.ndarray:
-    """Vectorised :func:`spdmm_compute_cycles` over aligned int arrays.
-
-    Replicates the scalar path's float division + ceil bit for bit.
-    """
-    nnz = np.asarray(nnz_sparse, dtype=np.int64)
-    d = np.asarray(dense_cols, dtype=np.int64)
-    p = config.psys
-    mac_bound = np.ceil(nnz * d / (p * p / 2)).astype(np.int64)
-    fetch_bound = np.ceil(nnz / (p / 2)).astype(np.int64)
-    cycles = np.maximum(mac_bound, fetch_bound) + config.pipeline_depth
-    return np.where((nnz == 0) | (d == 0), 0, cycles)
+    half = config.psys // 2
+    macs = nnz_sparse * dense_cols
+    mac_bound = -(macs // -(config.psys * half))
+    fetch_bound = -(nnz_sparse // -half)
+    # max(mac_bound, fetch_bound), spelt so that an array takes it too
+    bound = mac_bound + (fetch_bound - mac_bound) * (fetch_bound > mac_bound)
+    return (bound + config.pipeline_depth) * (macs != 0)
 
 
 def run_spdmm(

@@ -17,6 +17,7 @@ The functional output is exact: integration tests compare it bit-for-bit
 
 from __future__ import annotations
 
+import functools
 import sys
 from collections import Counter
 from collections.abc import Iterator
@@ -402,6 +403,33 @@ class Lane:
         self.timeline = CoreTimeline(self.accelerator.num_cores)
 
 
+def operand_view(
+    program: CompiledProgram,
+    store: dict,
+    views: dict,
+    censuses: dict,
+    name: str,
+    blocking: tuple[int, int],
+) -> PartitionedMatrix:
+    """The view of one kernel operand under ``blocking``.
+
+    A stored operand's is the program's, censused at compile time.  An
+    intermediate (``store[name]``, produced during this walk) is viewed
+    once per blocking and kept in ``views``; it is not scanned when
+    ``censuses`` holds its producer's write-back profiler counts under
+    this very blocking, and scanned with ``block_nnz_grid`` otherwise.
+    """
+    if name in program.store:
+        return program.view(name, *blocking)
+    key = (name, *blocking)
+    pm = views.get(key)
+    if pm is None:
+        pm = views[key] = PartitionedMatrix(
+            store[name], *blocking, name=name, nnz_grid=censuses.get(key)
+        )
+    return pm
+
+
 def run_kernels(
     program: CompiledProgram,
     strategy: MappingStrategy,
@@ -422,29 +450,18 @@ def run_kernels(
     mean (latency model, halo, spans) and reads
     ``store[program.output_name]`` when the walk ends.
 
-    A compile-time operand is censused once per program
-    (``program.view``).  An intermediate is not scanned: its census is
-    the producing kernel's write-back profiler counts whenever the
-    consumer blocks it as the producer wrote it (``out_blocking``); any
-    other blocking scans with ``block_nnz_grid``.
+    A stored operand is not scanned on the way (:func:`operand_view`):
+    the compiler censused it.  Nor is an intermediate whose consumer
+    blocks it as the producer wrote it (``out_blocking``): its census is
+    the producing kernel's write-back profiler counts.
     """
     for lane in lanes:
         lane.accelerator.reset()
     views: dict = {}
     #: (name, *out_blocking) -> profiled nnz grid of each output produced
     censuses: dict = {}
-    stored_sparse = dict(program.stored_sparse)
-
-    def view(name: str, blocking: tuple[int, int]) -> PartitionedMatrix:
-        if name not in store:
-            return program.view(name, *blocking)
-        key = (name, *blocking)
-        pm = views.get(key)
-        if pm is None:
-            pm = views[key] = PartitionedMatrix(
-                store[name], *blocking, name=name, nnz_grid=censuses.get(key)
-            )
-        return pm
+    stored_sparse = program.stored_sparse
+    view = functools.partial(operand_view, program, store, views, censuses)
 
     for kernel in program.graph.topo_order():
         scheme = kernel.exec_scheme

@@ -277,7 +277,7 @@ class ShardedRuntime:
     def _halo_counts(self, program: CompiledProgram, x_name: str) -> np.ndarray:
         counts = self._halo_cache.get(x_name)
         if counts is None:
-            a = program.view(x_name, program.n1, program.n1).matrix
+            a = program.store[x_name]
             counts = np.array(
                 [halo_vertices(a, s.v0, s.v1) for s in self.plan.shards],
                 dtype=np.int64,

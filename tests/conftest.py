@@ -60,6 +60,29 @@ def random_sparse(m, n, density, seed=0, zero_rows=False):
     return mat
 
 
+def formula_adjacency(name: str, a: sp.csr_matrix) -> sp.csr_matrix:
+    """One adjacency variant of canonical float32 CSR ``a`` by its literal
+    formula, SciPy's sparse products included: ``diags(d) @ (A + I) @
+    diags(d)``, ``diags(1 / deg) @ A``, ``A + I``.  The oracle the
+    builders of ``repro.gnn.adjacency`` (which multiply no matrices) are
+    held to, bit for bit."""
+    identity = sp.identity(a.shape[0], dtype=np.float32, format="csr")
+    with np.errstate(divide="ignore"):
+        if name == "A_norm":
+            a_hat = (a + identity).tocsr()
+            deg = np.asarray(a_hat.sum(axis=1)).ravel()
+            d = sp.diags(np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0).astype(np.float32))
+            out = d @ a_hat @ d
+        elif name == "A_mean":
+            deg = np.asarray(a.sum(axis=1)).ravel()
+            out = sp.diags(np.where(deg > 0, 1.0 / deg, 0.0).astype(np.float32)) @ a
+        else:
+            out = a + identity
+    out = out.tocsr().astype(np.float32)
+    out.sort_indices()
+    return out
+
+
 @pytest.fixture(scope="session")
 def tiny_graph():
     """A 60-vertex graph with 40-dim sparse features."""

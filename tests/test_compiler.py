@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_tiny_config, random_sparse
+from repro import Engine, GraphDelta, MutableGraph, ProgramPatcher, load_dataset
 from repro.compiler import Compiler, choose_partition_sizes, parse_model
 from repro.compiler.partitioner import tasks_per_kernel
 from repro.compiler.sparsity import (
@@ -11,6 +14,7 @@ from repro.compiler.sparsity import (
     profile_matrix,
     profile_partitions,
 )
+from repro.formats.density import nnz_count
 from repro.formats.partition import PartitionedMatrix, SPARSE_STORAGE_THRESHOLD
 from repro.gnn import build_model, init_weights
 from repro.gnn.layers import GraphMeta
@@ -166,3 +170,100 @@ class TestCompiler:
         program, _, _ = tiny_gcn_program
         text = program.describe()
         assert "GCN" in text and "N1=" in text
+
+
+def kernel_reads(program):
+    """Every ``(stored operand, blocking)`` key the program's kernels read."""
+    return {
+        (name, *blocking)
+        for k in program.graph.topo_order()
+        for name, blocking in ((k.x_name, k.exec_scheme.x_blocking),
+                               (k.y_name, k.exec_scheme.y_blocking))
+        if name in program.store
+    }
+
+
+@st.composite
+def stored_operands(draw):
+    """Dense / CSR / COO-with-duplicates / explicit-zero forms of a matrix."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    dense = rng.integers(-2, 3, size=(m, n)).astype(np.float32)
+    dense[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))] = 0
+    form = draw(st.sampled_from(["dense", "csr", "coo-duplicates", "explicit-zeros"]))
+    if form == "dense":
+        return dense
+    if form == "csr":
+        return sp.csr_matrix(dense)
+    rows, cols = np.nonzero(np.ones_like(dense))
+    if form == "explicit-zeros":  # every cell stored, zeros included
+        return sp.csr_matrix((dense.ravel(), (rows, cols)), shape=(m, n))
+    # each cell stored twice: as (v + 1, -1), so a zero cell is a (+1, -1) pair
+    return sp.coo_matrix(
+        (np.concatenate((dense.ravel() + 1, -np.ones(m * n, np.float32))),
+         (np.tile(rows, 2), np.tile(cols, 2))), shape=(m, n))
+
+
+class TestCompileTimeCensus:
+    """§III-B: the compiler counts nonzeros per partition, once; a compiled
+    (or patched) program holds every view its kernels read."""
+
+    @pytest.mark.parametrize("dataset", ["CO", "CI"])
+    @pytest.mark.parametrize("model_name", ["GCN", "GraphSAGE", "GIN", "SGC"])
+    def test_profile_is_the_census_total(self, model_name, dataset):
+        data = load_dataset(dataset, scale=0.3, seed=1)
+        model = build_model(model_name, data.num_features, data.hidden_dim,
+                            data.num_classes)
+        program = Compiler(make_tiny_config()).compile(model, data)
+        assert set(program._views) == kernel_reads(program)
+        assert set(program.profiles) == set(program.store)
+        assert program.stored_sparse == {
+            name: p.stored_sparse for name, p in program.profiles.items()}
+        for name, *blocking in program._views:
+            assert (program.profiles[name].nnz
+                    == program.view(name, *blocking).nnz
+                    == nnz_count(program.store[name]))
+            assert program.profiles[name] == profile_matrix(name, program.store[name])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(mat=stored_operands(), br=st.integers(1, 5), bc=st.integers(1, 5))
+    def test_census_total_equals_the_global_count(self, mat, br, bc):
+        assert PartitionedMatrix(mat, br, bc).nnz == nnz_count(mat)
+
+    def test_infer_after_compile_scans_no_stored_operand(self, monkeypatch):
+        import repro.formats.partition as partition_mod
+
+        scanned = []
+        original = partition_mod.block_nnz_grid
+        monkeypatch.setattr(
+            partition_mod, "block_nnz_grid",
+            lambda mat, *blocking: scanned.append(mat) or original(mat, *blocking))
+        engine = Engine()
+        handle = engine.compile("GraphSAGE", "CO", scale=0.3)
+        program = handle.program
+        compiled = {key: view for key, view in program._views.items()}
+        assert len(scanned) == len(compiled) > 0
+        del scanned[:]
+        engine.infer(handle)
+        assert program._views == compiled
+        stored = [view.matrix for view in compiled.values()]
+        assert not any(mat is s for mat in scanned for s in stored)
+
+    def test_patched_and_recompiled_programs_hold_the_same_views(self):
+        graph = MutableGraph(load_dataset("CO", seed=4))
+        snap = graph.snapshot()
+        model = build_model("GIN", snap.num_features, snap.hidden_dim,
+                            snap.num_classes)
+        weights = init_weights(model, seed=0)
+        compiler = Compiler(make_tiny_config())
+        program = compiler.compile(model, snap, weights)
+        applied = graph.apply(GraphDelta.edges(inserts=[(0, 5), (7, 3)],
+                                               deletes=[]))
+        patched, report = ProgramPatcher().patch(program, graph.snapshot(), applied)
+        assert report.patched
+        fresh = compiler.compile(model, graph.snapshot(), weights)
+        assert set(patched._views) == set(fresh._views) == kernel_reads(fresh)
+        for key, view in fresh._views.items():
+            np.testing.assert_array_equal(patched._views[key].nnz_grid, view.nnz_grid)
+        assert patched.profiles == fresh.profiles
+        assert patched._runs == {} and patched._runs is not program._runs

@@ -4,6 +4,7 @@ re-profiling exactness, program patching, and serve integration."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import formula_adjacency
 from hypothesis import given, settings, strategies as st
 
 from repro import Compiler, build_model, init_weights, load_dataset
@@ -16,14 +17,12 @@ from repro.dyngraph import (
     MutableGraph,
     PatchPolicy,
     ProgramPatcher,
-    patch_variant,
     random_delta,
     variant_structural_delta,
-    warm_views,
 )
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
-from repro.gnn.adjacency import gcn_norm, gin_adj, mean_norm
+from repro.gnn.adjacency import ADJACENCY_BUILDERS
 from repro.engine.cache import ProgramCache
 from repro.serve import (
     InferenceRequest,
@@ -210,8 +209,8 @@ class TestIncrementalReprofiling:
         data = tiny_graph(num_vertices=16, num_features=5, seed=seed)
         g = MutableGraph(data, symmetric=False)
         views = {
-            name: PartitionedMatrix(patch_variant(name, g.snapshot().a), 5, 3,
-                                    name=name)
+            name: PartitionedMatrix(ADJACENCY_BUILDERS[name](g.snapshot().a),
+                                    5, 3, name=name)
             for name in ("A_norm", "A_mean", "A_gin")
         }
         h_view = PartitionedMatrix(g.snapshot().h0, 4, 2, name="H0")
@@ -228,7 +227,7 @@ class TestIncrementalReprofiling:
             applied = g.apply(delta)
             snap = g.snapshot()
             for name in views:
-                patched = patch_variant(name, snap.a)
+                patched = ADJACENCY_BUILDERS[name](snap.a)
                 ar, ac, rr, rc = variant_structural_delta(name, applied)
                 views[name], _ = PartitionedMatrix.from_patched(
                     views[name], patched, ar, ac, rr, rc
@@ -258,9 +257,8 @@ class TestIncrementalReprofiling:
             g.apply(random_delta(g.num_vertices, 4, edge_inserts=10,
                                  edge_deletes=10, seed=step))
             a = g.snapshot().a
-            for name, builder in (("A_norm", gcn_norm), ("A_mean", mean_norm),
-                                  ("A_gin", gin_adj)):
-                fresh, patched = builder(a), patch_variant(name, a)
+            for name, builder in ADJACENCY_BUILDERS.items():
+                fresh, patched = formula_adjacency(name, a), builder(a)
                 np.testing.assert_array_equal(fresh.indptr, patched.indptr)
                 np.testing.assert_array_equal(fresh.indices, patched.indices)
                 np.testing.assert_array_equal(fresh.data, patched.data)
@@ -328,7 +326,6 @@ class TestProgramPatcher:
                             snap.num_classes)
         weights = init_weights(model, seed=1)
         program = Compiler(CFG).compile(model, snap, weights)
-        warm_views(program)
         patcher = ProgramPatcher()
         for step in range(2):
             applied = g.apply(random_delta(
@@ -369,7 +366,6 @@ class TestProgramPatcher:
         model = build_model("GIN", snap.num_features, snap.hidden_dim,
                             snap.num_classes)
         program = Compiler(CFG).compile(model, snap, init_weights(model, seed=0))
-        warm_views(program)
         applied = g.apply(random_delta(g.num_vertices, snap.num_features,
                                        edge_inserts=10, edge_deletes=10, seed=9))
         _, report = ProgramPatcher().patch(program, g.snapshot(), applied)

@@ -4,30 +4,27 @@
 re-decision count were rewritten in place (every query bisecting its own
 row in step, a merge instead of the COO constructor's sort, no row ids,
 one ``decide_batch``).  The statements they replaced live on
-here, as the oracle; the patched adjacency variants are also held to the
-from-scratch builders on a mutated graph.
+here, as the oracle; the adjacency builders a patch and a compile share
+are held to their literal formulas on a mutated graph.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import make_tiny_config
+from conftest import formula_adjacency, make_tiny_config
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.compile import Compiler
 from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph, ProgramPatcher
-from repro.dyngraph.incremental import _scaled_like, patch_variant
 from repro.dyngraph.mutable import _csr_find, _rebuild_csr
 from repro.formats.dense import DTYPE
 from repro.gnn import build_adjacency_variants, build_model, init_weights
+from repro.gnn.adjacency import _scaled_like
 from repro.runtime.analyzer import Analyzer, PairInfo
-from repro.runtime.executor import run_strategy
 
 
 # -- the replaced statements ------------------------------------------------
@@ -76,26 +73,15 @@ def reanalyze_pair_by_pair(program, kernels, views, dirty_by_view):
             continue
         old_x = program._views[xkey]
         new_x = views[xkey]
-        ykey = (kernel.y_name, *scheme.y_blocking)
-        y_view = views.get(ykey) or program._views.get(ykey)
-        if y_view is not None:
-            y_dens = y_view.density_grid
-            num_k = y_view.num_col_blocks
-        elif kernel.y_name in program.profiles:
-            y_dens = None
-            num_k = max(1, -(-kernel.output_dim // scheme.y_blocking[1]))
-        else:
+        y_view = views.get((kernel.y_name, *scheme.y_blocking))
+        if y_view is None:
             continue
-        y_global = program.profiles.get(kernel.y_name)
         for i, j in dirty:
             ax_old = float(old_x.density_grid[i, j])
             ax_new = float(new_x.density_grid[i, j])
             m, n = new_x.block_shape(i, j)
-            for k in range(num_k):
-                ay = (
-                    float(y_dens[j, k]) if y_dens is not None
-                    else float(y_global.density)
-                )
+            for k in range(y_view.num_col_blocks):
+                ay = float(y_view.density_grid[j, k])
                 old_p = analyzer.decide(PairInfo(ax_old, ay, m, n, n)).primitive
                 new_p = analyzer.decide(PairInfo(ax_new, ay, m, n, n)).primitive
                 reanalyzed += 1
@@ -232,8 +218,8 @@ class TestPatchedVariants:
         _, graph, applied = mutated_graph()
         assert applied.a_added_rows.size and applied.a_removed_rows.size
         a = graph.snapshot().a
-        assert_same_csr(patch_variant(name, a),
-                        build_adjacency_variants(a, {name})[name])
+        assert_same_csr(build_adjacency_variants(a, {name})[name],
+                        formula_adjacency(name, a))
 
     @pytest.mark.parametrize("right", [True, False])
     def test_scaled_like_equals_the_row_id_gather(self, right):
@@ -253,13 +239,12 @@ class TestPatchedVariants:
 def test_reanalyze_counts_equal_the_pair_by_pair_loop(monkeypatch):
     """``reanalyzed_pairs`` / ``decision_flips`` from one ``decide_batch``
     over the dirty blocks equal Algorithm 7 called twice per dirty block
-    x k, with and without a cached view of the right operand (GIN
+    x k, against the compiler's census of the right operand (GIN
     aggregates first, so its right operand is the stored ``H0``)."""
     data = load_dataset("CO", seed=2)
     model = build_model("GIN", data.num_features, data.hidden_dim, data.num_classes)
     program = Compiler(make_tiny_config()).compile(
         model, data, init_weights(model, seed=0))
-    run_strategy(program, "Dynamic")  # fills program._views
     (a_view,) = (v for k, v in program._views.items() if k[0] == "A_gin")
     # an edge into a block that holds none: its pairs leave SKIP
     bi, bj = np.argwhere(a_view.nnz_grid == 0)[0]
@@ -271,19 +256,11 @@ def test_reanalyze_counts_equal_the_pair_by_pair_loop(monkeypatch):
     def both(self, program, kernels, views, dirty_by_view):
         got = batch(self, program, kernels, views, dirty_by_view)
         seen.append((got, reanalyze_pair_by_pair(program, kernels, views, dirty_by_view)))
-        without_y = {k: v for k, v in views.items() if k[0] == "A_gin"}
-        stripped = dataclasses.replace(program, _views={
-            k: v for k, v in program._views.items() if k[0] == "A_gin"})
-        seen.append((
-            batch(self, stripped, kernels, without_y, dirty_by_view),
-            reanalyze_pair_by_pair(stripped, kernels, without_y, dirty_by_view),
-        ))
         return got
 
     monkeypatch.setattr(ProgramPatcher, "_reanalyze", both)
     _, report = ProgramPatcher().patch(program, graph.snapshot(), applied)
     assert report.patched and report.reanalyzed_pairs > 0
-    assert len(seen) == 2
-    for got, want in seen:
-        assert got == want
-        assert got[0] > 0 and got[1] > 0
+    ((got, want),) = seen
+    assert got == want
+    assert got[0] > 0 and got[1] > 0

@@ -6,6 +6,7 @@ import pytest
 from repro.formats.convert import DenseToSparseModule, SparseToDenseModule
 from repro.formats.coo import COOMatrix
 from repro.formats.dense import DenseMatrix, Layout
+from repro.formats.density import SparsityProfiler
 from repro.formats.layout import LayoutMerger, LayoutTransformationUnit
 
 
@@ -131,3 +132,46 @@ class TestLayoutMerger:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             LayoutMerger().merge(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+# One streaming pass, ``ceil(E / width) + fill`` and zero for ``E = 0``, has
+# one body (``StreamingUnit.cycles_for``); every unit states its own fill.
+# E: nothing, one element, one short of a pass, a pass, one over, ragged.
+STREAMING = [
+    pytest.param(DenseToSparseModule(16), [0, 1, 15, 16, 17, 1000],
+                 [0, 5, 5, 5, 6, 67], id="d2s-w16-fill4"),
+    pytest.param(SparseToDenseModule(16), [0, 1, 15, 16, 17, 1000],
+                 [0, 5, 5, 5, 6, 67], id="s2d-w16-fill4"),
+    pytest.param(SparsityProfiler(16), [0, 1, 15, 16, 17, 1000],
+                 [0, 5, 5, 5, 6, 67], id="profiler-w16-fill4"),
+    pytest.param(SparsityProfiler(1), [0, 1, 2, 3, 7, 1000],
+                 [0, 2, 3, 4, 8, 1001], id="profiler-w1-fill1"),
+    pytest.param(LayoutTransformationUnit(16), [0, 1, 15, 16, 17, 1000],
+                 [0, 11, 11, 11, 12, 73], id="ltu-w16-fill10"),
+    pytest.param(LayoutTransformationUnit(8), [0, 1, 7, 8, 9, 1000],
+                 [0, 7, 7, 7, 8, 131], id="ltu-w8-fill6"),
+    pytest.param(LayoutMerger(16), [0, 1, 15, 16, 17, 1000],
+                 [0, 1, 1, 1, 2, 63], id="merger-w16-fill0"),
+    pytest.param(LayoutMerger(4), [0, 1, 3, 4, 5, 1000],
+                 [0, 1, 1, 1, 2, 250], id="merger-w4-fill0"),
+]
+
+
+@pytest.mark.parametrize("unit, sizes, cycles", STREAMING)
+def test_streaming_cycles_truth_table(unit, sizes, cycles):
+    for size, want in zip(sizes, cycles):
+        got = unit.cycles_for(size)
+        assert type(got) is int and got == want
+        one = unit.cycles_for(np.array([size], dtype=np.int64))
+        assert one.dtype == np.int64 and one.tolist() == [want]
+    for k in (0, 3):
+        three = unit.cycles_for(np.array(sizes[k:k + 3], dtype=np.int64))
+        assert three.dtype == np.int64 and three.tolist() == cycles[k:k + 3]
+
+
+def test_merge_counts_its_pass_with_cycles_for():
+    merger = LayoutMerger(width=4)
+    _, report = merger.merge(np.ones((3, 3)), np.ones((3, 3)))
+    assert report.cycles == merger.cycles_for(9) == 3
+    _, empty = merger.merge(np.ones((0, 3)), np.ones((0, 3)))
+    assert empty.cycles == 0

@@ -6,9 +6,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_sparse
+from conftest import formula_adjacency, random_sparse
 from repro.gnn.activations import activation_fn, apply_activation, prelu, relu
 from repro.gnn.adjacency import (
+    ADJACENCY_BUILDERS,
     build_adjacency_variants,
     gcn_norm,
     gin_adj,
@@ -20,7 +21,93 @@ from repro.gnn.pruning import prune_to_sparsity, prune_weights, weight_density
 from repro.ir.kernel import Activation
 
 
+def _graph(seed=5, n=24, density=0.15) -> sp.csr_matrix:
+    a = random_sparse(n, n, density, seed=seed)
+    a.setdiag(0)
+    a.eliminate_zeros()
+    a.data[:] = 1.0
+    return a
+
+
+def _unsorted_indices():
+    a = _graph()
+    a.indices = a.indices.copy()
+    for lo, hi in zip(a.indptr[:-1], a.indptr[1:]):
+        a.indices[lo:hi] = a.indices[lo:hi][::-1]
+    a.data = np.arange(1, a.nnz + 1, dtype=np.float32)  # values travel with indices
+    a.has_sorted_indices = False
+    return a
+
+
+def _duplicate_coordinates():
+    coo = _graph().tocoo()
+    return sp.coo_matrix(
+        (np.concatenate((coo.data, 2 * coo.data[:9])),
+         (np.concatenate((coo.row, coo.row[:9])),
+          np.concatenate((coo.col, coo.col[:9])))), shape=coo.shape)
+
+
+def _explicit_zeros():
+    a = _graph()
+    a.data[[2, 3, 11]] = 0.0
+    return a
+
+
+def _isolated_vertex():
+    a = _graph().tolil()
+    a[4, :] = 0
+    a[:, 4] = 0
+    return a.tocsr()
+
+
+def _stored_diagonal():
+    a = _graph()
+    a.setdiag(3.0)
+    return a.tocsr()
+
+
+#: what a caller may hand a builder, by name
+ADJACENCY_INPUTS = {
+    "canonical-csr": _graph,
+    "zero-edge": lambda: sp.csr_matrix((6, 6), dtype=np.float32),
+    "isolated-vertex": _isolated_vertex,
+    "coo-duplicates": _duplicate_coordinates,
+    "float64-values": lambda: _graph().astype(np.float64) * (1 / 3),
+    "weighted-edges": lambda: random_sparse(24, 24, 0.15, seed=6),
+    "stored-diagonal": _stored_diagonal,
+    "dense-ndarray": lambda: _graph().toarray(),
+    "unsorted-indices": _unsorted_indices,
+    "explicit-zeros": _explicit_zeros,
+}
+
+
 class TestAdjacency:
+    @pytest.mark.parametrize("case", ADJACENCY_INPUTS)
+    @pytest.mark.parametrize("name", ADJACENCY_BUILDERS)
+    def test_builder_equals_its_formula(self, name, case):
+        """Whatever form the adjacency arrives in, a builder returns the
+        literal formula's bits in canonical CSR, and leaves its input be."""
+        a = ADJACENCY_INPUTS[case]()
+        before = a.copy()
+        got = ADJACENCY_BUILDERS[name](a)
+        dense = a.toarray() if sp.issparse(a) else a
+        want = formula_adjacency(name, sp.csr_matrix(dense.astype(np.float32)))
+        assert got.dtype == np.float32 and got.shape == want.shape
+        for part in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, part), getattr(want, part))
+        # the flags say what the arrays are
+        assert got.has_sorted_indices and got.has_canonical_format
+        check = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape)
+        assert check.has_sorted_indices and check.has_canonical_format
+        assert got.data.all()
+        if sp.issparse(a):
+            assert a.format == before.format
+            for part in ("data", "indices", "indptr", "row", "col"):
+                if hasattr(a, part):
+                    np.testing.assert_array_equal(getattr(a, part), getattr(before, part))
+        else:
+            np.testing.assert_array_equal(a, before)
+
     def test_gcn_norm_symmetric_and_selfloops(self):
         a = random_sparse(20, 20, 0.1, seed=1)
         a = ((a + a.T) > 0).astype(np.float32)

@@ -123,6 +123,43 @@ class TestSpDMM:
         assert cycles <= 6 * rep.compute + 10 * CFG.pipeline_depth
 
 
+# ``CFG``: psys 4, so GEMM tiles are 4 x 4 with an 8-cycle fill/drain, and
+# SpDMM retires 8 MACs and fetches 2 nonzeros a cycle behind a 16-deep pipe.
+GEMM_CYCLES = [
+    # m, n, d, cycles
+    (0, 4, 4, 0), (4, 0, 4, 0), (4, 4, 0, 0),          # a zero dimension
+    (1, 1, 1, 9), (4, 7, 4, 15),                       # one tile
+    (5, 7, 4, 30), (4, 7, 5, 30), (5, 7, 5, 60),       # one past a tile
+    (9, 7, 5, 90),
+]
+SPDMM_CYCLES = [
+    # nnz, dense columns, cycles
+    (0, 16, 0), (10, 0, 0),                            # a zero dimension
+    (1, 1, 17),
+    (10, 64, 96), (9, 5, 22),                          # MAC-bound: d > psys
+    (7, 4, 20),                                        # d == psys: both bounds 4
+    (100, 1, 66), (9, 3, 21),                          # fetch-bound: d < psys
+]
+
+
+@pytest.mark.parametrize("formula, table", [
+    pytest.param(gemm_compute_cycles, GEMM_CYCLES, id="gemm"),
+    pytest.param(spdmm_compute_cycles, SPDMM_CYCLES, id="spdmm"),
+])
+def test_compute_cycles_truth_table(formula, table):
+    """One body answers an ``int`` question and an ``int64`` array of them."""
+    *columns, cycles = (list(col) for col in zip(*table))
+    for *dims, want in table:
+        got = formula(*dims, CFG)
+        assert type(got) is int and got == want
+        one = formula(*(np.array([v], dtype=np.int64) for v in dims), CFG)
+        assert one.dtype == np.int64 and one.tolist() == [want]
+    for k in range(0, len(table) - 2, 3):
+        three = formula(
+            *(np.array(col[k:k + 3], dtype=np.int64) for col in columns), CFG)
+        assert three.dtype == np.int64 and three.tolist() == cycles[k:k + 3]
+
+
 class TestSPMM:
     def test_numerics(self):
         x = random_sparse(9, 11, 0.2, seed=4)
