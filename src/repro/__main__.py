@@ -309,8 +309,8 @@ def main(argv=None) -> int:
     p_ta.add_argument("--what-if", action="append", default=None,
                       metavar="SPEC",
                       help="project a hypothetical; comma-compose tokens "
-                           "zero-halo, overlap-halo, interconnect=K, "
-                           "cores=N (repeatable)")
+                           "zero-halo, interconnect=K, cores=N "
+                           "(repeatable)")
     p_ta.add_argument("--top", type=int, default=10,
                       help="span-group rows shown in the diff report")
     as_json(p_ta)

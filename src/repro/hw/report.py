@@ -20,6 +20,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 
 class Primitive(enum.Enum):
     """The three computation primitives (paper §III-A)."""
@@ -46,6 +48,20 @@ GEMM_CODE = PRIMITIVE_CODES[Primitive.GEMM]
 SPDMM_CODE = PRIMITIVE_CODES[Primitive.SPDMM]
 SPMM_CODE = PRIMITIVE_CODES[Primitive.SPMM]
 SKIP_CODE = PRIMITIVE_CODES[Primitive.SKIP]
+
+
+def exposed_stream(stream, chunks, consumer):
+    """What a double-buffered producer costs the consumer it feeds.
+
+    ``stream`` arrives in ``chunks`` equal pieces, piece t+1 moving while
+    the consumer (busy for ``consumer``) works on piece t, so what shows
+    is the lead-in (the first piece) plus whatever the stream outlasts the
+    consumer by.  Unit-free and elementwise, it prices both pipelines of
+    the stack: §VI-B's K2P analysis under a kernel's tasks (cycles) and a
+    shard's halo DMA under its Aggregate kernel (seconds; a pair may read
+    a remote ``Y`` block only once it has landed).
+    """
+    return stream / np.maximum(chunks, 1) + np.maximum(stream - consumer, 0.0)
 
 
 @dataclass

@@ -16,9 +16,9 @@ Three planes, all default-off and free when disabled:
 - **analytics** (:mod:`repro.obs.analyze`): :class:`TraceModel` loading
   spans back out of a live tracer *or* an exported ``trace.json``,
   barrier-aware critical-path :func:`attribute`-ion, what-if
-  :func:`project`-ions (zero-halo / overlap-halo / interconnect /
-  cores) and :func:`diff_traces` span-group diffing — the machinery
-  behind ``repro trace-analyze`` and ``repro perf-diff --attribute``.
+  :func:`project`-ions (zero-halo / interconnect / cores) and
+  :func:`diff_traces` span-group diffing — the machinery behind
+  ``repro trace-analyze`` and ``repro perf-diff --attribute``.
 
 Quickstart::
 

@@ -14,8 +14,7 @@ analyses run over it:
   ``compile`` / ``queue-wait``) whose sum must reconcile with the
   reported latency within 1%;
 - :func:`project` — **what-if projections** replayed over the same
-  span structure: zero-cost halos, halo/compute overlap (the ROADMAP's
-  double-buffered-halo target), a scaled interconnect, a different
+  span structure: zero-cost halos, a scaled interconnect, a different
   Computation-Core count;
 - :func:`diff_traces` — aligns two traces by ``(track, cat, name)``
   span group and emits per-group count/duration deltas, so a perf
@@ -32,9 +31,10 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from repro.hw.report import exposed_stream
 from repro.obs.tracer import CounterSample, Span, Tracer
 
 __all__ = [
@@ -260,47 +260,52 @@ def _contains(outer: Span, inner: Span) -> bool:
     )
 
 
-def _sharded_path(model: TraceModel) -> list[PathSegment]:
-    """Per layer: the slowest shard's halo + kernel spans.
-
-    Each ``layer`` span on the ``timeline`` track is one per-kernel
-    barrier; the shard whose (halo + execution) time set that barrier is
-    the critical one, and its spans tile the layer exactly — so the
-    segment durations sum to ``sum(barrier_s) == latency_s`` by
-    construction.
-    """
-    layers = sorted(model.select(cat="layer"), key=lambda sp: sp.start_s)
+def _layers(model: TraceModel):
+    """Each ``layer`` span of a sharded trace in time order, with its
+    shards' kernel spans (none on a trace stripped of shard tracks)."""
     kernels = model.select(cat="kernel")
-    halos = model.select(cat="halo")
-    path: list[PathSegment] = []
-    for layer in layers:
-        members = [
+    for layer in sorted(model.select(cat="layer"), key=lambda sp: sp.start_s):
+        yield layer, [
             sp for sp in kernels
             if sp.name == layer.name and _contains(layer, sp)
         ]
+
+
+def _halo_of(layer: Span, spans: list[Span], track: str) -> Span | None:
+    """The layer's halo span on ``track`` (a shard's exposed part, or the
+    whole transfer on its ``dma`` track); ``None`` if nothing moved."""
+    return next(
+        (
+            sp for sp in spans
+            if sp.track == track and sp.name == f"{layer.name}/halo"
+            and _contains(layer, sp)
+        ),
+        None,
+    )
+
+
+def _sharded_path(model: TraceModel) -> list[PathSegment]:
+    """Per layer: the slowest shard's exposed-halo + kernel spans.
+
+    Each ``layer`` span on the ``timeline`` track is one per-kernel
+    barrier; the shard whose (exposed halo + execution) time set that
+    barrier is the critical one, and its spans tile the layer exactly —
+    so the segment durations sum to ``sum(barrier_s) == latency_s`` by
+    construction.
+    """
+    halos = model.select(cat="halo")
+    path: list[PathSegment] = []
+    for layer, members in _layers(model):
         if not members:
-            # a degenerate trace (stripped shard tracks): the layer span
-            # itself still carries the barrier time
+            # the layer span itself still carries the barrier time
             path.append(PathSegment(layer, "kernel"))
             continue
-        slowest = layer.args.get("slowest_shard")
-        critical = None
-        if slowest is not None:
-            want = f"shard{int(slowest)}"
-            critical = next(
-                (sp for sp in members if sp.track == want), None
-            )
-        if critical is None:
-            critical = max(members, key=lambda sp: sp.end_s)
-        halo = next(
-            (
-                sp for sp in halos
-                if sp.track == critical.track
-                and sp.name == f"{layer.name}/halo"
-                and _contains(layer, sp)
-            ),
-            None,
+        want = f"shard{layer.args.get('slowest_shard')}"
+        critical = next(
+            (sp for sp in members if sp.track == want),
+            max(members, key=lambda sp: sp.end_s),
         )
+        halo = _halo_of(layer, halos, critical.track)
         if halo is not None and halo.dur_s > 0.0:
             path.append(PathSegment(halo, "halo"))
         path.append(PathSegment(critical, "kernel"))
@@ -417,15 +422,10 @@ class Attribution:
 
     def to_dict(self) -> dict:
         return {
-            "kind": self.kind,
-            "source": self.source,
-            "by_category": dict(self.by_category),
-            "aggregate_by_cat": dict(self.aggregate_by_cat),
+            **asdict(self),
             "total_s": self.total_s,
-            "expected_s": self.expected_s,
             "residual_frac": self.residual_frac(),
             "reconciles": self.reconciles(),
-            "num_segments": self.num_segments,
         }
 
 
@@ -491,13 +491,8 @@ class WhatIf:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "baseline_s": self.baseline_s,
-            "projected_s": self.projected_s,
-            "savings_s": self.savings_s,
-            "speedup": self.speedup,
-        }
+        return {**asdict(self), "savings_s": self.savings_s,
+                "speedup": self.speedup}
 
 
 def _scale_exec(span: Span, cores: int, cores_now: int | None) -> float:
@@ -527,26 +522,23 @@ def project(
     source,
     *,
     zero_halo: bool = False,
-    overlap_halo: bool = False,
     interconnect_scale: float | None = None,
     cores: int | None = None,
-    name: str | None = None,
 ) -> WhatIf:
     """Replay the trace's barrier structure under a hypothetical.
 
     - ``zero_halo``: halo exchanges are free (upper bound on any
       interconnect work);
-    - ``overlap_halo``: each shard's halo transfer overlaps its compute
-      (the ROADMAP's double-buffered-halo target) — per-layer shard time
-      becomes ``max(halo, exec)`` instead of ``halo + exec``;
     - ``interconnect_scale``: halo PCIe seconds divide by this factor
       (2.0 = twice the GB/s);
     - ``cores``: kernel execution rescaled to this Computation-Core
       count (wave-quantised via each span's task count).
 
-    Hypotheticals compose; the per-layer barrier (max over shards) and
-    the sum over layers are recomputed from the projected shard times,
-    exactly how the sharded executor computes the real ones.
+    Hypotheticals compose; each shard's time is recomputed as the
+    sharded executor computes the real one (execution plus
+    :func:`~repro.hw.report.exposed_stream` of its ``dma`` span's
+    transfer, in the chunks the span records), then the per-layer
+    barrier (max over shards) and the sum over layers.
     """
     if interconnect_scale is not None and interconnect_scale <= 0:
         raise TraceError("interconnect_scale must be positive")
@@ -557,54 +549,31 @@ def project(
     parts: list[str] = []
     if zero_halo:
         parts.append("zero-halo")
-    if overlap_halo:
-        parts.append("overlap-halo")
     if interconnect_scale is not None:
         parts.append(f"interconnect x{interconnect_scale:g}")
     if cores is not None:
         parts.append(f"cores={cores}")
-    label = name or (", ".join(parts) if parts else "baseline")
-
-    def shard_time(halo_s: float, exec_s: float) -> float:
-        if zero_halo:
-            halo_s = 0.0
-        elif interconnect_scale is not None:
-            halo_s = halo_s / interconnect_scale
-        if overlap_halo:
-            return max(halo_s, exec_s)
-        return halo_s + exec_s
+    label = ", ".join(parts) if parts else "baseline"
+    #: what every transfer's seconds are divided by
+    divisor = math.inf if zero_halo else interconnect_scale or 1.0
 
     kind = model.kind
     if kind == "sharded":
-        layers = sorted(model.select(cat="layer"), key=lambda sp: sp.start_s)
-        kernels = model.select(cat="kernel")
-        halos = model.select(cat="halo")
+        transfers = model.select(cat="dma")
         baseline = projected = 0.0
-        for layer in layers:
-            members = [
-                sp for sp in kernels
-                if sp.name == layer.name and _contains(layer, sp)
-            ]
+        for layer, members in _layers(model):
             baseline += layer.dur_s
-            if not members:
-                projected += layer.dur_s
-                continue
-            times = []
+            times = [layer.dur_s] if not members else []
             for sp in members:
-                halo = next(
-                    (
-                        h for h in halos
-                        if h.track == sp.track
-                        and h.name == f"{layer.name}/halo"
-                        and _contains(layer, h)
-                    ),
-                    None,
-                )
-                halo_s = halo.dur_s if halo is not None else 0.0
+                dma = _halo_of(layer, transfers, f"{sp.track}/dma")
                 exec_s = sp.dur_s
                 if cores is not None:
                     exec_s = _scale_exec(sp, cores, cores_now)
-                times.append(shard_time(halo_s, exec_s))
+                if dma is not None:
+                    exec_s += float(exposed_stream(
+                        dma.dur_s / divisor, dma.args.get("chunks", 1), exec_s
+                    ))
+                times.append(exec_s)
             projected += max(times)
         return WhatIf(name=label, baseline_s=baseline, projected_s=projected)
     if kind == "single":
@@ -623,35 +592,35 @@ def project(
     )
 
 
+#: ``key=value`` what-if tokens: key -> (project kwarg, parser, noun)
+_VALUED_TOKENS = {
+    "interconnect": ("interconnect_scale", float, "interconnect factor"),
+    "cores": ("cores", int, "core count"),
+}
+
+
 def parse_what_if(spec: str) -> dict:
     """Parse one ``--what-if`` CLI token list into :func:`project` kwargs.
 
-    ``spec`` is comma-separated: ``zero-halo``, ``overlap-halo``,
-    ``interconnect=K`` and ``cores=N`` compose into one projection
-    (e.g. ``overlap-halo,cores=16``).
+    ``spec`` is comma-separated: ``zero-halo``, ``interconnect=K`` and
+    ``cores=N`` compose into one projection (e.g.
+    ``interconnect=2,cores=16``).
     """
     kwargs: dict = {}
-    for token in (t.strip() for t in spec.split(",")):
-        if not token:
-            continue
+    for token in filter(None, (t.strip() for t in spec.split(","))):
+        key, _, value = token.partition("=")
         if token == "zero-halo":
             kwargs["zero_halo"] = True
-        elif token == "overlap-halo":
-            kwargs["overlap_halo"] = True
-        elif token.startswith("interconnect="):
+        elif key in _VALUED_TOKENS and value:
+            name, parse, what = _VALUED_TOKENS[key]
             try:
-                kwargs["interconnect_scale"] = float(token.split("=", 1)[1])
+                kwargs[name] = parse(value)
             except ValueError:
-                raise TraceError(f"bad interconnect factor in {token!r}")
-        elif token.startswith("cores="):
-            try:
-                kwargs["cores"] = int(token.split("=", 1)[1])
-            except ValueError:
-                raise TraceError(f"bad core count in {token!r}")
+                raise TraceError(f"bad {what} in {token!r}")
         else:
             raise TraceError(
                 f"unknown what-if token {token!r} (expected zero-halo, "
-                f"overlap-halo, interconnect=K or cores=N)"
+                f"interconnect=K or cores=N)"
             )
     if not kwargs:
         raise TraceError("empty what-if spec")
@@ -745,19 +714,7 @@ class TraceDiff:
             "base_total_s": self.base_total_s,
             "delta_total_s": self.delta_total_s,
             "is_zero": self.is_zero(),
-            "groups": [
-                {
-                    "track": g.track,
-                    "cat": g.cat,
-                    "name": g.name,
-                    "count_new": g.count_new,
-                    "count_base": g.count_base,
-                    "total_new_s": g.total_new_s,
-                    "total_base_s": g.total_base_s,
-                    "delta_s": g.delta_s,
-                }
-                for g in groups
-            ],
+            "groups": [dict(asdict(g), delta_s=g.delta_s) for g in groups],
         }
 
 

@@ -35,6 +35,7 @@ from repro.formats.partition import PartitionedMatrix, grid_dims
 from repro.gnn.activations import activation_fn
 from repro.hw.accelerator import Accelerator
 from repro.hw.memory import pcie_transfer_seconds
+from repro.hw.report import exposed_stream
 from repro.ir.kernel import KernelIR
 from repro.ir.scheme import owned_block_rows
 from repro.obs.tracer import NULL_TRACER
@@ -363,22 +364,6 @@ class KernelAssembly:
         return out_mat, density
 
 
-def exposed_analysis_cycles(
-    soft, analysis_s: float, num_tasks: int, kernel_cycles: float
-) -> float:
-    """§VI-B overlap: the Analyzer pipelines ahead of the Scheduler —
-    decisions for task t+1 run while the cores execute task t (and
-    kernel l+1's analysis can start during kernel l).  Exposed time
-    is therefore the lead-in (first task's decisions) plus any excess
-    of a kernel's total analysis over its own makespan (when the soft
-    processor cannot keep the cores fed)."""
-    a_cycles = soft.seconds_to_accel_cycles(analysis_s)
-    if a_cycles <= 0.0:
-        return 0.0
-    lead_in = a_cycles / max(num_tasks, 1)
-    return lead_in + max(0.0, a_cycles - kernel_cycles)
-
-
 #: the one-lane case: every output row of every kernel
 ALL_ROWS = (0, sys.maxsize)
 
@@ -525,9 +510,10 @@ def run_kernels(
                 core_busy=timeline.busy - busy_before,
                 num_waves=stats.waves,
                 tasks_executed=stats.tasks_executed,
-                exposed_cycles=exposed_analysis_cycles(
-                    soft, analysis_s, tasks.num_tasks, cycles
-                ),
+                exposed_cycles=float(exposed_stream(
+                    soft.seconds_to_accel_cycles(analysis_s),
+                    tasks.num_tasks, cycles,
+                )),
             ))
 
         out_mat, out_density = assembly.finalize()

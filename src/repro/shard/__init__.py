@@ -1,10 +1,10 @@
 """Sharded multi-device execution of large-graph inference.
 
 Splits one compiled program across the devices of an
-:class:`~repro.engine.pool.AcceleratorPool` by nnz-balanced contiguous
-vertex ranges (:mod:`repro.shard.planner`) and executes each layer's
-shards concurrently with a per-layer barrier and a PCIe halo-exchange
-charge for boundary vertices (:mod:`repro.shard.executor`).  Outputs are
+:class:`~repro.engine.pool.AcceleratorPool` by contiguous vertex ranges
+balanced on modelled cycles (:mod:`repro.shard.planner`) and executes
+each layer's shards concurrently with a per-layer barrier and a PCIe
+halo exchange streamed under compute (:mod:`repro.shard.executor`).  Outputs are
 bit-exact against a single-device run; the schedule is the model.
 
 Entry points: ``Engine.compile(..., shards=N)`` +

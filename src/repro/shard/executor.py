@@ -12,14 +12,19 @@ device:
   the shard's own device — outputs are therefore **bit-exact** against
   a single-device ``run_strategy``;
 - a **per-layer barrier** separates kernels: the layer's modelled time
-  is the slowest shard's (halo + analysis-exposed + execution) time,
-  exactly how Algorithm 8's per-kernel barrier works one level down;
-- before each Aggregate kernel every shard receives the feature rows of
+  is the slowest shard's (exposed halo + analysis-exposed + execution)
+  time, exactly how Algorithm 8's per-kernel barrier works one level
+  down;
+- for each Aggregate kernel every shard receives the feature rows of
   its **halo** vertices (boundary vertices its adjacency slice
   references outside its own range) over PCIe, charged with the same
   :func:`~repro.hw.memory.pcie_transfer_seconds` model the hetero
-  executor and the serving layer use.  Update kernels are row-parallel
-  and exchange nothing (weights are replicated).
+  executor and the serving layer use.  The DMA streams one remote ``Y``
+  block row at a time while the shard's cores execute (§VI-B's argument
+  one level up), so the shard pays
+  :func:`~repro.hw.report.exposed_stream` of the transfer under its
+  compute.  Update kernels are row-parallel and exchange nothing
+  (weights are replicated).
 
 The functional simulation executes each task exactly once in total —
 sharding repartitions the existing work, so a sharded run costs no more
@@ -28,6 +33,7 @@ host time to simulate than a single-device one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,12 +41,13 @@ import numpy as np
 from repro.compiler.compile import CompiledProgram
 from repro.engine.pool import AcceleratorPool
 from repro.hw.memory import pcie_transfer_seconds
+from repro.hw.report import exposed_stream
 from repro.ir.kernel import KernelType
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.executor import InferenceResult, Lane, RunResult, run_kernels
 from repro.runtime.stats import mean_over_max
 from repro.runtime.strategies import MappingStrategy, make_strategy
-from repro.shard.planner import ShardPlan, halo_vertices, plan_shards
+from repro.shard.planner import ShardPlan, halo_blocks, halo_vertices, plan_shards
 
 __all__ = ["ShardKernelStats", "ShardedResult", "ShardedRuntime", "run_sharded"]
 
@@ -55,14 +62,18 @@ class ShardKernelStats:
     shard_cycles: np.ndarray
     #: per-shard exposed K2P analysis (cycles)
     shard_exposed_cycles: np.ndarray
-    #: per-shard halo-exchange time (seconds; zero for Update kernels)
+    #: per-shard halo transfer time (seconds; zero for Update kernels)
     shard_halo_s: np.ndarray
+    #: per-shard remote ``Y`` block rows the transfer arrives in
+    shard_halo_chunks: np.ndarray
+    #: the part of ``shard_halo_s`` the shard's compute does not hide
+    shard_exposed_halo_s: np.ndarray
     #: per-shard halo bytes received
     shard_halo_bytes: np.ndarray
     #: per-shard task / pair counts
     shard_tasks: np.ndarray
     shard_pairs: np.ndarray
-    #: per-shard wall seconds (halo + exposed + execution)
+    #: per-shard wall seconds (exposed halo + exposed analysis + execution)
     shard_seconds: np.ndarray
     #: the layer barrier: max over shards of ``shard_seconds``
     barrier_s: float
@@ -111,10 +122,7 @@ class ShardedResult(RunResult):
         admission points for joining requests into an in-flight sharded
         execution.
         """
-        boundaries = [0.0]
-        for ks in self.kernel_stats:
-            boundaries.append(boundaries[-1] + ks.barrier_s)
-        return boundaries
+        return list(itertools.accumulate(self.segments_s, initial=0.0))
 
     @property
     def latency_ms(self) -> float:
@@ -127,51 +135,39 @@ class ShardedResult(RunResult):
             return np.zeros(self.num_shards)
         return np.sum([ks.shard_seconds for ks in self.kernel_stats], axis=0)
 
+    def _total(self, per_shard: str):
+        """One per-shard array summed over shards, then over kernels."""
+        return sum(getattr(ks, per_shard).sum() for ks in self.kernel_stats)
+
     @property
     def halo_bytes(self) -> int:
         """Total boundary-feature bytes moved between devices."""
-        return int(
-            sum(int(ks.shard_halo_bytes.sum()) for ks in self.kernel_stats)
-        )
+        return int(self._total("shard_halo_bytes"))
 
     @property
     def halo_s(self) -> float:
-        """Total PCIe time spent on halo exchange (all shards)."""
-        return float(
-            sum(float(ks.shard_halo_s.sum()) for ks in self.kernel_stats)
-        )
+        """Total PCIe transfer time of halo exchange (all shards)."""
+        return float(self._total("shard_halo_s"))
+
+    @property
+    def halo_exposed_s(self) -> float:
+        """The part of ``halo_s`` no shard's compute hid (all shards)."""
+        return float(self._total("shard_exposed_halo_s"))
 
     @property
     def halo_fraction(self) -> float:
-        """Halo-exchange share of total device occupancy, in [0, 1]."""
+        """Exposed-halo share of total device occupancy, in [0, 1]."""
         busy = float(self.shard_busy_s.sum())
-        return self.halo_s / busy if busy > 0 else 0.0
+        return self.halo_exposed_s / busy if busy > 0 else 0.0
 
     def zero_halo_latency_s(self) -> float:
-        """Latency if every halo exchange were free.
-
-        Per kernel the barrier becomes the slowest shard's *compute*
-        time (``shard_seconds - shard_halo_s``).  This is the oracle the
-        trace analyzer's zero-halo what-if projection must match — both
-        replay the same per-shard accounting, one from the result arrays
-        and one from the recorded spans.
-        """
+        """Latency if every halo exchange were free: per kernel the
+        barrier becomes the slowest shard's *compute* time (makespan plus
+        exposed analysis).  The oracle of the trace analyzer's zero-halo
+        projection, which replays the same accounting from the spans."""
+        to_s = self.config.cycles_to_seconds
         return float(sum(
-            float(np.max(ks.shard_seconds - ks.shard_halo_s))
-            for ks in self.kernel_stats
-        ))
-
-    def overlap_halo_latency_s(self) -> float:
-        """Latency if each shard's halo transfer overlapped its compute.
-
-        The ROADMAP's double-buffered-halo target: per shard the layer
-        time becomes ``max(halo, compute)`` instead of their sum, and
-        the barrier is the max over shards as usual.
-        """
-        return float(sum(
-            float(np.max(np.maximum(
-                ks.shard_halo_s, ks.shard_seconds - ks.shard_halo_s
-            )))
+            float(np.max(to_s(ks.shard_cycles + ks.shard_exposed_cycles)))
             for ks in self.kernel_stats
         ))
 
@@ -194,14 +190,16 @@ class ShardedResult(RunResult):
             f"  shard balance     : {self.load_balance():.3f} "
             f"(nnz balance {self.plan.nnz_balance():.3f})",
             f"  {'kernel':<20}{'barrier ms':>12}{'slowest':>9}"
-            f"{'halo ms':>9}  per-shard ms",
+            f"{'halo hidden/exposed ms':>24}  per-shard ms",
         ]
         for ks in self.kernel_stats:
             per = ", ".join(f"{s * 1e3:.3f}" for s in ks.shard_seconds)
+            slowest = int(np.argmax(ks.shard_seconds))
+            exposed = float(ks.shard_exposed_halo_s[slowest]) * 1e3
+            hidden = max(float(ks.shard_halo_s[slowest]) * 1e3 - exposed, 0.0)
             lines.append(
-                f"  {ks.kernel_id:<20}{ks.barrier_s * 1e3:>12.4f}"
-                f"{int(np.argmax(ks.shard_seconds)):>9}"
-                f"{float(ks.shard_halo_s.max()) * 1e3:>9.4f}  [{per}]"
+                f"  {ks.kernel_id:<20}{ks.barrier_s * 1e3:>12.4f}{slowest:>9}"
+                f"{f'{hidden:.4f} / {exposed:.4f}':>24}  [{per}]"
             )
         return "\n".join(lines)
 
@@ -213,7 +211,6 @@ class ShardedResult(RunResult):
             "halo_fraction": self.halo_fraction,
             "nnz_balance": self.plan.nnz_balance(),
             "zero_halo_latency_ms": self.zero_halo_latency_s() * 1e3,
-            "overlap_halo_latency_ms": self.overlap_halo_latency_s() * 1e3,
             "kernels": [
                 {
                     "kernel_id": ks.kernel_id,
@@ -221,6 +218,7 @@ class ShardedResult(RunResult):
                     "barrier_ms": ks.barrier_s * 1e3,
                     "slowest_shard": int(np.argmax(ks.shard_seconds)),
                     "halo_bytes": int(ks.shard_halo_bytes.sum()),
+                    "halo_exposed_ms": float(ks.shard_exposed_halo_s.max()) * 1e3,
                     "shard_ms": [float(s) * 1e3 for s in ks.shard_seconds],
                     "shard_tasks": [int(t) for t in ks.shard_tasks],
                 }
@@ -267,23 +265,19 @@ class ShardedRuntime:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         #: per-operand halo vertex counts, cached across kernels; the
         #: plan already computed the balance adjacency's counts
-        self._halo_cache: dict[str, np.ndarray] = {}
-        if plan.halo.size == plan.num_shards:
-            self._halo_cache[plan.adjacency_name] = np.asarray(
-                plan.halo, dtype=np.int64
-            )
+        self._halo_cache: dict[str, np.ndarray] = (
+            {plan.adjacency_name: plan.halo} if plan.halo.size else {}
+        )
 
     # -- halo -----------------------------------------------------------
     def _halo_counts(self, program: CompiledProgram, x_name: str) -> np.ndarray:
-        counts = self._halo_cache.get(x_name)
-        if counts is None:
+        if x_name not in self._halo_cache:
             a = program.store[x_name]
-            counts = np.array(
+            self._halo_cache[x_name] = np.array(
                 [halo_vertices(a, s.v0, s.v1) for s in self.plan.shards],
                 dtype=np.int64,
             )
-            self._halo_cache[x_name] = counts
-        return counts
+        return self._halo_cache[x_name]
 
     # -- execution ------------------------------------------------------
     def run(self, program: CompiledProgram) -> ShardedResult:
@@ -310,8 +304,16 @@ class ShardedRuntime:
                 # each halo vertex contributes one feature row of Y
                 # (as wide as the Aggregate's output)
                 halo_bytes = halo_rows * kernel.output_dim * 4
+                # ... and arrives one remote Y block row at a time: read
+                # off the adjacency census (its columns are Y's rows)
+                scheme = kernel.exec_scheme
+                grid = program.view(kernel.x_name, *scheme.x_blocking).nnz_grid
+                chunks = np.array([
+                    halo_blocks(grid, scheme.y_blocking[0], *lane.rows)
+                    for lane in lanes
+                ])
             else:
-                halo_bytes = np.zeros(n, dtype=np.int64)
+                halo_bytes = chunks = np.zeros(n, dtype=np.int64)
             halo_s = np.array(
                 [pcie_transfer_seconds(int(b), config) for b in halo_bytes]
             )
@@ -321,26 +323,36 @@ class ShardedRuntime:
             exposed = np.array([ks.exposed_cycles for ks in lane_stats])
             tasks_n = np.array([ks.num_tasks for ks in lane_stats], dtype=np.int64)
             pairs_n = np.array([ks.num_pairs for ks in lane_stats], dtype=np.int64)
-            seconds = halo_s + config.cycles_to_seconds(cycles + exposed)
+            compute_s = config.cycles_to_seconds(cycles + exposed)
+            # the DMA streams chunk by chunk under the lane's cores
+            exposed_halo_s = exposed_stream(halo_s, chunks, compute_s)
+            seconds = exposed_halo_s + compute_s
 
-            barrier_s = float(seconds.max()) if n else 0.0
+            barrier_s = float(seconds.max())
             if self.tracer.enabled:
                 # shard core-timelines are compute-only clocks that do
                 # not carry the halo offsets, so sharded runs trace at
-                # shard granularity: halo -> exec -> barrier-wait per
-                # shard track, plus one layer span on "timeline" whose
+                # shard granularity: exposed halo -> exec -> barrier-wait
+                # tile each shard track beside the whole transfer on its
+                # dma track, plus one layer span on "timeline" whose
                 # durations sum exactly to ShardedResult.latency_s
                 for s, lane in enumerate(lanes):
+                    exec_start = t_layer + exposed_halo_s[s]
                     if halo_s[s] > 0.0:
                         self.tracer.span(
-                            lane.track, f"{kernel.kernel_id}/halo",
-                            t_layer, t_layer + halo_s[s], cat="halo",
+                            f"{lane.track}/dma", f"{kernel.kernel_id}/halo",
+                            t_layer, t_layer + halo_s[s], cat="dma",
                             halo_bytes=int(halo_bytes[s]),
+                            chunks=int(chunks[s]),
+                        )
+                        self.tracer.span(
+                            lane.track, f"{kernel.kernel_id}/halo",
+                            t_layer, exec_start, cat="halo",
                         )
                     exec_end = t_layer + seconds[s]
                     self.tracer.span(
                         lane.track, kernel.kernel_id,
-                        t_layer + halo_s[s], exec_end, cat="kernel",
+                        exec_start, exec_end, cat="kernel",
                         ktype=kernel.ktype.name,
                         tasks=int(tasks_n[s]),
                         pairs=int(pairs_n[s]),
@@ -357,7 +369,7 @@ class ShardedRuntime:
                 self.tracer.span(
                     "timeline", kernel.kernel_id,
                     t_layer, t_layer + barrier_s, cat="layer",
-                    slowest_shard=int(np.argmax(seconds)) if n else 0,
+                    slowest_shard=int(np.argmax(seconds)),
                 )
             t_layer += barrier_s
             if self.book_on_pool:
@@ -374,6 +386,8 @@ class ShardedRuntime:
                     shard_cycles=cycles,
                     shard_exposed_cycles=exposed,
                     shard_halo_s=halo_s,
+                    shard_halo_chunks=chunks,
+                    shard_exposed_halo_s=exposed_halo_s,
                     shard_halo_bytes=halo_bytes,
                     shard_tasks=tasks_n,
                     shard_pairs=pairs_n,

@@ -257,11 +257,11 @@ class TestTraceAnalyzeCommand:
     def test_what_if_and_self_diff(self, sharded_trace, capsys):
         assert main(["trace-analyze", str(sharded_trace),
                      "--what-if", "zero-halo",
-                     "--what-if", "overlap-halo,cores=14",
+                     "--what-if", "interconnect=2,cores=14",
                      "--diff", str(sharded_trace)]) == 0
         text = capsys.readouterr().out
         assert "what-if zero-halo" in text
-        assert "overlap-halo, cores=14" in text
+        assert "interconnect x2, cores=14" in text
         assert "no deltas" in text
 
     def test_json_output(self, sharded_trace, capsys):
@@ -361,9 +361,10 @@ _INFERENCE = {
 _SHARDED = {
     **_typed("bool", "bit_exact"),
     **_typed("float", (
+        # ``overlap_halo_latency_ms`` left this row on purpose when the
+        # schedule itself began to overlap halo and compute (MIGRATION.md)
         "halo_fraction halo_s latency_ms load_balance nnz_balance "
-        "overlap_halo_latency_ms runtime_overhead_seconds speedup "
-        "zero_halo_latency_ms"
+        "runtime_overhead_seconds speedup zero_halo_latency_ms"
     )),
     **_typed("int", "halo_bytes num_shards"),
     **_typed("str", "dataset model strategy"),
@@ -507,7 +508,8 @@ JSON_CELLS = {
                     {"single_device": _INFERENCE, "sweeps": [_SHARDED],
                      "mismatched_shard_counts": []},
                     {"single_device": {"backend": "str"},
-                     "sweeps": [{"backend": "str"}]}),
+                     "sweeps": [{"backend": "str", "kernels": [
+                         {"halo_exposed_ms": "float"}]}]}),
     "serve_bench_legacy": (_SERVE_ARGV, _serving(), {}),
     "serve_bench_continuous": (
         _SERVE_ARGV + ["--scheduler", "continuous"], _serving(_IN_FLIGHT), {}

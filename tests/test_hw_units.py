@@ -10,6 +10,7 @@ import pytest
 
 from conftest import make_tiny_config, random_sparse
 from repro.hw.gemm_unit import gemm_compute_cycles, run_gemm, run_gemm_faithful
+from repro.hw.report import exposed_stream
 from repro.hw.spdmm_unit import (
     run_spdmm,
     run_spdmm_faithful,
@@ -158,6 +159,23 @@ def test_compute_cycles_truth_table(formula, table):
         three = formula(
             *(np.array(col[k:k + 3], dtype=np.int64) for col in columns), CFG)
         assert three.dtype == np.int64 and three.tolist() == cycles[k:k + 3]
+
+
+def test_exposed_stream_truth_table():
+    """The one pipelining formula, in dyadic numbers: as a scalar (K2P
+    analysis under one kernel, cycles) and as an array (halo DMA under
+    every shard's compute, seconds)."""
+    table = [
+        # stream, chunks, consumer, exposed
+        (0.0, 0, 5.0, 0.0), (0.0, 4, 0.0, 0.0),    # nothing to move
+        (8.0, 4, 16.0, 2.0), (8.0, 4, 8.0, 2.0),   # hidden: the lead-in
+        (8.0, 4, 6.0, 4.0),                        # outlasts its consumer by 2
+        (8.0, 0, 16.0, 8.0), (8.0, 1, 16.0, 8.0),  # one piece: nothing overlaps
+    ]
+    for stream, chunks, consumer, want in table:
+        assert float(exposed_stream(stream, chunks, consumer)) == want
+    stream, chunks, consumer, want = (np.array(col) for col in zip(*table))
+    assert exposed_stream(stream, chunks, consumer).tolist() == want.tolist()
 
 
 class TestSPMM:

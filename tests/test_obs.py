@@ -444,6 +444,56 @@ class TestTracedShardedRun:
                     continue  # zero-byte exchange is legitimately untraced
                 assert halo.end_s == pytest.approx(sp.start_s)
 
+    def test_whole_transfer_on_the_dma_track_exposed_part_on_the_shard(
+        self, traced_sharded_run
+    ):
+        tracer, result, _, _ = traced_sharded_run
+        for s in range(4):
+            dma = {sp.name: sp for sp in tracer.select(track=f"shard{s}/dma")}
+            halo = {sp.name: sp
+                    for sp in tracer.select(cat="halo", track=f"shard{s}")}
+            assert dma.keys() == halo.keys() and dma
+            for ks in result.kernel_stats:
+                sp = dma.get(f"{ks.kernel_id}/halo")
+                if sp is None:
+                    assert ks.shard_halo_bytes[s] == 0
+                    continue
+                assert sp.cat == "dma"
+                assert sp.dur_s == pytest.approx(ks.shard_halo_s[s], rel=1e-12)
+                assert sp.args == {
+                    "halo_bytes": int(ks.shard_halo_bytes[s]),
+                    "chunks": int(ks.shard_halo_chunks[s]),
+                }
+                exposed = halo[sp.name]
+                assert exposed.start_s == sp.start_s
+                assert exposed.dur_s == pytest.approx(
+                    ks.shard_exposed_halo_s[s], rel=1e-12
+                )
+                # this run hides most of every transfer behind compute
+                assert exposed.dur_s < sp.dur_s
+
+    def test_each_shard_track_tiles_every_layer(self, traced_sharded_run):
+        """halo -> kernel -> barrier-wait, end to start, from the layer's
+        first instant to its barrier: the dma track overlaps none of it."""
+        tracer, result, _, _ = traced_sharded_run
+        layers = tracer.select(cat="layer", track="timeline")
+        for s in range(4):
+            spans = sorted(
+                (sp for sp in tracer.spans if sp.track == f"shard{s}"
+                 and sp.cat in ("halo", "kernel", "barrier")),
+                key=lambda sp: sp.start_s,
+            )
+            assert spans[0].start_s == 0.0
+            for a, b in zip(spans, spans[1:]):
+                assert a.end_s == pytest.approx(b.start_s, rel=1e-12)
+            assert spans[-1].end_s == pytest.approx(result.latency_s, rel=1e-12)
+            for layer in layers:
+                inside = sum(
+                    sp.dur_s for sp in spans
+                    if sp.name.split("/")[0] == layer.name
+                )
+                assert inside == pytest.approx(layer.dur_s, rel=1e-9)
+
     def test_layer_spans_reconcile_with_latency(self, traced_sharded_run):
         tracer, result, _, _ = traced_sharded_run
         layer_sum = tracer.total_s(cat="layer", track="timeline")

@@ -206,10 +206,12 @@ class TestWhatIf:
         self, sharded_model, traced_sharded_run
     ):
         """Acceptance: span-replay == ShardedResult halo accounting."""
-        _, result, _ = traced_sharded_run
+        _, result, config = traced_sharded_run
         wi = project(sharded_model, zero_halo=True)
         oracle = sum(
-            float(np.max(ks.shard_seconds - ks.shard_halo_s))
+            float(np.max(config.cycles_to_seconds(
+                ks.shard_cycles + ks.shard_exposed_cycles
+            )))
             for ks in result.kernel_stats
         )
         assert wi.baseline_s == pytest.approx(result.latency_s, rel=1e-12)
@@ -220,16 +222,32 @@ class TestWhatIf:
         assert 0 < wi.savings_s < result.halo_s
         assert wi.speedup > 1.0
 
-    def test_overlap_halo_matches_oracle_and_bounds(
-        self, sharded_model, traced_sharded_run
+    @pytest.mark.parametrize("scale", (1.0, 2.0, 0.01))
+    def test_replay_matches_the_executor_schedule(
+        self, sharded_model, traced_sharded_run, scale
     ):
-        _, result, _ = traced_sharded_run
-        wi = project(sharded_model, overlap_halo=True)
-        assert wi.projected_s == pytest.approx(
-            result.overlap_halo_latency_s(), rel=1e-12
-        )
-        # overlap can never beat free halos, nor the recorded baseline
-        assert result.zero_halo_latency_s() <= wi.projected_s <= result.latency_s
+        """The projection replays the executor's formula from the spans:
+        at the recorded interconnect it reproduces ``latency_s``, at a
+        faster or (so slow that the transfer outlasts the compute) slower
+        one the same arithmetic over the result's own arrays."""
+        _, result, config = traced_sharded_run
+        oracle = 0.0
+        for ks in result.kernel_stats:
+            compute = config.cycles_to_seconds(
+                ks.shard_cycles + ks.shard_exposed_cycles
+            )
+            halo = ks.shard_halo_s / scale
+            lead_in = halo / np.maximum(ks.shard_halo_chunks, 1)
+            oracle += float(np.max(
+                compute + lead_in + np.maximum(halo - compute, 0.0)
+            ))
+        wi = project(sharded_model, interconnect_scale=scale)
+        assert wi.projected_s == pytest.approx(oracle, rel=1e-12)
+        if scale == 1.0:
+            assert project(sharded_model).projected_s == pytest.approx(
+                result.latency_s, rel=1e-12
+            )
+            assert wi.projected_s == pytest.approx(result.latency_s, rel=1e-12)
 
     def test_interconnect_scale_bounds(self, sharded_model):
         base = project(sharded_model, interconnect_scale=1.0)
@@ -265,11 +283,14 @@ class TestWhatIf:
 
     def test_parse_what_if(self):
         assert parse_what_if("zero-halo") == {"zero_halo": True}
-        assert parse_what_if("overlap-halo,cores=16,interconnect=2.5") == {
-            "overlap_halo": True, "cores": 16, "interconnect_scale": 2.5,
+        assert parse_what_if("zero-halo,cores=16,interconnect=2.5") == {
+            "zero_halo": True, "cores": 16, "interconnect_scale": 2.5,
         }
         with pytest.raises(TraceError, match="unknown what-if token"):
             parse_what_if("warp-drive")
+        # the schedule overlaps halo and compute itself: not a what-if
+        with pytest.raises(TraceError, match="expected zero-halo, interconnect"):
+            parse_what_if("overlap-halo")
         with pytest.raises(TraceError, match="bad core count"):
             parse_what_if("cores=many")
         with pytest.raises(TraceError, match="empty what-if spec"):

@@ -2,10 +2,14 @@
 execution, one booking, one pass over a sweep's responses.
 
 The digests below were recorded at commit 20ed90e, before the source
-edits that collapsed the three (``python tests/test_serve_path.py``
-prints the two tables that need no private name; the execution table was
-read off ``InferenceServer._execute``'s ``_RunMemo`` there).  Never
-regenerate a table to make a change pass.
+edits that collapsed the three (``PYTHONPATH=src:tests python
+tests/test_serve_path.py`` prints all three tables; at 20ed90e the
+execution table was read off ``InferenceServer._execute``'s
+``_RunMemo``).  The ``x2`` rows of the execution table were recorded
+again, by that command, by the change that made the sharded schedule
+overlap halo transfers with compute and priced shards in modelled cycles:
+it prints the ``x1`` rows and the other two tables unchanged on both
+sides of that change.  Never regenerate a table to make a change pass.
 """
 
 from __future__ import annotations
@@ -115,40 +119,41 @@ EXECUTION_CELLS = [
 ]
 
 #: sha256 over the seven numbers the scheduler reads off an execution
-#: (``float.hex``), as ``_RunMemo`` held them at 20ed90e
+#: (``float.hex``), as ``_RunMemo`` held them at 20ed90e (``x2`` rows:
+#: as the overlapped sharded schedule first produced them)
 EXECUTION_DIGESTS = {
     "GCN/x1/Dynamic":
         "2c5cd87016ba4b48b8a736dcb4032609944ef82c7acd618a4c0dbdf8f1674682",
     "GCN/x1/S1":
         "30d283235a308a5f6bf3230a252371f7a04e153502cbbc3251853f6d6eed6d5a",
     "GCN/x2/Dynamic":
-        "1d2055e7b666b129380159238ac37a59ea9a83819082588889012639f575b772",
+        "bf5b71f8fe7ff5454e2c9a0d3a8a58aabbab5043fd1e4a1fd49424d31ebf8ae5",
     "GCN/x2/S1":
-        "7c06ced9e61bb0c874b398dc491696506096a47274375e6d3699d2fcdde5130d",
+        "9f4a53e1c7423e36ef1b23053a211a3913a9049e13b264563c446ac7c82eb433",
     "GraphSAGE/x1/Dynamic":
         "6d578aae1876e7d4d3499f614903e50cfd20893d71c9b1ca1b4e920661e9e9f7",
     "GraphSAGE/x1/S1":
         "48a3109436c8f32e2c4c9df82fda985d8ff58db970838feacb217873ff8b6637",
     "GraphSAGE/x2/Dynamic":
-        "b41d493eb4f2698b9698cef4e0b90ee2595a94d2d3d6ed56b663df0810474e87",
+        "5bf4f6efa1f1a6582057cfbf5b198b886620a29d7175145f3e12a8687fa58438",
     "GraphSAGE/x2/S1":
-        "1691182fcbae798bb2e560d3c87ec3c9da1217e85dd6341dd972ea1107a228ba",
+        "388ce2b686d5a1a849a9b139f0759e1d8e563907b4105723c3731338a35b1815",
     "GIN/x1/Dynamic":
         "b81348f1d59e50e50b969f514bc2429f929596055004995f3ef88ab00ebf7842",
     "GIN/x1/S1":
         "d7d014fcc33e8122fdf1d3c8f8eac65769f76db021d7ae090b265dd6f0c04db9",
     "GIN/x2/Dynamic":
-        "21119826e370b65429434da70679355156f181ce40f8b0590af06b13b9135335",
+        "e1e8089f5e3278906d731748bbabe4c0df587763aaf14ee848c43184ab7c4616",
     "GIN/x2/S1":
-        "c3e8fea0b25e01e804e56386bdbc727b85cd7497fd121ed37eb9d75b452c1b82",
+        "993d029fb38034d2070d2d32c89e84cc8b0184cc7e81b9e0a60ba69b204427bb",
     "SGC/x1/Dynamic":
         "744d3d6fe9e2cc6ee5bab05cc3c770316d697b5aefd5d363b5c2b4d1de11ed18",
     "SGC/x1/S1":
         "fc6e713edf841328162e54e58acf2dc6b9020a16de80583440a43e451a8bc42f",
     "SGC/x2/Dynamic":
-        "d61f71b5b95a279829737f50c969ed34323dffb4eeedc774ff26eb47fab6c07b",
+        "d5dcca028bcd442f35eed54917a66dc96096fa8abdc83a3bdf299e88452ca85b",
     "SGC/x2/S1":
-        "cbac99952b5dddc0519d8fbf40fb0d4a61fc32bd3c7cbf8182ec9ed8c5792ec0",
+        "09e35ccc72a4571be4666417f07a9b60e952a0c9d769c62dfe2e4e7c38e88115",
 }
 
 
@@ -314,3 +319,10 @@ if __name__ == "__main__":
     for scheduler in sorted(JSON_CELL_DIGESTS):
         print(f"JSON_CELL_DIGESTS[{scheduler!r}] =",
               repr(digest(json_cell_payload(scheduler))))
+    for model, shards, strategy in EXECUTION_CELLS:
+        engine = Engine(make_tiny_config(), pool_size=2)
+        program = engine.compile_request(
+            execution_request(model, shards, strategy))
+        run = engine.execute(program, strategy, shards, ready_s=0.0)
+        print(f"EXECUTION_DIGESTS['{model}/x{shards}/{strategy}'] =",
+              repr(digest(seven_numbers(run))))
