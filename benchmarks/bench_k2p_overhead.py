@@ -6,10 +6,14 @@ modelled soft-processor budget, plus the O(K)-vs-O(N^3) complexity claim.
 """
 
 
+import numpy as np
+
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
+from repro.hw.report import SPDMM_CODE
 from repro.hw.soft_processor import SoftProcessor
-from repro.runtime.analyzer import Analyzer, PairInfo
+from repro.runtime.perf_model import PairBatch
+from repro.runtime.strategies import DynamicMapping
 
 CFG = u250_default()
 
@@ -43,11 +47,17 @@ def _spec(ctx):
 
 
 def test_k2p_decision_microbench(benchmark):
-    """Latency of a single Algorithm 7 decision (host measurement)."""
-    analyzer = Analyzer(CFG)
-    info = PairInfo(0.03, 0.8, 512, 512, 128)
-    decision = benchmark(analyzer.decide, info)
-    assert decision.primitive.value == "SpDMM"
+    """Latency of a single Algorithm 7 decision (host measurement): a
+    512 x 512 block at 3% stored sparse against a dense 512 x 128 one."""
+    analyzer = DynamicMapping(CFG)
+    pair = PairBatch(
+        m=np.array([512]), n=np.array([512]), d=np.array([128]),
+        x_nnz=np.array([7864]), y_nnz=np.array([52429]),
+        x_stored_sparse=True, y_stored_sparse=False,
+        task=np.zeros(1, dtype=np.int64), num_tasks=1,
+    )
+    codes, transposed, _ = benchmark(analyzer.decide_batch, None, pair)
+    assert (codes[0], transposed[0]) == (SPDMM_CODE, False)
 
 
 def test_k2p_scales_linearly(benchmark):

@@ -11,12 +11,15 @@ these inner loops, each rewritten as single numpy / native passes:
    feature matrix of a warm ``infer`` — are counted as a boolean mask,
    contiguous axis first; the dense cell below is GIN/CiteSeer's
    3327x3703 intermediate, the costliest census of the perf ledger.
-2. ``runtime.analyzer.Analyzer.decide_batch`` — Algorithm 7 over all K
-   pairs of a task in one vectorised pass instead of one Python
-   ``decide()`` call (dataclass construction included) per pair.
+2. ``runtime.strategies.DynamicMapping.decide_batch`` — Algorithm 7
+   over all K pairs of a kernel in one vectorised pass instead of one
+   call (record construction included) per pair.
 3. ``hw.spmm_unit.spmm_workloads`` — the exact per-SCP loads of every
    SPMM pair, one int64 prefix sum instead of ``tocoo`` and two
-   ``np.add.at`` scatters (kept below as the comparison).
+   ``np.add.at`` scatters (kept below as the comparison); a dense-held
+   operand is counted as it lies (``count_nonzero`` for Y's rows, one
+   boolean mat-vec for X's row loads) instead of through a CSR built
+   for the purpose.
 4. The task loop's pair product with both operands stored sparse, on
    its two routes, instead of SciPy's ``(x @ y).todense()`` (kept below
    as the comparison) and its fresh dense temporary per pair: entry by
@@ -57,10 +60,9 @@ from repro.formats.partition import (
     block_nnz_grid_reference,
 )
 from repro.gnn import build_adjacency_variants
-from repro.hw.core import PairDecision
-from repro.hw.report import PRIMITIVE_CODES
 from repro.hw.spmm_unit import spmm_workloads
-from repro.runtime.analyzer import Analyzer, PairInfo
+from repro.runtime.perf_model import PairBatch
+from repro.runtime.strategies import DynamicMapping
 from repro.runtime.vectorized import (
     _NS_PER_CELL,
     _NS_PER_MAC,
@@ -171,27 +173,39 @@ def _grid_spec(ctx):
     }
 
 
-def _pair_inputs():
+def _pair_census():
+    """Nonzero counts of ``NUM_PAIRS`` pairs of a 512 x 512 block against
+    a 512 x 128 one, every branch reachable."""
     rng = np.random.default_rng(23)
     ax = rng.uniform(0.0, 1.0, NUM_PAIRS)
     ay = rng.uniform(0.0, 1.0, NUM_PAIRS)
-    # make every branch reachable: zeros (skip) and exact ties
+    # zeros (skip) and exact ties
     ax[::17] = 0.0
     ay[::29] = 0.0
     ay[::13] = ax[::13]
-    return ax, ay
+    return (np.rint(ax * 512 * 512).astype(np.int64),
+            np.rint(ay * 512 * 128).astype(np.int64))
 
 
-def _decide_scalar(analyzer, ax, ay):
-    codes = np.empty(len(ax), dtype=np.int8)
-    transposed = np.zeros(len(ax), dtype=bool)
-    for i in range(len(ax)):
-        dec: PairDecision = analyzer.decide(
-            PairInfo(alpha_x=float(ax[i]), alpha_y=float(ay[i]),
-                     m=512, n=512, d=128)
-        )
-        codes[i] = PRIMITIVE_CODES[dec.primitive]
-        transposed[i] = dec.transposed
+def _pairs(census, lo=0, hi=NUM_PAIRS):
+    """Pairs ``lo:hi`` (X stored sparse, Y dense), each a task of its own
+    in a kernel that keeps every core streaming, so a pair's decision
+    does not depend on which others are asked about with it."""
+    k = hi - lo
+    return PairBatch(
+        m=np.full(k, 512), n=np.full(k, 512), d=np.full(k, 128),
+        x_nnz=census[0][lo:hi], y_nnz=census[1][lo:hi],
+        x_stored_sparse=True, y_stored_sparse=False,
+        task=np.arange(k), num_tasks=u250_default().num_cores, seeded=True,
+    )
+
+
+def _decide_scalar(analyzer, census, count):
+    codes = np.empty(count, dtype=np.int8)
+    transposed = np.zeros(count, dtype=bool)
+    for i in range(count):
+        code, flip, _ = analyzer.decide_batch(None, _pairs(census, i, i + 1))
+        codes[i], transposed[i] = code[0], flip[0]
     return codes, transposed
 
 
@@ -202,18 +216,19 @@ def _decide_scalar(analyzer, ax, ay):
     tolerances={"speedup": 0.6},
 )
 def _k2p_spec(ctx):
-    """Hot path 2: Algorithm 7 K2P mapping, batched vs per-pair decide()."""
-    analyzer = Analyzer(u250_default())
-    ax, ay = _pair_inputs()
-    # decide() is the batch of one: the per-pair arm runs a slice and is
-    # scaled to the whole grid (every branch recurs within 17 * 29 pairs)
-    part = NUM_PAIRS // 20
+    """Hot path 2: Algorithm 7 K2P mapping, one batch vs a call per pair."""
+    analyzer = DynamicMapping(u250_default())
+    census = _pair_census()
+    batch = _pairs(census)
+    # the per-pair arm runs a slice and is scaled to the whole grid
+    # (every branch recurs within 17 * 29 pairs)
+    part = NUM_PAIRS // 100
     (ref_codes, ref_t), ref_s = best_of(
-        lambda: _decide_scalar(analyzer, ax[:part], ay[:part]), repeats=3
+        lambda: _decide_scalar(analyzer, census, part), repeats=3
     )
     ref_s *= NUM_PAIRS / part
-    (new_codes, new_t), new_s = best_of(
-        lambda: analyzer.decide_batch(ax, ay), repeats=REPEATS
+    (new_codes, new_t, _), new_s = best_of(
+        lambda: analyzer.decide_batch(None, batch), repeats=REPEATS
     )
     assert np.array_equal(ref_codes, new_codes[:part]), "decisions must be bit-exact"
     assert np.array_equal(ref_t, new_t[:part]), "orientation flags must be bit-exact"
@@ -221,7 +236,7 @@ def _k2p_spec(ctx):
     emit("micro_k2p_decision_batch", format_table(
         ["variant", "best (ms)", "speedup"],
         [
-            ["decide() per pair", f"{ref_s * 1e3:.3f}", "1.00x"],
+            ["decide_batch() per pair", f"{ref_s * 1e3:.3f}", "1.00x"],
             ["decide_batch()", f"{new_s * 1e3:.3f}", f"{speedup:.2f}x"],
         ],
         title=f"M1b: K2P mapping over {NUM_PAIRS:,} pairs",
@@ -267,7 +282,7 @@ def _spmm_workloads_scatter(x, y, psys):
     "micro_spmm_workloads",
     tier=("smoke", "full"),
     tags=("micro", "hotpath"),
-    tolerances={"speedup": 0.6},
+    tolerances={"speedup": 0.6, "dense_y_speedup": 0.6, "dense_speedup": 0.6},
 )
 def _spmm_workloads_spec(ctx):
     """Hot path 3: exact SPMM per-SCP loads, prefix sum vs np.add.at."""
@@ -279,12 +294,33 @@ def _spmm_workloads_spec(ctx):
     (new_loads, new_macs), new_s = best_of(_per_pair(spmm_workloads, x, y, psys))
     assert np.array_equal(ref_loads, new_loads) and ref_macs == new_macs
     speedup = ref_s / new_s
+    # a dense-held operand (an intermediate the Analyzer sends to SPMM):
+    # counted as it lies against a CSR built through ``nonzero`` first
+    xd, yd = x.toarray(), y.toarray()
+    dense_rows, dense = [], {}
+    for label, key, args in (
+        ("CSR x dense Y", "dense_y_speedup", (x, yd)),
+        ("dense X x dense Y", "dense_speedup", (xd, yd)),
+    ):
+        (was_loads, was_macs), was_s = best_of(_per_pair(
+            lambda a, b: spmm_workloads(sp.csr_matrix(a), sp.csr_matrix(b), psys),
+            *args,
+        ))
+        (got_loads, got_macs), got_s = best_of(_per_pair(spmm_workloads, *args, psys))
+        assert np.array_equal(got_loads, new_loads) and got_macs == new_macs
+        assert np.array_equal(was_loads, new_loads) and was_macs == new_macs
+        dense[key] = Metric(key, was_s / got_s, "x", "higher")
+        dense_rows.append([f"{label}: through csr_matrix",
+                           f"{was_s / PAIR_CALLS * 1e6:.1f}", "1.00x"])
+        dense_rows.append([f"{label}: as it lies",
+                           f"{got_s / PAIR_CALLS * 1e6:.1f}", f"{was_s / got_s:.2f}x"])
     emit("micro_spmm_workloads", format_table(
         ["variant", "best (us / pair)", "speedup"],
         [
             ["tocoo + 2x np.add.at", f"{ref_s / PAIR_CALLS * 1e6:.1f}", "1.00x"],
             ["prefix sum + fold", f"{new_s / PAIR_CALLS * 1e6:.1f}",
              f"{speedup:.2f}x"],
+            *dense_rows,
         ],
         title=(
             f"M1c: spmm_workloads, {PAIR_N1}x{PAIR_N1} block of "
@@ -296,6 +332,7 @@ def _spmm_workloads_spec(ctx):
     return {
         "speedup": Metric("speedup", speedup, "x", "higher"),
         "per_pair_us": Metric("per_pair_us", new_s / PAIR_CALLS * 1e6, "us"),
+        **dense,
     }
 
 
@@ -548,15 +585,16 @@ def test_micro_block_nnz_grid_bit_exact(benchmark):
 
 
 def test_micro_k2p_batch_bit_exact(benchmark):
-    """decide_batch reproduces decide() over a branch-covering sample."""
-    analyzer = Analyzer(u250_default())
-    ax, ay = _pair_inputs()
-    ax, ay = ax[:2000], ay[:2000]
+    """One decide_batch reproduces a call per pair over a branch-covering
+    sample."""
+    analyzer = DynamicMapping(u250_default())
 
     def check():
-        return _decide_scalar(analyzer, ax, ay), analyzer.decide_batch(ax, ay)
+        census = _pair_census()
+        return (_decide_scalar(analyzer, census, 2000),
+                analyzer.decide_batch(None, _pairs(census, 0, 2000)))
 
-    (ref_codes, ref_t), (new_codes, new_t) = benchmark.pedantic(
+    (ref_codes, ref_t), (new_codes, new_t, _) = benchmark.pedantic(
         check, rounds=1, iterations=1
     )
     assert np.array_equal(ref_codes, new_codes)

@@ -13,10 +13,10 @@ import scipy.sparse as sp
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
 from repro.hw.gemm_unit import gemm_compute_cycles
-from repro.hw.report import Primitive
+from repro.hw.report import CODE_ORDER
 from repro.hw.spdmm_unit import spdmm_compute_cycles
 from repro.hw.spmm_unit import spmm_compute_cycles
-from repro.runtime.perf_model import model_cycles, region_primitive
+from repro.runtime.perf_model import model_cycles_batch, region_primitive_batch
 
 CFG = u250_default()
 N = 256  # partition side for the sweep
@@ -51,7 +51,7 @@ def build_table():
             y = rand_density(N, dy, seed=int(dy * 1e4) + 1)
             cyc, ax, ay = simulated_cycles(x, y)
             best_sim = min(cyc, key=cyc.get)
-            rule = region_primitive(ax, ay, CFG).value
+            rule = CODE_ORDER[region_primitive_batch(ax, ay, CFG)].value
             total += 1
             # "agreement" = the rule's mode is within 25% of the simulated
             # optimum (ties and ceil effects blur exact argmin)
@@ -101,13 +101,8 @@ def test_model_tracks_simulator(benchmark):
             x = rand_density(N, dens, seed=int(dens * 1e5))
             y = rand_density(N, dens, seed=int(dens * 1e5) + 9)
             cyc, ax, ay = simulated_cycles(x, y)
-            for prim, key in [
-                (Primitive.GEMM, "GEMM"),
-                (Primitive.SPDMM, "SpDMM"),
-                (Primitive.SPMM, "SPMM"),
-            ]:
-                pred.append(model_cycles(prim, N, N, N, ax, ay, CFG))
-                sim.append(cyc[key])
+            pred.extend(model_cycles_batch(N, N, N, ax, ay, CFG))
+            sim.extend(cyc[key] for key in ("GEMM", "SpDMM", "SPMM"))
         return np.corrcoef(np.log1p(pred), np.log1p(sim))[0, 1]
 
     corr = benchmark.pedantic(check, rounds=1, iterations=1)

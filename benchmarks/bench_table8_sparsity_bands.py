@@ -62,15 +62,32 @@ def build_table():
     return table, so_s1, so_s2
 
 
-@register_bench("table8_sparsity_bands", tier="full", tags=("paper", "table"))
+#: modelled and seed-deterministic: the committed baseline is exact
+_MEASURED = [f"{row}_band{b}" for row in ("so_s1", "so_s2") for b in range(len(BANDS))]
+
+
+@register_bench(
+    "table8_sparsity_bands", tier="full", tags=("paper", "table"),
+    tolerances={name: 1e-9 for name in (*_MEASURED, "fidelity_ratio")},
+)
 def _spec(ctx):
-    """Table VIII: geomean speedup per weight-sparsity band."""
+    """Table VIII: geomean speedup per weight-sparsity band, each beside
+    the paper's value (``paper_*``: constants, informational) and the
+    geomean of measured / paper over the eight (``fidelity_ratio``: how
+    far the reproduction is from the paper, 1.0 = on it)."""
     table, so_s1, so_s2 = build_table()
     emit("table8_sparsity_bands", table)
-    return {
-        "so_s1_top_band": Metric("so_s1_top_band", so_s1[-1], "x", "higher"),
-        "so_s2_top_band": Metric("so_s2_top_band", so_s2[-1], "x", "higher"),
-    }
+    measured = dict(zip(_MEASURED, (*so_s1, *so_s2)))
+    paper = dict(zip(_MEASURED, (*PAPER["SO-S1"], *PAPER["SO-S2"])))
+    metrics = {}
+    for name, value in measured.items():
+        metrics[name] = Metric(name, value, "x", "higher")
+        metrics[f"paper_{name}"] = Metric(f"paper_{name}", paper[name], "x", "higher")
+    metrics["fidelity_ratio"] = Metric(
+        "fidelity_ratio",
+        geomean(measured[name] / paper[name] for name in _MEASURED), "x", "higher",
+    )
+    return metrics
 
 
 def test_table8(benchmark):
@@ -78,6 +95,6 @@ def test_table8(benchmark):
     emit("table8_sparsity_bands", table)
     # shape: speedups grow with weight sparsity for both baselines
     assert so_s1 == sorted(so_s1), f"SO-S1 bands not monotone: {so_s1}"
-    assert so_s2[-1] > so_s2[0], f"SO-S2 top band should beat bottom: {so_s2}"
+    assert so_s2 == sorted(so_s2), f"SO-S2 bands not monotone: {so_s2}"
     # and S1 (which exploits nothing) suffers more than S2 at high sparsity
     assert so_s1[-1] > so_s2[-1]

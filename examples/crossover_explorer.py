@@ -12,17 +12,19 @@ import scipy.sparse as sp
 
 from repro import u250_default
 from repro.hw.gemm_unit import gemm_compute_cycles
+from repro.hw.report import CODE_ORDER
 from repro.hw.spdmm_unit import spdmm_compute_cycles
 from repro.hw.spmm_unit import spmm_compute_cycles
-from repro.runtime.perf_model import PerformanceModel, region_primitive
+from repro.runtime.perf_model import region_primitive_batch, region_thresholds
 
 CFG = u250_default()
 GLYPH = {"GEMM": "G", "SpDMM": "D", "SPMM": "S"}
 
 
 def main() -> None:
-    pm = PerformanceModel(CFG)
-    print(f"psys = {CFG.psys}; crossovers: {pm.crossover_densities()}\n")
+    gemm_from, spdmm_from = region_thresholds(CFG)
+    print(f"psys = {CFG.psys}; crossovers: GEMM from alpha_min = {gemm_from}, "
+          f"SpDMM over SPMM from alpha_max = {spdmm_from}\n")
 
     densities = np.geomspace(0.002, 1.0, 24)
     print("optimal primitive over (alpha_x [rows], alpha_y [cols]); "
@@ -31,7 +33,8 @@ def main() -> None:
     print(header)
     for ax in densities:
         line = "".join(
-            GLYPH[region_primitive(ax, ay, CFG).value] for ay in densities
+            GLYPH[CODE_ORDER[code].value]
+            for code in region_primitive_batch(ax, densities, CFG)
         )
         print(f"ax={ax:5.3f} {line}")
 
@@ -46,7 +49,7 @@ def main() -> None:
         spmm, _ = spmm_compute_cycles(x, y, CFG)
         best = min(("GEMM", gemm), ("SpDMM", spdmm), ("SPMM", spmm),
                    key=lambda t: t[1])
-        rule = region_primitive(ax, ay, CFG).value
+        rule = CODE_ORDER[region_primitive_batch(ax, ay, CFG)].value
         print(f"  a=({ax:.2f},{ay:.2f}): GEMM={gemm:>7} SpDMM={spdmm:>7} "
               f"SPMM={spmm:>7} | simulator best={best[0]:<6} rule={rule}")
 

@@ -82,7 +82,9 @@ class SoftProcessorConfig:
     #: density loads (D-cache hits), min/max, threshold compares, a
     #: packed buffer-assignment store and loop bookkeeping — a hand-tuned
     #: inner loop on the MicroBlaze.  Calibrated so the runtime-system
-    #: overhead fraction lands in Fig. 13's 5-20% band.
+    #: overhead fraction lands in Fig. 13's 5-20% band: the paper's
+    #: measurement, not a count of ``candidate_cycles``' arithmetic (about
+    #: 26 with the per-kernel constants hoisted; ROADMAP item 3).
     instructions_per_k2p_decision: int = 8
     #: instructions to handle a core interrupt and dispatch one task
     instructions_per_dispatch: int = 40

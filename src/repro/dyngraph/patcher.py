@@ -48,7 +48,8 @@ from repro.dyngraph.delta import AppliedDelta
 from repro.dyngraph.incremental import variant_structural_delta
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn.adjacency import ADJACENCY_BUILDERS
-from repro.runtime.analyzer import Analyzer
+from repro.runtime.perf_model import PairBatch
+from repro.runtime.strategies import DynamicMapping
 
 
 @dataclass(frozen=True)
@@ -157,13 +158,13 @@ class ProgramPatcher:
         if applied.touches_features:
             patch_matrix("H0", new_data.h0, *applied.h_structural())
 
-        reanalyzed, flips = self._reanalyze(
-            program, graph.topo_order(), views, dirty_by_view
-        )
         # executions recorded on the ancestor are not the patched program's
         patched = replace(
             program, data_name=new_data.name, graph=graph, store=store,
             profiles=profiles, _views=views, _runs={},
+        )
+        reanalyzed, flips = self._reanalyze(
+            program, graph.topo_order(), views, profiles, dirty_by_view
         )
         return patched, PatchReport.since(
             t0, applied, patched=True, reason="",
@@ -190,20 +191,19 @@ class ProgramPatcher:
 
     # -- internals -------------------------------------------------------
     def _reanalyze(
-        self,
-        program: CompiledProgram,
-        kernels,
-        views: dict,
+        self, program: CompiledProgram, kernels, views: dict, profiles: dict,
         dirty_by_view: dict,
     ) -> tuple[int, int]:
         """Algorithm 7 for dirty blocks only: count re-decisions and flips.
 
-        The runtime re-decides every pair each run anyway (that is the
-        paper's dynamic mapping); this pass quantifies how much of the
-        K2P table the delta actually moved, per patched left operand,
-        against the compile-time-known right operand densities.
-        """
-        analyzer = Analyzer(program.config)
+        The runtime re-decides every pair each run anyway (the paper's
+        dynamic mapping); this quantifies how much of the K2P table the
+        delta moved: each dirty block of a patched left operand against the
+        compiler's census of every right block it meets, priced as a task
+        of its own in a kernel that dispatches its whole grid (balanced
+        rows, the patched program's formats), old census and new in one
+        batch a kernel."""
+        analyzer = DynamicMapping(program.config)
         reanalyzed = flips = 0
         for kernel in kernels:
             scheme = kernel.exec_scheme
@@ -211,20 +211,22 @@ class ProgramPatcher:
             dirty = dirty_by_view.get(xkey)
             if dirty is None or not len(dirty):
                 continue
-            old_x = program._views[xkey]
-            new_x = views[xkey]
             y_view = views.get((kernel.y_name, *scheme.y_blocking))
             if y_view is None:
                 continue  # runtime-profiled intermediate: nothing known
-            bi, bj = dirty[:, 0], dirty[:, 1]
-            ay = y_view.density_grid[bj]
-            # the decision depends on densities, not on block dimensions
-            old_codes, _ = analyzer.decide_batch(
-                np.broadcast_to(old_x.density_grid[bi, bj][:, None], ay.shape), ay
-            )
-            new_codes, _ = analyzer.decide_batch(
-                np.broadcast_to(new_x.density_grid[bi, bj][:, None], ay.shape), ay
-            )
-            reanalyzed += ay.size
-            flips += int(np.count_nonzero(old_codes != new_codes))
+            width, new_x = y_view.num_col_blocks, views[xkey]
+            half = len(dirty) * width
+            pair = np.arange(2 * half) % half  # old census, then new
+            (i, j), k = dirty[pair // width].T, pair % width
+            x_nnz = new_x.nnz_grid[i, j]
+            x_nnz[:half] = program._views[xkey].nnz_grid[i[:half], j[:half]]
+            codes, _, _ = analyzer.decide_batch(kernel, PairBatch(
+                m=new_x.row_block_sizes[i], n=new_x.col_block_sizes[j],
+                d=y_view.col_block_sizes[k], x_nnz=x_nnz, y_nnz=y_view.nnz_grid[j, k],
+                x_stored_sparse=profiles[kernel.x_name].stored_sparse,
+                y_stored_sparse=profiles[kernel.y_name].stored_sparse,
+                task=np.arange(2 * half), num_tasks=scheme.num_tasks, seeded=True,
+            ))
+            reanalyzed += half
+            flips += int(np.count_nonzero(codes[:half] != codes[half:]))
         return reanalyzed, flips

@@ -146,6 +146,8 @@ class _BlockLayout:
         self.finite: list[bool | None] = [None] * nr
         #: whether no stored entry is a zero, on first ask
         self.zero_free: bool | None = None
+        #: psys -> :meth:`scp_skew` grid, on first ask
+        self.skew: dict[int, np.ndarray] = {}
 
     def block_row(self, i: int) -> list:
         """The CSR blocks of block row ``i``, split once."""
@@ -183,6 +185,23 @@ class _BlockLayout:
             blocks.append(blk)
         self.rows[i] = blocks
         return blocks
+
+    def scp_skew(self, psys: int) -> np.ndarray:
+        """Per block, the busiest Sparse Computation Pipeline's share of
+        its stored entries times ``psys`` (SPMM gives local row ``r`` to
+        pipeline ``r mod psys``, Algorithm 6): 1.0 is perfectly even, also
+        for an empty block.  Counted block row by block row, once."""
+        grid = self.skew.get(psys)
+        if grid is None:
+            grid = self.skew[psys] = np.ones((len(self.rows), self.nc))
+            for i in range(len(self.rows)):
+                counts = np.diff([blk.indptr for blk in self.block_row(i)])
+                loads = np.zeros((self.nc, -(-counts.shape[1] // psys) * psys), np.int64)
+                loads[:, : counts.shape[1]] = counts
+                loads = loads.reshape(self.nc, -1, psys).sum(axis=1)
+                total = loads.sum(axis=1)
+                np.divide(loads.max(axis=1) * psys, total, out=grid[i], where=total > 0)
+        return grid
 
 
 def block_nnz_grid(
@@ -393,6 +412,14 @@ class PartitionedMatrix:
         if layout.zero_free is None:
             layout.zero_free = bool(layout.data.all())
         return layout.zero_free
+
+    def scp_skew_grid(self, psys: int) -> np.ndarray:
+        """Per block, busiest-SCP share of its stored entries x ``psys``:
+        what the simulator's SPMM count is above Table IV's balanced one.
+        All ones for a dense-held operand, whose rows are not counted."""
+        if not self.is_sparse_storage:
+            return np.ones(self._nnz_grid.shape)
+        return self._block_layout().scp_skew(psys)
 
     def dense_block(self, i: int, j: int) -> np.ndarray:
         return as_dense(self.block(i, j))

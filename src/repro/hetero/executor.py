@@ -27,8 +27,10 @@ from repro.formats.dense import DTYPE
 from repro.gnn.activations import activation_fn
 from repro.hetero.devices import DeviceModel, FPGA_DEVICE, GPU_DEVICE
 from repro.hw.report import CODE_ORDER, Primitive
-from repro.runtime.analyzer import Analyzer
+from repro.compiler.sparsity import choose_storage_format
 from repro.runtime.executor import operand_view
+from repro.runtime.perf_model import PairBatch
+from repro.runtime.strategies import DynamicMapping
 
 
 def materialize_intermediates(program: CompiledProgram) -> dict:
@@ -133,7 +135,8 @@ class HeterogeneousRuntime:
 
     def run(self, program: CompiledProgram) -> HeteroResult:
         cfg = program.config
-        analyzer = Analyzer(cfg)
+        analyzer = DynamicMapping(cfg)
+        stored_sparse = program.stored_sparse
         cores = self.fpga_parallel_cores or cfg.num_cores
 
         store = materialize_intermediates(program)
@@ -150,20 +153,25 @@ class HeterogeneousRuntime:
             scheme = kernel.exec_scheme
             xv = view(kernel.x_name, scheme.x_blocking)
             yv = view(kernel.y_name, scheme.y_blocking)
-            x_dens, y_dens = xv.density_grid, yv.density_grid
             x_nnz, y_nnz = xv.nnz_grid, yv.nnz_grid
+            # Algorithm 7 over the kernel's pairs; an intermediate is
+            # stored in the format its density earns
+            tasks = scheme.task_batch()
+            formats = [
+                stored_sparse.get(name, choose_storage_format(v.density))
+                for name, v in ((kernel.x_name, xv), (kernel.y_name, yv))
+            ]
+            codes, _, _ = analyzer.decide_batch(kernel, PairBatch.of_tasks(
+                xv, yv, tasks, *formats, seeded=bool(kernel.accumulate_into)))
             x_rs, x_cs = xv.row_block_sizes, xv.col_block_sizes
             y_cs = yv.col_block_sizes
 
             kernel_s = 0.0
-            for task in scheme.tasks():
-                i, k = task.out_row, task.out_col
+            for t, (i, k) in enumerate(zip(tasks.rows, tasks.cols)):
                 m, d = int(x_rs[i]), int(y_cs[k])
                 prev_device: str | None = None
-                js = [j for j, _ in task.pairs]
-                # Algorithm 7 over the task's pairs in one pass
-                codes, _ = analyzer.decide_batch(x_dens[i, js], y_dens[js, k])
-                for j, code in zip(js, codes):
+                pairs = slice(tasks.starts[t], tasks.starts[t + 1])
+                for j, code in zip(tasks.js[pairs], codes[pairs]):
                     primitive = CODE_ORDER[code]
                     prims[primitive] += 1
                     if primitive is Primitive.SKIP:

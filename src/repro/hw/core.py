@@ -16,6 +16,11 @@ has already chosen a primitive (Algorithm 7); the core
 
 With double buffering (§V-B3) the memory/transform streams overlap
 compute, so a task's latency is ``max(compute, memory + transform)``.
+That is the cost the Analyzer minimises per pair
+(:func:`repro.runtime.perf_model.candidate_cycles`), its transform term
+from the body this module bills from (:func:`candidate_transform_cycles`):
+Table IV prices compute alone, and here an AHM pass the load stream cannot
+hide costs more than the compute it buys.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from repro.hw.gemm_unit import gemm_compute_cycles
 from repro.hw.memory import ExternalMemory
 from repro.hw.report import (
     GEMM_CODE,
+    SKIP_CODE,
     SPDMM_CODE,
     SPMM_CODE,
     CycleReport,
@@ -59,7 +65,6 @@ class OperandSpec:
     data: MatrixLike
     nbytes: int
     nnz: int
-    density: float
     stored_sparse: bool
     shape: tuple[int, int]
 
@@ -299,6 +304,37 @@ class ComputationCore:
         self.buffers.clear()
 
 
+def candidate_transform_cycles(
+    psys: int,
+    elems_x: np.ndarray,
+    elems_y: np.ndarray,
+    x_stored_sparse: bool,
+    y_stored_sparse: bool,
+) -> np.ndarray:
+    """AHM cycles Table III requires of each candidate mapping of ``K``
+    pairs, given the operands' off-chip formats: a ``(4, K)`` int64 array
+    in :data:`repro.hw.report.CANDIDATES` order, a function of dims and
+    stored formats only.  The Analyzer's cost weighs all four rows
+    (:func:`repro.runtime.perf_model.candidate_cycles`) and
+    :func:`batch_pair_cycles` bills the chosen one: the two cannot drift."""
+    s2d, d2s = SparseToDenseModule(psys), DenseToSparseModule(psys)
+    ltu = LayoutTransformationUnit(psys)
+    s2d_x = s2d.cycles_for(elems_x) if x_stored_sparse else 0
+    s2d_y = s2d.cycles_for(elems_y) if y_stored_sparse else 0
+    d2s_x = 0 if x_stored_sparse else d2s.cycles_for(elems_x)
+    d2s_y = 0 if y_stored_sparse else d2s.cycles_for(elems_y)
+    rows = np.empty((4, len(elems_x)), dtype=np.int64)
+    # X dense row-major, Y dense column-major (an LTU pass)
+    rows[0] = s2d_x + s2d_y + ltu.cycles_for(elems_y)
+    # X sparse in BufferU, Y dense
+    rows[1] = d2s_x + s2d_y
+    # Y sparse in BufferU, X dense and column-major
+    rows[2] = d2s_y + s2d_x + ltu.cycles_for(elems_x)
+    # both sparse
+    rows[3] = d2s_x + d2s_y
+    return rows
+
+
 def batch_pair_cycles(
     core: "ComputationCore",
     codes: np.ndarray,
@@ -321,60 +357,23 @@ def batch_pair_cycles(
     """
     codes = np.asarray(codes)
     transposed = np.asarray(transposed, dtype=bool)
-    m = np.asarray(m, dtype=np.int64)
-    n = np.asarray(n, dtype=np.int64)
-    d = np.asarray(d, dtype=np.int64)
-    x_nnz = np.asarray(x_nnz, dtype=np.int64)
-    y_nnz = np.asarray(y_nnz, dtype=np.int64)
-    elems_x = m * n
-    elems_y = n * d
     gemm = codes == GEMM_CODE
     spdmm = codes == SPDMM_CODE
-    spmm = codes == SPMM_CODE
-
-    compute = np.zeros(codes.shape, dtype=np.int64)
-    macs = np.zeros(codes.shape, dtype=np.int64)
-    transform = np.zeros(codes.shape, dtype=np.int64)
-
-    if gemm.any():
-        compute[gemm] = gemm_compute_cycles(
-            m[gemm], n[gemm], d[gemm], core.config
-        )
-        macs[gemm] = (elems_x * d)[gemm]
-        tr = core.ltu.cycles_for(elems_y)[gemm]
-        if x_stored_sparse:
-            tr = tr + core.s2d.cycles_for(elems_x)[gemm]
-        if y_stored_sparse:
-            tr = tr + core.s2d.cycles_for(elems_y)[gemm]
-        transform[gemm] = tr
-    if spdmm.any():
-        sparse_nnz = np.where(transposed, y_nnz, x_nnz)
-        sparse_elems = np.where(transposed, elems_y, elems_x)
-        dense_elems = np.where(transposed, elems_x, elems_y)
-        sparse_stored = np.where(transposed, y_stored_sparse, x_stored_sparse)
-        dense_stored = np.where(transposed, x_stored_sparse, y_stored_sparse)
-        dense_cols = np.where(transposed, m, d)
-        compute[spdmm] = spdmm_compute_cycles(
-            sparse_nnz[spdmm], dense_cols[spdmm], core.config
-        )
-        macs[spdmm] = (sparse_nnz * dense_cols)[spdmm]
-        tr = np.where(
-            ~sparse_stored, core.d2s.cycles_for(sparse_elems), 0
-        )
-        tr = tr + np.where(
-            dense_stored, core.s2d.cycles_for(dense_elems), 0
-        )
-        tr = tr + np.where(
-            transposed, core.ltu.cycles_for(dense_elems), 0
-        )
-        transform[spdmm] = tr[spdmm]
-    if spmm.any():
-        tr = np.zeros(codes.shape, dtype=np.int64)
-        if not x_stored_sparse:
-            tr = tr + core.d2s.cycles_for(elems_x)
-        if not y_stored_sparse:
-            tr = tr + core.d2s.cycles_for(elems_y)
-        transform[spmm] = tr[spmm]
+    sparse_nnz = np.where(transposed, y_nnz, x_nnz)
+    dense_cols = np.where(transposed, m, d)
+    compute = np.where(
+        gemm, gemm_compute_cycles(m, n, d, core.config),
+        np.where(spdmm, spdmm_compute_cycles(sparse_nnz, dense_cols, core.config), 0),
+    )
+    macs = np.where(gemm, m * n * d, np.where(spdmm, sparse_nnz * dense_cols, 0))
+    # the candidate each live pair took: SpDMM's two orientations sit
+    # between GEMM and SPMM
+    live = codes != SKIP_CODE
+    row = np.where(live, codes + (transposed | (codes == SPMM_CODE)), 0)
+    candidates = candidate_transform_cycles(
+        core.config.psys, m * n, n * d, x_stored_sparse, y_stored_sparse
+    )
+    transform = np.where(live, np.take_along_axis(candidates, row[None], axis=0)[0], 0)
     return compute, transform, macs
 
 

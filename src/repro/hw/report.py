@@ -12,7 +12,8 @@ With double buffering (§V-B3) the memory, transform and profile streams
 overlap the compute of the *previous/next* task, so the effective latency
 of a task is ``max(compute, memory + transform)`` (profiling rides on the
 write-back stream and never adds latency).  Without double buffering
-everything serialises.
+everything serialises.  The Analyzer takes the argmin of the same
+expression per pair, over :data:`CANDIDATES`.
 """
 
 from __future__ import annotations
@@ -48,6 +49,17 @@ GEMM_CODE = PRIMITIVE_CODES[Primitive.GEMM]
 SPDMM_CODE = PRIMITIVE_CODES[Primitive.SPDMM]
 SPMM_CODE = PRIMITIVE_CODES[Primitive.SPMM]
 SKIP_CODE = PRIMITIVE_CODES[Primitive.SKIP]
+
+#: the mappings the Analyzer weighs for a pair, in Algorithm 7's tie-break
+#: order (the row order of ``candidate_transform_cycles`` and
+#: ``candidate_cycles``): label, primitive code, SpDMM orientation
+#: (transposed: the right operand takes BufferU)
+CANDIDATES: tuple[tuple[str, int, bool], ...] = (
+    ("GEMM", GEMM_CODE, False),
+    ("SpDMM", SPDMM_CODE, False),
+    ("SpDMM^T", SPDMM_CODE, True),
+    ("SPMM", SPMM_CODE, False),
+)
 
 
 def exposed_stream(stream, chunks, consumer):

@@ -26,13 +26,25 @@ from repro.formats.dense import DTYPE
 from repro.hw.report import CycleReport
 
 
+def _countable(mat: MatrixLike) -> MatrixLike:
+    """A dense operand as it lies (a CSR built just to read row counts
+    costs ten times the count), a sparse one as CSR without stored zeros."""
+    if isinstance(mat, np.ndarray):
+        return mat
+    mat = as_csr(mat)
+    return eliminate_zeros(mat) if mat.nnz and np.any(mat.data == 0) else mat
+
+
 def spmm_workloads(
-    x: MatrixLike, y: MatrixLike, psys: int, zero_free: bool = False
+    x: MatrixLike, y: MatrixLike, psys: int, zero_free: bool = False,
+    y_rows: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int]:
     """Exact (per-SCP cycle loads, total MACs) for ``Z = X @ Y``.
 
     ``zero_free``: both operands are CSR and store no zeros (the task
     loop asks each operand's block layout once), so neither is rescanned.
+    ``y_rows``: the nonzeros of each row of ``Y`` when the caller holds
+    them (the task loop counts a dense block once for all its tasks).
 
     The multiply count of output row ``j`` is
     ``sum_{i in nonzeros of X[j]} nnz(Y[i])``; SCP ``j mod psys``
@@ -41,28 +53,38 @@ def spmm_workloads(
     row loads are one int64 prefix sum over ``nnz(Y[i])`` gathered at X's
     column indices, differenced at X's row pointers; SCP loads are the
     column sums of the row loads zero-padded to a multiple of ``psys``
-    and folded to ``(-1, psys)``.  ``run_spmm_faithful`` is the oracle.
+    and folded to ``(-1, psys)``.  A dense ``Y``'s rows are counted with
+    ``count_nonzero``, a dense ``X``'s row loads are one boolean mat-vec
+    against them: the same int64 loads.  ``run_spmm_faithful`` is the oracle.
     """
-    xs, ys = x, y
-    if not zero_free:
-        xs, ys = as_csr(x), as_csr(y)
-        if xs.nnz and np.any(xs.data == 0):
-            xs = eliminate_zeros(xs)
-        if ys.nnz and np.any(ys.data == 0):
-            ys = eliminate_zeros(ys)
+    xs = x if zero_free else _countable(x)
+    if y_rows is None:
+        ys = y if zero_free else _countable(y)
+        y_rows = (
+            np.count_nonzero(ys, axis=1) if isinstance(ys, np.ndarray)
+            else np.diff(ys.indptr)
+        )
     rows = xs.shape[0]
-    prefix = np.zeros(xs.nnz + 1, dtype=np.int64)
-    np.cumsum(np.diff(ys.indptr)[xs.indices], dtype=np.int64, out=prefix[1:])
     row_macs = np.zeros(-(-rows // psys) * psys, dtype=np.int64)
-    row_macs[:rows] = np.diff(prefix[xs.indptr])
-    return row_macs.reshape(-1, psys).sum(axis=0), int(prefix[-1])
+    if isinstance(xs, np.ndarray):
+        # row j meets nnz(Y[i]) at every nonzero X[j, i] (einsum: half the
+        # time of the integer matmul loop)
+        np.einsum("ji,i->j", xs != 0, y_rows, dtype=np.int64, out=row_macs[:rows])
+        macs = int(row_macs.sum())
+    else:
+        prefix = np.zeros(xs.nnz + 1, dtype=np.int64)
+        np.cumsum(y_rows[xs.indices], dtype=np.int64, out=prefix[1:])
+        row_macs[:rows] = np.diff(prefix[xs.indptr])
+        macs = int(prefix[-1])
+    return row_macs.reshape(-1, psys).sum(axis=0), macs
 
 
 def spmm_compute_cycles(
-    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig, zero_free: bool = False
+    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig, zero_free: bool = False,
+    y_rows: np.ndarray | None = None,
 ) -> tuple[int, int]:
     """(cycles, macs): latency is the busiest SCP plus pipeline fill."""
-    scp_loads, macs = spmm_workloads(x, y, config.psys, zero_free)
+    scp_loads, macs = spmm_workloads(x, y, config.psys, zero_free, y_rows)
     if macs == 0:
         return 0, 0
     return int(scp_loads.max()) + config.pipeline_depth, macs

@@ -15,15 +15,7 @@ AWB-GCN mapping) are provided as alternative
 Table VII / Fig. 11-12 comparisons run on identical hardware.
 """
 
-from repro.runtime.perf_model import (
-    PerformanceModel,
-    argmin_primitive_batch,
-    model_cycles,
-    model_cycles_batch,
-    region_primitive,
-    region_primitive_batch,
-)
-from repro.runtime.analyzer import Analyzer
+from repro.runtime.perf_model import model_cycles_batch, region_primitive_batch
 from repro.runtime.strategies import (
     DynamicMapping,
     FixedMapping,
@@ -46,13 +38,8 @@ from repro.runtime.reference import execute_kernel_tasks_reference
 from repro.runtime.stats import KernelStats, TaskLoopStats
 
 __all__ = [
-    "PerformanceModel",
-    "model_cycles",
     "model_cycles_batch",
-    "region_primitive",
     "region_primitive_batch",
-    "argmin_primitive_batch",
-    "Analyzer",
     "MappingStrategy",
     "DynamicMapping",
     "Static1",

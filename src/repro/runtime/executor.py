@@ -280,6 +280,7 @@ class InferenceResult(RunResult):
                             key=lambda kv: kv[0].value,
                         )
                     },
+                    "modelled_cycles": ks.modelled_cycles,
                 }
                 for ks in self.kernel_stats
             ],
@@ -514,6 +515,7 @@ def run_kernels(
                     soft.seconds_to_accel_cycles(analysis_s),
                     tasks.num_tasks, cycles,
                 )),
+                modelled_cycles=stats.modelled or {},
             ))
 
         out_mat, out_density = assembly.finalize()
@@ -582,6 +584,7 @@ class RuntimeSystem:
                     pairs=ks.num_pairs,
                     waves=ks.num_waves,
                     out_density=round(ks.out_density, 6),
+                    **ks.modelled_cycles,
                 )
                 if ks.analysis_seconds > 0.0:
                     # K2P analysis overlaps execution of this kernel (§VI-B);

@@ -1,4 +1,5 @@
-"""Analytical performance model (paper Table IV and §VI-A).
+"""Analytical performance model (paper Table IV and §VI-A) and the cost
+the Analyzer minimises with it.
 
 For ``Z = X @ Y`` with ``X (m, n)`` of density ``alpha_X`` and ``Y (n, d)``
 of density ``alpha_Y`` on a core with array dimension ``psys``:
@@ -18,77 +19,165 @@ SPMM        ``psys``             ``alpha_X alpha_Y m n d / psys``
 - ``alpha_min < 1/2`` and ``alpha_max >= 2/psys`` -> SpDMM,
 - ``alpha_min < 1/2`` and ``alpha_max < 2/psys``  -> SPMM,
 
-three non-overlapping cases that tile the whole density domain — a
-property the test suite checks against the argmin of the model.
+three non-overlapping cases that tile the whole density domain: the
+argmin of *compute* cycles.  A core of this hardware model charges a task
+``max(compute, memory + transform)`` (:mod:`repro.hw.core`), and an
+operand stored in another format than the mode wants (Table III) takes an
+AHM pass on the load stream that Table IV does not price.
+:func:`candidate_cycles` prices it; the region rule is what its argmin
+reduces to when nothing needs transforming, the array is fully occupied
+and compute binds (``tests/test_runtime_perf_model.py`` holds that).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
+from repro.compiler.sparsity import stored_bytes
 from repro.config import AcceleratorConfig
-from repro.hw.report import (
-    CODE_ORDER,
-    GEMM_CODE,
-    PRIMITIVE_CODES,
-    SPDMM_CODE,
-    SPMM_CODE,
-    Primitive,
-)
+from repro.formats.layout import LayoutMerger
+from repro.hw.core import candidate_transform_cycles
+from repro.hw.gemm_unit import gemm_compute_cycles
+from repro.hw.report import GEMM_CODE, SPDMM_CODE, SPMM_CODE
 
 
-def model_cycles_batch(
-    m,
-    n,
-    d,
-    alpha_x,
-    alpha_y,
-    config: AcceleratorConfig,
-) -> np.ndarray:
-    """Table IV for ``K`` pairs at once: a ``(3, K)`` cycle array.
+@dataclass
+class PairBatch:
+    """``K`` partition pairs ``X[i, j] @ Y[j, k]`` of one kernel as the
+    Analyzer sees them (dims, census, off-chip formats, the task each
+    accumulates into); every array is int64 of length ``K``."""
 
-    Rows follow the code order ``GEMM, SpDMM, SPMM``.  Whole-array numpy
-    expressions in float64, which is what makes the Oracle strategy's
-    inner loop (one model evaluation per partition pair) tractable on
-    large grids.  ``m``, ``n``, ``d`` may be scalars or arrays
-    broadcastable to ``K``.
-    """
+    m: np.ndarray
+    n: np.ndarray
+    d: np.ndarray
+    x_nnz: np.ndarray
+    y_nnz: np.ndarray
+    x_stored_sparse: bool
+    y_stored_sparse: bool
+    #: task of each pair, and how many tasks the kernel dispatches at most
+    task: np.ndarray
+    num_tasks: int
+    #: every task is dispatched, live pair or not (``accumulate_into``)
+    seeded: bool = False
+    #: ``psys`` -> each pair's X-block SCP skew, asked only by a strategy
+    #: that weighs SPMM; ``None``: balanced rows
+    x_skew: Optional[Callable[[int], np.ndarray]] = None
+
+    def __len__(self) -> int:
+        return len(self.m)
+
+    @classmethod
+    def of_tasks(cls, xv, yv, tasks, x_stored_sparse: bool, y_stored_sparse: bool,
+                 seeded: bool = False) -> "PairBatch":
+        """Every (task, pair) of ``tasks`` (a ``TaskBatch``) over two views, in task order."""
+        task = np.repeat(np.arange(tasks.num_tasks, dtype=np.int64), tasks.counts)
+        i, j, k = tasks.rows[task], tasks.js, tasks.cols[task]
+        return cls(
+            m=xv.row_block_sizes[i], n=xv.col_block_sizes[j],
+            d=yv.col_block_sizes[k],
+            x_nnz=xv.nnz_grid[i, j], y_nnz=yv.nnz_grid[j, k],
+            x_stored_sparse=x_stored_sparse, y_stored_sparse=y_stored_sparse,
+            task=task, num_tasks=tasks.num_tasks, seeded=seeded,
+            x_skew=lambda psys: xv.scp_skew_grid(psys)[i, j],
+        )
+
+
+def _table_iv(volume, alpha_x, alpha_y, config: AcceleratorConfig) -> tuple:
+    """Table IV's sparse rows: SpDMM with X in BufferU, SpDMM with Y in
+    BufferU, SPMM (float64)."""
     ax = np.asarray(alpha_x, dtype=np.float64)
     ay = np.asarray(alpha_y, dtype=np.float64)
-    for alpha in (ax, ay):
+    p2 = config.psys * config.psys
+    return ax * 2.0 * volume / p2, ay * 2.0 * volume / p2, ax * ay * volume / config.psys
+
+
+def model_cycles_batch(m, n, d, alpha_x, alpha_y, config: AcceleratorConfig) -> np.ndarray:
+    """Table IV for ``K`` pairs at once: a ``(3, K)`` float64 cycle array,
+    rows in the code order ``GEMM, SpDMM, SPMM`` (SpDMM with the sparser
+    operand in BufferU).  ``m``, ``n``, ``d`` may be scalars or arrays
+    broadcastable to ``K``."""
+    for alpha in map(np.asarray, (alpha_x, alpha_y)):
         if alpha.size and (alpha.min() < 0.0 or alpha.max() > 1.0):
             raise ValueError("densities must lie in [0, 1]")
-    p2 = config.psys * config.psys
-    volume = (
-        np.asarray(m, dtype=np.int64)
-        * np.asarray(n, dtype=np.int64)
-        * np.asarray(d, dtype=np.int64)
+    volume = np.asarray(m, np.int64) * np.asarray(n, np.int64) * np.asarray(d, np.int64)
+    spdmm_x, spdmm_y, spmm = _table_iv(volume, alpha_x, alpha_y, config)
+    return np.stack(np.broadcast_arrays(
+        volume / config.psys**2, np.minimum(spdmm_x, spdmm_y), spmm
+    ))
+
+
+def candidate_cycles(
+    batch: PairBatch, config: AcceleratorConfig, live: np.ndarray
+) -> np.ndarray:
+    """What a core would charge each pair under each candidate mapping: a
+    ``(4, K)`` float64 array in :data:`repro.hw.report.CANDIDATES` order,
+    ``inf`` where the mapping does not fit the on-chip buffers.
+
+    ``max(compute, load + transform)``, :mod:`repro.hw.core`'s stage
+    latency (their sum without double buffering):
+
+    - ``compute``: Table IV, except that GEMM's row is the systolic
+      array's own count (few output columns or a short inner dimension
+      leave it far from full occupancy) and SPMM's is scaled by the X
+      block's SCP skew (the simulator charges the busiest pipeline);
+    - ``transform``: the AHM passes Table III requires given the off-chip
+      formats, the array the core bills from, plus the Layout Merger pass
+      a transposed pair's task pays;
+    - ``load``: the operands' stored bytes and the task's (dense)
+      write-back over the core's DDR share, the same for every candidate.
+
+    Write-back and merger are apportioned over the task's ``live`` pairs
+    (exact for one-pair tasks); the DDR share is that of the tasks holding
+    a live pair.
+    """
+    m, n, d = batch.m, batch.n, batch.d
+    elems_x, elems_y, out = m * n, n * d, m * d
+    # sized by the ids present: a caller that prices each pair as a task of
+    # its own (the patcher) numbers them past ``num_tasks``
+    live_pairs = np.bincount(batch.task[live], minlength=batch.task.max(initial=-1) + 1)
+    dispatched = batch.num_tasks if batch.seeded else np.count_nonzero(live_pairs)
+    share = np.maximum(live_pairs, 1)[batch.task]
+    bytes_per_cycle = config.memory.bytes_per_cycle(config.freq_hz) / max(
+        min(config.num_cores, dispatched), 1
     )
-    gemm = volume / p2
-    spdmm = np.minimum(ax, ay) * 2.0 * volume / p2
-    spmm = ax * ay * volume / config.psys
-    return np.stack(np.broadcast_arrays(gemm, spdmm, spmm))
-
-
-def model_cycles(
-    primitive: Primitive,
-    m: int,
-    n: int,
-    d: int,
-    alpha_x: float,
-    alpha_y: float,
-    config: AcceleratorConfig,
-) -> float:
-    """Predicted execution cycles of one primitive (Table IV): the
-    batch of one."""
-    if primitive not in PRIMITIVE_CODES:
-        raise ValueError(f"unknown primitive {primitive}")
-    costs = model_cycles_batch(m, n, d, alpha_x, alpha_y, config)
-    if primitive is Primitive.SKIP:
-        return 0.0
-    return float(costs[PRIMITIVE_CODES[primitive]])
+    load = (
+        stored_bytes(batch.x_nnz, elems_x, batch.x_stored_sparse)
+        + stored_bytes(batch.y_nnz, elems_y, batch.y_stored_sparse)
+        + 4 * out / share
+    ) / bytes_per_cycle
+    # the load side of each row, then its compute beside it
+    cost = candidate_transform_cycles(
+        config.psys, elems_x, elems_y, batch.x_stored_sparse, batch.y_stored_sparse
+    ).astype(np.float64)
+    cost[2] += LayoutMerger(config.psys).cycles_for(out) / share
+    cost += load
+    compute = np.empty_like(cost)
+    compute[1], compute[2], compute[3] = _table_iv(
+        elems_x * d,
+        batch.x_nnz / np.maximum(elems_x, 1),
+        batch.y_nnz / np.maximum(elems_y, 1),
+        config,
+    )
+    if batch.x_skew is not None:
+        compute[3] *= batch.x_skew(config.psys)
+    # whole psys x psys output tiles, each streaming n + 2 psys
+    compute[0] = gemm_compute_cycles(m, n, d, config)
+    if config.buffers.double_buffering:
+        np.maximum(cost, compute, out=cost)
+    else:
+        cost += compute
+    # dense operands must fit a buffer whole; SpDMM's sparse operand
+    # streams; SPMM's right operand must be COO-resident (3 words/nonzero)
+    words = config.buffers.words_per_buffer
+    over_x, over_y = elems_x > words, elems_y > words
+    cost[0, over_x | over_y] = np.inf
+    cost[1, over_y] = np.inf
+    cost[2, over_x] = np.inf
+    cost[3, 3 * batch.y_nnz > words] = np.inf
+    return cost
 
 
 def region_thresholds(config: AcceleratorConfig) -> tuple[float, float]:
@@ -103,7 +192,8 @@ def region_primitive_batch(
     """The closed-form optimal mode of §VI-A (ignores the zero case):
     int8 primitive codes per pair (:data:`repro.hw.report.CODE_ORDER`).
     GEMM wins the tie at ``alpha_min = 1/2``, SpDMM at ``alpha_max =
-    2/psys``."""
+    2/psys``.  What the argmin of :func:`candidate_cycles` reduces to when
+    no operand needs a format pass and compute binds."""
     ax = np.asarray(alpha_x, dtype=np.float64)
     ay = np.asarray(alpha_y, dtype=np.float64)
     gemm_from, spdmm_from = region_thresholds(config)
@@ -112,60 +202,3 @@ def region_primitive_batch(
     codes[np.maximum(ax, ay) >= spdmm_from] = SPDMM_CODE
     codes[np.minimum(ax, ay) >= gemm_from] = GEMM_CODE
     return codes
-
-
-def region_primitive(
-    alpha_x: float, alpha_y: float, config: AcceleratorConfig
-) -> Primitive:
-    """:func:`region_primitive_batch` of one pair."""
-    return CODE_ORDER[int(region_primitive_batch(alpha_x, alpha_y, config))]
-
-
-def argmin_primitive_batch(
-    m,
-    n,
-    d,
-    alpha_x,
-    alpha_y,
-    config: AcceleratorConfig,
-) -> np.ndarray:
-    """Brute-force minimiser of the model: int8 codes with Algorithm 7's
-    tie-breaks (the first of GEMM, SpDMM, SPMM at the minimum)."""
-    costs = model_cycles_batch(m, n, d, alpha_x, alpha_y, config)
-    best = costs.min(axis=0, keepdims=True)
-    # argmax over the boolean mask returns the *first* primitive (in
-    # region order) whose cost reaches the minimum
-    return np.argmax(costs <= best, axis=0).astype(np.int8)
-
-
-def argmin_primitive(
-    m: int,
-    n: int,
-    d: int,
-    alpha_x: float,
-    alpha_y: float,
-    config: AcceleratorConfig,
-) -> Primitive:
-    """:func:`argmin_primitive_batch` of one pair."""
-    return CODE_ORDER[int(argmin_primitive_batch(m, n, d, alpha_x, alpha_y, config))]
-
-
-@dataclass
-class PerformanceModel:
-    """Convenience wrapper binding the model to one configuration."""
-
-    config: AcceleratorConfig
-
-    def cycles(
-        self, primitive: Primitive, m: int, n: int, d: int,
-        alpha_x: float, alpha_y: float,
-    ) -> float:
-        return model_cycles(primitive, m, n, d, alpha_x, alpha_y, self.config)
-
-    def best(self, alpha_x: float, alpha_y: float) -> Primitive:
-        return region_primitive(alpha_x, alpha_y, self.config)
-
-    def crossover_densities(self) -> dict:
-        """The §VI-A region boundaries for this configuration."""
-        gemm_from, spdmm_from = region_thresholds(self.config)
-        return {"gemm_spdmm_alpha_min": gemm_from, "spdmm_spmm_alpha_max": spdmm_from}

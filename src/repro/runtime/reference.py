@@ -17,6 +17,7 @@ from repro.hw.report import CODE_ORDER, SKIP_CODE, Primitive
 from repro.ir.kernel import KernelIR
 from repro.ir.scheme import TaskBatch
 from repro.obs.tracer import NULL_TRACER
+from repro.runtime.perf_model import PairBatch
 from repro.runtime.scheduler import CoreTimeline
 from repro.runtime.stats import TaskLoopStats
 from repro.runtime.strategies import MappingStrategy
@@ -61,31 +62,31 @@ def execute_kernel_tasks_reference(
     stats = TaskLoopStats()
     events_before = len(timeline.events)
 
-    x_dens = xv.density_grid
-    y_dens = yv.density_grid
     x_nnzg = xv.nnz_grid
     y_nnzg = yv.nnz_grid
     x_rs = xv.row_block_sizes
     x_cs = xv.col_block_sizes
     y_cs = yv.col_block_sizes
 
+    # one Analyzer pass over the kernel: what a pair costs depends on its
+    # task's other pairs and on how many tasks stream from DDR at once
+    batch = PairBatch.of_tasks(
+        xv, yv, tasks, x_stored_sparse, y_stored_sparse,
+        seeded=acc_view is not None,
+    )
+    all_codes, all_transp, stats.modelled = strategy.decide_batch(kernel, batch)
+    starts = tasks.starts
+
     # only as many cores stream from DDR as there are concurrently
     # *dispatched* tasks — all-zero output partitions never reach a core,
-    # so they must not inflate the bandwidth shares (decide_batch is
-    # side-effect-free, so this pre-pass is safe to run twice)
+    # so they must not inflate the bandwidth shares
     if acc_view is not None:
         dispatched = tasks.num_tasks
     else:
-        dispatched = 0
-        for t_idx in range(tasks.num_tasks):
-            i, k = int(tasks.rows[t_idx]), int(tasks.cols[t_idx])
-            js = tasks.js[tasks.starts[t_idx] : tasks.starts[t_idx + 1]]
-            codes, _ = strategy.decide_batch(
-                kernel, x_dens[i, js], y_dens[js, k],
-                int(x_rs[i]), x_cs[js], int(y_cs[k]),
-            )
-            if (np.asarray(codes) != SKIP_CODE).any():
-                dispatched += 1
+        dispatched = sum(
+            bool((all_codes[starts[t] : starts[t + 1]] != SKIP_CODE).any())
+            for t in range(tasks.num_tasks)
+        )
     concurrency = min(acc.num_cores, dispatched)
     for core in acc.cores:
         core.active_cores = concurrency
@@ -94,14 +95,8 @@ def execute_kernel_tasks_reference(
         i, k = int(tasks.rows[t_idx]), int(tasks.cols[t_idx])
         m = int(x_rs[i])
         d = int(y_cs[k])
-        # one vectorised Analyzer pass per task (Algorithm 7 over the
-        # K inner blocks) instead of a Python decide() call per pair
-        js = tasks.js[tasks.starts[t_idx] : tasks.starts[t_idx + 1]]
-        ax_arr = x_dens[i, js]
-        ay_arr = y_dens[js, k]
-        codes, transp = strategy.decide_batch(
-            kernel, ax_arr, ay_arr, m, x_cs[js], d
-        )
+        span = slice(starts[t_idx], starts[t_idx + 1])
+        js, codes, transp = tasks.js[span], all_codes[span], all_transp[span]
         stats.num_pairs += len(js)
         skipped = int((codes == SKIP_CODE).sum())
         if skipped:
@@ -131,7 +126,6 @@ def execute_kernel_tasks_reference(
                 data=xv.block(i, j),
                 nbytes=12 * x_nnz if x_stored_sparse else 4 * x_elems,
                 nnz=x_nnz,
-                density=float(ax_arr[idx]),
                 stored_sparse=x_stored_sparse,
                 shape=(m, n),
             )
@@ -139,7 +133,6 @@ def execute_kernel_tasks_reference(
                 data=yv.block(j, k),
                 nbytes=12 * y_nnz if y_stored_sparse else 4 * y_elems,
                 nnz=y_nnz,
-                density=float(ay_arr[idx]),
                 stored_sparse=y_stored_sparse,
                 shape=(n, d),
             )

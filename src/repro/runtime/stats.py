@@ -44,6 +44,8 @@ class TaskLoopStats:
     #: scheduling waves the tasks filled: the maximum number of tasks any
     #: one core ran, i.e. how many core-rounds the kernel needed
     waves: int = 0
+    #: what the mapping strategy weighed (``decide_batch``'s third value)
+    modelled: dict | None = None
 
 
 @dataclass
@@ -76,6 +78,10 @@ class KernelStats:
     tasks_executed: int = 0
     #: K2P analysis the kernel's execution could not hide (§VI-B; cycles)
     exposed_cycles: float = 0.0
+    #: what the Analyzer weighed, summed over the kernel's live pairs:
+    #: modelled stage cycles of the chosen mapping ("chosen") and of each
+    #: candidate (``None``: it fits no buffer somewhere); ``{}`` if nothing
+    modelled_cycles: dict = field(default_factory=dict)
 
     @property
     def skipped_pairs(self) -> int:

@@ -6,11 +6,11 @@
 - :class:`Static2` (S2) — the AWB-GCN mapping: both kernels -> SpDMM with
   the *left* operand treated as the sparse one (A for Aggregate, H for
   Update).  Ignores weight sparsity and the dense-feature case.
-- :class:`DynamicMapping` — the paper's Algorithm 7 (region rule + empty-
-  partition skipping), charged to the soft processor.
-- :class:`OracleMapping` — picks the model-minimising primitive per pair
-  *without* the skip short-cut; used by ablations to show the region rule
-  matches the model's argmin.
+- :class:`DynamicMapping` — the paper's Algorithm 7 (the Analyzer):
+  empty-partition skipping plus the argmin of the modelled stage cycles,
+  charged to the soft processor.
+- :class:`OracleMapping` — the same argmin *without* the skip short-cut;
+  used by ablations to price the skip.
 - :class:`FixedMapping` — force a single primitive everywhere (ablation).
 
 Static strategies perform no per-pair analysis (their mapping is burnt
@@ -22,15 +22,17 @@ to dynamic mapping (§VIII-C).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Optional
 
 import numpy as np
 
 from repro.config import AcceleratorConfig
-from repro.hw.core import PairDecision
-from repro.hw.report import CODE_ORDER, PRIMITIVE_CODES, SPDMM_CODE, Primitive
+from repro.hw.report import CANDIDATES, PRIMITIVE_CODES, SKIP_CODE, Primitive
 from repro.ir.kernel import KernelIR, KernelType
-from repro.runtime.analyzer import Analyzer, PairInfo
-from repro.runtime.perf_model import argmin_primitive_batch
+from repro.runtime.perf_model import PairBatch, candidate_cycles
+
+_CANDIDATE_CODES = np.array([code for _, code, _ in CANDIDATES], dtype=np.int8)
+_CANDIDATE_TRANSPOSED = np.array([flip for _, _, flip in CANDIDATES])
 
 
 class MappingStrategy(ABC):
@@ -46,55 +48,46 @@ class MappingStrategy(ABC):
 
     @abstractmethod
     def decide_batch(
-        self,
-        kernel: KernelIR,
-        alpha_x: np.ndarray,
-        alpha_y: np.ndarray,
-        m: "int | np.ndarray",
-        n: np.ndarray,
-        d: "int | np.ndarray",
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Map all ``K`` pairs of one task at once.
-
-        Returns int8 primitive codes (:data:`repro.hw.report.CODE_ORDER`)
-        and the per-pair SpDMM ``transposed`` flags.
-
-        ``m``, ``n`` and ``d`` may each be a scalar or an array aligned
-        with ``alpha_x`` — the vectorised executor batches *all* pairs of
-        a kernel in one call, so the output-partition dims vary across
-        the batch.
-        """
-
-    def decide(self, kernel: KernelIR, info: PairInfo) -> PairDecision:
-        """Map one (Xit, Ytj) pair to a primitive: the batch of one."""
-        codes, transposed = self.decide_batch(
-            kernel,
-            np.array([info.alpha_x]),
-            np.array([info.alpha_y]),
-            info.m,
-            np.array([info.n]),
-            info.d,
-        )
-        return PairDecision(CODE_ORDER[codes[0]], transposed=bool(transposed[0]))
+        self, kernel: KernelIR, batch: PairBatch
+    ) -> tuple[np.ndarray, np.ndarray, Optional[dict]]:
+        """Map all ``K`` pairs of ``batch`` (every pair of a kernel) at
+        once: int8 primitive codes (:data:`repro.hw.report.CODE_ORDER`),
+        the per-pair SpDMM ``transposed`` flags and, from a strategy that
+        weighs the candidates, what it weighed
+        (:attr:`~repro.runtime.stats.KernelStats.modelled_cycles`)."""
 
 
 class DynamicMapping(MappingStrategy):
-    """The paper's dynamic K2P mapping (Algorithm 7)."""
+    """The paper's dynamic K2P mapping (Algorithm 7, the Analyzer) on this
+    hardware model's cost: a pair with an empty operand is skipped, every
+    other takes the candidate with the fewest modelled stage cycles
+    (:func:`~repro.runtime.perf_model.candidate_cycles`), ties in Algorithm
+    7's order: GEMM, SpDMM with X in BufferU, SpDMM transposed (the Layout
+    Merger reconciles the column-major partial, §V-B2), SPMM.  O(1) per
+    pair, charged to the soft processor."""
 
     name = "Dynamic"
     charges_analysis = True
+    #: Algorithm 7 line 6-7: an empty operand means no load, no compute
+    skips_empty = True
 
-    def __init__(self, config: AcceleratorConfig) -> None:
-        super().__init__(config)
-        self._analyzer = Analyzer(config)
+    def decide_batch(self, kernel, batch):
+        live = ((batch.x_nnz != 0) & (batch.y_nnz != 0)) | (not self.skips_empty)
+        cost = candidate_cycles(batch, self.config, live)
+        pick = cost.argmin(axis=0)  # the first candidate at the minimum
+        codes = np.where(live, _CANDIDATE_CODES[pick], np.int8(SKIP_CODE))
+        weighed = cost[:, live]
+        modelled = {
+            label: None if total == np.inf else total
+            for (label, _, _), total in zip(CANDIDATES, weighed.sum(axis=1).tolist())
+        }
+        modelled["chosen"] = float(weighed.min(axis=0).sum())
+        return codes, _CANDIDATE_TRANSPOSED[pick] & live, modelled
 
-    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
-        return self._analyzer.decide_batch(alpha_x, alpha_y)
 
-
-def _constant_batch(primitive: Primitive, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _constant_batch(primitive: Primitive, k: int):
     codes = np.full(k, PRIMITIVE_CODES[primitive], dtype=np.int8)
-    return codes, np.zeros(k, dtype=bool)
+    return codes, np.zeros(k, dtype=bool), None
 
 
 class Static1(MappingStrategy):
@@ -102,13 +95,13 @@ class Static1(MappingStrategy):
 
     name = "S1"
 
-    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
+    def decide_batch(self, kernel, batch):
         prim = (
             Primitive.SPDMM
             if kernel.ktype is KernelType.AGGREGATE
             else Primitive.GEMM
         )
-        return _constant_batch(prim, len(alpha_x))
+        return _constant_batch(prim, len(batch))
 
 
 class Static2(MappingStrategy):
@@ -116,36 +109,27 @@ class Static2(MappingStrategy):
 
     name = "S2"
 
-    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
-        return _constant_batch(Primitive.SPDMM, len(alpha_x))
+    def decide_batch(self, kernel, batch):
+        return _constant_batch(Primitive.SPDMM, len(batch))
 
 
-class OracleMapping(MappingStrategy):
-    """Model-argmin mapping without the empty-partition skip."""
+class OracleMapping(DynamicMapping):
+    """The same argmin without the empty-partition skip."""
 
     name = "Oracle"
-    charges_analysis = True
-
-    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
-        ax = np.asarray(alpha_x, dtype=np.float64)
-        ay = np.asarray(alpha_y, dtype=np.float64)
-        codes = argmin_primitive_batch(m, n, d, ax, ay, self.config)
-        transposed = (codes == SPDMM_CODE) & (ay < ax)
-        return codes, transposed
+    skips_empty = False
 
 
 class FixedMapping(MappingStrategy):
     """Force one primitive for every pair (ablation baseline)."""
-
-    charges_analysis = False
 
     def __init__(self, config: AcceleratorConfig, primitive: Primitive) -> None:
         super().__init__(config)
         self.primitive = primitive
         self.name = f"Fixed-{primitive.value}"
 
-    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
-        return _constant_batch(self.primitive, len(alpha_x))
+    def decide_batch(self, kernel, batch):
+        return _constant_batch(self.primitive, len(batch))
 
 
 STRATEGIES = {

@@ -8,10 +8,11 @@ dominant simulator cost on large graphs.  :func:`execute_kernel_tasks`
 runs the same semantics as four batched passes over the whole kernel:
 
 1. **Decide + account** — one ``strategy.decide_batch`` call over every
-   (task, pair) of the kernel, followed by batched byte/nnz/density
-   arithmetic, the SPMM->SpDMM capacity degrade, skip masking, the
-   dispatched-task concurrency count, and per-pair compute/transform
-   cycle arrays via the batched unit formulas in :mod:`repro.hw`.
+   (task, pair) of the kernel (one ``PairBatch``), followed by batched
+   byte/nnz arithmetic, the SPMM->SpDMM capacity degrade (a fixed
+   mapping's), skip masking, the dispatched-task concurrency count, and
+   per-pair compute/transform cycle arrays via the batched unit formulas
+   in :mod:`repro.hw`.
 2. **Functional** — per executed task (original order, preserving the
    float32 accumulation order and assembly write order bit for bit), one
    native call per operand pair.  A CSR X block (a slice of the
@@ -72,6 +73,7 @@ from repro.hw.report import (
 from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.ir.scheme import TaskBatch
 from repro.obs.tracer import NULL_TRACER
+from repro.runtime.perf_model import PairBatch
 from repro.runtime.stats import TaskLoopStats
 
 try:  # SciPy's private C kernels, called without the per-call dispatch
@@ -264,35 +266,24 @@ def execute_kernel_tasks(
             stats, kernel, acc, timeline, events_before, tracer, track
         )
 
-    rows = tasks.rows
-    cols = tasks.cols
-    js = tasks.js
-    counts = tasks.counts
-    p_count = tasks.num_pairs
-    tix = np.repeat(np.arange(t_count, dtype=np.int64), counts)
-
-    x_rs = xv.row_block_sizes
-    x_cs = xv.col_block_sizes
-    y_cs = yv.col_block_sizes
-    m_t = x_rs[rows].astype(np.int64)
-    d_t = y_cs[cols].astype(np.int64)
-
-    i_p = rows[tix]
-    k_p = cols[tix]
-    m_p = m_t[tix]
-    d_p = d_t[tix]
-    n_p = x_cs[js].astype(np.int64)
-    ax = xv.density_grid[i_p, js]
-    ay = yv.density_grid[js, k_p]
-    x_nnz_p = xv.nnz_grid[i_p, js].astype(np.int64)
-    y_nnz_p = yv.nnz_grid[js, k_p].astype(np.int64)
+    rows, cols = tasks.rows, tasks.cols
+    m_t, d_t = xv.row_block_sizes[rows], yv.col_block_sizes[cols]
+    batch = PairBatch.of_tasks(
+        xv, yv, tasks, x_stored_sparse, y_stored_sparse,
+        seeded=acc_view is not None,
+    )
+    p_count = len(batch)
+    tix, js = batch.task, tasks.js
+    m_p, n_p, d_p = batch.m, batch.n, batch.d
+    x_nnz_p, y_nnz_p = batch.x_nnz, batch.y_nnz
 
     # ---- phase 1: one whole-kernel Analyzer pass + cycle accounting ----
-    codes, transp = strategy.decide_batch(kernel, ax, ay, m_p, n_p, d_p)
+    codes, transp, stats.modelled = strategy.decide_batch(kernel, batch)
     codes = np.array(codes, copy=True)
-    transp = np.asarray(transp, dtype=bool)
+    transp = np.array(transp, dtype=bool)
 
-    # SPMM capacity degrade (Y must be COO-resident; see reference loop)
+    # SPMM capacity degrade (Y must be COO-resident; see reference loop):
+    # a fixed mapping's, the Analyzer weighs no candidate that does not fit
     words_u = acc.cores[0].buffers.buffer_u.words
     degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > words_u)
     if degrade.any():
@@ -314,8 +305,8 @@ def execute_kernel_tasks(
     if over.size:
         p = int(over[0])
         raise BufferOverflowError(
-            f"kernel {kernel.kernel_id}: pair X[{i_p[p]},{js[p]}] @ "
-            f"Y[{js[p]},{k_p[p]}] needs {need_p[p]} words, "
+            f"kernel {kernel.kernel_id}: pair X[{rows[tix[p]]},{js[p]}] @ "
+            f"Y[{js[p]},{cols[tix[p]]}] needs {need_p[p]} words, "
             f"BufferU holds {words_u}"
         )
 
@@ -385,7 +376,8 @@ def execute_kernel_tasks(
     # output column revisits y(j, k); every output row revisits x(i, j))
     # — memoising them drops ~1/3 of the per-pair Python overhead.  The
     # flattened copy of y is what csr_matvecs consumes; caching it too
-    # avoids re-ravelling non-contiguous views pair after pair.
+    # avoids re-ravelling non-contiguous views pair after pair, and its
+    # per-row nonzero counts are what every SPMM pair on it reads.
     x_dense_cache: dict = {}
     y_dense_cache: dict = {}
     #: reusable accumulation target of csr_matvecs — refilled with zeros
@@ -407,7 +399,7 @@ def execute_kernel_tasks(
     if native and y_sparse:
         #: BufferU's analogue: one y_blocking partition, refilled per
         #: pair, so no dense copy of a sparse operand outlives its pair
-        s2d = np.empty(int(x_cs.max(initial=0) * y_cs.max(initial=0)), DTYPE)
+        s2d = np.empty(int(elems_y.max(initial=0)), DTYPE)
         # a z seeded from acc_view may hold -0.0, where adding only the
         # product's stored cells is not adding the dense product
         if acc_view is None:
@@ -443,17 +435,17 @@ def execute_kernel_tasks(
                     x_dense_cache[(i, j)] = xblk
             if y_sparse:
                 yblk = yv.csr_blocks_for_row(j)[k]
-                y_flat = None
+                y_flat = y_rows = None
             else:
                 cached = y_dense_cache.get((j, k))
                 if cached is None:
                     yblk = yv.block(j, k)
-                    y_flat = yblk.ravel()
-                    y_dense_cache[(j, k)] = (yblk, y_flat)
-                else:
-                    yblk, y_flat = cached
+                    cached = y_dense_cache[(j, k)] = [yblk, yblk.ravel(), None]
+                yblk, y_flat, y_rows = cached
             if codes[p] == SPMM_CODE:
-                cyc, mc = spmm_compute_cycles(xblk, yblk, cfg, zero_free)
+                if y_flat is not None and y_rows is None:
+                    y_rows = cached[2] = np.count_nonzero(yblk, axis=1)
+                cyc, mc = spmm_compute_cycles(xblk, yblk, cfg, zero_free, y_rows)
                 comp_p[p] = cyc
                 macs_p[p] = mc
             flipped = bool(transp[p])

@@ -77,6 +77,8 @@ class ShardKernelStats:
     shard_seconds: np.ndarray
     #: the layer barrier: max over shards of ``shard_seconds``
     barrier_s: float
+    #: per-shard ``KernelStats.modelled_cycles``: what the Analyzer weighed
+    shard_modelled_cycles: list = field(default_factory=list)
 
 
 @dataclass(kw_only=True)
@@ -221,6 +223,7 @@ class ShardedResult(RunResult):
                     "halo_exposed_ms": float(ks.shard_exposed_halo_s.max()) * 1e3,
                     "shard_ms": [float(s) * 1e3 for s in ks.shard_seconds],
                     "shard_tasks": [int(t) for t in ks.shard_tasks],
+                    "shard_modelled_cycles": ks.shard_modelled_cycles,
                 }
                 for ks in self.kernel_stats
             ],
@@ -356,6 +359,7 @@ class ShardedRuntime:
                         ktype=kernel.ktype.name,
                         tasks=int(tasks_n[s]),
                         pairs=int(pairs_n[s]),
+                        **lane_stats[s].modelled_cycles,
                     )
                     if barrier_s - seconds[s] > 0.0:
                         self.tracer.span(
@@ -393,6 +397,7 @@ class ShardedRuntime:
                     shard_pairs=pairs_n,
                     shard_seconds=seconds,
                     barrier_s=barrier_s,
+                    shard_modelled_cycles=[ks.modelled_cycles for ks in lane_stats],
                 )
             )
 

@@ -458,7 +458,8 @@ _TRACE_ANALYZE = {
     }],
 }
 _DATA_KEYED = {"primitives", "by_category", "aggregate_by_cat",
-               "class_breakdown", "device_seconds", "device_pairs"}
+               "class_breakdown", "device_seconds", "device_pairs",
+               "modelled_cycles"}
 _HISTOGRAM = {"count", "max", "mean", "min", "p50", "p95", "p99", "sum"}
 
 
@@ -488,9 +489,12 @@ _SERVE_ARGV = ["serve-bench", "--requests", "12", "--pool", "2", "--models",
                "GCN", "--datasets", "CO", "--scale", "0.15", "--json"]
 #: cell -> (argv, shape at 4f21418, keys added since: every run result
 #: now names its backend, and the hetero payload carries what it dropped)
+#: per kernel, what the Analyzer weighed: chosen and each candidate
+_MODELLED = {"modelled_cycles": {"*": "float"}}
+
 JSON_CELLS = {
     "run": (["run", "--dataset", "CO", "--scale", "0.2", "--json"],
-            {**_INFERENCE, "backend": "str"}, {}),
+            {**_INFERENCE, "backend": "str"}, {"kernels": [_MODELLED]}),
     "run_cpu": (["run", "--dataset", "CO", "--scale", "0.2",
                  "--backend", "cpu", "--json"],
                 {**_typed("str", "backend dataset framework model"),
@@ -507,9 +511,11 @@ JSON_CELLS = {
                      "--json"],
                     {"single_device": _INFERENCE, "sweeps": [_SHARDED],
                      "mismatched_shard_counts": []},
-                    {"single_device": {"backend": "str"},
+                    {"single_device": {"backend": "str", "kernels": [_MODELLED]},
                      "sweeps": [{"backend": "str", "kernels": [
-                         {"halo_exposed_ms": "float"}]}]}),
+                         {"halo_exposed_ms": "float",
+                          "shard_modelled_cycles": [_typed(
+                              "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]}]}),
     "serve_bench_legacy": (_SERVE_ARGV, _serving(), {}),
     "serve_bench_continuous": (
         _SERVE_ARGV + ["--scheduler", "continuous"], _serving(_IN_FLIGHT), {}

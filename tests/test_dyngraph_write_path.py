@@ -10,21 +10,25 @@ are held to their literal formulas on a mutated graph.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import formula_adjacency, make_tiny_config
+from k2p_oracle import decide
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.compile import Compiler
 from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph, ProgramPatcher
+from repro.dyngraph.patcher import PatchPolicy
 from repro.dyngraph.mutable import _csr_find, _rebuild_csr
 from repro.formats.dense import DTYPE
 from repro.gnn import build_adjacency_variants, build_model, init_weights
 from repro.gnn.adjacency import _scaled_like
-from repro.runtime.analyzer import Analyzer, PairInfo
+from repro.runtime.perf_model import PairBatch
 
 
 # -- the replaced statements ------------------------------------------------
@@ -62,8 +66,7 @@ def scaled_like_with_row_ids(source, scale_left, scale_right):
     )
 
 
-def reanalyze_pair_by_pair(program, kernels, views, dirty_by_view):
-    analyzer = Analyzer(program.config)
+def reanalyze_pair_by_pair(program, kernels, views, profiles, dirty_by_view):
     reanalyzed = flips = 0
     for kernel in kernels:
         scheme = kernel.exec_scheme
@@ -76,17 +79,25 @@ def reanalyze_pair_by_pair(program, kernels, views, dirty_by_view):
         y_view = views.get((kernel.y_name, *scheme.y_blocking))
         if y_view is None:
             continue
+
+        def primitive(x_view, i, j, k):
+            m, n = x_view.block_shape(i, j)
+            codes, _ = decide(PairBatch(
+                m=np.array([m]), n=np.array([n]),
+                d=np.array([y_view.block_shape(j, k)[1]]),
+                x_nnz=np.array([x_view.block_nnz(i, j)]),
+                y_nnz=np.array([y_view.block_nnz(j, k)]),
+                x_stored_sparse=profiles[kernel.x_name].stored_sparse,
+                y_stored_sparse=profiles[kernel.y_name].stored_sparse,
+                task=np.zeros(1, dtype=np.int64),
+                num_tasks=scheme.num_tasks, seeded=True,
+            ), program.config)
+            return codes[0]
+
         for i, j in dirty:
-            ax_old = float(old_x.density_grid[i, j])
-            ax_new = float(new_x.density_grid[i, j])
-            m, n = new_x.block_shape(i, j)
             for k in range(y_view.num_col_blocks):
-                ay = float(y_view.density_grid[j, k])
-                old_p = analyzer.decide(PairInfo(ax_old, ay, m, n, n)).primitive
-                new_p = analyzer.decide(PairInfo(ax_new, ay, m, n, n)).primitive
                 reanalyzed += 1
-                if old_p is not new_p:
-                    flips += 1
+                flips += primitive(old_x, i, j, k) != primitive(new_x, i, j, k)
     return reanalyzed, flips
 
 
@@ -238,9 +249,10 @@ class TestPatchedVariants:
 # -- the patcher's re-decision count ----------------------------------------------
 def test_reanalyze_counts_equal_the_pair_by_pair_loop(monkeypatch):
     """``reanalyzed_pairs`` / ``decision_flips`` from one ``decide_batch``
-    over the dirty blocks equal Algorithm 7 called twice per dirty block
-    x k, against the compiler's census of the right operand (GIN
-    aggregates first, so its right operand is the stored ``H0``)."""
+    over the dirty blocks equal the Analyzer's rule, one pair at a time in
+    plain Python, applied twice per dirty block x k, against the
+    compiler's census of the right operand (GIN aggregates first, so its
+    right operand is the stored ``H0``)."""
     data = load_dataset("CO", seed=2)
     model = build_model("GIN", data.num_features, data.hidden_dim, data.num_classes)
     program = Compiler(make_tiny_config()).compile(
@@ -253,9 +265,9 @@ def test_reanalyze_counts_equal_the_pair_by_pair_loop(monkeypatch):
     seen = []
     batch = ProgramPatcher._reanalyze
 
-    def both(self, program, kernels, views, dirty_by_view):
-        got = batch(self, program, kernels, views, dirty_by_view)
-        seen.append((got, reanalyze_pair_by_pair(program, kernels, views, dirty_by_view)))
+    def both(self, *args):
+        got = batch(self, *args)
+        seen.append((got, reanalyze_pair_by_pair(*args)))
         return got
 
     monkeypatch.setattr(ProgramPatcher, "_reanalyze", both)
@@ -264,3 +276,32 @@ def test_reanalyze_counts_equal_the_pair_by_pair_loop(monkeypatch):
     ((got, want),) = seen
     assert got == want
     assert got[0] > 0 and got[1] > 0
+
+
+def test_reanalyze_when_the_last_dirty_block_was_emptied():
+    """More dirty pairs than the kernel has tasks, the trailing ones dead:
+    with every off-diagonal edge of the last block row deleted the last
+    dirty block is empty, so the highest-numbered pairs are skipped; the
+    count still equals the pair-by-pair loop, and the report is a plain
+    picklable record."""
+    data = load_dataset("CO", seed=2)
+    model = build_model("GIN", data.num_features, data.hidden_dim, data.num_classes)
+    program = Compiler(make_tiny_config()).compile(
+        model, data, init_weights(model, seed=0))
+    key, a_view = next(kv for kv in program._views.items() if kv[0][0] == "A_gin")
+    graph = MutableGraph(data)
+    a = graph.snapshot().a.tocoo()
+    last = a_view.num_row_blocks - 1
+    gone = (a.row // a_view.block_rows == last) & (a.col // a_view.block_cols != last)
+    applied = graph.apply(GraphDelta(delete_rows=a.row[gone], delete_cols=a.col[gone]))
+    patched, report = ProgramPatcher(PatchPolicy(max_edge_fraction=1.0)).patch(
+        program, graph.snapshot(), applied)
+    dirty = np.argwhere(patched._views[key].nnz_grid != a_view.nnz_grid)
+    assert patched._views[key].nnz_grid[tuple(dirty[-1])] == 0
+    kernels = patched.graph.topo_order()
+    assert 2 * len(dirty) > min(
+        k.exec_scheme.num_tasks for k in kernels if k.x_name == "A_gin")
+    assert report.patched
+    assert (report.reanalyzed_pairs, report.decision_flips) == reanalyze_pair_by_pair(
+        program, kernels, patched._views, patched.profiles, {key: dirty})
+    assert pickle.loads(pickle.dumps(report)) == report

@@ -21,7 +21,6 @@ def spec_from(mat, stored_sparse=False):
         data=mat,
         nbytes=12 * nnz if stored_sparse else 4 * dense.size,
         nnz=nnz,
-        density=nnz / dense.size if dense.size else 0.0,
         stored_sparse=stored_sparse,
         shape=dense.shape,
     )

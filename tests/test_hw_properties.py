@@ -6,10 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_tiny_config
 from repro.hw.gemm_unit import gemm_compute_cycles, run_gemm
-from repro.hw.report import Primitive
 from repro.hw.spdmm_unit import run_spdmm, run_spdmm_faithful, spdmm_compute_cycles
 from repro.hw.spmm_unit import run_spmm, run_spmm_faithful
-from repro.runtime.perf_model import model_cycles
+from repro.runtime.perf_model import model_cycles_batch
 
 CFG = make_tiny_config()
 
@@ -76,14 +75,12 @@ class TestCycleInvariants:
     @settings(max_examples=60, deadline=None)
     def test_model_monotone_in_density(self, m, n, d, ax, ay):
         """Table IV: more density never makes a sparse mode cheaper."""
-        bump = min(1.0, ax + 0.1)
-        assert model_cycles(Primitive.SPDMM, m, n, d, bump, ay, CFG) >= \
-            model_cycles(Primitive.SPDMM, m, n, d, ax, ay, CFG)
-        assert model_cycles(Primitive.SPMM, m, n, d, bump, ay, CFG) >= \
-            model_cycles(Primitive.SPMM, m, n, d, ax, ay, CFG)
+        gemm, spdmm, spmm = model_cycles_batch(
+            m, n, d, np.array([ax, min(1.0, ax + 0.1)]), ay, CFG)
+        assert spdmm[1] >= spdmm[0]
+        assert spmm[1] >= spmm[0]
         # GEMM is density-independent
-        assert model_cycles(Primitive.GEMM, m, n, d, bump, ay, CFG) == \
-            model_cycles(Primitive.GEMM, m, n, d, ax, ay, CFG)
+        assert gemm[1] == gemm[0]
 
     @given(st.integers(1, 50), st.integers(1, 50), st.integers(1, 50))
     @settings(max_examples=60, deadline=None)

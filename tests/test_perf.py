@@ -2,6 +2,7 @@
 regression detection, the bench/perf-diff CLIs, and bit-exactness of the
 two vectorised hot paths the subsystem's profiler surfaced."""
 
+import dataclasses
 import json
 import textwrap
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from k2p_oracle import batch_of, decide as scalar_decide, ideal_hardware
 from repro import u250_default
 from repro.__main__ import main
 from repro.formats.partition import block_nnz_grid, block_nnz_grid_reference
@@ -29,15 +31,7 @@ from repro.perf import (
     select,
 )
 from repro.perf import spec as spec_mod
-from repro.runtime.analyzer import Analyzer, PairInfo
-from repro.runtime.perf_model import (
-    argmin_primitive,
-    argmin_primitive_batch,
-    model_cycles,
-    model_cycles_batch,
-    region_primitive,
-    region_primitive_batch,
-)
+from repro.runtime.perf_model import model_cycles_batch, region_primitive_batch
 from repro.runtime.strategies import (
     DynamicMapping,
     FixedMapping,
@@ -565,10 +559,11 @@ class TestVectorizedHotPaths:
 
     # Algorithm 7 at its boundaries on the U250 (psys = 16, so the SpDMM
     # threshold 2/psys is 0.125): (alpha_x, alpha_y) -> (primitive,
-    # transposed), the expected answer written out.  The scalar forms are
-    # the batch of one, so agreement between them proves nothing; both are
-    # held to this table instead.
-    BELOW = float(np.nextafter(0.125, 0.0))
+    # transposed), the expected answer written out.  The Analyzer reads
+    # the census, so "just under" is one nonzero under: of a 512 x 512 X
+    # block, of a 512 x 128 Y block.
+    BELOW_X = 0.125 - 1 / (512 * 512)
+    BELOW_Y = 0.125 - 1 / (512 * 128)
     ALGORITHM_7 = [
         ((0.0, 1.0), (Primitive.SKIP, False)),     # alpha = 0: skip...
         ((0.7, 0.0), (Primitive.SKIP, False)),     # ...whichever side it is on
@@ -583,62 +578,61 @@ class TestVectorizedHotPaths:
         ((0.01, 0.125), (Primitive.SPDMM, False)),  # alpha_max = 2/psys: SpDMM
         ((0.125, 0.01), (Primitive.SPDMM, True)),
         ((0.125, 0.125), (Primitive.SPDMM, False)),
-        ((0.01, BELOW), (Primitive.SPMM, False)),   # one ulp under: SPMM
-        ((BELOW, 0.01), (Primitive.SPMM, False)),   # SPMM is never transposed
+        ((0.01, BELOW_Y), (Primitive.SPMM, False)),  # one nonzero under: SPMM
+        ((BELOW_X, 0.01), (Primitive.SPMM, False)),  # SPMM is never transposed
         ((1.0, 1.0), (Primitive.GEMM, False)),
     ]
 
     def test_analyzer_decide_batch_matches_scalar(self):
-        analyzer = Analyzer(CFG)
+        """Algorithm 7's table holds where its premises do (no AHM pass,
+        unbounded bandwidth, a fully occupied array: ``ideal_hardware``);
+        on the hardware as modelled the batch equals the scalar loop."""
+        analyzer = DynamicMapping(dataclasses.replace(
+            CFG, memory=dataclasses.replace(CFG.memory, bandwidth_gbps=float("inf"))))
         pairs = [pair for pair, _ in self.ALGORITHM_7]
-        codes, transposed = analyzer.decide_batch(*map(np.array, zip(*pairs)))
+        densities = tuple(map(np.array, zip(*pairs)))
+        with ideal_hardware():
+            codes, transposed, _ = analyzer.decide_batch(
+                None, batch_of(*densities, m=512, n=512, d=128))
         for i, ((ax, ay), (primitive, flag)) in enumerate(self.ALGORITHM_7):
             assert (CODE_ORDER[codes[i]], bool(transposed[i])) == \
                 (primitive, flag), (ax, ay)
-            dec = analyzer.decide(PairInfo(ax, ay, 512, 512, 128))
-            assert (dec.primitive, dec.transposed) == (primitive, flag), (ax, ay)
+        batch = batch_of(*densities, m=512, n=512, d=128)
+        codes, transposed, _ = DynamicMapping(CFG).decide_batch(None, batch)
+        ref_codes, ref_transposed = scalar_decide(batch, CFG)
+        assert codes.tolist() == ref_codes.tolist()
+        assert transposed.tolist() == ref_transposed.tolist()
 
     @pytest.mark.parametrize("strategy", [
         DynamicMapping(CFG), Static1(CFG), Static2(CFG), OracleMapping(CFG),
         FixedMapping(CFG, Primitive.GEMM),
     ], ids=lambda s: type(s).__name__)
     def test_strategy_decide_batch_matches_scalar(self, strategy):
+        """One call over a density grid equals the per-pair loop: the
+        Analyzer's rule in plain Python, a constant for a fixed mapping."""
         from repro.ir.kernel import KernelIR, KernelType
 
         kernel = KernelIR(kernel_id="k1", layer_id=1,
                           ktype=KernelType.AGGREGATE, input_dim=128,
                           output_dim=128, num_vertices=512, num_edges=2048)
         ax, ay = _density_grid(101)
-        n_arr = np.full(len(ax), 512, dtype=np.int64)
-        codes, transposed = strategy.decide_batch(kernel, ax, ay, 512,
-                                                  n_arr, 128)
-        for i in range(len(ax)):
-            dec = strategy.decide(kernel, PairInfo(float(ax[i]), float(ay[i]),
-                                                   512, 512, 128))
-            assert codes[i] == PRIMITIVE_CODES[dec.primitive], (ax[i], ay[i])
-            assert bool(transposed[i]) == dec.transposed
+        batch = batch_of(ax, ay, m=512, n=512, d=128, x_sparse=True, y_sparse=False)
+        codes, transposed, modelled = strategy.decide_batch(kernel, batch)
+        if isinstance(strategy, DynamicMapping):
+            want = scalar_decide(batch, CFG, skip=strategy.skips_empty)
+            assert modelled["chosen"] <= min(
+                v for k, v in modelled.items() if k != "chosen" and v is not None)
+        else:
+            fixed = {"S1": Primitive.SPDMM, "S2": Primitive.SPDMM}.get(
+                strategy.name, Primitive.GEMM)
+            want = ([PRIMITIVE_CODES[fixed]] * len(batch), [False] * len(batch))
+            assert modelled is None
+        assert codes.tolist() == list(want[0])
+        assert transposed.tolist() == list(want[1])
 
-    def test_base_class_decide_is_the_batch_of_one(self):
-        class OnlyBatch(MappingStrategy):
-            name = "only-batch"
-
-            def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
-                codes = np.where(np.asarray(alpha_x) >= 0.5,
-                                 PRIMITIVE_CODES[Primitive.GEMM],
-                                 PRIMITIVE_CODES[Primitive.SPDMM])
-                return codes.astype(np.int8), np.asarray(alpha_y) < alpha_x
-
-        strategy = OnlyBatch(CFG)
-        for ax, ay in zip(*_density_grid(31)):
-            dec = strategy.decide(None, PairInfo(float(ax), float(ay),
-                                                 512, 512, 128))
-            assert dec.primitive is (Primitive.GEMM if ax >= 0.5
-                                     else Primitive.SPDMM)
-            assert dec.transposed == bool(ay < ax)
-        # a strategy that only defines the scalar form cannot exist
+    def test_a_strategy_must_define_decide_batch(self):
         with pytest.raises(TypeError, match="decide_batch"):
-            type("OnlyScalar", (MappingStrategy,),
-                 {"decide": lambda self, kernel, info: None})(CFG)
+            type("NoBatch", (MappingStrategy,), {})(CFG)
 
     def test_model_cycles_batch_bit_exact(self):
         # Table IV on a 512 x 512 x 128 pair: volume 2**25, psys**2 = 256.
@@ -652,13 +646,8 @@ class TestVectorizedHotPaths:
         ]
         pairs = [pair for pair, _ in table]
         batch = model_cycles_batch(512, 512, 128, *map(np.array, zip(*pairs)), CFG)
-        prims = (Primitive.GEMM, Primitive.SPDMM, Primitive.SPMM)
         for k, ((ax, ay), expected) in enumerate(table):
             assert tuple(batch[:, k]) == expected, (ax, ay)
-            assert tuple(
-                model_cycles(p, 512, 512, 128, ax, ay, CFG) for p in prims
-            ) == expected, (ax, ay)
-        assert model_cycles(Primitive.SKIP, 512, 512, 128, 0.0, 1.0, CFG) == 0.0
 
     def test_argmin_and_region_batch_bit_exact(self):
         # Table IV's tie-breaks, and where the closed-form regions and the
@@ -676,12 +665,11 @@ class TestVectorizedHotPaths:
         ]
         pairs = [pair for pair, _ in table]
         ax, ay = map(np.array, zip(*pairs))
-        argmin = argmin_primitive_batch(512, 512, 128, ax, ay, CFG)
+        # argmin returns the first primitive (in region order) at the minimum
+        argmin = np.argmin(model_cycles_batch(512, 512, 128, ax, ay, CFG), axis=0)
         region = region_primitive_batch(ax, ay, CFG)
         for k, ((x, y), expected) in enumerate(table):
             assert (CODE_ORDER[argmin[k]], CODE_ORDER[region[k]]) == expected, (x, y)
-            assert (argmin_primitive(512, 512, 128, x, y, CFG),
-                    region_primitive(x, y, CFG)) == expected, (x, y)
 
     def test_batch_density_validation(self):
         with pytest.raises(ValueError, match="densities"):

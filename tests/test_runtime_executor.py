@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compiler import Compiler
+from repro.config import u250_default
 from repro.gnn import build_model, init_weights, reference_inference
 from repro.hw import Accelerator
 from repro.hw.report import Primitive
@@ -18,6 +19,14 @@ def gcn_setup(tiny_dataset, tiny_config):
     weights = init_weights(model, seed=5)
     program = Compiler(tiny_config).compile(model, data, weights)
     return data, model, weights, program
+
+
+@pytest.fixture(scope="module")
+def u250_program(gcn_setup):
+    """The same model on the configuration the soft processor's
+    instruction counts are calibrated for."""
+    data, model, weights, _ = gcn_setup
+    return Compiler(u250_default()).compile(model, data, weights)
 
 
 class TestExecutorCorrectness:
@@ -68,10 +77,10 @@ class TestExecutorAccounting:
         assert s1.runtime_overhead_seconds == 0.0
         assert s1.exposed_overhead_cycles == 0.0
 
-    def test_overhead_fraction_small(self, gcn_setup):
-        _, _, _, program = gcn_setup
-        result = run_strategy(program, "Dynamic")
-        assert 0.0 < result.overhead_fraction < 0.5
+    def test_overhead_fraction_small(self, gcn_setup, u250_program):
+        for program in (gcn_setup[3], u250_program):
+            result = run_strategy(program, "Dynamic")
+            assert 0.0 < result.overhead_fraction < 0.5
 
     def test_dynamic_skips_empty_pairs(self, gcn_setup):
         _, _, _, program = gcn_setup
@@ -120,15 +129,16 @@ class TestExecutorAccounting:
 class TestExecutorPaperShapes:
     """Headline behavioural claims on the tiny integration dataset."""
 
-    def test_dynamic_beats_or_ties_static(self, gcn_setup):
-        _, _, _, program = gcn_setup
-        dyn = run_strategy(program, "Dynamic")
-        s1 = run_strategy(program, "S1")
-        s2 = run_strategy(program, "S2")
-        # 5% tolerance: the Analyzer decides on the idealised Table IV
-        # model while the simulator charges exact (ceil'd) cycles
-        assert dyn.total_cycles <= s1.total_cycles * 1.05
-        assert dyn.total_cycles <= s2.total_cycles * 1.05
+    def test_dynamic_beats_or_ties_static(self, gcn_setup, u250_program):
+        for program in (gcn_setup[3], u250_program):
+            dyn = run_strategy(program, "Dynamic")
+            s1 = run_strategy(program, "S1")
+            s2 = run_strategy(program, "S2")
+            # 5% tolerance: the Analyzer weighs Table IV's SpDMM / SPMM
+            # while the simulator charges exact (ceil'd, per-pipeline)
+            # cycles, and Dynamic alone pays its exposed analysis
+            assert dyn.total_cycles <= s1.total_cycles * 1.05
+            assert dyn.total_cycles <= s2.total_cycles * 1.05
 
     def test_all_models_execute_correctly(self, tiny_dataset, tiny_config):
         data = tiny_dataset

@@ -120,30 +120,32 @@ EXECUTION_CELLS = [
 
 #: sha256 over the seven numbers the scheduler reads off an execution
 #: (``float.hex``), as ``_RunMemo`` held them at 20ed90e (``x2`` rows:
-#: as the overlapped sharded schedule first produced them)
+#: as the overlapped sharded schedule first produced them; ``Dynamic``
+#: rows: as the Analyzer's ``max(compute, load + transform)`` rule first
+#: produced them, the ``S1`` rows beside them untouched)
 EXECUTION_DIGESTS = {
     "GCN/x1/Dynamic":
-        "2c5cd87016ba4b48b8a736dcb4032609944ef82c7acd618a4c0dbdf8f1674682",
+        "2aa029d02d9dc03ce9718636f8522e765eb9f6eee4766b26792847d4e254ccd0",
     "GCN/x1/S1":
         "30d283235a308a5f6bf3230a252371f7a04e153502cbbc3251853f6d6eed6d5a",
     "GCN/x2/Dynamic":
-        "bf5b71f8fe7ff5454e2c9a0d3a8a58aabbab5043fd1e4a1fd49424d31ebf8ae5",
+        "7523044de679cb6547d11ad25ff630fd972f1a3d8c0e9537807ccf52d224a57b",
     "GCN/x2/S1":
         "9f4a53e1c7423e36ef1b23053a211a3913a9049e13b264563c446ac7c82eb433",
     "GraphSAGE/x1/Dynamic":
-        "6d578aae1876e7d4d3499f614903e50cfd20893d71c9b1ca1b4e920661e9e9f7",
+        "9f55de40a1b8adac63932bf652872b96168e72b89c531c6c38ef11e709e3c68c",
     "GraphSAGE/x1/S1":
         "48a3109436c8f32e2c4c9df82fda985d8ff58db970838feacb217873ff8b6637",
     "GraphSAGE/x2/Dynamic":
-        "5bf4f6efa1f1a6582057cfbf5b198b886620a29d7175145f3e12a8687fa58438",
+        "b9afecd72a5f3005b70fcc55d67f51dc16d0410bb0eb17b5005c18676556972f",
     "GraphSAGE/x2/S1":
         "388ce2b686d5a1a849a9b139f0759e1d8e563907b4105723c3731338a35b1815",
     "GIN/x1/Dynamic":
-        "b81348f1d59e50e50b969f514bc2429f929596055004995f3ef88ab00ebf7842",
+        "3ffb430a72b84b4feb280d1c22ef4879d882b04b1834bbeba0f5d902d55352eb",
     "GIN/x1/S1":
         "d7d014fcc33e8122fdf1d3c8f8eac65769f76db021d7ae090b265dd6f0c04db9",
     "GIN/x2/Dynamic":
-        "e1e8089f5e3278906d731748bbabe4c0df587763aaf14ee848c43184ab7c4616",
+        "a947269e9970bec696a00872c5236772658b8905d354a8516283bcf2e7ba1bd6",
     "GIN/x2/S1":
         "993d029fb38034d2070d2d32c89e84cc8b0184cc7e81b9e0a60ba69b204427bb",
     "SGC/x1/Dynamic":
@@ -277,9 +279,9 @@ def json_cell_payload(scheduler: str) -> dict:
 
 JSON_CELL_DIGESTS = {
     "legacy":
-        "055af5698c2521842126de945296ef0b2007c8db900b387c7bc354c9e8f9dadf",
+        "7cc5846ea3fbbcaff9b3da33e6796797a4194576c5c9eeb516e18230b97659b1",
     "continuous":
-        "9e72559a2574fcb1f9f3436ba65ce46904d2963198bcedbee3dccfd08ff27193",
+        "df987e6bc92575912d4636872a933fbc7b190e5a89e3216f207553881218cc52",
 }
 
 

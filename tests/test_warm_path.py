@@ -286,9 +286,10 @@ class OrientedSpDMM(MappingStrategy):
 
     name = "oriented"
 
-    def decide_batch(self, kernel, alpha_x, alpha_y, m, n, d):
-        codes = np.full(len(alpha_x), SPDMM_CODE, dtype=np.int8)
-        return codes, np.asarray(alpha_y) < np.asarray(alpha_x)
+    def decide_batch(self, kernel, batch):
+        codes = np.full(len(batch), SPDMM_CODE, dtype=np.int8)
+        sparser_y = batch.y_nnz * batch.m < batch.x_nnz * batch.d
+        return codes, sparser_y, None
 
 
 @pytest.fixture()
@@ -572,11 +573,19 @@ class TestSpmmWorkloads:
     @given(operand_pairs(), st.sampled_from([1, 2, 4, 16]))
     def test_matches_algorithm_6(self, pair, psys):
         x, y = pair  # rows < psys, rows % psys != 0, zero rows, stored zeros
-        loads, macs = spmm_workloads(x, y, psys)
         expected = faithful_loads(x, y, psys)
-        assert loads.dtype == np.int64 and loads.shape == (psys,)
-        np.testing.assert_array_equal(loads, expected)
-        assert macs == int(expected.sum())
+        # either operand CSR or held dense (counted as it lies), and Y's
+        # row counts handed over by a caller that already holds them
+        y_rows = np.count_nonzero(y.toarray(), axis=1)
+        for xx, yy, rows in (
+            (x, y, None), (x, y.toarray(), None), (x.toarray(), y, None),
+            (x.toarray(), y.toarray(), None), (x, None, y_rows),
+            (x.toarray(), None, y_rows),
+        ):
+            loads, macs = spmm_workloads(xx, yy, psys, y_rows=rows)
+            assert loads.dtype == np.int64 and loads.shape == (psys,)
+            np.testing.assert_array_equal(loads, expected)
+            assert macs == int(expected.sum())
 
     @settings(max_examples=100, deadline=None)
     @given(operand_pairs(), st.sampled_from([1, 4, 16]))
