@@ -16,10 +16,10 @@ Two implementations are provided:
   the simulator, with the same cycle accounting
   (``ceil(elements / n) + log2(n)`` pipeline latency).
 
-Because the units are streaming, conversions performed while data moves
-between DDR and the buffers are *overlapped* by double buffering
-(§V-B3); the executor therefore records their cycles separately from the
-critical path.
+The units stream beside the DDR transfers they convert, so a core bills
+their cycles on the load side of a task: with double buffering (§V-B3)
+a task takes ``max(compute, memory + transform)``, and a pass the compute
+cannot hide lengthens it (:mod:`repro.hw.core`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,9 @@ has already chosen a primitive (Algorithm 7); the core
 3. executes the mode (GEMM / SpDMM / SPMM) on the ALU array,
 4. accumulates into the Result Buffer (partials from "transposed" pairs
    land column-major and are merged by the Layout Merger on write-back),
-5. streams ``Z`` back to DDR through the Sparsity Profiler.
+5. streams ``Z`` back to DDR through the Sparsity Profiler, dense or, when
+   the profiled count makes that stream shorter, through D2S as COO
+   (:func:`writeback_stream`).
 
 With double buffering (§V-B3) the memory/transform streams overlap
 compute, so a task's latency is ``max(compute, memory + transform)``.
@@ -92,6 +94,8 @@ class TaskResult:
     latency: float
     primitive_counts: Counter
     output_nnz: int
+    #: whether ``z`` left the core as COO (see :func:`writeback_stream`)
+    coo_writeback: bool
 
 
 class ComputationCore:
@@ -234,7 +238,6 @@ class ComputationCore:
         pairs: Sequence[tuple[OperandSpec, OperandSpec, PairDecision]],
         out_shape: tuple[int, int],
         *,
-        write_sparse: bool = False,
         accumulate_init: Optional[np.ndarray] = None,
         activation: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> TaskResult:
@@ -273,15 +276,15 @@ class ComputationCore:
         if activation is not None:
             z = np.asarray(activation(z), dtype=DTYPE)
 
-        # write-back through the Sparsity Profiler (overlapped stream);
-        # very sparse results convert D2S on the fly and store as COO
+        # write-back through the Sparsity Profiler (overlapped stream); a
+        # result sparse enough that 12 B a nonzero plus the D2S pass beat
+        # 4 B an element converts on the fly and leaves as COO
         out_nnz = int(np.count_nonzero(z))
         report.profile += self.profiler.cycles_for(z.size)
-        if write_sparse:
-            out_bytes = 12 * out_nnz
-            report.transform += self.d2s.cycles_for(z.size)
-        else:
-            out_bytes = 4 * z.size
+        coo, d2s, out_bytes = (
+            int(v) for v in writeback_stream(self, z.size, out_nnz)
+        )
+        report.transform += d2s
         report.memory += self.memory.write_cycles(
             out_bytes, active_cores=self.active_cores
         )
@@ -297,6 +300,7 @@ class ComputationCore:
             latency=latency,
             primitive_counts=counts,
             output_nnz=out_nnz,
+            coo_writeback=bool(coo),
         )
 
     def reset(self) -> None:
@@ -377,29 +381,42 @@ def batch_pair_cycles(
     return compute, transform, macs
 
 
+def writeback_stream(core: "ComputationCore", sizes, out_nnz):
+    """How output partitions of ``sizes`` elements holding ``out_nnz``
+    nonzeros (the Sparsity Profiler's count) leave ``core``: ``(coo, d2s,
+    write_bytes)``, elementwise over ints or int64 arrays.
+
+    A partition leaves as COO, 12 B a nonzero after a D2S pass, when that
+    is shorter than the dense stream of 4 B an element: when the bytes COO
+    saves take longer over the core's DDR share ``b`` (bytes a cycle under
+    the kernel's concurrency) than the D2S pass takes; ties go dense.  For
+    a ``psys``-wide D2S that is density below ``(4/b - 1/psys) / (12/b)``,
+    and never once ``b >= 4 psys``.
+    """
+    bpc = core.memory.per_core_bytes_per_cycle(core.active_cores)
+    d2s = core.d2s.cycles_for(sizes)
+    coo = 4 * sizes - 12 * out_nnz > d2s * bpc
+    return coo, np.where(coo, d2s, 0), np.where(coo, 12 * out_nnz, 4 * sizes)
+
+
 def batch_task_writeback(
     core: "ComputationCore",
     sizes: np.ndarray,
     out_nnz: np.ndarray,
-    write_sparse: bool,
     merged: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched write-back accounting of :meth:`ComputationCore.execute_task`.
 
     ``sizes`` are output-partition element counts, ``out_nnz`` the exact
     nonzero counts, ``merged`` flags tasks whose partials needed the
-    Layout Merger.  Returns per-task ``(profile, transform, write_bytes)``
-    int64 arrays.
+    Layout Merger.  Returns per-task ``(profile, transform, write_bytes,
+    coo)``: int64 arrays and the COO write-back mask.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     out_nnz = np.asarray(out_nnz, dtype=np.int64)
     profile = core.profiler.cycles_for(sizes)
-    transform = np.where(
+    coo, d2s, write_bytes = writeback_stream(core, sizes, out_nnz)
+    transform = d2s + np.where(
         np.asarray(merged, dtype=bool), core.merger.cycles_for(sizes), 0
     )
-    if write_sparse:
-        write_bytes = 12 * out_nnz
-        transform = transform + core.d2s.cycles_for(sizes)
-    else:
-        write_bytes = 4 * sizes
-    return profile, transform, write_bytes
+    return profile, transform, write_bytes, coo

@@ -44,8 +44,9 @@ from repro.runtime.stats import KernelStats, mean_over_max, total_primitive_coun
 from repro.runtime.strategies import MappingStrategy, make_strategy
 from repro.runtime.vectorized import execute_kernel_tasks
 
-#: outputs larger than this (elements) are assembled sparsely — e.g. the
-#: 65k x 61k hop outputs of SGC on NELL never materialise densely
+#: outputs larger than this (elements) are held sparsely on the host — e.g.
+#: the 65k x 61k hop outputs of SGC on NELL never materialise densely; how
+#: the host holds a matrix decides no modelled quantity
 DENSE_ASSEMBLY_LIMIT = 50_000_000
 
 
@@ -234,7 +235,7 @@ class InferenceResult(RunResult):
             f"runtime overhead {self.overhead_fraction * 100:.2f}%, "
             f"load balance {self.load_balance():.3f}",
             f"  {'kernel':<20}{'cycles':>12}{'tasks':>7}{'pairs':>7}"
-            f"{'skip':>6}{'waves':>7}{'out dens':>10}  primitives",
+            f"{'skip':>6}{'waves':>7}{'out dens':>10}{'coo wb':>8}  primitives",
         ]
         for ks in self.kernel_stats:
             prims = ", ".join(
@@ -245,7 +246,7 @@ class InferenceResult(RunResult):
             lines.append(
                 f"  {ks.kernel_id:<20}{ks.cycles:>12.0f}{ks.num_tasks:>7}"
                 f"{ks.num_pairs:>7}{ks.skipped_pairs:>6}{ks.num_waves:>7}"
-                f"{ks.out_density:>10.3f}  {prims}"
+                f"{ks.out_density:>10.3f}{ks.coo_writebacks:>8}  {prims}"
             )
         return "\n".join(lines)
 
@@ -273,6 +274,7 @@ class InferenceResult(RunResult):
                     "skipped_pairs": ks.skipped_pairs,
                     "waves": ks.num_waves,
                     "out_density": ks.out_density,
+                    "coo_writebacks": ks.coo_writebacks,
                     "primitives": {
                         p.value: int(c)
                         for p, c in sorted(
@@ -511,6 +513,7 @@ def run_kernels(
                 core_busy=timeline.busy - busy_before,
                 num_waves=stats.waves,
                 tasks_executed=stats.tasks_executed,
+                coo_writebacks=stats.coo_writebacks,
                 exposed_cycles=float(exposed_stream(
                     soft.seconds_to_accel_cycles(analysis_s),
                     tasks.num_tasks, cycles,
@@ -520,9 +523,7 @@ def run_kernels(
 
         out_mat, out_density = assembly.finalize()
         store[kernel.out_name] = out_mat
-        stored_sparse[kernel.out_name] = (
-            choose_storage_format(out_density) if assembly.dense_assembly else True
-        )
+        stored_sparse[kernel.out_name] = choose_storage_format(out_density)
         # drop this name's stale views and census (re-runs within one program)
         for table in (views, censuses):
             for key in [kk for kk in table if kk[0] == kernel.out_name]:
@@ -584,6 +585,7 @@ class RuntimeSystem:
                     pairs=ks.num_pairs,
                     waves=ks.num_waves,
                     out_density=round(ks.out_density, 6),
+                    coo_writebacks=ks.coo_writebacks,
                     **ks.modelled_cycles,
                 )
                 if ks.analysis_seconds > 0.0:

@@ -147,11 +147,7 @@ def execute_kernel_tasks_reference(
         core_id = timeline.peek_next_core()
         core = acc.cores[core_id]
         result = core.execute_task(
-            pairs_work,
-            (m, d),
-            write_sparse=not assembly.dense_assembly,
-            accumulate_init=acc_init,
-            activation=act,
+            pairs_work, (m, d), accumulate_init=acc_init, activation=act
         )
         dispatch_s = soft.dispatch_seconds(1) + soft.sparsity_receive_seconds(1)
         duration = result.latency + soft.seconds_to_accel_cycles(dispatch_s)
@@ -161,6 +157,7 @@ def execute_kernel_tasks_reference(
 
         stats.report.merge(result.report)
         stats.counts.update(result.primitive_counts)
+        stats.coo_writebacks += result.coo_writeback
         assembly.write(i, k, m, d, result.z, result.output_nnz)
 
     return finalise_task_loop(

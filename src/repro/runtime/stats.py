@@ -44,6 +44,8 @@ class TaskLoopStats:
     #: scheduling waves the tasks filled: the maximum number of tasks any
     #: one core ran, i.e. how many core-rounds the kernel needed
     waves: int = 0
+    #: output partitions written back as COO
+    coo_writebacks: int = 0
     #: what the mapping strategy weighed (``decide_batch``'s third value)
     modelled: dict | None = None
 
@@ -78,6 +80,8 @@ class KernelStats:
     tasks_executed: int = 0
     #: K2P analysis the kernel's execution could not hide (§VI-B; cycles)
     exposed_cycles: float = 0.0
+    #: output partitions written back as COO (the rest went dense)
+    coo_writebacks: int = 0
     #: what the Analyzer weighed, summed over the kernel's live pairs:
     #: modelled stage cycles of the chosen mapping ("chosen") and of each
     #: candidate (``None``: it fits no buffer somewhere); ``{}`` if nothing

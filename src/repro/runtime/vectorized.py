@@ -38,8 +38,10 @@ runs the same semantics as four batched passes over the whole kernel:
    data-dependent SPMM cycle counts are taken here, and each output
    partition's write-back nonzero count is recorded in the assembly as
    the next kernel's census.
-3. **Write-back accounting** — batched profiler/merger/D2S cycles and
-   task latencies (sequential float reductions via ``np.add.at`` /
+3. **Write-back accounting** — batched profiler/merger cycles, each
+   output partition's dense-or-COO stream from its profiled count (the
+   core's rule, :func:`repro.hw.core.writeback_stream`), and task
+   latencies (sequential float reductions via ``np.add.at`` /
    ``np.add.accumulate`` so kernel totals match the reference's
    accumulation order exactly).
 4. **Dispatch** — the only remaining sequential part: Algorithm 8's
@@ -477,14 +479,13 @@ def execute_kernel_tasks(
         assembly.write(i, k, m, d, z, nnz)
 
     # ---- phase 3: write-back accounting + task latencies ---------------
-    size_t = m_t * d_t
-    write_sparse = not assembly.dense_assembly
-    profile_t, wb_tr_t, write_bytes_t = batch_task_writeback(
-        core0, size_t, out_nnz_t, write_sparse, merged_t
+    profile_t, wb_tr_t, write_bytes_t, coo_t = batch_task_writeback(
+        core0, m_t * d_t, out_nnz_t, merged_t
     )
     profile_t = np.where(executed_t, profile_t, 0)
     wb_tr_t = np.where(executed_t, wb_tr_t, 0)
     write_bytes_t = np.where(executed_t, write_bytes_t, 0)
+    stats.coo_writebacks = int(np.count_nonzero(coo_t & executed_t))
 
     comp_t = np.zeros(t_count, dtype=np.int64)
     trans_t = np.zeros(t_count, dtype=np.int64)

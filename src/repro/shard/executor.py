@@ -77,6 +77,8 @@ class ShardKernelStats:
     shard_seconds: np.ndarray
     #: the layer barrier: max over shards of ``shard_seconds``
     barrier_s: float
+    #: output partitions written back as COO, summed over shards
+    coo_writebacks: int
     #: per-shard ``KernelStats.modelled_cycles``: what the Analyzer weighed
     shard_modelled_cycles: list = field(default_factory=list)
 
@@ -192,7 +194,7 @@ class ShardedResult(RunResult):
             f"  shard balance     : {self.load_balance():.3f} "
             f"(nnz balance {self.plan.nnz_balance():.3f})",
             f"  {'kernel':<20}{'barrier ms':>12}{'slowest':>9}"
-            f"{'halo hidden/exposed ms':>24}  per-shard ms",
+            f"{'halo hidden/exposed ms':>24}{'coo wb':>8}  per-shard ms",
         ]
         for ks in self.kernel_stats:
             per = ", ".join(f"{s * 1e3:.3f}" for s in ks.shard_seconds)
@@ -201,7 +203,8 @@ class ShardedResult(RunResult):
             hidden = max(float(ks.shard_halo_s[slowest]) * 1e3 - exposed, 0.0)
             lines.append(
                 f"  {ks.kernel_id:<20}{ks.barrier_s * 1e3:>12.4f}{slowest:>9}"
-                f"{f'{hidden:.4f} / {exposed:.4f}':>24}  [{per}]"
+                f"{f'{hidden:.4f} / {exposed:.4f}':>24}{ks.coo_writebacks:>8}"
+                f"  [{per}]"
             )
         return "\n".join(lines)
 
@@ -223,6 +226,7 @@ class ShardedResult(RunResult):
                     "halo_exposed_ms": float(ks.shard_exposed_halo_s.max()) * 1e3,
                     "shard_ms": [float(s) * 1e3 for s in ks.shard_seconds],
                     "shard_tasks": [int(t) for t in ks.shard_tasks],
+                    "coo_writebacks": ks.coo_writebacks,
                     "shard_modelled_cycles": ks.shard_modelled_cycles,
                 }
                 for ks in self.kernel_stats
@@ -359,6 +363,7 @@ class ShardedRuntime:
                         ktype=kernel.ktype.name,
                         tasks=int(tasks_n[s]),
                         pairs=int(pairs_n[s]),
+                        coo_writebacks=lane_stats[s].coo_writebacks,
                         **lane_stats[s].modelled_cycles,
                     )
                     if barrier_s - seconds[s] > 0.0:
@@ -397,6 +402,7 @@ class ShardedRuntime:
                     shard_pairs=pairs_n,
                     shard_seconds=seconds,
                     barrier_s=barrier_s,
+                    coo_writebacks=sum(ks.coo_writebacks for ks in lane_stats),
                     shard_modelled_cycles=[ks.modelled_cycles for ks in lane_stats],
                 )
             )

@@ -96,27 +96,6 @@ def cross_unit_assignment(ctx: FileContext):
                 )
 
 
-@register_rule("RPR303", "units", "error")
-def return_unit_mismatch(ctx: FileContext):
-    """Function named ``*_s`` returning a name with a different unit suffix."""
-    if not ctx.is_library:
-        return
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        declared = unit_of(node.name)
-        if declared is None:
-            continue
-        for sub in _own_returns(node):
-            if sub.value is not None:
-                ur = _unit(sub.value)
-                if ur is not None and ur != declared:
-                    yield sub.lineno, (
-                        f"{node.name}() declares unit {declared} but returns "
-                        f"'{terminal_name(sub.value)}' ({ur})"
-                    )
-
-
 @register_rule("RPR304", "units", "error")
 def keyword_unit_mismatch(ctx: FileContext):
     """Call keyword ``f(timeout_s=wait_ms)`` passing a name of a different unit."""
@@ -137,15 +116,3 @@ def keyword_unit_mismatch(ctx: FileContext):
                     f"keyword {kw.arg}= ({declared}) receives "
                     f"'{terminal_name(kw.value)}' ({uv}) with no conversion"
                 )
-
-
-def _own_returns(func: ast.FunctionDef | ast.AsyncFunctionDef):
-    """Return statements of ``func`` itself, not of nested defs."""
-    stack: list[ast.AST] = list(func.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue  # nested defs report under their own name
-        if isinstance(node, ast.Return):
-            yield node
-        stack.extend(ast.iter_child_nodes(node))

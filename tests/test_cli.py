@@ -489,8 +489,9 @@ _SERVE_ARGV = ["serve-bench", "--requests", "12", "--pool", "2", "--models",
                "GCN", "--datasets", "CO", "--scale", "0.15", "--json"]
 #: cell -> (argv, shape at 4f21418, keys added since: every run result
 #: now names its backend, and the hetero payload carries what it dropped)
-#: per kernel, what the Analyzer weighed: chosen and each candidate
-_MODELLED = {"modelled_cycles": {"*": "float"}}
+#: per kernel, what the Analyzer weighed: chosen and each candidate, and
+#: how many output partitions left the core as COO
+_MODELLED = {"modelled_cycles": {"*": "float"}, "coo_writebacks": "int"}
 
 JSON_CELLS = {
     "run": (["run", "--dataset", "CO", "--scale", "0.2", "--json"],
@@ -513,7 +514,7 @@ JSON_CELLS = {
                      "mismatched_shard_counts": []},
                     {"single_device": {"backend": "str", "kernels": [_MODELLED]},
                      "sweeps": [{"backend": "str", "kernels": [
-                         {"halo_exposed_ms": "float",
+                         {"halo_exposed_ms": "float", "coo_writebacks": "int",
                           "shard_modelled_cycles": [_typed(
                               "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]}]}),
     "serve_bench_legacy": (_SERVE_ARGV, _serving(), {}),

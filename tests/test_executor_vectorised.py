@@ -21,7 +21,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from repro import Engine
 from repro.compiler import Compiler
+from repro.config import u250_default
 from repro.datasets import load_dataset
 from repro.datasets.catalog import DatasetSpec, GraphData
 from repro.formats.dense import DTYPE
@@ -38,7 +40,8 @@ from repro.runtime import (
     execute_kernel_tasks_reference,
     make_strategy,
 )
-from repro.runtime.executor import KernelAssembly, run_strategy
+from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
+from repro.shard import plan_shards
 
 from conftest import make_tiny_config
 
@@ -72,15 +75,20 @@ def assert_results_identical(rv, rr):
     assert rv.runtime_overhead_seconds == rr.runtime_overhead_seconds
     assert _events(rv) == _events(rr)
     for kv, kr in zip(rv.kernel_stats, rr.kernel_stats):
-        for f in (
-            "cycles", "macs", "bytes_read", "bytes_written",
-            "compute_cycles", "memory_cycles", "transform_cycles",
-            "profile_cycles", "out_density", "analysis_seconds",
-            "num_waves", "tasks_executed", "num_pairs", "exposed_cycles",
-        ):
-            assert getattr(kv, f) == getattr(kr, f), (kv.kernel_id, f)
-        assert kv.primitive_counts == kr.primitive_counts
-        np.testing.assert_array_equal(kv.core_busy, kr.core_busy)
+        assert_kernel_stats_identical(kv, kr)
+
+
+def assert_kernel_stats_identical(kv, kr):
+    for f in (
+        "cycles", "macs", "bytes_read", "bytes_written",
+        "compute_cycles", "memory_cycles", "transform_cycles",
+        "profile_cycles", "out_density", "analysis_seconds",
+        "num_waves", "tasks_executed", "num_pairs", "exposed_cycles",
+        "coo_writebacks",
+    ):
+        assert getattr(kv, f) == getattr(kr, f), (kv.kernel_id, f)
+    assert kv.primitive_counts == kr.primitive_counts
+    np.testing.assert_array_equal(kv.core_busy, kr.core_busy)
 
 
 def zero_slab_data(num_vertices=64, num_features=24, seed=0):
@@ -168,6 +176,98 @@ class TestBitExactness:
         for kv, kr in zip(rv.kernel_stats, rr.kernel_stats):
             np.testing.assert_array_equal(kv.shard_cycles, kr.shard_cycles)
             np.testing.assert_array_equal(kv.shard_seconds, kr.shard_seconds)
+
+
+#: Dynamic latency (ms) of ``Engine().compile(model, dataset, seed=0)`` at
+#: the last commit whose write-back left every output partition dense
+DENSE_WRITEBACK_MS = {
+    ("GCN", "CO"): 0.04337145103545103,
+    ("GraphSAGE", "CO"): 0.42267868866268865,
+    ("GIN", "CO"): 0.42147177957177967,
+    ("SGC", "CO"): 1.1415275085995087,
+    ("GCN", "CI"): 0.07176397051597051,
+    ("GraphSAGE", "CI"): 0.9174404141804142,
+    ("GIN", "CI"): 0.9068437388557387,
+    ("SGC", "CI"): 2.530906388206388,
+}
+
+
+@pytest.fixture(scope="module")
+def writeback_programs():
+    """GIN and GraphSAGE on CO and a small CI under the paper's seven
+    cores, where 2-6%-dense first Aggregate outputs leave as COO."""
+    out = {}
+    for dataset, scale in (("CO", 1.0), ("CI", 0.4)):
+        data = load_dataset(dataset, scale=scale, seed=0)
+        for model_name in ("GIN", "GraphSAGE"):
+            model = build_model(
+                model_name, data.num_features, data.hidden_dim, data.num_classes
+            )
+            out[model_name, dataset] = Compiler(u250_default()).compile(
+                model, data, init_weights(model, seed=0)
+            )
+    return out
+
+
+def lane_run(program, strategy_name, num_lanes):
+    """One walk of ``program`` over ``num_lanes`` lanes: every kernel's
+    per-lane stats, each lane's timeline events, the output."""
+    if num_lanes == 1:
+        lanes = [Lane(Accelerator(program.config))]
+    else:
+        lanes = [
+            Lane(Accelerator(program.config), f"dev{s.index}", (s.v0, s.v1))
+            for s in plan_shards(program, num_lanes).shards
+        ]
+    store: dict = {}
+    strategy = make_strategy(strategy_name, program.config)
+    stats = [ks for _, ks in run_kernels(program, strategy, lanes, store)]
+    events = [
+        [(e.core, e.start, e.end, e.kernel_id, e.task_index)
+         for e in lane.timeline.events]
+        for lane in lanes
+    ]
+    return stats, events, _dense(store[program.output_name])
+
+
+class TestCooWriteBack:
+    @pytest.mark.parametrize("num_lanes", [1, 2])
+    @pytest.mark.parametrize("strategy", ["S1", "S2", "Dynamic"])
+    @pytest.mark.parametrize(
+        "cell", [("GIN", "CO"), ("GraphSAGE", "CO"), ("GIN", "CI"), ("GraphSAGE", "CI")]
+    )
+    def test_matches_reference(self, writeback_programs, cell, strategy, num_lanes):
+        program = writeback_programs[cell]
+        sv, ev, ov = lane_run(program, strategy, num_lanes)
+        sr, er, or_ = oracle_run(lane_run, program, strategy, num_lanes)
+        np.testing.assert_array_equal(ov, or_)
+        assert ev == er
+        for lanes_v, lanes_r in zip(sv, sr):
+            for kv, kr in zip(lanes_v, lanes_r):
+                assert_kernel_stats_identical(kv, kr)
+        if num_lanes == 1:  # the rule fires on these cells
+            assert sum(ks.coo_writebacks for (ks,) in sv) > 0
+
+    def test_latency_at_or_below_the_dense_write_back(self):
+        for (model_name, dataset), before in DENSE_WRITEBACK_MS.items():
+            engine = Engine()
+            handle = engine.compile(model_name, dataset, seed=0)
+            after = engine.infer(handle, strategy="Dynamic").latency_ms
+            assert after <= before, (model_name, dataset)
+            if (model_name, dataset) == ("GIN", "CI"):
+                assert after <= 0.9 * before
+
+    @pytest.mark.parametrize("model_name", ["GCN", "GraphSAGE", "GIN", "SGC"])
+    def test_host_assembly_decides_no_write_back(self, model_name, monkeypatch):
+        # the first kernel reads compile-time operands only, so the write-
+        # back is all that how the host holds the output could move
+        engine = Engine()
+        handle = engine.compile(model_name, "CO", seed=0)
+        default = engine.infer(handle).kernel_stats[0]
+        monkeypatch.setattr(executor_mod, "DENSE_ASSEMBLY_LIMIT", 0)
+        held_sparse = engine.infer(handle).kernel_stats[0]
+        for f in ("bytes_written", "memory_cycles", "transform_cycles", "cycles"):
+            assert getattr(held_sparse, f) == getattr(default, f), f
 
 
 def _loop_args(program, kernel, acc, tasks):

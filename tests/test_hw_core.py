@@ -2,12 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_tiny_config, random_sparse
 from repro.formats.csr import as_dense
 from repro.hw.accelerator import Accelerator
 from repro.hw.buffers import BufferOverflowError
-from repro.hw.core import ComputationCore, OperandSpec, PairDecision
+from repro.hw.core import (
+    ComputationCore,
+    OperandSpec,
+    PairDecision,
+    batch_task_writeback,
+)
 from repro.hw.memory import ExternalMemory
 from repro.hw.report import CycleReport, Primitive
 
@@ -164,15 +170,51 @@ class TestExecuteTask:
         )
         assert result.report.transform > 0  # merger pass charged
 
-    def test_write_sparse_bytes(self):
-        x = np.zeros((4, 4), dtype=np.float32)
-        x[0, 0] = 1.0
-        pairs = [(spec_from(x), spec_from(np.eye(4, dtype=np.float32)),
-                  PairDecision(Primitive.GEMM))]
-        r_dense = fresh_core().execute_task(pairs, (4, 4), write_sparse=False)
-        r_sparse = fresh_core().execute_task(pairs, (4, 4), write_sparse=True)
-        assert r_dense.report.bytes_written == 4 * 16
-        assert r_sparse.report.bytes_written == 12 * 1
+    @given(
+        m=st.integers(1, 48), d=st.integers(1, 48),
+        fill=st.floats(0.0, 1.0), active=st.integers(1, 8),
+        psys=st.sampled_from([2, 4, 16, 64]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_write_sparse_bytes(self, m, d, fill, active, psys):
+        # the write-back bills the cheaper of the dense stream and COO
+        # plus the D2S pass, and both task loops bill it alike
+        cfg = make_tiny_config(psys=psys, num_cores=8)
+        size, nnz = m * d, int(fill * m * d)
+        z = np.zeros(size, dtype=np.float32)
+        z[:nnz] = 1.0
+        core = ComputationCore(cfg, ExternalMemory(cfg))
+        core.active_cores = active
+        r = core.execute_task([], (m, d), accumulate_init=z.reshape(m, d))
+        b = cfg.memory.bytes_per_cycle(cfg.freq_hz) / active
+        d2s = -(size // -psys) + int(np.log2(psys))
+        dense, coo = 4 * size / b, 12 * nnz / b + d2s
+        rep = r.report
+        assert rep.memory + rep.transform == pytest.approx(min(dense, coo), rel=1e-12)
+        assert rep.bytes_written == (12 * nnz if r.coo_writeback else 4 * size)
+        if not np.isclose(dense, coo, rtol=1e-9, atol=0):
+            assert r.coo_writeback == (coo < dense)
+        profile, transform, write_bytes, wrote_coo = batch_task_writeback(
+            core, [size], [nnz], [False]
+        )
+        assert (profile[0], transform[0], write_bytes[0], wrote_coo[0]) == (
+            rep.profile, rep.transform, rep.bytes_written, r.coo_writeback
+        )
+        assert rep.memory == write_bytes[0] / b
+
+    def test_write_back_tie_goes_dense(self):
+        # 7 cores share 308 B a cycle: 44 B each, exactly.  256 elements
+        # holding 12 nonzeros save 880 B as COO, 20 cycles at 44 B, and
+        # the psys=16 D2S pass over 256 elements takes 16 + 4 = 20
+        cfg = make_tiny_config(psys=16, num_cores=7)
+        core = ComputationCore(cfg, ExternalMemory(cfg))
+        core.active_cores = 7
+        for nnz, coo in ((12, False), (11, True)):
+            z = np.zeros(256, dtype=np.float32)
+            z[:nnz] = 1.0
+            r = core.execute_task([], (16, 16), accumulate_init=z.reshape(16, 16))
+            assert r.coo_writeback is coo
+            assert r.report.bytes_written == (12 * nnz if coo else 4 * 256)
 
     def test_latency_double_buffering_is_max(self):
         x = np.ones((4, 4), dtype=np.float32)

@@ -98,10 +98,6 @@ RULE_FIXTURES = {
         "def f(wait_ms):\n    wait_s = wait_ms\n    return wait_s\n",
         "def f(wait_ms):\n    wait_s = wait_ms * 1e-3\n    return wait_s\n",
     ),
-    "RPR303": (
-        "def latency_s(dur_ms):\n    return dur_ms\n",
-        "def latency_s(dur_ms):\n    return dur_ms * 1e-3\n",
-    ),
     "RPR304": (
         "def g(timeout_s=1.0):\n    return timeout_s\n\n"
         "def f(wait_ms):\n    return g(timeout_s=wait_ms)\n",
