@@ -26,18 +26,22 @@ class BufferConfig:
     """On-chip buffer geometry of one Computation Core.
 
     Each core has four data buffers (BufferU, BufferO, BufferP, Result
-    Buffer), each organised as ``num_banks`` parallel memory banks so one
-    element per bank can be accessed per cycle (Section V-B1).  Double
-    buffering duplicates each buffer so loading the next task's operands
-    overlaps the current task's compute (Section V-B3).
+    Buffer), each built from ``psys`` banks in the paper (Section V-B1);
+    the model reads their capacity alone.  Double buffering duplicates
+    each buffer so loading the next task's operands overlaps the current
+    task's compute (Section V-B3).
     """
 
     #: capacity of a single buffer in 32-bit words
     words_per_buffer: int = 512 * 1024
-    #: number of parallel banks per buffer (equals ``psys`` in the paper)
-    num_banks: int = 16
     #: whether double buffering is enabled (paper: always on)
     double_buffering: bool = True
+
+    def __post_init__(self) -> None:
+        if self.words_per_buffer < 1:
+            raise ValueError(
+                f"words_per_buffer must be >= 1, got {self.words_per_buffer}"
+            )
 
     @property
     def bytes_per_buffer(self) -> int:
@@ -186,6 +190,6 @@ def small_test_config(psys: int = 4, num_cores: int = 2) -> AcceleratorConfig:
     return AcceleratorConfig(
         psys=psys,
         num_cores=num_cores,
-        buffers=BufferConfig(words_per_buffer=64 * 1024, num_banks=psys),
+        buffers=BufferConfig(words_per_buffer=64 * 1024),
         max_partition_dim=512,
     )

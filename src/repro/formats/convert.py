@@ -7,14 +7,11 @@ compacts nonzeros using the prefix-sum of the zero count before each
 element: in stage ``i`` an element shifts left by ``2**(i-1)`` positions if
 bit ``i-1`` of its prefix-sum value is set (Fig. 8).
 
-Two implementations are provided:
-
-- :meth:`DenseToSparseModule.compact_staged` — a faithful stage-by-stage
-  simulation of the shifting pipeline, used by tests to validate the
-  design.
-- :meth:`DenseToSparseModule.convert` — the fast vectorised path used by
-  the simulator, with the same cycle accounting
-  (``ceil(elements / n) + log2(n)`` pipeline latency).
+A unit is the cycles it bills: :meth:`StreamingUnit.cycles_for`,
+``ceil(elements / n) + pipeline_stages``.  The simulator's data stay NumPy
+and SciPy arrays, so no unit converts anything; the one functional model
+kept, :meth:`DenseToSparseModule.compact_staged`, is Fig. 8's worked
+example, and its stage count is what tests hold ``pipeline_stages`` to.
 
 The units stream beside the DDR transfers they convert, so a core bills
 their cycles on the load side of a task: with double buffering (§V-B3)
@@ -25,13 +22,11 @@ cannot hide lengthens it (:mod:`repro.hw.core`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TypeVar
 
 import numpy as np
 
-from repro.formats.coo import COOMatrix
-from repro.formats.dense import DTYPE, Layout
+from repro.formats.dense import DTYPE
 
 
 #: a size, or an int64 array of sizes: what a cycle formula is asked
@@ -40,8 +35,8 @@ Sizes = TypeVar("Sizes", int, np.ndarray)
 
 class StreamingUnit:
     """A unit that streams ``width`` elements per cycle through a
-    ``pipeline_stages``-deep pipeline: D2S, S2D, the LTU, the Layout
-    Merger and the Sparsity Profiler, each with its own depth."""
+    ``pipeline_stages``-deep pipeline: D2S, S2D, the LTU, the layout
+    merger and the Sparsity Profiler, each with its own depth."""
 
     def __init__(self, width: int = 16) -> None:
         if width < 1 or width & (width - 1):
@@ -59,16 +54,6 @@ class StreamingUnit:
         of sizes and answers in kind."""
         passes = -(num_elements // -self.width)
         return (passes + self.pipeline_stages) * (num_elements != 0)
-
-
-@dataclass(frozen=True)
-class ConversionReport:
-    """Cycle/throughput accounting of one conversion pass."""
-
-    elements_in: int
-    elements_out: int
-    cycles: int
-    pipeline_stages: int
 
 
 class DenseToSparseModule(StreamingUnit):
@@ -138,24 +123,6 @@ class DenseToSparseModule(StreamingUnit):
             out_val = np.zeros(0, dtype=DTYPE)
         return out_val, out_idx, snapshots
 
-    # -- fast path --------------------------------------------------------
-    def convert(
-        self, dense: np.ndarray, layout: Layout = Layout.ROW_MAJOR
-    ) -> tuple[COOMatrix, ConversionReport]:
-        """Convert a dense matrix to COO, streaming ``width`` elems/cycle."""
-        dense = np.asarray(dense, dtype=DTYPE)
-        if dense.ndim != 2:
-            raise ValueError("expected a 2-D matrix")
-        coo = COOMatrix.from_dense(dense, layout)
-        cycles = self.cycles_for(dense.size)
-        report = ConversionReport(
-            elements_in=dense.size,
-            elements_out=coo.nnz,
-            cycles=cycles,
-            pipeline_stages=self.pipeline_stages,
-        )
-        return coo, report
-
 
 class SparseToDenseModule(StreamingUnit):
     """S2D unit: scatters (index, value) pairs back into a dense stream.
@@ -166,13 +133,3 @@ class SparseToDenseModule(StreamingUnit):
     zero lanes must still be emitted: ``cycles_for`` takes the dense size.
     """
 
-    def convert(self, coo: COOMatrix) -> tuple[np.ndarray, ConversionReport]:
-        dense = coo.to_dense()
-        cycles = self.cycles_for(dense.size)
-        report = ConversionReport(
-            elements_in=coo.nnz,
-            elements_out=dense.size,
-            cycles=cycles,
-            pipeline_stages=self.pipeline_stages,
-        )
-        return dense, report

@@ -1,10 +1,10 @@
-"""CSR helpers used by the *functional* half of the simulator.
+"""CSR helpers: the simulator's one matrix vocabulary.
 
-The hardware model speaks dense/COO (what the paper's buffers hold); the
-functional computation underneath uses ``scipy.sparse`` CSR because it is
-the fastest representation for the actual matrix products.  These helpers
-centralise conversions and a few row-wise queries the cycle models need
-(e.g. exact per-row nonzero counts for the SPMM MAC count).
+Every operand is a NumPy array or a ``scipy.sparse`` matrix (CSR for the
+products, because it is the fastest representation for them), and
+:data:`MatrixLike` names that pair.  What the paper's buffers hold, dense
+or COO, reaches the model only as the bytes and cycles a core bills.
+These helpers centralise the conversions between the two.
 """
 
 from __future__ import annotations
@@ -53,24 +53,6 @@ def as_dense(mat: MatrixLike) -> np.ndarray:
     if sp.issparse(mat):
         return np.asarray(mat.todense(), dtype=DTYPE)
     return np.asarray(mat, dtype=DTYPE)
-
-
-def nnz(mat: MatrixLike) -> int:
-    if sp.issparse(mat):
-        # count explicitly stored zeros out
-        return int(np.count_nonzero(mat.data)) if mat.nnz else 0
-    return int(np.count_nonzero(mat))
-
-
-def row_nnz(mat: MatrixLike) -> np.ndarray:
-    """Exact number of (numerically) nonzero entries in each row."""
-    if sp.issparse(mat):
-        csr = mat.tocsr()
-        if csr.nnz and np.any(csr.data == 0):
-            csr = csr.copy()
-            csr.eliminate_zeros()
-        return np.diff(csr.indptr)
-    return np.count_nonzero(np.asarray(mat), axis=1)
 
 
 def eliminate_zeros(mat: sp.csr_matrix) -> sp.csr_matrix:

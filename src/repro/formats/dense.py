@@ -1,111 +1,8 @@
-"""Dense matrix representation with an explicit storage layout tag.
-
-The paper (§V-A) distinguishes the *format* of a matrix (dense vs. COO)
-from its *layout* (row-major vs. column-major element order).  The three
-execution modes of a Computation Core require specific combinations of the
-two (Table III), e.g. GEMM mode needs its right operand dense and
-column-major in BufferP.
-
-Numerically a :class:`DenseMatrix` always wraps a logical ``(m, n)`` NumPy
-array; the :class:`Layout` tag records how the *hardware* stores the
-elements, which determines whether a Layout Transformation Unit pass is
-needed before a primitive can consume the matrix.  Keeping the logical
-value independent of the layout keeps the simulator's numerics trivially
-correct while the cycle model charges for transformations.
-"""
+"""The element type of every matrix the simulator holds (see
+:mod:`repro.formats.csr` for the arrays themselves)."""
 
 from __future__ import annotations
-
-import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 DTYPE = np.float32
-
-
-class Layout(enum.Enum):
-    """Element storage order (§V-A *Data layout*)."""
-
-    ROW_MAJOR = "row"
-    COL_MAJOR = "col"
-
-    def flipped(self) -> "Layout":
-        return Layout.COL_MAJOR if self is Layout.ROW_MAJOR else Layout.ROW_MAJOR
-
-
-@dataclass
-class DenseMatrix:
-    """A dense matrix in the accelerator's on-chip/off-chip memory model.
-
-    Parameters
-    ----------
-    data:
-        Logical ``(m, n)`` array.  Stored as ``float32`` C-contiguous.
-    layout:
-        How the hardware lays the elements out.  Purely metadata for the
-        cycle model; ``data`` is always the logical row-major view.
-    """
-
-    data: np.ndarray
-    layout: Layout = Layout.ROW_MAJOR
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.data, dtype=DTYPE)
-        if arr.ndim != 2:
-            raise ValueError(f"DenseMatrix requires a 2-D array, got ndim={arr.ndim}")
-        self.data = np.ascontiguousarray(arr)
-
-    # -- basic queries --------------------------------------------------
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.data.shape  # type: ignore[return-value]
-
-    @property
-    def num_elements(self) -> int:
-        return self.data.size
-
-    @property
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.data))
-
-    @property
-    def density(self) -> float:
-        if self.data.size == 0:
-            return 0.0
-        return self.nnz / self.data.size
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes occupied in dense format (4 bytes per element)."""
-        return self.data.size * 4
-
-    # -- transformations -------------------------------------------------
-    def with_layout(self, layout: Layout) -> "DenseMatrix":
-        """Return the same logical matrix tagged with a different layout.
-
-        The numerical content is unchanged; charging the transformation
-        cycles is the caller's job (see
-        :class:`repro.formats.layout.LayoutTransformationUnit`).
-        """
-        return DenseMatrix(self.data, layout)
-
-    def row(self, i: int) -> np.ndarray:
-        """``B[i]`` in the paper's notation."""
-        return self.data[i]
-
-    def submatrix(self, i: int, j: int) -> np.ndarray:
-        """``B[i:j]`` — rows ``i`` to ``j - 1``."""
-        return self.data[i:j]
-
-    def copy(self) -> "DenseMatrix":
-        return DenseMatrix(self.data.copy(), self.layout)
-
-    def __eq__(self, other: object) -> bool:  # pragma: no cover - trivial
-        if not isinstance(other, DenseMatrix):
-            return NotImplemented
-        return self.layout == other.layout and np.array_equal(self.data, other.data)
-
-    @classmethod
-    def zeros(cls, m: int, n: int, layout: Layout = Layout.ROW_MAJOR) -> "DenseMatrix":
-        return cls(np.zeros((m, n), dtype=DTYPE), layout)

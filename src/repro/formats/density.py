@@ -11,17 +11,11 @@ extend the critical path when double buffering is on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
-
 import numpy as np
 import scipy.sparse as sp
 
 from repro.formats.convert import StreamingUnit
-from repro.formats.coo import COOMatrix
-from repro.formats.dense import DenseMatrix
-
-MatrixLike = Union[np.ndarray, sp.spmatrix, DenseMatrix, COOMatrix]
+from repro.formats.csr import MatrixLike
 
 
 def nnz_count(mat: MatrixLike) -> int:
@@ -33,10 +27,6 @@ def nnz_count(mat: MatrixLike) -> int:
     position represent their sum) are summed before counting — e.g. the
     pair ``(+v, -v)`` at one coordinate is a single zero element.
     """
-    if isinstance(mat, DenseMatrix):
-        return mat.nnz
-    if isinstance(mat, COOMatrix):
-        return int(np.count_nonzero(_summed_coo_values(mat)))
     if sp.issparse(mat):
         if mat.nnz == 0:
             return 0
@@ -49,30 +39,7 @@ def nnz_count(mat: MatrixLike) -> int:
     return int(np.count_nonzero(np.asarray(mat)))
 
 
-def _summed_coo_values(mat: COOMatrix) -> np.ndarray:
-    """Values of a :class:`COOMatrix` with duplicate coordinates summed.
-
-    ``COOMatrix`` keeps its triplets sorted by layout, so duplicates are
-    adjacent and one linear scan finds them; the common duplicate-free
-    case returns the value array untouched.
-    """
-    if mat.val.size < 2:
-        return mat.val
-    same = (mat.row[1:] == mat.row[:-1]) & (mat.col[1:] == mat.col[:-1])
-    if not bool(same.any()):
-        return mat.val
-    # np.unique over the linearised coordinates groups duplicates
-    keys = mat.row.astype(np.int64) * mat.shape[1] + mat.col.astype(np.int64)
-    _, inverse = np.unique(keys, return_inverse=True)
-    summed = np.zeros(int(inverse.max()) + 1, dtype=np.float64)
-    np.add.at(summed, inverse, mat.val.astype(np.float64))
-    return summed.astype(mat.val.dtype)
-
-
 def num_elements(mat: MatrixLike) -> int:
-    if isinstance(mat, (DenseMatrix, COOMatrix)):
-        m, n = mat.shape
-        return m * n
     if sp.issparse(mat):
         return mat.shape[0] * mat.shape[1]
     return np.asarray(mat).size
@@ -86,18 +53,10 @@ def density(mat: MatrixLike) -> float:
     return nnz_count(mat) / total
 
 
-@dataclass(frozen=True)
-class ProfileReport:
-    """Result of one hardware profiling pass."""
-
-    nnz: int
-    elements: int
-    density: float
-    cycles: int
-
-
 class SparsityProfiler(StreamingUnit):
-    """Adder-tree nonzero counter at the Result Buffer output port.
+    """Adder-tree nonzero counter at the Result Buffer output port; the
+    tree behind the comparators is its ``pipeline_stages``, ``log2(width)``
+    adders deep.
 
     Parameters
     ----------
@@ -105,21 +64,3 @@ class SparsityProfiler(StreamingUnit):
         Comparators per cycle (matches the Result Buffer port width,
         ``psys`` in the implementation).
     """
-
-    @property
-    def adder_tree_depth(self) -> int:
-        """The pipeline behind the comparators: ``log2(width)`` adders deep."""
-        return self.pipeline_stages
-
-    def profile(self, mat: MatrixLike) -> ProfileReport:
-        """Count nonzeros the way the hardware does (streaming pass)."""
-        nnz = nnz_count(mat)
-        total = num_elements(mat)
-        # a sparse-format matrix streams out nnz elements; dense streams all
-        streamed = nnz if isinstance(mat, COOMatrix) or sp.issparse(mat) else total
-        return ProfileReport(
-            nnz=nnz,
-            elements=total,
-            density=(nnz / total if total else 0.0),
-            cycles=self.cycles_for(streamed),
-        )

@@ -1,17 +1,17 @@
-"""Layout Transformation Unit and Layout Merger (paper §V-B2).
+"""The layout transformation unit and the layout merger (paper §V-B2).
 
-*Layout Transformation Unit (LTU)* — transposing between row-major and
+*The layout transformation unit (LTU)* transposes between row-major and
 column-major order, implemented in hardware as a streaming permutation
 network (the paper reuses the bitonic permutation network of [19]).  A
 matrix of ``E`` elements streams through ``width`` lanes, so a full pass
 costs ``ceil(E / width)`` cycles plus the network's ``O(log^2 width)``
 pipeline latency.
 
-*Layout Merger* — when a task's partial results are produced in different
+*The layout merger*: when a task's partial results are produced in different
 orientations (a pair computed "transposed" lands column-major in the
 Result Buffer), the two partial accumulators are merged into row-major
-order while ``Z`` streams back to DDR.  Functionally this is an addition;
-the cycle model charges one streaming pass.
+order while ``Z`` streams back to DDR.  Functionally this is an addition,
+which the core performs itself; the unit bills one streaming pass.
 
 Both units are streaming and overlap with data movement under double
 buffering; the executor reports their cycles in the ``transform`` bucket.
@@ -20,19 +20,8 @@ buffering; the executor reports their cycles in the ``transform`` bucket.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from repro.formats.convert import StreamingUnit
-from repro.formats.coo import COOMatrix
-from repro.formats.dense import DenseMatrix, DTYPE
-
-
-@dataclass(frozen=True)
-class TransformReport:
-    elements: int
-    cycles: int
 
 
 class LayoutTransformationUnit(StreamingUnit):
@@ -43,16 +32,6 @@ class LayoutTransformationUnit(StreamingUnit):
         # bitonic permutation network depth: log2(w) * (log2(w)+1) / 2
         lg = int(math.log2(self.width)) if self.width > 1 else 1
         return lg * (lg + 1) // 2
-
-    def transform_dense(self, mat: DenseMatrix) -> tuple[DenseMatrix, TransformReport]:
-        """Flip a dense matrix's layout (logical content unchanged)."""
-        out = mat.with_layout(mat.layout.flipped())
-        return out, TransformReport(mat.num_elements, self.cycles_for(mat.num_elements))
-
-    def transform_coo(self, mat: COOMatrix) -> tuple[COOMatrix, TransformReport]:
-        """Re-sort a COO matrix for the flipped layout."""
-        out = mat.with_layout(mat.layout.flipped())
-        return out, TransformReport(mat.nnz, self.cycles_for(mat.nnz))
 
 
 class LayoutMerger(StreamingUnit):
@@ -65,14 +44,3 @@ class LayoutMerger(StreamingUnit):
 
     #: one streaming pass, no pipeline fill
     pipeline_stages = 0
-
-    def merge(
-        self, row_major_part: np.ndarray, col_major_part: np.ndarray
-    ) -> tuple[np.ndarray, TransformReport]:
-        """Combine the two partial accumulators into row-major ``Z``."""
-        a = np.asarray(row_major_part, dtype=DTYPE)
-        b = np.asarray(col_major_part, dtype=DTYPE)
-        if a.shape != b.shape:
-            raise ValueError(f"partial result shapes differ: {a.shape} vs {b.shape}")
-        merged = a + b
-        return merged, TransformReport(merged.size, self.cycles_for(merged.size))

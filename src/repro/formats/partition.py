@@ -36,15 +36,12 @@ Profiler reproduces at runtime.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.csr import as_csr, as_dense, sorted_unique
+from repro.formats.csr import MatrixLike, as_csr, as_dense, sorted_unique
 from repro.formats.dense import DTYPE
-
-MatrixLike = Union[np.ndarray, sp.spmatrix]
 
 #: store a matrix in dense format off-chip when its density exceeds this;
 #: below it COO (12 B/nnz) is smaller than dense (4 B/elem)

@@ -14,12 +14,16 @@ simultaneously produces a cycle count derived from the microarchitecture:
   Auxiliary Hardware Module (profiler, format/layout converters);
 - :mod:`repro.hw.accelerator` — the full device: cores + external memory +
   soft processor;
+- :mod:`repro.hw.buffers` — on-chip buffer capacity and ``g(So)``;
 - :mod:`repro.hw.resources` — FPGA resource estimates (Fig. 9).
 
-Each of the three mode modules also ships a *faithful* element-level
-simulator used by the test suite to validate both the numerics and the
-closed-form cycle model against a direct execution of the paper's
-algorithm.
+A hardware unit is the cycles it bills.  A functional model of one stays
+only where a test holds a billed formula against it: each of the three
+mode modules ships a *faithful* element-level simulator (``run_*_faithful``)
+that the test suite checks the closed-form ``*_compute_cycles`` and
+``spmm_workloads`` against, by a direct execution of the paper's
+algorithm.  The buffers' banks and the shuffle networks' butterflies have
+no such model: no bill reads them.
 """
 
 from repro.hw.report import CycleReport, Primitive

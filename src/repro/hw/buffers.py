@@ -1,103 +1,22 @@
-"""Banked on-chip buffer model (paper §V-B1, §V-B3).
+"""On-chip buffer capacity (paper §V-B1, §V-B3).
 
 Each Computation Core has four data buffers — BufferU (sparse operand),
 BufferO (dense/sparse operand), BufferP (GEMM right operand) and the
-Result Buffer — each built from ``psys`` parallel banks so ``psys``
-elements can be accessed per cycle.  Row ``i`` of a dense matrix in
-BufferO lives in bank ``i mod psys`` (Algorithm 5's Scatter phase relies
-on this to fetch ``Y[i]`` by index routing).
-
-The class models *capacity* (whether a partition fits, which constrains
-Algorithm 9's ``g(So)``) and *bank mapping*; contents are stored logically
-since the functional compute happens in NumPy.
+Result Buffer — of ``BufferConfig.words_per_buffer`` 32-bit words each,
+built from ``psys`` banks in the paper.  What the model reads of them is
+that one capacity: whether a partition fits, which bounds Algorithm 9's
+``g(So)`` here and, in :mod:`repro.hw.core` and the task loops, which
+mappings a pair may take (dense: one word an element; COO: three words a
+nonzero).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
-
-import numpy as np
-
-from repro.formats.coo import COOMatrix
-from repro.formats.dense import DenseMatrix
-
-
-@dataclass
-class BankedBuffer:
-    """One on-chip buffer: ``num_banks`` banks, ``words`` 32-bit words total."""
-
-    name: str
-    words: int
-    num_banks: int
-    double_buffered: bool = True
-
-    def __post_init__(self) -> None:
-        if self.words < 1:
-            raise ValueError("buffer must have positive capacity")
-        if self.num_banks < 1 or self.num_banks & (self.num_banks - 1):
-            raise ValueError("num_banks must be a power of two")
-        self._content: Optional[Union[DenseMatrix, COOMatrix]] = None
-
-    # -- capacity ---------------------------------------------------------
-    def words_required(self, mat: Union[DenseMatrix, COOMatrix]) -> int:
-        """Words needed to hold ``mat`` in its format (COO: 3 words/nnz)."""
-        if isinstance(mat, COOMatrix):
-            return 3 * mat.nnz
-        return mat.num_elements
-
-    def fits(self, mat: Union[DenseMatrix, COOMatrix]) -> bool:
-        return self.words_required(mat) <= self.words
-
-    def load(self, mat: Union[DenseMatrix, COOMatrix]) -> None:
-        if not self.fits(mat):
-            raise BufferOverflowError(
-                f"{self.name}: partition needs {self.words_required(mat)} words, "
-                f"buffer holds {self.words}"
-            )
-        self._content = mat
-
-    @property
-    def content(self) -> Optional[Union[DenseMatrix, COOMatrix]]:
-        return self._content
-
-    def clear(self) -> None:
-        self._content = None
-
-    # -- bank mapping -------------------------------------------------------
-    def bank_of_row(self, i: int) -> int:
-        """Bank holding dense row ``i`` (Algorithm 5: ``i mod psys``)."""
-        return i % self.num_banks
-
-    def rows_per_cycle(self) -> int:
-        """Distinct banks -> distinct rows addressable per cycle."""
-        return self.num_banks
 
 
 class BufferOverflowError(RuntimeError):
     """A partition exceeded on-chip buffer capacity."""
-
-
-@dataclass
-class CoreBuffers:
-    """The four buffers of one Computation Core."""
-
-    buffer_u: BankedBuffer
-    buffer_o: BankedBuffer
-    buffer_p: BankedBuffer
-    result_buffer: BankedBuffer
-
-    @classmethod
-    def build(cls, words_per_buffer: int, num_banks: int, double_buffered: bool = True) -> "CoreBuffers":
-        def mk(nm: str) -> BankedBuffer:
-            return BankedBuffer(nm, words_per_buffer, num_banks, double_buffered)
-
-        return cls(mk("BufferU"), mk("BufferO"), mk("BufferP"), mk("ResultBuffer"))
-
-    def clear(self) -> None:
-        for b in (self.buffer_u, self.buffer_o, self.buffer_p, self.result_buffer):
-            b.clear()
 
 
 def max_partition_dim(buffer_words: int, *, align: int = 1) -> int:
@@ -111,17 +30,3 @@ def max_partition_dim(buffer_words: int, *, align: int = 1) -> int:
     if align > 1:
         n = (n // align) * align
     return max(n, align)
-
-
-def bank_conflict_rounds(dest_banks: np.ndarray, num_banks: int, issue_width: int) -> int:
-    """Cycles to serve a batch of bank requests through the shuffle network.
-
-    Requests issue ``issue_width`` per cycle; each bank accepts one request
-    per cycle (the butterfly's buffering absorbs transient congestion).
-    The round count is therefore ``max(ceil(total / issue_width),
-    max_requests_on_one_bank)``.
-    """
-    if dest_banks.size == 0:
-        return 0
-    counts = np.bincount(dest_banks % num_banks, minlength=num_banks)
-    return int(max(math.ceil(dest_banks.size / issue_width), counts.max()))

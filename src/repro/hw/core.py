@@ -7,11 +7,11 @@ has already chosen a primitive (Algorithm 7); the core
 
 1. loads the operands (charging DDR cycles in their off-chip format),
 2. runs the Auxiliary Hardware Module as needed — D2S/S2D when the stored
-   format differs from what the mode requires (Table III), the Layout
-   Transformation Unit when the mode needs a column-major operand,
+   format differs from what the mode requires (Table III), the layout
+   transformation unit when the mode needs a column-major operand,
 3. executes the mode (GEMM / SpDMM / SPMM) on the ALU array,
 4. accumulates into the Result Buffer (partials from "transposed" pairs
-   land column-major and are merged by the Layout Merger on write-back),
+   land column-major and are merged by the layout merger on write-back),
 5. streams ``Z`` back to DDR through the Sparsity Profiler, dense or, when
    the profiled count makes that stream shorter, through D2S as COO
    (:func:`writeback_stream`).
@@ -39,7 +39,7 @@ from repro.formats.csr import MatrixLike, matmul
 from repro.formats.dense import DTYPE
 from repro.formats.density import SparsityProfiler
 from repro.formats.layout import LayoutMerger, LayoutTransformationUnit
-from repro.hw.buffers import BufferOverflowError, CoreBuffers
+from repro.hw.buffers import BufferOverflowError
 from repro.hw.gemm_unit import gemm_compute_cycles
 from repro.hw.memory import ExternalMemory
 from repro.hw.report import (
@@ -111,11 +111,6 @@ class ComputationCore:
         self.memory = memory
         self.core_id = core_id
         width = config.psys
-        self.buffers = CoreBuffers.build(
-            config.buffers.words_per_buffer,
-            config.buffers.num_banks,
-            config.buffers.double_buffering,
-        )
         self.ltu = LayoutTransformationUnit(width)
         self.merger = LayoutMerger(width)
         self.d2s = DenseToSparseModule(width)
@@ -131,15 +126,16 @@ class ComputationCore:
         """Verify the operand fits the buffer in its *on-chip* format:
         COO (3 words/nonzero) in BufferU, dense elsewhere."""
         words = 3 * op.nnz if as_coo else op.num_elements
-        if words > self.buffers.buffer_u.words:
+        held = self.config.buffers.words_per_buffer
+        if words > held:
             raise BufferOverflowError(
                 f"core {self.core_id}: operand needs {words} words, "
-                f"buffers hold {self.buffers.buffer_u.words}"
+                f"buffers hold {held}"
             )
 
     def coo_fits(self, nnz: int) -> bool:
         """Whether a COO operand with ``nnz`` nonzeros fits BufferU."""
-        return 3 * nnz <= self.buffers.buffer_u.words
+        return 3 * nnz <= self.config.buffers.words_per_buffer
 
     # -- pair execution -------------------------------------------------------
     def execute_pair(
@@ -268,9 +264,9 @@ class ComputationCore:
             else:
                 row_part += partial
         if col_part is not None:
-            merged, tr = self.merger.merge(row_part, col_part)
-            z = merged
-            report.transform += tr.cycles
+            # the layout merger adds the two accumulators as Z streams out
+            z = row_part + col_part
+            report.transform += self.merger.cycles_for(z.size)
         else:
             z = row_part
         if activation is not None:
@@ -305,7 +301,6 @@ class ComputationCore:
 
     def reset(self) -> None:
         self._last_primitive = None
-        self.buffers.clear()
 
 
 def candidate_transform_cycles(
@@ -409,7 +404,7 @@ def batch_task_writeback(
 
     ``sizes`` are output-partition element counts, ``out_nnz`` the exact
     nonzero counts, ``merged`` flags tasks whose partials needed the
-    Layout Merger.  Returns per-task ``(profile, transform, write_bytes,
+    layout merger.  Returns per-task ``(profile, transform, write_bytes,
     coo)``: int64 arrays and the COO write-back mask.
     """
     sizes = np.asarray(sizes, dtype=np.int64)

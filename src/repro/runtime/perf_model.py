@@ -124,7 +124,7 @@ def candidate_cycles(
       leave it far from full occupancy) and SPMM's is scaled by the X
       block's SCP skew (the simulator charges the busiest pipeline);
     - ``transform``: the AHM passes Table III requires given the off-chip
-      formats, the array the core bills from, plus the Layout Merger pass
+      formats, the array the core bills from, plus the layout merger pass
       a transposed pair's task pays;
     - ``load``: the operands' stored bytes and the task's (dense)
       write-back over the core's DDR share, the same for every candidate.

@@ -62,8 +62,8 @@ class DynamicMapping(MappingStrategy):
     hardware model's cost: a pair with an empty operand is skipped, every
     other takes the candidate with the fewest modelled stage cycles
     (:func:`~repro.runtime.perf_model.candidate_cycles`), ties in Algorithm
-    7's order: GEMM, SpDMM with X in BufferU, SpDMM transposed (the Layout
-    Merger reconciles the column-major partial, §V-B2), SPMM.  O(1) per
+    7's order: GEMM, SpDMM with X in BufferU, SpDMM transposed (the layout
+    merger reconciles the column-major partial, §V-B2), SPMM.  O(1) per
     pair, charged to the soft processor."""
 
     name = "Dynamic"

@@ -286,7 +286,7 @@ def execute_kernel_tasks(
 
     # SPMM capacity degrade (Y must be COO-resident; see reference loop):
     # a fixed mapping's, the Analyzer weighs no candidate that does not fit
-    words_u = acc.cores[0].buffers.buffer_u.words
+    words_u = acc.config.buffers.words_per_buffer
     degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > words_u)
     if degrade.any():
         codes[degrade] = SPDMM_CODE

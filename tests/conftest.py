@@ -23,7 +23,7 @@ def make_tiny_config(**overrides) -> AcceleratorConfig:
     base = dict(
         psys=4,
         num_cores=2,
-        buffers=BufferConfig(words_per_buffer=64 * 1024, num_banks=4),
+        buffers=BufferConfig(words_per_buffer=64 * 1024),
         max_partition_dim=64,
         min_partition_dim=8,
     )

@@ -88,4 +88,10 @@ def test_small_test_config_valid():
     cfg = small_test_config()
     assert cfg.psys == 4
     assert cfg.num_cores == 2
-    assert cfg.buffers.num_banks == 4
+    assert cfg.buffers.words_per_buffer == 64 * 1024
+
+
+@pytest.mark.parametrize("words", [0, -1])
+def test_buffer_capacity_checked_at_construction(words):
+    with pytest.raises(ValueError, match="words_per_buffer"):
+        BufferConfig(words_per_buffer=words)

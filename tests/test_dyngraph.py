@@ -580,13 +580,3 @@ class TestDensityRegressions:
         )
         grid = block_nnz_grid(mat, 2, 2)
         assert grid.tolist() == [[0, 0], [0, 1]]
-
-    def test_repro_coo_duplicates(self):
-        from repro.formats.coo import COOMatrix
-        from repro.formats.density import nnz_count
-
-        coo = COOMatrix(
-            row=np.array([0, 0, 1]), col=np.array([0, 0, 1]),
-            val=np.array([2.0, -2.0, 3.0]), shape=(2, 2),
-        )
-        assert nnz_count(coo) == 1

@@ -540,7 +540,7 @@ class TestBufferOverflow:
         needed, held = map(
             int, re.search(r"needs (\d+) words.*holds (\d+)", message).groups()
         )
-        assert needed > held == acc.cores[0].buffers.buffer_u.words
+        assert needed > held == acc.config.buffers.words_per_buffer
         assert timeline.events == []
         assert not timeline.busy.any()
         np.testing.assert_array_equal(assembly.out_dense, out_before)

@@ -5,8 +5,6 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import random_sparse
-from repro.formats.coo import COOMatrix
-from repro.formats.dense import DenseMatrix
 from repro.formats.density import SparsityProfiler, density, nnz_count
 from repro.formats.partition import (
     PartitionedMatrix,
@@ -30,33 +28,11 @@ class TestDensity:
         mat = sp.csr_matrix((np.array([0.0, 1.0]), ([0, 1], [0, 1])), shape=(2, 2))
         assert nnz_count(mat) == 1  # explicit zero not counted
 
-    def test_wrappers(self):
-        d = DenseMatrix(np.eye(4, dtype=np.float32))
-        c = COOMatrix.from_dense(np.eye(4, dtype=np.float32))
-        assert density(d) == density(c) == pytest.approx(0.25)
-
     def test_empty(self):
         assert density(np.zeros((0, 3))) == 0.0
 
 
 class TestSparsityProfiler:
-    def test_profile_dense(self):
-        prof = SparsityProfiler(width=4)
-        rep = prof.profile(np.array([[1, 0, 2, 0]], dtype=np.float32))
-        assert rep.nnz == 2
-        assert rep.density == pytest.approx(0.5)
-        assert rep.cycles == 1 + prof.adder_tree_depth
-
-    def test_profile_sparse_streams_nnz_only(self):
-        prof = SparsityProfiler(width=4)
-        mat = sp.eye(100, format="csr", dtype=np.float32)
-        rep = prof.profile(mat)
-        assert rep.nnz == 100
-        assert rep.cycles == 25 + prof.adder_tree_depth
-
-    def test_adder_tree_depth(self):
-        assert SparsityProfiler(width=16).adder_tree_depth == 4
-
     def test_zero_elements(self):
         assert SparsityProfiler(width=8).cycles_for(0) == 0
 

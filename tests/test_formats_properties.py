@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.formats.coo import COOMatrix
-from repro.formats.convert import DenseToSparseModule, SparseToDenseModule
-from repro.formats.dense import Layout
+from repro.formats.convert import DenseToSparseModule
 from repro.formats.csr import sorted_unique
 from repro.formats.partition import (
     PartitionedMatrix,
@@ -28,38 +26,6 @@ def small_dense(draw, max_dim=12):
     return np.array(flat, dtype=np.float32).reshape(m, n)
 
 
-class TestCOORoundtrips:
-    @given(small_dense())
-    @settings(max_examples=60, deadline=None)
-    def test_dense_coo_dense(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        np.testing.assert_array_equal(coo.to_dense(), dense)
-        assert coo.is_sorted()
-
-    @given(small_dense())
-    @settings(max_examples=60, deadline=None)
-    def test_layout_flip_preserves_values(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        flipped = coo.with_layout(Layout.COL_MAJOR)
-        np.testing.assert_array_equal(flipped.to_dense(), dense)
-        assert flipped.is_sorted()
-
-    @given(small_dense())
-    @settings(max_examples=60, deadline=None)
-    def test_double_transpose_identity(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        tt = coo.transpose().transpose()
-        assert tt.shape == coo.shape
-        assert tt.layout is coo.layout
-        np.testing.assert_array_equal(tt.to_dense(), dense)
-
-    @given(small_dense())
-    @settings(max_examples=60, deadline=None)
-    def test_nnz_matches_numpy(self, dense):
-        coo = COOMatrix.from_dense(dense)
-        assert coo.nnz == int(np.count_nonzero(dense))
-
-
 class TestConverterProperties:
     @given(
         st.lists(st.sampled_from([0.0, 0.0, 1.0, 3.0, -4.0]), min_size=1, max_size=16),
@@ -73,15 +39,6 @@ class TestConverterProperties:
         expect = np.nonzero(vals)[0]
         np.testing.assert_array_equal(out_idx, expect)
         np.testing.assert_array_equal(out_val, vals[expect])
-
-    @given(small_dense())
-    @settings(max_examples=40, deadline=None)
-    def test_d2s_s2d_roundtrip(self, dense):
-        d2s = DenseToSparseModule(width=8)
-        s2d = SparseToDenseModule(width=8)
-        coo, _ = d2s.convert(dense)
-        back, _ = s2d.convert(coo)
-        np.testing.assert_array_equal(back, dense)
 
     @given(st.integers(0, 10_000), st.sampled_from([4, 8, 16]))
     @settings(max_examples=60, deadline=None)

@@ -13,6 +13,7 @@ from repro.hw.core import (
     OperandSpec,
     PairDecision,
     batch_task_writeback,
+    writeback_stream,
 )
 from repro.hw.memory import ExternalMemory
 from repro.hw.report import CycleReport, Primitive
@@ -164,11 +165,22 @@ class TestExecuteTask:
              PairDecision(Primitive.SPDMM, transposed=True)),
             (spec_from(x), spec_from(x), PairDecision(Primitive.GEMM)),
         ]
-        result = fresh_core().execute_task(pairs, (4, 4))
+        core = fresh_core()
+        result = core.execute_task(pairs, (4, 4))
         np.testing.assert_allclose(
             result.z, x @ ys.toarray() + x @ x, rtol=1e-5
         )
-        assert result.report.transform > 0  # merger pass charged
+        # the row-major accumulator plus the column-major one, in float32,
+        # and one layout-merger pass over Z on top of the pairs' own passes
+        col, col_ex = fresh_core().execute_pair(*pairs[0])
+        row, row_ex = fresh_core().execute_pair(*pairs[1])
+        np.testing.assert_array_equal(result.z, row + col)
+        assert result.z.dtype == np.float32
+        merger = core.merger.cycles_for(16)
+        _, d2s, _ = writeback_stream(core, 16, result.output_nnz)
+        assert result.report.transform == (
+            col_ex.report.transform + row_ex.report.transform + merger + d2s
+        )
 
     @given(
         m=st.integers(1, 48), d=st.integers(1, 48),
@@ -227,7 +239,7 @@ class TestExecuteTask:
     def test_latency_without_double_buffering_is_sum(self):
         cfg = make_tiny_config()
         cfg = cfg.replace(buffers=cfg.buffers.__class__(
-            words_per_buffer=64 * 1024, num_banks=4, double_buffering=False
+            words_per_buffer=64 * 1024, double_buffering=False
         ))
         core = ComputationCore(cfg, ExternalMemory(cfg))
         x = np.ones((4, 4), dtype=np.float32)
@@ -241,8 +253,10 @@ class TestExecuteTask:
     def test_profile_cycles_charged(self):
         x = np.ones((4, 4), dtype=np.float32)
         pairs = [(spec_from(x), spec_from(x), PairDecision(Primitive.GEMM))]
-        result = fresh_core().execute_task(pairs, (4, 4))
-        assert result.report.profile > 0
+        core = fresh_core()
+        result = core.execute_task(pairs, (4, 4))
+        # Z leaves the Result Buffer dense: the profiler streams every element
+        assert result.report.profile == core.profiler.cycles_for(16) > 0
         assert result.output_nnz == 16
 
     def test_empty_task_with_init_keeps_init(self):

@@ -1,19 +1,9 @@
-"""Tests for buffers, memory, interconnect, soft processor and resources."""
+"""Tests for buffer capacity, memory, soft processor and resources."""
 
-import numpy as np
 import pytest
 
 from repro.config import u250_default
-from repro.formats.coo import COOMatrix
-from repro.formats.dense import DenseMatrix
-from repro.hw.buffers import (
-    BankedBuffer,
-    BufferOverflowError,
-    CoreBuffers,
-    bank_conflict_rounds,
-    max_partition_dim,
-)
-from repro.hw.interconnect import ButterflyNetwork, routing_rounds
+from repro.hw.buffers import max_partition_dim
 from repro.hw.memory import ExternalMemory, pcie_transfer_seconds
 from repro.hw.resources import (
     U250_AVAILABLE,
@@ -23,43 +13,6 @@ from repro.hw.resources import (
 from repro.hw.soft_processor import SoftProcessor
 
 
-class TestBankedBuffer:
-    def test_capacity_dense(self):
-        buf = BankedBuffer("B", words=16, num_banks=4)
-        ok = DenseMatrix(np.zeros((4, 4), dtype=np.float32))
-        too_big = DenseMatrix(np.zeros((5, 4), dtype=np.float32))
-        assert buf.fits(ok)
-        assert not buf.fits(too_big)
-        buf.load(ok)
-        assert buf.content is ok
-        with pytest.raises(BufferOverflowError):
-            buf.load(too_big)
-
-    def test_capacity_coo_three_words_per_nnz(self):
-        buf = BankedBuffer("B", words=9, num_banks=4)
-        coo = COOMatrix.from_dense(np.eye(3, dtype=np.float32))
-        assert buf.words_required(coo) == 9
-        assert buf.fits(coo)
-
-    def test_bank_mapping(self):
-        buf = BankedBuffer("B", words=64, num_banks=4)
-        assert buf.bank_of_row(0) == 0
-        assert buf.bank_of_row(5) == 1
-        assert buf.rows_per_cycle() == 4
-
-    def test_core_buffers_builder(self):
-        bufs = CoreBuffers.build(128, 4)
-        assert bufs.buffer_u.name == "BufferU"
-        assert bufs.result_buffer.words == 128
-        bufs.buffer_o.load(DenseMatrix(np.zeros((2, 2), dtype=np.float32)))
-        bufs.clear()
-        assert bufs.buffer_o.content is None
-
-    def test_bad_banks(self):
-        with pytest.raises(ValueError):
-            BankedBuffer("B", words=16, num_banks=3)
-
-
 class TestMaxPartitionDim:
     def test_g_of_so(self):
         assert max_partition_dim(512 * 1024, align=16) == 720
@@ -67,13 +20,6 @@ class TestMaxPartitionDim:
 
     def test_alignment(self):
         assert max_partition_dim(1025, align=16) == 32
-
-    def test_bank_conflict_rounds(self):
-        dest = np.array([0, 1, 2, 3])
-        assert bank_conflict_rounds(dest, 4, 4) == 1
-        dest = np.array([0, 0, 0, 0])
-        assert bank_conflict_rounds(dest, 4, 4) == 4
-        assert bank_conflict_rounds(np.array([], dtype=int), 4, 4) == 0
 
 
 class TestExternalMemory:
@@ -104,36 +50,6 @@ class TestExternalMemory:
     def test_pcie_model(self):
         cfg = u250_default()
         assert pcie_transfer_seconds(11.2e9, cfg) == pytest.approx(1.0)
-
-
-class TestRoutingModels:
-    def test_routing_rounds_conflict_free(self):
-        assert routing_rounds(np.arange(8), 8, 8) == 1
-
-    def test_routing_rounds_hot_port(self):
-        assert routing_rounds(np.zeros(5, dtype=int), 8, 8) == 5
-
-    def test_butterfly_delivers_everything(self):
-        net = ButterflyNetwork(4)
-        trace = net.route(np.array([0, 1, 2, 3, 0, 1]))
-        assert trace.delivered == 6
-
-    def test_butterfly_at_least_effective_model(self):
-        net = ButterflyNetwork(8, issue_width=8)
-        rng = np.random.default_rng(0)
-        dest = rng.integers(0, 8, 32)
-        trace = net.route(dest)
-        assert trace.cycles >= routing_rounds(dest, 8, 8)
-
-    def test_butterfly_pipeline_latency(self):
-        # a single packet takes stages+1 cycles to traverse
-        net = ButterflyNetwork(8)
-        trace = net.route(np.array([5]))
-        assert trace.cycles >= net.stages
-
-    def test_bad_ports(self):
-        with pytest.raises(ValueError):
-            ButterflyNetwork(6)
 
 
 class TestSoftProcessor:

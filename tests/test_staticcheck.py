@@ -94,16 +94,6 @@ RULE_FIXTURES = {
         "def f(wait_ms, timeout_s):\n"
         "    return wait_ms * 1e-3 + timeout_s\n",
     ),
-    "RPR302": (
-        "def f(wait_ms):\n    wait_s = wait_ms\n    return wait_s\n",
-        "def f(wait_ms):\n    wait_s = wait_ms * 1e-3\n    return wait_s\n",
-    ),
-    "RPR304": (
-        "def g(timeout_s=1.0):\n    return timeout_s\n\n"
-        "def f(wait_ms):\n    return g(timeout_s=wait_ms)\n",
-        "def g(timeout_s=1.0):\n    return timeout_s\n\n"
-        "def f(wait_s):\n    return g(timeout_s=wait_s)\n",
-    ),
     "RPR402": (
         "def f(obj):\n    object.__setattr__(obj, 'x', 1)\n",
         "class C:\n    def __post_init__(self):\n"
