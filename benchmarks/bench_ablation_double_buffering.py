@@ -1,11 +1,11 @@
 """A3 — ablation: double buffering (§V-B3).
 
-With double buffering, loads/format-transforms/profiling overlap compute:
-task latency = max(compute, memory + transform).  Without it everything
-serialises.  The paper claims the technique "not only overlaps the
-computation and data communication, but also hides the overhead of
-sparsity profiling and data layout/format transformation" — quantified
-here.
+With double buffering, loads/format-transforms/profiling overlap compute
+and the format passes run beside the transfers they convert: task latency
+= max(compute, memory, transform).  Without it everything serialises.
+The paper claims the technique "not only overlaps the computation and
+data communication, but also hides the overhead of sparsity profiling
+and data layout/format transformation" — quantified here.
 """
 
 import dataclasses

@@ -1,6 +1,6 @@
 """Per-kernel roofline classification: compute-bound vs memory-bound.
 
-Under double buffering a task's latency is ``max(compute, memory +
+Under double buffering a task's latency is ``max(compute, memory,
 transform)`` (§V-B3), so each kernel sits in one of two regimes.  Knowing
 which is which explains the strategy results: the Dynamic mapping can
 only win on *compute-bound* kernels (it reduces MAC work); memory-bound
@@ -29,7 +29,7 @@ class KernelClassification:
     regime: KernelRegime
     compute_cycles: float
     data_cycles: float
-    #: compute / (memory + transform); > 1 means compute dominates
+    #: compute / max(memory, transform); > 1 means compute dominates
     intensity_ratio: float
 
     def describe(self) -> str:
@@ -43,7 +43,7 @@ class KernelClassification:
 def classify_kernel(ks: KernelStats, *, balance_band: float = 0.25) -> KernelClassification:
     """Classify one kernel; ratios within ``1 +/- balance_band`` are
     'balanced'."""
-    data = ks.memory_cycles + ks.transform_cycles
+    data = max(ks.memory_cycles, ks.transform_cycles)
     if data <= 0 and ks.compute_cycles <= 0:
         ratio = 1.0
     elif data <= 0:

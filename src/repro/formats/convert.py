@@ -13,10 +13,10 @@ and SciPy arrays, so no unit converts anything; the one functional model
 kept, :meth:`DenseToSparseModule.compact_staged`, is Fig. 8's worked
 example, and its stage count is what tests hold ``pipeline_stages`` to.
 
-The units stream beside the DDR transfers they convert, so a core bills
-their cycles on the load side of a task: with double buffering (§V-B3)
-a task takes ``max(compute, memory + transform)``, and a pass the compute
-cannot hide lengthens it (:mod:`repro.hw.core`).
+The units convert the DDR transfers on the fly, a stage of the load
+stream: with double buffering (§V-B3) a task takes ``max(compute, memory,
+transform)``, and only a pass longer than both the transfer and the
+compute lengthens it (:func:`repro.hw.report.stage_cycles`).
 """
 
 from __future__ import annotations

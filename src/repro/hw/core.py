@@ -13,16 +13,16 @@ has already chosen a primitive (Algorithm 7); the core
 4. accumulates into the Result Buffer (partials from "transposed" pairs
    land column-major and are merged by the layout merger on write-back),
 5. streams ``Z`` back to DDR through the Sparsity Profiler, dense or, when
-   the profiled count makes that stream shorter, through D2S as COO
+   the profiled count makes the task shorter, through D2S as COO
    (:func:`writeback_stream`).
 
 With double buffering (§V-B3) the memory/transform streams overlap
-compute, so a task's latency is ``max(compute, memory + transform)``.
-That is the cost the Analyzer minimises per pair
-(:func:`repro.runtime.perf_model.candidate_cycles`), its transform term
-from the body this module bills from (:func:`candidate_transform_cycles`):
-Table IV prices compute alone, and here an AHM pass the load stream cannot
-hide costs more than the compute it buys.
+compute and the AHM passes run beside the transfers they convert, so a
+task takes ``max(compute, memory, transform)``
+(:func:`repro.hw.report.stage_cycles`), the cost the Analyzer minimises
+per pair (:func:`repro.runtime.perf_model.candidate_cycles`), its
+transform term from the body this module bills from
+(:func:`candidate_transform_cycles`).
 """
 
 from __future__ import annotations
@@ -272,14 +272,12 @@ class ComputationCore:
         if activation is not None:
             z = np.asarray(activation(z), dtype=DTYPE)
 
-        # write-back through the Sparsity Profiler (overlapped stream); a
-        # result sparse enough that 12 B a nonzero plus the D2S pass beat
-        # 4 B an element converts on the fly and leaves as COO
+        # write-back through the Sparsity Profiler (overlapped stream), as COO
+        # after an on-the-fly D2S pass when that leaves the task shorter than dense
         out_nnz = int(np.count_nonzero(z))
         report.profile += self.profiler.cycles_for(z.size)
-        coo, d2s, out_bytes = (
-            int(v) for v in writeback_stream(self, z.size, out_nnz)
-        )
+        wb = writeback_stream(self, z.size, out_nnz, report.memory, report.transform)
+        coo, d2s, out_bytes = (int(v) for v in wb)
         report.transform += d2s
         report.memory += self.memory.write_cycles(
             out_bytes, active_cores=self.active_cores
@@ -376,21 +374,25 @@ def batch_pair_cycles(
     return compute, transform, macs
 
 
-def writeback_stream(core: "ComputationCore", sizes, out_nnz):
+def writeback_stream(core: "ComputationCore", sizes, out_nnz, memory, transform):
     """How output partitions of ``sizes`` elements holding ``out_nnz``
-    nonzeros (the Sparsity Profiler's count) leave ``core``: ``(coo, d2s,
-    write_bytes)``, elementwise over ints or int64 arrays.
+    nonzeros (the Sparsity Profiler's count) leave ``core``, from tasks
+    whose streams so far took ``memory`` DDR and ``transform`` AHM cycles:
+    ``(coo, d2s, write_bytes)``, elementwise over scalars or arrays.
 
     A partition leaves as COO, 12 B a nonzero after a D2S pass, when that
-    is shorter than the dense stream of 4 B an element: when the bytes COO
-    saves take longer over the core's DDR share ``b`` (bytes a cycle under
-    the kernel's concurrency) than the D2S pass takes; ties go dense.  For
-    a ``psys``-wide D2S that is density below ``(4/b - 1/psys) / (12/b)``,
-    and never once ``b >= 4 psys``.
+    makes its task's :func:`repro.hw.report.stage_cycles` shorter than the
+    dense 4 B an element over the core's DDR share ``b`` (bytes a cycle
+    under the kernel's concurrency), compared with the streams both sides
+    share cancelled so no rounding of them decides a tie; ties go dense.
     """
     bpc = core.memory.per_core_bytes_per_cycle(core.active_cores)
     d2s = core.d2s.cycles_for(sizes)
-    coo = 4 * sizes - 12 * out_nnz > d2s * bpc
+    coo = 4 * sizes - 12 * out_nnz > d2s * bpc  # serialised: the saved bytes outlast D2S
+    if core.config.buffers.double_buffering:
+        # max(memory + 12 nnz/b, transform + D2S) < max(memory + 4 size/b, transform)
+        coo = (transform + d2s < memory + 4 * sizes / bpc) & (
+            (12 * out_nnz < 4 * sizes) | (memory + 12 * out_nnz / bpc < transform))
     return coo, np.where(coo, d2s, 0), np.where(coo, 12 * out_nnz, 4 * sizes)
 
 
@@ -399,19 +401,17 @@ def batch_task_writeback(
     sizes: np.ndarray,
     out_nnz: np.ndarray,
     merged: np.ndarray,
+    memory: np.ndarray,
+    transform: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Batched write-back accounting of :meth:`ComputationCore.execute_task`.
 
     ``sizes`` are output-partition element counts, ``out_nnz`` the exact
     nonzero counts, ``merged`` flags tasks whose partials needed the
-    layout merger.  Returns per-task ``(profile, transform, write_bytes,
-    coo)``: int64 arrays and the COO write-back mask.
+    layout merger, ``memory`` / ``transform`` the tasks' summed pair
+    streams.  Returns per-task ``(profile, transform, write_bytes, coo)``:
+    the write-back's own int64 cycles and bytes and the COO mask.
     """
-    sizes = np.asarray(sizes, dtype=np.int64)
-    out_nnz = np.asarray(out_nnz, dtype=np.int64)
-    profile = core.profiler.cycles_for(sizes)
-    coo, d2s, write_bytes = writeback_stream(core, sizes, out_nnz)
-    transform = d2s + np.where(
-        np.asarray(merged, dtype=bool), core.merger.cycles_for(sizes), 0
-    )
-    return profile, transform, write_bytes, coo
+    merge = np.where(merged, core.merger.cycles_for(sizes), 0)
+    coo, d2s, write_bytes = writeback_stream(core, sizes, out_nnz, memory, transform + merge)
+    return core.profiler.cycles_for(sizes), d2s + merge, write_bytes, coo

@@ -9,16 +9,17 @@ reasons about:
 - ``profile`` — Sparsity Profiler cycles.
 
 With double buffering (§V-B3) the memory, transform and profile streams
-overlap the compute of the *previous/next* task, so the effective latency
-of a task is ``max(compute, memory + transform)`` (profiling rides on the
-write-back stream and never adds latency).  Without double buffering
-everything serialises.  The Analyzer takes the argmin of the same
-expression per pair, over :data:`CANDIDATES`.
+overlap the compute of the *previous/next* task and the AHM transforms
+the load stream on the fly, so a task takes ``max(compute, memory,
+transform)`` (profiling rides on the write-back stream); without, all
+serialises.  That is :func:`stage_cycles`, which the core bills and the
+Analyzer minimises per pair, over :data:`CANDIDATES`.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,14 @@ def exposed_stream(stream, chunks, consumer):
     return stream / np.maximum(chunks, 1) + np.maximum(stream - consumer, 0.0)
 
 
+def stage_cycles(*streams, profile=0, double_buffering: bool):
+    """A task's cycles before mode switches, elementwise over its streams (compute, DDR, AHM):
+    the longest double-buffered, else their sum in the order given plus the profile pass."""
+    if double_buffering:
+        return functools.reduce(np.maximum, streams)
+    return sum(streams[1:], streams[0]) + profile
+
+
 @dataclass
 class CycleReport:
     """Cycle and work accounting of one (or an aggregation of) executions."""
@@ -94,10 +103,9 @@ class CycleReport:
 
     def latency(self, *, double_buffering: bool = True, mode_switch_cycles: int = 1) -> float:
         """Effective cycles on the core's critical path."""
-        switch = self.mode_switches * mode_switch_cycles
-        if double_buffering:
-            return max(self.compute, self.memory + self.transform) + switch
-        return self.compute + self.memory + self.transform + self.profile + switch
+        stage = stage_cycles(self.compute, self.memory, self.transform,
+                             profile=self.profile, double_buffering=double_buffering)
+        return float(stage) + self.mode_switches * mode_switch_cycles
 
     def merge(self, other: "CycleReport") -> "CycleReport":
         """Accumulate another report into this one (in place) and return self."""

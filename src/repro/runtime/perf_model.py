@@ -21,9 +21,9 @@ SPMM        ``psys``             ``alpha_X alpha_Y m n d / psys``
 
 three non-overlapping cases that tile the whole density domain: the
 argmin of *compute* cycles.  A core of this hardware model charges a task
-``max(compute, memory + transform)`` (:mod:`repro.hw.core`), and an
-operand stored in another format than the mode wants (Table III) takes an
-AHM pass on the load stream that Table IV does not price.
+``max(compute, memory, transform)`` (:func:`repro.hw.report.stage_cycles`),
+and an operand stored in another format than the mode wants (Table III)
+takes an AHM pass beside the load stream that Table IV does not price.
 :func:`candidate_cycles` prices it; the region rule is what its argmin
 reduces to when nothing needs transforming, the array is fully occupied
 and compute binds (``tests/test_runtime_perf_model.py`` holds that).
@@ -41,7 +41,7 @@ from repro.config import AcceleratorConfig
 from repro.formats.layout import LayoutMerger
 from repro.hw.core import candidate_transform_cycles
 from repro.hw.gemm_unit import gemm_compute_cycles
-from repro.hw.report import GEMM_CODE, SPDMM_CODE, SPMM_CODE
+from repro.hw.report import GEMM_CODE, SPDMM_CODE, SPMM_CODE, stage_cycles
 
 
 @dataclass
@@ -116,7 +116,7 @@ def candidate_cycles(
     ``(4, K)`` float64 array in :data:`repro.hw.report.CANDIDATES` order,
     ``inf`` where the mapping does not fit the on-chip buffers.
 
-    ``max(compute, load + transform)``, :mod:`repro.hw.core`'s stage
+    ``max(compute, load, transform)``, :mod:`repro.hw.core`'s stage
     latency (their sum without double buffering):
 
     - ``compute``: Table IV, except that GEMM's row is the systolic
@@ -148,13 +148,11 @@ def candidate_cycles(
         + stored_bytes(batch.y_nnz, elems_y, batch.y_stored_sparse)
         + 4 * out / share
     ) / bytes_per_cycle
-    # the load side of each row, then its compute beside it
-    cost = candidate_transform_cycles(
+    transform = candidate_transform_cycles(
         config.psys, elems_x, elems_y, batch.x_stored_sparse, batch.y_stored_sparse
     ).astype(np.float64)
-    cost[2] += LayoutMerger(config.psys).cycles_for(out) / share
-    cost += load
-    compute = np.empty_like(cost)
+    transform[2] += LayoutMerger(config.psys).cycles_for(out) / share
+    compute = np.empty_like(transform)
     compute[1], compute[2], compute[3] = _table_iv(
         elems_x * d,
         batch.x_nnz / np.maximum(elems_x, 1),
@@ -165,10 +163,8 @@ def candidate_cycles(
         compute[3] *= batch.x_skew(config.psys)
     # whole psys x psys output tiles, each streaming n + 2 psys
     compute[0] = gemm_compute_cycles(m, n, d, config)
-    if config.buffers.double_buffering:
-        np.maximum(cost, compute, out=cost)
-    else:
-        cost += compute
+    # summed in this order serialised; the profiler's pass is every row's alike
+    cost = stage_cycles(transform, load, compute, double_buffering=config.buffers.double_buffering)
     # dense operands must fit a buffer whole; SpDMM's sparse operand
     # streams; SPMM's right operand must be COO-resident (3 words/nonzero)
     words = config.buffers.words_per_buffer

@@ -38,12 +38,12 @@ runs the same semantics as four batched passes over the whole kernel:
    data-dependent SPMM cycle counts are taken here, and each output
    partition's write-back nonzero count is recorded in the assembly as
    the next kernel's census.
-3. **Write-back accounting** — batched profiler/merger cycles, each
-   output partition's dense-or-COO stream from its profiled count (the
-   core's rule, :func:`repro.hw.core.writeback_stream`), and task
-   latencies (sequential float reductions via ``np.add.at`` /
-   ``np.add.accumulate`` so kernel totals match the reference's
-   accumulation order exactly).
+3. **Write-back accounting** — task latencies from per-task stream sums
+   (sequential float reductions via ``np.add.at`` / ``np.add.accumulate``
+   so kernel totals match the reference's accumulation order exactly),
+   batched profiler/merger cycles, and each output partition's
+   dense-or-COO stream from its profiled count and its task's read
+   streams (the core's rule, :func:`repro.hw.core.writeback_stream`).
 4. **Dispatch** — the only remaining sequential part: Algorithm 8's
    earliest-available core choice (FIFO in task order) and the per-core
    mode-switch state machine.
@@ -71,6 +71,7 @@ from repro.hw.report import (
     SPDMM_CODE,
     SPMM_CODE,
     GEMM_CODE,
+    stage_cycles,
 )
 from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.ir.scheme import TaskBatch
@@ -479,14 +480,6 @@ def execute_kernel_tasks(
         assembly.write(i, k, m, d, z, nnz)
 
     # ---- phase 3: write-back accounting + task latencies ---------------
-    profile_t, wb_tr_t, write_bytes_t, coo_t = batch_task_writeback(
-        core0, m_t * d_t, out_nnz_t, merged_t
-    )
-    profile_t = np.where(executed_t, profile_t, 0)
-    wb_tr_t = np.where(executed_t, wb_tr_t, 0)
-    write_bytes_t = np.where(executed_t, write_bytes_t, 0)
-    stats.coo_writebacks = int(np.count_nonzero(coo_t & executed_t))
-
     comp_t = np.zeros(t_count, dtype=np.int64)
     trans_t = np.zeros(t_count, dtype=np.int64)
     macs_t = np.zeros(t_count, dtype=np.int64)
@@ -500,14 +493,16 @@ def execute_kernel_tasks(
         # np.add.at is a strictly sequential scatter-add, so per-task
         # float sums replicate the reference's pair-order accumulation
         np.add.at(mem_t, lt, read_cyc_p[lp])
+    profile_t, wb_tr_t, write_bytes_t, coo_t = batch_task_writeback(
+        core0, m_t * d_t, out_nnz_t, merged_t, mem_t, trans_t
+    )
+    # a task never dispatched writes nothing; totals below read executed tasks only
+    write_bytes_t = np.where(executed_t, write_bytes_t, 0)
+    stats.coo_writebacks = int(np.count_nonzero(coo_t & executed_t))
     trans_t = trans_t + wb_tr_t
     mem_t = mem_t + write_bytes_t / per_core_bpc
-
-    double_buffering = cfg.buffers.double_buffering
-    if double_buffering:
-        base_t = np.maximum(comp_t.astype(np.float64), mem_t + trans_t)
-    else:
-        base_t = comp_t + mem_t + trans_t + profile_t
+    base_t = stage_cycles(comp_t, mem_t, trans_t, profile=profile_t,
+                          double_buffering=cfg.buffers.double_buffering)
 
     # ---- phase 4: dispatch (Algorithm 8) -------------------------------
     msc = cfg.mode_switch_cycles

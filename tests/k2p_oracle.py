@@ -92,10 +92,11 @@ def pair_costs(batch: PairBatch, config, live) -> list[list[float]]:
             + 4 * out / share
         ) / bytes_per_cycle
         fits = [max(ex, ey) <= words, ey <= words, ex <= words, 3 * y_nnz <= words]
+        # the AHM passes stream beside the DDR transfer they convert
         if config.buffers.double_buffering:
-            cost = [max(c, load + t) for c, t in zip(compute, transform)]
+            cost = [max(c, load, t) for c, t in zip(compute, transform)]
         else:
-            cost = [c + load + t for c, t in zip(compute, transform)]
+            cost = [t + load + c for c, t in zip(compute, transform)]
         costs.append([c if ok else float("inf") for c, ok in zip(cost, fits)])
     return costs
 

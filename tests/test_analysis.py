@@ -65,6 +65,21 @@ class TestRoofline:
         ks = dataclasses.replace(ks, compute_cycles=100.0, memory_cycles=100.0)
         assert classify_kernel(ks).regime is KernelRegime.BALANCED
 
+    def test_the_longer_data_stream_binds(self, two_runs):
+        # the AHM transforms beside the transfer: 120 against max(100, 90)
+        # is ratio 1.2, where against their sum (0.63) it was memory-bound
+        dyn, _ = two_runs
+        import dataclasses
+
+        ks = dataclasses.replace(
+            dyn.kernel_stats[0], compute_cycles=120.0, memory_cycles=100.0,
+            transform_cycles=90.0,
+        )
+        c = classify_kernel(ks, balance_band=0.1)
+        assert c.regime is KernelRegime.COMPUTE_BOUND
+        assert (c.data_cycles, c.intensity_ratio) == (100.0, 1.2)
+        assert classify_kernel(ks).regime is KernelRegime.BALANCED
+
     def test_zero_cycles_balanced(self, two_runs):
         dyn, _ = two_runs
         import dataclasses

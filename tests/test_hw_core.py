@@ -1,5 +1,7 @@
 """Tests for the Computation Core: pair/task execution + AHM accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +18,7 @@ from repro.hw.core import (
     writeback_stream,
 )
 from repro.hw.memory import ExternalMemory
-from repro.hw.report import CycleReport, Primitive
+from repro.hw.report import CycleReport, Primitive, stage_cycles
 
 CFG = make_tiny_config()
 
@@ -177,63 +179,132 @@ class TestExecuteTask:
         np.testing.assert_array_equal(result.z, row + col)
         assert result.z.dtype == np.float32
         merger = core.merger.cycles_for(16)
-        _, d2s, _ = writeback_stream(core, 16, result.output_nnz)
-        assert result.report.transform == (
-            col_ex.report.transform + row_ex.report.transform + merger + d2s
+        reads = col_ex.report.transform + row_ex.report.transform + merger
+        _, d2s, _ = writeback_stream(
+            core, 16, result.output_nnz,
+            0.0 + col_ex.report.memory + row_ex.report.memory, reads,
         )
+        assert result.report.transform == reads + d2s
 
     @given(
         m=st.integers(1, 48), d=st.integers(1, 48),
         fill=st.floats(0.0, 1.0), active=st.integers(1, 8),
         psys=st.sampled_from([2, 4, 16, 64]),
+        read=st.floats(0.0, 2000.0), reads_transform=st.integers(0, 2000),
     )
     @settings(max_examples=300, deadline=None)
-    def test_write_sparse_bytes(self, m, d, fill, active, psys):
-        # the write-back bills the cheaper of the dense stream and COO
-        # plus the D2S pass, and both task loops bill it alike
+    def test_write_sparse_bytes(self, m, d, fill, active, psys, read, reads_transform):
+        # the write-back bills whichever of the dense stream and COO plus
+        # the D2S pass leaves its task's stream shorter, and both task
+        # loops bill it alike
         cfg = make_tiny_config(psys=psys, num_cores=8)
         size, nnz = m * d, int(fill * m * d)
-        z = np.zeros(size, dtype=np.float32)
-        z[:nnz] = 1.0
         core = ComputationCore(cfg, ExternalMemory(cfg))
         core.active_cores = active
-        r = core.execute_task([], (m, d), accumulate_init=z.reshape(m, d))
         b = cfg.memory.bytes_per_cycle(cfg.freq_hz) / active
         d2s = -(size // -psys) + int(np.log2(psys))
-        dense, coo = 4 * size / b, 12 * nnz / b + d2s
+        dense = max(read + 4 * size / b, reads_transform)
+        coo = max(read + 12 * nnz / b, reads_transform + d2s)
+        wrote_coo, billed_d2s, out_bytes = writeback_stream(
+            core, size, nnz, read, reads_transform
+        )
+        assert wrote_coo == (coo < dense)
+        assert (billed_d2s, out_bytes) == ((d2s, 12 * nnz) if wrote_coo else (0, 4 * size))
+        profile, transform, write_bytes, batch_coo = batch_task_writeback(
+            core, *(np.array([v]) for v in (size, nnz, False, read, reads_transform))
+        )
+        assert (transform[0], write_bytes[0], batch_coo[0]) == (
+            billed_d2s, out_bytes, wrote_coo
+        )
+        # a task that read nothing: the core bills the shorter stream
+        z = np.zeros(size, dtype=np.float32)
+        z[:nnz] = 1.0
+        r = core.execute_task([], (m, d), accumulate_init=z.reshape(m, d))
         rep = r.report
-        assert rep.memory + rep.transform == pytest.approx(min(dense, coo), rel=1e-12)
-        assert rep.bytes_written == (12 * nnz if r.coo_writeback else 4 * size)
-        if not np.isclose(dense, coo, rtol=1e-9, atol=0):
-            assert r.coo_writeback == (coo < dense)
-        profile, transform, write_bytes, wrote_coo = batch_task_writeback(
-            core, [size], [nnz], [False]
+        empty = writeback_stream(core, size, nnz, 0.0, 0)
+        assert (r.coo_writeback, rep.transform, rep.bytes_written) == tuple(
+            int(v) for v in empty
         )
-        assert (profile[0], transform[0], write_bytes[0], wrote_coo[0]) == (
-            rep.profile, rep.transform, rep.bytes_written, r.coo_writeback
-        )
-        assert rep.memory == write_bytes[0] / b
+        assert r.coo_writeback == (max(12 * nnz / b, d2s) < 4 * size / b)
+        assert max(rep.memory, rep.transform) == min(4 * size / b, max(12 * nnz / b, d2s))
+        assert rep.memory == rep.bytes_written / b
+        assert rep.profile == profile[0]
 
     def test_write_back_tie_goes_dense(self):
-        # 7 cores share 308 B a cycle: 44 B each, exactly.  256 elements
-        # holding 12 nonzeros save 880 B as COO, 20 cycles at 44 B, and
-        # the psys=16 D2S pass over 256 elements takes 16 + 4 = 20
+        # 14 cores share 308 B a cycle: 22 B each, exactly.  A 12 x 22
+        # partition streams dense in 4 * 264 / 22 = 48 cycles, and its
+        # psys=16 D2S pass takes 17 + 4 = 21 beside the transfer
+        cfg = make_tiny_config(psys=16, num_cores=14)
+        core = ComputationCore(cfg, ExternalMemory(cfg))
+        core.active_cores = 14
+        # a task that read nothing: 88 nonzeros stream in 48 cycles too
+        for nnz, coo in ((88, False), (87, True)):
+            z = np.zeros(264, dtype=np.float32)
+            z[:nnz] = 1.0
+            r = core.execute_task([], (12, 22), accumulate_init=z.reshape(12, 22))
+            assert r.coo_writeback is coo
+            assert r.report.bytes_written == (12 * nnz if coo else 4 * 264)
+        # after reads whose AHM passes took 27 cycles, 11 nonzeros stream in
+        # 6 and the D2S pass ends at 48; after 0.3 DDR cycles, 88 stream in
+        # the dense 48 again
+        for memory, transform, nnz, coo in (
+            (0.0, 27, 11, False), (0.0, 26, 11, True), (0.3, 0, 88, False), (0.3, 0, 87, True)
+        ):
+            assert bool(writeback_stream(core, 264, nnz, memory, transform)[0]) is coo
+        # serialised, 7 cores at 44 B each: 256 elements holding 12 nonzeros
+        # save 880 B as COO, 20 cycles, and the D2S pass takes 16 + 4 = 20,
+        # whatever the task read first (0.3 + 144/44 + 19 + 20 rounds below
+        # 0.3 + 1024/44 + 19)
         cfg = make_tiny_config(psys=16, num_cores=7)
+        cfg = cfg.replace(buffers=dataclasses.replace(cfg.buffers, double_buffering=False))
         core = ComputationCore(cfg, ExternalMemory(cfg))
         core.active_cores = 7
-        for nnz, coo in ((12, False), (11, True)):
-            z = np.zeros(256, dtype=np.float32)
-            z[:nnz] = 1.0
-            r = core.execute_task([], (16, 16), accumulate_init=z.reshape(16, 16))
-            assert r.coo_writeback is coo
-            assert r.report.bytes_written == (12 * nnz if coo else 4 * 256)
+        for memory, transform in ((0.0, 0), (0.3, 19), (2 / 3, 3)):
+            for nnz, coo in ((12, False), (11, True)):
+                assert bool(writeback_stream(core, 256, nnz, memory, transform)[0]) is coo
+
+    @given(
+        size=st.integers(1, 4096), fill=st.floats(0.0, 1.0),
+        compute=st.floats(0.0, 5000.0), memory=st.floats(0.0, 5000.0),
+        transform=st.integers(0, 5000), active=st.integers(1, 8),
+        psys=st.sampled_from([2, 4, 16, 64]), double_buffering=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_write_back_never_lengthens_the_task(
+        self, size, fill, compute, memory, transform, active, psys, double_buffering
+    ):
+        # the chosen write-back's task is no longer than either fixed
+        # choice's, each of which is no longer than the summed load stream
+        # billed it
+        cfg = make_tiny_config(psys=psys, num_cores=8)
+        cfg = cfg.replace(buffers=dataclasses.replace(
+            cfg.buffers, double_buffering=double_buffering
+        ))
+        core = ComputationCore(cfg, ExternalMemory(cfg))
+        core.active_cores = active
+        nnz = int(fill * size)
+        b = core.memory.per_core_bytes_per_cycle(active)
+
+        def task(out_bytes, d2s):
+            return stage_cycles(
+                memory + out_bytes / b, transform + d2s, compute,
+                double_buffering=double_buffering,
+            )
+
+        _, d2s, out_bytes = writeback_stream(core, size, nnz, memory, transform)
+        chosen = task(out_bytes, d2s)
+        for fixed_bytes, fixed_d2s in ((4 * size, 0), (12 * nnz, core.d2s.cycles_for(size))):
+            fixed = task(fixed_bytes, fixed_d2s)
+            assert chosen <= fixed
+            if double_buffering:
+                assert fixed <= max(compute, memory + fixed_bytes / b + transform + fixed_d2s)
 
     def test_latency_double_buffering_is_max(self):
         x = np.ones((4, 4), dtype=np.float32)
         pairs = [(spec_from(x), spec_from(x), PairDecision(Primitive.GEMM))]
         result = fresh_core().execute_task(pairs, (4, 4))
         r = result.report
-        expect = max(r.compute, r.memory + r.transform) + r.mode_switches
+        expect = max(r.compute, r.memory, r.transform) + r.mode_switches
         assert result.latency == pytest.approx(expect)
 
     def test_latency_without_double_buffering_is_sum(self):

@@ -105,7 +105,7 @@ class TestRegionRule:
     ):
         """With both operands in the format every mode wants (no AHM
         pass), unbounded bandwidth and buffers, a fully occupied systolic
-        array and balanced rows, ``max(compute, load + transform)`` is Table IV and
+        array and balanced rows, ``max(compute, load, transform)`` is Table IV and
         its argmin is the region rule, both boundary ties included
         (densities in 256ths reach 1/2 and 2/psys exactly)."""
         cfg = dataclasses.replace(

@@ -158,13 +158,22 @@ class TestPlannerCost:
     """What pricing a shard in modelled cycles buys, on the paper's
     configuration (the U250's 7 cores share one DDR)."""
 
+    #: modelled ms over 2 and 4 shards when the core billed its AHM passes
+    #: after the DDR transfer instead of beside it: neither may rise
+    SERIAL_AHM_MS = {"GCN": (0.13952, 0.08090), "GIN": (0.96033, 0.71423)}
+
     @pytest.mark.parametrize("model", ("GCN", "GIN"))
     def test_four_shards_beat_two_on_pubmed(self, model):
         program = compile_program(model, "PU", 0, 0.5, u250_default())
         two = run_sharded(program, 2)
         four = run_sharded(program, 4)
         assert block_bounds(four.plan) == [0, 3, 7, 10, 14]
-        assert four.latency_s < 0.75 * two.latency_s
+        two_ms, four_ms = self.SERIAL_AHM_MS[model]
+        assert two.latency_s * 1e3 <= two_ms and four.latency_s * 1e3 <= four_ms
+        # hiding the AHM under the transfer shrinks each shard's kernels
+        # but not the halo they wait for, so the ratio sits higher than the
+        # absolute latencies above: GIN reads 0.709 / 0.939 = 0.755
+        assert four.latency_s < 0.76 * two.latency_s
         np.testing.assert_array_equal(
             four.output_dense(), two.output_dense()
         )
