@@ -6,7 +6,8 @@ Computation Cores: a per-device available-time vector.  Three rules pick
 the device(s) a booking lands on: ``submit`` takes the device that can
 start first (the multi-device analogue of Algorithm 8's idle-core
 interrupts), ``submit_on`` the one it is told, ``submit_group`` the N
-earliest-available, held to a common barrier.  What a booking *is* is
+earliest-available, held to a common barrier (``peek_device`` /
+``peek_group`` show the choice before booking).  What a booking *is* is
 written once (``_book``): the device's availability and busy seconds, a
 :class:`DispatchEvent`, a dispatch span.
 
@@ -112,6 +113,20 @@ class AcceleratorPool:
             best = int(candidates[np.argmin(active[candidates])])
         return best
 
+    def peek_group(self, num_devices: int, ready_s: float) -> tuple[list[int], float]:
+        """The active devices :meth:`submit_group` books for a group ready
+        at ``ready_s`` (the ``num_devices`` earliest to start, ascending),
+        and their common start."""
+        if not 1 <= num_devices <= self._num_active:
+            raise ValueError(
+                f"group needs {num_devices} device(s), pool has "
+                f"{self._num_active} active of {self.num_devices}"
+            )
+        starts = np.maximum(self.available[: self._num_active], ready_s)
+        order = np.argsort(starts, kind="stable")
+        chosen = sorted(int(d) for d in order[:num_devices])
+        return chosen, float(starts[chosen].max())
+
     def _book(
         self, device: int, start: float, service_s: float, work_s: float,
         batch_id: int, batch_size: int, label: str, **span_args,
@@ -206,17 +221,9 @@ class AcceleratorPool:
         availability reflects the barrier.  Returns
         ``(devices, start, end)``.
         """
-        if not 1 <= num_devices <= self._num_active:
-            raise ValueError(
-                f"group needs {num_devices} device(s), pool has "
-                f"{self._num_active} active of {self.num_devices}"
-            )
+        chosen, start = self.peek_group(num_devices, ready_s)
         if busy_s is not None and len(busy_s) != num_devices:
             raise ValueError("busy_s must have one entry per group device")
-        starts = np.maximum(self.available[: self._num_active], ready_s)
-        order = np.argsort(starts, kind="stable")
-        chosen = sorted(int(d) for d in order[:num_devices])
-        start = float(starts[chosen].max())
         for idx, device in enumerate(chosen):
             busy = service_s if busy_s is None else float(busy_s[idx])
             end = self._book(

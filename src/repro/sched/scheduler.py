@@ -18,7 +18,8 @@ queue and books them layer by layer, which is what the rest of this
 module is about:
 
 **Per-layer segments.**  Every distinct (program, strategy, shards)
-execution decomposes into an input-PCIe segment plus one segment per
+execution decomposes into an input-PCIe segment (0 s where its devices
+already hold the program's inputs) plus one segment per
 kernel layer (unsharded: kernel cycles + exposed analysis; sharded: the
 per-layer barrier intervals ``ShardedRuntime`` exposes).  The scheduler
 books an execution segment-by-segment
@@ -104,8 +105,6 @@ class _Group:
     batch: MicroBatch
     slo: SLOClass
     deadline: float
-    #: dispatch-order tiebreak within equal priority (open order)
-    order: int
     #: devices the batch spans when it runs
     shards: int
     deferred_ids: set = field(default_factory=set)
@@ -117,8 +116,8 @@ class _Group:
 
     @property
     def rank(self) -> tuple:
-        """Dispatch order: priority first, then open order."""
-        return (-self.slo.priority, self.order)
+        """Dispatch order: priority first, then open order (batch id)."""
+        return (-self.slo.priority, self.batch.batch_id)
 
 
 _RANK = operator.attrgetter("rank")
@@ -139,7 +138,8 @@ class _Execution:
         self.run = run
         self.members: list[_Member] = []
         self.pending_joins: list[_Member] = []
-        #: segment 0 is the input-PCIe transfer, then one per layer
+        #: segment 0 is the input-PCIe transfer (0 s if resident), then
+        #: one per layer
         self.segments: list[float] = segments
         self.seg_idx = 0
         self.seg_end_s = 0.0
@@ -201,25 +201,23 @@ class ContinuousScheduler:
         self.slo_policy = policy = server.slo_policy
         admission = server.admission
         #: the classes requests are scheduled as
-        self.classes = (
-            _ONE_CLASS
-            if self.dispatch.one_class
-            else policy if policy is not None else SLOPolicy.default()
-        )
-        self.admission = (
-            admission
-            if admission is not None
-            else AdmissionController(self.classes)
-        )
+        self.classes = (_ONE_CLASS if self.dispatch.one_class
+                        else policy if policy is not None else SLOPolicy.default())
+        self.admission = (admission if admission is not None
+                          else AdmissionController(self.classes))
         self.autoscaler: PoolAutoscaler | None = server.autoscaler
 
         #: the sweep's counters; ``ServingReport`` is built from these
         self.metrics = MetricsRegistry()
         for name in ("batches", "mutations", "patches", "patch_fallbacks",
-                     "sharded_batches", "sharded_requests", "halo_bytes"):
+                     "sharded_batches", "sharded_requests", "halo_bytes",
+                     "pcie_transfers", "pcie_s", "pcie_saved_s"):
             self.metrics.counter(f"serve.{name}")  # reported even at zero
         self.metrics.gauge("serve.max_shard_width")
         self.responses: list[InferenceResponse] = []
+        #: (device, program key, shards, slice) of every input slice a
+        #: device's DDR received this sweep
+        self._resident: set[tuple] = set()
         #: seconds and evictions the metrics catalogue has no name for
         self.patch_s = 0.0
         self.halo_s = 0.0
@@ -260,17 +258,10 @@ class ContinuousScheduler:
 
     def _occupied(self, device: int) -> bool:
         """Does the device own a running or paused execution?"""
-        return (
-            self._assignment[device] is not None
-            or bool(self._paused_stack[device])
-        )
+        return self._assignment[device] is not None or bool(self._paused_stack[device])
 
     def _idle_active(self) -> list[int]:
-        return [
-            d
-            for d in range(self.pool.num_active)
-            if not self._occupied(d)
-        ]
+        return [d for d in range(self.pool.num_active) if not self._occupied(d)]
 
     def _count(self, name: str, amount: float = 1) -> None:
         self.metrics.counter(name).inc(amount)
@@ -313,7 +304,7 @@ class ContinuousScheduler:
                 req = self.engine.resolve_request(event)
                 self.server._check_shards(req)
                 self._admit(req, t, deferred=False)
-            depth = self._waiting + len(self._deferred)
+            depth = self._queue_depth()
             if depth > self._max_depth:
                 self._max_depth = depth
             if tracer.enabled:
@@ -360,16 +351,10 @@ class ContinuousScheduler:
             # the patch queues behind whatever the host is doing (an
             # in-flight compile of this very program included) and holds
             # the host while it runs
-            start = max(
-                now, self._host_free_s,
-                self._program_ready.get(event.old_key, now),
-            )
+            start = max(now, self._host_free_s, self._program_ready.get(event.old_key, now))
             self._host_free_s = start + event.report.wall_s
             self._program_ready[event.new_key] = self._host_free_s
-            self._count(
-                "serve.patches" if event.report.patched
-                else "serve.patch_fallbacks"
-            )
+            self._count("serve.patches" if event.report.patched else "serve.patch_fallbacks")
             self.patch_s += event.report.wall_s
 
     def _class_of(self, req: InferenceRequest) -> SLOClass:
@@ -383,13 +368,7 @@ class ContinuousScheduler:
                 f"but the policy defines {self.classes.names}"
             ) from exc
 
-    def _admit(
-        self,
-        req: InferenceRequest,
-        now: float,
-        *,
-        deferred: bool,
-    ) -> None:
+    def _admit(self, req: InferenceRequest, now: float, *, deferred: bool) -> None:
         cls = self._class_of(req)
         prog_key = req.program_key(self.config)
         pkey = req.batch_key(self.config, prog_key)
@@ -415,9 +394,7 @@ class ContinuousScheduler:
             return
 
         if not deferred:
-            decision = self.admission.decide(
-                cls, self._waiting + len(self._deferred)
-            )
+            decision = self.admission.decide(cls, self._queue_depth())
             if decision.action != "admit":
                 if decision.action == "defer":
                     self._deferred.append(req)
@@ -436,13 +413,7 @@ class ContinuousScheduler:
         ready_s = self._lookup(req, prog_key, pkey, now)
         self._group_add(req, cls, pkey, ready_s, now, deferred=deferred)
 
-    def _lookup(
-        self,
-        req: InferenceRequest,
-        prog_key: tuple,
-        pkey: tuple,
-        now: float,
-    ) -> float:
+    def _lookup(self, req: InferenceRequest, prog_key: tuple, pkey: tuple, now: float) -> float:
         """Program-cache lookup + host-clock compile charge; returns the
         virtual time the request's program is ready to run."""
         program, compile_s, hit = self.cache.get_or_compile(
@@ -470,32 +441,17 @@ class ContinuousScheduler:
         return max(now, self._program_ready.get(prog_key, now))
 
     # -- batch windows --------------------------------------------------
-    def _group_add(
-        self,
-        req: InferenceRequest,
-        cls: SLOClass,
-        pkey: tuple,
-        ready_s: float,
-        now: float,
-        *,
-        deferred: bool,
-    ) -> None:
+    def _group_add(self, req: InferenceRequest, cls: SLOClass, pkey: tuple, ready_s: float,
+                   now: float, *, deferred: bool) -> None:
         gkey = (pkey, cls.name)
         group = self._groups.get(gkey)
         opened = group is None
         if opened:
-            wait = (
-                cls.max_wait_s
-                if cls.max_wait_s is not None
-                else self.server.max_wait_s
-            )
-            batch = MicroBatch(
-                key=pkey, requests=[], opened_s=now, ready_s=now
-            )
-            group = self._groups[gkey] = _Group(
-                batch, cls, deadline=now + wait, order=next(self._order),
-                shards=req.shards,
-            )
+            wait = cls.max_wait_s if cls.max_wait_s is not None else self.server.max_wait_s
+            batch = MicroBatch(key=pkey, requests=[], opened_s=now, ready_s=now,
+                               batch_id=next(self._order))
+            group = self._groups[gkey] = _Group(batch, cls, deadline=now + wait,
+                                                shards=req.shards)
             self._after(group.deadline, self._window_expired, group)
         batch = group.batch
         batch.requests.append(req)
@@ -507,9 +463,7 @@ class ContinuousScheduler:
         if opened and req.shards > self.pool.num_active:
             # a queued batch's width is a floor on the active set: it
             # grows now, because no later event need come to grow it
-            self._resize(
-                req.shards, now, f"queued batch spans {req.shards} devices"
-            )
+            self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
         if len(batch.requests) >= self.server.max_batch_size:
             self._close_group(group, now)
 
@@ -534,9 +488,7 @@ class ContinuousScheduler:
             # batch stuck waiting on a compile never blocks an idle
             # device from taking later-closed but earlier-ready work
             self._waiting -= batch.size
-            self._booked.append(
-                (max(batch.ready_s, now), len(self._booked), group)
-            )
+            self._booked.append((max(batch.ready_s, now), len(self._booked), group))
         elif batch.ready_s <= now:
             insort(self._ready, group, key=_RANK)
         else:
@@ -562,15 +514,13 @@ class ContinuousScheduler:
     # -- dispatch -------------------------------------------------------
     def _prepare(self, batch: MicroBatch, ready_s: float):
         """Replay (or simulate, the first time) the batch's execution
-        through the engine's one door and count it; returns ``(run,
-        input_s)``.  PCIe input transfer and K2P analysis (inside
-        ``latency_s``) are paid once for the whole batch: the
+        through the engine's one door and count it; returns the run.  K2P
+        analysis (inside ``latency_s``) and any PCIe input transfer
+        (:meth:`_input_s`) are paid once for the whole batch: the
         amortization micro-batching buys."""
         first = batch.requests[0]
-        program = self._programs[batch.key]
-        run = self.engine.execute(
-            program, first.strategy, first.shards, ready_s=ready_s
-        )
+        run = self.engine.execute(self._programs[batch.key], first.strategy, first.shards,
+                                  ready_s=ready_s)
         self._count("serve.batches")
         if run.num_shards > 1:
             self._count("serve.sharded_batches")
@@ -579,7 +529,24 @@ class ContinuousScheduler:
             self.halo_s += run.halo_s
             width = self.metrics.gauge("serve.max_shard_width")
             width.set(max(width.value, run.num_shards))
-        return run, pcie_transfer_seconds(program.input_bytes(), self.config)
+        return run
+
+    def _input_s(self, batch: MicroBatch, devices: list[int]) -> float:
+        """PCIe seconds the batch pays to send its program's inputs to
+        ``devices`` (slice ``i`` to ``devices[i]``): none when each holds
+        its slice already (sent earlier this sweep, never evicted), else
+        the whole transfer, after which each does."""
+        transfer_s = pcie_transfer_seconds(self._programs[batch.key].input_bytes(), self.config)
+        # the batch key is the program key + (strategy, shards)
+        slices = {(d, batch.key[:-2], len(devices), i) for i, d in enumerate(devices)}
+        sent = slices - self._resident
+        if not sent:
+            self._count("serve.pcie_saved_s", transfer_s)
+            return 0.0
+        self._resident |= sent
+        self._count("serve.pcie_transfers", len(sent))
+        self._count("serve.pcie_s", transfer_s)
+        return transfer_s
 
     def _respond(
         self, req: InferenceRequest, batch_id: int, batch_size: int,
@@ -591,56 +558,43 @@ class ContinuousScheduler:
         # bug — raising beats silently reporting it as a cache hit
         # (inflated hit rates)
         compile_s, hit = self._lookups[req.request_id]
-        self.responses.append(
-            InferenceResponse(
-                request_id=req.request_id,
-                model=req.model,
-                dataset=req.dataset_name,
-                strategy=req.strategy,
-                arrival_s=req.arrival_s,
-                compile_s=compile_s,
-                start_s=start_s,
-                finish_s=finish_s,
-                service_s=service_s,
-                cache_hit=hit,
-                batch_id=batch_id,
-                batch_size=batch_size,
-                device=device,
-                shards=run.num_shards,
-                barrier_s=barrier_s,
-                accel_cycles=run.total_cycles,
-                output=(
-                    run.served_output() if self.server.return_outputs else None
-                ),
-                slo=req.slo,
-                joined=joined,
-                deferred=deferred,
-            )
-        )
+        self.responses.append(InferenceResponse(
+            request_id=req.request_id, model=req.model, dataset=req.dataset_name,
+            strategy=req.strategy, arrival_s=req.arrival_s, compile_s=compile_s,
+            start_s=start_s, finish_s=finish_s, service_s=service_s, cache_hit=hit,
+            batch_id=batch_id, batch_size=batch_size, device=device,
+            shards=run.num_shards, barrier_s=barrier_s, accel_cycles=run.total_cycles,
+            output=run.served_output() if self.server.return_outputs else None,
+            slo=req.slo, joined=joined, deferred=deferred,
+        ))
 
     def _book_whole(self, group: _Group, ready_s: float) -> None:
         """Book-ahead dispatch: one reservation for the whole execution."""
-        batch = group.batch
-        run, input_s = self._prepare(batch, ready_s)
+        batch, pool = group.batch, self.pool
+        run = self._prepare(batch, ready_s)
+        shards = run.num_shards
+        # the device(s) submit / submit_group pick, seen before booking
+        devices = (pool.peek_group(shards, ready_s)[0] if shards > 1
+                   else [pool.peek_device(ready_s)])
+        input_s = self._input_s(batch, devices)
         service_s = input_s + run.latency_s
-        if run.num_shards > 1:
+        if shards > 1:
             # a sharded batch occupies all of its shard devices from the
             # common start to the last per-layer barrier; per-device busy
             # stays honest (each shard's own work + its input-PCIe share)
-            busy = [b + input_s / run.num_shards for b in run.shard_busy_s]
-            devices, start, end = self.pool.submit_group(
-                service_s, run.num_shards, ready_s, busy_s=busy,
+            busy = [b + input_s / shards for b in run.shard_busy_s]
+            _, start, end = pool.submit_group(
+                service_s, shards, ready_s, busy_s=busy,
                 batch_id=batch.batch_id, batch_size=batch.size,
             )
-            device = devices[0]
         else:
-            device, start, end = self.pool.submit(
-                service_s, ready_s, batch_id=batch.batch_id,
+            start, end = pool.submit_on(
+                devices[0], service_s, ready_s, batch_id=batch.batch_id,
                 batch_size=batch.size,
             )
         for req in batch.requests:
             self._respond(
-                req, batch.batch_id, batch.size, device, run,
+                req, batch.batch_id, batch.size, devices[0], run,
                 start, end, service_s, run.barrier_s,
             )
 
@@ -654,22 +608,21 @@ class ContinuousScheduler:
             idle = self._idle_active()
             if not idle:
                 return
-            fits = next(
-                (i for i, g in enumerate(self._ready)
-                 if g.shards <= len(idle)),
-                None,
-            )
+            fits = next((i for i, g in enumerate(self._ready) if g.shards <= len(idle)), None)
             if fits is None:
                 return
             self._start_execution(self._ready.pop(fits), t, idle)
 
-    def _start_execution(
-        self, group: _Group, t: float, idle: list[int]
-    ) -> None:
+    def _start_execution(self, group: _Group, t: float, idle: list[int]) -> None:
         pool, batch = self.pool, group.batch
         self._waiting -= batch.size
         ready_s = max(batch.ready_s, t)
-        run, input_s = self._prepare(batch, ready_s)
+        run = self._prepare(batch, ready_s)
+        shards = run.num_shards
+        # the earliest-available idle device(s), lowest-numbered on ties
+        by_idle = sorted(idle, key=lambda d: (pool.available[d], d))
+        chosen = sorted(by_idle[:shards])
+        input_s = self._input_s(batch, chosen)
         exec_ = _Execution(
             exec_id=batch.batch_id,
             key=batch.key,
@@ -677,31 +630,24 @@ class ContinuousScheduler:
             segments=[input_s, *map(float, run.segments_s)],
             priority=group.slo.priority,
         )
-        exec_.members = [
-            _Member(
-                r, None, joined=False,
-                deferred=r.request_id in group.deferred_ids,
-            )
-            for r in batch.requests
-        ]
-        if run.num_shards > 1:
+        exec_.members = [_Member(r, None, deferred=r.request_id in group.deferred_ids)
+                         for r in batch.requests]
+        exec_.devices = chosen
+        if shards > 1:
             # barrier-locked group: one atomic booking per member device,
             # all held from the common start to the last barrier (the
             # busy accounting of a whole submit_group booking)
-            by_idle = sorted(idle, key=lambda d: (pool.available[d], d))
-            chosen = sorted(by_idle[: run.num_shards])
             start = max(ready_s, max(float(pool.available[d]) for d in chosen))
             service_s = input_s + run.latency_s
             for i, d in enumerate(chosen):
                 pool.submit_on(
                     d, service_s, start,
-                    busy_s=run.shard_busy_s[i] + input_s / run.num_shards,
+                    busy_s=run.shard_busy_s[i] + input_s / shards,
                     batch_id=exec_.exec_id, batch_size=batch.size,
                     label=f"batch{exec_.exec_id}/shard{i}",
                 )
                 self._assignment[d] = exec_
             exec_.atomic = True
-            exec_.devices = chosen
             exec_.start_s = start
             # admission points: every segment start; the last one (start
             # of the final barrier interval) is the last join point
@@ -710,14 +656,13 @@ class ContinuousScheduler:
             )
             self._after(start + service_s, self._finish, exec_)
         else:
-            dev = min(idle, key=lambda d: (pool.available[d], d))
+            dev = chosen[0]
             start, end = pool.submit_on(
-                dev, exec_.segments[0], ready_s,
+                dev, input_s, ready_s,
                 batch_id=exec_.exec_id, batch_size=batch.size,
                 label=f"batch{exec_.exec_id}/seg0",
             )
             self._assignment[dev] = exec_
-            exec_.devices = [dev]
             exec_.start_s = start
             exec_.seg_end_s = end
             self._after(end, self._on_segment_end, exec_)
@@ -726,7 +671,7 @@ class ContinuousScheduler:
             self.tracer.instant(
                 "sched", f"exec{exec_.exec_id}/start", exec_.start_s,
                 cat="dispatch", size=batch.size, slo=group.slo.name,
-                shards=run.num_shards, devices=str(exec_.devices),
+                shards=shards, devices=str(chosen),
             )
 
     # -- layer boundaries ------------------------------------------------

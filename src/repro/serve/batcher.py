@@ -2,8 +2,9 @@
 
 Requests sharing a ``batch_key`` (same compiled program, mapping strategy
 *and* shard width) produce identical accelerator runs, so the server
-executes each batch once: one PCIe input transfer, one K2P analysis pass,
-one set of kernel launches — amortized over every request in the batch.
+executes each batch once: one K2P analysis pass, one set of kernel
+launches, and a PCIe input transfer only if its device does not already
+hold the program's inputs — amortized over every request in the batch.
 
 Batching trades latency for that amortization with two knobs, the same
 ones production inference servers expose:
@@ -25,12 +26,9 @@ does differently per ``InferenceServer(scheduler=...)`` value.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.serve.request import InferenceRequest
-
-_batch_ids = itertools.count()
 
 
 @dataclass
@@ -43,7 +41,9 @@ class MicroBatch:
     opened_s: float
     #: earliest time the batch may start (compile of its miss request done)
     ready_s: float
-    batch_id: int = field(default_factory=lambda: next(_batch_ids))
+    #: the sweep's open order: 0 for its first batch, unique within a
+    #: sweep only (every ``serve`` call numbers its batches from 0)
+    batch_id: int
 
     @property
     def size(self) -> int:

@@ -19,7 +19,7 @@ identity scheme in :mod:`repro.engine.keys`, so serving and direct
 ``batch_key``
     ``program_key`` plus the mapping strategy: requests sharing it produce
     bit-identical runs, so one accelerator pass serves the whole batch and
-    the K2P analysis + PCIe transfer are paid once.
+    the K2P analysis (and a PCIe transfer, if any) are paid once.
 """
 
 from __future__ import annotations
@@ -125,7 +125,8 @@ class InferenceResponse:
     start_s: float
     #: when that batch finished
     finish_s: float
-    #: device-occupancy of the batch (PCIe + accelerator execution)
+    #: device-occupancy of the batch: accelerator execution, plus the
+    #: PCIe input transfer unless its devices already held the inputs
     service_s: float
     cache_hit: bool
     batch_id: int

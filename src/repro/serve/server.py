@@ -17,8 +17,10 @@ every sweep; ``InferenceServer(scheduler=...)`` names its dispatch policy
 Time model: a sweep is a discrete-event simulation on a *virtual clock*
 (seconds).  Arrivals come from the workload; compile time on a cache
 miss is the compiler's measured wall-clock preprocessing time; batch
-service time is one PCIe input transfer plus the cycle-accurate latency
-of the run.  A batch's members are bit-identical runs, so each distinct
+service time is the cycle-accurate latency of the run, plus a PCIe input
+transfer where a device of the batch does not yet hold the program's
+inputs (each device keeps what it was sent for the rest of the sweep,
+with no eviction).  A batch's members are bit-identical runs, so each distinct
 (program, strategy, shards) is simulated once and replayed, while the
 *virtual* device occupancy is charged for every batch.  The engine's
 program cache outlives a ``serve`` call (and is shared with direct
@@ -104,6 +106,11 @@ class ServingReport:
     max_shard_width: int = _held("gauges", "serve.max_shard_width", default=0)
     halo_bytes: int = _held("counters", "serve.halo_bytes", default=0)
     halo_s: float = 0.0
+    #: PCIe input slices sent to devices, their seconds, and the seconds
+    #: skipped because a batch's devices already held its inputs
+    pcie_transfers: int = _held("counters", "serve.pcie_transfers", default=0)
+    pcie_s: float = _held("counters", "serve.pcie_s", default=0.0)
+    pcie_saved_s: float = _held("counters", "serve.pcie_saved_s", default=0.0)
     #: the dispatch policy the sweep ran under ("legacy" | "continuous")
     scheduler: str = "legacy"
     #: served requests meeting their class's SLO target per second of
@@ -153,6 +160,9 @@ class ServingReport:
             f"compile {self.compile_s * 1e3:.1f} ms, "
             f"saved {self.compile_saved_s * 1e3:.1f} ms",
             f"  device utilization: {util} (load balance {self.load_balance:.3f})",
+            f"  PCIe input        : {self.pcie_transfers} transfers, "
+            f"{ms(self.pcie_s)} ms paid, {ms(self.pcie_saved_s)} ms saved "
+            f"(inputs already in device DDR)",
         ]
         for phase, snap in self.phase_breakdown.items():
             if snap["count"]:
@@ -460,7 +470,12 @@ class InferenceServer:
             )
 
     def estimate_service_s(self, request: InferenceRequest) -> float:
-        """Per-batch device occupancy of one request's program (seconds).
+        """Per-batch device occupancy of one request's program (seconds)
+        on a device that holds none of its inputs: the PCIe transfer plus
+        the run's latency.  A served batch's ``service_s`` is at most
+        this (a sweep skips the transfer to a device that already holds
+        the inputs), so a rate calibrated on it does not depend on what
+        a sweep kept resident.
 
         Checks the request as the serve loop would, then reads the
         program cache without populating or recounting it (calibrating
@@ -483,7 +498,8 @@ class InferenceServer:
         """Arrival rate (req/s) offering ``factor`` x a pool's capacity.
 
         Probes each request's batch service time through
-        :meth:`estimate_service_s`, normalises to per-request occupancy at
+        :meth:`estimate_service_s` (PCIe included, as on a device holding
+        nothing), normalises to per-request occupancy at
         full batches, and scales to ``pool_size`` devices (default: this
         server's pool).  Shared by the ``serve-bench`` CLI and the
         serving benchmarks so both calibrate load the same way.

@@ -492,6 +492,12 @@ _SERVE_ARGV = ["serve-bench", "--requests", "12", "--pool", "2", "--models",
 #: per kernel, what the Analyzer weighed: chosen and each candidate, and
 #: how many output partitions left the core as COO
 _MODELLED = {"modelled_cycles": {"*": "float"}, "coo_writebacks": "int"}
+#: a sweep counts the PCIe input transfers it paid and skipped
+_PCIE = {"sweeps": {"<sweep>": {
+    **_typed("int", "pcie_transfers"), **_typed("float", "pcie_s pcie_saved_s"),
+    "metrics": {"counters": _typed("float", (
+        "serve.pcie_s serve.pcie_saved_s serve.pcie_transfers"))},
+}}}
 
 JSON_CELLS = {
     "run": (["run", "--dataset", "CO", "--scale", "0.2", "--json"],
@@ -517,9 +523,10 @@ JSON_CELLS = {
                          {"halo_exposed_ms": "float", "coo_writebacks": "int",
                           "shard_modelled_cycles": [_typed(
                               "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]}]}),
-    "serve_bench_legacy": (_SERVE_ARGV, _serving(), {}),
+    "serve_bench_legacy": (_SERVE_ARGV, _serving(), _PCIE),
     "serve_bench_continuous": (
-        _SERVE_ARGV + ["--scheduler", "continuous"], _serving(_IN_FLIGHT), {}
+        _SERVE_ARGV + ["--scheduler", "continuous"], _serving(_IN_FLIGHT),
+        _PCIE,
     ),
     "trace_analyze": (["trace-analyze", "{trace}", "--json", "--what-if",
                        "zero-halo", "--diff", "{trace}"], _TRACE_ANALYZE, {}),

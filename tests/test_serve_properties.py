@@ -4,8 +4,10 @@ Tiny streams (at most 12 requests over two programs, shard widths 1 and
 2, two SLO classes) through both dispatch policies, with and without an
 autoscaler and with admission bounds tight enough to shed and defer.
 Whatever the stream, a sweep must account for every request exactly
-once, keep each response's phases summing to its latency, and never
-book one device for two things at once.
+once, keep each response's phases summing to its latency, never book
+one device for two things at once, send a device each input slice at
+most once, and charge no response more than a device holding nothing
+would.
 """
 
 from __future__ import annotations
@@ -97,3 +99,25 @@ def test_every_sweep_accounts_for_every_request(configuration, stream):
         )
         for (_, end), (start, _) in zip(booked, booked[1:]):
             assert end <= start + 1e-12
+    # at most one input transfer per (device, residency key) a sweep
+    # booked: slice i of a batch goes to the i-th lowest of its devices
+    sent = {r.request_id: r for r in requests}
+    program = {r.batch_id: (sent[r.request_id].seed, r.shards) for r in report.responses}
+    members: dict[int, set] = {}
+    for e in server.pool.events:
+        members.setdefault(e.batch_id, set()).add(e.device)
+    held = {(d, *program[b], sorted(devices).index(d))
+            for b, devices in members.items() for d in devices}
+    assert report.pcie_transfers <= len(held)
+    # and no response is charged more than on a device holding nothing,
+    # the seconds a preempting batch ran on its device aside
+    for r in report.responses:
+        preempted_s = sum(
+            min(e.end, r.finish_s) - max(e.start, r.start_s)
+            for e in server.pool.events
+            if e.device == r.device and e.batch_id != r.batch_id
+            and e.start < r.finish_s and e.end > r.start_s
+        )
+        estimate = server.estimate_service_s(
+            request(seed=sent[r.request_id].seed, shards=r.shards))
+        assert r.service_s - preempted_s <= estimate + 1e-12
