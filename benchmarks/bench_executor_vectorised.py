@@ -30,7 +30,7 @@ from repro.runtime import (
     execute_kernel_tasks,
     execute_kernel_tasks_reference,
 )
-from repro.runtime.executor import KernelAssembly, RuntimeSystem
+from repro.runtime.executor import KernelAssembly, run_strategy
 from repro.runtime.strategies import make_strategy
 
 REPEATS = 3
@@ -72,7 +72,7 @@ def _capture_kernel_calls(program):
     executor_mod.execute_kernel_tasks = recorder
     try:
         acc = Accelerator(program.config)
-        RuntimeSystem(acc, make_strategy("Dynamic", acc.config)).run(program)
+        run_strategy(program, "Dynamic", acc)
     finally:
         executor_mod.execute_kernel_tasks = original
     return calls

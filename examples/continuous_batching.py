@@ -77,8 +77,8 @@ def main() -> None:
     print(f"autoscaler: finished with {report.active_devices} active "
           f"device(s), {len(report.autoscaler_events)} scaling event(s)")
     for ev in report.autoscaler_events:
-        print(f"  t={ev['t_s'] * 1e3:8.4f} ms  {ev['from']} -> {ev['to']} "
-              f"({ev['reason']})")
+        print(f"  t={ev['t_s'] * 1e3:8.4f} ms  {ev['from_devices']} -> "
+              f"{ev['to_devices']} ({ev['reason']})")
 
     # the report carries the full per-class breakdown ------------------
     print()

@@ -1,20 +1,28 @@
 #!/usr/bin/env python
 """Engine quickstart: one facade over compile, infer, mutate and serve.
 
-The `repro.Engine` owns the program cache, the simulated device pool and
-the backend registry, so the whole Dynasparse workflow is four calls:
+The `repro.Engine` owns the program cache and the simulated device pool,
+so the whole Dynasparse workflow is four calls:
 
 1. `engine.compile(model, graph)` — cached per (model, graph, config)
    fingerprint;
-2. `engine.infer(handle, backend=...)` — the cycle-accurate simulator,
-   the CPU/GPU framework rooflines, or the §IX heterogeneous platform;
+2. `engine.infer(handle, backend=...)` — the cycle-accurate simulator
+   (one device or sharded over the pool), the §IX heterogeneous platform,
+   or the CPU/GPU framework rooflines (`repro.BACKENDS` names them);
 3. `engine.mutate(handle, delta)` — dynamic-graph support: the compiled
    program is patched in place of a recompile;
 4. `engine.serve(requests)` — batched multi-device serving sharing the
    same cache and pool.
 """
 
-from repro import Engine, GraphDelta, InferenceRequest, MutableGraph, load_dataset
+from repro import (
+    BACKENDS,
+    Engine,
+    GraphDelta,
+    InferenceRequest,
+    MutableGraph,
+    load_dataset,
+)
 
 
 def main() -> None:
@@ -28,9 +36,9 @@ def main() -> None:
           f"compile {handle.compile_s * 1e3:.2f} ms "
           f"(second call cache hit: {again.cache_hit})")
 
-    # 2. infer — every registered backend, same handle
+    # 2. infer — every backend, same handle
     print("\nbackends:")
-    for backend in ("simulated", "cpu", "gpu", "hetero"):
+    for backend in BACKENDS:
         result = engine.infer(handle, backend=backend)
         extra = ""
         if backend == "simulated":

@@ -8,6 +8,7 @@ host — against FPGA-only execution, across the dataset sparsity spectrum.
 
 from repro import Engine
 from repro.harness import format_table, speedup_fmt
+from repro.hetero import HeterogeneousRuntime
 
 CONFIGS = [("CI", 0.5), ("PU", 0.5), ("FL", 0.1), ("RE", 0.02)]
 
@@ -15,8 +16,8 @@ CONFIGS = [("CI", 0.5), ("PU", 0.5), ("FL", 0.1), ("RE", 0.02)]
 def main() -> None:
     engine = Engine()
     # the "hetero" backend prices GEMM pairs on the GPU model and sparse
-    # pairs on the FPGA; its runtime also offers the FPGA-only baseline
-    rt = engine.backend("hetero").runtime
+    # pairs on the FPGA; the runtime also offers the FPGA-only baseline
+    rt = HeterogeneousRuntime()
     rows = []
     for ds, scale in CONFIGS:
         handle = engine.compile("GCN", ds, scale=scale, seed=0)

@@ -19,7 +19,7 @@ Quickstart::
     print(f"{result.latency_ms:.3f} ms", result.primitive_totals)
 
 The engine caches compiled programs, owns the simulated device pool, and
-executes through a pluggable backend registry — ``engine.infer(handle,
+runs a program on one of ``BACKENDS`` — ``engine.infer(handle,
 backend="hetero")`` prices the same program on the §IX CPU+GPU+FPGA
 platform, ``backend="cpu"``/``"gpu"`` on the Fig. 14 framework rooflines.
 Mutating workloads go through ``engine.mutate(handle, delta)`` and
@@ -30,13 +30,7 @@ for the mapping from the legacy ``Compiler``/``RuntimeSystem`` wiring.
 from repro.config import AcceleratorConfig, u250_default, small_test_config
 from repro.compiler import Compiler, CompiledProgram
 from repro.datasets import DATASET_NAMES, GraphData, TABLE_VI, load_dataset
-from repro.engine import (
-    Engine,
-    ExecutionBackend,
-    ProgramHandle,
-    backend_names,
-    register_backend,
-)
+from repro.engine import BACKENDS, Engine, ProgramHandle
 from repro.gnn import (
     MODEL_NAMES,
     ModelSpec,
@@ -96,11 +90,9 @@ __all__ = [
     "Accelerator",
     "Primitive",
     "estimate_resources",
+    "BACKENDS",
     "Engine",
-    "ExecutionBackend",
     "ProgramHandle",
-    "backend_names",
-    "register_backend",
     "AdmissionController",
     "ContinuousScheduler",
     "PoolAutoscaler",

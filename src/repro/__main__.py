@@ -36,7 +36,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro import Engine, backend_names, estimate_resources, u250_default
+from repro import BACKENDS, Engine, estimate_resources, u250_default
 from repro.baselines.cpu_gpu import OutOfMemoryError
 from repro.datasets import DATASET_NAMES, format_catalog
 from repro.gnn import MODEL_NAMES
@@ -248,9 +248,8 @@ def main(argv=None) -> int:
     p_run = command("run", cmd_run, "run one model/dataset/strategy")
     common(p_run)
     strategy(p_run)
-    p_run.add_argument("--backend", choices=backend_names(),
-                       default="simulated",
-                       help="execution backend from the engine registry")
+    p_run.add_argument("--backend", choices=BACKENDS, default="simulated",
+                       help="how Engine.infer runs the program")
     as_json(p_run)
 
     common(command("compare", cmd_compare, "S1 vs S2 vs Dynamic"))

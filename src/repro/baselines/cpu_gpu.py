@@ -107,6 +107,39 @@ class FrameworkModel:
         )
 
 
+@dataclass(frozen=True)
+class RooflineResult:
+    """Latency estimate from an analytical (roofline) backend."""
+
+    backend: str
+    framework: str
+    model_name: str
+    data_name: str
+    latency_s: float
+
+    @property
+    def latency_ms(self) -> float:
+        return self.latency_s * 1e3
+
+    def format_report(self) -> str:
+        return (
+            f"{self.model_name} on {self.data_name} — backend {self.backend}\n"
+            f"  latency           : {self.latency_ms:.4f} ms\n"
+            f"  framework model   : {self.framework} (roofline estimate; the "
+            f"mapping strategy does not apply)"
+        )
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable summary (``repro run --backend cpu|gpu --json``)."""
+        return {
+            "model": self.model_name,
+            "dataset": self.data_name,
+            "backend": self.backend,
+            "framework": self.framework,
+            "latency_ms": self.latency_s * 1e3,
+        }
+
+
 #: Efficiency calibration: published profiling of PyG/DGL full-graph
 #: inference shows gather/scatter aggregation sustaining only a few
 #: percent of peak bandwidth (PyG's index_select/scatter_add path is the

@@ -2,11 +2,11 @@
 
 One object — :class:`~repro.engine.core.Engine` — owns the program cache,
 the simulated-device pool, strategy selection and the graph registry, and
-executes through a pluggable :class:`~repro.engine.backends.ExecutionBackend`
-registry (``"simulated"`` cycle-accurate FPGA, ``"cpu"``/``"gpu"``
-roofline baselines, ``"hetero"`` CPU+GPU+FPGA what-if).  The serving and
-dynamic-graph subsystems compose it instead of wiring caches, pools and
-patchers themselves.
+runs a program on one of :data:`~repro.engine.core.BACKENDS`
+(``"simulated"`` / ``"sharded"`` cycle-accurate FPGA, ``"hetero"``
+CPU+GPU+FPGA what-if, ``"cpu"``/``"gpu"`` roofline baselines).  The
+serving and dynamic-graph subsystems compose it instead of wiring
+caches, pools and patchers themselves.
 
 Quickstart::
 
@@ -19,21 +19,9 @@ Quickstart::
     print(engine.infer(handle, backend="hetero").latency_ms)
 """
 
-from repro.engine.backends import (
-    BACKEND_NAMES,
-    CpuBackend,
-    ExecutionBackend,
-    GpuBackend,
-    HeteroBackend,
-    RooflineResult,
-    ShardedBackend,
-    SimulatedBackend,
-    backend_names,
-    get_backend,
-    register_backend,
-)
 from repro.engine.cache import CacheStats, ProgramCache
 from repro.engine.core import (
+    BACKENDS,
     MUTATION_POLICIES,
     Engine,
     MutationOutcome,
@@ -51,31 +39,21 @@ from repro.engine.overhead import OverheadResult, measure_facade_overhead
 from repro.engine.pool import AcceleratorPool, DispatchEvent
 
 __all__ = [
-    "BACKEND_NAMES",
+    "BACKENDS",
     "MUTATION_POLICIES",
     "AcceleratorPool",
     "CacheStats",
-    "CpuBackend",
     "DispatchEvent",
     "Engine",
-    "ExecutionBackend",
-    "GpuBackend",
-    "HeteroBackend",
     "MutationOutcome",
     "OverheadResult",
     "PatchEvent",
     "ProgramCache",
     "ProgramHandle",
-    "RooflineResult",
-    "ShardedBackend",
-    "SimulatedBackend",
-    "backend_names",
     "config_fingerprint",
     "dataset_fingerprint",
-    "get_backend",
     "graph_content_digest",
     "measure_facade_overhead",
     "model_fingerprint",
     "program_key",
-    "register_backend",
 ]

@@ -1,7 +1,7 @@
 """The ``Engine`` facade: one entry point over compile, infer, mutate, serve.
 
 Before this module existed every caller hand-assembled ``Compiler`` ->
-``Accelerator`` -> ``make_strategy`` -> ``RuntimeSystem``, and the
+``Accelerator`` -> ``make_strategy`` -> ``run_strategy``, and the
 serving, dynamic-graph and benchmark layers each re-implemented that
 choreography with their own caching and device wiring.  The engine owns
 those resources once:
@@ -16,9 +16,9 @@ those resources once:
   :class:`~repro.dyngraph.mutable.MutableGraph` instances and the
   :class:`~repro.dyngraph.patcher.ProgramPatcher` that keeps cached
   programs valid under mutation;
-- the **backend registry** (:mod:`repro.engine.backends`) — the
-  simulated FPGA, CPU/GPU rooflines and the heterogeneous executor
-  behind one ``ExecutionBackend`` interface.
+- the **backends** (:data:`BACKENDS`) — the names :meth:`Engine.infer`
+  dispatches on: the simulated FPGA on one device or sharded over the
+  pool, the heterogeneous executor and the CPU/GPU rooflines.
 
 Quickstart::
 
@@ -40,27 +40,31 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Union
 
+from repro.baselines.cpu_gpu import FRAMEWORKS, RooflineResult
 from repro.compiler.compile import CompiledProgram, Compiler
 from repro.config import AcceleratorConfig, u250_default
 from repro.datasets.catalog import GraphData, load_dataset
 from repro.dyngraph.delta import AppliedDelta, GraphDelta
 from repro.dyngraph.mutable import MutableGraph
 from repro.dyngraph.patcher import PatchPolicy, PatchReport, ProgramPatcher
-from repro.engine.backends import ExecutionBackend, get_backend
 from repro.engine.cache import ProgramCache
 from repro.engine.keys import dataset_fingerprint, program_key
 from repro.engine.pool import AcceleratorPool
 from repro.gnn.models import ModelSpec, build_model, init_weights
 from repro.gnn.pruning import prune_weights
+from repro.hetero.executor import HeterogeneousRuntime
 from repro.hw.accelerator import Accelerator
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.executor import run_strategy
+from repro.runtime.strategies import make_strategy
+from repro.shard.planner import plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.request import InferenceRequest
     from repro.serve.server import ServingReport
 
 __all__ = [
+    "BACKENDS",
     "Engine",
     "MUTATION_POLICIES",
     "MutationOutcome",
@@ -72,6 +76,14 @@ __all__ = [
 #: re-keys them through the ProgramPatcher, "evict" invalidates them
 #: (the next request pays a full recompile)
 MUTATION_POLICIES = ("patch", "evict")
+
+#: the ways :meth:`Engine.infer` runs a program: the simulator on device
+#: 0 or sharded over the pool, the §IX CPU+GPU+FPGA what-if, and the
+#: Fig. 14 framework rooflines
+BACKENDS = ("simulated", "sharded", "hetero", "cpu", "gpu")
+
+#: the framework each roofline backend prices
+_ROOFLINE_FRAMEWORKS = {"cpu": "DGL-CPU", "gpu": "PyG-GPU"}
 
 
 @dataclass
@@ -98,7 +110,7 @@ class ProgramHandle:
     graph_id: Optional[str] = None
     graph_version: Optional[int] = None
     #: multi-device split planned by ``Engine.compile(..., shards=N)``;
-    #: consumed by the ``sharded`` execution backend (None = unsharded)
+    #: consumed by the ``sharded`` backend (None = unsharded)
     shard_plan: Optional[object] = None
 
     @property
@@ -145,15 +157,12 @@ class Engine:
         self,
         config: AcceleratorConfig | None = None,
         *,
-        backend: str = "simulated",
         pool_size: int = 1,
         cache_capacity: int = 64,
         patch_policy: PatchPolicy | None = None,
         tracer=None,
     ) -> None:
-        get_backend(backend)  # fail fast, listing the valid names
         self.config = config or u250_default()
-        self.default_backend = backend
         self.cache = ProgramCache(cache_capacity)
         self.pool = AcceleratorPool(self.config, pool_size)
         self.patcher = ProgramPatcher(patch_policy)
@@ -167,18 +176,6 @@ class Engine:
         self._graphs: dict[str, MutableGraph] = {}
         #: loaded datasets, LRU-bounded alongside the program cache
         self._datasets: OrderedDict[tuple, GraphData] = OrderedDict()
-        self._backends: dict[str, ExecutionBackend] = {}
-
-    # -- backends -------------------------------------------------------
-    def backend(self, name: str | None = None) -> ExecutionBackend:
-        """The engine's instance of a registered backend (default: the
-        engine's ``default_backend``).  Instantiated lazily, once each."""
-        name = name or self.default_backend
-        instance = self._backends.get(name)
-        if instance is None:
-            instance = get_backend(name)(self)
-            self._backends[name] = instance
-        return instance
 
     def device(self, index: int = 0) -> Accelerator:
         """A simulated accelerator from the engine's pool."""
@@ -318,8 +315,6 @@ class Engine:
                 self._trace_cursor = t0 + compile_s
         shard_plan = None
         if shards != 1:
-            from repro.shard.planner import plan_shards
-
             shard_plan = plan_shards(program, shards)
         return ProgramHandle(
             program=program,
@@ -359,18 +354,49 @@ class Engine:
         strategy: str = "Dynamic",
         backend: str | None = None,
     ):
-        """Execute a compiled program on one of the registered backends.
+        """Execute a compiled program on one of :data:`BACKENDS`.
 
-        Returns the backend's native result: the ``simulated`` backend
-        returns the full :class:`~repro.runtime.executor.InferenceResult`
-        (bit-identical to the legacy ``RuntimeSystem`` path), ``hetero``
-        a :class:`~repro.hetero.executor.HeteroResult`, and ``cpu`` /
-        ``gpu`` a :class:`~repro.engine.backends.RooflineResult`.  Every
-        result exposes ``latency_s`` and ``latency_ms``.  A simulated or
-        sharded run goes through :meth:`execute`: simulated anew on every
-        call, and left as the program's record for the serve path.
+        Returns the backend's native result: ``simulated`` (also
+        ``None``) the full :class:`~repro.runtime.executor.InferenceResult`
+        of a run on device 0 (bit-identical to :func:`run_strategy`),
+        ``sharded`` a :class:`~repro.shard.executor.ShardedResult` over
+        the handle's shard plan (else one shard per pool device),
+        ``hetero`` a :class:`~repro.hetero.executor.HeteroResult`, and
+        ``cpu`` / ``gpu`` a
+        :class:`~repro.baselines.cpu_gpu.RooflineResult` (DGL-CPU /
+        PyG-GPU; their ``OutOfMemoryError`` propagates).  Every result
+        exposes ``latency_s`` and ``latency_ms``.  A simulated or sharded
+        run goes through :meth:`execute`: simulated anew on every call,
+        and left as the program's record for the serve path.  Only the
+        simulator's runs apply ``strategy`` (hetero always maps
+        dynamically, the frameworks never do), but every backend rejects
+        an unknown one.
         """
-        return self.backend(backend).run(handle, strategy=strategy)
+        backend = backend or "simulated"
+        if backend not in BACKENDS:
+            raise KeyError(
+                f"unknown execution backend {backend!r}; backends: "
+                f"{list(BACKENDS)}"
+            )
+        make_strategy(strategy, self.config)  # raises, listing the names
+        program = handle.program
+        if backend == "simulated":
+            return self.execute(program, strategy)
+        if backend == "sharded":
+            plan = handle.shard_plan or plan_shards(program, self.pool.num_devices)
+            return self.execute(program, strategy, plan=plan)
+        if backend == "hetero":
+            return HeterogeneousRuntime().run(program)
+        framework = _ROOFLINE_FRAMEWORKS[backend]
+        return RooflineResult(
+            backend=backend,
+            framework=framework,
+            model_name=handle.model_name,
+            data_name=handle.data_name,
+            latency_s=FRAMEWORKS[framework].latency_seconds(
+                handle.model, handle.data
+            ),
+        )
 
     def execute(
         self,

@@ -1,8 +1,9 @@
 """Facade-overhead measurement: ``Engine.infer`` vs direct ``run_strategy``.
 
 The engine must be a zero-cost abstraction over the simulator: its per-run
-work is a dict lookup (backend), a strategy construction and a dataclass
-hop — nanoseconds against a simulation that takes milliseconds.  This
+work is a membership test on the backend name, a strategy check and a
+record write — microseconds against a simulation that takes
+milliseconds.  This
 module measures that claim so the ``engine-bench`` CLI subcommand and
 ``benchmarks/bench_engine_overhead.py`` can enforce it (the smoke gate
 asserts <= 5% overhead on the small config).

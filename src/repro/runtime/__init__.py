@@ -4,7 +4,7 @@ Runs (conceptually) on the soft processor: the **Analyzer** maps each
 kernel's partition-pair multiplications to primitives using the analytical
 performance model (Table IV / Algorithm 7), and the **Scheduler**
 dynamically dispatches the resulting tasks onto idle Computation Cores
-(Algorithm 8).  :class:`~repro.runtime.executor.RuntimeSystem` drives a
+(Algorithm 8).  :func:`~repro.runtime.executor.run_strategy` drives a
 simulated :class:`~repro.hw.accelerator.Accelerator` through a compiled
 program and returns both the exact inference output and the full cycle
 accounting.
@@ -29,7 +29,6 @@ from repro.runtime.strategies import (
 from repro.runtime.scheduler import CoreTimeline
 from repro.runtime.executor import (
     InferenceResult,
-    RuntimeSystem,
     end_to_end_seconds,
     execute_kernel_tasks,
     run_strategy,
@@ -49,7 +48,6 @@ __all__ = [
     "STRATEGIES",
     "make_strategy",
     "CoreTimeline",
-    "RuntimeSystem",
     "InferenceResult",
     "end_to_end_seconds",
     "run_strategy",

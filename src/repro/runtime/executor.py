@@ -534,10 +534,18 @@ def run_kernels(
         yield kernel, lane_stats
 
 
-class RuntimeSystem:
-    """Drives one accelerator through one compiled program: the one-lane
-    case of :func:`run_kernels`, with the single-device latency model
-    (kernel makespans plus exposed analysis, summed in cycles).
+def run_strategy(
+    program: CompiledProgram,
+    strategy: str | MappingStrategy,
+    accelerator: Optional[Accelerator] = None,
+    *,
+    tracer=NULL_TRACER,
+    track: str = "dev0",
+) -> InferenceResult:
+    """Run one program on one accelerator under one strategy (a paper
+    label or a :class:`MappingStrategy`): the one-lane case of
+    :func:`run_kernels`, with the single-device latency model (kernel
+    makespans plus exposed analysis, summed in cycles).
 
     ``tracer``/``track`` arm span tracing (:mod:`repro.obs`): per-kernel
     execution spans on ``track``, per-wave/per-task spans nested under
@@ -545,99 +553,85 @@ class RuntimeSystem:
     on ``host/exposed`` — so ``sum(kernel) + sum(exposed)`` spans equal
     :attr:`InferenceResult.total_cycles` exactly.
     """
+    acc = accelerator or Accelerator(program.config)
+    cfg = acc.config
+    strategy = make_strategy(strategy, cfg)
+    if cfg.psys != strategy.config.psys:
+        raise ValueError("strategy and accelerator configs disagree")
+    tracer = tracer if tracer is not None else NULL_TRACER
+    lane = Lane(acc, track)
+    timeline = lane.timeline
+    store: dict = {}
+    kernel_stats: list[KernelStats] = []
+    start_cycles = timeline.now
 
-    def __init__(
-        self,
-        accelerator: Accelerator,
-        strategy: MappingStrategy,
-        *,
-        tracer=NULL_TRACER,
-        track: str = "dev0",
-    ) -> None:
-        if accelerator.config.psys != strategy.config.psys:
-            raise ValueError("strategy and accelerator configs disagree")
-        self.accelerator = accelerator
-        self.strategy = strategy
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.track = track
-
-    def run(self, program: CompiledProgram) -> InferenceResult:
-        cfg = self.accelerator.config
-        lane = Lane(self.accelerator, self.track)
-        timeline = lane.timeline
-        store: dict = {}
-        kernel_stats: list[KernelStats] = []
+    for kernel, (ks,) in run_kernels(program, strategy, [lane], store, tracer=tracer):
+        if tracer.enabled:
+            start_s = cfg.cycles_to_seconds(start_cycles)
+            tracer.span(
+                track,
+                kernel.kernel_id,
+                start_s,
+                cfg.cycles_to_seconds(timeline.now),
+                cat="kernel",
+                ktype=kernel.ktype.name,
+                tasks=ks.num_tasks,
+                pairs=ks.num_pairs,
+                waves=ks.num_waves,
+                out_density=round(ks.out_density, 6),
+                coo_writebacks=ks.coo_writebacks,
+                **ks.modelled_cycles,
+            )
+            if ks.analysis_seconds > 0.0:
+                # K2P analysis overlaps execution of this kernel (§VI-B);
+                # draw it alongside on the host track
+                tracer.span(
+                    "host/analyzer",
+                    f"{kernel.kernel_id}/k2p",
+                    start_s,
+                    start_s + ks.analysis_seconds,
+                    cat="analysis",
+                    pairs=ks.num_pairs,
+                )
+        kernel_stats.append(ks)
         start_cycles = timeline.now
 
-        for kernel, (ks,) in run_kernels(
-            program, self.strategy, [lane], store, tracer=self.tracer
-        ):
-            if self.tracer.enabled:
-                start_s = cfg.cycles_to_seconds(start_cycles)
-                self.tracer.span(
-                    self.track,
-                    kernel.kernel_id,
-                    start_s,
-                    cfg.cycles_to_seconds(timeline.now),
-                    cat="kernel",
-                    ktype=kernel.ktype.name,
-                    tasks=ks.num_tasks,
-                    pairs=ks.num_pairs,
-                    waves=ks.num_waves,
-                    out_density=round(ks.out_density, 6),
-                    coo_writebacks=ks.coo_writebacks,
-                    **ks.modelled_cycles,
+    accel_cycles = float(sum(ks.cycles for ks in kernel_stats))
+    if tracer.enabled:
+        # one exposed-overhead span per kernel, laid end to end after
+        # the device spans so kernel + exposed durations sum exactly
+        # to total_cycles (validate_trace reconciles against this)
+        cursor = accel_cycles
+        for ks in kernel_stats:
+            if ks.exposed_cycles > 0.0:
+                tracer.span(
+                    "host/exposed",
+                    f"{ks.kernel_id}/exposed",
+                    cfg.cycles_to_seconds(cursor),
+                    cfg.cycles_to_seconds(cursor + ks.exposed_cycles),
+                    cat="exposed",
                 )
-                if ks.analysis_seconds > 0.0:
-                    # K2P analysis overlaps execution of this kernel (§VI-B);
-                    # draw it alongside on the host track
-                    self.tracer.span(
-                        "host/analyzer",
-                        f"{kernel.kernel_id}/k2p",
-                        start_s,
-                        start_s + ks.analysis_seconds,
-                        cat="analysis",
-                        pairs=ks.num_pairs,
-                    )
-            kernel_stats.append(ks)
-            start_cycles = timeline.now
+                cursor += ks.exposed_cycles
 
-        accel_cycles = float(sum(ks.cycles for ks in kernel_stats))
-        if self.tracer.enabled:
-            # one exposed-overhead span per kernel, laid end to end after
-            # the device spans so kernel + exposed durations sum exactly
-            # to total_cycles (validate_trace reconciles against this)
-            cursor = accel_cycles
-            for ks in kernel_stats:
-                if ks.exposed_cycles > 0.0:
-                    self.tracer.span(
-                        "host/exposed",
-                        f"{ks.kernel_id}/exposed",
-                        cfg.cycles_to_seconds(cursor),
-                        cfg.cycles_to_seconds(cursor + ks.exposed_cycles),
-                        cat="exposed",
-                    )
-                    cursor += ks.exposed_cycles
-
-        return InferenceResult(
-            output=store[program.output_name],
-            strategy_name=self.strategy.name,
-            model_name=program.model.name,
-            data_name=program.data_name,
-            config=cfg,
-            kernel_stats=kernel_stats,
-            accel_cycles=accel_cycles,
-            exposed_overhead_cycles=float(
-                sum(ks.exposed_cycles for ks in kernel_stats)
-            ),
-            runtime_overhead_seconds=float(
-                sum(ks.analysis_seconds for ks in kernel_stats)
-            ),
-            compile_timings=program.timings,
-            input_bytes=program.input_bytes(),
-            core_busy=timeline.busy.copy(),
-            timeline_events=timeline.events,
-        )
+    return InferenceResult(
+        output=store[program.output_name],
+        strategy_name=strategy.name,
+        model_name=program.model.name,
+        data_name=program.data_name,
+        config=cfg,
+        kernel_stats=kernel_stats,
+        accel_cycles=accel_cycles,
+        exposed_overhead_cycles=float(
+            sum(ks.exposed_cycles for ks in kernel_stats)
+        ),
+        runtime_overhead_seconds=float(
+            sum(ks.analysis_seconds for ks in kernel_stats)
+        ),
+        compile_timings=program.timings,
+        input_bytes=program.input_bytes(),
+        core_busy=timeline.busy.copy(),
+        timeline_events=timeline.events,
+    )
 
 
 def end_to_end_seconds(
@@ -656,16 +650,3 @@ def end_to_end_seconds(
         total += pcie_transfer_seconds(program.input_bytes(), result.config)
     return total
 
-
-def run_strategy(
-    program: CompiledProgram,
-    strategy_name: str,
-    accelerator: Optional[Accelerator] = None,
-    *,
-    tracer=NULL_TRACER,
-    track: str = "dev0",
-) -> InferenceResult:
-    """Convenience: run one program under one named strategy."""
-    acc = accelerator or Accelerator(program.config)
-    strategy = make_strategy(strategy_name, acc.config)
-    return RuntimeSystem(acc, strategy, tracer=tracer, track=track).run(program)

@@ -147,12 +147,17 @@ def strategy_names() -> tuple[str, ...]:
     )
 
 
-def make_strategy(name: str, config: AcceleratorConfig) -> MappingStrategy:
-    """Instantiate a strategy by its paper label.
+def make_strategy(
+    name: str | MappingStrategy, config: AcceleratorConfig
+) -> MappingStrategy:
+    """Instantiate a strategy by its paper label (an instance is
+    returned unchanged).
 
     Unknown names raise a :class:`KeyError` that lists every valid
     strategy, so a typo at the CLI or in a request is self-diagnosing.
     """
+    if isinstance(name, MappingStrategy):
+        return name
     if name in STRATEGIES:
         return STRATEGIES[name](config)
     for prim in Primitive:

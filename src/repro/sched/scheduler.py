@@ -21,7 +21,7 @@ module is about:
 execution decomposes into an input-PCIe segment (0 s where its devices
 already hold the program's inputs) plus one segment per
 kernel layer (unsharded: kernel cycles + exposed analysis; sharded: the
-per-layer barrier intervals ``ShardedRuntime`` exposes).  The scheduler
+per-layer barrier intervals ``run_sharded`` records).  The scheduler
 books an execution segment-by-segment
 (:meth:`~repro.engine.pool.AcceleratorPool.submit_on`), which turns
 layer boundaries into scheduling points.

@@ -13,12 +13,7 @@ Entry points: ``Engine.compile(..., shards=N)`` +
 directly.
 """
 
-from repro.shard.executor import (
-    ShardedResult,
-    ShardedRuntime,
-    ShardKernelStats,
-    run_sharded,
-)
+from repro.shard.executor import ShardedResult, ShardKernelStats, run_sharded
 from repro.shard.planner import Shard, ShardPlan, halo_vertices, plan_shards
 
 __all__ = [
@@ -26,7 +21,6 @@ __all__ = [
     "ShardKernelStats",
     "ShardPlan",
     "ShardedResult",
-    "ShardedRuntime",
     "halo_vertices",
     "plan_shards",
     "run_sharded",

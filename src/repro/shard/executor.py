@@ -1,6 +1,6 @@
 """Sharded multi-device execution of one inference.
 
-:class:`ShardedRuntime` runs one compiled program across the devices of
+:func:`run_sharded` runs one compiled program across the devices of
 an :class:`~repro.engine.pool.AcceleratorPool`, one shard (contiguous
 vertex range, planned by :func:`~repro.shard.planner.plan_shards`) per
 device:
@@ -49,7 +49,7 @@ from repro.runtime.stats import mean_over_max
 from repro.runtime.strategies import MappingStrategy, make_strategy
 from repro.shard.planner import ShardPlan, halo_blocks, halo_vertices, plan_shards
 
-__all__ = ["ShardKernelStats", "ShardedResult", "ShardedRuntime", "run_sharded"]
+__all__ = ["ShardKernelStats", "ShardedResult", "run_sharded"]
 
 
 @dataclass
@@ -234,208 +234,179 @@ class ShardedResult(RunResult):
         }
 
 
-class ShardedRuntime:
-    """Drives one program across the devices of an accelerator pool.
-
-    Shard ``s``'s functional/cycle simulation runs on the hardware state
-    of ``pool.devices[s]`` (devices are identical), so the pool must
-    hold at least as many devices as the plan has shards.  With
-    ``book_on_pool`` (default) the schedule is also recorded on the
-    pool's virtual clock: each layer books one barrier-synchronised
-    group (:meth:`~repro.engine.pool.AcceleratorPool.submit_group`) on
-    the earliest-available devices, with per-shard busy seconds, and the
-    next layer is ready only after the slowest shard of the previous one
-    — the per-layer barrier.
-    """
-
-    def __init__(
-        self,
-        pool: AcceleratorPool,
-        strategy: MappingStrategy,
-        plan: ShardPlan,
-        *,
-        book_on_pool: bool = True,
-        tracer=NULL_TRACER,
-    ) -> None:
-        if plan.num_shards > pool.num_devices:
-            raise ValueError(
-                f"plan has {plan.num_shards} shards but the pool only has "
-                f"{pool.num_devices} device(s); grow the pool or request "
-                f"fewer shards"
-            )
-        if pool.config.psys != strategy.config.psys:
-            raise ValueError("strategy and pool configs disagree")
-        self.pool = pool
-        self.strategy = strategy
-        self.plan = plan
-        self.book_on_pool = book_on_pool
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        #: per-operand halo vertex counts, cached across kernels; the
-        #: plan already computed the balance adjacency's counts
-        self._halo_cache: dict[str, np.ndarray] = (
-            {plan.adjacency_name: plan.halo} if plan.halo.size else {}
-        )
-
-    # -- halo -----------------------------------------------------------
-    def _halo_counts(self, program: CompiledProgram, x_name: str) -> np.ndarray:
-        if x_name not in self._halo_cache:
-            a = program.store[x_name]
-            self._halo_cache[x_name] = np.array(
-                [halo_vertices(a, s.v0, s.v1) for s in self.plan.shards],
-                dtype=np.int64,
-            )
-        return self._halo_cache[x_name]
-
-    # -- execution ------------------------------------------------------
-    def run(self, program: CompiledProgram) -> ShardedResult:
-        plan = self.plan
-        config = self.pool.config
-        n = plan.num_shards
-        lanes = [
-            Lane(dev, f"shard{shard.index}", (shard.v0, shard.v1))
-            for dev, shard in zip(self.pool.devices, plan.shards)
-        ]
-        store: dict = {}
-        kernel_stats: list[ShardKernelStats] = []
-        analysis_total = 0.0
-        layer_ready = 0.0
-        #: cumulative layer start on the sharded-run clock (trace only);
-        #: independent of the pool clock, which may carry prior bookings
-        t_layer = 0.0
-
-        for kernel, lane_stats in run_kernels(
-            program, self.strategy, lanes, store
-        ):
-            if kernel.ktype is KernelType.AGGREGATE:
-                halo_rows = self._halo_counts(program, kernel.x_name)
-                # each halo vertex contributes one feature row of Y
-                # (as wide as the Aggregate's output)
-                halo_bytes = halo_rows * kernel.output_dim * 4
-                # ... and arrives one remote Y block row at a time: read
-                # off the adjacency census (its columns are Y's rows)
-                scheme = kernel.exec_scheme
-                grid = program.view(kernel.x_name, *scheme.x_blocking).nnz_grid
-                chunks = np.array([
-                    halo_blocks(grid, scheme.y_blocking[0], *lane.rows)
-                    for lane in lanes
-                ])
-            else:
-                halo_bytes = chunks = np.zeros(n, dtype=np.int64)
-            halo_s = np.array(
-                [pcie_transfer_seconds(int(b), config) for b in halo_bytes]
-            )
-            for ks in lane_stats:
-                analysis_total += ks.analysis_seconds
-            cycles = np.array([ks.cycles for ks in lane_stats])
-            exposed = np.array([ks.exposed_cycles for ks in lane_stats])
-            tasks_n = np.array([ks.num_tasks for ks in lane_stats], dtype=np.int64)
-            pairs_n = np.array([ks.num_pairs for ks in lane_stats], dtype=np.int64)
-            compute_s = config.cycles_to_seconds(cycles + exposed)
-            # the DMA streams chunk by chunk under the lane's cores
-            exposed_halo_s = exposed_stream(halo_s, chunks, compute_s)
-            seconds = exposed_halo_s + compute_s
-
-            barrier_s = float(seconds.max())
-            if self.tracer.enabled:
-                # shard core-timelines are compute-only clocks that do
-                # not carry the halo offsets, so sharded runs trace at
-                # shard granularity: exposed halo -> exec -> barrier-wait
-                # tile each shard track beside the whole transfer on its
-                # dma track, plus one layer span on "timeline" whose
-                # durations sum exactly to ShardedResult.latency_s
-                for s, lane in enumerate(lanes):
-                    exec_start = t_layer + exposed_halo_s[s]
-                    if halo_s[s] > 0.0:
-                        self.tracer.span(
-                            f"{lane.track}/dma", f"{kernel.kernel_id}/halo",
-                            t_layer, t_layer + halo_s[s], cat="dma",
-                            halo_bytes=int(halo_bytes[s]),
-                            chunks=int(chunks[s]),
-                        )
-                        self.tracer.span(
-                            lane.track, f"{kernel.kernel_id}/halo",
-                            t_layer, exec_start, cat="halo",
-                        )
-                    exec_end = t_layer + seconds[s]
-                    self.tracer.span(
-                        lane.track, kernel.kernel_id,
-                        exec_start, exec_end, cat="kernel",
-                        ktype=kernel.ktype.name,
-                        tasks=int(tasks_n[s]),
-                        pairs=int(pairs_n[s]),
-                        coo_writebacks=lane_stats[s].coo_writebacks,
-                        **lane_stats[s].modelled_cycles,
-                    )
-                    if barrier_s - seconds[s] > 0.0:
-                        self.tracer.span(
-                            lane.track, f"{kernel.kernel_id}/barrier-wait",
-                            exec_end, t_layer + barrier_s, cat="barrier",
-                        )
-                    self.tracer.counter(
-                        lane.track, "halo_bytes", t_layer,
-                        int(halo_bytes[s]),
-                    )
-                self.tracer.span(
-                    "timeline", kernel.kernel_id,
-                    t_layer, t_layer + barrier_s, cat="layer",
-                    slowest_shard=int(np.argmax(seconds)),
-                )
-            t_layer += barrier_s
-            if self.book_on_pool:
-                # one barrier-synchronised group per layer: every member
-                # is held to the barrier, busy reflects its shard's work
-                _, _, layer_ready = self.pool.submit_group(
-                    barrier_s, n, layer_ready,
-                    busy_s=[float(s) for s in seconds],
-                )
-            kernel_stats.append(
-                ShardKernelStats(
-                    kernel_id=kernel.kernel_id,
-                    ktype=kernel.ktype,
-                    shard_cycles=cycles,
-                    shard_exposed_cycles=exposed,
-                    shard_halo_s=halo_s,
-                    shard_halo_chunks=chunks,
-                    shard_exposed_halo_s=exposed_halo_s,
-                    shard_halo_bytes=halo_bytes,
-                    shard_tasks=tasks_n,
-                    shard_pairs=pairs_n,
-                    shard_seconds=seconds,
-                    barrier_s=barrier_s,
-                    coo_writebacks=sum(ks.coo_writebacks for ks in lane_stats),
-                    shard_modelled_cycles=[ks.modelled_cycles for ks in lane_stats],
-                )
-            )
-
-        return ShardedResult(
-            output=store[program.output_name],
-            plan=plan,
-            strategy_name=self.strategy.name,
-            model_name=program.model.name,
-            data_name=program.data_name,
-            config=config,
-            kernel_stats=kernel_stats,
-            runtime_overhead_seconds=analysis_total,
-        )
-
-
 def run_sharded(
     program: CompiledProgram,
     num_shards: int,
     *,
-    strategy_name: str = "Dynamic",
+    strategy_name: str | MappingStrategy = "Dynamic",
     pool: AcceleratorPool | None = None,
     plan: ShardPlan | None = None,
     book_on_pool: bool = True,
     tracer=NULL_TRACER,
 ) -> ShardedResult:
-    """Convenience: plan + execute one program across ``num_shards``
-    devices (a dedicated pool is created unless one is passed)."""
+    """Run one program across the devices of an accelerator pool.
+
+    Plans ``num_shards`` shards unless a ``plan`` is given and creates a
+    dedicated pool unless one is passed.  Shard ``s``'s functional/cycle
+    simulation runs on the hardware state of ``pool.devices[s]``
+    (devices are identical), so the pool must hold at least as many
+    devices as the plan has shards.  With ``book_on_pool`` (default) the
+    schedule is also recorded on the pool's virtual clock: each layer
+    books one barrier-synchronised group
+    (:meth:`~repro.engine.pool.AcceleratorPool.submit_group`) on the
+    earliest-available devices, with per-shard busy seconds, and the
+    next layer is ready only after the slowest shard of the previous
+    one — the per-layer barrier.  ``strategy_name`` may also be a
+    :class:`~repro.runtime.strategies.MappingStrategy` instance.
+    """
     if plan is None:
         plan = plan_shards(program, num_shards)
     if pool is None:
         pool = AcceleratorPool(program.config, plan.num_shards)
     strategy = make_strategy(strategy_name, pool.config)
-    return ShardedRuntime(
-        pool, strategy, plan, book_on_pool=book_on_pool, tracer=tracer
-    ).run(program)
+    if plan.num_shards > pool.num_devices:
+        raise ValueError(
+            f"plan has {plan.num_shards} shards but the pool only has "
+            f"{pool.num_devices} device(s); grow the pool or request "
+            f"fewer shards"
+        )
+    if pool.config.psys != strategy.config.psys:
+        raise ValueError("strategy and pool configs disagree")
+    tracer = tracer if tracer is not None else NULL_TRACER
+    config = pool.config
+    n = plan.num_shards
+    lanes = [
+        Lane(dev, f"shard{shard.index}", (shard.v0, shard.v1))
+        for dev, shard in zip(pool.devices, plan.shards)
+    ]
+    # per-operand halo vertex counts, cached across kernels; the plan
+    # already computed the balance adjacency's counts
+    halo_cache: dict[str, np.ndarray] = (
+        {plan.adjacency_name: plan.halo} if plan.halo.size else {}
+    )
+    store: dict = {}
+    kernel_stats: list[ShardKernelStats] = []
+    analysis_total = 0.0
+    layer_ready = 0.0
+    #: cumulative layer start on the sharded-run clock (trace only);
+    #: independent of the pool clock, which may carry prior bookings
+    t_layer = 0.0
+
+    for kernel, lane_stats in run_kernels(program, strategy, lanes, store):
+        if kernel.ktype is KernelType.AGGREGATE:
+            if kernel.x_name not in halo_cache:
+                a = program.store[kernel.x_name]
+                halo_cache[kernel.x_name] = np.array(
+                    [halo_vertices(a, s.v0, s.v1) for s in plan.shards],
+                    dtype=np.int64,
+                )
+            halo_rows = halo_cache[kernel.x_name]
+            # each halo vertex contributes one feature row of Y
+            # (as wide as the Aggregate's output)
+            halo_bytes = halo_rows * kernel.output_dim * 4
+            # ... and arrives one remote Y block row at a time: read
+            # off the adjacency census (its columns are Y's rows)
+            scheme = kernel.exec_scheme
+            grid = program.view(kernel.x_name, *scheme.x_blocking).nnz_grid
+            chunks = np.array([
+                halo_blocks(grid, scheme.y_blocking[0], *lane.rows)
+                for lane in lanes
+            ])
+        else:
+            halo_bytes = chunks = np.zeros(n, dtype=np.int64)
+        halo_s = np.array(
+            [pcie_transfer_seconds(int(b), config) for b in halo_bytes]
+        )
+        for ks in lane_stats:
+            analysis_total += ks.analysis_seconds
+        cycles = np.array([ks.cycles for ks in lane_stats])
+        exposed = np.array([ks.exposed_cycles for ks in lane_stats])
+        tasks_n = np.array([ks.num_tasks for ks in lane_stats], dtype=np.int64)
+        pairs_n = np.array([ks.num_pairs for ks in lane_stats], dtype=np.int64)
+        compute_s = config.cycles_to_seconds(cycles + exposed)
+        # the DMA streams chunk by chunk under the lane's cores
+        exposed_halo_s = exposed_stream(halo_s, chunks, compute_s)
+        seconds = exposed_halo_s + compute_s
+
+        barrier_s = float(seconds.max())
+        if tracer.enabled:
+            # shard core-timelines are compute-only clocks that do
+            # not carry the halo offsets, so sharded runs trace at
+            # shard granularity: exposed halo -> exec -> barrier-wait
+            # tile each shard track beside the whole transfer on its
+            # dma track, plus one layer span on "timeline" whose
+            # durations sum exactly to ShardedResult.latency_s
+            for s, lane in enumerate(lanes):
+                exec_start = t_layer + exposed_halo_s[s]
+                if halo_s[s] > 0.0:
+                    tracer.span(
+                        f"{lane.track}/dma", f"{kernel.kernel_id}/halo",
+                        t_layer, t_layer + halo_s[s], cat="dma",
+                        halo_bytes=int(halo_bytes[s]),
+                        chunks=int(chunks[s]),
+                    )
+                    tracer.span(
+                        lane.track, f"{kernel.kernel_id}/halo",
+                        t_layer, exec_start, cat="halo",
+                    )
+                exec_end = t_layer + seconds[s]
+                tracer.span(
+                    lane.track, kernel.kernel_id,
+                    exec_start, exec_end, cat="kernel",
+                    ktype=kernel.ktype.name,
+                    tasks=int(tasks_n[s]),
+                    pairs=int(pairs_n[s]),
+                    coo_writebacks=lane_stats[s].coo_writebacks,
+                    **lane_stats[s].modelled_cycles,
+                )
+                if barrier_s - seconds[s] > 0.0:
+                    tracer.span(
+                        lane.track, f"{kernel.kernel_id}/barrier-wait",
+                        exec_end, t_layer + barrier_s, cat="barrier",
+                    )
+                tracer.counter(
+                    lane.track, "halo_bytes", t_layer,
+                    int(halo_bytes[s]),
+                )
+            tracer.span(
+                "timeline", kernel.kernel_id,
+                t_layer, t_layer + barrier_s, cat="layer",
+                slowest_shard=int(np.argmax(seconds)),
+            )
+        t_layer += barrier_s
+        if book_on_pool:
+            # one barrier-synchronised group per layer: every member
+            # is held to the barrier, busy reflects its shard's work
+            _, _, layer_ready = pool.submit_group(
+                barrier_s, n, layer_ready,
+                busy_s=[float(s) for s in seconds],
+            )
+        kernel_stats.append(
+            ShardKernelStats(
+                kernel_id=kernel.kernel_id,
+                ktype=kernel.ktype,
+                shard_cycles=cycles,
+                shard_exposed_cycles=exposed,
+                shard_halo_s=halo_s,
+                shard_halo_chunks=chunks,
+                shard_exposed_halo_s=exposed_halo_s,
+                shard_halo_bytes=halo_bytes,
+                shard_tasks=tasks_n,
+                shard_pairs=pairs_n,
+                shard_seconds=seconds,
+                barrier_s=barrier_s,
+                coo_writebacks=sum(ks.coo_writebacks for ks in lane_stats),
+                shard_modelled_cycles=[ks.modelled_cycles for ks in lane_stats],
+            )
+        )
+
+    return ShardedResult(
+        output=store[program.output_name],
+        plan=plan,
+        strategy_name=strategy.name,
+        model_name=program.model.name,
+        data_name=program.data_name,
+        config=config,
+        kernel_stats=kernel_stats,
+        runtime_overhead_seconds=analysis_total,
+    )

@@ -593,7 +593,7 @@ class TestResultsReportThemselves:
     def test_every_result_type_reports_itself(self):
         import json
 
-        from repro import Engine, backend_names
+        from repro import BACKENDS, Engine
         from repro.config import small_test_config
         from repro.dyngraph import patch_vs_recompile
         from repro.engine.overhead import measure_facade_overhead
@@ -603,7 +603,7 @@ class TestResultsReportThemselves:
         handle = engine.compile("GCN", "CO", scale=0.3, shards=2)
         results = {
             name: engine.infer(handle, backend=name)
-            for name in backend_names()
+            for name in BACKENDS
         }
         results["ServingReport"] = engine.serve(
             synthesize(6, datasets=("CO",), scale=0.3), return_outputs=False
@@ -619,7 +619,7 @@ class TestResultsReportThemselves:
             assert isinstance(report, str) and report.strip(), name
             payload = result.to_dict()
             assert json.loads(json.dumps(payload)) == payload, name
-        for name in backend_names():
+        for name in BACKENDS:
             assert results[name].to_dict()["backend"] == name
 
     def test_dyngraph_bench_command(self, capsys):

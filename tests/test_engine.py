@@ -1,11 +1,11 @@
 """Tests for the `repro.engine` facade.
 
 Covers: bit-exact equivalence of ``Engine.infer`` against the legacy
-``Compiler`` + ``RuntimeSystem`` wiring for the whole small-config
-model x dataset matrix, the backend registry (lookup, errors, custom
-registration), program-cache sharing between direct engine use and
-serving, the ``engine.mutate`` dynamic-graph path, and the top-level
-removal of the 1.1 deprecation shims.
+``Compiler`` + ``run_strategy`` wiring for the whole small-config
+model x dataset matrix, backend dispatch (every name runs, unknown
+backends and strategies are rejected), program-cache sharing between
+direct engine use and serving, the ``engine.mutate`` dynamic-graph path,
+and the top-level removal of the 1.1 deprecation shims.
 """
 
 from __future__ import annotations
@@ -17,15 +17,7 @@ from conftest import make_tiny_config
 import repro
 from repro import Compiler, build_model, init_weights, load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph
-from repro.engine import (
-    Engine,
-    ExecutionBackend,
-    backend_names,
-    get_backend,
-    measure_facade_overhead,
-    register_backend,
-)
-from repro.engine import backends as backends_module
+from repro.engine import BACKENDS, Engine, measure_facade_overhead
 from repro.gnn import MODEL_NAMES
 from repro.runtime.executor import run_strategy
 from repro.runtime.strategies import make_strategy, strategy_names
@@ -95,51 +87,31 @@ class TestBackendRegistry:
     def test_builtin_backends_all_run(self):
         engine = Engine(make_tiny_config())
         handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
-        assert set(backend_names()) >= {"simulated", "cpu", "gpu", "hetero"}
+        assert set(BACKENDS) >= {"simulated", "cpu", "gpu", "hetero"}
         for name in ("simulated", "cpu", "gpu", "hetero"):
             result = engine.infer(handle, backend=name)
             assert result.latency_s > 0
             assert result.latency_ms == pytest.approx(result.latency_s * 1e3)
 
     def test_unknown_backend_error_lists_names(self):
+        engine = Engine(make_tiny_config())
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
         with pytest.raises(KeyError) as excinfo:
-            get_backend("warp-drive")
+            engine.infer(handle, backend="warp-drive")
         message = str(excinfo.value)
         for name in ("simulated", "cpu", "gpu", "hetero"):
             assert name in message
 
-    def test_engine_rejects_unknown_default_backend(self):
-        with pytest.raises(KeyError, match="simulated"):
-            Engine(make_tiny_config(), backend="nope")
-
-    def test_custom_backend_registration(self):
-        @register_backend("unit-test-null")
-        class NullBackend(ExecutionBackend):
-            def run(self, handle, *, strategy="Dynamic"):
-                from repro.engine.backends import RooflineResult
-
-                return RooflineResult(
-                    backend=self.name, framework="null",
-                    model_name=handle.model_name,
-                    data_name=handle.data_name, latency_s=1.0,
-                )
-
-        try:
-            engine = Engine(make_tiny_config(), backend="unit-test-null")
-            handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
-            assert engine.infer(handle).latency_s == 1.0
-            # duplicate names are rejected
-            with pytest.raises(ValueError, match="already registered"):
-                register_backend("unit-test-null")(
-                    type("Other", (NullBackend,), {})
-                )
-        finally:
-            backends_module._REGISTRY.pop("unit-test-null", None)
-
-    def test_backend_instances_are_per_engine_and_memoized(self):
-        e1, e2 = Engine(make_tiny_config()), Engine(make_tiny_config())
-        assert e1.backend("simulated") is e1.backend("simulated")
-        assert e1.backend("simulated") is not e2.backend("simulated")
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_backend_rejects_an_unknown_strategy(self, backend):
+        engine = Engine(make_tiny_config())
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
+        with pytest.raises(KeyError) as simulated:
+            engine.infer(handle, strategy="nope")
+        with pytest.raises(KeyError) as excinfo:
+            engine.infer(handle, strategy="nope", backend=backend)
+        assert str(excinfo.value) == str(simulated.value)
+        assert "valid strategies" in str(excinfo.value)
 
 
 class TestStrategyErrors:
@@ -324,11 +296,10 @@ class TestDeprecationShims:
             repro.definitely_not_an_attribute
         # the 1.1 shims are gone in 2.0: the low-level names live in
         # repro.runtime only
-        for name in ("run_strategy", "RuntimeSystem"):
-            with pytest.raises(AttributeError):
-                getattr(repro, name)
-            assert name not in repro.__all__
-            assert hasattr(repro.runtime, name)
+        with pytest.raises(AttributeError):
+            repro.run_strategy
+        assert "run_strategy" not in repro.__all__
+        assert hasattr(repro.runtime, "run_strategy")
         # ...and no module grew a PEP 562 hook since (what staticcheck's
         # RPR502 policed while there were shims to police)
         import importlib

@@ -161,16 +161,16 @@ class TestBitExactness:
 
     def test_sharded_matches_reference(self, co_programs):
         from repro.engine.pool import AcceleratorPool
-        from repro.shard import ShardedRuntime, plan_shards
+        from repro.shard import plan_shards, run_sharded
 
         program = co_programs["GCN"]
         cfg = program.config
         plan = plan_shards(program, 2)
         strategy = make_strategy("Dynamic", cfg)
-        rv = ShardedRuntime(AcceleratorPool(cfg, 2), strategy, plan).run(program)
-        rr = oracle_run(
-            ShardedRuntime(AcceleratorPool(cfg, 2), strategy, plan).run, program
-        )
+        rv = run_sharded(program, 2, strategy_name=strategy,
+                         pool=AcceleratorPool(cfg, 2), plan=plan)
+        rr = oracle_run(run_sharded, program, 2, strategy_name=strategy,
+                        pool=AcceleratorPool(cfg, 2), plan=plan)
         np.testing.assert_array_equal(_dense(rv.output), _dense(rr.output))
         assert rv.latency_s == rr.latency_s
         for kv, kr in zip(rv.kernel_stats, rr.kernel_stats):
@@ -524,7 +524,7 @@ class TestBufferOverflow:
     ):
         program = co_programs["GCN"]
         kernel = _first_input_kernel(program)
-        # same psys (all RuntimeSystem checks), buffers far too small
+        # same psys (all run_strategy checks), buffers far too small
         # for the partitions this program was compiled into
         small = program.config.replace(
             buffers=dataclasses.replace(

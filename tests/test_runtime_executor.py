@@ -1,4 +1,4 @@
-"""Tests for the RuntimeSystem executor: correctness + accounting."""
+"""Tests for the run_strategy executor: correctness + accounting."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ from repro.config import u250_default
 from repro.gnn import build_model, init_weights, reference_inference
 from repro.hw import Accelerator
 from repro.hw.report import Primitive
-from repro.runtime import RuntimeSystem, end_to_end_seconds, make_strategy
+from repro.runtime import end_to_end_seconds, make_strategy
 from repro.runtime.executor import run_strategy
 
 
@@ -157,7 +157,7 @@ class TestExecutorPaperShapes:
         _, _, _, program = gcn_setup
         acc = Accelerator(tiny_config.replace(psys=8))
         with pytest.raises(ValueError):
-            RuntimeSystem(acc, make_strategy("Dynamic", tiny_config))
+            run_strategy(program, make_strategy("Dynamic", tiny_config), acc)
 
 
 class TestReportFormatting:

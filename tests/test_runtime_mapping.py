@@ -17,7 +17,7 @@ from repro.hw.report import (
     CANDIDATES, CODE_ORDER, SKIP_CODE, SPDMM_CODE, SPMM_CODE, Primitive,
 )
 from repro.ir.kernel import KernelIR, KernelType
-from repro.runtime.executor import RuntimeSystem, run_strategy
+from repro.runtime.executor import run_strategy
 from repro.runtime.perf_model import (
     PairBatch, candidate_cycles, region_primitive_batch,
 )
@@ -193,6 +193,9 @@ class TestStrategies:
         assert make_strategy("S2", CFG).name == "S2"
         assert make_strategy("Oracle", CFG).name == "Oracle"
         assert make_strategy("Fixed-GEMM", CFG).name == "Fixed-GEMM"
+        # an instance passes through, so a spy drives run_strategy
+        oracle = make_strategy("Oracle", CFG)
+        assert make_strategy(oracle, CFG) is oracle
         with pytest.raises(KeyError):
             make_strategy("nope", CFG)
 
@@ -254,7 +257,7 @@ def test_dynamic_on_the_small_matrix(model, dataset, scale):
     for prune in PRUNES:
         program = engine.compile(model, dataset, scale=scale, seed=0, prune=prune).program
         spy = Recorded(cfg)
-        dyn = RuntimeSystem(Accelerator(cfg), spy).run(program)
+        dyn = run_strategy(program, spy, Accelerator(cfg))
         best_static = min(
             run_strategy(program, name).total_cycles for name in ("S1", "S2")
         )
@@ -263,7 +266,7 @@ def test_dynamic_on_the_small_matrix(model, dataset, scale):
 
         chosen_cycles = task_cycles(dyn)
         forced = [
-            task_cycles(RuntimeSystem(Accelerator(cfg), Recorded(cfg, c)).run(program))
+            task_cycles(run_strategy(program, Recorded(cfg, c), Accelerator(cfg)))
             for c in range(len(CANDIDATES))
         ]
         for kernel_id, (batch, codes, transposed) in spy.seen.items():

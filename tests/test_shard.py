@@ -24,7 +24,7 @@ from conftest import make_tiny_config
 from repro import Compiler, build_model, init_weights, load_dataset
 from repro.__main__ import main
 from repro.config import MemoryConfig, u250_default
-from repro.engine import Engine, backend_names
+from repro.engine import BACKENDS, Engine
 from repro.engine.pool import AcceleratorPool
 from repro.hw import Accelerator
 from repro.ir.kernel import KernelType
@@ -34,7 +34,6 @@ from repro.runtime.strategies import make_strategy
 from repro.serve import InferenceRequest, InferenceServer, synthesize
 from repro.shard import (
     Shard,
-    ShardedRuntime,
     ShardPlan,
     halo_vertices,
     plan_shards,
@@ -445,7 +444,8 @@ class TestModelledSchedule:
         pool = AcceleratorPool(gcn_co.config, 2)
         strategy = make_strategy("Dynamic", gcn_co.config)
         plan = plan_shards(gcn_co, 2)
-        res = ShardedRuntime(pool, strategy, plan).run(gcn_co)
+        res = run_sharded(gcn_co, 2, strategy_name=strategy, pool=pool,
+                          plan=plan)
         assert len(pool.events) == len(res.kernel_stats) * plan.num_shards
         assert pool.makespan_s == pytest.approx(res.latency_s)
 
@@ -453,7 +453,8 @@ class TestModelledSchedule:
         pool = AcceleratorPool(gcn_co.config, 1)
         strategy = make_strategy("Dynamic", gcn_co.config)
         with pytest.raises(ValueError, match="grow the pool"):
-            ShardedRuntime(pool, strategy, plan_shards(gcn_co, 2))
+            run_sharded(gcn_co, 2, strategy_name=strategy, pool=pool,
+                        plan=plan_shards(gcn_co, 2))
 
     def test_report_and_dict_split_halo_into_hidden_and_exposed(self, gcn_co):
         res = run_sharded(gcn_co, 2)
@@ -489,7 +490,7 @@ class TestEngineIntegration:
         assert plain.shard_plan is None and plain.cache_hit
 
     def test_sharded_backend_is_registered_and_exact(self):
-        assert "sharded" in backend_names()
+        assert "sharded" in BACKENDS
         engine = Engine(make_tiny_config(), pool_size=2)
         handle = engine.compile("GCN", "CO", scale=SCALE, seed=3, shards=2)
         sharded = engine.infer(handle, backend="sharded")
