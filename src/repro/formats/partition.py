@@ -35,6 +35,7 @@ Profiler reproduces at runtime.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -54,6 +55,11 @@ def grid_dims(shape: tuple[int, int], block_rows: int, block_cols: int) -> tuple
         math.ceil(shape[0] / block_rows) if shape[0] else 0,
         math.ceil(shape[1] / block_cols) if shape[1] else 0,
     )
+
+
+def _block_sizes(n: int, block: int) -> np.ndarray:
+    """Length of each block along an axis of ``n`` (the last may be ragged)."""
+    return np.diff(np.minimum(np.arange(0, n + block, block), n))
 
 
 def _nonzero_coords(mat: MatrixLike) -> tuple[np.ndarray, np.ndarray]:
@@ -89,7 +95,7 @@ class _BlockLayout:
     ``__init__``.
     """
 
-    def __init__(self, mat: sp.csr_matrix, block_rows: int, block_cols: int) -> None:
+    def __init__(self, mat: sp.csr_matrix, block_rows: int, block_cols: int, split=None) -> None:
         if not mat.has_sorted_indices:
             mat = mat.copy()
             mat.sort_indices()
@@ -102,7 +108,12 @@ class _BlockLayout:
         # where each block row's stored entries start and end
         edges = np.minimum(np.arange(nr + 1) * block_rows, mat.shape[0])
         bounds = mat.indptr[edges].astype(np.int64)
-        if nc <= 1:
+        if split is not None:  # canonical CSR blocks: concatenated, no sort
+            flat = [blk for row in split for blk in row]
+            self.data = np.concatenate([blk.data for blk in flat])
+            self.local = np.concatenate([blk.indices for blk in flat])
+            self.extents = np.cumsum([0] + [blk.nnz for blk in flat])
+        elif nc <= 1:
             self.data = mat.data
             self.local = mat.indices.astype(idx_dtype, copy=False)
             self.extents = bounds
@@ -138,7 +149,10 @@ class _BlockLayout:
         self.data, self.local = self.data.view(), self.local.view()
         self.data.flags.writeable = self.local.flags.writeable = False
         #: block row -> its list of CSR blocks, filled on first touch
-        self.rows: list[list | None] = [None] * nr
+        self.rows: list[list | None] = [None] * nr if split is None else split
+        for blk, lo, hi in zip(flat if split else (), self.extents, self.extents[1:]):
+            blk.data, blk.indices = self.data[lo:hi], self.local[lo:hi]
+            blk.indptr.flags.writeable = False
         #: block row -> whether its stored data is all finite, on first ask
         self.finite: list[bool | None] = [None] * nr
         #: whether no stored entry is a zero, on first ask
@@ -297,6 +311,12 @@ class PartitionedMatrix:
         ``block_nnz_grid`` of ``matrix`` under this blocking, when the
         caller already holds it (the write-back profiler's counts, a
         patched view's old grid).  Omitted, the matrix is scanned.
+    split:
+        A sparse ``matrix``'s CSR blocks, one list per block row, when the
+        caller holds them (a kernel's assembly): adopted, not re-split.
+    produced:
+        ``matrix`` is a kernel's output, whose rows no profiler counted:
+        SCP skew 1.0 however the host holds it.
     """
 
     def __init__(
@@ -306,6 +326,8 @@ class PartitionedMatrix:
         block_cols: int,
         name: str = "",
         nnz_grid: np.ndarray | None = None,
+        split: list | None = None,
+        produced: bool = False,
     ) -> None:
         if block_rows < 1 or block_cols < 1:
             raise ValueError("block dimensions must be positive")
@@ -330,10 +352,10 @@ class PartitionedMatrix:
                 f"got {nnz_grid.dtype} of shape {nnz_grid.shape}"
             )
         self._nnz_grid = nnz_grid
+        self.produced = produced
         #: the block-major layout, built by the first sparse block read
-        self._layout: _BlockLayout | None = None
-        self._row_sizes: np.ndarray | None = None
-        self._col_sizes: np.ndarray | None = None
+        self._layout = None if split is None else _BlockLayout(
+            self.matrix, block_rows, block_cols, split)
         self._density_grid: np.ndarray | None = None
 
     # -- geometry --------------------------------------------------------
@@ -413,8 +435,9 @@ class PartitionedMatrix:
     def scp_skew_grid(self, psys: int) -> np.ndarray:
         """Per block, busiest-SCP share of its stored entries x ``psys``:
         what the simulator's SPMM count is above Table IV's balanced one.
-        All ones for a dense-held operand, whose rows are not counted."""
-        if not self.is_sparse_storage:
+        All ones for a dense-held or produced operand, whose rows are not
+        counted."""
+        if self.produced or not self.is_sparse_storage:
             return np.ones(self._nnz_grid.shape)
         return self._block_layout().scp_skew(psys)
 
@@ -436,29 +459,15 @@ class PartitionedMatrix:
         total = r * c
         return self.block_nnz(i, j) / total if total else 0.0
 
-    @property
+    @functools.cached_property
     def row_block_sizes(self) -> np.ndarray:
         """Actual row count of each block row (last one may be ragged)."""
-        if self._row_sizes is None:
-            m = self.shape[0]
-            nr = self.num_row_blocks
-            sizes = np.full(nr, self.block_rows, dtype=np.int64)
-            if nr:
-                sizes[-1] = m - (nr - 1) * self.block_rows
-            self._row_sizes = sizes
-        return self._row_sizes
+        return _block_sizes(self.shape[0], self.block_rows)
 
-    @property
+    @functools.cached_property
     def col_block_sizes(self) -> np.ndarray:
         """Actual column count of each block column."""
-        if self._col_sizes is None:
-            n = self.shape[1]
-            nc = self.num_col_blocks
-            sizes = np.full(nc, self.block_cols, dtype=np.int64)
-            if nc:
-                sizes[-1] = n - (nc - 1) * self.block_cols
-            self._col_sizes = sizes
-        return self._col_sizes
+        return _block_sizes(self.shape[1], self.block_cols)
 
     @property
     def density_grid(self) -> np.ndarray:
@@ -596,20 +605,6 @@ class PartitionedMatrix:
         if sparse is False:
             return dense_bytes
         return min(dense_bytes, sparse_bytes)
-
-    # -- reassembly (used by tests) ----------------------------------------------
-    def to_dense(self) -> np.ndarray:
-        return as_dense(self.matrix)
-
-    def reassemble_from_blocks(self) -> np.ndarray:
-        """Rebuild the full matrix from its blocks (round-trip check)."""
-        out = np.zeros(self.shape, dtype=DTYPE)
-        for i in range(self.num_row_blocks):
-            for j in range(self.num_col_blocks):
-                r0, c0 = i * self.block_rows, j * self.block_cols
-                blk = self.dense_block(i, j)
-                out[r0 : r0 + blk.shape[0], c0 : c0 + blk.shape[1]] = blk
-        return out
 
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.num_row_blocks and 0 <= j < self.num_col_blocks):

@@ -25,10 +25,6 @@ from repro.gnn.models import ModelSpec
 from repro.ir.kernel import Activation
 
 
-def _to_dense(h: MatrixLike) -> np.ndarray:
-    return as_dense(h)
-
-
 def reference_inference(
     model: ModelSpec,
     a: MatrixLike,
@@ -37,7 +33,7 @@ def reference_inference(
 ) -> np.ndarray:
     """Ground-truth embeddings for ``model`` on graph ``a`` / features ``h0``."""
     a = as_csr(a)
-    h = _to_dense(h0)
+    h = as_dense(h0)
     for idx, layer in enumerate(model.layers, start=1):
         if layer.kind == "gcn":
             a_hat = gcn_norm(a)
@@ -84,7 +80,7 @@ def layerwise_feature_densities(
     if any(layer.kind != "gcn" for layer in model.layers):
         raise ValueError("layerwise_feature_densities reproduces Fig. 2 for GCN")
     a_hat = gcn_norm(as_csr(a))
-    h = _to_dense(h0)
+    h = as_dense(h0)
     stages: list[tuple[str, float]] = [("input", density(h))]
     for idx, layer in enumerate(model.layers, start=1):
         h = np.asarray(h @ weights[f"W{idx}"], dtype=DTYPE)

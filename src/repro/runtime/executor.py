@@ -5,10 +5,12 @@ order) the Analyzer maps every partition pair to a primitive (through the
 pluggable :class:`~repro.runtime.strategies.MappingStrategy`), the
 Scheduler assigns tasks to idle Computation Cores (Algorithm 8), the cores
 execute and profile, and the produced feature matrix is stored back with
-an on-the-fly format decision.  K2P analysis for kernel ``l+1`` overlaps
-the accelerator's execution of kernel ``l`` (§VI-B), so the reported
-latency adds only the *exposed* part of the runtime-system time; the raw
-overhead is reported separately (Fig. 13).
+an on-the-fly format decision; the host holds each output partition by
+its profiled count (:class:`KernelAssembly`: CSR below 10% dense), so an
+output that sparse never exists as a dense matrix.  K2P analysis for
+kernel ``l+1`` overlaps the accelerator's execution of kernel ``l``
+(§VI-B), so the reported latency adds only the *exposed* part of the
+runtime-system time; the raw overhead is reported separately (Fig. 13).
 
 The functional output is exact: integration tests compare it bit-for-bit
 (up to float32 accumulation tolerance) against
@@ -30,6 +32,7 @@ import scipy.sparse as sp
 from repro.compiler.compile import CompiledProgram, CompileTimings
 from repro.compiler.sparsity import choose_storage_format
 from repro.config import AcceleratorConfig
+from repro.formats.csr import as_dense
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix, grid_dims
 from repro.gnn.activations import activation_fn
@@ -42,12 +45,8 @@ from repro.obs.tracer import NULL_TRACER
 from repro.runtime.scheduler import CoreTimeline
 from repro.runtime.stats import KernelStats, mean_over_max, total_primitive_counts
 from repro.runtime.strategies import MappingStrategy, make_strategy
+from repro.runtime import vectorized
 from repro.runtime.vectorized import execute_kernel_tasks
-
-#: outputs larger than this (elements) are held sparsely on the host — e.g.
-#: the 65k x 61k hop outputs of SGC on NELL never materialise densely; how
-#: the host holds a matrix decides no modelled quantity
-DENSE_ASSEMBLY_LIMIT = 50_000_000
 
 
 @dataclass(kw_only=True)
@@ -92,9 +91,7 @@ class RunResult:
              "strategy_name": "strategy"}
 
     def output_dense(self) -> np.ndarray:
-        if sp.issparse(self.output):
-            return np.asarray(self.output.todense(), dtype=DTYPE)
-        return np.asarray(self.output, dtype=DTYPE)
+        return as_dense(self.output)
 
     def served_output(self) -> np.ndarray:
         """The read-only dense copy every response served from this run
@@ -299,19 +296,20 @@ class KernelAssembly:
     blocks and :meth:`finalize` produces the same matrix the
     single-device run assembles.  ``nnz_grid`` holds the write-back
     profiler's count per output partition (unwritten: 0): the output's
-    census under ``out_blocking``.
-    """
+    census under ``out_blocking``.  A partition is held as that count says
+    (``vectorized.SPARSE_HOLDING``): a CSR block in ``blocks`` or a slice
+    of ``out_dense``, which the first dense one allocates.  How the host
+    holds an output decides no modelled quantity."""
 
     rows: int
     cols: int
     out_br: int
     out_bc: int
-    dense_assembly: bool
-    out_dense: Optional[np.ndarray]
     nnz_grid: np.ndarray
-    sp_rows: list = field(default_factory=list)
-    sp_cols: list = field(default_factory=list)
-    sp_vals: list = field(default_factory=list)
+    out_dense: Optional[np.ndarray] = None
+    blocks: dict = field(default_factory=dict)
+    #: a CSR output's blocks, one list per block row (set by ``finalize``)
+    block_rows: Optional[list] = None
 
     @property
     def total_out_nnz(self) -> int:
@@ -319,52 +317,57 @@ class KernelAssembly:
 
     @classmethod
     def for_kernel(cls, xv, yv, scheme) -> "KernelAssembly":
-        rows, cols = xv.shape[0], yv.shape[1]
-        dense_assembly = rows * cols <= DENSE_ASSEMBLY_LIMIT
-        out_br, out_bc = scheme.out_blocking
-        return cls(
-            rows=rows,
-            cols=cols,
-            out_br=out_br,
-            out_bc=out_bc,
-            dense_assembly=dense_assembly,
-            nnz_grid=np.zeros(grid_dims((rows, cols), out_br, out_bc), np.int64),
-            out_dense=(
-                np.zeros((rows, cols), dtype=DTYPE) if dense_assembly else None
-            ),
-        )
+        rows, cols, (br, bc) = xv.shape[0], yv.shape[1], scheme.out_blocking
+        return cls(rows, cols, br, bc, np.zeros(grid_dims((rows, cols), br, bc), np.int64))
 
-    def write(self, i: int, k: int, m: int, d: int, z: np.ndarray, nnz: int) -> None:
-        """Store output partition ``(i, k)`` and its profiled nonzero count."""
-        self.nnz_grid[i, k] = nnz
+    def _part(self, i: int, k: int) -> tuple[slice, slice]:
         r0, c0 = i * self.out_br, k * self.out_bc
-        if self.dense_assembly:
-            self.out_dense[r0 : r0 + m, c0 : c0 + d] = z
+        return slice(r0, r0 + self.out_br), slice(c0, c0 + self.out_bc)
+
+    def write(self, i: int, k: int, z: np.ndarray) -> int:
+        """Store output partition ``(i, k)`` and return its profiled
+        nonzero count (``-0.0`` a zero, ``NaN`` a nonzero)."""
+        mask = z != 0
+        nnz = self.nnz_grid[i, k] = np.count_nonzero(mask)
+        if nnz < vectorized.SPARSE_HOLDING * z.size:
+            self.blocks[i, k] = _csr_block(z, np.flatnonzero(mask))
         else:
-            rr, cc = np.nonzero(z)
-            if rr.size:
-                self.sp_rows.append(rr.astype(np.int64) + r0)
-                self.sp_cols.append(cc.astype(np.int64) + c0)
-                self.sp_vals.append(z[rr, cc])
+            if self.out_dense is None:
+                self.out_dense = np.zeros((self.rows, self.cols), dtype=DTYPE)
+            self.out_dense[self._part(i, k)] = z
+        return int(nnz)
 
     def finalize(self) -> tuple[object, float]:
-        """The assembled output matrix and its density."""
-        if self.dense_assembly:
-            out_mat: object = self.out_dense
-        elif self.sp_rows:
-            out_mat = sp.csr_matrix(
-                (
-                    np.concatenate(self.sp_vals),
-                    (np.concatenate(self.sp_rows), np.concatenate(self.sp_cols)),
-                ),
-                shape=(self.rows, self.cols),
-                dtype=DTYPE,
-            )
-        else:
-            out_mat = sp.csr_matrix((self.rows, self.cols), dtype=DTYPE)
-        elements = self.rows * self.cols
-        density = self.total_out_nnz / elements if elements else 0.0
-        return out_mat, density
+        """The assembled output matrix and its density.  The profiled
+        total picks the holding (CSR below ``SPARSE_HOLDING``); partitions
+        held the other way are converted one at a time.  A CSR output's
+        blocks stay in ``block_rows`` for a consumer blocked like it."""
+        elements, nnz = self.rows * self.cols, self.total_out_nnz
+        dense, self.out_dense = self.out_dense, None  # a CSR output frees it
+        if nnz >= vectorized.SPARSE_HOLDING * elements:
+            dense = np.zeros((self.rows, self.cols), DTYPE) if dense is None else dense
+            for (i, k), blk in self.blocks.items():
+                dense[self._part(i, k)] = blk.toarray()
+            return dense, nnz / elements if elements else 0.0
+        if dense is None:  # a partition never written reads as zeros
+            dense = np.broadcast_to(DTYPE(0), (self.rows, self.cols))
+        nr, nc = self.nnz_grid.shape
+        self.block_rows = [[
+            self.blocks[i, k] if (i, k) in self.blocks else _csr_block(dense[self._part(i, k)])
+            for k in range(nc)] for i in range(nr)]
+        rows = [sp.hstack(row, format="csr") for row in self.block_rows]
+        return sp.vstack(rows, format="csr"), nnz / elements
+
+
+def _csr_block(z: np.ndarray, flat: np.ndarray | None = None) -> sp.csr_matrix:
+    """Canonical int32 CSR of a partition, from the flat indices of its
+    nonzeros when the caller has them."""
+    flat = np.flatnonzero(z) if flat is None else flat
+    rows, cols = np.divmod(flat.astype(np.int32), np.int32(z.shape[1]))
+    blk = sp.csr_matrix.__new__(sp.csr_matrix)
+    blk.data, blk.indices, blk._shape = z.ravel()[flat], cols, z.shape
+    blk.indptr = np.searchsorted(rows, np.arange(z.shape[0] + 1)).astype(np.int32)
+    return blk
 
 
 #: the one-lane case: every output row of every kernel
@@ -403,17 +406,20 @@ def operand_view(
 
     A stored operand's is the program's, censused at compile time.  An
     intermediate (``store[name]``, produced during this walk) is viewed
-    once per blocking and kept in ``views``; it is not scanned when
-    ``censuses`` holds its producer's write-back profiler counts under
-    this very blocking, and scanned with ``block_nnz_grid`` otherwise.
+    once per blocking and kept in ``views``.  Under its producer's
+    ``out_blocking`` (``censuses`` holds that kernel's assembly) its census
+    is the profiler's counts and a CSR output's blocks are the assembly's;
+    under any other blocking it is scanned with ``block_nnz_grid``.
     """
     if name in program.store:
         return program.view(name, *blocking)
     key = (name, *blocking)
     pm = views.get(key)
     if pm is None:
+        asm = censuses.get(key)
         pm = views[key] = PartitionedMatrix(
-            store[name], *blocking, name=name, nnz_grid=censuses.get(key)
+            store[name], *blocking, name=name, produced=True,
+            nnz_grid=asm and asm.nnz_grid, split=asm and asm.block_rows,
         )
     return pm
 
@@ -446,7 +452,7 @@ def run_kernels(
     for lane in lanes:
         lane.accelerator.reset()
     views: dict = {}
-    #: (name, *out_blocking) -> profiled nnz grid of each output produced
+    #: (name, *out_blocking) -> the finalized assembly of each output produced
     censuses: dict = {}
     stored_sparse = program.stored_sparse
     view = functools.partial(operand_view, program, store, views, censuses)
@@ -528,7 +534,7 @@ def run_kernels(
         for table in (views, censuses):
             for key in [kk for kk in table if kk[0] == kernel.out_name]:
                 del table[key]
-        censuses[(kernel.out_name, *scheme.out_blocking)] = assembly.nnz_grid
+        censuses[(kernel.out_name, *scheme.out_blocking)] = assembly
         for ks in lane_stats:
             ks.out_density = out_density
         yield kernel, lane_stats

@@ -158,7 +158,7 @@ def execute_kernel_tasks_reference(
         stats.report.merge(result.report)
         stats.counts.update(result.primitive_counts)
         stats.coo_writebacks += result.coo_writeback
-        assembly.write(i, k, m, d, result.z, result.output_nnz)
+        assembly.write(i, k, result.z)
 
     return finalise_task_loop(
         stats, kernel, acc, timeline, events_before, tracer, track

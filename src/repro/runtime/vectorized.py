@@ -35,9 +35,10 @@ runs the same semantics as four batched passes over the whole kernel:
    Everything else takes ``_matmul``, the definition: a dense X block, an
    X block row holding ``inf``/``NaN`` on the S2D route, and every pair
    when one of SciPy's four private entry points is missing.  The
-   data-dependent SPMM cycle counts are taken here, and each output
-   partition's write-back nonzero count is recorded in the assembly as
-   the next kernel's census.
+   data-dependent SPMM cycle counts are taken here.  The assembly counts
+   each output partition once (the write-back profiler's count, the next
+   kernel's census) and holds it by that count: CSR below
+   ``SPARSE_HOLDING``, dense otherwise.
 3. **Write-back accounting** — task latencies from per-task stream sums
    (sequential float reductions via ``np.add.at`` / ``np.add.accumulate``
    so kernel totals match the reference's accumulation order exactly),
@@ -95,6 +96,10 @@ _CSR_MATMAT_MAXNNZ = getattr(_sparsetools, "csr_matmat_maxnnz", None)
 _NS_PER_MAC = 9.0
 _NS_PER_CELL = 0.5
 _NS_PER_ROW_CELL = 0.25
+#: the host holds an output partition (and a whole output) as CSR below this
+#: density (``micro_pair_product``: a CSR operand still pays at 10%, costs 2x
+#: at 30%); the off-chip format is ``choose_storage_format``'s, whatever this is
+SPARSE_HOLDING = 0.1
 
 __all__ = [
     "execute_kernel_tasks",
@@ -475,9 +480,7 @@ def execute_kernel_tasks(
         z = row_part if col_part is None else row_part + col_part
         if act is not None:
             z = np.asarray(act(z), dtype=DTYPE)
-        nnz = int(np.count_nonzero(z))
-        out_nnz_t[t] = nnz
-        assembly.write(i, k, m, d, z, nnz)
+        out_nnz_t[t] = assembly.write(i, k, z)
 
     # ---- phase 3: write-back accounting + task latencies ---------------
     comp_t = np.zeros(t_count, dtype=np.int64)

@@ -60,6 +60,18 @@ def random_sparse(m, n, density, seed=0, zero_rows=False):
     return mat
 
 
+def reassemble_from_blocks(pm) -> np.ndarray:
+    """Rebuild a ``PartitionedMatrix``'s full matrix from its blocks (the
+    round-trip check of a split)."""
+    out = np.zeros(pm.shape, dtype=np.float32)
+    for i in range(pm.num_row_blocks):
+        for j in range(pm.num_col_blocks):
+            r0, c0 = i * pm.block_rows, j * pm.block_cols
+            blk = pm.dense_block(i, j)
+            out[r0 : r0 + blk.shape[0], c0 : c0 + blk.shape[1]] = blk
+    return out
+
+
 def formula_adjacency(name: str, a: sp.csr_matrix) -> sp.csr_matrix:
     """One adjacency variant of canonical float32 CSR ``a`` by its literal
     formula, SciPy's sparse products included: ``diags(d) @ (A + I) @

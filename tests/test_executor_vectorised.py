@@ -30,6 +30,7 @@ from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn import build_model, init_weights
 import repro.runtime.executor as executor_mod
+import repro.runtime.vectorized as vectorized_mod
 from repro.hw import Accelerator
 from repro.hw.buffers import BufferOverflowError
 from repro.hw.report import CycleReport
@@ -262,15 +263,30 @@ class TestCooWriteBack:
 
     @pytest.mark.parametrize("model_name", ["GCN", "GraphSAGE", "GIN", "SGC"])
     def test_host_assembly_decides_no_write_back(self, model_name, monkeypatch):
-        # the first kernel reads compile-time operands only, so the write-
-        # back is all that how the host holds the output could move
+        """How the host holds an output decides no modelled quantity: every
+        field of every kernel's stats, on CO and a pruned PU cell under
+        each strategy, is the same with every partition held dense
+        (``SPARSE_HOLDING = 0``) or CSR (above 1) as at the default."""
         engine = Engine()
-        handle = engine.compile(model_name, "CO", seed=0)
-        default = engine.infer(handle).kernel_stats[0]
-        monkeypatch.setattr(executor_mod, "DENSE_ASSEMBLY_LIMIT", 0)
-        held_sparse = engine.infer(handle).kernel_stats[0]
-        for f in ("bytes_written", "memory_cycles", "transform_cycles", "cycles"):
-            assert getattr(held_sparse, f) == getattr(default, f), f
+        handles = [engine.compile(model_name, "CO", seed=0),
+                   engine.compile(model_name, "PU", scale=0.25, prune=0.9, seed=0)]
+
+        def runs():
+            return [engine.infer(h, strategy=s)
+                    for h in handles for s in ("Dynamic", "S1", "S2")]
+
+        default = runs()
+        for rho, csr_held in ((0.0, False), (1.5, True)):
+            monkeypatch.setattr(vectorized_mod, "SPARSE_HOLDING", rho)
+            for held, base in zip(runs(), default):
+                assert sp.issparse(held.output) == csr_held
+                assert len(held.kernel_stats) == len(base.kernel_stats)
+                for kh, kb in zip(held.kernel_stats, base.kernel_stats):
+                    for f in dataclasses.fields(kh):
+                        np.testing.assert_array_equal(
+                            getattr(kh, f.name), getattr(kb, f.name),
+                            err_msg=f"{kh.kernel_id}.{f.name} at rho={rho}",
+                        )
 
 
 def _loop_args(program, kernel, acc, tasks):
@@ -534,7 +550,6 @@ class TestBufferOverflow:
         acc = Accelerator(small)
         args = _loop_args(program, kernel, acc, kernel.exec_scheme.task_batch())
         timeline, assembly = args[7], args[9]
-        out_before = assembly.out_dense.copy()
         with pytest.raises(BufferOverflowError) as err:
             execute_kernel_tasks(*args)
         message = str(err.value)
@@ -546,7 +561,7 @@ class TestBufferOverflow:
         assert needed > held == acc.config.buffers.words_per_buffer
         assert timeline.events == []
         assert not timeline.busy.any()
-        np.testing.assert_array_equal(assembly.out_dense, out_before)
+        assert assembly.out_dense is None and assembly.blocks == {}
         assert assembly.total_out_nnz == 0
         assert acc.memory.ledger.bytes_read == 0
         assert acc.memory.ledger.bytes_written == 0

@@ -30,6 +30,8 @@ from hypothesis import strategies as st
 
 from repro.formats.partition import PartitionedMatrix
 
+from conftest import reassemble_from_blocks
+
 NONE = (np.empty(0, np.int64),) * 2
 
 
@@ -196,7 +198,7 @@ def test_every_block_matches_scipy_slicing(
         pm = PartitionedMatrix(mat, block_rows, block_cols, nnz_grid=pm.nnz_grid)
     assert_blocks_match_scipy(mat, pm)
     assert_census_counts_nonzeros(mat, pm)
-    np.testing.assert_array_equal(pm.reassemble_from_blocks(), mat.toarray())
+    np.testing.assert_array_equal(reassemble_from_blocks(pm), mat.toarray())
 
 
 @pytest.mark.parametrize("nr,nc", [

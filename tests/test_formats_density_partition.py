@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import random_sparse
+from conftest import random_sparse, reassemble_from_blocks
 from repro.formats.density import SparsityProfiler, density, nnz_count
 from repro.formats.partition import (
     PartitionedMatrix,
@@ -84,7 +84,7 @@ class TestPartitionedMatrix:
     def test_reassembly_roundtrip(self):
         mat = random_sparse(17, 23, 0.25, seed=9)
         pm = PartitionedMatrix(mat, 5, 7)
-        np.testing.assert_allclose(pm.reassemble_from_blocks(), mat.toarray())
+        np.testing.assert_allclose(reassemble_from_blocks(pm), mat.toarray())
 
     def test_block_density_and_nnz(self):
         mat = np.zeros((4, 4), dtype=np.float32)

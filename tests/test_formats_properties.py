@@ -12,6 +12,8 @@ from repro.formats.partition import (
     block_nnz_grid_reference,
 )
 
+from conftest import reassemble_from_blocks
+
 
 @st.composite
 def small_dense(draw, max_dim=12):
@@ -52,7 +54,7 @@ class TestPartitionProperties:
     @settings(max_examples=60, deadline=None)
     def test_reassembly_identity(self, dense, br, bc):
         pm = PartitionedMatrix(dense, br, bc)
-        np.testing.assert_array_equal(pm.reassemble_from_blocks(), dense)
+        np.testing.assert_array_equal(reassemble_from_blocks(pm), dense)
 
     @given(small_dense(), st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
