@@ -1,16 +1,17 @@
-"""S2 — continuous batching: overload goodput vs the legacy batcher.
+"""S2 — continuous batching: overload goodput vs whole-batch book-ahead.
 
 Drives one overloaded request stream (~10x a device's service capacity,
-30% tagged interactive) through both serving schedulers and checks the
-headline claims of the ``repro.sched`` subsystem:
+30% tagged interactive) through the serve loop and through the retired
+book-ahead policy, kept as a test oracle (``tests/book_ahead.py``), and
+checks the headline claims of the ``repro.sched`` subsystem:
 
-1. the continuous scheduler's join-in-flight mechanism lifts goodput
-   (requests meeting their SLO target per second) by >= 2x over the
-   legacy fire-whole-batches loop under overload;
-2. interactive p99 stays within its SLO target while the legacy batcher
-   blows through it (queueing grows unboundedly at 10x load);
-3. ``scheduler="legacy"`` remains bit-exact with the default server
-   path (modulo host-wall-clock compile measurements).
+1. join-in-flight lifts goodput (requests meeting their SLO target per
+   second) by >= 2x over booking each batch ahead and whole under
+   overload;
+2. interactive p99 stays within its SLO target while book-ahead blows
+   through it (queueing grows unboundedly at 10x load);
+3. the oracle's run of the stream is bit-exact on a second server
+   (modulo host-wall-clock compile measurements).
 
 All graded sweeps run against a warm program cache, so every number is
 virtual-clock deterministic.
@@ -25,19 +26,26 @@ Runs two ways:
 
 import argparse
 import sys
+from pathlib import Path
 
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
 from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
 from repro.serve import InferenceRequest, InferenceServer, synthesize
 
+_tests = str(Path(__file__).resolve().parent.parent / "tests")
+if _tests not in sys.path:
+    sys.path.append(_tests)
+from book_ahead import serve_book_ahead  # noqa: E402
+
 CFG = u250_default()
 MAX_BATCH = 8
 OVERLOAD_FACTOR = 10.0
 CLASS_SKEW = 0.3
 #: interactive SLO target as a multiple of the warm single-request
-#: service time — generous for continuous (joins bound queueing), hopeless
-#: for legacy (overload queueing is many service times deep)
+#: service time — generous for continuous batching (joins bound
+#: queueing), hopeless for book-ahead (overload queueing is many service
+#: times deep)
 TARGET_FACTOR = 3.0
 MIN_GOODPUT_RATIO = 2.0
 
@@ -45,15 +53,14 @@ SMOKE = dict(models=("GCN",), requests=120, pool=2)
 FULL = dict(models=("GCN", "GIN"), requests=320, pool=4)
 
 
-def _server(pool: int, scheduler: str = "legacy", policy=None,
-            admission=None, autoscaler=None) -> InferenceServer:
+def _server(pool: int, policy=None, admission=None,
+            autoscaler=None) -> InferenceServer:
     return InferenceServer(
         CFG,
         pool_size=pool,
         max_batch_size=MAX_BATCH,
         max_wait_s=1e-3,
         return_outputs=False,
-        scheduler=scheduler,
         slo_policy=policy,
         admission=admission,
         autoscaler=autoscaler,
@@ -61,16 +68,17 @@ def _server(pool: int, scheduler: str = "legacy", policy=None,
 
 
 def sweep(models, requests, pool):
-    """Warm overload sweeps on both schedulers, plus the bit-exact check."""
+    """Warm overload sweeps on the loop and the oracle, plus the
+    oracle's bit-exact check."""
     probes = [InferenceRequest(model=m, dataset="CO", seed=17)
               for m in models]
     probe_server = _server(1)
     exec_s = max(
-        r.execute_s for r in probe_server.serve(probes).responses
+        r.execute_s for r in serve_book_ahead(probe_server, probes).responses
     )
     # ~10x the pool's *batch-amortized* capacity: saturating_rate already
-    # normalises per-request occupancy at full batches, so the legacy
-    # batcher is genuinely overloaded, not just un-batched
+    # normalises per-request occupancy at full batches, so book-ahead is
+    # genuinely overloaded, not just un-batched
     rate = probe_server.saturating_rate(
         probes, pool_size=pool, factor=OVERLOAD_FACTOR
     )
@@ -89,22 +97,22 @@ def sweep(models, requests, pool):
     )
 
     legacy = _server(pool, policy=policy)
-    legacy.serve(workload)                  # cold: populate the cache
-    legacy_report = legacy.serve(workload)  # warm: graded sweep
+    serve_book_ahead(legacy, workload)                  # cold: populate the cache
+    legacy_report = serve_book_ahead(legacy, workload)  # warm: graded sweep
 
     continuous = _server(
-        pool, scheduler="continuous", policy=policy,
+        pool, policy=policy,
         admission=AdmissionController(policy),
         autoscaler=PoolAutoscaler(min_devices=1),
     )
     continuous.serve(workload)
     continuous_report = continuous.serve(workload)
 
-    # scheduler="legacy" must be the same code path as the default server
-    explicit = _server(pool, scheduler="legacy", policy=policy)
-    explicit.serve(workload)
-    explicit_report = explicit.serve(workload)
-    bit_exact = _strip_wallclock(explicit_report.to_dict()) == \
+    # the oracle is deterministic: a second server books the same sweep
+    again = _server(pool, policy=policy)
+    serve_book_ahead(again, workload)
+    again_report = serve_book_ahead(again, workload)
+    bit_exact = _strip_wallclock(again_report.to_dict()) == \
         _strip_wallclock(legacy_report.to_dict())
 
     return {
@@ -121,8 +129,8 @@ def _strip_wallclock(d: dict) -> dict:
     # come from ProgramCache.get_or_compile, an allowlisted host-side
     # measurement (repro.staticcheck.rules_clock.WALLCLOCK_ALLOWLIST).
     # Everything else in the report is virtual-clock and must be
-    # bit-identical between the legacy paths — so only these fields are
-    # excluded from the equality check.
+    # bit-identical between the two oracle runs — so only these fields
+    # are excluded from the equality check.
     d = dict(d)
     for key in ("compile_saved_s", "compile_s"):
         d.pop(key, None)
@@ -144,8 +152,8 @@ def _interactive_p99(report) -> float:
 def _table(result) -> str:
     target_ms = result["target_s"] * 1e3
     rows = []
-    for name in ("legacy", "continuous"):
-        r = result[name]
+    for name in ("book-ahead", "continuous"):
+        r = result["legacy" if name == "book-ahead" else name]
         rows.append([
             name,
             f"{r.goodput_rps:,.0f}",
@@ -160,7 +168,7 @@ def _table(result) -> str:
          f"inter p99 (ms, target {target_ms:.3f})", "joined",
          "shed/deferred"],
         rows,
-        title="S2: continuous batching vs legacy under ~10x overload "
+        title="S2: continuous batching vs book-ahead under ~10x overload "
               "(warm cache, virtual clock)",
     )
 
@@ -182,11 +190,11 @@ def _spec(ctx):
     emit("bench_continuous_batching", _table(result))
     legacy, cont = result["legacy"], result["continuous"]
     assert result["bit_exact"], (
-        "scheduler='legacy' diverged from the default server path"
+        "two book-ahead runs of one stream diverged"
     )
     ratio = cont.goodput_rps / legacy.goodput_rps
     assert ratio >= MIN_GOODPUT_RATIO, (
-        f"continuous goodput only {ratio:.2f}x legacy under "
+        f"continuous goodput only {ratio:.2f}x book-ahead under "
         f"{OVERLOAD_FACTOR:.0f}x overload (need >= {MIN_GOODPUT_RATIO}x)"
     )
     p99 = _interactive_p99(cont)
@@ -238,7 +246,7 @@ def main(argv=None) -> int:
 
     failures = []
     if not result["bit_exact"]:
-        failures.append("scheduler='legacy' diverged from the default path")
+        failures.append("two book-ahead runs of one stream diverged")
     legacy, cont = result["legacy"], result["continuous"]
     ratio = cont.goodput_rps / legacy.goodput_rps
     if ratio < MIN_GOODPUT_RATIO:
@@ -250,7 +258,7 @@ def main(argv=None) -> int:
     if failures:
         print("\nFAIL: " + "; ".join(failures))
         return 1
-    print(f"\nOK: goodput {ratio:.2f}x legacy, interactive p99 "
+    print(f"\nOK: goodput {ratio:.2f}x book-ahead, interactive p99 "
           f"{_interactive_p99(cont) * 1e3:.3f} ms within "
           f"{result['target_s'] * 1e3:.3f} ms, "
           f"{cont.joined_requests}/{cont.num_requests} joined in flight")

@@ -8,8 +8,8 @@ light load to overload.  The headline claims this bench checks:
 - throughput scales near-linearly with pool size on a saturating
   workload (the earliest-idle dispatcher keeps devices busy);
 - a warm program cache recompiles nothing on a repeated sweep;
-- p95 latency degrades gracefully (queueing) as offered load crosses
-  the pool's service capacity.
+- as offered load crosses the pool's service capacity, the excess joins
+  executions already in flight instead of queueing for new ones.
 """
 
 from _common import Metric, emit, format_table, register_bench
@@ -127,6 +127,8 @@ def test_arrival_rate_sweep(benchmark):
     )
     emit("serving_arrival_sweep", table)
     light, heavy = rows[0][1], rows[-1][1]
-    # overload must queue: p95 grows, and batching amortizes more per batch
-    assert heavy.latency_p95_s > light.latency_p95_s
+    # overload rides the executions in flight: more requests join them
+    # and each execution serves more (a light load's p95 is its batching
+    # window, so latency need not grow with load)
+    assert heavy.joined_requests > light.joined_requests
     assert heavy.avg_batch_size >= light.avg_batch_size

@@ -40,7 +40,7 @@ from repro import BACKENDS, Engine, estimate_resources, u250_default
 from repro.baselines.cpu_gpu import OutOfMemoryError
 from repro.datasets import DATASET_NAMES, format_catalog
 from repro.gnn import MODEL_NAMES
-from repro.serve import ARRIVAL_KINDS, SCHEDULERS
+from repro.serve import ARRIVAL_KINDS
 
 
 def _emit(args, result, ok: bool = True, out: str | None = None) -> int:
@@ -138,7 +138,7 @@ def cmd_serve_bench(args) -> int:
         cache_capacity=args.cache,
         slo_p99_s=None if args.slo_p99_ms is None else args.slo_p99_ms * 1e-3,
         **_pick(args, "arrival", "strategy", "prune", "scale", "skew",
-                "class_skew", "seed", "scheduler", "queue_bound",
+                "class_skew", "seed", "queue_bound",
                 "autoscale", "trace"),
     ))
 
@@ -340,10 +340,6 @@ def main(argv=None) -> int:
                        help="micro-batching window in virtual milliseconds")
     p_srv.add_argument("--cache", type=int, default=64,
                        help="program-cache capacity")
-    p_srv.add_argument("--scheduler", choices=SCHEDULERS, default="legacy",
-                       help="batching scheduler: the fire-whole-batches "
-                            "micro-batcher or the continuous-batching "
-                            "scheduler (repro.sched)")
     p_srv.add_argument("--class-skew", type=float, default=0.0,
                        help="fraction of requests tagged with the "
                             "interactive SLO class (rest are bulk)")
@@ -351,11 +347,11 @@ def main(argv=None) -> int:
                        help="interactive p99 latency target in virtual ms "
                             "(grades goodput and per-class violations)")
     p_srv.add_argument("--queue-bound", type=int, default=None,
-                       help="per-class admission bound (continuous only): "
-                            "interactive sheds past it, bulk defers")
+                       help="per-class admission bound: interactive sheds "
+                            "past it, bulk defers")
     p_srv.add_argument("--autoscale", action="store_true",
                        help="autoscale the active device set with the "
-                            "queue-depth autoscaler (continuous only)")
+                            "queue-depth autoscaler")
     p_srv.add_argument("--trace", default=None, metavar="PATH",
                        help="write a Perfetto trace of the cold pool "
                             "sweep to PATH")

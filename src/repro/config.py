@@ -18,6 +18,7 @@ stay consistent.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 
@@ -178,6 +179,14 @@ class AcceleratorConfig:
     def replace(self, **kwargs) -> "AcceleratorConfig":
         """Return a copy with the given fields replaced."""
         return dataclasses.replace(self, **kwargs)
+
+    @functools.cached_property
+    def fingerprint(self) -> str:
+        """Stable identity of the configuration: its ``repr``, which
+        enumerates every architectural parameter of this frozen tree of
+        scalars.  Computed once per instance, so a program key costs an
+        attribute read, not a hash of the whole tree."""
+        return repr(self)
 
 
 def u250_default() -> AcceleratorConfig:

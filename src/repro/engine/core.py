@@ -583,14 +583,15 @@ class Engine:
 
         ``server_kwargs`` are forwarded to
         :class:`~repro.serve.server.InferenceServer` (``max_batch_size``,
-        ``max_wait_s``, ``return_outputs``, ``mutation_policy``, and
-        ``scheduler`` with its ``slo_policy`` / ``admission`` /
-        ``autoscaler``).  A server holds knobs, not results: compiled
-        programs and their recorded executions (:meth:`execute`) live in
-        the program cache, so a sweep is warm for whatever
-        :meth:`infer` or an earlier sweep already ran.  ``scheduler`` names
-        the one serve loop's dispatch policy, by default ``"legacy"``:
-        book each closed batch ahead and whole.
+        ``max_wait_s``, ``return_outputs``, ``mutation_policy``,
+        ``slo_policy``, ``admission``, ``autoscaler``).  A server holds
+        knobs, not results: compiled programs and their recorded
+        executions (:meth:`execute`) live in the program cache, so a sweep
+        is warm for whatever :meth:`infer` or an earlier sweep already
+        ran.  The sweep runs the one serve loop, continuous batching
+        (:mod:`repro.sched`): a request joins an execution of its program
+        already in flight at the next layer boundary instead of waiting
+        to run it again.
         """
         from repro.serve.server import InferenceServer
 

@@ -19,7 +19,6 @@ graph never pays an O(nnz) hash.
 from __future__ import annotations
 
 import hashlib
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -38,16 +37,11 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=32)
 def config_fingerprint(config: AcceleratorConfig) -> str:
-    """Stable identity of an accelerator configuration.
-
-    ``AcceleratorConfig`` is a frozen dataclass tree of scalars, so its
-    ``repr`` enumerates every architectural parameter deterministically.
-    Cached per config instance — the fingerprint is rebuilt for every
-    request key, and an engine's config never changes.
-    """
-    return repr(config)
+    """Stable identity of an accelerator configuration
+    (:attr:`AcceleratorConfig.fingerprint <repro.config.AcceleratorConfig.fingerprint>`,
+    computed once per instance: every request key reads it)."""
+    return config.fingerprint
 
 
 def graph_content_digest(data: GraphData) -> str:

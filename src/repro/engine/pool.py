@@ -20,6 +20,7 @@ serving front-end books batches on it but never wires devices itself.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,18 +129,18 @@ class AcceleratorPool:
         return chosen, float(starts[chosen].max())
 
     def _book(
-        self, device: int, start: float, service_s: float, work_s: float,
+        self, device: int, start: float, end: float, work: Sequence[float],
         batch_id: int, batch_size: int, label: str, **span_args,
-    ) -> float:
-        """The one booking: hold ``device`` from ``start`` for
-        ``service_s`` seconds, charge it ``work_s`` busy, log the
-        :class:`DispatchEvent` and the dispatch span; returns the end.
-        How the device and the start were chosen is the caller's rule."""
-        if service_s < 0:
-            raise ValueError("service_s must be non-negative")
-        end = start + service_s
+    ) -> None:
+        """The one booking: hold ``device`` from ``start`` to ``end``,
+        charge it each of the ``work`` seconds in turn, log the
+        :class:`DispatchEvent` and the dispatch span.  How the device and
+        the start were chosen is the caller's rule."""
         self.available[device] = end
-        self.busy[device] += work_s
+        busy = self.busy[device]
+        for seconds in work:
+            busy += seconds
+        self.busy[device] = busy
         self.events.append(
             DispatchEvent(device, start, end, batch_id, batch_size)
         )
@@ -148,7 +149,6 @@ class AcceleratorPool:
                 f"pool/dev{device}", label, start, end, cat="dispatch",
                 batch_size=batch_size, **span_args,
             )
-        return end
 
     def submit(
         self,
@@ -191,14 +191,41 @@ class AcceleratorPool:
             raise ValueError(
                 f"device must be within [0, {self.num_devices}), got {device}"
             )
+        if service_s < 0:
+            raise ValueError("service_s must be non-negative")
         start = float(max(self.available[device], ready_s))
-        end = self._book(
-            device, start, service_s,
-            service_s if busy_s is None else float(busy_s),
+        end = start + service_s
+        self._book(
+            device, start, end, (service_s if busy_s is None else float(busy_s),),
             batch_id, batch_size, label or f"batch{batch_id}",
             queued_s=start - ready_s,
         )
         return start, end
+
+    def submit_run(
+        self,
+        device: int,
+        segments: Sequence[float],
+        start: float,
+        *,
+        batch_id: int = -1,
+        batch_size: int = 1,
+    ) -> float:
+        """Book consecutive ``segments`` (seconds) on ``device`` from
+        ``start`` as one reservation; returns its end.
+
+        The end is the chained sum ``start + s0 + s1 + ...`` and the
+        device is charged each segment in turn: the bits booking them one
+        after another with :meth:`submit_on` gives, in one event.  The
+        serve loop books an unsharded execution this way once it ends or
+        pauses at a layer boundary (:mod:`repro.sched.scheduler`).
+        """
+        end = start
+        for seconds in segments:
+            end += seconds
+        self._book(device, start, end, segments, batch_id, batch_size,
+                   f"batch{batch_id}", segments=len(segments))
+        return end
 
     def submit_group(
         self,
@@ -224,10 +251,13 @@ class AcceleratorPool:
         chosen, start = self.peek_group(num_devices, ready_s)
         if busy_s is not None and len(busy_s) != num_devices:
             raise ValueError("busy_s must have one entry per group device")
+        if service_s < 0:
+            raise ValueError("service_s must be non-negative")
+        end = start + service_s
         for idx, device in enumerate(chosen):
             busy = service_s if busy_s is None else float(busy_s[idx])
-            end = self._book(
-                device, start, service_s, busy, batch_id, batch_size,
+            self._book(
+                device, start, end, (busy,), batch_id, batch_size,
                 f"batch{batch_id}/shard{idx}", group=num_devices, busy_s=busy,
             )
         return chosen, start, end
@@ -256,8 +286,7 @@ class AcceleratorPool:
         """Clear the virtual clock, statistics and device hardware state.
 
         Also re-activates every device: autoscaler shrinkage is per-sweep
-        state, and a legacy sweep after a continuous one must see the
-        whole pool.
+        state, and a sweep without an autoscaler must see the whole pool.
         """
         self.available[:] = 0.0
         self.busy[:] = 0.0

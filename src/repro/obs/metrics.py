@@ -103,23 +103,23 @@ class MetricsRegistry:
                 )
 
     def counter(self, name: str) -> CounterMetric:
-        self._check_kind(name, "counter")
         metric = self._counters.get(name)
         if metric is None:
+            self._check_kind(name, "counter")
             metric = self._counters[name] = CounterMetric(name)
         return metric
 
     def gauge(self, name: str) -> GaugeMetric:
-        self._check_kind(name, "gauge")
         metric = self._gauges.get(name)
         if metric is None:
+            self._check_kind(name, "gauge")
             metric = self._gauges[name] = GaugeMetric(name)
         return metric
 
     def histogram(self, name: str) -> HistogramMetric:
-        self._check_kind(name, "histogram")
         metric = self._histograms.get(name)
         if metric is None:
+            self._check_kind(name, "histogram")
             metric = self._histograms[name] = HistogramMetric(name)
         return metric
 

@@ -12,19 +12,19 @@ sweep runs through the one event-driven loop here, on the virtual clock:
 - :mod:`repro.sched.autoscaler` — queue-depth/utilization pool
   autoscaling with hysteresis.
 
-``InferenceServer(scheduler=...)`` names the loop's dispatch policy
-(:data:`repro.serve.batcher.POLICIES`).  The default, ``"legacy"``,
-schedules every request as one class and books each closed batch ahead
-and whole; ``"continuous"`` acts on SLO classes and books layer by layer,
-which is what makes join-in-flight, preemption, admission control and
-autoscaling possible::
+The loop is continuous batching: a request joins an execution of its
+program already in flight at the next layer boundary, closed batches
+dispatch in SLO-priority order, and a strictly-higher-priority batch may
+preempt an unsharded execution at a layer boundary.  Every request is
+scheduled by its SLO class (the server's ``slo_policy``, by default
+:meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`: ``bulk``
+and ``interactive``); admission control and autoscaling are opt-in::
 
     from repro.serve import InferenceServer
     from repro.sched import SLOPolicy, PoolAutoscaler
 
     server = InferenceServer(
         pool_size=4,
-        scheduler="continuous",
         slo_policy=SLOPolicy.default(interactive_target_p99_s=5e-3),
         autoscaler=PoolAutoscaler(min_devices=1),
     )

@@ -1,45 +1,38 @@
 """The serve loop: one discrete-event scheduler on the virtual clock.
 
-Every ``InferenceServer.serve`` sweep runs here.  The loop merges the
-arrival-sorted request stream with a small heap of timers (batch
-windows, compiles finishing, layer boundaries, completions) and, for
-each inference arrival, does the same things in the same order whatever
-the dispatch policy: resolve the graph, validate, look the program up in
-the cache (charging a miss's compile to the one host clock), and add the
-request to the forming micro-batch of its ``batch_key``.  A batch closes
-when it fills or when its window expires.
+Every ``InferenceServer.serve`` sweep runs here, as continuous batching.
+The loop merges the arrival-sorted request stream with a small heap of
+timers (batch windows, compiles finishing, completions, and the layer
+boundaries a preemption is taken at).  Each inference arrival is
+resolved, validated and looked up in the cache (a miss's compile is
+charged to the one host clock); it then joins an execution of its
+``batch_key`` in flight, or joins the forming micro-batch of its
+``batch_key`` and SLO class, which closes when full or when the class's
+window expires and waits, in priority order, for a device.
 
-What happens to a closed batch, and which class a request is scheduled
-as, is the :class:`~repro.serve.batcher.DispatchPolicy` named by
-``InferenceServer(scheduler=...)``.  ``"legacy"`` schedules everything as
-one class and books each closed batch ahead and whole, so nothing below
-ever comes into play.  ``"continuous"`` keeps closed batches in a ready
-queue and books them layer by layer, which is what the rest of this
-module is about:
-
-**Per-layer segments.**  Every distinct (program, strategy, shards)
-execution decomposes into an input-PCIe segment (0 s where its devices
-already hold the program's inputs) plus one segment per
-kernel layer (unsharded: kernel cycles + exposed analysis; sharded: the
-per-layer barrier intervals ``run_sharded`` records).  The scheduler
-books an execution segment-by-segment
-(:meth:`~repro.engine.pool.AcceleratorPool.submit_on`), which turns
-layer boundaries into scheduling points.
+**Per-layer segments.**  An execution is an input-PCIe segment (0 s
+where its devices already hold the program's inputs) plus one segment
+per kernel layer (unsharded: kernel cycles + exposed analysis; sharded:
+the per-layer barrier intervals ``run_sharded`` records).  Its layer
+boundaries are the chained sums of its segments from its start, computed
+once: an unsharded execution is one pool reservation
+(:meth:`~repro.engine.pool.AcceleratorPool.submit_run`, booked when it
+ends or pauses), cut short only by a preemption; a sharded one is one
+reservation per member device, held to the last barrier.
 
 **Join-in-flight.**  Requests sharing a ``batch_key`` are bit-identical
 runs, so a request arriving while a compatible execution is in flight
 *joins* it at the next layer boundary and shares its result — zero added
-service time.  This is what keeps goodput up under overload: booking
-ahead caps sharing at ``max_batch_size`` per batch and re-executes every
-subsequent batch, while joins let the backlog ride one booking.  (The
-founding group still respects ``max_batch_size``; joins are free riders
-on an already-paid booking.)
+service time.  This is what keeps goodput up under overload: the backlog
+rides one execution instead of re-running the program batch by batch.
+(The founding group respects ``max_batch_size``; joiners ride free.)
 
 **Priority + preemption.**  Closed groups dispatch in SLO-priority
 order, and a strictly-higher-priority group may preempt an unsharded
 execution at a layer boundary: the running execution pauses (its
 remaining segments stay with its device), the interactive batch runs,
-and the paused work resumes when the device frees.  Sharded executions
+and the paused work resumes when the device frees.  A boundary is a
+timer only while such a group waits for a device.  Sharded executions
 are barrier-locked groups and are never preempted (they are still
 joinable).
 
@@ -50,11 +43,10 @@ per-class queue bounds); every arrival/completion lets the
 active set with hysteresis.  A queued group's shard width is a floor on
 the active set, as a device that owns work is.
 
-Accounting invariants, under both policies: for every response,
-``latency_s = queue_s + execute_s + barrier_s``; a joiner's ``start_s``
-is its join boundary (queue time ends when its execution window begins)
-with ``barrier_s = 0``.  An un-preempted, un-joined execution books
-exactly the device seconds the same batch booked whole would.
+Accounting invariants: for every response, ``latency_s = queue_s +
+execute_s + barrier_s``; a joiner's ``start_s`` is its join boundary
+(queue time ends when its execution window begins) with ``barrier_s =
+0``; a device's busy seconds are the chained sum of the segments it ran.
 """
 
 from __future__ import annotations
@@ -71,7 +63,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.sched.admission import AdmissionController
 from repro.sched.autoscaler import PoolAutoscaler
 from repro.sched.slo import SLOClass, SLOPolicy
-from repro.serve.batcher import POLICIES, MicroBatch
+from repro.serve.batcher import MicroBatch
 from repro.serve.request import (
     InferenceRequest,
     InferenceResponse,
@@ -80,22 +72,16 @@ from repro.serve.request import (
 
 __all__ = ["ContinuousScheduler"]
 
-#: what every request is scheduled as under a one-class dispatch policy:
-#: no priority to order by, no queue bound to shed at, the server's window
-_ONE_CLASS = SLOPolicy((SLOClass(name="all", priority=0),))
 
-
-@dataclass
-class _Member:
-    """One request riding an execution."""
+@dataclass(slots=True)
+class _Joiner:
+    """One request that joined an execution in flight."""
 
     req: InferenceRequest
-    #: when the request's execution window began: the execution start
-    #: for founders, the join boundary for joiners (None until a join
-    #: into a paused execution resolves at resume)
+    #: the join boundary: when the request's execution window began
+    #: (None until a join into a paused execution resolves at resume)
     attach_s: float | None
-    joined: bool = False
-    deferred: bool = False
+    deferred: bool
 
 
 @dataclass
@@ -124,59 +110,62 @@ _RANK = operator.attrgetter("rank")
 
 
 class _Execution:
-    """One booked execution: segments, devices, members, join state."""
+    """One started execution: segments, devices, members, join state."""
 
     __slots__ = (
-        "exec_id", "key", "run", "members", "pending_joins", "segments",
-        "seg_idx", "seg_end_s", "devices", "start_s", "finish_s",
-        "priority", "paused", "atomic", "boundaries", "preemptions",
+        "exec_id", "key", "run", "founders", "deferred_ids", "joiners",
+        "pending_joins", "segments", "seg_idx", "span_s", "boundaries",
+        "devices", "start_s", "finish_s", "priority", "paused", "atomic",
+        "check", "preemptions",
     )
 
-    def __init__(self, exec_id, key, run, segments, priority):
-        self.exec_id = exec_id
-        self.key = key
-        self.run = run
-        self.members: list[_Member] = []
-        self.pending_joins: list[_Member] = []
+    def __init__(self, group: _Group, run, segments: list[float], devices: list[int]):
+        self.exec_id, self.key, self.run = group.batch.batch_id, group.batch.key, run
+        self.priority = group.slo.priority
+        #: the batch it was started for (their window began at the start),
+        #: and which of them the admission controller had deferred
+        self.founders: list[InferenceRequest] = group.batch.requests
+        self.deferred_ids: set = group.deferred_ids
+        self.joiners: list[_Joiner] = []
+        self.pending_joins: list[_Joiner] = []
         #: segment 0 is the input-PCIe transfer (0 s if resident), then
         #: one per layer
-        self.segments: list[float] = segments
-        self.seg_idx = 0
-        self.seg_end_s = 0.0
-        self.devices: list[int] = []
-        self.start_s = 0.0
-        self.finish_s: float | None = None
-        self.priority = priority
-        self.paused = False
-        #: sharded executions book atomically (barrier-locked group):
-        #: joinable via precomputed boundaries, never preempted
-        self.atomic = False
+        self.segments = segments
+        #: unsharded: the first segment of the current span (the run from
+        #: the start, or from a resume, to the finish or a pause)
+        self.seg_idx, self.span_s = 0, 0.0
+        #: join points: the layer boundaries still ahead at which an
+        #: arrival can board (and, unsharded, a preemption be taken) —
+        #: sharded: every segment start; unsharded: the span's boundaries
+        #: past its start, up to the start of the final segment
         self.boundaries: list[float] = []
-        self.preemptions = 0
+        self.devices = devices
+        self.start_s, self.finish_s = 0.0, None
+        #: sharded executions book atomically (barrier-locked group):
+        #: joinable via the same boundaries, never preempted
+        self.atomic = len(devices) > 1
+        #: paused by a preemption; a preemption check armed at the next
+        #: join point; how many times it was paused
+        self.paused, self.check, self.preemptions = False, False, 0
+
+    @property
+    def size(self) -> int:
+        return len(self.founders) + len(self.joiners)
 
     def joinable(self, now: float) -> bool:
-        """Is there still a layer boundary this execution can admit at?
-
-        The last admission point is the start of the final segment —
-        joining *at* the finish would be result-sharing without ever
-        being part of the execution.
-        """
-        if self.finish_s is not None:
-            return False
-        if self.atomic:
-            return bool(self.boundaries) and now <= self.boundaries[-1]
+        """Is a layer boundary left to admit at?  The last is the start of
+        the final segment: joining *at* the finish would share a result
+        without ever being part of the execution."""
         if self.paused:
             # the resume instant is a boundary; attach resolves then
             return True
-        return self.seg_idx < len(self.segments) - 1
+        return bool(self.boundaries) and now <= self.boundaries[-1]
 
     def attach_time(self, now: float) -> float | None:
         """Join boundary for an arrival at ``now`` (None = at resume)."""
-        if self.atomic:
-            return self.boundaries[bisect_left(self.boundaries, now)]
         if self.paused:
             return None
-        return self.seg_end_s
+        return self.boundaries[bisect_left(self.boundaries, now)]
 
 
 class ContinuousScheduler:
@@ -186,9 +175,9 @@ class ContinuousScheduler:
     :meth:`~repro.serve.server.InferenceServer.serve` call, so all state
     here is sweep-local (the server's admission controller and autoscaler
     may be caller-owned and are reset at the start of :meth:`run`).  The
-    knobs are the server's: its ``scheduler`` is the dispatch policy, its
-    ``slo_policy`` what responses are graded against and, under a
-    dispatch policy that acts on classes, scheduled by.
+    knobs are the server's: its ``slo_policy`` is what requests are
+    scheduled by and responses graded against (default:
+    :meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`).
     """
 
     def __init__(self, server) -> None:
@@ -197,12 +186,13 @@ class ContinuousScheduler:
         self.engine = engine = server.engine
         self.pool, self.cache = engine.pool, engine.cache
         self.config, self.tracer = engine.config, engine.tracer
-        self.dispatch = POLICIES[server.scheduler]
         self.slo_policy = policy = server.slo_policy
         admission = server.admission
         #: the classes requests are scheduled as
-        self.classes = (_ONE_CLASS if self.dispatch.one_class
-                        else policy if policy is not None else SLOPolicy.default())
+        self.classes = policy if policy is not None else SLOPolicy.default()
+        self._class_named = {c.name: c for c in self.classes.classes}
+        #: no ready group at this priority can preempt anything
+        self._lowest = min(c.priority for c in self.classes.classes)
         self.admission = (admission if admission is not None
                           else AdmissionController(self.classes))
         self.autoscaler: PoolAutoscaler | None = server.autoscaler
@@ -211,7 +201,9 @@ class ContinuousScheduler:
         self.metrics = MetricsRegistry()
         for name in ("batches", "mutations", "patches", "patch_fallbacks",
                      "sharded_batches", "sharded_requests", "halo_bytes",
-                     "pcie_transfers", "pcie_s", "pcie_saved_s"):
+                     "pcie_transfers", "pcie_s", "pcie_saved_s",
+                     "sched.joined", "sched.shed", "sched.deferred",
+                     "sched.preemptions", "sched.scale_ups", "sched.scale_downs"):
             self.metrics.counter(f"serve.{name}")  # reported even at zero
         self.metrics.gauge("serve.max_shard_width")
         self.responses: list[InferenceResponse] = []
@@ -230,8 +222,6 @@ class ContinuousScheduler:
         #: closed groups whose program is compiled, in dispatch order
         self._ready: list[_Group] = []
         self._unready: list[_Group] = []
-        #: book-ahead only: (ready time, close order, group)
-        self._booked: list[tuple[float, int, _Group]] = []
         #: requests in open or closed-but-undispatched groups
         self._waiting = 0
         #: deepest backlog (waiting + parked) seen after an arrival
@@ -240,15 +230,16 @@ class ContinuousScheduler:
         self._inflight: dict[tuple, _Execution] = {}
         self._assignment: list = [None] * self.pool.num_devices
         self._paused_stack: list[list] = [[] for _ in self._assignment]
+        #: devices that own a running or paused execution (all active: a
+        #: device that owns work is never parked)
+        self._occupied_count = 0
         self._programs: dict[tuple, object] = {}
         #: request id -> (compile seconds charged, cache hit)
         self._lookups: dict[int, tuple[float, bool]] = {}
         #: virtual time each program's compile (or patch) finishes this
-        #: sweep — a cache hit on a program whose miss is still compiling
-        #: must wait for it (compiles from previous sweeps are long done)
+        #: sweep: a hit on a program whose miss still compiles waits for it
         self._program_ready: dict[tuple, float] = {}
-        #: the host CPU is one resource: compiles and mutation patches
-        #: serialise against each other on the virtual clock
+        #: the one host CPU: compiles and mutation patches serialise on it
         self._host_free_s = 0.0
 
     # -- queue state ----------------------------------------------------
@@ -259,9 +250,6 @@ class ContinuousScheduler:
     def _occupied(self, device: int) -> bool:
         """Does the device own a running or paused execution?"""
         return self._assignment[device] is not None or bool(self._paused_stack[device])
-
-    def _idle_active(self) -> list[int]:
-        return [d for d in range(self.pool.num_active) if not self._occupied(d)]
 
     def _count(self, name: str, amount: float = 1) -> None:
         self.metrics.counter(name).inc(amount)
@@ -283,14 +271,16 @@ class ContinuousScheduler:
         self.admission.reset()
         if self.autoscaler is not None:
             self.autoscaler.reset()
-            initial = min(self.autoscaler.min_devices, pool.num_devices)
-            pool.set_active(initial, now=0.0)
+            pool.set_active(min(self.autoscaler.min_devices, pool.num_devices), now=0.0)
 
         timers = self._timers
+        # a stable sort: mutations first on timestamp ties
+        mutations = [r for r in requests if isinstance(r, MutationRequest)]
         arrivals = sorted(
-            requests,
-            key=lambda r: (r.arrival_s, isinstance(r, InferenceRequest)),
+            mutations + [r for r in requests if not isinstance(r, MutationRequest)],
+            key=operator.attrgetter("arrival_s"),
         )
+        ready = self._ready
         for event in arrivals:
             t = event.arrival_s
             # strictly earlier timers only: a window ending at this very
@@ -298,38 +288,43 @@ class ContinuousScheduler:
             while timers and timers[0][0] < t:
                 due_s, _, callback, payload = heapq.heappop(timers)
                 callback(payload, due_s)
+            # every event leaves no ready group that fits an idle device:
+            # only a batch this arrival closed (or a resized pool) can start
+            before = len(ready)
             if isinstance(event, MutationRequest):
                 self._mutate(event, t)
             else:
                 req = self.engine.resolve_request(event)
                 self.server._check_shards(req)
                 self._admit(req, t, deferred=False)
-            depth = self._queue_depth()
+            depth = self._waiting + len(self._deferred)
             if depth > self._max_depth:
                 self._max_depth = depth
             if tracer.enabled:
                 tracer.counter("serve", "queue_depth", t, depth)
             self._autoscale(t)
-            self._schedule(t)
+            if len(ready) != before or self.autoscaler is not None:
+                self._schedule(t)
         if arrivals:
             self._end_of_stream(arrivals[-1].arrival_s)
         while timers:
             due_s, _, callback, payload = heapq.heappop(timers)
             callback(payload, due_s)
-        for ready_s, _, group in sorted(self._booked, key=lambda b: b[:2]):
-            self._book_whole(group, ready_s)
         if self._queue_depth():
-            raise RuntimeError(
-                f"the serve loop ran out of events with "
-                f"{self._queue_depth()} admitted request(s) undispatched"
-            )
+            raise RuntimeError(f"the serve loop ran out of events with {self._queue_depth()} "
+                               f"admitted request(s) undispatched")
 
         self._count("serve.cache_hits", cache.hits - hits)
         self._count("serve.cache_misses", cache.misses - misses)
         self._count("serve.compile_s", cache.compile_s - compile_s)
         self._count("serve.compile_saved_s", cache.saved_s - saved_s)
-        if not self.dispatch.book_ahead:
-            self._account_in_flight()
+        # what in-flight dispatch did (the report's pass over the responses
+        # feeds the per-class ``serve.sched.<class>.*`` histograms)
+        admitted = sum(c["admit"] for c in self.admission.snapshot().values())
+        self._count("serve.sched.admitted", admitted)
+        self._count("serve.sched.executions", self.metrics.counter("serve.batches").value)
+        self.metrics.gauge("serve.sched.active_devices").set(pool.num_active)
+        self.metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)
         return self.server._report(self)
 
     # -- arrivals -------------------------------------------------------
@@ -341,10 +336,8 @@ class ContinuousScheduler:
         the sweep's host clock: patches and compiles share one host, so
         they serialise against each other on the virtual timeline.
         """
-        outcome = self.engine.apply_delta(
-            mutation.graph_id, mutation.delta,
-            policy=self.server.mutation_policy,
-        )
+        outcome = self.engine.apply_delta(mutation.graph_id, mutation.delta,
+                                          policy=self.server.mutation_policy)
         self._count("serve.mutations")
         self.mutation_evictions += outcome.evictions
         for event in outcome.patches:
@@ -358,15 +351,13 @@ class ContinuousScheduler:
             self.patch_s += event.report.wall_s
 
     def _class_of(self, req: InferenceRequest) -> SLOClass:
-        if self.dispatch.one_class:
-            return self.classes.classes[0]
-        try:
-            return self.classes.get(req.slo)
-        except KeyError as exc:
+        cls = self._class_named.get(req.slo)
+        if cls is None:
             raise ValueError(
                 f"request {req.request_id} carries SLO class {req.slo!r} "
                 f"but the policy defines {self.classes.names}"
-            ) from exc
+            )
+        return cls
 
     def _admit(self, req: InferenceRequest, now: float, *, deferred: bool) -> None:
         cls = self._class_of(req)
@@ -379,18 +370,16 @@ class ContinuousScheduler:
         exec_ = self._inflight.get(pkey)
         if exec_ is not None and exec_.joinable(now):
             self._lookup(req, prog_key, pkey, now)
-            member = _Member(
-                req, exec_.attach_time(now), joined=True, deferred=deferred
-            )
-            exec_.members.append(member)
-            if member.attach_s is None:
-                exec_.pending_joins.append(member)
+            joiner = _Joiner(req, exec_.attach_time(now), deferred)
+            exec_.joiners.append(joiner)
+            if joiner.attach_s is None:
+                exec_.pending_joins.append(joiner)
             self._count("serve.sched.joined")
+            if exec_.atomic:
+                self._count("serve.sharded_requests")
             if self.tracer.enabled:
-                self.tracer.instant(
-                    "sched", f"req{req.request_id}/join", now,
-                    cat="join", exec_id=exec_.exec_id, slo=req.slo,
-                )
+                self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
+                                    exec_id=exec_.exec_id, slo=req.slo)
             return
 
         if not deferred:
@@ -398,16 +387,11 @@ class ContinuousScheduler:
             if decision.action != "admit":
                 if decision.action == "defer":
                     self._deferred.append(req)
-                self._count(
-                    "serve.sched.shed" if decision.action == "shed"
-                    else "serve.sched.deferred"
-                )
+                self._count("serve.sched.shed" if decision.action == "shed"
+                            else "serve.sched.deferred")
                 if self.tracer.enabled:
-                    self.tracer.instant(
-                        "sched", f"req{req.request_id}/{decision.action}",
-                        now, cat=decision.action, slo=req.slo,
-                        reason=decision.reason,
-                    )
+                    self.tracer.instant("sched", f"req{req.request_id}/{decision.action}", now,
+                                        cat=decision.action, slo=req.slo, reason=decision.reason)
                 return
 
         ready_s = self._lookup(req, prog_key, pkey, now)
@@ -420,22 +404,17 @@ class ContinuousScheduler:
             prog_key, lambda: self.engine.compile_request(req)
         )
         if self.tracer.enabled:
-            self.tracer.instant(
-                "serve", f"req{req.request_id}/enqueue", now,
-                cat="enqueue", model=str(req.model),
-                cache="hit" if hit else "miss", shards=req.shards,
-            )
+            self.tracer.instant("serve", f"req{req.request_id}/enqueue", now, cat="enqueue",
+                                model=str(req.model), cache="hit" if hit else "miss",
+                                shards=req.shards)
         if not hit:
             # the compile queues behind the host's in-flight work
             compile_start = max(now, self._host_free_s)
             self._host_free_s = compile_start + compile_s
             self._program_ready[prog_key] = self._host_free_s
             if self.tracer.enabled:
-                self.tracer.span(
-                    "host/compile",
-                    f"compile {req.model}/{req.dataset_name}",
-                    compile_start, self._host_free_s, cat="compile",
-                )
+                self.tracer.span("host/compile", f"compile {req.model}/{req.dataset_name}",
+                                 compile_start, self._host_free_s, cat="compile")
         self._programs[pkey] = program
         self._lookups[req.request_id] = (compile_s, hit)
         return max(now, self._program_ready.get(prog_key, now))
@@ -478,18 +457,10 @@ class ContinuousScheduler:
         if self.tracer.enabled:
             # the batch-formation window: first member's admission to
             # the size trigger or window expiry that closed the batch
-            self.tracer.span(
-                "serve", f"batch{batch.batch_id}/form",
-                batch.opened_s, now, cat="batch", size=batch.size,
-                key=str(batch.requests[0].model), slo=group.slo.name,
-            )
-        if self.dispatch.book_ahead:
-            # booked once the stream has been read, in ready order, so a
-            # batch stuck waiting on a compile never blocks an idle
-            # device from taking later-closed but earlier-ready work
-            self._waiting -= batch.size
-            self._booked.append((max(batch.ready_s, now), len(self._booked), group))
-        elif batch.ready_s <= now:
+            self.tracer.span("serve", f"batch{batch.batch_id}/form", batch.opened_s, now,
+                             cat="batch", size=batch.size, key=str(batch.requests[0].model),
+                             slo=group.slo.name)
+        if batch.ready_s <= now:
             insort(self._ready, group, key=_RANK)
         else:
             # compile still running: becomes schedulable at ready_s
@@ -515,9 +486,7 @@ class ContinuousScheduler:
     def _prepare(self, batch: MicroBatch, ready_s: float):
         """Replay (or simulate, the first time) the batch's execution
         through the engine's one door and count it; returns the run.  K2P
-        analysis (inside ``latency_s``) and any PCIe input transfer
-        (:meth:`_input_s`) are paid once for the whole batch: the
-        amortization micro-batching buys."""
+        analysis and any PCIe input transfer are paid once per execution."""
         first = batch.requests[0]
         run = self.engine.execute(self._programs[batch.key], first.strategy, first.shards,
                                   ready_s=ready_s)
@@ -548,55 +517,32 @@ class ContinuousScheduler:
         self._count("serve.pcie_s", transfer_s)
         return transfer_s
 
-    def _respond(
-        self, req: InferenceRequest, batch_id: int, batch_size: int,
-        device: int, run, start_s: float, finish_s: float,
-        service_s: float, barrier_s: float,
-        joined: bool = False, deferred: bool = False,
-    ) -> None:
-        # strict: a request the loop never looked up is an admission
-        # bug — raising beats silently reporting it as a cache hit
-        # (inflated hit rates)
-        compile_s, hit = self._lookups[req.request_id]
-        self.responses.append(InferenceResponse(
-            request_id=req.request_id, model=req.model, dataset=req.dataset_name,
-            strategy=req.strategy, arrival_s=req.arrival_s, compile_s=compile_s,
-            start_s=start_s, finish_s=finish_s, service_s=service_s, cache_hit=hit,
-            batch_id=batch_id, batch_size=batch_size, device=device,
-            shards=run.num_shards, barrier_s=barrier_s, accel_cycles=run.total_cycles,
-            output=run.served_output() if self.server.return_outputs else None,
-            slo=req.slo, joined=joined, deferred=deferred,
-        ))
-
-    def _book_whole(self, group: _Group, ready_s: float) -> None:
-        """Book-ahead dispatch: one reservation for the whole execution."""
-        batch, pool = group.batch, self.pool
-        run = self._prepare(batch, ready_s)
-        shards = run.num_shards
-        # the device(s) submit / submit_group pick, seen before booking
-        devices = (pool.peek_group(shards, ready_s)[0] if shards > 1
-                   else [pool.peek_device(ready_s)])
-        input_s = self._input_s(batch, devices)
-        service_s = input_s + run.latency_s
-        if shards > 1:
-            # a sharded batch occupies all of its shard devices from the
-            # common start to the last per-layer barrier; per-device busy
-            # stays honest (each shard's own work + its input-PCIe share)
-            busy = [b + input_s / shards for b in run.shard_busy_s]
-            _, start, end = pool.submit_group(
-                service_s, shards, ready_s, busy_s=busy,
-                batch_id=batch.batch_id, batch_size=batch.size,
-            )
-        else:
-            start, end = pool.submit_on(
-                devices[0], service_s, ready_s, batch_id=batch.batch_id,
-                batch_size=batch.size,
-            )
-        for req in batch.requests:
-            self._respond(
-                req, batch.batch_id, batch.size, devices[0], run,
-                start, end, service_s, run.barrier_s,
-            )
+    def _respond(self, exec_: _Execution, t: float) -> None:
+        """Answer every request riding ``exec_``, which finished at ``t``:
+        founders from its start, joiners from their join boundary."""
+        run, size, device, start = exec_.run, exec_.size, exec_.devices[0], exec_.start_s
+        shards, cycles, barrier = run.num_shards, run.total_cycles, run.barrier_s
+        output = run.served_output() if self.server.return_outputs else None
+        lookups, respond, tracing = self._lookups, self.responses.append, self.tracer.enabled
+        rows = [(req, start, barrier, False, req.request_id in exec_.deferred_ids)
+                for req in exec_.founders]
+        rows += [(j.req, j.attach_s, 0.0, True, j.deferred) for j in exec_.joiners]
+        for req, start, barrier_s, joined, deferred in rows:
+            # strict: a request never looked up is an admission bug, not a hit
+            compile_s, hit = lookups[req.request_id]
+            respond(InferenceResponse(
+                request_id=req.request_id, model=req.model, dataset=req.dataset_name,
+                strategy=req.strategy, arrival_s=req.arrival_s, compile_s=compile_s,
+                start_s=start, finish_s=t, service_s=t - start, cache_hit=hit,
+                batch_id=exec_.exec_id, batch_size=size, device=device, shards=shards,
+                barrier_s=barrier_s, accel_cycles=cycles, output=output, slo=req.slo,
+                joined=joined, deferred=deferred,
+            ))
+            if tracing and start > req.arrival_s:
+                self.tracer.span(
+                    f"sched/{req.slo}", f"req{req.request_id}/queue-wait",
+                    req.arrival_s, start, cat="queue", joined=joined, deferred=deferred,
+                )
 
     def _schedule(self, t: float) -> None:
         """Start as many ready groups as idle active devices allow.
@@ -604,14 +550,15 @@ class ContinuousScheduler:
         Priority order with backfill: a sharded group that cannot get
         its full device set does not block a narrower group behind it.
         """
-        while self._ready:
-            idle = self._idle_active()
-            if not idle:
-                return
-            fits = next((i for i, g in enumerate(self._ready) if g.shards <= len(idle)), None)
+        ready, pool = self._ready, self.pool
+        while ready and self._occupied_count < pool.num_active:
+            idle = [d for d in range(pool.num_active) if not self._occupied(d)]
+            fits = next((i for i, g in enumerate(ready) if g.shards <= len(idle)), None)
             if fits is None:
-                return
-            self._start_execution(self._ready.pop(fits), t, idle)
+                break
+            self._start_execution(ready.pop(fits), t, idle)
+        if ready and ready[0].slo.priority > self._lowest:
+            self._arm_preemption(t)
 
     def _start_execution(self, group: _Group, t: float, idle: list[int]) -> None:
         pool, batch = self.pool, group.batch
@@ -623,20 +570,14 @@ class ContinuousScheduler:
         by_idle = sorted(idle, key=lambda d: (pool.available[d], d))
         chosen = sorted(by_idle[:shards])
         input_s = self._input_s(batch, chosen)
-        exec_ = _Execution(
-            exec_id=batch.batch_id,
-            key=batch.key,
-            run=run,
-            segments=[input_s, *map(float, run.segments_s)],
-            priority=group.slo.priority,
-        )
-        exec_.members = [_Member(r, None, deferred=r.request_id in group.deferred_ids)
-                         for r in batch.requests]
-        exec_.devices = chosen
-        if shards > 1:
-            # barrier-locked group: one atomic booking per member device,
-            # all held from the common start to the last barrier (the
-            # busy accounting of a whole submit_group booking)
+        exec_ = _Execution(group, run, [input_s, *map(float, run.segments_s)], chosen)
+        for d in chosen:
+            if not self._occupied(d):
+                self._occupied_count += 1
+            self._assignment[d] = exec_
+        if exec_.atomic:
+            # barrier-locked group: one booking per member device, each
+            # held from the common start to the last barrier
             start = max(ready_s, max(float(pool.available[d]) for d in chosen))
             service_s = input_s + run.latency_s
             for i, d in enumerate(chosen):
@@ -646,64 +587,67 @@ class ContinuousScheduler:
                     batch_id=exec_.exec_id, batch_size=batch.size,
                     label=f"batch{exec_.exec_id}/shard{i}",
                 )
-                self._assignment[d] = exec_
-            exec_.atomic = True
             exec_.start_s = start
-            # admission points: every segment start; the last one (start
-            # of the final barrier interval) is the last join point
+            # join points: every segment start, the final one's included
             exec_.boundaries = list(
                 itertools.accumulate(exec_.segments[:-1], initial=start)
             )
-            self._after(start + service_s, self._finish, exec_)
+            self._after(start + service_s, self._finish, (exec_, 0))
         else:
-            dev = chosen[0]
-            start, end = pool.submit_on(
-                dev, input_s, ready_s,
-                batch_id=exec_.exec_id, batch_size=batch.size,
-                label=f"batch{exec_.exec_id}/seg0",
-            )
-            self._assignment[dev] = exec_
-            exec_.start_s = start
-            exec_.seg_end_s = end
-            self._after(end, self._on_segment_end, exec_)
+            exec_.start_s = max(float(pool.available[chosen[0]]), ready_s)
+            self._run_span(exec_, exec_.start_s)
         self._inflight[batch.key] = exec_
         if self.tracer.enabled:
-            self.tracer.instant(
-                "sched", f"exec{exec_.exec_id}/start", exec_.start_s,
-                cat="dispatch", size=batch.size, slo=group.slo.name,
-                shards=shards, devices=str(chosen),
-            )
+            self.tracer.instant("sched", f"exec{exec_.exec_id}/start", exec_.start_s,
+                                cat="dispatch", size=batch.size, slo=group.slo.name,
+                                shards=shards, devices=str(chosen))
 
     # -- layer boundaries ------------------------------------------------
-    def _on_segment_end(self, exec_: _Execution, t: float) -> None:
-        if exec_.paused:
-            return  # stale event from before a pause
-        exec_.seg_idx += 1
-        if exec_.seg_idx >= len(exec_.segments):
-            self._finish(exec_, t)
-            return
-        dev = exec_.devices[0]
-        if self._try_preempt(exec_, dev, t):
-            return
-        self._book_next_segment(exec_, dev, t)
-
-    def _book_next_segment(
-        self, exec_: _Execution, dev: int, t: float
-    ) -> None:
-        seg = exec_.segments[exec_.seg_idx]
-        start, end = self.pool.submit_on(
-            dev, seg, t,
-            batch_id=exec_.exec_id, batch_size=len(exec_.members),
-            label=f"batch{exec_.exec_id}/seg{exec_.seg_idx}",
-        )
-        exec_.seg_end_s = end
-        for member in exec_.pending_joins:
-            member.attach_s = start
+    def _run_span(self, exec_: _Execution, start: float) -> None:
+        """Run an unsharded execution's remaining segments from ``start``
+        to its finish: boundaries are the chained sums the pool books
+        (:meth:`_book_span`), so every join point is a bit-exact layer
+        boundary."""
+        bounds = list(itertools.accumulate(exec_.segments[exec_.seg_idx:], initial=start))
+        exec_.span_s = start
+        exec_.boundaries = bounds[1:-1]
+        for joiner in exec_.pending_joins:
+            joiner.attach_s = start
         exec_.pending_joins.clear()
-        self._after(end, self._on_segment_end, exec_)
+        self._after(bounds[-1], self._finish, (exec_, exec_.preemptions))
 
-    def _try_preempt(self, exec_: _Execution, dev: int, t: float) -> bool:
-        """Pause ``exec_`` for a strictly-higher-priority ready group."""
+    def _book_span(self, exec_: _Execution, n: int) -> None:
+        """Book the first ``n`` segments of the current span on the
+        execution's device, as one reservation."""
+        first = exec_.seg_idx
+        exec_.seg_idx = first + n
+        self.pool.submit_run(
+            exec_.devices[0], exec_.segments[first:first + n], exec_.span_s,
+            batch_id=exec_.exec_id, batch_size=exec_.size,
+        )
+
+    def _arm_preemption(self, t: float) -> None:
+        """Arm a boundary check on every running unsharded execution the
+        first unsharded ready group outranks: its next join point is
+        where that group may take the device."""
+        top = next((g.slo.priority for g in self._ready if g.shards == 1), None)
+        if top is None:
+            return
+        for exec_ in self._assignment:
+            if (exec_ is None or exec_.atomic or exec_.check
+                    or exec_.priority >= top):
+                continue
+            i = bisect_left(exec_.boundaries, t)
+            if i < len(exec_.boundaries):
+                exec_.check = True
+                self._after(exec_.boundaries[i], self._at_boundary, exec_)
+
+    def _at_boundary(self, exec_: _Execution, t: float) -> None:
+        """Pause ``exec_`` at this boundary for a strictly-higher-priority
+        ready group, if one still waits."""
+        exec_.check = False
+        if exec_.finish_s is not None:  # a zero-second final layer
+            return
         preemptor = None
         for i, g in enumerate(self._ready):
             if g.slo.priority <= exec_.priority:
@@ -712,48 +656,36 @@ class ContinuousScheduler:
                 preemptor = i
                 break
         if preemptor is None:
-            return False
+            return
         group = self._ready.pop(preemptor)
+        dev = exec_.devices[0]
+        self._book_span(exec_, bisect_left(exec_.boundaries, t) + 1)
         exec_.paused = True
         exec_.preemptions += 1
         self._count("serve.sched.preemptions")
         self._paused_stack[dev].append(exec_)
         self._assignment[dev] = None
         if self.tracer.enabled:
-            self.tracer.instant(
-                "sched", f"exec{exec_.exec_id}/preempted", t,
-                cat="preempt", by=group.batch.batch_id, device=dev,
-            )
+            self.tracer.instant("sched", f"exec{exec_.exec_id}/preempted", t, cat="preempt",
+                                by=group.batch.batch_id, device=dev)
         self._start_execution(group, t, [dev])
-        return True
+        self._arm_preemption(t)
 
     # -- completion -----------------------------------------------------
-    def _finish(self, exec_: _Execution, t: float) -> None:
+    def _finish(self, span: tuple, t: float) -> None:
+        exec_, preemptions = span
+        if exec_.preemptions != preemptions:
+            return  # a pause cut this span short
         exec_.finish_s = t
+        if not exec_.atomic:
+            self._book_span(exec_, len(exec_.segments) - exec_.seg_idx)
         if self._inflight.get(exec_.key) is exec_:
             del self._inflight[exec_.key]
-        size = len(exec_.members)
-        for m in exec_.members:
-            req = m.req
-            start = exec_.start_s if not m.joined else m.attach_s
-            self._respond(
-                req, exec_.exec_id, size, exec_.devices[0], exec_.run,
-                start, t, t - start,
-                exec_.run.barrier_s if not m.joined else 0.0,
-                m.joined, m.deferred,
-            )
-            if self.tracer.enabled and start > req.arrival_s:
-                self.tracer.span(
-                    f"sched/{req.slo}", f"req{req.request_id}/queue-wait",
-                    req.arrival_s, start, cat="queue",
-                    joined=m.joined, deferred=m.deferred,
-                )
+        self._respond(exec_, t)
         if self.tracer.enabled:
-            self.tracer.span(
-                "sched", f"exec{exec_.exec_id}", exec_.start_s, t,
-                cat="exec", size=size, shards=exec_.run.num_shards,
-                preemptions=exec_.preemptions,
-            )
+            self.tracer.span("sched", f"exec{exec_.exec_id}", exec_.start_s, t, cat="exec",
+                             size=exec_.size, shards=exec_.run.num_shards,
+                             preemptions=exec_.preemptions)
         for dev in exec_.devices:
             self._assignment[dev] = None
             if self._paused_stack[dev]:
@@ -762,7 +694,9 @@ class ContinuousScheduler:
                 resumed = self._paused_stack[dev].pop()
                 resumed.paused = False
                 self._assignment[dev] = resumed
-                self._book_next_segment(resumed, dev, t)
+                self._run_span(resumed, t)
+            else:
+                self._occupied_count -= 1
         self._readmit_deferred(t)
         self._autoscale(t)
         self._schedule(t)
@@ -784,23 +718,16 @@ class ContinuousScheduler:
         active = self.pool.num_active
         proposal = self.autoscaler.propose(
             now, active=active, queue_depth=self._queue_depth(),
-            busy_devices=sum(map(self._occupied, range(active))),
-            pool_devices=self.pool.num_devices,
-        )
+            busy_devices=self._occupied_count, pool_devices=self.pool.num_devices)
         if proposal is None:
             return
         target, reason = proposal
         if target < active:
             # never park a device that owns work — drain first — nor one
             # a queued batch needs to start at all
-            queued = itertools.chain(
-                self._groups.values(), self._unready, self._ready
-            )
-            floor = max(
-                [g.shards for g in queued]
-                + [d + 1 for d in range(active) if self._occupied(d)],
-                default=0,
-            )
+            queued = itertools.chain(self._groups.values(), self._unready, self._ready)
+            floor = max([g.shards for g in queued]
+                        + [d + 1 for d in range(active) if self._occupied(d)], default=0)
             target = max(target, floor)
             if target >= active:
                 return
@@ -809,37 +736,14 @@ class ContinuousScheduler:
             self._schedule(now)
 
     def _resize(self, target: int, now: float, reason: str) -> None:
-        """Commit an active-set transition to the self.pool and the log."""
+        """Commit an active-set transition to the pool and the log."""
         active = self.pool.num_active
-        if target > active:
-            self.pool.set_active(
-                target, now=now,
-                provision_delay_s=self.autoscaler.provision_delay_s,
-            )
-            self._count("serve.sched.scale_ups")
-        else:
-            self.pool.set_active(target, now=now)
-            self._count("serve.sched.scale_downs")
-        self.autoscaler.commit(
-            now, from_devices=active, to_devices=target, reason=reason,
-            queue_depth=self._queue_depth(),
-            busy_devices=sum(map(self._occupied, range(active))),
-        )
+        grow = target > active
+        self.pool.set_active(target, now=now,
+                             provision_delay_s=self.autoscaler.provision_delay_s if grow else 0.0)
+        self._count("serve.sched.scale_ups" if grow else "serve.sched.scale_downs")
+        self.autoscaler.commit(now, from_devices=active, to_devices=target, reason=reason,
+                               queue_depth=self._queue_depth(),
+                               busy_devices=self._occupied_count)
         if self.tracer.enabled:
             self.tracer.counter("sched", "active_devices", now, target)
-
-    # -- reporting ------------------------------------------------------
-    def _account_in_flight(self) -> None:
-        """The ``serve.sched.*`` counters and gauges: what in-flight
-        dispatch did.  (The per-class ``serve.sched.<class>.*`` histograms,
-        the counter view of trace-analyze's ``sched/<class>`` queue-wait
-        spans, are fed by the report's one pass over the responses.)"""
-        metrics = self.metrics
-        for name in ("joined", "shed", "deferred", "preemptions",
-                     "scale_ups", "scale_downs"):
-            metrics.counter(f"serve.sched.{name}")  # reported even at zero
-        admitted = sum(c["admit"] for c in self.admission.snapshot().values())
-        self._count("serve.sched.admitted", admitted)
-        self._count("serve.sched.executions", metrics.counter("serve.batches").value)
-        metrics.gauge("serve.sched.active_devices").set(self.pool.num_active)
-        metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)

@@ -4,17 +4,18 @@ Turns the one-shot Dynasparse simulator into a traffic-serving system:
 
 - :mod:`repro.serve.request` — request/response dataclasses and program
   fingerprints;
-- :mod:`repro.serve.batcher` — what a micro-batch is, and the two
-  dispatch policies (``scheduler="legacy"`` | ``"continuous"``);
+- :mod:`repro.serve.batcher` — what a micro-batch is;
 - :mod:`repro.serve.workload` — Poisson / bursty / steady traffic
   generators with skewed model/dataset mixes;
 - :mod:`repro.serve.server` — the front-end: serving knobs, one
   simulation per distinct execution, and
   :class:`~repro.serve.server.ServingReport`.
 
-The serve loop is :mod:`repro.sched.scheduler` (one loop, whatever the
-policy); the program cache and the device pool a server uses belong to
-its :class:`~repro.engine.core.Engine` (:mod:`repro.engine.cache`,
+The serve loop is :mod:`repro.sched.scheduler`, continuous batching:
+a request joins an execution of its program already in flight, and SLO
+classes set priority, batching window and admission bound.  The program
+cache and the device pool a server uses belong to its
+:class:`~repro.engine.core.Engine` (:mod:`repro.engine.cache`,
 :mod:`repro.engine.pool`).
 
 Quickstart::
@@ -28,14 +29,9 @@ Quickstart::
     print(report.format_report())
 """
 
-from repro.serve.batcher import POLICIES, DispatchPolicy, MicroBatch
+from repro.serve.batcher import MicroBatch
 from repro.serve.request import InferenceRequest, InferenceResponse, MutationRequest
-from repro.serve.server import (
-    MUTATION_POLICIES,
-    SCHEDULERS,
-    InferenceServer,
-    ServingReport,
-)
+from repro.serve.server import MUTATION_POLICIES, InferenceServer, ServingReport
 from repro.serve.workload import (
     ARRIVAL_KINDS,
     bursty_arrivals,
@@ -48,9 +44,6 @@ from repro.serve.workload import (
 __all__ = [
     "ARRIVAL_KINDS",
     "MUTATION_POLICIES",
-    "POLICIES",
-    "SCHEDULERS",
-    "DispatchPolicy",
     "InferenceRequest",
     "InferenceResponse",
     "InferenceServer",

@@ -1,4 +1,4 @@
-"""Micro-batches, and the two policies for dispatching a closed one.
+"""Micro-batches: the unit the serve loop forms, closes and dispatches.
 
 Requests sharing a ``batch_key`` (same compiled program, mapping strategy
 *and* shard width) produce identical accelerator runs, so the server
@@ -19,9 +19,9 @@ ones production inference servers expose:
     deadline is *at* an arrival's instant is still open for that arrival,
     so ``max_wait_s=0`` coalesces same-instant arrivals.
 
-Groups form, and close, in the one serve loop
-(:mod:`repro.sched.scheduler`); :data:`POLICIES` names what that loop
-does differently per ``InferenceServer(scheduler=...)`` value.
+Groups form, close and dispatch in the one serve loop
+(:mod:`repro.sched.scheduler`), where a request may also join an
+execution of its ``batch_key`` already in flight.
 """
 
 from __future__ import annotations
@@ -48,30 +48,3 @@ class MicroBatch:
     @property
     def size(self) -> int:
         return len(self.requests)
-
-
-@dataclass(frozen=True)
-class DispatchPolicy:
-    """The two decisions the serve loop takes differently by policy."""
-
-    name: str
-    #: every request is scheduled as one class on the server's
-    #: ``max_wait_s`` window: SLO tags are reporting-only (any tag is
-    #: accepted) and there is no priority and no queue bound to act on
-    one_class: bool
-    #: a closed batch is booked *ahead and whole*: once the stream has
-    #: been read, closed batches are booked in (ready time, close order),
-    #: each as one ``input + latency`` reservation.  Nothing is ever in
-    #: flight, so there is nothing to join or preempt, no backlog for an
-    #: autoscaler to watch, and no in-flight accounting in the report
-    book_ahead: bool
-
-
-#: ``InferenceServer(scheduler=...)`` value -> what it means
-POLICIES = {
-    p.name: p
-    for p in (
-        DispatchPolicy("legacy", one_class=True, book_ahead=True),
-        DispatchPolicy("continuous", one_class=False, book_ahead=False),
-    )
-}

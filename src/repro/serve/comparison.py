@@ -99,7 +99,6 @@ def serving_comparison(
     max_batch_size: int = 8,
     max_wait_s: float = 1e-3,
     cache_capacity: int = 64,
-    scheduler: str = "legacy",
     slo_p99_s: float | None = None,
     queue_bound: int | None = None,
     autoscale: bool = False,
@@ -110,8 +109,7 @@ def serving_comparison(
 
     ``slo_p99_s`` is the interactive class's p99 target (grades goodput);
     ``queue_bound`` bounds both classes' admission queues and
-    ``autoscale`` attaches the queue-depth autoscaler — both need
-    ``scheduler="continuous"`` and are rejected by the server otherwise.
+    ``autoscale`` attaches the queue-depth autoscaler.
     ``trace`` names a Perfetto file for the largest pool's cold sweep
     (compiles, batch formation, queueing and dispatch all happen there).
     """
@@ -131,7 +129,6 @@ def serving_comparison(
             max_batch_size=max_batch_size,
             max_wait_s=max_wait_s,
             return_outputs=False,
-            scheduler=scheduler,
             slo_policy=policy,
             admission=(
                 AdmissionController(policy) if queue_bound is not None else None

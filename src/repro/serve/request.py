@@ -56,11 +56,12 @@ class InferenceRequest:
     shards: int = 1
     #: arrival time on the virtual clock, in seconds
     arrival_s: float = 0.0
-    #: SLO class tag ("interactive" | "bulk") — the "continuous" dispatch
-    #: policy acts on it (priority, admission, batching window); under
-    #: "legacy" it only groups the report's per-class block.  Deliberately
-    #: NOT part of program_key/batch_key: the class changes *when* a
-    #: request runs, never *what* it computes.
+    #: SLO class tag, a class of the server's ``slo_policy`` (default
+    #: "interactive" | "bulk"; any other tag is a ValueError): the serve
+    #: loop schedules by it (priority, admission, batching window) and
+    #: the report grades by it.  Deliberately NOT part of
+    #: program_key/batch_key: the class changes *when* a request runs,
+    #: never *what* it computes.
     slo: str = "bulk"
     request_id: int = field(default_factory=lambda: next(_request_ids))
 
@@ -106,7 +107,7 @@ class MutationRequest:
     request_id: int = field(default_factory=lambda: next(_request_ids))
 
 
-@dataclass
+@dataclass(slots=True)
 class InferenceResponse:
     """The server's answer to one request, with a full latency breakdown.
 

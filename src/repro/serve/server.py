@@ -7,12 +7,11 @@ accelerator pool, the dynamic-graph registry, the program patcher, and
 the one door to a simulated execution
 (:meth:`~repro.engine.core.Engine.execute`: the result is recorded on the
 cached program and replayed by every later batch, whoever simulated it).
-The server holds the serving knobs (batch size and window, dispatch
-policy, SLO policy), checks a request against them, and builds the
+The server holds the serving knobs (batch size and window, SLO policy,
+admission, autoscaler), checks a request against them, and builds the
 :class:`ServingReport` of a finished sweep in one pass over its
-responses.  The serve loop itself is :mod:`repro.sched.scheduler`, for
-every sweep; ``InferenceServer(scheduler=...)`` names its dispatch policy
-(:data:`repro.serve.batcher.POLICIES`).
+responses.  The serve loop itself is :mod:`repro.sched.scheduler`,
+continuous batching, for every sweep.
 
 Time model: a sweep is a discrete-event simulation on a *virtual clock*
 (seconds).  Arrivals come from the workload; compile time on a cache
@@ -20,9 +19,10 @@ miss is the compiler's measured wall-clock preprocessing time; batch
 service time is the cycle-accurate latency of the run, plus a PCIe input
 transfer where a device of the batch does not yet hold the program's
 inputs (each device keeps what it was sent for the rest of the sweep,
-with no eviction).  A batch's members are bit-identical runs, so each distinct
-(program, strategy, shards) is simulated once and replayed, while the
-*virtual* device occupancy is charged for every batch.  The engine's
+with no eviction).  A batch's members, and the requests that join it in
+flight, are bit-identical runs, so each distinct (program, strategy,
+shards) is simulated once and replayed, while the *virtual* device
+occupancy is charged for every execution.  The engine's
 program cache outlives a ``serve`` call (and is shared with direct
 ``Engine.compile`` / ``Engine.infer`` use), so a second identical sweep
 compiles and simulates nothing: the warm/cold comparison of
@@ -43,14 +43,9 @@ from repro.engine.cache import ProgramCache
 from repro.engine.core import MUTATION_POLICIES, Engine
 from repro.engine.pool import AcceleratorPool
 from repro.hw.memory import pcie_transfer_seconds
-from repro.obs.metrics import HistogramMetric
-from repro.serve.batcher import POLICIES
 from repro.serve.request import InferenceRequest, InferenceResponse
 
-__all__ = ["MUTATION_POLICIES", "SCHEDULERS", "InferenceServer", "ServingReport"]
-
-#: the dispatch policies ``InferenceServer(scheduler=...)`` accepts
-SCHEDULERS = tuple(POLICIES)
+__all__ = ["MUTATION_POLICIES", "InferenceServer", "ServingReport"]
 
 #: the response fields a report is built from, each read into one column
 _COLUMNS = ("arrival_s", "start_s", "finish_s", "service_s", "barrier_s", "compile_s",
@@ -60,8 +55,7 @@ _COLUMNS = ("arrival_s", "start_s", "finish_s", "service_s", "barrier_s", "compi
 def _held(table: str, metric: str, stat: str | None = None, **kwargs):
     """A report field the sweep's metrics snapshot already holds, at
     ``metrics[table][metric]`` (``[stat]`` of a histogram): filled from
-    there, never computed beside it.  The ``serve.sched.*`` names exist
-    only under an in-flight dispatch policy; absent reads as zero."""
+    there, never computed beside it; absent reads as zero."""
     return field(metadata={"held": (table, metric, stat)}, **kwargs)
 
 
@@ -111,14 +105,12 @@ class ServingReport:
     pcie_transfers: int = _held("counters", "serve.pcie_transfers", default=0)
     pcie_s: float = _held("counters", "serve.pcie_s", default=0.0)
     pcie_saved_s: float = _held("counters", "serve.pcie_saved_s", default=0.0)
-    #: the dispatch policy the sweep ran under ("legacy" | "continuous")
-    scheduler: str = "legacy"
     #: served requests meeting their class's SLO target per second of
     #: makespan (no target = always met: targetless goodput == throughput)
     goodput_rps: float = 0.0
     #: devices in the pool's active set when the sweep ended
     active_devices: int = 0
-    #: in-flight dispatch accounting (zero where batches are booked ahead)
+    #: in-flight dispatch accounting
     shed_requests: int = _held("counters", "serve.sched.shed", default=0)
     deferred_requests: int = _held("counters", "serve.sched.deferred", default=0)
     joined_requests: int = _held("counters", "serve.sched.joined", default=0)
@@ -186,16 +178,15 @@ class ServingReport:
                 + (f", target p99 {ms(target)} ms ({c['violations']} violations)"
                    if target is not None else "")
             )
-        if not POLICIES[self.scheduler].book_ahead:
-            lines += [
-                f"  scheduler         : {self.scheduler} — "
-                f"{self.joined_requests} joined in flight, "
-                f"{self.shed_requests} shed, {self.deferred_requests} deferred, "
-                f"{self.preemptions} preemptions "
-                f"(max queue depth {self.max_queue_depth})",
-                f"  goodput           : {self.goodput_rps:,.0f} req/s "
-                f"meeting SLO (of {self.throughput_rps:,.0f} served)",
-            ]
+        lines += [
+            f"  scheduler         : continuous — "
+            f"{self.joined_requests} joined in flight, "
+            f"{self.shed_requests} shed, {self.deferred_requests} deferred, "
+            f"{self.preemptions} preemptions "
+            f"(max queue depth {self.max_queue_depth})",
+            f"  goodput           : {self.goodput_rps:,.0f} req/s "
+            f"meeting SLO (of {self.throughput_rps:,.0f} served)",
+        ]
         if self.autoscaler_events:
             sizes = [self.autoscaler_events[0]["from_devices"]] + [
                 e["to_devices"] for e in self.autoscaler_events
@@ -245,7 +236,6 @@ class InferenceServer:
         return_outputs: bool = True,
         mutation_policy: str = "patch",
         patch_policy: PatchPolicy | None = None,
-        scheduler: str = "legacy",
         slo_policy=None,
         admission=None,
         autoscaler=None,
@@ -255,25 +245,10 @@ class InferenceServer:
                 f"mutation_policy must be one of {MUTATION_POLICIES}, "
                 f"got {mutation_policy!r}"
             )
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"scheduler must be one of {SCHEDULERS}, got {scheduler!r}")
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
-        if POLICIES[scheduler].one_class:
-            # slo_policy is allowed (it sets the goodput targets the report
-            # grades against) but machinery that acts on classes and backlog
-            # is not: silently ignoring it would misreport the sweep
-            given = {"admission": admission, "autoscaler": autoscaler}
-            extras = [name for name, value in given.items() if value is not None]
-            if extras:
-                raise ValueError(
-                    f"{', '.join(extras)} require scheduler='continuous' "
-                    f"(scheduler={scheduler!r} schedules every request as "
-                    f"one class and books batches ahead: there is no "
-                    f"queue bound to enforce and no backlog to scale on)"
-                )
         if engine is None:
             engine = Engine(
                 config,
@@ -299,8 +274,6 @@ class InferenceServer:
         self.max_batch_size = max_batch_size
         self.max_wait_s = max_wait_s
         self.return_outputs = return_outputs
-        #: the serve loop's dispatch policy (repro.serve.batcher.POLICIES)
-        self.scheduler = scheduler
         self.slo_policy = slo_policy
         self.admission = admission
         self.autoscaler = autoscaler
@@ -341,8 +314,7 @@ class InferenceServer:
         :class:`~repro.serve.request.MutationRequest` (for graphs
         registered via :meth:`register_graph`); events are processed in
         arrival order, mutations first on timestamp ties, by the one serve
-        loop (:class:`~repro.sched.scheduler.ContinuousScheduler`) under
-        this server's dispatch policy.
+        loop (:class:`~repro.sched.scheduler.ContinuousScheduler`).
         """
         from repro.sched.scheduler import ContinuousScheduler
 
@@ -387,18 +359,16 @@ class InferenceServer:
         ):
             registry.histogram(f"serve.{name}").extend(values)
 
-        # per-SLO-class block: percentiles for every class seen, violations
-        # and goodput against the policy's targets.  Under an in-flight
-        # policy the same two distributions are ``serve.sched.<class>.*``
-        in_flight = not sweep.dispatch.book_ahead
-        histogram = registry.histogram if in_flight else HistogramMetric
+        # per-SLO-class block: percentiles for every class seen (the
+        # ``serve.sched.<class>.*`` histograms), violations and goodput
+        # against the policy's targets
         class_breakdown: dict[str, dict] = {}
         met_total = 0
         for name in map(str, np.unique(slo)):
             members = slo == name
             stats = {}
             for what, values in (("latency_s", latency), ("queue_s", queue)):
-                hist = histogram(f"serve.sched.{name}.{what}")
+                hist = registry.histogram(f"serve.sched.{name}.{what}")
                 hist.extend(values[members])
                 stats[what] = hist.snapshot()
             graded = sweep.slo_policy is not None and name in sweep.slo_policy.names
@@ -440,7 +410,6 @@ class InferenceServer:
             patch_s=sweep.patch_s,
             mutation_evictions=sweep.mutation_evictions,
             halo_s=sweep.halo_s,
-            scheduler=sweep.dispatch.name,
             goodput_rps=met_total / span if span > 0 else 0.0,
             active_devices=pool.num_active,
             class_breakdown=class_breakdown,

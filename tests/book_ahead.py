@@ -1,0 +1,135 @@
+"""Whole-batch book-ahead: the serve loop's retired second dispatch policy,
+kept as a test oracle.
+
+Until the serve loop became continuous batching only, ``InferenceServer``
+took a ``scheduler=`` argument, and its default, ``"legacy"``, scheduled
+every request as one class on the server's ``max_wait_s`` window (any SLO
+tag accepted, no priority, no queue bound) and booked each closed batch
+*ahead and whole*: once the stream had been read, in (ready time, close
+order), as one ``input + latency`` reservation on the device
+``AcceleratorPool.submit`` / ``submit_group`` would pick.  Nothing was
+ever in flight, so nothing joined and nothing was preempted, and the
+report held no ``serve.sched.*`` metrics.
+
+:class:`BookAhead` is that policy, written over the one loop: the same
+arrivals, lookups, host clock and batch windows, with the dispatch of a
+closed batch replaced.  Its sweeps reproduce the ``legacy/*`` cells of
+``tests/test_serve_golden.py`` bit for bit, recorded when the policy was
+still in ``src/``; ``benchmarks/bench_continuous_batching.py`` runs it as
+the comparison arm continuous batching is graded against.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from dataclasses import dataclass, fields
+from unittest import mock
+
+from repro.sched import AdmissionController, SLOClass, SLOPolicy
+from repro.sched import scheduler as loop
+from repro.serve import InferenceResponse, ServingReport
+
+__all__ = ["BookAhead", "book_ahead", "serve_book_ahead"]
+
+#: what every request is scheduled as: no priority to order by, no queue
+#: bound to shed at, the server's window
+ONE_CLASS = SLOPolicy((SLOClass(name="all", priority=0),))
+
+
+@dataclass
+class BookAheadReport(ServingReport):
+    """A report as the policy wrote it: its dictionary names the policy."""
+
+    def to_dict(self) -> dict:
+        items = list(super().to_dict().items())
+        at = [k for k, _ in items].index("goodput_rps")
+        return dict(items[:at] + [("scheduler", "legacy")] + items[at:])
+
+
+class BookAhead(loop.ContinuousScheduler):
+    """The serve loop with every closed batch booked ahead and whole."""
+
+    def __init__(self, server) -> None:
+        super().__init__(server)
+        self.classes = ONE_CLASS
+        self.admission = AdmissionController(ONE_CLASS)
+        #: (ready time, close order, group) of every closed batch
+        self._booked: list[tuple] = []
+
+    def _class_of(self, req):
+        return ONE_CLASS.classes[0]
+
+    def _close_group(self, group, now: float) -> None:
+        del self._groups[group.key]
+        self._waiting -= group.batch.size
+        self._booked.append((max(group.batch.ready_s, now), len(self._booked), group))
+
+    def _end_of_stream(self, t: float) -> None:
+        # booked once the stream has been read, in ready order, so a
+        # batch stuck waiting on a compile never blocks an idle device
+        # from taking later-closed but earlier-ready work
+        super()._end_of_stream(t)
+        for ready_s, _, group in sorted(self._booked, key=lambda b: b[:2]):
+            self._book_whole(group.batch, ready_s)
+        self._booked.clear()
+
+    def _book_whole(self, batch, ready_s: float) -> None:
+        """One reservation for the whole execution."""
+        pool = self.pool
+        run = self._prepare(batch, ready_s)
+        shards = run.num_shards
+        # the device(s) submit / submit_group pick, seen before booking
+        devices = (pool.peek_group(shards, ready_s)[0] if shards > 1
+                   else [pool.peek_device(ready_s)])
+        input_s = self._input_s(batch, devices)
+        service_s = input_s + run.latency_s
+        if shards > 1:
+            # every shard device is held from the common start to the
+            # last per-layer barrier; each is busy for its own work plus
+            # its share of the input transfer
+            busy = [b + input_s / shards for b in run.shard_busy_s]
+            _, start, end = pool.submit_group(
+                service_s, shards, ready_s, busy_s=busy,
+                batch_id=batch.batch_id, batch_size=batch.size,
+            )
+        else:
+            start, end = pool.submit_on(
+                devices[0], service_s, ready_s, batch_id=batch.batch_id,
+                batch_size=batch.size,
+            )
+        output = run.served_output() if self.server.return_outputs else None
+        for req in batch.requests:
+            compile_s, hit = self._lookups[req.request_id]
+            self.responses.append(InferenceResponse(
+                request_id=req.request_id, model=req.model,
+                dataset=req.dataset_name, strategy=req.strategy,
+                arrival_s=req.arrival_s, compile_s=compile_s, start_s=start,
+                finish_s=end, service_s=service_s, cache_hit=hit,
+                batch_id=batch.batch_id, batch_size=batch.size,
+                device=devices[0], shards=shards, barrier_s=run.barrier_s,
+                accel_cycles=run.total_cycles, output=output, slo=req.slo,
+            ))
+
+    def run(self, requests: list) -> BookAheadReport:
+        report = super().run(requests)
+        # nothing was in flight: no ``serve.sched.*`` metric existed
+        report.metrics = {
+            table: {k: v for k, v in values.items() if not k.startswith("serve.sched.")}
+            for table, values in report.metrics.items()
+        }
+        report.max_queue_depth = 0
+        return BookAheadReport(**{f.name: getattr(report, f.name) for f in fields(report)})
+
+
+def serve_book_ahead(server, requests: list) -> BookAheadReport:
+    """One sweep of ``requests`` through ``server``, booked ahead."""
+    return BookAhead(server).run(requests)
+
+
+@contextlib.contextmanager
+def book_ahead():
+    """Every ``InferenceServer.serve`` sweep in the block is booked ahead
+    (for callers that build their servers themselves, such as
+    ``serving_comparison``)."""
+    with mock.patch.object(loop, "ContinuousScheduler", BookAhead):
+        yield

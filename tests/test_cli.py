@@ -418,7 +418,7 @@ _SERVING = {
     },
     "phase_breakdown": _typed("histogram", "barrier compile execute queue_wait"),
 }
-#: what the in-flight dispatch policy adds to a sweep's metrics
+#: what in-flight dispatch adds to a sweep's metrics
 _IN_FLIGHT = {"metrics": {
     "counters": _typed("float", (
         "serve.sched.admitted serve.sched.deferred serve.sched.executions "
@@ -488,7 +488,9 @@ def _serving(extra=None):
 _SERVE_ARGV = ["serve-bench", "--requests", "12", "--pool", "2", "--models",
                "GCN", "--datasets", "CO", "--scale", "0.15", "--json"]
 #: cell -> (argv, shape at 4f21418, keys added since: every run result
-#: now names its backend, and the hetero payload carries what it dropped)
+#: now names its backend, and the hetero payload carries what it dropped
+#: [, keys removed since: a sweep no longer names its dispatch policy,
+#: continuous batching being the only one])
 #: per kernel, what the Analyzer weighed: chosen and each candidate, and
 #: how many output partitions left the core as COO
 _MODELLED = {"modelled_cycles": {"*": "float"}, "coo_writebacks": "int"}
@@ -523,14 +525,18 @@ JSON_CELLS = {
                          {"halo_exposed_ms": "float", "coo_writebacks": "int",
                           "shard_modelled_cycles": [_typed(
                               "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]}]}),
-    "serve_bench_legacy": (_SERVE_ARGV, _serving(), _PCIE),
-    "serve_bench_continuous": (
-        _SERVE_ARGV + ["--scheduler", "continuous"], _serving(_IN_FLIGHT),
-        _PCIE,
-    ),
+    "serve_bench": (_SERVE_ARGV, _serving(_IN_FLIGHT), _PCIE,
+                    {"sweeps": {"<sweep>": {"scheduler"}}}),
     "trace_analyze": (["trace-analyze", "{trace}", "--json", "--what-if",
                        "zero-halo", "--diff", "{trace}"], _TRACE_ANALYZE, {}),
 }
+
+
+def _drop(shape, removed=frozenset()):
+    """``shape`` without the ``removed`` keys (a set, nested in dicts)."""
+    if isinstance(removed, (set, frozenset)):
+        return {k: v for k, v in shape.items() if k not in removed}
+    return {k: _drop(v, removed[k]) if k in removed else v for k, v in shape.items()}
 
 
 def _shape(value, key=None):
@@ -566,7 +572,7 @@ class TestResultsReportThemselves:
                                                      tmp_path):
         import json
 
-        argv, recorded, added = JSON_CELLS[cell]
+        argv, recorded, added, *removed = JSON_CELLS[cell]
         trace = tmp_path / "trace.json"
         if cell == "trace_analyze":
             assert main(["trace", "GCN", "CO", "--shards", "2",
@@ -575,7 +581,7 @@ class TestResultsReportThemselves:
         argv = [arg.format(trace=trace) for arg in argv]
         assert main(argv) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert _shape(payload) == _merge(recorded, added)
+        assert _shape(payload) == _merge(_drop(recorded, *removed), added)
 
     def test_hetero_json_carries_what_it_used_to_drop(self, capsys):
         import json
@@ -671,7 +677,7 @@ def _library_checks():
     from repro.gnn import build_model
     from repro.gnn.pruning import prune_to_sparsity
     from repro.obs import validate_trace
-    from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
+    from repro.sched import SLOPolicy
     from repro.serve import InferenceServer, churn_stream, synthesize
 
     def bad_prune(level):
@@ -710,14 +716,8 @@ def _library_checks():
          lambda: synthesize(4, class_skew=2.0)),
         (serve + ["--slo-p99-ms", "0"], "target_p99_s",
          lambda: SLOPolicy.default(interactive_target_p99_s=0.0)),
-        (serve + ["--scheduler", "continuous", "--queue-bound", "0"],
-         "max_queue_depth",
+        (serve + ["--queue-bound", "0"], "max_queue_depth",
          lambda: SLOPolicy.default(interactive_queue_depth=0)),
-        (serve + ["--queue-bound", "4"], "admission",
-         lambda: InferenceServer(
-             admission=AdmissionController(SLOPolicy.default()))),
-        (serve + ["--autoscale"], "autoscaler",
-         lambda: InferenceServer(autoscaler=PoolAutoscaler())),
         (serve + ["--strategy", "nope"], "strategy",
          lambda: make_strategy("nope", u250_default())),
         (serve + ["--models", "X"], "model",

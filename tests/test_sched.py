@@ -2,8 +2,9 @@
 
 Covers the policy/admission/autoscaler units, the pool active-set and
 directed-booking primitives they drive, the layer-boundary hooks the
-sharded runtime exposes, and the continuous scheduler end to end:
-legacy equivalence on light traffic, join-in-flight under overload,
+sharded runtime exposes, and the serve loop end to end: outputs equal
+to the book-ahead oracle's (``tests/book_ahead.py``) on light traffic,
+join-in-flight under overload,
 shed/defer admission, layer-boundary preemption, autoscaler event flow,
 and the per-response phase invariant.  Also holds the satellite
 regression tests for the batch-window edge cases, per-class workload
@@ -16,6 +17,7 @@ import json
 
 import numpy as np
 import pytest
+from book_ahead import serve_book_ahead
 from conftest import make_tiny_config
 
 from repro.engine.pool import AcceleratorPool
@@ -27,12 +29,7 @@ from repro.sched import (
     SLOClass,
     SLOPolicy,
 )
-from repro.serve import (
-    SCHEDULERS,
-    InferenceRequest,
-    InferenceServer,
-    synthesize,
-)
+from repro.serve import InferenceRequest, InferenceServer, synthesize
 from repro.shard import run_sharded
 
 SCALE = 0.15
@@ -277,6 +274,25 @@ class TestPoolActiveSet:
         assert pool.busy[0] == pytest.approx(0.5)
         assert pool.available[0] == pytest.approx(2.0)
 
+    def test_submit_run_is_one_booking_at_the_chained_sums(self):
+        # segments whose one-at-a-time sums round differently from their
+        # total: the reservation ends, and charges the device, at the
+        # chained sums booking them one by one with submit_on gives
+        segments = [0.3, 0.6, 0.1]
+        one_by_one = AcceleratorPool(make_tiny_config(), num_devices=1)
+        one_by_one.submit_on(0, 0.5, 0.0)
+        for seconds in segments:
+            one_by_one.submit_on(0, seconds, 0.7)
+        run = AcceleratorPool(make_tiny_config(), num_devices=1)
+        run.submit_on(0, 0.5, 0.0)
+        end = run.submit_run(0, segments, 0.7, batch_id=4, batch_size=3)
+        assert end == one_by_one.available[0] == run.available[0]
+        assert end != 0.7 + sum(segments)
+        assert run.busy[0] == one_by_one.busy[0]
+        (event,) = run.events[1:]
+        assert (event.device, event.start, event.end, event.batch_id,
+                event.batch_size) == (0, 0.7, end, 4, 3)
+
     def test_submit_on_validates_device_and_service(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=1)
         with pytest.raises(ValueError):
@@ -348,53 +364,33 @@ def strip_wallclock(d: dict) -> dict:
 
 
 class TestContinuousServe:
-    def test_scheduler_name_is_validated(self):
-        assert SCHEDULERS == ("legacy", "continuous")
-        with pytest.raises(ValueError, match="scheduler"):
-            tiny_server(scheduler="bogus")
-
-    def test_admission_requires_continuous(self):
+    def test_admission_and_autoscaler_run_on_the_default_server(self):
         policy = SLOPolicy.default(bulk_queue_depth=4)
-        with pytest.raises(ValueError, match="continuous"):
-            tiny_server(admission=AdmissionController(policy))
-        with pytest.raises(ValueError, match="continuous"):
-            tiny_server(autoscaler=PoolAutoscaler())
-        # a policy alone is fine on legacy: it sets goodput targets
-        tiny_server(slo_policy=policy)
-
-    def test_explicit_legacy_is_bit_exact_with_the_default(self):
-        requests = synthesize(
-            num_requests=12, arrival="poisson", rate_rps=5e4,
-            models=("GCN",), datasets=("CO",), scale=SCALE,
-            class_skew=0.5, seed=11,
-        )
-        a, b = tiny_server(), tiny_server(scheduler="legacy")
-        # warm with the stream itself: the compared sweeps are then all
-        # cache hits, so no host-clock compile time leaks into them
-        a.serve([r for r in requests]), b.serve([r for r in requests])
-        ra = a.serve([r for r in requests])
-        rb = b.serve([r for r in requests])
-        assert strip_wallclock(ra.to_dict()) == strip_wallclock(rb.to_dict())
+        server = tiny_server(slo_policy=policy,
+                             admission=AdmissionController(policy),
+                             autoscaler=PoolAutoscaler())
+        report = server.serve([tiny_request()])
+        assert len(report.responses) == 1
+        assert report.metrics["counters"]["serve.sched.admitted"] == 1.0
 
     def test_continuous_matches_legacy_outputs_on_light_traffic(self):
         requests = synthesize(
             num_requests=8, arrival="steady", rate_rps=1e3,
             models=("GCN",), datasets=("CO",), scale=SCALE, seed=5,
         )
-        legacy, cont = tiny_server(), tiny_server(scheduler="continuous")
+        legacy, cont = tiny_server(), tiny_server()
         # synthesize stamps the workload seed onto each request, so warm
         # the same (model, dataset, scale, seed) program the stream uses
         warm(legacy, seed=5), warm(cont, seed=5)
-        rl = legacy.serve([r for r in requests])
+        rl = serve_book_ahead(legacy, [r for r in requests])
         rc = cont.serve([r for r in requests])
-        assert rc.scheduler == "continuous"
         lout = {r.request_id: r.output for r in rl.responses}
         assert len(rc.responses) == len(rl.responses)
         for resp in rc.responses:
             assert np.array_equal(resp.output, lout[resp.request_id])
 
     def test_joins_share_an_inflight_execution(self):
-        server = tiny_server(max_wait_s=0.0, scheduler="continuous")
+        server = tiny_server(max_wait_s=0.0)
         exec_s = warm(server)
         # founder at t=0; followers arrive mid-execution and must board
         # at layer boundaries instead of founding new batches
@@ -414,9 +410,26 @@ class TestContinuousServe:
             assert resp.finish_s == pytest.approx(
                 max(r.finish_s for r in report.responses))
 
+    def test_a_burst_rides_fewer_executions_than_book_ahead(self):
+        """``serve_steady``'s mechanism at small scale: a burst of one
+        program's requests, three batches deep, on one device, joins the
+        execution in flight instead of queueing batch after batch."""
+        server = tiny_server(max_batch_size=4)
+        exec_s = warm(server)
+        burst = synthesize(
+            num_requests=12, arrival="poisson", rate_rps=24.0 / exec_s,
+            models=("GCN",), datasets=("CO",), scale=SCALE, seed=3,
+        )
+        served = server.serve(list(burst))
+        booked = serve_book_ahead(server, list(burst))
+        assert booked.num_batches == 3
+        assert served.joined_requests > 0
+        assert served.num_batches < booked.num_batches
+        assert served.latency_mean_s < booked.latency_mean_s
+
     def test_overload_goodput_beats_legacy(self):
         server_l = tiny_server(pool_size=2)
-        server_c = tiny_server(pool_size=2, scheduler="continuous")
+        server_c = tiny_server(pool_size=2)
         exec_s = warm(server_l, seed=13)
         warm(server_c, seed=13)
         requests = synthesize(
@@ -425,14 +438,14 @@ class TestContinuousServe:
             models=("GCN",), datasets=("CO",), scale=SCALE,
             class_skew=0.3, seed=13,
         )
-        rl = server_l.serve([r for r in requests])
+        rl = serve_book_ahead(server_l, [r for r in requests])
         rc = server_c.serve([r for r in requests])
         assert rc.joined_requests > 0
         assert rc.throughput_rps > rl.throughput_rps
         assert rc.makespan_s < rl.makespan_s
 
     def test_phase_invariant_holds_for_every_response(self):
-        server = tiny_server(pool_size=2, scheduler="continuous")
+        server = tiny_server(pool_size=2)
         exec_s = warm(server)  # stream seed below matches the default (3)
         requests = synthesize(
             num_requests=20, arrival="bursty", rate_rps=6.0 / exec_s,
@@ -445,23 +458,22 @@ class TestContinuousServe:
                 resp.queue_s + resp.execute_s + resp.barrier_s, abs=1e-12)
 
     def test_report_carries_scheduler_accounting(self):
-        server = tiny_server(scheduler="continuous")
+        server = tiny_server()
         warm(server)
         report = server.serve([tiny_request(arrival_s=0.0)])
-        assert report.scheduler == "continuous"
         assert report.active_devices >= 1
         counters = report.metrics["counters"]
         assert counters["serve.sched.executions"] == 1.0
         assert "serve.sched.joined" in counters
 
     def test_sharded_requests_flow_through_the_continuous_path(self):
-        server = tiny_server(pool_size=2, scheduler="continuous",
+        server = tiny_server(pool_size=2,
                              max_wait_s=0.0)
         legacy = tiny_server(pool_size=2)
         warm(server, shards=2), warm(legacy, shards=2)
         reqs = [tiny_request(shards=2, arrival_s=0.0)]
         rc = server.serve([r for r in reqs])
-        rl = legacy.serve([r for r in reqs])
+        rl = serve_book_ahead(legacy, [r for r in reqs])
         assert np.array_equal(rc.responses[0].output, rl.responses[0].output)
         assert rc.responses[0].shards == 2
         assert rc.responses[0].barrier_s == pytest.approx(
@@ -472,7 +484,7 @@ class TestAdmissionIntegration:
     def test_interactive_overload_sheds(self):
         policy = SLOPolicy.default(interactive_queue_depth=2)
         server = tiny_server(
-            scheduler="continuous", slo_policy=policy,
+            slo_policy=policy,
             admission=AdmissionController(policy), max_wait_s=0.0,
         )
         exec_s = warm(server)
@@ -494,7 +506,7 @@ class TestAdmissionIntegration:
     def test_bulk_overload_defers_but_still_serves(self):
         policy = SLOPolicy.default(bulk_queue_depth=2)
         server = tiny_server(
-            scheduler="continuous", slo_policy=policy,
+            slo_policy=policy,
             admission=AdmissionController(policy, hard_limit_factor=100.0),
             max_batch_size=1, max_wait_s=0.0,
         )
@@ -515,7 +527,7 @@ class TestAdmissionIntegration:
 
     def test_unknown_slo_class_raises(self):
         policy = SLOPolicy.default()
-        server = tiny_server(scheduler="continuous", slo_policy=policy)
+        server = tiny_server(slo_policy=policy)
         warm(server)
         with pytest.raises(ValueError, match="SLO class"):
             server.serve([tiny_request(slo="platinum")])
@@ -534,7 +546,7 @@ class TestPreemption:
 
     def prepared_server(self):
         policy = SLOPolicy.default()
-        server = tiny_server(scheduler="continuous", slo_policy=policy,
+        server = tiny_server(slo_policy=policy,
                              max_wait_s=0.0)
         exec_s = warm(server, seed=3)
         warm(server, seed=4)
@@ -567,7 +579,7 @@ class TestPreemption:
 class TestAutoscalerIntegration:
     def test_pool_grows_under_backlog_and_drains_back(self):
         server = tiny_server(
-            pool_size=3, scheduler="continuous", max_wait_s=0.0,
+            pool_size=3, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(
                 min_devices=1, scale_up_queue_per_device=2.0,
             ),
@@ -590,7 +602,7 @@ class TestAutoscalerIntegration:
 
     def test_provision_delay_charges_the_new_device(self):
         server = tiny_server(
-            pool_size=2, scheduler="continuous", max_wait_s=0.0,
+            pool_size=2, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(
                 min_devices=1, scale_up_queue_per_device=1.0,
                 scale_down_queue_per_device=0.5,
@@ -617,7 +629,7 @@ class TestAutoscalerIntegration:
         # ready queue forever: nothing scaled up for it and the sweep
         # returned 0 responses, 0 shed, 0 deferred
         server = tiny_server(
-            pool_size=4, scheduler="continuous", max_wait_s=0.0,
+            pool_size=4, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(min_devices=1),
         )
         report = server.serve([tiny_request(shards=2)])
@@ -629,7 +641,7 @@ class TestAutoscalerIntegration:
         # the issue's own reproduction (default config: the planner
         # collapses so small a graph to one shard, it is still answered)
         server = InferenceServer(
-            pool_size=4, scheduler="continuous", max_wait_s=0.0,
+            pool_size=4, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(min_devices=1),
         )
         lost = InferenceRequest(model="GCN", dataset="CO", scale=0.2,
@@ -638,7 +650,7 @@ class TestAutoscalerIntegration:
 
     def test_shards_above_the_autoscaler_ceiling_are_rejected(self):
         server = tiny_server(
-            pool_size=4, scheduler="continuous",
+            pool_size=4,
             autoscaler=PoolAutoscaler(min_devices=1, max_devices=1),
         )
         with pytest.raises(ValueError, match=r"shards.*\[1, 1\]"):
@@ -650,12 +662,12 @@ class TestAutoscalerIntegration:
             self, monkeypatch):
         monkeypatch.setattr(ContinuousScheduler, "_schedule",
                             lambda self, t: None)
-        server = tiny_server(scheduler="continuous")
+        server = tiny_server()
         with pytest.raises(RuntimeError, match="1 admitted request"):
             server.serve([tiny_request()])
 
     def test_without_autoscaler_the_whole_pool_is_active(self):
-        server = tiny_server(pool_size=2, scheduler="continuous")
+        server = tiny_server(pool_size=2)
         warm(server)
         report = server.serve([tiny_request(arrival_s=0.0)])
         assert report.active_devices == 2
@@ -678,14 +690,16 @@ class TestBatcherRegressions:
 
     def test_zero_wait_is_due_immediately(self):
         # the window test is a strict <: a same-instant arrival can
-        # still coalesce, an instant later the group has flushed
+        # still coalesce, an instant later the group has flushed (and
+        # the latecomer can only join the execution in flight)
         a, b, c = (tiny_request(arrival_s=t)
                    for t in (0.5, 0.5, 0.5 + 1e-12))
         by_id = {r.request_id: r
                  for r in self.served([a, b, c], max_wait_s=0.0)}
         assert by_id[a.request_id].batch_id == by_id[b.request_id].batch_id
-        assert by_id[c.request_id].batch_id != by_id[a.request_id].batch_id
-        assert by_id[a.request_id].start_s == 0.5
+        assert not by_id[b.request_id].joined
+        assert by_id[c.request_id].joined
+        assert by_id[c.request_id].start_s > by_id[a.request_id].start_s == 0.5
 
     def test_due_and_drain_are_fifo_on_deadline_ties(self):
         # three groups opened at one instant share a deadline: they
@@ -745,7 +759,7 @@ class TestReportRoundTrip:
             interactive_target_p99_s=1.0, bulk_queue_depth=64,
         )
         server = tiny_server(
-            pool_size=2, scheduler="continuous", slo_policy=policy,
+            pool_size=2, slo_policy=policy,
             admission=AdmissionController(policy),
             autoscaler=PoolAutoscaler(min_devices=1,
                                       scale_up_queue_per_device=2.0),
@@ -761,7 +775,6 @@ class TestReportRoundTrip:
     def test_to_dict_round_trips_through_json(self, report):
         d = report.to_dict()
         again = json.loads(json.dumps(d))
-        assert again["scheduler"] == "continuous"
         for key in ("goodput_rps", "active_devices", "shed_requests",
                     "deferred_requests", "joined_requests", "preemptions",
                     "max_queue_depth", "class_breakdown",
@@ -795,13 +808,12 @@ class TestReportRoundTrip:
         if report.autoscaler_events:
             assert "autoscaler" in text
 
-    def test_legacy_report_defaults_stay_inert(self):
+    def test_report_defaults_stay_inert_without_targets(self):
         server = tiny_server()
         warm(server)
         report = server.serve([tiny_request(arrival_s=0.0)])
-        assert report.scheduler == "legacy"
         assert report.goodput_rps == pytest.approx(report.throughput_rps)
         assert report.autoscaler_events == []
-        assert report.shed_requests == 0
-        text = report.format_report()
-        assert "scheduler" not in text
+        assert (report.shed_requests, report.deferred_requests,
+                report.joined_requests, report.preemptions) == (0, 0, 0, 0)
+        assert "autoscaler" not in report.format_report()

@@ -63,6 +63,13 @@ class TestFingerprinting:
         assert r.program_key(make_tiny_config()) != \
             r.program_key(make_tiny_config(num_cores=1))
 
+    def test_a_config_is_fingerprinted_once(self):
+        # a request key reads the fingerprint, it never hashes the config
+        cfg = make_tiny_config()
+        assert cfg.fingerprint is cfg.fingerprint == repr(cfg)
+        assert tiny_request().program_key(cfg)[-1] is cfg.fingerprint
+        assert make_tiny_config(num_cores=1).fingerprint != cfg.fingerprint
+
     def test_strategy_changes_batch_key_but_not_program_key(self):
         cfg = make_tiny_config()
         a, b = tiny_request(), tiny_request(strategy="S1")
@@ -306,7 +313,9 @@ class TestInferenceServer:
         assert report.num_batches == 2
 
     def test_pool_scaling_on_saturating_workload(self):
-        workload = self._burst(12)
+        # four programs: requests for one program join its execution in
+        # flight, so only distinct programs can spread over devices
+        workload = [tiny_request(arrival_s=0.0, seed=3 + i % 4) for i in range(12)]
         reports = {}
         for pool in (1, 2):
             server = tiny_server(pool_size=pool, max_batch_size=2)
@@ -446,7 +455,9 @@ class TestServingAccountingFixes:
     def test_missing_hit_flag_raises_instead_of_reporting_a_hit(self):
         # a request the loop never looked up used to be reported as
         # cache_hit=True, silently inflating the hit rate
-        from repro.sched import ContinuousScheduler
+        from repro.sched import ContinuousScheduler, SLOClass
+        from repro.sched.scheduler import _Execution, _Group
+        from repro.serve import MicroBatch
 
         server = tiny_server()
         req = tiny_request(arrival_s=0.0)
@@ -456,8 +467,11 @@ class TestServingAccountingFixes:
         assert program is not None
         memo = server.engine.execute(program, stray.strategy, ready_s=0.0)
         sweep = ContinuousScheduler(server)
+        batch = MicroBatch(key=None, requests=[stray], opened_s=0.0, ready_s=0.0,
+                           batch_id=0)
+        finished = _Execution(_Group(batch, SLOClass("bulk", 0), 0.0, 1), memo, [0.0], [0])
         with pytest.raises(KeyError):
-            sweep._respond(stray, 0, 1, 0, memo, 0.0, 1.0, 1.0, 0.0)
+            sweep._respond(finished, 1.0)
         assert sweep.responses == []
 
     def test_executions_outlive_the_server_that_ran_them(self, kernel_calls):

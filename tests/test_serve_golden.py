@@ -1,4 +1,5 @@
-"""Golden digests of whole ``serve()`` sweeps, under both dispatch policies.
+"""Golden digests of whole ``serve()`` sweeps: the serve loop's, and the
+book-ahead oracle's.
 
 Every cell builds a fresh server, runs one request stream and hashes what
 came back: the report dictionary (key order included) and, per response,
@@ -7,7 +8,9 @@ finish, service and barrier times.  The digests were recorded from the
 commit *before* the two serve loops were merged (``python
 tests/test_serve_golden.py`` prints the table), so any difference means
 the one loop books, batches or accounts differently from the loop it
-replaced.
+replaced.  The ``legacy/*`` cells run the retired whole-batch book-ahead
+policy, kept as a test oracle (``tests/book_ahead.py``); the
+``continuous/*`` cells run the serve loop itself.
 
 Warm sweeps are deterministic as they are, apart from the compile seconds
 the program cache measures on the host; those two fields are dropped.  The
@@ -26,6 +29,7 @@ import json
 from unittest import mock
 
 import pytest
+from book_ahead import book_ahead
 from conftest import make_tiny_config
 
 from repro.compiler.compile import CompileTimings
@@ -78,10 +82,10 @@ def numbered(requests: list) -> list:
 def exec_s(srv: InferenceServer, **overrides) -> float:
     """Warm one program; returns its one-request execution time.
 
-    The compile is charged a constant 1 ms.  The continuous loop books a
-    cold execution segment by segment from the instant its compile ends,
-    so the seconds the response reports are rounded at the magnitude of
-    the compile's host time: a compile slower than 2**-9 s (1.95 ms; it
+    The compile is charged a constant 1 ms.  The serve loop chains a cold
+    execution's segments from the instant its compile ends, so the
+    seconds the response reports are rounded at the magnitude of the
+    compile's host time: a compile slower than 2**-9 s (1.95 ms; it
     takes about 1.2) moves them by a few ulp, and with them every arrival
     time a cell derives from this number.  The table was recorded below
     that bound, where any compile time gives the same float."""
@@ -112,21 +116,28 @@ def pinned_host_clock():
         yield
 
 
-# -- default policy -----------------------------------------------------
-def burst_one_device(scheduler):
-    srv = server(scheduler=scheduler)
+def probe_s() -> float:
+    """One-request execution time on the default server, as the book-ahead
+    default measured it when these cells were recorded."""
+    with book_ahead():
+        return exec_s(server())
+
+
+# -- cells of the oracle, several of them also run by the loop -----------
+def burst_one_device():
+    srv = server()
     t = exec_s(srv)
     return warm_then_serve(srv, stream(24, arrival="bursty", rate_rps=6.0 / t))
 
 
-def poisson_four_devices(scheduler, max_batch_size):
-    srv = server(scheduler=scheduler, pool_size=4, max_batch_size=max_batch_size)
+def poisson_four_devices(max_batch_size):
+    srv = server(pool_size=4, max_batch_size=max_batch_size)
     t = exec_s(srv)
     return warm_then_serve(srv, stream(40, rate_rps=12.0 / t))
 
 
-def zero_wait(scheduler):
-    srv = server(scheduler=scheduler, pool_size=2, max_wait_s=0.0)
+def zero_wait():
+    srv = server(pool_size=2, max_wait_s=0.0)
     t = exec_s(srv)
     requests = stream(16, rate_rps=4.0 / t)
     # same-instant arrivals must still coalesce under a zero window
@@ -134,10 +145,10 @@ def zero_wait(scheduler):
     return warm_then_serve(srv, requests)
 
 
-def mixed_shards(scheduler):
+def mixed_shards():
     """Widths 1/2/4 on four devices: group reservations, and narrow
     batches backfilling around a wide one."""
-    srv = server(scheduler=scheduler, pool_size=4, max_batch_size=2)
+    srv = server(pool_size=4, max_batch_size=2)
     t = exec_s(srv)
     requests = [
         request(shards=(1, 2, 4, 2, 1, 1)[i % 6], seed=3 + i % 2,
@@ -147,19 +158,17 @@ def mixed_shards(scheduler):
     return warm_then_serve(srv, requests)
 
 
-def two_class_goodput(scheduler):
-    probe = server()
-    t = exec_s(probe)
+def two_class_goodput():
+    t = probe_s()
     policy = SLOPolicy.default(interactive_target_p99_s=2.5 * t,
                                bulk_target_p99_s=6.0 * t)
-    srv = server(scheduler=scheduler, pool_size=2, slo_policy=policy)
+    srv = server(pool_size=2, slo_policy=policy)
     return warm_then_serve(srv, stream(36, rate_rps=8.0 / t, class_skew=0.4))
 
 
-def unknown_slo_tags(scheduler):
-    probe = server()
-    t = exec_s(probe)
-    srv = server(scheduler=scheduler, pool_size=2,
+def unknown_slo_tags():
+    t = probe_s()
+    srv = server(pool_size=2,
                  slo_policy=SLOPolicy.default(bulk_target_p99_s=3.0 * t))
     requests = stream(20, rate_rps=6.0 / t)
     for i, r in enumerate(requests):
@@ -167,20 +176,20 @@ def unknown_slo_tags(scheduler):
     return warm_then_serve(srv, requests)
 
 
-def empty_stream(scheduler):
-    return server(scheduler=scheduler, pool_size=2).serve([])
+def empty_stream():
+    return server(pool_size=2).serve([])
 
 
-def dynamic_server(scheduler, **overrides):
+def dynamic_server(**overrides):
     graph = MutableGraph(load_dataset("CO", scale=SCALE, seed=0), graph_id="dyn")
-    srv = server(scheduler=scheduler, **overrides)
+    srv = server(**overrides)
     srv.register_graph(graph)
     return srv, graph
 
 
-def mutation_only(scheduler):
+def mutation_only():
     with pinned_host_clock():
-        srv, graph = dynamic_server(scheduler)
+        srv, graph = dynamic_server()
         srv.serve(numbered([request(dataset="dyn", scale=None, seed=0)]))
         mutations = [
             MutationRequest(graph_id="dyn",
@@ -191,33 +200,32 @@ def mutation_only(scheduler):
         return srv.serve(numbered(mutations))
 
 
-def cold_pinned(scheduler, **overrides):
+def cold_pinned(**overrides):
     """A cold sweep over four programs whose compiles queue on the one
     host: hits on a program still compiling wait for it."""
     with pinned_host_clock():
-        srv = server(scheduler=scheduler, pool_size=2, **overrides)
+        srv = server(pool_size=2, **overrides)
         requests = stream(24, rate_rps=1.0 / 4e-4, datasets=("CO", "CI"))
         return srv.serve(numbered(requests))
 
 
-def churn_pinned(scheduler, **overrides):
+def churn_pinned(**overrides):
     with pinned_host_clock():
-        srv, graph = dynamic_server(scheduler, pool_size=2, **overrides)
+        srv, graph = dynamic_server(pool_size=2, **overrides)
         requests = churn_stream(32, graph=graph, strategies=("Dynamic", "S1"),
                                 mutation_every=5, rate_rps=1.0 / 5e-4, seed=4)
         return srv.serve(numbered(requests))
 
 
-# -- continuous policy --------------------------------------------------
+# -- cells of the loop alone -------------------------------------------
 def overload_joins():
-    srv = server(scheduler="continuous", pool_size=2)
+    srv = server(pool_size=2)
     t = exec_s(srv)
     return warm_then_serve(srv, stream(48, rate_rps=10.0 / t, class_skew=0.3))
 
 
 def preemption():
-    srv = server(scheduler="continuous", max_wait_s=0.0,
-                 slo_policy=SLOPolicy.default())
+    srv = server(max_wait_s=0.0, slo_policy=SLOPolicy.default())
     t = exec_s(srv, seed=3)
     exec_s(srv, seed=4), exec_s(srv, seed=5)
     requests = [
@@ -232,8 +240,7 @@ def preemption():
 
 def admission_shed_and_defer():
     policy = SLOPolicy.default(interactive_queue_depth=2, bulk_queue_depth=3)
-    srv = server(scheduler="continuous", slo_policy=policy, max_batch_size=2,
-                 max_wait_s=0.0,
+    srv = server(slo_policy=policy, max_batch_size=2, max_wait_s=0.0,
                  admission=AdmissionController(policy, hard_limit_factor=3.0))
     t = exec_s(srv, seed=3)
     exec_s(srv, seed=4), exec_s(srv, seed=5)
@@ -247,7 +254,7 @@ def admission_shed_and_defer():
 
 def autoscaler_up_and_down():
     srv = server(
-        scheduler="continuous", pool_size=3, max_wait_s=0.0,
+        pool_size=3, max_wait_s=0.0,
         autoscaler=PoolAutoscaler(min_devices=1, scale_up_queue_per_device=2.0,
                                   provision_delay_s=1e-4),
     )
@@ -261,7 +268,7 @@ def autoscaler_up_and_down():
 
 
 def sharded_join():
-    srv = server(scheduler="continuous", pool_size=4, max_wait_s=0.0)
+    srv = server(pool_size=4, max_wait_s=0.0)
     t = exec_s(srv, shards=2)
     exec_s(srv)
     requests = [request(shards=2, arrival_s=0.0)] + [
@@ -277,7 +284,7 @@ def custom_classes():
         SLOClass("silver", priority=2, max_wait_s=2e-4),
         SLOClass("bulk", priority=0),
     ))
-    srv = server(scheduler="continuous", pool_size=2, slo_policy=policy)
+    srv = server(pool_size=2, slo_policy=policy)
     t = exec_s(srv)
     requests = stream(30, rate_rps=9.0 / t)
     for i, r in enumerate(requests):
@@ -285,33 +292,40 @@ def custom_classes():
     return warm_then_serve(srv, requests)
 
 
+def legacy(cell, *args, **kwargs):
+    """A cell run through the book-ahead oracle."""
+    def run():
+        with book_ahead():
+            return cell(*args, **kwargs)
+    return run
+
+
 CELLS = {
-    "legacy/burst_one_device": lambda: burst_one_device("legacy"),
-    "legacy/poisson_four_devices/batch1": lambda: poisson_four_devices("legacy", 1),
-    "legacy/poisson_four_devices/batch8": lambda: poisson_four_devices("legacy", 8),
-    "legacy/zero_wait": lambda: zero_wait("legacy"),
-    "legacy/mixed_shards": lambda: mixed_shards("legacy"),
-    "legacy/two_class_goodput": lambda: two_class_goodput("legacy"),
-    "legacy/unknown_slo_tags": lambda: unknown_slo_tags("legacy"),
-    "legacy/empty_stream": lambda: empty_stream("legacy"),
-    "legacy/mutation_only/pinned": lambda: mutation_only("legacy"),
-    "legacy/cold/pinned": lambda: cold_pinned("legacy"),
-    "legacy/churn/pinned": lambda: churn_pinned("legacy"),
-    "legacy/churn_evict/pinned": lambda: churn_pinned(
-        "legacy", mutation_policy="evict"),
+    "legacy/burst_one_device": legacy(burst_one_device),
+    "legacy/poisson_four_devices/batch1": legacy(poisson_four_devices, 1),
+    "legacy/poisson_four_devices/batch8": legacy(poisson_four_devices, 8),
+    "legacy/zero_wait": legacy(zero_wait),
+    "legacy/mixed_shards": legacy(mixed_shards),
+    "legacy/two_class_goodput": legacy(two_class_goodput),
+    "legacy/unknown_slo_tags": legacy(unknown_slo_tags),
+    "legacy/empty_stream": legacy(empty_stream),
+    "legacy/mutation_only/pinned": legacy(mutation_only),
+    "legacy/cold/pinned": legacy(cold_pinned),
+    "legacy/churn/pinned": legacy(churn_pinned),
+    "legacy/churn_evict/pinned": legacy(churn_pinned, mutation_policy="evict"),
     "continuous/overload_joins": overload_joins,
     "continuous/preemption": preemption,
     "continuous/admission_shed_and_defer": admission_shed_and_defer,
     "continuous/autoscaler_up_and_down": autoscaler_up_and_down,
     "continuous/sharded_join": sharded_join,
     "continuous/custom_classes": custom_classes,
-    "continuous/burst_one_device": lambda: burst_one_device("continuous"),
-    "continuous/mixed_shards": lambda: mixed_shards("continuous"),
-    "continuous/two_class_goodput": lambda: two_class_goodput("continuous"),
-    "continuous/empty_stream": lambda: empty_stream("continuous"),
-    "continuous/mutation_only/pinned": lambda: mutation_only("continuous"),
-    "continuous/cold/pinned": lambda: cold_pinned("continuous"),
-    "continuous/churn/pinned": lambda: churn_pinned("continuous"),
+    "continuous/burst_one_device": burst_one_device,
+    "continuous/mixed_shards": mixed_shards,
+    "continuous/two_class_goodput": two_class_goodput,
+    "continuous/empty_stream": empty_stream,
+    "continuous/mutation_only/pinned": mutation_only,
+    "continuous/cold/pinned": cold_pinned,
+    "continuous/churn/pinned": churn_pinned,
 }
 
 
@@ -400,6 +414,15 @@ def first_difference(a: list, b: list) -> str | None:
 # report gained the ``pcie_*`` fields and counters.  With every transfer
 # charged again, that change reproduces each cell's response rows and
 # report, the new keys aside, bit for bit.
+# The 13 ``continuous/*`` cells were recorded again, by the same command,
+# by the change that made continuous batching the only dispatch policy
+# and booked an unsharded execution as one reservation: the report lost
+# its ``scheduler`` key.  The parent's command, with that key popped from
+# each report dictionary, prints 12 of those 13 rows as they are here; the
+# 13th, ``continuous/sharded_join``, differs from its popped row only in
+# ``sharded_requests`` (and its counter), 2 -> 5: the same change counts a
+# request that joins a sharded execution as a sharded request.  The 12
+# ``legacy/*`` rows, now the book-ahead oracle's, are the parent's.
 # Never regenerate the table to make a change pass.
 GOLDEN_DIGESTS: dict[str, str] = {
     'legacy/burst_one_device':
@@ -427,31 +450,31 @@ GOLDEN_DIGESTS: dict[str, str] = {
     'legacy/churn_evict/pinned':
         '95b816ea94e3d17466f594e1bf7a31795300e75d9e3bf27cd5840e3c9b13b07c',
     'continuous/overload_joins':
-        'd2f787e660e9ce782204dc6f36d57d71673b66c63b95b41f5da9875dec52906b',
+        '64569b5592925ed2a24c043bccfe0541cfdb584cbdbe05ce3e4c60b04211f4c0',
     'continuous/preemption':
-        '3444b0217959d0f84ec36ffed4103097d72b74769b698105a5cd276081ad2920',
+        '7085435c9ae4170799bc8e38cecc5b5044e29053bd0dffb7a21aa4c42bb7a16a',
     'continuous/admission_shed_and_defer':
-        'b6feb4d4e57166256e6a82ecbb1615e87c5d4dbb556c2b0d7af1a00f430c8d32',
+        '5894f0c478d061c06a3d8c196704ba4e47db76a237c6a6c1a35b2b9a6708eba8',
     'continuous/autoscaler_up_and_down':
-        '5df639b9fdd0ccf4dc172a840979668fc8c8eac89ab390a4a5de2481c18b82fd',
+        '289156a5e4bb771e8e49d663f27d1b50d0956ca80400489d00839fa3fcd6c3c1',
     'continuous/sharded_join':
-        'ca610263c8fb8b0745bf38b2a224169811491484888ee1686a1336fd094f647f',
+        '10cc666c90a3c97f890d8725424b7d8ec530be241bdbada7c28b078c3409d857',
     'continuous/custom_classes':
-        'c22308b6cef6e916a52b966555e917b69d765375c12b8a8b49172b3334c9894d',
+        '62bb730c1c887291f5f21596e07651bbf164c232f544942fbcecf674415d4bef',
     'continuous/burst_one_device':
-        'c96e0b4ffd08e677145b625f9b660610af69c659b49c970470414d4ddeb06b23',
+        'fa9807e7d06f48b880b1b74d0d7fdf54f039b413412e44ba149354f93c8b0f2a',
     'continuous/mixed_shards':
-        'f55f499fadc625ed837cad6eea172b74259b58472aeb127b4a2fcdecafab53f1',
+        '364d95dd2ebac2b6f6125ae1ea454ce5b5030f2ce83cf23206b924ab5cbc9249',
     'continuous/two_class_goodput':
-        '8dc8db06839392e63bbe03a8e235e5e202904f79e90dcc6cbf4c19d3456e1f8d',
+        '73c18e5e37b81759946a1f64ad84aaea1c39fad36b7e27a58523c0650c279139',
     'continuous/empty_stream':
-        '45675ce2478c4d9a284f11c6a1a9228a02017c0b479b15d309952335521ac2db',
+        '99b36182fa4890751854b4b4a5ccf3d23e73bea209e29ba56c606dfd46f9b07a',
     'continuous/mutation_only/pinned':
-        '26094975b6ca3310136ac7db9611928fe831801ac7bbbc240c67bc0824c83be8',
+        '2498f6c62c1f207c2248dfab4571718ac56a4081fcfab534c90e4007e4092271',
     'continuous/cold/pinned':
-        '69fcb5dd6bed5d2fbb1b4d9e5d61af7a555cab343dfd8222c9e0c87d89bcafe4',
+        '7d42f55fa0077259342250ac2ae95e5efc4eb5f2dd53c9b5ecc05620e75c1636',
     'continuous/churn/pinned':
-        '70f2bcb2b6ca0e970bbb29f2f8578c3c92ab2df1d61dbb7220d205e91ff0f240',
+        '0f5df217ca989f61617f43090f5a2fa20565fc54ff781f3efaec65270a236938',
 }
 
 
@@ -503,6 +526,7 @@ def test_cells_reach_what_they_name():
     assert max(scaled) > 0 and min(scaled) < 0
     sharded = sweep("continuous/sharded_join")
     assert any(r.joined and r.shards == 2 for r in sharded.responses)
+    assert sharded.sharded_requests == sum(r.shards == 2 for r in sharded.responses)
     assert sweep("continuous/cold/pinned").cache_misses == 4
 
 

@@ -1,22 +1,31 @@
 """Property test over the serve loop's state space.
 
 Tiny streams (at most 12 requests over two programs, shard widths 1 and
-2, two SLO classes) through both dispatch policies, with and without an
-autoscaler and with admission bounds tight enough to shed and defer.
+2, two SLO classes) through the serve loop, with and without an
+autoscaler and admission bounds tight enough to shed and defer, and
+through the book-ahead oracle (``tests/book_ahead.py``).
 Whatever the stream, a sweep must account for every request exactly
 once, keep each response's phases summing to its latency, never book
 one device for two things at once, send a device each input slice at
 most once, and charge no response more than a device holding nothing
-would.
+would.  And the serve loop must book every execution's segments exactly
+once, at the chained sums of their seconds: a device's busy seconds are
+the chained sum of what it ran, a joiner starts at a layer boundary of
+its execution, and a preempted execution's reservation ends at the
+boundary where it paused.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+from unittest import mock
 
+from book_ahead import serve_book_ahead
 from conftest import make_tiny_config
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.hw.memory import pcie_transfer_seconds
 from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
 from repro.serve import InferenceRequest, InferenceServer
 
@@ -37,7 +46,7 @@ def warm_server(scheduler, autoscale, max_batch_size, max_wait_s):
     execution simulated, so an example costs one warm sweep."""
     continuous = scheduler == "continuous"
     server = InferenceServer(
-        make_tiny_config(), pool_size=3, scheduler=scheduler,
+        make_tiny_config(), pool_size=3,
         max_batch_size=max_batch_size, max_wait_s=max_wait_s,
         slo_policy=POLICY,
         admission=AdmissionController(POLICY) if continuous else None,
@@ -67,19 +76,25 @@ arrivals = st.lists(
 )
 
 
-@given(configurations, arrivals)
-@settings(max_examples=200, deadline=None, derandomize=True)
-def test_every_sweep_accounts_for_every_request(configuration, stream):
-    (scheduler, autoscale), max_batch_size, max_wait_s = configuration
-    server = warm_server(scheduler, autoscale, max_batch_size, max_wait_s)
+def timed(server, stream) -> list:
     exec_s = server.estimate_service_s(request(seed=SEEDS[0]))
     requests, t = [], 0.0
     for seed, shards, slo, gap in stream:
         t += gap * exec_s
         requests.append(request(seed=seed, shards=shards, slo=slo,
                                 arrival_s=t))
+    return requests
 
-    report = server.serve(requests)
+
+@given(configurations, arrivals)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_every_sweep_accounts_for_every_request(configuration, stream):
+    (scheduler, autoscale), max_batch_size, max_wait_s = configuration
+    server = warm_server(scheduler, autoscale, max_batch_size, max_wait_s)
+    requests = timed(server, stream)
+
+    report = (server.serve(requests) if scheduler == "continuous"
+              else serve_book_ahead(server, requests))
 
     # exactly one of response or shed, and nothing left parked
     answered = [r.request_id for r in report.responses]
@@ -121,3 +136,84 @@ def test_every_sweep_accounts_for_every_request(configuration, stream):
         estimate = server.estimate_service_s(
             request(seed=sent[r.request_id].seed, shards=r.shards))
         assert r.service_s - preempted_s <= estimate + 1e-12
+
+
+def chained(start: float, seconds: list) -> list:
+    """``start`` and every partial sum after it, added in order."""
+    return list(itertools.accumulate(seconds, initial=start))
+
+
+@given(st.tuples(st.booleans(), st.sampled_from([1, 2, 4]),
+                 st.sampled_from([0.0, 2e-4])), arrivals)
+# bulk runs on every device when an interactive request of a program not
+# in flight arrives: it preempts the unsharded one at a layer boundary,
+# and a later bulk request joins the paused execution at its resume
+@example((False, 1, 0.0), [(3, 1, "bulk", 0.0), (4, 2, "bulk", 0.0),
+                           (4, 1, "interactive", 0.05), (3, 1, "bulk", 0.3)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_every_execution_books_its_segments_once(configuration, stream):
+    autoscale, max_batch_size, max_wait_s = configuration
+    server = warm_server("continuous", autoscale, max_batch_size, max_wait_s)
+    requests = timed(server, stream)
+    pool, engine = server.pool, server.engine
+    # (device, batch id, start, seconds charged, end) of every booking
+    booked = []
+    submit_run, submit_on = pool.submit_run, pool.submit_on
+
+    def run(device, segments, start, **kwargs):
+        end = submit_run(device, segments, start, **kwargs)
+        booked.append((device, kwargs["batch_id"], start, list(segments), end))
+        return end
+
+    def on(device, service_s, ready_s, *, busy_s=None, **kwargs):
+        start, end = submit_on(device, service_s, ready_s, busy_s=busy_s, **kwargs)
+        booked.append((device, kwargs["batch_id"], start, [busy_s], end))
+        return start, end
+
+    with mock.patch.object(pool, "submit_run", run), mock.patch.object(pool, "submit_on", on):
+        report = server.serve(requests)
+
+    # a device's busy seconds: the chained sum of what it was charged
+    for device in range(pool.num_devices):
+        charged = [s for d, *_, seconds, _ in booked if d == device for s in seconds]
+        assert chained(0.0, charged)[-1] == pool.busy[device]
+    sent = {r.request_id: r for r in requests}
+    executions: dict[int, list] = {}
+    for r in report.responses:
+        executions.setdefault(r.batch_id, []).append(r)
+    spans = {batch: [b for b in booked if b[1] == batch] for batch in executions}
+    assert sum(len(s) for s in spans.values()) == (
+        sum(r[0].shards for r in executions.values()) + report.preemptions)
+    for batch, members in executions.items():
+        first = sent[members[0].request_id]
+        program = server.cache.peek(first.program_key(server.config))
+        layers = [float(s) for s in engine.execute(
+            program, first.strategy, first.shards, ready_s=0.0).segments_s]
+        transfer = pcie_transfer_seconds(program.input_bytes(), server.config)
+        founder = next(r for r in members if not r.joined)
+        if founder.shards > 1:
+            # one reservation per device, to the last barrier: the input
+            # is whichever of (nothing, the transfer) that end is made of
+            (input_s,) = [s for s in (0.0, transfer)
+                          if founder.start_s + (s + sum(layers)) == founder.finish_s]
+            boundaries = chained(founder.start_s, [input_s, *layers][:-1])
+        else:
+            # every segment booked once, in order, each span at the
+            # chained sums of its own; a pause ends a span at a boundary
+            # (where the preemptor starts) and the next resumes its rest
+            device = {d for d, *_ in spans[batch]}
+            assert device == {founder.device}
+            seconds = [s for *_, segments, _ in spans[batch] for s in segments]
+            assert seconds[0] in (0.0, transfer) and seconds[1:] == layers
+            boundaries = []
+            for _, _, start, segments, end in spans[batch]:
+                boundaries += chained(start, segments)
+                assert boundaries[-1] == end
+            on_device = [b for b in booked if b[0] == founder.device]
+            for span in spans[batch][:-1]:
+                preemptor = on_device[on_device.index(span) + 1]
+                assert preemptor[1] != batch and preemptor[2] == span[4]
+        for r in members:
+            assert r.finish_s == boundaries[-1] or founder.shards > 1
+            if r.joined:
+                assert r.start_s in boundaries
