@@ -6,7 +6,8 @@ models, per-task scheduling) into a single structure-of-arrays pass per
 kernel (:mod:`repro.runtime.vectorized`): one batched Analyzer decide
 over every (task, pair), batched operand byte/nnz arithmetic, grouped
 cycle reductions and one native product per operand pair.  The per-task
-loop survives as ``execute_kernel_tasks_reference``, the oracle.  (The
+loop survives in the test suite as ``execute_kernel_tasks_reference``
+(``tests/task_oracle.py``), the oracle this bench imports.  (The
 CSR-native stripe split that rewrite also brought is no longer part of
 the ratio: ``PartitionedMatrix.block`` reads the same block-major layout
 as ``csr_blocks_for_row``, so the reference loop has it too.)
@@ -19,19 +20,22 @@ the compile/view costs both paths share.  The committed baseline is the
 repo's record that the rewrite landed and CI's guard that it stays in.
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from _common import Metric, emit, format_table, get_program, register_bench
 from repro.hw import Accelerator
-from repro.runtime import (
-    CoreTimeline,
-    execute_kernel_tasks,
-    execute_kernel_tasks_reference,
-)
+from repro.runtime import CoreTimeline, execute_kernel_tasks
 from repro.runtime.executor import KernelAssembly, run_strategy
 from repro.runtime.strategies import make_strategy
+
+_tests = str(Path(__file__).resolve().parent.parent / "tests")
+if _tests not in sys.path:
+    sys.path.append(_tests)
+from task_oracle import execute_kernel_tasks_reference  # noqa: E402
 
 REPEATS = 3
 

@@ -6,9 +6,10 @@ these inner loops, each rewritten as single numpy / native passes:
 1. ``formats.partition.block_nnz_grid`` — the per-block nonzero census
    every compile and re-profile runs.  The ``np.add.at`` scatter-add
    became a CSR-native ``np.bincount`` over contiguous ``indptr`` slices
-   (the reference implementation is kept as
-   ``block_nnz_grid_reference``).  Dense operands — every intermediate
-   feature matrix of a warm ``infer`` — are counted as a boolean mask,
+   (the reference implementation is kept in the test suite as
+   ``block_nnz_grid_reference``, ``tests/unit_oracles.py``).  Dense
+   operands — every intermediate feature matrix of a warm ``infer`` —
+   are counted as a boolean mask,
    contiguous axis first; the dense cell below is GIN/CiteSeer's
    3327x3703 intermediate, the costliest census of the perf ledger.
 2. ``runtime.strategies.DynamicMapping.decide_batch`` — Algorithm 7
@@ -47,6 +48,9 @@ are bit-identical, and reports the speedup — the committed baseline under
 (>= 2x on both at the default scale) and CI's guard that it stays in.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -54,11 +58,7 @@ from _common import Metric, best_of, emit, format_table, register_bench
 from repro import load_dataset, u250_default
 from repro.dyngraph.mutable import _csr_find
 from repro.formats.dense import DTYPE
-from repro.formats.partition import (
-    PartitionedMatrix,
-    block_nnz_grid,
-    block_nnz_grid_reference,
-)
+from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 from repro.gnn import build_adjacency_variants
 from repro.hw.spmm_unit import spmm_workloads
 from repro.runtime.perf_model import PairBatch
@@ -71,6 +71,11 @@ from repro.runtime.vectorized import (
     _add_csr_csr_product,
     _entry_route,
 )
+
+_tests = str(Path(__file__).resolve().parent.parent / "tests")
+if _tests not in sys.path:
+    sys.path.append(_tests)
+from unit_oracles import block_nnz_grid_reference  # noqa: E402
 
 #: default scale of both microbenches (identical in smoke and full: the
 #: kernels are milliseconds, and the baseline must record the real ratio)

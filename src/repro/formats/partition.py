@@ -224,9 +224,9 @@ def block_nnz_grid(
     each block row is a contiguous ``indptr`` slice, so the census is one
     ``indices // block_cols`` pass plus one :func:`numpy.bincount` per
     block row — no row-coordinate materialisation at all, ~6x faster
-    than the scatter-add (``np.add.at``) this replaced (see
-    ``block_nnz_grid_reference`` and the ``micro_block_nnz_grid``
-    bench), and bit-identical to it.  A dense operand is counted as a
+    than the scatter-add (``np.add.at``) this replaced (kept in the test
+    suite as the oracle, timed by the ``micro_block_nnz_grid`` bench),
+    and bit-identical to it.  A dense operand is counted as a
     boolean mask (``-0.0`` a zero, ``NaN`` a nonzero), each row's column
     blocks first (the contiguous axis), block rows second: no coordinate
     arrays, no integer copy of the operand.  Everything else (COO,
@@ -269,22 +269,6 @@ def block_nnz_grid(
         return np.zeros((nr, nc), dtype=np.int64)
     flat = (rows // block_rows).astype(np.int64) * nc + cols // block_cols
     return np.bincount(flat, minlength=nr * nc).reshape(nr, nc).astype(np.int64)
-
-
-def block_nnz_grid_reference(
-    mat: MatrixLike, block_rows: int, block_cols: int
-) -> np.ndarray:
-    """Pre-vectorisation ``block_nnz_grid`` (scatter-add), kept as the
-    bit-exactness oracle and the "before" side of the hot-path
-    microbenchmark (``repro bench --names micro_block_nnz_grid``)."""
-    nr, nc = grid_dims(mat.shape, block_rows, block_cols)
-    grid = np.zeros((nr, nc), dtype=np.int64)
-    if nr == 0 or nc == 0:
-        return grid
-    rows, cols = _nonzero_coords(mat)
-    if rows.size:
-        np.add.at(grid, (rows // block_rows, cols // block_cols), 1)
-    return grid
 
 
 class PartitionedMatrix:

@@ -17,13 +17,12 @@ simultaneously produces a cycle count derived from the microarchitecture:
 - :mod:`repro.hw.buffers` — on-chip buffer capacity and ``g(So)``;
 - :mod:`repro.hw.resources` — FPGA resource estimates (Fig. 9).
 
-A hardware unit is the cycles it bills.  A functional model of one stays
-only where a test holds a billed formula against it: each of the three
-mode modules ships a *faithful* element-level simulator (``run_*_faithful``)
-that the test suite checks the closed-form ``*_compute_cycles`` and
-``spmm_workloads`` against, by a direct execution of the paper's
-algorithm.  The buffers' banks and the shuffle networks' butterflies have
-no such model: no bill reads them.
+A hardware unit is the cycles it bills, and a core is the bills of a
+kernel's pairs and tasks, taken all at once (``batch_pair_cycles``,
+``batch_task_writeback``): the runtime has one execution path.  The
+element-level simulators of the three modes, and the per-pair, per-task
+core the batched bills replaced, live in the test suite as the oracles
+these bills and :func:`repro.formats.csr.matmul` are held against.
 """
 
 from repro.hw.report import CycleReport, Primitive

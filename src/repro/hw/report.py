@@ -130,15 +130,3 @@ class CycleReport:
             self.bytes_written,
             self.mode_switches,
         )
-
-
-@dataclass
-class PairExecution:
-    """Result of multiplying one (Xit, Ytj) partition pair."""
-
-    primitive: Primitive
-    report: CycleReport
-    #: True when the product was computed in the transposed orientation
-    #: (sparser operand on the right was moved into BufferU), landing the
-    #: partial result column-major in the Result Buffer.
-    transposed: bool = False

@@ -12,22 +12,15 @@ Unit accumulates into ``Z[j]``.
 Zeros of the *sparse* operand are skipped entirely; zeros of the dense
 operand are not — hence Table IV's ``alpha_min * 2*m*n*d / psys**2``.
 
-The fast path charges the conflict-free cycle count (the butterfly's
-buffering absorbs transient congestion, §VII); the faithful simulator
-models per-bank and per-unit serialisation so tests can bound the gap.
+The core bills the conflict-free cycle count (the butterfly's buffering
+absorbs transient congestion, §VII); the test suite's element-level
+simulator models per-bank and per-unit serialisation to bound the gap.
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from repro.config import AcceleratorConfig
 from repro.formats.convert import Sizes
-from repro.formats.csr import as_csr, as_dense, MatrixLike
-from repro.formats.dense import DTYPE
-from repro.hw.report import CycleReport
 
 
 def spdmm_compute_cycles(
@@ -48,74 +41,3 @@ def spdmm_compute_cycles(
     # max(mac_bound, fetch_bound), spelt so that an array takes it too
     bound = mac_bound + (fetch_bound - mac_bound) * (fetch_bound > mac_bound)
     return (bound + config.pipeline_depth) * (macs != 0)
-
-
-def run_spdmm(
-    sparse: MatrixLike, dense: MatrixLike, config: AcceleratorConfig
-) -> tuple[np.ndarray, CycleReport]:
-    """Execute SpDMM mode: ``Z = sparse @ dense``.
-
-    ``sparse`` is the BufferU operand (zeros skipped), ``dense`` the
-    BufferO operand.  MAC count is exactly ``nnz(sparse) * d``.
-    """
-    xs = as_csr(sparse)
-    if xs.nnz and np.any(xs.data == 0):
-        xs = xs.copy()
-        xs.eliminate_zeros()
-    yd = as_dense(dense)
-    if xs.shape[1] != yd.shape[0]:
-        raise ValueError(f"shape mismatch: {xs.shape} @ {yd.shape}")
-    d = yd.shape[1]
-    z = np.asarray(xs @ yd, dtype=DTYPE)
-    report = CycleReport(
-        compute=spdmm_compute_cycles(xs.nnz, d, config),
-        macs=int(xs.nnz) * d,
-    )
-    return z, report
-
-
-def run_spdmm_faithful(
-    sparse: MatrixLike, dense: MatrixLike, config: AcceleratorConfig
-) -> tuple[np.ndarray, int]:
-    """Element-level Algorithm 5 with bank/unit serialisation.
-
-    Each cycle a group of up to ``psys/2`` nonzeros is fetched.  Within a
-    group, accesses to the same BufferO bank (``i mod psys``) or the same
-    Update Unit (``j mod psys/2``) serialise.  An Update Unit occupies
-    ``ceil(d / psys)`` cycles per accepted element (it has ``psys`` ALUs
-    for a ``d``-long row).  Returns the exact result and the simulated
-    cycle count (>= the conflict-free fast-path count).
-    """
-    p = config.psys
-    half = p // 2
-    xs = as_csr(sparse).tocoo()
-    yd = as_dense(dense)
-    m = xs.shape[0]
-    d = yd.shape[1]
-    z = np.zeros((m, d), dtype=DTYPE)
-    mask = xs.data != 0
-    rows, cols, vals = xs.row[mask], xs.col[mask], xs.data[mask]
-    # COO row-major order: the stream leaves BufferU sorted by (row, col)
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-
-    occupancy = math.ceil(d / p) if d else 0
-    unit_free = np.zeros(half, dtype=np.int64)
-    cycle = 0
-    for g in range(0, rows.size, half):
-        gr = rows[g : g + half]
-        gc = cols[g : g + half]
-        gv = vals[g : g + half]
-        cycle += 1  # fetch cycle for this group
-        # ISN: one access per BufferO bank per cycle
-        bank_counts = np.bincount(gc % p, minlength=p)
-        isn_rounds = int(bank_counts.max()) if bank_counts.size else 1
-        cycle += max(isn_rounds - 1, 0)
-        for r, c, v in zip(gr, gc, gv):
-            unit = int(r) % half
-            start = max(cycle, int(unit_free[unit]))
-            unit_free[unit] = start + occupancy
-            # update + reduce: Z[j] += v * Y[i]
-            z[r, :] += DTYPE(v) * yd[c, :]
-    total = int(max(cycle, unit_free.max() if unit_free.size else 0))
-    return z, total + config.pipeline_depth

@@ -22,8 +22,6 @@ import numpy as np
 
 from repro.config import AcceleratorConfig
 from repro.formats.csr import as_csr, eliminate_zeros, MatrixLike
-from repro.formats.dense import DTYPE
-from repro.hw.report import CycleReport
 
 
 def _countable(mat: MatrixLike) -> MatrixLike:
@@ -55,7 +53,8 @@ def spmm_workloads(
     column sums of the row loads zero-padded to a multiple of ``psys``
     and folded to ``(-1, psys)``.  A dense ``Y``'s rows are counted with
     ``count_nonzero``, a dense ``X``'s row loads are one boolean mat-vec
-    against them: the same int64 loads.  ``run_spmm_faithful`` is the oracle.
+    against them: the same int64 loads.  The test suite's element-level
+    Algorithm 6 is the oracle.
     """
     xs = x if zero_free else _countable(x)
     if y_rows is None:
@@ -88,57 +87,3 @@ def spmm_compute_cycles(
     if macs == 0:
         return 0, 0
     return int(scp_loads.max()) + config.pipeline_depth, macs
-
-
-def run_spmm(
-    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig
-) -> tuple[np.ndarray, CycleReport]:
-    """Execute SPMM mode: ``Z = X @ Y`` with both operands sparse."""
-    xs = as_csr(x)
-    ys = as_csr(y)
-    if xs.shape[1] != ys.shape[0]:
-        raise ValueError(f"shape mismatch: {xs.shape} @ {ys.shape}")
-    cycles, macs = spmm_compute_cycles(xs, ys, config)
-    z = np.asarray((xs @ ys).todense(), dtype=DTYPE)
-    report = CycleReport(compute=cycles, macs=macs)
-    return z, report
-
-
-def run_spmm_faithful(
-    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig
-) -> tuple[np.ndarray, int]:
-    """Element-level Algorithm 6: explicit per-SCP row-wise products.
-
-    Each SCP processes its assigned output rows serially; one
-    multiply+merge per cycle.  The Sparse Data Queue is modelled as a
-    dict keyed by column index, merged in arrival order.
-    """
-    p = config.psys
-    xs = as_csr(x)
-    ys = as_csr(y)
-    m = xs.shape[0]
-    d = ys.shape[1]
-    z = np.zeros((m, d), dtype=DTYPE)
-    scp_cycles = np.zeros(p, dtype=np.int64)
-    for j in range(m):  # output row j -> SCP[j % p]
-        scp = j % p
-        queue: dict[int, np.float32] = {}
-        start, end = xs.indptr[j], xs.indptr[j + 1]
-        for idx in range(start, end):  # Scatter: each e(i, j, value) of X[j]
-            i = xs.indices[idx]
-            v = xs.data[idx]
-            if v == 0:
-                continue
-            ys_start, ys_end = ys.indptr[i], ys.indptr[i + 1]
-            for yidx in range(ys_start, ys_end):  # Gather over nonzero Y[i][k]
-                k = ys.indices[yidx]
-                yv = ys.data[yidx]
-                if yv == 0:
-                    continue
-                u = DTYPE(v * yv)  # Update
-                queue[k] = DTYPE(queue.get(k, DTYPE(0.0)) + u)  # Reduce/merge
-                scp_cycles[scp] += 1
-        for k, val in queue.items():
-            z[j, k] = val
-    total = int(scp_cycles.max()) if m else 0
-    return z, total + config.pipeline_depth

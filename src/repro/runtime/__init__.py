@@ -33,7 +33,6 @@ from repro.runtime.executor import (
     execute_kernel_tasks,
     run_strategy,
 )
-from repro.runtime.reference import execute_kernel_tasks_reference
 from repro.runtime.stats import KernelStats, TaskLoopStats
 
 __all__ = [
@@ -52,7 +51,6 @@ __all__ = [
     "end_to_end_seconds",
     "run_strategy",
     "execute_kernel_tasks",
-    "execute_kernel_tasks_reference",
     "KernelStats",
     "TaskLoopStats",
 ]

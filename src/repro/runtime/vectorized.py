@@ -1,11 +1,14 @@
 """The task loop: whole-layer structure-of-arrays execution.
 
 The inner loop of the runtime (Analyzer decisions -> Scheduler core
-assignment -> core execution -> output write-back).  The reference
-oracle (:mod:`repro.runtime.reference`) walks one Python iteration
-per task and one :class:`OperandSpec` pair per inner block — the
-dominant simulator cost on large graphs.  :func:`execute_kernel_tasks`
-runs the same semantics as four batched passes over the whole kernel:
+assignment -> core execution -> output write-back), and its only
+execution path.  The loop it replaced walked one Python iteration per
+task and one operand pair per inner block — the dominant simulator cost
+on large graphs — and survives in the test suite as the bit-exactness
+oracle (``tests/task_oracle.py``).  :func:`execute_kernel_tasks` runs
+the same semantics as four batched passes over the whole kernel, billed
+by :func:`repro.hw.core.batch_pair_cycles` and
+:func:`repro.hw.core.batch_task_writeback`:
 
 1. **Decide + account** — one ``strategy.decide_batch`` call over every
    (task, pair) of the kernel (one ``PairBatch``), followed by batched
@@ -41,7 +44,7 @@ runs the same semantics as four batched passes over the whole kernel:
    ``SPARSE_HOLDING``, dense otherwise.
 3. **Write-back accounting** — task latencies from per-task stream sums
    (sequential float reductions via ``np.add.at`` / ``np.add.accumulate``
-   so kernel totals match the reference's accumulation order exactly),
+   so kernel totals match the oracle's accumulation order exactly),
    batched profiler/merger cycles, and each output partition's
    dense-or-COO stream from its profiled count and its task's read
    streams (the core's rule, :func:`repro.hw.core.writeback_stream`).
@@ -49,12 +52,13 @@ runs the same semantics as four batched passes over the whole kernel:
    earliest-available core choice (FIFO in task order) and the per-core
    mode-switch state machine.
 
-Bit-exactness against the reference loop — outputs, CycleReport totals,
+Bit-exactness against the oracle — outputs, CycleReport totals,
 primitive counts, wave counts and the timeline event set — is asserted
 by ``tests/test_executor_vectorised.py`` and the
-``bench_executor_vectorised`` BenchSpec.  A pair that would overflow the
-on-chip buffers raises :class:`~repro.hw.buffers.BufferOverflowError`
-*before any state mutation*.
+``bench_executor_vectorised`` BenchSpec.  A pair whose dense operand
+would overflow its buffer (BufferO or BufferP) raises
+:class:`~repro.hw.buffers.BufferOverflowError` *before any state
+mutation*.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ def finalise_task_loop(
 ) -> TaskLoopStats:
     """Shared post-loop bookkeeping: wave counts + wave/task trace spans.
 
-    The task loop and its reference oracle derive waves and spans from
+    The task loop and its per-task oracle derive waves and spans from
     the timeline events they just booked, so tracing cannot perturb
     bit-exactness.
     """
@@ -252,8 +256,8 @@ def execute_kernel_tasks(
 
     ``tasks`` is any :class:`~repro.ir.scheme.TaskBatch` over the
     kernel's grid (the whole grid, or one lane's block rows); writes
-    land in the shared ``assembly``.  Bit-exact against the oracle in
-    :mod:`repro.runtime.reference`, which takes the same arguments.
+    land in the shared ``assembly``.  Bit-exact against the per-task oracle
+    of the test suite, which takes the same arguments.
 
     Raises :class:`~repro.hw.buffers.BufferOverflowError` — without
     having mutated any accelerator, timeline, ledger or assembly state —
@@ -290,10 +294,11 @@ def execute_kernel_tasks(
     codes = np.array(codes, copy=True)
     transp = np.array(transp, dtype=bool)
 
-    # SPMM capacity degrade (Y must be COO-resident; see reference loop):
-    # a fixed mapping's, the Analyzer weighs no candidate that does not fit
-    words_u = acc.config.buffers.words_per_buffer
-    degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > words_u)
+    # SPMM capacity degrade (SPMM reads Y's rows at random, so Y must be
+    # COO-resident in BufferU, 3 words a nonzero): a fixed mapping's, the
+    # Analyzer weighs no candidate that does not fit
+    held = acc.config.buffers.words_per_buffer
+    degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > held)
     if degrade.any():
         codes[degrade] = SPDMM_CODE
         transp[degrade] = False
@@ -301,21 +306,23 @@ def execute_kernel_tasks(
     live = codes != SKIP_CODE
     elems_x = m_p * n_p
     elems_y = n_p * d_p
-    # capacity pre-check mirroring execute_pair (SPMM's resident COO
-    # operand already fits, by the degrade above), before any state is
-    # touched
+    # capacity pre-check of the dense operands, before any state is
+    # touched: GEMM holds X in BufferO and Y in BufferP, SpDMM its dense
+    # side in BufferO (its sparse side streams through BufferU, and
+    # SPMM's resident COO operand already fits, by the degrade above)
     need_p = np.where(
         codes == GEMM_CODE,
         np.maximum(elems_x, elems_y),
         np.where(codes == SPDMM_CODE, np.where(transp, elems_x, elems_y), 0),
     )
-    over = np.flatnonzero(need_p > words_u)
+    over = np.flatnonzero(need_p > held)
     if over.size:
         p = int(over[0])
+        gemm_y = codes[p] == GEMM_CODE and elems_y[p] > elems_x[p]
         raise BufferOverflowError(
             f"kernel {kernel.kernel_id}: pair X[{rows[tix[p]]},{js[p]}] @ "
             f"Y[{js[p]},{cols[tix[p]]}] needs {need_p[p]} words, "
-            f"BufferU holds {words_u}"
+            f"{'BufferP' if gemm_y else 'BufferO'} holds {held}"
         )
 
     lp = np.flatnonzero(live)
@@ -327,8 +334,8 @@ def execute_kernel_tasks(
         executed_t = live_count_t > 0
     dispatched = int(executed_t.sum())
 
-    # the bugfix the reference loop mirrors: bandwidth shares come from
-    # tasks actually dispatched, not the pre-skip task count
+    # bandwidth shares come from tasks actually dispatched, not the
+    # pre-skip task count
     concurrency = min(acc.num_cores, dispatched)
     for core in acc.cores:
         core.active_cores = concurrency
@@ -494,7 +501,7 @@ def execute_kernel_tasks(
         np.add.at(macs_t, lt, macs_p[lp])
         np.add.at(read_bytes_t, lt, read_bytes_p[lp])
         # np.add.at is a strictly sequential scatter-add, so per-task
-        # float sums replicate the reference's pair-order accumulation
+        # float sums replicate a per-pair loop's accumulation order
         np.add.at(mem_t, lt, read_cyc_p[lp])
     profile_t, wb_tr_t, write_bytes_t, coo_t = batch_task_writeback(
         core0, m_t * d_t, out_nnz_t, merged_t, mem_t, trans_t

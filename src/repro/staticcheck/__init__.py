@@ -2,7 +2,7 @@
 
 An stdlib-``ast`` analyzer that machine-checks the conventions the
 stack's correctness rests on — virtual-clock purity (RPR1xx), seeded
-determinism (RPR2xx), unit-suffix hygiene (RPR3xx), reference-oracle
+determinism (RPR2xx), unit-suffix hygiene (RPR3xx), frozen-instance
 exactness contracts (RPR4xx) and public-API hygiene (RPR5xx) — plus a
 mypy strict-typing ratchet.  Run it as ``repro staticcheck``; see the
 README "Static analysis" section for the rule catalog and suppression
@@ -21,7 +21,6 @@ from repro.staticcheck.core import (
     CLOCKED_PACKAGES,
     FileContext,
     Finding,
-    ProjectContext,
     Rule,
     RULES,
     StaticCheckError,
@@ -49,7 +48,6 @@ __all__ = [
     "DEFAULT_MYPY_BASELINE",
     "FileContext",
     "Finding",
-    "ProjectContext",
     "RULES",
     "RatchetResult",
     "Rule",

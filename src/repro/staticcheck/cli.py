@@ -22,7 +22,6 @@ from repro.staticcheck.report import (
 
 #: default analysis roots, repo-relative
 DEFAULT_PATHS = ("src/repro",)
-DEFAULT_TEST_PATHS = ("tests",)
 
 
 def add_parser(sub) -> None:
@@ -72,9 +71,7 @@ def main(args) -> int:
         if args.rules else None
     )
     try:
-        findings = run_checks(
-            root, paths=paths, test_paths=DEFAULT_TEST_PATHS, codes=codes
-        )
+        findings = run_checks(root, paths=paths, codes=codes)
     except StaticCheckError as exc:
         print(f"staticcheck: {exc}")
         return 2

@@ -1,13 +1,11 @@
-"""Rule registry, file/project contexts and the check driver.
+"""Rule registry, file contexts and the check driver.
 
 ``repro.staticcheck`` machine-checks the conventions the rest of the
 stack silently relies on: virtual-clock purity, seeded determinism,
-``_s``/``_bytes``/``_cycles`` unit hygiene, reference-oracle pairing and
-public-API contracts.  Every rule is a plain function registered with
-:func:`register_rule`; the driver parses each file once with stdlib
-:mod:`ast` and hands the tree to every file-scoped rule, then hands the
-whole parsed corpus to the project-scoped rules (cross-file contracts
-such as "every ``*_reference`` oracle has a vectorised counterpart").
+``_s``/``_bytes``/``_cycles`` unit hygiene, frozen-instance exactness
+and public-API contracts.  Every rule is a plain function registered
+with :func:`register_rule`; the driver parses each file once with stdlib
+:mod:`ast` and hands the tree to every rule.
 
 Suppression is explicit and comment-local::
 
@@ -27,7 +25,7 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 #: modules whose code runs against the virtual clock: a host wall-clock
 #: read here would silently couple simulated latency to machine speed
@@ -78,7 +76,6 @@ class Rule:
     code: str
     category: str
     default_severity: str
-    scope: str  # "file" | "project"
     summary: str
     check: Callable[..., Iterable[tuple[int, str]]]
 
@@ -87,24 +84,14 @@ class Rule:
 RULES: dict[str, Rule] = {}
 
 
-def register_rule(
-    code: str,
-    category: str,
-    default_severity: str = "error",
-    *,
-    scope: str = "file",
-):
+def register_rule(code: str, category: str, default_severity: str = "error"):
     """Register ``fn`` as the checker for ``code``.
 
-    ``fn`` receives a :class:`FileContext` (``scope="file"``) or a
-    :class:`ProjectContext` (``scope="project"``) and yields
-    ``(line, message)`` pairs.  The first docstring line becomes the
-    rule's catalog summary.
+    ``fn`` receives a :class:`FileContext` and yields ``(line, message)``
+    pairs.  The first docstring line becomes the rule's catalog summary.
     """
     if not re.fullmatch(r"RPR\d{3}", code):
         raise ValueError(f"rule code must match RPR###, got {code!r}")
-    if scope not in ("file", "project"):
-        raise ValueError(f"scope must be 'file' or 'project', got {scope!r}")
     if default_severity not in ("error", "warning"):
         raise ValueError(f"unknown severity {default_severity!r}")
 
@@ -116,7 +103,6 @@ def register_rule(
             code=code,
             category=category,
             default_severity=default_severity,
-            scope=scope,
             summary=summary,
             check=fn,
         )
@@ -164,15 +150,6 @@ class FileContext:
             return True
         codes = self.suppressed_lines.get(line)
         return codes is not None and ("*" in codes or code in codes)
-
-
-@dataclass
-class ProjectContext:
-    """The parsed corpus handed to cross-file rules."""
-
-    files: list[FileContext]
-    #: raw text of test files, for "a test references both names" checks
-    test_texts: dict[str, str] = field(default_factory=dict)
 
 
 class StaticCheckError(Exception):
@@ -247,14 +224,12 @@ def _load_builtin_rules() -> None:
 def run_checks(
     root: Path,
     paths: Iterable[str] = ("src/repro",),
-    test_paths: Iterable[str] = ("tests",),
     codes: Iterable[str] | None = None,
 ) -> list[Finding]:
     """Run every registered rule over ``paths``; returns sorted findings.
 
-    ``test_paths`` are read (not rule-checked) so project-scoped rules
-    can assert "a test references X".  ``codes`` restricts to a subset
-    of rules — the test fixtures use this to isolate one rule.
+    ``codes`` restricts to a subset of rules — the test fixtures use this
+    to isolate one rule.
     """
     _load_builtin_rules()
     root = root.resolve()
@@ -264,29 +239,11 @@ def run_checks(
         raise StaticCheckError(f"unknown rule code(s): {', '.join(unknown)}")
 
     contexts = [load_file(p, root) for p in discover_files(root, paths)]
-    test_texts: dict[str, str] = {}
-    for rel in test_paths:
-        p = root / rel
-        if not p.exists():
-            continue
-        for f in sorted(p.rglob("*.py")) if p.is_dir() else [p]:
-            test_texts[f.relative_to(root).as_posix()] = f.read_text(encoding="utf-8")
-    project = ProjectContext(files=contexts, test_texts=test_texts)
-
     findings: list[Finding] = []
     for code in selected:
         rule = RULES[code]
-        if rule.scope == "file":
-            for ctx in contexts:
-                for line, message in rule.check(ctx):
-                    if not ctx.is_suppressed(code, line):
-                        findings.append(Finding(
-                            code=code, category=rule.category,
-                            severity=rule.default_severity,
-                            path=ctx.rel_path, line=line, message=message,
-                        ))
-        else:
-            for ctx, line, message in rule.check(project):
+        for ctx in contexts:
+            for line, message in rule.check(ctx):
                 if not ctx.is_suppressed(code, line):
                     findings.append(Finding(
                         code=code, category=rule.category,

@@ -1,53 +1,17 @@
 """RPR4xx — exactness contracts.
 
-Every performance PR in this repo is licensed by a bit-exactness proof
-against a retained reference implementation (``*_reference`` oracles:
-``execute_kernel_tasks_reference``, ``block_nnz_grid_reference``).  The
-contract has two halves the type system cannot see: the oracle must have
-a fast counterpart with the unsuffixed name, and at least one test must
-exercise *both* names (otherwise the proof silently stops running).
-Frozen dataclasses are the other exactness primitive — mutation through
+Frozen dataclasses are an exactness primitive: mutation through
 ``object.__setattr__`` from outside the instance's own methods defeats
-the freeze and is how cached/shared state gets corrupted.
+the freeze and is how cached/shared state gets corrupted.  (The
+bit-exactness oracles the fast paths are held against live in the test
+suite, each imported by the tests that run it.)
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.staticcheck.core import ProjectContext, register_rule
-
-_REFERENCE_SUFFIX = "_reference"
-
-
-@register_rule("RPR401", "exactness", "error", scope="project")
-def reference_oracle_pairing(project: ProjectContext):
-    """Every ``*_reference`` oracle needs a fast counterpart and a test naming both."""
-    defs: dict[str, list[tuple]] = {}
-    for ctx in project.files:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.setdefault(node.name, []).append((ctx, node.lineno))
-    for name, sites in sorted(defs.items()):
-        if not name.endswith(_REFERENCE_SUFFIX) or name.startswith("_"):
-            continue
-        counterpart = name[: -len(_REFERENCE_SUFFIX)]
-        ctx, lineno = sites[0]
-        if counterpart not in defs:
-            yield ctx, lineno, (
-                f"oracle {name}() has no fast counterpart {counterpart}(); "
-                f"a reference without a subject proves nothing"
-            )
-            continue
-        tested = any(
-            name in text and counterpart in text
-            for text in project.test_texts.values()
-        )
-        if not tested:
-            yield ctx, lineno, (
-                f"no test references both {name} and {counterpart}: the "
-                f"bit-exactness proof for this pair is not running"
-            )
+from repro.staticcheck.core import register_rule
 
 
 @register_rule("RPR402", "exactness", "error")

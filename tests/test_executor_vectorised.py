@@ -2,8 +2,8 @@
 
 The whole-layer structure-of-arrays pass of
 :mod:`repro.runtime.vectorized` is only admissible because it is
-*bit-exact* against :func:`~repro.runtime.reference
-.execute_kernel_tasks_reference`: same outputs, CycleReport totals,
+*bit-exact* against ``task_oracle.execute_kernel_tasks_reference``
+(the per-task, per-pair loop it replaced): same outputs, CycleReport totals,
 primitive counts, wave counts and timeline events.  These tests pin that
 contract across models, strategies, datasets and sharding, plus the
 supporting machinery (TaskBatch SoA, stripe block splitting), the
@@ -35,16 +35,12 @@ from repro.hw import Accelerator
 from repro.hw.buffers import BufferOverflowError
 from repro.hw.report import CycleReport
 from repro.ir.scheme import TaskBatch
-from repro.runtime import (
-    CoreTimeline,
-    execute_kernel_tasks,
-    execute_kernel_tasks_reference,
-    make_strategy,
-)
+from repro.runtime import CoreTimeline, execute_kernel_tasks, make_strategy
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
 from repro.shard import plan_shards
 
 from conftest import make_tiny_config
+from task_oracle import execute_kernel_tasks_reference
 
 
 def _dense(o):
@@ -555,10 +551,14 @@ class TestBufferOverflow:
         message = str(err.value)
         assert kernel.kernel_id in message
         assert re.search(r"X\[\d+,\d+\] @ Y\[\d+,\d+\]", message)
-        needed, held = map(
-            int, re.search(r"needs (\d+) words.*holds (\d+)", message).groups()
-        )
-        assert needed > held == acc.config.buffers.words_per_buffer
+        needed, buffer, held = re.search(
+            r"needs (\d+) words, (\w+) holds (\d+)", message
+        ).groups()
+        assert int(needed) > int(held) == acc.config.buffers.words_per_buffer
+        # a dense operand overflowed, and dense operands sit in BufferO
+        # (GEMM's X, SpDMM's dense side) or BufferP (GEMM's Y): BufferU
+        # holds the COO operand this check never sizes
+        assert buffer == "BufferO"
         assert timeline.events == []
         assert not timeline.busy.any()
         assert assembly.out_dense is None and assembly.blocks == {}

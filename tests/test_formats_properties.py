@@ -6,13 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.formats.convert import DenseToSparseModule
 from repro.formats.csr import sorted_unique
-from repro.formats.partition import (
-    PartitionedMatrix,
-    block_nnz_grid,
-    block_nnz_grid_reference,
-)
+from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 
 from conftest import reassemble_from_blocks
+from unit_oracles import block_nnz_grid_reference
 
 
 @st.composite

@@ -1,4 +1,5 @@
-"""Tests for the Computation Core: pair/task execution + AHM accounting."""
+"""Tests for the Computation Core: its bills held against the per-pair,
+per-task oracle (``task_oracle``), plus AHM and write-back accounting."""
 
 import dataclasses
 
@@ -12,13 +13,13 @@ from repro.hw.accelerator import Accelerator
 from repro.hw.buffers import BufferOverflowError
 from repro.hw.core import (
     ComputationCore,
-    OperandSpec,
-    PairDecision,
+    batch_pair_cycles,
     batch_task_writeback,
     writeback_stream,
 )
 from repro.hw.memory import ExternalMemory
-from repro.hw.report import CycleReport, Primitive, stage_cycles
+from repro.hw.report import PRIMITIVE_CODES, CycleReport, Primitive, stage_cycles
+from task_oracle import OperandSpec, PairDecision, execute_pair, execute_task
 
 CFG = make_tiny_config()
 
@@ -40,23 +41,51 @@ def fresh_core():
 
 
 class TestExecutePair:
-    @pytest.mark.parametrize("prim", [Primitive.GEMM, Primitive.SPDMM, Primitive.SPMM])
-    def test_all_primitives_same_product(self, prim):
+    @pytest.mark.parametrize("prim, transposed, x_sparse, y_sparse", [
+        pytest.param(
+            prim, transposed, x_sparse, y_sparse,
+            id="-".join(
+                [str(prim)] + ["transposed"] * transposed
+                + ([] if x_sparse and y_sparse else
+                   [f"x{'coo' if x_sparse else 'dense'}",
+                    f"y{'coo' if y_sparse else 'dense'}"])
+            ),
+        )
+        for prim, transposed in (
+            (Primitive.GEMM, False), (Primitive.SPDMM, False),
+            (Primitive.SPDMM, True), (Primitive.SPMM, False),
+        )
+        for x_sparse in (True, False)
+        for y_sparse in (True, False)
+    ])
+    def test_all_primitives_same_product(self, prim, transposed, x_sparse, y_sparse):
         x = random_sparse(8, 6, 0.4, seed=1)
         y = random_sparse(6, 5, 0.5, seed=2)
+        xs, ys = spec_from(x, x_sparse), spec_from(y, y_sparse)
         core = fresh_core()
-        z, ex = core.execute_pair(
-            spec_from(x, True), spec_from(y, True), PairDecision(prim)
-        )
+        z, ex = execute_pair(core, xs, ys, PairDecision(prim, transposed))
         np.testing.assert_allclose(z, (x @ y).toarray(), rtol=1e-5)
         assert ex.primitive is prim
         assert ex.report.compute > 0
+        # the bill of that pair is the oracle's, pair by pair; SPMM's
+        # compute and MACs are data-dependent and billed in the
+        # functional pass, so the batched bill leaves them zero
+        compute, transform, macs = (int(v[0]) for v in batch_pair_cycles(
+            core, np.array([PRIMITIVE_CODES[prim]]), np.array([transposed]),
+            *(np.array([v]) for v in (8, 6, 5, xs.nnz, ys.nnz)),
+            x_sparse, y_sparse,
+        ))
+        assert transform == ex.report.transform
+        if prim is Primitive.SPMM:
+            assert compute == macs == 0
+        else:
+            assert (compute, macs) == (ex.report.compute, ex.report.macs)
 
     def test_skip_pair_costs_nothing(self):
         core = fresh_core()
         x = spec_from(np.zeros((4, 4), dtype=np.float32))
         y = spec_from(np.ones((4, 4), dtype=np.float32))
-        z, ex = core.execute_pair(x, y, PairDecision(Primitive.SKIP))
+        z, ex = execute_pair(core, x, y, PairDecision(Primitive.SKIP))
         assert z is None
         assert ex.report.compute == 0
         assert ex.report.memory == 0
@@ -66,8 +95,8 @@ class TestExecutePair:
         x = np.random.default_rng(3).random((6, 5)).astype(np.float32)
         y = random_sparse(5, 7, 0.2, seed=4)
         core = fresh_core()
-        z, ex = core.execute_pair(
-            spec_from(x), spec_from(y, True),
+        z, ex = execute_pair(
+            core, spec_from(x), spec_from(y, True),
             PairDecision(Primitive.SPDMM, transposed=True),
         )
         np.testing.assert_allclose(z, x @ y.toarray(), rtol=1e-5)
@@ -79,21 +108,21 @@ class TestExecutePair:
         core = fresh_core()
         x = spec_from(np.ones((4, 4), dtype=np.float32))
         y = spec_from(np.ones((4, 4), dtype=np.float32))
-        _, ex = core.execute_pair(x, y, PairDecision(Primitive.GEMM))
+        _, ex = execute_pair(core, x, y, PairDecision(Primitive.GEMM))
         assert ex.report.transform > 0  # the LTU pass for Y
 
     def test_spdmm_charges_d2s_when_sparse_operand_stored_dense(self):
         core = fresh_core()
         x = spec_from(np.eye(4, dtype=np.float32), stored_sparse=False)
         y = spec_from(np.ones((4, 4), dtype=np.float32))
-        _, ex = core.execute_pair(x, y, PairDecision(Primitive.SPDMM))
+        _, ex = execute_pair(core, x, y, PairDecision(Primitive.SPDMM))
         assert ex.report.transform > 0
 
     def test_spdmm_no_transform_when_formats_match(self):
         core = fresh_core()
         x = spec_from(random_sparse(4, 4, 0.5, seed=5), stored_sparse=True)
         y = spec_from(np.ones((4, 4), dtype=np.float32), stored_sparse=False)
-        _, ex = core.execute_pair(x, y, PairDecision(Primitive.SPDMM))
+        _, ex = execute_pair(core, x, y, PairDecision(Primitive.SPDMM))
         assert ex.report.transform == 0
 
     def test_memory_bytes_reflect_storage_format(self):
@@ -102,9 +131,9 @@ class TestExecutePair:
         x_sparse = spec_from(xs, stored_sparse=True)
         x_dense = spec_from(xs, stored_sparse=False)
         y = spec_from(np.ones((8, 4), dtype=np.float32))
-        _, ex1 = core.execute_pair(x_sparse, y, PairDecision(Primitive.SPDMM))
+        _, ex1 = execute_pair(core, x_sparse, y, PairDecision(Primitive.SPDMM))
         core2 = fresh_core()
-        _, ex2 = core2.execute_pair(x_dense, y, PairDecision(Primitive.SPDMM))
+        _, ex2 = execute_pair(core2, x_dense, y, PairDecision(Primitive.SPDMM))
         assert ex1.report.bytes_read == 12 * xs.nnz + 4 * 32
         assert ex2.report.bytes_read == 4 * 64 + 4 * 32
 
@@ -112,9 +141,9 @@ class TestExecutePair:
         core = fresh_core()
         x = spec_from(np.ones((4, 4), dtype=np.float32))
         y = spec_from(np.ones((4, 4), dtype=np.float32))
-        _, ex1 = core.execute_pair(x, y, PairDecision(Primitive.GEMM))
-        _, ex2 = core.execute_pair(x, y, PairDecision(Primitive.SPDMM))
-        _, ex3 = core.execute_pair(x, y, PairDecision(Primitive.SPDMM))
+        _, ex1 = execute_pair(core, x, y, PairDecision(Primitive.GEMM))
+        _, ex2 = execute_pair(core, x, y, PairDecision(Primitive.SPDMM))
+        _, ex3 = execute_pair(core, x, y, PairDecision(Primitive.SPDMM))
         assert ex1.report.mode_switches == 0
         assert ex2.report.mode_switches == 1
         assert ex3.report.mode_switches == 0
@@ -123,8 +152,8 @@ class TestExecutePair:
         big = np.ones((400, 400), dtype=np.float32)  # 160k words > 64k
         core = fresh_core()
         with pytest.raises(BufferOverflowError):
-            core.execute_pair(
-                spec_from(big), spec_from(big), PairDecision(Primitive.GEMM)
+            execute_pair(
+                core, spec_from(big), spec_from(big), PairDecision(Primitive.GEMM)
             )
 
 
@@ -138,7 +167,7 @@ class TestExecuteTask:
             for x, y in zip(xs, ys)
         ]
         core = fresh_core()
-        result = core.execute_task(pairs, (4, 5))
+        result = execute_task(core, pairs, (4, 5))
         expect = sum(x @ y for x, y in zip(xs, ys))
         np.testing.assert_allclose(result.z, expect, rtol=1e-5)
         assert result.primitive_counts[Primitive.GEMM] == 3
@@ -147,15 +176,15 @@ class TestExecuteTask:
         init = np.full((2, 2), 10.0, dtype=np.float32)
         x = np.eye(2, dtype=np.float32)
         pairs = [(spec_from(x), spec_from(x), PairDecision(Primitive.GEMM))]
-        result = fresh_core().execute_task(pairs, (2, 2), accumulate_init=init)
+        result = execute_task(fresh_core(), pairs, (2, 2), accumulate_init=init)
         np.testing.assert_allclose(result.z, init + np.eye(2))
 
     def test_activation_applied_after_accumulation(self):
         x = -np.eye(2, dtype=np.float32)
         pairs = [(spec_from(x), spec_from(np.eye(2, dtype=np.float32)),
                   PairDecision(Primitive.GEMM))]
-        result = fresh_core().execute_task(
-            pairs, (2, 2), activation=lambda z: np.maximum(z, 0)
+        result = execute_task(
+            fresh_core(), pairs, (2, 2), activation=lambda z: np.maximum(z, 0)
         )
         np.testing.assert_array_equal(result.z, np.zeros((2, 2)))
 
@@ -168,14 +197,14 @@ class TestExecuteTask:
             (spec_from(x), spec_from(x), PairDecision(Primitive.GEMM)),
         ]
         core = fresh_core()
-        result = core.execute_task(pairs, (4, 4))
+        result = execute_task(core, pairs, (4, 4))
         np.testing.assert_allclose(
             result.z, x @ ys.toarray() + x @ x, rtol=1e-5
         )
         # the row-major accumulator plus the column-major one, in float32,
         # and one layout-merger pass over Z on top of the pairs' own passes
-        col, col_ex = fresh_core().execute_pair(*pairs[0])
-        row, row_ex = fresh_core().execute_pair(*pairs[1])
+        col, col_ex = execute_pair(fresh_core(), *pairs[0])
+        row, row_ex = execute_pair(fresh_core(), *pairs[1])
         np.testing.assert_array_equal(result.z, row + col)
         assert result.z.dtype == np.float32
         merger = core.merger.cycles_for(16)
@@ -219,7 +248,7 @@ class TestExecuteTask:
         # a task that read nothing: the core bills the shorter stream
         z = np.zeros(size, dtype=np.float32)
         z[:nnz] = 1.0
-        r = core.execute_task([], (m, d), accumulate_init=z.reshape(m, d))
+        r = execute_task(core, [], (m, d), accumulate_init=z.reshape(m, d))
         rep = r.report
         empty = writeback_stream(core, size, nnz, 0.0, 0)
         assert (r.coo_writeback, rep.transform, rep.bytes_written) == tuple(
@@ -241,7 +270,7 @@ class TestExecuteTask:
         for nnz, coo in ((88, False), (87, True)):
             z = np.zeros(264, dtype=np.float32)
             z[:nnz] = 1.0
-            r = core.execute_task([], (12, 22), accumulate_init=z.reshape(12, 22))
+            r = execute_task(core, [], (12, 22), accumulate_init=z.reshape(12, 22))
             assert r.coo_writeback is coo
             assert r.report.bytes_written == (12 * nnz if coo else 4 * 264)
         # after reads whose AHM passes took 27 cycles, 11 nonzeros stream in
@@ -302,7 +331,7 @@ class TestExecuteTask:
     def test_latency_double_buffering_is_max(self):
         x = np.ones((4, 4), dtype=np.float32)
         pairs = [(spec_from(x), spec_from(x), PairDecision(Primitive.GEMM))]
-        result = fresh_core().execute_task(pairs, (4, 4))
+        result = execute_task(fresh_core(), pairs, (4, 4))
         r = result.report
         expect = max(r.compute, r.memory, r.transform) + r.mode_switches
         assert result.latency == pytest.approx(expect)
@@ -315,7 +344,7 @@ class TestExecuteTask:
         core = ComputationCore(cfg, ExternalMemory(cfg))
         x = np.ones((4, 4), dtype=np.float32)
         pairs = [(spec_from(x), spec_from(x), PairDecision(Primitive.GEMM))]
-        result = core.execute_task(pairs, (4, 4))
+        result = execute_task(core, pairs, (4, 4))
         r = result.report
         assert result.latency == pytest.approx(
             r.compute + r.memory + r.transform + r.profile + r.mode_switches
@@ -325,20 +354,20 @@ class TestExecuteTask:
         x = np.ones((4, 4), dtype=np.float32)
         pairs = [(spec_from(x), spec_from(x), PairDecision(Primitive.GEMM))]
         core = fresh_core()
-        result = core.execute_task(pairs, (4, 4))
+        result = execute_task(core, pairs, (4, 4))
         # Z leaves the Result Buffer dense: the profiler streams every element
         assert result.report.profile == core.profiler.cycles_for(16) > 0
         assert result.output_nnz == 16
 
     def test_empty_task_with_init_keeps_init(self):
         init = np.full((3, 3), 2.0, dtype=np.float32)
-        result = fresh_core().execute_task([], (3, 3), accumulate_init=init)
+        result = execute_task(fresh_core(), [], (3, 3), accumulate_init=init)
         np.testing.assert_array_equal(result.z, init)
 
     def test_bad_init_shape(self):
         with pytest.raises(ValueError):
-            fresh_core().execute_task(
-                [], (3, 3), accumulate_init=np.zeros((2, 2), dtype=np.float32)
+            execute_task(
+                fresh_core(), [], (3, 3), accumulate_init=np.zeros((2, 2), dtype=np.float32)
             )
 
 

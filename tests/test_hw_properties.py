@@ -5,10 +5,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_tiny_config
-from repro.hw.gemm_unit import gemm_compute_cycles, run_gemm
-from repro.hw.spdmm_unit import run_spdmm, run_spdmm_faithful, spdmm_compute_cycles
-from repro.hw.spmm_unit import run_spmm, run_spmm_faithful
+from repro.formats.csr import matmul
+from repro.hw.gemm_unit import gemm_compute_cycles
+from repro.hw.spdmm_unit import spdmm_compute_cycles
+from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.runtime.perf_model import model_cycles_batch
+from unit_oracles import run_gemm_faithful, run_spdmm_faithful, run_spmm_faithful
 
 CFG = make_tiny_config()
 
@@ -33,23 +35,35 @@ class TestModeEquivalence:
     @given(sparse_pair())
     @settings(max_examples=40, deadline=None)
     def test_all_three_modes_compute_same_product(self, pair):
-        """§III-A: the primitives differ only in which zeros they skip."""
+        """§III-A: the primitives differ only in which zeros they skip, so
+        the one product the core computes (``matmul``, whichever side is
+        held dense) is each mode's."""
         x, y = pair
-        z_gemm, _ = run_gemm(x.toarray(), y.toarray(), CFG)
-        z_spdmm, _ = run_spdmm(x, y, CFG)
-        z_spmm, _ = run_spmm(x, y, CFG)
-        np.testing.assert_allclose(z_spdmm, z_gemm, rtol=1e-4, atol=1e-5)
-        np.testing.assert_allclose(z_spmm, z_gemm, rtol=1e-4, atol=1e-5)
+        z = matmul(x, y)
+        for xx, yy in ((x.toarray(), y.toarray()), (x, y.toarray()), (x.toarray(), y)):
+            np.testing.assert_allclose(matmul(xx, yy), z, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(
+            z, x.toarray().astype(np.float64) @ y.toarray(), rtol=1e-4, atol=1e-5
+        )
 
     @given(sparse_pair(max_dim=8))
     @settings(max_examples=20, deadline=None)
     def test_faithful_simulators_agree(self, pair):
+        """Each mode's Algorithm, run entry by entry, computes ``matmul``'s
+        product and takes the cycles its formula bills (SpDMM's at least:
+        the faithful one serialises bank and unit conflicts)."""
         x, y = pair
-        z_ref = np.asarray((x @ y).todense(), dtype=np.float32)
-        z_spdmm, _ = run_spdmm_faithful(x, y.toarray(), CFG)
-        z_spmm, _ = run_spmm_faithful(x, y, CFG)
-        np.testing.assert_allclose(z_spdmm, z_ref, rtol=1e-3, atol=1e-4)
-        np.testing.assert_allclose(z_spmm, z_ref, rtol=1e-3, atol=1e-4)
+        (m, n), d = x.shape, y.shape[1]
+        z_ref = matmul(x, y)
+        z_gemm, gemm = run_gemm_faithful(x, y, CFG)
+        z_spdmm, spdmm = run_spdmm_faithful(x, y.toarray(), CFG)
+        z_spmm, spmm = run_spmm_faithful(x, y, CFG)
+        for z in (z_gemm, z_spdmm, z_spmm):
+            np.testing.assert_allclose(z, z_ref, rtol=1e-3, atol=1e-4)
+        assert gemm == gemm_compute_cycles(m, n, d, CFG)
+        assert spdmm >= spdmm_compute_cycles(x.nnz, d, CFG)
+        billed, macs = spmm_compute_cycles(x, y, CFG)
+        assert spmm == billed or macs == billed == 0
 
 
 class TestCycleInvariants:

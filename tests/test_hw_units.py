@@ -1,27 +1,23 @@
 """Tests for the three execution-mode units (GEMM / SpDMM / SPMM).
 
-Each unit is validated three ways: numerics against NumPy, the fast cycle
-model against Table IV's idealisation, and — crucially — the fast path
-against the faithful element-level simulation of the paper's algorithm.
+Each unit is validated three ways: the product the core computes
+(``formats.csr.matmul``) against NumPy, the billed cycle formula against
+Table IV's idealisation, and — crucially — both against the faithful
+element-level simulation of the paper's algorithm (``unit_oracles``).
 """
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import make_tiny_config, random_sparse
-from repro.hw.gemm_unit import gemm_compute_cycles, run_gemm, run_gemm_faithful
+from repro.formats.csr import matmul
+from repro.formats.partition import block_nnz_grid
+from repro.hw.gemm_unit import gemm_compute_cycles
 from repro.hw.report import exposed_stream
-from repro.hw.spdmm_unit import (
-    run_spdmm,
-    run_spdmm_faithful,
-    spdmm_compute_cycles,
-)
-from repro.hw.spmm_unit import (
-    run_spmm,
-    run_spmm_faithful,
-    spmm_compute_cycles,
-    spmm_workloads,
-)
+from repro.hw.spdmm_unit import spdmm_compute_cycles
+from repro.hw.spmm_unit import spmm_compute_cycles, spmm_workloads
+from unit_oracles import run_gemm_faithful, run_spdmm_faithful, run_spmm_faithful
 
 CFG = make_tiny_config()
 
@@ -31,9 +27,10 @@ class TestGEMM:
         rng = np.random.default_rng(0)
         x = rng.random((9, 7)).astype(np.float32)
         y = rng.random((7, 5)).astype(np.float32)
-        z, rep = run_gemm(x, y, CFG)
-        np.testing.assert_allclose(z, x @ y, rtol=1e-5)
-        assert rep.macs == 9 * 7 * 5
+        z_faith, cycles = run_gemm_faithful(x, y, CFG)
+        np.testing.assert_allclose(matmul(x, y), x @ y, rtol=1e-5)
+        np.testing.assert_allclose(z_faith, x @ y, rtol=1e-5)
+        assert cycles == gemm_compute_cycles(9, 7, 5, CFG)
 
     def test_cycles_tile_exact(self):
         # 9x7 @ 7x5 with psys=4: 3x2 tiles, each 7+8 cycles
@@ -53,34 +50,29 @@ class TestGEMM:
     def test_empty_dims(self):
         assert gemm_compute_cycles(0, 4, 4, CFG) == 0
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            run_gemm(np.ones((2, 3)), np.ones((4, 2)), CFG)
-
     def test_faithful_matches_fast(self):
         rng = np.random.default_rng(1)
         x = rng.integers(0, 3, (6, 5)).astype(np.float32)
         y = rng.integers(0, 3, (5, 7)).astype(np.float32)
-        z_fast, rep = run_gemm(x, y, CFG)
         z_faith, cycles = run_gemm_faithful(x, y, CFG)
-        np.testing.assert_allclose(z_faith, z_fast, rtol=1e-6)
-        assert cycles == rep.compute
+        np.testing.assert_allclose(z_faith, matmul(x, y), rtol=1e-6)
+        assert cycles == gemm_compute_cycles(6, 5, 7, CFG)
 
     def test_gemm_ignores_sparsity(self):
         """GEMM cycles are identical for dense and all-zero inputs."""
         z0 = gemm_compute_cycles(8, 8, 8, CFG)
         x = np.zeros((8, 8), dtype=np.float32)
-        _, rep = run_gemm(x, x, CFG)
-        assert rep.compute == z0
+        _, cycles = run_gemm_faithful(x, x, CFG)
+        assert cycles == z0
 
 
 class TestSpDMM:
     def test_numerics(self):
         x = random_sparse(10, 8, 0.3, seed=2)
         y = np.random.default_rng(3).random((8, 6)).astype(np.float32)
-        z, rep = run_spdmm(x, y, CFG)
-        np.testing.assert_allclose(z, x.toarray() @ y, rtol=1e-5)
-        assert rep.macs == x.nnz * 6
+        z_faith, _ = run_spdmm_faithful(x, y, CFG)
+        np.testing.assert_allclose(matmul(x, y), x.toarray() @ y, rtol=1e-5)
+        np.testing.assert_allclose(z_faith, x.toarray() @ y, rtol=1e-5)
 
     def test_cycles_scale_with_nnz(self):
         c1 = spdmm_compute_cycles(100, 16, CFG)
@@ -101,27 +93,29 @@ class TestSpDMM:
         assert cycles == int(np.ceil(10 * 64 / 8)) + CFG.pipeline_depth
 
     def test_stored_zeros_skipped(self):
-        import scipy.sparse as sp
-
         x = sp.csr_matrix(
             (np.array([0.0, 2.0], dtype=np.float32), ([0, 1], [0, 1])),
             shape=(2, 2),
         )
         y = np.eye(2, dtype=np.float32)
-        _, rep = run_spdmm(x, y, CFG)
-        assert rep.macs == 1 * 2  # only the true nonzero counts
+        # the census the bill reads counts only the true nonzero ...
+        assert block_nnz_grid(x, 2, 2).tolist() == [[1]]
+        # ... and Algorithm 5 streams only it
+        clean = x.copy()
+        clean.eliminate_zeros()
+        assert run_spdmm_faithful(x, y, CFG)[1] == run_spdmm_faithful(clean, y, CFG)[1]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_faithful_numerics_and_cycle_bound(self, seed):
         x = random_sparse(12, 10, 0.25, seed=seed)
         y = np.random.default_rng(seed + 100).random((10, 5)).astype(np.float32)
-        z_fast, rep = run_spdmm(x, y, CFG)
+        billed = spdmm_compute_cycles(x.nnz, 5, CFG)
         z_faith, cycles = run_spdmm_faithful(x, y, CFG)
-        np.testing.assert_allclose(z_faith, z_fast, rtol=1e-4, atol=1e-5)
+        np.testing.assert_allclose(z_faith, matmul(x, y), rtol=1e-4, atol=1e-5)
         # faithful (with bank/unit conflicts) can never beat conflict-free
-        assert cycles >= rep.compute
+        assert cycles >= billed
         # and congestion on random traffic stays bounded
-        assert cycles <= 6 * rep.compute + 10 * CFG.pipeline_depth
+        assert cycles <= 6 * billed + 10 * CFG.pipeline_depth
 
 
 # ``CFG``: psys 4, so GEMM tiles are 4 x 4 with an 8-cycle fill/drain, and
@@ -182,8 +176,9 @@ class TestSPMM:
     def test_numerics(self):
         x = random_sparse(9, 11, 0.2, seed=4)
         y = random_sparse(11, 6, 0.3, seed=5)
-        z, rep = run_spmm(x, y, CFG)
-        np.testing.assert_allclose(z, (x @ y).toarray(), rtol=1e-5)
+        z_faith, _ = run_spmm_faithful(x, y, CFG)
+        np.testing.assert_allclose(matmul(x, y), (x @ y).toarray(), rtol=1e-5)
+        np.testing.assert_allclose(z_faith, (x @ y).toarray(), rtol=1e-5)
 
     def test_exact_mac_count(self):
         x = random_sparse(9, 11, 0.2, seed=6)
@@ -199,8 +194,6 @@ class TestSPMM:
 
     def test_latency_is_busiest_scp(self):
         # all work lands on output row 0 -> SCP 0 serialises everything
-        import scipy.sparse as sp
-
         x = sp.csr_matrix(np.array([[1, 1, 1, 1]] + [[0] * 4] * 7, dtype=np.float32))
         y = sp.csr_matrix(np.ones((4, 4), dtype=np.float32))
         loads, macs = spmm_workloads(x, y, CFG.psys)
@@ -211,8 +204,6 @@ class TestSPMM:
         assert cycles == 16 + CFG.pipeline_depth
 
     def test_zero_inputs_free(self):
-        import scipy.sparse as sp
-
         x = sp.csr_matrix((4, 4), dtype=np.float32)
         y = sp.csr_matrix((4, 4), dtype=np.float32)
         cycles, macs = spmm_compute_cycles(x, y, CFG)
@@ -222,10 +213,11 @@ class TestSPMM:
     def test_faithful_matches_fast(self, seed):
         x = random_sparse(8, 9, 0.3, seed=seed + 20)
         y = random_sparse(9, 7, 0.25, seed=seed + 40)
-        z_fast, rep = run_spmm(x, y, CFG)
+        billed, macs = spmm_compute_cycles(x, y, CFG)
         z_faith, cycles = run_spmm_faithful(x, y, CFG)
-        np.testing.assert_allclose(z_faith, z_fast, rtol=1e-4, atol=1e-5)
-        assert cycles == rep.compute or rep.compute == 0
+        np.testing.assert_allclose(z_faith, matmul(x, y), rtol=1e-4, atol=1e-5)
+        # a product with no multiply bills nothing, not a pipeline fill
+        assert cycles == billed or macs == billed == 0
 
     def test_table_iv_expectation_on_uniform(self):
         """On uniform random operands the exact count tracks the

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from k2p_oracle import batch_of, decide as scalar_decide, ideal_hardware
 from repro import u250_default
 from repro.__main__ import main
-from repro.formats.partition import block_nnz_grid, block_nnz_grid_reference
+from repro.formats.partition import block_nnz_grid
 from repro.hw.report import CODE_ORDER, PRIMITIVE_CODES, Primitive
 from repro.perf import (
     BenchContext,
@@ -40,6 +40,7 @@ from repro.runtime.strategies import (
     Static1,
     Static2,
 )
+from unit_oracles import block_nnz_grid_reference
 
 CFG = u250_default()
 

@@ -35,17 +35,15 @@ from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 from repro.gnn import build_model, init_weights
 from repro.hw import Accelerator
 from repro.hw.report import SPDMM_CODE
-from repro.hw.spmm_unit import run_spmm_faithful, spmm_workloads
-from repro.runtime import (
-    execute_kernel_tasks,
-    execute_kernel_tasks_reference,
-    make_strategy,
-)
+from repro.hw.spmm_unit import spmm_workloads
+from repro.runtime import execute_kernel_tasks, make_strategy
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
 from repro.runtime.strategies import MappingStrategy
 from repro.shard import plan_shards
 
 from conftest import make_tiny_config
+from task_oracle import execute_kernel_tasks_reference
+from unit_oracles import run_spmm_faithful
 from test_executor_vectorised import (
     _loop_args,
     assert_results_identical,
