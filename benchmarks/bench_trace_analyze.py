@@ -12,7 +12,8 @@ inference and gates four invariants on every CI run:
   it reproduces ``ShardedResult.latency_s``;
 - the zero-halo what-if projection equals the result's own halo-seconds
   accounting (``ShardedResult.zero_halo_latency_s``) bit-for-bit;
-- diffing the trace against itself reports zero deltas.
+- the trace written to ``trace.json`` and read back attributes the same
+  per-category seconds as the live tracer (within 1e-12 s).
 
 The emitted metrics track what halo exchange still costs (the exposed
 halo share of the critical path, the projected zero-halo and
@@ -29,13 +30,15 @@ Runs two ways:
 
 import argparse
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 from _common import Metric, emit, format_table, register_bench
 from repro.config import small_test_config, u250_default
 from repro.engine import Engine
-from repro.obs import TraceModel, Tracer, attribute, diff_traces, project
+from repro.obs import TraceModel, Tracer, attribute, project, write_trace
 
 FULL = dict(model="GCN", dataset="PU", scale=1.0, shards=4)
 SMOKE = dict(model="GCN", dataset="CO", scale=1.0, shards=2)
@@ -57,8 +60,11 @@ def measure(*, model, dataset, scale, shards, config):
     zero = project(trace_model, zero_halo=True)
     replay = project(trace_model)
     faster = project(trace_model, interconnect_scale=2.0)
-    diff = diff_traces(trace_model, trace_model)
     analyze_s = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_trace(tracer, Path(tmp) / "trace.json",
+                           meta=result.trace_meta())
+        read_back = attribute(TraceModel.from_file(path))
 
     assert att.reconciles(RECONCILE_RTOL), (
         f"attribution does not reconcile: critical path {att.total_s:.9f} s "
@@ -75,7 +81,10 @@ def measure(*, model, dataset, scale, shards, config):
         "the projection with no hypothetical does not replay the schedule"
     )
     assert zero.projected_s <= faster.projected_s <= replay.projected_s
-    assert diff.is_zero(), "self-diff must report zero deltas"
+    assert read_back.by_category.keys() == att.by_category.keys() and all(
+        abs(read_back.by_category[cat] - secs) <= 1e-12
+        for cat, secs in att.by_category.items()
+    ), "the trace read back from trace.json attributes differently"
 
     return {
         "latency_s": result.latency_s,

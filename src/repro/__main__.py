@@ -158,8 +158,8 @@ def cmd_trace(args) -> int:
             strategy=args.strategy,
             backend="sharded" if args.shards > 1 else "simulated",
         )
-        check = export_run(tracer, result, args.out, jsonl=args.jsonl,
-                           top=args.top, rtol=args.rtol)
+        check = export_run(tracer, result, args.out, top=args.top,
+                           rtol=args.rtol)
     return _emit(args, check, ok=not check.errors)
 
 
@@ -167,10 +167,7 @@ def cmd_trace_analyze(args) -> int:
     from repro.obs import TraceError, analyze_trace
 
     try:
-        analysis = analyze_trace(
-            args.trace, what_if=args.what_if or (), diff=args.diff,
-            top=args.top,
-        )
+        analysis = analyze_trace(args.trace, what_if=args.what_if or ())
     except TraceError as exc:
         print(f"trace-analyze: {exc}", file=sys.stderr)
         return 1
@@ -282,8 +279,6 @@ def main(argv=None) -> int:
                          help="trace a sharded run across N devices")
     p_trace.add_argument("--out", default="trace.json",
                          help="Perfetto trace output path")
-    p_trace.add_argument("--jsonl", default=None,
-                         help="also write a flat JSONL event log here")
     p_trace.add_argument("--no-task-spans", action="store_true",
                          help="omit per-task spans (smaller trace files)")
     p_trace.add_argument("--validate", default=None, metavar="PATH",
@@ -298,20 +293,14 @@ def main(argv=None) -> int:
 
     p_ta = command(
         "trace-analyze", cmd_trace_analyze,
-        "critical-path attribution, what-if projections and trace "
-        "diffing over an exported trace.json (repro.obs.analyze)",
+        "critical-path attribution and what-if projections over an "
+        "exported trace.json (repro.obs.analyze)",
     )
     p_ta.add_argument("trace", help="trace.json produced by `repro trace`")
-    p_ta.add_argument("--diff", default=None, metavar="OTHER",
-                      help="diff against this baseline trace.json "
-                           "(per span-group deltas)")
     p_ta.add_argument("--what-if", action="append", default=None,
                       metavar="SPEC",
                       help="project a hypothetical; comma-compose tokens "
-                           "zero-halo, interconnect=K, cores=N "
-                           "(repeatable)")
-    p_ta.add_argument("--top", type=int, default=10,
-                      help="span-group rows shown in the diff report")
+                           "zero-halo, interconnect=K (repeatable)")
     as_json(p_ta)
     p_ta.add_argument("--out", default=None, metavar="PATH",
                       help="also write the report here (CI artifact)")

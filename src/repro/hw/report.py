@@ -100,33 +100,3 @@ class CycleReport:
     bytes_written: int = 0
     #: execution-mode switches performed
     mode_switches: int = 0
-
-    def latency(self, *, double_buffering: bool = True, mode_switch_cycles: int = 1) -> float:
-        """Effective cycles on the core's critical path."""
-        stage = stage_cycles(self.compute, self.memory, self.transform,
-                             profile=self.profile, double_buffering=double_buffering)
-        return float(stage) + self.mode_switches * mode_switch_cycles
-
-    def merge(self, other: "CycleReport") -> "CycleReport":
-        """Accumulate another report into this one (in place) and return self."""
-        self.compute += other.compute
-        self.memory += other.memory
-        self.transform += other.transform
-        self.profile += other.profile
-        self.macs += other.macs
-        self.bytes_read += other.bytes_read
-        self.bytes_written += other.bytes_written
-        self.mode_switches += other.mode_switches
-        return self
-
-    def copy(self) -> "CycleReport":
-        return CycleReport(
-            self.compute,
-            self.memory,
-            self.transform,
-            self.profile,
-            self.macs,
-            self.bytes_read,
-            self.bytes_written,
-            self.mode_switches,
-        )

@@ -10,15 +10,16 @@ Three planes, all default-off and free when disabled:
 - **metrics** (:mod:`repro.obs.metrics`): named counters / gauges /
   histograms, snapshotable into ``ServingReport.metrics`` and
   ``BENCH_*.json``;
-- **exporters** (:mod:`repro.obs.export`): Perfetto/Chrome
-  ``trace.json``, flat JSONL, flamegraph-style text summary, plus the
-  ``repro trace --validate`` schema gate;
+- **exporters** (:mod:`repro.obs.export`): one trace format, the
+  Perfetto/Chrome ``trace.json``, plus a flamegraph-style text summary
+  and the ``repro trace --validate`` schema gate;
 - **analytics** (:mod:`repro.obs.analyze`): :class:`TraceModel` loading
-  spans back out of a live tracer *or* an exported ``trace.json``,
-  barrier-aware critical-path :func:`attribute`-ion, what-if
-  :func:`project`-ions (zero-halo / interconnect / cores) and
-  :func:`diff_traces` span-group diffing — the machinery behind
-  ``repro trace-analyze`` and ``repro perf-diff --attribute``.
+  spans back out of a live tracer *or* an exported ``trace.json`` (and
+  querying them with the tracer's own ``select`` / ``total_s`` /
+  ``tracks``), barrier-aware critical-path :func:`attribute`-ion and
+  what-if :func:`project`-ions (zero-halo / interconnect) — the
+  machinery behind ``repro trace-analyze`` and ``repro perf-diff
+  --attribute``.
 
 Quickstart::
 
@@ -34,10 +35,8 @@ Quickstart::
 
 from repro.obs.analyze import (
     Attribution,
-    GroupDelta,
     PathSegment,
     TraceAnalysis,
-    TraceDiff,
     TraceError,
     TraceModel,
     WhatIf,
@@ -45,7 +44,6 @@ from repro.obs.analyze import (
     attribute,
     attribution_lines,
     critical_path,
-    diff_traces,
     parse_what_if,
     project,
 )
@@ -53,10 +51,8 @@ from repro.obs.export import (
     TraceCheck,
     export_run,
     flame_summary,
-    to_jsonl,
     to_perfetto,
     validate_trace,
-    write_jsonl,
     write_trace,
 )
 from repro.obs.metrics import (
@@ -73,7 +69,6 @@ __all__ = [
     "CounterMetric",
     "CounterSample",
     "GaugeMetric",
-    "GroupDelta",
     "HistogramMetric",
     "MetricsRegistry",
     "NullTracer",
@@ -81,7 +76,6 @@ __all__ = [
     "Span",
     "TraceAnalysis",
     "TraceCheck",
-    "TraceDiff",
     "TraceError",
     "TraceModel",
     "Tracer",
@@ -90,14 +84,11 @@ __all__ = [
     "attribute",
     "attribution_lines",
     "critical_path",
-    "diff_traces",
     "export_run",
     "flame_summary",
     "parse_what_if",
     "project",
-    "to_jsonl",
     "to_perfetto",
     "validate_trace",
-    "write_jsonl",
     "write_trace",
 ]

@@ -1,10 +1,10 @@
-"""Trace analytics: critical-path attribution, what-ifs, trace diffing.
+"""Trace analytics: critical-path attribution and halo what-ifs.
 
-PR 6 made every layer of the stack emit spans; this module is the layer
-that *answers questions* about them.  A :class:`TraceModel` normalises a
-span stream — taken from a live :class:`~repro.obs.tracer.Tracer` or
-loaded back out of an exported Perfetto ``trace.json`` — and three
-analyses run over it:
+Every layer of the stack emits spans; this module is the layer that
+*answers questions* about them.  A :class:`TraceModel` normalises a span
+stream — taken from a live :class:`~repro.obs.tracer.Tracer` or loaded
+back out of an exported Perfetto ``trace.json`` — and two analyses run
+over it:
 
 - :func:`attribute` — barrier-aware **critical-path extraction**: the
   chain of spans whose end times gate the run's reported ``latency_s``
@@ -14,12 +14,7 @@ analyses run over it:
   ``compile`` / ``queue-wait``) whose sum must reconcile with the
   reported latency within 1%;
 - :func:`project` — **what-if projections** replayed over the same
-  span structure: zero-cost halos, a scaled interconnect, a different
-  Computation-Core count;
-- :func:`diff_traces` — aligns two traces by ``(track, cat, name)``
-  span group and emits per-group count/duration deltas, so a perf
-  regression can be pinned to *which span group* moved
-  (``repro perf-diff --attribute``) instead of just "a number changed".
+  span structure: zero-cost halos or a scaled interconnect.
 
 Everything here is pure analysis over recorded spans: nothing re-runs
 the simulator, so the analyses apply equally to a trace produced five
@@ -35,13 +30,11 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.hw.report import exposed_stream
-from repro.obs.tracer import CounterSample, Span, Tracer
+from repro.obs.tracer import CounterSample, Span, SpanQueries, Tracer
 
 __all__ = [
     "Attribution",
-    "GroupDelta",
     "PathSegment",
-    "TraceDiff",
     "TraceError",
     "TraceAnalysis",
     "TraceModel",
@@ -50,7 +43,6 @@ __all__ = [
     "attribute",
     "attribution_lines",
     "critical_path",
-    "diff_traces",
     "parse_what_if",
     "project",
 ]
@@ -81,14 +73,15 @@ _EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class TraceModel:
+class TraceModel(SpanQueries):
     """A span stream plus its metadata, ready for analysis.
 
     Built either from a live tracer (:meth:`from_tracer`) or from an
     exported Chrome/Perfetto ``trace.json`` (:meth:`from_file` /
     :meth:`from_trace` — the inverse of
     :func:`~repro.obs.export.to_perfetto`, mapping tids back to track
-    names through the ``thread_name`` metadata events).  ``meta`` is the
+    names through the ``thread_name`` metadata events); it answers the
+    :class:`~repro.obs.tracer.Tracer`'s span queries.  ``meta`` is the
     trace's ``otherData``: when the exporter stamped
     ``expected_total_s`` there, attribution can reconcile against the
     run's reported latency without re-running anything.
@@ -198,28 +191,6 @@ class TraceModel:
         if isinstance(source, dict):
             return cls.from_trace(source)
         return cls.from_file(source)
-
-    # -- queries --------------------------------------------------------
-    def tracks(self) -> tuple[str, ...]:
-        seen = {sp.track for sp in self.spans}
-        seen.update(c.track for c in self.counters)
-        return tuple(sorted(seen))
-
-    def select(self, *, cat: str | None = None, track: str | None = None):
-        """Spans filtered by category and/or track prefix (Tracer rules)."""
-        out = []
-        for sp in self.spans:
-            if cat is not None and sp.cat != cat:
-                continue
-            if track is not None and not (
-                sp.track == track or sp.track.startswith(track + "/")
-            ):
-                continue
-            out.append(sp)
-        return out
-
-    def total_s(self, *, cat: str | None = None, track: str | None = None) -> float:
-        return float(sum(sp.dur_s for sp in self.select(cat=cat, track=track)))
 
     @property
     def expected_latency_s(self) -> float | None:
@@ -495,44 +466,18 @@ class WhatIf:
                 "speedup": self.speedup}
 
 
-def _scale_exec(span: Span, cores: int, cores_now: int | None) -> float:
-    """Execution time of a kernel span under a different core count.
-
-    Wave-quantised when the span carries task counts (a kernel's
-    makespan is governed by its wave count — ``ceil(tasks / cores)``),
-    proportional otherwise.
-    """
-    dur = span.dur_s
-    tasks = span.args.get("tasks")
-    waves_now = span.args.get("waves")
-    if waves_now is None and tasks is not None and cores_now:
-        waves_now = max(math.ceil(int(tasks) / int(cores_now)), 1)
-    if tasks and waves_now:
-        waves_new = max(math.ceil(int(tasks) / cores), 1)
-        return dur * waves_new / max(int(waves_now), 1)
-    if cores_now:
-        return dur * int(cores_now) / cores
-    raise TraceError(
-        "cores what-if needs per-span task counts or a num_cores entry in "
-        "the trace meta (re-export with a current `repro trace`)"
-    )
-
-
 def project(
     source,
     *,
     zero_halo: bool = False,
     interconnect_scale: float | None = None,
-    cores: int | None = None,
 ) -> WhatIf:
     """Replay the trace's barrier structure under a hypothetical.
 
     - ``zero_halo``: halo exchanges are free (upper bound on any
       interconnect work);
     - ``interconnect_scale``: halo PCIe seconds divide by this factor
-      (2.0 = twice the GB/s);
-    - ``cores``: kernel execution rescaled to this Computation-Core
-      count (wave-quantised via each span's task count).
+      (2.0 = twice the GB/s).
 
     Hypotheticals compose; each shard's time is recomputed as the
     sharded executor computes the real one (execution plus
@@ -542,17 +487,12 @@ def project(
     """
     if interconnect_scale is not None and interconnect_scale <= 0:
         raise TraceError("interconnect_scale must be positive")
-    if cores is not None and cores < 1:
-        raise TraceError("cores must be >= 1")
     model = TraceModel.load(source)
-    cores_now = model.meta.get("num_cores")
     parts: list[str] = []
     if zero_halo:
         parts.append("zero-halo")
     if interconnect_scale is not None:
         parts.append(f"interconnect x{interconnect_scale:g}")
-    if cores is not None:
-        parts.append(f"cores={cores}")
     label = ", ".join(parts) if parts else "baseline"
     #: what every transfer's seconds are divided by
     divisor = math.inf if zero_halo else interconnect_scale or 1.0
@@ -567,8 +507,6 @@ def project(
             for sp in members:
                 dma = _halo_of(layer, transfers, f"{sp.track}/dma")
                 exec_s = sp.dur_s
-                if cores is not None:
-                    exec_s = _scale_exec(sp, cores, cores_now)
                 if dma is not None:
                     exec_s += float(exposed_stream(
                         dma.dur_s / divisor, dma.args.get("chunks", 1), exec_s
@@ -577,186 +515,39 @@ def project(
             projected += max(times)
         return WhatIf(name=label, baseline_s=baseline, projected_s=projected)
     if kind == "single":
-        path = _single_path(model)
-        baseline = sum(seg.dur_s for seg in path)
-        projected = 0.0
-        for seg in path:
-            if seg.category == "kernel" and cores is not None:
-                projected += _scale_exec(seg.span, cores, cores_now)
-            else:
-                projected += seg.dur_s
-        return WhatIf(name=label, baseline_s=baseline, projected_s=projected)
+        # no halo on one device: every hypothetical leaves the path as is
+        baseline = sum(seg.dur_s for seg in _single_path(model))
+        return WhatIf(name=label, baseline_s=baseline, projected_s=baseline)
     raise TraceError(
         f"what-if projections need an inference trace (sharded or "
         f"single-device), got a {kind!r} trace"
     )
 
 
-#: ``key=value`` what-if tokens: key -> (project kwarg, parser, noun)
-_VALUED_TOKENS = {
-    "interconnect": ("interconnect_scale", float, "interconnect factor"),
-    "cores": ("cores", int, "core count"),
-}
-
-
 def parse_what_if(spec: str) -> dict:
     """Parse one ``--what-if`` CLI token list into :func:`project` kwargs.
 
-    ``spec`` is comma-separated: ``zero-halo``, ``interconnect=K`` and
-    ``cores=N`` compose into one projection (e.g.
-    ``interconnect=2,cores=16``).
+    ``spec`` is comma-separated: ``zero-halo`` and ``interconnect=K``
+    compose into one projection (``zero-halo,interconnect=2``).
     """
     kwargs: dict = {}
     for token in filter(None, (t.strip() for t in spec.split(","))):
         key, _, value = token.partition("=")
         if token == "zero-halo":
             kwargs["zero_halo"] = True
-        elif key in _VALUED_TOKENS and value:
-            name, parse, what = _VALUED_TOKENS[key]
+        elif key == "interconnect" and value:
             try:
-                kwargs[name] = parse(value)
+                kwargs["interconnect_scale"] = float(value)
             except ValueError:
-                raise TraceError(f"bad {what} in {token!r}")
+                raise TraceError(f"bad interconnect factor in {token!r}")
         else:
             raise TraceError(
-                f"unknown what-if token {token!r} (expected zero-halo, "
-                f"interconnect=K or cores=N)"
+                f"unknown what-if token {token!r} (expected zero-halo or "
+                f"interconnect=K)"
             )
     if not kwargs:
         raise TraceError("empty what-if spec")
     return kwargs
-
-
-# -- trace diffing ------------------------------------------------------
-@dataclass(frozen=True)
-class GroupDelta:
-    """One ``(track, cat, name)`` span group's change between two traces."""
-
-    track: str
-    cat: str
-    name: str
-    count_new: int
-    count_base: int
-    total_new_s: float
-    total_base_s: float
-
-    @property
-    def delta_s(self) -> float:
-        """Positive = the new trace spends more time here."""
-        return self.total_new_s - self.total_base_s
-
-    @property
-    def key(self) -> tuple[str, str, str]:
-        return (self.track, self.cat, self.name)
-
-    def describe(self) -> str:
-        return (
-            f"{self.track}:{self.name} [{self.cat or 'uncategorised'}] "
-            f"{self.total_base_s * 1e3:.4f} -> {self.total_new_s * 1e3:.4f} ms "
-            f"({self.delta_s * 1e3:+.4f} ms, "
-            f"{self.count_base} -> {self.count_new} spans)"
-        )
-
-
-@dataclass(frozen=True)
-class TraceDiff:
-    """Per-group deltas of two traces, largest |duration change| first."""
-
-    groups: tuple[GroupDelta, ...]
-    new_total_s: float
-    base_total_s: float
-
-    @property
-    def delta_total_s(self) -> float:
-        return self.new_total_s - self.base_total_s
-
-    @property
-    def max_abs_delta_s(self) -> float:
-        return max((abs(g.delta_s) for g in self.groups), default=0.0)
-
-    def is_zero(self, atol: float = 0.0) -> bool:
-        """True when no group's duration or count moved beyond ``atol``."""
-        return all(
-            abs(g.delta_s) <= atol and g.count_new == g.count_base
-            for g in self.groups
-        )
-
-    def regressions(self, min_delta_s: float = 0.0) -> list[GroupDelta]:
-        """Groups where the new trace spends strictly more time."""
-        return [g for g in self.groups if g.delta_s > min_delta_s]
-
-    def format_report(self, top: int = 10) -> str:
-        lines = [
-            f"trace diff — total span time "
-            f"{self.base_total_s * 1e3:.4f} -> {self.new_total_s * 1e3:.4f} ms "
-            f"({self.delta_total_s * 1e3:+.4f} ms) across "
-            f"{len(self.groups)} span group(s)"
-        ]
-        if self.is_zero():
-            lines.append("  no deltas: the traces are identical group-wise")
-            return "\n".join(lines)
-        moved = [g for g in self.groups if g.delta_s != 0.0
-                 or g.count_new != g.count_base]
-        for g in moved[:top]:
-            lines.append(f"  {g.describe()}")
-        if len(moved) > top:
-            rest = sum(g.delta_s for g in moved[top:])
-            lines.append(
-                f"  (other) {len(moved) - top} more group(s), "
-                f"{rest * 1e3:+.4f} ms"
-            )
-        return "\n".join(lines)
-
-    def to_dict(self, top: int | None = None) -> dict:
-        groups = self.groups if top is None else self.groups[:top]
-        return {
-            "new_total_s": self.new_total_s,
-            "base_total_s": self.base_total_s,
-            "delta_total_s": self.delta_total_s,
-            "is_zero": self.is_zero(),
-            "groups": [dict(asdict(g), delta_s=g.delta_s) for g in groups],
-        }
-
-
-def _group(model: TraceModel) -> dict[tuple, list[float]]:
-    acc: dict[tuple, list[float]] = {}
-    for sp in model.spans:
-        if sp.kind != "span":
-            continue
-        entry = acc.setdefault((sp.track, sp.cat, sp.name), [0, 0.0])
-        entry[0] += 1
-        entry[1] += sp.dur_s
-    return acc
-
-
-def diff_traces(new_source, base_source) -> TraceDiff:
-    """Align two traces by ``(track, cat, name)`` and diff each group.
-
-    Groups present on only one side appear with a zero count/duration on
-    the other — a kernel that vanished (or a brand-new span site) is a
-    delta, not a silent drop.  Diffing a trace against itself yields
-    zero deltas everywhere.
-    """
-    new_model = TraceModel.load(new_source)
-    base_model = TraceModel.load(base_source)
-    new_groups = _group(new_model)
-    base_groups = _group(base_model)
-    deltas = []
-    for key in sorted(set(new_groups) | set(base_groups)):
-        track, cat, name = key
-        n_count, n_total = new_groups.get(key, [0, 0.0])
-        b_count, b_total = base_groups.get(key, [0, 0.0])
-        deltas.append(GroupDelta(
-            track=track, cat=cat, name=name,
-            count_new=n_count, count_base=b_count,
-            total_new_s=n_total, total_base_s=b_total,
-        ))
-    deltas.sort(key=lambda g: (-abs(g.delta_s), g.key))
-    return TraceDiff(
-        groups=tuple(deltas),
-        new_total_s=float(sum(g.total_new_s for g in deltas)),
-        base_total_s=float(sum(g.total_base_s for g in deltas)),
-    )
 
 
 # -- the trace-analyze report -------------------------------------------
@@ -767,41 +558,23 @@ class TraceAnalysis:
     trace: str
     attribution: Attribution
     what_ifs: tuple[WhatIf, ...] = ()
-    #: span-group diff against the ``baseline`` trace, ``top`` rows shown
-    diff: TraceDiff | None = None
-    baseline: str | None = None
-    top: int = 10
 
     def format_report(self) -> str:
         lines = [self.attribution.format_report()]
         lines.extend(wi.describe() for wi in self.what_ifs)
-        if self.diff is not None:
-            lines.append(self.diff.format_report(top=self.top))
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        payload = {
+        return {
             "trace": self.trace,
             "attribution": self.attribution.to_dict(),
             "what_ifs": [wi.to_dict() for wi in self.what_ifs],
         }
-        if self.diff is not None:
-            payload["diff"] = dict(
-                self.diff.to_dict(top=self.top), baseline=self.baseline
-            )
-        return payload
 
 
-def analyze_trace(
-    trace: str | Path,
-    *,
-    what_if: Sequence[str] = (),
-    diff: str | Path | None = None,
-    top: int = 10,
-) -> TraceAnalysis:
-    """Attribute an exported trace's critical path, project each
-    ``what_if`` spec (:func:`parse_what_if` tokens) and, given a
-    baseline trace, diff the span groups against it."""
+def analyze_trace(trace: str | Path, *, what_if: Sequence[str] = ()) -> TraceAnalysis:
+    """Attribute an exported trace's critical path and project each
+    ``what_if`` spec (:func:`parse_what_if` tokens)."""
     model = TraceModel.from_file(trace)
     return TraceAnalysis(
         trace=str(trace),
@@ -809,31 +582,16 @@ def analyze_trace(
         what_ifs=tuple(
             project(model, **parse_what_if(spec)) for spec in what_if
         ),
-        diff=(
-            diff_traces(model, TraceModel.from_file(diff))
-            if diff is not None else None
-        ),
-        baseline=None if diff is None else str(diff),
-        top=top,
     )
 
 
 # -- perf-diff attribution ----------------------------------------------
-def attribution_lines(
-    trace_path: str | Path,
-    baseline_trace_path: str | Path | None = None,
-    *,
-    top: int = 3,
-) -> list[str]:
-    """Human-readable attribution for ``repro perf-diff --attribute``.
-
-    Pairs a BENCH regression with its CI trace artifacts: when both a
-    new and a baseline trace exist, the top span-group regressions name
-    what moved; either way the new trace's critical-path attribution
-    says where the latency lives now.  Missing/corrupt artifacts degrade
-    to an explanatory line instead of failing the diff.
+def attribution_lines(trace_path: str | Path) -> list[str]:
+    """Human-readable attribution for ``repro perf-diff --attribute``:
+    where the latency of the run behind a BENCH regression lives on its
+    trace's critical path.  A missing or corrupt trace degrades to an
+    explanatory line instead of failing the diff.
     """
-    lines: list[str] = []
     trace_path = Path(trace_path)
     if not trace_path.is_file():
         return [
@@ -841,26 +599,10 @@ def attribution_lines(
             f"`repro trace ... --out {trace_path}` to attribute regressions)"
         ]
     try:
-        new_model = TraceModel.from_file(trace_path)
+        model = TraceModel.from_file(trace_path)
     except TraceError as exc:
         return [f"(cannot attribute: {exc})"]
-    if baseline_trace_path is not None and Path(baseline_trace_path).is_file():
-        try:
-            diff = diff_traces(new_model, TraceModel.from_file(baseline_trace_path))
-        except TraceError as exc:
-            lines.append(f"(cannot diff traces: {exc})")
-        else:
-            offenders = diff.regressions()[:top]
-            if offenders:
-                lines.append("responsible span group(s), by time regressed:")
-                lines.extend(f"  {g.describe()}" for g in offenders)
-            else:
-                lines.append(
-                    "no span group regressed vs the baseline trace "
-                    f"(largest |delta| {diff.max_abs_delta_s * 1e3:.4f} ms)"
-                )
     try:
-        lines.append(attribute(new_model).format_report())
+        return [attribute(model).format_report()]
     except TraceError as exc:
-        lines.append(f"(no critical-path attribution: {exc})")
-    return lines
+        return [f"(no critical-path attribution: {exc})"]

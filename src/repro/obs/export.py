@@ -1,14 +1,13 @@
-"""Trace exporters: Perfetto/Chrome ``trace.json``, JSONL, text summary.
+"""Trace exporters: Perfetto/Chrome ``trace.json`` and a text summary.
 
-Three consumers, three formats, one :class:`~repro.obs.tracer.Tracer`:
+One trace format, read back by :class:`~repro.obs.analyze.TraceModel`,
+and one terminal view of the same :class:`~repro.obs.tracer.Tracer`:
 
 - :func:`to_perfetto` / :func:`write_trace` — the Chrome trace-event
   JSON the Perfetto UI (https://ui.perfetto.dev) loads directly: one
   *thread* per track (devices, shards, cores, host phases), complete
   ("X") events in microseconds, instant ("i") markers, and counter
   ("C") series for queue depth and halo bytes;
-- :func:`to_jsonl` / :func:`write_jsonl` — a flat, one-JSON-object-per-
-  line event log for ad-hoc ``jq``/pandas analysis;
 - :func:`flame_summary` — a flamegraph-style text rollup (time by
   category, hottest span names, per-track totals) for terminals.
 
@@ -31,10 +30,8 @@ __all__ = [
     "TraceCheck",
     "export_run",
     "flame_summary",
-    "to_jsonl",
     "to_perfetto",
     "validate_trace",
-    "write_jsonl",
     "write_trace",
 ]
 
@@ -123,43 +120,15 @@ def write_trace(
     return path
 
 
-def to_jsonl(tracer: Tracer) -> str:
-    """Flat JSONL event log: one span/counter object per line."""
-    lines = []
-    for sp in tracer.spans:
-        lines.append(json.dumps({
-            "kind": sp.kind,
-            "track": sp.track,
-            "name": sp.name,
-            "cat": sp.cat,
-            "start_s": sp.start_s,
-            "dur_s": sp.dur_s,
-            "args": sp.args,
-        }))
-    for sample in tracer.counters:
-        lines.append(json.dumps({
-            "kind": "counter",
-            "track": sample.track,
-            "name": sample.name,
-            "t_s": sample.t_s,
-            "value": sample.value,
-        }))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_jsonl(tracer: Tracer, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(to_jsonl(tracer))
-    return path
-
-
 def _bar(fraction: float, width: int = 24) -> str:
     return "#" * max(int(round(fraction * width)), 0)
 
 
 def flame_summary(tracer: Tracer, *, top: int = 12) -> str:
-    """Flamegraph-style text rollup of where the traced time went."""
+    """Flamegraph-style text rollup of where the traced time went:
+    the ``top`` hottest span names, the rest in one ``(other)`` row."""
+    if top < 0:
+        raise ValueError(f"top must be >= 0, got {top}")
     spans = [sp for sp in tracer.spans if sp.kind == "span"]
     total = sum(sp.dur_s for sp in spans)
     lines = [
@@ -222,7 +191,7 @@ _KNOWN_PHASES = {"X", "i", "C", "M"}
 class TraceCheck:
     """What ``repro trace`` reports: a trace file, what
     :func:`validate_trace` found in it and, after a fresh run, the
-    header, side files and flame summary of the export."""
+    header and flame summary of the export."""
 
     path: Path
     errors: list[str]
@@ -241,13 +210,12 @@ def export_run(
     result,
     path: str | Path,
     *,
-    jsonl: str | Path | None = None,
     top: int = 12,
     rtol: float = RECONCILE_RTOL,
 ) -> TraceCheck:
     """Write the trace of one traced run (``result.trace_meta()`` arms
-    the reconciliation), optionally a JSONL event log beside it, and
-    validate what was written."""
+    the reconciliation) and validate what was written."""
+    flame = flame_summary(tracer, top=top)  # a bad ``top`` raises before any write
     meta = result.trace_meta()
     trace = to_perfetto(tracer, meta=meta)  # rendered once: written, then validated
     path = Path(path)
@@ -257,10 +225,8 @@ def export_run(
         f"{meta['model']} on {meta['dataset']}, {meta['shards']} shard(s): "
         f"latency {meta['expected_total_s'] * 1e3:.4f} ms",
         f"trace written to {path} — load it at https://ui.perfetto.dev",
+        flame,
     ]
-    if jsonl is not None:
-        summary.append(f"event log written to {write_jsonl(tracer, jsonl)}")
-    summary.append(flame_summary(tracer, top=top))
     return TraceCheck(path, validate_trace(trace, rtol=rtol), summary)
 
 

@@ -6,8 +6,8 @@ tasks (:class:`~repro.runtime.scheduler.TimelineEvent`), pool bookings
 but each layer kept its own private records.  The :class:`Tracer`
 collects them all as one stream of :class:`Span` records stamped in
 **virtual seconds** on named *tracks*, so one run can be exported to a
-Perfetto/Chrome ``trace.json``, a flat JSONL log, or a flamegraph-style
-text summary (:mod:`repro.obs.export`).
+Perfetto/Chrome ``trace.json`` or a flamegraph-style text summary
+(:mod:`repro.obs.export`).
 
 Track naming convention (one Perfetto thread per track)::
 
@@ -32,7 +32,9 @@ trivially preserved.  ``benchmarks/bench_obs_overhead.py`` enforces the
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import Protocol
 
 __all__ = ["CounterSample", "NULL_TRACER", "NullTracer", "Span", "Tracer"]
 
@@ -68,7 +70,45 @@ class CounterSample:
     value: float
 
 
-class NullTracer:
+class _Records(Protocol):
+    @property
+    def spans(self) -> Sequence[Span]: ...
+
+    @property
+    def counters(self) -> Sequence[CounterSample]: ...
+
+
+def _matches(sp: Span, cat: str | None, track: str | None) -> bool:
+    return (cat is None or sp.cat == cat) and (
+        track is None or sp.track == track or sp.track.startswith(track + "/")
+    )
+
+
+class SpanQueries:
+    """The span queries of anything holding ``spans`` and ``counters``:
+    one body for a live :class:`Tracer` and a trace loaded back as a
+    :class:`~repro.obs.analyze.TraceModel`."""
+
+    def tracks(self: _Records) -> tuple[str, ...]:
+        """Every track that received at least one record, sorted."""
+        seen = {sp.track for sp in self.spans}
+        seen.update(c.track for c in self.counters)
+        return tuple(sorted(seen))
+
+    def select(
+        self: _Records, *, cat: str | None = None, track: str | None = None
+    ) -> list[Span]:
+        """Spans filtered by category and/or track prefix."""
+        return [sp for sp in self.spans if _matches(sp, cat, track)]
+
+    def total_s(
+        self: _Records, *, cat: str | None = None, track: str | None = None
+    ) -> float:
+        """Sum of span durations under the given filters."""
+        return float(sum(sp.dur_s for sp in self.spans if _matches(sp, cat, track)))
+
+
+class NullTracer(SpanQueries):
     """The disabled tracer: every method is a no-op.
 
     Instrumented code guards span construction with ``if
@@ -98,15 +138,12 @@ class NullTracer:
     def counters(self) -> tuple:
         return ()
 
-    def tracks(self) -> tuple:
-        return ()
-
 
 #: the shared disabled tracer every instrumented site defaults to
 NULL_TRACER = NullTracer()
 
 
-class Tracer:
+class Tracer(SpanQueries):
     """Collects :class:`Span` / :class:`CounterSample` records.
 
     Times are virtual-clock (or, for compiler phases, host wall-clock)
@@ -184,29 +221,6 @@ class Tracer:
     @property
     def counters(self) -> tuple[CounterSample, ...]:
         return tuple(self._counters)
-
-    def tracks(self) -> tuple[str, ...]:
-        """Every track that received at least one record, sorted."""
-        seen = {sp.track for sp in self._spans}
-        seen.update(c.track for c in self._counters)
-        return tuple(sorted(seen))
-
-    def select(self, *, cat: str | None = None, track: str | None = None):
-        """Spans filtered by category and/or track prefix."""
-        out = []
-        for sp in self._spans:
-            if cat is not None and sp.cat != cat:
-                continue
-            if track is not None and not (
-                sp.track == track or sp.track.startswith(track + "/")
-            ):
-                continue
-            out.append(sp)
-        return out
-
-    def total_s(self, *, cat: str | None = None, track: str | None = None) -> float:
-        """Sum of span durations under the given filters."""
-        return float(sum(sp.dur_s for sp in self.select(cat=cat, track=track)))
 
     def clear(self) -> None:
         """Drop every recorded span/counter (reuse between sweeps)."""

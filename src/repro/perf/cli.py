@@ -77,15 +77,11 @@ def add_parsers(sub: Any) -> None:
     p_diff.add_argument("--all", action="store_true",
                         help="also print metrics within tolerance")
     p_diff.add_argument("--attribute", action="store_true",
-                        help="on regression (or with --all), pair the "
-                             "BENCH numbers with trace artifacts: diff "
-                             "span groups vs the baseline trace and print "
-                             "the new trace's critical-path attribution")
+                        help="on regression (or with --all), print the "
+                             "new trace's critical-path attribution beside "
+                             "the BENCH numbers")
     p_diff.add_argument("--trace", default=None, metavar="PATH",
                         help="new trace.json (default: <new>/trace.json)")
-    p_diff.add_argument("--baseline-trace", default=None, metavar="PATH",
-                        help="baseline trace.json (default: "
-                             "<baseline>/trace.json)")
     p_diff.set_defaults(func=perf_diff)
 
 
@@ -140,13 +136,11 @@ def perf_diff(args: argparse.Namespace) -> int:
         )
     print(diff.format_report(show_all=args.all))
     if args.attribute and (diff.regressions or args.all):
-        # pair the BENCH numbers with the trace artifacts: which span
-        # group moved, and where the latency lives on the critical path
+        # pair the BENCH numbers with the trace artifact: where the
+        # latency lives on the critical path
         from repro.obs import attribution_lines
 
         print("\n" + "\n".join(attribution_lines(
-            Path(args.trace) if args.trace else new_dir / "trace.json",
-            Path(args.baseline_trace) if args.baseline_trace
-            else base_dir / "trace.json",
+            Path(args.trace) if args.trace else new_dir / "trace.json"
         )))
     return 1 if diff.regressions else 0

@@ -122,9 +122,10 @@ class RunResult:
         return summary
 
     def trace_meta(self) -> dict:
-        """``otherData`` for a trace of this run: the latency and span
-        categories ``validate_trace`` reconciles, and the accelerator
-        parameters the what-if projections scale against."""
+        """``otherData`` for a trace of this run: what ran, and the
+        latency and span categories ``validate_trace`` reconciles (and
+        ``attribute`` reconciles against).  The what-if projections need
+        nothing from it: a halo's transfer is on its ``dma`` span."""
         return {
             "model": self.model_name,
             "dataset": self.data_name,
@@ -132,8 +133,6 @@ class RunResult:
             "shards": self.num_shards,
             "expected_total_s": self.latency_s,
             "reconcile_cats": list(self.reconcile_cats),
-            "num_cores": self.config.num_cores,
-            "pcie_gbps": self.config.memory.pcie_gbps,
         }
 
 

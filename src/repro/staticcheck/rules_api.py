@@ -1,12 +1,13 @@
 """RPR5xx — public-API hygiene.
 
 The serialised surface (``to_dict`` payloads consumed by ``--json`` CLI
-modes, CI artifacts and the perf baselines) and the import surface
-(``__all__``) are contracts with code we do not control.  These rules
-catch ``to_dict`` silently dropping a newly added field and ``__all__``
-naming something the module never binds.  (RPR502, warn-once PEP 562
-deprecation shims, went with the last shim: ``tests/test_engine.py``
-asserts no module under ``src/`` defines ``__getattr__``.)
+modes, CI artifacts and the perf baselines) is a contract with code we
+do not control.  RPR501 catches ``to_dict`` silently dropping a newly
+added field.  Two rules went once a tier-1 test held their invariant:
+RPR502, warn-once PEP 562 deprecation shims (``tests/test_engine.py``
+asserts no module under ``src/`` defines ``__getattr__``), and RPR503,
+every ``__all__`` entry bound (``tests/test_engine.py`` imports each
+module and resolves every entry).
 """
 
 from __future__ import annotations
@@ -69,52 +70,4 @@ def to_dict_field_coverage(ctx: FileContext):
                 f"{node.name}.to_dict() never serialises field "
                 f"{field_name!r}: --json consumers and baselines will "
                 f"silently miss it"
-            )
-
-
-@register_rule("RPR503", "api", "error")
-def dunder_all_bound(ctx: FileContext):
-    """Every ``__all__`` entry must be bound in the module (unless ``__getattr__`` exists)."""
-    if not ctx.is_library:
-        return
-    tree = ctx.tree
-    has_getattr = any(
-        isinstance(n, ast.FunctionDef) and n.name == "__getattr__"
-        for n in tree.body
-    )
-    if has_getattr:
-        return  # names may be provided dynamically (PEP 562)
-    exported: list[tuple[int, str]] = []
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id == "__all__" \
-                        and isinstance(node.value, (ast.List, ast.Tuple)):
-                    for elt in node.value.elts:
-                        if isinstance(elt, ast.Constant) and isinstance(elt.value, str):
-                            exported.append((elt.lineno, elt.value))
-    if not exported:
-        return
-    bound: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            bound.add(node.name)
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    bound.add(target.id)
-                elif isinstance(target, (ast.Tuple, ast.List)):
-                    bound.update(
-                        e.id for e in target.elts if isinstance(e, ast.Name)
-                    )
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            bound.add(node.target.id)
-    for lineno, name in exported:
-        if name not in bound:
-            yield lineno, (
-                f"__all__ exports {name!r} but the module never binds it: "
-                f"`from module import *` (and linters) will fail"
             )

@@ -17,7 +17,7 @@ outputs, cycle totals, primitive counts, wave counts and timeline events.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from repro.hw.accelerator import Accelerator
 from repro.hw.buffers import BufferOverflowError
 from repro.hw.core import ComputationCore, writeback_stream
 from repro.hw.gemm_unit import gemm_compute_cycles
-from repro.hw.report import CODE_ORDER, SKIP_CODE, CycleReport, Primitive
+from repro.hw.report import CODE_ORDER, SKIP_CODE, CycleReport, Primitive, stage_cycles
 from repro.hw.spdmm_unit import spdmm_compute_cycles
 from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.ir.kernel import KernelIR
@@ -50,10 +50,33 @@ __all__ = [
     "TaskResult",
     "check_capacity",
     "coo_fits",
+    "copy_report",
     "execute_kernel_tasks_reference",
     "execute_pair",
     "execute_task",
+    "merge_reports",
+    "report_latency",
 ]
+
+
+def report_latency(
+    report: CycleReport, *, double_buffering: bool = True, mode_switch_cycles: int = 1
+) -> float:
+    """Effective cycles of ``report`` on the core's critical path."""
+    stage = stage_cycles(report.compute, report.memory, report.transform,
+                         profile=report.profile, double_buffering=double_buffering)
+    return float(stage) + report.mode_switches * mode_switch_cycles
+
+
+def merge_reports(report: CycleReport, other: CycleReport) -> CycleReport:
+    """Accumulate ``other`` into ``report`` (in place) and return it."""
+    for f in fields(CycleReport):
+        setattr(report, f.name, getattr(report, f.name) + getattr(other, f.name))
+    return report
+
+
+def copy_report(report: CycleReport) -> CycleReport:
+    return replace(report)
 
 
 @dataclass
@@ -201,7 +224,7 @@ def execute_pair(
         comp = CycleReport(compute=cycles, macs=macs)
 
     z = matmul(x.data, y.data)
-    report.merge(comp)
+    merge_reports(report, comp)
     if core._last_primitive is not None and core._last_primitive is not prim:
         report.mode_switches += 1
     core._last_primitive = prim
@@ -233,7 +256,7 @@ def execute_task(
     for x, y, decision in pairs:
         partial, execution = execute_pair(core, x, y, decision)
         counts[execution.primitive] += 1
-        report.merge(execution.report)
+        merge_reports(report, execution.report)
         if partial is None:
             continue
         if execution.transposed:
@@ -263,7 +286,8 @@ def execute_task(
     )
     report.bytes_written += out_bytes
 
-    latency = report.latency(
+    latency = report_latency(
+        report,
         double_buffering=core.config.buffers.double_buffering,
         mode_switch_cycles=core.config.mode_switch_cycles,
     )
@@ -393,7 +417,7 @@ def execute_kernel_tasks_reference(
             core_id, duration, kernel_id=kernel.kernel_id, task_index=t_idx
         )
 
-        stats.report.merge(result.report)
+        merge_reports(stats.report, result.report)
         stats.counts.update(result.primitive_counts)
         stats.coo_writebacks += result.coo_writeback
         assembly.write(i, k, result.z)

@@ -146,19 +146,6 @@ class TestTraceCommand:
         assert {"shard0", "shard1", "timeline"} <= names
         assert trace["otherData"]["reconcile_cats"] == ["layer"]
 
-    def test_trace_jsonl_sidecar(self, tmp_path, capsys):
-        import json
-
-        out = tmp_path / "trace.json"
-        jsonl = tmp_path / "events.jsonl"
-        assert main(["trace", "GCN", "CO", "--scale", "0.2",
-                     "--no-task-spans", "--out", str(out),
-                     "--jsonl", str(jsonl)]) == 0
-        lines = jsonl.read_text().splitlines()
-        assert lines and all(json.loads(line) for line in lines)
-        # --no-task-spans keeps the finest granularity out
-        assert not any(json.loads(line)["cat"] == "task" for line in lines)
-
     def test_trace_validate_mode(self, tmp_path, capsys):
         out = tmp_path / "trace.json"
         assert main(["trace", "GCN", "CO", "--scale", "0.2",
@@ -257,12 +244,10 @@ class TestTraceAnalyzeCommand:
     def test_what_if_and_self_diff(self, sharded_trace, capsys):
         assert main(["trace-analyze", str(sharded_trace),
                      "--what-if", "zero-halo",
-                     "--what-if", "interconnect=2,cores=14",
-                     "--diff", str(sharded_trace)]) == 0
+                     "--what-if", "zero-halo,interconnect=2"]) == 0
         text = capsys.readouterr().out
         assert "what-if zero-halo" in text
-        assert "interconnect x2, cores=14" in text
-        assert "no deltas" in text
+        assert "what-if zero-halo, interconnect x2" in text
 
     def test_json_output(self, sharded_trace, capsys):
         import json
@@ -297,9 +282,22 @@ class TestTraceAnalyzeCommand:
         assert "no traceEvents" in capsys.readouterr().err
 
     def test_bad_what_if_token_exits_one(self, sharded_trace, capsys):
-        assert main(["trace-analyze", str(sharded_trace),
-                     "--what-if", "warp-drive"]) == 1
-        assert "unknown what-if token" in capsys.readouterr().err
+        for token in ("warp-drive", "cores=4"):
+            assert main(["trace-analyze", str(sharded_trace),
+                         "--what-if", token]) == 1
+            assert "unknown what-if token" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", (
+        ["trace", "GCN", "CO", "--jsonl", "e.jsonl"],
+        ["trace-analyze", "t.json", "--diff", "t.json"],
+        ["trace-analyze", "t.json", "--top", "3"],
+        ["perf-diff", "new", "--baseline-trace", "b.json"],
+    ), ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_removed_flags_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_single_span_trace_attributes(self, tmp_path, capsys):
         import json
@@ -442,16 +440,6 @@ _TRACE_ANALYZE = {
         "aggregate_by_cat": {"*": "float"},
         "by_category": {"*": "float"},
     },
-    "diff": {
-        **_typed("bool", "is_zero"),
-        **_typed("float", "base_total_s delta_total_s new_total_s"),
-        **_typed("str", "baseline"),
-        "groups": [{
-            **_typed("float", "delta_s total_base_s total_new_s"),
-            **_typed("int", "count_base count_new"),
-            **_typed("str", "cat name track"),
-        }],
-    },
     "what_ifs": [{
         **_typed("float", "baseline_s projected_s savings_s speedup"),
         **_typed("str", "name"),
@@ -528,7 +516,7 @@ JSON_CELLS = {
     "serve_bench": (_SERVE_ARGV, _serving(_IN_FLIGHT), _PCIE,
                     {"sweeps": {"<sweep>": {"scheduler"}}}),
     "trace_analyze": (["trace-analyze", "{trace}", "--json", "--what-if",
-                       "zero-halo", "--diff", "{trace}"], _TRACE_ANALYZE, {}),
+                       "zero-halo"], _TRACE_ANALYZE, {}),
 }
 
 
@@ -676,7 +664,7 @@ def _library_checks():
     from repro.engine.pool import AcceleratorPool
     from repro.gnn import build_model
     from repro.gnn.pruning import prune_to_sparsity
-    from repro.obs import validate_trace
+    from repro.obs import Tracer, flame_summary, validate_trace
     from repro.sched import SLOPolicy
     from repro.serve import InferenceServer, churn_stream, synthesize
 
@@ -738,6 +726,8 @@ def _library_checks():
          lambda: measure_facade_overhead(repeats=0)),
         (["trace", "--validate", "x.json", "--rtol", "0"], "rtol",
          lambda: validate_trace({}, rtol=0.0)),
+        (["trace", "GCN", "CO", "--scale", "0.1", "--top", "-1"], "top",
+         lambda: flame_summary(Tracer(), top=-1)),
         (["trace", "GCN", "CO", "--scale", "0.1", "--shards", "0"],
          "num_devices", no_pool),
     ]

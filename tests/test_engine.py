@@ -302,13 +302,26 @@ class TestDeprecationShims:
         assert hasattr(repro.runtime, "run_strategy")
         # ...and no module grew a PEP 562 hook since (what staticcheck's
         # RPR502 policed while there were shims to police)
-        import importlib
-        import pkgutil
+        for module in _library_modules():
+            assert "__getattr__" not in vars(module), module.__name__
 
-        for info in pkgutil.walk_packages(repro.__path__, "repro."):
-            if info.name != "repro.__main__":
-                module = importlib.import_module(info.name)
-                assert "__getattr__" not in vars(module), info.name
+    def test_every_all_entry_is_bound(self):
+        # what staticcheck's RPR503 read off the AST, checked on the
+        # imported module: `from module import *` resolves every name
+        for module in _library_modules():
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def _library_modules():
+    """``repro`` and every module under it but ``repro.__main__``."""
+    import importlib
+    import pkgutil
+
+    yield repro
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name != "repro.__main__":
+            yield importlib.import_module(info.name)
 
 
 class TestOverheadHarness:

@@ -19,7 +19,14 @@ from repro.hw.core import (
 )
 from repro.hw.memory import ExternalMemory
 from repro.hw.report import PRIMITIVE_CODES, CycleReport, Primitive, stage_cycles
-from task_oracle import OperandSpec, PairDecision, execute_pair, execute_task
+from task_oracle import (
+    OperandSpec,
+    PairDecision,
+    copy_report,
+    execute_pair,
+    execute_task,
+    merge_reports,
+)
 
 CFG = make_tiny_config()
 
@@ -375,12 +382,12 @@ class TestCycleReport:
     def test_merge(self):
         a = CycleReport(compute=10, memory=5, macs=100, bytes_read=40)
         b = CycleReport(compute=1, transform=2, profile=3, mode_switches=1)
-        a.merge(b)
+        merge_reports(a, b)
         assert a.compute == 11 and a.transform == 2 and a.macs == 100
 
     def test_copy_independent(self):
         a = CycleReport(compute=1)
-        b = a.copy()
+        b = copy_report(a)
         b.compute = 99
         assert a.compute == 1
 

@@ -21,10 +21,8 @@ from repro.obs import (
     Span,
     Tracer,
     flame_summary,
-    to_jsonl,
     to_perfetto,
     validate_trace,
-    write_jsonl,
     write_trace,
 )
 
@@ -194,18 +192,6 @@ class TestPerfettoExport:
 
 
 class TestJsonlAndFlame:
-    def test_jsonl_one_object_per_record(self, tmp_path):
-        tr = _demo_tracer()
-        lines = to_jsonl(tr).splitlines()
-        assert len(lines) == len(tr.spans) + len(tr.counters)
-        kinds = {json.loads(line)["kind"] for line in lines}
-        assert kinds == {"span", "instant", "counter"}
-        path = write_jsonl(tr, tmp_path / "events.jsonl")
-        assert path.read_text() == to_jsonl(tr)
-
-    def test_empty_tracer_jsonl_is_empty(self):
-        assert to_jsonl(Tracer()) == ""
-
     def test_flame_summary_rolls_up_by_cat_and_track(self):
         text = flame_summary(_demo_tracer())
         assert "by category:" in text and "kernel" in text
