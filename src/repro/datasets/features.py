@@ -8,9 +8,10 @@ compiler's off-chip storage-format policy threshold).
 
 The sparse path rejection-samples flat cell ids (rounds merged by
 :func:`repro.formats.csr.sorted_unique`), subsamples to the exact count,
-then draws the values; the dense path draws every value and zeroes an
-exact-count random subset.  The output for a given ``(shape, density,
-seed)`` is a contract: golden digests in ``tests/test_datasets.py``.
+then draws the values and writes the sorted ids straight into canonical
+CSR; the dense path draws every value and zeroes an exact-count random
+subset.  The output for a given ``(shape, density, seed)`` is a
+contract: golden digests in ``tests/test_datasets.py``.
 """
 
 from __future__ import annotations
@@ -63,10 +64,21 @@ def sparse_features(
         if rounds > 200:  # pragma: no cover - safety valve
             raise RuntimeError("feature sampling failed to converge")
     if flat.size > target:
-        flat = rng.choice(flat, size=target, replace=False)
-    rows = (flat // num_features).astype(np.int64)
-    cols = (flat % num_features).astype(np.int64)
-    vals = rng.uniform(0.5, 1.5, size=flat.size).astype(DTYPE)
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(num_vertices, num_features), dtype=DTYPE
+        # the draws of ``rng.choice(flat, ...)``, each value paired with its
+        # pick; a slot scatter keeps the subset sorted, values alongside
+        pick = rng.choice(flat.size, size=target, replace=False)
+        vals = rng.uniform(0.5, 1.5, size=target).astype(DTYPE)
+        slot = np.full(flat.size, -1, dtype=np.int64)
+        slot[pick] = np.arange(target)
+        keep = slot >= 0
+        flat, vals = flat[keep], vals[slot[keep]]
+    else:
+        vals = rng.uniform(0.5, 1.5, size=flat.size).astype(DTYPE)
+    f = np.int64(num_features)
+    indptr = flat.searchsorted(np.arange(num_vertices + 1, dtype=np.int64) * f)
+    x = sp.csr_matrix(
+        (vals, (flat % f).astype(np.int32), indptr.astype(np.int32)),
+        shape=(num_vertices, num_features),
     )
+    x.has_canonical_format = True
+    return x

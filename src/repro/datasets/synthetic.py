@@ -121,13 +121,15 @@ def powerlaw_graph(
         if rounds > 200:  # pragma: no cover - safety valve
             raise RuntimeError("edge sampling failed to converge")
     if seen.size > num_edges:
-        seen = rng.choice(seen, size=num_edges, replace=False)
+        # the draws of ``rng.choice(seen, ...)``; a mask keeps them sorted
+        keep = np.zeros(seen.size, dtype=bool)
+        keep[rng.choice(seen.size, size=num_edges, replace=False)] = True
+        seen = seen[keep]
 
     # the keys, sorted, are the matrix in row-major order: canonical CSR
     # without the coo -> csr -> sort_indices round trip
     if symmetric:
-        seen = np.concatenate([seen, seen % v * v + seen // v])
-    seen = np.sort(seen)
+        seen = np.sort(np.concatenate([seen, seen % v * v + seen // v]))
     indptr = seen.searchsorted(np.arange(num_vertices + 1, dtype=np.int64) * v)
     a = sp.csr_matrix(
         (np.ones(seen.size, dtype=DTYPE), seen % v, indptr),

@@ -12,13 +12,12 @@ sweep runs through the one event-driven loop here, on the virtual clock:
 - :mod:`repro.sched.autoscaler` — queue-depth/utilization pool
   autoscaling with hysteresis.
 
-The loop is continuous batching: a request joins an execution of its
-program already in flight at the next layer boundary, closed batches
-dispatch in SLO-priority order, and a strictly-higher-priority batch may
-preempt an unsharded execution at a layer boundary.  Every request is
-scheduled by its SLO class (the server's ``slo_policy``, by default
-:meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`: ``bulk``
-and ``interactive``); admission control and autoscaling are opt-in::
+The loop is continuous batching (:mod:`repro.sched.scheduler`: joins,
+boarding, priority dispatch and preemption at layer boundaries).  Every
+request is scheduled by its SLO class (the server's ``slo_policy``, by
+default :meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`:
+``bulk`` and ``interactive``); admission control and autoscaling are
+opt-in::
 
     from repro.serve import InferenceServer
     from repro.sched import SLOPolicy, PoolAutoscaler

@@ -65,37 +65,24 @@ class AdmissionController:
             for cls in self.policy.classes
         }
 
-    def decide(
-        self, slo_class: SLOClass, queue_depth: int
-    ) -> AdmissionDecision:
+    def decide(self, slo_class: SLOClass, queue_depth: int) -> AdmissionDecision:
         """Admission outcome for one request, given the current depth.
 
         ``queue_depth`` is whatever backlog measure the caller bounds —
         the continuous scheduler passes waiting + deferred requests.
         Counters are updated as a side effect.
         """
-        decision = self._decide(slo_class, queue_depth)
-        self.counters[slo_class.name][decision.action] += 1
-        return decision
-
-    def _decide(
-        self, slo_class: SLOClass, queue_depth: int
-    ) -> AdmissionDecision:
         bound = slo_class.max_queue_depth
         if bound is None or queue_depth < bound:
-            return _ADMIT
-        hard = math.ceil(bound * self.hard_limit_factor)
-        if slo_class.overload == "shed":
-            return AdmissionDecision(
-                "shed", f"queue depth {queue_depth} >= bound {bound}"
-            )
-        if queue_depth >= hard:
-            return AdmissionDecision(
-                "shed", f"queue depth {queue_depth} >= hard limit {hard}"
-            )
-        return AdmissionDecision(
-            "defer", f"queue depth {queue_depth} >= bound {bound}"
-        )
+            decision = _ADMIT
+        else:
+            hard = math.ceil(bound * self.hard_limit_factor)
+            defer = slo_class.overload == "defer"
+            limit = f"hard limit {hard}" if defer and queue_depth >= hard else f"bound {bound}"
+            decision = AdmissionDecision("defer" if defer and queue_depth < hard else "shed",
+                                         f"queue depth {queue_depth} >= {limit}")
+        self.counters[slo_class.name][decision.action] += 1
+        return decision
 
     def low_watermark(self, slo_class: SLOClass) -> int | None:
         """Depth below which deferred requests of this class re-admit.

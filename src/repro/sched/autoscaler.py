@@ -28,7 +28,7 @@ autoscaler event log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -43,14 +43,7 @@ class ScaleEvent:
     busy_devices: int
 
     def to_dict(self) -> dict:
-        return {
-            "t_s": self.t_s,
-            "from_devices": self.from_devices,
-            "to_devices": self.to_devices,
-            "reason": self.reason,
-            "queue_depth": self.queue_depth,
-            "busy_devices": self.busy_devices,
-        }
+        return asdict(self)
 
 
 class PoolAutoscaler:
@@ -108,10 +101,7 @@ class PoolAutoscaler:
         """Proposed new active-set size, or None to hold steady."""
         if now - self._last_change_s < self.cooldown_s:
             return None
-        ceiling = min(
-            pool_devices,
-            pool_devices if self.max_devices is None else self.max_devices,
-        )
+        ceiling = min(pool_devices, self.max_devices or pool_devices)
         floor = min(self.min_devices, ceiling)
         if (
             active < ceiling
@@ -147,14 +137,7 @@ class PoolAutoscaler:
         busy_devices: int,
     ) -> ScaleEvent:
         """Record a transition the scheduler actually applied."""
-        event = ScaleEvent(
-            t_s=now,
-            from_devices=from_devices,
-            to_devices=to_devices,
-            reason=reason,
-            queue_depth=queue_depth,
-            busy_devices=busy_devices,
-        )
+        event = ScaleEvent(now, from_devices, to_devices, reason, queue_depth, busy_devices)
         self.events.append(event)
         self._last_change_s = now
         return event

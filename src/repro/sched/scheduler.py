@@ -23,9 +23,15 @@ reservation per member device, held to the last barrier.
 **Join-in-flight.**  Requests sharing a ``batch_key`` are bit-identical
 runs, so a request arriving while a compatible execution is in flight
 *joins* it at the next layer boundary and shares its result — zero added
-service time.  This is what keeps goodput up under overload: the backlog
-rides one execution instead of re-running the program batch by batch.
-(The founding group respects ``max_batch_size``; joiners ride free.)
+service time.  When an execution starts, every queued group of its
+``batch_key`` *boards* it, its requests joining at the start: a group
+still forming, a closed one, or a closed one whose compile ends by the
+start.  A group whose SLO class outranks the execution's does not board
+(a preemptible run could hold it back).  So the backlog rides one
+execution instead of re-running the program batch by batch, and a queued
+batch never finishes after a later arrival that joined the run it could
+have boarded.  (The founding group respects ``max_batch_size``; joiners
+and boarders ride free.)
 
 **Priority + preemption.**  Closed groups dispatch in SLO-priority
 order, and a strictly-higher-priority group may preempt an unsharded
@@ -84,7 +90,7 @@ class _Joiner:
     deferred: bool
 
 
-@dataclass
+@dataclass(eq=False)
 class _Group:
     """A forming micro-batch plus its SLO class and window deadline."""
 
@@ -114,7 +120,7 @@ class _Execution:
 
     __slots__ = (
         "exec_id", "key", "run", "founders", "deferred_ids", "joiners",
-        "pending_joins", "segments", "seg_idx", "span_s", "boundaries",
+        "segments", "seg_idx", "span_s", "boundaries",
         "devices", "start_s", "finish_s", "priority", "paused", "atomic",
         "check", "preemptions",
     )
@@ -126,8 +132,9 @@ class _Execution:
         #: and which of them the admission controller had deferred
         self.founders: list[InferenceRequest] = group.batch.requests
         self.deferred_ids: set = group.deferred_ids
+        #: requests that joined or boarded it (attach_s None: joined while
+        #: it was paused, attached at the resume)
         self.joiners: list[_Joiner] = []
-        self.pending_joins: list[_Joiner] = []
         #: segment 0 is the input-PCIe transfer (0 s if resident), then
         #: one per layer
         self.segments = segments
@@ -370,16 +377,8 @@ class ContinuousScheduler:
         exec_ = self._inflight.get(pkey)
         if exec_ is not None and exec_.joinable(now):
             self._lookup(req, prog_key, pkey, now)
-            joiner = _Joiner(req, exec_.attach_time(now), deferred)
-            exec_.joiners.append(joiner)
-            if joiner.attach_s is None:
-                exec_.pending_joins.append(joiner)
-            self._count("serve.sched.joined")
-            if exec_.atomic:
-                self._count("serve.sharded_requests")
-            if self.tracer.enabled:
-                self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
-                                    exec_id=exec_.exec_id, slo=req.slo)
+            self._board(exec_, [_Joiner(req, exec_.attach_time(now), deferred)], now,
+                        f"req{req.request_id}/join", exec_id=exec_.exec_id, slo=req.slo)
             return
 
         if not deferred:
@@ -468,6 +467,8 @@ class ContinuousScheduler:
             self._after(batch.ready_s, self._group_ready, group)
 
     def _group_ready(self, group: _Group, now: float) -> None:
+        if group not in self._unready:
+            return  # it boarded an execution of its program
         self._unready.remove(group)
         insort(self._ready, group, key=_RANK)
         self._schedule(now)
@@ -601,6 +602,34 @@ class ContinuousScheduler:
             self.tracer.instant("sched", f"exec{exec_.exec_id}/start", exec_.start_s,
                                 cat="dispatch", size=batch.size, slo=group.slo.name,
                                 shards=shards, devices=str(chosen))
+        # the backlog of its key boards it: any group its class does not
+        # outrank, open or closed, whose program is ready by the start
+        start = exec_.start_s
+        boarding = sorted((g for g in itertools.chain(self._groups.values(), self._ready,
+                                                      self._unready)
+                           if g.batch.key == batch.key and g.slo.priority <= exec_.priority
+                           and g.batch.ready_s <= start), key=_RANK)
+        for g in boarding:
+            if self._groups.get(g.key) is g:
+                del self._groups[g.key]  # its window timer finds it gone
+            self._waiting -= g.batch.size
+            ids = g.deferred_ids
+            self._board(exec_, [_Joiner(r, start, r.request_id in ids) for r in g.batch.requests],
+                        start, f"exec{exec_.exec_id}/board", batch_id=g.batch.batch_id,
+                        size=g.batch.size, slo=g.slo.name)
+        for queue in (self._ready, self._unready):
+            queue[:] = [g for g in queue if g not in boarding]
+
+    def _board(self, exec_: _Execution, joiners: list[_Joiner], now: float, event: str,
+               **args) -> None:
+        """Attach ``joiners`` to ``exec_``, with one trace instant: an
+        arrival joining it in flight, or a queued group boarding it."""
+        exec_.joiners += joiners
+        self._count("serve.sched.joined", len(joiners))
+        if exec_.atomic:
+            self._count("serve.sharded_requests", len(joiners))
+        if self.tracer.enabled:
+            self.tracer.instant("sched", event, now, cat="join", **args)
 
     # -- layer boundaries ------------------------------------------------
     def _run_span(self, exec_: _Execution, start: float) -> None:
@@ -611,9 +640,9 @@ class ContinuousScheduler:
         bounds = list(itertools.accumulate(exec_.segments[exec_.seg_idx:], initial=start))
         exec_.span_s = start
         exec_.boundaries = bounds[1:-1]
-        for joiner in exec_.pending_joins:
-            joiner.attach_s = start
-        exec_.pending_joins.clear()
+        for joiner in exec_.joiners:
+            if joiner.attach_s is None:
+                joiner.attach_s = start
         self._after(bounds[-1], self._finish, (exec_, exec_.preemptions))
 
     def _book_span(self, exec_: _Execution, n: int) -> None:

@@ -21,7 +21,10 @@ ones production inference servers expose:
 
 Groups form, close and dispatch in the one serve loop
 (:mod:`repro.sched.scheduler`), where a request may also join an
-execution of its ``batch_key`` already in flight.
+execution of its ``batch_key`` already in flight, and where a group,
+forming or closed, boards the execution of its ``batch_key`` that starts
+ahead of it instead of waiting to run the same program again: neither
+knob bounds an execution's size, only a batch's.
 """
 
 from __future__ import annotations

@@ -149,9 +149,9 @@ class InferenceResponse:
     output: Optional[np.ndarray] = None
     #: the request's SLO class (mirrors ``InferenceRequest.slo``)
     slo: str = "bulk"
-    #: True when the continuous scheduler attached this request to an
-    #: already-running execution at a layer boundary (``start_s`` is the
-    #: join boundary, so queue/execute still sum to latency)
+    #: True when the serve loop attached this request to an execution it
+    #: did not found: joined in flight at a layer boundary, or boarded at
+    #: the start (``start_s`` is that boundary; phases still sum to latency)
     joined: bool = False
     #: True when the admission controller parked this request during
     #: overload and re-admitted it later

@@ -110,7 +110,8 @@ class ServingReport:
     goodput_rps: float = 0.0
     #: devices in the pool's active set when the sweep ended
     active_devices: int = 0
-    #: in-flight dispatch accounting
+    #: in-flight dispatch accounting (joined: arrivals that joined an
+    #: execution in flight, plus the requests of groups that boarded one)
     shed_requests: int = _held("counters", "serve.sched.shed", default=0)
     deferred_requests: int = _held("counters", "serve.sched.deferred", default=0)
     joined_requests: int = _held("counters", "serve.sched.joined", default=0)
@@ -286,11 +287,6 @@ class InferenceServer:
     @property
     def config(self) -> AcceleratorConfig:
         return self.engine.config
-
-    @property
-    def tracer(self):
-        """The engine's session tracer (NULL_TRACER when disabled)."""
-        return self.engine.tracer
 
     @property
     def cache(self) -> ProgramCache:

@@ -94,6 +94,17 @@ def steady_arrivals(num_requests: int, rate_rps: float) -> np.ndarray:
     return (np.arange(num_requests) + 1) / rate_rps
 
 
+def _arrival_times(arrival: str, num_requests: int, rate_rps: float, seed: int) -> np.ndarray:
+    """Arrival times of the process ``arrival`` names (``ARRIVAL_KINDS``)."""
+    if arrival not in ARRIVAL_KINDS:
+        raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
+    if arrival == "poisson":
+        return poisson_arrivals(num_requests, rate_rps, seed)
+    if arrival == "bursty":
+        return bursty_arrivals(num_requests, rate_rps, seed)
+    return steady_arrivals(num_requests, rate_rps)
+
+
 def _mix_probabilities(n: int, skew: float, rng: np.random.Generator) -> np.ndarray:
     """Zipf-like popularity over ``n`` combos (skew=0 -> uniform)."""
     ranks = np.arange(1, n + 1, dtype=np.float64)
@@ -141,22 +152,10 @@ def synthesize(
         raise ValueError(f"class_skew must be within [0, 1], got {class_skew}")
     if skew < 0:
         raise ValueError(f"skew must be >= 0, got {skew}")
-    if arrival not in ARRIVAL_KINDS:
-        raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
-    if arrival == "poisson":
-        times = poisson_arrivals(num_requests, rate_rps, seed)
-    elif arrival == "bursty":
-        times = bursty_arrivals(num_requests, rate_rps, seed)
-    else:
-        times = steady_arrivals(num_requests, rate_rps)
+    times = _arrival_times(arrival, num_requests, rate_rps, seed)
 
-    combos = [
-        (m, d, s, p)
-        for m in models
-        for d in datasets
-        for s in strategies
-        for p in prune_levels
-    ]
+    combos = [(m, d, s, p) for m in models for d in datasets
+              for s in strategies for p in prune_levels]
     rng = np.random.default_rng(seed + 1)
     probs = _mix_probabilities(len(combos), skew, rng)
     picks = rng.choice(len(combos), size=num_requests, p=probs)
@@ -168,19 +167,11 @@ def synthesize(
     requests = []
     for i, (t, pick) in enumerate(zip(times, picks)):
         model, dataset, strategy, prune = combos[int(pick)]
-        requests.append(
-            InferenceRequest(
-                model=model,
-                dataset=dataset,
-                strategy=strategy,
-                prune=prune,
-                scale=scale,
-                seed=seed,
-                shards=shards,
-                arrival_s=float(t),
-                slo="interactive" if interactive[i] else "bulk",
-            )
-        )
+        requests.append(InferenceRequest(
+            model=model, dataset=dataset, strategy=strategy, prune=prune, scale=scale,
+            seed=seed, shards=shards, arrival_s=float(t),
+            slo="interactive" if interactive[i] else "bulk",
+        ))
     return requests
 
 
@@ -219,14 +210,7 @@ def churn_stream(
         raise ValueError("mutation_every must be >= 2 (streams need traffic)")
     if not 0.0 < edge_fraction <= 1.0:
         raise ValueError(f"edge_fraction must be in (0, 1], got {edge_fraction}")
-    if arrival not in ARRIVAL_KINDS:
-        raise ValueError(f"arrival must be one of {ARRIVAL_KINDS}, got {arrival!r}")
-    if arrival == "poisson":
-        times = poisson_arrivals(num_requests, rate_rps, seed)
-    elif arrival == "bursty":
-        times = bursty_arrivals(num_requests, rate_rps, seed)
-    else:
-        times = steady_arrivals(num_requests, rate_rps)
+    times = _arrival_times(arrival, num_requests, rate_rps, seed)
 
     n_changes = max(1, int(graph.nnz * edge_fraction / 2))
     num_features = graph.snapshot().num_features

@@ -4,7 +4,8 @@ Covers the policy/admission/autoscaler units, the pool active-set and
 directed-booking primitives they drive, the layer-boundary hooks the
 sharded runtime exposes, and the serve loop end to end: outputs equal
 to the book-ahead oracle's (``tests/book_ahead.py``) on light traffic,
-join-in-flight under overload,
+join-in-flight under overload, a queued batch boarding the execution of
+its program,
 shed/defer admission, layer-boundary preemption, autoscaler event flow,
 and the per-response phase invariant.  Also holds the satellite
 regression tests for the batch-window edge cases, per-class workload
@@ -20,7 +21,9 @@ import pytest
 from book_ahead import serve_book_ahead
 from conftest import make_tiny_config
 
+from repro.engine import Engine
 from repro.engine.pool import AcceleratorPool
+from repro.obs import Tracer
 from repro.sched import (
     AdmissionController,
     AdmissionDecision,
@@ -409,6 +412,31 @@ class TestContinuousServe:
             # a joiner never finishes after the execution it boarded
             assert resp.finish_s == pytest.approx(
                 max(r.finish_s for r in report.responses))
+
+    def test_a_queued_batch_boards_the_execution_of_its_program(self):
+        """Two GCN/CO batches queue behind a GIN/CI one on one device: the
+        second boards the execution the first starts instead of running
+        the same program again, after a later arrival that joined it."""
+        engine = Engine(pool_size=1, tracer=Tracer())
+        gin, gcn = dict(model="GIN", dataset="CI"), dict(model="GCN", dataset="CO")
+        engine.serve([InferenceRequest(**gin)]), engine.serve([InferenceRequest(**gcn)])
+        gin_s = engine.serve([InferenceRequest(**gin)]).responses[0].finish_s
+        stream = [InferenceRequest(**gin, arrival_s=0.0) for _ in range(2)] + [
+            InferenceRequest(**gcn, arrival_s=t)
+            for t in (1e-6, 1e-6, 2e-6, 2e-6, np.nextafter(gin_s, 1.0))
+        ]
+        report = engine.serve(list(stream), max_batch_size=2)
+        # ids come from a module-global counter: go by stream position
+        finish = {r.request_id: r.finish_s for r in report.responses}
+        assert report.num_batches == 2
+        assert len({finish[r.request_id] for r in stream[2:]}) == 1
+        assert finish[stream[2].request_id] > finish[stream[0].request_id]
+        # boarders count as joined, and the trace says which group boarded
+        assert report.joined_requests == 3
+        (board,) = [s for s in engine.tracer.spans if s.name.endswith("/board")]
+        batch = {r.request_id: r.batch_id for r in report.responses}
+        assert board.name == f"exec{batch[stream[2].request_id]}/board"
+        assert board.args == {"batch_id": 2, "size": 2, "slo": "bulk"}
 
     def test_a_burst_rides_fewer_executions_than_book_ahead(self):
         """``serve_steady``'s mechanism at small scale: a burst of one

@@ -12,7 +12,12 @@ would.  And the serve loop must book every execution's segments exactly
 once, at the chained sums of their seconds: a device's busy seconds are
 the chained sum of what it ran, a joiner starts at a layer boundary of
 its execution, and a preempted execution's reservation ends at the
-boundary where it paused.
+boundary where it paused.  Nor may a response finish after a
+later-arriving response of its program (its ``batch_key``), since a
+queued batch boards the execution of its program that starts.  Two
+exemptions: a response whose class is outranked by the class the later
+one's execution runs at (its own may be preempted for that one), and a
+response that admission parked (a join skips the queue bound).
 """
 
 from __future__ import annotations
@@ -217,3 +222,35 @@ def test_every_execution_books_its_segments_once(configuration, stream):
             assert r.finish_s == boundaries[-1] or founder.shards > 1
             if r.joined:
                 assert r.start_s in boundaries
+
+
+@given(st.tuples(st.booleans(), st.sampled_from([1, 2, 4]),
+                 st.sampled_from([0.0, 2e-4])), arrivals)
+# two batches of one program queue behind another program on the one
+# active device; the second boards the execution the first starts, which
+# a later request joins (at a parent of this invariant, it ran after it)
+@example((True, 2, 0.0), [(4, 1, "bulk", 0.0), (4, 1, "bulk", 0.0),
+                          (3, 1, "bulk", 0.05), (3, 1, "bulk", 0.0),
+                          (3, 1, "bulk", 0.05), (3, 1, "bulk", 0.0),
+                          (3, 1, "bulk", 0.3)])
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_no_response_finishes_after_a_later_arrival_of_its_program(configuration, stream):
+    autoscale, max_batch_size, max_wait_s = configuration
+    server = warm_server("continuous", autoscale, max_batch_size, max_wait_s)
+    requests = timed(server, stream)
+    report = server.serve(requests)
+
+    sent = {r.request_id: r for r in requests}
+    priority = {c.name: c.priority for c in POLICY.classes}
+    # the class an execution runs at: its founders'
+    runs_at = {r.batch_id: priority[r.slo] for r in report.responses if not r.joined}
+    by_key: dict[tuple, list] = {}
+    for r in report.responses:
+        by_key.setdefault((sent[r.request_id].seed, r.shards), []).append(r)
+    for members in by_key.values():
+        for a, b in itertools.permutations(members, 2):
+            if a.arrival_s < b.arrival_s and a.finish_s > b.finish_s:
+                # overtaken only by an execution that outranks its class
+                # (its own may be preempted for it), or while parked by
+                # admission (a join is exempt from the queue bound)
+                assert priority[a.slo] < runs_at[b.batch_id] or a.deferred
