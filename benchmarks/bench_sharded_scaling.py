@@ -38,7 +38,7 @@ MIN_GROWTH_2_TO_4 = 1.3
 
 
 def sweep(model_name: str, ds_name: str):
-    """Single-device baseline + one sharded run per shard count."""
+    """One run per width: the single device, then each shard count."""
     return shard_scaling_sweep(get_program(model_name, ds_name), SHARD_COUNTS)
 
 
@@ -71,7 +71,7 @@ def _spec(ctx):
     assert not result.mismatches, (
         "sharded output diverged from the single-device run"
     )
-    single, r4 = result.single, result.runs[4]
+    single, r4 = result.runs[1], result.runs[4]
     speedup4 = r4.speedup_vs(single)
     assert speedup4 >= MIN_SPEEDUP_4DEV, (
         f"4-device modelled speedup {speedup4:.2f}x below "
@@ -87,11 +87,11 @@ def _spec(ctx):
     )
     return {
         "pu_half_speedup_2dev": Metric(
-            "pu_half_speedup_2dev", half.runs[2].speedup_vs(half.single),
+            "pu_half_speedup_2dev", half.runs[2].speedup_vs(half.runs[1]),
             "x", "higher",
         ),
         "pu_half_speedup_4dev": Metric(
-            "pu_half_speedup_4dev", half.runs[4].speedup_vs(half.single),
+            "pu_half_speedup_4dev", half.runs[4].speedup_vs(half.runs[1]),
             "x", "higher",
         ),
         "speedup_2dev": Metric(
@@ -114,7 +114,7 @@ def test_sharded_bit_exact_and_scaling(benchmark):
     )
     emit("bench_sharded_scaling", result.format_report())
     assert not result.mismatches
-    assert result.runs[4].speedup_vs(result.single) >= MIN_SPEEDUP_4DEV
+    assert result.runs[4].speedup_vs(result.runs[1]) >= MIN_SPEEDUP_4DEV
     assert 0.0 < result.runs[4].halo_fraction < 1.0
     half = half_scale_sweep()
     assert not half.mismatches
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     print(half.format_report())
 
     r4 = result.runs[4]
-    speedup4 = r4.speedup_vs(result.single)
+    speedup4 = r4.speedup_vs(result.runs[1])
     growth = growth_2_to_4(half)
     if speedup4 < MIN_SPEEDUP_4DEV:
         print(f"\nFAIL: 4-device speedup {speedup4:.2f}x below "

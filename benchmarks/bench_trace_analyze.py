@@ -7,11 +7,11 @@ only useful if they are *honest*, so this bench runs a traced sharded
 inference and gates four invariants on every CI run:
 
 - the critical-path category sums reconcile with
-  ``ShardedResult.latency_s`` within 1%;
+  ``InferenceResult.latency_s`` within 1%;
 - the projection with no hypothetical replays the executor's schedule:
-  it reproduces ``ShardedResult.latency_s``;
+  it reproduces ``InferenceResult.latency_s``;
 - the zero-halo what-if projection equals the result's own halo-seconds
-  accounting (``ShardedResult.zero_halo_latency_s``) bit-for-bit;
+  accounting (``InferenceResult.zero_halo_latency_s``) to 1e-9;
 - the trace written to ``trace.json`` and read back attributes the same
   per-category seconds as the live tracer (within 1e-12 s).
 
@@ -75,7 +75,7 @@ def measure(*, model, dataset, scale, shards, config):
         zero.projected_s, result.zero_halo_latency_s(), rtol=1e-9
     ), (
         f"zero-halo projection {zero.projected_s:.9f} s does not match "
-        f"ShardedResult accounting {result.zero_halo_latency_s():.9f} s"
+        f"the result's accounting {result.zero_halo_latency_s():.9f} s"
     )
     assert np.isclose(replay.projected_s, result.latency_s, rtol=1e-9), (
         "the projection with no hypothetical does not replay the schedule"

@@ -53,7 +53,7 @@ from repro.obs import (
     validate_trace,
     write_trace,
 )
-from repro.shard import ShardedResult, ShardPlan, plan_shards, run_sharded
+from repro.shard import ShardPlan, plan_shards
 from repro.serve import (
     InferenceRequest,
     InferenceResponse,
@@ -113,9 +113,7 @@ __all__ = [
     "ProgramPatcher",
     "ServingReport",
     "ShardPlan",
-    "ShardedResult",
     "plan_shards",
-    "run_sharded",
     "end_to_end_seconds",
     "make_strategy",
     "__version__",

@@ -18,7 +18,8 @@ those resources once:
   programs valid under mutation;
 - the **backends** (:data:`BACKENDS`) — the names :meth:`Engine.infer`
   dispatches on: the simulated FPGA on one device or sharded over the
-  pool, the heterogeneous executor and the CPU/GPU rooflines.
+  pool (one driver and one result type; one device is the plan of width
+  1), the heterogeneous executor and the CPU/GPU rooflines.
 
 Quickstart::
 
@@ -357,18 +358,18 @@ class Engine:
         """Execute a compiled program on one of :data:`BACKENDS`.
 
         Returns the backend's native result: ``simulated`` (also
-        ``None``) the full :class:`~repro.runtime.executor.InferenceResult`
-        of a run on device 0 (bit-identical to :func:`run_strategy`),
-        ``sharded`` a :class:`~repro.shard.executor.ShardedResult` over
-        the handle's shard plan (else one shard per pool device),
-        ``hetero`` a :class:`~repro.hetero.executor.HeteroResult`, and
-        ``cpu`` / ``gpu`` a
-        :class:`~repro.baselines.cpu_gpu.RooflineResult` (DGL-CPU /
-        PyG-GPU; their ``OutOfMemoryError`` propagates).  Every result
-        exposes ``latency_s`` and ``latency_ms``.  A simulated or sharded
-        run goes through :meth:`execute`: simulated anew on every call,
-        and left as the program's record for the serve path.  Only the
-        simulator's runs apply ``strategy`` (hetero always maps
+        ``None``) and ``sharded`` an
+        :class:`~repro.runtime.executor.InferenceResult`, of a run on
+        device 0 (bit-identical to :func:`run_strategy`) or over the
+        handle's shard plan (else one shard per pool device; a pool of
+        one gives the same run), ``hetero`` a
+        :class:`~repro.hetero.executor.HeteroResult`, and ``cpu`` /
+        ``gpu`` a :class:`~repro.baselines.cpu_gpu.RooflineResult`
+        (DGL-CPU / PyG-GPU; their ``OutOfMemoryError`` propagates).  Every
+        result exposes ``latency_s`` and ``latency_ms``.  A simulated or
+        sharded run goes through :meth:`execute`: simulated anew on every
+        call, and left as the program's record for the serve path.  Only
+        the simulator's runs apply ``strategy`` (hetero always maps
         dynamically, the frameworks never do), but every backend rejects
         an unknown one.
         """
@@ -409,40 +410,41 @@ class Engine:
     ):
         """The one door to a simulated execution of ``program``.
 
-        The result (an ``InferenceResult``, or a ``ShardedResult`` when
-        ``shards > 1`` or a shard ``plan`` is given) becomes the program's
-        record, ``program._runs[strategy, shards]``.  Whoever simulates
-        overwrites it; only the serve path replays it.
+        The run (:func:`~repro.runtime.executor.run_strategy`, over a shard
+        ``plan`` if one is given or ``shards > 1``) becomes the program's
+        record, ``program._runs[strategy, shards]`` (a one-shard plan is
+        the unsharded run).  Whoever simulates overwrites it; only the
+        serve path replays it.
 
         ``ready_s=None`` is a caller's own run (:meth:`infer`): simulated
-        every time, traced by the session tracer, on device 0 or, sharded,
-        booked on the pool's clock.  A time is the serve path saying when
-        its batch is ready: the record is returned if there is one, else
-        the run is simulated untraced and unbooked on the device that
-        would start it first (sharded: the first ``shards`` devices).
+        every time and traced by the session tracer, on device 0 or, over
+        a plan, on the pool's devices with each layer booked on the pool's
+        clock as one barrier-synchronised group.  A time is the serve path
+        saying when its batch is ready: the record is returned if there is
+        one, else the run is simulated untraced and unbooked on the device
+        that would start it first (sharded: the first ``shards`` devices).
         """
         serving = ready_s is not None
         if plan is not None:
             shards = plan.num_shards
         if serving and (strategy, shards) in program._runs:
             return program._runs[strategy, shards]
-        tracer = NULL_TRACER if serving else self.tracer
-        if plan is not None or shards > 1:
-            from repro.shard.executor import run_sharded
-
-            run = run_sharded(
-                program, shards, strategy_name=strategy, pool=self.pool,
-                plan=plan, book_on_pool=not serving, tracer=tracer,
-            )
-        else:
-            device = self.pool.peek_device(ready_s) if serving else 0
-            run = run_strategy(
-                program, strategy, accelerator=self.device(device), tracer=tracer
-            )
-        # a one-shard plan is not the unsharded run (it sums per-layer
-        # seconds, not cycles: the last ulp differs), so never its record
-        if run.num_shards > 1 or plan is None:
-            program._runs[strategy, shards] = run
+        if plan is None and shards > 1:
+            plan = plan_shards(program, shards)
+        first = self.pool.peek_device(ready_s) if serving else 0
+        devices = self.device(first) if plan is None else self.pool.devices
+        run = run_strategy(program, strategy, devices, plan=plan,
+                           tracer=NULL_TRACER if serving else self.tracer)
+        if plan is not None and not serving:
+            # the per-layer barrier on the pool's clock: each layer holds
+            # every member to the barrier, busy for its own lane's work
+            ready = 0.0
+            for layer in run.layers:
+                _, _, ready = self.pool.submit_group(
+                    layer.barrier_s, run.num_shards, ready,
+                    busy_s=[float(s) for s in layer.seconds],
+                )
+        program._runs[strategy, shards] = run
         return run
 
     # -- mutate ---------------------------------------------------------

@@ -5,8 +5,10 @@ Three planes, all default-off and free when disabled:
 - **spans** (:mod:`repro.obs.tracer`): nested intervals on the virtual
   clock — compiler phases, per-kernel/per-wave/per-task execution,
   serve-side enqueue/batch-form/dispatch, shard halo/barrier — threaded
-  through ``Engine``, ``run_strategy``, ``InferenceServer``,
-  ``AcceleratorPool`` and ``run_sharded`` via ``tracer=`` parameters;
+  through ``Engine``, ``run_strategy`` (one trace shape at every
+  width: a ``layer`` span per kernel and each lane's spans beside it),
+  ``InferenceServer`` and ``AcceleratorPool`` via ``tracer=``
+  parameters;
 - **metrics** (:mod:`repro.obs.metrics`): named counters / gauges /
   histograms, snapshotable into ``ServingReport.metrics`` and
   ``BENCH_*.json``;

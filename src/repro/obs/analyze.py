@@ -8,8 +8,8 @@ over it:
 
 - :func:`attribute` — barrier-aware **critical-path extraction**: the
   chain of spans whose end times gate the run's reported ``latency_s``
-  (per-layer slowest shard for sharded runs, the kernel+exposed tiling
-  for single-device runs), rolled up into canonical categories
+  (per layer, the lane that set the barrier; a one-device run is the
+  one-lane case), rolled up into canonical categories
   (``kernel`` / ``halo`` / ``barrier-wait`` / ``exposed-host`` /
   ``compile`` / ``queue-wait``) whose sum must reconcile with the
   reported latency within 1%;
@@ -199,12 +199,11 @@ class TraceModel(SpanQueries):
 
     @property
     def kind(self) -> str:
-        """Trace shape: ``sharded`` | ``single`` | ``serve`` | ``unknown``."""
+        """Trace shape: ``inference`` (a run at any width: its ``layer``
+        spans) | ``serve`` | ``unknown``."""
         cats = {sp.cat for sp in self.spans}
         if "layer" in cats:
-            return "sharded"
-        if "kernel" in cats:
-            return "single"
+            return "inference"
         if "dispatch" in cats or "batch" in cats:
             return "serve"
         return "unknown"
@@ -232,8 +231,8 @@ def _contains(outer: Span, inner: Span) -> bool:
 
 
 def _layers(model: TraceModel):
-    """Each ``layer`` span of a sharded trace in time order, with its
-    shards' kernel spans (none on a trace stripped of shard tracks)."""
+    """Each ``layer`` span in time order, with its lanes' kernel spans
+    (none on a trace stripped of lane tracks)."""
     kernels = model.select(cat="kernel")
     for layer in sorted(model.select(cat="layer"), key=lambda sp: sp.start_s):
         yield layer, [
@@ -242,83 +241,52 @@ def _layers(model: TraceModel):
         ]
 
 
-def _halo_of(layer: Span, spans: list[Span], track: str) -> Span | None:
-    """The layer's halo span on ``track`` (a shard's exposed part, or the
-    whole transfer on its ``dma`` track); ``None`` if nothing moved."""
+def _lane_span(layer: Span, spans: list[Span], track: str, name: str) -> Span | None:
+    """The span called ``name`` on ``track`` inside ``layer`` (a lane's
+    exposed halo or analysis, or the whole transfer on its ``dma``
+    track); ``None`` if the lane had none."""
     return next(
-        (
-            sp for sp in spans
-            if sp.track == track and sp.name == f"{layer.name}/halo"
-            and _contains(layer, sp)
-        ),
+        (sp for sp in spans
+         if sp.track == track and sp.name == name and _contains(layer, sp)),
         None,
     )
 
 
-def _sharded_path(model: TraceModel) -> list[PathSegment]:
-    """Per layer: the slowest shard's exposed-halo + kernel spans.
+def critical_path(source) -> list[PathSegment]:
+    """The chain of spans whose end times gate the run's latency.
 
     Each ``layer`` span on the ``timeline`` track is one per-kernel
-    barrier; the shard whose (exposed halo + execution) time set that
-    barrier is the critical one, and its spans tile the layer exactly —
-    so the segment durations sum to ``sum(barrier_s) == latency_s`` by
-    construction.
+    barrier; the lane that set it (the layer's ``slowest``) is the
+    critical one, and its exposed-halo, kernel and exposed-analysis spans
+    tile the layer up to its barrier, so the segment durations sum to
+    ``latency_s`` at every width.
     """
-    halos = model.select(cat="halo")
+    model = TraceModel.load(source)
+    if model.kind == "serve":
+        raise TraceError(
+            "serving traces have no single critical path (requests overlap); "
+            "use ServingReport.phase_breakdown for per-request analytics"
+        )
+    if model.kind != "inference":
+        raise TraceError("trace has no kernel/layer spans to extract a critical path from")
+    halos, exposed = model.select(cat="halo"), model.select(cat="exposed")
     path: list[PathSegment] = []
     for layer, members in _layers(model):
         if not members:
             # the layer span itself still carries the barrier time
             path.append(PathSegment(layer, "kernel"))
             continue
-        want = f"shard{layer.args.get('slowest_shard')}"
         critical = next(
-            (sp for sp in members if sp.track == want),
+            (sp for sp in members if sp.track == layer.args.get("slowest")),
             max(members, key=lambda sp: sp.end_s),
         )
-        halo = _halo_of(layer, halos, critical.track)
-        if halo is not None and halo.dur_s > 0.0:
-            path.append(PathSegment(halo, "halo"))
-        path.append(PathSegment(critical, "kernel"))
+        track, name = critical.track, critical.name
+        halo = _lane_span(layer, halos, track, f"{name}/halo")
+        tail = _lane_span(layer, exposed, track, f"{name}/exposed")
+        path += [PathSegment(sp, category) for sp, category in (
+            (halo, "halo"), (critical, "kernel"), (tail, "exposed-host")
+        ) if sp is not None]
     return path
-
-
-def _single_path(model: TraceModel) -> list[PathSegment]:
-    """Device kernel spans in time order, then the exposed-host tail.
-
-    The runtime lays exposed-analysis spans end to end *after* the
-    device spans precisely so that ``sum(kernel) + sum(exposed) ==
-    latency_s`` exactly; the critical path is that tiling.
-    """
-    kernels = sorted(
-        (
-            sp for sp in model.select(cat="kernel")
-            if not sp.track.startswith("shard")
-        ),
-        key=lambda sp: sp.start_s,
-    )
-    exposed = sorted(model.select(cat="exposed"), key=lambda sp: sp.start_s)
-    return [PathSegment(sp, "kernel") for sp in kernels] + [
-        PathSegment(sp, "exposed-host") for sp in exposed
-    ]
-
-
-def critical_path(source) -> list[PathSegment]:
-    """The chain of spans whose end times gate the run's latency."""
-    model = TraceModel.load(source)
-    kind = model.kind
-    if kind == "sharded":
-        return _sharded_path(model)
-    if kind == "single":
-        return _single_path(model)
-    if kind == "serve":
-        raise TraceError(
-            "serving traces have no single critical path (requests overlap); "
-            "use ServingReport.phase_breakdown for per-request analytics"
-        )
-    raise TraceError(
-        "trace has no kernel/layer spans to extract a critical path from"
-    )
 
 
 # -- attribution --------------------------------------------------------
@@ -479,11 +447,13 @@ def project(
     - ``interconnect_scale``: halo PCIe seconds divide by this factor
       (2.0 = twice the GB/s).
 
-    Hypotheticals compose; each shard's time is recomputed as the
-    sharded executor computes the real one (execution plus
+    Hypotheticals compose; in every layer a transfer reached, each
+    lane's time is recomputed as the driver computes the real one
+    (execution and exposed analysis, plus
     :func:`~repro.hw.report.exposed_stream` of its ``dma`` span's
-    transfer, in the chunks the span records), then the per-layer
-    barrier (max over shards) and the sum over layers.
+    transfer in the chunks the span records), then the per-layer barrier
+    (max over lanes) and the sum over layers.  A one-device run moves no
+    halo, so every projection of it is its recorded latency.
     """
     if interconnect_scale is not None and interconnect_scale <= 0:
         raise TraceError("interconnect_scale must be positive")
@@ -497,31 +467,26 @@ def project(
     #: what every transfer's seconds are divided by
     divisor = math.inf if zero_halo else interconnect_scale or 1.0
 
-    kind = model.kind
-    if kind == "sharded":
-        transfers = model.select(cat="dma")
-        baseline = projected = 0.0
-        for layer, members in _layers(model):
-            baseline += layer.dur_s
-            times = [layer.dur_s] if not members else []
-            for sp in members:
-                dma = _halo_of(layer, transfers, f"{sp.track}/dma")
-                exec_s = sp.dur_s
-                if dma is not None:
-                    exec_s += float(exposed_stream(
-                        dma.dur_s / divisor, dma.args.get("chunks", 1), exec_s
-                    ))
-                times.append(exec_s)
-            projected += max(times)
-        return WhatIf(name=label, baseline_s=baseline, projected_s=projected)
-    if kind == "single":
-        # no halo on one device: every hypothetical leaves the path as is
-        baseline = sum(seg.dur_s for seg in _single_path(model))
-        return WhatIf(name=label, baseline_s=baseline, projected_s=baseline)
-    raise TraceError(
-        f"what-if projections need an inference trace (sharded or "
-        f"single-device), got a {kind!r} trace"
-    )
+    if model.kind != "inference":
+        raise TraceError(f"what-if projections need an inference trace, got a {model.kind!r} trace")
+    transfers, exposed = model.select(cat="dma"), model.select(cat="exposed")
+    baseline = projected = 0.0
+    for layer, members in _layers(model):
+        baseline += layer.dur_s
+        times, moved = [], False
+        for sp in members:
+            tail = _lane_span(layer, exposed, sp.track, f"{sp.name}/exposed")
+            exec_s = sp.dur_s + (tail.dur_s if tail is not None else 0.0)
+            dma = _lane_span(layer, transfers, f"{sp.track}/dma", f"{sp.name}/halo")
+            if dma is not None:
+                moved = True
+                exec_s += float(exposed_stream(
+                    dma.dur_s / divisor, dma.args.get("chunks", 1), exec_s
+                ))
+            times.append(exec_s)
+        # a layer no transfer reached is left as recorded
+        projected += max(times) if moved else layer.dur_s
+    return WhatIf(name=label, baseline_s=baseline, projected_s=projected)
 
 
 def parse_what_if(spec: str) -> dict:

@@ -12,13 +12,14 @@ Perfetto/Chrome ``trace.json`` or a flamegraph-style text summary
 Track naming convention (one Perfetto thread per track)::
 
     host/compile      compiler phases (parse -> profile -> partition)
-    host/analyzer     per-kernel K2P analysis (soft-processor seconds)
-    host/exposed      the non-hidden share of that analysis (SVI-B)
-    dev0              per-kernel execution spans on device 0
-    dev0/wave3        per-wave task batches within a kernel
-    dev0/core5        individual task executions on one core
-    shard2            per-shard kernel/halo/barrier spans (repro.shard)
-    timeline          per-layer barrier spans of a sharded run
+    timeline          one layer span per kernel: the barrier its lanes meet at
+    dev0              the one lane of an unsharded run: per kernel its
+                      halo / kernel / exposed-analysis / barrier-wait spans
+                      end to end, with the kernel's wave spans inside
+    shard2            the same spans for one shard's lane of a planned run
+    shard2/dma        the lane's whole halo transfers
+    shard2/analyzer   its per-kernel K2P analysis (soft-processor seconds)
+    shard2/core5      individual task executions on one core of the lane
     pool/dev1         batch bookings on the accelerator pool
     serve             enqueue/batch-form/dispatch events + queue depth
 

@@ -78,10 +78,15 @@ class Regression:
                 f"[MISMATCH]"
             )
         arrow = {"regression": "WORSE", "improvement": "better", "within": "ok"}
+        # the change in the metric's own direction: how much worse, or how
+        # much better, never a negative "worse"
+        change, word = (
+            (self.worse_by, "worse") if self.worse_by > 0 else (-self.worse_by, "better")
+        )
         return (
             f"{self.bench}.{self.metric}: {self.baseline_value:g} -> "
             f"{self.new_value:g} {self.unit} "
-            f"({self.worse_by:+.1%} worse, tol {self.tolerance:.0%}) "
+            f"({change:+.1%} {word}, tol {self.tolerance:.0%}) "
             f"[{arrow[self.classification]}]"
         )
 

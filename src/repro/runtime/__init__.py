@@ -5,9 +5,9 @@ kernel's partition-pair multiplications to primitives using the analytical
 performance model (Table IV / Algorithm 7), and the **Scheduler**
 dynamically dispatches the resulting tasks onto idle Computation Cores
 (Algorithm 8).  :func:`~repro.runtime.executor.run_strategy` drives a
-simulated :class:`~repro.hw.accelerator.Accelerator` through a compiled
-program and returns both the exact inference output and the full cycle
-accounting.
+simulated :class:`~repro.hw.accelerator.Accelerator` (or, over a shard
+plan, one per shard) through a compiled program and returns both the
+exact inference output and the full cycle accounting.
 
 The static baselines of §VIII-B (S1 = HyGCN/BoostGCN mapping, S2 =
 AWB-GCN mapping) are provided as alternative
@@ -33,7 +33,7 @@ from repro.runtime.executor import (
     execute_kernel_tasks,
     run_strategy,
 )
-from repro.runtime.stats import KernelStats, TaskLoopStats
+from repro.runtime.stats import KernelStats, LayerStats, TaskLoopStats
 
 __all__ = [
     "model_cycles_batch",
@@ -52,5 +52,6 @@ __all__ = [
     "run_strategy",
     "execute_kernel_tasks",
     "KernelStats",
+    "LayerStats",
     "TaskLoopStats",
 ]

@@ -12,6 +12,11 @@ kernel ``l+1`` overlaps the accelerator's execution of kernel ``l``
 (§VI-B), so the reported latency adds only the *exposed* part of the
 runtime-system time; the raw overhead is reported separately (Fig. 13).
 
+One driver, :func:`run_strategy`, runs a program on one device or split
+over the devices of a shard plan (:mod:`repro.shard`), and one result
+type, :class:`InferenceResult`, reports either: an unsharded run is the
+plan of width 1, one lane over every row with no halo and no barrier.
+
 The functional output is exact: integration tests compare it bit-for-bit
 (up to float32 accumulation tolerance) against
 :func:`repro.gnn.functional.reference_inference`.
@@ -39,53 +44,59 @@ from repro.gnn.activations import activation_fn
 from repro.hw.accelerator import Accelerator
 from repro.hw.memory import pcie_transfer_seconds
 from repro.hw.report import exposed_stream
-from repro.ir.kernel import KernelIR
+from repro.ir.kernel import KernelIR, KernelType
 from repro.ir.scheme import owned_block_rows
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.scheduler import CoreTimeline
-from repro.runtime.stats import KernelStats, mean_over_max, total_primitive_counts
+from repro.runtime.stats import (
+    KernelStats, LayerStats, mean_over_max, total_primitive_counts,
+)
 from repro.runtime.strategies import MappingStrategy, make_strategy
 from repro.runtime import vectorized
 from repro.runtime.vectorized import execute_kernel_tasks
 
 
 @dataclass(kw_only=True)
-class RunResult:
-    """What a run reports however many devices it used; the latency
-    model is the subclass's (:class:`InferenceResult` sums cycles,
-    :class:`~repro.shard.executor.ShardedResult` sums layer barriers)."""
+class InferenceResult:
+    """Everything a run produces, on one device or many: the exact output,
+    each kernel's per-lane record under its layer barrier, and the
+    latency built on them."""
 
     output: object  # ndarray | csr_matrix
     strategy_name: str
     model_name: str
     data_name: str
     config: AcceleratorConfig
-    #: total soft-processor time spent on K2P analysis (seconds)
-    runtime_overhead_seconds: float = 0.0
-    #: the execution backend that produces this result type
-    backend: str = field(default="simulated", init=False)
+    #: per kernel, in execution order: each lane's record and the barrier
+    layers: list[LayerStats]
+    #: devices the run spanned, one lane each
+    num_shards: int = 1
+    #: the :class:`~repro.shard.planner.ShardPlan` the lanes followed
+    #: (``None``: one lane over every row)
+    plan: object = None
+    compile_timings: CompileTimings
+    input_bytes: int
+    #: per-core busy cycles, lane after lane
+    core_busy: np.ndarray
+    #: every lane's task events on its own device clock, lane after lane
+    timeline_events: list = field(default_factory=list, repr=False)
+    #: the execution backend that produces such a run (``sharded`` when
+    #: it spans more than one device)
+    backend: str = "simulated"
 
     #: span categories whose durations sum to ``latency_s`` in a trace of
     #: this run (what ``validate_trace`` reconciles)
-    reconcile_cats = ()
-    #: devices the run spanned, and what a multi-device run reports beyond
-    #: a single-device one (per-shard occupancy, halo traffic, mean barrier
-    #: wait): the serving layer replays either kind under these names
-    num_shards = 1
-    shard_busy_s = ()
-    halo_bytes = 0
-    halo_s = 0.0
-    barrier_s = 0.0
+    reconcile_cats = ("layer",)
     #: the frozen copy of ``output`` served responses share (see
     #: :meth:`served_output`)
     _served = None
     #: fields ``to_dict`` leaves out, by name: matrices, hardware objects,
     #: per-core vectors and raw events are huge or not JSON (--json
     #: consumers compare summaries, not payloads); the per-kernel, compile
-    #: and plan records appear as the subclass's ``_summary()`` keys
+    #: and plan records appear as ``_summary()`` keys
     _UNSERIALISED = frozenset({
         "output", "config", "core_busy", "timeline_events",
-        "kernel_stats", "compile_timings", "plan",
+        "layers", "compile_timings", "plan",
     })
     _KEYS = {"model_name": "model", "data_name": "dataset",
              "strategy_name": "strategy"}
@@ -103,76 +114,44 @@ class RunResult:
             self._served.setflags(write=False)
         return self._served
 
-    def to_dict(self) -> dict:
-        """JSON-serialisable summary (``repro run`` / ``shard-bench
-        --json``): every field not named in ``_UNSERIALISED``, then the
-        latency, the balance and the subclass's derived keys
-        (``_summary()``) — a new field is serialised unless someone
-        names it."""
-        summary = {}
-        for f in fields(self):
-            if f.name not in self._UNSERIALISED:
-                value = getattr(self, f.name)
-                summary[self._KEYS.get(f.name, f.name)] = (
-                    value.item() if isinstance(value, np.generic) else value
-                )
-        summary["latency_ms"] = self.latency_ms
-        summary["load_balance"] = self.load_balance()
-        summary.update(self._summary())
-        return summary
-
-    def trace_meta(self) -> dict:
-        """``otherData`` for a trace of this run: what ran, and the
-        latency and span categories ``validate_trace`` reconciles (and
-        ``attribute`` reconciles against).  The what-if projections need
-        nothing from it: a halo's transfer is on its ``dma`` span."""
-        return {
-            "model": self.model_name,
-            "dataset": self.data_name,
-            "strategy": self.strategy_name,
-            "shards": self.num_shards,
-            "expected_total_s": self.latency_s,
-            "reconcile_cats": list(self.reconcile_cats),
-        }
-
-
-@dataclass(kw_only=True)
-class InferenceResult(RunResult):
-    """Everything a run produces: exact output + full cycle accounting."""
-
-    kernel_stats: list[KernelStats]
-    #: sum of kernel makespans on the accelerator (cycles)
-    accel_cycles: float
-    #: runtime-system time that could not be hidden (cycles)
-    exposed_overhead_cycles: float
-    compile_timings: CompileTimings
-    input_bytes: int
-    core_busy: np.ndarray
-    timeline_events: list = field(default_factory=list, repr=False)
-
-    reconcile_cats = ("kernel", "exposed")
-
     # -- latency --------------------------------------------------------
+    def _clock(self) -> tuple[float, float, float]:
+        """The run's latency as (cycles, seconds, milliseconds).
+
+        The one place width decides arithmetic.  One lane meets no other
+        at a barrier, so its latency is a cycle count, summed in the
+        order single-device runs always have (every kernel's makespan,
+        then every exposed analysis); lanes meet at every layer barrier,
+        so a wider run's is the sum of its barriers' seconds.  The two
+        sums differ in the last ulp, and the ledger's digests and the
+        serve golden tables hash both.
+        """
+        cfg = self.config
+        if self.num_shards == 1:
+            cycles = self.accel_cycles + self.exposed_overhead_cycles
+            return cycles, cfg.cycles_to_seconds(cycles), cfg.cycles_to_ms(cycles)
+        seconds = float(sum(layer.barrier_s for layer in self.layers))
+        return seconds * cfg.freq_hz, seconds, seconds * 1e3
+
     @property
     def total_cycles(self) -> float:
         """Accelerator execution latency in cycles (§VIII-A metric)."""
-        return self.accel_cycles + self.exposed_overhead_cycles
+        return self._clock()[0]
 
     @property
     def latency_s(self) -> float:
-        return self.config.cycles_to_seconds(self.total_cycles)
+        return self._clock()[1]
 
     @property
     def latency_ms(self) -> float:
-        return self.config.cycles_to_ms(self.total_cycles)
+        return self._clock()[2]
 
     @property
     def segments_s(self) -> tuple:
-        """Per-kernel durations (execution + exposed analysis), the
-        continuous scheduler's join/preemption boundaries: float-summation
-        drift goes into the last one, so they sum to ``latency_s`` exactly."""
-        to_s = self.config.cycles_to_seconds
-        segs = [to_s(ks.cycles + ks.exposed_cycles) for ks in self.kernel_stats]
+        """Per-layer barrier intervals, the continuous scheduler's
+        join/preemption boundaries: float-summation drift goes into the
+        last one, so they sum to ``latency_s`` exactly."""
+        segs = [layer.barrier_s for layer in self.layers]
         if segs:
             segs[-1] += self.latency_s - sum(segs)
         return tuple(segs)
@@ -186,6 +165,27 @@ class InferenceResult(RunResult):
         return self.runtime_overhead_seconds / total
 
     # -- aggregates ------------------------------------------------------
+    @property
+    def kernel_stats(self) -> list[KernelStats]:
+        """Every lane's record of every kernel, kernel after kernel (one
+        per kernel on one lane)."""
+        return [ks for layer in self.layers for ks in layer.lanes]
+
+    @property
+    def accel_cycles(self) -> float:
+        """Kernel makespans on the accelerator(s), summed over lanes."""
+        return float(sum(ks.cycles for ks in self.kernel_stats))
+
+    @property
+    def exposed_overhead_cycles(self) -> float:
+        """Runtime-system time execution could not hide (cycles)."""
+        return float(sum(ks.exposed_cycles for ks in self.kernel_stats))
+
+    @property
+    def runtime_overhead_seconds(self) -> float:
+        """Soft-processor time spent on K2P analysis, every lane's."""
+        return float(sum(ks.analysis_seconds for ks in self.kernel_stats))
+
     @property
     def primitive_totals(self) -> Counter:
         return total_primitive_counts(self.kernel_stats)
@@ -210,79 +210,193 @@ class InferenceResult(RunResult):
     def num_pairs(self) -> int:
         return sum(ks.num_pairs for ks in self.kernel_stats)
 
+    # -- lanes and halo ----------------------------------------------------
+    @property
+    def shard_busy_s(self):
+        """Per-lane occupancy seconds under the layer barriers (summed over
+        kernels).  One lane is held to no barrier (the serve loop books
+        its segments), so it reports none."""
+        if self.num_shards == 1:
+            return ()
+        return np.sum([layer.seconds for layer in self.layers], axis=0)
+
+    @property
+    def barrier_s(self) -> float:
+        """Mean per-lane idle time at layer barriers (the mean of a
+        trace's barrier-wait span sums); 0.0 on one lane."""
+        busy = self.shard_busy_s
+        return max(self.latency_s - float(np.mean(busy)), 0.0) if len(busy) else 0.0
+
+    def _total(self, per_lane: str):
+        """One per-lane array summed over lanes, then over kernels."""
+        return sum(getattr(layer, per_lane).sum() for layer in self.layers)
+
+    @property
+    def halo_bytes(self) -> int:
+        """Total boundary-feature bytes moved between devices."""
+        return int(self._total("halo_bytes"))
+
+    @property
+    def halo_s(self) -> float:
+        """Total PCIe transfer time of halo exchange (all lanes)."""
+        return float(self._total("halo_s"))
+
+    @property
+    def halo_exposed_s(self) -> float:
+        """The part of ``halo_s`` no lane's compute hid (all lanes)."""
+        return float(self._total("exposed_halo_s"))
+
+    @property
+    def halo_fraction(self) -> float:
+        """Exposed-halo share of total device occupancy, in [0, 1]."""
+        busy = float(np.sum(self.shard_busy_s))
+        return self.halo_exposed_s / busy if busy > 0 else 0.0
+
+    def zero_halo_latency_s(self) -> float:
+        """Latency if every halo exchange were free: per kernel the
+        barrier becomes the slowest lane's *compute* time (makespan plus
+        exposed analysis).  The oracle of the trace analyzer's zero-halo
+        projection, which replays the same accounting from the spans."""
+        to_s = self.config.cycles_to_seconds
+        return float(sum(
+            float(np.max(to_s(layer.lane("cycles") + layer.lane("exposed_cycles"))))
+            for layer in self.layers
+        ))
+
     def load_balance(self) -> float:
-        return mean_over_max(self.core_busy)
+        """Mean busy time / max busy time of the run's parallel units, in
+        [0, 1]: the cores of one lane, the lanes of a wider run (whose
+        cores already meet at every kernel barrier)."""
+        busy = self.shard_busy_s
+        return mean_over_max(busy if len(busy) else self.core_busy)
 
     def speedup_vs(self, other: "InferenceResult") -> float:
         """How much faster *this* run is than ``other`` (>1 = faster)."""
-        return other.total_cycles / self.total_cycles
+        return other.latency_s / self.latency_s
 
-    def wave_counts(self) -> dict[str, int]:
-        """Per-kernel scheduling-wave counts (core rounds per kernel)."""
-        return {ks.kernel_id: ks.num_waves for ks in self.kernel_stats}
-
+    # -- reports -----------------------------------------------------------
     def format_report(self) -> str:
-        """Human-readable per-kernel execution report."""
+        """Human-readable per-kernel execution report: each kernel's row
+        is the lane that set its barrier, beside every lane's seconds."""
+        plan = self.plan
         lines = [
             f"{self.model_name} on {self.data_name} — strategy "
-            f"{self.strategy_name}",
+            f"{self.strategy_name}, {self.num_shards} shard(s)",
             f"  latency {self.latency_ms:.4f} ms "
             f"({self.total_cycles:.0f} cycles), "
             f"runtime overhead {self.overhead_fraction * 100:.2f}%, "
             f"load balance {self.load_balance():.3f}",
+            f"  halo {self.halo_s * 1e3:.4f} ms over {self.halo_bytes:,} bytes "
+            f"({self.halo_fraction * 100:.2f}% of device time), shard nnz "
+            f"balance {plan.nnz_balance() if plan else 1.0:.3f}",
             f"  {'kernel':<20}{'cycles':>12}{'tasks':>7}{'pairs':>7}"
-            f"{'skip':>6}{'waves':>7}{'out dens':>10}{'coo wb':>8}  primitives",
+            f"{'skip':>6}{'waves':>7}{'out dens':>10}{'coo wb':>8}"
+            f"{'barrier ms':>12}{'slowest':>9}{'halo hidden/exposed ms':>24}"
+            f"  primitives; per-shard ms",
         ]
-        for ks in self.kernel_stats:
+        for layer in self.layers:
+            row, s = _kernel_row(layer), layer.slowest
             prims = ", ".join(
-                f"{p.value}:{c}" for p, c in sorted(
-                    ks.primitive_counts.items(), key=lambda kv: kv[0].value
-                ) if p.value != "SKIP"
-            )
+                f"{p}:{c}" for p, c in row["primitives"].items() if p != "SKIP")
+            exposed = float(layer.exposed_halo_s[s]) * 1e3
+            hidden = max(float(layer.halo_s[s]) * 1e3 - exposed, 0.0)
+            per = ", ".join(f"{ms:.3f}" for ms in row["shard_ms"])
             lines.append(
-                f"  {ks.kernel_id:<20}{ks.cycles:>12.0f}{ks.num_tasks:>7}"
-                f"{ks.num_pairs:>7}{ks.skipped_pairs:>6}{ks.num_waves:>7}"
-                f"{ks.out_density:>10.3f}{ks.coo_writebacks:>8}  {prims}"
+                f"  {row['kernel_id']:<20}{row['cycles']:>12.0f}{row['tasks']:>7}"
+                f"{row['pairs']:>7}{row['skipped_pairs']:>6}{row['waves']:>7}"
+                f"{row['out_density']:>10.3f}{row['coo_writebacks']:>8}"
+                f"{row['barrier_ms']:>12.4f}{s:>9}"
+                f"{f'{hidden:.4f} / {exposed:.4f}':>24}  {prims}; [{per}]"
             )
         return "\n".join(lines)
+
+    def to_dict(self) -> dict:
+        """JSON-serialisable summary (``repro run`` / ``shard-bench
+        --json``): every field not named in ``_UNSERIALISED``, then the
+        latency, the balance and the derived keys (``_summary()``) — a
+        new field is serialised unless someone names it."""
+        summary = {}
+        for f in fields(self):
+            if f.name not in self._UNSERIALISED:
+                value = getattr(self, f.name)
+                summary[self._KEYS.get(f.name, f.name)] = (
+                    value.item() if isinstance(value, np.generic) else value
+                )
+        summary["latency_ms"] = self.latency_ms
+        summary["load_balance"] = self.load_balance()
+        summary.update(self._summary())
+        return summary
 
     def _summary(self) -> dict:
         return {
             "total_cycles": self.total_cycles,
+            "accel_cycles": self.accel_cycles,
+            "exposed_overhead_cycles": self.exposed_overhead_cycles,
+            "runtime_overhead_seconds": self.runtime_overhead_seconds,
             "overhead_fraction": self.overhead_fraction,
             "num_tasks": self.num_tasks,
             "num_pairs": self.num_pairs,
             "total_macs": int(self.total_macs),
             "bytes_read": int(self.bytes_read),
             "bytes_written": int(self.bytes_written),
+            "halo_bytes": self.halo_bytes,
+            "halo_s": self.halo_s,
+            "halo_fraction": self.halo_fraction,
+            "nnz_balance": self.plan.nnz_balance() if self.plan else 1.0,
+            "zero_halo_latency_ms": self.zero_halo_latency_s() * 1e3,
             "compile": {
                 **asdict(self.compile_timings),
                 "total_s": self.compile_timings.total_s,
             },
-            "kernels": [
-                {
-                    "kernel_id": ks.kernel_id,
-                    "ktype": ks.ktype.name,
-                    "cycles": ks.cycles,
-                    "tasks": ks.num_tasks,
-                    "tasks_executed": ks.tasks_executed,
-                    "pairs": ks.num_pairs,
-                    "skipped_pairs": ks.skipped_pairs,
-                    "waves": ks.num_waves,
-                    "out_density": ks.out_density,
-                    "coo_writebacks": ks.coo_writebacks,
-                    "primitives": {
-                        p.value: int(c)
-                        for p, c in sorted(
-                            ks.primitive_counts.items(),
-                            key=lambda kv: kv[0].value,
-                        )
-                    },
-                    "modelled_cycles": ks.modelled_cycles,
-                }
-                for ks in self.kernel_stats
-            ],
+            "kernels": [_kernel_row(layer) for layer in self.layers],
         }
+
+    def trace_meta(self) -> dict:
+        """``otherData`` for a trace of this run: what ran, and the
+        latency and span categories ``validate_trace`` reconciles (and
+        ``attribute`` reconciles against).  The what-if projections need
+        nothing from it: a halo's transfer is on its ``dma`` span."""
+        return {
+            "model": self.model_name,
+            "dataset": self.data_name,
+            "strategy": self.strategy_name,
+            "shards": self.num_shards,
+            "expected_total_s": self.latency_s,
+            "reconcile_cats": list(self.reconcile_cats),
+        }
+
+
+def _kernel_row(layer: LayerStats) -> dict:
+    """One kernel of ``to_dict``: the record of the lane that set its
+    barrier, then every lane's seconds, tasks and Analyzer weighing."""
+    s = layer.slowest
+    ks = layer.lanes[s]
+    return {
+        "kernel_id": ks.kernel_id,
+        "ktype": ks.ktype.name,
+        "cycles": ks.cycles,
+        "tasks": ks.num_tasks,
+        "tasks_executed": ks.tasks_executed,
+        "pairs": ks.num_pairs,
+        "skipped_pairs": ks.skipped_pairs,
+        "waves": ks.num_waves,
+        "out_density": ks.out_density,
+        "coo_writebacks": ks.coo_writebacks,
+        "primitives": {
+            p.value: int(c)
+            for p, c in sorted(
+                ks.primitive_counts.items(), key=lambda kv: kv[0].value
+            )
+        },
+        "modelled_cycles": ks.modelled_cycles,
+        "barrier_ms": layer.barrier_s * 1e3,
+        "slowest_shard": s,
+        "halo_bytes": int(layer.halo_bytes.sum()),
+        "halo_exposed_ms": float(layer.exposed_halo_s.max()) * 1e3,
+        "shard_ms": [float(t) * 1e3 for t in layer.seconds],
+        "shard_tasks": [int(t) for t in layer.lane("num_tasks")],
+        "shard_modelled_cycles": [lane.modelled_cycles for lane in layer.lanes],
+    }
 
 
 @dataclass
@@ -428,8 +542,6 @@ def run_kernels(
     strategy: MappingStrategy,
     lanes: list[Lane],
     store: dict,
-    *,
-    tracer=NULL_TRACER,
 ) -> Iterator[tuple[KernelIR, list[KernelStats]]]:
     """The kernel driver: walk ``program`` in dependency order over ``lanes``.
 
@@ -489,7 +601,6 @@ def run_kernels(
                 kernel, xv, yv,
                 stored_sparse[kernel.x_name], stored_sparse[kernel.y_name],
                 acc, strategy, timeline, tasks, assembly, acc_view, act,
-                tracer=tracer, track=lane.track,
             )
             cycles = timeline.barrier()
             soft = acc.soft_processor
@@ -542,81 +653,77 @@ def run_kernels(
 def run_strategy(
     program: CompiledProgram,
     strategy: str | MappingStrategy,
-    accelerator: Optional[Accelerator] = None,
+    accelerator: Accelerator | list[Accelerator] | None = None,
     *,
+    plan=None,
     tracer=NULL_TRACER,
-    track: str = "dev0",
 ) -> InferenceResult:
-    """Run one program on one accelerator under one strategy (a paper
-    label or a :class:`MappingStrategy`): the one-lane case of
-    :func:`run_kernels`, with the single-device latency model (kernel
-    makespans plus exposed analysis, summed in cycles).
+    """Run one program under one strategy (a paper label or a
+    :class:`MappingStrategy`): the one driver of :func:`run_kernels`.
 
-    ``tracer``/``track`` arm span tracing (:mod:`repro.obs`): per-kernel
-    execution spans on ``track``, per-wave/per-task spans nested under
-    it, K2P analysis spans on ``host/analyzer`` and the non-hidden share
-    on ``host/exposed`` — so ``sum(kernel) + sum(exposed)`` spans equal
-    :attr:`InferenceResult.total_cycles` exactly.
+    A ``plan`` (:class:`~repro.shard.planner.ShardPlan`) gives shard ``s``
+    a lane over its vertex range on ``accelerator[s]``, a list of devices
+    (a pool's ``devices``; fresh ones if omitted).  Without one the run is the plan
+    of width 1: one lane over every row on ``accelerator``.  Before each
+    Aggregate kernel a lane receives its halo over PCIe
+    (:meth:`~repro.shard.planner.ShardPlan.halo_exchange`), streamed one
+    remote ``Y`` block row at a time under its cores (§VI-B one level up:
+    it pays :func:`~repro.hw.report.exposed_stream` of it).  The lanes
+    then meet at the layer barrier, Algorithm 8's per-kernel barrier one
+    level up.  Each task runs once whatever the width, so the output is
+    bit-exact at every width.
+
+    ``tracer`` arms span tracing (:mod:`repro.obs`, see
+    :func:`_trace_layer`): a ``layer`` span per kernel on ``timeline``,
+    whose durations sum to ``latency_s``, and each lane's spans beside it.
     """
-    acc = accelerator or Accelerator(program.config)
-    cfg = acc.config
+    if plan is None:
+        lanes = [Lane(accelerator or Accelerator(program.config))]
+    else:
+        devices = accelerator or [Accelerator(program.config) for _ in plan.shards]
+        if plan.num_shards > len(devices):
+            raise ValueError(
+                f"plan has {plan.num_shards} shards but the pool only has "
+                f"{len(devices)} device(s); grow the pool or request fewer shards"
+            )
+        lanes = [
+            Lane(dev, f"shard{shard.index}", (shard.v0, shard.v1))
+            for dev, shard in zip(devices, plan.shards)
+        ]
+    cfg = lanes[0].accelerator.config
     strategy = make_strategy(strategy, cfg)
     if cfg.psys != strategy.config.psys:
         raise ValueError("strategy and accelerator configs disagree")
     tracer = tracer if tracer is not None else NULL_TRACER
-    lane = Lane(acc, track)
-    timeline = lane.timeline
+    no_halo = np.zeros(len(lanes), dtype=np.int64)
     store: dict = {}
-    kernel_stats: list[KernelStats] = []
-    start_cycles = timeline.now
+    layers: list[LayerStats] = []
+    #: each lane's clock and event count where the kernel began (tracing)
+    marks = [(0.0, 0)] * len(lanes)
+    t_layer = 0.0  # the layer's start on the run clock
 
-    for kernel, (ks,) in run_kernels(program, strategy, [lane], store, tracer=tracer):
+    for kernel, lane_stats in run_kernels(program, strategy, lanes, store):
+        if plan is not None and kernel.ktype is KernelType.AGGREGATE:
+            halo_bytes, chunks = plan.halo_exchange(program, kernel)
+        else:
+            halo_bytes = chunks = no_halo
+        halo_s = np.array([pcie_transfer_seconds(int(b), cfg) for b in halo_bytes])
+        compute_s = cfg.cycles_to_seconds(
+            np.array([ks.cycles for ks in lane_stats])
+            + np.array([ks.exposed_cycles for ks in lane_stats])
+        )
+        exposed_halo_s = exposed_stream(halo_s, chunks, compute_s)
+        seconds = exposed_halo_s + compute_s
+        layer = LayerStats(
+            lanes=tuple(lane_stats), halo_bytes=halo_bytes, halo_chunks=chunks,
+            halo_s=halo_s, exposed_halo_s=exposed_halo_s, seconds=seconds,
+            barrier_s=float(seconds.max()),
+        )
+        layers.append(layer)
         if tracer.enabled:
-            start_s = cfg.cycles_to_seconds(start_cycles)
-            tracer.span(
-                track,
-                kernel.kernel_id,
-                start_s,
-                cfg.cycles_to_seconds(timeline.now),
-                cat="kernel",
-                ktype=kernel.ktype.name,
-                tasks=ks.num_tasks,
-                pairs=ks.num_pairs,
-                waves=ks.num_waves,
-                out_density=round(ks.out_density, 6),
-                coo_writebacks=ks.coo_writebacks,
-                **ks.modelled_cycles,
-            )
-            if ks.analysis_seconds > 0.0:
-                # K2P analysis overlaps execution of this kernel (§VI-B);
-                # draw it alongside on the host track
-                tracer.span(
-                    "host/analyzer",
-                    f"{kernel.kernel_id}/k2p",
-                    start_s,
-                    start_s + ks.analysis_seconds,
-                    cat="analysis",
-                    pairs=ks.num_pairs,
-                )
-        kernel_stats.append(ks)
-        start_cycles = timeline.now
-
-    accel_cycles = float(sum(ks.cycles for ks in kernel_stats))
-    if tracer.enabled:
-        # one exposed-overhead span per kernel, laid end to end after
-        # the device spans so kernel + exposed durations sum exactly
-        # to total_cycles (validate_trace reconciles against this)
-        cursor = accel_cycles
-        for ks in kernel_stats:
-            if ks.exposed_cycles > 0.0:
-                tracer.span(
-                    "host/exposed",
-                    f"{ks.kernel_id}/exposed",
-                    cfg.cycles_to_seconds(cursor),
-                    cfg.cycles_to_seconds(cursor + ks.exposed_cycles),
-                    cat="exposed",
-                )
-                cursor += ks.exposed_cycles
+            _trace_layer(tracer, kernel, layer, lanes, marks, t_layer)
+            marks = [(lane.timeline.now, len(lane.timeline.events)) for lane in lanes]
+        t_layer += layer.barrier_s
 
     return InferenceResult(
         output=store[program.output_name],
@@ -624,19 +731,74 @@ def run_strategy(
         model_name=program.model.name,
         data_name=program.data_name,
         config=cfg,
-        kernel_stats=kernel_stats,
-        accel_cycles=accel_cycles,
-        exposed_overhead_cycles=float(
-            sum(ks.exposed_cycles for ks in kernel_stats)
-        ),
-        runtime_overhead_seconds=float(
-            sum(ks.analysis_seconds for ks in kernel_stats)
-        ),
+        layers=layers,
+        num_shards=len(lanes),
+        plan=plan,
         compile_timings=program.timings,
         input_bytes=program.input_bytes(),
-        core_busy=timeline.busy.copy(),
-        timeline_events=timeline.events,
+        core_busy=np.concatenate([lane.timeline.busy for lane in lanes]),
+        timeline_events=[ev for lane in lanes for ev in lane.timeline.events],
+        backend="sharded" if len(lanes) > 1 else "simulated",
     )
+
+
+def _trace_layer(tracer, kernel, layer: LayerStats, lanes, marks, t_layer) -> None:
+    """The spans of one kernel: per lane, its exposed halo (the whole
+    transfer on its ``dma`` track), kernel, exposed analysis and barrier
+    wait end to end from the layer's start, and the layer on
+    ``timeline``.  A lane's wave and task spans are its timeline events
+    since ``marks[lane]`` (the lane clock and event count where the kernel
+    began), moved onto the run clock at its kernel span's start."""
+    to_s = lanes[0].accelerator.config.cycles_to_seconds
+    kid, end = kernel.kernel_id, t_layer + layer.barrier_s
+    for s, (lane, ks) in enumerate(zip(lanes, layer.lanes)):
+        track = lane.track
+        exec_start = t_layer + float(layer.exposed_halo_s[s])
+        exec_end = exec_start + to_s(ks.cycles)
+        lane_end = t_layer + float(layer.seconds[s])
+        if layer.halo_s[s] > 0.0:
+            tracer.span(
+                f"{track}/dma", f"{kid}/halo", t_layer, t_layer + layer.halo_s[s],
+                cat="dma", halo_bytes=int(layer.halo_bytes[s]),
+                chunks=int(layer.halo_chunks[s]),
+            )
+            tracer.span(track, f"{kid}/halo", t_layer, exec_start, cat="halo")
+        tracer.span(
+            track, kid, exec_start, exec_end, cat="kernel",
+            ktype=kernel.ktype.name, tasks=ks.num_tasks, pairs=ks.num_pairs,
+            waves=ks.num_waves, out_density=round(ks.out_density, 6),
+            coo_writebacks=ks.coo_writebacks, **ks.modelled_cycles,
+        )
+        if ks.exposed_cycles > 0.0:
+            tracer.span(track, f"{kid}/exposed", exec_end, lane_end, cat="exposed")
+        if end - lane_end > 0.0:
+            tracer.span(track, f"{kid}/barrier-wait", lane_end, end, cat="barrier")
+        if ks.analysis_seconds > 0.0:
+            # K2P analysis overlaps the kernel's execution (§VI-B)
+            tracer.span(
+                f"{track}/analyzer", f"{kid}/k2p", exec_start,
+                exec_start + ks.analysis_seconds, cat="analysis", pairs=ks.num_pairs,
+            )
+        tracer.counter(track, "halo_bytes", t_layer, int(layer.halo_bytes[s]))
+        origin, first = marks[s]
+        events = lane.timeline.events[first:]
+        waves = vectorized.wave_of(events)
+        for w in range(ks.num_waves):
+            members = [ev for ev, wv in zip(events, waves) if wv == w]
+            tracer.span(
+                track, f"{kid}/wave{w}",
+                exec_start + to_s(min(ev.start for ev in members) - origin),
+                exec_start + to_s(max(ev.end for ev in members) - origin),
+                cat="wave", tasks=len(members),
+            )
+        if tracer.task_spans:
+            for ev in events:
+                tracer.span(
+                    f"{track}/core{ev.core}", f"{kid}[{ev.task_index}]",
+                    exec_start + to_s(ev.start - origin),
+                    exec_start + to_s(ev.end - origin), cat="task",
+                )
+    tracer.span("timeline", kid, t_layer, end, cat="layer", slowest=lanes[layer.slowest].track)
 
 
 def end_to_end_seconds(

@@ -95,6 +95,45 @@ class KernelStats:
         return mean_over_max(self.core_busy)
 
 
+@dataclass
+class LayerStats:
+    """One kernel of a run across its lanes, closed by the layer barrier:
+    the slowest lane's exposed halo + kernel makespan + exposed analysis.
+    Every array has one entry per lane."""
+
+    #: each lane's record of the kernel
+    lanes: tuple[KernelStats, ...]
+    #: halo bytes each lane received (Aggregate kernels of a plan only)
+    halo_bytes: np.ndarray
+    #: remote ``Y`` block rows each lane's transfer arrived in
+    halo_chunks: np.ndarray
+    #: each lane's halo transfer time (seconds)
+    halo_s: np.ndarray
+    #: the part of ``halo_s`` the lane's compute does not hide
+    exposed_halo_s: np.ndarray
+    #: each lane's seconds under the barrier: exposed halo + execution
+    seconds: np.ndarray
+    #: the layer barrier: max over lanes of ``seconds``
+    barrier_s: float
+
+    @property
+    def kernel_id(self) -> str:
+        return self.lanes[0].kernel_id
+
+    @property
+    def ktype(self) -> KernelType:
+        return self.lanes[0].ktype
+
+    @property
+    def slowest(self) -> int:
+        """The lane that set the barrier."""
+        return int(np.argmax(self.seconds))
+
+    def lane(self, name: str) -> np.ndarray:
+        """One :class:`KernelStats` field across the lanes."""
+        return np.array([getattr(ks, name) for ks in self.lanes])
+
+
 def total_primitive_counts(kernel_stats: list[KernelStats]) -> Counter:
     total: Counter = Counter()
     for ks in kernel_stats:

@@ -80,7 +80,6 @@ from repro.hw.report import (
 )
 from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.ir.scheme import TaskBatch
-from repro.obs.tracer import NULL_TRACER
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.stats import TaskLoopStats
 
@@ -108,55 +107,31 @@ SPARSE_HOLDING = 0.1
 __all__ = [
     "execute_kernel_tasks",
     "finalise_task_loop",
+    "wave_of",
 ]
 
 
-def finalise_task_loop(
-    stats: TaskLoopStats,
-    kernel,
-    accelerator,
-    timeline,
-    events_before: int,
-    tracer,
-    track: str,
-) -> TaskLoopStats:
-    """Shared post-loop bookkeeping: wave counts + wave/task trace spans.
+def wave_of(events) -> list[int]:
+    """Each task event's scheduling wave: how many tasks its core ran
+    before it in the kernel."""
+    ran: dict[int, int] = {}
+    waves = []
+    for ev in events:
+        waves.append(ran.get(ev.core, 0))
+        ran[ev.core] = waves[-1] + 1
+    return waves
 
-    The task loop and its per-task oracle derive waves and spans from
-    the timeline events they just booked, so tracing cannot perturb
-    bit-exactness.
-    """
+
+def finalise_task_loop(
+    stats: TaskLoopStats, timeline, events_before: int
+) -> TaskLoopStats:
+    """Shared post-loop bookkeeping: the tasks dispatched and the waves
+    they filled, derived from the timeline events the loop (or its
+    per-task oracle) just booked."""
     executed = timeline.events[events_before:]
     stats.tasks_executed = len(executed)
-    if not executed:
-        return stats
-    per_core: dict[int, int] = {}
-    wave_of = []
-    for ev in executed:
-        wave_of.append(per_core.get(ev.core, 0))
-        per_core[ev.core] = per_core.get(ev.core, 0) + 1
-    stats.waves = max(per_core.values())
-    if tracer.enabled:
-        cfg = accelerator.config
-        for w in range(stats.waves):
-            members = [ev for ev, wv in zip(executed, wave_of) if wv == w]
-            tracer.span(
-                track,
-                f"{kernel.kernel_id}/wave{w}",
-                cfg.cycles_to_seconds(min(ev.start for ev in members)),
-                cfg.cycles_to_seconds(max(ev.end for ev in members)),
-                cat="wave",
-                tasks=len(members),
-            )
-        if tracer.task_spans:
-            for ev in executed:
-                tracer.span(
-                    f"{track}/core{ev.core}",
-                    f"{kernel.kernel_id}[{ev.task_index}]",
-                    cfg.cycles_to_seconds(ev.start),
-                    cfg.cycles_to_seconds(ev.end),
-                    cat="task",
-                )
+    if executed:
+        stats.waves = max(wave_of(executed)) + 1
     return stats
 
 
@@ -248,9 +223,6 @@ def execute_kernel_tasks(
     assembly,
     acc_view,
     act,
-    *,
-    tracer=NULL_TRACER,
-    track: str = "dev0",
 ) -> TaskLoopStats:
     """Execute a slice of one kernel's task grid on one accelerator.
 
@@ -274,9 +246,7 @@ def execute_kernel_tasks(
     if t_count == 0:
         for core in acc.cores:
             core.active_cores = 0
-        return finalise_task_loop(
-            stats, kernel, acc, timeline, events_before, tracer, track
-        )
+        return finalise_task_loop(stats, timeline, events_before)
 
     rows, cols = tasks.rows, tasks.cols
     m_t, d_t = xv.row_block_sizes[rows], yv.col_block_sizes[cols]
@@ -572,6 +542,4 @@ def execute_kernel_tasks(
     rep.bytes_written = int(write_bytes_t.sum())
     rep.mode_switches = int(total_switches)
 
-    return finalise_task_loop(
-        stats, kernel, acc, timeline, events_before, tracer, track
-    )
+    return finalise_task_loop(stats, timeline, events_before)

@@ -12,8 +12,8 @@ window expires and waits, in priority order, for a device.
 
 **Per-layer segments.**  An execution is an input-PCIe segment (0 s
 where its devices already hold the program's inputs) plus one segment
-per kernel layer (unsharded: kernel cycles + exposed analysis; sharded:
-the per-layer barrier intervals ``run_sharded`` records).  Its layer
+per kernel layer (the per-layer barrier intervals ``run_strategy``
+records: on one device, kernel cycles + exposed analysis).  Its layer
 boundaries are the chained sums of its segments from its start, computed
 once: an unsharded execution is one pool reservation
 (:meth:`~repro.engine.pool.AcceleratorPool.submit_run`, booked when it

@@ -87,6 +87,27 @@ class ShardPlan:
         """Mean shard nnz / max shard nnz; 1.0 = perfectly even."""
         return mean_over_max(np.array([s.nnz for s in self.shards], np.float64))
 
+    def halo_exchange(
+        self, program: CompiledProgram, kernel: KernelIR
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What each shard receives before Aggregate ``kernel``: the bytes
+        of one feature row of ``Y`` (as wide as the kernel's output) per
+        halo vertex, and the remote ``Y`` block rows they arrive in, read
+        off the adjacency census (its columns are ``Y``'s rows)."""
+        if kernel.x_name == self.adjacency_name and self.halo.size:
+            vertices = self.halo
+        else:
+            a = program.store[kernel.x_name]
+            vertices = np.array(
+                [halo_vertices(a, s.v0, s.v1) for s in self.shards], dtype=np.int64
+            )
+        scheme = kernel.exec_scheme
+        grid = program.view(kernel.x_name, *scheme.x_blocking).nnz_grid
+        chunks = np.array([
+            halo_blocks(grid, scheme.y_blocking[0], s.v0, s.v1) for s in self.shards
+        ])
+        return vertices * kernel.output_dim * 4, chunks
+
     def describe(self) -> str:
         lines = [
             f"ShardPlan: {self.num_shards} shard(s) over "

@@ -1,10 +1,11 @@
-"""The shard scaling sweep: one program on one device, then on N.
+"""The shard scaling sweep: one program at width 1, 2, ... N.
 
 Shared by ``repro shard-bench`` and ``benchmarks/bench_sharded_scaling.py``:
-run a compiled program single-device, then once per shard count, and
-report modelled latency, speedup, halo traffic and shard balance beside
-the one property sharding must never lose — the output is bit-identical
-to the single-device run at every shard count.
+run a compiled program once per width through the one driver (width 1,
+the single device, first), and report modelled latency, speedup, halo
+traffic and shard balance beside the one property sharding must never
+lose — the output is bit-identical to the single-device run at every
+width.
 """
 
 from __future__ import annotations
@@ -16,34 +17,33 @@ import numpy as np
 from repro.compiler.compile import CompiledProgram
 from repro.harness import format_table, sci, speedup_fmt
 from repro.runtime.executor import InferenceResult, run_strategy
-from repro.shard.executor import ShardedResult, run_sharded
+from repro.shard.planner import plan_shards
 
 __all__ = ["ShardSweep", "shard_scaling_sweep"]
 
 
 @dataclass
 class ShardSweep:
-    """A single-device run and one sharded run per shard count."""
+    """One run per width, the single device first."""
 
-    single: InferenceResult
-    #: shard count -> the sharded run, ascending
-    runs: dict[int, ShardedResult]
-    #: shard count -> is the output bit-identical to ``single``'s
+    #: width -> the run, ascending from 1
+    runs: dict[int, InferenceResult]
+    #: width -> is the output bit-identical to the width-1 run's
     bit_exact: dict[int, bool]
 
     @property
     def mismatches(self) -> list[int]:
-        """Shard counts whose output diverged (empty = all exact)."""
+        """Widths whose output diverged (empty = all exact)."""
         return [n for n, exact in self.bit_exact.items() if not exact]
 
     def format_report(self) -> str:
-        single = self.single
-        rows = [["1", sci(single.latency_ms), "1.00x", "0", "0.0%", "-", "yes"]]
-        rows += [
+        single = self.runs[1]
+        rows = [
             [
                 n, sci(r.latency_ms), speedup_fmt(r.speedup_vs(single)),
                 f"{r.halo_bytes:,}", f"{r.halo_fraction * 100:.1f}%",
-                f"{r.load_balance():.3f}", "yes" if self.bit_exact[n] else "NO",
+                f"{r.load_balance():.3f}" if n > 1 else "-",
+                "yes" if self.bit_exact[n] else "NO",
             ]
             for n, r in self.runs.items()
         ]
@@ -64,15 +64,13 @@ class ShardSweep:
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary (``repro shard-bench --json``)."""
+        single = self.runs[1]
         return {
-            "single_device": self.single.to_dict(),
+            "single_device": single.to_dict(),
             "sweeps": [
-                dict(
-                    r.to_dict(),
-                    speedup=r.speedup_vs(self.single),
-                    bit_exact=self.bit_exact[n],
-                )
-                for n, r in self.runs.items()
+                dict(r.to_dict(), speedup=r.speedup_vs(single),
+                     bit_exact=self.bit_exact[n])
+                for n, r in self.runs.items() if n > 1
             ],
             "mismatched_shard_counts": self.mismatches,
         }
@@ -84,16 +82,16 @@ def shard_scaling_sweep(
     *,
     strategy: str = "Dynamic",
 ) -> ShardSweep:
-    """Run ``program`` single-device and across each of ``shard_counts``
-    devices (each count on its own dedicated pool)."""
-    counts = sorted(set(shard_counts))
-    if not counts:
+    """Run ``program`` at width 1 and at each of ``shard_counts`` (each
+    width on its own fresh devices)."""
+    if not shard_counts:
         raise ValueError("shard_counts must name at least one shard count")
-    single = run_strategy(program, strategy)
-    reference = single.output_dense()
-    runs = {n: run_sharded(program, n, strategy_name=strategy) for n in counts}
+    runs = {
+        n: run_strategy(program, strategy, plan=plan_shards(program, n))
+        for n in sorted({1, *shard_counts})
+    }
+    reference = runs[1].output_dense()
     return ShardSweep(
-        single=single,
         runs=runs,
         bit_exact={
             n: bool(np.array_equal(r.output_dense(), reference))

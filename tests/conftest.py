@@ -122,7 +122,7 @@ def tiny_gcn_program(tiny_dataset, tiny_config):
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Every call of the one task loop, as ``(kernel id, track, tasks)``:
+    """Every call of the one task loop, as ``(kernel id, device, tasks)``:
     a recorder substituted for the kernel driver's module-level loop."""
     import repro.runtime.executor as executor_mod
 
@@ -131,7 +131,7 @@ def kernel_calls(monkeypatch):
 
     def recorder(kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
                  tasks, *rest, **kw):
-        seen.append((kernel.kernel_id, kw["track"], tasks.num_tasks))
+        seen.append((kernel.kernel_id, acc, tasks.num_tasks))
         return original(kernel, xv, yv, x_ss, y_ss, acc, strategy,
                         timeline, tasks, *rest, **kw)
 

@@ -36,7 +36,6 @@ from repro.hw.spdmm_unit import spdmm_compute_cycles
 from repro.hw.spmm_unit import spmm_compute_cycles
 from repro.ir.kernel import KernelIR
 from repro.ir.scheme import TaskBatch
-from repro.obs.tracer import NULL_TRACER
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.scheduler import CoreTimeline
 from repro.runtime.stats import TaskLoopStats
@@ -314,16 +313,13 @@ def execute_kernel_tasks_reference(
     assembly,
     acc_view: Optional[PartitionedMatrix],
     act,
-    *,
-    tracer=NULL_TRACER,
-    track: str = "dev0",
 ) -> TaskLoopStats:
     """The per-task reference loop: one Python iteration per task.
 
     Same arguments as the task loop: ``tasks`` may be any slice of the
-    kernel's task grid; writes land in the shared ``assembly``.  Spans
-    are emitted after the loop from the timeline events it recorded, as
-    the task loop does.
+    kernel's task grid; writes land in the shared ``assembly``.  Waves
+    are counted after the loop from the timeline events it recorded, as
+    the task loop counts them.
     """
     acc = accelerator
     soft = acc.soft_processor
@@ -422,6 +418,4 @@ def execute_kernel_tasks_reference(
         stats.coo_writebacks += result.coo_writeback
         assembly.write(i, k, result.z)
 
-    return finalise_task_loop(
-        stats, kernel, acc, timeline, events_before, tracer, track
-    )
+    return finalise_task_loop(stats, timeline, events_before)

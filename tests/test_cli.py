@@ -305,6 +305,10 @@ class TestTraceAnalyzeCommand:
         trace = {"traceEvents": [
             {"name": "thread_name", "ph": "M", "pid": 1, "tid": 1,
              "args": {"name": "dev0"}},
+            {"name": "thread_name", "ph": "M", "pid": 1, "tid": 2,
+             "args": {"name": "timeline"}},
+            {"name": "L0.agg", "cat": "layer", "ph": "X", "ts": 0.0,
+             "dur": 2000.0, "pid": 1, "tid": 2, "args": {"slowest": "dev0"}},
             {"name": "L0.agg", "cat": "kernel", "ph": "X", "ts": 0.0,
              "dur": 2000.0, "pid": 1, "tid": 1},
         ]}
@@ -489,9 +493,41 @@ _PCIE = {"sweeps": {"<sweep>": {
         "serve.pcie_s serve.pcie_saved_s serve.pcie_transfers"))},
 }}}
 
+#: one result type at every width: an unsharded run reports what a sharded
+#: one does (a kernel row adds its lanes' records) ...
+_SHARD_KEYS = {
+    **_typed("float", "halo_fraction halo_s nnz_balance zero_halo_latency_ms"),
+    **_typed("int", "halo_bytes num_shards"),
+    "kernels": [{
+        **_typed("float", "barrier_ms halo_exposed_ms"),
+        **_typed("int", "halo_bytes slowest_shard"),
+        "shard_ms": ["float"],
+        "shard_tasks": ["int"],
+        "shard_modelled_cycles": [_typed("float", "GEMM SpDMM SpDMM^T SPMM chosen")],
+    }],
+}
+#: ... and a sharded run what an unsharded one does (a kernel row is the
+#: record of the lane that set its barrier)
+_RUN_KEYS = {
+    **_typed("float", (
+        "accel_cycles exposed_overhead_cycles overhead_fraction total_cycles"
+    )),
+    **_typed("int", (
+        "bytes_read bytes_written input_bytes num_pairs num_tasks total_macs"
+    )),
+    "compile": _typed("float", "parse_s partition_s profile_s total_s"),
+    "kernels": [{
+        **_typed("float", "cycles out_density"),
+        **_typed("int", "pairs skipped_pairs tasks tasks_executed waves"),
+        "primitives": {"*": "int"},
+        **_MODELLED,
+    }],
+}
+
 JSON_CELLS = {
     "run": (["run", "--dataset", "CO", "--scale", "0.2", "--json"],
-            {**_INFERENCE, "backend": "str"}, {"kernels": [_MODELLED]}),
+            {**_INFERENCE, "backend": "str"},
+            _merge({"kernels": [_MODELLED]}, _SHARD_KEYS)),
     "run_cpu": (["run", "--dataset", "CO", "--scale", "0.2",
                  "--backend", "cpu", "--json"],
                 {**_typed("str", "backend dataset framework model"),
@@ -508,11 +544,13 @@ JSON_CELLS = {
                      "--json"],
                     {"single_device": _INFERENCE, "sweeps": [_SHARDED],
                      "mismatched_shard_counts": []},
-                    {"single_device": {"backend": "str", "kernels": [_MODELLED]},
-                     "sweeps": [{"backend": "str", "kernels": [
+                    {"single_device": _merge(
+                        {"backend": "str", "kernels": [_MODELLED]}, _SHARD_KEYS),
+                     "sweeps": [_merge({"backend": "str", "kernels": [
                          {"halo_exposed_ms": "float", "coo_writebacks": "int",
                           "shard_modelled_cycles": [_typed(
-                              "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]}]}),
+                              "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]},
+                         _RUN_KEYS)]}),
     "serve_bench": (_SERVE_ARGV, _serving(_IN_FLIGHT), _PCIE,
                     {"sweeps": {"<sweep>": {"scheduler"}}}),
     "trace_analyze": (["trace-analyze", "{trace}", "--json", "--what-if",
@@ -631,12 +669,12 @@ class TestResultsReportThemselves:
                                                     capsys):
         import json
 
-        from repro.runtime.executor import RunResult
-        from repro.shard import ShardedResult
+        from repro.runtime.executor import InferenceResult
 
-        monkeypatch.setattr(
-            ShardedResult, "output_dense",
-            lambda self: RunResult.output_dense(self) + 1.0,
+        exact = InferenceResult.output_dense
+        monkeypatch.setattr(  # every width but the single device's diverges
+            InferenceResult, "output_dense",
+            lambda self: exact(self) + (self.num_shards > 1),
         )
         argv = ["shard-bench", "--dataset", "CO", "--scale", "0.3",
                 "--shards", "2"]

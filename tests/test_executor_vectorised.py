@@ -157,22 +157,16 @@ class TestBitExactness:
         )
 
     def test_sharded_matches_reference(self, co_programs):
-        from repro.engine.pool import AcceleratorPool
-        from repro.shard import plan_shards, run_sharded
-
         program = co_programs["GCN"]
-        cfg = program.config
         plan = plan_shards(program, 2)
-        strategy = make_strategy("Dynamic", cfg)
-        rv = run_sharded(program, 2, strategy_name=strategy,
-                         pool=AcceleratorPool(cfg, 2), plan=plan)
-        rr = oracle_run(run_sharded, program, 2, strategy_name=strategy,
-                        pool=AcceleratorPool(cfg, 2), plan=plan)
+        strategy = make_strategy("Dynamic", program.config)
+        rv = run_strategy(program, strategy, plan=plan)
+        rr = oracle_run(run_strategy, program, strategy, plan=plan)
         np.testing.assert_array_equal(_dense(rv.output), _dense(rr.output))
         assert rv.latency_s == rr.latency_s
-        for kv, kr in zip(rv.kernel_stats, rr.kernel_stats):
-            np.testing.assert_array_equal(kv.shard_cycles, kr.shard_cycles)
-            np.testing.assert_array_equal(kv.shard_seconds, kr.shard_seconds)
+        for kv, kr in zip(rv.layers, rr.layers):
+            np.testing.assert_array_equal(kv.lane("cycles"), kr.lane("cycles"))
+            np.testing.assert_array_equal(kv.seconds, kr.seconds)
 
 
 #: Dynamic latency (ms) of ``Engine().compile(model, dataset, seed=0)`` at

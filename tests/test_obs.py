@@ -307,13 +307,13 @@ class TestTracedEngineRun:
         tracer, _, _ = traced_run
         tracks = tracer.tracks()
         assert "host/compile" in tracks
-        assert "host/exposed" in tracks
-        assert "dev0" in tracks
+        assert "timeline" in tracks  # one layer span per kernel
+        assert "dev0" in tracks and "dev0/analyzer" in tracks
         assert any(t.startswith("dev0/core") for t in tracks)
 
     def test_kernel_and_exposed_spans_sum_to_latency(self, traced_run):
-        # the runtime lays exposed-overhead spans end-to-end after the
-        # device spans, so the reconciliation is exact, not approximate
+        # each kernel's exposed analysis follows its kernel span on the
+        # lane, so the two tile every layer
         tracer, result, _ = traced_run
         span_sum = tracer.total_s(cat="kernel") + tracer.total_s(cat="exposed")
         assert span_sum == pytest.approx(result.latency_s, rel=1e-9)
@@ -367,8 +367,8 @@ class TestTracedEngineRun:
 
     def test_wave_counts_surface_on_result(self, traced_run):
         tracer, result, _ = traced_run
-        counts = result.wave_counts()
-        assert set(counts) == {k.kernel_id for k in result.kernel_stats}
+        counts = {ks.kernel_id: ks.num_waves for ks in result.kernel_stats}
+        assert len(counts) == len(result.layers)
         for ks in result.kernel_stats:
             assert ks.num_waves == counts[ks.kernel_id] > 0
             assert ks.tasks_executed > 0
@@ -439,34 +439,35 @@ class TestTracedShardedRun:
             halo = {sp.name: sp
                     for sp in tracer.select(cat="halo", track=f"shard{s}")}
             assert dma.keys() == halo.keys() and dma
-            for ks in result.kernel_stats:
-                sp = dma.get(f"{ks.kernel_id}/halo")
+            for layer in result.layers:
+                sp = dma.get(f"{layer.kernel_id}/halo")
                 if sp is None:
-                    assert ks.shard_halo_bytes[s] == 0
+                    assert layer.halo_bytes[s] == 0
                     continue
                 assert sp.cat == "dma"
-                assert sp.dur_s == pytest.approx(ks.shard_halo_s[s], rel=1e-12)
+                assert sp.dur_s == pytest.approx(layer.halo_s[s], rel=1e-12)
                 assert sp.args == {
-                    "halo_bytes": int(ks.shard_halo_bytes[s]),
-                    "chunks": int(ks.shard_halo_chunks[s]),
+                    "halo_bytes": int(layer.halo_bytes[s]),
+                    "chunks": int(layer.halo_chunks[s]),
                 }
                 exposed = halo[sp.name]
                 assert exposed.start_s == sp.start_s
                 assert exposed.dur_s == pytest.approx(
-                    ks.shard_exposed_halo_s[s], rel=1e-12
+                    layer.exposed_halo_s[s], rel=1e-12
                 )
                 # this run hides most of every transfer behind compute
                 assert exposed.dur_s < sp.dur_s
 
     def test_each_shard_track_tiles_every_layer(self, traced_sharded_run):
-        """halo -> kernel -> barrier-wait, end to start, from the layer's
-        first instant to its barrier: the dma track overlaps none of it."""
+        """halo -> kernel -> exposed -> barrier-wait, end to start, from
+        the layer's first instant to its barrier: the dma track overlaps
+        none of it."""
         tracer, result, _, _ = traced_sharded_run
         layers = tracer.select(cat="layer", track="timeline")
         for s in range(4):
             spans = sorted(
                 (sp for sp in tracer.spans if sp.track == f"shard{s}"
-                 and sp.cat in ("halo", "kernel", "barrier")),
+                 and sp.cat in ("halo", "kernel", "exposed", "barrier")),
                 key=lambda sp: sp.start_s,
             )
             assert spans[0].start_s == 0.0
@@ -517,4 +518,4 @@ class TestTracedShardedRun:
         payload = json.loads(json.dumps(result.to_dict()))
         assert payload["num_shards"] == 4
         assert payload["halo_bytes"] == result.halo_bytes
-        assert len(payload["kernels"]) == len(result.kernel_stats)
+        assert len(payload["kernels"]) == len(result.layers)

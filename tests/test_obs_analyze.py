@@ -1,13 +1,16 @@
 """Tests for ``repro.obs.analyze``: TraceModel loading, critical-path
 attribution and what-if projections.
 
-The acceptance checks ride on the 4-device sharded sweep: category
-attribution sums must reconcile with ``ShardedResult.latency_s`` within
-1%, the zero-halo what-if must match the result's own halo-seconds
-accounting, and a trace read back from ``trace.json`` must hold the
-tracer's spans one for one.
+Every run traces one shape whatever its width, so the acceptance checks
+ride on one traced run per width (one device and four pool devices):
+category attribution sums must reconcile with ``latency_s``, wave spans
+must nest in their lane's kernel span, the zero-halo what-if must match
+the result's own halo-seconds accounting (a no-op on one device), and a
+trace read back from ``trace.json`` must hold the tracer's spans one for
+one.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -29,35 +32,35 @@ from repro.obs import (
 )
 
 
-@pytest.fixture(scope="module")
-def traced_sharded_run():
-    """Traced PubMed GCN sharded across 4 pool devices."""
+@functools.lru_cache(maxsize=None)
+def _traced(width: int):
+    """Traced PubMed GCN on ``width`` pool devices (1: the unsharded
+    run), its tracer and the config."""
     tracer = Tracer()
     config = make_tiny_config()
-    engine = Engine(config, pool_size=4, tracer=tracer)
-    handle = engine.compile("GCN", "PU", scale=0.12, seed=3, shards=4)
-    result = engine.infer(handle, backend="sharded")
+    engine = Engine(config, pool_size=width, tracer=tracer)
+    handle = engine.compile("GCN", "PU", scale=0.12, seed=3, shards=width)
+    result = engine.infer(handle, backend="sharded" if width > 1 else None)
     return tracer, result, config
+
+
+@pytest.fixture(scope="module", params=(1, 4))
+def traced_run(request):
+    """The traced run at each width."""
+    return _traced(request.param)
+
+
+@pytest.fixture(scope="module")
+def traced_sharded_run():
+    """The traced run across 4 pool devices (the halo what-ifs)."""
+    return _traced(4)
 
 
 @pytest.fixture(scope="module")
 def sharded_model(traced_sharded_run):
-    """The sharded run as a TraceModel with full reconcile meta."""
+    """The 4-device run as a TraceModel with full reconcile meta."""
     tracer, result, _ = traced_sharded_run
-    return TraceModel.from_tracer(tracer, meta={
-        "expected_total_s": result.latency_s,
-        "reconcile_cats": ["layer"],
-    })
-
-
-@pytest.fixture(scope="module")
-def traced_single_run():
-    """Traced single-device Cora GCN run."""
-    tracer = Tracer()
-    engine = Engine(make_tiny_config(), tracer=tracer)
-    handle = engine.compile("GCN", "CO", scale=0.15, seed=3)
-    result = engine.infer(handle)
-    return tracer, result
+    return TraceModel.from_tracer(tracer, meta=result.trace_meta())
 
 
 def assert_same_spans(model, tracer):
@@ -79,7 +82,7 @@ class TestTraceModel:
         model = TraceModel.from_tracer(tracer)
         assert model.spans == tuple(tracer.spans)
         assert model.counters == tuple(tracer.counters)
-        assert model.kind == "sharded"
+        assert model.kind == "inference"
 
     def test_perfetto_round_trip_preserves_spans(self, traced_sharded_run):
         tracer, result, _ = traced_sharded_run
@@ -124,8 +127,8 @@ class TestTraceModel:
         with pytest.raises(TraceError, match="no traceEvents"):
             TraceModel.from_trace({})
 
-    def test_no_other_data_means_no_expected_latency(self, traced_single_run):
-        tracer, _ = traced_single_run
+    def test_no_other_data_means_no_expected_latency(self):
+        tracer, _, _ = _traced(1)
         trace = to_perfetto(tracer)  # no meta
         model = TraceModel.from_trace(trace)
         assert model.expected_latency_s is None
@@ -144,37 +147,51 @@ class TestTraceModel:
 
 # -- critical path + attribution ---------------------------------------
 class TestAttribution:
-    def test_sharded_attribution_reconciles_within_1pct(self, sharded_model):
-        """Acceptance: category sums == ShardedResult.latency_s (<=1%)."""
-        att = attribute(sharded_model)
-        assert att.kind == "sharded"
-        assert att.reconciles(0.01)
-        # the spans tile the barriers exactly, so it is far tighter
-        assert att.residual_frac() < 1e-9
-        assert set(att.by_category) <= {"kernel", "halo"}
+    def test_attribution_reconciles_at_every_width(self, traced_run):
+        """Acceptance: category sums == latency_s, since the critical
+        lane's spans tile every barrier."""
+        tracer, result, _ = traced_run
+        att = attribute(TraceModel.from_tracer(tracer, meta=result.trace_meta()))
+        assert att.kind == "inference"
+        assert att.total_s == pytest.approx(result.latency_s, rel=1e-9)
+        assert att.reconciles(0.01) and att.residual_frac() < 1e-9
         assert att.by_category["kernel"] > 0
-        assert att.by_category["halo"] > 0
+        assert att.by_category["exposed-host"] > 0  # K2P shows at every width
+        if result.num_shards == 1:
+            assert set(att.by_category) == {"kernel", "exposed-host"}
+        else:
+            assert set(att.by_category) == {"kernel", "halo", "exposed-host"}
 
-    def test_sharded_path_is_slowest_shard_per_layer(self, traced_sharded_run):
-        tracer, result, _ = traced_sharded_run
+    def test_critical_path_is_the_slowest_lane_per_layer(self, traced_run):
+        tracer, result, _ = traced_run
         path = critical_path(tracer)
         kernel_segs = [seg for seg in path if seg.category == "kernel"]
-        assert len(kernel_segs) == len(result.kernel_stats)
-        for seg, ks in zip(kernel_segs, result.kernel_stats):
-            slowest = int(np.argmax(ks.shard_seconds))
-            assert seg.span.track == f"shard{slowest}"
-            assert seg.span.name == ks.kernel_id
+        assert len(kernel_segs) == len(result.layers)
+        lanes = "dev0" if result.num_shards == 1 else "shard{}"
+        for seg, layer in zip(kernel_segs, result.layers):
+            assert seg.span.track == lanes.format(layer.slowest)
+            assert seg.span.name == layer.kernel_id
 
-    def test_single_device_attribution_exact(self, traced_single_run):
-        tracer, result = traced_single_run
-        att = attribute(tracer, expected_s=result.latency_s)
-        assert att.kind == "single"
-        assert set(att.by_category) == {"kernel", "exposed-host"}
-        assert att.total_s == pytest.approx(result.latency_s, rel=1e-12)
-        assert att.reconciles(0.01) and att.residual_frac() < 1e-9
+    def test_wave_spans_nest_in_their_lane_kernel_span(self, traced_run):
+        tracer, result, _ = traced_run
+        kernels = {(sp.track, sp.name): sp for sp in tracer.select(cat="kernel")}
+        waves = tracer.select(cat="wave")
+        assert {sp.track for sp in waves} == {track for track, _ in kernels}
+        assert len(waves) == sum(
+            ks.num_waves for ks in result.kernel_stats)
+        for wave in waves:
+            kernel = kernels[wave.track, wave.name.split("/wave")[0]]
+            assert wave.start_s >= kernel.start_s - 1e-12
+            assert wave.end_s <= kernel.end_s + 1e-12
+        for task in tracer.select(cat="task"):
+            lane = task.track.split("/core")[0]
+            kernel = kernels[lane, task.name.split("[")[0]]
+            assert kernel.start_s - 1e-12 <= task.start_s
+            assert task.end_s <= kernel.end_s + 1e-12
 
     def test_single_span_trace_attributes(self):
         tr = Tracer()
+        tr.span("timeline", "L0.agg", 0.0, 2e-3, cat="layer", slowest="dev0")
         tr.span("dev0", "L0.agg", 0.0, 2e-3, cat="kernel")
         att = attribute(tr)
         assert att.by_category == {"kernel": pytest.approx(2e-3)}
@@ -208,19 +225,22 @@ class TestAttribution:
 
 # -- what-if projections ------------------------------------------------
 class TestWhatIf:
-    def test_zero_halo_matches_sharded_result_accounting(
-        self, sharded_model, traced_sharded_run
-    ):
-        """Acceptance: span-replay == ShardedResult halo accounting."""
-        _, result, config = traced_sharded_run
-        wi = project(sharded_model, zero_halo=True)
+    def test_zero_halo_is_the_results_own_accounting(self, traced_run):
+        """Acceptance: span-replay == the result's halo accounting; one
+        device moves no halo, so the projection leaves its latency."""
+        tracer, result, config = traced_run
+        model = TraceModel.from_tracer(tracer, meta=result.trace_meta())
+        wi = project(model, zero_halo=True)
+        assert wi.baseline_s == pytest.approx(result.latency_s, rel=1e-12)
+        if result.num_shards == 1:
+            assert wi.projected_s == wi.baseline_s and wi.speedup == 1.0
+            return
         oracle = sum(
             float(np.max(config.cycles_to_seconds(
-                ks.shard_cycles + ks.shard_exposed_cycles
+                layer.lane("cycles") + layer.lane("exposed_cycles")
             )))
-            for ks in result.kernel_stats
+            for layer in result.layers
         )
-        assert wi.baseline_s == pytest.approx(result.latency_s, rel=1e-12)
         assert wi.projected_s == pytest.approx(oracle, rel=1e-12)
         assert wi.projected_s == pytest.approx(
             result.zero_halo_latency_s(), rel=1e-12
@@ -238,12 +258,12 @@ class TestWhatIf:
         one the same arithmetic over the result's own arrays."""
         _, result, config = traced_sharded_run
         oracle = 0.0
-        for ks in result.kernel_stats:
+        for layer in result.layers:
             compute = config.cycles_to_seconds(
-                ks.shard_cycles + ks.shard_exposed_cycles
+                layer.lane("cycles") + layer.lane("exposed_cycles")
             )
-            halo = ks.shard_halo_s / scale
-            lead_in = halo / np.maximum(ks.shard_halo_chunks, 1)
+            halo = layer.halo_s / scale
+            lead_in = halo / np.maximum(layer.halo_chunks, 1)
             oracle += float(np.max(
                 compute + lead_in + np.maximum(halo - compute, 0.0)
             ))

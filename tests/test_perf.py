@@ -256,6 +256,23 @@ class TestCompare:
         (c,) = compare(new, base)
         assert c.is_regression and c.worse_by == float("inf")
 
+    @pytest.mark.parametrize("cycles,line", (
+        (200.0, "100 -> 200 count (+100.0% worse, tol 25%) [WORSE]"),
+        (10.0, "100 -> 10 count (+90.0% better, tol 25%) [better]"),
+        (110.0, "100 -> 110 count (+10.0% worse, tol 25%) [ok]"),
+        (95.0, "100 -> 95 count (+5.0% better, tol 25%) [ok]"),
+    ))
+    def test_describe_signs_the_change_in_its_own_direction(self, cycles, line):
+        new = result(metrics=[Metric("cycles", cycles, "count", "lower")])
+        (c,) = compare(new, self.base())
+        assert c.describe() == f"b.cycles: {line}"
+
+    def test_describe_an_improved_speedup(self):
+        new = result(metrics=[Metric("speedup", 5.408, "x", "higher")])
+        (c,) = compare(new, self.base())
+        assert c.classification == "improvement"
+        assert c.describe() == "b.speedup: 4 -> 5.408 x (+35.2% better, tol 25%) [better]"
+
     def test_one_sided_metrics_skipped(self):
         new = result(metrics=[Metric("brand_new", 1.0)])
         assert compare(new, self.base()) == []

@@ -14,6 +14,7 @@ tagging, and the extended ``ServingReport`` round-trip.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -33,7 +34,8 @@ from repro.sched import (
     SLOPolicy,
 )
 from repro.serve import InferenceRequest, InferenceServer, synthesize
-from repro.shard import run_sharded
+from repro.runtime.executor import run_strategy
+from repro.shard import plan_shards
 
 SCALE = 0.15
 
@@ -336,11 +338,11 @@ class TestLayerBoundaries:
         return program
 
     def test_boundaries_span_zero_to_latency(self, sharded):
-        res = run_sharded(sharded, 2)
-        bounds = res.layer_boundaries_s()
+        res = run_strategy(sharded, "Dynamic", plan=plan_shards(sharded, 2))
+        bounds = list(itertools.accumulate(res.segments_s, initial=0.0))
         assert bounds[0] == 0.0
         assert bounds[-1] == pytest.approx(res.latency_s)
-        assert len(bounds) == len(res.kernel_stats) + 1
+        assert len(bounds) == len(res.layers) + 1
         assert bounds == sorted(bounds)
 
 

@@ -659,7 +659,8 @@ class TestPhaseBreakdown:
             )
 
     def test_barrier_matches_sharded_idle_time(self):
-        from repro.shard.executor import run_sharded
+        from repro.runtime.executor import run_strategy
+        from repro.shard import plan_shards
 
         server = tiny_server(pool_size=2)
         report = server.serve([tiny_request(arrival_s=0.0, shards=2)])
@@ -667,7 +668,7 @@ class TestPhaseBreakdown:
         program = server.cache.peek(
             tiny_request(shards=2).program_key(server.config)
         )
-        result = run_sharded(program, 2, book_on_pool=False)
+        result = run_strategy(program, "Dynamic", plan=plan_shards(program, 2))
         expected = result.latency_s - float(np.mean(result.shard_busy_s))
         assert resp.barrier_s == pytest.approx(max(expected, 0.0), rel=1e-9)
         assert report.phase_breakdown["barrier"]["sum"] == pytest.approx(

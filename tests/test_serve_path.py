@@ -257,12 +257,20 @@ class TestOneDoor:
         result.output[0, 0] += 1.0
         assert np.array_equal(first.output, before)
 
-    def test_a_one_shard_plan_is_not_the_unsharded_record(self):
-        # one sums cycles then converts, the other sums per-layer seconds
+    def test_a_one_shard_plan_is_the_unsharded_record(self, kernel_calls):
+        # one device is the plan of width 1: the same run, so the record
+        # the serve path replays
         engine = Engine(make_tiny_config(), pool_size=1)
         handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
-        engine.infer(handle, backend="sharded")
-        assert handle.program._runs == {}
+        result = engine.infer(handle, backend="sharded")
+        assert result.plan is not None and result.plan.num_shards == 1
+        assert handle.program._runs == {("Dynamic", 1): result}
+        del kernel_calls[:]
+        report = engine.serve([execution_request("GCN", 1, "Dynamic")])
+        assert kernel_calls == []  # the record was replayed
+        (response,) = report.responses
+        assert response.shards == 1
+        assert np.array_equal(response.output, result.output_dense())
 
 
 class TestEstimateChecksWhatTheLoopChecks:

@@ -32,13 +32,7 @@ from repro.ir.scheme import owned_block_rows
 from repro.runtime.executor import run_strategy
 from repro.runtime.strategies import make_strategy
 from repro.serve import InferenceRequest, InferenceServer, synthesize
-from repro.shard import (
-    Shard,
-    ShardPlan,
-    halo_vertices,
-    plan_shards,
-    run_sharded,
-)
+from repro.shard import Shard, ShardPlan, halo_vertices, plan_shards
 
 SCALE = 0.22
 MODELS = ("GCN", "GraphSAGE", "GIN", "SGC")
@@ -76,6 +70,14 @@ def plan_from_bounds(like, bounds):
         ],
         adjacency_name=like.adjacency_name, requested_shards=len(bounds) - 1,
     )
+
+
+def run_plan(program, shards, strategy="Dynamic", *, plan=None, devices=None):
+    """``program`` over ``plan`` (else a fresh ``shards``-way plan), one
+    lane per shard on ``devices`` (else fresh ones), through the one
+    driver."""
+    return run_strategy(program, strategy, devices,
+                        plan=plan or plan_shards(program, shards))
 
 
 @lru_cache(maxsize=None)
@@ -164,8 +166,8 @@ class TestPlannerCost:
     @pytest.mark.parametrize("model", ("GCN", "GIN"))
     def test_four_shards_beat_two_on_pubmed(self, model):
         program = compile_program(model, "PU", 0, 0.5, u250_default())
-        two = run_sharded(program, 2)
-        four = run_sharded(program, 4)
+        two = run_plan(program, 2)
+        four = run_plan(program, 4)
         assert block_bounds(four.plan) == [0, 3, 7, 10, 14]
         two_ms, four_ms = self.SERIAL_AHM_MS[model]
         assert two.latency_s * 1e3 <= two_ms and four.latency_s * 1e3 <= four_ms
@@ -188,12 +190,12 @@ class TestPlannerCost:
         ]
         assert len(splits) == 20
         best = min(
-            run_sharded(
+            run_plan(
                 program, 4, plan=plan_from_bounds(planned, bounds)
             ).latency_s
             for bounds in splits
         )
-        assert run_sharded(program, 4, plan=planned).latency_s <= 1.02 * best
+        assert run_plan(program, 4, plan=planned).latency_s <= 1.02 * best
 
     def test_full_scale_pubmed_splits_evenly(self):
         program = compile_program("GCN", "PU", 0, 1.0, u250_default())
@@ -218,7 +220,7 @@ class TestDegeneratePlans:
         program = compile_data(
             model, self._with_adjacency((n, n)), make_tiny_config()
         )
-        sharded = run_sharded(program, shards)
+        sharded = run_plan(program, shards)
         sizes = np.diff(block_bounds(sharded.plan))
         assert sizes.max() - sizes.min() <= 1
         assert all(np.isfinite(s.cost) for s in sharded.plan.shards)
@@ -238,7 +240,7 @@ class TestDegeneratePlans:
         program = compile_data(
             model, self._with_adjacency(a.tocsr()), make_tiny_config()
         )
-        sharded = run_sharded(program, 4)
+        sharded = run_plan(program, 4)
         assert sharded.num_shards == 4
         assert all(np.isfinite(s.cost) and s.cost > 0
                    for s in sharded.plan.shards)
@@ -250,7 +252,7 @@ class TestDegeneratePlans:
     def test_more_shards_than_block_rows(self, gcn_co):
         rows = gcn_co.view("A_norm", gcn_co.n1, gcn_co.n1).num_row_blocks
         pool = AcceleratorPool(gcn_co.config, rows + 5)
-        sharded = run_sharded(gcn_co, rows + 5, pool=pool)
+        sharded = run_plan(gcn_co, rows + 5, devices=pool.devices)
         assert sharded.num_shards == rows
         assert np.diff(block_bounds(sharded.plan)).tolist() == [1] * rows
         np.testing.assert_array_equal(
@@ -267,7 +269,7 @@ class TestBitExactness:
     def test_matrix(self, model, dataset, shards):
         program = compile_program(model, dataset)
         single = single_result(model, dataset)
-        sharded = run_sharded(program, shards)
+        sharded = run_plan(program, shards)
         np.testing.assert_array_equal(
             sharded.output_dense(), single.output_dense()
         )
@@ -275,7 +277,7 @@ class TestBitExactness:
     @pytest.mark.parametrize("strategy", ("S1", "S2", "Oracle"))
     def test_exact_under_every_strategy(self, gcn_co, strategy):
         single = single_result("GCN", "CO", strategy)
-        sharded = run_sharded(gcn_co, 2, strategy_name=strategy)
+        sharded = run_plan(gcn_co, 2, strategy)
         np.testing.assert_array_equal(
             sharded.output_dense(), single.output_dense()
         )
@@ -283,15 +285,15 @@ class TestBitExactness:
     def test_graphsage_accumulate_branch_is_exact(self):
         program = compile_program("GraphSAGE", "CO")
         single = run_strategy(program, "Dynamic")
-        sharded = run_sharded(program, 3)
+        sharded = run_plan(program, 3)
         np.testing.assert_array_equal(
             sharded.output_dense(), single.output_dense()
         )
 
     def test_single_shard_matches_single_device_latency(self, gcn_co):
         single = single_result("GCN", "CO")
-        sharded = run_sharded(gcn_co, 1)
-        assert sharded.latency_s == pytest.approx(single.latency_s, rel=1e-9)
+        sharded = run_plan(gcn_co, 1)
+        assert sharded.latency_s == single.latency_s  # one lane sums cycles
         assert sharded.halo_bytes == 0 and sharded.halo_s == 0.0
 
     @pytest.mark.parametrize("model", ("GCN", "GraphSAGE"))
@@ -301,18 +303,39 @@ class TestBitExactness:
         makespans, exposed analysis, pair and task counts."""
         program = compile_program(model, "CO")
         single = run_strategy(program, "Dynamic")
-        sharded = run_sharded(program, 1)
+        sharded = run_plan(program, 1)
         np.testing.assert_array_equal(
             sharded.output_dense(), single.output_dense()
         )
-        assert len(sharded.kernel_stats) == len(single.kernel_stats)
-        for sks, ks in zip(sharded.kernel_stats, single.kernel_stats):
+        assert len(sharded.layers) == len(single.layers)
+        for layer, ks in zip(sharded.layers, single.kernel_stats):
+            (sks,) = layer.lanes
             assert sks.kernel_id == ks.kernel_id
-            assert sks.shard_cycles[0] == ks.cycles
-            assert sks.shard_exposed_cycles[0] == ks.exposed_cycles
-            assert sks.shard_pairs[0] == ks.num_pairs
-            assert sks.shard_tasks[0] == ks.num_tasks
+            assert sks.cycles == ks.cycles
+            assert sks.exposed_cycles == ks.exposed_cycles
+            assert sks.num_pairs == ks.num_pairs
+            assert sks.num_tasks == ks.num_tasks
         assert sharded.runtime_overhead_seconds == single.runtime_overhead_seconds
+
+
+class TestOneDeviceIsThePlanOfWidthOne:
+    """An unsharded run is the one-shard plan: the sharded backend on a
+    one-device pool returns the same run, number for number (the serve
+    path replays it as the unsharded record: ``test_serve_path``)."""
+
+    @pytest.mark.parametrize("model,dataset", (("GIN", "CI"), ("GraphSAGE", "CO")))
+    def test_sharded_backend_on_one_device_is_the_unsharded_run(self, model, dataset):
+        engine = Engine(u250_default(), pool_size=1)
+        handle = engine.compile(model, dataset, seed=0)
+        single = engine.infer(handle)
+        one = engine.infer(handle, backend="sharded")
+        assert one.num_shards == 1
+        np.testing.assert_array_equal(one.output_dense(), single.output_dense())
+        assert one.latency_s == single.latency_s
+        assert one.total_cycles == single.total_cycles
+        assert one.segments_s == single.segments_s
+        assert one.load_balance() == single.load_balance()
+        assert one.barrier_s == 0.0
 
 
 class TestOneDriver:
@@ -321,54 +344,56 @@ class TestOneDriver:
     kernel x lane call of both."""
 
     def test_run_strategy_is_one_lane_per_kernel(self, gcn_co, kernel_calls):
-        result = run_strategy(gcn_co, "Dynamic")
+        device = Accelerator(gcn_co.config)
+        result = run_strategy(gcn_co, "Dynamic", device)
         assert kernel_calls == [
-            (ks.kernel_id, "dev0", ks.num_tasks) for ks in result.kernel_stats
+            (ks.kernel_id, device, ks.num_tasks) for ks in result.kernel_stats
         ]
 
     def test_run_sharded_is_one_call_per_kernel_and_shard(
             self, gcn_co, kernel_calls):
-        result = run_sharded(gcn_co, 3)
+        devices = AcceleratorPool(gcn_co.config, 3).devices
+        result = run_plan(gcn_co, 3, devices=devices)
         assert kernel_calls == [
-            (ks.kernel_id, f"shard{s}", int(ks.shard_tasks[s]))
-            for ks in result.kernel_stats
+            (layer.kernel_id, devices[s], int(layer.lane("num_tasks")[s]))
+            for layer in result.layers
             for s in range(result.num_shards)
         ]
-        for kernel, ks in zip(gcn_co.graph.topo_order(), result.kernel_stats):
-            assert ks.shard_tasks.sum() == kernel.exec_scheme.num_tasks
+        for kernel, layer in zip(gcn_co.graph.topo_order(), result.layers):
+            assert layer.lane("num_tasks").sum() == kernel.exec_scheme.num_tasks
 
 
 class TestModelledSchedule:
     def test_latency_is_the_sum_of_layer_barriers(self, gcn_co):
-        res = run_sharded(gcn_co, 2)
+        res = run_plan(gcn_co, 2)
         assert res.latency_s == pytest.approx(
-            sum(ks.barrier_s for ks in res.kernel_stats)
+            sum(ks.barrier_s for ks in res.layers)
         )
-        for ks in res.kernel_stats:
-            assert ks.barrier_s == pytest.approx(float(ks.shard_seconds.max()))
+        for ks in res.layers:
+            assert ks.barrier_s == pytest.approx(float(ks.seconds.max()))
 
     def test_a_transfer_that_outlasts_compute_shows_its_excess(self):
         """The branch no ledger cell reaches: on a slow interconnect the
         halo is longer than the compute it streams under."""
         cfg = make_tiny_config(memory=MemoryConfig(pcie_gbps=0.05))
-        res = run_sharded(compile_program("GCN", "CO", cfg=cfg), 2)
+        res = run_plan(compile_program("GCN", "CO", cfg=cfg), 2)
         outlasted = 0
-        for ks in res.kernel_stats:
+        for ks in res.layers:
             compute = cfg.cycles_to_seconds(
-                ks.shard_cycles + ks.shard_exposed_cycles
+                ks.lane("cycles") + ks.lane("exposed_cycles")
             )
             if ks.ktype is not KernelType.AGGREGATE:
-                assert not ks.shard_exposed_halo_s.any()
+                assert not ks.exposed_halo_s.any()
                 continue
-            assert (ks.shard_halo_s > compute).all()
-            assert (ks.shard_halo_chunks > 1).all()
-            lead_in = ks.shard_halo_s / ks.shard_halo_chunks
+            assert (ks.halo_s > compute).all()
+            assert (ks.halo_chunks > 1).all()
+            lead_in = ks.halo_s / ks.halo_chunks
             np.testing.assert_array_equal(
-                ks.shard_exposed_halo_s,
-                lead_in + (ks.shard_halo_s - compute),
+                ks.exposed_halo_s,
+                lead_in + (ks.halo_s - compute),
             )
             np.testing.assert_array_equal(
-                ks.shard_seconds, ks.shard_exposed_halo_s + compute
+                ks.seconds, ks.exposed_halo_s + compute
             )
             outlasted += 1
         assert outlasted == 2
@@ -383,16 +408,16 @@ class TestModelledSchedule:
         two retired schedules are written out here from the per-shard
         arrays."""
         program = compile_program(model, dataset, scale=scale)
-        res = run_sharded(program, shards)
+        res = run_plan(program, shards)
         perfect = serial = lead_in = 0.0
-        for ks in res.kernel_stats:
+        for ks in res.layers:
             compute = program.config.cycles_to_seconds(
-                ks.shard_cycles + ks.shard_exposed_cycles
+                ks.lane("cycles") + ks.lane("exposed_cycles")
             )
-            perfect += float(np.max(np.maximum(ks.shard_halo_s, compute)))
-            serial += float(np.max(ks.shard_halo_s + compute))
+            perfect += float(np.max(np.maximum(ks.halo_s, compute)))
+            serial += float(np.max(ks.halo_s + compute))
             lead_in += float(np.max(
-                ks.shard_halo_s / np.maximum(ks.shard_halo_chunks, 1)
+                ks.halo_s / np.maximum(ks.halo_chunks, 1)
             ))
         ulps = 1 + 1e-12
         assert res.zero_halo_latency_s() <= perfect <= res.latency_s * ulps
@@ -414,19 +439,19 @@ class TestModelledSchedule:
             assert ks.exposed_cycles == lead_in + max(0.0, a_cycles - ks.cycles)
 
     def test_halo_charged_on_aggregate_kernels_only(self, gcn_co):
-        res = run_sharded(gcn_co, 2)
-        for ks in res.kernel_stats:
+        res = run_plan(gcn_co, 2)
+        for ks in res.layers:
             if ks.ktype is KernelType.AGGREGATE:
-                assert ks.shard_halo_bytes.sum() > 0
-                assert ks.shard_halo_s.sum() > 0
+                assert ks.halo_bytes.sum() > 0
+                assert ks.halo_s.sum() > 0
             else:
-                assert ks.shard_halo_bytes.sum() == 0
+                assert ks.halo_bytes.sum() == 0
 
     def test_halo_bytes_match_plan_boundaries(self, gcn_co):
         plan = plan_shards(gcn_co, 2)
-        res = run_sharded(gcn_co, 2, plan=plan)
+        res = run_plan(gcn_co, 2, plan=plan)
         store = dict(gcn_co.store)
-        for ks in res.kernel_stats:
+        for ks in res.layers:
             if ks.ktype is not KernelType.AGGREGATE:
                 continue
             kernel = next(
@@ -436,38 +461,38 @@ class TestModelledSchedule:
             a = store[kernel.x_name].tocsr()
             for s in plan.shards:
                 rows = halo_vertices(a, s.v0, s.v1)
-                assert ks.shard_halo_bytes[s.index] == (
+                assert ks.halo_bytes[s.index] == (
                     rows * kernel.output_dim * 4
                 )
 
-    def test_booking_records_every_layer_on_the_pool(self, gcn_co):
-        pool = AcceleratorPool(gcn_co.config, 2)
-        strategy = make_strategy("Dynamic", gcn_co.config)
-        plan = plan_shards(gcn_co, 2)
-        res = run_sharded(gcn_co, 2, strategy_name=strategy, pool=pool,
-                          plan=plan)
-        assert len(pool.events) == len(res.kernel_stats) * plan.num_shards
+    def test_booking_records_every_layer_on_the_pool(self):
+        # the engine books a caller's sharded run, one group per layer
+        engine = Engine(make_tiny_config(), pool_size=2)
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3, shards=2)
+        res = engine.infer(handle, backend="sharded")
+        pool = engine.pool
+        assert len(pool.events) == len(res.layers) * res.num_shards
         assert pool.makespan_s == pytest.approx(res.latency_s)
 
     def test_pool_smaller_than_plan_rejected(self, gcn_co):
         pool = AcceleratorPool(gcn_co.config, 1)
         strategy = make_strategy("Dynamic", gcn_co.config)
         with pytest.raises(ValueError, match="grow the pool"):
-            run_sharded(gcn_co, 2, strategy_name=strategy, pool=pool,
-                        plan=plan_shards(gcn_co, 2))
+            run_plan(gcn_co, 2, strategy, devices=pool.devices,
+                     plan=plan_shards(gcn_co, 2))
 
     def test_report_and_dict_split_halo_into_hidden_and_exposed(self, gcn_co):
-        res = run_sharded(gcn_co, 2)
+        res = run_plan(gcn_co, 2)
         assert "halo hidden/exposed ms" in res.format_report()
         summary = res.to_dict()
-        for row, ks in zip(summary["kernels"], res.kernel_stats):
+        for row, ks in zip(summary["kernels"], res.layers):
             assert row["halo_exposed_ms"] == (
-                float(ks.shard_exposed_halo_s.max()) * 1e3
+                float(ks.exposed_halo_s.max()) * 1e3
             )
         assert 0.0 < res.halo_exposed_s < res.halo_s == summary["halo_s"]
 
     def test_load_balance_and_halo_fraction_in_unit_range(self, gcn_co):
-        res = run_sharded(gcn_co, 4)
+        res = run_plan(gcn_co, 4)
         assert 0.0 < res.load_balance() <= 1.0
         assert 0.0 < res.halo_fraction < 1.0
         assert "shard" in res.format_report()
