@@ -265,36 +265,23 @@ class MutableGraph:
 
         h_rows, h_cols, h_old, h_new, h0_new = self._apply_features(delta)
 
-        if not a_changed and h_rows.size == 0:
-            return AppliedDelta(
-                version_from=self.version,
-                version_to=self.version,
-                a_added_rows=added_rows, a_added_cols=added_cols,
-                a_added_vals=added_vals,
-                a_removed_rows=removed_rows, a_removed_cols=removed_cols,
-                a_updated_rows=updated_rows, a_updated_cols=updated_cols,
-                h_rows=h_rows, h_cols=h_cols,
-                h_old_vals=h_old, h_new_vals=h_new,
-                touched_vertices=np.empty(0, np.int64),
-            )
-
-        touched = np.unique(
-            np.concatenate(
-                (added_rows, added_cols, removed_rows, removed_cols,
-                 updated_rows, updated_cols)
-            )
-        )
+        changed = bool(a_changed or h_rows.size)
         applied = AppliedDelta(
             version_from=self.version,
-            version_to=self.version + 1,
+            version_to=self.version + changed,
             a_added_rows=added_rows, a_added_cols=added_cols,
             a_added_vals=added_vals,
             a_removed_rows=removed_rows, a_removed_cols=removed_cols,
             a_updated_rows=updated_rows, a_updated_cols=updated_cols,
             h_rows=h_rows, h_cols=h_cols,
             h_old_vals=h_old, h_new_vals=h_new,
-            touched_vertices=touched,
+            touched_vertices=np.unique(np.concatenate(
+                (added_rows, added_cols, removed_rows, removed_cols,
+                 updated_rows, updated_cols)
+            )) if changed else np.empty(0, np.int64),
         )
+        if not changed:
+            return applied
         self.version += 1
         self._data = replace(self._data, a=a_new, h0=h0_new)
         # O(1) serving fingerprint for this version (see module docstring)

@@ -23,13 +23,13 @@ minutes ago in CI and one pulled from an artifact store.
 
 from __future__ import annotations
 
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.hw.report import exposed_stream
+from repro.obs.export import read_events
 from repro.obs.tracer import CounterSample, Span, SpanQueries, Tracer
 
 __all__ = [
@@ -102,95 +102,25 @@ class TraceModel(SpanQueries):
         )
 
     @classmethod
-    def from_trace(cls, trace: dict, *, source: str = "<dict>") -> TraceModel:
-        """Rebuild spans/counters from a Chrome trace-event dict."""
-        if not isinstance(trace, dict):
-            raise TraceError(f"{source}: trace must be a JSON object")
-        events = trace.get("traceEvents")
-        if not isinstance(events, list) or not events:
-            raise TraceError(
-                f"{source}: trace has no traceEvents list (or it is empty)"
-            )
-        tracks: dict[int, str] = {}
-        for event in events:
-            if (
-                isinstance(event, dict)
-                and event.get("ph") == "M"
-                and event.get("name") == "thread_name"
-            ):
-                tracks[event.get("tid")] = event.get("args", {}).get(
-                    "name", f"tid{event.get('tid')}"
-                )
-        spans: list[Span] = []
-        counters: list[CounterSample] = []
-        for i, event in enumerate(events):
-            if not isinstance(event, dict):
-                raise TraceError(f"{source}: event {i} is not an object")
-            ph = event.get("ph")
-            if ph == "M":
-                continue
-            track = tracks.get(event.get("tid"), f"tid{event.get('tid')}")
-            ts = event.get("ts")
-            if not isinstance(ts, (int, float)):
-                raise TraceError(f"{source}: event {i} ({ph}) has bad ts {ts!r}")
-            if ph == "X":
-                dur = event.get("dur")
-                if not isinstance(dur, (int, float)):
-                    raise TraceError(
-                        f"{source}: event {i} (X) has bad dur {dur!r}"
-                    )
-                spans.append(Span(
-                    track=track,
-                    name=str(event.get("name", "")),
-                    cat=str(event.get("cat", "") or ""),
-                    start_s=ts * 1e-6,
-                    dur_s=dur * 1e-6,
-                    args=dict(event.get("args") or {}),
-                ))
-            elif ph == "i":
-                spans.append(Span(
-                    track=track,
-                    name=str(event.get("name", "")),
-                    cat=str(event.get("cat", "") or ""),
-                    start_s=ts * 1e-6,
-                    dur_s=0.0,
-                    args=dict(event.get("args") or {}),
-                    kind="instant",
-                ))
-            elif ph == "C":
-                for cname, value in (event.get("args") or {}).items():
-                    counters.append(CounterSample(
-                        track=track, name=cname, t_s=ts * 1e-6,
-                        value=float(value),
-                    ))
-            else:
-                raise TraceError(f"{source}: event {i} has unknown phase {ph!r}")
-        return cls(
-            spans=tuple(spans),
-            counters=tuple(counters),
-            meta=dict(trace.get("otherData") or {}),
-            source=source,
-        )
+    def from_trace(cls, trace: dict | str | Path, *, source: str | None = None) -> TraceModel:
+        """Rebuild spans/counters from a Chrome trace-event dict or the
+        path of one; a trace :func:`~repro.obs.export.validate_trace`
+        rejects (its span sums aside) raises, naming the first broken
+        invariant."""
+        source = source or ("<dict>" if isinstance(trace, dict) else str(trace))
+        spans, counters, meta, errors = read_events(trace)
+        if errors:
+            raise TraceError(f"{source}: {errors[0]}")
+        return cls(spans=tuple(spans), counters=tuple(counters), meta=meta, source=source)
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> TraceModel:
-        path = Path(path)
-        try:
-            trace = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise TraceError(f"cannot load trace from {path}: {exc}") from exc
-        return cls.from_trace(trace, source=str(path))
+    from_file = from_trace
 
     @classmethod
     def load(cls, source) -> TraceModel:
         """Accept whatever the caller has: model, tracer, dict, or path."""
         if isinstance(source, cls):
             return source
-        if isinstance(source, Tracer):
-            return cls.from_tracer(source)
-        if isinstance(source, dict):
-            return cls.from_trace(source)
-        return cls.from_file(source)
+        return cls.from_tracer(source) if isinstance(source, Tracer) else cls.from_trace(source)
 
     @property
     def expected_latency_s(self) -> float | None:

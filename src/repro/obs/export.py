@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import CounterSample, Span, Tracer
 
 __all__ = [
     "TraceCheck",
@@ -230,33 +230,27 @@ def export_run(
     return TraceCheck(path, validate_trace(trace, rtol=rtol), summary)
 
 
-def validate_trace(
-    trace: dict | str | Path, *, rtol: float = RECONCILE_RTOL
-) -> list[str]:
-    """Check a ``trace.json`` against the trace-event invariants.
-
-    Accepts the trace dict or a path to one.  Returns a list of error
-    strings — empty means the trace is structurally sound *and* (when
-    ``otherData`` carries ``expected_total_s`` + ``reconcile_cats``) the
-    span duration sums reconcile with the run's reported latency to
-    within ``rtol`` (default :data:`RECONCILE_RTOL`).
-    """
-    if rtol <= 0:
-        raise ValueError(f"rtol must be positive, got {rtol}")
+def read_events(trace: dict | str | Path) -> tuple[list, list, dict, list[str]]:
+    """The spans (instants included), counter samples and ``otherData``
+    of a trace-event dict or the path of one, and every trace-event
+    invariant Perfetto relies on that it breaks: what
+    :func:`validate_trace` reports, and why
+    :class:`~repro.obs.analyze.TraceModel` refuses a trace."""
     if not isinstance(trace, dict):
         path = Path(trace)
         try:
             trace = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError) as exc:
-            return [f"cannot load trace from {path}: {exc}"]
-    errors: list[str] = []
-    events = trace.get("traceEvents")
+            return [], [], {}, [f"cannot load trace from {path}: {exc}"]
+    events = trace.get("traceEvents") if isinstance(trace, dict) else None
     if not isinstance(events, list) or not events:
-        return ["trace has no traceEvents list (or it is empty)"]
-
-    named_tids: set[int] = set()
-    used_tids: set[int] = set()
-    saw_complete = False
+        return [], [], {}, ["trace has no traceEvents list (or it is empty)"]
+    tracks = {e.get("tid"): e.get("args", {}).get("name", f"tid{e.get('tid')}")
+              for e in events if isinstance(e, dict) and e.get("ph") == "M"
+              and e.get("name") == "thread_name"}
+    spans: list[Span] = []
+    counters: list[CounterSample] = []
+    errors: list[str] = []
     for i, event in enumerate(events):
         if not isinstance(event, dict):
             errors.append(f"event {i}: not an object")
@@ -265,50 +259,62 @@ def validate_trace(
         if ph not in _KNOWN_PHASES:
             errors.append(f"event {i}: unknown phase {ph!r}")
             continue
-        if event.get("pid") is None:
-            errors.append(f"event {i} ({ph}): missing pid")
+        found = [] if event.get("pid") is not None else [f"event {i} ({ph}): missing pid"]
         if ph == "M":
-            if event.get("name") == "thread_name":
-                named_tids.add(event.get("tid"))
+            errors += found
             continue
-        ts = event.get("ts")
+        ts, dur, args = event.get("ts"), event.get("dur"), event.get("args") or {}
         if not isinstance(ts, (int, float)) or ts < 0:
-            errors.append(f"event {i} ({ph}): bad ts {ts!r}")
+            found.append(f"event {i} ({ph}): bad ts {ts!r}")
         if not event.get("name"):
-            errors.append(f"event {i} ({ph}): missing name")
-        if ph in ("X", "i"):
-            used_tids.add(event.get("tid"))
-        if ph == "X":
-            saw_complete = True
-            dur = event.get("dur")
-            if not isinstance(dur, (int, float)) or dur < 0:
-                errors.append(f"event {i} (X): bad dur {dur!r}")
+            found.append(f"event {i} ({ph}): missing name")
+        if ph == "X" and (not isinstance(dur, (int, float)) or dur < 0):
+            found.append(f"event {i} (X): bad dur {dur!r}")
+        if ph == "C" and not (isinstance(args, dict)
+                              and all(isinstance(v, (int, float)) for v in args.values())):
+            found.append(f"event {i} (C): args must be numeric values")
+        errors += found
+        track = tracks.get(event.get("tid"), f"tid{event.get('tid')}")
+        if found:
+            continue
         if ph == "C":
-            args = event.get("args")
-            if not isinstance(args, dict) or not all(
-                isinstance(v, (int, float)) for v in args.values()
-            ):
-                errors.append(f"event {i} (C): args must be numeric values")
-    if not saw_complete:
+            counters += [CounterSample(track, name, ts * 1e-6, float(value))
+                         for name, value in args.items()]
+        else:
+            spans.append(Span(track, str(event["name"]), str(event.get("cat", "") or ""),
+                              ts * 1e-6, dur * 1e-6 if ph == "X" else 0.0, dict(args),
+                              "span" if ph == "X" else "instant"))
+    if not any(sp.kind == "span" for sp in spans):
         errors.append("trace has no complete ('X') span events")
-    unnamed = used_tids - named_tids
+    unnamed = {e.get("tid") for e in events if isinstance(e, dict)
+               and e.get("ph") in ("X", "i")} - set(tracks)
     if unnamed:
         errors.append(
             f"tids {sorted(unnamed)} carry events but have no thread_name "
             f"metadata (Perfetto would show anonymous tracks)"
         )
+    return spans, counters, dict(trace.get("otherData") or {}), errors
 
-    meta = trace.get("otherData") or {}
+
+def validate_trace(
+    trace: dict | str | Path, *, rtol: float = RECONCILE_RTOL
+) -> list[str]:
+    """Check a ``trace.json`` against the trace-event invariants.
+
+    Accepts the trace dict or a path to one.  Returns a list of error
+    strings — empty means the trace is structurally sound
+    (:func:`read_events`) *and* (when ``otherData`` carries
+    ``expected_total_s`` + ``reconcile_cats``) the span duration sums
+    reconcile with the run's reported latency to within ``rtol``
+    (default :data:`RECONCILE_RTOL`).
+    """
+    if rtol <= 0:
+        raise ValueError(f"rtol must be positive, got {rtol}")
+    spans, _, meta, errors = read_events(trace)
     expected = meta.get("expected_total_s")
     cats = meta.get("reconcile_cats")
     if expected is not None and cats:
-        span_sum = sum(
-            event.get("dur", 0.0)
-            for event in events
-            if isinstance(event, dict)
-            and event.get("ph") == "X"
-            and event.get("cat") in set(cats)
-        ) * 1e-6
+        span_sum = sum(sp.dur_s for sp in spans if sp.kind == "span" and sp.cat in set(cats))
         expected = float(expected)
         tol = max(abs(expected) * rtol, 1e-12)
         if abs(span_sum - expected) > tol:

@@ -3,19 +3,25 @@
 Every ``InferenceServer.serve`` sweep runs here, as continuous batching.
 The loop merges the arrival-sorted request stream with a small heap of
 timers (batch windows, compiles finishing, completions, and the layer
-boundaries a preemption is taken at).  Each inference arrival is
-resolved, validated and looked up in the cache (a miss's compile is
-charged to the one host clock); it then joins an execution of its
-``batch_key`` in flight, or joins the forming micro-batch of its
-``batch_key`` and SLO class, which closes when full or when the class's
-window expires and waits, in priority order, for a device.
+boundaries a preemption is taken at).  Its host cost scales with request
+templates and executions, not requests.  A template is a request's
+``(model, dataset, strategy, prune, scale, seed, shards, slo)``: its first
+request in a sweep resolves it (bound to the live snapshot of a
+registered graph; a mutation drops every resolution), checks its shard
+width and SLO class, and fingerprints its program and ``batch_key``;
+later requests reuse that.  Each inference arrival is looked up in the
+cache (a miss's compile is charged to the one host clock), then joins an
+execution of its ``batch_key`` in flight, or the forming micro-batch of
+its ``batch_key`` and SLO class, which closes when full or when the
+class's window expires and waits, in priority order, for a device.  A
+finished execution answers its requests as one entry of the sweep's
+:class:`~repro.serve.request.ResponseColumns`.
 
 **Per-layer segments.**  An execution is an input-PCIe segment (0 s
 where its devices already hold the program's inputs) plus one segment
 per kernel layer (the per-layer barrier intervals ``run_strategy``
-records: on one device, kernel cycles + exposed analysis).  Its layer
-boundaries are the chained sums of its segments from its start, computed
-once: an unsharded execution is one pool reservation
+records).  Its layer boundaries are the chained sums of its segments
+from its start: an unsharded execution is one pool reservation
 (:meth:`~repro.engine.pool.AcceleratorPool.submit_run`, booked when it
 ends or pauses), cut short only by a preemption; a sharded one is one
 reservation per member device, held to the last barrier.
@@ -24,35 +30,31 @@ reservation per member device, held to the last barrier.
 runs, so a request arriving while a compatible execution is in flight
 *joins* it at the next layer boundary and shares its result — zero added
 service time.  When an execution starts, every queued group of its
-``batch_key`` *boards* it, its requests joining at the start: a group
-still forming, a closed one, or a closed one whose compile ends by the
-start.  A group whose SLO class outranks the execution's does not board
-(a preemptible run could hold it back).  So the backlog rides one
-execution instead of re-running the program batch by batch, and a queued
-batch never finishes after a later arrival that joined the run it could
-have boarded.  (The founding group respects ``max_batch_size``; joiners
-and boarders ride free.)
+``batch_key`` that its SLO class does not outrank *boards* it, its
+requests joining at the start: forming, closed, or closed with a compile
+that ends by the start.  So the backlog rides one execution, and a
+queued batch never finishes after a later arrival that joined the run it
+could have boarded.  (The founding group respects ``max_batch_size``;
+joiners and boarders ride free.)
 
 **Priority + preemption.**  Closed groups dispatch in SLO-priority
 order, and a strictly-higher-priority group may preempt an unsharded
-execution at a layer boundary: the running execution pauses (its
-remaining segments stay with its device), the interactive batch runs,
-and the paused work resumes when the device frees.  A boundary is a
-timer only while such a group waits for a device.  Sharded executions
-are barrier-locked groups and are never preempted (they are still
-joinable).
+execution at a layer boundary (a timer only while such a group waits):
+the execution pauses, its remaining segments stay with its device, and
+it resumes when the device frees.  Sharded executions are barrier-locked
+and never preempted (they are still joinable).
 
 **Admission + autoscaling.**  Every arrival passes the
 :class:`~repro.sched.admission.AdmissionController` (shed/defer past
 per-class queue bounds); every arrival/completion lets the
-:class:`~repro.sched.autoscaler.PoolAutoscaler` resize the pool's
-active set with hysteresis.  A queued group's shard width is a floor on
-the active set, as a device that owns work is.
+:class:`~repro.sched.autoscaler.PoolAutoscaler` resize the pool's active
+set with hysteresis.  A queued group's shard width is a floor on the
+active set, as a device that owns work is.
 
 Accounting invariants: for every response, ``latency_s = queue_s +
-execute_s + barrier_s``; a joiner's ``start_s`` is its join boundary
-(queue time ends when its execution window begins) with ``barrier_s =
-0``; a device's busy seconds are the chained sum of the segments it ran.
+execute_s + barrier_s``; a joiner's ``start_s`` is its join boundary with
+``barrier_s = 0``; a device's busy seconds are the chained sum of the
+segments it ran.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ import operator
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.hw.memory import pcie_transfer_seconds
 from repro.obs.metrics import MetricsRegistry
@@ -70,24 +73,24 @@ from repro.sched.admission import AdmissionController
 from repro.sched.autoscaler import PoolAutoscaler
 from repro.sched.slo import SLOClass, SLOPolicy
 from repro.serve.batcher import MicroBatch
-from repro.serve.request import (
-    InferenceRequest,
-    InferenceResponse,
-    MutationRequest,
-)
+from repro.serve.request import InferenceRequest, MutationRequest, ResponseColumns
 
 __all__ = ["ContinuousScheduler"]
 
+#: what a request template is: every field of a request but its id and
+#: arrival, so every request of one template resolves, checks, classes and
+#: keys alike
+_TEMPLATE = operator.attrgetter("model", "dataset", "strategy", "prune", "scale", "seed",
+                                "shards", "slo")
 
-@dataclass(slots=True)
-class _Joiner:
-    """One request that joined an execution in flight."""
 
-    req: InferenceRequest
-    #: the join boundary: when the request's execution window began
-    #: (None until a join into a paused execution resolves at resume)
-    attach_s: float | None
-    deferred: bool
+class _Template(NamedTuple):
+    """One request template, resolved once per sweep."""
+
+    req: InferenceRequest  # bound to the live snapshot of a registered graph
+    cls: SLOClass
+    prog_key: tuple
+    pkey: tuple  # the batch key
 
 
 @dataclass(eq=False)
@@ -99,7 +102,9 @@ class _Group:
     deadline: float
     #: devices the batch spans when it runs
     shards: int
-    deferred_ids: set = field(default_factory=set)
+    #: request id -> (deferred by admission, its lookup: compile seconds
+    #: charged, cache hit), for each of the batch's requests
+    members: dict = field(default_factory=dict)
 
     @property
     def key(self) -> tuple:
@@ -119,7 +124,7 @@ class _Execution:
     """One started execution: segments, devices, members, join state."""
 
     __slots__ = (
-        "exec_id", "key", "run", "founders", "deferred_ids", "joiners",
+        "exec_id", "key", "run", "founders", "members", "joiners",
         "segments", "seg_idx", "span_s", "boundaries",
         "devices", "start_s", "finish_s", "priority", "paused", "atomic",
         "check", "preemptions",
@@ -128,13 +133,13 @@ class _Execution:
     def __init__(self, group: _Group, run, segments: list[float], devices: list[int]):
         self.exec_id, self.key, self.run = group.batch.batch_id, group.batch.key, run
         self.priority = group.slo.priority
-        #: the batch it was started for (their window began at the start),
-        #: and which of them the admission controller had deferred
+        #: the batch it was started for (their window began at the start)
         self.founders: list[InferenceRequest] = group.batch.requests
-        self.deferred_ids: set = group.deferred_ids
-        #: requests that joined or boarded it (attach_s None: joined while
-        #: it was paused, attached at the resume)
-        self.joiners: list[_Joiner] = []
+        self.members: dict = group.members
+        #: the member rows (request, join boundary, deferred, lookup, True)
+        #: of the requests that joined or boarded it (boundary None: joined
+        #: while it was paused, attached at the resume)
+        self.joiners: list[tuple] = []
         #: segment 0 is the input-PCIe transfer (0 s if resident), then
         #: one per layer
         self.segments = segments
@@ -213,7 +218,7 @@ class ContinuousScheduler:
                      "sched.preemptions", "sched.scale_ups", "sched.scale_downs"):
             self.metrics.counter(f"serve.{name}")  # reported even at zero
         self.metrics.gauge("serve.max_shard_width")
-        self.responses: list[InferenceResponse] = []
+        self.answers = ResponseColumns()
         #: (device, program key, shards, slice) of every input slice a
         #: device's DDR received this sweep
         self._resident: set[tuple] = set()
@@ -233,7 +238,10 @@ class ContinuousScheduler:
         self._waiting = 0
         #: deepest backlog (waiting + parked) seen after an arrival
         self._max_depth = 0
-        self._deferred: deque[InferenceRequest] = deque()
+        #: parked (request, template) pairs
+        self._deferred: deque[tuple] = deque()
+        #: template -> its resolution, for the graph snapshots now live
+        self._templates: dict[tuple, _Template] = {}
         self._inflight: dict[tuple, _Execution] = {}
         self._assignment: list = [None] * self.pool.num_devices
         self._paused_stack: list[list] = [[] for _ in self._assignment]
@@ -241,8 +249,6 @@ class ContinuousScheduler:
         #: device that owns work is never parked)
         self._occupied_count = 0
         self._programs: dict[tuple, object] = {}
-        #: request id -> (compile seconds charged, cache hit)
-        self._lookups: dict[int, tuple[float, bool]] = {}
         #: virtual time each program's compile (or patch) finishes this
         #: sweep: a hit on a program whose miss still compiles waits for it
         self._program_ready: dict[tuple, float] = {}
@@ -301,9 +307,7 @@ class ContinuousScheduler:
             if isinstance(event, MutationRequest):
                 self._mutate(event, t)
             else:
-                req = self.engine.resolve_request(event)
-                self.server._check_shards(req)
-                self._admit(req, t, deferred=False)
+                self._admit(event, self._template(event), t, deferred=False)
             depth = self._waiting + len(self._deferred)
             if depth > self._max_depth:
                 self._max_depth = depth
@@ -345,6 +349,7 @@ class ContinuousScheduler:
         """
         outcome = self.engine.apply_delta(mutation.graph_id, mutation.delta,
                                           policy=self.server.mutation_policy)
+        self._templates.clear()  # later requests bind to the new snapshot
         self._count("serve.mutations")
         self.mutation_evictions += outcome.evictions
         for event in outcome.patches:
@@ -357,6 +362,20 @@ class ContinuousScheduler:
             self._count("serve.patches" if event.report.patched else "serve.patch_fallbacks")
             self.patch_s += event.report.wall_s
 
+    def _template(self, req: InferenceRequest) -> _Template:
+        """The request's template, resolved on its first request."""
+        key = _TEMPLATE(req)
+        if not isinstance(key[1], str):
+            key = (key[0], id(key[1]), *key[2:])  # an inline graph, by identity
+        template = self._templates.get(key)
+        if template is None:
+            req = self.engine.resolve_request(req)
+            self.server._check_shards(req)
+            cls, prog_key = self._class_of(req), req.program_key(self.config)
+            template = self._templates[key] = _Template(
+                req, cls, prog_key, req.batch_key(self.config, prog_key))
+        return template
+
     def _class_of(self, req: InferenceRequest) -> SLOClass:
         cls = self._class_named.get(req.slo)
         if cls is None:
@@ -366,26 +385,25 @@ class ContinuousScheduler:
             )
         return cls
 
-    def _admit(self, req: InferenceRequest, now: float, *, deferred: bool) -> None:
-        cls = self._class_of(req)
-        prog_key = req.program_key(self.config)
-        pkey = req.batch_key(self.config, prog_key)
-
+    def _admit(self, req: InferenceRequest, template: _Template, now: float, *,
+               deferred: bool) -> None:
         # join-in-flight first: a join consumes no capacity, so it is
         # exempt from admission bounds — shedding a joinable request
         # would refuse work that is already paid for
-        exec_ = self._inflight.get(pkey)
+        exec_ = self._inflight.get(template.pkey)
         if exec_ is not None and exec_.joinable(now):
-            self._lookup(req, prog_key, pkey, now)
-            self._board(exec_, [_Joiner(req, exec_.attach_time(now), deferred)], now,
-                        f"req{req.request_id}/join", exec_id=exec_.exec_id, slo=req.slo)
+            lookup = self._lookup(req, template, now)[1]
+            exec_.joiners.append((req, exec_.attach_time(now), deferred, lookup, True))
+            if self.tracer.enabled:
+                self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
+                                    exec_id=exec_.exec_id, slo=req.slo)
             return
 
         if not deferred:
-            decision = self.admission.decide(cls, self._queue_depth())
+            decision = self.admission.decide(template.cls, self._queue_depth())
             if decision.action != "admit":
                 if decision.action == "defer":
-                    self._deferred.append(req)
+                    self._deferred.append((req, template))
                 self._count("serve.sched.shed" if decision.action == "shed"
                             else "serve.sched.deferred")
                 if self.tracer.enabled:
@@ -393,15 +411,21 @@ class ContinuousScheduler:
                                         cat=decision.action, slo=req.slo, reason=decision.reason)
                 return
 
-        ready_s = self._lookup(req, prog_key, pkey, now)
-        self._group_add(req, cls, pkey, ready_s, now, deferred=deferred)
+        ready_s, lookup = self._lookup(req, template, now)
+        self._group_add(req, template, ready_s, lookup, now, deferred=deferred)
 
-    def _lookup(self, req: InferenceRequest, prog_key: tuple, pkey: tuple, now: float) -> float:
+    def _lookup(self, req: InferenceRequest, template: _Template, now: float) -> tuple:
         """Program-cache lookup + host-clock compile charge; returns the
-        virtual time the request's program is ready to run."""
-        program, compile_s, hit = self.cache.get_or_compile(
-            prog_key, lambda: self.engine.compile_request(req)
-        )
+        virtual time the request's program is ready to run, and the
+        lookup's (compile seconds charged, cache hit)."""
+        cache, prog_key = self.cache, template.prog_key
+        hit = prog_key in cache
+        if hit:  # no closure and no compile to offer: the counted get alone
+            program, lookup = cache.get(prog_key), (0.0, True)
+        else:
+            program, compile_s, _ = cache.get_or_compile(
+                prog_key, lambda: self.engine.compile_request(template.req))
+            lookup = (compile_s, False)
         if self.tracer.enabled:
             self.tracer.instant("serve", f"req{req.request_id}/enqueue", now, cat="enqueue",
                                 model=str(req.model), cache="hit" if hit else "miss",
@@ -414,29 +438,28 @@ class ContinuousScheduler:
             if self.tracer.enabled:
                 self.tracer.span("host/compile", f"compile {req.model}/{req.dataset_name}",
                                  compile_start, self._host_free_s, cat="compile")
-        self._programs[pkey] = program
-        self._lookups[req.request_id] = (compile_s, hit)
-        return max(now, self._program_ready.get(prog_key, now))
+        self._programs[template.pkey] = program
+        return max(now, self._program_ready.get(prog_key, now)), lookup
 
     # -- batch windows --------------------------------------------------
-    def _group_add(self, req: InferenceRequest, cls: SLOClass, pkey: tuple, ready_s: float,
-                   now: float, *, deferred: bool) -> None:
-        gkey = (pkey, cls.name)
+    def _group_add(self, req: InferenceRequest, template: _Template, ready_s: float,
+                   lookup: tuple, now: float, *, deferred: bool) -> None:
+        cls = template.cls
+        gkey = (template.pkey, cls.name)
         group = self._groups.get(gkey)
         opened = group is None
         if opened:
             wait = cls.max_wait_s if cls.max_wait_s is not None else self.server.max_wait_s
-            batch = MicroBatch(key=pkey, requests=[], opened_s=now, ready_s=now,
+            batch = MicroBatch(key=template.pkey, requests=[], opened_s=now, ready_s=now,
                                batch_id=next(self._order))
             group = self._groups[gkey] = _Group(batch, cls, deadline=now + wait,
                                                 shards=req.shards)
             self._after(group.deadline, self._window_expired, group)
         batch = group.batch
         batch.requests.append(req)
+        group.members[req.request_id] = (deferred, lookup)
         if ready_s > batch.ready_s:
             batch.ready_s = ready_s
-        if deferred:
-            group.deferred_ids.add(req.request_id)
         self._waiting += 1
         if opened and req.shards > self.pool.num_active:
             # a queued batch's width is a floor on the active set: it
@@ -478,7 +501,7 @@ class ContinuousScheduler:
         the open groups now instead of idling out their windows (which
         would floor the makespan and understate throughput)."""
         while self._deferred:
-            self._admit(self._deferred.popleft(), t, deferred=True)
+            self._admit(*self._deferred.popleft(), t, deferred=True)
         for group in list(self._groups.values()):
             self._close_group(group, t)
         self._schedule(t)
@@ -519,31 +542,26 @@ class ContinuousScheduler:
         return transfer_s
 
     def _respond(self, exec_: _Execution, t: float) -> None:
-        """Answer every request riding ``exec_``, which finished at ``t``:
-        founders from its start, joiners from their join boundary."""
-        run, size, device, start = exec_.run, exec_.size, exec_.devices[0], exec_.start_s
-        shards, cycles, barrier = run.num_shards, run.total_cycles, run.barrier_s
-        output = run.served_output() if self.server.return_outputs else None
-        lookups, respond, tracing = self._lookups, self.responses.append, self.tracer.enabled
-        rows = [(req, start, barrier, False, req.request_id in exec_.deferred_ids)
-                for req in exec_.founders]
-        rows += [(j.req, j.attach_s, 0.0, True, j.deferred) for j in exec_.joiners]
-        for req, start, barrier_s, joined, deferred in rows:
-            # strict: a request never looked up is an admission bug, not a hit
-            compile_s, hit = lookups[req.request_id]
-            respond(InferenceResponse(
-                request_id=req.request_id, model=req.model, dataset=req.dataset_name,
-                strategy=req.strategy, arrival_s=req.arrival_s, compile_s=compile_s,
-                start_s=start, finish_s=t, service_s=t - start, cache_hit=hit,
-                batch_id=exec_.exec_id, batch_size=size, device=device, shards=shards,
-                barrier_s=barrier_s, accel_cycles=cycles, output=output, slo=req.slo,
-                joined=joined, deferred=deferred,
-            ))
-            if tracing and start > req.arrival_s:
-                self.tracer.span(
-                    f"sched/{req.slo}", f"req{req.request_id}/queue-wait",
-                    req.arrival_s, start, cat="queue", joined=joined, deferred=deferred,
-                )
+        """Answer every request riding ``exec_``, which finished at ``t``,
+        as one entry of the sweep's answers: founders from its start,
+        joiners from their join boundary."""
+        run, start, members = exec_.run, exec_.start_s, exec_.members
+        # strict: a request never looked up is an admission bug (a KeyError), not a hit
+        rows = [(r, start, *members[r.request_id], False) for r in exec_.founders]
+        rows += exec_.joiners
+        self._count("serve.sched.joined", len(exec_.joiners))
+        if exec_.atomic:
+            self._count("serve.sharded_requests", len(exec_.joiners))
+        self.answers.add(rows, t, exec_.exec_id, exec_.devices[0], run.num_shards,
+                         run.barrier_s, run.total_cycles,
+                         run.served_output() if self.server.return_outputs else None)
+        if self.tracer.enabled:
+            for req, start, deferred, _, joined in rows:
+                if start > req.arrival_s:
+                    self.tracer.span(
+                        f"sched/{req.slo}", f"req{req.request_id}/queue-wait", req.arrival_s,
+                        start, cat="queue", joined=joined, deferred=deferred,
+                    )
 
     def _schedule(self, t: float) -> None:
         """Start as many ready groups as idle active devices allow.
@@ -613,23 +631,14 @@ class ContinuousScheduler:
             if self._groups.get(g.key) is g:
                 del self._groups[g.key]  # its window timer finds it gone
             self._waiting -= g.batch.size
-            ids = g.deferred_ids
-            self._board(exec_, [_Joiner(r, start, r.request_id in ids) for r in g.batch.requests],
-                        start, f"exec{exec_.exec_id}/board", batch_id=g.batch.batch_id,
-                        size=g.batch.size, slo=g.slo.name)
+            exec_.joiners += [(r, start, *g.members[r.request_id], True)
+                              for r in g.batch.requests]
+            if self.tracer.enabled:
+                self.tracer.instant("sched", f"exec{exec_.exec_id}/board", start, cat="join",
+                                    batch_id=g.batch.batch_id, size=g.batch.size,
+                                    slo=g.slo.name)
         for queue in (self._ready, self._unready):
             queue[:] = [g for g in queue if g not in boarding]
-
-    def _board(self, exec_: _Execution, joiners: list[_Joiner], now: float, event: str,
-               **args) -> None:
-        """Attach ``joiners`` to ``exec_``, with one trace instant: an
-        arrival joining it in flight, or a queued group boarding it."""
-        exec_.joiners += joiners
-        self._count("serve.sched.joined", len(joiners))
-        if exec_.atomic:
-            self._count("serve.sharded_requests", len(joiners))
-        if self.tracer.enabled:
-            self.tracer.instant("sched", event, now, cat="join", **args)
 
     # -- layer boundaries ------------------------------------------------
     def _run_span(self, exec_: _Execution, start: float) -> None:
@@ -640,9 +649,9 @@ class ContinuousScheduler:
         bounds = list(itertools.accumulate(exec_.segments[exec_.seg_idx:], initial=start))
         exec_.span_s = start
         exec_.boundaries = bounds[1:-1]
-        for joiner in exec_.joiners:
-            if joiner.attach_s is None:
-                joiner.attach_s = start
+        if exec_.preemptions:  # who joined it while paused attaches now
+            exec_.joiners = [(r, start if a is None else a, *rest)
+                             for r, a, *rest in exec_.joiners]
         self._after(bounds[-1], self._finish, (exec_, exec_.preemptions))
 
     def _book_span(self, exec_: _Execution, n: int) -> None:
@@ -733,12 +742,12 @@ class ContinuousScheduler:
     def _readmit_deferred(self, t: float) -> None:
         """Re-admit parked requests once the queue drains (FIFO)."""
         while self._deferred:
-            req = self._deferred[0]
-            watermark = self.admission.low_watermark(self._class_of(req))
+            req, template = self._deferred[0]
+            watermark = self.admission.low_watermark(template.cls)
             if watermark is not None and self._waiting >= watermark:
                 break
             self._deferred.popleft()
-            self._admit(req, t, deferred=True)
+            self._admit(req, template, t, deferred=True)
 
     # -- autoscaling ----------------------------------------------------
     def _autoscale(self, now: float) -> None:

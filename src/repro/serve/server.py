@@ -31,8 +31,8 @@ compiles and simulates nothing: the warm/cold comparison of
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
-from operator import attrgetter
 
 import numpy as np
 
@@ -46,10 +46,6 @@ from repro.hw.memory import pcie_transfer_seconds
 from repro.serve.request import InferenceRequest, InferenceResponse
 
 __all__ = ["MUTATION_POLICIES", "InferenceServer", "ServingReport"]
-
-#: the response fields a report is built from, each read into one column
-_COLUMNS = ("arrival_s", "start_s", "finish_s", "service_s", "barrier_s", "compile_s",
-            "batch_id", "batch_size", "joined", "deferred", "slo")
 
 
 def _held(table: str, metric: str, stat: str | None = None, **kwargs):
@@ -127,7 +123,10 @@ class ServingReport:
     #: barrier -> histogram snapshot with count/sum/mean/p50/p95/p99);
     #: latency_s = queue_wait + execute + barrier for every request
     phase_breakdown: dict = field(repr=False, default_factory=dict)
-    responses: list[InferenceResponse] = field(repr=False, default_factory=list)
+    #: one response per served request, in the order they were answered: a
+    #: read-only sequence that builds each response when it is accessed
+    #: (:class:`~repro.serve.request.ResponseColumns` for a served sweep)
+    responses: Sequence[InferenceResponse] = field(repr=False, default=())
 
     def format_report(self) -> str:
         def ms(*seconds: float) -> str:
@@ -319,16 +318,14 @@ class InferenceServer:
     # -- reporting ------------------------------------------------------
     def _report(self, sweep) -> ServingReport:
         """Build the report of a finished sweep from what its scheduler
-        counted (``sweep.metrics``) and answered (``sweep.responses``):
-        the responses read into columns once, one array into each
-        histogram, and every field the registry then holds read off its
-        one snapshot (:func:`_held`)."""
-        responses, registry, pool = sweep.responses, sweep.metrics, self.pool
-        n = len(responses)
-        (arrival, start, finish, service, barrier, compile_s, batch_id,
-         batch_size, joined, deferred, slo) = (
-            np.array(list(map(attrgetter(name), responses))) for name in _COLUMNS
-        )
+        counted (``sweep.metrics``) and answered (``sweep.answers``): the
+        answers' columns, one array into each histogram, and every field
+        the registry then holds read off its one snapshot (:func:`_held`)."""
+        answers, registry, pool = sweep.answers, sweep.metrics, self.pool
+        n = len(answers)
+        columns = answers.arrays()
+        arrival, start, finish, barrier, joined, deferred, slo = (columns[name] for name in (
+            "arrival_s", "start_s", "finish_s", "barrier_s", "joined", "deferred", "slo"))
         latency, queue = finish - arrival, start - arrival
         # utilization over the same serving window the report's makespan
         # and throughput use (the pool's own clock starts at t=0, which
@@ -346,12 +343,12 @@ class InferenceServer:
         # per-request phases: queueing (arrival -> device start), exposed
         # compile, execution net of barriers, barrier waits; latency_s =
         # queue_wait + execute + barrier (compile overlaps the queue phase)
-        phases = {"queue_wait": queue, "compile": compile_s,
-                  "execute": service - barrier, "barrier": barrier}
+        phases = {"queue_wait": queue, "compile": columns["compile_s"],
+                  "execute": columns["service_s"] - barrier, "barrier": barrier}
         for name, values in (
             ("latency_s", latency), ("queue_s", queue),
             *((f"phase.{phase}_s", v) for phase, v in phases.items()),
-            ("batch_size", batch_size[np.unique(batch_id, return_index=True)[1]]),
+            ("batch_size", columns["batch_size"]),
         ):
             registry.histogram(f"serve.{name}").extend(values)
 
@@ -418,7 +415,7 @@ class InferenceServer:
                 phase: metrics["histograms"][f"serve.phase.{phase}_s"]
                 for phase in phases
             },
-            responses=responses,
+            responses=answers,
         )
 
     def _check_shards(self, request: InferenceRequest) -> None:

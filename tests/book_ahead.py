@@ -22,12 +22,15 @@ the comparison arm continuous batching is graded against.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from unittest import mock
+
+import numpy as np
 
 from repro.sched import AdmissionController, SLOClass, SLOPolicy
 from repro.sched import scheduler as loop
-from repro.serve import InferenceResponse, ServingReport
+from repro.serve import ServingReport
+from repro.serve.request import ResponseColumns
 
 __all__ = ["BookAhead", "book_ahead", "serve_book_ahead"]
 
@@ -46,6 +49,27 @@ class BookAheadReport(ServingReport):
         return dict(items[:at] + [("scheduler", "legacy")] + items[at:])
 
 
+class BookedAnswers(ResponseColumns):
+    """Answers whose service is the booking's length, which ``finish -
+    start`` may round away from."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        #: batch id -> the seconds its one reservation booked
+        self.service_s: dict[int, float] = {}
+
+    def _build(self, execution, lo, hi):
+        service_s = self.service_s[execution[3]]
+        for response in super()._build(execution, lo, hi):
+            yield replace(response, service_s=service_s)
+
+    def arrays(self):
+        columns = super().arrays()
+        columns["service_s"] = np.repeat([self.service_s[e[3]] for e in self.executions],
+                                         [e[1] for e in self.executions]).astype(float)
+        return columns
+
+
 class BookAhead(loop.ContinuousScheduler):
     """The serve loop with every closed batch booked ahead and whole."""
 
@@ -53,6 +77,7 @@ class BookAhead(loop.ContinuousScheduler):
         super().__init__(server)
         self.classes = ONE_CLASS
         self.admission = AdmissionController(ONE_CLASS)
+        self.answers = BookedAnswers()
         #: (ready time, close order, group) of every closed batch
         self._booked: list[tuple] = []
 
@@ -70,12 +95,12 @@ class BookAhead(loop.ContinuousScheduler):
         # from taking later-closed but earlier-ready work
         super()._end_of_stream(t)
         for ready_s, _, group in sorted(self._booked, key=lambda b: b[:2]):
-            self._book_whole(group.batch, ready_s)
+            self._book_whole(group, ready_s)
         self._booked.clear()
 
-    def _book_whole(self, batch, ready_s: float) -> None:
+    def _book_whole(self, group, ready_s: float) -> None:
         """One reservation for the whole execution."""
-        pool = self.pool
+        pool, batch = self.pool, group.batch
         run = self._prepare(batch, ready_s)
         shards = run.num_shards
         # the device(s) submit / submit_group pick, seen before booking
@@ -97,18 +122,11 @@ class BookAhead(loop.ContinuousScheduler):
                 devices[0], service_s, ready_s, batch_id=batch.batch_id,
                 batch_size=batch.size,
             )
-        output = run.served_output() if self.server.return_outputs else None
-        for req in batch.requests:
-            compile_s, hit = self._lookups[req.request_id]
-            self.responses.append(InferenceResponse(
-                request_id=req.request_id, model=req.model,
-                dataset=req.dataset_name, strategy=req.strategy,
-                arrival_s=req.arrival_s, compile_s=compile_s, start_s=start,
-                finish_s=end, service_s=service_s, cache_hit=hit,
-                batch_id=batch.batch_id, batch_size=batch.size,
-                device=devices[0], shards=shards, barrier_s=run.barrier_s,
-                accel_cycles=run.total_cycles, output=output, slo=req.slo,
-            ))
+        self.answers.service_s[batch.batch_id] = service_s
+        self.answers.add(
+            [(r, start, False, group.members[r.request_id][1], False) for r in batch.requests],
+            end, batch.batch_id, devices[0], shards, run.barrier_s, run.total_cycles,
+            run.served_output() if self.server.return_outputs else None)
 
     def run(self, requests: list) -> BookAheadReport:
         report = super().run(requests)

@@ -475,7 +475,7 @@ class TestServingAccountingFixes:
         finished = _Execution(_Group(batch, SLOClass("bulk", 0), 0.0, 1), memo, [0.0], [0])
         with pytest.raises(KeyError):
             sweep._respond(finished, 1.0)
-        assert sweep.responses == []
+        assert len(sweep.answers) == 0
 
     def test_executions_outlive_the_server_that_ran_them(self, kernel_calls):
         # replaces test_run_memo_tracks_live_cache_capacity: there is no
