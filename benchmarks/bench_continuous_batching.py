@@ -126,8 +126,9 @@ def sweep(models, requests, pool):
 
 def _strip_wallclock(d: dict) -> dict:
     # compile_s/compile_saved_s are *deliberately* host wall-clock: they
-    # come from ProgramCache.get_or_compile, an allowlisted host-side
-    # measurement (repro.staticcheck.rules_clock.WALLCLOCK_ALLOWLIST).
+    # come from ProgramCache.get_or_compile, which reports the compiler's
+    # phase timings, an allowlisted host-side measurement
+    # (WALLCLOCK_ALLOWLIST in tests/test_source_invariants.py).
     # Everything else in the report is virtual-clock and must be
     # bit-identical between the two oracle runs — so only these fields
     # are excluded from the equality check.

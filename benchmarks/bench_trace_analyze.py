@@ -64,7 +64,7 @@ def measure(*, model, dataset, scale, shards, config):
     with tempfile.TemporaryDirectory() as tmp:
         path = write_trace(tracer, Path(tmp) / "trace.json",
                            meta=result.trace_meta())
-        read_back = attribute(TraceModel.from_file(path))
+        read_back = attribute(TraceModel.from_trace(path))
 
     assert att.reconciles(RECONCILE_RTOL), (
         f"attribution does not reconcile: critical path {att.total_s:.9f} s "

@@ -24,9 +24,9 @@ value the library call also receives belongs in the function or
 constructor it feeds, raised as a ``ValueError`` / ``KeyError`` naming the
 argument; :func:`main` turns those into one ``<command>: <library
 message>`` line and exit status 1.  Only argument *parsing* (``--shards
-two``) is rejected here.  The gate runners (``bench`` / ``perf-diff`` in
-``repro.perf.cli``, ``staticcheck`` in ``repro.staticcheck.cli``) wire
-their own subcommands: they report on the repository, not on a run.
+two``) is rejected here.  The gate runners (``bench`` / ``perf-diff``,
+in ``repro.perf.cli``) wire their own subcommands: they report on the
+repository, not on a run.
 """
 
 from __future__ import annotations
@@ -380,13 +380,11 @@ def main(argv=None) -> int:
                        help="use the U250 config instead of the small "
                             "test config")
 
-    # the gate runners wire their own subcommands (bench, perf-diff;
-    # staticcheck): they report on the repository, not on a run
+    # the gate runners wire their own subcommands (bench, perf-diff):
+    # they report on the repository, not on a run
     from repro.perf.cli import add_parsers as add_perf_parsers
-    from repro.staticcheck.cli import add_parser as add_staticcheck_parser
 
     add_perf_parsers(sub)
-    add_staticcheck_parser(sub)
 
     command("resources", cmd_table, "Fig. 9 resource table").set_defaults(
         table=lambda: estimate_resources(u250_default()).format_table()

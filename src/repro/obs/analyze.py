@@ -77,8 +77,8 @@ class TraceModel(SpanQueries):
     """A span stream plus its metadata, ready for analysis.
 
     Built either from a live tracer (:meth:`from_tracer`) or from an
-    exported Chrome/Perfetto ``trace.json`` (:meth:`from_file` /
-    :meth:`from_trace` — the inverse of
+    exported Chrome/Perfetto ``trace.json`` or its path
+    (:meth:`from_trace` — the inverse of
     :func:`~repro.obs.export.to_perfetto`, mapping tids back to track
     names through the ``thread_name`` metadata events); it answers the
     :class:`~repro.obs.tracer.Tracer`'s span queries.  ``meta`` is the
@@ -112,8 +112,6 @@ class TraceModel(SpanQueries):
         if errors:
             raise TraceError(f"{source}: {errors[0]}")
         return cls(spans=tuple(spans), counters=tuple(counters), meta=meta, source=source)
-
-    from_file = from_trace
 
     @classmethod
     def load(cls, source) -> TraceModel:
@@ -470,7 +468,7 @@ class TraceAnalysis:
 def analyze_trace(trace: str | Path, *, what_if: Sequence[str] = ()) -> TraceAnalysis:
     """Attribute an exported trace's critical path and project each
     ``what_if`` spec (:func:`parse_what_if` tokens)."""
-    model = TraceModel.from_file(trace)
+    model = TraceModel.from_trace(trace)
     return TraceAnalysis(
         trace=str(trace),
         attribution=attribute(model),
@@ -494,7 +492,7 @@ def attribution_lines(trace_path: str | Path) -> list[str]:
             f"`repro trace ... --out {trace_path}` to attribute regressions)"
         ]
     try:
-        model = TraceModel.from_file(trace_path)
+        model = TraceModel.from_trace(trace_path)
     except TraceError as exc:
         return [f"(cannot attribute: {exc})"]
     try:

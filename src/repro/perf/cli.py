@@ -1,5 +1,5 @@
 """The ``repro bench`` and ``repro perf-diff`` subcommands (wired from
-``repro.__main__``, the way ``repro.staticcheck.cli`` is).
+``repro.__main__``).
 
 Both are gate runners over directories of ``BENCH_*.json``: what they
 report on is the repository, not a run of the system.  Exit codes: 0

@@ -342,7 +342,8 @@ def _typed(json_type, names):
 # mapping (primitive, category, SLO-class and device names), "#" for a
 # device or pool index, "histogram" for a MetricsRegistry histogram
 # snapshot.  Never edit an entry to make a change pass: a key that goes
-# missing is the silent JSON miss RPR501 exists to prevent.
+# missing is the silent JSON miss the to-dict-coverage check of
+# tests/test_source_invariants.py exists to prevent.
 _INFERENCE = {
     **_typed("float", (
         "accel_cycles exposed_overhead_cycles latency_ms load_balance "

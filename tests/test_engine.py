@@ -300,14 +300,13 @@ class TestDeprecationShims:
             repro.run_strategy
         assert "run_strategy" not in repro.__all__
         assert hasattr(repro.runtime, "run_strategy")
-        # ...and no module grew a PEP 562 hook since (what staticcheck's
-        # RPR502 policed while there were shims to police)
+        # ...and no module grew a PEP 562 hook since
         for module in _library_modules():
             assert "__getattr__" not in vars(module), module.__name__
 
     def test_every_all_entry_is_bound(self):
-        # what staticcheck's RPR503 read off the AST, checked on the
-        # imported module: `from module import *` resolves every name
+        # checked on the imported module: `from module import *`
+        # resolves every name
         for module in _library_modules():
             for name in getattr(module, "__all__", ()):
                 assert hasattr(module, name), f"{module.__name__}.{name}"

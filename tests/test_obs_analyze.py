@@ -115,11 +115,11 @@ class TestTraceModel:
         bad = tmp_path / "bad.json"
         bad.write_text('{"traceEvents": [')
         with pytest.raises(TraceError, match="cannot load trace from"):
-            TraceModel.from_file(bad)
+            TraceModel.from_trace(bad)
 
     def test_missing_file_raises_trace_error(self, tmp_path):
         with pytest.raises(TraceError, match="cannot load trace from"):
-            TraceModel.from_file(tmp_path / "nope.json")
+            TraceModel.from_trace(tmp_path / "nope.json")
 
     def test_empty_trace_raises_trace_error(self):
         with pytest.raises(TraceError, match="no traceEvents"):
