@@ -32,6 +32,10 @@ these inner loops, each rewritten as single numpy / native passes:
    and past the crossover (30%); the bench prints which route the
    task loop's rule takes at each and the crossover its three constants
    encode.
+   A task of such pairs whose products stay sparse (a cold CiteSeer
+   Aggregate's, ~3% stored) is timed two ways: summed into a dense ``z``
+   that the assembly then masks and rescans (kept below), against its
+   products held as CSR and merged into the one block the assembly keeps.
 5. ``formats.partition``'s split of a sparse operand into its CSR
    blocks: one block-major layout (one radix sort of a 16-bit block id,
    or no sort at all for one block column) instead of a SciPy slice,
@@ -61,6 +65,7 @@ from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 from repro.gnn import build_adjacency_variants
 from repro.hw.spmm_unit import spmm_workloads
+from repro.runtime.executor import KernelAssembly
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.strategies import DynamicMapping
 from repro.runtime.vectorized import (
@@ -69,7 +74,9 @@ from repro.runtime.vectorized import (
     _NS_PER_ROW_CELL,
     _accumulate_csr_product,
     _add_csr_csr_product,
+    _csr_csr_product,
     _entry_route,
+    _merge_csr_products,
 )
 
 _tests = str(Path(__file__).resolve().parent.parent / "tests")
@@ -96,6 +103,13 @@ PAIR_Y_DENSITY = 0.10
 #: the crossover)
 ROUTE_Y_DENSITIES = (0.01, PAIR_Y_DENSITY, 0.30)
 PAIR_CALLS = 50
+#: a cold CiteSeer Aggregate task: 720 x 720 adjacency blocks of ~500
+#: entries against 720 x 720 blocks of 1%-dense features, five pairs,
+#: about 3% of the partition stored in the sum
+TASK_PAIRS = 5
+TASK_X_NNZ = 500
+TASK_Y_DENSITY = 0.01
+TASK_CALLS = 10
 #: the operands the perf ledger splits: (label, dataset, scale, operand,
 #: block columns) under N1 = 720 row blocking
 SPLIT_N1 = 720
@@ -425,6 +439,81 @@ def _pair_product_spec(ctx):
         "temp_bytes_saved": Metric(
             "temp_bytes_saved", float(partial.nbytes), "B", "higher"
         ),
+    }
+
+
+def _task_pairs():
+    rng = np.random.default_rng(41)
+    n1 = PAIR_N1
+    return [(
+        sp.random(n1, n1, density=TASK_X_NNZ / n1**2, format="csr",
+                  dtype=np.float32, rng=rng),
+        sp.random(n1, n1, density=TASK_Y_DENSITY, format="csr",
+                  dtype=np.float32, rng=rng),
+    ) for _ in range(TASK_PAIRS)]
+
+
+def _per_task(fn, *args):
+    """``fn(*args)`` ``TASK_CALLS`` times over; the last result."""
+    return lambda: [fn(*args) for _ in range(TASK_CALLS)][-1]
+
+
+def _task_densified(pairs, work):
+    """The output block as the task loop held it: a dense ``z`` summed
+    pair by pair, then masked and rescanned by the assembly's write."""
+    n1 = PAIR_N1
+    z = np.zeros((n1, n1), dtype=DTYPE)
+    for x, y in pairs:
+        _add_csr_csr_product(x, y, work, z)
+    asm = KernelAssembly(n1, n1, n1, n1, np.zeros((1, 1), np.int64))
+    asm.write(0, 0, z)
+    return asm.blocks[0, 0]
+
+
+def _task_merged(pairs, work):
+    """The same block from the products held as CSR and merged."""
+    n1 = PAIR_N1
+    held = [[a.copy() for a in _csr_csr_product(x, y, n1, work)] for x, y in pairs]
+    return _merge_csr_products(n1, n1, held)
+
+
+@register_bench(
+    "micro_task_merge",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath"),
+    tolerances={"speedup": 0.6},
+)
+def _task_merge_spec(ctx):
+    """Hot path 4b: a sparse task's output block, densify + rescan vs merge."""
+    pairs = _task_pairs()
+    work: dict = {}
+    dense, dense_s = best_of(_per_task(_task_densified, pairs, work))
+    merged, merged_s = best_of(_per_task(_task_merged, pairs, work))
+    assert all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip((dense.indptr, dense.indices, dense.data),
+                        (merged.indptr, merged.indices, merged.data))
+    ), "the merged block must be the densified one, byte for byte"
+    dense_s, merged_s = dense_s / TASK_CALLS, merged_s / TASK_CALLS
+    speedup = dense_s / merged_s
+    density = merged.nnz / PAIR_N1**2
+    emit("micro_task_merge", format_table(
+        ["variant", "best (us / task)", "speedup"],
+        [
+            ["dense z + mask + flatnonzero", f"{dense_s * 1e6:.1f}", "1.00x"],
+            ["held CSR + hstack / 2x tocsc / sum_duplicates",
+             f"{merged_s * 1e6:.1f}", f"{speedup:.2f}x"],
+        ],
+        title=(
+            f"M1d': one {PAIR_N1}x{PAIR_N1} output partition of {TASK_PAIRS} "
+            f"CSR x CSR pairs, {merged.nnz} stored ({density:.1%})"
+        ),
+    ))
+    assert speedup > 1.5, f"merging a sparse task only {speedup:.2f}x faster"
+    return {
+        "speedup": Metric("speedup", speedup, "x", "higher"),
+        "merged_us": Metric("merged_us", merged_s * 1e6, "us"),
+        "out_density": Metric("out_density", density, "ratio"),
     }
 
 

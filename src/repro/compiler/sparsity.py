@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.formats.density import nnz_count
-from repro.formats.partition import SPARSE_STORAGE_THRESHOLD, PartitionedMatrix
+from repro.formats.partition import SPARSE_STORAGE_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -85,17 +85,3 @@ def update_profile(profile: MatrixProfile, nnz_delta: int) -> MatrixProfile:
             f"(nnz {profile.nnz} -> {nnz} of {elements})"
         )
     return profile_of(profile.name, profile.shape, nnz)
-
-
-def profile_partitions(pm: PartitionedMatrix) -> dict:
-    """Summary of a partitioned view's density structure (for reports)."""
-    grid = pm.density_grid
-    return {
-        "name": pm.name,
-        "blocks": (pm.num_row_blocks, pm.num_col_blocks),
-        "block_dims": (pm.block_rows, pm.block_cols),
-        "density": pm.density,
-        "min_block_density": float(grid.min()) if grid.size else 0.0,
-        "max_block_density": float(grid.max()) if grid.size else 0.0,
-        "empty_blocks": int((grid == 0).sum()),
-    }

@@ -574,22 +574,6 @@ class PartitionedMatrix:
         )
         return pm, dirty
 
-    # -- storage accounting ----------------------------------------------------
-    def block_bytes(self, i: int, j: int, *, sparse: bool | None = None) -> int:
-        """Off-chip bytes of block (i, j): COO 12 B/nnz or dense 4 B/elem.
-
-        ``sparse=None`` picks the cheaper format per block, which is what
-        the compiler's storage-format policy does.
-        """
-        r, c = self.block_shape(i, j)
-        dense_bytes = 4 * r * c
-        sparse_bytes = 12 * self.block_nnz(i, j)
-        if sparse is True:
-            return sparse_bytes
-        if sparse is False:
-            return dense_bytes
-        return min(dense_bytes, sparse_bytes)
-
     def _check_index(self, i: int, j: int) -> None:
         if not (0 <= i < self.num_row_blocks and 0 <= j < self.num_col_blocks):
             raise IndexError(

@@ -437,9 +437,14 @@ class KernelAssembly:
         r0, c0 = i * self.out_br, k * self.out_bc
         return slice(r0, r0 + self.out_br), slice(c0, c0 + self.out_bc)
 
-    def write(self, i: int, k: int, z: np.ndarray) -> int:
+    def write(self, i: int, k: int, z) -> int:
         """Store output partition ``(i, k)`` and return its profiled
-        nonzero count (``-0.0`` a zero, ``NaN`` a nonzero)."""
+        nonzero count (``-0.0`` a zero, ``NaN`` a nonzero).  ``z`` is dense,
+        or a task's merged products: a canonical int32 CSR block below
+        ``SPARSE_HOLDING`` that stores no zero, counted by its ``indptr``."""
+        if sp.issparse(z):
+            self.blocks[i, k], self.nnz_grid[i, k] = z, z.indptr[-1]
+            return int(z.indptr[-1])
         mask = z != 0
         nnz = self.nnz_grid[i, k] = np.count_nonzero(mask)
         if nnz < vectorized.SPARSE_HOLDING * z.size:
@@ -611,24 +616,15 @@ def run_kernels(
             )
             report = stats.report
             lane_stats.append(KernelStats(
-                kernel_id=kernel.kernel_id,
-                ktype=kernel.ktype,
-                num_tasks=tasks.num_tasks,
-                num_pairs=stats.num_pairs,
-                cycles=cycles,
-                primitive_counts=stats.counts,
-                macs=report.macs,
-                bytes_read=report.bytes_read,
-                bytes_written=report.bytes_written,
-                compute_cycles=report.compute,
-                memory_cycles=report.memory,
-                transform_cycles=report.transform,
-                profile_cycles=report.profile,
+                kernel_id=kernel.kernel_id, ktype=kernel.ktype,
+                num_tasks=tasks.num_tasks, num_pairs=stats.num_pairs, cycles=cycles,
+                primitive_counts=stats.counts, macs=report.macs,
+                bytes_read=report.bytes_read, bytes_written=report.bytes_written,
+                compute_cycles=report.compute, memory_cycles=report.memory,
+                transform_cycles=report.transform, profile_cycles=report.profile,
                 out_density=0.0,  # known once every lane has written
-                analysis_seconds=analysis_s,
-                core_busy=timeline.busy - busy_before,
-                num_waves=stats.waves,
-                tasks_executed=stats.tasks_executed,
+                analysis_seconds=analysis_s, core_busy=timeline.busy - busy_before,
+                num_waves=stats.waves, tasks_executed=stats.tasks_executed,
                 coo_writebacks=stats.coo_writebacks,
                 exposed_cycles=float(exposed_stream(
                     soft.seconds_to_accel_cycles(analysis_s),

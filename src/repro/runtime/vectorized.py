@@ -18,29 +18,35 @@ by :func:`repro.hw.core.batch_pair_cycles` and
    in :mod:`repro.hw`.
 2. **Functional** — per executed task (original order, preserving the
    float32 accumulation order and assembly write order bit for bit), one
-   native call per operand pair.  A CSR X block (a slice of the
-   operand's block-major layout, which the first
-   :meth:`PartitionedMatrix.csr_blocks_for_row` of a view builds in one
-   pass: the first inference after a patch is a warm one plus that
-   split) against a CSR Y block takes the route the census of phase 1
-   picks (:func:`_entry_route`, never a model, dataset or strategy
-   name): entry by entry, ``csr_matmat`` into a reusable scratch and the
-   product's stored cells added where they fall in the task's running
-   sum (:func:`_add_csr_csr_product`: the pair costs what its stored
-   entries cost; a task seeded from ``accumulate_into`` is kept off it),
-   or, once the multiply-adds would cost more than two dense sweeps, Y
-   expanded into one reusable partition-sized scratch and ``csr_matvecs``
+   native call per operand pair.  A CSR X block (a slice of the view's
+   block-major layout, which its first
+   :meth:`PartitionedMatrix.csr_blocks_for_row` builds in one pass: the
+   first inference after a patch is a warm one plus that split) against
+   a CSR Y block takes the route the census of phase 1 picks
+   (:func:`_entry_route`, never a model, dataset or strategy name): entry
+   by entry through ``csr_matmat`` (:func:`_csr_csr_product`: the pair
+   costs what its stored entries cost; a task seeded from
+   ``accumulate_into`` is kept off it), or, once the multiply-adds would
+   cost more than two dense sweeps, Y expanded into one reusable
+   partition-sized scratch and ``csr_matvecs``
    (:func:`_accumulate_csr_product`, which needs X finite: asked of the
    view once per block row, only here).  Against a dense Y block it is
-   ``csr_matvecs`` on the block as it is.  The first dense row partial of
-   a task that starts from zero lands straight in the task's output,
-   later ones are formed apart and added, keeping the ``z + P`` grouping.
-   Everything else takes ``_matmul``, the definition: a dense X block, an
-   X block row holding ``inf``/``NaN`` on the S2D route, and every pair
-   when one of SciPy's four private entry points is missing.  The
-   data-dependent SPMM cycle counts are taken here.  The assembly counts
-   each output partition once (the write-back profiler's count, the next
-   kernel's census) and holds it by that count: CSR below
+   ``csr_matvecs`` on the block as it is.  A task whose live pairs all go
+   entry by entry, none transposed, with no activation after, holds its
+   products as CSR while their stored entries stay below
+   ``SPARSE_HOLDING`` of its partition, and writes them merged
+   (:func:`_merge_csr_products`): no dense ``z`` is formed or rescanned.
+   Past that bound, and in any other task, a product's stored cells are
+   added where they fall in the running sum (:func:`_add_csr_csr_product`),
+   the first dense row partial of a task that starts from zero lands
+   straight in its output and later ones are formed apart and added
+   (the ``z + P`` grouping).  Everything else takes ``_matmul``, the
+   definition: a dense X block, an X block row holding ``inf``/``NaN`` on
+   the S2D route, and every pair when one of SciPy's four private product
+   kernels is missing (a missing merge kernel only stops the holding).
+   The data-dependent SPMM cycle counts are taken here.  The assembly
+   counts each output partition once (the write-back profiler's count,
+   the next kernel's census) and holds it by that count: CSR below
    ``SPARSE_HOLDING``, dense otherwise.
 3. **Write-back accounting** — task latencies from per-task stream sums
    (sequential float reductions via ``np.add.at`` / ``np.add.accumulate``
@@ -64,6 +70,7 @@ mutation*.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.formats.csr import matmul as _matmul
 from repro.formats.dense import DTYPE
@@ -91,6 +98,10 @@ _CSR_MATVECS = getattr(_sparsetools, "csr_matvecs", None)
 _CSR_TODENSE = getattr(_sparsetools, "csr_todense", None)
 _CSR_MATMAT = getattr(_sparsetools, "csr_matmat", None)
 _CSR_MATMAT_MAXNNZ = getattr(_sparsetools, "csr_matmat_maxnnz", None)
+#: the merge of a task's products held as CSR (without one: held dense)
+_CSR_HSTACK = getattr(_sparsetools, "csr_hstack", None)
+_CSR_TOCSC = getattr(_sparsetools, "csr_tocsc", None)
+_CSR_SUM_DUPLICATES = getattr(_sparsetools, "csr_sum_duplicates", None)
 
 #: host nanoseconds of the two CSR x CSR routes: a multiply-add of
 #: ``csr_matmat`` (``maxnnz`` pass and scatter included), a cell of the
@@ -179,35 +190,66 @@ def _entry_route(x_nnz, y_nnz, m, n, d) -> np.ndarray:
 
 
 def _add_csr_csr_product(xblk, yblk, work, out) -> bool:
-    """``out += (xblk @ yblk).todense()`` entry by entry, through the
-    definition's own kernels: ``csr_matmat`` into the reusable ``(indptr,
-    indices, data)`` of ``work``, then ``csr_todense`` adds each stored
-    cell of the product to ``out``.  O(multiply-adds + product entries);
-    no buffer sized like a partition is touched and no finite-data guard
-    is needed.
-
-    The bits are those of forming the dense product apart and adding it,
-    for an ``out`` that holds no ``-0.0`` (a sum that started at ``+0.0``
-    never does): a stored cell gets the same one float32 add, an unstored
-    one would have added ``+0.0``.  ``False``, with ``out`` untouched,
-    when the four index arrays do not share a dtype.
-    """
+    """``out += (xblk @ yblk).todense()``: :func:`_csr_csr_product` into
+    ``work``, then ``csr_todense`` adds each stored cell to ``out``, with
+    the bits of adding the dense product to an ``out`` that holds no
+    ``-0.0`` (a sum that started at ``+0.0`` never does): an unstored cell
+    would have added ``+0.0``.  No buffer sized like a partition, no
+    finite-data guard.  ``False``, ``out`` untouched, on mixed dtypes."""
     m, d = out.shape
+    product = _csr_csr_product(xblk, yblk, d, work)
+    if product is not None and product[1].size:
+        _CSR_TODENSE(m, d, *product, out.ravel())
+    return product is not None
+
+
+def _csr_csr_product(xblk, yblk, d, work):
+    """``xblk @ yblk`` by ``csr_matmat`` as ``(indptr, indices, data)``,
+    views of ``work``'s reusable arrays valid until its next product: one
+    float32 sum per cell, started at ``+0.0`` and stored only where it is
+    not zero, columns unsorted.  ``None`` when the index dtypes differ."""
+    m = xblk.shape[0]
     xp, xj, yp, yj = xblk.indptr, xblk.indices, yblk.indptr, yblk.indices
     idx = xp.dtype
     if not (xj.dtype == idx and yp.dtype == idx and yj.dtype == idx):
-        return False
+        return None
     nmax = _CSR_MATMAT_MAXNNZ(m, d, xp, xj, yp, yj)
-    if nmax:
-        cp, cj, cx = work.get(idx) or (np.empty(0, idx),) * 3
-        if cp.size <= m:
-            cp = np.empty(m + 1, idx)
-        if cj.size < nmax:
-            cj, cx = np.empty(nmax, idx), np.empty(nmax, DTYPE)
-        work[idx] = cp, cj, cx
-        _CSR_MATMAT(m, d, xp, xj, xblk.data, yp, yj, yblk.data, cp, cj, cx)
-        _CSR_TODENSE(m, d, cp, cj, cx, out.ravel())
-    return True
+    if not nmax:  # no entry of X meets one of Y: no call, no scratch
+        return np.zeros(m + 1, idx), np.empty(0, idx), np.empty(0, DTYPE)
+    cp, cj, cx = work.get(idx) or (np.empty(0, idx),) * 3
+    if cp.size <= m:
+        cp = np.empty(m + 1, idx)
+    if cj.size < nmax:
+        cj, cx = np.empty(nmax, idx), np.empty(nmax, DTYPE)
+    work[idx] = cp, cj, cx
+    _CSR_MATMAT(m, d, xp, xj, xblk.data, yp, yj, yblk.data, cp, cj, cx)
+    return cp[: m + 1], cj[: cp[m]], cx[: cp[m]]
+
+
+def _merge_csr_products(m, d, products) -> sp.csr_matrix:
+    """The canonical int32 CSR of ``((+0.0 + P1) + P2) + ...`` over ``m x
+    d`` :func:`_csr_csr_product` results: ``csr_hstack`` with zero block
+    widths interleaves each row's entries in product order, two stable
+    counting transposes sort the columns, keeping a cell's entries in
+    that order, and ``csr_sum_duplicates`` adds them as ``csr_todense``
+    into a zero ``z`` would.  No product stores a zero, so ``+0.0 + P1``
+    is ``P1`` and an unstored cell is ``+0.0`` both ways; only a sum that
+    cancelled is zero, and ``eliminate_zeros`` drops it."""
+    ptrs, cols, vals = zip(*products)
+    n, nnz, i32 = len(products), sum(int(p[m]) for p in ptrs), np.int32
+    bp, tp = np.empty(m + 1, i32), np.empty(d + 1, i32)
+    bj, bx, tj, tx = (np.empty(nnz, t) for t in (i32, DTYPE, i32, DTYPE))
+    ptrs, cols = (np.concatenate(a, dtype=i32, casting="same_kind") for a in (ptrs, cols))
+    _CSR_HSTACK(n, m, np.zeros(n, i32), ptrs, cols, np.concatenate(vals), bp, bj, bx)
+    _CSR_TOCSC(m, d, bp, bj, bx, tp, tj, tx)
+    _CSR_TOCSC(d, m, tp, tj, tx, bp, bj, bx)
+    _CSR_SUM_DUPLICATES(m, d, bp, bj, bx)
+    blk = sp.csr_matrix.__new__(sp.csr_matrix)
+    blk.data, blk.indices, blk.indptr, blk._shape = bx, bj, bp, (m, d)
+    blk.eliminate_zeros()
+    if blk.nnz < nnz:  # duplicates were summed: no slack past the entries
+        blk.data, blk.indices = blk.data.copy(), blk.indices.copy()
+    return blk
 
 
 def execute_kernel_tasks(
@@ -267,15 +309,14 @@ def execute_kernel_tasks(
     # SPMM capacity degrade (SPMM reads Y's rows at random, so Y must be
     # COO-resident in BufferU, 3 words a nonzero): a fixed mapping's, the
     # Analyzer weighs no candidate that does not fit
-    held = acc.config.buffers.words_per_buffer
-    degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > held)
+    words = acc.config.buffers.words_per_buffer
+    degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > words)
     if degrade.any():
         codes[degrade] = SPDMM_CODE
         transp[degrade] = False
 
     live = codes != SKIP_CODE
-    elems_x = m_p * n_p
-    elems_y = n_p * d_p
+    elems_x, elems_y = m_p * n_p, n_p * d_p
     # capacity pre-check of the dense operands, before any state is
     # touched: GEMM holds X in BufferO and Y in BufferP, SpDMM its dense
     # side in BufferO (its sparse side streams through BufferU, and
@@ -285,23 +326,20 @@ def execute_kernel_tasks(
         np.maximum(elems_x, elems_y),
         np.where(codes == SPDMM_CODE, np.where(transp, elems_x, elems_y), 0),
     )
-    over = np.flatnonzero(need_p > held)
+    over = np.flatnonzero(need_p > words)
     if over.size:
         p = int(over[0])
         gemm_y = codes[p] == GEMM_CODE and elems_y[p] > elems_x[p]
         raise BufferOverflowError(
             f"kernel {kernel.kernel_id}: pair X[{rows[tix[p]]},{js[p]}] @ "
             f"Y[{js[p]},{cols[tix[p]]}] needs {need_p[p]} words, "
-            f"{'BufferP' if gemm_y else 'BufferO'} holds {held}"
+            f"{'BufferP' if gemm_y else 'BufferO'} holds {words}"
         )
 
     lp = np.flatnonzero(live)
     lt = tix[lp]
-    live_count_t = np.bincount(lt, minlength=t_count)
-    if acc_view is not None:
-        executed_t = np.ones(t_count, dtype=bool)
-    else:
-        executed_t = live_count_t > 0
+    # a seeded task runs (its seed is its output) with every pair skipped
+    executed_t = (np.bincount(lt, minlength=t_count) > 0) | (acc_view is not None)
     dispatched = int(executed_t.sum())
 
     # bandwidth shares come from tasks actually dispatched, not the
@@ -329,34 +367,23 @@ def execute_kernel_tasks(
     first_code_t = np.full(t_count, -1, dtype=np.int64)
     last_code_t = np.full(t_count, -1, dtype=np.int64)
     if lp.size:
-        is_first = np.empty(lp.size, dtype=bool)
-        is_first[0] = True
-        is_first[1:] = lt[1:] != lt[:-1]
-        is_last = np.empty(lp.size, dtype=bool)
-        is_last[-1] = True
-        is_last[:-1] = is_first[1:]
+        is_first = np.concatenate(([True], lt[1:] != lt[:-1]))
+        is_last = np.concatenate((is_first[1:], [True]))
         first_code_t[lt[is_first]] = lc[is_first]
         last_code_t[lt[is_last]] = lc[is_last]
         sw_pos = (~is_first[1:]) & (lc[1:] != lc[:-1])
-        internal_t = np.bincount(
-            lt[1:][sw_pos], minlength=t_count
-        ).astype(np.int64)
+        internal_t = np.bincount(lt[1:][sw_pos], minlength=t_count).astype(np.int64)
     merged_t = np.zeros(t_count, dtype=bool)
-    if lp.size:
-        tl = lp[transp[lp]]
-        if tl.size:
-            merged_t[tix[tl]] = True
+    merged_t[tix[live & transp]] = True
 
     # ---- phase 2: functional pass (original task order) ----------------
-    x_sparse = xv.is_sparse_storage
-    y_sparse = yv.is_sparse_storage
+    x_sparse, y_sparse = xv.is_sparse_storage, yv.is_sparse_storage
     out_nnz_t = np.zeros(t_count, dtype=np.int64)
     exec_idx = np.flatnonzero(executed_t)
     # per-task live-pair segment boundaries in one pass (lt is sorted)
     seg_lo = np.searchsorted(lt, exec_idx, "left")
     seg_hi = np.searchsorted(lt, exec_idx, "right")
-    x_row_blocks = None
-    x_row_blocks_i = -1
+    x_row_blocks, x_row_blocks_i = None, -1
     # dense operand blocks are views reused across the task grid (every
     # output column revisits y(j, k); every output row revisits x(i, j))
     # — memoising them drops ~1/3 of the per-pair Python overhead.  The
@@ -381,6 +408,8 @@ def execute_kernel_tasks(
     entry_p = np.zeros(p_count, dtype=bool)
     #: csr_matmat's reusable output arrays, grown to the largest product
     work: dict = {}
+    #: tasks that hold their products as CSR and merge them
+    hold_t = np.zeros(t_count, dtype=bool)
     if native and y_sparse:
         #: BufferU's analogue: one y_blocking partition, refilled per
         #: pair, so no dense copy of a sparse operand outlives its pair
@@ -389,22 +418,25 @@ def execute_kernel_tasks(
         # product's stored cells is not adding the dense product
         if acc_view is None:
             entry_p = _entry_route(x_nnz_p, y_nnz_p, m_p, n_p, d_p)
+            # every live pair entry by entry, none transposed, no activation after
+            if act is None and None not in (_CSR_HSTACK, _CSR_TOCSC, _CSR_SUM_DUPLICATES):
+                off = tix[live & ~(entry_p & ~transp)]
+                hold_t = np.bincount(off, minlength=t_count) == 0
     for seg in range(exec_idx.shape[0]):
         t = int(exec_idx[seg])
-        i = int(rows[t])
-        k = int(cols[t])
-        m = int(m_t[t])
-        d = int(d_t[t])
+        i, k, m, d = int(rows[t]), int(cols[t]), int(m_t[t]), int(d_t[t])
+        #: the task's products, held while their stored entries stay below
+        #: the holding bound (``None``: they are summed into ``z``)
+        held = [] if hold_t[t] else None
         if acc_view is not None:
             z = np.array(acc_view.dense_block(i, k), dtype=DTYPE, copy=True)
         else:
-            z = np.zeros((m, d), dtype=DTYPE)
+            z = None if held is not None else np.zeros((m, d), dtype=DTYPE)
         #: z is still the +0.0 it was allocated as
         blank = acc_view is None
         row_part = z
         col_part = None
-        s = int(seg_lo[seg])
-        e = int(seg_hi[seg])
+        s, e = int(seg_lo[seg]), int(seg_hi[seg])
         if s != e and x_sparse and x_row_blocks_i != i:
             x_row_blocks = xv.csr_blocks_for_row(i)
             x_row_blocks_i = i
@@ -430,9 +462,21 @@ def execute_kernel_tasks(
             if codes[p] == SPMM_CODE:
                 if y_flat is not None and y_rows is None:
                     y_rows = cached[2] = np.count_nonzero(yblk, axis=1)
-                cyc, mc = spmm_compute_cycles(xblk, yblk, cfg, zero_free, y_rows)
-                comp_p[p] = cyc
-                macs_p[p] = mc
+                comp_p[p], macs_p[p] = spmm_compute_cycles(xblk, yblk, cfg, zero_free, y_rows)
+            if held is not None:
+                product = _csr_csr_product(xblk, yblk, d, work)
+                if product is not None and (
+                    sum(h[1].size for h in held) + product[1].size < SPARSE_HOLDING * m * d
+                ):
+                    held.append([a.copy() for a in product])
+                    continue
+                # the bound is reached: the z the dense route would hold
+                z = row_part = np.zeros((m, d), dtype=DTYPE)
+                for h in held if product is None else held + [product]:
+                    _CSR_TODENSE(m, d, *h, z.ravel())
+                held, blank = None, False
+                if product is not None:
+                    continue
             flipped = bool(transp[p])
             if flipped and col_part is None:
                 col_part = np.zeros((m, d), dtype=DTYPE)
@@ -454,25 +498,22 @@ def execute_kernel_tasks(
                 if partial is not z:
                     part += partial
             blank = blank and flipped
+        if held is not None:
+            out_nnz_t[t] = assembly.write(i, k, _merge_csr_products(m, d, held))
+            continue
         z = row_part if col_part is None else row_part + col_part
         if act is not None:
             z = np.asarray(act(z), dtype=DTYPE)
         out_nnz_t[t] = assembly.write(i, k, z)
 
     # ---- phase 3: write-back accounting + task latencies ---------------
-    comp_t = np.zeros(t_count, dtype=np.int64)
-    trans_t = np.zeros(t_count, dtype=np.int64)
-    macs_t = np.zeros(t_count, dtype=np.int64)
-    read_bytes_t = np.zeros(t_count, dtype=np.int64)
+    comp_t, trans_t, macs_t, read_bytes_t = np.zeros((4, t_count), dtype=np.int64)
     mem_t = np.zeros(t_count, dtype=np.float64)
-    if lp.size:
-        np.add.at(comp_t, lt, comp_p[lp])
-        np.add.at(trans_t, lt, tr_p[lp])
-        np.add.at(macs_t, lt, macs_p[lp])
-        np.add.at(read_bytes_t, lt, read_bytes_p[lp])
-        # np.add.at is a strictly sequential scatter-add, so per-task
-        # float sums replicate a per-pair loop's accumulation order
-        np.add.at(mem_t, lt, read_cyc_p[lp])
+    # np.add.at is a strictly sequential scatter-add, so per-task float
+    # sums replicate a per-pair loop's accumulation order
+    for per_t, per_p in zip((comp_t, trans_t, macs_t, read_bytes_t, mem_t),
+                            (comp_p, tr_p, macs_p, read_bytes_p, read_cyc_p)):
+        np.add.at(per_t, lt, per_p[lp])
     profile_t, wb_tr_t, write_bytes_t, coo_t = batch_task_writeback(
         core0, m_t * d_t, out_nnz_t, merged_t, mem_t, trans_t
     )
@@ -486,26 +527,16 @@ def execute_kernel_tasks(
 
     # ---- phase 4: dispatch (Algorithm 8) -------------------------------
     msc = cfg.mode_switch_cycles
-    last_codes = np.array(
-        [
-            PRIMITIVE_CODES[c._last_primitive]
-            if c._last_primitive is not None
-            else -1
-            for c in acc.cores
-        ],
-        dtype=np.int64,
-    )
+    last_codes = np.array([
+        -1 if c._last_primitive is None else PRIMITIVE_CODES[c._last_primitive]
+        for c in acc.cores
+    ], dtype=np.int64)
     total_switches = 0
     for t in exec_idx:
         t = int(t)
         core_id = timeline.peek_next_core()
         fc = int(first_code_t[t])
-        bsw = (
-            1
-            if fc >= 0 and last_codes[core_id] >= 0 and fc != last_codes[core_id]
-            else 0
-        )
-        sw = int(internal_t[t]) + bsw
+        sw = int(internal_t[t]) + int(fc >= 0 and 0 <= last_codes[core_id] != fc)
         latency = float(base_t[t]) + sw * msc
         dispatch_s = soft.dispatch_seconds(1) + soft.sparsity_receive_seconds(1)
         duration = latency + soft.seconds_to_accel_cycles(dispatch_s)

@@ -12,7 +12,6 @@ from repro.compiler.partitioner import tasks_per_kernel
 from repro.compiler.sparsity import (
     choose_storage_format,
     profile_matrix,
-    profile_partitions,
 )
 from repro.formats.density import nnz_count
 from repro.formats.partition import PartitionedMatrix, SPARSE_STORAGE_THRESHOLD
@@ -109,12 +108,6 @@ class TestSparsityProfiling:
         p = profile_matrix("W", np.ones((10, 10), dtype=np.float32))
         assert not p.stored_sparse
         assert p.stored_bytes == 400
-
-    def test_profile_partitions_summary(self):
-        pm = PartitionedMatrix(random_sparse(32, 32, 0.05, seed=2), 8, 8, name="A")
-        s = profile_partitions(pm)
-        assert s["blocks"] == (4, 4)
-        assert 0 <= s["min_block_density"] <= s["max_block_density"] <= 1
 
 
 class TestCompiler:

@@ -279,6 +279,227 @@ class TestCooWriteBack:
                         )
 
 
+def _bits(a) -> bytes:
+    """Exact float32 bits (``NaN == NaN``, ``-0.0 != +0.0``)."""
+    return np.ascontiguousarray(_dense(a), dtype=DTYPE).tobytes()
+
+
+def assert_canonical_csr(blk):
+    """Canonical int32 CSR that stores no zero: rows sorted, no duplicate."""
+    assert blk.indptr.dtype == blk.indices.dtype == np.int32
+    assert blk.data.dtype == DTYPE
+    assert blk.indptr[-1] == blk.indices.size == blk.data.size
+    in_row = np.ones(blk.indices.size, dtype=bool)
+    in_row[blk.indptr[:-1][np.diff(blk.indptr) > 0]] = False  # row starts
+    assert (np.diff(blk.indices)[in_row[1:]] > 0).all()
+    assert (blk.data != 0).all()
+
+
+def assert_same_blocks(blocks_v, blocks_r):
+    """Two assemblies' CSR-held partitions, array for array and bit for bit."""
+    assert blocks_v.keys() == blocks_r.keys()
+    for key, bv in blocks_v.items():
+        br = blocks_r[key]
+        assert_canonical_csr(bv)
+        np.testing.assert_array_equal(bv.indptr, br.indptr)
+        np.testing.assert_array_equal(bv.indices, br.indices)
+        assert bv.data.tobytes() == br.data.tobytes(), key
+
+
+@pytest.fixture()
+def merged_blocks(monkeypatch):
+    """Every block a task merged from its held products, as returned."""
+    merged = []
+    merge = vectorized_mod._merge_csr_products
+
+    def spy(m, d, products):
+        merged.append(merge(m, d, products))
+        return merged[-1]
+
+    monkeypatch.setattr(vectorized_mod, "_merge_csr_products", spy)
+    return merged
+
+
+def assembled_run(program, strategy_name):
+    """One lane's :func:`lane_run`, plus every kernel's finalized assembly."""
+    assemblies = []
+    finalize = KernelAssembly.finalize
+
+    def recording(self):
+        assemblies.append(self)
+        return finalize(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(KernelAssembly, "finalize", recording)
+        return lane_run(program, strategy_name, 1), assemblies
+
+
+#: cold cells whose first Aggregate (adjacency x input features, both CSR)
+#: holds its tasks' products sparse
+HELD_CELLS = [("GIN", "CI"), ("GIN", "CO")]
+
+
+@pytest.fixture(scope="module")
+def held_programs():
+    engine = Engine()
+    return {cell: engine.compile(*cell, seed=0).program for cell in HELD_CELLS}
+
+
+class TestHeldSparseTasks:
+    """A task whose live pairs all go entry by entry holds its products as
+    CSR and writes them merged: outputs, the profiler's counts, every
+    CSR-held block, stats and events equal the per-task oracle's."""
+
+    @pytest.mark.parametrize("strategy", ["S1", "S2", "Dynamic"])
+    @pytest.mark.parametrize("cell", HELD_CELLS)
+    def test_matches_reference(self, held_programs, cell, strategy, merged_blocks):
+        program = held_programs[cell]
+        (sv, ev, ov), asm_v = assembled_run(program, strategy)
+        assert any(b.nnz for b in merged_blocks), "no task held its products"
+        (sr, er, or_), asm_r = oracle_run(assembled_run, program, strategy)
+        assert _bits(ov) == _bits(or_)
+        assert ev == er
+        for (kv,), (kr,) in zip(sv, sr, strict=True):
+            assert_kernel_stats_identical(kv, kr)
+        for av, ar in zip(asm_v, asm_r, strict=True):
+            np.testing.assert_array_equal(av.nnz_grid, ar.nnz_grid)
+            assert_same_blocks(av.blocks, ar.blocks)
+        # the merged blocks are the assembly's own, and were counted by indptr
+        first = asm_v[0]
+        held = [key for key, blk in first.blocks.items()
+                if any(blk is b for b in merged_blocks)]
+        assert len(held) == len(merged_blocks)
+        for i, k in held:
+            assert first.nnz_grid[i, k] == first.blocks[i, k].indptr[-1]
+
+
+def _csr(shape, entries) -> sp.csr_matrix:
+    """A CSR operand from ``(row, col, value)`` triplets, zeros kept stored."""
+    rows, cols, vals = zip(*entries)
+    return sp.csr_matrix(
+        (np.array(vals, dtype=DTYPE), (np.array(rows), np.array(cols))), shape=shape
+    )
+
+
+@pytest.fixture(scope="module")
+def gin_tiny():
+    """GIN on the 64-vertex graph under the tiny config: its first Aggregate
+    multiplies 8 x 8 blocks, so a few stored entries reach the holding
+    bound (6.4 of a partition's 64 cells)."""
+    data = zero_slab_data()
+    model = build_model("GIN", data.num_features, data.hidden_dim, data.num_classes)
+    return Compiler(make_tiny_config()).compile(model, data, init_weights(model, seed=7))
+
+
+def crafted_loops(program, x, y, tasks=None):
+    """The first Aggregate of ``program`` over the CSR operands ``x`` and
+    ``y`` under S2 (no pair transposed or skipped), its whole task grid
+    or ``tasks``, through the task loop and the reference loop: per loop
+    ``(output bits, nnz_grid, blocks, stats, events)``."""
+    kernel = _aggregate_kernel(program)
+    scheme = kernel.exec_scheme
+    tasks = scheme.task_batch() if tasks is None else tasks
+    runs = []
+    for loop in (execute_kernel_tasks, execute_kernel_tasks_reference):
+        xv = PartitionedMatrix(x, *scheme.x_blocking)
+        yv = PartitionedMatrix(y, *scheme.y_blocking)
+        acc = Accelerator(program.config)
+        timeline = CoreTimeline(acc.num_cores)
+        assembly = KernelAssembly.for_kernel(xv, yv, scheme)
+        stats = loop(
+            kernel, xv, yv, True, True, acc, make_strategy("S2", acc.config),
+            timeline, tasks, assembly, None, None,
+        )
+        out, _ = assembly.finalize()
+        events = [(e.core, e.start, e.end, e.task_index) for e in timeline.events]
+        runs.append((_bits(out), assembly.nnz_grid, assembly.blocks, stats, events))
+    return runs
+
+
+def assert_crafted_identical(program, x, y, tasks=None):
+    """Both loops agree on everything; the task loop's ``nnz_grid`` and
+    CSR-held blocks are returned."""
+    (bv, gv, blv, sv, ev), (br, gr, blr, sr, er) = crafted_loops(program, x, y, tasks)
+    assert bv == br
+    np.testing.assert_array_equal(gv, gr)
+    assert_same_blocks(blv, blr)
+    assert sv.report == sr.report and sv.counts == sr.counts
+    assert ev == er
+    return gv, blv
+
+
+#: operand shapes of ``gin_tiny``'s first Aggregate, and its 8 x 3 tasks
+X_SHAPE, Y_SHAPE, TASKS = (64, 64), (64, 24), 24
+
+
+class TestHeldSparseBuiltCases:
+    """Hand-built operands for the cases the real cells may not reach.
+    Task (0, 0) is output rows 0-7 by columns 0-7; its pair ``j`` is X's
+    columns ``8j .. 8j+7`` against Y's rows ``8j .. 8j+7``.  S2 skips no
+    pair, so every task runs and holds (most of them merge nothing)."""
+
+    def test_two_products_cancel_to_zero(self, gin_tiny, merged_blocks):
+        x = _csr(X_SHAPE, [(0, 0, 1.0), (0, 8, 1.0), (1, 16, 1.0),
+                           (2, 0, 1.0), (2, 8, 1.0), (2, 16, 1.0)])
+        y = _csr(Y_SHAPE, [(0, 0, 2.0), (8, 0, -2.0), (16, 0, 3.0)])
+        grid, blocks = assert_crafted_identical(gin_tiny, x, y)
+        # (0, 0) is 2 - 2: dropped; (2, 0) is (2 - 2) + 3
+        assert len(merged_blocks) == TASKS and blocks[0, 0] is merged_blocks[0]
+        assert blocks[0, 0].toarray()[:3, 0].tolist() == [0.0, 3.0, 3.0]
+        assert grid[0, 0] == 2
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_x_on_the_entry_route(self, gin_tiny, merged_blocks):
+        x = _csr(X_SHAPE, [(0, 0, np.inf), (0, 8, np.nan),
+                           (1, 0, -np.inf), (1, 9, np.inf)])
+        y = _csr(Y_SHAPE, [(0, 0, 1.0), (0, 1, -1.0), (8, 0, 1.0), (9, 0, 1.0)])
+        grid, blocks = assert_crafted_identical(gin_tiny, x, y)
+        out = blocks[0, 0].toarray()
+        assert len(merged_blocks) == TASKS and blocks[0, 0] is merged_blocks[0]
+        assert np.isnan(out[0, 0]) and np.isnan(out[1, 0])  # inf + NaN, -inf + inf
+        assert out[0, 1] == -np.inf and out[1, 1] == np.inf
+        assert grid[0, 0] == 4
+
+    @pytest.mark.parametrize("held_pairs", [0, 3])
+    def test_a_task_crossing_the_bound(self, gin_tiny, merged_blocks, held_pairs):
+        """Six pairs, the first storing 7 cells (``held_pairs = 0``) or 2,
+        each later one 2: the bound (6.4 of 64 cells) is reached by the
+        pair after ``held_pairs``, and the last two land on cells already
+        summed, in an order the float32 bits depend on."""
+        first = 7 if held_pairs == 0 else 2  # cells the first pair stores
+        x_entries, y_entries = [], []
+        for j in range(6):
+            for r in range(2 if j else first):
+                x_entries.append((r, 8 * j + r % 8, (j + 1) / 3))
+                y_entries.append((8 * j + r % 8, j % 4, 0.1 * (r + 1)))
+        grid, blocks = assert_crafted_identical(
+            gin_tiny, _csr(X_SHAPE, x_entries), _csr(Y_SHAPE, y_entries))
+        # task (0, 0) alone went dense, and its output is held dense
+        assert len(merged_blocks) == TASKS - 1 and (0, 0) not in blocks
+        assert grid[0, 0] == (first + 6 if held_pairs == 0 else 8)
+
+    def test_a_single_pair_task(self, gin_tiny, merged_blocks):
+        """Task (1, 0) with its one pair ``j = 2``: one product, merged
+        only to sort its columns."""
+        x = _csr(X_SHAPE, [(8, 16, 2.0), (9, 17, -1.0)])
+        y = _csr(Y_SHAPE, [(16, 5, 1.0), (16, 2, 0.5), (16, 0, 3.0), (17, 3, 0.25)])
+        one = TaskBatch(*(np.array(a) for a in ([1], [0], [2], [0, 1])))
+        grid, blocks = assert_crafted_identical(gin_tiny, x, y, one)
+        assert [blocks[1, 0] is b for b in merged_blocks] == [True]
+        np.testing.assert_array_equal(blocks[1, 0].indices, [0, 2, 5, 3])
+        assert grid[1, 0] == 4
+
+    def test_stored_negative_zero_in_both_operands(self, gin_tiny, merged_blocks):
+        x = _csr(X_SHAPE, [(0, 0, -0.0), (0, 8, 1.0), (1, 0, -0.0)])
+        y = _csr(Y_SHAPE, [(0, 0, -0.0), (0, 1, 2.0), (8, 0, -0.0), (8, 2, 1.0)])
+        assert np.signbit(x.data).any() and np.signbit(y.data).any()
+        grid, blocks = assert_crafted_identical(gin_tiny, x, y)
+        assert len(merged_blocks) == TASKS and blocks[0, 0] is merged_blocks[0]
+        out = blocks[0, 0].toarray()
+        assert grid[0, 0] == 1 and out[0, 2] == 1.0
+        assert not np.signbit(out).any()
+
+
 def _loop_args(program, kernel, acc, tasks):
     """Plumbing for a direct execute_kernel_tasks call on one kernel;
     ``tasks`` is a TaskBatch or a Task list."""

@@ -107,14 +107,6 @@ class TestPartitionedMatrix:
         np.testing.assert_array_equal(pm.row_block_sizes, [4, 4, 2])
         np.testing.assert_array_equal(pm.col_block_sizes, [3, 3, 1])
 
-    def test_block_bytes_policy(self):
-        mat = np.zeros((8, 8), dtype=np.float32)
-        mat[0, 0] = 1.0
-        pm = PartitionedMatrix(mat, 8, 8)
-        assert pm.block_bytes(0, 0, sparse=True) == 12
-        assert pm.block_bytes(0, 0, sparse=False) == 256
-        assert pm.block_bytes(0, 0) == 12  # picks cheaper
-
     def test_out_of_range_block(self):
         pm = PartitionedMatrix(np.zeros((4, 4), dtype=np.float32), 2, 2)
         with pytest.raises(IndexError):

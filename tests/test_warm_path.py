@@ -220,6 +220,56 @@ class TestPairProduct:
         assert bits(fast_product(x, y)) != bits(csr_csr_reference(x, y))
 
 
+#: what a task's products hold: exact cancellations, signed zeros (only
+#: ever as a cancelled sum: a product stores none), NaN, inf and overflow
+MERGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 0.5, 1 / 3, 3e38, -3e38, np.inf, np.nan]
+)
+
+
+@st.composite
+def task_products(draw):
+    """``(m, d, products)``: one to eight ``m x d`` products of
+    ``_csr_csr_product``, as a task of that many pairs would hold them
+    (their cells overlap, and int32 and int64 products mix)."""
+    m, n, d = (draw(st.integers(1, 9)) for _ in range(3))
+    products = []
+    for _ in range(draw(st.integers(1, 8))):
+        x, y = draw(csr_blocks(m, n, MERGE_VALUES)), draw(csr_blocks(n, d, MERGE_VALUES))
+        y.indptr, y.indices = (a.astype(x.indptr.dtype) for a in (y.indptr, y.indices))
+        products.append(vectorized_mod._csr_csr_product(x, y, d, {}))
+    return m, d, products
+
+
+class TestMergedProducts:
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value")
+    @settings(max_examples=200, deadline=None)
+    @given(task_products())
+    def test_merge_is_the_dense_accumulation(self, task):
+        """After ``todense`` the bits of ``((0 + P1) + P2) + ...`` as the
+        dense route sums it (each product's stored cells added into a zero
+        ``z`` in turn), and the nonzero count of that sum."""
+        m, d, products = task
+        z = np.zeros((m, d), dtype=DTYPE)
+        for product in products:
+            vectorized_mod._CSR_TODENSE(m, d, *product, z.ravel())
+        merged = vectorized_mod._merge_csr_products(m, d, products)
+        assert bits(merged) == bits(z)
+        assert merged.indptr[-1] == merged.nnz == np.count_nonzero(z)
+        # whole dense products added with NumPy agree too, except on which
+        # NaN a NaN + NaN keeps (NumPy's in-place add may keep the second)
+        plain = np.zeros((m, d), dtype=DTYPE)
+        for cp, cj, cx in products:
+            plain += sp.csr_matrix((cx, cj, cp), shape=(m, d)).toarray()
+        np.testing.assert_array_equal(merged.toarray(), plain)
+        signed = ~np.isnan(plain)
+        assert (np.signbit(z)[signed] == np.signbit(plain)[signed]).all()
+        assert merged.indptr.dtype == merged.indices.dtype == np.int32
+        assert (merged.data != 0).all()
+        for row in np.split(merged.indices, merged.indptr[1:-1]):
+            assert (np.diff(row) > 0).all()
+
+
 @pytest.fixture(scope="module")
 def tiny_programs():
     """GCN and GraphSAGE on a slice of Cora, many small partitions.
@@ -707,12 +757,12 @@ class TestSpmmWorkloads:
 class TestNativeEntryPoints:
     def test_scipy_still_has_them_with_this_signature(self):
         """Fails by name on the SciPy release that moves or re-types one
-        of the four, rather than silently costing a third of every warm
-        inference."""
-        assert callable(vectorized_mod._CSR_MATVECS)
-        assert callable(vectorized_mod._CSR_TODENSE)
-        assert callable(vectorized_mod._CSR_MATMAT)
-        assert callable(vectorized_mod._CSR_MATMAT_MAXNNZ)
+        of the seven, rather than silently costing a third of every warm
+        inference (or, for the three the merge calls, a held-sparse task
+        its dense ``z``)."""
+        for name in ("MATVECS", "TODENSE", "MATMAT", "MATMAT_MAXNNZ",
+                     "HSTACK", "TOCSC", "SUM_DUPLICATES"):
+            assert callable(getattr(vectorized_mod, f"_CSR_{name}")), name
         for index_dtype in (np.int32, np.int64):
             indptr = np.array([0, 1, 2], dtype=index_dtype)
             indices = np.array([1, 0], dtype=index_dtype)
@@ -733,6 +783,25 @@ class TestNativeEntryPoints:
             )
             assert (cp.tolist(), cj.tolist(), cx.tolist()) == (
                 [0, 1, 2], [0, 1], [6.0, 6.0]
+            )
+            # the merge: two copies side by side at width 0, one row's
+            # entries after the other's; transposed; duplicates summed
+            bp, bj, bx = np.empty(3, index_dtype), np.empty(4, index_dtype), np.empty(4, DTYPE)
+            vectorized_mod._CSR_HSTACK(
+                2, 2, np.zeros(2, index_dtype), np.concatenate([indptr, indptr]),
+                np.concatenate([indices, indices]), np.concatenate([data, data]), bp, bj, bx,
+            )
+            assert (bp.tolist(), bj.tolist(), bx.tolist()) == (
+                [0, 2, 4], [1, 1, 0, 0], [2.0, 2.0, 3.0, 3.0]
+            )
+            tp, tj, tx = np.empty(3, index_dtype), np.empty(4, index_dtype), np.empty(4, DTYPE)
+            vectorized_mod._CSR_TOCSC(2, 2, bp, bj, bx, tp, tj, tx)
+            assert (tp.tolist(), tj.tolist(), tx.tolist()) == (
+                [0, 2, 4], [1, 1, 0, 0], [3.0, 3.0, 2.0, 2.0]
+            )
+            vectorized_mod._CSR_SUM_DUPLICATES(2, 2, bp, bj, bx)
+            assert (bp.tolist(), bj[:2].tolist(), bx[:2].tolist()) == (
+                [0, 1, 2], [1, 0], [4.0, 6.0]
             )
 
     @pytest.mark.parametrize(
@@ -761,6 +830,31 @@ class TestNativeEntryPoints:
             sum(n for prim, n in ks.primitive_counts.items() if prim.name != "SKIP")
             for ks in slow.kernel_stats
         )
+
+
+    @pytest.mark.parametrize(
+        "missing", ["_CSR_HSTACK", "_CSR_TOCSC", "_CSR_SUM_DUPLICATES"]
+    )
+    def test_without_a_merge_kernel_tasks_sum_dense(
+        self, tiny_programs, missing, monkeypatch
+    ):
+        """A SciPy without one of the merge's three entry points holds no
+        task's products: every task sums a dense ``z``, with the same bits."""
+        program = tiny_programs["GraphSAGE"]
+        merges = []
+        merge = vectorized_mod._merge_csr_products
+        monkeypatch.setattr(
+            vectorized_mod, "_merge_csr_products",
+            lambda m, d, products: merges.append(1) or merge(m, d, products),
+        )
+        held = run_strategy(program, "Dynamic")
+        assert merges
+        merges.clear()
+        monkeypatch.setattr(vectorized_mod, missing, None)
+        dense = run_strategy(program, "Dynamic")
+        assert not merges
+        assert bits(dense.output_dense()) == bits(held.output_dense())
+        assert_results_identical(dense, held)
 
 
 # -- the third view site --------------------------------------------------
