@@ -21,6 +21,10 @@ these inner loops, each rewritten as single numpy / native passes:
    operand is counted as it lies (``count_nonzero`` for Y's rows, one
    boolean mat-vec for X's row loads) instead of through a CSR built
    for the purpose.
+   The task loop no longer counts pair by pair: one census per kernel
+   (``hw.spmm_unit.spmm_census``) bills every SPMM pair and sizes every
+   entry-route product, timed on one GIN x PU@0.5 Aggregate against
+   ``spmm_compute_cycles`` + ``csr_matmat_maxnnz`` for each pair.
 4. The task loop's pair product with both operands stored sparse, on
    its two routes, instead of SciPy's ``(x @ y).todense()`` (kept below
    as the comparison) and its fresh dense temporary per pair: entry by
@@ -57,6 +61,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from _common import Metric, best_of, emit, format_table, register_bench
 from repro import load_dataset, u250_default
@@ -64,7 +69,9 @@ from repro.dyngraph.mutable import _csr_find
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 from repro.gnn import build_adjacency_variants
-from repro.hw.spmm_unit import spmm_workloads
+from repro.hw.spmm_unit import (
+    row_counts, scp_cycles, spmm_census, spmm_compute_cycles, spmm_workloads,
+)
 from repro.runtime.executor import KernelAssembly
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.strategies import DynamicMapping
@@ -118,6 +125,8 @@ SPLIT_CELLS = (
     ("H0 PU@0.5 14x1", "PU", 0.5, "H0", None),
     ("A_norm RE@0.02 7x7", "RE", 0.02, "A_norm", SPLIT_N1),
 )
+#: the GIN x PU@0.5 Aggregate of ``micro_pair_census``: (dataset, scale)
+CENSUS_CELL = ("PU", 0.5)
 #: share of the stored edges one mutation of ``serve_churn`` touches
 FIND_EDGE_FRACTION = 0.005
 
@@ -267,6 +276,11 @@ def _k2p_spec(ctx):
     }
 
 
+def _structural(x, y) -> int:
+    """The size the task loop's census gives ``x @ y``'s product."""
+    return int(spmm_census([x], row_counts(y), np.zeros(1, np.intp), y.shape[1], 1)[2][0])
+
+
 def _operand_pair(y_density=PAIR_Y_DENSITY):
     rng = np.random.default_rng(31)
     x = sp.random(
@@ -355,6 +369,81 @@ def _spmm_workloads_spec(ctx):
     }
 
 
+def _census_inputs():
+    """Every pair of one GIN x PU@0.5 Aggregate: its 14 x 14 adjacency
+    blocks (720 x 720) against the 14 CSR blocks of the features
+    (720 x 500); pair ``(i, j)`` meets feature block ``j``."""
+    a, h = (_split_operand(*CENSUS_CELL, operand) for operand in ("A_gin", "H0"))
+    av = PartitionedMatrix(a, SPLIT_N1, SPLIT_N1)
+    hv = PartitionedMatrix(h, SPLIT_N1, h.shape[1])
+    nr = av.num_row_blocks
+    x_blocks = [blk for i in range(nr) for blk in av.csr_blocks_for_row(i)]
+    y_blocks = [hv.csr_blocks_for_row(j)[0] for j in range(nr)]
+    return x_blocks, y_blocks, np.tile(np.arange(nr), nr)
+
+
+def _bill_per_pair(x_blocks, y_blocks, y_of, config):
+    """Pair by pair, as the task loop did: the SPMM bill and the size
+    ``csr_matmat_maxnnz`` gives the product."""
+    bills = []
+    for x, k in zip(x_blocks, y_of):
+        y = y_blocks[k]
+        bills.append((*spmm_compute_cycles(x, y, config), _sparsetools.csr_matmat_maxnnz(
+            x.shape[0], y.shape[1], x.indptr, x.indices, y.indptr, y.indices)))
+    return np.array(bills, dtype=np.int64).T
+
+
+def _bill_by_census(x_blocks, y_blocks, y_of, config):
+    """The same pairs as the task loop bills them: each feature block's
+    row counts once, then one census per adjacency block row (cycles,
+    MACs, structural MACs)."""
+    counts = [row_counts(y) for y in y_blocks]
+    starts = np.cumsum([0] + [c.shape[1] for c in counts])[y_of]
+    y_counts, rows = np.concatenate(counts, axis=1), len(y_blocks)
+    widths = y_blocks[0].shape[1]
+    bills = [spmm_census(x_blocks[lo : lo + rows], y_counts, starts[lo : lo + rows], widths,
+                         config.psys) for lo in range(0, len(x_blocks), rows)]
+    loads, macs, structural = (np.concatenate(parts) for parts in zip(*bills))
+    return scp_cycles(loads, macs, config), macs, structural
+
+
+@register_bench(
+    "micro_pair_census",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath"),
+    tolerances={"speedup": 0.6},
+)
+def _pair_census_spec(ctx):
+    """Hot path 3b: a kernel's SPMM bills and product sizes, per pair vs one census."""
+    config = u250_default()
+    args = (*_census_inputs(), config)
+    (cycles, macs, maxnnz), per_pair_s = best_of(lambda: _bill_per_pair(*args))
+    (got_cycles, got_macs, structural), census_s = best_of(lambda: _bill_by_census(*args))
+    assert np.array_equal(cycles, got_cycles) and np.array_equal(macs, got_macs), (
+        "the census must bill what each pair bills")
+    d = args[1][0].shape[1]
+    assert (structural >= maxnnz).all(), "a product outgrew its size"
+    speedup = per_pair_s / census_s
+    emit("micro_pair_census", format_table(
+        ["variant", "best (ms / kernel)", "speedup"],
+        [
+            ["spmm_compute_cycles + csr_matmat_maxnnz per pair",
+             f"{per_pair_s * 1e3:.2f}", "1.00x"],
+            ["spmm_census", f"{census_s * 1e3:.2f}", f"{speedup:.2f}x"],
+        ],
+        title=(
+            f"M1c': SPMM bills and product sizes of {len(macs)} pairs, GIN x "
+            f"{CENSUS_CELL[0]}@{CENSUS_CELL[1]:g}'s Aggregate ({SPLIT_N1}x{SPLIT_N1} "
+            f"adjacency blocks against {SPLIT_N1}x{d} CSR features), psys={config.psys}"
+        ),
+    ))
+    assert speedup > 2, f"the census only {speedup:.2f}x faster"
+    return {
+        "speedup": Metric("speedup", speedup, "x", "higher"),
+        "census_ms": Metric("census_ms", census_s * 1e3, "ms"),
+    }
+
+
 def _pair_product_scipy(x, y):
     """The statement the task loop used for a sparse x sparse pair."""
     return np.asarray((x @ y).todense(), dtype=DTYPE)
@@ -390,8 +479,8 @@ def _pair_product_spec(ctx):
             _accumulate_csr_product(x, y, None, s2d, partial)
             z += partial
 
-        def by_entry(z):
-            _add_csr_csr_product(x, y, work, z)
+        def by_entry(z, nmax=_structural(x, y)):
+            _add_csr_csr_product(x, y, nmax, work, z)
 
         sums, seconds = [], []
         for arm in (by_scipy, by_s2d, by_entry):
@@ -443,14 +532,16 @@ def _pair_product_spec(ctx):
 
 
 def _task_pairs():
+    """The task's ``(x, y, product size)`` triples (the size is phase 1's)."""
     rng = np.random.default_rng(41)
     n1 = PAIR_N1
-    return [(
+    pairs = [(
         sp.random(n1, n1, density=TASK_X_NNZ / n1**2, format="csr",
                   dtype=np.float32, rng=rng),
         sp.random(n1, n1, density=TASK_Y_DENSITY, format="csr",
                   dtype=np.float32, rng=rng),
     ) for _ in range(TASK_PAIRS)]
+    return [(x, y, _structural(x, y)) for x, y in pairs]
 
 
 def _per_task(fn, *args):
@@ -463,8 +554,8 @@ def _task_densified(pairs, work):
     pair by pair, then masked and rescanned by the assembly's write."""
     n1 = PAIR_N1
     z = np.zeros((n1, n1), dtype=DTYPE)
-    for x, y in pairs:
-        _add_csr_csr_product(x, y, work, z)
+    for x, y, nmax in pairs:
+        _add_csr_csr_product(x, y, nmax, work, z)
     asm = KernelAssembly(n1, n1, n1, n1, np.zeros((1, 1), np.int64))
     asm.write(0, 0, z)
     return asm.blocks[0, 0]
@@ -473,7 +564,7 @@ def _task_densified(pairs, work):
 def _task_merged(pairs, work):
     """The same block from the products held as CSR and merged."""
     n1 = PAIR_N1
-    held = [[a.copy() for a in _csr_csr_product(x, y, n1, work)] for x, y in pairs]
+    held = [[a.copy() for a in _csr_csr_product(x, y, n1, nmax, work)] for x, y, nmax in pairs]
     return _merge_csr_products(n1, n1, held)
 
 

@@ -55,13 +55,6 @@ def as_dense(mat: MatrixLike) -> np.ndarray:
     return np.asarray(mat, dtype=DTYPE)
 
 
-def eliminate_zeros(mat: sp.csr_matrix) -> sp.csr_matrix:
-    """Drop explicitly-stored zeros (hardware never stores them in COO)."""
-    out = mat.copy()
-    out.eliminate_zeros()
-    return out
-
-
 def matmul(x: MatrixLike, y: MatrixLike) -> np.ndarray:
     """Ground-truth product as a dense float32 array (the Result Buffer view)."""
     if sp.issparse(x) and sp.issparse(y):

@@ -155,8 +155,6 @@ class _BlockLayout:
             blk.indptr.flags.writeable = False
         #: block row -> whether its stored data is all finite, on first ask
         self.finite: list[bool | None] = [None] * nr
-        #: whether no stored entry is a zero, on first ask
-        self.zero_free: bool | None = None
         #: psys -> :meth:`scp_skew` grid, on first ask
         self.skew: dict[int, np.ndarray] = {}
 
@@ -406,15 +404,6 @@ class PartitionedMatrix:
             lo, hi = layout.extents[[i * layout.nc, (i + 1) * layout.nc]]
             finite = layout.finite[i] = bool(np.isfinite(layout.data[lo:hi]).all())
         return finite
-
-    @property
-    def stores_no_zeros(self) -> bool:
-        """Whether every stored entry of a sparse operand is nonzero (so
-        every block of it is): one scan, kept with the layout."""
-        layout = self._block_layout()
-        if layout.zero_free is None:
-            layout.zero_free = bool(layout.data.all())
-        return layout.zero_free
 
     def scp_skew_grid(self, psys: int) -> np.ndarray:
         """Per block, busiest-SCP share of its stored entries x ``psys``:

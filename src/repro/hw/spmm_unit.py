@@ -14,76 +14,88 @@ MACs per cycle; Table IV idealises the cycle count as
 The simulator computes the *exact* per-SCP workloads, so imbalance across
 output rows (very common in power-law graphs) is captured: the mode's
 latency is the maximum SCP load, not the mean.
+
+The counts are one census over a batch of pairs with CSR X blocks
+(:func:`spmm_census`): the task loop takes it once per kernel, before
+any product, and :func:`spmm_compute_cycles` is the census of one pair.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from repro.config import AcceleratorConfig
-from repro.formats.csr import as_csr, eliminate_zeros, MatrixLike
+from repro.formats.csr import as_csr, MatrixLike
 
 
-def _countable(mat: MatrixLike) -> MatrixLike:
-    """A dense operand as it lies (a CSR built just to read row counts
-    costs ten times the count), a sparse one as CSR without stored zeros."""
+def row_counts(mat: MatrixLike) -> np.ndarray:
+    """``(2, rows)`` int64: each row's nonzeros (``-0.0`` a zero, ``NaN``
+    a nonzero) and its stored entries (a dense row's are its nonzeros)."""
     if isinstance(mat, np.ndarray):
-        return mat
+        return np.array([np.count_nonzero(mat, axis=1)] * 2, dtype=np.int64)
     mat = as_csr(mat)
-    return eliminate_zeros(mat) if mat.nnz and np.any(mat.data == 0) else mat
+    counts = np.array([np.diff(mat.indptr)] * 2, dtype=np.int64)
+    zeros = np.flatnonzero(mat.data[: mat.indptr[-1]] == 0)
+    if zeros.size:  # a stored zero is no nonzero
+        np.subtract.at(counts[0], np.searchsorted(mat.indptr, zeros, "right") - 1, 1)
+    return counts
 
 
-def spmm_workloads(
-    x: MatrixLike, y: MatrixLike, psys: int, zero_free: bool = False,
-    y_rows: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """Exact (per-SCP cycle loads, total MACs) for ``Z = X @ Y``.
-
-    ``zero_free``: both operands are CSR and store no zeros (the task
-    loop asks each operand's block layout once), so neither is rescanned.
-    ``y_rows``: the nonzeros of each row of ``Y`` when the caller holds
-    them (the task loop counts a dense block once for all its tasks).
-
-    The multiply count of output row ``j`` is
-    ``sum_{i in nonzeros of X[j]} nnz(Y[i])``; SCP ``j mod psys``
-    accumulates the loads of its assigned rows.  Both are integer sums,
-    so the order of addition cannot matter and no scatter is needed:
-    row loads are one int64 prefix sum over ``nnz(Y[i])`` gathered at X's
-    column indices, differenced at X's row pointers; SCP loads are the
-    column sums of the row loads zero-padded to a multiple of ``psys``
-    and folded to ``(-1, psys)``.  A dense ``Y``'s rows are counted with
-    ``count_nonzero``, a dense ``X``'s row loads are one boolean mat-vec
-    against them: the same int64 loads.  The test suite's element-level
-    Algorithm 6 is the oracle.
-    """
-    xs = x if zero_free else _countable(x)
-    if y_rows is None:
-        ys = y if zero_free else _countable(y)
-        y_rows = (
-            np.count_nonzero(ys, axis=1) if isinstance(ys, np.ndarray)
-            else np.diff(ys.indptr)
-        )
-    rows = xs.shape[0]
-    row_macs = np.zeros(-(-rows // psys) * psys, dtype=np.int64)
-    if isinstance(xs, np.ndarray):
-        # row j meets nnz(Y[i]) at every nonzero X[j, i] (einsum: half the
-        # time of the integer matmul loop)
-        np.einsum("ji,i->j", xs != 0, y_rows, dtype=np.int64, out=row_macs[:rows])
-        macs = int(row_macs.sum())
-    else:
-        prefix = np.zeros(xs.nnz + 1, dtype=np.int64)
-        np.cumsum(y_rows[xs.indices], dtype=np.int64, out=prefix[1:])
-        row_macs[:rows] = np.diff(prefix[xs.indptr])
-        macs = int(prefix[-1])
-    return row_macs.reshape(-1, psys).sum(axis=0), macs
+def spmm_census(x_blocks: list, y_counts: np.ndarray, y_at, d, psys: int):
+    """Per pair of CSR X block ``x_blocks[p]`` and a ``d[p]``-wide Y block
+    whose :func:`row_counts` are ``y_counts[:, y_at[p]:]``: int64 SCP loads
+    ``(pairs, psys)``, MACs, and structural MACs (each row's stored X
+    entries times their Y rows' stored entries, at most ``d[p]`` a row: a
+    bound on the cells a ``csr_matmat`` product stores; ``None`` without
+    ``d``).  Output row ``j``
+    costs ``sum_{i in nonzeros of X[j]} nnz(Y[i])`` on SCP ``j mod psys``;
+    integer sums, so no order of addition matters: one int64 prefix sum
+    over every stored X entry's count (0 for a stored zero), taken at each
+    pair's row pointers (rows padded with empty ones to a multiple of
+    ``psys``), differenced and folded to ``(pairs, -1, psys)``."""
+    m = np.array([b.shape[0] for b in x_blocks])
+    first = np.array([0, *accumulate(m + 1)])  # where each pair's indptr starts
+    ptrs = np.concatenate([b.indptr for b in x_blocks])
+    stored = ptrs[first[1:] - 1]
+    cols = np.concatenate([b.indices for b in x_blocks]) + np.repeat(y_at, stored)
+    meets = y_counts.take(cols, axis=1)
+    meets[0] *= np.concatenate([b.data for b in x_blocks]) != 0
+    # one prefix over both rows: only differences inside a row are read
+    prefix = np.zeros(meets.size + 1, dtype=np.int64)
+    np.cumsum(meets, out=prefix[1:])
+    # each pair's row pointers into the prefix: its rows, then empty ones
+    rows = np.minimum(np.arange(-(-m.max() // psys) * psys + 1), m[:, None])
+    at = ptrs.take(first[:-1, None] + rows) + (np.cumsum(stored, dtype=np.int64) - stored)[:, None]
+    sums = prefix.take(at)
+    loads = (sums[:, 1:] - sums[:, :-1]).reshape(len(m), -1, psys).sum(axis=1)
+    if d is None:  # the bill alone
+        return loads, sums[:, -1] - sums[:, 0], None
+    cells = np.minimum(np.diff(prefix.take(at + cols.size), axis=1), np.reshape(d, (-1, 1)))
+    return loads, sums[:, -1] - sums[:, 0], cells.sum(axis=1)
 
 
-def spmm_compute_cycles(
-    x: MatrixLike, y: MatrixLike, config: AcceleratorConfig, zero_free: bool = False,
-    y_rows: np.ndarray | None = None,
-) -> tuple[int, int]:
-    """(cycles, macs): latency is the busiest SCP plus pipeline fill."""
-    scp_loads, macs = spmm_workloads(x, y, config.psys, zero_free, y_rows)
-    if macs == 0:
-        return 0, 0
-    return int(scp_loads.max()) + config.pipeline_depth, macs
+def spmm_workloads(x: MatrixLike, y: MatrixLike, psys: int) -> tuple[np.ndarray, int]:
+    """Exact (per-SCP cycle loads, total MACs) for ``Z = X @ Y``: the
+    census of one pair, or, for a dense ``X``, its row loads as one
+    boolean mat-vec against ``Y``'s row counts (the same int64 loads).
+    The test suite's element-level Algorithm 6 is the oracle."""
+    if not isinstance(x, np.ndarray):
+        loads, macs, _ = spmm_census([as_csr(x)], row_counts(y), [0], None, psys)
+        return loads[0], int(macs[0])
+    row_macs = np.zeros(-(-x.shape[0] // psys) * psys, dtype=np.int64)
+    # row j meets nnz(Y[i]) at every nonzero X[j, i] (einsum: half an integer matmul's time)
+    np.einsum("ji,i->j", x != 0, row_counts(y)[0], dtype=np.int64, out=row_macs[: x.shape[0]])
+    return row_macs.reshape(-1, psys).sum(axis=0), int(row_macs.sum())
+
+
+def scp_cycles(loads: np.ndarray, macs, config: AcceleratorConfig) -> np.ndarray:
+    """Each pair's latency: the busiest SCP plus pipeline fill, 0 with no MAC."""
+    return np.where(macs > 0, loads.max(axis=-1) + config.pipeline_depth, 0)
+
+
+def spmm_compute_cycles(x: MatrixLike, y: MatrixLike, config: AcceleratorConfig) -> tuple[int, int]:
+    """(cycles, macs) of one pair."""
+    loads, macs = spmm_workloads(x, y, config.psys)
+    return int(scp_cycles(loads, macs, config)), macs

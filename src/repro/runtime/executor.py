@@ -459,7 +459,9 @@ class KernelAssembly:
         """The assembled output matrix and its density.  The profiled
         total picks the holding (CSR below ``SPARSE_HOLDING``); partitions
         held the other way are converted one at a time.  A CSR output's
-        blocks stay in ``block_rows`` for a consumer blocked like it."""
+        blocks stay in ``block_rows`` for a consumer blocked like it, and
+        each block row is stacked by one ``csr_hstack`` into its slices of
+        the output (SciPy's ``vstack`` of ``hstack``s, byte for byte)."""
         elements, nnz = self.rows * self.cols, self.total_out_nnz
         dense, self.out_dense = self.out_dense, None  # a CSR output frees it
         if nnz >= vectorized.SPARSE_HOLDING * elements:
@@ -473,8 +475,20 @@ class KernelAssembly:
         self.block_rows = [[
             self.blocks[i, k] if (i, k) in self.blocks else _csr_block(dense[self._part(i, k)])
             for k in range(nc)] for i in range(nr)]
-        rows = [sp.hstack(row, format="csr") for row in self.block_rows]
-        return sp.vstack(rows, format="csr"), nnz / elements
+        if vectorized._CSR_HSTACK is None:  # a SciPy that moved it
+            rows = [sp.hstack(row, format="csr") for row in self.block_rows]
+            return sp.vstack(rows, format="csr"), nnz / elements
+        widths = [blk.shape[1] for blk in self.block_rows[0]]
+        stored = [sum(int(blk.indptr[-1]) for blk in row) for row in self.block_rows]
+        data, indices = np.empty(sum(stored), DTYPE), np.empty(sum(stored), np.int32)
+        indptr, r0, at = np.empty(self.rows + 1, np.int32), 0, 0
+        for row, n in zip(self.block_rows, stored):
+            m = row[0].shape[0]
+            part = indptr[r0 : r0 + m + 1], indices[at : at + n], data[at : at + n]
+            vectorized._csr_hstack(m, widths, [(b.indptr, b.indices, b.data) for b in row], part)
+            part[0][:] += at  # the row's entries follow those above it
+            r0, at = r0 + m, at + n
+        return sp.csr_matrix((data, indices, indptr), shape=(self.rows, self.cols)), nnz / elements
 
 
 def _csr_block(z: np.ndarray, flat: np.ndarray | None = None) -> sp.csr_matrix:

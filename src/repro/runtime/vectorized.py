@@ -13,41 +13,41 @@ by :func:`repro.hw.core.batch_pair_cycles` and
 1. **Decide + account** — one ``strategy.decide_batch`` call over every
    (task, pair) of the kernel (one ``PairBatch``), followed by batched
    byte/nnz arithmetic, the SPMM->SpDMM capacity degrade (a fixed
-   mapping's), skip masking, the dispatched-task concurrency count, and
+   mapping's), skip masking, the dispatched-task concurrency count,
    per-pair compute/transform cycle arrays via the batched unit formulas
-   in :mod:`repro.hw`.
-2. **Functional** — per executed task (original order, preserving the
-   float32 accumulation order and assembly write order bit for bit), one
-   native call per operand pair.  A CSR X block (a slice of the view's
-   block-major layout, which its first
-   :meth:`PartitionedMatrix.csr_blocks_for_row` builds in one pass: the
-   first inference after a patch is a warm one plus that split) against
-   a CSR Y block takes the route the census of phase 1 picks
-   (:func:`_entry_route`, never a model, dataset or strategy name): entry
-   by entry through ``csr_matmat`` (:func:`_csr_csr_product`: the pair
-   costs what its stored entries cost; a task seeded from
-   ``accumulate_into`` is kept off it), or, once the multiply-adds would
-   cost more than two dense sweeps, Y expanded into one reusable
-   partition-sized scratch and ``csr_matvecs``
-   (:func:`_accumulate_csr_product`, which needs X finite: asked of the
-   view once per block row, only here).  Against a dense Y block it is
-   ``csr_matvecs`` on the block as it is.  A task whose live pairs all go
-   entry by entry, none transposed, with no activation after, holds its
-   products as CSR while their stored entries stay below
-   ``SPARSE_HOLDING`` of its partition, and writes them merged
-   (:func:`_merge_csr_products`): no dense ``z`` is formed or rescanned.
-   Past that bound, and in any other task, a product's stored cells are
-   added where they fall in the running sum (:func:`_add_csr_csr_product`),
-   the first dense row partial of a task that starts from zero lands
-   straight in its output and later ones are formed apart and added
-   (the ``z + P`` grouping).  Everything else takes ``_matmul``, the
-   definition: a dense X block, an X block row holding ``inf``/``NaN`` on
-   the S2D route, and every pair when one of SciPy's four private product
+   in :mod:`repro.hw`, and each CSR x CSR pair's route
+   (:func:`_entry_route`, from the census, never a model, dataset or
+   strategy name).  One count over every live pair with a CSR X block
+   that is SPMM-coded or goes entry by entry (each Y block's rows counted
+   once, then :func:`repro.hw.spmm_unit.spmm_census` per X block row)
+   then bills SPMM, sizes each
+   entry-route product (structural MACs, at most ``d`` a row) and picks
+   the tasks that hold their products as CSR: every live pair entry by
+   entry, none transposed, no activation after, structural MACs below
+   ``SPARSE_HOLDING`` of the partition.
+2. **Functional** — computes, counts nothing: per executed task
+   (original order, preserving the float32 accumulation order and
+   assembly write order bit for bit), one native call per operand pair.
+   A CSR X block (a slice of the view's block-major layout, which its
+   first :meth:`PartitionedMatrix.csr_blocks_for_row` builds) against a
+   CSR Y block goes entry by entry through ``csr_matmat``
+   (:func:`_csr_csr_product`; never in a task seeded from
+   ``accumulate_into``), or Y is expanded into one reusable scratch for
+   ``csr_matvecs`` (:func:`_accumulate_csr_product`, which needs X
+   finite: asked of the view once per block row, only here); a dense Y
+   block goes to ``csr_matvecs`` as it is.  A holding task writes its
+   products merged (:func:`_merge_csr_products`): no dense ``z`` is
+   formed or rescanned.  In any other task a product's stored cells are
+   added where they fall (:func:`_add_csr_csr_product`), the first dense
+   row partial of a task that starts from zero lands straight in its
+   output and later ones are formed apart and added (the ``z + P``
+   grouping).  Everything else takes ``_matmul``, the definition: a
+   dense X block, an X block row holding ``inf``/``NaN`` on the S2D
+   route, and every pair when one of SciPy's three private product
    kernels is missing (a missing merge kernel only stops the holding).
-   The data-dependent SPMM cycle counts are taken here.  The assembly
-   counts each output partition once (the write-back profiler's count,
-   the next kernel's census) and holds it by that count: CSR below
-   ``SPARSE_HOLDING``, dense otherwise.
+   The assembly counts each output partition once (the write-back
+   profiler's count, the next kernel's census) and holds it by that
+   count: CSR below ``SPARSE_HOLDING``, dense otherwise.
 3. **Write-back accounting** — task latencies from per-task stream sums
    (sequential float reductions via ``np.add.at`` / ``np.add.accumulate``
    so kernel totals match the oracle's accumulation order exactly),
@@ -72,7 +72,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.csr import matmul as _matmul
+from repro.formats.csr import matmul as _matmul, sorted_unique
 from repro.formats.dense import DTYPE
 from repro.hw.buffers import BufferOverflowError
 from repro.hw.core import batch_pair_cycles, batch_task_writeback
@@ -85,7 +85,7 @@ from repro.hw.report import (
     GEMM_CODE,
     stage_cycles,
 )
-from repro.hw.spmm_unit import spmm_compute_cycles
+from repro.hw.spmm_unit import row_counts, scp_cycles, spmm_census, spmm_compute_cycles
 from repro.ir.scheme import TaskBatch
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.stats import TaskLoopStats
@@ -97,14 +97,14 @@ except ImportError:  # a SciPy that moved them: every pair takes _matmul
 _CSR_MATVECS = getattr(_sparsetools, "csr_matvecs", None)
 _CSR_TODENSE = getattr(_sparsetools, "csr_todense", None)
 _CSR_MATMAT = getattr(_sparsetools, "csr_matmat", None)
-_CSR_MATMAT_MAXNNZ = getattr(_sparsetools, "csr_matmat_maxnnz", None)
-#: the merge of a task's products held as CSR (without one: held dense)
+#: the merge of a task's products held as CSR (without one: held dense);
+#: ``csr_hstack`` also stacks a CSR output's blocks
 _CSR_HSTACK = getattr(_sparsetools, "csr_hstack", None)
 _CSR_TOCSC = getattr(_sparsetools, "csr_tocsc", None)
 _CSR_SUM_DUPLICATES = getattr(_sparsetools, "csr_sum_duplicates", None)
 
 #: host nanoseconds of the two CSR x CSR routes: a multiply-add of
-#: ``csr_matmat`` (``maxnnz`` pass and scatter included), a cell of the
+#: ``csr_matmat`` (scatter included), a cell of the
 #: S2D route's ``m x d`` and ``n x d`` sweeps, a cell of ``csr_matvecs``'s
 #: row update per stored entry of X (see the ``micro_pair_product`` bench)
 _NS_PER_MAC = 9.0
@@ -189,32 +189,26 @@ def _entry_route(x_nnz, y_nnz, m, n, d) -> np.ndarray:
     )
 
 
-def _add_csr_csr_product(xblk, yblk, work, out) -> bool:
+def _add_csr_csr_product(xblk, yblk, nmax, work, out) -> None:
     """``out += (xblk @ yblk).todense()``: :func:`_csr_csr_product` into
     ``work``, then ``csr_todense`` adds each stored cell to ``out``, with
     the bits of adding the dense product to an ``out`` that holds no
     ``-0.0`` (a sum that started at ``+0.0`` never does): an unstored cell
-    would have added ``+0.0``.  No buffer sized like a partition, no
-    finite-data guard.  ``False``, ``out`` untouched, on mixed dtypes."""
-    m, d = out.shape
-    product = _csr_csr_product(xblk, yblk, d, work)
-    if product is not None and product[1].size:
-        _CSR_TODENSE(m, d, *product, out.ravel())
-    return product is not None
+    would have added ``+0.0``.  No finite-data guard."""
+    product = _csr_csr_product(xblk, yblk, out.shape[1], nmax, work)
+    _CSR_TODENSE(*out.shape, *product, out.ravel())
 
 
-def _csr_csr_product(xblk, yblk, d, work):
+def _csr_csr_product(xblk, yblk, d, nmax, work):
     """``xblk @ yblk`` by ``csr_matmat`` as ``(indptr, indices, data)``,
     views of ``work``'s reusable arrays valid until its next product: one
-    float32 sum per cell, started at ``+0.0`` and stored only where it is
-    not zero, columns unsorted.  ``None`` when the index dtypes differ."""
+    float32 sum per cell, started at ``+0.0``, stored where it is not zero,
+    columns unsorted.  ``nmax`` (the census's structural MACs: 0 when no
+    entry of X meets one of Y) bounds the cells; indices in the wider type."""
     m = xblk.shape[0]
-    xp, xj, yp, yj = xblk.indptr, xblk.indices, yblk.indptr, yblk.indices
-    idx = xp.dtype
-    if not (xj.dtype == idx and yp.dtype == idx and yj.dtype == idx):
-        return None
-    nmax = _CSR_MATMAT_MAXNNZ(m, d, xp, xj, yp, yj)
-    if not nmax:  # no entry of X meets one of Y: no call, no scratch
+    ops = (xblk.indptr, xblk.indices, yblk.indptr, yblk.indices)
+    idx = np.result_type(*ops)
+    if not nmax:  # no call, no scratch
         return np.zeros(m + 1, idx), np.empty(0, idx), np.empty(0, DTYPE)
     cp, cj, cx = work.get(idx) or (np.empty(0, idx),) * 3
     if cp.size <= m:
@@ -222,32 +216,40 @@ def _csr_csr_product(xblk, yblk, d, work):
     if cj.size < nmax:
         cj, cx = np.empty(nmax, idx), np.empty(nmax, DTYPE)
     work[idx] = cp, cj, cx
+    xp, xj, yp, yj = (a.astype(idx, copy=False) for a in ops)
     _CSR_MATMAT(m, d, xp, xj, xblk.data, yp, yj, yblk.data, cp, cj, cx)
     return cp[: m + 1], cj[: cp[m]], cx[: cp[m]]
 
 
+def _csr_hstack(m, widths, blocks, out=None):
+    """``m``-row CSR ``(indptr, indices, data)`` blocks side by side (into ``out`` if
+    given), int32 indices, columns shifted by the ``widths`` before, rows in block order."""
+    ptrs, cols, vals = zip(*blocks)
+    i32, nnz = np.int32, sum(int(p[m]) for p in ptrs)
+    out = out or (np.empty(m + 1, i32), np.empty(nnz, i32), np.empty(nnz, DTYPE))
+    ptrs, cols = (np.concatenate(a, dtype=i32, casting="same_kind") for a in (ptrs, cols))
+    _CSR_HSTACK(len(blocks), m, np.asarray(widths, i32), ptrs, cols, np.concatenate(vals), *out)
+    return out
+
+
 def _merge_csr_products(m, d, products) -> sp.csr_matrix:
     """The canonical int32 CSR of ``((+0.0 + P1) + P2) + ...`` over ``m x
-    d`` :func:`_csr_csr_product` results: ``csr_hstack`` with zero block
-    widths interleaves each row's entries in product order, two stable
-    counting transposes sort the columns, keeping a cell's entries in
-    that order, and ``csr_sum_duplicates`` adds them as ``csr_todense``
+    d`` :func:`_csr_csr_product` results: :func:`_csr_hstack` with zero
+    block widths interleaves each row's entries in product order, two
+    stable counting transposes sort the columns, keeping a cell's entries
+    in that order, and ``csr_sum_duplicates`` adds them as ``csr_todense``
     into a zero ``z`` would.  No product stores a zero, so ``+0.0 + P1``
     is ``P1`` and an unstored cell is ``+0.0`` both ways; only a sum that
     cancelled is zero, and ``eliminate_zeros`` drops it."""
-    ptrs, cols, vals = zip(*products)
-    n, nnz, i32 = len(products), sum(int(p[m]) for p in ptrs), np.int32
-    bp, tp = np.empty(m + 1, i32), np.empty(d + 1, i32)
-    bj, bx, tj, tx = (np.empty(nnz, t) for t in (i32, DTYPE, i32, DTYPE))
-    ptrs, cols = (np.concatenate(a, dtype=i32, casting="same_kind") for a in (ptrs, cols))
-    _CSR_HSTACK(n, m, np.zeros(n, i32), ptrs, cols, np.concatenate(vals), bp, bj, bx)
+    bp, bj, bx = _csr_hstack(m, np.zeros(len(products)), products)
+    tp, tj, tx = np.empty(d + 1, np.int32), np.empty_like(bj), np.empty_like(bx)
     _CSR_TOCSC(m, d, bp, bj, bx, tp, tj, tx)
     _CSR_TOCSC(d, m, tp, tj, tx, bp, bj, bx)
     _CSR_SUM_DUPLICATES(m, d, bp, bj, bx)
     blk = sp.csr_matrix.__new__(sp.csr_matrix)
     blk.data, blk.indices, blk.indptr, blk._shape = bx, bj, bp, (m, d)
     blk.eliminate_zeros()
-    if blk.nnz < nnz:  # duplicates were summed: no slack past the entries
+    if blk.nnz < bj.size:  # duplicates were summed: no slack past the entries
         blk.data, blk.indices = blk.data.copy(), blk.indices.copy()
     return blk
 
@@ -376,57 +378,68 @@ def execute_kernel_tasks(
     merged_t = np.zeros(t_count, dtype=bool)
     merged_t[tix[live & transp]] = True
 
-    # ---- phase 2: functional pass (original task order) ----------------
     x_sparse, y_sparse = xv.is_sparse_storage, yv.is_sparse_storage
+    native = x_sparse and None not in (_CSR_MATVECS, _CSR_TODENSE, _CSR_MATMAT)
+    #: CSR x CSR pairs that multiply entry by entry (not onto a seed from acc_view:
+    #: it may hold -0.0, where adding a product's stored cells is not adding it)
+    entry_p = np.zeros(p_count, dtype=bool)
+    if native and y_sparse and acc_view is None:
+        entry_p = _entry_route(x_nnz_p, y_nnz_p, m_p, n_p, d_p)
+    # the census: SPMM bills and product sizes of live pairs with a CSR X block
+    spmm_p = live & (codes == SPMM_CODE)
+    census = np.flatnonzero(spmm_p | (live & entry_p)) if x_sparse else lp[:0]
+    struct_p = np.zeros(p_count, dtype=np.int64)
+    if census.size:
+        ci, cj, nc = rows[tix[census]], js[census], yv.num_col_blocks
+        y_key = cj * nc + cols[tix[census]]
+        keys = sorted_unique(y_key)  # each Y block is counted once
+        counts = [row_counts(yv.block(*divmod(int(key), nc))) for key in keys]
+        y_at = np.cumsum([0] + [c.shape[1] for c in counts])[np.searchsorted(keys, y_key)]
+        y_counts = np.concatenate(counts, axis=1)
+        # an X block row at a time: the temporaries stay one block row's
+        for q in np.split(np.arange(census.size), np.flatnonzero(np.diff(ci)) + 1):
+            p = census[q]
+            loads, macs, structural = spmm_census(
+                [xv.csr_blocks_for_row(i)[j] for i, j in zip(ci[q].tolist(), cj[q].tolist())],
+                y_counts, y_at[q], d_p[p], cfg.psys)
+            comp_p[p] = np.where(spmm_p[p], scp_cycles(loads, macs, cfg), comp_p[p])
+            macs_p[p] = np.where(spmm_p[p], macs, macs_p[p])
+            struct_p[p] = structural
+        del counts, y_counts  # no census array outlives phase 1
+    for p in np.flatnonzero(spmm_p) if not x_sparse else ():  # dense X: pair by pair
+        i, j, k = int(rows[tix[p]]), int(js[p]), int(cols[tix[p]])
+        comp_p[p], macs_p[p] = spmm_compute_cycles(xv.block(i, j), yv.block(j, k), cfg)
+    #: tasks that hold their products as CSR and merge them: every live pair entry
+    #: by entry, none transposed, no activation after, structural MACs below the bound
+    hold_t = np.zeros(t_count, dtype=bool)
+    if entry_p.any() and act is None and None not in (_CSR_HSTACK, _CSR_TOCSC, _CSR_SUM_DUPLICATES):
+        off = tix[live & ~(entry_p & ~transp)]
+        hold_t = (np.bincount(off, minlength=t_count) == 0) & (
+            np.bincount(tix, struct_p, t_count) < SPARSE_HOLDING * m_t * d_t)
+
+    # ---- phase 2: functional pass (original task order) ----------------
     out_nnz_t = np.zeros(t_count, dtype=np.int64)
     exec_idx = np.flatnonzero(executed_t)
     # per-task live-pair segment boundaries in one pass (lt is sorted)
     seg_lo = np.searchsorted(lt, exec_idx, "left")
     seg_hi = np.searchsorted(lt, exec_idx, "right")
     x_row_blocks, x_row_blocks_i = None, -1
-    # dense operand blocks are views reused across the task grid (every
-    # output column revisits y(j, k); every output row revisits x(i, j))
-    # — memoising them drops ~1/3 of the per-pair Python overhead.  The
-    # flattened copy of y is what csr_matvecs consumes; caching it too
-    # avoids re-ravelling non-contiguous views pair after pair, and its
-    # per-row nonzero counts are what every SPMM pair on it reads.
+    # dense operand blocks are views reused across the task grid, memoised
+    # (a third of the per-pair Python overhead), y's with its flattening
     x_dense_cache: dict = {}
     y_dense_cache: dict = {}
     #: reusable accumulation target of csr_matvecs — refilled with zeros
     #: before every product, so the bits match a fresh allocation
     scratch: dict = {}
-    #: SPMM pairs of two layouts that store no zeros rescan neither block
-    zero_free = bool(
-        x_sparse and y_sparse and (lc == SPMM_CODE).any()
-        and xv.stores_no_zeros and yv.stores_no_zeros
-    )
-    native = x_sparse and None not in (
-        _CSR_MATVECS, _CSR_TODENSE, _CSR_MATMAT, _CSR_MATMAT_MAXNNZ
-    )
-    s2d = None
-    #: CSR x CSR pairs that multiply entry by entry
-    entry_p = np.zeros(p_count, dtype=bool)
+    #: BufferU's analogue: one y_blocking partition, refilled per pair, so
+    #: no dense copy of a sparse operand outlives its pair
+    s2d = np.empty(int(elems_y.max(initial=0)), DTYPE) if native and y_sparse else None
     #: csr_matmat's reusable output arrays, grown to the largest product
     work: dict = {}
-    #: tasks that hold their products as CSR and merge them
-    hold_t = np.zeros(t_count, dtype=bool)
-    if native and y_sparse:
-        #: BufferU's analogue: one y_blocking partition, refilled per
-        #: pair, so no dense copy of a sparse operand outlives its pair
-        s2d = np.empty(int(elems_y.max(initial=0)), DTYPE)
-        # a z seeded from acc_view may hold -0.0, where adding only the
-        # product's stored cells is not adding the dense product
-        if acc_view is None:
-            entry_p = _entry_route(x_nnz_p, y_nnz_p, m_p, n_p, d_p)
-            # every live pair entry by entry, none transposed, no activation after
-            if act is None and None not in (_CSR_HSTACK, _CSR_TOCSC, _CSR_SUM_DUPLICATES):
-                off = tix[live & ~(entry_p & ~transp)]
-                hold_t = np.bincount(off, minlength=t_count) == 0
     for seg in range(exec_idx.shape[0]):
         t = int(exec_idx[seg])
         i, k, m, d = int(rows[t]), int(cols[t]), int(m_t[t]), int(d_t[t])
-        #: the task's products, held while their stored entries stay below
-        #: the holding bound (``None``: they are summed into ``z``)
+        #: the task's products, held to be merged (``None``: summed into ``z``)
         held = [] if hold_t[t] else None
         if acc_view is not None:
             z = np.array(acc_view.dense_block(i, k), dtype=DTYPE, copy=True)
@@ -434,12 +447,10 @@ def execute_kernel_tasks(
             z = None if held is not None else np.zeros((m, d), dtype=DTYPE)
         #: z is still the +0.0 it was allocated as
         blank = acc_view is None
-        row_part = z
-        col_part = None
+        row_part, col_part = z, None
         s, e = int(seg_lo[seg]), int(seg_hi[seg])
         if s != e and x_sparse and x_row_blocks_i != i:
-            x_row_blocks = xv.csr_blocks_for_row(i)
-            x_row_blocks_i = i
+            x_row_blocks, x_row_blocks_i = xv.csr_blocks_for_row(i), i
         for q in range(s, e):
             p = int(lp[q])
             j = int(js[p])
@@ -448,55 +459,34 @@ def execute_kernel_tasks(
             else:
                 xblk = x_dense_cache.get((i, j))
                 if xblk is None:
-                    xblk = xv.block(i, j)
-                    x_dense_cache[(i, j)] = xblk
+                    xblk = x_dense_cache[(i, j)] = xv.block(i, j)
             if y_sparse:
-                yblk = yv.csr_blocks_for_row(j)[k]
-                y_flat = y_rows = None
+                yblk, y_flat = yv.csr_blocks_for_row(j)[k], None
             else:
-                cached = y_dense_cache.get((j, k))
-                if cached is None:
-                    yblk = yv.block(j, k)
-                    cached = y_dense_cache[(j, k)] = [yblk, yblk.ravel(), None]
-                yblk, y_flat, y_rows = cached
-            if codes[p] == SPMM_CODE:
-                if y_flat is not None and y_rows is None:
-                    y_rows = cached[2] = np.count_nonzero(yblk, axis=1)
-                comp_p[p], macs_p[p] = spmm_compute_cycles(xblk, yblk, cfg, zero_free, y_rows)
+                if (j, k) not in y_dense_cache:
+                    y_dense_cache[j, k] = yv.block(j, k), yv.block(j, k).ravel()
+                yblk, y_flat = y_dense_cache[j, k]
             if held is not None:
-                product = _csr_csr_product(xblk, yblk, d, work)
-                if product is not None and (
-                    sum(h[1].size for h in held) + product[1].size < SPARSE_HOLDING * m * d
-                ):
-                    held.append([a.copy() for a in product])
-                    continue
-                # the bound is reached: the z the dense route would hold
-                z = row_part = np.zeros((m, d), dtype=DTYPE)
-                for h in held if product is None else held + [product]:
-                    _CSR_TODENSE(m, d, *h, z.ravel())
-                held, blank = None, False
-                if product is not None:
-                    continue
+                held.append([a.copy() for a in _csr_csr_product(xblk, yblk, d, struct_p[p], work)])
+                continue
             flipped = bool(transp[p])
             if flipped and col_part is None:
                 col_part = np.zeros((m, d), dtype=DTYPE)
             part = col_part if flipped else row_part
-            if not (entry_p[p] and _add_csr_csr_product(xblk, yblk, work, part)):
-                if native and (y_flat is not None or xv.block_row_is_finite(i)):
-                    if blank and not flipped:
-                        # 0 + P has the bits of P (P is never -0.0), so
-                        # the first row partial needs no buffer of its own
-                        partial = z
-                    else:
-                        partial = scratch.get((m, d))
-                        if partial is None:
-                            partial = scratch[(m, d)] = np.empty((m, d), dtype=DTYPE)
-                        partial.fill(0)
-                    _accumulate_csr_product(xblk, yblk, y_flat, s2d, partial)
+            if entry_p[p]:
+                _add_csr_csr_product(xblk, yblk, struct_p[p], work, part)
+            elif native and (y_flat is not None or xv.block_row_is_finite(i)):
+                if blank and not flipped:  # 0 + P has the bits of P (P is never -0.0)
+                    _accumulate_csr_product(xblk, yblk, y_flat, s2d, z)
                 else:
-                    partial = _matmul(xblk, yblk)
-                if partial is not z:
+                    partial = scratch.get((m, d))
+                    if partial is None:
+                        partial = scratch[(m, d)] = np.empty((m, d), dtype=DTYPE)
+                    partial.fill(0)
+                    _accumulate_csr_product(xblk, yblk, y_flat, s2d, partial)
                     part += partial
+            else:
+                part += _matmul(xblk, yblk)
             blank = blank and flipped
         if held is not None:
             out_nnz_t[t] = assembly.write(i, k, _merge_csr_products(m, d, held))

@@ -34,6 +34,7 @@ import repro.runtime.vectorized as vectorized_mod
 from repro.hw import Accelerator
 from repro.hw.buffers import BufferOverflowError
 from repro.hw.report import CycleReport
+from repro.hw.spmm_unit import scp_cycles
 from repro.ir.scheme import TaskBatch
 from repro.runtime import CoreTimeline, execute_kernel_tasks, make_strategy
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
@@ -41,6 +42,7 @@ from repro.shard import plan_shards
 
 from conftest import make_tiny_config
 from task_oracle import execute_kernel_tasks_reference
+from unit_oracles import spmm_workloads_reference
 
 
 def _dense(o):
@@ -371,6 +373,101 @@ class TestHeldSparseTasks:
         assert len(held) == len(merged_blocks)
         for i, k in held:
             assert first.nnz_grid[i, k] == first.blocks[i, k].indptr[-1]
+
+    @pytest.mark.parametrize("strategy", ["S1", "S2", "Dynamic"])
+    @pytest.mark.parametrize("cell", HELD_CELLS)
+    def test_a_csr_output_is_scipys_stack(self, held_programs, cell, strategy):
+        """``finalize`` stacks a CSR output's blocks natively: the arrays
+        SciPy's ``vstack`` of ``hstack``s builds, byte and dtype."""
+        outputs = []
+        finalize = KernelAssembly.finalize
+
+        def recording(self):
+            outputs.append((self, finalize(self)))
+            return outputs[-1][1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(KernelAssembly, "finalize", recording)
+            run_strategy(held_programs[cell], strategy)
+        stacked = [(asm, out) for asm, (out, _) in outputs if asm.block_rows is not None]
+        assert stacked, "no kernel output was held as CSR"
+        for asm, out in stacked:
+            want = sp.vstack([sp.hstack(row, format="csr") for row in asm.block_rows],
+                             format="csr")
+            assert type(out) is type(want) and out.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                got, ref = getattr(out, name), getattr(want, name)
+                assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+    @pytest.mark.parametrize("cell, merges", [(("GIN", "CO"), 8), (("GIN", "CI"), 30)])
+    def test_the_holding_rule_moves_no_merge(self, held_programs, cell, merges, merged_blocks):
+        """A task holds only when its structural MACs stay below the bound:
+        every task that merged before the rule still merges."""
+        run_strategy(held_programs[cell], "Dynamic")
+        assert len(merged_blocks) == merges
+
+    def test_no_task_holds_products_it_would_spill(self, monkeypatch, merged_blocks):
+        """GIN x PU@0.5's Aggregate tasks reach the bound: none holds a
+        product (each one ``_csr_csr_product`` makes is added to a ``z``)."""
+        program = Engine().compile("GIN", "PU", scale=0.5, seed=0).program
+        calls = {"product": 0, "added": 0}
+        product, add = vectorized_mod._csr_csr_product, vectorized_mod._add_csr_csr_product
+
+        def counted(name, fn):
+            return lambda *args: calls.__setitem__(name, calls[name] + 1) or fn(*args)
+
+        monkeypatch.setattr(vectorized_mod, "_csr_csr_product", counted("product", product))
+        monkeypatch.setattr(vectorized_mod, "_add_csr_csr_product", counted("added", add))
+        run_strategy(program, "Dynamic")
+        assert calls["added"] > 0 and calls["product"] == calls["added"]
+        assert merged_blocks == []
+
+
+#: cells whose Dynamic inference sends pairs with CSR X blocks to SPMM
+CENSUS_CELLS = [("GIN", "PU", 0.25), ("GraphSAGE", "PU", 0.25), ("SGC", "PU", 0.25),
+                ("GIN", "CO", 1.0), ("GIN", "CI", 1.0)]
+
+
+@pytest.fixture(scope="module")
+def census_programs():
+    engine = Engine()
+    return {cell: engine.compile(cell[0], cell[1], scale=cell[2], seed=0).program
+            for cell in CENSUS_CELLS}
+
+
+class TestPairCensus:
+    """The census (one per X block row of a kernel) bills every SPMM pair
+    what the one-pair count bills, and the run is the oracle's."""
+
+    @pytest.mark.parametrize("cell", CENSUS_CELLS, ids=lambda c: "{}-{}@{:g}".format(*c))
+    def test_spmm_pairs_bill_the_one_pair_path(self, census_programs, cell, monkeypatch):
+        program = census_programs[cell]
+        taken = []
+        census = vectorized_mod.spmm_census
+
+        def spy(x_blocks, y_counts, y_at, d, psys):
+            taken.append((x_blocks, y_counts, y_at, census(x_blocks, y_counts, y_at, d, psys)))
+            return taken[-1][-1]
+
+        monkeypatch.setattr(vectorized_mod, "spmm_census", spy)
+        result = run_strategy(program, "Dynamic")
+        cfg = program.config
+        checked = 0
+        for x_blocks, y_counts, y_at, (loads, macs, _) in taken:
+            cycles = scp_cycles(loads, macs, cfg)
+            for p, x in enumerate(x_blocks):
+                # the pair's Y row counts, as the one-pair count takes them
+                y_rows = y_counts[0, y_at[p] : y_at[p] + x.shape[1]]
+                want_loads, want_macs = spmm_workloads_reference(x, None, cfg.psys, y_rows)
+                assert loads[p].tolist() == want_loads.tolist() and macs[p] == want_macs
+                want = int(want_loads.max()) + cfg.pipeline_depth if want_macs else 0
+                assert cycles[p] == want
+                checked += 1
+        spmm = sum(n for ks in result.kernel_stats
+                   for prim, n in ks.primitive_counts.items() if prim.name == "SPMM")
+        assert 0 < spmm <= checked
+        monkeypatch.undo()
+        assert_results_identical(result, oracle_run(run_strategy, program, "Dynamic"))
 
 
 def _csr(shape, entries) -> sp.csr_matrix:

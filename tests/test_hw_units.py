@@ -9,6 +9,8 @@ element-level simulation of the paper's algorithm (``unit_oracles``).
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import _sparsetools
 
 from conftest import make_tiny_config, random_sparse
 from repro.formats.csr import matmul
@@ -16,8 +18,15 @@ from repro.formats.partition import block_nnz_grid
 from repro.hw.gemm_unit import gemm_compute_cycles
 from repro.hw.report import exposed_stream
 from repro.hw.spdmm_unit import spdmm_compute_cycles
-from repro.hw.spmm_unit import spmm_compute_cycles, spmm_workloads
-from unit_oracles import run_gemm_faithful, run_spdmm_faithful, run_spmm_faithful
+from repro.hw.spmm_unit import (
+    row_counts, scp_cycles, spmm_census, spmm_compute_cycles, spmm_workloads,
+)
+from unit_oracles import (
+    run_gemm_faithful,
+    run_spdmm_faithful,
+    run_spmm_faithful,
+    spmm_workloads_reference,
+)
 
 CFG = make_tiny_config()
 
@@ -230,3 +239,93 @@ class TestSPMM:
         ay = y.nnz / (n * d)
         expect = ax * ay * m * n * d
         assert expect / 3 <= macs <= expect * 3
+
+
+#: what a block stores: zeros of both signs, NaN, ordinary values
+CENSUS_VALUES = st.sampled_from([0.0, -0.0, np.nan, 1.0, -2.5, 3.0])
+
+
+@st.composite
+def census_blocks(draw, rows, cols, dense):
+    """A block with drawn structure: empty rows, empty blocks, stored
+    zeros and ``NaN``; CSR (int32, stored as drawn) or dense."""
+    keep = draw(st.sampled_from([0.0, 0.2, 0.5, 1.0]))
+    mask = np.array(draw(st.lists(
+        st.floats(0, 1), min_size=rows * cols, max_size=rows * cols))) < keep
+    mask = mask.reshape(rows, cols)
+    vals = np.array(draw(st.lists(
+        CENSUS_VALUES, min_size=int(mask.sum()), max_size=int(mask.sum()))), dtype=np.float32)
+    if dense:
+        out = np.zeros((rows, cols), dtype=np.float32)
+        out[mask] = vals
+        return out
+    blk = sp.csr_matrix((rows, cols), dtype=np.float32)
+    blk.data, blk.indices = vals, np.nonzero(mask)[1].astype(np.int32)
+    blk.indptr = np.concatenate(([0], np.cumsum(mask.sum(axis=1)))).astype(np.int32)
+    return blk
+
+
+@st.composite
+def census_batches(draw):
+    """``(x_blocks, y_blocks, y_of, psys)``: up to six pairs, some sharing
+    a Y block, X blocks of 1-13 rows (mostly not a multiple of psys)."""
+    n = draw(st.integers(1, 9))
+    y_blocks = [
+        draw(census_blocks(n, draw(st.integers(1, 9)), dense=draw(st.booleans())))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    pairs = draw(st.integers(1, 6))
+    x_blocks = [draw(census_blocks(draw(st.integers(1, 13)), n, dense=False))
+                for _ in range(pairs)]
+    y_of = np.array([draw(st.integers(0, len(y_blocks) - 1)) for _ in range(pairs)])
+    return x_blocks, y_blocks, y_of, draw(st.sampled_from([1, 3, 4, 16]))
+
+
+def census_of(x_blocks, y_blocks, y_of, psys):
+    """The census of pairs ``(x_blocks[p], y_blocks[y_of[p]])``, each Y
+    block counted once, as the task loop hands them over."""
+    counts = [row_counts(b) for b in y_blocks]
+    starts = np.cumsum([0] + [c.shape[1] for c in counts])
+    widths = [y_blocks[k].shape[1] for k in y_of]
+    return spmm_census(
+        x_blocks, np.concatenate(counts, axis=1), starts[np.asarray(y_of)], widths, psys)
+
+
+class TestSpmmCensus:
+    """The kernel-wide census against the per-pair count it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(census_batches())
+    def test_matches_the_per_pair_count(self, batch):
+        x_blocks, y_blocks, y_of, psys = batch
+        loads, macs, structural = census_of(x_blocks, y_blocks, y_of, psys)
+        assert loads.dtype == macs.dtype == structural.dtype == np.int64
+        assert loads.shape == (len(x_blocks), psys)
+        cycles = scp_cycles(loads, macs, CFG)
+        for p, (x, y) in enumerate(zip(x_blocks, (y_blocks[k] for k in y_of))):
+            want_loads, want_macs = spmm_workloads_reference(x, y, psys)
+            np.testing.assert_array_equal(loads[p], want_loads)
+            assert macs[p] == want_macs
+            assert cycles[p] == (int(want_loads.max()) + CFG.pipeline_depth if want_macs else 0)
+            # the one-pair path is the census of one pair
+            ref = spmm_workloads_reference(x, y, CFG.psys)
+            want = (int(ref[0].max()) + CFG.pipeline_depth, ref[1]) if ref[1] else (0, 0)
+            assert spmm_compute_cycles(x, y, CFG) == want
+            if sp.issparse(y):  # every stored entry against its stored Y row
+                m, d = x.shape[0], y.shape[1]
+                per_row = [np.diff(y.indptr)[x.indices[x.indptr[r]:x.indptr[r + 1]]].sum()
+                           for r in range(m)]
+                assert structural[p] == sum(min(int(c), d) for c in per_row)
+                maxnnz = _sparsetools.csr_matmat_maxnnz(
+                    m, d, x.indptr, x.indices, y.indptr, y.indices)
+                assert structural[p] >= maxnnz
+
+    def test_counts_past_int32(self):
+        """Two pairs sharing a Y row of 40,000 entries: 2.8e9 multiplies
+        each, past 2^31, folded over a ragged 70,000-row block."""
+        m, d = 70_000, 40_000
+        x = sp.csr_matrix(np.ones((m, 1), dtype=np.float32))
+        y = sp.csr_matrix(np.ones((1, d), dtype=np.float32))
+        loads, macs, structural = census_of([x, x], [y], [0, 0], 3)
+        assert macs.tolist() == structural.tolist() == [m * d] * 2
+        assert loads.tolist() == [[23_334 * d, 23_333 * d, 23_333 * d]] * 2

@@ -35,7 +35,7 @@ from repro.formats.partition import PartitionedMatrix, block_nnz_grid
 from repro.gnn import build_model, init_weights
 from repro.hw import Accelerator
 from repro.hw.report import SPDMM_CODE
-from repro.hw.spmm_unit import spmm_workloads
+from repro.hw.spmm_unit import row_counts, spmm_census, spmm_workloads
 from repro.runtime import execute_kernel_tasks, make_strategy
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
 from repro.runtime.strategies import MappingStrategy
@@ -123,22 +123,25 @@ def fast_product(x, y) -> np.ndarray:
     return out
 
 
-def same_index_dtype(x, y) -> bool:
-    return x.indptr.dtype == y.indptr.dtype
+def structural(x, y) -> int:
+    """What the task loop sizes a pair's product from: the census's
+    structural MACs."""
+    return int(spmm_census([x], row_counts(y), np.zeros(1, np.intp), y.shape[1], 1)[2][0])
 
 
 def entry_product(x, y):
-    """``(product, taken)`` on the entry-by-entry route, its scratch as
-    an earlier, larger pair of the same call would have left it."""
+    """The product on the entry-by-entry route, its scratch as an
+    earlier, larger pair of the same call would have left it."""
     m, d = x.shape[0], y.shape[1]
     out = np.zeros((m, d), dtype=DTYPE)
-    idx = x.indptr.dtype
+    idx = np.result_type(x.indptr, y.indptr)
     work = {idx: (
         np.full(m + 4, -7, dtype=idx),
         np.full(m * d + 3, -7, dtype=idx),
         np.full(m * d + 3, np.nan, dtype=DTYPE),
     )}
-    return out, vectorized_mod._add_csr_csr_product(x, y, work, out)
+    vectorized_mod._add_csr_csr_product(x, y, structural(x, y), work, out)
+    return out
 
 
 #: what a poisoned adjacency holds, against structural zeros of Y
@@ -156,20 +159,15 @@ class TestPairProduct:
     @given(operand_pairs())
     def test_entry_route_is_csr_matmat_bit_for_bit(self, pair):
         x, y = pair
-        out, taken = entry_product(x, y)
-        # an int32 block against an int64 one falls through, untouched
-        assert taken == same_index_dtype(x, y)
-        expected = csr_csr_reference(x, y) if taken else np.zeros_like(out)
-        assert bits(out) == bits(expected)
+        # an int32 block against an int64 one is multiplied in int64
+        assert bits(entry_product(x, y)) == bits(csr_csr_reference(x, y))
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @settings(max_examples=200, deadline=None)
     @given(operand_pairs(x_values=NONFINITE))
     def test_entry_route_needs_no_finite_guard(self, pair):
         x, y = pair
-        out, taken = entry_product(x, y)
-        if taken:
-            assert bits(out) == bits(csr_csr_reference(x, y))
+        assert bits(entry_product(x, y)) == bits(csr_csr_reference(x, y))
 
     @settings(max_examples=100, deadline=None)
     @given(operand_pairs(), operand_pairs())
@@ -182,7 +180,7 @@ class TestPairProduct:
         x = sp.random(m, 5, 0.4, format="csr", dtype=DTYPE, rng=rng)
         y = sp.random(5, d, 0.4, format="csr", dtype=DTYPE, rng=rng)
         expected = z + csr_csr_reference(x, y)
-        assert vectorized_mod._add_csr_csr_product(x, y, {}, z)
+        vectorized_mod._add_csr_csr_product(x, y, structural(x, y), {}, z)
         assert bits(z) == bits(expected)
 
     def test_entry_route_with_an_empty_product_allocates_nothing(self):
@@ -190,7 +188,8 @@ class TestPairProduct:
         y = sp.csr_matrix((2, 3), dtype=DTYPE)
         out = np.zeros((2, 3), dtype=DTYPE)
         work = {}
-        assert vectorized_mod._add_csr_csr_product(x, y, work, out)
+        assert structural(x, y) == 0
+        vectorized_mod._add_csr_csr_product(x, y, 0, work, out)
         assert work == {} and bits(out) == bits(np.zeros((2, 3)))
 
     @settings(max_examples=100, deadline=None)
@@ -209,7 +208,7 @@ class TestPairProduct:
         x = sp.random(m, n, 0.7, format="csr", dtype=DTYPE, rng=rng)
         y = sp.random(n, d, 0.7, format="csr", dtype=DTYPE, rng=rng)
         assert bits(fast_product(x, y)) == bits(csr_csr_reference(x, y))
-        assert bits(entry_product(x, y)[0]) == bits(csr_csr_reference(x, y))
+        assert bits(entry_product(x, y)) == bits(csr_csr_reference(x, y))
 
     def test_nonfinite_x_is_the_one_place_the_routes_differ(self):
         """``inf`` in X against a structural zero of Y: ``csr_matmat``
@@ -237,7 +236,7 @@ def task_products(draw):
     for _ in range(draw(st.integers(1, 8))):
         x, y = draw(csr_blocks(m, n, MERGE_VALUES)), draw(csr_blocks(n, d, MERGE_VALUES))
         y.indptr, y.indices = (a.astype(x.indptr.dtype) for a in (y.indptr, y.indices))
-        products.append(vectorized_mod._csr_csr_product(x, y, d, {}))
+        products.append(vectorized_mod._csr_csr_product(x, y, d, structural(x, y), {}))
     return m, d, products
 
 
@@ -353,10 +352,9 @@ def route_spy(monkeypatch):
     accumulate = vectorized_mod._accumulate_csr_product
     matmul = vectorized_mod._matmul
 
-    def spy_entry(x, y, work, out):
-        ok = entry(x, y, work, out)
-        taken["entry"] += ok
-        return ok
+    def spy_entry(x, y, nmax, work, out):
+        taken["entry"] += 1
+        return entry(x, y, nmax, work, out)
 
     def spy_accumulate(x, y, y_flat, s2d, out):
         taken["s2d" if y_flat is None else "dense_y"] += 1
@@ -690,44 +688,14 @@ class TestSpmmWorkloads:
     def test_matches_algorithm_6(self, pair, psys):
         x, y = pair  # rows < psys, rows % psys != 0, zero rows, stored zeros
         expected = faithful_loads(x, y, psys)
-        # either operand CSR or held dense (counted as it lies), and Y's
-        # row counts handed over by a caller that already holds them
-        y_rows = np.count_nonzero(y.toarray(), axis=1)
-        for xx, yy, rows in (
-            (x, y, None), (x, y.toarray(), None), (x.toarray(), y, None),
-            (x.toarray(), y.toarray(), None), (x, None, y_rows),
-            (x.toarray(), None, y_rows),
+        # either operand CSR or held dense (counted as it lies)
+        for xx, yy in (
+            (x, y), (x, y.toarray()), (x.toarray(), y), (x.toarray(), y.toarray()),
         ):
-            loads, macs = spmm_workloads(xx, yy, psys, y_rows=rows)
+            loads, macs = spmm_workloads(xx, yy, psys)
             assert loads.dtype == np.int64 and loads.shape == (psys,)
             np.testing.assert_array_equal(loads, expected)
             assert macs == int(expected.sum())
-
-    @settings(max_examples=100, deadline=None)
-    @given(operand_pairs(), st.sampled_from([1, 4, 16]))
-    def test_zero_free_operands_are_not_rescanned(self, pair, psys):
-        """What the task loop passes when both layouts store no zeros:
-        the same counts, with no conversion and no ``data == 0`` scan."""
-        x, y = (m.copy() for m in pair)
-        x.eliminate_zeros()
-        y.eliminate_zeros()
-        loads, macs = spmm_workloads(x, y, psys, zero_free=True)
-        expected, expected_macs = spmm_workloads(x, y, psys)
-        np.testing.assert_array_equal(loads, expected)
-        assert macs == expected_macs
-
-    def test_the_layout_says_whether_an_operand_stores_zeros(self):
-        rng = np.random.default_rng(7)
-        mat = sp.random(40, 30, 0.2, format="csr", dtype=DTYPE, rng=rng)
-        assert PartitionedMatrix(mat, 16, 8).stores_no_zeros
-        mat.data[5] = -0.0
-        view = PartitionedMatrix(mat, 16, 8)
-        assert not view.stores_no_zeros
-        # kept with the layout: a rebind to the cleaned matrix asks again
-        clean = mat.copy()
-        clean.eliminate_zeros()
-        view.apply_structural_delta(clean, [], [], [], [])
-        assert view.stores_no_zeros
 
     @pytest.mark.parametrize("rows", [3, 4, 10])
     def test_against_run_spmm_faithful_cycles(self, rows, tiny_config):
@@ -757,11 +725,10 @@ class TestSpmmWorkloads:
 class TestNativeEntryPoints:
     def test_scipy_still_has_them_with_this_signature(self):
         """Fails by name on the SciPy release that moves or re-types one
-        of the seven, rather than silently costing a third of every warm
+        of the six, rather than silently costing a third of every warm
         inference (or, for the three the merge calls, a held-sparse task
         its dense ``z``)."""
-        for name in ("MATVECS", "TODENSE", "MATMAT", "MATMAT_MAXNNZ",
-                     "HSTACK", "TOCSC", "SUM_DUPLICATES"):
+        for name in ("MATVECS", "TODENSE", "MATMAT", "HSTACK", "TOCSC", "SUM_DUPLICATES"):
             assert callable(getattr(vectorized_mod, f"_CSR_{name}")), name
         for index_dtype in (np.int32, np.int64):
             indptr = np.array([0, 1, 2], dtype=index_dtype)
@@ -775,7 +742,6 @@ class TestNativeEntryPoints:
             assert out.tolist() == [6.0, 0.0, 0.0, 6.0]
             # [[0, 2], [3, 0]] squared, into arrays the caller owns
             operand = (indptr, indices)
-            assert vectorized_mod._CSR_MATMAT_MAXNNZ(2, 2, *operand, *operand) == 2
             cp, cj = np.empty(3, dtype=index_dtype), np.empty(2, dtype=index_dtype)
             cx = np.empty(2, dtype=DTYPE)
             vectorized_mod._CSR_MATMAT(
@@ -806,7 +772,7 @@ class TestNativeEntryPoints:
 
     @pytest.mark.parametrize(
         "missing",
-        ["_CSR_MATVECS", "_CSR_TODENSE", "_CSR_MATMAT", "_CSR_MATMAT_MAXNNZ"],
+        ["_CSR_MATVECS", "_CSR_TODENSE", "_CSR_MATMAT"],
     )
     @pytest.mark.parametrize("model_name", ["GCN", "GraphSAGE"])
     def test_fallback_is_bit_identical(
@@ -855,6 +821,26 @@ class TestNativeEntryPoints:
         assert not merges
         assert bits(dense.output_dense()) == bits(held.output_dense())
         assert_results_identical(dense, held)
+
+    def test_without_the_product_kernel_spmm_still_bills_from_the_census(
+        self, monkeypatch
+    ):
+        """``csr_matmat`` missing, no pair goes entry by entry, yet every
+        SPMM pair is still billed from the census, and identically."""
+        program = Engine().compile("GIN", "CO", seed=0).program
+        fast = run_strategy(program, "Dynamic")
+        censused = []
+        census = vectorized_mod.spmm_census
+        monkeypatch.setattr(
+            vectorized_mod, "spmm_census",
+            lambda x_blocks, *rest: censused.append(len(x_blocks)) or census(x_blocks, *rest),
+        )
+        monkeypatch.setattr(vectorized_mod, "_CSR_MATMAT", None)
+        slow = run_strategy(program, "Dynamic")
+        assert_results_identical(slow, fast)
+        spmm = sum(n for ks in slow.kernel_stats
+                   for prim, n in ks.primitive_counts.items() if prim.name == "SPMM")
+        assert spmm and sum(censused) == spmm  # the SPMM pairs, and nothing else
 
 
 # -- the third view site --------------------------------------------------

@@ -8,7 +8,10 @@ tests can hold each closed form, and ``repro.formats.csr.matmul``'s
 product, against a direct execution.  :func:`block_nnz_grid_reference`
 is the scatter-add census ``repro.formats.partition.block_nnz_grid``
 replaced, kept as its oracle and the "before" side of the
-``micro_block_nnz_grid`` bench.
+``micro_block_nnz_grid`` bench.  :func:`spmm_workloads_reference` is
+the per-pair SPMM count the task loop took before its kernel-wide census
+(``repro.hw.spmm_unit.spmm_census``), kept as that census's oracle and
+the "before" side of the ``micro_pair_census`` bench.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "run_gemm_faithful",
     "run_spdmm_faithful",
     "run_spmm_faithful",
+    "spmm_workloads_reference",
 ]
 
 
@@ -158,3 +162,39 @@ def block_nnz_grid_reference(
     if rows.size:
         np.add.at(grid, (rows // block_rows, cols // block_cols), 1)
     return grid
+
+
+def spmm_workloads_reference(
+    x: MatrixLike, y: MatrixLike, psys: int, y_rows: np.ndarray | None = None
+) -> tuple[np.ndarray, int]:
+    """Exact (per-SCP loads, MACs) of ``X @ Y``, one pair at a time: both
+    operands as CSR without stored zeros (a dense one counted as it lies),
+    row loads from one int64 prefix sum over ``nnz(Y[i])`` gathered at X's
+    columns, differenced at X's row pointers, folded to ``(-1, psys)``.
+    ``y_rows``: Y's per-row nonzero counts, when the caller holds them."""
+
+    def countable(mat):
+        if isinstance(mat, np.ndarray):
+            return mat
+        mat = as_csr(mat)
+        if mat.nnz and np.any(mat.data == 0):
+            mat = mat.copy()
+            mat.eliminate_zeros()
+        return mat
+
+    xs = countable(x)
+    if y_rows is None:
+        ys = countable(y)
+        y_rows = (np.count_nonzero(ys, axis=1) if isinstance(ys, np.ndarray)
+                  else np.diff(ys.indptr))
+    rows = xs.shape[0]
+    row_macs = np.zeros(-(-rows // psys) * psys, dtype=np.int64)
+    if isinstance(xs, np.ndarray):
+        np.einsum("ji,i->j", xs != 0, y_rows, dtype=np.int64, out=row_macs[:rows])
+        macs = int(row_macs.sum())
+    else:
+        prefix = np.zeros(xs.nnz + 1, dtype=np.int64)
+        np.cumsum(y_rows[xs.indices], dtype=np.int64, out=prefix[1:])
+        row_macs[:rows] = np.diff(prefix[xs.indptr])
+        macs = int(prefix[-1])
+    return row_macs.reshape(-1, psys).sum(axis=0), macs
