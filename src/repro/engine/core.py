@@ -418,11 +418,12 @@ class Engine:
 
         ``ready_s=None`` is a caller's own run (:meth:`infer`): simulated
         every time and traced by the session tracer, on device 0 or, over
-        a plan, on the pool's devices with each layer booked on the pool's
-        clock as one barrier-synchronised group.  A time is the serve path
-        saying when its batch is ready: the record is returned if there is
-        one, else the run is simulated untraced and unbooked on the device
-        that would start it first (sharded: the first ``shards`` devices).
+        a plan, on the pool's devices, and booked on the pool's clock as
+        one booking of its layer barriers on the devices its lanes ran on.
+        A time is the serve path saying when its batch is ready: the record
+        is returned if there is one, else the run is simulated untraced and
+        unbooked on the device that would start it first (sharded: the
+        first ``shards`` devices).
         """
         serving = ready_s is not None
         if plan is not None:
@@ -436,14 +437,10 @@ class Engine:
         run = run_strategy(program, strategy, devices, plan=plan,
                            tracer=NULL_TRACER if serving else self.tracer)
         if plan is not None and not serving:
-            # the per-layer barrier on the pool's clock: each layer holds
-            # every member to the barrier, busy for its own lane's work
-            ready = 0.0
-            for layer in run.layers:
-                _, _, ready = self.pool.submit_group(
-                    layer.barrier_s, run.num_shards, ready,
-                    busy_s=[float(s) for s in layer.seconds],
-                )
+            # one booking on the devices the lanes ran on: held to the
+            # chained layer barriers, each member busy for its lane's work
+            self.pool.book(range(run.num_shards), run.segments_s,
+                           busy_s=list(run.shard_busy_s) or None)
         program._runs[strategy, shards] = run
         return run
 

@@ -2,14 +2,15 @@
 
 Scales the single-device simulator to N devices the same way
 :class:`~repro.runtime.scheduler.CoreTimeline` scales one kernel across
-Computation Cores: a per-device available-time vector.  Three rules pick
-the device(s) a booking lands on: ``submit`` takes the device that can
-start first (the multi-device analogue of Algorithm 8's idle-core
-interrupts), ``submit_on`` the one it is told, ``submit_group`` the N
-earliest-available, held to a common barrier (``peek_device`` /
-``peek_group`` show the choice before booking).  What a booking *is* is
-written once (``_book``): the device's availability and busy seconds, a
-:class:`DispatchEvent`, a dispatch span.
+Computation Cores: a per-device available-time vector.  There is one
+booking rule (:meth:`AcceleratorPool.book`): a sequence of barrier
+segments on a device set, every member starting at the latest
+availability of the set and held to the chained sum of the segments.
+Which devices is the caller's rule: :meth:`AcceleratorPool.peek_device`
+shows the active device that can start first (the multi-device analogue
+of Algorithm 8's idle-core interrupts).  A booking records each member's
+availability and busy seconds, a :class:`DispatchEvent` and a dispatch
+span.
 
 Each slot owns a real :class:`~repro.hw.accelerator.Accelerator`: the
 engine runs a batch's functional/cycle simulation on the chosen device's
@@ -84,7 +85,7 @@ class AcceleratorPool:
         start / reconfiguration on the virtual clock).  Shrinking parks
         devices for *new* work only — in-flight bookings on a parked
         device run to completion (drain semantics), and
-        :meth:`submit_on` can still target it explicitly.
+        :meth:`book` can still name it.
         """
         if not 1 <= n <= self.num_devices:
             raise ValueError(
@@ -114,153 +115,56 @@ class AcceleratorPool:
             best = int(candidates[np.argmin(active[candidates])])
         return best
 
-    def peek_group(self, num_devices: int, ready_s: float) -> tuple[list[int], float]:
-        """The active devices :meth:`submit_group` books for a group ready
-        at ``ready_s`` (the ``num_devices`` earliest to start, ascending),
-        and their common start."""
-        if not 1 <= num_devices <= self._num_active:
-            raise ValueError(
-                f"group needs {num_devices} device(s), pool has "
-                f"{self._num_active} active of {self.num_devices}"
-            )
-        starts = np.maximum(self.available[: self._num_active], ready_s)
-        order = np.argsort(starts, kind="stable")
-        chosen = sorted(int(d) for d in order[:num_devices])
-        return chosen, float(starts[chosen].max())
-
-    def _book(
-        self, device: int, start: float, end: float, work: Sequence[float],
-        batch_id: int, batch_size: int, label: str, **span_args,
-    ) -> None:
-        """The one booking: hold ``device`` from ``start`` to ``end``,
-        charge it each of the ``work`` seconds in turn, log the
-        :class:`DispatchEvent` and the dispatch span.  How the device and
-        the start were chosen is the caller's rule."""
-        self.available[device] = end
-        busy = self.busy[device]
-        for seconds in work:
-            busy += seconds
-        self.busy[device] = busy
-        self.events.append(
-            DispatchEvent(device, start, end, batch_id, batch_size)
-        )
-        if self.tracer.enabled:
-            self.tracer.span(
-                f"pool/dev{device}", label, start, end, cat="dispatch",
-                batch_size=batch_size, **span_args,
-            )
-
-    def submit(
+    def book(
         self,
-        service_s: float,
-        ready_s: float,
-        *,
-        batch_id: int = -1,
-        batch_size: int = 1,
-    ) -> tuple[int, float, float]:
-        """Book ``service_s`` seconds of work on the device that can start
-        it first (:meth:`peek_device`); returns (device, start, end)."""
-        device = self.peek_device(ready_s)
-        start, end = self.submit_on(
-            device, service_s, ready_s, batch_id=batch_id, batch_size=batch_size
-        )
-        return device, start, end
-
-    def submit_on(
-        self,
-        device: int,
-        service_s: float,
-        ready_s: float,
-        *,
-        busy_s: float | None = None,
-        batch_id: int = -1,
-        batch_size: int = 1,
-        label: str = "",
-    ) -> tuple[float, float]:
-        """Book ``service_s`` seconds on a *specific* device.
-
-        The directed analogue of :meth:`submit`, used by the continuous
-        scheduler (:mod:`repro.sched`) to keep an execution's per-layer
-        segments sticky on one device.  The device may be outside the
-        active set (a parked device draining its in-flight execution).
-        ``busy_s`` optionally overrides the busy charge (a sharded
-        member held to a barrier is occupied, not working, for part of
-        the booking).  Returns ``(start, end)``.
-        """
-        if not 0 <= device < self.num_devices:
-            raise ValueError(
-                f"device must be within [0, {self.num_devices}), got {device}"
-            )
-        if service_s < 0:
-            raise ValueError("service_s must be non-negative")
-        start = float(max(self.available[device], ready_s))
-        end = start + service_s
-        self._book(
-            device, start, end, (service_s if busy_s is None else float(busy_s),),
-            batch_id, batch_size, label or f"batch{batch_id}",
-            queued_s=start - ready_s,
-        )
-        return start, end
-
-    def submit_run(
-        self,
-        device: int,
+        devices: Sequence[int],
         segments: Sequence[float],
-        start: float,
+        ready_s: float = 0.0,
         *,
+        busy_s: Sequence[float] | None = None,
         batch_id: int = -1,
         batch_size: int = 1,
-    ) -> float:
-        """Book consecutive ``segments`` (seconds) on ``device`` from
-        ``start`` as one reservation; returns its end.
+    ) -> tuple[float, float]:
+        """Book a sequence of barrier segments on ``devices``; returns
+        ``(start, end)``.
 
-        The end is the chained sum ``start + s0 + s1 + ...`` and the
-        device is charged each segment in turn: the bits booking them one
-        after another with :meth:`submit_on` gives, in one event.  The
-        serve loop books an unsharded execution this way once it ends or
-        pauses at a layer boundary (:mod:`repro.sched.scheduler`).
+        Every member starts at the latest of ``ready_s`` and the members'
+        availability, and is held to the chained sum ``start + s0 + s1 +
+        ...`` of the ``segments`` (the bits booking them one after another
+        gives).  A member is charged each segment in turn, or its own
+        entry of ``busy_s`` (a lane held to a barrier is occupied, not
+        working, for part of the booking).  A caller that stops at a
+        barrier books the segments run so far.  A device may be outside
+        the active set (a parked device draining its in-flight work).
         """
+        if not devices or min(devices) < 0 or max(devices) >= self.num_devices:
+            raise ValueError(
+                f"devices must be a non-empty list within [0, {self.num_devices}), "
+                f"got {list(devices)}"
+            )
+        if segments and min(segments) < 0:
+            raise ValueError(f"segments must be non-negative, got {list(segments)}")
+        if busy_s is not None and len(busy_s) != len(devices):
+            raise ValueError("busy_s must have one entry per device")
+        start = max(ready_s, *(float(self.available[d]) for d in devices))
         end = start
         for seconds in segments:
             end += seconds
-        self._book(device, start, end, segments, batch_id, batch_size,
-                   f"batch{batch_id}", segments=len(segments))
-        return end
-
-    def submit_group(
-        self,
-        service_s: float,
-        num_devices: int,
-        ready_s: float,
-        *,
-        busy_s: list | None = None,
-        batch_id: int = -1,
-        batch_size: int = 1,
-    ) -> tuple[list[int], float, float]:
-        """Book a barrier-synchronised group on ``num_devices`` devices.
-
-        The multi-device analogue of :meth:`submit`, used for sharded
-        executions: the ``num_devices`` earliest-available devices all
-        start together (the shards are lock-stepped by per-layer
-        barriers) and are all held until ``start + service_s``.
-        ``busy_s`` optionally gives each member's *actual* busy seconds
-        (its shard's work), so utilization stays honest while
-        availability reflects the barrier.  Returns
-        ``(devices, start, end)``.
-        """
-        chosen, start = self.peek_group(num_devices, ready_s)
-        if busy_s is not None and len(busy_s) != num_devices:
-            raise ValueError("busy_s must have one entry per group device")
-        if service_s < 0:
-            raise ValueError("service_s must be non-negative")
-        end = start + service_s
-        for idx, device in enumerate(chosen):
-            busy = service_s if busy_s is None else float(busy_s[idx])
-            self._book(
-                device, start, end, (busy,), batch_id, batch_size,
-                f"batch{batch_id}/shard{idx}", group=num_devices, busy_s=busy,
-            )
-        return chosen, start, end
+        label = f"batch{batch_id}"
+        for i, device in enumerate(devices):
+            self.available[device] = end
+            busy = self.busy[device]
+            for seconds in (segments if busy_s is None else (float(busy_s[i]),)):
+                busy += seconds
+            self.busy[device] = busy
+            self.events.append(DispatchEvent(device, start, end, batch_id, batch_size))
+            if self.tracer.enabled:
+                self.tracer.span(
+                    f"pool/dev{device}", label if len(devices) == 1 else f"{label}/shard{i}",
+                    start, end, cat="dispatch", batch_size=batch_size,
+                    segments=len(segments),
+                )
+        return start, end
 
     @property
     def makespan_s(self) -> float:

@@ -21,10 +21,12 @@ finished execution answers its requests as one entry of the sweep's
 where its devices already hold the program's inputs) plus one segment
 per kernel layer (the per-layer barrier intervals ``run_strategy``
 records).  Its layer boundaries are the chained sums of its segments
-from its start: an unsharded execution is one pool reservation
-(:meth:`~repro.engine.pool.AcceleratorPool.submit_run`, booked when it
-ends or pauses), cut short only by a preemption; a sharded one is one
-reservation per member device, held to the last barrier.
+from its start.  Every execution, at any width, runs as spans from its
+start or a resume to its finish or a pause, each booked on all its
+devices as one :meth:`~repro.engine.pool.AcceleratorPool.book` when it
+ends: one device is booked a segment per layer; lanes, which meet at
+every layer barrier, are held for ``input + latency``, their run's own
+barrier clock.
 
 **Join-in-flight.**  Requests sharing a ``batch_key`` are bit-identical
 runs, so a request arriving while a compatible execution is in flight
@@ -38,11 +40,13 @@ could have boarded.  (The founding group respects ``max_batch_size``;
 joiners and boarders ride free.)
 
 **Priority + preemption.**  Closed groups dispatch in SLO-priority
-order, and a strictly-higher-priority group may preempt an unsharded
+order, and a strictly-higher-priority group may preempt a one-device
 execution at a layer boundary (a timer only while such a group waits):
 the execution pauses, its remaining segments stay with its device, and
-it resumes when the device frees.  Sharded executions are barrier-locked
-and never preempted (they are still joinable).
+it resumes when the device frees.  Only a one-device execution is a
+victim (:meth:`ContinuousScheduler._arm_preemption`): a width-1 preemptor
+would strand a wider one's other members at a barrier.  Wider ones are
+still joinable.
 
 **Admission + autoscaling.**  Every arrival passes the
 :class:`~repro.sched.admission.AdmissionController` (shed/defer past
@@ -53,8 +57,9 @@ active set, as a device that owns work is.
 
 Accounting invariants: for every response, ``latency_s = queue_s +
 execute_s + barrier_s``; a joiner's ``start_s`` is its join boundary with
-``barrier_s = 0``; a device's busy seconds are the chained sum of the
-segments it ran.
+``barrier_s = 0``; a device's busy seconds are the chained sum of what
+it was charged: the segments it ran alone, or a lane's work plus its
+share of the input.
 """
 
 from __future__ import annotations
@@ -120,17 +125,21 @@ class _Group:
 _RANK = operator.attrgetter("rank")
 
 
+#: an execution's states: running on its devices, paused at a layer
+#: boundary by a preemption, done
+RUNNING, PAUSED, DONE = "running", "paused", "done"
+
+
 class _Execution:
     """One started execution: segments, devices, members, join state."""
 
     __slots__ = (
         "exec_id", "key", "run", "founders", "members", "joiners",
-        "segments", "seg_idx", "span_s", "boundaries",
-        "devices", "start_s", "finish_s", "priority", "paused", "atomic",
-        "check", "preemptions",
+        "segments", "intervals", "busy_s", "seg_idx", "span_s", "boundaries",
+        "devices", "start_s", "priority", "state", "check", "preemptions",
     )
 
-    def __init__(self, group: _Group, run, segments: list[float], devices: list[int]):
+    def __init__(self, group: _Group, run, input_s: float, devices: list[int]):
         self.exec_id, self.key, self.run = group.batch.batch_id, group.batch.key, run
         self.priority = group.slo.priority
         #: the batch it was started for (their window began at the start)
@@ -140,25 +149,35 @@ class _Execution:
         #: of the requests that joined or boarded it (boundary None: joined
         #: while it was paused, attached at the resume)
         self.joiners: list[tuple] = []
-        #: segment 0 is the input-PCIe transfer (0 s if resident), then
-        #: one per layer
-        self.segments = segments
-        #: unsharded: the first segment of the current span (the run from
-        #: the start, or from a resume, to the finish or a pause)
+        layers = [input_s, *map(float, run.segments_s)]
+        #: the segments the pool books and the seconds between join points,
+        #: each chained from a span's start.  At one device both are the
+        #: input-PCIe transfer (0 s if resident), then one per layer.  Lanes
+        #: start together and meet at every layer barrier: their common
+        #: start is a join point too (a zero-second interval), and every
+        #: member is held for input + latency, their run's own barrier
+        #: clock, which a chained sum of the layers can miss by an ulp
+        self.segments, self.intervals = (
+            (layers, layers) if run.num_shards == 1
+            else ([input_s + run.latency_s], [0.0, *layers]))
+        #: each member's busy seconds, its lane's work plus its share of
+        #: the input (one lane: None, charged the segments it ran)
+        self.busy_s = [b + input_s / len(devices) for b in run.shard_busy_s] or None
+        #: the first segment of the current span (the run from the start,
+        #: or from a resume, to the finish or a pause), and its start
         self.seg_idx, self.span_s = 0, 0.0
-        #: join points: the layer boundaries still ahead at which an
-        #: arrival can board (and, unsharded, a preemption be taken) —
-        #: sharded: every segment start; unsharded: the span's boundaries
-        #: past its start, up to the start of the final segment
+        #: join points: the chained sums of the span's intervals past its
+        #: start, up to the start of its final interval, at which an
+        #: arrival can board (and a preemption be taken)
         self.boundaries: list[float] = []
         self.devices = devices
-        self.start_s, self.finish_s = 0.0, None
-        #: sharded executions book atomically (barrier-locked group):
-        #: joinable via the same boundaries, never preempted
-        self.atomic = len(devices) > 1
-        #: paused by a preemption; a preemption check armed at the next
-        #: join point; how many times it was paused
-        self.paused, self.check, self.preemptions = False, False, 0
+        self.start_s = 0.0
+        self.state = RUNNING
+        #: a preemption check is armed at the next join point: one timer
+        #: per execution, however many outranking groups arrive meanwhile
+        self.check = False
+        #: how many times it was paused
+        self.preemptions = 0
 
     @property
     def size(self) -> int:
@@ -168,14 +187,14 @@ class _Execution:
         """Is a layer boundary left to admit at?  The last is the start of
         the final segment: joining *at* the finish would share a result
         without ever being part of the execution."""
-        if self.paused:
+        if self.state is PAUSED:
             # the resume instant is a boundary; attach resolves then
             return True
         return bool(self.boundaries) and now <= self.boundaries[-1]
 
     def attach_time(self, now: float) -> float | None:
         """Join boundary for an arrival at ``now`` (None = at resume)."""
-        if self.paused:
+        if self.state is PAUSED:
             return None
         return self.boundaries[bisect_left(self.boundaries, now)]
 
@@ -550,7 +569,7 @@ class ContinuousScheduler:
         rows = [(r, start, *members[r.request_id], False) for r in exec_.founders]
         rows += exec_.joiners
         self._count("serve.sched.joined", len(exec_.joiners))
-        if exec_.atomic:
+        if run.num_shards > 1:
             self._count("serve.sharded_requests", len(exec_.joiners))
         self.answers.add(rows, t, exec_.exec_id, exec_.devices[0], run.num_shards,
                          run.barrier_s, run.total_cycles,
@@ -588,33 +607,14 @@ class ContinuousScheduler:
         # the earliest-available idle device(s), lowest-numbered on ties
         by_idle = sorted(idle, key=lambda d: (pool.available[d], d))
         chosen = sorted(by_idle[:shards])
-        input_s = self._input_s(batch, chosen)
-        exec_ = _Execution(group, run, [input_s, *map(float, run.segments_s)], chosen)
+        exec_ = _Execution(group, run, self._input_s(batch, chosen), chosen)
         for d in chosen:
             if not self._occupied(d):
                 self._occupied_count += 1
             self._assignment[d] = exec_
-        if exec_.atomic:
-            # barrier-locked group: one booking per member device, each
-            # held from the common start to the last barrier
-            start = max(ready_s, max(float(pool.available[d]) for d in chosen))
-            service_s = input_s + run.latency_s
-            for i, d in enumerate(chosen):
-                pool.submit_on(
-                    d, service_s, start,
-                    busy_s=run.shard_busy_s[i] + input_s / shards,
-                    batch_id=exec_.exec_id, batch_size=batch.size,
-                    label=f"batch{exec_.exec_id}/shard{i}",
-                )
-            exec_.start_s = start
-            # join points: every segment start, the final one's included
-            exec_.boundaries = list(
-                itertools.accumulate(exec_.segments[:-1], initial=start)
-            )
-            self._after(start + service_s, self._finish, (exec_, 0))
-        else:
-            exec_.start_s = max(float(pool.available[chosen[0]]), ready_s)
-            self._run_span(exec_, exec_.start_s)
+        # every member starts at the latest available of the set
+        exec_.start_s = max(ready_s, *(float(pool.available[d]) for d in chosen))
+        self._run_span(exec_, exec_.start_s)
         self._inflight[batch.key] = exec_
         if self.tracer.enabled:
             self.tracer.instant("sched", f"exec{exec_.exec_id}/start", exec_.start_s,
@@ -642,37 +642,39 @@ class ContinuousScheduler:
 
     # -- layer boundaries ------------------------------------------------
     def _run_span(self, exec_: _Execution, start: float) -> None:
-        """Run an unsharded execution's remaining segments from ``start``
-        to its finish: boundaries are the chained sums the pool books
-        (:meth:`_book_span`), so every join point is a bit-exact layer
-        boundary."""
-        bounds = list(itertools.accumulate(exec_.segments[exec_.seg_idx:], initial=start))
-        exec_.span_s = start
-        exec_.boundaries = bounds[1:-1]
-        if exec_.preemptions:  # who joined it while paused attaches now
+        """Run an execution's remaining segments from ``start`` to its
+        finish: join points are the chained sums of its intervals, which
+        at one device are the segments the pool books (:meth:`_book_span`),
+        so every join point is a bit-exact layer boundary."""
+        k = exec_.seg_idx
+        bounds = list(itertools.accumulate(exec_.intervals[k:], initial=start))
+        exec_.span_s, exec_.boundaries = start, bounds[1:-1]
+        if exec_.state is PAUSED:  # who joined it while paused attaches now
             exec_.joiners = [(r, start if a is None else a, *rest)
                              for r, a, *rest in exec_.joiners]
-        self._after(bounds[-1], self._finish, (exec_, exec_.preemptions))
+        exec_.state = RUNNING
+        *_, end = itertools.accumulate(exec_.segments[k:], initial=start)
+        self._after(end, self._finish, (exec_, start))
 
     def _book_span(self, exec_: _Execution, n: int) -> None:
         """Book the first ``n`` segments of the current span on the
-        execution's device, as one reservation."""
+        execution's devices, as one booking."""
         first = exec_.seg_idx
         exec_.seg_idx = first + n
-        self.pool.submit_run(
-            exec_.devices[0], exec_.segments[first:first + n], exec_.span_s,
-            batch_id=exec_.exec_id, batch_size=exec_.size,
-        )
+        self.pool.book(exec_.devices, exec_.segments[first:first + n], exec_.span_s,
+                       busy_s=exec_.busy_s, batch_id=exec_.exec_id, batch_size=exec_.size)
 
     def _arm_preemption(self, t: float) -> None:
-        """Arm a boundary check on every running unsharded execution the
+        """Arm a boundary check on every running one-device execution the
         first unsharded ready group outranks: its next join point is
-        where that group may take the device."""
+        where that group may take the device.  Only a one-device
+        execution is a victim: a preemptor of width 1 would strand the
+        other members of a wider one at a barrier."""
         top = next((g.slo.priority for g in self._ready if g.shards == 1), None)
         if top is None:
             return
         for exec_ in self._assignment:
-            if (exec_ is None or exec_.atomic or exec_.check
+            if (exec_ is None or len(exec_.devices) > 1 or exec_.check
                     or exec_.priority >= top):
                 continue
             i = bisect_left(exec_.boundaries, t)
@@ -684,7 +686,7 @@ class ContinuousScheduler:
         """Pause ``exec_`` at this boundary for a strictly-higher-priority
         ready group, if one still waits."""
         exec_.check = False
-        if exec_.finish_s is not None:  # a zero-second final layer
+        if exec_.state is DONE:  # a zero-second final layer
             return
         preemptor = None
         for i, g in enumerate(self._ready):
@@ -698,7 +700,7 @@ class ContinuousScheduler:
         group = self._ready.pop(preemptor)
         dev = exec_.devices[0]
         self._book_span(exec_, bisect_left(exec_.boundaries, t) + 1)
-        exec_.paused = True
+        exec_.state = PAUSED
         exec_.preemptions += 1
         self._count("serve.sched.preemptions")
         self._paused_stack[dev].append(exec_)
@@ -711,12 +713,11 @@ class ContinuousScheduler:
 
     # -- completion -----------------------------------------------------
     def _finish(self, span: tuple, t: float) -> None:
-        exec_, preemptions = span
-        if exec_.preemptions != preemptions:
-            return  # a pause cut this span short
-        exec_.finish_s = t
-        if not exec_.atomic:
-            self._book_span(exec_, len(exec_.segments) - exec_.seg_idx)
+        exec_, span_s = span
+        if exec_.state is not RUNNING or exec_.span_s != span_s:
+            return  # armed for a span a pause cut short
+        exec_.state = DONE
+        self._book_span(exec_, len(exec_.segments) - exec_.seg_idx)
         if self._inflight.get(exec_.key) is exec_:
             del self._inflight[exec_.key]
         self._respond(exec_, t)
@@ -730,7 +731,6 @@ class ContinuousScheduler:
                 # LIFO resume keeps forward progress for preempted work;
                 # an interactive group can re-preempt at the next boundary
                 resumed = self._paused_stack[dev].pop()
-                resumed.paused = False
                 self._assignment[dev] = resumed
                 self._run_span(resumed, t)
             else:

@@ -6,10 +6,10 @@ took a ``scheduler=`` argument, and its default, ``"legacy"``, scheduled
 every request as one class on the server's ``max_wait_s`` window (any SLO
 tag accepted, no priority, no queue bound) and booked each closed batch
 *ahead and whole*: once the stream had been read, in (ready time, close
-order), as one ``input + latency`` reservation on the device
-``AcceleratorPool.submit`` / ``submit_group`` would pick.  Nothing was
-ever in flight, so nothing joined and nothing was preempted, and the
-report held no ``serve.sched.*`` metrics.
+order), as one ``input + latency`` booking on the device that can start
+it first (``AcceleratorPool.peek_device``) or, sharded, on the N that can
+(:func:`peek_group`).  Nothing was ever in flight, so nothing joined and
+nothing was preempted, and the report held no ``serve.sched.*`` metrics.
 
 :class:`BookAhead` is that policy, written over the one loop: the same
 arrivals, lookups, host clock and batch windows, with the dispatch of a
@@ -32,11 +32,26 @@ from repro.sched import scheduler as loop
 from repro.serve import ServingReport
 from repro.serve.request import ResponseColumns
 
-__all__ = ["BookAhead", "book_ahead", "serve_book_ahead"]
+__all__ = ["BookAhead", "book_ahead", "peek_group", "serve_book_ahead"]
 
 #: what every request is scheduled as: no priority to order by, no queue
 #: bound to shed at, the server's window
 ONE_CLASS = SLOPolicy((SLOClass(name="all", priority=0),))
+
+
+def peek_group(pool, num_devices: int, ready_s: float) -> tuple[list[int], float]:
+    """The ``num_devices`` active devices of ``pool`` that can start a group
+    ready at ``ready_s`` first (ascending; equal starts keep the lower
+    number), and their common start."""
+    if not 1 <= num_devices <= pool.num_active:
+        raise ValueError(
+            f"group needs {num_devices} device(s), pool has "
+            f"{pool.num_active} active of {pool.num_devices}"
+        )
+    starts = np.maximum(pool.available[: pool.num_active], ready_s)
+    order = np.argsort(starts, kind="stable")
+    chosen = sorted(int(d) for d in order[:num_devices])
+    return chosen, float(starts[chosen].max())
 
 
 @dataclass
@@ -103,25 +118,19 @@ class BookAhead(loop.ContinuousScheduler):
         pool, batch = self.pool, group.batch
         run = self._prepare(batch, ready_s)
         shards = run.num_shards
-        # the device(s) submit / submit_group pick, seen before booking
-        devices = (pool.peek_group(shards, ready_s)[0] if shards > 1
+        # the device(s) that can start it first
+        devices = (peek_group(pool, shards, ready_s)[0] if shards > 1
                    else [pool.peek_device(ready_s)])
         input_s = self._input_s(batch, devices)
         service_s = input_s + run.latency_s
-        if shards > 1:
-            # every shard device is held from the common start to the
-            # last per-layer barrier; each is busy for its own work plus
-            # its share of the input transfer
-            busy = [b + input_s / shards for b in run.shard_busy_s]
-            _, start, end = pool.submit_group(
-                service_s, shards, ready_s, busy_s=busy,
-                batch_id=batch.batch_id, batch_size=batch.size,
-            )
-        else:
-            start, end = pool.submit_on(
-                devices[0], service_s, ready_s, batch_id=batch.batch_id,
-                batch_size=batch.size,
-            )
+        # every shard device is held from the common start to the last
+        # per-layer barrier; each is busy for its own work plus its share
+        # of the input transfer
+        start, end = pool.book(
+            devices, [service_s], ready_s,
+            busy_s=[b + input_s / shards for b in run.shard_busy_s] or None,
+            batch_id=batch.batch_id, batch_size=batch.size,
+        )
         self.answers.service_s[batch.batch_id] = service_s
         self.answers.add(
             [(r, start, False, group.members[r.request_id][1], False) for r in batch.requests],

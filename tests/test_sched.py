@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 import pytest
-from book_ahead import serve_book_ahead
+from book_ahead import peek_group, serve_book_ahead
 from conftest import make_tiny_config
 
 from repro.engine import Engine
@@ -261,7 +261,7 @@ class TestPoolActiveSet:
 
     def test_submit_on_books_the_named_device(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=2)
-        start, end = pool.submit_on(1, 2.0, 0.5, batch_id=7)
+        start, end = pool.book([1], [2.0], 0.5, batch_id=7)
         assert (start, end) == (0.5, 2.5)
         assert pool.available[1] == pytest.approx(2.5)
         assert pool.busy[1] == pytest.approx(2.0)
@@ -270,27 +270,30 @@ class TestPoolActiveSet:
     def test_submit_on_parked_device_drains(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=2)
         pool.set_active(1)
-        start, end = pool.submit_on(1, 1.0, 0.0)
+        start, end = pool.book([1], [1.0], 0.0)
         assert (start, end) == (0.0, 1.0)
 
     def test_submit_on_busy_override(self):
-        pool = AcceleratorPool(make_tiny_config(), num_devices=1)
-        pool.submit_on(0, 2.0, 0.0, busy_s=0.5)
-        assert pool.busy[0] == pytest.approx(0.5)
-        assert pool.available[0] == pytest.approx(2.0)
+        # each member is held to the barrier, busy for its own seconds
+        pool = AcceleratorPool(make_tiny_config(), num_devices=2)
+        pool.available[1] = 0.25
+        start, end = pool.book([0, 1], [2.0], 0.0, busy_s=[0.5, 1.5])
+        assert (start, end) == (0.25, 2.25)
+        assert list(pool.available) == [2.25, 2.25]
+        assert list(pool.busy) == [0.5, 1.5]
 
     def test_submit_run_is_one_booking_at_the_chained_sums(self):
         # segments whose one-at-a-time sums round differently from their
-        # total: the reservation ends, and charges the device, at the
-        # chained sums booking them one by one with submit_on gives
+        # total: the booking ends, and charges the device, at the chained
+        # sums booking them one by one gives
         segments = [0.3, 0.6, 0.1]
         one_by_one = AcceleratorPool(make_tiny_config(), num_devices=1)
-        one_by_one.submit_on(0, 0.5, 0.0)
+        one_by_one.book([0], [0.5], 0.0)
         for seconds in segments:
-            one_by_one.submit_on(0, seconds, 0.7)
+            one_by_one.book([0], [seconds], 0.7)
         run = AcceleratorPool(make_tiny_config(), num_devices=1)
-        run.submit_on(0, 0.5, 0.0)
-        end = run.submit_run(0, segments, 0.7, batch_id=4, batch_size=3)
+        run.book([0], [0.5], 0.0)
+        _, end = run.book([0], segments, 0.7, batch_id=4, batch_size=3)
         assert end == one_by_one.available[0] == run.available[0]
         assert end != 0.7 + sum(segments)
         assert run.busy[0] == one_by_one.busy[0]
@@ -301,16 +304,20 @@ class TestPoolActiveSet:
     def test_submit_on_validates_device_and_service(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=1)
         with pytest.raises(ValueError):
-            pool.submit_on(1, 1.0, 0.0)
+            pool.book([1], [1.0])
         with pytest.raises(ValueError):
-            pool.submit_on(0, -1.0, 0.0)
+            pool.book([], [1.0])
+        with pytest.raises(ValueError):
+            pool.book([0], [-1.0])
+        with pytest.raises(ValueError):
+            pool.book([0], [1.0], busy_s=[1.0, 1.0])
 
     def test_submit_group_limited_to_the_active_set(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=3)
         pool.set_active(2)
         with pytest.raises(ValueError, match="active"):
-            pool.submit_group(1.0, 3, 0.0)
-        devices, _, _ = pool.submit_group(1.0, 2, 0.0)
+            peek_group(pool, 3, 0.0)
+        devices, _ = peek_group(pool, 2, 0.0)
         assert devices == [0, 1]
 
     def test_reset_reactivates_every_device(self):
@@ -591,6 +598,27 @@ class TestPreemption:
         assert by_slo["interactive"].finish_s < by_slo["bulk"].finish_s
         # the paused execution resumes and still completes correctly
         assert by_slo["bulk"].output is not None
+
+    def test_a_resumed_execution_finishes_at_its_last_booking(self):
+        # the preemptor is shorter than what the bulk run has left, so the
+        # finish timer armed before the pause comes due while the resumed
+        # span runs: only the timer of the running span may finish it
+        bulk, interactive = dict(model="GraphSAGE", scale=0.3), dict(scale=0.05)
+        server = tiny_server(slo_policy=SLOPolicy.default(), max_wait_s=0.0)
+        exec_s = warm(server, **bulk)
+        warm(server, **interactive)
+        report = server.serve([
+            tiny_request(slo="bulk", arrival_s=0.0, **bulk),
+            tiny_request(slo="interactive", arrival_s=0.05 * exec_s, **interactive),
+        ])
+        assert report.preemptions == 1
+        by_slo = {r.slo: r for r in report.responses}
+        paused = by_slo["bulk"]
+        spans = [e for e in server.pool.events if e.batch_id == paused.batch_id]
+        assert len(spans) == 2
+        assert paused.finish_s == spans[-1].end
+        # its uncut finish (exec_s from its start at 0) came due mid-resume
+        assert by_slo["interactive"].finish_s < exec_s < paused.finish_s
 
     def test_preempted_outputs_stay_exact(self):
         server, exec_s = self.prepared_server()

@@ -225,18 +225,18 @@ class TestMicroBatcher:
 class TestAcceleratorPool:
     def test_earliest_idle_dispatch(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=2)
-        assert pool.submit(2.0, 0.0)[0] == 0
-        assert pool.submit(1.0, 0.0)[0] == 1
+        for seconds, device in ((2.0, 0), (1.0, 1)):
+            assert pool.peek_device(0.0) == device
+            pool.book([device], [seconds], 0.0)
         # device 1 frees at t=1, so it gets the next batch
-        device, start, end = pool.submit(1.0, 0.0)
-        assert (device, start, end) == (1, 1.0, 2.0)
+        assert pool.peek_device(0.0) == 1
+        assert pool.book([1], [1.0], 0.0) == (1.0, 2.0)
         assert pool.makespan_s == pytest.approx(2.0)
         assert pool.load_balance() == pytest.approx(1.0)
 
     def test_ready_time_defers_start(self):
         pool = AcceleratorPool(make_tiny_config(), num_devices=1)
-        _, start, end = pool.submit(1.0, ready_s=5.0)
-        assert (start, end) == (5.0, 6.0)
+        assert pool.book([pool.peek_device(5.0)], [1.0], 5.0) == (5.0, 6.0)
         util = pool.utilization()
         assert util[0] == pytest.approx(1.0 / 6.0)
 

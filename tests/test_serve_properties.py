@@ -32,6 +32,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.memory import pcie_transfer_seconds
 from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
+from repro.sched.scheduler import ContinuousScheduler
 from repro.serve import InferenceRequest, InferenceServer
 
 SCALE = 0.15
@@ -161,65 +162,71 @@ def test_every_execution_books_its_segments_once(configuration, stream):
     server = warm_server("continuous", autoscale, max_batch_size, max_wait_s)
     requests = timed(server, stream)
     pool, engine = server.pool, server.engine
-    # (device, batch id, start, seconds charged, end) of every booking
+    # (devices, batch id, start, segments, busy seconds, end) of every booking
     booked = []
-    submit_run, submit_on = pool.submit_run, pool.submit_on
+    book = pool.book
 
-    def run(device, segments, start, **kwargs):
-        end = submit_run(device, segments, start, **kwargs)
-        booked.append((device, kwargs["batch_id"], start, list(segments), end))
-        return end
-
-    def on(device, service_s, ready_s, *, busy_s=None, **kwargs):
-        start, end = submit_on(device, service_s, ready_s, busy_s=busy_s, **kwargs)
-        booked.append((device, kwargs["batch_id"], start, [busy_s], end))
+    def recording(devices, segments, ready_s=0.0, *, busy_s=None, **kwargs):
+        start, end = book(devices, segments, ready_s, busy_s=busy_s, **kwargs)
+        booked.append((list(devices), kwargs["batch_id"], start, list(segments),
+                       busy_s, end))
         return start, end
 
-    with mock.patch.object(pool, "submit_run", run), mock.patch.object(pool, "submit_on", on):
+    # batch id -> the input seconds the execution was charged
+    inputs = {}
+    input_s = ContinuousScheduler._input_s
+
+    def charged(sched, batch, devices):
+        inputs[batch.batch_id] = input_s(sched, batch, devices)
+        return inputs[batch.batch_id]
+
+    with (mock.patch.object(pool, "book", recording),
+          mock.patch.object(ContinuousScheduler, "_input_s", charged)):
         report = server.serve(requests)
 
     # a device's busy seconds: the chained sum of what it was charged
     for device in range(pool.num_devices):
-        charged = [s for d, *_, seconds, _ in booked if d == device for s in seconds]
-        assert chained(0.0, charged)[-1] == pool.busy[device]
+        charges = [s for devices, _, _, segments, busy_s, _ in booked if device in devices
+                   for s in (segments if busy_s is None else [busy_s[devices.index(device)]])]
+        assert chained(0.0, charges)[-1] == pool.busy[device]
     sent = {r.request_id: r for r in requests}
     executions: dict[int, list] = {}
     for r in report.responses:
         executions.setdefault(r.batch_id, []).append(r)
     spans = {batch: [b for b in booked if b[1] == batch] for batch in executions}
-    assert sum(len(s) for s in spans.values()) == (
-        sum(r[0].shards for r in executions.values()) + report.preemptions)
+    # one booking per span: the run from the start or a resume to a pause
+    # or the finish, on every member at once
+    assert len(booked) == len(executions) + report.preemptions
     for batch, members in executions.items():
         first = sent[members[0].request_id]
         program = server.cache.peek(first.program_key(server.config))
-        layers = [float(s) for s in engine.execute(
-            program, first.strategy, first.shards, ready_s=0.0).segments_s]
-        transfer = pcie_transfer_seconds(program.input_bytes(), server.config)
+        run = engine.execute(program, first.strategy, first.shards, ready_s=0.0)
+        assert inputs[batch] in (0.0, pcie_transfer_seconds(program.input_bytes(), server.config))
+        layers = [inputs[batch], *map(float, run.segments_s)]
         founder = next(r for r in members if not r.joined)
-        if founder.shards > 1:
-            # one reservation per device, to the last barrier: the input
-            # is whichever of (nothing, the transfer) that end is made of
-            (input_s,) = [s for s in (0.0, transfer)
-                          if founder.start_s + (s + sum(layers)) == founder.finish_s]
-            boundaries = chained(founder.start_s, [input_s, *layers][:-1])
-        else:
-            # every segment booked once, in order, each span at the
-            # chained sums of its own; a pause ends a span at a boundary
-            # (where the preemptor starts) and the next resumes its rest
-            device = {d for d, *_ in spans[batch]}
-            assert device == {founder.device}
-            seconds = [s for *_, segments, _ in spans[batch] for s in segments]
-            assert seconds[0] in (0.0, transfer) and seconds[1:] == layers
-            boundaries = []
-            for _, _, start, segments, end in spans[batch]:
-                boundaries += chained(start, segments)
-                assert boundaries[-1] == end
-            on_device = [b for b in booked if b[0] == founder.device]
-            for span in spans[batch][:-1]:
-                preemptor = on_device[on_device.index(span) + 1]
-                assert preemptor[1] != batch and preemptor[2] == span[4]
+        # one device is booked a segment per layer (the input first), so a
+        # pause can cut it at any boundary; lanes, which nothing cuts, are
+        # held for input + latency, their run's barrier clock
+        lanes = founder.shards > 1
+        segments = [inputs[batch] + run.latency_s] if lanes else layers
+        assert [s for *_, seconds, _, _ in spans[batch] for s in seconds] == segments
+        boundaries = []
+        for devices, _, start, seconds, busy_s, end in spans[batch]:
+            assert devices[0] == founder.device and len(devices) == founder.shards
+            assert chained(start, seconds)[-1] == end
+            # join points: the chained sums of the layers the span ran
+            boundaries += chained(start, layers if lanes else seconds)
+            # a member is busy for its lane's work plus its input share
+            assert busy_s == ([b + inputs[batch] / founder.shards
+                               for b in run.shard_busy_s] if lanes else None)
+        # a pause ends a span at a boundary, where the preemptor starts on
+        # its device, and the next span resumes the rest
+        on_device = [b for b in booked if founder.device in b[0]]
+        for span in spans[batch][:-1]:
+            preemptor = on_device[on_device.index(span) + 1]
+            assert preemptor[1] != batch and preemptor[2] == span[5]
         for r in members:
-            assert r.finish_s == boundaries[-1] or founder.shards > 1
+            assert r.finish_s == spans[batch][-1][5]
             if r.joined:
                 assert r.start_s in boundaries
 

@@ -466,13 +466,18 @@ class TestModelledSchedule:
                 )
 
     def test_booking_records_every_layer_on_the_pool(self):
-        # the engine books a caller's sharded run, one group per layer
+        # the engine books a caller's sharded run as one booking on the
+        # devices its lanes ran on, held to the chained layer barriers
         engine = Engine(make_tiny_config(), pool_size=2)
         handle = engine.compile("GCN", "CO", scale=SCALE, seed=3, shards=2)
         res = engine.infer(handle, backend="sharded")
         pool = engine.pool
-        assert len(pool.events) == len(res.layers) * res.num_shards
-        assert pool.makespan_s == pytest.approx(res.latency_s)
+        assert len(pool.events) == res.num_shards
+        assert [e.device for e in pool.events] == list(range(res.num_shards))
+        for lane in range(res.num_shards):
+            assert pool.busy[lane] == sum(float(layer.seconds[lane]) for layer in res.layers)
+        barriers = [layer.barrier_s for layer in res.layers]
+        assert pool.makespan_s == list(itertools.accumulate(barriers))[-1]
 
     def test_pool_smaller_than_plan_rejected(self, gcn_co):
         pool = AcceleratorPool(gcn_co.config, 1)
