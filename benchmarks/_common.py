@@ -1,10 +1,10 @@
 """Shared infrastructure for the benchmark harness.
 
 Every bench regenerates one of the paper's tables or figures.  Heavy
-simulation results are cached per pytest session (datasets, compiled
-programs, inference runs) so benches that share inputs — e.g. Table VII,
-Fig. 13 and Table VIII all consume strategy-comparison runs — only
-simulate once.
+simulation results are cached per process, that is per ``repro bench``
+run (datasets, compiled programs, inference runs), so benches that share
+inputs — e.g. Table VII, Fig. 13 and Table VIII all consume
+strategy-comparison runs — only simulate once.
 
 Dataset scales: full-size graphs for CiteSeer/Cora/PubMed; Flickr, NELL
 and Reddit run scaled down by default so the whole harness finishes in
@@ -24,7 +24,7 @@ from repro import Engine, load_dataset, u250_default
 from repro.config import AcceleratorConfig
 from repro.engine import ProgramHandle
 from repro.harness import format_table, geomean, sci, speedup_fmt, write_result
-from repro.perf import BenchContext, Metric, register_bench
+from repro.perf import Metric, register_bench
 from repro.runtime import end_to_end_seconds
 
 FULL_SCALE = os.environ.get("REPRO_FULL_SCALE", "0") == "1"
@@ -175,7 +175,6 @@ __all__ = [
     "MODELS",
     "STRATEGIES",
     "FULL_SCALE",
-    "BenchContext",
     "Metric",
     "RunSummary",
     "best_of",

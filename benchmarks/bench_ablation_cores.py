@@ -31,24 +31,18 @@ def _table(rows):
 
 
 @register_bench("ablation_cores", tier="full", tags=("ablation",))
-def _spec(ctx):
+def _spec():
     """A2: core-count scaling (modelled cycles, deterministic)."""
     rows = sweep()
-    emit("ablation_cores", _table(rows))
-    lat = {c: ms for c, ms, _ in rows}
-    return {
-        # unit "model-ms": derived from simulated cycles, deterministic
-        # (not wall clock), so it gets the tight default tolerance
-        "latency_7c_ms": Metric("latency_7c_ms", lat[7], "model-ms"),
-        "scaling_7c": Metric("scaling_7c", lat[1] / lat[7], "x", "higher"),
-    }
-
-
-def test_ablation_cores(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit("ablation_cores", _table(rows))
     lat = {c: ms for c, ms, _ in rows}
     assert lat[7] < lat[1], "7 cores must beat 1 core"
     assert lat[4] <= lat[1], "4 cores must not lose to 1 core"
     # scaling is sub-linear (memory bandwidth is shared)
     assert lat[1] / lat[7] <= 7.0
+    return {
+        # unit "model-ms": derived from simulated cycles, deterministic
+        # (not wall clock), so it gets the tight default tolerance
+        "latency_7c_ms": Metric("latency_7c_ms", lat[7], "model-ms"),
+        "scaling_7c": Metric("scaling_7c", lat[1] / lat[7], "x", "higher"),
+    }

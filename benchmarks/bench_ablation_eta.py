@@ -36,22 +36,16 @@ def _table(rows):
 
 
 @register_bench("ablation_eta", tier="full", tags=("ablation",))
-def _spec(ctx):
+def _spec():
     """A1: eta load-balance factor sweep."""
     rows = sweep()
-    emit("ablation_eta", _table(rows))
-    by_eta = {r[0]: r for r in rows}
-    return {
-        "latency_eta4_ms": Metric("latency_eta4_ms", by_eta[4][3], "model-ms"),
-        "balance_eta4": Metric("balance_eta4", by_eta[4][4], "frac", "higher"),
-    }
-
-
-def test_ablation_eta(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit("ablation_eta", _table(rows))
     by_eta = {r[0]: r for r in rows}
     # more tasks with larger eta (smaller partitions)
     assert by_eta[8][5] >= by_eta[1][5]
     # load balance should not collapse at the paper's eta = 4
     assert by_eta[4][4] > 0.5
+    return {
+        "latency_eta4_ms": Metric("latency_eta4_ms", by_eta[4][3], "model-ms"),
+        "balance_eta4": Metric("balance_eta4", by_eta[4][4], "frac", "higher"),
+    }

@@ -36,23 +36,9 @@ def _table(rows):
 
 
 @register_bench("ablation_partition", tier="full", tags=("ablation",))
-def _spec(ctx):
+def _spec():
     """A4: partition-size sweep (modelled cycles, deterministic)."""
     rows = sweep()
-    emit("ablation_partition", _table(rows))
-    by_floor = {r[0]: r for r in rows}
-    best = min(r[3] for r in rows)
-    return {
-        "latency_1024_ms": Metric("latency_1024_ms", by_floor[1024][3], "model-ms"),
-        "heuristic_vs_best": Metric(
-            "heuristic_vs_best", by_floor[1024][3] / best, "x"
-        ),
-        "pairs_64": Metric("pairs_64", by_floor[64][5], "count"),
-    }
-
-
-def test_ablation_partition(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit("ablation_partition", _table(rows))
     by_floor = {r[0]: r for r in rows}
     # smaller partitions -> more pairs -> more runtime-system work
@@ -61,3 +47,10 @@ def test_ablation_partition(benchmark):
     # the default (1024) is within 2x of the best point in the sweep
     best = min(r[3] for r in rows)
     assert by_floor[1024][3] <= 2.0 * best
+    return {
+        "latency_1024_ms": Metric("latency_1024_ms", by_floor[1024][3], "model-ms"),
+        "heuristic_vs_best": Metric(
+            "heuristic_vs_best", by_floor[1024][3] / best, "x"
+        ),
+        "pairs_64": Metric("pairs_64", by_floor[64][5], "count"),
+    }

@@ -40,24 +40,18 @@ def _table(rows):
 
 
 @register_bench("ablation_psys", tier="full", tags=("ablation",))
-def _spec(ctx):
+def _spec():
     """A5: psys ALU-array dimension sweep (modelled cycles, deterministic)."""
     rows = sweep()
-    emit("ablation_psys", _table(rows))
-    by_p = {r[0]: r for r in rows}
-    return {
-        "latency_p16_ms": Metric("latency_p16_ms", by_p[16][1], "model-ms"),
-        "speedup_p16_vs_p8": Metric(
-            "speedup_p16_vs_p8", by_p[8][1] / by_p[16][1], "x", "higher"
-        ),
-    }
-
-
-def test_ablation_psys(benchmark):
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
     emit("ablation_psys", _table(rows))
     by_p = {r[0]: r for r in rows}
     # bigger arrays are faster (more MACs/cycle)
     assert by_p[16][1] <= by_p[8][1]
     # but psys = 32 does not fit the U250 with 7 CCs (paper's design point)
     assert by_p[16][5] and not by_p[32][5]
+    return {
+        "latency_p16_ms": Metric("latency_p16_ms", by_p[16][1], "model-ms"),
+        "speedup_p16_vs_p8": Metric(
+            "speedup_p16_vs_p8", by_p[8][1] / by_p[16][1], "x", "higher"
+        ),
+    }

@@ -100,7 +100,7 @@ def _run():
     # the digests, the nnz count and peak_temp_mb are the tight gates
     tolerances={"nnz_per_s": 9.0},
 )
-def _spec(ctx):
+def _spec():
     """load_dataset per ledger graph: adjacency/features ms, nnz/s, temp MB."""
     rows = _run()
     nnz = sum(r["nnz"] for r in rows)
@@ -116,9 +116,3 @@ def _spec(ctx):
         "peak_temp_mb": Metric(
             "peak_temp_mb", max(r["temp_mb"] for r in rows), "MB"),
     }
-
-
-def test_datasets_load_golden(benchmark):
-    """Every ledger graph still has its recorded content digest."""
-    rows = benchmark.pedantic(_run, rounds=1, iterations=1)
-    assert len(rows) == len(CELLS)

@@ -17,17 +17,11 @@ virtual-clock serving metrics for the churn stream):
    cached programs sustains higher throughput than one that evicts and
    recompiles.
 
-Runs two ways:
-
-- ``pytest benchmarks/bench_dyngraph_churn.py`` — the pytest-benchmark
-  harness, rendering tables under results/;
-- ``python benchmarks/bench_dyngraph_churn.py [--smoke]`` — standalone,
-  used by CI's benchmark smoke job (``--smoke`` shrinks the instance and
-  only sanity-checks that patching beats recompiling).
+Two specs run the two instances: ``dyngraph_churn`` (full: PubMed, both
+claims) and ``dyngraph_churn_pu_half_cora`` (smoke: PubMed at half scale
+for the patch, Cora for the stream; it only checks that patching beats
+recompiling and that the stream patched).
 """
-
-import argparse
-import sys
 
 from _common import Metric, emit, format_table, register_bench
 from repro.dyngraph import churn_experiment, patch_vs_recompile
@@ -41,6 +35,9 @@ SMOKE_CHURN = dict(dataset="CO", scale=1.0, model_name="GCN", num_requests=24,
                    mutation_every=6, edge_fraction=0.01, pool_size=2)
 #: acceptance floor for the full-size microbenchmark (smoke: 1.0)
 MIN_SPEEDUP = 2.0
+#: both metrics are ratios of same-machine wall-clock costs: stable in
+#: sign and magnitude class, but jittery enough to need a wide band
+TOLERANCES = {"patch_speedup": 0.75, "patch_vs_evict_throughput": 0.75}
 
 
 def _micro_table(results) -> str:
@@ -74,31 +71,16 @@ def _churn_table(reports) -> str:
     )
 
 
-@register_bench(
-    "dyngraph_churn",
-    tier=("smoke", "full"),
-    tags=("dyngraph", "serve"),
-    # both metrics are ratios of same-machine wall-clock costs: stable in
-    # sign and magnitude class, but jittery enough to need a wide band
-    tolerances={"patch_speedup": 0.75, "patch_vs_evict_throughput": 0.75},
-)
-def _spec(ctx):
-    """Dyngraph: patch-vs-recompile speedup and churn serving throughput."""
-    micro_cfg, churn_cfg = (
-        (SMOKE_MICRO, SMOKE_CHURN) if ctx.smoke else (MICRO, CHURN)
-    )
-    micro = patch_vs_recompile(
-        **micro_cfg, repeats=3 if ctx.smoke else 5, seed=0
-    )
+def _measure(micro_cfg, churn_cfg, repeats):
+    """The patch microbenchmark and the churn stream, tables emitted."""
+    micro = patch_vs_recompile(**micro_cfg, repeats=repeats, seed=0)
     emit("bench_dyngraph_patch", _micro_table([micro]))
     reports = churn_experiment(**churn_cfg, seed=0)
     emit("bench_dyngraph_churn", _churn_table(reports))
-    patch_r, evict_r = reports["patch"], reports["evict"]
-    # a floor only: regression tracking is the baseline comparison's job
-    assert micro.speedup > (1.0 if ctx.smoke else MIN_SPEEDUP), (
-        f"patching barely beats recompiling: {micro.speedup:.1f}x"
-    )
-    assert patch_r.num_patches > 0
+    return micro, reports["patch"], reports["evict"]
+
+
+def _metrics(micro, patch_r, evict_r):
     return {
         "patch_speedup": Metric("patch_speedup", micro.speedup, "x", "higher"),
         "patch_vs_evict_throughput": Metric(
@@ -110,68 +92,31 @@ def _spec(ctx):
     }
 
 
-def test_patch_vs_recompile(benchmark):
-    """More than 2x cheaper to patch a <=1% delta than to recompile."""
-    result = benchmark.pedantic(
-        lambda: patch_vs_recompile(**MICRO, repeats=5, seed=0),
-        rounds=1, iterations=1,
-    )
-    emit("bench_dyngraph_patch", _micro_table([result]))
-    assert result.delta_edges <= 0.011 * result.nnz
-    assert result.speedup > MIN_SPEEDUP, (
+@register_bench("dyngraph_churn", tier="full", tags=("dyngraph", "serve"),
+                tolerances=TOLERANCES)
+def _full():
+    """Dyngraph: patch-vs-recompile speedup and churn serving, PubMed."""
+    micro, patch_r, evict_r = _measure(MICRO, CHURN, repeats=5)
+    assert micro.delta_edges <= 0.011 * micro.nnz
+    # a floor only: regression tracking is the baseline comparison's job
+    assert micro.speedup > MIN_SPEEDUP, (
         f"patching must be >{MIN_SPEEDUP}x cheaper than recompiling, "
-        f"got {result.speedup:.1f}x"
+        f"got {micro.speedup:.1f}x"
     )
-
-
-def test_churn_serving_throughput(benchmark):
-    """Patching sustains higher churn throughput than evict-and-recompile."""
-    reports = benchmark.pedantic(
-        lambda: churn_experiment(**CHURN, seed=0), rounds=1, iterations=1
-    )
-    emit("bench_dyngraph_churn", _churn_table(reports))
-    patch_r, evict_r = reports["patch"], reports["evict"]
     assert patch_r.num_patches > 0 and evict_r.mutation_evictions > 0
-    assert patch_r.throughput_rps > evict_r.throughput_rps
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small instance, relaxed assertion (CI smoke job)",
+    assert patch_r.throughput_rps > evict_r.throughput_rps, (
+        "the patch policy did not beat evict throughput"
     )
-    args = parser.parse_args(argv)
+    return _metrics(micro, patch_r, evict_r)
 
-    micro_cfg, churn_cfg = (
-        (SMOKE_MICRO, SMOKE_CHURN) if args.smoke else (MICRO, CHURN)
+
+@register_bench("dyngraph_churn_pu_half_cora", tier="smoke",
+                tags=("dyngraph", "serve"), tolerances=TOLERANCES)
+def _smoke():
+    """Dyngraph: patch-vs-recompile on PubMed@0.5, churn serving on Cora."""
+    micro, patch_r, evict_r = _measure(SMOKE_MICRO, SMOKE_CHURN, repeats=3)
+    assert micro.speedup > 1.0, (
+        f"patching barely beats recompiling: {micro.speedup:.1f}x"
     )
-    micro = patch_vs_recompile(**micro_cfg, repeats=3 if args.smoke else 5,
-                               seed=0)
-    print(_micro_table([micro]))
-    reports = churn_experiment(**churn_cfg, seed=0)
-    print()
-    print(_churn_table(reports))
-
-    patch_r, evict_r = reports["patch"], reports["evict"]
-    failures = []
-    if micro.speedup <= (1.0 if args.smoke else MIN_SPEEDUP):
-        failures.append(
-            f"patch speedup {micro.speedup:.1f}x below "
-            f"{1.0 if args.smoke else MIN_SPEEDUP}x"
-        )
-    if patch_r.num_patches == 0:
-        failures.append("no programs were patched in the churn stream")
-    if not args.smoke and patch_r.throughput_rps <= evict_r.throughput_rps:
-        failures.append("patch policy did not beat evict throughput")
-    if failures:
-        print("\nFAIL: " + "; ".join(failures))
-        return 1
-    print(f"\nOK: patch {micro.speedup:.1f}x cheaper than recompile; "
-          f"churn throughput patch {patch_r.throughput_rps:,.0f} vs "
-          f"evict {evict_r.throughput_rps:,.0f} req/s")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    assert patch_r.num_patches > 0, "no program was patched in the stream"
+    return _metrics(micro, patch_r, evict_r)

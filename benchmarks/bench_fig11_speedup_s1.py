@@ -64,42 +64,24 @@ def _band_geomeans(baseline="S1"):
 
 
 @register_bench("fig11_speedup_s1", tier="full", tags=("paper", "figure"))
-def _spec(ctx):
+def _spec():
     """Fig. 11: speedup of Dynamic over S1 vs weight sparsity."""
     emit("fig11_speedup_s1", build_table())
-    lo, hi = _band_geomeans("S1")
-    return {
-        "geomean_unpruned": Metric("geomean_unpruned", lo, "x", "higher"),
-        "geomean_95pct": Metric("geomean_95pct", hi, "x", "higher"),
-    }
-
-
-def test_fig11(benchmark):
-    table = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("fig11_speedup_s1", table)
+    for model_name in MODELS:
+        data = series(model_name)
+        for ds in DATASETS:
+            assert min(data[ds]) > 0.9, (model_name, ds, data[ds])
     # shape: in aggregate the high-sparsity end beats the unpruned end
     # (S1 cannot exploit weight sparsity at all); individual small-graph
     # series can wobble when a pruned Update flips a whole partition's
     # mapping, so the claim is on the geomean.
-    lo, hi = [], []
-    for model_name in MODELS:
-        data = series(model_name)
-        for ds in DATASETS:
-            lo.append(data[ds][0])
-            hi.append(data[ds][-1])
-            assert min(data[ds]) > 0.9, (model_name, ds, data[ds])
-    from _common import geomean
-
-    assert geomean(hi) > geomean(lo), "95% sparsity should beat unpruned"
-
-
-def test_fig11_gcn_sparse_features_dominate(benchmark):
-    """GCN on sparse-H0 datasets shows large speedups already unpruned."""
-
-    def check():
-        return run("GCN", "CI", "S1", 95, sweep=True).total_cycles / run(
-            "GCN", "CI", "Dynamic", 95, sweep=True
-        ).total_cycles
-
-    v = benchmark.pedantic(check, rounds=1, iterations=1)
-    assert v > 3.0
+    lo, hi = _band_geomeans("S1")
+    assert hi > lo, "95% sparsity should beat unpruned"
+    # GCN on sparse-H0 CiteSeer shows large speedups at 95% sparsity
+    gcn_ci = (run("GCN", "CI", "S1", 95, sweep=True).total_cycles
+              / run("GCN", "CI", "Dynamic", 95, sweep=True).total_cycles)
+    assert gcn_ci > 3.0, f"GCN/CI at 95%: {gcn_ci:.2f}x"
+    return {
+        "geomean_unpruned": Metric("geomean_unpruned", lo, "x", "higher"),
+        "geomean_95pct": Metric("geomean_95pct", hi, "x", "higher"),
+    }

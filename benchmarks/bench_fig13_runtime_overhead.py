@@ -6,15 +6,43 @@ and *decreasing* as weight sparsity increases (more empty partitions are
 skipped, so fewer decisions flow downstream).
 """
 
-from _common import DATASETS, MODELS, Metric, emit, format_table, register_bench, run
+from _common import (
+    DATASETS,
+    MODELS,
+    Metric,
+    emit,
+    engine_for,
+    format_table,
+    get_handle,
+    register_bench,
+    run,
+)
 
 
 @register_bench("fig13_runtime_overhead", tier="full", tags=("paper", "figure"))
-def _spec(ctx):
+def _spec():
     """Fig. 13: runtime-system K2P overhead fraction (modelled)."""
     table, fractions = build_table()
     emit("fig13_runtime_overhead", table)
     avg = sum(fractions) / len(fractions)
+    # paper's band: single-digit percent on average, <= ~20% worst case
+    assert avg < 0.15, f"average overhead too high: {avg:.3f}"
+    assert max(fractions) < 0.45
+    # §VI-B: K2P analysis pipelines under execution; the exposed part of
+    # the overhead must be a small fraction of the raw analysis time
+    engine = engine_for()
+    res = engine.infer(get_handle("GCN", "PU"))
+    raw_cycles = engine.device(0).soft_processor.seconds_to_accel_cycles(
+        res.runtime_overhead_seconds
+    )
+    assert res.exposed_overhead_cycles < raw_cycles, (
+        "some of the analysis must overlap execution"
+    )
+    # paper: "as the densities of weight matrices decrease, the overhead
+    # of the Runtime System will decrease" (empty partitions skipped)
+    dense = run("GCN", "CI", "Dynamic", 0, sweep=True)
+    pruned = run("GCN", "CI", "Dynamic", 95, sweep=True)
+    assert pruned.skipped_pairs >= dense.skipped_pairs
     return {
         "avg_overhead_frac": Metric("avg_overhead_frac", avg, "frac"),
         "max_overhead_frac": Metric("max_overhead_frac", max(fractions), "frac"),
@@ -39,43 +67,3 @@ def build_table():
               "(paper avg: 6.8%)",
     )
     return table, fractions
-
-
-def test_fig13(benchmark):
-    table, fractions = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("fig13_runtime_overhead", table)
-    avg = sum(fractions) / len(fractions)
-    # paper's band: single-digit percent on average, <= ~20% worst case
-    assert avg < 0.15, f"average overhead too high: {avg:.3f}"
-    assert max(fractions) < 0.45
-
-
-def test_fig13_overhead_mostly_hidden(benchmark):
-    """§VI-B: K2P analysis pipelines under execution; the exposed part of
-    the overhead must be a small fraction of the raw analysis time."""
-
-    def check():
-        from _common import engine_for, get_handle
-
-        engine = engine_for()
-        res = engine.infer(get_handle("GCN", "PU"))
-        raw_cycles = engine.device(0).soft_processor.seconds_to_accel_cycles(
-            res.runtime_overhead_seconds
-        )
-        return res.exposed_overhead_cycles, raw_cycles
-
-    exposed, raw = benchmark.pedantic(check, rounds=1, iterations=1)
-    assert exposed < raw, "some of the analysis must overlap execution"
-
-
-def test_fig13_overhead_drops_with_pruning(benchmark):
-    """Paper: 'as the densities of weight matrices decrease, the overhead
-    of the Runtime System will decrease' (empty partitions skipped)."""
-
-    def check():
-        dense = run("GCN", "CI", "Dynamic", 0, sweep=True)
-        pruned = run("GCN", "CI", "Dynamic", 95, sweep=True)
-        return dense, pruned
-
-    dense, pruned = benchmark.pedantic(check, rounds=1, iterations=1)
-    assert pruned.skipped_pairs >= dense.skipped_pairs

@@ -14,9 +14,12 @@ from repro.formats.partition import PartitionedMatrix
 
 
 @register_bench("fig1_adjacency_density", tier="full", tags=("paper", "figure"))
-def _spec(ctx):
+def _spec():
     """Fig. 1: adjacency density and per-block spread."""
     emit("fig1_adjacency_density", build_table())
+    # every adjacency is extremely sparse (paper: densities < 0.25%)
+    for name in DATASETS:
+        assert density(get_dataset(name).a) < 0.05, name
     return {
         "density_A_CO": Metric(
             "density_A_CO", density(get_dataset("CO").a), "frac"
@@ -48,12 +51,3 @@ def build_table():
         rows,
         title="Fig. 1: adjacency density and per-block spread (16x16 grid)",
     )
-
-
-def test_fig1(benchmark):
-    table = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("fig1_adjacency_density", table)
-    # every adjacency is extremely sparse (paper: densities < 0.25%)...
-    for name in DATASETS:
-        data = get_dataset(name)
-        assert density(data.a) < 0.05

@@ -20,21 +20,31 @@ from repro.gnn.functional import layerwise_feature_densities
 
 
 @register_bench("fig2_feature_density", tier="full", tags=("paper", "figure"))
-def _spec(ctx):
+def _spec():
     """Fig. 2: feature-matrix density per GCN stage."""
     emit("fig2_feature_density", build_table())
-    data = get_dataset("CI")
+    # paper shape: the Update() densifies sparse inputs; stages differ
+    # across layers (the reason static mapping is suboptimal)
+    dens = {name: _stage_densities(name) for name in ("CI", "CO", "NE")}
+    for name, stages in dens.items():
+        assert stages[1] > stages[0], f"{name}: Update should densify sparse input"
+    return {
+        "density_L1_update_CI": Metric(
+            "density_L1_update_CI", dens["CI"][1], "frac"
+        ),
+    }
+
+
+def _stage_densities(name):
+    """Feature density of a dataset at each GCN stage."""
+    data = get_dataset(name)
     model = build_model(
         "GCN", data.num_features, data.hidden_dim, data.num_classes
     )
     stages = layerwise_feature_densities(
         model, data.a, data.h0, init_weights(model, seed=7)
     )
-    return {
-        "density_L1_update_CI": Metric(
-            "density_L1_update_CI", stages[1][1], "frac"
-        ),
-    }
+    return [d for _, d in stages]
 
 
 def build_table():
@@ -42,32 +52,8 @@ def build_table():
               "L2 Agg"]
     rows = []
     for name in DATASETS:
-        data = get_dataset(name)
-        model = build_model(
-            "GCN", data.num_features, data.hidden_dim, data.num_classes
-        )
-        stages = layerwise_feature_densities(
-            model, data.a, data.h0, init_weights(model, seed=7)
-        )
-        rows.append([name] + [f"{d:.3f}" for _, d in stages])
+        rows.append([name] + [f"{d:.3f}" for d in _stage_densities(name)])
     return format_table(
         header, rows,
         title="Fig. 2: feature-matrix density per GCN stage",
     )
-
-
-def test_fig2(benchmark):
-    table = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("fig2_feature_density", table)
-    # paper shape: the Update() densifies sparse inputs; stages differ
-    # across layers (the reason static mapping is suboptimal)
-    for name in ("CI", "CO", "NE"):
-        data = get_dataset(name)
-        model = build_model(
-            "GCN", data.num_features, data.hidden_dim, data.num_classes
-        )
-        stages = layerwise_feature_densities(
-            model, data.a, data.h0, init_weights(model, seed=7)
-        )
-        dens = [d for _, d in stages]
-        assert dens[1] > dens[0], f"{name}: Update should densify sparse input"

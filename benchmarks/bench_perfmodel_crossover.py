@@ -75,35 +75,23 @@ def build_table():
 
 
 @register_bench("perfmodel_crossover", tier="full", tags=("model",))
-def _spec(ctx):
+def _spec():
     """Table IV / §VI-A: region rule vs simulated cycles."""
     table, agreements, total = build_table()
     emit("perfmodel_crossover", table)
+    assert agreements / total >= 0.85, f"rule optimal in only {agreements}/{total}"
+    # Table IV predictions correlate with simulated cycles across modes
+    pred, sim = [], []
+    for dens in (0.01, 0.05, 0.2, 0.7):
+        x = rand_density(N, dens, seed=int(dens * 1e5))
+        y = rand_density(N, dens, seed=int(dens * 1e5) + 9)
+        cyc, ax, ay = simulated_cycles(x, y)
+        pred.extend(model_cycles_batch(N, N, N, ax, ay, CFG))
+        sim.extend(cyc[key] for key in ("GEMM", "SpDMM", "SPMM"))
+    corr = np.corrcoef(np.log1p(pred), np.log1p(sim))[0, 1]
+    assert corr > 0.95, f"model/simulator correlation too low: {corr:.3f}"
     return {
         "agreement_rate": Metric(
             "agreement_rate", agreements / total, "frac", "higher"
         ),
     }
-
-
-def test_crossover(benchmark):
-    table, agreements, total = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("perfmodel_crossover", table)
-    assert agreements / total >= 0.85, f"rule optimal in only {agreements}/{total}"
-
-
-def test_model_tracks_simulator(benchmark):
-    """Table IV predictions correlate with simulated cycles across modes."""
-
-    def check():
-        pred, sim = [], []
-        for dens in (0.01, 0.05, 0.2, 0.7):
-            x = rand_density(N, dens, seed=int(dens * 1e5))
-            y = rand_density(N, dens, seed=int(dens * 1e5) + 9)
-            cyc, ax, ay = simulated_cycles(x, y)
-            pred.extend(model_cycles_batch(N, N, N, ax, ay, CFG))
-            sim.extend(cyc[key] for key in ("GEMM", "SpDMM", "SPMM"))
-        return np.corrcoef(np.log1p(pred), np.log1p(sim))[0, 1]
-
-    corr = benchmark.pedantic(check, rounds=1, iterations=1)
-    assert corr > 0.95, f"model/simulator correlation too low: {corr:.3f}"

@@ -69,54 +69,23 @@ def _pool_table(rows):
     )
 
 
-@register_bench("serving_throughput", tier="full", tags=("serve",))
-def _spec(ctx):
-    """Serving throughput vs pool size (virtual clock, warm cache)."""
-    rows = _pool_sweep()
-    emit("serving_pool_scaling", _pool_table(rows))
-    by_pool = {pool: r for pool, r in rows}
-    return {
-        "scaling_4pool": Metric(
-            "scaling_4pool",
-            by_pool[4].throughput_rps / by_pool[1].throughput_rps,
-            "x",
-            "higher",
-        ),
-        "warm_hit_rate": Metric(
-            "warm_hit_rate", by_pool[4].cache_hit_rate, "frac", "higher"
-        ),
-    }
+def _arrival_sweep():
+    """Warm report per offered load, from light load to 4x capacity."""
+    probes = [InferenceRequest(model=m, dataset=d)
+              for m in MODELS for d in DATASETS]
+    # factor=1.0: an arrival rate of exactly ~1x pool capacity
+    capacity = _server(1).saturating_rate(probes, pool_size=4, factor=1.0)
+    rows = []
+    for load in (0.25, 0.5, 1.0, 2.0, 4.0):
+        server = _server(4)
+        workload = _workload(load * capacity)
+        server.serve(workload)
+        rows.append((load, server.serve(workload)))
+    return rows
 
 
-def test_pool_scaling(benchmark):
-    """Warm throughput vs pool size on one saturating workload."""
-    rows = benchmark.pedantic(_pool_sweep, rounds=1, iterations=1)
-    emit("serving_pool_scaling", _pool_table(rows))
-    by_pool = {pool: r for pool, r in rows}
-    assert by_pool[2].throughput_rps >= 1.5 * by_pool[1].throughput_rps
-    assert by_pool[4].throughput_rps >= 2.5 * by_pool[1].throughput_rps
-    assert all(r.cache_misses == 0 for _, r in rows)
-
-
-def test_arrival_rate_sweep(benchmark):
-    """Latency/throughput trade-off as offered load crosses capacity."""
-
-    def sweep():
-        probes = [InferenceRequest(model=m, dataset=d)
-                  for m in MODELS for d in DATASETS]
-        # factor=1.0: an arrival rate of exactly ~1x pool capacity
-        capacity = _server(1).saturating_rate(probes, pool_size=4, factor=1.0)
-        rows = []
-        for load in (0.25, 0.5, 1.0, 2.0, 4.0):
-            server = _server(4)
-            workload = _workload(load * capacity)
-            server.serve(workload)
-            warm = server.serve(workload)
-            rows.append((load, warm))
-        return rows
-
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    table = format_table(
+def _arrival_table(rows):
+    return format_table(
         ["offered load", "throughput (req/s)", "p50 (ms)", "p95 (ms)",
          "queue mean (ms)", "avg batch"],
         [[f"{load:.2f}x", f"{r.throughput_rps:,.0f}",
@@ -125,10 +94,35 @@ def test_arrival_rate_sweep(benchmark):
          for load, r in rows],
         title="S1b: latency vs offered load (pool of 4, warm cache)",
     )
-    emit("serving_arrival_sweep", table)
-    light, heavy = rows[0][1], rows[-1][1]
+
+
+@register_bench("serving_throughput", tier="full", tags=("serve",))
+def _spec():
+    """Serving throughput vs pool size and offered load (virtual clock)."""
+    rows = _pool_sweep()
+    emit("serving_pool_scaling", _pool_table(rows))
+    by_pool = {pool: r for pool, r in rows}
+    loads = _arrival_sweep()
+    emit("serving_arrival_sweep", _arrival_table(loads))
+    light, heavy = loads[0][1], loads[-1][1]
     # overload rides the executions in flight: more requests join them
     # and each execution serves more (a light load's p95 is its batching
     # window, so latency need not grow with load)
     assert heavy.joined_requests > light.joined_requests
     assert heavy.avg_batch_size >= light.avg_batch_size
+    assert all(r.cache_misses == 0 for _, r in rows)
+    one = by_pool[1].throughput_rps
+    assert by_pool[2].throughput_rps >= 1.5 * one, (
+        f"2 devices serve {by_pool[2].throughput_rps / one:.2f}x one"
+    )
+    assert by_pool[4].throughput_rps >= 2.5 * one, (
+        f"4 devices serve {by_pool[4].throughput_rps / one:.2f}x one"
+    )
+    return {
+        "scaling_4pool": Metric(
+            "scaling_4pool", by_pool[4].throughput_rps / one, "x", "higher"
+        ),
+        "warm_hit_rate": Metric(
+            "warm_hit_rate", by_pool[4].cache_hit_rate, "frac", "higher"
+        ),
+    }

@@ -101,20 +101,10 @@ def build_tables():
 
 
 @register_bench("table7_unpruned", tier="full", tags=("paper", "table"))
-def _spec(ctx):
+def _spec():
     """Table VII: S1/S2/Dynamic latency on unpruned models."""
     table, so_s1, so_s2 = build_tables()
     emit("table7_unpruned", table)
-    return {
-        "so_s1_geomean": Metric("so_s1_geomean", geomean(so_s1), "x", "higher"),
-        "so_s2_geomean": Metric("so_s2_geomean", geomean(so_s2), "x", "higher"),
-    }
-
-
-def test_table7(benchmark):
-    table, so_s1, so_s2 = benchmark.pedantic(build_tables, rounds=1, iterations=1)
-    emit("table7_unpruned", table)
-
     # shape claims: Dynamic never loses to a static strategy by more than
     # the model-vs-exact-cycle slack (the Analyzer decides on the
     # idealised Table IV model; the simulator charges exact tiled cycles)
@@ -124,25 +114,18 @@ def test_table7(benchmark):
     assert geomean(so_s1) > 1.15
     assert geomean(so_s2) > 1.0
     assert geomean(so_s1) > geomean(so_s2)
-
-
-def test_table7_gcn_sparse_input_blowup(benchmark):
-    """The paper's sharpest shape: S1 collapses on GCN when H0 is sparse
-    (CI/CO/NE) because Update(H0, W1) runs as dense GEMM."""
-
-    def check():
-        out = {}
-        for ds in ("CI", "CO", "NE"):
-            s1 = run("GCN", ds, "S1")
-            dyn = run("GCN", ds, "Dynamic")
-            out[ds] = s1.total_cycles / dyn.total_cycles
-        return out
-
-    ratios = benchmark.pedantic(check, rounds=1, iterations=1)
-    for ds, ratio in ratios.items():
+    # the paper's sharpest shape: S1 collapses on GCN when H0 is sparse
+    # (CI/CO/NE) because Update(H0, W1) runs as dense GEMM
+    blowup = {ds: run("GCN", ds, "S1").total_cycles
+              / run("GCN", ds, "Dynamic").total_cycles
+              for ds in ("CI", "CO", "NE")}
+    for ds, ratio in blowup.items():
         assert ratio > 2.0, f"SO-S1 on GCN/{ds} should be large, got {ratio:.2f}"
     # NELL (61k-dim, 0.01%-dense features) is the paper's most extreme
     # case (278x); at the default bench profile its feature dimension is
-    # capped, so we assert it stays in the blow-up club rather than that
-    # it dominates.
-    assert ratios["NE"] > 4.0
+    # capped, so it need only stay in the blow-up club, not dominate it
+    assert blowup["NE"] > 4.0
+    return {
+        "so_s1_geomean": Metric("so_s1_geomean", geomean(so_s1), "x", "higher"),
+        "so_s2_geomean": Metric("so_s2_geomean", geomean(so_s2), "x", "higher"),
+    }

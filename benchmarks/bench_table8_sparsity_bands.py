@@ -70,13 +70,18 @@ _MEASURED = [f"{row}_band{b}" for row in ("so_s1", "so_s2") for b in range(len(B
     "table8_sparsity_bands", tier="full", tags=("paper", "table"),
     tolerances={name: 1e-9 for name in (*_MEASURED, "fidelity_ratio")},
 )
-def _spec(ctx):
+def _spec():
     """Table VIII: geomean speedup per weight-sparsity band, each beside
     the paper's value (``paper_*``: constants, informational) and the
     geomean of measured / paper over the eight (``fidelity_ratio``: how
     far the reproduction is from the paper, 1.0 = on it)."""
     table, so_s1, so_s2 = build_table()
     emit("table8_sparsity_bands", table)
+    # shape: speedups grow with weight sparsity for both baselines
+    assert so_s1 == sorted(so_s1), f"SO-S1 bands not monotone: {so_s1}"
+    assert so_s2 == sorted(so_s2), f"SO-S2 bands not monotone: {so_s2}"
+    # and S1 (which exploits nothing) suffers more than S2 at high sparsity
+    assert so_s1[-1] > so_s2[-1]
     measured = dict(zip(_MEASURED, (*so_s1, *so_s2)))
     paper = dict(zip(_MEASURED, (*PAPER["SO-S1"], *PAPER["SO-S2"])))
     metrics = {}
@@ -88,13 +93,3 @@ def _spec(ctx):
         geomean(measured[name] / paper[name] for name in _MEASURED), "x", "higher",
     )
     return metrics
-
-
-def test_table8(benchmark):
-    table, so_s1, so_s2 = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("table8_sparsity_bands", table)
-    # shape: speedups grow with weight sparsity for both baselines
-    assert so_s1 == sorted(so_s1), f"SO-S1 bands not monotone: {so_s1}"
-    assert so_s2 == sorted(so_s2), f"SO-S2 bands not monotone: {so_s2}"
-    # and S1 (which exploits nothing) suffers more than S2 at high sparsity
-    assert so_s1[-1] > so_s2[-1]

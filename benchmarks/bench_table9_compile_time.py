@@ -50,10 +50,16 @@ def build_table():
 
 
 @register_bench("table9_compile_time", tier="full", tags=("paper", "table"))
-def _spec(ctx):
+def _spec():
     """Table IX: measured compiler preprocessing wall time."""
     table, times = build_table()
     emit("table9_compile_time", table)
+    for model_name, row in times.items():
+        for v in row:
+            assert v < 30_000, "compilation should take at most seconds"
+        # compile time grows with graph scale: Reddit >> Cora
+        assert row[5] > row[1], model_name
+    emit("table9_phase_breakdown", _phase_table())
     # honest host wall-clock measurements -> "ms" time unit gets the
     # generous cross-machine tolerance band
     return {
@@ -62,31 +68,16 @@ def _spec(ctx):
     }
 
 
-def test_table9(benchmark):
-    (table, times) = benchmark.pedantic(build_table, rounds=1, iterations=1)
-    emit("table9_compile_time", table)
-    for model_name, row in times.items():
-        for v in row:
-            assert v < 30_000, "compilation should take at most seconds"
-    # compile time grows with graph scale: Reddit >> Cora for every model
-    for model_name in MODELS:
-        assert times[model_name][5] > times[model_name][1]
-
-
-def test_compile_phase_breakdown(benchmark):
+def _phase_table():
     """Per-phase timing of the most expensive dataset in the profile."""
-
-    def phases():
-        data = get_dataset("FL")
-        model = build_model("GCN", data.num_features, data.hidden_dim,
-                            data.num_classes)
-        program = Compiler(u250_default()).compile(
-            model, data, init_weights(model, seed=7)
-        )
-        return program.timings
-
-    t = benchmark.pedantic(phases, rounds=1, iterations=1)
-    table = format_table(
+    data = get_dataset("FL")
+    model = build_model("GCN", data.num_features, data.hidden_dim,
+                        data.num_classes)
+    t = Compiler(u250_default()).compile(
+        model, data, init_weights(model, seed=7)
+    ).timings
+    assert t.total_s > 0
+    return format_table(
         ["phase", "ms"],
         [
             ["parse + adjacency", f"{t.parse_s * 1e3:.3f}"],
@@ -96,5 +87,3 @@ def test_compile_phase_breakdown(benchmark):
         ],
         title="Compiler phase breakdown (Flickr, GCN)",
     )
-    emit("table9_phase_breakdown", table)
-    assert t.total_s > 0

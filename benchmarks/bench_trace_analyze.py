@@ -19,17 +19,11 @@ The emitted metrics track what halo exchange still costs (the exposed
 halo share of the critical path, the projected zero-halo and
 twice-the-interconnect speedups) plus the analyzer's own wall-clock
 cost, so a perf regression in either the modelled numbers or the
-analysis itself is caught by the baseline gate.
-
-Runs two ways:
-
-- ``pytest benchmarks/bench_trace_analyze.py`` — pytest harness;
-- ``python benchmarks/bench_trace_analyze.py [--smoke]`` — standalone,
-  used by CI's benchmark smoke job.
+analysis itself is caught by the baseline gate.  Two specs run the two
+instances: ``trace_analyze`` (smoke: Cora on 2 devices, small config) and
+``trace_analyze_pubmed_4dev`` (full: PubMed on 4 devices, U250 config).
 """
 
-import argparse
-import sys
 import tempfile
 import time
 from pathlib import Path
@@ -111,21 +105,14 @@ def _table(params, stats) -> str:
     )
 
 
-@register_bench(
-    "trace_analyze",
-    tier=("smoke", "full"),
-    tags=("obs", "shard"),
-    # the fractions/speedups are modelled (machine-independent) but the
-    # shard plan shifts with the scaled dataset, so keep the default
-    # band; analyze_ms is wall-clock and gets the cross-machine band
-    tolerances={},
-)
-def _spec(ctx):
-    """Attribution reconciliation + what-if oracles on a sharded trace."""
-    params = SMOKE if ctx.smoke else FULL
-    config = small_test_config() if ctx.smoke else u250_default()
+def _check(params, config):
+    """The analyzer's invariants on one instance, and its metrics."""
     stats = measure(**params, config=config)
     emit("bench_trace_analyze", _table(params, stats))
+    assert stats["zero_halo_speedup"] >= 1.0
+    # a faster interconnect can never beat free halos
+    assert 1.0 <= stats["interconnect_x2_speedup"] <= stats["zero_halo_speedup"]
+    assert 0.0 <= stats["halo_frac"] < 1.0
     return {
         "halo_frac": Metric("halo_frac", stats["halo_frac"], "frac"),
         "zero_halo_speedup": Metric(
@@ -139,33 +126,15 @@ def _spec(ctx):
     }
 
 
-def test_trace_analyze():
-    """The analyzer invariants hold on a sharded smoke run."""
-    stats = measure(**SMOKE, config=small_test_config())
-    emit("bench_trace_analyze", _table(SMOKE, stats))
-    assert stats["zero_halo_speedup"] >= 1.0
-    # a faster interconnect can never beat free halos
-    assert 1.0 <= stats["interconnect_x2_speedup"] <= stats["zero_halo_speedup"]
-    assert 0.0 <= stats["halo_frac"] < 1.0
+# the fractions/speedups are modelled (machine-independent) and keep the
+# default band; analyze_ms is wall-clock and gets the cross-machine band
+@register_bench("trace_analyze", tier="smoke", tags=("obs", "shard"))
+def _smoke():
+    """Attribution reconciliation + what-if oracles: Cora on 2 devices."""
+    return _check(SMOKE, small_test_config())
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--smoke", action="store_true",
-        help="small config + 2 shards (CI smoke job)",
-    )
-    args = parser.parse_args(argv)
-    params = SMOKE if args.smoke else FULL
-    config = small_test_config() if args.smoke else u250_default()
-    stats = measure(**params, config=config)
-    print(_table(params, stats))
-    print(f"\nOK: attribution reconciles over {stats['num_segments']} "
-          f"critical-path segments; halo share "
-          f"{stats['halo_frac'] * 100:.2f}%, free halos would buy "
-          f"{stats['zero_halo_speedup']:.3f}x")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+@register_bench("trace_analyze_pubmed_4dev", tier="full", tags=("obs", "shard"))
+def _full():
+    """Attribution reconciliation + what-if oracles: PubMed on 4 devices."""
+    return _check(FULL, u250_default())

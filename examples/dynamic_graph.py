@@ -22,7 +22,6 @@ from repro import Compiler, Engine, init_weights, load_dataset
 from repro.dyngraph import (
     GraphDelta,
     MutableGraph,
-    PatchPolicy,
     ProgramPatcher,
     random_delta,
 )
@@ -68,12 +67,11 @@ def main() -> None:
     assert np.array_equal(out_patched, out_fresh)
     print("patched inference output == from-scratch compile (bit-exact)")
 
-    # 4. the fallback heuristic -----------------------------------------
+    # 4. the fallback heuristic: a delta over 2% of the edges -----------
     big = random_delta(graph.num_vertices, graph.snapshot().num_features,
                        edge_inserts=400, edge_deletes=400, seed=1)
     applied = graph.apply(big)
-    strict = ProgramPatcher(PatchPolicy(max_edge_fraction=0.01))
-    _, report = strict.patch(handle.program, graph.snapshot(), applied)
+    _, report = ProgramPatcher().patch(handle.program, graph.snapshot(), applied)
     print(f"\noversized delta -> patched={report.patched} "
           f"(reason: {report.reason})")
 

@@ -38,14 +38,13 @@ from repro.dyngraph.churn import (
 from repro.dyngraph.delta import AppliedDelta, GraphDelta, random_delta
 from repro.dyngraph.incremental import variant_structural_delta
 from repro.dyngraph.mutable import MutableGraph
-from repro.dyngraph.patcher import PatchPolicy, PatchReport, ProgramPatcher
+from repro.dyngraph.patcher import PatchReport, ProgramPatcher
 
 __all__ = [
     "AppliedDelta",
     "GraphDelta",
     "MicrobenchResult",
     "MutableGraph",
-    "PatchPolicy",
     "PatchReport",
     "ProgramPatcher",
     "churn_experiment",

@@ -1,8 +1,8 @@
 """Churn experiments: patch-vs-recompile cost and serving under mutation.
 
-Two measurements back the dyngraph subsystem's claims (shared by
-``benchmarks/bench_dyngraph_churn.py`` and the ``python -m repro
-dyngraph-bench`` CLI):
+Two measurements back the dyngraph subsystem's claims (shared by the
+``dyngraph_churn`` bench specs and the ``python -m repro dyngraph-bench``
+CLI):
 
 ``patch_vs_recompile``
     the microbenchmark — apply a small random edge delta to a mid-size
@@ -29,7 +29,7 @@ from repro.config import u250_default
 from repro.datasets.catalog import load_dataset
 from repro.dyngraph.delta import random_delta
 from repro.dyngraph.mutable import MutableGraph
-from repro.dyngraph.patcher import PatchPolicy, ProgramPatcher
+from repro.dyngraph.patcher import ProgramPatcher
 from repro.gnn import build_model, init_weights
 
 
@@ -81,7 +81,6 @@ def patch_vs_recompile(
     feature_updates: int = 8,
     repeats: int = 5,
     seed: int = 0,
-    policy: PatchPolicy | None = None,
 ) -> MicrobenchResult:
     """Time patching a ``edge_fraction`` delta against full recompiles."""
     if repeats < 1:
@@ -98,7 +97,7 @@ def patch_vs_recompile(
     weights = init_weights(model, seed=seed)
     compiler = Compiler(u250_default())
     program = compiler.compile(model, snapshot, weights)
-    patcher = ProgramPatcher(policy)
+    patcher = ProgramPatcher()
 
     n_changes = max(1, int(graph.nnz * edge_fraction / 2))
     recompile_s = patch_s = float("inf")

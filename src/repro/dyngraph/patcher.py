@@ -13,8 +13,9 @@ it) by:
 1. re-deriving the IR graph and execution schemes (cheap, pure Python:
    the compiler's own :meth:`~repro.compiler.compile.Compiler.lower`),
    which is also the **staleness check**: if Algorithm 9 now chooses
-   different ``(N1, N2)`` partition sizes, or the delta exceeds the
-   policy's churn budget, it falls back to a full recompile;
+   different ``(N1, N2)`` partition sizes, or the delta changes more
+   than ``MAX_EDGE_FRACTION`` of the edges, it falls back to a full
+   recompile;
 2. rebuilding the stored adjacency operands with the compiler's own
    builders (:mod:`repro.gnn.adjacency`: two multiplies over the mutated
    adjacency's index structure);
@@ -52,14 +53,10 @@ from repro.runtime.perf_model import PairBatch
 from repro.runtime.strategies import DynamicMapping
 
 
-@dataclass(frozen=True)
-class PatchPolicy:
-    """When to patch and when to give up and recompile."""
-
-    #: structural edge changes / nnz(A) beyond which patching is a false
-    #: economy (the splice pass approaches a rebuild's cost and density
-    #: drift makes most blocks dirty anyway)
-    max_edge_fraction: float = 0.02
+#: structural edge changes / nnz(A) beyond which patching is a false
+#: economy (the splice pass approaches a rebuild's cost and density drift
+#: makes most blocks dirty anyway): such a delta recompiles
+MAX_EDGE_FRACTION = 0.02
 
 
 @dataclass(frozen=True)
@@ -99,9 +96,6 @@ class PatchReport:
 class ProgramPatcher:
     """Keeps compiled programs valid under graph mutation."""
 
-    def __init__(self, policy: PatchPolicy | None = None) -> None:
-        self.policy = policy or PatchPolicy()
-
     def patch(
         self,
         program: CompiledProgram,
@@ -113,11 +107,11 @@ class ProgramPatcher:
         t0 = time.perf_counter()
         nnz_old = int(new_data.a.nnz) - applied.a_nnz_delta
         churn = applied.num_structural_edge_changes / max(nnz_old, 1)
-        if churn > self.policy.max_edge_fraction:
+        if churn > MAX_EDGE_FRACTION:
             return self.recompile(
                 program, new_data, applied,
-                reason=f"edge churn {churn:.2%} exceeds policy "
-                       f"{self.policy.max_edge_fraction:.2%}",
+                reason=f"edge churn {churn:.2%} exceeds "
+                       f"{MAX_EDGE_FRACTION:.2%}",
             )
 
         # -- staleness check: would Algorithm 9 still pick (N1, N2)? ----

@@ -47,7 +47,7 @@ from repro.config import AcceleratorConfig, u250_default
 from repro.datasets.catalog import GraphData, load_dataset
 from repro.dyngraph.delta import AppliedDelta, GraphDelta
 from repro.dyngraph.mutable import MutableGraph
-from repro.dyngraph.patcher import PatchPolicy, PatchReport, ProgramPatcher
+from repro.dyngraph.patcher import PatchReport, ProgramPatcher
 from repro.engine.cache import ProgramCache
 from repro.engine.keys import dataset_fingerprint, program_key
 from repro.engine.pool import AcceleratorPool
@@ -160,13 +160,12 @@ class Engine:
         *,
         pool_size: int = 1,
         cache_capacity: int = 64,
-        patch_policy: PatchPolicy | None = None,
         tracer=None,
     ) -> None:
         self.config = config or u250_default()
         self.cache = ProgramCache(cache_capacity)
         self.pool = AcceleratorPool(self.config, pool_size)
-        self.patcher = ProgramPatcher(patch_policy)
+        self.patcher = ProgramPatcher()
         #: the session tracer (:mod:`repro.obs`); NULL_TRACER = disabled
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.pool.tracer = self.tracer

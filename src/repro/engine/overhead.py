@@ -5,8 +5,7 @@ work is a membership test on the backend name, a strategy check and a
 record write — microseconds against a simulation that takes
 milliseconds.  This
 module measures that claim so the ``engine-bench`` CLI subcommand and
-``benchmarks/bench_engine_overhead.py`` can enforce it (the smoke gate
-asserts <= 5% overhead on the small config).
+the ``engine_overhead`` bench specs can enforce it (each asserts <= 5%).
 
 Both paths run the *same* compiled program on the *same* accelerator
 instance, and best-of-N (timeit-style minimum) is reported, so the

@@ -27,8 +27,8 @@ Tracing is **default-off**: every instrumented call site holds a
 module-level :data:`NULL_TRACER` whose ``enabled`` flag gates all work,
 so the disabled path costs one attribute check per *kernel* (never per
 task — the runtime inner loop is untouched) and bit-exactness is
-trivially preserved.  ``benchmarks/bench_obs_overhead.py`` enforces the
-<= 2% disabled-overhead budget.
+trivially preserved.  The ``obs_overhead`` bench specs (``repro bench``)
+enforce the <= 2% disabled-overhead budget.
 """
 
 from __future__ import annotations

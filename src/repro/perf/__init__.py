@@ -34,7 +34,6 @@ from repro.perf.schema import (
 )
 from repro.perf.spec import (
     TIERS,
-    BenchContext,
     BenchSpec,
     all_benches,
     clear_registry,
@@ -49,7 +48,6 @@ __all__ = [
     "TIERS",
     "TIME_TOLERANCE",
     "DEFAULT_TOLERANCE",
-    "BenchContext",
     "BenchResult",
     "BenchSpec",
     "EnvFingerprint",

@@ -15,7 +15,7 @@ import io
 import pstats
 from dataclasses import dataclass
 
-from repro.perf.spec import BenchContext, BenchSpec
+from repro.perf.spec import BenchSpec
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def profile_bench(
     profiler = cProfile.Profile()
     profiler.enable()
     try:
-        spec.fn(BenchContext(tier=tier))
+        spec.fn()
     finally:
         profiler.disable()
     stream = io.StringIO()

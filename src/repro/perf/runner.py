@@ -1,10 +1,10 @@
 """The bench runner: execute specs, time them, emit ``BENCH_*.json``.
 
-``run_bench`` executes one spec's payload ``repeats`` times under the
-requested tier, keeps the payload's metrics from the *last* repeat
-(payload metrics are deterministic or internally best-of-N; repeating is
-for the wall clock) and appends a ``wall_s`` metric with the minimum
-wall time over the repeats — the standard low-noise estimator.
+``run_bench`` executes one spec's payload ``repeats`` times, keeps the
+payload's metrics from the *last* repeat (payload metrics are
+deterministic or internally best-of-N; repeating is for the wall clock)
+and appends a ``wall_s`` metric with the minimum wall time over the
+repeats — the standard low-noise estimator.
 
 ``run_suite`` drives a selection of specs, writes one JSON per spec into
 the output directory, and optionally compares against the baseline
@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.perf.baseline import Regression, compare
 from repro.perf.schema import BenchResult, EnvFingerprint, Metric, load_dir
-from repro.perf.spec import BenchContext, BenchSpec, normalise_metrics, select
+from repro.perf.spec import BenchSpec, normalise_metrics, select
 
 
 def run_bench(
@@ -42,9 +42,9 @@ def run_bench(
     fingerprint = fingerprint or EnvFingerprint.collect()
     raw = {}
     best_s = float("inf")
-    for repeat in range(repeats):
+    for _ in range(repeats):
         t0 = time.perf_counter()
-        raw = spec.fn(BenchContext(tier=tier, repeat=repeat)) or {}
+        raw = spec.fn() or {}
         best_s = min(best_s, time.perf_counter() - t0)
     metrics = normalise_metrics(spec.name, raw)
     if "wall_s" not in {m.name for m in metrics}:

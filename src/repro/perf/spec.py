@@ -1,16 +1,18 @@
 """The bench registry: ``@register_bench(name, tier=..., tags=...)``.
 
 A *bench spec* is a named, tiered, tagged payload callable.  The payload
-receives a :class:`BenchContext` (which tier is running, the repeat
-index) and returns its metrics — a mapping of ``metric_name ->
-Metric | (value, unit) | (value, unit, direction) | value``.  Wall time
-is measured by the runner and appended automatically as ``wall_s``, so a
-payload that only wants to be timed can return ``{}``.
+takes no argument: a spec runs one instance whatever the tier, so its
+numbers are only ever compared with a baseline of that instance.  It
+asserts its own claims and returns its metrics — a mapping of
+``metric_name -> Metric | (value, unit) | (value, unit, direction) |
+value``.  Wall time is measured by the runner and appended automatically
+as ``wall_s``, so a payload that only wants to be timed can return
+``{}``.
 
 Benches register themselves at import time; :func:`discover` imports
 every ``bench_*.py`` under a benchmarks directory so the CLI sees the
-full registry without hand-listing scripts (the scripts stay runnable
-standalone and under pytest — registration is a side effect of import).
+full registry without hand-listing scripts.  ``repro bench`` is the only
+way a bench runs.
 """
 
 from __future__ import annotations
@@ -28,23 +30,11 @@ TIERS = ("smoke", "full")
 
 
 @dataclass(frozen=True)
-class BenchContext:
-    """What the runner tells a payload about the current run."""
-
-    tier: str
-    repeat: int = 0
-
-    @property
-    def smoke(self) -> bool:
-        return self.tier == "smoke"
-
-
-@dataclass(frozen=True)
 class BenchSpec:
     """One registered benchmark."""
 
     name: str
-    fn: Callable[[BenchContext], Mapping]
+    fn: Callable[[], Mapping]
     tiers: tuple[str, ...]
     tags: tuple[str, ...] = ()
     description: str = ""
@@ -86,7 +76,7 @@ def register_bench(
     if unknown:
         raise ValueError(f"unknown tier(s) {unknown}; valid tiers: {TIERS}")
 
-    def deco(fn: Callable[[BenchContext], Mapping]):
+    def deco(fn: Callable[[], Mapping]):
         if name in _REGISTRY:
             raise ValueError(
                 f"bench {name!r} is already registered "
@@ -185,8 +175,7 @@ def discover(benchmarks_dir: Path | None = None) -> int:
     ``@register_bench`` decorators run.  Returns the number of modules
     imported.  The directory defaults to ``$REPRO_BENCHMARKS_DIR`` or
     ``./benchmarks``; it is appended to ``sys.path`` so the scripts'
-    ``from _common import ...`` keeps resolving exactly as it does under
-    pytest and standalone execution.
+    ``from _common import ...`` resolves.
     """
     if benchmarks_dir is None:
         benchmarks_dir = Path(
@@ -231,7 +220,6 @@ def discover(benchmarks_dir: Path | None = None) -> int:
 
 __all__ = [
     "TIERS",
-    "BenchContext",
     "BenchSpec",
     "register_bench",
     "get_bench",

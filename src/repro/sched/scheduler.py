@@ -149,17 +149,15 @@ class _Execution:
         #: of the requests that joined or boarded it (boundary None: joined
         #: while it was paused, attached at the resume)
         self.joiners: list[tuple] = []
-        layers = [input_s, *map(float, run.segments_s)]
-        #: the segments the pool books and the seconds between join points,
-        #: each chained from a span's start.  At one device both are the
-        #: input-PCIe transfer (0 s if resident), then one per layer.  Lanes
-        #: start together and meet at every layer barrier: their common
-        #: start is a join point too (a zero-second interval), and every
-        #: member is held for input + latency, their run's own barrier
-        #: clock, which a chained sum of the layers can miss by an ulp
-        self.segments, self.intervals = (
-            (layers, layers) if run.num_shards == 1
-            else ([input_s + run.latency_s], [0.0, *layers]))
+        #: the seconds between join points, chained from a span's start:
+        #: the input-PCIe transfer (0 s if resident), then one per layer
+        self.intervals = [input_s, *map(float, run.segments_s)]
+        #: the segments the pool books: the intervals at one device; lanes,
+        #: which meet at every layer barrier, are held for input + latency,
+        #: their run's own barrier clock, which a chained sum of the layers
+        #: can miss by an ulp
+        self.segments = (self.intervals if run.num_shards == 1
+                         else [input_s + run.latency_s])
         #: each member's busy seconds, its lane's work plus its share of
         #: the input (one lane: None, charged the segments it ran)
         self.busy_s = [b + input_s / len(devices) for b in run.shard_busy_s] or None

@@ -1,11 +1,10 @@
 """The serving comparison: cold then warm, one device then a pool.
 
-Shared by ``repro serve-bench`` and
-``benchmarks/bench_serving_throughput.py``: one synthetic request stream
-replayed twice (cold, then warm: program cache populated) through a
-fresh engine per pool size.  Warm-vs-warm across pool sizes isolates
-pool scaling from one-time compile charges; cold-vs-warm on one pool
-shows what the program cache saves.
+Shared by ``repro serve-bench`` and the ``serving_throughput`` spec:
+one synthetic request stream replayed twice (cold, then warm: program
+cache populated) through a fresh engine per pool size.  Warm-vs-warm
+across pool sizes isolates pool scaling from one-time compile charges;
+cold-vs-warm on one pool shows what the program cache saves.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ import numpy as np
 
 from repro.config import AcceleratorConfig
 from repro.dyngraph.mutable import MutableGraph
-from repro.dyngraph.patcher import PatchPolicy
 from repro.engine.cache import ProgramCache
 from repro.engine.core import MUTATION_POLICIES, Engine
 from repro.engine.pool import AcceleratorPool
@@ -235,7 +234,6 @@ class InferenceServer:
         max_wait_s: float = 1e-3,
         return_outputs: bool = True,
         mutation_policy: str = "patch",
-        patch_policy: PatchPolicy | None = None,
         slo_policy=None,
         admission=None,
         autoscaler=None,
@@ -254,13 +252,11 @@ class InferenceServer:
                 config,
                 pool_size=1 if pool_size is None else pool_size,
                 cache_capacity=64 if cache_capacity is None else cache_capacity,
-                patch_policy=patch_policy,
             )
         else:
             # engine-owned resources cannot be re-specified here: a silently
             # ignored pool_size would report metrics for the wrong pool
-            given = {"pool_size": pool_size, "cache_capacity": cache_capacity,
-                     "patch_policy": patch_policy}
+            given = {"pool_size": pool_size, "cache_capacity": cache_capacity}
             conflicts = [name for name, value in given.items() if value is not None]
             if config is not None and config != engine.config:
                 conflicts.insert(0, "config")

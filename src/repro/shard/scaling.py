@@ -1,6 +1,6 @@
 """The shard scaling sweep: one program at width 1, 2, ... N.
 
-Shared by ``repro shard-bench`` and ``benchmarks/bench_sharded_scaling.py``:
+Shared by ``repro shard-bench`` and the ``sharded_scaling`` bench specs:
 run a compiled program once per width through the one driver (width 1,
 the single device, first), and report modelled latency, speedup, halo
 traffic and shard balance beside the one property sharding must never

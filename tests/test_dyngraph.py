@@ -12,10 +12,10 @@ from repro.compiler.sparsity import profile_matrix, update_profile
 from repro.runtime.executor import run_strategy
 from repro.config import u250_default
 from repro.datasets.catalog import DatasetSpec, GraphData
+import repro.dyngraph.patcher as patcher_mod
 from repro.dyngraph import (
     GraphDelta,
     MutableGraph,
-    PatchPolicy,
     ProgramPatcher,
     random_delta,
     variant_structural_delta,
@@ -340,7 +340,8 @@ class TestProgramPatcher:
             out_fresh = run_strategy(fresh, "Dynamic").output_dense()
             np.testing.assert_array_equal(out_patched, out_fresh)
 
-    def test_large_delta_falls_back_to_recompile(self):
+    def test_large_delta_falls_back_to_recompile(self, monkeypatch):
+        monkeypatch.setattr(patcher_mod, "MAX_EDGE_FRACTION", 0.01)
         data = load_dataset("CO", seed=0)
         g = MutableGraph(data)
         model = build_model("GCN", g.snapshot().num_features,
@@ -350,7 +351,7 @@ class TestProgramPatcher:
         n = max(40, int(0.05 * g.nnz))
         applied = g.apply(random_delta(g.num_vertices, 4, edge_inserts=n,
                                        edge_deletes=n, seed=3))
-        fresh, report = ProgramPatcher(PatchPolicy(max_edge_fraction=0.01)).patch(
+        fresh, report = ProgramPatcher().patch(
             program, g.snapshot(), applied
         )
         assert not report.patched and "churn" in report.reason

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.compiler.compile import Compiler
 from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph, ProgramPatcher
-from repro.dyngraph.patcher import PatchPolicy
+import repro.dyngraph.patcher as patcher_mod
 from repro.dyngraph.mutable import _csr_find, _rebuild_csr
 from repro.formats.dense import DTYPE
 from repro.gnn import build_adjacency_variants, build_model, init_weights
@@ -278,7 +278,7 @@ def test_reanalyze_counts_equal_the_pair_by_pair_loop(monkeypatch):
     assert got[0] > 0 and got[1] > 0
 
 
-def test_reanalyze_when_the_last_dirty_block_was_emptied():
+def test_reanalyze_when_the_last_dirty_block_was_emptied(monkeypatch):
     """More dirty pairs than the kernel has tasks, the trailing ones dead:
     with every off-diagonal edge of the last block row deleted the last
     dirty block is empty, so the highest-numbered pairs are skipped; the
@@ -294,7 +294,8 @@ def test_reanalyze_when_the_last_dirty_block_was_emptied():
     last = a_view.num_row_blocks - 1
     gone = (a.row // a_view.block_rows == last) & (a.col // a_view.block_cols != last)
     applied = graph.apply(GraphDelta(delete_rows=a.row[gone], delete_cols=a.col[gone]))
-    patched, report = ProgramPatcher(PatchPolicy(max_edge_fraction=1.0)).patch(
+    monkeypatch.setattr(patcher_mod, "MAX_EDGE_FRACTION", 1.0)
+    patched, report = ProgramPatcher().patch(
         program, graph.snapshot(), applied)
     dirty = np.argwhere(patched._views[key].nnz_grid != a_view.nnz_grid)
     assert patched._views[key].nnz_grid[tuple(dirty[-1])] == 0

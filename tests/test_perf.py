@@ -2,9 +2,13 @@
 regression detection, the bench/perf-diff CLIs, and bit-exactness of the
 two vectorised hot paths the subsystem's profiler surfaced."""
 
+import ast
 import dataclasses
+import inspect
 import json
+import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,14 +20,15 @@ from repro.__main__ import main
 from repro.formats.partition import block_nnz_grid
 from repro.hw.report import CODE_ORDER, PRIMITIVE_CODES, Primitive
 from repro.perf import (
-    BenchContext,
     BenchResult,
     EnvFingerprint,
     Metric,
     Regression,
     SuiteReport,
+    all_benches,
     compare,
     compare_dirs,
+    discover,
     load_dir,
     register_bench,
     run_bench,
@@ -112,15 +117,15 @@ class TestSchema:
 class TestRegistry:
     def test_register_and_tier_filtering(self, registry):
         @register_bench("smoke_only", tier="smoke")
-        def _a(ctx):
+        def _a():
             return {}
 
         @register_bench("full_only", tier="full", tags=("paper",))
-        def _b(ctx):
+        def _b():
             return {}
 
         @register_bench("both", tier=("smoke", "full"))
-        def _c(ctx):
+        def _c():
             return {}
 
         assert [s.name for s in select(tier="smoke")] == ["smoke_only", "both"]
@@ -130,12 +135,12 @@ class TestRegistry:
 
     def test_duplicate_name_rejected(self, registry):
         @register_bench("dup")
-        def _a(ctx):
+        def _a():
             return {}
 
         with pytest.raises(ValueError, match="already registered"):
             @register_bench("dup")
-            def _b(ctx):
+            def _b():
                 return {}
 
     def test_unknown_tier_and_name_rejected(self, registry):
@@ -148,7 +153,7 @@ class TestRegistry:
 
     def test_named_spec_outside_tier_rejected(self, registry):
         @register_bench("full_only", tier="full")
-        def _a(ctx):
+        def _a():
             return {}
 
         # silently dropping an explicitly named bench would report a
@@ -157,11 +162,40 @@ class TestRegistry:
             select(tier="smoke", names=["full_only"])
 
 
+def test_benchmarks_are_specs_only(registry, monkeypatch):
+    """``repro bench`` is a bench's one entry point: every
+    ``benchmarks/bench_*.py`` registers at least one spec, defines no
+    ``test_*`` function and no ``__main__`` block, and no registered
+    payload takes a parameter (a spec runs one instance at every tier)."""
+    bench_dir = Path(__file__).resolve().parent.parent / "benchmarks"
+    paths = sorted(bench_dir.glob("bench_*.py"))
+    for name in [m for m in sys.modules if m.startswith("bench_") or m == "_common"]:
+        monkeypatch.delitem(sys.modules, name)
+    try:
+        discover(bench_dir)
+    finally:
+        for path in paths:
+            sys.modules.pop(path.stem, None)
+    specs = all_benches().values()
+    registering = {spec.fn.__module__ for spec in specs}
+    assert [p.name for p in paths if p.stem not in registering] == []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        tests = [node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name.startswith("test_")]
+        mains = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Compare)
+                 and isinstance(node.left, ast.Name)
+                 and node.left.id == "__name__"]
+        assert not tests and not mains, f"{path.name}: {tests} {mains}"
+    assert [s.name for s in specs if inspect.signature(s.fn).parameters] == []
+
+
 class TestRunner:
     def test_run_bench_appends_wall_time(self, registry):
         @register_bench("timed", tier="smoke")
-        def _t(ctx):
-            assert isinstance(ctx, BenchContext) and ctx.smoke
+        def _t():
             return {"val": (2.0, "x", "higher")}
 
         r = run_bench(select(names=["timed"])[0], tier="smoke", repeats=2,
@@ -172,7 +206,7 @@ class TestRunner:
 
     def test_wrong_tier_rejected(self, registry):
         @register_bench("full_only", tier="full")
-        def _t(ctx):
+        def _t():
             return {}
 
         with pytest.raises(ValueError, match="does not run in tier"):
@@ -180,11 +214,11 @@ class TestRunner:
 
     def test_suite_isolates_failures(self, registry, tmp_path):
         @register_bench("boom", tier="smoke")
-        def _a(ctx):
+        def _a():
             raise RuntimeError("kaput")
 
         @register_bench("fine", tier="smoke")
-        def _b(ctx):
+        def _b():
             return {"v": 1.0}
 
         report = run_suite(tier="smoke", out_dir=tmp_path)
@@ -195,7 +229,7 @@ class TestRunner:
 
     def test_suite_reports_missing_baseline(self, registry, tmp_path):
         @register_bench("newbie", tier="smoke")
-        def _a(ctx):
+        def _a():
             return {}
 
         report = run_suite(tier="smoke", out_dir=tmp_path / "out",
@@ -316,7 +350,7 @@ from repro.perf import register_bench
 
 
 @register_bench("cli_spec", tier=("smoke", "full"))
-def _spec(ctx):
+def _spec():
     # returning wall_s explicitly keeps the runner from appending the
     # measured one: a trivial payload's real wall clock is microseconds
     # of pure jitter, and this spec must compare deterministically
@@ -386,7 +420,7 @@ class TestBenchCLI:
 
 
             @register_bench("boom", tier=("smoke", "full"))
-            def _spec(ctx):
+            def _spec():
                 raise RuntimeError("kaput")
         """))
         sys.modules.pop("bench_boom", None)

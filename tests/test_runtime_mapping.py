@@ -76,6 +76,18 @@ class TestAnalyzer:
         assert one(DynamicMapping(CFG), agg_kernel(), 0.01, 0.05) == (
             Primitive.SPMM, False)
 
+    def test_sparse_block_against_dense_block_takes_spdmm(self):
+        """A 512 x 512 block at 3% stored sparse against a dense 512 x 128
+        one, no kernel given: SpDMM with X in BufferU."""
+        pair = PairBatch(
+            m=np.array([512]), n=np.array([512]), d=np.array([128]),
+            x_nnz=np.array([7864]), y_nnz=np.array([52429]),
+            x_stored_sparse=True, y_stored_sparse=False,
+            task=np.zeros(1, dtype=np.int64), num_tasks=1,
+        )
+        codes, transposed, _ = DynamicMapping(CFG).decide_batch(None, pair)
+        assert (codes[0], transposed[0]) == (SPDMM_CODE, False)
+
     def test_a_format_pass_outweighs_compute_the_load_hides(self):
         """The GraphSAGE/p0.9 case: H stored sparse at 15%, W pruned to 9%.
         The region rule puts W in BufferU and pays an S2D and an LTU pass

@@ -422,6 +422,21 @@ class TestContinuousServe:
             assert resp.finish_s == pytest.approx(
                 max(r.finish_s for r in report.responses))
 
+    @pytest.mark.parametrize("shards", (1, 2))
+    def test_an_arrival_at_the_start_instant_joins_after_the_input(self, shards):
+        """One join rule at every width: a request arriving at the instant
+        an execution starts joins at its first boundary, after the input
+        transfer (the founder fills the batch, so its execution starts on
+        its own arrival)."""
+        server = tiny_server(pool_size=shards, max_batch_size=1)
+        warm(server, shards=shards)
+        report = server.serve([tiny_request(shards=shards, arrival_s=0.0)
+                               for _ in range(2)])
+        founder, joiner = sorted(report.responses, key=lambda r: r.joined)
+        assert report.num_batches == 1 and joiner.joined
+        assert founder.queue_s == 0.0
+        assert joiner.queue_s == report.metrics["counters"]["serve.pcie_s"] > 0.0
+
     def test_a_queued_batch_boards_the_execution_of_its_program(self):
         """Two GCN/CO batches queue behind a GIN/CI one on one device: the
         second boards the execution the first starts instead of running
