@@ -15,13 +15,13 @@ light load to overload.  The headline claims this bench checks:
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
 from repro.serve import InferenceRequest, InferenceServer, synthesize
-from repro.serve.comparison import serving_comparison
 
 CFG = u250_default()
 MODELS = ("GCN", "GIN")
 DATASETS = ("CO", "CI")
 NUM_REQUESTS = 160
 MAX_BATCH = 8
+POOLS = (1, 2, 4, 8)
 
 
 def _server(pool_size: int) -> InferenceServer:
@@ -45,13 +45,22 @@ def _workload(rate_rps: float):
     )
 
 
+def _probes(seed: int = 0):
+    return [InferenceRequest(model=m, dataset=d, seed=seed)
+            for m in MODELS for d in DATASETS]
+
+
 def _pool_sweep():
-    """Warm report per pool size, on one stream saturating the largest."""
-    comparison = serving_comparison(
-        NUM_REQUESTS, pools=(1, 2, 4, 8), models=MODELS, datasets=DATASETS,
-        seed=17, max_batch_size=MAX_BATCH, config=CFG,
-    )
-    return [(pool, warm) for pool, (_, warm) in comparison.sweeps.items()]
+    """Warm report per pool size, on one stream at 8x the largest pool's
+    capacity: each pool size's own server serves it cold, then warm."""
+    workload = _workload(_server(1).saturating_rate(
+        _probes(seed=17), pool_size=POOLS[-1], factor=8.0))
+    rows = []
+    for pool in POOLS:
+        server = _server(pool)
+        server.serve(workload)
+        rows.append((pool, server.serve(workload)))
+    return rows
 
 
 def _pool_table(rows):
@@ -71,10 +80,8 @@ def _pool_table(rows):
 
 def _arrival_sweep():
     """Warm report per offered load, from light load to 4x capacity."""
-    probes = [InferenceRequest(model=m, dataset=d)
-              for m in MODELS for d in DATASETS]
     # factor=1.0: an arrival rate of exactly ~1x pool capacity
-    capacity = _server(1).saturating_rate(probes, pool_size=4, factor=1.0)
+    capacity = _server(1).saturating_rate(_probes(), pool_size=4, factor=1.0)
     rows = []
     for load in (0.25, 0.5, 1.0, 2.0, 4.0):
         server = _server(4)

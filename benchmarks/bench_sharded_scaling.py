@@ -16,9 +16,14 @@ Two specs run the two instances of claims 1 and 2:
 (full: Flickr at the bench profile's quarter scale); both check claim 3.
 """
 
-from _common import Metric, emit, engine_for, get_program, register_bench
+import numpy as np
+from _common import (
+    Metric, emit, engine_for, format_table, get_program, register_bench, sci,
+    speedup_fmt,
+)
 from repro.datasets import load_dataset
-from repro.shard.scaling import shard_scaling_sweep
+from repro.runtime.executor import run_strategy
+from repro.shard import plan_shards
 
 SHARD_COUNTS = (2, 4)
 #: PubMed at full scale: big enough that 28 Aggregate block rows split
@@ -31,56 +36,64 @@ HALF_SCALE = 0.5
 MIN_GROWTH_2_TO_4 = 1.3
 
 
-def sweep(model_name: str, ds_name: str):
-    """One run per width: the single device, then each shard count."""
-    return shard_scaling_sweep(get_program(model_name, ds_name), SHARD_COUNTS)
+def sweep(program) -> dict:
+    """Width -> the run, the single device first; every width's output is
+    asserted bit-identical to the single device's."""
+    runs = {n: run_strategy(program, "Dynamic", plan=plan_shards(program, n))
+            for n in (1, *SHARD_COUNTS)}
+    reference = runs[1].output_dense()
+    for n, run in runs.items():
+        assert np.array_equal(run.output_dense(), reference), (
+            f"the {n}-shard output diverged from the single-device run"
+        )
+    return runs
 
 
-def half_scale_sweep():
-    """The same sweep over GCN on PubMed at half scale."""
-    data = load_dataset("PU", scale=HALF_SCALE, seed=42)
-    program = engine_for().compile("GCN", data, seed=7).program
-    return shard_scaling_sweep(program, SHARD_COUNTS)
-
-
-def growth_2_to_4(result) -> float:
-    """4-device speedup over 2-device speedup."""
-    return result.runs[2].latency_s / result.runs[4].latency_s
+def _table(runs) -> str:
+    single = runs[1]
+    return format_table(
+        ["shards", "latency (ms)", "speedup", "halo bytes", "halo %",
+         "balance"],
+        [[n, sci(r.latency_ms), speedup_fmt(r.speedup_vs(single)),
+          f"{r.halo_bytes:,}", f"{r.halo_fraction * 100:.1f}%",
+          f"{r.load_balance():.3f}" if n > 1 else "-"]
+         for n, r in runs.items()],
+        title=f"{single.model_name} on {single.data_name}, strategy "
+              f"{single.strategy_name}: sharded scaling vs single device "
+              f"(modelled, bit-exact at every width)",
+    )
 
 
 def _check(model_name: str, ds_name: str):
     """The three claims on one instance, and its metrics."""
-    result = sweep(model_name, ds_name)
-    emit("bench_sharded_scaling", result.format_report())
-    assert not result.mismatches, (
-        "sharded output diverged from the single-device run"
-    )
-    single, r4 = result.runs[1], result.runs[4]
+    runs = sweep(get_program(model_name, ds_name))
+    emit("bench_sharded_scaling", _table(runs))
+    single, r4 = runs[1], runs[4]
     speedup4 = r4.speedup_vs(single)
     assert speedup4 >= MIN_SPEEDUP_4DEV, (
         f"4-device modelled speedup {speedup4:.2f}x below "
         f"{MIN_SPEEDUP_4DEV}x"
     )
     assert 0.0 < r4.halo_fraction < 1.0, r4.halo_fraction
-    half = half_scale_sweep()
-    assert not half.mismatches, (
-        "sharded output diverged from the single-device run (PU half scale)"
-    )
-    assert growth_2_to_4(half) >= MIN_GROWTH_2_TO_4, (
-        f"PU@{HALF_SCALE}: 4 devices only {growth_2_to_4(half):.2f}x faster "
+    # PubMed at half scale: 14 one-wave, memory-bound block rows
+    data = load_dataset("PU", scale=HALF_SCALE, seed=42)
+    half = sweep(engine_for().compile("GCN", data, seed=7).program)
+    growth = half[2].latency_s / half[4].latency_s
+    assert growth >= MIN_GROWTH_2_TO_4, (
+        f"PU@{HALF_SCALE}: 4 devices only {growth:.2f}x faster "
         f"than 2, below {MIN_GROWTH_2_TO_4}x"
     )
     return {
         "pu_half_speedup_2dev": Metric(
-            "pu_half_speedup_2dev", half.runs[2].speedup_vs(half.runs[1]),
+            "pu_half_speedup_2dev", half[2].speedup_vs(half[1]),
             "x", "higher",
         ),
         "pu_half_speedup_4dev": Metric(
-            "pu_half_speedup_4dev", half.runs[4].speedup_vs(half.runs[1]),
+            "pu_half_speedup_4dev", half[4].speedup_vs(half[1]),
             "x", "higher",
         ),
         "speedup_2dev": Metric(
-            "speedup_2dev", result.runs[2].speedup_vs(single), "x", "higher"
+            "speedup_2dev", runs[2].speedup_vs(single), "x", "higher"
         ),
         "speedup_4dev": Metric("speedup_4dev", speedup4, "x", "higher"),
         "halo_fraction_4dev": Metric(

@@ -16,9 +16,7 @@ recompiled from scratch —
   compiler's own builders, :mod:`repro.gnn.adjacency`);
 - :mod:`repro.dyngraph.patcher` — :class:`ProgramPatcher`: O(delta)
   patching of compiled programs (profiles, partitioned views, dirty-block
-  K2P re-analysis) with a recompile fallback policy;
-- :mod:`repro.dyngraph.churn` — patch-vs-recompile and serving churn
-  experiments.
+  K2P re-analysis) with a recompile fallback policy.
 
 Quickstart::
 
@@ -30,11 +28,6 @@ Quickstart::
     program, report = ProgramPatcher().patch(program, graph.snapshot(), applied)
 """
 
-from repro.dyngraph.churn import (
-    MicrobenchResult,
-    churn_experiment,
-    patch_vs_recompile,
-)
 from repro.dyngraph.delta import AppliedDelta, GraphDelta, random_delta
 from repro.dyngraph.incremental import variant_structural_delta
 from repro.dyngraph.mutable import MutableGraph
@@ -43,12 +36,9 @@ from repro.dyngraph.patcher import PatchReport, ProgramPatcher
 __all__ = [
     "AppliedDelta",
     "GraphDelta",
-    "MicrobenchResult",
     "MutableGraph",
     "PatchReport",
     "ProgramPatcher",
-    "churn_experiment",
-    "patch_vs_recompile",
     "random_delta",
     "variant_structural_delta",
 ]

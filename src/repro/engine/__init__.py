@@ -35,7 +35,6 @@ from repro.engine.keys import (
     model_fingerprint,
     program_key,
 )
-from repro.engine.overhead import OverheadResult, measure_facade_overhead
 from repro.engine.pool import AcceleratorPool, DispatchEvent
 
 __all__ = [
@@ -46,14 +45,12 @@ __all__ = [
     "DispatchEvent",
     "Engine",
     "MutationOutcome",
-    "OverheadResult",
     "PatchEvent",
     "ProgramCache",
     "ProgramHandle",
     "config_fingerprint",
     "dataset_fingerprint",
     "graph_content_digest",
-    "measure_facade_overhead",
     "model_fingerprint",
     "program_key",
 ]

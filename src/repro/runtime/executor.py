@@ -311,10 +311,10 @@ class InferenceResult:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable summary (``repro run`` / ``shard-bench
-        --json``): every field not named in ``_UNSERIALISED``, then the
-        latency, the balance and the derived keys (``_summary()``) — a
-        new field is serialised unless someone names it."""
+        """JSON-serialisable summary (``repro run --json``): every
+        field not named in ``_UNSERIALISED``, then the latency, the
+        balance and the derived keys (``_summary()``) — a new field is
+        serialised unless someone names it."""
         summary = {}
         for f in fields(self):
             if f.name not in self._UNSERIALISED:

@@ -25,8 +25,8 @@ shards) is simulated once and replayed, while the *virtual* device
 occupancy is charged for every execution.  The engine's
 program cache outlives a ``serve`` call (and is shared with direct
 ``Engine.compile`` / ``Engine.infer`` use), so a second identical sweep
-compiles and simulates nothing: the warm/cold comparison of
-``serve-bench``.
+compiles and simulates nothing (the ``serving_throughput`` bench spec
+serves one stream cold, then warm, on each pool size).
 """
 
 from __future__ import annotations
@@ -206,10 +206,10 @@ class ServingReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
-        """JSON-serialisable summary (``repro serve-bench --json``):
-        every field but ``responses`` — the per-response records are
-        summarised into the percentile and counter fields, not dumped (at
-        millions of requests they dwarf the report)."""
+        """JSON-serialisable summary: every field but ``responses`` —
+        the per-response records are summarised into the percentile and
+        counter fields, not dumped (at millions of requests they dwarf
+        the report)."""
         values = {f.name: getattr(self, f.name) for f in fields(self)}
         del values["responses"]
         return {k: list(v) if isinstance(v, list) else v for k, v in values.items()}
@@ -459,8 +459,8 @@ class InferenceServer:
         :meth:`estimate_service_s` (PCIe included, as on a device holding
         nothing), normalises to per-request occupancy at
         full batches, and scales to ``pool_size`` devices (default: this
-        server's pool).  Shared by the ``serve-bench`` CLI and the
-        serving benchmarks so both calibrate load the same way.
+        server's pool).  The serving benchmarks all calibrate load
+        with it.
         """
         if not probes:
             raise ValueError("need at least one probe request")

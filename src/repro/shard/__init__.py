@@ -11,8 +11,8 @@ width, and the schedule is the model.
 
 Entry points: ``Engine.compile(..., shards=N)`` +
 ``Engine.infer(handle, backend="sharded")``, serving requests with
-``shards=N``, the ``repro shard-bench`` CLI, or ``run_strategy(program,
-strategy, pool.devices, plan=plan_shards(program, N))``.
+``shards=N``, or ``run_strategy(program, strategy, pool.devices,
+plan=plan_shards(program, N))``.
 """
 
 from repro.shard.planner import Shard, ShardPlan, halo_vertices, plan_shards

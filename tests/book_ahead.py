@@ -157,6 +157,6 @@ def serve_book_ahead(server, requests: list) -> BookAheadReport:
 def book_ahead():
     """Every ``InferenceServer.serve`` sweep in the block is booked ahead
     (for callers that build their servers themselves, such as
-    ``serving_comparison``)."""
+    ``tests/test_serve_path.py``'s ``json_cell_payload``)."""
     with mock.patch.object(loop, "ContinuousScheduler", BookAhead):
         yield

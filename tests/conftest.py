@@ -16,6 +16,7 @@ from repro.config import AcceleratorConfig, BufferConfig, u250_default
 from repro.compiler import Compiler
 from repro.datasets import load_dataset
 from repro.gnn import build_model, init_weights
+from repro.serve import InferenceServer
 
 
 def make_tiny_config(**overrides) -> AcceleratorConfig:
@@ -137,3 +138,29 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(executor_mod, "execute_kernel_tasks", recorder)
     return seen
+
+
+def cold_then_warm(workload, pools=(1, 2)) -> dict:
+    """Pool size -> (cold, warm) report: a fresh U250 server per pool size
+    serves ``workload`` twice (the second sweep finds every program
+    cached)."""
+    sweeps = {}
+    for n in pools:
+        server = InferenceServer(pool_size=n, return_outputs=False)
+        sweeps[n] = (server.serve(workload), server.serve(workload))
+    return sweeps
+
+
+def comparison_json(rate_rps: float, sweeps: dict) -> dict:
+    """A cold/warm pool comparison as its JSON was recorded: every sweep's
+    report, then the largest pool's warm throughput over the smallest's."""
+    top = max(sweeps)
+    return {
+        "arrival_rate_rps": rate_rps,
+        "pool_size": top,
+        "sweeps": {f"{temperature}_pool{n}": report.to_dict()
+                   for n, reports in sweeps.items()
+                   for temperature, report in zip(("cold", "warm"), reports)},
+        "throughput_scaling": (sweeps[top][1].throughput_rps
+                               / sweeps[min(sweeps)][1].throughput_rps),
+    }

@@ -1,6 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
 import pytest
+from conftest import comparison_json
 
 from repro.__main__ import main
 
@@ -38,10 +39,6 @@ class TestCLI:
         assert main(["run", "--dataset", "CO", "--scale", "0.2",
                      "--backend", "cpu"]) == 0
         assert "framework model" in capsys.readouterr().out
-
-    def test_engine_bench_command(self, capsys):
-        assert main(["engine-bench", "--scale", "0.1", "--repeats", "2"]) == 0
-        assert "facade overhead" in capsys.readouterr().out
 
     def test_run_backend_oom_is_a_clean_cli_error(self, monkeypatch):
         # the paper's N/A cells (NELL on GPU) must not dump a traceback
@@ -89,30 +86,6 @@ class TestJsonOutput:
                      "--backend", "cpu", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["backend"] == "cpu" and payload["latency_ms"] > 0
-
-    def test_shard_bench_json(self, capsys):
-        import json
-
-        # full-scale CO: the u250 partition floor needs >= 2 block rows
-        assert main(["shard-bench", "--dataset", "CO",
-                     "--shards", "2", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["single_device"]["latency_ms"] > 0
-        (sweep,) = payload["sweeps"]
-        assert sweep["num_shards"] == 2 and sweep["bit_exact"] is True
-
-    def test_serve_bench_json(self, capsys):
-        import json
-
-        assert main(["serve-bench", "--requests", "12", "--pool", "2",
-                     "--models", "GCN", "--datasets", "CO",
-                     "--scale", "0.15", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["pool_size"] == 2
-        sweeps = payload["sweeps"]
-        assert sweeps["cold_pool2"]["num_requests"] == 12
-        assert sweeps["warm_pool2"]["cache_hit_rate"] == 1.0
-        assert "serve.requests" in sweeps["cold_pool2"]["metrics"]["counters"]
 
 
 class TestTraceCommand:
@@ -361,24 +334,6 @@ _INFERENCE = {
         "primitives": {"*": "int"},
     }],
 }
-_SHARDED = {
-    **_typed("bool", "bit_exact"),
-    **_typed("float", (
-        # ``overlap_halo_latency_ms`` left this row on purpose when the
-        # schedule itself began to overlap halo and compute (MIGRATION.md)
-        "halo_fraction halo_s latency_ms load_balance nnz_balance "
-        "runtime_overhead_seconds speedup zero_halo_latency_ms"
-    )),
-    **_typed("int", "halo_bytes num_shards"),
-    **_typed("str", "dataset model strategy"),
-    "kernels": [{
-        **_typed("float", "barrier_ms"),
-        **_typed("int", "halo_bytes slowest_shard"),
-        **_typed("str", "kernel_id ktype"),
-        "shard_ms": ["float"],
-        "shard_tasks": ["int"],
-    }],
-}
 _SERVING = {
     **_typed("float", (
         "avg_batch_size cache_hit_rate compile_s compile_saved_s goodput_rps "
@@ -478,12 +433,19 @@ def _serving(extra=None):
     }
 
 
-_SERVE_ARGV = ["serve-bench", "--requests", "12", "--pool", "2", "--models",
-               "GCN", "--datasets", "CO", "--scale", "0.15", "--json"]
-#: cell -> (argv, shape at 4f21418, keys added since: every run result
-#: now names its backend, and the hetero payload carries what it dropped
-#: [, keys removed since: a sweep no longer names its dispatch policy,
-#: continuous batching being the only one])
+def _serving_payload():
+    """The serving cell's payload (its subcommand is gone; the library
+    calls it made remain): ``tests/test_serve_path.py``'s stream served
+    cold then warm on pools of 1 and 2."""
+    from test_serve_path import json_cell_sweeps
+
+    return comparison_json(*json_cell_sweeps())
+
+
+#: cell -> (argv or payload function, shape at 4f21418, keys added since:
+#: every run result now names its backend, and the hetero payload carries
+#: what it dropped [, keys removed since: a sweep no longer names its
+#: dispatch policy, continuous batching being the only one])
 #: per kernel, what the Analyzer weighed: chosen and each candidate, and
 #: how many output partitions left the core as COO
 _MODELLED = {"modelled_cycles": {"*": "float"}, "coo_writebacks": "int"}
@@ -495,7 +457,7 @@ _PCIE = {"sweeps": {"<sweep>": {
 }}}
 
 #: one result type at every width: an unsharded run reports what a sharded
-#: one does (a kernel row adds its lanes' records) ...
+#: one does (a kernel row adds its lanes' records)
 _SHARD_KEYS = {
     **_typed("float", "halo_fraction halo_s nnz_balance zero_halo_latency_ms"),
     **_typed("int", "halo_bytes num_shards"),
@@ -505,23 +467,6 @@ _SHARD_KEYS = {
         "shard_ms": ["float"],
         "shard_tasks": ["int"],
         "shard_modelled_cycles": [_typed("float", "GEMM SpDMM SpDMM^T SPMM chosen")],
-    }],
-}
-#: ... and a sharded run what an unsharded one does (a kernel row is the
-#: record of the lane that set its barrier)
-_RUN_KEYS = {
-    **_typed("float", (
-        "accel_cycles exposed_overhead_cycles overhead_fraction total_cycles"
-    )),
-    **_typed("int", (
-        "bytes_read bytes_written input_bytes num_pairs num_tasks total_macs"
-    )),
-    "compile": _typed("float", "parse_s partition_s profile_s total_s"),
-    "kernels": [{
-        **_typed("float", "cycles out_density"),
-        **_typed("int", "pairs skipped_pairs tasks tasks_executed waves"),
-        "primitives": {"*": "int"},
-        **_MODELLED,
     }],
 }
 
@@ -541,18 +486,7 @@ JSON_CELLS = {
                     "device_pairs": {"*": "int"},
                     "transfer_seconds": "float",
                     "primitives": {"*": "int"}}),
-    "shard_bench": (["shard-bench", "--dataset", "CO", "--shards", "2",
-                     "--json"],
-                    {"single_device": _INFERENCE, "sweeps": [_SHARDED],
-                     "mismatched_shard_counts": []},
-                    {"single_device": _merge(
-                        {"backend": "str", "kernels": [_MODELLED]}, _SHARD_KEYS),
-                     "sweeps": [_merge({"backend": "str", "kernels": [
-                         {"halo_exposed_ms": "float", "coo_writebacks": "int",
-                          "shard_modelled_cycles": [_typed(
-                              "float", "GEMM SpDMM SpDMM^T SPMM chosen")]}]},
-                         _RUN_KEYS)]}),
-    "serve_bench": (_SERVE_ARGV, _serving(_IN_FLIGHT), _PCIE,
+    "serve_bench": (_serving_payload, _serving(_IN_FLIGHT), _PCIE,
                     {"sweeps": {"<sweep>": {"scheduler"}}}),
     "trace_analyze": (["trace-analyze", "{trace}", "--json", "--what-if",
                        "zero-halo"], _TRACE_ANALYZE, {}),
@@ -600,14 +534,16 @@ class TestResultsReportThemselves:
         import json
 
         argv, recorded, added, *removed = JSON_CELLS[cell]
-        trace = tmp_path / "trace.json"
-        if cell == "trace_analyze":
-            assert main(["trace", "GCN", "CO", "--shards", "2",
-                         "--no-task-spans", "--out", str(trace)]) == 0
-            capsys.readouterr()
-        argv = [arg.format(trace=trace) for arg in argv]
-        assert main(argv) == 0
-        payload = json.loads(capsys.readouterr().out)
+        if callable(argv):
+            payload = json.loads(json.dumps(argv()))
+        else:
+            trace = tmp_path / "trace.json"
+            if cell == "trace_analyze":
+                assert main(["trace", "GCN", "CO", "--shards", "2",
+                             "--no-task-spans", "--out", str(trace)]) == 0
+                capsys.readouterr()
+            assert main([arg.format(trace=trace) for arg in argv]) == 0
+            payload = json.loads(capsys.readouterr().out)
         assert _shape(payload) == _merge(_drop(recorded, *removed), added)
 
     def test_hetero_json_carries_what_it_used_to_drop(self, capsys):
@@ -628,8 +564,6 @@ class TestResultsReportThemselves:
 
         from repro import BACKENDS, Engine
         from repro.config import small_test_config
-        from repro.dyngraph import patch_vs_recompile
-        from repro.engine.overhead import measure_facade_overhead
         from repro.serve import synthesize
 
         engine = Engine(small_test_config(), pool_size=2)
@@ -641,12 +575,6 @@ class TestResultsReportThemselves:
         results["ServingReport"] = engine.serve(
             synthesize(6, datasets=("CO",), scale=0.3), return_outputs=False
         )
-        results["OverheadResult"] = measure_facade_overhead(
-            scale=0.1, repeats=1
-        )
-        results["MicrobenchResult"] = patch_vs_recompile(
-            dataset="CO", scale=0.3, repeats=1
-        )
         for name, result in results.items():
             report = result.format_report()
             assert isinstance(report, str) and report.strip(), name
@@ -655,121 +583,70 @@ class TestResultsReportThemselves:
         for name in BACKENDS:
             assert results[name].to_dict()["backend"] == name
 
-    def test_dyngraph_bench_command(self, capsys):
-        # CI's cli-smoke arguments
-        assert main(["dyngraph-bench", "--dataset", "CO", "--scale", "0.3",
-                     "--requests", "12", "--mutation-every", "4",
-                     "--repeats", "1"]) == 0
-        out = capsys.readouterr().out
-        for needle in ("full recompile", "program patch", " ms",
-                       "mutation policy: patch", "mutation policy: evict",
-                       "churn throughput", "x)"):
-            assert needle in out, needle
-
-    def test_shard_bench_fails_when_outputs_diverge(self, monkeypatch,
-                                                    capsys):
-        import json
-
-        from repro.runtime.executor import InferenceResult
-
-        exact = InferenceResult.output_dense
-        monkeypatch.setattr(  # every width but the single device's diverges
-            InferenceResult, "output_dense",
-            lambda self: exact(self) + (self.num_shards > 1),
-        )
-        argv = ["shard-bench", "--dataset", "CO", "--scale", "0.3",
-                "--shards", "2"]
-        assert main(argv) == 1
-        out = capsys.readouterr().out
-        assert "FAIL:" in out and "NO" in out
-        assert main(argv + ["--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["mismatched_shard_counts"] == [2]
-        assert payload["sweeps"][0]["bit_exact"] is False
-
-
 # -- every check lives at the library boundary --------------------------
 def _library_checks():
     """(argv, argument the message names, the library call that raises
-    it): every range or membership check the CLI made by hand at 4f21418,
-    plus the flags that used to die with a traceback."""
+    it): every range or membership check the CLI made by hand at 4f21418
+    that a remaining flag reaches, plus the flags that used to die with a
+    traceback."""
     import numpy as np
 
     from repro import make_strategy, u250_default
     from repro.datasets import load_dataset
-    from repro.dyngraph import churn_experiment, patch_vs_recompile
-    from repro.engine.cache import ProgramCache
-    from repro.engine.overhead import measure_facade_overhead
     from repro.engine.pool import AcceleratorPool
-    from repro.gnn import build_model
     from repro.gnn.pruning import prune_to_sparsity
     from repro.obs import Tracer, flame_summary, validate_trace
-    from repro.sched import SLOPolicy
-    from repro.serve import InferenceServer, churn_stream, synthesize
 
     def bad_prune(level):
         return lambda: prune_to_sparsity(np.ones((2, 2)), level)
 
-    def bad_scale(scale):
-        return lambda: load_dataset("CO", scale=scale)
-
-    no_pool = lambda: AcceleratorPool(None, 0)  # noqa: E731
-    serve = ["serve-bench", "--requests", "4", "--models", "GCN",
-             "--datasets", "CO", "--scale", "0.05", "--pool", "1"]
-    dyn = ["dyngraph-bench", "--dataset", "CO", "--scale", "0.3",
-           "--requests", "12", "--mutation-every", "4", "--repeats", "1"]
     small = ["--dataset", "CO", "--scale", "0.1"]
     return [
         (["run", *small, "--prune", "2"], "sparsity", bad_prune(2.0)),
-        (["run", "--scale", "7"], "scale", bad_scale(7.0)),
+        (["run", "--scale", "7"], "scale",
+         lambda: load_dataset("CO", scale=7.0)),
         (["run", *small, "--strategy", "nope"], "strategy",
          lambda: make_strategy("nope", u250_default())),
         (["compare", *small, "--prune", "-1"], "sparsity", bad_prune(-1.0)),
         (["trace", "GCN", "CO", "--scale", "0.1", "--prune", "2"],
          "sparsity", bad_prune(2.0)),
-        (serve + ["--pool", "0"], "num_devices", no_pool),
-        (serve + ["--rate", "-1"], "rate_rps",
-         lambda: synthesize(4, rate_rps=-1.0)),
-        (serve + ["--max-batch", "0"], "max_batch_size",
-         lambda: InferenceServer(max_batch_size=0)),
-        (serve + ["--cache", "0"], "capacity", lambda: ProgramCache(0)),
-        (serve + ["--max-wait-ms", "-1"], "max_wait_s",
-         lambda: InferenceServer(max_wait_s=-1e-3)),
-        (serve + ["--requests", "0"], "num_requests", lambda: synthesize(0)),
-        (serve + ["--prune", "2"], "sparsity", bad_prune(2.0)),
-        (serve + ["--skew", "-1"], "skew", lambda: synthesize(4, skew=-1.0)),
-        (serve + ["--scale", "0"], "scale", bad_scale(0.0)),
-        (serve + ["--class-skew", "2"], "class_skew",
-         lambda: synthesize(4, class_skew=2.0)),
-        (serve + ["--slo-p99-ms", "0"], "target_p99_s",
-         lambda: SLOPolicy.default(interactive_target_p99_s=0.0)),
-        (serve + ["--queue-bound", "0"], "max_queue_depth",
-         lambda: SLOPolicy.default(interactive_queue_depth=0)),
-        (serve + ["--strategy", "nope"], "strategy",
-         lambda: make_strategy("nope", u250_default())),
-        (serve + ["--models", "X"], "model",
-         lambda: build_model("X", 4, 4, 2)),
-        (serve + ["--datasets", "X"], "dataset", lambda: load_dataset("X")),
-        (dyn + ["--scale", "0"], "scale", bad_scale(0.0)),
-        (dyn + ["--edge-fraction", "0"], "edge_fraction",
-         lambda: patch_vs_recompile(edge_fraction=0.0)),
-        (dyn + ["--repeats", "0"], "repeats",
-         lambda: patch_vs_recompile(repeats=0)),
-        (dyn + ["--requests", "1"], "num_requests",
-         lambda: churn_experiment(num_requests=1)),
-        (dyn + ["--mutation-every", "1"], "mutation_every",
-         lambda: churn_stream(4, graph=None, mutation_every=1)),
-        (dyn + ["--pool", "0"], "num_devices", no_pool),
-        (dyn + ["--churn-scale", "2"], "scale", bad_scale(2.0)),
-        (["engine-bench", "--scale", "0.1", "--repeats", "0"], "repeats",
-         lambda: measure_facade_overhead(repeats=0)),
         (["trace", "--validate", "x.json", "--rtol", "0"], "rtol",
          lambda: validate_trace({}, rtol=0.0)),
         (["trace", "GCN", "CO", "--scale", "0.1", "--top", "-1"], "top",
          lambda: flame_summary(Tracer(), top=-1)),
         (["trace", "GCN", "CO", "--scale", "0.1", "--shards", "0"],
-         "num_devices", no_pool),
+         "num_devices", lambda: AcceleratorPool(None, 0)),
     ]
+
+
+def _library_only_checks():
+    """The checks that flags of the deleted measurement subcommands
+    reached and no remaining flag does, on the library alone."""
+    from repro.datasets import load_dataset
+    from repro.engine.cache import ProgramCache
+    from repro.gnn import build_model
+    from repro.sched import SLOPolicy
+    from repro.serve import InferenceServer, churn_stream, synthesize
+
+    return [pytest.param(argument, call, id=argument) for argument, call in (
+        ("rate_rps", lambda: synthesize(4, rate_rps=-1.0)),
+        ("num_requests", lambda: synthesize(0)),
+        ("skew", lambda: synthesize(4, skew=-1.0)),
+        ("class_skew", lambda: synthesize(4, class_skew=2.0)),
+        ("max_batch_size", lambda: InferenceServer(max_batch_size=0)),
+        ("max_wait_s", lambda: InferenceServer(max_wait_s=-1e-3)),
+        ("capacity", lambda: ProgramCache(0)),
+        ("target_p99_s",
+         lambda: SLOPolicy.default(interactive_target_p99_s=0.0)),
+        ("max_queue_depth",
+         lambda: SLOPolicy.default(interactive_queue_depth=0)),
+        ("model", lambda: build_model("X", 4, 4, 2)),
+        ("dataset", lambda: load_dataset("X")),
+        ("edge_fraction",
+         lambda: churn_stream(4, graph=None, edge_fraction=0.0)),
+        ("mutation_every",
+         lambda: churn_stream(4, graph=None, mutation_every=1)),
+    )]
 
 
 class TestChecksLiveInTheLibrary:
@@ -788,6 +665,12 @@ class TestChecksLiveInTheLibrary:
         with pytest.raises(SystemExit) as exited:
             main(argv)
         assert str(exited.value) == f"{argv[0]}: {library_message}"
+
+    @pytest.mark.parametrize("argument, library_call", _library_only_checks())
+    def test_library_message_names_the_argument(self, argument, library_call):
+        with pytest.raises((ValueError, KeyError)) as raised:
+            library_call()
+        assert argument in str(raised.value.args[0])
 
     def test_bad_flag_exits_nonzero_without_a_traceback(self):
         import os

@@ -17,7 +17,7 @@ from conftest import make_tiny_config
 import repro
 from repro import Compiler, build_model, init_weights, load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph
-from repro.engine import BACKENDS, Engine, measure_facade_overhead
+from repro.engine import BACKENDS, Engine
 from repro.gnn import MODEL_NAMES
 from repro.runtime.executor import run_strategy
 from repro.runtime.strategies import make_strategy, strategy_names
@@ -321,16 +321,3 @@ def _library_modules():
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
         if info.name != "repro.__main__":
             yield importlib.import_module(info.name)
-
-
-class TestOverheadHarness:
-    def test_measure_facade_overhead_runs(self):
-        result = measure_facade_overhead(
-            model="GCN", dataset="CO", scale=0.1, repeats=3,
-            config=make_tiny_config(),
-        )
-        assert result.direct_s > 0 and result.engine_s > 0
-        # no ceiling assert here (CI noise); the bench smoke gate owns it
-        assert result.overhead_fraction == pytest.approx(
-            result.engine_s / result.direct_s - 1.0
-        )

@@ -39,14 +39,13 @@ import json
 import numpy as np
 import pytest
 from book_ahead import book_ahead, peek_group
-from conftest import make_tiny_config
+from conftest import cold_then_warm, make_tiny_config
 from test_serve_golden import exact, strip_wallclock
 
 from repro.engine import Engine
 from repro.engine.pool import AcceleratorPool
 from repro.obs import Tracer
-from repro.serve import InferenceRequest, InferenceServer
-from repro.serve.comparison import serving_comparison
+from repro.serve import InferenceRequest, InferenceServer, synthesize
 
 SCALE = 0.15
 MODELS = ("GCN", "GraphSAGE", "GIN", "SGC")
@@ -303,18 +302,25 @@ class TestEstimateChecksWhatTheLoopChecks:
 
 
 # -- one pass -------------------------------------------------------------
+def json_cell_sweeps():
+    """The serving cell of ``tests/test_cli.py``'s ``JSON_CELLS``: a
+    12-request GCN x Cora stream at 8x the capacity of 2 devices, served
+    cold then warm on pools of 1 and 2; returns ``(rate, sweeps)``."""
+    probe = InferenceRequest(model="GCN", dataset="CO", scale=SCALE)
+    rate = InferenceServer().saturating_rate([probe], pool_size=2, factor=8.0)
+    return rate, cold_then_warm(synthesize(12, rate_rps=rate, scale=SCALE))
+
+
 def json_cell_payload(scheduler: str) -> dict:
-    """The warm sweeps of ``tests/test_cli.py``'s serve-bench
-    ``JSON_CELLS`` entry (cold sweeps charge host-measured compile
-    seconds), run by the serve loop (``"continuous"``) or the book-ahead
-    oracle (``"legacy"``, the CLI's default when the digest was recorded)."""
+    """The warm sweeps of :func:`json_cell_sweeps` (cold sweeps charge
+    host-measured compile seconds), run by the serve loop
+    (``"continuous"``) or the book-ahead oracle (``"legacy"``, the
+    default when the digest was recorded)."""
     with book_ahead() if scheduler == "legacy" else contextlib.nullcontext():
-        comparison = serving_comparison(
-            12, pools=(1, 2), models=("GCN",), datasets=("CO",), scale=SCALE,
-        )
+        _, sweeps = json_cell_sweeps()
     return {
         f"warm_pool{n}": strip_wallclock(warm.to_dict())
-        for n, (_, warm) in comparison.sweeps.items()
+        for n, (_, warm) in sweeps.items()
     }
 
 

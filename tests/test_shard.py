@@ -22,7 +22,6 @@ import scipy.sparse as sp
 from conftest import make_tiny_config
 
 from repro import Compiler, build_model, init_weights, load_dataset
-from repro.__main__ import main
 from repro.config import MemoryConfig, u250_default
 from repro.engine import BACKENDS, Engine
 from repro.engine.pool import AcceleratorPool
@@ -591,19 +590,3 @@ class TestServingIntegration:
             )
         )
         assert 0.0 < sharded < plain
-
-
-class TestShardBenchCLI:
-    def test_shard_bench_runs_and_verifies(self, capsys):
-        assert main([
-            "shard-bench", "--dataset", "CO", "--scale", "0.3",
-            "--shards", "1,2", "--plan",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "bit-exact" in out and "ShardPlan" in out
-
-    def test_bad_shard_list_rejected(self):
-        with pytest.raises(SystemExit, match="shards"):
-            main(["shard-bench", "--shards", "two"])
-        with pytest.raises(SystemExit, match="shards"):
-            main(["shard-bench", "--shards", "0"])

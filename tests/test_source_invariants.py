@@ -17,8 +17,9 @@ over every ``src/repro/**/*.py`` (parsed once per module):
 
 An exemption is an allowlist entry with its reason, here; there is no
 suppression comment.  Each check also has a fixture that must fire and
-one that must stay silent.  The last test keeps the CI workflows' ``python -m repro``
-commands in step with the CLI they call.
+one that must stay silent.  The last test keeps the ``python -m repro``
+commands of the CI workflows, the README and the verify skill in step
+with the CLI they call.
 """
 
 from __future__ import annotations
@@ -41,12 +42,8 @@ CLOCKED_PACKAGES = ("runtime", "sched", "serve", "shard", "hw")
 #: host-side measurement modules that read the wall clock, each with the
 #: reason it is exempt
 WALLCLOCK_ALLOWLIST: dict[str, str] = {
-    "src/repro/engine/overhead.py":
-        "measures the facade's own host-side overhead vs run_strategy",
     "src/repro/baselines/reference.py":
         "times the numpy reference inference on the actual host CPU",
-    "src/repro/dyngraph/churn.py":
-        "patch-vs-recompile microbenchmark: host wall time is the metric",
     "src/repro/dyngraph/patcher.py":
         "PatchReport.wall_s: host patching cost reported to the operator",
     "src/repro/perf/runner.py":
@@ -385,10 +382,13 @@ class TestClockScoping:
 
 def workflow_commands():
     """``(where, subcommand, flags)`` for every ``python -m repro`` command
-    in the CI workflows: ``\\`` continuations and folded ``run: >`` blocks
-    are joined into one line first."""
+    in the CI workflows, the README and the verify skill: ``\\``
+    continuations and folded ``run: >`` blocks are joined into one line
+    first, and an inline code span ends a command."""
     out = []
-    for path in sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml")):
+    for path in [*sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml")),
+                 REPO_ROOT / "README.md",
+                 REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]:
         lines = path.read_text(encoding="utf-8").splitlines()
         i = 0
         while i < len(lines):
@@ -405,7 +405,7 @@ def workflow_commands():
                 i += 1
                 text = text[:-1] + " " + lines[i].strip()
             i += 1
-            for command in re.split(r"\||;|&&", text):
+            for command in re.split(r"\||;|&&|`", text):
                 match = re.search(r"python -m repro (\S+)(.*)", command)
                 if match:
                     out.append((f"{path.name}:{start + 1}", match.group(1),
