@@ -10,7 +10,7 @@ checks the headline claims of the ``repro.sched`` subsystem:
    overload;
 2. interactive p99 stays within its SLO target while book-ahead blows
    through it (queueing grows unboundedly at 10x load);
-3. the oracle's run of the stream is bit-exact on a second server
+3. the oracle's run of the stream is bit-exact on a second engine
    (modulo host-wall-clock compile measurements).
 
 All graded sweeps run against a warm program cache, so every number is
@@ -24,8 +24,9 @@ from pathlib import Path
 
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
+from repro.engine import Engine
 from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
-from repro.serve import InferenceRequest, InferenceServer, synthesize
+from repro.serve import InferenceRequest, saturating_rate, synthesize
 
 _tests = str(Path(__file__).resolve().parent.parent / "tests")
 if _tests not in sys.path:
@@ -47,18 +48,7 @@ SMOKE = dict(models=("GCN",), requests=120, pool=2)
 FULL = dict(models=("GCN", "GIN"), requests=320, pool=4)
 
 
-def _server(pool: int, policy=None, admission=None,
-            autoscaler=None) -> InferenceServer:
-    return InferenceServer(
-        CFG,
-        pool_size=pool,
-        max_batch_size=MAX_BATCH,
-        max_wait_s=1e-3,
-        return_outputs=False,
-        slo_policy=policy,
-        admission=admission,
-        autoscaler=autoscaler,
-    )
+KNOBS = dict(max_batch_size=MAX_BATCH, max_wait_s=1e-3, return_outputs=False)
 
 
 def sweep(models, requests, pool):
@@ -66,15 +56,16 @@ def sweep(models, requests, pool):
     oracle's bit-exact check."""
     probes = [InferenceRequest(model=m, dataset="CO", seed=17)
               for m in models]
-    probe_server = _server(1)
+    probe_engine = Engine(CFG, pool_size=1)
     exec_s = max(
-        r.execute_s for r in serve_book_ahead(probe_server, probes).responses
+        r.execute_s for r in serve_book_ahead(probe_engine, probes, **KNOBS).responses
     )
     # ~10x the pool's *batch-amortized* capacity: saturating_rate already
     # normalises per-request occupancy at full batches, so book-ahead is
     # genuinely overloaded, not just un-batched
-    rate = probe_server.saturating_rate(
-        probes, pool_size=pool, factor=OVERLOAD_FACTOR
+    rate = saturating_rate(
+        probe_engine, probes, max_batch_size=MAX_BATCH, pool_size=pool,
+        factor=OVERLOAD_FACTOR,
     )
     policy = SLOPolicy.default(
         interactive_target_p99_s=TARGET_FACTOR * exec_s,
@@ -90,22 +81,20 @@ def sweep(models, requests, pool):
         class_skew=CLASS_SKEW,
     )
 
-    legacy = _server(pool, policy=policy)
-    serve_book_ahead(legacy, workload)                  # cold: populate the cache
-    legacy_report = serve_book_ahead(legacy, workload)  # warm: graded sweep
+    legacy = Engine(CFG, pool_size=pool)
+    serve_book_ahead(legacy, workload, slo_policy=policy, **KNOBS)  # cold: populate the cache
+    legacy_report = serve_book_ahead(legacy, workload, slo_policy=policy, **KNOBS)  # warm: graded
 
-    continuous = _server(
-        pool, policy=policy,
-        admission=AdmissionController(policy),
-        autoscaler=PoolAutoscaler(min_devices=1),
-    )
-    continuous.serve(workload)
-    continuous_report = continuous.serve(workload)
+    continuous = Engine(CFG, pool_size=pool)
+    managed = dict(KNOBS, slo_policy=policy, admission=AdmissionController(policy),
+                   autoscaler=PoolAutoscaler(min_devices=1))
+    continuous.serve(workload, **managed)
+    continuous_report = continuous.serve(workload, **managed)
 
-    # the oracle is deterministic: a second server books the same sweep
-    again = _server(pool, policy=policy)
-    serve_book_ahead(again, workload)
-    again_report = serve_book_ahead(again, workload)
+    # the oracle is deterministic: a second engine books the same sweep
+    again = Engine(CFG, pool_size=pool)
+    serve_book_ahead(again, workload, slo_policy=policy, **KNOBS)
+    again_report = serve_book_ahead(again, workload, slo_policy=policy, **KNOBS)
     bit_exact = _strip_wallclock(again_report.to_dict()) == \
         _strip_wallclock(legacy_report.to_dict())
 

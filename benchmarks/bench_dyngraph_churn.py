@@ -13,7 +13,7 @@ virtual-clock serving metrics for the churn stream):
    compile gets cheaper (it builds its adjacency with the patch's own
    statements and counts each operand once), and the committed baseline
    tracks where it stands;
-2. under an interleaved infer/mutate stream, a server that patches
+2. under an interleaved infer/mutate stream, an engine that patches
    cached programs sustains higher throughput than one that evicts and
    recompiles.
 
@@ -31,7 +31,8 @@ from repro.config import u250_default
 from repro.datasets import load_dataset
 from repro.dyngraph import MutableGraph, ProgramPatcher, random_delta
 from repro.gnn import build_model, init_weights
-from repro.serve import InferenceServer, churn_stream
+from repro.engine import Engine
+from repro.serve import churn_stream
 
 #: patch instances: (dataset, scale), ~1% edge churn per delta
 MICRO, SMOKE_MICRO = ("PU", 1.0), ("PU", 0.5)
@@ -93,7 +94,7 @@ def churn(dataset: str, scale: float, num_requests: int,
     """Mutation policy -> the report of one infer/mutate stream (every 6th
     event a mutation) on 2 devices; the churn table is emitted.
 
-    Each policy gets its own server and its own graph from one seed, so
+    Each policy gets its own engine and its own graph from one seed, so
     both see bit-identical graphs, deltas and arrivals.  The stream spans
     three measured compiles of virtual time: recompile stalls queue
     requests, but no single compile dominates the sweep.
@@ -106,13 +107,12 @@ def churn(dataset: str, scale: float, num_requests: int,
     for policy in ("patch", "evict"):
         graph = MutableGraph(load_dataset(dataset, scale=scale, seed=0),
                              graph_id=f"{dataset}-churn")
-        server = InferenceServer(u250_default(), pool_size=2, max_batch_size=4,
-                                 return_outputs=False, mutation_policy=policy)
-        server.register_graph(graph)
-        reports[policy] = server.serve(churn_stream(
+        engine = Engine(u250_default(), pool_size=2)
+        engine.register_graph(graph)
+        reports[policy] = engine.serve(churn_stream(
             num_requests, graph=graph, mutation_every=6,
             edge_fraction=edge_fraction, rate_rps=rate,
-        ))
+        ), max_batch_size=4, return_outputs=False, mutation_policy=policy)
     emit("bench_dyngraph_churn", format_table(
         ["policy", "throughput (req/s)", "p50 (ms)", "p95 (ms)", "hit rate",
          "compile (ms)", "patch (ms)", "patched", "evicted"],

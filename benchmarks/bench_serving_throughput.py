@@ -14,7 +14,8 @@ light load to overload.  The headline claims this bench checks:
 
 from _common import Metric, emit, format_table, register_bench
 from repro import u250_default
-from repro.serve import InferenceRequest, InferenceServer, synthesize
+from repro.engine import Engine
+from repro.serve import InferenceRequest, saturating_rate, synthesize
 
 CFG = u250_default()
 MODELS = ("GCN", "GIN")
@@ -24,14 +25,7 @@ MAX_BATCH = 8
 POOLS = (1, 2, 4, 8)
 
 
-def _server(pool_size: int) -> InferenceServer:
-    return InferenceServer(
-        CFG,
-        pool_size=pool_size,
-        max_batch_size=MAX_BATCH,
-        max_wait_s=1e-3,
-        return_outputs=False,
-    )
+KNOBS = dict(max_batch_size=MAX_BATCH, max_wait_s=1e-3, return_outputs=False)
 
 
 def _workload(rate_rps: float):
@@ -50,17 +44,24 @@ def _probes(seed: int = 0):
             for m in MODELS for d in DATASETS]
 
 
+def _capacity(pool_size: int, factor: float, seed: int = 0) -> float:
+    """The arrival rate offering ``factor`` x ``pool_size`` devices' capacity."""
+    return saturating_rate(Engine(CFG), _probes(seed), max_batch_size=MAX_BATCH,
+                           pool_size=pool_size, factor=factor)
+
+
+def _cold_then_warm(pool_size: int, workload):
+    """The warm report of ``workload`` on a fresh engine of ``pool_size``."""
+    engine = Engine(CFG, pool_size=pool_size)
+    engine.serve(workload, **KNOBS)
+    return engine.serve(workload, **KNOBS)
+
+
 def _pool_sweep():
     """Warm report per pool size, on one stream at 8x the largest pool's
-    capacity: each pool size's own server serves it cold, then warm."""
-    workload = _workload(_server(1).saturating_rate(
-        _probes(seed=17), pool_size=POOLS[-1], factor=8.0))
-    rows = []
-    for pool in POOLS:
-        server = _server(pool)
-        server.serve(workload)
-        rows.append((pool, server.serve(workload)))
-    return rows
+    capacity: each pool size's own engine serves it cold, then warm."""
+    workload = _workload(_capacity(POOLS[-1], factor=8.0, seed=17))
+    return [(pool, _cold_then_warm(pool, workload)) for pool in POOLS]
 
 
 def _pool_table(rows):
@@ -81,14 +82,9 @@ def _pool_table(rows):
 def _arrival_sweep():
     """Warm report per offered load, from light load to 4x capacity."""
     # factor=1.0: an arrival rate of exactly ~1x pool capacity
-    capacity = _server(1).saturating_rate(_probes(), pool_size=4, factor=1.0)
-    rows = []
-    for load in (0.25, 0.5, 1.0, 2.0, 4.0):
-        server = _server(4)
-        workload = _workload(load * capacity)
-        server.serve(workload)
-        rows.append((load, server.serve(workload)))
-    return rows
+    capacity = _capacity(4, factor=1.0)
+    return [(load, _cold_then_warm(4, _workload(load * capacity)))
+            for load in (0.25, 0.5, 1.0, 2.0, 4.0)]
 
 
 def _arrival_table(rows):

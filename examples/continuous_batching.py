@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Continuous batching: SLO-aware serving under overload.
 
-Every `InferenceServer.serve` sweep runs the `repro.sched` serve loop,
+Every `Engine.serve` sweep runs the `repro.sched` serve loop,
 an event-driven continuous-batching scheduler:
 
 1. tag a synthetic workload with SLO classes (`class_skew` controls the
@@ -10,15 +10,16 @@ an event-driven continuous-batching scheduler:
    on a device at the next layer boundary, at zero added service cost,
    so an overloaded stream needs far fewer executions than requests;
 3. goodput — requests that met their SLO target per second — graded per
-   class against the server's SLO policy;
+   class against the sweep's SLO policy;
 4. admission control sheds hopeless interactive requests and defers
    bulk ones instead of letting queues grow without bound;
 5. the pool autoscaler grows the active device set under backlog and
    parks devices again when the burst drains.
 """
 
+from repro.engine import Engine
 from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
-from repro.serve import InferenceServer, synthesize
+from repro.serve import synthesize
 
 
 def main() -> None:
@@ -38,22 +39,19 @@ def main() -> None:
 
     # 2 + 3. the serve loop, graded against one SLO policy --------------
     policy = SLOPolicy.default(interactive_target_p99_s=2e-4)
-    plain = InferenceServer(pool_size=2, max_batch_size=8, slo_policy=policy)
-    plain.serve(requests)                  # cold: populate the cache
-    plain_report = plain.serve(requests)   # warm: graded sweep
+    plain = Engine(pool_size=2)
+    plain.serve(requests, max_batch_size=8, slo_policy=policy)  # cold: populate the cache
+    plain_report = plain.serve(requests, max_batch_size=8, slo_policy=policy)  # warm: graded
 
     # 4 + 5. the same loop with queue bounds and autoscaling -----------
     bounded = SLOPolicy.default(interactive_target_p99_s=2e-4,
                                 interactive_queue_depth=4, bulk_queue_depth=4)
-    managed = InferenceServer(
-        pool_size=2,
-        max_batch_size=8,
-        slo_policy=bounded,
-        admission=AdmissionController(bounded),
-        autoscaler=PoolAutoscaler(min_devices=1),
-    )
-    managed.serve(requests)
-    report = managed.serve(requests)
+    managed = Engine(pool_size=2)
+    knobs = dict(max_batch_size=8, slo_policy=bounded,
+                 admission=AdmissionController(bounded),
+                 autoscaler=PoolAutoscaler(min_devices=1))
+    managed.serve(requests, **knobs)
+    report = managed.serve(requests, **knobs)
 
     print("\ncontinuous batching (warm cache, virtual clock):")
     for name, r in (("plain", plain_report), ("managed", report)):

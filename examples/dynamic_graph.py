@@ -26,7 +26,7 @@ from repro.dyngraph import (
     random_delta,
 )
 from repro.runtime.executor import run_strategy
-from repro.serve import InferenceServer, churn_stream
+from repro.serve import churn_stream
 
 
 def main() -> None:
@@ -79,14 +79,13 @@ def main() -> None:
     print("\nserving an interleaved infer/mutate stream:")
     for policy in ("patch", "evict"):
         live = MutableGraph(load_dataset("CO"), graph_id="cora-churn")
-        server = InferenceServer(pool_size=2, max_batch_size=4,
-                                 return_outputs=False,
-                                 mutation_policy=policy)
-        server.register_graph(live)
+        serving = Engine(pool_size=2)
+        serving.register_graph(live)
         stream = churn_stream(40, graph=live, models=("GCN",),
                               mutation_every=5, edge_fraction=0.01,
                               rate_rps=10_000.0, seed=7)
-        r = server.serve(stream)
+        r = serving.serve(stream, max_batch_size=4, return_outputs=False,
+                          mutation_policy=policy)
         print(f"  {policy:>5}: {r.throughput_rps:>9,.0f} req/s, "
               f"p95 {r.latency_p95_s * 1e3:.3f} ms, "
               f"hit rate {r.cache_hit_rate * 100:.0f}%, "

@@ -57,7 +57,6 @@ from repro.shard import ShardPlan, plan_shards
 from repro.serve import (
     InferenceRequest,
     InferenceResponse,
-    InferenceServer,
     MutationRequest,
     ServingReport,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "InferenceResult",
     "InferenceRequest",
     "InferenceResponse",
-    "InferenceServer",
     "MutableGraph",
     "MutationRequest",
     "ProgramPatcher",

@@ -30,9 +30,10 @@ Quickstart::
     result = engine.infer(handle)              # cycle-accurate simulator
     estimate = engine.infer(handle, backend="gpu")   # roofline what-if
 
-The serving front-end (:class:`~repro.serve.server.InferenceServer`)
-composes an engine rather than owning its own cache/pool plumbing, and
-``engine.serve(workload)`` is the one-call path to it.
+Serving is one call on the same engine: ``engine.serve(workload,
+max_batch_size=8)`` runs the serve loop (:mod:`repro.sched.scheduler`)
+over the engine's cache and pool and returns a
+:class:`~repro.serve.report.ServingReport`.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from repro.shard.planner import plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.request import InferenceRequest
-    from repro.serve.server import ServingReport
+    from repro.serve.report import ServingReport
 
 __all__ = [
     "BACKENDS",
@@ -574,23 +575,20 @@ class Engine:
         return self._build(model, data, request.seed, request.prune)
 
     # -- serve ----------------------------------------------------------
-    def serve(self, requests: list, **server_kwargs) -> "ServingReport":
-        """Run a request stream through a serving front-end bound to this
-        engine (program cache and device pool shared with direct
-        :meth:`compile` / :meth:`infer` use).
+    def serve(self, requests: list, **knobs) -> "ServingReport":
+        """Run a request stream to completion on the virtual clock, over
+        this engine's program cache and device pool.
 
-        ``server_kwargs`` are forwarded to
-        :class:`~repro.serve.server.InferenceServer` (``max_batch_size``,
-        ``max_wait_s``, ``return_outputs``, ``mutation_policy``,
-        ``slo_policy``, ``admission``, ``autoscaler``).  A server holds
-        knobs, not results: compiled programs and their recorded
+        ``requests`` may mix :class:`~repro.serve.request.InferenceRequest`
+        with :class:`~repro.serve.request.MutationRequest` (for graphs
+        registered via :meth:`register_graph`), processed in arrival
+        order, mutations first on ties.  ``knobs`` are the sweep's
+        :class:`~repro.sched.scheduler.ContinuousScheduler` settings.  A
+        sweep holds knobs, not results: programs and their recorded
         executions (:meth:`execute`) live in the program cache, so a sweep
-        is warm for whatever :meth:`infer` or an earlier sweep already
-        ran.  The sweep runs the one serve loop, continuous batching
-        (:mod:`repro.sched`): a request joins an execution of its program
-        already in flight at the next layer boundary instead of waiting
-        to run it again.
+        is warm for whatever :meth:`infer` or an earlier sweep already ran.
         """
-        from repro.serve.server import InferenceServer
+        # looked up at call time, so a patched loop class takes effect
+        from repro.sched import scheduler
 
-        return InferenceServer(engine=self, **server_kwargs).serve(requests)
+        return scheduler.ContinuousScheduler(self, **knobs).run(requests)

@@ -7,7 +7,7 @@ Three planes, all default-off and free when disabled:
   serve-side enqueue/batch-form/dispatch, shard halo/barrier — threaded
   through ``Engine``, ``run_strategy`` (one trace shape at every
   width: a ``layer`` span per kernel and each lane's spans beside it),
-  ``InferenceServer`` and ``AcceleratorPool`` via ``tracer=``
+  the serve loop and ``AcceleratorPool`` via ``tracer=``
   parameters;
 - **metrics** (:mod:`repro.obs.metrics`): named counters / gauges /
   histograms, snapshotable into ``ServingReport.metrics`` and

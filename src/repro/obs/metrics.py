@@ -5,7 +5,7 @@ system did in aggregate* — cache hits, patch-vs-recompile counts, queue
 depth, device busy fractions, halo bytes, per-kernel cycles.  A
 :class:`MetricsRegistry` is a flat namespace of the three classic
 instrument kinds, snapshotable to a plain-JSON dict so the serving layer
-can embed it in :class:`~repro.serve.server.ServingReport` and benches
+can embed it in :class:`~repro.serve.report.ServingReport` and benches
 can lift values into ``BENCH_*.json`` metrics.
 
 A name is bound to one instrument kind for the registry's lifetime —

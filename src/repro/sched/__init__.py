@@ -1,7 +1,7 @@
 """The serve loop and what it schedules by (`repro.sched`).
 
-Every :meth:`InferenceServer.serve <repro.serve.server.InferenceServer.serve>`
-sweep runs through the one event-driven loop here, on the virtual clock:
+Every :meth:`Engine.serve <repro.engine.core.Engine.serve>` sweep runs
+through the one event-driven loop here, on the virtual clock:
 
 - :mod:`repro.sched.scheduler` — the loop: arrivals, batch windows,
   cache lookups charged to the host clock, dispatch, completion;
@@ -14,16 +14,16 @@ sweep runs through the one event-driven loop here, on the virtual clock:
 
 The loop is continuous batching (:mod:`repro.sched.scheduler`: joins,
 boarding, priority dispatch and preemption at layer boundaries).  Every
-request is scheduled by its SLO class (the server's ``slo_policy``, by
+request is scheduled by its SLO class (the sweep's ``slo_policy``, by
 default :meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`:
 ``bulk`` and ``interactive``); admission control and autoscaling are
 opt-in::
 
-    from repro.serve import InferenceServer
+    from repro.engine import Engine
     from repro.sched import SLOPolicy, PoolAutoscaler
 
-    server = InferenceServer(
-        pool_size=4,
+    report = Engine(pool_size=4).serve(
+        requests,
         slo_policy=SLOPolicy.default(interactive_target_p99_s=5e-3),
         autoscaler=PoolAutoscaler(min_devices=1),
     )

@@ -1,9 +1,11 @@
 """The serve loop: one discrete-event scheduler on the virtual clock.
 
-Every ``InferenceServer.serve`` sweep runs here, as continuous batching.
-The loop merges the arrival-sorted request stream with a small heap of
-timers (batch windows, compiles finishing, completions, and the layer
-boundaries a preemption is taken at).  Its host cost scales with request
+Every :meth:`Engine.serve <repro.engine.core.Engine.serve>` sweep runs
+here, as continuous batching, and ends in the sweep's
+:class:`~repro.serve.report.ServingReport`.  The loop merges the
+arrival-sorted request stream with a small heap of timers (batch windows,
+compiles finishing, completions, and the layer boundaries a preemption is
+taken at).  Its host cost scales with request
 templates and executions, not requests.  A template is a request's
 ``(model, dataset, strategy, prune, scale, seed, shards, slo)``: its first
 request in a sweep resolves it (bound to the live snapshot of a
@@ -16,6 +18,12 @@ its ``batch_key`` and SLO class, which closes when full or when the
 class's window expires and waits, in priority order, for a device.  A
 finished execution answers its requests as one entry of the sweep's
 :class:`~repro.serve.request.ResponseColumns`.
+
+**Batch windows.**  A group closes the moment it holds
+``max_batch_size`` requests, or once its oldest request has waited its
+class's window (``max_wait_s`` by default).  The window is strict: a
+group whose deadline is *at* an arrival's instant is still open for that
+arrival, so ``max_wait_s=0`` coalesces same-instant arrivals.
 
 **Per-layer segments.**  An execution is an input-PCIe segment (0 s
 where its devices already hold the program's inputs) plus one segment
@@ -66,21 +74,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
+import numpy as np
+
+from repro.engine.core import MUTATION_POLICIES, Engine
 from repro.hw.memory import pcie_transfer_seconds
 from repro.obs.metrics import MetricsRegistry
 from repro.sched.admission import AdmissionController
 from repro.sched.autoscaler import PoolAutoscaler
 from repro.sched.slo import SLOClass, SLOPolicy
-from repro.serve.batcher import MicroBatch
+from repro.serve.report import ServingReport
 from repro.serve.request import InferenceRequest, MutationRequest, ResponseColumns
 
-__all__ = ["ContinuousScheduler"]
+__all__ = ["ContinuousScheduler", "check_shards"]
 
 #: what a request template is: every field of a request but its id and
 #: arrival, so every request of one template resolves, checks, classes and
@@ -100,26 +112,40 @@ class _Template(NamedTuple):
 
 @dataclass(eq=False)
 class _Group:
-    """A forming micro-batch plus its SLO class and window deadline."""
+    """A micro-batch of one ``batch_key`` and SLO class: forming, then
+    closed and waiting for devices."""
 
-    batch: MicroBatch
+    #: the batch key its requests share
+    key: tuple
     slo: SLOClass
+    #: arrival of the oldest request (when the group was opened)
+    opened_s: float
+    #: earliest time the batch may start (compile of its miss request done)
+    ready_s: float
+    #: the sweep's open order: 0 for its first batch
+    batch_id: int
+    #: when its window expires
     deadline: float
     #: devices the batch spans when it runs
     shards: int
+    requests: list[InferenceRequest] = field(default_factory=list)
     #: request id -> (deferred by admission, its lookup: compile seconds
     #: charged, cache hit), for each of the batch's requests
     members: dict = field(default_factory=dict)
 
     @property
-    def key(self) -> tuple:
+    def size(self) -> int:
+        return len(self.requests)
+
+    @property
+    def slot(self) -> tuple:
         """What the group is filed under while it is open."""
-        return (self.batch.key, self.slo.name)
+        return (self.key, self.slo.name)
 
     @property
     def rank(self) -> tuple:
         """Dispatch order: priority first, then open order (batch id)."""
-        return (-self.slo.priority, self.batch.batch_id)
+        return (-self.slo.priority, self.batch_id)
 
 
 _RANK = operator.attrgetter("rank")
@@ -140,10 +166,10 @@ class _Execution:
     )
 
     def __init__(self, group: _Group, run, input_s: float, devices: list[int]):
-        self.exec_id, self.key, self.run = group.batch.batch_id, group.batch.key, run
+        self.exec_id, self.key, self.run = group.batch_id, group.key, run
         self.priority = group.slo.priority
         #: the batch it was started for (their window began at the start)
-        self.founders: list[InferenceRequest] = group.batch.requests
+        self.founders: list[InferenceRequest] = group.requests
         self.members: dict = group.members
         #: the member rows (request, join boundary, deferred, lookup, True)
         #: of the requests that joined or boarded it (boundary None: joined
@@ -197,34 +223,74 @@ class _Execution:
         return self.boundaries[bisect_left(self.boundaries, now)]
 
 
-class ContinuousScheduler:
-    """The serve loop over one ``InferenceServer``, for one sweep.
+def check_shards(request: InferenceRequest, devices: int, most: int) -> None:
+    """A request spans at most the devices a sweep can ever start it on:
+    the pool's ``devices``, or the ``most`` the autoscaler will activate."""
+    if not 1 <= request.shards <= most:
+        capped = f", of which the autoscaler activates at most {most}"
+        raise ValueError(
+            f"request {request.request_id} asks for {request.shards} "
+            f"shards, but shards must be within [1, {most}]: the pool has "
+            f"{devices} device(s){capped if most < devices else ''}"
+        )
 
-    The server constructs one per
-    :meth:`~repro.serve.server.InferenceServer.serve` call, so all state
-    here is sweep-local (the server's admission controller and autoscaler
-    may be caller-owned and are reset at the start of :meth:`run`).  The
-    knobs are the server's: its ``slo_policy`` is what requests are
+
+class ContinuousScheduler:
+    """The serve loop over one :class:`~repro.engine.core.Engine`, for one
+    sweep.
+
+    :meth:`Engine.serve <repro.engine.core.Engine.serve>` constructs one
+    per call, so all state here is sweep-local (the admission controller
+    and autoscaler may be caller-owned and are reset at the start of
+    :meth:`run`).  The knobs: ``max_batch_size`` and ``max_wait_s`` close
+    a forming batch; ``return_outputs=False`` answers without output
+    matrices; ``mutation_policy`` (``MUTATION_POLICIES``) is what a
+    mutation does to cached programs; ``slo_policy`` is what requests are
     scheduled by and responses graded against (default:
-    :meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`).
+    :meth:`SLOPolicy.default <repro.sched.slo.SLOPolicy.default>`);
+    ``admission`` bounds the queue and ``autoscaler`` resizes the pool's
+    active set (both opt-in).
     """
 
-    def __init__(self, server) -> None:
-        self.server = server
+    def __init__(
+        self,
+        engine: Engine,
+        *,
+        max_batch_size: int = 8,
+        max_wait_s: float = 1e-3,
+        return_outputs: bool = True,
+        mutation_policy: str = "patch",
+        slo_policy: SLOPolicy | None = None,
+        admission: AdmissionController | None = None,
+        autoscaler: PoolAutoscaler | None = None,
+    ) -> None:
+        if mutation_policy not in MUTATION_POLICIES:
+            raise ValueError(
+                f"mutation_policy must be one of {MUTATION_POLICIES}, "
+                f"got {mutation_policy!r}"
+            )
+        if not max_batch_size >= 1:
+            raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
+        if not max_wait_s >= 0:
+            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
+        self.max_batch_size, self.max_wait_s = max_batch_size, max_wait_s
+        self.return_outputs, self.mutation_policy = return_outputs, mutation_policy
         #: the engine's resources, bound once for the sweep
-        self.engine = engine = server.engine
+        self.engine = engine
         self.pool, self.cache = engine.pool, engine.cache
         self.config, self.tracer = engine.config, engine.tracer
-        self.slo_policy = policy = server.slo_policy
-        admission = server.admission
+        self.slo_policy = slo_policy
         #: the classes requests are scheduled as
-        self.classes = policy if policy is not None else SLOPolicy.default()
+        self.classes = slo_policy if slo_policy is not None else SLOPolicy.default()
         self._class_named = {c.name: c for c in self.classes.classes}
         #: no ready group at this priority can preempt anything
         self._lowest = min(c.priority for c in self.classes.classes)
         self.admission = (admission if admission is not None
                           else AdmissionController(self.classes))
-        self.autoscaler: PoolAutoscaler | None = server.autoscaler
+        self.autoscaler = autoscaler
+        #: the widest a request may be: the pool, or the autoscaler's cap
+        cap = autoscaler.max_devices if autoscaler is not None else None
+        self._max_shards = min(self.pool.num_devices, cap or self.pool.num_devices)
 
         #: the sweep's counters; ``ServingReport`` is built from these
         self.metrics = MetricsRegistry()
@@ -306,10 +372,14 @@ class ContinuousScheduler:
         timers = self._timers
         # a stable sort: mutations first on timestamp ties
         mutations = [r for r in requests if isinstance(r, MutationRequest)]
+        arrival_s = operator.attrgetter("arrival_s")
         arrivals = sorted(
             mutations + [r for r in requests if not isinstance(r, MutationRequest)],
-            key=operator.attrgetter("arrival_s"),
+            key=arrival_s,
         )
+        # one pass per stream: a NaN or infinite arrival makes the sum one
+        if not math.isfinite(sum(map(arrival_s, arrivals))):
+            raise ValueError("every request's arrival_s must be finite")
         ready = self._ready
         for event in arrivals:
             t = event.arrival_s
@@ -353,19 +423,19 @@ class ContinuousScheduler:
         self._count("serve.sched.executions", self.metrics.counter("serve.batches").value)
         self.metrics.gauge("serve.sched.active_devices").set(pool.num_active)
         self.metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)
-        return self.server._report(self)
+        return self._report()
 
     # -- arrivals -------------------------------------------------------
     def _mutate(self, mutation: MutationRequest, now: float) -> None:
         """Apply one mutation at virtual time ``now`` and charge its cost.
 
-        The cache reconciliation itself (patch or evict, per the server's
+        The cache reconciliation itself (patch or evict, per the sweep's
         mutation policy) is the engine's job; here the work is booked on
         the sweep's host clock: patches and compiles share one host, so
         they serialise against each other on the virtual timeline.
         """
         outcome = self.engine.apply_delta(mutation.graph_id, mutation.delta,
-                                          policy=self.server.mutation_policy)
+                                          policy=self.mutation_policy)
         self._templates.clear()  # later requests bind to the new snapshot
         self._count("serve.mutations")
         self.mutation_evictions += outcome.evictions
@@ -387,7 +457,7 @@ class ContinuousScheduler:
         template = self._templates.get(key)
         if template is None:
             req = self.engine.resolve_request(req)
-            self.server._check_shards(req)
+            check_shards(req, self.pool.num_devices, self._max_shards)
             cls, prog_key = self._class_of(req), req.program_key(self.config)
             template = self._templates[key] = _Template(
                 req, cls, prog_key, req.batch_key(self.config, prog_key))
@@ -466,45 +536,42 @@ class ContinuousScheduler:
         group = self._groups.get(gkey)
         opened = group is None
         if opened:
-            wait = cls.max_wait_s if cls.max_wait_s is not None else self.server.max_wait_s
-            batch = MicroBatch(key=template.pkey, requests=[], opened_s=now, ready_s=now,
-                               batch_id=next(self._order))
-            group = self._groups[gkey] = _Group(batch, cls, deadline=now + wait,
-                                                shards=req.shards)
+            wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
+            group = self._groups[gkey] = _Group(
+                template.pkey, cls, opened_s=now, ready_s=now, batch_id=next(self._order),
+                deadline=now + wait, shards=req.shards)
             self._after(group.deadline, self._window_expired, group)
-        batch = group.batch
-        batch.requests.append(req)
+        group.requests.append(req)
         group.members[req.request_id] = (deferred, lookup)
-        if ready_s > batch.ready_s:
-            batch.ready_s = ready_s
+        if ready_s > group.ready_s:
+            group.ready_s = ready_s
         self._waiting += 1
         if opened and req.shards > self.pool.num_active:
             # a queued batch's width is a floor on the active set: it
             # grows now, because no later event need come to grow it
             self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
-        if len(batch.requests) >= self.server.max_batch_size:
+        if group.size >= self.max_batch_size:
             self._close_group(group, now)
 
     def _window_expired(self, group: _Group, now: float) -> None:
-        if self._groups.get(group.key) is group:
+        if self._groups.get(group.slot) is group:
             self._close_group(group, now)
             self._schedule(now)
 
     def _close_group(self, group: _Group, now: float) -> None:
-        batch = group.batch
-        del self._groups[group.key]
+        del self._groups[group.slot]
         if self.tracer.enabled:
             # the batch-formation window: first member's admission to
             # the size trigger or window expiry that closed the batch
-            self.tracer.span("serve", f"batch{batch.batch_id}/form", batch.opened_s, now,
-                             cat="batch", size=batch.size, key=str(batch.requests[0].model),
+            self.tracer.span("serve", f"batch{group.batch_id}/form", group.opened_s, now,
+                             cat="batch", size=group.size, key=str(group.requests[0].model),
                              slo=group.slo.name)
-        if batch.ready_s <= now:
+        if group.ready_s <= now:
             insort(self._ready, group, key=_RANK)
         else:
             # compile still running: becomes schedulable at ready_s
             self._unready.append(group)
-            self._after(batch.ready_s, self._group_ready, group)
+            self._after(group.ready_s, self._group_ready, group)
 
     def _group_ready(self, group: _Group, now: float) -> None:
         if group not in self._unready:
@@ -524,31 +591,31 @@ class ContinuousScheduler:
         self._schedule(t)
 
     # -- dispatch -------------------------------------------------------
-    def _prepare(self, batch: MicroBatch, ready_s: float):
-        """Replay (or simulate, the first time) the batch's execution
+    def _prepare(self, group: _Group, ready_s: float):
+        """Replay (or simulate, the first time) the group's execution
         through the engine's one door and count it; returns the run.  K2P
         analysis and any PCIe input transfer are paid once per execution."""
-        first = batch.requests[0]
-        run = self.engine.execute(self._programs[batch.key], first.strategy, first.shards,
+        first = group.requests[0]
+        run = self.engine.execute(self._programs[group.key], first.strategy, first.shards,
                                   ready_s=ready_s)
         self._count("serve.batches")
         if run.num_shards > 1:
             self._count("serve.sharded_batches")
-            self._count("serve.sharded_requests", batch.size)
+            self._count("serve.sharded_requests", group.size)
             self._count("serve.halo_bytes", run.halo_bytes)
             self.halo_s += run.halo_s
             width = self.metrics.gauge("serve.max_shard_width")
             width.set(max(width.value, run.num_shards))
         return run
 
-    def _input_s(self, batch: MicroBatch, devices: list[int]) -> float:
-        """PCIe seconds the batch pays to send its program's inputs to
+    def _input_s(self, group: _Group, devices: list[int]) -> float:
+        """PCIe seconds the group pays to send its program's inputs to
         ``devices`` (slice ``i`` to ``devices[i]``): none when each holds
         its slice already (sent earlier this sweep, never evicted), else
         the whole transfer, after which each does."""
-        transfer_s = pcie_transfer_seconds(self._programs[batch.key].input_bytes(), self.config)
+        transfer_s = pcie_transfer_seconds(self._programs[group.key].input_bytes(), self.config)
         # the batch key is the program key + (strategy, shards)
-        slices = {(d, batch.key[:-2], len(devices), i) for i, d in enumerate(devices)}
+        slices = {(d, group.key[:-2], len(devices), i) for i, d in enumerate(devices)}
         sent = slices - self._resident
         if not sent:
             self._count("serve.pcie_saved_s", transfer_s)
@@ -571,7 +638,7 @@ class ContinuousScheduler:
             self._count("serve.sharded_requests", len(exec_.joiners))
         self.answers.add(rows, t, exec_.exec_id, exec_.devices[0], run.num_shards,
                          run.barrier_s, run.total_cycles,
-                         run.served_output() if self.server.return_outputs else None)
+                         run.served_output() if self.return_outputs else None)
         if self.tracer.enabled:
             for req, start, deferred, _, joined in rows:
                 if start > req.arrival_s:
@@ -597,15 +664,15 @@ class ContinuousScheduler:
             self._arm_preemption(t)
 
     def _start_execution(self, group: _Group, t: float, idle: list[int]) -> None:
-        pool, batch = self.pool, group.batch
-        self._waiting -= batch.size
-        ready_s = max(batch.ready_s, t)
-        run = self._prepare(batch, ready_s)
+        pool = self.pool
+        self._waiting -= group.size
+        ready_s = max(group.ready_s, t)
+        run = self._prepare(group, ready_s)
         shards = run.num_shards
         # the earliest-available idle device(s), lowest-numbered on ties
         by_idle = sorted(idle, key=lambda d: (pool.available[d], d))
         chosen = sorted(by_idle[:shards])
-        exec_ = _Execution(group, run, self._input_s(batch, chosen), chosen)
+        exec_ = _Execution(group, run, self._input_s(group, chosen), chosen)
         for d in chosen:
             if not self._occupied(d):
                 self._occupied_count += 1
@@ -613,27 +680,26 @@ class ContinuousScheduler:
         # every member starts at the latest available of the set
         exec_.start_s = max(ready_s, *(float(pool.available[d]) for d in chosen))
         self._run_span(exec_, exec_.start_s)
-        self._inflight[batch.key] = exec_
+        self._inflight[group.key] = exec_
         if self.tracer.enabled:
             self.tracer.instant("sched", f"exec{exec_.exec_id}/start", exec_.start_s,
-                                cat="dispatch", size=batch.size, slo=group.slo.name,
+                                cat="dispatch", size=group.size, slo=group.slo.name,
                                 shards=shards, devices=str(chosen))
         # the backlog of its key boards it: any group its class does not
         # outrank, open or closed, whose program is ready by the start
         start = exec_.start_s
         boarding = sorted((g for g in itertools.chain(self._groups.values(), self._ready,
                                                       self._unready)
-                           if g.batch.key == batch.key and g.slo.priority <= exec_.priority
-                           and g.batch.ready_s <= start), key=_RANK)
+                           if g.key == group.key and g.slo.priority <= exec_.priority
+                           and g.ready_s <= start), key=_RANK)
         for g in boarding:
-            if self._groups.get(g.key) is g:
-                del self._groups[g.key]  # its window timer finds it gone
-            self._waiting -= g.batch.size
-            exec_.joiners += [(r, start, *g.members[r.request_id], True)
-                              for r in g.batch.requests]
+            if self._groups.get(g.slot) is g:
+                del self._groups[g.slot]  # its window timer finds it gone
+            self._waiting -= g.size
+            exec_.joiners += [(r, start, *g.members[r.request_id], True) for r in g.requests]
             if self.tracer.enabled:
                 self.tracer.instant("sched", f"exec{exec_.exec_id}/board", start, cat="join",
-                                    batch_id=g.batch.batch_id, size=g.batch.size,
+                                    batch_id=g.batch_id, size=g.size,
                                     slo=g.slo.name)
         for queue in (self._ready, self._unready):
             queue[:] = [g for g in queue if g not in boarding]
@@ -705,7 +771,7 @@ class ContinuousScheduler:
         self._assignment[dev] = None
         if self.tracer.enabled:
             self.tracer.instant("sched", f"exec{exec_.exec_id}/preempted", t, cat="preempt",
-                                by=group.batch.batch_id, device=dev)
+                                by=group.batch_id, device=dev)
         self._start_execution(group, t, [dev])
         self._arm_preemption(t)
 
@@ -783,3 +849,105 @@ class ContinuousScheduler:
                                busy_devices=self._occupied_count)
         if self.tracer.enabled:
             self.tracer.counter("sched", "active_devices", now, target)
+
+    # -- reporting ------------------------------------------------------
+    def _report(self) -> ServingReport:
+        """Build the report of the finished sweep from what it counted
+        (``metrics``) and answered (``answers``): the answers' columns, one
+        array into each histogram, and every field the registry then holds
+        read off its one snapshot (:func:`~repro.serve.report._held`)."""
+        answers, registry, pool = self.answers, self.metrics, self.pool
+        n = len(answers)
+        columns = answers.arrays()
+        arrival, start, finish, barrier, joined, deferred, slo = (columns[name] for name in (
+            "arrival_s", "start_s", "finish_s", "barrier_s", "joined", "deferred", "slo"))
+        latency, queue = finish - arrival, start - arrival
+        # utilization over the same serving window the report's makespan
+        # and throughput use (the pool's own clock starts at t=0, which
+        # would dilute utilization for streams arriving late)
+        span = float(finish.max() - arrival.min()) if n else 0.0
+        utilization = [float(b) / span if span > 0 else 0.0 for b in pool.busy]
+
+        registry.counter("serve.requests").inc(n)
+        hits = registry.counter("serve.cache_hits").value
+        lookups = hits + registry.counter("serve.cache_misses").value
+        registry.gauge("serve.cache_hit_rate").set(hits / lookups if lookups else 0.0)
+        registry.gauge("serve.load_balance").set(pool.load_balance())
+        for d, u in enumerate(utilization):
+            registry.gauge(f"serve.dev{d}.busy_fraction").set(u)
+        # per-request phases: queueing (arrival -> device start), exposed
+        # compile, execution net of barriers, barrier waits; latency_s =
+        # queue_wait + execute + barrier (compile overlaps the queue phase)
+        phases = {"queue_wait": queue, "compile": columns["compile_s"],
+                  "execute": columns["service_s"] - barrier, "barrier": barrier}
+        for name, values in (
+            ("latency_s", latency), ("queue_s", queue),
+            *((f"phase.{phase}_s", v) for phase, v in phases.items()),
+            ("batch_size", columns["batch_size"]),
+        ):
+            registry.histogram(f"serve.{name}").extend(values)
+
+        # per-SLO-class block: percentiles for every class seen (the
+        # ``serve.sched.<class>.*`` histograms), violations and goodput
+        # against the policy's targets
+        class_breakdown: dict[str, dict] = {}
+        met_total = 0
+        for name in map(str, np.unique(slo)):
+            members = slo == name
+            stats = {}
+            for what, values in (("latency_s", latency), ("queue_s", queue)):
+                hist = registry.histogram(f"serve.sched.{name}.{what}")
+                hist.extend(values[members])
+                stats[what] = hist.snapshot()
+            graded = self.slo_policy is not None and name in self.slo_policy.names
+            target = self.slo_policy.get(name).target_p99_s if graded else None
+            violations = int((latency[members] > target).sum()) if target is not None else 0
+            count = stats["latency_s"]["count"]
+            met_total += count - violations
+            class_breakdown[name] = {
+                "count": count,
+                **{f"{q}_s": stats["latency_s"][q]
+                   for q in ("p50", "p95", "p99", "mean")},
+                "queue_p95_s": stats["queue_s"]["p95"],
+                "target_p99_s": target,
+                "violations": violations,
+                "joined": int(joined[members].sum()),
+                "deferred": int(deferred[members].sum()),
+            }
+
+        metrics = registry.snapshot()
+        held = {}
+        for f in fields(ServingReport):
+            if "held" in f.metadata:
+                table, metric, stat = f.metadata["held"]
+                value = metrics[table].get(metric, 0)
+                value = value[stat] if stat else value
+                held[f.name] = int(value) if f.type == "int" else value
+        num_batches = held["num_batches"]
+        return ServingReport(
+            **held,
+            num_requests=n,
+            pool_size=pool.num_devices,
+            max_batch_size=self.max_batch_size,
+            max_wait_s=self.max_wait_s,
+            makespan_s=span,
+            throughput_rps=n / span if span > 0 else 0.0,
+            avg_batch_size=n / num_batches if num_batches else 0.0,
+            device_busy_s=[float(b) for b in pool.busy],
+            device_utilization=utilization,
+            patch_s=self.patch_s,
+            mutation_evictions=self.mutation_evictions,
+            halo_s=self.halo_s,
+            goodput_rps=met_total / span if span > 0 else 0.0,
+            active_devices=pool.num_active,
+            class_breakdown=class_breakdown,
+            autoscaler_events=[
+                e.to_dict() for e in (self.autoscaler.events if self.autoscaler else ())
+            ],
+            metrics=metrics,
+            phase_breakdown={
+                phase: metrics["histograms"][f"serve.phase.{phase}_s"]
+                for phase in phases
+            },
+            responses=answers,
+        )

@@ -34,7 +34,7 @@ class SLOClass:
     priority: int
     #: latency promise for goodput/violation reporting (None = none made)
     target_p99_s: float | None = None
-    #: batching window for this class (None = the server's ``max_wait_s``)
+    #: batching window for this class (None = the sweep's ``max_wait_s``)
     max_wait_s: float | None = None
     #: admission bound: queued requests of this class beyond which the
     #: admission controller stops admitting (None = unbounded)
@@ -51,10 +51,10 @@ class SLOClass:
                 f"overload must be one of {_OVERLOAD_ACTIONS}, "
                 f"got {self.overload!r}"
             )
-        if self.target_p99_s is not None and self.target_p99_s <= 0:
-            raise ValueError("target_p99_s must be positive when set")
-        if self.max_wait_s is not None and self.max_wait_s < 0:
-            raise ValueError("max_wait_s must be >= 0 when set")
+        if self.target_p99_s is not None and not self.target_p99_s > 0:
+            raise ValueError(f"target_p99_s must be positive when set, got {self.target_p99_s}")
+        if self.max_wait_s is not None and not self.max_wait_s >= 0:
+            raise ValueError(f"max_wait_s must be >= 0 when set, got {self.max_wait_s}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be >= 1 when set")
 

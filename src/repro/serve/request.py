@@ -3,9 +3,9 @@
 An :class:`InferenceRequest` describes one unit of traffic: which model to
 run on which graph, under which mapping strategy, and *when* it arrives
 (virtual seconds).  Requests referencing the same compiled program are
-interchangeable up to their arrival time, which is what lets the server
+interchangeable up to their arrival time, which is what lets a sweep
 cache compilation (:mod:`repro.engine.cache`) and micro-batch execution
-(:mod:`repro.serve.batcher`).
+(:mod:`repro.sched.scheduler`).
 
 Two fingerprints are derived from a request (both built from the shared
 identity scheme in :mod:`repro.engine.keys`, so serving and direct
@@ -42,7 +42,7 @@ _request_ids = itertools.count()
 
 @dataclass
 class InferenceRequest:
-    """One inference query entering the server."""
+    """One inference query of a serve sweep."""
 
     model: str
     #: catalog key ("CO", "CI", ...) or an inline, already-loaded graph
@@ -59,7 +59,7 @@ class InferenceRequest:
     shards: int = 1
     #: arrival time on the virtual clock, in seconds
     arrival_s: float = 0.0
-    #: SLO class tag, a class of the server's ``slo_policy`` (default
+    #: SLO class tag, a class of the sweep's ``slo_policy`` (default
     #: "interactive" | "bulk"; any other tag is a ValueError): the serve
     #: loop schedules by it (priority, admission, batching window) and
     #: the report grades by it.  Deliberately NOT part of
@@ -93,14 +93,14 @@ class InferenceRequest:
 
 @dataclass
 class MutationRequest:
-    """A graph mutation entering the server's request stream.
+    """A graph mutation in a serve sweep's request stream.
 
     ``graph_id`` names a :class:`~repro.dyngraph.mutable.MutableGraph`
-    registered with the server
-    (:meth:`~repro.serve.server.InferenceServer.register_graph`); the
+    registered with the engine
+    (:meth:`~repro.engine.core.Engine.register_graph`); the
     delta applies at ``arrival_s`` on the virtual clock.  Inference
     requests arriving later see the mutated graph; cached programs for
-    it are patched or evicted per the server's mutation policy.
+    it are patched or evicted per the sweep's mutation policy.
     Mutations sharing a timestamp with inference requests apply first.
     """
 
@@ -112,7 +112,7 @@ class MutationRequest:
 
 @dataclass(slots=True)
 class InferenceResponse:
-    """The server's answer to one request, with a full latency breakdown.
+    """A sweep's answer to one request, with a full latency breakdown.
 
     All times are virtual-clock seconds.  ``latency_s`` is what the client
     experiences: queueing + (exposed) compile + batching wait + service.
@@ -148,7 +148,7 @@ class InferenceResponse:
     barrier_s: float = 0.0
     #: model output — a read-only ndarray shared by every response served
     #: from the same (program, strategy); copy before mutating.  None when
-    #: the server runs with ``return_outputs=False``
+    #: the sweep runs with ``return_outputs=False``
     output: Optional[np.ndarray] = None
     #: the request's SLO class (mirrors ``InferenceRequest.slo``)
     slo: str = "bulk"

@@ -15,17 +15,23 @@ uniform or Zipf-skewed.  Skew matters for the program cache: real traffic
 concentrates on a few hot models ("Not All Neighbors Matter"-style
 workload dependence), so the LRU hit rate under skew is a headline metric.
 
-Everything is seeded and deterministic.
+Everything is seeded and deterministic.  The rate a stream is drawn at is
+calibrated against an engine's capacity by :func:`saturating_rate`, from
+:func:`estimate_service_s`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.dyngraph.delta import random_delta
+from repro.hw.memory import pcie_transfer_seconds
 from repro.serve.request import InferenceRequest, MutationRequest
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.engine.core import Engine
 
 ARRIVAL_KINDS = ("poisson", "bursty", "steady")
 
@@ -34,8 +40,8 @@ def poisson_arrivals(
     num_requests: int, rate_rps: float, seed: int = 0
 ) -> np.ndarray:
     """Arrival times (seconds) of a Poisson process at ``rate_rps``."""
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
+    if not rate_rps > 0:
+        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
     rng = np.random.default_rng(seed)
     gaps = rng.exponential(1.0 / rate_rps, size=num_requests)
     return np.cumsum(gaps)
@@ -61,11 +67,11 @@ def bursty_arrivals(
     clamped below the smallest inter-burst gap so bursts cannot dissolve
     into each other after the final sort.
     """
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
+    if not rate_rps > 0:
+        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
     if burst_size < 1:
         raise ValueError("burst_size must be >= 1")
-    if burst_spread_s is not None and burst_spread_s < 0:
+    if burst_spread_s is not None and not burst_spread_s >= 0:
         raise ValueError("burst_spread_s must be >= 0")
     rng = np.random.default_rng(seed)
     period = burst_size / rate_rps
@@ -89,9 +95,51 @@ def bursty_arrivals(
 
 def steady_arrivals(num_requests: int, rate_rps: float) -> np.ndarray:
     """Deterministic arrivals at exactly ``rate_rps``."""
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
+    if not rate_rps > 0:
+        raise ValueError(f"rate_rps must be positive, got {rate_rps}")
     return (np.arange(num_requests) + 1) / rate_rps
+
+
+def estimate_service_s(engine: "Engine", request: InferenceRequest) -> float:
+    """Per-batch device occupancy of one request's program (seconds) on a
+    device of ``engine`` that holds none of its inputs: the PCIe transfer
+    plus the run's latency, an upper bound on a served batch's
+    ``service_s`` whatever a sweep kept resident.
+
+    Checks the request's shard width as the serve loop does, then reads
+    the program cache without populating or recounting it (calibrating
+    before an engine's first sweep does not turn its compiles warm); the
+    run is replayed if the program holds its record, simulated if not.
+    """
+    from repro.sched.scheduler import check_shards
+
+    request = engine.resolve_request(request)
+    check_shards(request, engine.pool.num_devices, engine.pool.num_devices)
+    program = engine.cache.peek(request.program_key(engine.config))
+    if program is None:
+        program = engine.compile_request(request)
+    run = engine.execute(program, request.strategy, request.shards, ready_s=0.0)
+    return pcie_transfer_seconds(program.input_bytes(), engine.config) + run.latency_s
+
+
+def saturating_rate(
+    engine: "Engine", probes: Sequence[InferenceRequest], *,
+    max_batch_size: int = 8, pool_size: int | None = None, factor: float = 8.0,
+) -> float:
+    """Arrival rate (req/s) offering ``factor`` x a pool's capacity.
+
+    Probes each request's batch service time on ``engine`` through
+    :func:`estimate_service_s` (PCIe included, as on a device holding
+    nothing), normalises to per-request occupancy at full batches of
+    ``max_batch_size``, and scales to ``pool_size`` devices (default: the
+    engine's pool).  The serving benchmarks all calibrate load with it.
+    """
+    if not probes:
+        raise ValueError("need at least one probe request")
+    service = [estimate_service_s(engine, p) for p in probes]
+    per_request_s = (sum(service) / len(service)) / max_batch_size
+    pool = engine.pool.num_devices if pool_size is None else pool_size
+    return factor * pool / per_request_s
 
 
 def _arrival_times(arrival: str, num_requests: int, rate_rps: float, seed: int) -> np.ndarray:
@@ -130,7 +178,7 @@ def synthesize(
     shards: int = 1,
     class_skew: float = 0.0,
 ) -> list[InferenceRequest]:
-    """Build a deterministic request stream for the server.
+    """Build a deterministic request stream for a serve sweep.
 
     The content mix is the cross product of ``models x datasets x
     strategies x prune_levels``, sampled uniformly (``skew=0``) or with
@@ -198,11 +246,11 @@ def churn_stream(
     are inference requests referencing the graph by id.  Deterministic:
     the same seed yields bit-identical deltas and arrival times, which
     is what lets the patch-vs-evict comparison replay one stream against
-    two servers.
+    two engines.
 
     ``graph`` is a :class:`~repro.dyngraph.mutable.MutableGraph` (only
     its id and dimensions are read — the stream never mutates it;
-    mutations apply when the *server* processes them).
+    mutations apply when a *sweep* processes them).
     """
     if num_requests < 1:
         raise ValueError("num_requests must be >= 1")

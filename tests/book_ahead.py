@@ -1,9 +1,9 @@
 """Whole-batch book-ahead: the serve loop's retired second dispatch policy,
 kept as a test oracle.
 
-Until the serve loop became continuous batching only, ``InferenceServer``
+Until the serve loop became continuous batching only, a serving sweep
 took a ``scheduler=`` argument, and its default, ``"legacy"``, scheduled
-every request as one class on the server's ``max_wait_s`` window (any SLO
+every request as one class on the sweep's ``max_wait_s`` window (any SLO
 tag accepted, no priority, no queue bound) and booked each closed batch
 *ahead and whole*: once the stream had been read, in (ready time, close
 order), as one ``input + latency`` booking on the device that can start
@@ -35,7 +35,7 @@ from repro.serve.request import ResponseColumns
 __all__ = ["BookAhead", "book_ahead", "peek_group", "serve_book_ahead"]
 
 #: what every request is scheduled as: no priority to order by, no queue
-#: bound to shed at, the server's window
+#: bound to shed at, the sweep's window
 ONE_CLASS = SLOPolicy((SLOClass(name="all", priority=0),))
 
 
@@ -88,8 +88,8 @@ class BookedAnswers(ResponseColumns):
 class BookAhead(loop.ContinuousScheduler):
     """The serve loop with every closed batch booked ahead and whole."""
 
-    def __init__(self, server) -> None:
-        super().__init__(server)
+    def __init__(self, engine, **knobs) -> None:
+        super().__init__(engine, **knobs)
         self.classes = ONE_CLASS
         self.admission = AdmissionController(ONE_CLASS)
         self.answers = BookedAnswers()
@@ -100,9 +100,9 @@ class BookAhead(loop.ContinuousScheduler):
         return ONE_CLASS.classes[0]
 
     def _close_group(self, group, now: float) -> None:
-        del self._groups[group.key]
-        self._waiting -= group.batch.size
-        self._booked.append((max(group.batch.ready_s, now), len(self._booked), group))
+        del self._groups[group.slot]
+        self._waiting -= group.size
+        self._booked.append((max(group.ready_s, now), len(self._booked), group))
 
     def _end_of_stream(self, t: float) -> None:
         # booked once the stream has been read, in ready order, so a
@@ -115,13 +115,13 @@ class BookAhead(loop.ContinuousScheduler):
 
     def _book_whole(self, group, ready_s: float) -> None:
         """One reservation for the whole execution."""
-        pool, batch = self.pool, group.batch
-        run = self._prepare(batch, ready_s)
+        pool = self.pool
+        run = self._prepare(group, ready_s)
         shards = run.num_shards
         # the device(s) that can start it first
         devices = (peek_group(pool, shards, ready_s)[0] if shards > 1
                    else [pool.peek_device(ready_s)])
-        input_s = self._input_s(batch, devices)
+        input_s = self._input_s(group, devices)
         service_s = input_s + run.latency_s
         # every shard device is held from the common start to the last
         # per-layer barrier; each is busy for its own work plus its share
@@ -129,13 +129,13 @@ class BookAhead(loop.ContinuousScheduler):
         start, end = pool.book(
             devices, [service_s], ready_s,
             busy_s=[b + input_s / shards for b in run.shard_busy_s] or None,
-            batch_id=batch.batch_id, batch_size=batch.size,
+            batch_id=group.batch_id, batch_size=group.size,
         )
-        self.answers.service_s[batch.batch_id] = service_s
+        self.answers.service_s[group.batch_id] = service_s
         self.answers.add(
-            [(r, start, False, group.members[r.request_id][1], False) for r in batch.requests],
-            end, batch.batch_id, devices[0], shards, run.barrier_s, run.total_cycles,
-            run.served_output() if self.server.return_outputs else None)
+            [(r, start, False, group.members[r.request_id][1], False) for r in group.requests],
+            end, group.batch_id, devices[0], shards, run.barrier_s, run.total_cycles,
+            run.served_output() if self.return_outputs else None)
 
     def run(self, requests: list) -> BookAheadReport:
         report = super().run(requests)
@@ -148,15 +148,15 @@ class BookAhead(loop.ContinuousScheduler):
         return BookAheadReport(**{f.name: getattr(report, f.name) for f in fields(report)})
 
 
-def serve_book_ahead(server, requests: list) -> BookAheadReport:
-    """One sweep of ``requests`` through ``server``, booked ahead."""
-    return BookAhead(server).run(requests)
+def serve_book_ahead(engine, requests: list, **knobs) -> BookAheadReport:
+    """One sweep of ``requests`` on ``engine`` with ``knobs``, booked ahead."""
+    return BookAhead(engine, **knobs).run(requests)
 
 
 @contextlib.contextmanager
 def book_ahead():
-    """Every ``InferenceServer.serve`` sweep in the block is booked ahead
-    (for callers that build their servers themselves, such as
+    """Every ``Engine.serve`` sweep in the block is booked ahead (for
+    callers that serve through the engine themselves, such as
     ``tests/test_serve_path.py``'s ``json_cell_payload``)."""
     with mock.patch.object(loop, "ContinuousScheduler", BookAhead):
         yield

@@ -8,6 +8,8 @@ versions of the Table VI datasets.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,8 +17,8 @@ import scipy.sparse as sp
 from repro.config import AcceleratorConfig, BufferConfig, u250_default
 from repro.compiler import Compiler
 from repro.datasets import load_dataset
+from repro.engine import Engine
 from repro.gnn import build_model, init_weights
-from repro.serve import InferenceServer
 
 
 def make_tiny_config(**overrides) -> AcceleratorConfig:
@@ -140,14 +142,22 @@ def kernel_calls(monkeypatch):
     return seen
 
 
+def serving(config=None, *, pool_size: int = 1, **knobs) -> tuple:
+    """A fresh engine and its sweeps: ``(engine, serve)``, where
+    ``serve(requests)`` is ``engine.serve(requests, **knobs)`` (the knobs
+    stay readable as ``serve.keywords``)."""
+    engine = Engine(config, pool_size=pool_size)
+    return engine, functools.partial(engine.serve, **knobs)
+
+
 def cold_then_warm(workload, pools=(1, 2)) -> dict:
-    """Pool size -> (cold, warm) report: a fresh U250 server per pool size
+    """Pool size -> (cold, warm) report: a fresh U250 engine per pool size
     serves ``workload`` twice (the second sweep finds every program
     cached)."""
     sweeps = {}
     for n in pools:
-        server = InferenceServer(pool_size=n, return_outputs=False)
-        sweeps[n] = (server.serve(workload), server.serve(workload))
+        engine = Engine(pool_size=n)
+        sweeps[n] = tuple(engine.serve(workload, return_outputs=False) for _ in range(2))
     return sweeps
 
 

@@ -623,18 +623,31 @@ def _library_only_checks():
     """The checks that flags of the deleted measurement subcommands
     reached and no remaining flag does, on the library alone."""
     from repro.datasets import load_dataset
+    from repro.engine import Engine
     from repro.engine.cache import ProgramCache
     from repro.gnn import build_model
-    from repro.sched import SLOPolicy
-    from repro.serve import InferenceServer, churn_stream, synthesize
+    from repro.sched import SLOClass, SLOPolicy
+    from repro.serve import InferenceRequest, churn_stream, synthesize
 
-    return [pytest.param(argument, call, id=argument) for argument, call in (
+    nan = float("nan")
+    # a NaN fails every comparison, so each check reads "not x >= 0"
+    not_a_number = [pytest.param(argument, call, id=f"{argument}=nan{where}")
+                    for argument, where, call in (
+        *(("rate_rps", f"-{kind}", lambda kind=kind: synthesize(4, arrival=kind, rate_rps=nan))
+          for kind in ("poisson", "bursty", "steady")),
+        ("max_wait_s", "", lambda: Engine().serve([], max_wait_s=nan)),
+        ("max_wait_s", "-class", lambda: SLOClass("bulk", 0, max_wait_s=nan)),
+        ("target_p99_s", "", lambda: SLOClass("bulk", 0, target_p99_s=nan)),
+        ("arrival_s", "", lambda: Engine().serve(
+            [InferenceRequest(model="GCN", dataset="CO", arrival_s=t) for t in (0.0, nan)])),
+    )]
+    return not_a_number + [pytest.param(argument, call, id=argument) for argument, call in (
         ("rate_rps", lambda: synthesize(4, rate_rps=-1.0)),
         ("num_requests", lambda: synthesize(0)),
         ("skew", lambda: synthesize(4, skew=-1.0)),
         ("class_skew", lambda: synthesize(4, class_skew=2.0)),
-        ("max_batch_size", lambda: InferenceServer(max_batch_size=0)),
-        ("max_wait_s", lambda: InferenceServer(max_wait_s=-1e-3)),
+        ("max_batch_size", lambda: Engine().serve([], max_batch_size=0)),
+        ("max_wait_s", lambda: Engine().serve([], max_wait_s=-1e-3)),
         ("capacity", lambda: ProgramCache(0)),
         ("target_p99_s",
          lambda: SLOPolicy.default(interactive_target_p99_s=0.0)),

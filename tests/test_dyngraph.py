@@ -23,10 +23,10 @@ from repro.dyngraph import (
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn.adjacency import ADJACENCY_BUILDERS
+from repro.engine import Engine
 from repro.engine.cache import ProgramCache
 from repro.serve import (
     InferenceRequest,
-    InferenceServer,
     MutationRequest,
     churn_stream,
 )
@@ -422,17 +422,15 @@ class TestServeChurn:
         for policy in ("patch", "evict"):
             data = load_dataset("CO", scale=0.5, seed=4)
             graph = MutableGraph(data, graph_id="CO-churn")
-            server = InferenceServer(
-                CFG, pool_size=2, max_batch_size=4, return_outputs=True,
-                mutation_policy=policy,
-            )
-            server.register_graph(graph)
+            engine = Engine(CFG, pool_size=2)
+            engine.register_graph(graph)
             stream = churn_stream(
                 24, graph=graph, models=("GCN",), mutation_every=5,
                 edge_fraction=0.01, feature_updates=4,
                 rate_rps=5_000.0, seed=11,
             )
-            report = server.serve(stream)
+            report = engine.serve(stream, max_batch_size=4, return_outputs=True,
+                                  mutation_policy=policy)
             infer_ids = [
                 r.request_id for r in stream
                 if isinstance(r, InferenceRequest)
@@ -448,15 +446,14 @@ class TestServeChurn:
         for po, eo in zip(patch_outs, evict_outs):
             np.testing.assert_array_equal(po, eo)
 
-    def _admit(self, server, graph, model="GCN"):
+    def _admit(self, engine, graph, model="GCN"):
         """Compile and cache one program for a dynamic graph, returning
         its program key (what the serve loop does at admission)."""
-        engine = server.engine
         req = engine.resolve_request(
             InferenceRequest(model=model, dataset=graph.graph_id)
         )
-        prog_key = req.program_key(server.config)
-        server.cache.get_or_compile(
+        prog_key = req.program_key(engine.config)
+        engine.cache.get_or_compile(
             prog_key, lambda: engine.compile_request(req))
         return prog_key
 
@@ -468,11 +465,11 @@ class TestServeChurn:
 
         graph = MutableGraph(load_dataset("CO", scale=0.3, seed=0),
                              graph_id="rt")
-        server = InferenceServer(CFG, mutation_policy="patch")
-        server.register_graph(graph)
-        prog_key = self._admit(server, graph)
+        engine = Engine(CFG)
+        engine.register_graph(graph)
+        prog_key = self._admit(engine, graph)
         # the miss that produced this program is still compiling at t=5.0
-        sweep = ContinuousScheduler(server)
+        sweep = ContinuousScheduler(engine, mutation_policy="patch")
         sweep._program_ready[prog_key] = sweep._host_free_s = 5.0
         sweep._mutate(
             MutationRequest(graph_id="rt",
@@ -481,7 +478,7 @@ class TestServeChurn:
             1.0,
         )
         assert self._patches(sweep) == 1
-        (new_key,) = server.cache.keys()
+        (new_key,) = engine.cache.keys()
         assert new_key != prog_key and new_key[1][0] == "rt"
         # compile + patch, not 1.0 + patch
         assert sweep._program_ready[new_key] > 5.0
@@ -491,12 +488,12 @@ class TestServeChurn:
 
         graph = MutableGraph(load_dataset("CO", scale=0.3, seed=1),
                              graph_id="oob")
-        server = InferenceServer(CFG, mutation_policy="patch")
-        server.register_graph(graph)
-        prog_key = self._admit(server, graph)
-        # mutate the graph directly, bypassing the server
+        engine = Engine(CFG)
+        engine.register_graph(graph)
+        prog_key = self._admit(engine, graph)
+        # mutate the graph directly, bypassing the engine
         graph.apply(GraphDelta.edges(inserts=[(0, 9)]))
-        sweep = ContinuousScheduler(server)
+        sweep = ContinuousScheduler(engine, mutation_policy="patch")
         sweep._mutate(
             MutationRequest(graph_id="oob",
                             delta=GraphDelta.edges(inserts=[(1, 8)]),
@@ -506,24 +503,23 @@ class TestServeChurn:
         # the cached program's lineage is broken: evicted, never patched
         assert self._patches(sweep) == 0
         assert sweep.mutation_evictions == 1
-        assert server.cache.peek(prog_key) is None
-        assert server.cache.keys() == []
+        assert engine.cache.peek(prog_key) is None
+        assert engine.cache.keys() == []
 
     def test_mutation_for_unregistered_graph_raises(self):
-        server = InferenceServer(CFG)
         with pytest.raises(KeyError, match="unregistered"):
-            server.serve([MutationRequest(
+            Engine(CFG).serve([MutationRequest(
                 graph_id="ghost", delta=GraphDelta.edges(inserts=[(0, 1)])
             )])
 
     def test_register_graph_rejects_id_collision(self):
-        server = InferenceServer(CFG)
+        engine = Engine(CFG)
         g1 = MutableGraph(tiny_graph(), graph_id="g", symmetric=False)
         g2 = MutableGraph(tiny_graph(seed=1), graph_id="g", symmetric=False)
-        server.register_graph(g1)
-        server.register_graph(g1)  # idempotent
+        engine.register_graph(g1)
+        engine.register_graph(g1)  # idempotent
         with pytest.raises(ValueError, match="already registered"):
-            server.register_graph(g2)
+            engine.register_graph(g2)
 
     def test_churn_stream_is_deterministic_and_mixed(self):
         g = MutableGraph(tiny_graph(), graph_id="det", symmetric=False)

@@ -21,7 +21,8 @@ from repro.engine import BACKENDS, Engine
 from repro.gnn import MODEL_NAMES
 from repro.runtime.executor import run_strategy
 from repro.runtime.strategies import make_strategy, strategy_names
-from repro.serve import InferenceRequest, InferenceServer
+from repro.sched import ContinuousScheduler
+from repro.serve import InferenceRequest
 
 SCALE = 0.12
 MATRIX_DATASETS = ("CO", "CI")
@@ -135,25 +136,19 @@ class TestServeIntegration:
         # already compiled through the facade: serving never recompiles
         assert report.cache_misses == 0 and report.cache_hits == 1
 
-    def test_server_composes_engine(self):
+    def test_sweep_uses_the_engines_resources(self):
         engine = Engine(make_tiny_config(), pool_size=2)
-        server = InferenceServer(engine=engine, return_outputs=False)
-        assert server.cache is engine.cache
-        assert server.pool is engine.pool
-        assert server.config is engine.config
+        sweep = ContinuousScheduler(engine, return_outputs=False)
+        assert sweep.cache is engine.cache
+        assert sweep.pool is engine.pool
+        assert sweep.config is engine.config
 
-    def test_server_rejects_conflicting_config_and_engine(self):
-        engine = Engine(make_tiny_config())
-        # a value-equal config is harmless and accepted...
-        server = InferenceServer(make_tiny_config(), engine=engine)
-        assert server.engine is engine
-        # ...a different config, or engine-owned resources, are rejected
-        with pytest.raises(ValueError, match="config"):
-            InferenceServer(make_tiny_config(num_cores=1), engine=engine)
-        with pytest.raises(ValueError, match="pool_size"):
-            InferenceServer(engine=engine, pool_size=4)
-        with pytest.raises(ValueError, match="cache_capacity"):
-            engine.serve([], cache_capacity=8)
+    @pytest.mark.parametrize("name, value", [
+        ("config", make_tiny_config()), ("pool_size", 4), ("cache_capacity", 8)])
+    def test_serve_takes_no_engine_owned_resource(self, name, value):
+        # the engine alone owns them: a sweep cannot re-specify one
+        with pytest.raises(TypeError, match=name):
+            Engine(make_tiny_config()).serve([], **{name: value})
 
     def test_model_fingerprint_sees_layer_parameters(self):
         from repro.engine import model_fingerprint

@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 from book_ahead import peek_group, serve_book_ahead
-from conftest import make_tiny_config
+from conftest import make_tiny_config, serving
 
 from repro.engine import Engine
 from repro.engine.pool import AcceleratorPool
@@ -33,7 +33,7 @@ from repro.sched import (
     SLOClass,
     SLOPolicy,
 )
-from repro.serve import InferenceRequest, InferenceServer, synthesize
+from repro.serve import InferenceRequest, synthesize
 from repro.runtime.executor import run_strategy
 from repro.shard import plan_shards
 
@@ -46,16 +46,16 @@ def tiny_request(**overrides) -> InferenceRequest:
     return InferenceRequest(**base)
 
 
-def tiny_server(**overrides) -> InferenceServer:
-    base = dict(config=make_tiny_config(), pool_size=1, max_batch_size=4,
-                max_wait_s=1e-3)
+def tiny_serving(**overrides) -> tuple:
+    """A one-device tiny engine and its sweeps: ``(engine, serve)``."""
+    base = dict(pool_size=1, max_batch_size=4, max_wait_s=1e-3)
     base.update(overrides)
-    return InferenceServer(**base)
+    return serving(make_tiny_config(), **base)
 
 
-def warm(server: InferenceServer, **req_overrides) -> float:
+def warm(serve, **req_overrides) -> float:
     """Prime the compile cache; returns the warm 1-request service time."""
-    report = server.serve([tiny_request(**req_overrides)])
+    report = serve([tiny_request(**req_overrides)])
     resp = report.responses[0]
     return resp.execute_s
 
@@ -89,12 +89,17 @@ class TestSLOPolicy:
         dict(target_p99_s=0.0),
         dict(max_wait_s=-1e-6),
         dict(max_queue_depth=0),
+        dict(target_p99_s=float("nan")),
+        dict(max_wait_s=float("nan")),
     ])
     def test_class_validation(self, bad):
         kwargs = dict(name="t", priority=0)
         kwargs.update(bad)
         with pytest.raises(ValueError):
             SLOClass(**kwargs)
+
+    def test_an_infinite_window_is_valid(self):
+        assert SLOClass(name="t", priority=0, max_wait_s=float("inf")).max_wait_s == float("inf")
 
     def test_duplicate_class_names_rejected(self):
         c = SLOClass(name="x", priority=0)
@@ -378,10 +383,10 @@ def strip_wallclock(d: dict) -> dict:
 class TestContinuousServe:
     def test_admission_and_autoscaler_run_on_the_default_server(self):
         policy = SLOPolicy.default(bulk_queue_depth=4)
-        server = tiny_server(slo_policy=policy,
-                             admission=AdmissionController(policy),
-                             autoscaler=PoolAutoscaler())
-        report = server.serve([tiny_request()])
+        _, serve = tiny_serving(slo_policy=policy,
+                                admission=AdmissionController(policy),
+                                autoscaler=PoolAutoscaler())
+        report = serve([tiny_request()])
         assert len(report.responses) == 1
         assert report.metrics["counters"]["serve.sched.admitted"] == 1.0
 
@@ -390,27 +395,27 @@ class TestContinuousServe:
             num_requests=8, arrival="steady", rate_rps=1e3,
             models=("GCN",), datasets=("CO",), scale=SCALE, seed=5,
         )
-        legacy, cont = tiny_server(), tiny_server()
+        (legacy, serve_legacy), (_, serve) = tiny_serving(), tiny_serving()
         # synthesize stamps the workload seed onto each request, so warm
         # the same (model, dataset, scale, seed) program the stream uses
-        warm(legacy, seed=5), warm(cont, seed=5)
-        rl = serve_book_ahead(legacy, [r for r in requests])
-        rc = cont.serve([r for r in requests])
+        warm(serve_legacy, seed=5), warm(serve, seed=5)
+        rl = serve_book_ahead(legacy, [r for r in requests], **serve_legacy.keywords)
+        rc = serve([r for r in requests])
         lout = {r.request_id: r.output for r in rl.responses}
         assert len(rc.responses) == len(rl.responses)
         for resp in rc.responses:
             assert np.array_equal(resp.output, lout[resp.request_id])
 
     def test_joins_share_an_inflight_execution(self):
-        server = tiny_server(max_wait_s=0.0)
-        exec_s = warm(server)
+        engine, serve = tiny_serving(max_wait_s=0.0)
+        exec_s = warm(serve)
         # founder at t=0; followers arrive mid-execution and must board
         # at layer boundaries instead of founding new batches
         requests = [tiny_request(arrival_s=0.0)] + [
             tiny_request(arrival_s=frac * exec_s)
             for frac in (0.2, 0.4, 0.6)
         ]
-        sched = ContinuousScheduler(server)
+        sched = ContinuousScheduler(engine, **serve.keywords)
         report = sched.run(requests)
         assert report.joined_requests == 3
         assert report.num_batches == 1
@@ -428,10 +433,10 @@ class TestContinuousServe:
         an execution starts joins at its first boundary, after the input
         transfer (the founder fills the batch, so its execution starts on
         its own arrival)."""
-        server = tiny_server(pool_size=shards, max_batch_size=1)
-        warm(server, shards=shards)
-        report = server.serve([tiny_request(shards=shards, arrival_s=0.0)
-                               for _ in range(2)])
+        _, serve = tiny_serving(pool_size=shards, max_batch_size=1)
+        warm(serve, shards=shards)
+        report = serve([tiny_request(shards=shards, arrival_s=0.0)
+                        for _ in range(2)])
         founder, joiner = sorted(report.responses, key=lambda r: r.joined)
         assert report.num_batches == 1 and joiner.joined
         assert founder.queue_s == 0.0
@@ -466,66 +471,65 @@ class TestContinuousServe:
         """``serve_steady``'s mechanism at small scale: a burst of one
         program's requests, three batches deep, on one device, joins the
         execution in flight instead of queueing batch after batch."""
-        server = tiny_server(max_batch_size=4)
-        exec_s = warm(server)
+        engine, serve = tiny_serving(max_batch_size=4)
+        exec_s = warm(serve)
         burst = synthesize(
             num_requests=12, arrival="poisson", rate_rps=24.0 / exec_s,
             models=("GCN",), datasets=("CO",), scale=SCALE, seed=3,
         )
-        served = server.serve(list(burst))
-        booked = serve_book_ahead(server, list(burst))
+        served = serve(list(burst))
+        booked = serve_book_ahead(engine, list(burst), **serve.keywords)
         assert booked.num_batches == 3
         assert served.joined_requests > 0
         assert served.num_batches < booked.num_batches
         assert served.latency_mean_s < booked.latency_mean_s
 
     def test_overload_goodput_beats_legacy(self):
-        server_l = tiny_server(pool_size=2)
-        server_c = tiny_server(pool_size=2)
-        exec_s = warm(server_l, seed=13)
-        warm(server_c, seed=13)
+        legacy, serve_legacy = tiny_serving(pool_size=2)
+        _, serve = tiny_serving(pool_size=2)
+        exec_s = warm(serve_legacy, seed=13)
+        warm(serve, seed=13)
         requests = synthesize(
             num_requests=40, arrival="poisson",
             rate_rps=10.0 / exec_s,  # ~10x one device's capacity
             models=("GCN",), datasets=("CO",), scale=SCALE,
             class_skew=0.3, seed=13,
         )
-        rl = serve_book_ahead(server_l, [r for r in requests])
-        rc = server_c.serve([r for r in requests])
+        rl = serve_book_ahead(legacy, [r for r in requests], **serve_legacy.keywords)
+        rc = serve([r for r in requests])
         assert rc.joined_requests > 0
         assert rc.throughput_rps > rl.throughput_rps
         assert rc.makespan_s < rl.makespan_s
 
     def test_phase_invariant_holds_for_every_response(self):
-        server = tiny_server(pool_size=2)
-        exec_s = warm(server)  # stream seed below matches the default (3)
+        _, serve = tiny_serving(pool_size=2)
+        exec_s = warm(serve)  # stream seed below matches the default (3)
         requests = synthesize(
             num_requests=20, arrival="bursty", rate_rps=6.0 / exec_s,
             models=("GCN",), datasets=("CO",), scale=SCALE,
             class_skew=0.4, seed=3,
         )
-        report = server.serve(requests)
+        report = serve(requests)
         for resp in report.responses:
             assert resp.latency_s == pytest.approx(
                 resp.queue_s + resp.execute_s + resp.barrier_s, abs=1e-12)
 
     def test_report_carries_scheduler_accounting(self):
-        server = tiny_server()
-        warm(server)
-        report = server.serve([tiny_request(arrival_s=0.0)])
+        _, serve = tiny_serving()
+        warm(serve)
+        report = serve([tiny_request(arrival_s=0.0)])
         assert report.active_devices >= 1
         counters = report.metrics["counters"]
         assert counters["serve.sched.executions"] == 1.0
         assert "serve.sched.joined" in counters
 
     def test_sharded_requests_flow_through_the_continuous_path(self):
-        server = tiny_server(pool_size=2,
-                             max_wait_s=0.0)
-        legacy = tiny_server(pool_size=2)
-        warm(server, shards=2), warm(legacy, shards=2)
+        _, serve = tiny_serving(pool_size=2, max_wait_s=0.0)
+        legacy, serve_legacy = tiny_serving(pool_size=2)
+        warm(serve, shards=2), warm(serve_legacy, shards=2)
         reqs = [tiny_request(shards=2, arrival_s=0.0)]
-        rc = server.serve([r for r in reqs])
-        rl = serve_book_ahead(legacy, [r for r in reqs])
+        rc = serve([r for r in reqs])
+        rl = serve_book_ahead(legacy, [r for r in reqs], **serve_legacy.keywords)
         assert np.array_equal(rc.responses[0].output, rl.responses[0].output)
         assert rc.responses[0].shards == 2
         assert rc.responses[0].barrier_s == pytest.approx(
@@ -535,12 +539,12 @@ class TestContinuousServe:
 class TestAdmissionIntegration:
     def test_interactive_overload_sheds(self):
         policy = SLOPolicy.default(interactive_queue_depth=2)
-        server = tiny_server(
+        _, serve = tiny_serving(
             slo_policy=policy,
             admission=AdmissionController(policy), max_wait_s=0.0,
         )
-        exec_s = warm(server)
-        warm(server, seed=4)
+        exec_s = warm(serve)
+        warm(serve, seed=4)
         # near-simultaneous burst over two programs: joins can only soak
         # up the same-program arrivals, the rest pile past the depth-2
         # interactive bound and shed (joins themselves are exempt)
@@ -549,7 +553,7 @@ class TestAdmissionIntegration:
                          arrival_s=i * exec_s * 1e-3)
             for i in range(12)
         ]
-        report = server.serve(requests)
+        report = serve(requests)
         assert report.shed_requests > 0
         assert len(report.responses) + report.shed_requests == 12
         counters = report.metrics["counters"]
@@ -557,12 +561,12 @@ class TestAdmissionIntegration:
 
     def test_bulk_overload_defers_but_still_serves(self):
         policy = SLOPolicy.default(bulk_queue_depth=2)
-        server = tiny_server(
+        _, serve = tiny_serving(
             slo_policy=policy,
             admission=AdmissionController(policy, hard_limit_factor=100.0),
             max_batch_size=1, max_wait_s=0.0,
         )
-        exec_s = warm(server)
+        exec_s = warm(serve)
         requests = [
             tiny_request(slo="bulk", seed=3 + (i % 2),
                          arrival_s=i * exec_s * 1e-3)
@@ -570,8 +574,8 @@ class TestAdmissionIntegration:
         ]
         # two distinct programs (seed alternates) so later arrivals can't
         # all free-ride one in-flight execution via joins
-        server.serve([tiny_request(seed=4)])  # warm the second program
-        report = server.serve(requests)
+        serve([tiny_request(seed=4)])  # warm the second program
+        report = serve(requests)
         assert report.deferred_requests > 0
         assert report.shed_requests == 0
         assert len(report.responses) == 8  # deferred != dropped
@@ -579,10 +583,10 @@ class TestAdmissionIntegration:
 
     def test_unknown_slo_class_raises(self):
         policy = SLOPolicy.default()
-        server = tiny_server(slo_policy=policy)
-        warm(server)
+        _, serve = tiny_serving(slo_policy=policy)
+        warm(serve)
         with pytest.raises(ValueError, match="SLO class"):
-            server.serve([tiny_request(slo="platinum")])
+            serve([tiny_request(slo="platinum")])
 
 
 class TestPreemption:
@@ -596,17 +600,17 @@ class TestPreemption:
                          arrival_s=0.45 * exec_s),
         ]
 
-    def prepared_server(self):
+    def prepared(self):
+        """Warm sweeps of both programs; returns ``(serve, exec_s)``."""
         policy = SLOPolicy.default()
-        server = tiny_server(slo_policy=policy,
-                             max_wait_s=0.0)
-        exec_s = warm(server, seed=3)
-        warm(server, seed=4)
-        return server, exec_s
+        _, serve = tiny_serving(slo_policy=policy, max_wait_s=0.0)
+        exec_s = warm(serve, seed=3)
+        warm(serve, seed=4)
+        return serve, exec_s
 
     def test_interactive_preempts_bulk_at_a_boundary(self):
-        server, exec_s = self.prepared_server()
-        report = server.serve(self.make_requests(exec_s))
+        serve, exec_s = self.prepared()
+        report = serve(self.make_requests(exec_s))
         assert report.preemptions == 1
         by_slo = {r.slo: r for r in report.responses}
         # the preemptor overtakes: it finishes before the preempted bulk
@@ -619,31 +623,31 @@ class TestPreemption:
         # finish timer armed before the pause comes due while the resumed
         # span runs: only the timer of the running span may finish it
         bulk, interactive = dict(model="GraphSAGE", scale=0.3), dict(scale=0.05)
-        server = tiny_server(slo_policy=SLOPolicy.default(), max_wait_s=0.0)
-        exec_s = warm(server, **bulk)
-        warm(server, **interactive)
-        report = server.serve([
+        engine, serve = tiny_serving(slo_policy=SLOPolicy.default(), max_wait_s=0.0)
+        exec_s = warm(serve, **bulk)
+        warm(serve, **interactive)
+        report = serve([
             tiny_request(slo="bulk", arrival_s=0.0, **bulk),
             tiny_request(slo="interactive", arrival_s=0.05 * exec_s, **interactive),
         ])
         assert report.preemptions == 1
         by_slo = {r.slo: r for r in report.responses}
         paused = by_slo["bulk"]
-        spans = [e for e in server.pool.events if e.batch_id == paused.batch_id]
+        spans = [e for e in engine.pool.events if e.batch_id == paused.batch_id]
         assert len(spans) == 2
         assert paused.finish_s == spans[-1].end
         # its uncut finish (exec_s from its start at 0) came due mid-resume
         assert by_slo["interactive"].finish_s < exec_s < paused.finish_s
 
     def test_preempted_outputs_stay_exact(self):
-        server, exec_s = self.prepared_server()
+        serve, exec_s = self.prepared()
         requests = self.make_requests(exec_s)
         seed_of = {r.request_id: r.seed for r in requests}
-        report = server.serve(requests)
-        solo = tiny_server()
+        report = serve(requests)
+        _, solo = tiny_serving()
         warm(solo, seed=3), warm(solo, seed=4)
         for resp in report.responses:
-            ref = solo.serve(
+            ref = solo(
                 [tiny_request(seed=seed_of[resp.request_id])]
             ).responses[0]
             assert np.array_equal(resp.output, ref.output)
@@ -651,21 +655,21 @@ class TestPreemption:
 
 class TestAutoscalerIntegration:
     def test_pool_grows_under_backlog_and_drains_back(self):
-        server = tiny_server(
+        _, serve = tiny_serving(
             pool_size=3, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(
                 min_devices=1, scale_up_queue_per_device=2.0,
             ),
         )
-        exec_s = warm(server, seed=9)
-        warm(server, seed=9, model="GIN")
+        exec_s = warm(serve, seed=9)
+        warm(serve, seed=9, model="GIN")
         # two models: joins can only absorb same-program arrivals, so
         # the cross-program backlog is what pressures the autoscaler
         requests = synthesize(
             num_requests=30, arrival="poisson", rate_rps=12.0 / exec_s,
             models=("GCN", "GIN"), datasets=("CO",), scale=SCALE, seed=9,
         )
-        report = server.serve(requests)
+        report = serve(requests)
         events = report.autoscaler_events
         assert events, "overload must trigger at least one scale event"
         assert any(e["to_devices"] > e["from_devices"] for e in events)
@@ -674,7 +678,7 @@ class TestAutoscalerIntegration:
             assert 1 <= e["to_devices"] <= 3
 
     def test_provision_delay_charges_the_new_device(self):
-        server = tiny_server(
+        engine, serve = tiny_serving(
             pool_size=2, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(
                 min_devices=1, scale_up_queue_per_device=1.0,
@@ -682,18 +686,18 @@ class TestAutoscalerIntegration:
                 provision_delay_s=0.05,
             ),
         )
-        exec_s = warm(server)
+        exec_s = warm(serve)
         requests = [tiny_request(seed=3 + i, arrival_s=0.0)
                     for i in range(4)]
         for i in range(4):
-            warm(server, seed=3 + i)
-        report = server.serve(requests)
+            warm(serve, seed=3 + i)
+        report = serve(requests)
         grow = [e for e in report.autoscaler_events
                 if e["to_devices"] > e["from_devices"]]
         assert grow
         # nothing can start on the grown device before its cold start
         t_grow = grow[0]["t_s"]
-        dev1 = [e for e in server.pool.events if e.device == 1]
+        dev1 = [e for e in engine.pool.events if e.device == 1]
         if dev1:
             assert min(e.start for e in dev1) >= t_grow + 0.05 - 1e-12
 
@@ -701,11 +705,11 @@ class TestAutoscalerIntegration:
         # one 2-shard request on an active set of 1 used to sit in the
         # ready queue forever: nothing scaled up for it and the sweep
         # returned 0 responses, 0 shed, 0 deferred
-        server = tiny_server(
+        _, serve = tiny_serving(
             pool_size=4, max_wait_s=0.0,
             autoscaler=PoolAutoscaler(min_devices=1),
         )
-        report = server.serve([tiny_request(shards=2)])
+        report = serve([tiny_request(shards=2)])
         (response,) = report.responses
         assert response.shards == 2
         grow = report.autoscaler_events[0]
@@ -713,36 +717,34 @@ class TestAutoscalerIntegration:
         assert "spans 2 devices" in grow["reason"]
         # the issue's own reproduction (default config: the planner
         # collapses so small a graph to one shard, it is still answered)
-        server = InferenceServer(
-            pool_size=4, max_wait_s=0.0,
-            autoscaler=PoolAutoscaler(min_devices=1),
-        )
         lost = InferenceRequest(model="GCN", dataset="CO", scale=0.2,
                                 shards=2)
-        assert len(server.serve([lost]).responses) == 1
+        report = Engine(pool_size=4).serve(
+            [lost], max_wait_s=0.0, autoscaler=PoolAutoscaler(min_devices=1))
+        assert len(report.responses) == 1
 
     def test_shards_above_the_autoscaler_ceiling_are_rejected(self):
-        server = tiny_server(
+        _, serve = tiny_serving(
             pool_size=4,
             autoscaler=PoolAutoscaler(min_devices=1, max_devices=1),
         )
         with pytest.raises(ValueError, match=r"shards.*\[1, 1\]"):
-            server.serve([tiny_request(shards=2)])
+            serve([tiny_request(shards=2)])
         with pytest.raises(ValueError, match=r"shards.*\[1, 2\]"):
-            tiny_server(pool_size=2).serve([tiny_request(shards=3)])
+            Engine(make_tiny_config(), pool_size=2).serve([tiny_request(shards=3)])
 
     def test_undispatched_work_is_an_error_not_a_short_report(
             self, monkeypatch):
         monkeypatch.setattr(ContinuousScheduler, "_schedule",
                             lambda self, t: None)
-        server = tiny_server()
+        _, serve = tiny_serving()
         with pytest.raises(RuntimeError, match="1 admitted request"):
-            server.serve([tiny_request()])
+            serve([tiny_request()])
 
     def test_without_autoscaler_the_whole_pool_is_active(self):
-        server = tiny_server(pool_size=2)
-        warm(server)
-        report = server.serve([tiny_request(arrival_s=0.0)])
+        _, serve = tiny_serving(pool_size=2)
+        warm(serve)
+        report = serve([tiny_request(arrival_s=0.0)])
         assert report.active_devices == 2
         assert report.autoscaler_events == []
 
@@ -755,11 +757,11 @@ class TestAutoscalerIntegration:
 class TestBatcherRegressions:
     """Window edge cases, through ``serve()`` on one warm device."""
 
-    def served(self, requests, **server_kw):
-        server = tiny_server(max_batch_size=4, **server_kw)
+    def served(self, requests, **knobs):
+        _, serve = tiny_serving(max_batch_size=4, **knobs)
         for seed in (3, 4, 5):
-            warm(server, seed=seed)
-        return server.serve(requests).responses
+            warm(serve, seed=seed)
+        return serve(requests).responses
 
     def test_zero_wait_is_due_immediately(self):
         # the window test is a strict <: a same-instant arrival can
@@ -831,19 +833,19 @@ class TestReportRoundTrip:
         policy = SLOPolicy.default(
             interactive_target_p99_s=1.0, bulk_queue_depth=64,
         )
-        server = tiny_server(
+        _, serve = tiny_serving(
             pool_size=2, slo_policy=policy,
             admission=AdmissionController(policy),
             autoscaler=PoolAutoscaler(min_devices=1,
                                       scale_up_queue_per_device=2.0),
         )
-        exec_s = warm(server, seed=17)
+        exec_s = warm(serve, seed=17)
         requests = synthesize(
             num_requests=24, arrival="poisson", rate_rps=8.0 / exec_s,
             models=("GCN",), datasets=("CO",), scale=SCALE,
             class_skew=0.4, seed=17,
         )
-        return server.serve(requests)
+        return serve(requests)
 
     def test_to_dict_round_trips_through_json(self, report):
         d = report.to_dict()
@@ -882,9 +884,9 @@ class TestReportRoundTrip:
             assert "autoscaler" in text
 
     def test_report_defaults_stay_inert_without_targets(self):
-        server = tiny_server()
-        warm(server)
-        report = server.serve([tiny_request(arrival_s=0.0)])
+        _, serve = tiny_serving()
+        warm(serve)
+        report = serve([tiny_request(arrival_s=0.0)])
         assert report.goodput_rps == pytest.approx(report.throughput_rps)
         assert report.autoscaler_events == []
         assert (report.shed_requests, report.deferred_requests,

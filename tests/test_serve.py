@@ -1,6 +1,6 @@
 """Tests for the serving subsystem (`repro.serve`).
 
-Covers the four pillars of the server: program-cache fingerprinting and
+Covers the four pillars of serving: program-cache fingerprinting and
 LRU behaviour, micro-batch grouping and timeout flushing, multi-device
 throughput scaling, and functional exactness of served outputs against
 the NumPy reference model.
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from conftest import make_tiny_config
+from conftest import make_tiny_config, serving
 
 from repro.datasets import load_dataset
 from repro.gnn import build_model, init_weights, reference_inference
@@ -18,8 +18,8 @@ from repro.engine.cache import ProgramCache
 from repro.engine.pool import AcceleratorPool
 from repro.serve import (
     InferenceRequest,
-    InferenceServer,
     bursty_arrivals,
+    estimate_service_s,
     poisson_arrivals,
     steady_arrivals,
     synthesize,
@@ -34,11 +34,16 @@ def tiny_request(**overrides) -> InferenceRequest:
     return InferenceRequest(**base)
 
 
-def tiny_server(**overrides) -> InferenceServer:
-    base = dict(config=make_tiny_config(), pool_size=1, max_batch_size=4,
-                max_wait_s=1e-3)
+def tiny_serving(**overrides) -> tuple:
+    """A one-device tiny engine and its sweeps: ``(engine, serve)``."""
+    base = dict(pool_size=1, max_batch_size=4, max_wait_s=1e-3)
     base.update(overrides)
-    return InferenceServer(**base)
+    return serving(make_tiny_config(), **base)
+
+
+def tiny_sweep(requests: list, **overrides):
+    """One sweep of ``requests`` on a fresh tiny engine."""
+    return tiny_serving(**overrides)[1](requests)
 
 
 class TestFingerprinting:
@@ -149,17 +154,17 @@ def _compile_tiny():
 
 
 class TestMicroBatcher:
-    """Batch formation, observed through ``serve()`` on a warm server:
+    """Batch formation, observed through ``serve()`` on a warm engine:
     a batch starts on an idle device the instant it closes, so
     ``start_s`` tells when and why it closed."""
 
     KEYS = {"k1": 3, "k2": 4, "k3": 5}
 
-    def served(self, requests, **server_kw):
-        server = tiny_server(pool_size=4, **server_kw)
+    def served(self, requests, **knobs):
+        _, serve = tiny_serving(pool_size=4, **knobs)
         for seed in self.KEYS.values():
-            server.serve([tiny_request(seed=seed)])
-        report = server.serve(requests)
+            serve([tiny_request(seed=seed)])
+        report = serve(requests)
         assert len(report.responses) == len(requests)
         return {r.request_id: r for r in report.responses}
 
@@ -191,9 +196,9 @@ class TestMicroBatcher:
     def test_ready_time_tracks_slowest_member(self):
         # the first member misses and compiles; the second hits while
         # that compile is still running and must wait for it too
-        server = tiny_server(max_batch_size=2, max_wait_s=1.0)
+        _, serve = tiny_serving(max_batch_size=2, max_wait_s=1.0)
         miss, hit = tiny_request(arrival_s=0.0), tiny_request(arrival_s=1e-9)
-        first, second = server.serve([miss, hit]).responses
+        first, second = serve([miss, hit]).responses
         assert (first.cache_hit, second.cache_hit) == (False, True)
         assert first.compile_s > 1e-9 and second.compile_s == 0.0
         assert first.batch_id == second.batch_id
@@ -212,10 +217,10 @@ class TestMicroBatcher:
         # end of stream: both groups close at the last arrival instead of
         # idling out their 1 s windows, in (deadline, open order)
         a, b = self.req("k1", 0.0), self.req("k2", 0.1)
-        server = tiny_server(max_batch_size=8, max_wait_s=1.0)
+        _, serve = tiny_serving(max_batch_size=8, max_wait_s=1.0)
         for seed in self.KEYS.values():
-            server.serve([tiny_request(seed=seed)])
-        first, second = server.serve([b, a]).responses
+            serve([tiny_request(seed=seed)])
+        first, second = serve([b, a]).responses
         assert (first.request_id, second.request_id) == \
             (a.request_id, b.request_id)
         assert first.start_s == 0.1
@@ -268,11 +273,11 @@ class TestInferenceServer:
         return [tiny_request(arrival_s=0.0, **overrides) for _ in range(n)]
 
     def test_cache_hit_on_second_sweep(self):
-        server = tiny_server()
+        _, serve = tiny_serving()
         workload = self._burst(6)
-        cold = server.serve(workload)
+        cold = serve(workload)
         assert cold.cache_misses == 1 and cold.cache_hits == 5
-        warm = server.serve(workload)
+        warm = serve(workload)
         assert warm.cache_misses == 0 and warm.cache_hits == 6
         assert warm.compile_s == 0.0
         assert warm.cache_hit_rate == 1.0
@@ -280,9 +285,9 @@ class TestInferenceServer:
     def test_cache_hit_waits_for_inflight_compile(self):
         # a hit on a program whose miss is still compiling cannot start
         # executing before that compile finishes on the virtual clock
-        server = tiny_server(pool_size=2, max_batch_size=1)
+        _, serve = tiny_serving(pool_size=2, max_batch_size=1)
         r1, r2 = tiny_request(arrival_s=0.0), tiny_request(arrival_s=0.0)
-        report = server.serve([r1, r2])
+        report = serve([r1, r2])
         by_id = {r.request_id: r for r in report.responses}
         compile_s = by_id[r1.request_id].compile_s
         assert compile_s > 0.0
@@ -292,11 +297,11 @@ class TestInferenceServer:
     def test_ready_batch_not_blocked_by_inflight_compile(self):
         # a batch waiting on a compile must not hold an idle device
         # hostage: later-flushed but earlier-ready work runs first
-        server = tiny_server(pool_size=1, max_batch_size=1)
-        server.serve([tiny_request(model="GIN", arrival_s=0.0)])  # cache GIN
+        _, serve = tiny_serving(pool_size=1, max_batch_size=1)
+        serve([tiny_request(model="GIN", arrival_s=0.0)])  # cache GIN
         x = tiny_request(arrival_s=0.0)                 # GCN: cache miss
         y = tiny_request(model="GIN", arrival_s=1e-6)   # hit, ready at once
-        report = server.serve([x, y])
+        report = serve([x, y])
         by_id = {r.request_id: r for r in report.responses}
         assert by_id[x.request_id].compile_s > 0.0
         assert by_id[y.request_id].start_s < by_id[x.request_id].compile_s
@@ -304,14 +309,14 @@ class TestInferenceServer:
     def test_batching_amortizes_batches(self):
         # two batches of four close while the program compiles; the
         # second boards the execution the first starts once it is ready
-        report = tiny_server(max_batch_size=4).serve(self._burst(8))
+        report = tiny_sweep(self._burst(8), max_batch_size=4)
         assert report.num_batches == 1 and report.joined_requests == 4
         assert report.avg_batch_size == pytest.approx(8.0)
 
     def test_max_wait_splits_distant_arrivals(self):
-        server = tiny_server(max_batch_size=8, max_wait_s=1e-3)
+        _, serve = tiny_serving(max_batch_size=8, max_wait_s=1e-3)
         workload = [tiny_request(arrival_s=0.0), tiny_request(arrival_s=1.0)]
-        report = server.serve(workload)
+        report = serve(workload)
         assert report.num_batches == 2
 
     def test_pool_scaling_on_saturating_workload(self):
@@ -320,9 +325,9 @@ class TestInferenceServer:
         workload = [tiny_request(arrival_s=0.0, seed=3 + i % 4) for i in range(12)]
         reports = {}
         for pool in (1, 2):
-            server = tiny_server(pool_size=pool, max_batch_size=2)
-            server.serve(workload)           # cold sweep populates caches
-            reports[pool] = server.serve(workload)
+            _, serve = tiny_serving(pool_size=pool, max_batch_size=2)
+            serve(workload)           # cold sweep populates caches
+            reports[pool] = serve(workload)
         t1 = reports[1].throughput_rps
         t2 = reports[2].throughput_rps
         assert t2 >= 1.8 * t1, f"2 devices gave only {t2 / t1:.2f}x"
@@ -331,7 +336,7 @@ class TestInferenceServer:
 
     def test_served_output_matches_reference(self):
         request = tiny_request()
-        report = tiny_server().serve([request])
+        report = tiny_sweep([request])
         (resp,) = report.responses
         data = load_dataset("CO", scale=SCALE, seed=request.seed)
         model = build_model("GCN", data.num_features, data.hidden_dim,
@@ -341,25 +346,35 @@ class TestInferenceServer:
         np.testing.assert_allclose(resp.output, ref, rtol=1e-3, atol=1e-5)
 
     def test_estimate_service_does_not_warm_the_cache(self):
-        server = tiny_server()
-        server.estimate_service_s(tiny_request())
-        report = server.serve([tiny_request(arrival_s=0.0)])
+        engine, serve = tiny_serving()
+        estimate_service_s(engine, tiny_request())
+        report = serve([tiny_request(arrival_s=0.0)])
         assert report.cache_misses == 1  # first sweep is still cold
 
     def test_trailing_batch_flushes_at_end_of_stream(self):
         # once the stream ends no arrival can join, so the last partial
         # batch must not idle out its max_wait window
-        server = tiny_server(max_batch_size=8, max_wait_s=1.0)
+        _, serve = tiny_serving(max_batch_size=8, max_wait_s=1.0)
         workload = [tiny_request(arrival_s=0.0), tiny_request(arrival_s=0.5)]
-        server.serve(workload)                  # warm: no compile noise
-        report = server.serve(workload)
+        serve(workload)                  # warm: no compile noise
+        report = serve(workload)
         assert report.num_batches == 1
         (resp, _) = report.responses
         assert resp.start_s == pytest.approx(0.5)  # not opened_s + 1.0
 
+    def test_an_infinite_window_closes_at_end_of_stream(self):
+        # inf is a valid window: the batch waits for company until the
+        # stream ends, then flushes
+        _, serve = tiny_serving(max_batch_size=8, max_wait_s=float("inf"))
+        workload = [tiny_request(arrival_s=0.0), tiny_request(arrival_s=0.5)]
+        serve(workload)
+        report = serve(workload)
+        assert report.num_batches == 1 and report.max_wait_s == float("inf")
+        assert report.responses[0].start_s == pytest.approx(0.5)
+
     def test_response_accounting(self):
-        server = tiny_server(max_batch_size=2)
-        report = server.serve(self._burst(4))
+        _, serve = tiny_serving(max_batch_size=2)
+        report = serve(self._burst(4))
         assert report.num_requests == 4
         for resp in report.responses:
             assert resp.finish_s >= resp.start_s >= resp.arrival_s
@@ -370,28 +385,28 @@ class TestInferenceServer:
         assert report.latency_p99_s >= report.latency_p50_s > 0
 
     def test_mixed_models_get_separate_batches(self):
-        server = tiny_server(max_batch_size=8)
+        _, serve = tiny_serving(max_batch_size=8)
         workload = [tiny_request(arrival_s=0.0),
                     tiny_request(arrival_s=0.0, model="GIN")]
-        report = server.serve(workload)
+        report = serve(workload)
         assert report.num_batches == 2
         assert report.cache_misses == 2
 
     def test_outputs_are_read_only(self):
         # responses share one memoized array; in-place mutation must
         # raise rather than corrupt later sweeps' outputs
-        report = tiny_server().serve(self._burst(2))
+        report = tiny_sweep(self._burst(2))
         resp = report.responses[0]
         with pytest.raises(ValueError):
             resp.output[0, 0] = 1.0
 
     def test_outputs_can_be_dropped(self):
-        server = tiny_server(return_outputs=False)
-        report = server.serve(self._burst(2))
+        _, serve = tiny_serving(return_outputs=False)
+        report = serve(self._burst(2))
         assert all(r.output is None for r in report.responses)
 
     def test_format_report_mentions_key_metrics(self):
-        text = tiny_server().serve(self._burst(3)).format_report()
+        text = tiny_sweep(self._burst(3)).format_report()
         for needle in ("throughput", "p50/p95/p99", "hit rate",
                        "device utilization", "queueing delay"):
             assert needle in text
@@ -444,8 +459,9 @@ class TestArrivalRateContract:
         assert abs(n / float(huge.max()) / self.RATE - 1.0) < b / n + 0.01
 
     def test_negative_spread_rejected(self):
-        with pytest.raises(ValueError, match="burst_spread_s"):
-            bursty_arrivals(8, 100.0, burst_spread_s=-0.1)
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="burst_spread_s"):
+                bursty_arrivals(8, 100.0, burst_spread_s=bad)
 
     def test_arrivals_are_sorted_and_positive(self):
         times = bursty_arrivals(40, 500.0, seed=9, burst_size=16,
@@ -460,19 +476,18 @@ class TestServingAccountingFixes:
         # cache_hit=True, silently inflating the hit rate
         from repro.sched import ContinuousScheduler, SLOClass
         from repro.sched.scheduler import _Execution, _Group
-        from repro.serve import MicroBatch
 
-        server = tiny_server()
+        engine, serve = tiny_serving()
         req = tiny_request(arrival_s=0.0)
-        server.serve([req])  # warm the program cache
+        serve([req])  # warm the program cache
         stray = tiny_request(arrival_s=0.0)
-        program = server.cache.peek(stray.program_key(server.config))
+        program = engine.cache.peek(stray.program_key(engine.config))
         assert program is not None
-        memo = server.engine.execute(program, stray.strategy, ready_s=0.0)
-        sweep = ContinuousScheduler(server)
-        batch = MicroBatch(key=None, requests=[stray], opened_s=0.0, ready_s=0.0,
-                           batch_id=0)
-        finished = _Execution(_Group(batch, SLOClass("bulk", 0), 0.0, 1), memo, [0.0], [0])
+        memo = engine.execute(program, stray.strategy, ready_s=0.0)
+        sweep = ContinuousScheduler(engine, **serve.keywords)
+        group = _Group(None, SLOClass("bulk", 0), opened_s=0.0, ready_s=0.0, batch_id=0,
+                       deadline=0.0, shards=1, requests=[stray])
+        finished = _Execution(group, memo, [0.0], [0])
         with pytest.raises(KeyError):
             sweep._respond(finished, 1.0)
         assert len(sweep.answers) == 0
@@ -547,7 +562,7 @@ class TestShardedServingCounters:
     """ServingReport's sharded counters under mixed request streams."""
 
     def _mixed_report(self):
-        server = tiny_server(pool_size=4)
+        _, serve = tiny_serving(pool_size=4)
         requests = [
             tiny_request(arrival_s=0.000, shards=2),
             tiny_request(arrival_s=0.000, shards=2),
@@ -555,7 +570,7 @@ class TestShardedServingCounters:
             tiny_request(arrival_s=0.020, shards=4),
             tiny_request(arrival_s=0.030),            # unsharded
         ]
-        return server.serve(requests)
+        return serve(requests)
 
     def test_mixed_stream_counts_only_sharded_batches(self):
         report = self._mixed_report()
@@ -592,8 +607,8 @@ class TestShardedServingCounters:
         assert report.metrics["histograms"]["serve.latency_s"]["count"] == 5
 
     def test_unsharded_stream_leaves_counters_at_zero(self):
-        server = tiny_server(pool_size=2)
-        report = server.serve(
+        _, serve = tiny_serving(pool_size=2)
+        report = serve(
             [tiny_request(arrival_s=0.01 * i) for i in range(3)]
         )
         assert report.sharded_batches == 0
@@ -603,8 +618,8 @@ class TestShardedServingCounters:
         assert report.metrics["counters"]["serve.sharded_batches"] == 0
 
     def test_sharded_outputs_stay_exact_through_the_server(self):
-        server = tiny_server(pool_size=2)
-        report = server.serve([
+        _, serve = tiny_serving(pool_size=2)
+        report = serve([
             tiny_request(arrival_s=0.0, shards=2),
             tiny_request(arrival_s=0.01),
         ])
@@ -633,8 +648,8 @@ class TestPhaseBreakdown:
     ServingReport (the serving-trace analytics of repro.obs.analyze)."""
 
     def _mixed_report(self):
-        server = tiny_server(pool_size=4)
-        return server.serve([
+        _, serve = tiny_serving(pool_size=4)
+        return serve([
             tiny_request(arrival_s=0.000, shards=2),
             tiny_request(arrival_s=0.000, shards=2),
             tiny_request(arrival_s=0.010),            # unsharded
@@ -662,11 +677,11 @@ class TestPhaseBreakdown:
         from repro.runtime.executor import run_strategy
         from repro.shard import plan_shards
 
-        server = tiny_server(pool_size=2)
-        report = server.serve([tiny_request(arrival_s=0.0, shards=2)])
+        engine, serve = tiny_serving(pool_size=2)
+        report = serve([tiny_request(arrival_s=0.0, shards=2)])
         (resp,) = report.responses
-        program = server.cache.peek(
-            tiny_request(shards=2).program_key(server.config)
+        program = engine.cache.peek(
+            tiny_request(shards=2).program_key(engine.config)
         )
         result = run_strategy(program, "Dynamic", plan=plan_shards(program, 2))
         expected = result.latency_s - float(np.mean(result.shard_busy_s))
@@ -676,8 +691,8 @@ class TestPhaseBreakdown:
         )
 
     def test_unsharded_requests_have_zero_barrier(self):
-        server = tiny_server()
-        report = server.serve([tiny_request(arrival_s=0.0)])
+        _, serve = tiny_serving()
+        report = serve([tiny_request(arrival_s=0.0)])
         (resp,) = report.responses
         assert resp.barrier_s == 0.0
         assert report.phase_breakdown["barrier"]["sum"] == 0.0
@@ -696,6 +711,6 @@ class TestPhaseBreakdown:
         assert "phase queue_wait" in text and "phase barrier" in text
 
     def test_empty_sweep_has_empty_phases(self):
-        report = tiny_server().serve([])
+        report = tiny_sweep([])
         for snap in report.phase_breakdown.values():
             assert snap["count"] == 0

@@ -1,7 +1,7 @@
 """Golden digests of whole ``serve()`` sweeps: the serve loop's, and the
 book-ahead oracle's.
 
-Every cell builds a fresh server, runs one request stream and hashes what
+Every cell builds a fresh engine, runs one request stream and hashes what
 came back: the report dictionary (key order included) and, per response,
 which batch it rode, on which device, and the exact bits of its start,
 finish, service and barrier times.  The digests were recorded from the
@@ -30,7 +30,7 @@ from unittest import mock
 
 import pytest
 from book_ahead import book_ahead
-from conftest import make_tiny_config
+from conftest import make_tiny_config, serving
 
 from repro.compiler.compile import CompileTimings
 from repro.datasets import load_dataset
@@ -39,7 +39,6 @@ from repro.dyngraph.patcher import ProgramPatcher
 from repro.sched import AdmissionController, PoolAutoscaler, SLOClass, SLOPolicy
 from repro.serve import (
     InferenceRequest,
-    InferenceServer,
     MutationRequest,
     churn_stream,
     synthesize,
@@ -50,11 +49,11 @@ COMPILE_S = 3e-3
 PATCH_S = 2.5e-4
 
 
-def server(**overrides) -> InferenceServer:
-    base = dict(config=make_tiny_config(), pool_size=1, max_batch_size=4,
-                max_wait_s=1e-3)
+def tiny(**overrides) -> tuple:
+    """A fresh tiny engine and its sweeps: ``(engine, serve)``."""
+    base = dict(pool_size=1, max_batch_size=4, max_wait_s=1e-3)
     base.update(overrides)
-    return InferenceServer(**base)
+    return serving(make_tiny_config(), **base)
 
 
 def request(**overrides) -> InferenceRequest:
@@ -79,7 +78,7 @@ def numbered(requests: list) -> list:
     return requests
 
 
-def exec_s(srv: InferenceServer, **overrides) -> float:
+def exec_s(srv, **overrides) -> float:
     """Warm one program; returns its one-request execution time.
 
     The compile is charged a constant 1 ms.  The serve loop chains a cold
@@ -90,18 +89,18 @@ def exec_s(srv: InferenceServer, **overrides) -> float:
     time a cell derives from this number.  The table was recorded below
     that bound, where any compile time gives the same float."""
     with mock.patch.object(CompileTimings, "total_s", property(lambda self: 1e-3)):
-        return srv.serve([request(**overrides)]).responses[0].execute_s
+        return srv([request(**overrides)]).responses[0].execute_s
 
 
-def warm_then_serve(srv: InferenceServer, requests: list):
+def warm_then_serve(srv, requests: list):
     requests = numbered(requests)
-    srv.serve(list(requests))
-    return srv.serve(list(requests))
+    srv(list(requests))
+    return srv(list(requests))
 
 
 @contextlib.contextmanager
 def pinned_host_clock():
-    """Every host-measured second the server charges to the virtual
+    """Every host-measured second a sweep charges to the virtual
     clock becomes a constant: compiles take ``COMPILE_S``, patches (and
     their recompile fallbacks) ``PATCH_S``."""
     patch = ProgramPatcher.patch
@@ -117,27 +116,27 @@ def pinned_host_clock():
 
 
 def probe_s() -> float:
-    """One-request execution time on the default server, as the book-ahead
+    """One-request execution time on the default engine, as the book-ahead
     default measured it when these cells were recorded."""
     with book_ahead():
-        return exec_s(server())
+        return exec_s(tiny()[1])
 
 
 # -- cells of the oracle, several of them also run by the loop -----------
 def burst_one_device():
-    srv = server()
+    _, srv = tiny()
     t = exec_s(srv)
     return warm_then_serve(srv, stream(24, arrival="bursty", rate_rps=6.0 / t))
 
 
 def poisson_four_devices(max_batch_size):
-    srv = server(pool_size=4, max_batch_size=max_batch_size)
+    _, srv = tiny(pool_size=4, max_batch_size=max_batch_size)
     t = exec_s(srv)
     return warm_then_serve(srv, stream(40, rate_rps=12.0 / t))
 
 
 def zero_wait():
-    srv = server(pool_size=2, max_wait_s=0.0)
+    _, srv = tiny(pool_size=2, max_wait_s=0.0)
     t = exec_s(srv)
     requests = stream(16, rate_rps=4.0 / t)
     # same-instant arrivals must still coalesce under a zero window
@@ -148,7 +147,7 @@ def zero_wait():
 def mixed_shards():
     """Widths 1/2/4 on four devices: group reservations, and narrow
     batches backfilling around a wide one."""
-    srv = server(pool_size=4, max_batch_size=2)
+    _, srv = tiny(pool_size=4, max_batch_size=2)
     t = exec_s(srv)
     requests = [
         request(shards=(1, 2, 4, 2, 1, 1)[i % 6], seed=3 + i % 2,
@@ -162,14 +161,14 @@ def two_class_goodput():
     t = probe_s()
     policy = SLOPolicy.default(interactive_target_p99_s=2.5 * t,
                                bulk_target_p99_s=6.0 * t)
-    srv = server(pool_size=2, slo_policy=policy)
+    _, srv = tiny(pool_size=2, slo_policy=policy)
     return warm_then_serve(srv, stream(36, rate_rps=8.0 / t, class_skew=0.4))
 
 
 def unknown_slo_tags():
     t = probe_s()
-    srv = server(pool_size=2,
-                 slo_policy=SLOPolicy.default(bulk_target_p99_s=3.0 * t))
+    _, srv = tiny(pool_size=2,
+                  slo_policy=SLOPolicy.default(bulk_target_p99_s=3.0 * t))
     requests = stream(20, rate_rps=6.0 / t)
     for i, r in enumerate(requests):
         r.slo = ("gold", "bulk", "silver")[i % 3]
@@ -177,55 +176,55 @@ def unknown_slo_tags():
 
 
 def empty_stream():
-    return server(pool_size=2).serve([])
+    return tiny(pool_size=2)[1]([])
 
 
-def dynamic_server(**overrides):
+def dynamic_sweeps(**overrides):
     graph = MutableGraph(load_dataset("CO", scale=SCALE, seed=0), graph_id="dyn")
-    srv = server(**overrides)
-    srv.register_graph(graph)
+    engine, srv = tiny(**overrides)
+    engine.register_graph(graph)
     return srv, graph
 
 
 def mutation_only():
     with pinned_host_clock():
-        srv, graph = dynamic_server()
-        srv.serve(numbered([request(dataset="dyn", scale=None, seed=0)]))
+        srv, graph = dynamic_sweeps()
+        srv(numbered([request(dataset="dyn", scale=None, seed=0)]))
         mutations = [
             MutationRequest(graph_id="dyn",
                             delta=GraphDelta.edges(inserts=[(i, i + 7)]),
                             arrival_s=i * 1e-4)
             for i in range(4)
         ]
-        return srv.serve(numbered(mutations))
+        return srv(numbered(mutations))
 
 
 def cold_pinned(**overrides):
     """A cold sweep over four programs whose compiles queue on the one
     host: hits on a program still compiling wait for it."""
     with pinned_host_clock():
-        srv = server(pool_size=2, **overrides)
+        _, srv = tiny(pool_size=2, **overrides)
         requests = stream(24, rate_rps=1.0 / 4e-4, datasets=("CO", "CI"))
-        return srv.serve(numbered(requests))
+        return srv(numbered(requests))
 
 
 def churn_pinned(**overrides):
     with pinned_host_clock():
-        srv, graph = dynamic_server(pool_size=2, **overrides)
+        srv, graph = dynamic_sweeps(pool_size=2, **overrides)
         requests = churn_stream(32, graph=graph, strategies=("Dynamic", "S1"),
                                 mutation_every=5, rate_rps=1.0 / 5e-4, seed=4)
-        return srv.serve(numbered(requests))
+        return srv(numbered(requests))
 
 
 # -- cells of the loop alone -------------------------------------------
 def overload_joins():
-    srv = server(pool_size=2)
+    _, srv = tiny(pool_size=2)
     t = exec_s(srv)
     return warm_then_serve(srv, stream(48, rate_rps=10.0 / t, class_skew=0.3))
 
 
 def preemption():
-    srv = server(max_wait_s=0.0, slo_policy=SLOPolicy.default())
+    _, srv = tiny(max_wait_s=0.0, slo_policy=SLOPolicy.default())
     t = exec_s(srv, seed=3)
     exec_s(srv, seed=4), exec_s(srv, seed=5)
     requests = [
@@ -235,13 +234,13 @@ def preemption():
         request(slo="bulk", seed=5, arrival_s=0.6 * t),
         request(slo="interactive", seed=4, arrival_s=1.7 * t),
     ]
-    return srv.serve(numbered(requests))
+    return srv(numbered(requests))
 
 
 def admission_shed_and_defer():
     policy = SLOPolicy.default(interactive_queue_depth=2, bulk_queue_depth=3)
-    srv = server(slo_policy=policy, max_batch_size=2, max_wait_s=0.0,
-                 admission=AdmissionController(policy, hard_limit_factor=3.0))
+    _, srv = tiny(slo_policy=policy, max_batch_size=2, max_wait_s=0.0,
+                  admission=AdmissionController(policy, hard_limit_factor=3.0))
     t = exec_s(srv, seed=3)
     exec_s(srv, seed=4), exec_s(srv, seed=5)
     requests = [
@@ -249,11 +248,11 @@ def admission_shed_and_defer():
                 arrival_s=i * t * 2e-2)
         for i in range(30)
     ]
-    return srv.serve(numbered(requests))
+    return srv(numbered(requests))
 
 
 def autoscaler_up_and_down():
-    srv = server(
+    _, srv = tiny(
         pool_size=3, max_wait_s=0.0,
         autoscaler=PoolAutoscaler(min_devices=1, scale_up_queue_per_device=2.0,
                                   provision_delay_s=1e-4),
@@ -264,17 +263,17 @@ def autoscaler_up_and_down():
     # a late trickle lets the drained pool scale back down
     tail = [request(seed=9, arrival_s=burst[-1].arrival_s + (8 + 3 * i) * t)
             for i in range(4)]
-    return srv.serve(numbered(burst + tail))
+    return srv(numbered(burst + tail))
 
 
 def sharded_join():
-    srv = server(pool_size=4, max_wait_s=0.0)
+    _, srv = tiny(pool_size=4, max_wait_s=0.0)
     t = exec_s(srv, shards=2)
     exec_s(srv)
     requests = [request(shards=2, arrival_s=0.0)] + [
         request(shards=2, arrival_s=f * t) for f in (0.2, 0.5, 0.8, 1.4)
     ] + [request(arrival_s=0.3 * t), request(arrival_s=0.35 * t)]
-    return srv.serve(numbered(requests))
+    return srv(numbered(requests))
 
 
 def custom_classes():
@@ -284,7 +283,7 @@ def custom_classes():
         SLOClass("silver", priority=2, max_wait_s=2e-4),
         SLOClass("bulk", priority=0),
     ))
-    srv = server(pool_size=2, slo_policy=policy)
+    _, srv = tiny(pool_size=2, slo_policy=policy)
     t = exec_s(srv)
     requests = stream(30, rate_rps=9.0 / t)
     for i, r in enumerate(requests):

@@ -45,7 +45,7 @@ from test_serve_golden import exact, strip_wallclock
 from repro.engine import Engine
 from repro.engine.pool import AcceleratorPool
 from repro.obs import Tracer
-from repro.serve import InferenceRequest, InferenceServer, synthesize
+from repro.serve import InferenceRequest, estimate_service_s, saturating_rate, synthesize
 
 SCALE = 0.15
 MODELS = ("GCN", "GraphSAGE", "GIN", "SGC")
@@ -289,16 +289,16 @@ class TestOneDoor:
 class TestEstimateChecksWhatTheLoopChecks:
     @pytest.mark.parametrize("shards", [0, 3])
     def test_shards_outside_the_pool_raise_the_loops_message(self, shards):
-        server = InferenceServer(config=make_tiny_config(), pool_size=2)
+        engine = Engine(make_tiny_config(), pool_size=2)
         request = execution_request("GCN", shards, "Dynamic")
         with pytest.raises(ValueError, match=r"shards must be within \[1, 2\]"
                            r": the pool has 2 device") as estimated:
-            server.estimate_service_s(request)
+            estimate_service_s(engine, request)
         with pytest.raises(ValueError) as served:
-            server.serve([request])
+            engine.serve([request])
         assert str(estimated.value) == str(served.value)
         with pytest.raises(ValueError, match="shards"):
-            server.saturating_rate([request])
+            saturating_rate(engine, [request])
 
 
 # -- one pass -------------------------------------------------------------
@@ -307,7 +307,7 @@ def json_cell_sweeps():
     12-request GCN x Cora stream at 8x the capacity of 2 devices, served
     cold then warm on pools of 1 and 2; returns ``(rate, sweeps)``."""
     probe = InferenceRequest(model="GCN", dataset="CO", scale=SCALE)
-    rate = InferenceServer().saturating_rate([probe], pool_size=2, factor=8.0)
+    rate = saturating_rate(Engine(), [probe], pool_size=2, factor=8.0)
     return rate, cold_then_warm(synthesize(12, rate_rps=rate, scale=SCALE))
 
 

@@ -27,13 +27,13 @@ import itertools
 from unittest import mock
 
 from book_ahead import serve_book_ahead
-from conftest import make_tiny_config
+from conftest import make_tiny_config, serving
 from hypothesis import example, given, settings, strategies as st
 
 from repro.hw.memory import pcie_transfer_seconds
 from repro.sched import AdmissionController, PoolAutoscaler, SLOPolicy
 from repro.sched.scheduler import ContinuousScheduler
-from repro.serve import InferenceRequest, InferenceServer
+from repro.serve import InferenceRequest, estimate_service_s
 
 SCALE = 0.15
 SEEDS = (3, 4)
@@ -47,11 +47,12 @@ def request(**overrides) -> InferenceRequest:
 
 
 @functools.lru_cache(maxsize=None)
-def warm_server(scheduler, autoscale, max_batch_size, max_wait_s):
-    """One server per configuration, every program compiled and every
-    execution simulated, so an example costs one warm sweep."""
+def warm_serving(scheduler, autoscale, max_batch_size, max_wait_s):
+    """One engine and its sweeps per configuration, ``(engine, serve)``,
+    every program compiled and every execution simulated, so an example
+    costs one warm sweep."""
     continuous = scheduler == "continuous"
-    server = InferenceServer(
+    engine, serve = serving(
         make_tiny_config(), pool_size=3,
         max_batch_size=max_batch_size, max_wait_s=max_wait_s,
         slo_policy=POLICY,
@@ -62,8 +63,8 @@ def warm_server(scheduler, autoscale, max_batch_size, max_wait_s):
     )
     for seed in SEEDS:
         for shards in (1, 2):
-            server.serve([request(seed=seed, shards=shards)])
-    return server
+            serve([request(seed=seed, shards=shards)])
+    return engine, serve
 
 
 configurations = st.tuples(
@@ -82,8 +83,8 @@ arrivals = st.lists(
 )
 
 
-def timed(server, stream) -> list:
-    exec_s = server.estimate_service_s(request(seed=SEEDS[0]))
+def timed(engine, stream) -> list:
+    exec_s = estimate_service_s(engine, request(seed=SEEDS[0]))
     requests, t = [], 0.0
     for seed, shards, slo, gap in stream:
         t += gap * exec_s
@@ -96,11 +97,11 @@ def timed(server, stream) -> list:
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_every_sweep_accounts_for_every_request(configuration, stream):
     (scheduler, autoscale), max_batch_size, max_wait_s = configuration
-    server = warm_server(scheduler, autoscale, max_batch_size, max_wait_s)
-    requests = timed(server, stream)
+    engine, serve = warm_serving(scheduler, autoscale, max_batch_size, max_wait_s)
+    requests = timed(engine, stream)
 
-    report = (server.serve(requests) if scheduler == "continuous"
-              else serve_book_ahead(server, requests))
+    report = (serve(requests) if scheduler == "continuous"
+              else serve_book_ahead(engine, requests, **serve.keywords))
 
     # exactly one of response or shed, and nothing left parked
     answered = [r.request_id for r in report.responses]
@@ -113,9 +114,9 @@ def test_every_sweep_accounts_for_every_request(configuration, stream):
             <= 1e-12
         assert r.start_s >= r.arrival_s and r.finish_s >= r.start_s
     # no device is double-booked on the pool timeline
-    for device in range(server.pool.num_devices):
+    for device in range(engine.pool.num_devices):
         booked = sorted(
-            (e.start, e.end) for e in server.pool.events
+            (e.start, e.end) for e in engine.pool.events
             if e.device == device
         )
         for (_, end), (start, _) in zip(booked, booked[1:]):
@@ -125,7 +126,7 @@ def test_every_sweep_accounts_for_every_request(configuration, stream):
     sent = {r.request_id: r for r in requests}
     program = {r.batch_id: (sent[r.request_id].seed, r.shards) for r in report.responses}
     members: dict[int, set] = {}
-    for e in server.pool.events:
+    for e in engine.pool.events:
         members.setdefault(e.batch_id, set()).add(e.device)
     held = {(d, *program[b], sorted(devices).index(d))
             for b, devices in members.items() for d in devices}
@@ -135,12 +136,12 @@ def test_every_sweep_accounts_for_every_request(configuration, stream):
     for r in report.responses:
         preempted_s = sum(
             min(e.end, r.finish_s) - max(e.start, r.start_s)
-            for e in server.pool.events
+            for e in engine.pool.events
             if e.device == r.device and e.batch_id != r.batch_id
             and e.start < r.finish_s and e.end > r.start_s
         )
-        estimate = server.estimate_service_s(
-            request(seed=sent[r.request_id].seed, shards=r.shards))
+        estimate = estimate_service_s(
+            engine, request(seed=sent[r.request_id].seed, shards=r.shards))
         assert r.service_s - preempted_s <= estimate + 1e-12
 
 
@@ -159,9 +160,9 @@ def chained(start: float, seconds: list) -> list:
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_every_execution_books_its_segments_once(configuration, stream):
     autoscale, max_batch_size, max_wait_s = configuration
-    server = warm_server("continuous", autoscale, max_batch_size, max_wait_s)
-    requests = timed(server, stream)
-    pool, engine = server.pool, server.engine
+    engine, serve = warm_serving("continuous", autoscale, max_batch_size, max_wait_s)
+    requests = timed(engine, stream)
+    pool = engine.pool
     # (devices, batch id, start, segments, busy seconds, end) of every booking
     booked = []
     book = pool.book
@@ -176,13 +177,13 @@ def test_every_execution_books_its_segments_once(configuration, stream):
     inputs = {}
     input_s = ContinuousScheduler._input_s
 
-    def charged(sched, batch, devices):
-        inputs[batch.batch_id] = input_s(sched, batch, devices)
-        return inputs[batch.batch_id]
+    def charged(sched, group, devices):
+        inputs[group.batch_id] = input_s(sched, group, devices)
+        return inputs[group.batch_id]
 
     with (mock.patch.object(pool, "book", recording),
           mock.patch.object(ContinuousScheduler, "_input_s", charged)):
-        report = server.serve(requests)
+        report = serve(requests)
 
     # a device's busy seconds: the chained sum of what it was charged
     for device in range(pool.num_devices):
@@ -199,9 +200,9 @@ def test_every_execution_books_its_segments_once(configuration, stream):
     assert len(booked) == len(executions) + report.preemptions
     for batch, members in executions.items():
         first = sent[members[0].request_id]
-        program = server.cache.peek(first.program_key(server.config))
+        program = engine.cache.peek(first.program_key(engine.config))
         run = engine.execute(program, first.strategy, first.shards, ready_s=0.0)
-        assert inputs[batch] in (0.0, pcie_transfer_seconds(program.input_bytes(), server.config))
+        assert inputs[batch] in (0.0, pcie_transfer_seconds(program.input_bytes(), engine.config))
         layers = [inputs[batch], *map(float, run.segments_s)]
         founder = next(r for r in members if not r.joined)
         # one device is booked a segment per layer (the input first), so a
@@ -243,9 +244,9 @@ def test_every_execution_books_its_segments_once(configuration, stream):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_no_response_finishes_after_a_later_arrival_of_its_program(configuration, stream):
     autoscale, max_batch_size, max_wait_s = configuration
-    server = warm_server("continuous", autoscale, max_batch_size, max_wait_s)
-    requests = timed(server, stream)
-    report = server.serve(requests)
+    engine, serve = warm_serving("continuous", autoscale, max_batch_size, max_wait_s)
+    requests = timed(engine, stream)
+    report = serve(requests)
 
     sent = {r.request_id: r for r in requests}
     priority = {c.name: c.priority for c in POLICY.classes}

@@ -19,22 +19,23 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import cold_then_warm, comparison_json, make_tiny_config
+from conftest import cold_then_warm, comparison_json, make_tiny_config, serving
 
 from repro.compiler.compile import CompileTimings
 from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph
 from repro.gnn import build_model, init_weights, reference_inference
-from repro.serve import InferenceRequest, InferenceResponse, InferenceServer, MutationRequest
+from repro.serve import InferenceRequest, InferenceResponse, MutationRequest
 from repro.serve import synthesize
 
 SCALE = 0.15
 
 
-def server(**overrides) -> InferenceServer:
-    base = dict(config=make_tiny_config(), pool_size=2, max_batch_size=4, max_wait_s=1e-3)
+def tiny(**overrides) -> tuple:
+    """A two-device tiny engine and its sweeps: ``(engine, serve)``."""
+    base = dict(pool_size=2, max_batch_size=4, max_wait_s=1e-3)
     base.update(overrides)
-    return InferenceServer(**base)
+    return serving(make_tiny_config(), **base)
 
 
 def request(**overrides) -> InferenceRequest:
@@ -86,10 +87,10 @@ class TestTemplatesUnderMutation:
     @pytest.fixture(scope="class")
     def served(self):
         data = load_dataset("CO", scale=SCALE, seed=3)
-        srv = server()
-        srv.register_graph(MutableGraph(data, graph_id="live"))
+        engine, serve = tiny()
+        engine.register_graph(MutableGraph(data, graph_id="live"))
         stream = churned_stream("live")
-        return stream, srv.serve(stream), snapshots(data)
+        return stream, serve(stream), snapshots(data)
 
     def test_each_response_ran_on_the_snapshot_live_at_its_arrival(self, served):
         stream, report, versions = served
@@ -142,7 +143,8 @@ def test_templates_differing_in_one_field_never_share_a_batch():
     for i in range(8):
         for j, variant in enumerate(({},) + VARIANTS):
             stream.append(request(arrival_s=(i * len(VARIANTS) + j) * 1e-6, **variant))
-    report = server().serve(stream)
+    _, serve = tiny()
+    report = serve(stream)
     by_id = {r.request_id: r for r in stream}
     program = ("model", "dataset", "seed", "prune", "scale", "strategy", "shards")
     executions: dict[int, list] = {}
@@ -175,9 +177,9 @@ def test_a_bad_request_is_named_after_valid_ones_of_its_neighbour_template(field
     overrides, message = BAD[field]
     stream = [request(arrival_s=i * 1e-6) for i in range(valid)]
     first, second = (request(arrival_s=(valid + k) * 1e-6, **overrides) for k in range(2))
-    srv = server()
+    _, serve = tiny()
     with pytest.raises(ValueError, match=f"request {first.request_id} {message}"):
-        srv.serve(stream + [first, second])
+        serve(stream + [first, second])
 
 
 # -- the responses sequence -------------------------------------------------
@@ -208,7 +210,8 @@ class TestResponsesSequence:
         stream = synthesize(40, arrival="poisson", rate_rps=2e5, models=("GCN", "GIN"),
                             datasets=("CO",), strategies=("Dynamic", "S1"), scale=SCALE,
                             seed=3, class_skew=0.3)
-        return server().serve(stream)
+        _, serve = tiny()
+        return serve(stream)
 
     def test_every_access_builds_the_eager_responses(self, report):
         responses = report.responses

@@ -30,7 +30,7 @@ from repro.ir.kernel import KernelType
 from repro.ir.scheme import owned_block_rows
 from repro.runtime.executor import run_strategy
 from repro.runtime.strategies import make_strategy
-from repro.serve import InferenceRequest, InferenceServer, synthesize
+from repro.serve import InferenceRequest, estimate_service_s, synthesize
 from repro.shard import Shard, ShardPlan, halo_vertices, plan_shards
 
 SCALE = 0.22
@@ -550,9 +550,8 @@ class TestServingIntegration:
 
     def test_sharded_batches_occupy_multiple_devices(self):
         engine = Engine(make_tiny_config(), pool_size=2)
-        server = InferenceServer(engine=engine, max_batch_size=4)
-        plain = server.serve(self._workload(8, shards=1))
-        sharded = server.serve(self._workload(8, shards=2))
+        plain = engine.serve(self._workload(8, shards=1), max_batch_size=4)
+        sharded = engine.serve(self._workload(8, shards=2), max_batch_size=4)
         assert plain.sharded_batches == 0
         assert sharded.sharded_batches == sharded.num_batches > 0
         assert sharded.sharded_requests == 8
@@ -567,9 +566,8 @@ class TestServingIntegration:
         )
 
     def test_shards_beyond_pool_rejected(self):
-        server = InferenceServer(config=make_tiny_config(), pool_size=1)
         with pytest.raises(ValueError, match="shards"):
-            server.serve(self._workload(2, shards=2))
+            Engine(make_tiny_config(), pool_size=1).serve(self._workload(2, shards=2))
 
     def test_batch_key_separates_shard_widths(self):
         cfg = make_tiny_config()
@@ -580,12 +578,11 @@ class TestServingIntegration:
 
     def test_estimate_service_covers_sharded_requests(self):
         engine = Engine(make_tiny_config(), pool_size=2)
-        server = InferenceServer(engine=engine)
-        plain = server.estimate_service_s(
-            InferenceRequest(model="GCN", dataset="CO", scale=SCALE, seed=3)
+        plain = estimate_service_s(
+            engine, InferenceRequest(model="GCN", dataset="CO", scale=SCALE, seed=3)
         )
-        sharded = server.estimate_service_s(
-            InferenceRequest(
+        sharded = estimate_service_s(
+            engine, InferenceRequest(
                 model="GCN", dataset="CO", scale=SCALE, seed=3, shards=2
             )
         )
