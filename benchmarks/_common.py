@@ -162,6 +162,19 @@ def best_of(fn, repeats: int = 5):
     return out, best
 
 
+def best_of_each(*fns, repeats: int = 5) -> list:
+    """``best_of`` of several functions, called in turn (each once a round)
+    so that a burst of load on a shared host slows every arm alike:
+    ``[(fn()'s result, its fastest wall seconds), ...]`` in ``fns`` order."""
+    out, best = [None] * len(fns), [float("inf")] * len(fns)
+    for _ in range(repeats):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            out[i] = fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return list(zip(out, best))
+
+
 def emit(name: str, table: str) -> str:
     """Print a rendered table and persist it under results/."""
     print("\n" + table)
@@ -178,6 +191,7 @@ __all__ = [
     "Metric",
     "RunSummary",
     "best_of",
+    "best_of_each",
     "emit",
     "engine_for",
     "format_table",

@@ -38,19 +38,7 @@ from repro.engine.keys import (
 from repro.engine.pool import AcceleratorPool, DispatchEvent
 
 __all__ = [
-    "BACKENDS",
-    "MUTATION_POLICIES",
-    "AcceleratorPool",
-    "CacheStats",
-    "DispatchEvent",
-    "Engine",
-    "MutationOutcome",
-    "PatchEvent",
-    "ProgramCache",
-    "ProgramHandle",
-    "config_fingerprint",
-    "dataset_fingerprint",
-    "graph_content_digest",
-    "model_fingerprint",
-    "program_key",
+    "BACKENDS", "MUTATION_POLICIES", "AcceleratorPool", "CacheStats", "DispatchEvent", "Engine",
+    "MutationOutcome", "PatchEvent", "ProgramCache", "ProgramHandle", "config_fingerprint",
+    "dataset_fingerprint", "graph_content_digest", "model_fingerprint", "program_key"
 ]

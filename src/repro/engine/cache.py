@@ -1,18 +1,13 @@
 """LRU cache of compiled programs keyed by program fingerprints.
 
 Dynasparse's host compiler (parse -> partition -> profile) is pure
-preprocessing: for a fixed (model, dataset, scale, seed, prune,
-accelerator config) it always produces the same
-:class:`~repro.compiler.compile.CompiledProgram`.  The same handful of
-programs recur constantly — across ``Engine.compile`` calls and under
-serving traffic alike — so the :class:`~repro.engine.core.Engine` keeps
-them in an LRU map and only pays ``Compiler.compile`` on a miss — the
-amortization MindSpore GraphLearning applies to its CSR pipeline, applied
-to the whole preprocessing stack.
-
-The virtual-clock cost charged for a miss is the program's *measured*
-compile time (``program.timings.total_s``), so cache-hit savings reported
-by the serving layer are honest wall-clock numbers, not estimates.
+preprocessing: a fixed (model, dataset, scale, seed, prune, accelerator
+config) always compiles to the same
+:class:`~repro.compiler.compile.CompiledProgram`, so the
+:class:`~repro.engine.core.Engine` keeps programs in an LRU map and pays
+``Compiler.compile`` only on a miss, charged at its *measured* compile
+time (``program.timings.total_s``): cache-hit savings are measured, not
+estimated.
 """
 
 from __future__ import annotations
@@ -93,6 +88,13 @@ class ProgramCache:
         self.hits += 1
         self.saved_s += program.timings.total_s
         return program
+
+    def touch(self, keys: list[tuple]) -> None:
+        """Make cached ``keys`` the most recently used, in order, counting
+        nothing: the serve loop counts each hit as it is served and
+        replays the hits' touches before the cache next changes."""
+        for key in keys:
+            self._entries.move_to_end(key)
 
     def put(self, key: tuple, program: CompiledProgram) -> None:
         """Insert a freshly compiled program, evicting the LRU entry if full."""

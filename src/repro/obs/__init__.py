@@ -66,31 +66,9 @@ from repro.obs.metrics import (
 from repro.obs.tracer import NULL_TRACER, CounterSample, NullTracer, Span, Tracer
 
 __all__ = [
-    "NULL_TRACER",
-    "Attribution",
-    "CounterMetric",
-    "CounterSample",
-    "GaugeMetric",
-    "HistogramMetric",
-    "MetricsRegistry",
-    "NullTracer",
-    "PathSegment",
-    "Span",
-    "TraceAnalysis",
-    "TraceCheck",
-    "TraceError",
-    "TraceModel",
-    "Tracer",
-    "WhatIf",
-    "analyze_trace",
-    "attribute",
-    "attribution_lines",
-    "critical_path",
-    "export_run",
-    "flame_summary",
-    "parse_what_if",
-    "project",
-    "to_perfetto",
-    "validate_trace",
-    "write_trace",
+    "NULL_TRACER", "Attribution", "CounterMetric", "CounterSample", "GaugeMetric",
+    "HistogramMetric", "MetricsRegistry", "NullTracer", "PathSegment", "Span", "TraceAnalysis",
+    "TraceCheck", "TraceError", "TraceModel", "Tracer", "WhatIf", "analyze_trace", "attribute",
+    "attribution_lines", "critical_path", "export_run", "flame_summary", "parse_what_if",
+    "project", "to_perfetto", "validate_trace", "write_trace"
 ]

@@ -49,36 +49,40 @@ class GaugeMetric:
         return self.value
 
 
-@dataclass
+#: what a histogram snapshot holds beside its count, in key order
+_STATS = ("sum", "min", "max", "mean", "p50", "p95", "p99")
+
+
+@dataclass(eq=False)
 class HistogramMetric:
-    """A distribution of observed values (latencies, batch sizes)."""
+    """A distribution of observed values (latencies, batch sizes), kept as
+    the float64 arrays observed and summarised once per change."""
 
     name: str
-    values: list = field(default_factory=list)
+    #: one array per ``extend`` (one value per ``observe``), in order
+    chunks: list = field(default_factory=list)
+    _summary: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Every observed value, in observation order."""
+        return np.concatenate(self.chunks) if self.chunks else np.empty(0)
 
     def observe(self, value: float) -> None:
-        self.values.append(float(value))
+        self.extend([float(value)])
 
     def extend(self, values) -> None:
-        """Observe a whole array at once."""
-        self.values.extend(np.asarray(values, dtype=np.float64).tolist())
+        """Observe a whole array at once (copied)."""
+        self.chunks.append(np.array(values, dtype=np.float64).ravel())
+        self._summary = None
 
     def snapshot(self) -> dict:
-        if not self.values:
-            return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
-                    "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
-        arr = np.asarray(self.values, dtype=np.float64)
-        p50, p95, p99 = np.percentile(arr, [50, 95, 99])
-        return {
-            "count": int(arr.size),
-            "sum": float(arr.sum()),
-            "min": float(arr.min()),
-            "max": float(arr.max()),
-            "mean": float(arr.mean()),
-            "p50": float(p50),
-            "p95": float(p95),
-            "p99": float(p99),
-        }
+        if self._summary is None:
+            arr = self.values
+            stats = ((arr.sum(), arr.min(), arr.max(), arr.mean(),
+                      *np.percentile(arr, [50, 95, 99])) if arr.size else (0.0,) * 7)
+            self._summary = {"count": arr.size, **dict(zip(_STATS, map(float, stats)))}
+        return dict(self._summary)
 
 
 class MetricsRegistry:
@@ -90,12 +94,9 @@ class MetricsRegistry:
         self._histograms: dict[str, HistogramMetric] = {}
 
     def _check_kind(self, name: str, kind: str) -> None:
-        owners = {
-            "counter": self._counters,
-            "gauge": self._gauges,
-            "histogram": self._histograms,
-        }
-        for other, table in owners.items():
+        owners = (("counter", self._counters), ("gauge", self._gauges),
+                  ("histogram", self._histograms))
+        for other, table in owners:
             if other != kind and name in table:
                 raise ValueError(
                     f"metric {name!r} is already registered as a {other}; "

@@ -114,7 +114,8 @@ class InferenceResult:
             self._served.setflags(write=False)
         return self._served
 
-    # -- latency --------------------------------------------------------
+    # -- latency (cached: nothing changes a run once it is returned) -----
+    @functools.cached_property
     def _clock(self) -> tuple[float, float, float]:
         """The run's latency as (cycles, seconds, milliseconds).
 
@@ -136,17 +137,17 @@ class InferenceResult:
     @property
     def total_cycles(self) -> float:
         """Accelerator execution latency in cycles (§VIII-A metric)."""
-        return self._clock()[0]
+        return self._clock[0]
 
     @property
     def latency_s(self) -> float:
-        return self._clock()[1]
+        return self._clock[1]
 
     @property
     def latency_ms(self) -> float:
-        return self._clock()[2]
+        return self._clock[2]
 
-    @property
+    @functools.cached_property
     def segments_s(self) -> tuple:
         """Per-layer barrier intervals, the continuous scheduler's
         join/preemption boundaries: float-summation drift goes into the
@@ -211,7 +212,7 @@ class InferenceResult:
         return sum(ks.num_pairs for ks in self.kernel_stats)
 
     # -- lanes and halo ----------------------------------------------------
-    @property
+    @functools.cached_property
     def shard_busy_s(self):
         """Per-lane occupancy seconds under the layer barriers (summed over
         kernels).  One lane is held to no barrier (the serve loop books
@@ -220,7 +221,7 @@ class InferenceResult:
             return ()
         return np.sum([layer.seconds for layer in self.layers], axis=0)
 
-    @property
+    @functools.cached_property
     def barrier_s(self) -> float:
         """Mean per-lane idle time at layer barriers (the mean of a
         trace's barrier-wait span sums); 0.0 on one lane."""

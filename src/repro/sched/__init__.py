@@ -35,12 +35,6 @@ from repro.sched.scheduler import ContinuousScheduler
 from repro.sched.slo import SLO_CLASSES, SLOClass, SLOPolicy
 
 __all__ = [
-    "SLO_CLASSES",
-    "AdmissionController",
-    "AdmissionDecision",
-    "ContinuousScheduler",
-    "PoolAutoscaler",
-    "SLOClass",
-    "SLOPolicy",
-    "ScaleEvent",
+    "SLO_CLASSES", "AdmissionController", "AdmissionDecision", "ContinuousScheduler",
+    "PoolAutoscaler", "SLOClass", "SLOPolicy", "ScaleEvent"
 ]

@@ -3,71 +3,69 @@
 Every :meth:`Engine.serve <repro.engine.core.Engine.serve>` sweep runs
 here, as continuous batching, and ends in the sweep's
 :class:`~repro.serve.report.ServingReport`.  The loop merges the
-arrival-sorted request stream with a small heap of timers (batch windows,
-compiles finishing, completions, and the layer boundaries a preemption is
-taken at).  Its host cost scales with request
-templates and executions, not requests.  A template is a request's
-``(model, dataset, strategy, prune, scale, seed, shards, slo)``: its first
-request in a sweep resolves it (bound to the live snapshot of a
-registered graph; a mutation drops every resolution), checks its shard
-width and SLO class, and fingerprints its program and ``batch_key``;
-later requests reuse that.  Each inference arrival is looked up in the
-cache (a miss's compile is charged to the one host clock), then joins an
-execution of its ``batch_key`` in flight, or the forming micro-batch of
-its ``batch_key`` and SLO class, which closes when full or when the
-class's window expires and waits, in priority order, for a device.  A
-finished execution answers its requests as one entry of the sweep's
+arrival-sorted stream with a heap of timers (batch windows, compiles
+finishing, completions, preemption checks at layer boundaries).  Each
+inference arrival is looked up in the program cache (a miss's compile is
+charged to the one host clock), then joins an execution of its
+``batch_key`` in flight, or the forming micro-batch of its ``batch_key``
+and SLO class, which closes when full or when the class's window expires
+and waits, in priority order, for a device.  A finished execution answers
+its requests as one entry of the sweep's
 :class:`~repro.serve.request.ResponseColumns`.
 
-**Batch windows.**  A group closes the moment it holds
-``max_batch_size`` requests, or once its oldest request has waited its
-class's window (``max_wait_s`` by default).  The window is strict: a
-group whose deadline is *at* an arrival's instant is still open for that
-arrival, so ``max_wait_s=0`` coalesces same-instant arrivals.
+**What a request costs.**  A template is a request's ``(model, dataset,
+strategy, prune, scale, seed, shards, slo)``.  Its first request in a
+sweep resolves it (binds a registered graph's live snapshot, checks shard
+width and SLO class, keys its program and ``batch_key``) to its batch
+key's slot, which holds that key's program and compile-ready time, its
+execution in flight and its forming group per class; a mutation drops
+every resolution.  Any later request costs one template lookup: no key
+is hashed again, an unbounded class admits without a decision, and a
+program found in the cache since the cache last changed is a hit counted
+on the spot.  Its LRU touch is recorded and replayed into the cache, in
+last-touch order, before the cache next changes (a compile or a
+mutation) and when the sweep ends, so the cache's order, evictions and
+counters are those of one counted ``get`` per request.
+
+**Batch windows.**  A group closes once it holds ``max_batch_size``
+requests, or once its oldest request has waited its class's window
+(``max_wait_s`` by default).  The window is strict: a deadline *at* an
+arrival's instant is still open, so ``max_wait_s=0`` coalesces
+same-instant arrivals.
 
 **Per-layer segments.**  An execution is an input-PCIe segment (0 s
 where its devices already hold the program's inputs) plus one segment
-per kernel layer (the per-layer barrier intervals ``run_strategy``
-records).  Its layer boundaries are the chained sums of its segments
-from its start.  Every execution, at any width, runs as spans from its
-start or a resume to its finish or a pause, each booked on all its
-devices as one :meth:`~repro.engine.pool.AcceleratorPool.book` when it
-ends: one device is booked a segment per layer; lanes, which meet at
-every layer barrier, are held for ``input + latency``, their run's own
-barrier clock.
+per kernel layer; its layer boundaries are the chained sums of its
+segments from its start.  It runs as spans from its start or a resume to
+its finish or a pause, each booked on all its devices as one
+:meth:`~repro.engine.pool.AcceleratorPool.book`: one device a segment per
+layer; lanes, which meet at every barrier, for ``input + latency``.
 
 **Join-in-flight.**  Requests sharing a ``batch_key`` are bit-identical
-runs, so a request arriving while a compatible execution is in flight
-*joins* it at the next layer boundary and shares its result — zero added
-service time.  When an execution starts, every queued group of its
-``batch_key`` that its SLO class does not outrank *boards* it, its
-requests joining at the start: forming, closed, or closed with a compile
-that ends by the start.  So the backlog rides one execution, and a
-queued batch never finishes after a later arrival that joined the run it
-could have boarded.  (The founding group respects ``max_batch_size``;
-joiners and boarders ride free.)
+runs, so an arrival joins a compatible execution in flight at its next
+layer boundary, at no added service time.  When an execution starts,
+every queued group of its ``batch_key`` its SLO class does not outrank
+*boards* it (forming, closed, or closed on a compile done by the start),
+so a queued batch never finishes after a later arrival that joined the
+run it could have boarded.  Only the founding group respects
+``max_batch_size``.
 
-**Priority + preemption.**  Closed groups dispatch in SLO-priority
-order, and a strictly-higher-priority group may preempt a one-device
-execution at a layer boundary (a timer only while such a group waits):
-the execution pauses, its remaining segments stay with its device, and
-it resumes when the device frees.  Only a one-device execution is a
-victim (:meth:`ContinuousScheduler._arm_preemption`): a width-1 preemptor
-would strand a wider one's other members at a barrier.  Wider ones are
-still joinable.
+**Priority + preemption.**  Closed groups dispatch in SLO-priority order,
+and a strictly-higher-priority group may pause a one-device execution at
+a layer boundary (:meth:`ContinuousScheduler._arm_preemption`); it
+resumes when its device frees.  Wider executions are never paused (a
+width-1 preemptor would strand their other members at a barrier).
 
-**Admission + autoscaling.**  Every arrival passes the
+**Admission + autoscaling.**  Arrivals pass the
 :class:`~repro.sched.admission.AdmissionController` (shed/defer past
-per-class queue bounds); every arrival/completion lets the
-:class:`~repro.sched.autoscaler.PoolAutoscaler` resize the pool's active
-set with hysteresis.  A queued group's shard width is a floor on the
-active set, as a device that owns work is.
+per-class queue bounds); arrivals and completions let the
+:class:`~repro.sched.autoscaler.PoolAutoscaler` resize the active set.
+A queued group's shard width is a floor on it, as a busy device is.
 
-Accounting invariants: for every response, ``latency_s = queue_s +
-execute_s + barrier_s``; a joiner's ``start_s`` is its join boundary with
-``barrier_s = 0``; a device's busy seconds are the chained sum of what
-it was charged: the segments it ran alone, or a lane's work plus its
-share of the input.
+Accounting invariants: ``latency_s = queue_s + execute_s + barrier_s``
+for every response; a joiner starts at its join boundary with
+``barrier_s = 0``; a device's busy seconds are the chained sum of what it
+was charged (its segments alone, or a lane's work plus its input share).
 """
 
 from __future__ import annotations
@@ -80,8 +78,6 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
-
-import numpy as np
 
 from repro.engine.core import MUTATION_POLICIES, Engine
 from repro.hw.memory import pcie_transfer_seconds
@@ -101,23 +97,56 @@ _TEMPLATE = operator.attrgetter("model", "dataset", "strategy", "prune", "scale"
                                 "shards", "slo")
 
 
+@dataclass(eq=False, slots=True)
+class _Program:
+    """A program key's state in a sweep, shared by its batch keys' slots."""
+
+    key: tuple
+    #: the cache's entry, as found at the cache's ``epoch``-th change this
+    #: sweep (-1: not since), and the compile seconds a hit on it saves
+    program: object = None
+    epoch: int = -1
+    saved_s: float = 0.0
+    #: when its compile (or patch) finishes this sweep: a hit waits for it
+    ready_s: float = -math.inf
+
+
+@dataclass(eq=False, slots=True)
+class _Slot:
+    """What one ``batch_key``'s requests share in a sweep, found without
+    hashing a key: its program, its forming group of each SLO class (by
+    the class's index in the policy) and its execution in flight."""
+
+    prog: _Program
+    forming: list
+    inflight: _Execution | None = None
+
+
 class _Template(NamedTuple):
     """One request template, resolved once per sweep."""
 
     req: InferenceRequest  # bound to the live snapshot of a registered graph
     cls: SLOClass
-    prog_key: tuple
-    pkey: tuple  # the batch key
+    slot: _Slot
+    #: the class's index in the policy
+    ci: int
+    #: an unbounded class's admission counters (it admits every request
+    #: without a decision); None: each request is decided
+    admits: dict | None
 
 
-@dataclass(eq=False)
+#: the lookup of a cache hit: no compile seconds charged
+_HIT = (0.0, True)
+
+
+@dataclass(eq=False, slots=True)
 class _Group:
-    """A micro-batch of one ``batch_key`` and SLO class: forming, then
-    closed and waiting for devices."""
+    """A micro-batch of one ``batch_key`` and SLO class: forming (while it
+    is its slot's ``forming[ci]``), then closed and waiting for devices."""
 
-    #: the batch key its requests share
-    key: tuple
+    slot: _Slot
     slo: SLOClass
+    ci: int
     #: arrival of the oldest request (when the group was opened)
     opened_s: float
     #: earliest time the batch may start (compile of its miss request done)
@@ -128,19 +157,13 @@ class _Group:
     deadline: float
     #: devices the batch spans when it runs
     shards: int
-    requests: list[InferenceRequest] = field(default_factory=list)
-    #: request id -> (deferred by admission, its lookup: compile seconds
-    #: charged, cache hit), for each of the batch's requests
-    members: dict = field(default_factory=dict)
+    #: (request, deferred by admission, its lookup: compile seconds
+    #: charged, cache hit) of each of its requests, in admission order
+    rows: list[tuple] = field(default_factory=list)
 
     @property
     def size(self) -> int:
-        return len(self.requests)
-
-    @property
-    def slot(self) -> tuple:
-        """What the group is filed under while it is open."""
-        return (self.key, self.slo.name)
+        return len(self.rows)
 
     @property
     def rank(self) -> tuple:
@@ -160,17 +183,16 @@ class _Execution:
     """One started execution: segments, devices, members, join state."""
 
     __slots__ = (
-        "exec_id", "key", "run", "founders", "members", "joiners",
+        "exec_id", "slot", "run", "founders", "joiners",
         "segments", "intervals", "busy_s", "seg_idx", "span_s", "boundaries",
         "devices", "start_s", "priority", "state", "check", "preemptions",
     )
 
     def __init__(self, group: _Group, run, input_s: float, devices: list[int]):
-        self.exec_id, self.key, self.run = group.batch_id, group.key, run
+        self.exec_id, self.slot, self.run = group.batch_id, group.slot, run
         self.priority = group.slo.priority
-        #: the batch it was started for (their window began at the start)
-        self.founders: list[InferenceRequest] = group.requests
-        self.members: dict = group.members
+        #: the rows of the batch it was started for, answered from its start
+        self.founders: list[tuple] = group.rows
         #: the member rows (request, join boundary, deferred, lookup, True)
         #: of the requests that joined or boarded it (boundary None: joined
         #: while it was paused, attached at the resume)
@@ -207,20 +229,17 @@ class _Execution:
     def size(self) -> int:
         return len(self.founders) + len(self.joiners)
 
-    def joinable(self, now: float) -> bool:
-        """Is a layer boundary left to admit at?  The last is the start of
-        the final segment: joining *at* the finish would share a result
-        without ever being part of the execution."""
-        if self.state is PAUSED:
-            # the resume instant is a boundary; attach resolves then
-            return True
-        return bool(self.boundaries) and now <= self.boundaries[-1]
-
-    def attach_time(self, now: float) -> float | None:
-        """Join boundary for an arrival at ``now`` (None = at resume)."""
+    def join_point(self, now: float):
+        """The layer boundary an arrival at ``now`` joins at: None while it
+        is paused (the resume attaches it), False when none is left (the
+        last is the start of the final segment: joining *at* the finish
+        would share a result without ever being part of the execution)."""
         if self.state is PAUSED:
             return None
-        return self.boundaries[bisect_left(self.boundaries, now)]
+        bounds = self.boundaries
+        if not bounds or now > bounds[-1]:
+            return False
+        return bounds[bisect_left(bounds, now)]
 
 
 def check_shards(request: InferenceRequest, devices: int, most: int) -> None:
@@ -312,7 +331,6 @@ class ContinuousScheduler:
 
         self._timers: list[tuple] = []
         self._seq = itertools.count()
-        self._groups: dict[tuple, _Group] = {}
         self._order = itertools.count()
         #: closed groups whose program is compiled, in dispatch order
         self._ready: list[_Group] = []
@@ -325,24 +343,22 @@ class ContinuousScheduler:
         self._deferred: deque[tuple] = deque()
         #: template -> its resolution, for the graph snapshots now live
         self._templates: dict[tuple, _Template] = {}
-        self._inflight: dict[tuple, _Execution] = {}
+        #: batch key -> slot and program key -> state, kept across mutations
+        self._slots: dict[tuple, _Slot] = {}
+        self._programs: dict[tuple, _Program] = {}
+        #: how often the cache changed this sweep (a compile or a mutation),
+        #: and the programs hit since the last replay of their touches
+        self._epoch = 0
+        self._touched: list[_Program] = []
         self._assignment: list = [None] * self.pool.num_devices
         self._paused_stack: list[list] = [[] for _ in self._assignment]
         #: devices that own a running or paused execution (all active: a
         #: device that owns work is never parked)
         self._occupied_count = 0
-        self._programs: dict[tuple, object] = {}
-        #: virtual time each program's compile (or patch) finishes this
-        #: sweep: a hit on a program whose miss still compiles waits for it
-        self._program_ready: dict[tuple, float] = {}
         #: the one host CPU: compiles and mutation patches serialise on it
         self._host_free_s = 0.0
 
     # -- queue state ----------------------------------------------------
-    def _queue_depth(self) -> int:
-        """The admission-facing backlog: waiting + parked (deferred)."""
-        return self._waiting + len(self._deferred)
-
     def _occupied(self, device: int) -> bool:
         """Does the device own a running or paused execution?"""
         return self._assignment[device] is not None or bool(self._paused_stack[device])
@@ -360,7 +376,7 @@ class ContinuousScheduler:
     def run(self, requests: list):
         """Serve the stream to completion; returns a ``ServingReport``
         (events in arrival order, mutations first on timestamp ties)."""
-        pool, cache, tracer = self.pool, self.cache, self.tracer
+        pool, cache = self.pool, self.cache
         hits, misses = cache.hits, cache.misses
         compile_s, saved_s = cache.compile_s, cache.saved_s
         pool.reset()
@@ -369,18 +385,40 @@ class ContinuousScheduler:
             self.autoscaler.reset()
             pool.set_active(min(self.autoscaler.min_devices, pool.num_devices), now=0.0)
 
-        timers = self._timers
         # a stable sort: mutations first on timestamp ties
         mutations = [r for r in requests if isinstance(r, MutationRequest)]
+        if mutations:
+            requests = mutations + [r for r in requests if not isinstance(r, MutationRequest)]
         arrival_s = operator.attrgetter("arrival_s")
-        arrivals = sorted(
-            mutations + [r for r in requests if not isinstance(r, MutationRequest)],
-            key=arrival_s,
-        )
+        arrivals = sorted(requests, key=arrival_s)
         # one pass per stream: a NaN or infinite arrival makes the sum one
         if not math.isfinite(sum(map(arrival_s, arrivals))):
             raise ValueError("every request's arrival_s must be finite")
-        ready = self._ready
+        try:
+            self._drain(arrivals)
+        finally:  # the recency per-request gets leave, a failed sweep's too
+            self._replay_touches()
+        if self._waiting or self._deferred:
+            raise RuntimeError(f"the serve loop ran out of events with "
+                               f"{self._waiting + len(self._deferred)} admitted "
+                               f"request(s) undispatched")
+
+        self._count("serve.cache_hits", cache.hits - hits)
+        self._count("serve.cache_misses", cache.misses - misses)
+        self._count("serve.compile_s", cache.compile_s - compile_s)
+        self._count("serve.compile_saved_s", cache.saved_s - saved_s)
+        # what in-flight dispatch did (the report's pass over the responses
+        # feeds the per-class ``serve.sched.<class>.*`` histograms)
+        admitted = sum(c["admit"] for c in self.admission.snapshot().values())
+        self._count("serve.sched.admitted", admitted)
+        self._count("serve.sched.executions", self.metrics.counter("serve.batches").value)
+        self.metrics.gauge("serve.sched.active_devices").set(pool.num_active)
+        self.metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)
+        return self._report()
+
+    def _drain(self, arrivals: list) -> None:
+        """Merge the sorted arrivals with the timers until both run out."""
+        timers, ready, tracer, autoscaler = self._timers, self._ready, self.tracer, self.autoscaler
         for event in arrivals:
             t = event.arrival_s
             # strictly earlier timers only: a window ending at this very
@@ -400,42 +438,26 @@ class ContinuousScheduler:
                 self._max_depth = depth
             if tracer.enabled:
                 tracer.counter("serve", "queue_depth", t, depth)
-            self._autoscale(t)
-            if len(ready) != before or self.autoscaler is not None:
+            if autoscaler is not None:
+                self._autoscale(t)
+                self._schedule(t)
+            elif len(ready) != before:
                 self._schedule(t)
         if arrivals:
             self._end_of_stream(arrivals[-1].arrival_s)
         while timers:
             due_s, _, callback, payload = heapq.heappop(timers)
             callback(payload, due_s)
-        if self._queue_depth():
-            raise RuntimeError(f"the serve loop ran out of events with {self._queue_depth()} "
-                               f"admitted request(s) undispatched")
-
-        self._count("serve.cache_hits", cache.hits - hits)
-        self._count("serve.cache_misses", cache.misses - misses)
-        self._count("serve.compile_s", cache.compile_s - compile_s)
-        self._count("serve.compile_saved_s", cache.saved_s - saved_s)
-        # what in-flight dispatch did (the report's pass over the responses
-        # feeds the per-class ``serve.sched.<class>.*`` histograms)
-        admitted = sum(c["admit"] for c in self.admission.snapshot().values())
-        self._count("serve.sched.admitted", admitted)
-        self._count("serve.sched.executions", self.metrics.counter("serve.batches").value)
-        self.metrics.gauge("serve.sched.active_devices").set(pool.num_active)
-        self.metrics.gauge("serve.sched.max_queue_depth").set(self._max_depth)
-        return self._report()
 
     # -- arrivals -------------------------------------------------------
     def _mutate(self, mutation: MutationRequest, now: float) -> None:
-        """Apply one mutation at virtual time ``now`` and charge its cost.
-
-        The cache reconciliation itself (patch or evict, per the sweep's
-        mutation policy) is the engine's job; here the work is booked on
-        the sweep's host clock: patches and compiles share one host, so
-        they serialise against each other on the virtual timeline.
-        """
+        """Apply one mutation at virtual time ``now``: the engine patches or
+        evicts cached programs (the sweep's mutation policy), and each
+        patch is booked on the host clock the compiles share."""
+        self._replay_touches()
         outcome = self.engine.apply_delta(mutation.graph_id, mutation.delta,
                                           policy=self.mutation_policy)
+        self._epoch += 1  # patched, re-keyed or evicted: look every program up again
         self._templates.clear()  # later requests bind to the new snapshot
         self._count("serve.mutations")
         self.mutation_evictions += outcome.evictions
@@ -443,11 +465,14 @@ class ContinuousScheduler:
             # the patch queues behind whatever the host is doing (an
             # in-flight compile of this very program included) and holds
             # the host while it runs
-            start = max(now, self._host_free_s, self._program_ready.get(event.old_key, now))
+            start = max(now, self._host_free_s, self._program(event.old_key).ready_s)
             self._host_free_s = start + event.report.wall_s
-            self._program_ready[event.new_key] = self._host_free_s
+            self._program(event.new_key).ready_s = self._host_free_s
             self._count("serve.patches" if event.report.patched else "serve.patch_fallbacks")
             self.patch_s += event.report.wall_s
+
+    def _program(self, key: tuple) -> _Program:
+        return self._programs.get(key) or self._programs.setdefault(key, _Program(key))
 
     def _template(self, req: InferenceRequest) -> _Template:
         """The request's template, resolved on its first request."""
@@ -459,8 +484,13 @@ class ContinuousScheduler:
             req = self.engine.resolve_request(req)
             check_shards(req, self.pool.num_devices, self._max_shards)
             cls, prog_key = self._class_of(req), req.program_key(self.config)
+            pkey = req.batch_key(self.config, prog_key)
+            slot = self._slots.get(pkey) or self._slots.setdefault(
+                pkey, _Slot(self._program(prog_key), [None] * len(self.classes.classes)))
+            admits = (self.admission.counters[cls.name] if cls.max_queue_depth is None
+                      else None)
             template = self._templates[key] = _Template(
-                req, cls, prog_key, req.batch_key(self.config, prog_key))
+                req, cls, slot, self.classes.classes.index(cls), admits)
         return template
 
     def _class_of(self, req: InferenceRequest) -> SLOClass:
@@ -477,17 +507,18 @@ class ContinuousScheduler:
         # join-in-flight first: a join consumes no capacity, so it is
         # exempt from admission bounds — shedding a joinable request
         # would refuse work that is already paid for
-        exec_ = self._inflight.get(template.pkey)
-        if exec_ is not None and exec_.joinable(now):
-            lookup = self._lookup(req, template, now)[1]
-            exec_.joiners.append((req, exec_.attach_time(now), deferred, lookup, True))
+        exec_ = template.slot.inflight
+        if exec_ is not None and (at := exec_.join_point(now)) is not False:
+            exec_.joiners.append((req, at, deferred, self._lookup(req, template, now)[1], True))
             if self.tracer.enabled:
                 self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
                                     exec_id=exec_.exec_id, slo=req.slo)
             return
 
-        if not deferred:
-            decision = self.admission.decide(template.cls, self._queue_depth())
+        if not deferred and template.admits is not None:  # an unbounded class
+            template.admits["admit"] += 1
+        elif not deferred:
+            decision = self.admission.decide(template.cls, self._waiting + len(self._deferred))
             if decision.action != "admit":
                 if decision.action == "defer":
                     self._deferred.append((req, template))
@@ -498,73 +529,84 @@ class ContinuousScheduler:
                                         cat=decision.action, slo=req.slo, reason=decision.reason)
                 return
 
+        # into the forming group of its batch key and class
         ready_s, lookup = self._lookup(req, template, now)
-        self._group_add(req, template, ready_s, lookup, now, deferred=deferred)
+        self._waiting += 1
+        slot, ci = template.slot, template.ci
+        group = slot.forming[ci]
+        if group is None:
+            cls = template.cls
+            wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
+            group = slot.forming[ci] = _Group(
+                slot, cls, ci, opened_s=now, ready_s=now, batch_id=next(self._order),
+                deadline=now + wait, shards=req.shards)
+            self._after(group.deadline, self._window_expired, group)
+            if req.shards > self.pool.num_active:
+                # a queued batch's width is a floor on the active set: it
+                # grows now, because no later event need come to grow it
+                self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
+        group.rows.append((req, deferred, lookup))
+        if ready_s > group.ready_s:
+            group.ready_s = ready_s
+        if len(group.rows) >= self.max_batch_size:
+            self._close_group(group, now)
 
     def _lookup(self, req: InferenceRequest, template: _Template, now: float) -> tuple:
-        """Program-cache lookup + host-clock compile charge; returns the
-        virtual time the request's program is ready to run, and the
-        lookup's (compile seconds charged, cache hit)."""
-        cache, prog_key = self.cache, template.prog_key
-        hit = prog_key in cache
-        if hit:  # no closure and no compile to offer: the counted get alone
-            program, lookup = cache.get(prog_key), (0.0, True)
-        else:
-            program, compile_s, _ = cache.get_or_compile(
-                prog_key, lambda: self.engine.compile_request(template.req))
-            lookup = (compile_s, False)
+        """The request's program-cache lookup + host-clock compile charge;
+        returns the virtual time its program is ready to run, and the
+        lookup's (compile seconds charged, cache hit).  A program found in
+        the cache since the cache last changed is a hit counted here, its
+        touch kept for :meth:`_replay_touches`; any other is looked up in
+        the cache again, and compiled into it on a miss."""
+        cache, prog = self.cache, template.slot.prog
+        lookup = _HIT
+        if prog.epoch != self._epoch:
+            program = cache.peek(prog.key)
+            if program is None:
+                self._replay_touches()  # the compile's put evicts the least recent
+                program, compile_s, _ = cache.get_or_compile(
+                    prog.key, lambda: self.engine.compile_request(template.req))
+                self._epoch += 1  # the put may have evicted another program
+                lookup = (compile_s, False)
+            prog.program, prog.saved_s, prog.epoch = program, program.timings.total_s, self._epoch
+        if lookup is _HIT:
+            cache.hits += 1
+            cache.saved_s += prog.saved_s
+            self._touched.append(prog)
         if self.tracer.enabled:
             self.tracer.instant("serve", f"req{req.request_id}/enqueue", now, cat="enqueue",
-                                model=str(req.model), cache="hit" if hit else "miss",
+                                model=str(req.model), cache="hit" if lookup[1] else "miss",
                                 shards=req.shards)
-        if not hit:
+        if lookup is not _HIT:
             # the compile queues behind the host's in-flight work
             compile_start = max(now, self._host_free_s)
-            self._host_free_s = compile_start + compile_s
-            self._program_ready[prog_key] = self._host_free_s
+            self._host_free_s = prog.ready_s = compile_start + lookup[0]
             if self.tracer.enabled:
                 self.tracer.span("host/compile", f"compile {req.model}/{req.dataset_name}",
                                  compile_start, self._host_free_s, cat="compile")
-        self._programs[template.pkey] = program
-        return max(now, self._program_ready.get(prog_key, now)), lookup
+        return max(now, prog.ready_s), lookup
+
+    def _replay_touches(self) -> None:
+        """Move the programs hit since the last replay to the cache's most
+        recent end in the order of their last hits, as per-request gets
+        would have left them."""
+        last = dict.fromkeys(reversed(self._touched))
+        self.cache.touch([prog.key for prog in reversed(last)])
+        self._touched.clear()
 
     # -- batch windows --------------------------------------------------
-    def _group_add(self, req: InferenceRequest, template: _Template, ready_s: float,
-                   lookup: tuple, now: float, *, deferred: bool) -> None:
-        cls = template.cls
-        gkey = (template.pkey, cls.name)
-        group = self._groups.get(gkey)
-        opened = group is None
-        if opened:
-            wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
-            group = self._groups[gkey] = _Group(
-                template.pkey, cls, opened_s=now, ready_s=now, batch_id=next(self._order),
-                deadline=now + wait, shards=req.shards)
-            self._after(group.deadline, self._window_expired, group)
-        group.requests.append(req)
-        group.members[req.request_id] = (deferred, lookup)
-        if ready_s > group.ready_s:
-            group.ready_s = ready_s
-        self._waiting += 1
-        if opened and req.shards > self.pool.num_active:
-            # a queued batch's width is a floor on the active set: it
-            # grows now, because no later event need come to grow it
-            self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
-        if group.size >= self.max_batch_size:
-            self._close_group(group, now)
-
     def _window_expired(self, group: _Group, now: float) -> None:
-        if self._groups.get(group.slot) is group:
+        if group.slot.forming[group.ci] is group:
             self._close_group(group, now)
             self._schedule(now)
 
     def _close_group(self, group: _Group, now: float) -> None:
-        del self._groups[group.slot]
+        group.slot.forming[group.ci] = None
         if self.tracer.enabled:
             # the batch-formation window: first member's admission to
             # the size trigger or window expiry that closed the batch
             self.tracer.span("serve", f"batch{group.batch_id}/form", group.opened_s, now,
-                             cat="batch", size=group.size, key=str(group.requests[0].model),
+                             cat="batch", size=group.size, key=str(group.rows[0][0].model),
                              slo=group.slo.name)
         if group.ready_s <= now:
             insort(self._ready, group, key=_RANK)
@@ -580,13 +622,18 @@ class ContinuousScheduler:
         insort(self._ready, group, key=_RANK)
         self._schedule(now)
 
+    def _forming(self) -> list[_Group]:
+        """The open groups, in open order."""
+        return sorted((g for slot in self._slots.values() for g in slot.forming
+                       if g is not None), key=operator.attrgetter("batch_id"))
+
     def _end_of_stream(self, t: float) -> None:
         """No further arrivals can join: flush the parking lot and close
         the open groups now instead of idling out their windows (which
         would floor the makespan and understate throughput)."""
         while self._deferred:
             self._admit(*self._deferred.popleft(), t, deferred=True)
-        for group in list(self._groups.values()):
+        for group in self._forming():
             self._close_group(group, t)
         self._schedule(t)
 
@@ -595,8 +642,8 @@ class ContinuousScheduler:
         """Replay (or simulate, the first time) the group's execution
         through the engine's one door and count it; returns the run.  K2P
         analysis and any PCIe input transfer are paid once per execution."""
-        first = group.requests[0]
-        run = self.engine.execute(self._programs[group.key], first.strategy, first.shards,
+        first = group.rows[0][0]
+        run = self.engine.execute(group.slot.prog.program, first.strategy, first.shards,
                                   ready_s=ready_s)
         self._count("serve.batches")
         if run.num_shards > 1:
@@ -613,9 +660,9 @@ class ContinuousScheduler:
         ``devices`` (slice ``i`` to ``devices[i]``): none when each holds
         its slice already (sent earlier this sweep, never evicted), else
         the whole transfer, after which each does."""
-        transfer_s = pcie_transfer_seconds(self._programs[group.key].input_bytes(), self.config)
-        # the batch key is the program key + (strategy, shards)
-        slices = {(d, group.key[:-2], len(devices), i) for i, d in enumerate(devices)}
+        slot = group.slot
+        transfer_s = pcie_transfer_seconds(slot.prog.program.input_bytes(), self.config)
+        slices = {(d, slot.prog.key, len(devices), i) for i, d in enumerate(devices)}
         sent = slices - self._resident
         if not sent:
             self._count("serve.pcie_saved_s", transfer_s)
@@ -629,9 +676,8 @@ class ContinuousScheduler:
         """Answer every request riding ``exec_``, which finished at ``t``,
         as one entry of the sweep's answers: founders from its start,
         joiners from their join boundary."""
-        run, start, members = exec_.run, exec_.start_s, exec_.members
-        # strict: a request never looked up is an admission bug (a KeyError), not a hit
-        rows = [(r, start, *members[r.request_id], False) for r in exec_.founders]
+        run, start = exec_.run, exec_.start_s
+        rows = [(r, start, deferred, lookup, False) for r, deferred, lookup in exec_.founders]
         rows += exec_.joiners
         self._count("serve.sched.joined", len(exec_.joiners))
         if run.num_shards > 1:
@@ -680,27 +726,26 @@ class ContinuousScheduler:
         # every member starts at the latest available of the set
         exec_.start_s = max(ready_s, *(float(pool.available[d]) for d in chosen))
         self._run_span(exec_, exec_.start_s)
-        self._inflight[group.key] = exec_
+        group.slot.inflight = exec_
         if self.tracer.enabled:
             self.tracer.instant("sched", f"exec{exec_.exec_id}/start", exec_.start_s,
                                 cat="dispatch", size=group.size, slo=group.slo.name,
                                 shards=shards, devices=str(chosen))
         # the backlog of its key boards it: any group its class does not
         # outrank, open or closed, whose program is ready by the start
-        start = exec_.start_s
-        boarding = sorted((g for g in itertools.chain(self._groups.values(), self._ready,
-                                                      self._unready)
-                           if g.key == group.key and g.slo.priority <= exec_.priority
-                           and g.ready_s <= start), key=_RANK)
+        start, slot = exec_.start_s, group.slot
+        boarding = sorted((g for g in itertools.chain(slot.forming, self._ready, self._unready)
+                           if g is not None and g.slot is slot
+                           and g.slo.priority <= exec_.priority and g.ready_s <= start),
+                          key=_RANK)
         for g in boarding:
-            if self._groups.get(g.slot) is g:
-                del self._groups[g.slot]  # its window timer finds it gone
+            if slot.forming[g.ci] is g:
+                slot.forming[g.ci] = None  # its window timer finds it gone
             self._waiting -= g.size
-            exec_.joiners += [(r, start, *g.members[r.request_id], True) for r in g.requests]
+            exec_.joiners += [(r, start, deferred, lookup, True) for r, deferred, lookup in g.rows]
             if self.tracer.enabled:
                 self.tracer.instant("sched", f"exec{exec_.exec_id}/board", start, cat="join",
-                                    batch_id=g.batch_id, size=g.size,
-                                    slo=g.slo.name)
+                                    batch_id=g.batch_id, size=g.size, slo=g.slo.name)
         for queue in (self._ready, self._unready):
             queue[:] = [g for g in queue if g not in boarding]
 
@@ -782,8 +827,8 @@ class ContinuousScheduler:
             return  # armed for a span a pause cut short
         exec_.state = DONE
         self._book_span(exec_, len(exec_.segments) - exec_.seg_idx)
-        if self._inflight.get(exec_.key) is exec_:
-            del self._inflight[exec_.key]
+        if exec_.slot.inflight is exec_:
+            exec_.slot.inflight = None
         self._respond(exec_, t)
         if self.tracer.enabled:
             self.tracer.span("sched", f"exec{exec_.exec_id}", exec_.start_s, t, cat="exec",
@@ -819,7 +864,7 @@ class ContinuousScheduler:
             return
         active = self.pool.num_active
         proposal = self.autoscaler.propose(
-            now, active=active, queue_depth=self._queue_depth(),
+            now, active=active, queue_depth=self._waiting + len(self._deferred),
             busy_devices=self._occupied_count, pool_devices=self.pool.num_devices)
         if proposal is None:
             return
@@ -827,7 +872,7 @@ class ContinuousScheduler:
         if target < active:
             # never park a device that owns work — drain first — nor one
             # a queued batch needs to start at all
-            queued = itertools.chain(self._groups.values(), self._unready, self._ready)
+            queued = itertools.chain(self._forming(), self._unready, self._ready)
             floor = max([g.shards for g in queued]
                         + [d + 1 for d in range(active) if self._occupied(d)], default=0)
             target = max(target, floor)
@@ -845,7 +890,7 @@ class ContinuousScheduler:
                              provision_delay_s=self.autoscaler.provision_delay_s if grow else 0.0)
         self._count("serve.sched.scale_ups" if grow else "serve.sched.scale_downs")
         self.autoscaler.commit(now, from_devices=active, to_devices=target, reason=reason,
-                               queue_depth=self._queue_depth(),
+                               queue_depth=self._waiting + len(self._deferred),
                                busy_devices=self._occupied_count)
         if self.tracer.enabled:
             self.tracer.counter("sched", "active_devices", now, target)
@@ -892,8 +937,8 @@ class ContinuousScheduler:
         # against the policy's targets
         class_breakdown: dict[str, dict] = {}
         met_total = 0
-        for name in map(str, np.unique(slo)):
-            members = slo == name
+        for i, name in enumerate(columns["slo_names"]):
+            members = slo == i
             stats = {}
             for what, values in (("latency_s", latency), ("queue_s", queue)):
                 hist = registry.histogram(f"serve.sched.{name}.{what}")

@@ -43,16 +43,7 @@ from repro.serve.workload import (
 )
 
 __all__ = [
-    "ARRIVAL_KINDS",
-    "InferenceRequest",
-    "InferenceResponse",
-    "MutationRequest",
-    "ServingReport",
-    "bursty_arrivals",
-    "churn_stream",
-    "estimate_service_s",
-    "poisson_arrivals",
-    "saturating_rate",
-    "steady_arrivals",
-    "synthesize",
+    "ARRIVAL_KINDS", "InferenceRequest", "InferenceResponse", "MutationRequest",
+    "ServingReport", "bursty_arrivals", "churn_stream", "estimate_service_s",
+    "poisson_arrivals", "saturating_rate", "steady_arrivals", "synthesize"
 ]

@@ -1,23 +1,13 @@
 """What a serve sweep reports: :class:`ServingReport`.
 
 Every sweep is one :meth:`Engine.serve <repro.engine.core.Engine.serve>`
-call, run by the serve loop (:mod:`repro.sched.scheduler`, continuous
-batching), which builds this report from what it counted and answered.
-
-Time model: a sweep is a discrete-event simulation on a *virtual clock*
-(seconds).  Arrivals come from the workload; compile time on a cache
-miss is the compiler's measured wall-clock preprocessing time; batch
-service time is the cycle-accurate latency of the run, plus a PCIe input
-transfer where a device of the batch does not yet hold the program's
-inputs (each device keeps what it was sent for the rest of the sweep,
-with no eviction).  A batch's members, and the requests that join it in
-flight, are bit-identical runs, so each distinct (program, strategy,
-shards) is simulated once and replayed, while the *virtual* device
-occupancy is charged for every execution.  The engine's
-program cache outlives a ``serve`` call (and is shared with direct
-``Engine.compile`` / ``Engine.infer`` use), so a second identical sweep
-compiles and simulates nothing (the ``serving_throughput`` bench spec
-serves one stream cold, then warm, on each pool size).
+call, whose loop (:mod:`repro.sched.scheduler`, continuous batching)
+builds this report from what it counted and answered.  Times are
+virtual-clock seconds: a miss's compile is charged at its measured host
+time, an execution at its run's cycle-accurate latency plus a PCIe input
+transfer where a device does not yet hold the program's inputs.  Each
+distinct (program, strategy, shards) is simulated once and replayed,
+while device occupancy is charged for every execution.
 """
 
 from __future__ import annotations

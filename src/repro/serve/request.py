@@ -1,25 +1,12 @@
 """Request/response types for the serving subsystem.
 
-An :class:`InferenceRequest` describes one unit of traffic: which model to
-run on which graph, under which mapping strategy, and *when* it arrives
-(virtual seconds).  Requests referencing the same compiled program are
-interchangeable up to their arrival time, which is what lets a sweep
-cache compilation (:mod:`repro.engine.cache`) and micro-batch execution
-(:mod:`repro.sched.scheduler`).
-
-Two fingerprints are derived from a request (both built from the shared
-identity scheme in :mod:`repro.engine.keys`, so serving and direct
-``Engine.compile`` use agree on which programs are the same):
-
-``program_key``
-    identifies the :class:`~repro.compiler.compile.CompiledProgram` the
-    request needs — (model, dataset identity, scale, seed, prune,
-    accelerator config).  Requests sharing it skip ``Compiler.compile``.
-
-``batch_key``
-    ``program_key`` plus the mapping strategy: requests sharing it produce
-    bit-identical runs, so one accelerator pass serves the whole batch and
-    the K2P analysis (and a PCIe transfer, if any) are paid once.
+An :class:`InferenceRequest` is one unit of traffic: which model to run
+on which graph, under which mapping strategy, and *when* it arrives
+(virtual seconds).  Its ``program_key`` (built by :mod:`repro.engine.keys`,
+as ``Engine.compile``'s is) names the compiled program it needs, so
+requests sharing it skip ``Compiler.compile``; its ``batch_key`` adds the
+strategy and shard width, so requests sharing it are bit-identical runs
+one accelerator pass serves (:mod:`repro.sched.scheduler`).
 """
 
 from __future__ import annotations
@@ -28,7 +15,7 @@ import itertools
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Optional, Union
 
 import numpy as np
@@ -222,20 +209,27 @@ class ResponseColumns(Sequence):
                 compile_s, start, finish, finish - start, hit, batch_id, size, device,
                 cycles, shards, 0.0 if joined else barrier, output, req.slo, joined, deferred)
 
-    def arrays(self) -> dict[str, np.ndarray]:
+    def arrays(self) -> dict:
         """The response fields a report reads, one column per request,
-        plus ``batch_size``: one per execution, in batch-id order."""
-        requests, start, deferred, lookups, joined = list(zip(*self.members)) or [()] * 5
+        plus ``batch_size`` (one per execution, in batch-id order) and
+        ``slo_names``, the SLO classes answered in name order, which each
+        request's ``slo`` entry indexes."""
+        members, n = self.members, len(self.members)
         _, size, finish, batch_id, _, _, barrier, _, _ = list(zip(*self.executions)) or [()] * 9
+        requests = list(map(itemgetter(0), members))
+        slos = list(map(attrgetter("slo"), requests))
+        names = sorted(dict.fromkeys(slos))
+        index = {name: i for i, name in enumerate(names)}
         sizes = np.array(size, dtype=int)
-        start, finish = np.array(start, dtype=float), np.repeat(np.array(finish, float), sizes)
-        joined = np.array(joined, dtype=bool)
+        start = np.fromiter(map(itemgetter(1), members), float, n)
+        finish = np.repeat(np.array(finish, float), sizes)
+        joined = np.fromiter(map(itemgetter(4), members), bool, n)
         return {
-            "arrival_s": np.array([r.arrival_s for r in requests], dtype=float),
+            "arrival_s": np.fromiter(map(attrgetter("arrival_s"), requests), float, n),
             "start_s": start, "finish_s": finish, "service_s": finish - start,
             "barrier_s": np.where(joined, 0.0, np.repeat(np.array(barrier, float), sizes)),
-            "compile_s": np.array([c for c, _ in lookups], dtype=float),
-            "joined": joined, "deferred": np.array(deferred, dtype=bool),
-            "slo": np.array([r.slo for r in requests]),
+            "compile_s": np.fromiter(map(itemgetter(0), map(itemgetter(3), members)), float, n),
+            "joined": joined, "deferred": np.fromiter(map(itemgetter(2), members), bool, n),
+            "slo": np.fromiter(map(index.__getitem__, slos), int, n), "slo_names": names,
             "batch_size": sizes[np.argsort(np.array(batch_id, dtype=int), kind="stable")],
         }

@@ -100,7 +100,7 @@ class BookAhead(loop.ContinuousScheduler):
         return ONE_CLASS.classes[0]
 
     def _close_group(self, group, now: float) -> None:
-        del self._groups[group.slot]
+        group.slot.forming[group.ci] = None
         self._waiting -= group.size
         self._booked.append((max(group.ready_s, now), len(self._booked), group))
 
@@ -133,7 +133,7 @@ class BookAhead(loop.ContinuousScheduler):
         )
         self.answers.service_s[group.batch_id] = service_s
         self.answers.add(
-            [(r, start, False, group.members[r.request_id][1], False) for r in group.requests],
+            [(r, start, False, lookup, False) for r, _, lookup in group.rows],
             end, group.batch_id, devices[0], shards, run.barrier_s, run.total_cycles,
             run.served_output() if self.return_outputs else None)
 

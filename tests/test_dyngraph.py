@@ -470,7 +470,7 @@ class TestServeChurn:
         prog_key = self._admit(engine, graph)
         # the miss that produced this program is still compiling at t=5.0
         sweep = ContinuousScheduler(engine, mutation_policy="patch")
-        sweep._program_ready[prog_key] = sweep._host_free_s = 5.0
+        sweep._program(prog_key).ready_s = sweep._host_free_s = 5.0
         sweep._mutate(
             MutationRequest(graph_id="rt",
                             delta=GraphDelta.edges(inserts=[(0, 9)]),
@@ -481,7 +481,7 @@ class TestServeChurn:
         (new_key,) = engine.cache.keys()
         assert new_key != prog_key and new_key[1][0] == "rt"
         # compile + patch, not 1.0 + patch
-        assert sweep._program_ready[new_key] > 5.0
+        assert sweep._program(new_key).ready_s > 5.0
 
     def test_out_of_band_mutation_evicts_instead_of_patching(self):
         from repro.sched import ContinuousScheduler

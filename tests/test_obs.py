@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_tiny_config
 from repro.engine import Engine
@@ -144,6 +145,54 @@ class TestMetricsRegistry:
         assert snap["gauges"]["g"] == 0.5
         assert snap["histograms"]["h"]["count"] == 1
         assert reg.names() == ("c", "g", "h")
+
+
+def _listed_snapshot(values: list) -> dict:
+    """A histogram's snapshot as defined over the list of its floats."""
+    if not values:
+        return {"count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
+                "mean": 0.0, "p50": 0.0, "p95": 0.0, "p99": 0.0}
+    arr = np.asarray(values, dtype=np.float64)
+    p50, p95, p99 = np.percentile(arr, [50, 95, 99])
+    return {"count": int(arr.size), "sum": float(arr.sum()), "min": float(arr.min()),
+            "max": float(arr.max()), "mean": float(arr.mean()),
+            "p50": float(p50), "p95": float(p95), "p99": float(p99)}
+
+
+def _bits(snapshot: dict) -> list:
+    return [(k, v if isinstance(v, int) else float(v).hex()) for k, v in snapshot.items()]
+
+
+_VALUES = st.one_of(st.floats(-1e300, 1e300, allow_nan=False, width=64),
+                    st.integers(-(2 ** 60), 2 ** 60))
+#: observe one value, extend by a list (ints as an int array), or take a
+#: snapshot
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("observe"), _VALUES),
+    st.tuples(st.just("extend"), st.lists(_VALUES, max_size=12)),
+    st.tuples(st.just("snapshot"), st.none()),
+), max_size=10)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_OPS)
+def test_histogram_snapshot_is_the_list_definition_bit_for_bit(ops):
+    """The arrays a histogram keeps summarise to the bits the list of its
+    floats does, however observations and snapshots interleave: a value
+    observed after a snapshot shows in the next one."""
+    hist, listed = MetricsRegistry().histogram("h"), []
+    for op, arg in ops + [("snapshot", None)]:
+        if op == "observe":
+            hist.observe(arg)
+            listed.append(float(arg))
+        elif op == "extend":
+            ints = all(isinstance(v, int) for v in arg)
+            values = np.array(arg, dtype=np.int64 if ints else np.float64)
+            hist.extend(values)
+            listed.extend(np.asarray(values, dtype=np.float64).tolist())
+        else:
+            assert _bits(hist.snapshot()) == _bits(_listed_snapshot(listed))
+    assert hist.values.tolist() == listed
 
 
 # -- exporters ---------------------------------------------------------

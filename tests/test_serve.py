@@ -485,10 +485,12 @@ class TestServingAccountingFixes:
         assert program is not None
         memo = engine.execute(program, stray.strategy, ready_s=0.0)
         sweep = ContinuousScheduler(engine, **serve.keywords)
-        group = _Group(None, SLOClass("bulk", 0), opened_s=0.0, ready_s=0.0, batch_id=0,
-                       deadline=0.0, shards=1, requests=[stray])
+        # a founder's row is (request, deferred, lookup): one without its
+        # lookup cannot be answered
+        group = _Group(None, SLOClass("bulk", 0), 0, opened_s=0.0, ready_s=0.0, batch_id=0,
+                       deadline=0.0, shards=1, rows=[(stray, False)])
         finished = _Execution(group, memo, [0.0], [0])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError):
             sweep._respond(finished, 1.0)
         assert len(sweep.answers) == 0
 

@@ -24,6 +24,7 @@ from conftest import cold_then_warm, comparison_json, make_tiny_config, serving
 from repro.compiler.compile import CompileTimings
 from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph
+from repro.engine import Engine, ProgramCache
 from repro.gnn import build_model, init_weights, reference_inference
 from repro.serve import InferenceRequest, InferenceResponse, MutationRequest
 from repro.serve import synthesize
@@ -127,6 +128,75 @@ class TestTemplatesUnderMutation:
         for response in report.responses:
             blocks.setdefault(response.batch_id, set()).add(block_of[response.request_id])
         assert all(len(b) == 1 for b in blocks.values())
+
+
+# -- the program cache after a sweep ---------------------------------------
+#: four programs over a cache of two: the registered graph under GCN and
+#: GIN, Cora and CiteSeer under SGC
+CACHED = (("GCN", "live"), ("GIN", "live"), ("SGC", "CO"), ("SGC", "CI"))
+#: the order two blocks of reads visit them in, a mutation between them.
+#: Each block ends on a hit, whose touch decides an order: of the two
+#: programs the mutation patches (the second block's first miss evicts
+#: the older), and of the cache the sweep leaves
+BLOCKS = ((0, 0, 1, 2, 0, 3, 1, 1, 2, 3, 1, 0, 1), (2, 1, 0, 3, 2, 1, 2))
+
+
+def test_the_cache_is_left_as_one_get_per_request_leaves_it():
+    """A sweep over a two-program cache compiles and evicts mid-stream and
+    patches on a mutation.  Afterwards the cache's LRU order and counters
+    (``saved_s`` bit for bit) are those of ``get_or_compile`` called once
+    per inference request in admission order on a bare cache, handed the
+    programs the sweep compiled and patched."""
+    engine = Engine(make_tiny_config(), pool_size=2, cache_capacity=2)
+    engine.register_graph(MutableGraph(load_dataset("CO", scale=SCALE, seed=3), graph_id="live"))
+    stream, t = [], 0.0
+    for block, visits in enumerate(BLOCKS):
+        if block:
+            stream.append(MutationRequest(graph_id="live", delta=DELTAS[0], arrival_s=t))
+            mutated_s, t = t, t + GAP_S
+        for i in visits:
+            model, dataset = CACHED[i]
+            stream.append(InferenceRequest(model=model, dataset=dataset, scale=SCALE, seed=3,
+                                           arrival_s=t))
+            t += GAP_S
+    reads = [r for r in stream if isinstance(r, InferenceRequest)]
+
+    def keys() -> dict:
+        return {r.request_id: engine.resolve_request(r).program_key(engine.config)
+                for r in reads}
+
+    before, compiled, patched = keys(), [], {}
+    compile_request, apply_delta = engine.compile_request, engine.apply_delta
+
+    def compiling(req):
+        compiled.append(compile_request(req))
+        return compiled[-1]
+
+    def mutating(*args, **kwargs):
+        outcome = apply_delta(*args, **kwargs)
+        patched.update({e.old_key: (e.new_key, engine.cache.peek(e.new_key))
+                        for e in outcome.patches})
+        return outcome
+
+    with mock.patch.object(engine, "compile_request", compiling), \
+            mock.patch.object(engine, "apply_delta", mutating):
+        engine.serve(stream, max_batch_size=4, mutation_policy="patch")
+    after, replay, programs = keys(), ProgramCache(2), iter(compiled)
+    for event in stream:
+        if isinstance(event, MutationRequest):
+            for old in [key for key in replay.keys() if key in patched]:
+                replay.pop(old)
+                replay.put(*patched[old])
+        else:
+            key = (before if event.arrival_s < mutated_s else after)[event.request_id]
+            replay.get_or_compile(key, lambda: next(programs))
+    cache = engine.cache
+    assert cache.evictions > 0 and len(patched) == 2 and next(programs, None) is None
+    assert cache.keys() == replay.keys()
+    assert (cache.hits, cache.misses, cache.evictions, cache.invalidations) == (
+        replay.hits, replay.misses, replay.evictions, replay.invalidations)
+    assert cache.saved_s.hex() == replay.saved_s.hex()
+    assert cache.compile_s.hex() == replay.compile_s.hex()
 
 
 #: one field each, changed from the base template
