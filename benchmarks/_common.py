@@ -20,6 +20,8 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from repro import Engine, load_dataset, u250_default
 from repro.config import AcceleratorConfig
 from repro.engine import ProgramHandle
@@ -162,17 +164,24 @@ def best_of(fn, repeats: int = 5):
     return out, best
 
 
-def best_of_each(*fns, repeats: int = 5) -> list:
-    """``best_of`` of several functions, called in turn (each once a round)
-    so that a burst of load on a shared host slows every arm alike:
-    ``[(fn()'s result, its fastest wall seconds), ...]`` in ``fns`` order."""
-    out, best = [None] * len(fns), [float("inf")] * len(fns)
-    for _ in range(repeats):
+def paired_speedups(*fns, repeats: int = 5):
+    """``fns`` timed in rounds, each in turn once a round, so a spell of
+    neighbour load slows the calls of one round alike: each function's
+    last result, its fastest wall seconds, and ``speedup[a, b]``, the
+    median over the rounds of ``fns[a]``'s seconds over ``fns[b]``'s.  A
+    host-timed floor asserts that median: load that slows one arm more
+    than the other for a round moves that round's ratio, not the median.
+    Each timed call follows an untimed one of the same function, so no arm
+    is timed on the caches and heap the other arm left behind."""
+    out, seconds = [None] * len(fns), np.empty((len(fns), repeats))
+    for r in range(repeats):
         for i, fn in enumerate(fns):
+            fn()
             t0 = time.perf_counter()
             out[i] = fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return list(zip(out, best))
+            seconds[i, r] = time.perf_counter() - t0
+    speedup = np.median(seconds[:, None, :] / seconds[None, :, :], axis=2)
+    return out, seconds.min(axis=1), speedup
 
 
 def emit(name: str, table: str) -> str:
@@ -191,8 +200,8 @@ __all__ = [
     "Metric",
     "RunSummary",
     "best_of",
-    "best_of_each",
     "emit",
+    "paired_speedups",
     "engine_for",
     "format_table",
     "geomean",

@@ -55,8 +55,10 @@ these inner loops, each rewritten as single numpy / native passes:
    committed baseline is the layer's number, and two replays must report
    alike.
 
-Each bench times before/after on the same inputs, asserts the results
-are bit-identical, and reports the speedup — the committed baseline under
+Each bench times before/after on the same inputs, in alternating calls,
+asserts the results are bit-identical, and reports the speedup, the
+median of the rounds' paired ratios (``paired_speedups``) that its floor
+asserts — the committed baseline under
 ``results/baselines/`` is the repo's record that the optimisation landed
 (>= 2x on both at the default scale) and CI's guard that it stays in.
 """
@@ -71,7 +73,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
 from _common import (
-    MODELS, Metric, best_of, best_of_each, emit, format_table, register_bench,
+    MODELS, Metric, emit, format_table, paired_speedups, register_bench,
 )
 from repro import load_dataset, u250_default
 from repro.config import small_test_config
@@ -113,7 +115,6 @@ DENSE_SHAPE = (3327, 3703)
 DENSE_DENSITY = 0.5
 DENSE_BLOCK = 720
 NUM_PAIRS = 100_000
-REPEATS = 5
 #: the ledger's sparse x sparse pair (N1 = 720, PubMed's 500 features)
 PAIR_N1 = 720
 PAIR_D = 500
@@ -171,22 +172,20 @@ def _dense_inputs():
 def _grid_spec():
     """Hot path 1: block-nnz census, np.bincount vs np.add.at scatter."""
     mat = _grid_inputs()
-    ref, ref_s = best_of(
-        lambda: block_nnz_grid_reference(mat, GRID_BLOCK, GRID_BLOCK)
+    (ref, new), (ref_s, new_s), ratio = paired_speedups(
+        lambda: block_nnz_grid_reference(mat, GRID_BLOCK, GRID_BLOCK),
+        lambda: block_nnz_grid(mat, GRID_BLOCK, GRID_BLOCK),
     )
-    new, new_s = best_of(lambda: block_nnz_grid(mat, GRID_BLOCK, GRID_BLOCK))
     assert np.array_equal(ref, new), "vectorised grid must be bit-exact"
-    speedup = ref_s / new_s
+    speedup = ratio[0, 1]
     dense = _dense_inputs()
-    dref, dref_s = best_of(
+    (dref, dnew), (dref_s, dnew_s), ratio = paired_speedups(
         lambda: block_nnz_grid_reference(dense, DENSE_BLOCK, DENSE_BLOCK),
-        repeats=2,
-    )
-    dnew, dnew_s = best_of(
-        lambda: block_nnz_grid(dense, DENSE_BLOCK, DENSE_BLOCK)
+        lambda: block_nnz_grid(dense, DENSE_BLOCK, DENSE_BLOCK),
+        repeats=3,
     )
     assert np.array_equal(dref, dnew), "dense census must be bit-exact"
-    dense_speedup = dref_s / dnew_s
+    dense_speedup = ratio[0, 1]
     emit("micro_block_nnz_grid", format_table(
         ["operand", "variant", "best (ms)", "speedup"],
         [
@@ -264,16 +263,15 @@ def _k2p_spec():
     # the per-pair arm runs a slice of 2,000 pairs, held bit-exact, and is
     # scaled to the whole grid (every branch recurs within 17 * 29 pairs)
     part = NUM_PAIRS // 50
-    (ref_codes, ref_t), ref_s = best_of(
-        lambda: _decide_scalar(analyzer, census, part), repeats=3
+    ((ref_codes, ref_t), (new_codes, new_t, _)), (ref_s, new_s), ratio = paired_speedups(
+        lambda: _decide_scalar(analyzer, census, part),
+        lambda: analyzer.decide_batch(None, batch),
+        repeats=3,
     )
     ref_s *= NUM_PAIRS / part
-    (new_codes, new_t, _), new_s = best_of(
-        lambda: analyzer.decide_batch(None, batch), repeats=REPEATS
-    )
     assert np.array_equal(ref_codes, new_codes[:part]), "decisions must be bit-exact"
     assert np.array_equal(ref_t, new_t[:part]), "orientation flags must be bit-exact"
-    speedup = ref_s / new_s
+    speedup = ratio[0, 1] * NUM_PAIRS / part
     emit("micro_k2p_decision_batch", format_table(
         ["variant", "best (ms)", "speedup"],
         [
@@ -333,14 +331,14 @@ def _spmm_workloads_scatter(x, y, psys):
 def _spmm_workloads_spec():
     """Hot path 3: exact SPMM per-SCP loads, prefix sum vs np.add.at.
 
-    Each pair of arms is timed in alternating calls, so a burst of
-    neighbour load slows both sides of a speedup rather than one."""
+    Each pair of arms is timed in alternating calls, and each speedup is
+    the median of the rounds' paired ratios."""
     x, y = _operand_pair()
     psys = u250_default().psys
-    ((ref_loads, ref_macs), ref_s), ((new_loads, new_macs), new_s) = best_of_each(
+    ((ref_loads, ref_macs), (new_loads, new_macs)), (ref_s, new_s), ratio = paired_speedups(
         _per_pair(_spmm_workloads_scatter, x, y, psys), _per_pair(spmm_workloads, x, y, psys))
     assert np.array_equal(ref_loads, new_loads) and ref_macs == new_macs
-    speedup = ref_s / new_s
+    speedup = ratio[0, 1]
     # a dense-held operand (an intermediate the Analyzer sends to SPMM):
     # counted as it lies against a CSR built through ``nonzero`` first
     xd, yd = x.toarray(), y.toarray()
@@ -349,17 +347,17 @@ def _spmm_workloads_spec():
         ("CSR x dense Y", "dense_y_speedup", (x, yd)),
         ("dense X x dense Y", "dense_speedup", (xd, yd)),
     ):
-        ((was_loads, was_macs), was_s), ((got_loads, got_macs), got_s) = best_of_each(
+        ((was_loads, was_macs), (got_loads, got_macs)), (was_s, got_s), ratio = paired_speedups(
             _per_pair(lambda a, b: spmm_workloads(sp.csr_matrix(a), sp.csr_matrix(b), psys),
                       *args),
             _per_pair(spmm_workloads, *args, psys))
         assert np.array_equal(got_loads, new_loads) and got_macs == new_macs
         assert np.array_equal(was_loads, new_loads) and was_macs == new_macs
-        dense[key] = Metric(key, was_s / got_s, "x", "higher")
+        dense[key] = Metric(key, ratio[0, 1], "x", "higher")
         dense_rows.append([f"{label}: through csr_matrix",
                            f"{was_s / PAIR_CALLS * 1e6:.1f}", "1.00x"])
         dense_rows.append([f"{label}: as it lies",
-                           f"{got_s / PAIR_CALLS * 1e6:.1f}", f"{was_s / got_s:.2f}x"])
+                           f"{got_s / PAIR_CALLS * 1e6:.1f}", f"{ratio[0, 1]:.2f}x"])
     emit("micro_spmm_workloads", format_table(
         ["variant", "best (us / pair)", "speedup"],
         [
@@ -430,13 +428,13 @@ def _pair_census_spec():
     """Hot path 3b: a kernel's SPMM bills and product sizes, per pair vs one census."""
     config = u250_default()
     args = (*_census_inputs(), config)
-    (cycles, macs, maxnnz), per_pair_s = best_of(lambda: _bill_per_pair(*args))
-    (got_cycles, got_macs, structural), census_s = best_of(lambda: _bill_by_census(*args))
+    ((cycles, macs, maxnnz), (got_cycles, got_macs, structural)), (per_pair_s, census_s), \
+        ratio = paired_speedups(lambda: _bill_per_pair(*args), lambda: _bill_by_census(*args))
     assert np.array_equal(cycles, got_cycles) and np.array_equal(macs, got_macs), (
         "the census must bill what each pair bills")
     d = args[1][0].shape[1]
     assert (structural >= maxnnz).all(), "a product outgrew its size"
-    speedup = per_pair_s / census_s
+    speedup = ratio[0, 1]
     emit("micro_pair_census", format_table(
         ["variant", "best (ms / kernel)", "speedup"],
         [
@@ -495,25 +493,24 @@ def _pair_product_spec():
         def by_entry(z, nmax=_structural(x, y)):
             _add_csr_csr_product(x, y, nmax, work, z)
 
-        sums, seconds = [], []
-        for arm in (by_scipy, by_s2d, by_entry):
-            z = z0.copy()
+        arms = (by_scipy, by_s2d, by_entry)
+        sums = [z0.copy() for _ in arms]
+        for arm, z in zip(arms, sums):
             arm(z)
-            sums.append(z.tobytes())
-            seconds.append(best_of(_per_pair(arm, z))[1] / PAIR_CALLS)
-        assert sums[0] == sums[1] == sums[2], (
+        assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes(), (
             "pair product must be bit-exact on every route"
         )
-        ref_s, s2d_s, entry_s = seconds
+        _, seconds, ratio = paired_speedups(*map(_per_pair, arms, sums))
+        ref_s, s2d_s, entry_s = seconds / PAIR_CALLS
         rows.append([
             f"{y_density:.0%}", f"{ref_s * 1e6:.1f}", f"{s2d_s * 1e6:.1f}",
-            f"{entry_s * 1e6:.1f}", f"{s2d_s / entry_s:.2f}x",
+            f"{entry_s * 1e6:.1f}", f"{ratio[1, 2]:.2f}x",
             "entry" if _entry_route(x.nnz, y.nnz, n1, n1, d) else "S2D",
         ])
         name = f"entry_speedup_{y_density:.0%}".replace("%", "pct")
-        metrics[name] = Metric(name, s2d_s / entry_s, "x", "higher")
+        metrics[name] = Metric(name, ratio[1, 2], "x", "higher")
         if y_density == PAIR_Y_DENSITY:
-            speedup = ref_s / s2d_s
+            speedup = ratio[0, 1]
             metrics["speedup"] = Metric("speedup", speedup, "x", "higher")
             metrics["per_pair_us"] = Metric("per_pair_us", s2d_s * 1e6, "us")
     # the Y density at which the rule hands this X block over to S2D
@@ -591,15 +588,15 @@ def _task_merge_spec():
     """Hot path 4b: a sparse task's output block, densify + rescan vs merge."""
     pairs = _task_pairs()
     work: dict = {}
-    dense, dense_s = best_of(_per_task(_task_densified, pairs, work))
-    merged, merged_s = best_of(_per_task(_task_merged, pairs, work))
+    (dense, merged), (dense_s, merged_s), ratio = paired_speedups(
+        _per_task(_task_densified, pairs, work), _per_task(_task_merged, pairs, work))
     assert all(
         a.dtype == b.dtype and a.tobytes() == b.tobytes()
         for a, b in zip((dense.indptr, dense.indices, dense.data),
                         (merged.indptr, merged.indices, merged.data))
     ), "the merged block must be the densified one, byte for byte"
     dense_s, merged_s = dense_s / TASK_CALLS, merged_s / TASK_CALLS
-    speedup = dense_s / merged_s
+    speedup = ratio[0, 1]
     density = merged.nnz / PAIR_N1**2
     emit("micro_task_merge", format_table(
         ["variant", "best (us / task)", "speedup"],
@@ -695,12 +692,11 @@ def _block_split_spec():
         mat = _split_operand(dataset, scale, operand)
         block_cols = block_cols or mat.shape[1]
         census = block_nnz_grid(mat, SPLIT_N1, block_cols)
-        ref, ref_s = best_of(
-            lambda: _split_stripe_by_stripe(mat, SPLIT_N1, block_cols))
-        new, new_s = best_of(
+        (ref, new), (ref_s, new_s), ratio = paired_speedups(
+            lambda: _split_stripe_by_stripe(mat, SPLIT_N1, block_cols),
             lambda: _split_layout(mat, SPLIT_N1, block_cols, census))
         assert _same_blocks(ref, new), f"{label}: blocks must be byte-identical"
-        speedup = ref_s / new_s
+        speedup = ratio[0, 1]
         rows.append([label, f"{mat.nnz:,}", f"{ref_s * 1e3:.3f}",
                      f"{new_s * 1e3:.3f}", f"{speedup:.2f}x"])
         metrics[name] = Metric(name, speedup, "x", "higher")
@@ -749,10 +745,10 @@ def _find_inputs():
 def _csr_find_spec():
     """Hot path 6: a delta's edges in the stored adjacency, search vs loop."""
     a, rows, cols = _find_inputs()
-    ref, ref_s = best_of(lambda: _csr_find_per_edge(a, rows, cols))
-    new, new_s = best_of(lambda: _csr_find(a, rows, cols))
+    (ref, new), (ref_s, new_s), ratio = paired_speedups(
+        lambda: _csr_find_per_edge(a, rows, cols), lambda: _csr_find(a, rows, cols))
     assert np.array_equal(ref, new) and (new >= 0).sum() >= rows.size // 2
-    speedup = ref_s / new_s
+    speedup = ratio[0, 1]
     emit("micro_csr_find", format_table(
         ["variant", "best (ms)", "speedup"],
         [

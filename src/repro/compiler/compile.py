@@ -79,8 +79,15 @@ class CompiledProgram:
     #: recorded executions, (strategy, shards) -> the result object, written
     #: by ``Engine.execute`` alone and replayed by the serve path.  They
     #: live and die with the program: a patch builds a new program and so
-    #: starts empty, eviction drops both
+    #: starts with none, eviction drops both
     _runs: dict = field(default_factory=dict, repr=False)
+    #: the lineage table: (kernel id, strategy name) -> the finalized,
+    #: read-only ``KernelAssembly`` of a graph-independent kernel
+    #: (:meth:`graph_independent`), filled and read by the serve path's runs
+    #: of a registered graph's programs alone.  A patch that leaves the
+    #: features hands it on by reference; a compile, a recompile or a
+    #: feature delta starts it empty
+    _lineage: dict = field(default_factory=dict, repr=False)
 
     @property
     def stored_sparse(self) -> dict:
@@ -96,6 +103,19 @@ class CompiledProgram:
             pm = PartitionedMatrix(self.store[name], block_rows, block_cols, name=name)
             self._views[key] = pm
         return pm
+
+    def graph_independent(self) -> set[str]:
+        """Ids of the kernels none of whose inputs is, directly or through
+        another kernel, an adjacency operand: their products are the same
+        on every graph of the lineage that shares the features."""
+        reached = set(self.model.adjacency_names())
+        independent = set()
+        for kernel in self.graph.topo_order():
+            if reached.isdisjoint((kernel.x_name, kernel.y_name, kernel.accumulate_into)):
+                independent.add(kernel.kernel_id)
+            else:
+                reached.add(kernel.out_name)
+        return independent
 
     def input_bytes(self) -> int:
         """Bytes moved host->FPGA before execution (adjacency, weights,

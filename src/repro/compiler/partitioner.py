@@ -71,10 +71,3 @@ def choose_partition_sizes(
     n1 = max(n1, n2)
     return n1, n2
 
-
-def tasks_per_kernel(kernel: KernelIR, n1: int, n2: int) -> int:
-    """``T_a`` / ``T_u`` for the chosen sizes (used by tests/ablations)."""
-    v = kernel.num_vertices
-    if kernel.ktype is KernelType.AGGREGATE:
-        return math.ceil(v / n1) * math.ceil(kernel.output_dim / n2)
-    return math.ceil(v / n2) * math.ceil(kernel.output_dim / n2)

@@ -32,7 +32,11 @@ it) by:
 Patched programs keep their ancestor's ``timings`` (the measured cost a
 recompile would have paid), which is what the serve cache's saved-time
 accounting charges on hits; the patch's own wall-clock cost is measured
-and returned in the :class:`PatchReport`.
+and returned in the :class:`PatchReport`.  A patched program starts with
+no recorded executions but shares its ancestor's lineage table (the
+products of the kernels no adjacency operand reaches, e.g. GCN's
+``H0 @ W1``) unless the delta writes features; a fallback recompile starts
+both empty.
 """
 
 from __future__ import annotations
@@ -152,10 +156,13 @@ class ProgramPatcher:
         if applied.touches_features:
             patch_matrix("H0", new_data.h0, *applied.h_structural())
 
-        # executions recorded on the ancestor are not the patched program's
+        # executions recorded on the ancestor are not the patched program's;
+        # the products of its graph-independent kernels are, while the
+        # features stay: the lineage table is handed on, not copied
         patched = replace(
             program, data_name=new_data.name, graph=graph, store=store,
             profiles=profiles, _views=views, _runs={},
+            _lineage={} if applied.touches_features else program._lineage,
         )
         reanalyzed, flips = self._reanalyze(
             program, graph.topo_order(), views, profiles, dirty_by_view

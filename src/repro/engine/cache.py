@@ -41,11 +41,6 @@ class CacheStats:
     #: compile seconds avoided (sum of cached programs' compile time over hits)
     saved_s: float
 
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class ProgramCache:
     """Bounded LRU map: request fingerprint -> CompiledProgram."""

@@ -423,9 +423,15 @@ class Engine:
         A time is the serve path saying when its batch is ready: the record
         is returned if there is one, else the run is simulated untraced and
         unbooked on the device that would start it first (sharded: the
-        first ``shards`` devices).
+        first ``shards`` devices).  Only such a run of a registered graph's
+        program fills and reads the program's lineage table
+        (``program._lineage``, which its patches inherit): a
+        graph-independent kernel's product, computed once per lineage, is
+        billed anew but not recomputed.  A caller's own run, and any run of
+        a graph that cannot mutate, computes every kernel.
         """
         serving = ready_s is not None
+        lineage = program._lineage if serving and program.data_name in self._graphs else None
         if plan is not None:
             shards = plan.num_shards
         if serving and (strategy, shards) in program._runs:
@@ -435,7 +441,8 @@ class Engine:
         first = self.pool.peek_device(ready_s) if serving else 0
         devices = self.device(first) if plan is None else self.pool.devices
         run = run_strategy(program, strategy, devices, plan=plan,
-                           tracer=NULL_TRACER if serving else self.tracer)
+                           tracer=NULL_TRACER if serving else self.tracer,
+                           lineage=lineage)
         if plan is not None and not serving:
             # one booking on the devices the lanes ran on: held to the
             # chained layer barriers, each member busy for its lane's work

@@ -35,6 +35,20 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def row_counts(mat: MatrixLike) -> np.ndarray:
+    """``(2, rows)`` int64: each row's nonzeros (``-0.0`` a zero, ``NaN``
+    a nonzero) and its stored entries (a dense row's are its nonzeros):
+    what an SPMM pair meets in each row of its ``Y`` block."""
+    if isinstance(mat, np.ndarray):
+        return np.array([np.count_nonzero(mat, axis=1)] * 2, dtype=np.int64)
+    mat = as_csr(mat)
+    counts = np.array([np.diff(mat.indptr)] * 2, dtype=np.int64)
+    zeros = np.flatnonzero(mat.data[: mat.indptr[-1]] == 0)
+    if zeros.size:  # a stored zero is no nonzero
+        np.subtract.at(counts[0], np.searchsorted(mat.indptr, zeros, "right") - 1, 1)
+    return counts
+
+
 def as_csr(mat: MatrixLike) -> sp.csr_matrix:
     """Convert any 2-D matrix-like to float32 CSR without copying when possible."""
     if sp.issparse(mat):

@@ -41,7 +41,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from repro.formats.csr import MatrixLike, as_csr, as_dense, sorted_unique
+from repro.formats.csr import MatrixLike, as_csr, as_dense, row_counts, sorted_unique
 from repro.formats.dense import DTYPE
 
 #: store a matrix in dense format off-chip when its density exceeds this;
@@ -339,6 +339,8 @@ class PartitionedMatrix:
         self._layout = None if split is None else _BlockLayout(
             self.matrix, block_rows, block_cols, split)
         self._density_grid: np.ndarray | None = None
+        #: (i, j) -> the block's row counts, counted on first ask
+        self._row_counts: dict = {}
 
     # -- geometry --------------------------------------------------------
     @property
@@ -414,6 +416,18 @@ class PartitionedMatrix:
             return np.ones(self._nnz_grid.shape)
         return self._block_layout().scp_skew(psys)
 
+    def block_row_counts(self, i: int, j: int) -> np.ndarray:
+        """:func:`~repro.formats.csr.row_counts` of block ``(i, j)``, read
+        only, counted once per view and kept beside its SCP skew (every lane
+        and every run that reads this view shares the count): as int32, and
+        one row when the block stores no zero, so its two rows agree."""
+        counts = self._row_counts.get((i, j))
+        if counts is None:
+            full = row_counts(self.block(i, j))
+            rows = 1 if np.array_equal(full[0], full[1]) else 2
+            counts = self._row_counts[i, j] = full[:rows].astype(np.int32)
+        return np.broadcast_to(counts, (2, counts.shape[1]))
+
     def dense_block(self, i: int, j: int) -> np.ndarray:
         return as_dense(self.block(i, j))
 
@@ -426,11 +440,6 @@ class PartitionedMatrix:
     def block_nnz(self, i: int, j: int) -> int:
         self._check_index(i, j)
         return int(self._nnz_grid[i, j])
-
-    def block_density(self, i: int, j: int) -> float:
-        r, c = self.block_shape(i, j)
-        total = r * c
-        return self.block_nnz(i, j) / total if total else 0.0
 
     @functools.cached_property
     def row_block_sizes(self) -> np.ndarray:
@@ -534,8 +543,8 @@ class PartitionedMatrix:
             self.matrix = np.ascontiguousarray(np.asarray(new_matrix, dtype=DTYPE))
         self._nnz_grid = grid
         self._density_grid = None
-        # the layout observes the old bytes; the next block read rebuilds it
-        self._layout = None
+        # the layout and row counts observe the old bytes; the next read rebuilds them
+        self._layout, self._row_counts = None, {}
         return dirty
 
     @classmethod
@@ -578,21 +587,3 @@ class PartitionedMatrix:
             f"density={self.density:.4g})"
         )
 
-
-def partition_adjacency(a: MatrixLike, n1: int, name: str = "A") -> PartitionedMatrix:
-    """Partition the adjacency matrix into ``N1 x N1`` blocks (Fig. 5)."""
-    return PartitionedMatrix(a, n1, n1, name=name)
-
-
-def partition_features(
-    h: MatrixLike, n1: int, n2: int, name: str = "H", *, as_subfibers: bool = False
-) -> PartitionedMatrix:
-    """Partition a feature matrix into fibers (``N1 x N2``) or subfibers
-    (``N2 x N2`` when ``as_subfibers``)."""
-    rows = n2 if as_subfibers else n1
-    return PartitionedMatrix(h, rows, n2, name=name)
-
-
-def partition_weights(w: MatrixLike, n2: int, name: str = "W") -> PartitionedMatrix:
-    """Partition a weight matrix into ``N2 x N2`` blocks (Fig. 5)."""
-    return PartitionedMatrix(w, n2, n2, name=name)

@@ -39,9 +39,3 @@ def prune_weights(
     """Prune every weight matrix of a model to the same target sparsity."""
     return {name: prune_to_sparsity(w, sparsity) for name, w in weights.items()}
 
-
-def weight_density(weights: dict[str, np.ndarray]) -> float:
-    """Aggregate density of all weight matrices (nnz / elements)."""
-    nnz = sum(int(np.count_nonzero(w)) for w in weights.values())
-    total = sum(w.size for w in weights.values())
-    return nnz / total if total else 0.0

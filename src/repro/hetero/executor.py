@@ -83,9 +83,6 @@ class HeteroResult:
     def latency_ms(self) -> float:
         return self.total_seconds * 1e3
 
-    def dominant_device(self) -> str:
-        return max(self.device_seconds, key=self.device_seconds.get)
-
     def format_report(self) -> str:
         summary = self.to_dict()
         per_dev = ", ".join(

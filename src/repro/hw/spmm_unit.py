@@ -27,20 +27,7 @@ from itertools import accumulate
 import numpy as np
 
 from repro.config import AcceleratorConfig
-from repro.formats.csr import as_csr, MatrixLike
-
-
-def row_counts(mat: MatrixLike) -> np.ndarray:
-    """``(2, rows)`` int64: each row's nonzeros (``-0.0`` a zero, ``NaN``
-    a nonzero) and its stored entries (a dense row's are its nonzeros)."""
-    if isinstance(mat, np.ndarray):
-        return np.array([np.count_nonzero(mat, axis=1)] * 2, dtype=np.int64)
-    mat = as_csr(mat)
-    counts = np.array([np.diff(mat.indptr)] * 2, dtype=np.int64)
-    zeros = np.flatnonzero(mat.data[: mat.indptr[-1]] == 0)
-    if zeros.size:  # a stored zero is no nonzero
-        np.subtract.at(counts[0], np.searchsorted(mat.indptr, zeros, "right") - 1, 1)
-    return counts
+from repro.formats.csr import as_csr, row_counts, MatrixLike
 
 
 def spmm_census(x_blocks: list, y_counts: np.ndarray, y_at, d, psys: int):

@@ -6,12 +6,13 @@ The compiler lowers a GNN model + graph metadata into a
 or Update kernel — and whose edges are data dependencies.  After data
 partitioning, each kernel carries an
 :class:`~repro.ir.scheme.ExecutionScheme` describing its decomposition
-into independent :class:`~repro.ir.scheme.Task` objects (Algorithms 2-4).
+into independent tasks (Algorithms 2-4), one
+:class:`~repro.ir.scheme.TaskBatch` of them.
 """
 
 from repro.ir.kernel import KernelIR, KernelType, AggOp, Activation
 from repro.ir.graph import ComputationGraph
-from repro.ir.scheme import ExecutionScheme, Task, generate_tasks
+from repro.ir.scheme import ExecutionScheme
 
 __all__ = [
     "KernelIR",
@@ -20,6 +21,4 @@ __all__ = [
     "Activation",
     "ComputationGraph",
     "ExecutionScheme",
-    "Task",
-    "generate_tasks",
 ]

@@ -88,14 +88,6 @@ class KernelIR:
             raise ValueError("kernel_id must be non-empty")
 
     @property
-    def is_aggregate(self) -> bool:
-        return self.ktype is KernelType.AGGREGATE
-
-    @property
-    def is_update(self) -> bool:
-        return self.ktype is KernelType.UPDATE
-
-    @property
     def workload(self) -> int:
         """``Q`` of Algorithm 9: output elements |V| * f_out."""
         return self.num_vertices * self.output_dim

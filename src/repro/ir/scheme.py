@@ -31,26 +31,8 @@ from repro.ir.kernel import KernelIR, KernelType
 
 
 @dataclass(frozen=True)
-class Task:
-    """One computation task (Algorithm 4): an output partition ``Z_ij``.
-
-    ``pairs`` lists the ``K`` inner-dimension block coordinates:
-    ``Z[out_row, out_col] = sum_t X[out_row, t] @ Y[t, out_col]``.
-    """
-
-    kernel_id: str
-    out_row: int
-    out_col: int
-    pairs: tuple[tuple[int, int], ...]  # (x block (out_row, t), y block (t, out_col))
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
 class TaskBatch:
-    """Structure-of-arrays view of a task list (vectorised executor input).
+    """Structure-of-arrays view of a kernel's tasks (the task loop's input).
 
     ``rows``/``cols`` hold each task's output partition coordinate;
     ``js`` is the flattened inner-block index of every (task, pair) and
@@ -77,20 +59,6 @@ class TaskBatch:
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.starts)
-
-    @classmethod
-    def from_tasks(cls, tasks) -> "TaskBatch":
-        """Build the SoA from any task list (uniform or ragged pairs)."""
-        t = len(tasks)
-        rows = np.fromiter((tk.out_row for tk in tasks), np.int64, count=t)
-        cols = np.fromiter((tk.out_col for tk in tasks), np.int64, count=t)
-        counts = np.fromiter((len(tk.pairs) for tk in tasks), np.int64, count=t)
-        starts = np.zeros(t + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        js = np.empty(int(starts[-1]), dtype=np.int64)
-        for idx, tk in enumerate(tasks):
-            js[starts[idx] : starts[idx + 1]] = [p[0] for p in tk.pairs]
-        return cls(rows=rows, cols=cols, js=js, starts=starts)
 
     def subset(self, mask: np.ndarray) -> "TaskBatch":
         """The batch restricted to tasks where ``mask`` is True (order
@@ -143,26 +111,14 @@ class ExecutionScheme:
     def num_tasks(self) -> int:
         return self.out_grid[0] * self.out_grid[1]
 
-    @property
-    def pairs_per_task(self) -> int:
-        return self.inner_blocks
-
-    #: lazily-built SoA over :meth:`tasks` (see :meth:`task_batch`)
+    #: the task grid's SoA, built on first ask (see :meth:`task_batch`)
     _task_batch: "TaskBatch | None" = field(
         default=None, repr=False, compare=False
     )
 
-    def tasks(self) -> list[Task]:
-        """Materialise the task list of Algorithms 2/3."""
-        out: list[Task] = []
-        for i in range(self.out_grid[0]):
-            for k in range(self.out_grid[1]):
-                pairs = tuple((j, j) for j in range(self.inner_blocks))
-                out.append(Task(self.kernel_id, i, k, pairs))
-        return out
-
     def task_batch(self) -> TaskBatch:
-        """SoA view of :meth:`tasks`, built once and cached on the scheme.
+        """The SoA of Algorithms 2/3's task grid, built once and cached on
+        the scheme.
 
         The grid structure is closed-form (row-major output grid, every
         task carrying the same ``K`` diagonal pairs), so no Python loop
@@ -214,13 +170,3 @@ def build_scheme(kernel: KernelIR, n1: int, n2: int) -> ExecutionScheme:
         inner_blocks=math.ceil(kernel.input_dim / n2),
     )
 
-
-def generate_tasks(kernel: KernelIR, n1: int, n2: int) -> list[Task]:
-    """Convenience: scheme + task materialisation in one call."""
-    return build_scheme(kernel, n1, n2).tasks()
-
-
-def count_tasks(kernel: KernelIR, n1: int, n2: int) -> int:
-    """``T_a`` / ``T_u`` of §VI-C without materialising the tasks."""
-    scheme = build_scheme(kernel, n1, n2)
-    return scheme.num_tasks

@@ -413,7 +413,10 @@ class KernelAssembly:
     census under ``out_blocking``.  A partition is held as that count says
     (``vectorized.SPARSE_HOLDING``): a CSR block in ``blocks`` or a slice
     of ``out_dense``, which the first dense one allocates.  How the host
-    holds an output decides no modelled quantity."""
+    holds an output decides no modelled quantity.  A lineage table carries
+    a finalized assembly (:meth:`carry`) into later runs: its writes store
+    nothing and return its counts, and it finalizes to its read-only
+    output."""
 
     rows: int
     cols: int
@@ -424,6 +427,8 @@ class KernelAssembly:
     blocks: dict = field(default_factory=dict)
     #: a CSR output's blocks, one list per block row (set by ``finalize``)
     block_rows: Optional[list] = None
+    #: ``finalize``'s (output, density), once carried
+    carried: Optional[tuple] = None
 
     @property
     def total_out_nnz(self) -> int:
@@ -443,6 +448,8 @@ class KernelAssembly:
         nonzero count (``-0.0`` a zero, ``NaN`` a nonzero).  ``z`` is dense,
         or a task's merged products: a canonical int32 CSR block below
         ``SPARSE_HOLDING`` that stores no zero, counted by its ``indptr``."""
+        if self.carried is not None:
+            return int(self.nnz_grid[i, k])
         if sp.issparse(z):
             self.blocks[i, k], self.nnz_grid[i, k] = z, z.indptr[-1]
             return int(z.indptr[-1])
@@ -463,6 +470,8 @@ class KernelAssembly:
         blocks stay in ``block_rows`` for a consumer blocked like it, and
         each block row is stacked by one ``csr_hstack`` into its slices of
         the output (SciPy's ``vstack`` of ``hstack``s, byte for byte)."""
+        if self.carried is not None:
+            return self.carried
         elements, nnz = self.rows * self.cols, self.total_out_nnz
         dense, self.out_dense = self.out_dense, None  # a CSR output frees it
         if nnz >= vectorized.SPARSE_HOLDING * elements:
@@ -490,6 +499,17 @@ class KernelAssembly:
             part[0][:] += at  # the row's entries follow those above it
             r0, at = r0 + m, at + n
         return sp.csr_matrix((data, indices, indptr), shape=(self.rows, self.cols)), nnz / elements
+
+    def carry(self, out, density: float) -> "KernelAssembly":
+        """This assembly, finalized to ``(out, density)``, frozen for a
+        lineage table: the output, its blocks and the counts read-only."""
+        blocks = [blk for row in self.block_rows or () for blk in row]
+        for mat in (out, *blocks):
+            for a in (mat.data, mat.indices, mat.indptr) if sp.issparse(mat) else (mat,):
+                a.setflags(write=False)
+        self.nnz_grid.setflags(write=False)
+        self.blocks, self.carried = {}, (out, density)
+        return self
 
 
 def _csr_block(z: np.ndarray, flat: np.ndarray | None = None) -> sp.csr_matrix:
@@ -562,6 +582,7 @@ def run_kernels(
     strategy: MappingStrategy,
     lanes: list[Lane],
     store: dict,
+    lineage: Optional[dict] = None,
 ) -> Iterator[tuple[KernelIR, list[KernelStats]]]:
     """The kernel driver: walk ``program`` in dependency order over ``lanes``.
 
@@ -579,7 +600,13 @@ def run_kernels(
     the compiler censused it.  Nor is an intermediate whose consumer
     blocks it as the producer wrote it (``out_blocking``): its census is
     the producing kernel's write-back profiler counts.
+
+    A ``lineage`` table (``CompiledProgram._lineage``) keeps each
+    graph-independent kernel's finalized assembly under ``(kernel id,
+    strategy name)``: the first run computes and carries it, a later one
+    hands it to the task loop, which bills every task and computes none.
     """
+    carriable = program.graph_independent() if lineage is not None else ()
     for lane in lanes:
         lane.accelerator.reset()
     views: dict = {}
@@ -607,7 +634,9 @@ def run_kernels(
             if kernel.accumulate_into
             else None
         )
-        assembly = KernelAssembly.for_kernel(xv, yv, scheme)
+        lineage_key = (kernel.kernel_id, strategy.name)
+        carried = lineage.get(lineage_key) if kernel.kernel_id in carriable else None
+        assembly = carried or KernelAssembly.for_kernel(xv, yv, scheme)
         grid = scheme.task_batch()
 
         lane_stats = []
@@ -649,6 +678,8 @@ def run_kernels(
             ))
 
         out_mat, out_density = assembly.finalize()
+        if kernel.kernel_id in carriable and carried is None:
+            lineage[lineage_key] = assembly.carry(out_mat, out_density)
         store[kernel.out_name] = out_mat
         stored_sparse[kernel.out_name] = choose_storage_format(out_density)
         # drop this name's stale views and census (re-runs within one program)
@@ -668,6 +699,7 @@ def run_strategy(
     *,
     plan=None,
     tracer=NULL_TRACER,
+    lineage: Optional[dict] = None,
 ) -> InferenceResult:
     """Run one program under one strategy (a paper label or a
     :class:`MappingStrategy`): the one driver of :func:`run_kernels`.
@@ -687,6 +719,8 @@ def run_strategy(
     ``tracer`` arms span tracing (:mod:`repro.obs`, see
     :func:`_trace_layer`): a ``layer`` span per kernel on ``timeline``,
     whose durations sum to ``latency_s``, and each lane's spans beside it.
+    ``lineage`` is the program's lineage table, for :func:`run_kernels`
+    to fill and read (``None``: every kernel is computed).
     """
     if plan is None:
         lanes = [Lane(accelerator or Accelerator(program.config))]
@@ -713,7 +747,7 @@ def run_strategy(
     marks = [(0.0, 0)] * len(lanes)
     t_layer = 0.0  # the layer's start on the run clock
 
-    for kernel, lane_stats in run_kernels(program, strategy, lanes, store):
+    for kernel, lane_stats in run_kernels(program, strategy, lanes, store, lineage):
         if plan is not None and kernel.ktype is KernelType.AGGREGATE:
             halo_bytes, chunks = plan.halo_exchange(program, kernel)
         else:

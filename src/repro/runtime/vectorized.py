@@ -19,7 +19,8 @@ by :func:`repro.hw.core.batch_pair_cycles` and
    (:func:`_entry_route`, from the census, never a model, dataset or
    strategy name).  One count over every live pair with a CSR X block
    that is SPMM-coded or goes entry by entry (each Y block's rows counted
-   once, then :func:`repro.hw.spmm_unit.spmm_census` per X block row)
+   once per view, ``PartitionedMatrix.block_row_counts``, then
+   :func:`repro.hw.spmm_unit.spmm_census` per X block row)
    then bills SPMM, sizes each
    entry-route product (structural MACs, at most ``d`` a row) and picks
    the tasks that hold their products as CSR: every live pair entry by
@@ -47,7 +48,10 @@ by :func:`repro.hw.core.batch_pair_cycles` and
    kernels is missing (a missing merge kernel only stops the holding).
    The assembly counts each output partition once (the write-back
    profiler's count, the next kernel's census) and holds it by that
-   count: CSR below ``SPARSE_HOLDING``, dense otherwise.
+   count: CSR below ``SPARSE_HOLDING``, dense otherwise.  An assembly a
+   lineage table carries (``KernelAssembly.carry``) already holds the
+   product: the pass computes nothing and takes each executed task's
+   count from its ``nnz_grid``.
 3. **Write-back accounting** — task latencies from per-task stream sums
    (sequential float reductions via ``np.add.at`` / ``np.add.accumulate``
    so kernel totals match the oracle's accumulation order exactly),
@@ -85,7 +89,7 @@ from repro.hw.report import (
     GEMM_CODE,
     stage_cycles,
 )
-from repro.hw.spmm_unit import row_counts, scp_cycles, spmm_census, spmm_compute_cycles
+from repro.hw.spmm_unit import scp_cycles, spmm_census, spmm_compute_cycles
 from repro.ir.scheme import TaskBatch
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.stats import TaskLoopStats
@@ -392,10 +396,10 @@ def execute_kernel_tasks(
     if census.size:
         ci, cj, nc = rows[tix[census]], js[census], yv.num_col_blocks
         y_key = cj * nc + cols[tix[census]]
-        keys = sorted_unique(y_key)  # each Y block is counted once
-        counts = [row_counts(yv.block(*divmod(int(key), nc))) for key in keys]
+        keys = sorted_unique(y_key)  # each Y block is counted once per view
+        counts = [yv.block_row_counts(*divmod(int(key), nc)) for key in keys]
         y_at = np.cumsum([0] + [c.shape[1] for c in counts])[np.searchsorted(keys, y_key)]
-        y_counts = np.concatenate(counts, axis=1)
+        y_counts = np.concatenate(counts, axis=1, dtype=np.int64)
         # an X block row at a time: the temporaries stay one block row's
         for q in np.split(np.arange(census.size), np.flatnonzero(np.diff(ci)) + 1):
             p = census[q]
@@ -405,7 +409,7 @@ def execute_kernel_tasks(
             comp_p[p] = np.where(spmm_p[p], scp_cycles(loads, macs, cfg), comp_p[p])
             macs_p[p] = np.where(spmm_p[p], macs, macs_p[p])
             struct_p[p] = structural
-        del counts, y_counts  # no census array outlives phase 1
+        del y_counts  # the view keeps each block's counts; their concatenation dies here
     for p in np.flatnonzero(spmm_p) if not x_sparse else ():  # dense X: pair by pair
         i, j, k = int(rows[tix[p]]), int(js[p]), int(cols[tix[p]])
         comp_p[p], macs_p[p] = spmm_compute_cycles(xv.block(i, j), yv.block(j, k), cfg)
@@ -420,9 +424,13 @@ def execute_kernel_tasks(
     # ---- phase 2: functional pass (original task order) ----------------
     out_nnz_t = np.zeros(t_count, dtype=np.int64)
     exec_idx = np.flatnonzero(executed_t)
+    computed = exec_idx
+    if assembly.carried is not None:  # a lineage's product: counted, not recomputed
+        out_nnz_t[exec_idx] = assembly.nnz_grid[rows[exec_idx], cols[exec_idx]]
+        computed = exec_idx[:0]
     # per-task live-pair segment boundaries in one pass (lt is sorted)
-    seg_lo = np.searchsorted(lt, exec_idx, "left")
-    seg_hi = np.searchsorted(lt, exec_idx, "right")
+    seg_lo = np.searchsorted(lt, computed, "left")
+    seg_hi = np.searchsorted(lt, computed, "right")
     x_row_blocks, x_row_blocks_i = None, -1
     # dense operand blocks are views reused across the task grid, memoised
     # (a third of the per-pair Python overhead), y's with its flattening
@@ -436,8 +444,8 @@ def execute_kernel_tasks(
     s2d = np.empty(int(elems_y.max(initial=0)), DTYPE) if native and y_sparse else None
     #: csr_matmat's reusable output arrays, grown to the largest product
     work: dict = {}
-    for seg in range(exec_idx.shape[0]):
-        t = int(exec_idx[seg])
+    for seg in range(computed.shape[0]):
+        t = int(computed[seg])
         i, k, m, d = int(rows[t]), int(cols[t]), int(m_t[t]), int(d_t[t])
         #: the task's products, held to be merged (``None``: summed into ``z``)
         held = [] if hold_t[t] else None

@@ -12,6 +12,8 @@ partials into ``Z_ij``, then the write-back) and
 ``bench_executor_vectorised`` substitute the last for
 ``repro.runtime.executor.execute_kernel_tasks`` and assert identical
 outputs, cycle totals, primitive counts, wave counts and timeline events.
+:func:`scheme_tasks` and :func:`batch_of` are the task list of Algorithms
+2/3 built one object per task, the oracle of ``ExecutionScheme.task_batch``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ __all__ = [
     "OperandSpec",
     "PairDecision",
     "PairExecution",
+    "Task",
     "TaskResult",
+    "batch_of",
     "check_capacity",
     "coo_fits",
     "copy_report",
@@ -55,6 +59,7 @@ __all__ = [
     "execute_task",
     "merge_reports",
     "report_latency",
+    "scheme_tasks",
 ]
 
 
@@ -297,6 +302,42 @@ def execute_task(
         primitive_counts=counts,
         output_nnz=out_nnz,
         coo_writeback=bool(coo),
+    )
+
+
+@dataclass(frozen=True)
+class Task:
+    """One computation task (Algorithm 4): output partition ``Z[out_row,
+    out_col] = sum_t X[out_row, t] @ Y[t, out_col]`` over the inner block
+    coordinates of ``pairs``, ``(x block column, y block row)`` each."""
+
+    kernel_id: str
+    out_row: int
+    out_col: int
+    pairs: tuple[tuple[int, int], ...]
+
+    @property
+    def num_pairs(self) -> int:
+        return len(self.pairs)
+
+
+def scheme_tasks(scheme) -> list[Task]:
+    """Algorithms 2/3's task list, one object per task: what
+    ``ExecutionScheme.task_batch``'s closed form is held to."""
+    pairs = tuple((j, j) for j in range(scheme.inner_blocks))
+    return [Task(scheme.kernel_id, i, k, pairs)
+            for i in range(scheme.out_grid[0]) for k in range(scheme.out_grid[1])]
+
+
+def batch_of(tasks: Sequence[Task]) -> TaskBatch:
+    """The task loop's structure of arrays over any task list (uniform or
+    ragged pairs), built task by task."""
+    counts = [len(tk.pairs) for tk in tasks]
+    return TaskBatch(
+        rows=np.array([tk.out_row for tk in tasks], np.int64),
+        cols=np.array([tk.out_col for tk in tasks], np.int64),
+        js=np.array([p[0] for tk in tasks for p in tk.pairs], np.int64),
+        starts=np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
     )
 
 

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_tiny_config, random_sparse
 from repro import Engine, GraphDelta, MutableGraph, ProgramPatcher, load_dataset
 from repro.compiler import Compiler, choose_partition_sizes, parse_model
-from repro.compiler.partitioner import tasks_per_kernel
 from repro.compiler.sparsity import (
     choose_storage_format,
     profile_matrix,
@@ -18,6 +17,7 @@ from repro.formats.partition import PartitionedMatrix, SPARSE_STORAGE_THRESHOLD
 from repro.gnn import build_model, init_weights
 from repro.gnn.layers import GraphMeta
 from repro.ir.kernel import KernelType
+from repro.ir.scheme import build_scheme
 
 
 class TestParser:
@@ -76,7 +76,7 @@ class TestPartitioner:
         n1, n2 = choose_partition_sizes(kernels, cfg)
         target = cfg.eta * cfg.num_cores
         for k in kernels:
-            assert tasks_per_kernel(k, n1, n2) >= target
+            assert build_scheme(k, n1, n2).num_tasks >= target
 
     def test_caps_at_gso(self):
         cfg = make_tiny_config(max_partition_dim=32)

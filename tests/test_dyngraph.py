@@ -1,6 +1,8 @@
 """Tests for `repro.dyngraph`: mutation semantics, incremental
 re-profiling exactness, program patching, and serve integration."""
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from conftest import formula_adjacency
 from hypothesis import given, settings, strategies as st
 
 from repro import Compiler, build_model, init_weights, load_dataset
+from repro.compiler.compile import CompiledProgram
 from repro.compiler.sparsity import profile_matrix, update_profile
 from repro.runtime.executor import run_strategy
 from repro.config import u250_default
@@ -534,6 +537,135 @@ class TestServeChurn:
                 np.testing.assert_array_equal(
                     a.delta.insert_rows, b.delta.insert_rows
                 )
+
+
+class TestLineageTable:
+    """A patch lineage computes its graph-independent kernels once: the
+    serve path's runs fill and read ``CompiledProgram._lineage``, bill
+    every task anew and skip only the functional pass."""
+
+    REQUESTS, MUTATE_EVERY = 100, 8  # 12 mutations, as the churn ledger cell
+
+    def _serve(self, model, monkeypatch, *, feature_updates=0,
+               strategies=("Dynamic",), pinned=False):
+        """Serve one churn stream on a fresh engine whose first program
+        was inferred, as ``serve_churn`` does (pinning every host second
+        the sweep charges when ``pinned``): the report, the served
+        runs as ``(program, run)``, each program's snapshot, every task loop
+        call as ``(kernel id, computed)`` and the engine with its handle."""
+        import repro.runtime.executor as executor_mod
+        from test_serve_golden import numbered, pinned_host_clock
+
+        graph = MutableGraph(load_dataset("CO", scale=0.3, seed=2), graph_id="lin")
+        engine = Engine(CFG, pool_size=2)
+        handle = engine.compile(model, graph)
+        engine.infer(handle)  # the cell's warm-up: the stream replays this run
+        snapshots = {id(handle.program): graph.snapshot()}
+        served, loops = [], []
+        patch, execute = ProgramPatcher.patch, Engine.execute
+        task_loop = executor_mod.execute_kernel_tasks
+
+        def recording_patch(self, program, new_data, applied):
+            patched, report = patch(self, program, new_data, applied)
+            snapshots[id(patched)] = new_data
+            return patched, report
+
+        def recording_execute(self, program, *args, ready_s=None, **kw):
+            run = execute(self, program, *args, ready_s=ready_s, **kw)
+            if ready_s is not None:
+                served.append((program, run))
+            return run
+
+        def recording_loop(kernel, *args):
+            loops.append((kernel.kernel_id, args[8].carried is None))
+            return task_loop(kernel, *args)
+
+        monkeypatch.setattr(ProgramPatcher, "patch", recording_patch)
+        monkeypatch.setattr(Engine, "execute", recording_execute)
+        monkeypatch.setattr(executor_mod, "execute_kernel_tasks", recording_loop)
+        stream = numbered(churn_stream(
+            self.REQUESTS, graph=graph, models=(model,), strategies=strategies,
+            mutation_every=self.MUTATE_EVERY, feature_updates=feature_updates,
+            rate_rps=1e5, seed=3,
+        ))
+        with pinned_host_clock() if pinned else contextlib.nullcontext():
+            report = engine.serve(stream)
+        return report, served, snapshots, loops, (engine, handle)
+
+    @pytest.mark.parametrize("model", ["GCN", "GraphSAGE"])
+    def test_served_churn_answers_what_a_fresh_compile_infers(self, model, monkeypatch):
+        report, served, snapshots, _, _ = self._serve(
+            model, monkeypatch, strategies=("Dynamic", "S1"))
+        assert report.num_patches == 12
+        expected, outputs = {}, set()
+        for program, run in served:
+            key = (id(program), run.strategy_name)
+            if key not in expected:
+                fresh = Engine(CFG)
+                expected[key] = fresh.infer(
+                    fresh.compile(model, snapshots[id(program)]),
+                    strategy=run.strategy_name,
+                ).output_dense()
+            np.testing.assert_array_equal(run.output_dense(), expected[key])
+            outputs.add(expected[key].tobytes())
+        assert len(expected) > 12  # both strategies on most patched programs
+        for response in report.responses:
+            assert response.output.tobytes() in outputs
+
+    @pytest.mark.parametrize("model", ["GCN", "GraphSAGE"])
+    def test_report_is_that_of_a_table_that_never_hits(self, model, monkeypatch):
+        from test_serve_golden import sweep_payload
+
+        payloads = []
+        for hits in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                if not hits:
+                    mp.setattr(CompiledProgram, "graph_independent", lambda self: set())
+                report, *_ = self._serve(model, mp, pinned=True,
+                                         strategies=("Dynamic", "S1"))
+            payloads.append(sweep_payload("churn/pinned", report))
+        assert payloads[0] == payloads[1]
+
+    def test_functional_pass_runs_once_per_lineage(self, monkeypatch):
+        _, served, _, loops, _ = self._serve("GCN", monkeypatch)
+        # the warmed program's replayed run, then 12 patched programs' first
+        assert len({id(program) for program, _ in served}) == 13
+        update = [computed for kid, computed in loops if kid == "L1.update"]
+        assert len(update) == 12 and sum(update) == 1
+        # every other kernel computes in all 12 post-patch executions
+        for kid in ("L1.agg", "L2.update", "L2.agg"):
+            assert [c for k, c in loops if k == kid] == [True] * 12
+
+    def test_a_table_that_never_hits_computes_every_patched_program(self, monkeypatch):
+        monkeypatch.setattr(CompiledProgram, "graph_independent", lambda self: set())
+        _, _, _, loops, _ = self._serve("GCN", monkeypatch)
+        assert [c for k, c in loops if k == "L1.update"] == [True] * 12
+
+    def test_a_feature_delta_and_engine_infer_compute_anew(self, monkeypatch):
+        _, _, _, loops, (engine, handle) = self._serve(
+            "GCN", monkeypatch, feature_updates=3)
+        assert [c for k, c in loops if k == "L1.update"] == [True] * 12
+        program = engine.compile("GCN", handle.graph_id).program
+        assert program._lineage  # the last patched program's own product
+        del loops[:]
+        engine.infer(engine.compile("GCN", handle.graph_id))
+        assert ("L1.update", True) in loops
+
+    def test_a_graph_that_cannot_mutate_fills_no_table(self):
+        engine = Engine(CFG)
+        engine.serve([InferenceRequest(model="GCN", dataset="CO", scale=0.3)])
+        (key,) = engine.cache.keys()
+        assert engine.cache.peek(key)._runs and not engine.cache.peek(key)._lineage
+
+    def test_a_carried_output_is_read_only(self, monkeypatch):
+        _, served, _, _, _ = self._serve("GCN", monkeypatch)
+        program = served[-1][0]
+        (assembly,) = program._lineage.values()
+        out, _ = assembly.finalize()
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            assembly.nnz_grid[0, 0] = 0
 
 
 class TestDensityRegressions:

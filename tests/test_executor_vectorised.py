@@ -41,7 +41,7 @@ from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strate
 from repro.shard import plan_shards
 
 from conftest import make_tiny_config
-from task_oracle import execute_kernel_tasks_reference
+from task_oracle import batch_of, execute_kernel_tasks_reference, scheme_tasks
 from unit_oracles import spmm_workloads_reference
 
 
@@ -601,7 +601,7 @@ def _loop_args(program, kernel, acc, tasks):
     """Plumbing for a direct execute_kernel_tasks call on one kernel;
     ``tasks`` is a TaskBatch or a Task list."""
     if not isinstance(tasks, TaskBatch):
-        tasks = TaskBatch.from_tasks(tasks)
+        tasks = batch_of(tasks)
     scheme = kernel.exec_scheme
     xv = program.view(kernel.x_name, *scheme.x_blocking)
     yv = program.view(kernel.y_name, *scheme.y_blocking)
@@ -670,7 +670,7 @@ class TestActiveCoreAccounting:
         kernel = _aggregate_kernel(program)
         scheme = kernel.exec_scheme
         acc = Accelerator(program.config)
-        all_tasks = scheme.tasks()
+        all_tasks = scheme_tasks(scheme)
         args = _loop_args(program, kernel, acc, all_tasks)
         stats = execute_kernel_tasks(*args)
         dispatched_rows = {
@@ -699,7 +699,7 @@ class TestTaskBatch:
         for kernel in co_programs["GCN"].graph.topo_order():
             scheme = kernel.exec_scheme
             got = scheme.task_batch()
-            want = TaskBatch.from_tasks(scheme.tasks())
+            want = batch_of(scheme_tasks(scheme))
             np.testing.assert_array_equal(got.rows, want.rows)
             np.testing.assert_array_equal(got.cols, want.cols)
             np.testing.assert_array_equal(got.js, want.js)
@@ -708,12 +708,12 @@ class TestTaskBatch:
 
     def test_subset_matches_filtered_from_tasks(self, co_programs):
         scheme = co_programs["GCN"].graph.topo_order()[0].exec_scheme
-        tasks = scheme.tasks()
+        tasks = scheme_tasks(scheme)
         batch = scheme.task_batch()
         rng = np.random.default_rng(0)
         mask = rng.random(len(tasks)) < 0.5
         sub = batch.subset(mask)
-        want = TaskBatch.from_tasks(
+        want = batch_of(
             [t for t, m in zip(tasks, mask) if m]
         )
         np.testing.assert_array_equal(sub.rows, want.rows)
@@ -784,7 +784,7 @@ class TestDegenerateInputs:
     def test_single_task(self, co_programs):
         program = co_programs["GCN"]
         kernel = _first_input_kernel(program)
-        tasks = kernel.exec_scheme.tasks()[:1]
+        tasks = scheme_tasks(kernel.exec_scheme)[:1]
         accs = [Accelerator(program.config) for _ in range(2)]
         sv = execute_kernel_tasks(
             *_loop_args(program, kernel, accs[0], tasks)
@@ -801,7 +801,7 @@ class TestDegenerateInputs:
         # dispatches, nothing is written
         program = zero_slab_program
         kernel = _aggregate_kernel(program)
-        all_tasks = kernel.exec_scheme.tasks()
+        all_tasks = scheme_tasks(kernel.exec_scheme)
         acc = Accelerator(program.config)
         probe = _loop_args(program, kernel, acc, all_tasks)
         execute_kernel_tasks(*probe)
@@ -822,7 +822,7 @@ class TestDegenerateInputs:
     def test_random_task_subsets_match(self, co_programs, seed):
         program = co_programs["GCN"]
         kernel = _first_input_kernel(program)
-        all_tasks = kernel.exec_scheme.tasks()
+        all_tasks = scheme_tasks(kernel.exec_scheme)
         rng = np.random.default_rng(seed)
         mask = rng.random(len(all_tasks)) < rng.uniform(0.1, 0.9)
         subset = [t for t, m in zip(all_tasks, mask) if m]

@@ -10,9 +10,6 @@ from repro.formats.partition import (
     PartitionedMatrix,
     block_nnz_grid,
     grid_dims,
-    partition_adjacency,
-    partition_features,
-    partition_weights,
 )
 
 
@@ -91,8 +88,8 @@ class TestPartitionedMatrix:
         mat[:2, :2] = 1.0
         pm = PartitionedMatrix(mat, 2, 2)
         assert pm.block_nnz(0, 0) == 4
-        assert pm.block_density(0, 0) == pytest.approx(1.0)
-        assert pm.block_density(1, 1) == 0.0
+        assert pm.density_grid[0, 0] == pytest.approx(1.0)
+        assert pm.density_grid[1, 1] == 0.0
 
     def test_density_grid_matches_scalar_queries(self):
         mat = random_sparse(19, 13, 0.2, seed=10)
@@ -100,7 +97,8 @@ class TestPartitionedMatrix:
         grid = pm.density_grid
         for i in range(pm.num_row_blocks):
             for j in range(pm.num_col_blocks):
-                assert grid[i, j] == pytest.approx(pm.block_density(i, j))
+                r, c = pm.block_shape(i, j)
+                assert grid[i, j] == pytest.approx(pm.block_nnz(i, j) / (r * c))
 
     def test_block_sizes(self):
         pm = PartitionedMatrix(np.zeros((10, 7), dtype=np.float32), 4, 3)
@@ -129,28 +127,28 @@ class TestPartitionedMatrix:
 class TestFig5Partitioners:
     def test_adjacency_blocks_square(self):
         a = random_sparse(30, 30, 0.1, seed=12)
-        pm = partition_adjacency(a, 8)
+        pm = PartitionedMatrix(a, 8, 8, name="A")
         assert (pm.block_rows, pm.block_cols) == (8, 8)
         assert pm.name == "A"
 
     def test_feature_fibers_and_subfibers(self):
         h = np.ones((30, 12), dtype=np.float32)
-        fibers = partition_features(h, 8, 4)
+        fibers = PartitionedMatrix(h, 8, 4)
         assert (fibers.block_rows, fibers.block_cols) == (8, 4)
-        subfibers = partition_features(h, 8, 4, as_subfibers=True)
+        subfibers = PartitionedMatrix(h, 4, 4)
         assert (subfibers.block_rows, subfibers.block_cols) == (4, 4)
 
     def test_weight_blocks(self):
         w = np.ones((12, 8), dtype=np.float32)
-        pm = partition_weights(w, 4)
+        pm = PartitionedMatrix(w, 4, 4)
         assert (pm.block_rows, pm.block_cols) == (4, 4)
         assert pm.num_blocks == 6
 
     def test_fiber_and_subfiber_views_share_bytes(self):
         """The same H can be viewed as fibers or subfibers without copy."""
         h = random_sparse(16, 8, 0.5, seed=13)
-        fibers = partition_features(h, 8, 4)
-        subs = partition_features(h, 8, 4, as_subfibers=True)
+        fibers = PartitionedMatrix(h, 8, 4)
+        subs = PartitionedMatrix(h, 4, 4)
         # subfiber (2,1) and (3,1) concatenated == fiber (1,1)
         top = subs.dense_block(2, 1)
         bot = subs.dense_block(3, 1)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.ir.graph import ComputationGraph, CycleError
 from repro.ir.kernel import Activation, AggOp, KernelIR, KernelType
-from repro.ir.scheme import build_scheme, count_tasks, generate_tasks
+from repro.ir.scheme import build_scheme
+from task_oracle import scheme_tasks
 
 
 def mk_kernel(kid="k0", ktype=KernelType.UPDATE, fin=8, fout=4, v=32, e=64,
@@ -19,7 +20,7 @@ class TestKernelIR:
     def test_table_ii_fields(self):
         k = mk_kernel(agg_op=AggOp.MEAN, activation=Activation.RELU,
                       activation_enabled=True)
-        assert k.is_update and not k.is_aggregate
+        assert k.ktype is KernelType.UPDATE
         assert k.agg_op is AggOp.MEAN
         assert k.workload == 32 * 4
         assert "ReLU" in k.describe()
@@ -93,7 +94,7 @@ class TestExecutionScheme:
         s = build_scheme(k, n1=8, n2=4)
         # T_a = (V/N1) * (f/N2) = 4 * 2 tasks, K = V/N1 = 4 pairs each
         assert s.num_tasks == 8
-        assert s.pairs_per_task == 4
+        assert s.inner_blocks == 4
         assert s.x_blocking == (8, 8)
         assert s.y_blocking == (8, 4)
         assert s.out_blocking == (8, 4)
@@ -103,7 +104,7 @@ class TestExecutionScheme:
         s = build_scheme(k, n1=8, n2=4)
         # T_u = (V/N2) * (f2/N2) = 8 * 1, K = f1/N2 = 2
         assert s.num_tasks == 8
-        assert s.pairs_per_task == 2
+        assert s.inner_blocks == 2
         assert s.x_blocking == (4, 4)
         assert s.y_blocking == (4, 4)
 
@@ -116,18 +117,18 @@ class TestExecutionScheme:
 
     def test_tasks_cover_output_grid_exactly_once(self):
         k = mk_kernel(ktype=KernelType.UPDATE, fin=12, fout=8, v=20)
-        tasks = generate_tasks(k, n1=8, n2=4)
+        tasks = scheme_tasks(build_scheme(k, n1=8, n2=4))
         coords = {(t.out_row, t.out_col) for t in tasks}
         assert len(coords) == len(tasks)
         assert coords == {(i, j) for i in range(5) for j in range(2)}
 
     def test_pairs_index_inner_dimension(self):
         k = mk_kernel(ktype=KernelType.UPDATE, fin=12, fout=4, v=8)
-        tasks = generate_tasks(k, n1=8, n2=4)
+        tasks = scheme_tasks(build_scheme(k, n1=8, n2=4))
         for t in tasks:
             assert [p[0] for p in t.pairs] == [0, 1, 2]
 
     def test_count_matches_materialisation(self):
         k = mk_kernel(ktype=KernelType.AGGREGATE, fin=16, fout=16, v=64,
                       x="A", y="H0")
-        assert count_tasks(k, 8, 8) == len(generate_tasks(k, 8, 8))
+        assert build_scheme(k, 8, 8).num_tasks == len(scheme_tasks(build_scheme(k, 8, 8)))

@@ -67,7 +67,7 @@ class TestExecutorAccounting:
         result = run_strategy(program, "Dynamic")
         for ks in result.kernel_stats:
             scheme = program.graph.kernel(ks.kernel_id).exec_scheme
-            assert ks.num_pairs == scheme.num_tasks * scheme.pairs_per_task
+            assert ks.num_pairs == scheme.num_tasks * scheme.inner_blocks
 
     def test_dynamic_charges_analysis_static_does_not(self, gcn_setup):
         _, _, _, program = gcn_setup
@@ -180,3 +180,45 @@ class TestReportFormatting:
         np.testing.assert_allclose(
             result.output_dense(), ref, rtol=1e-3, atol=1e-5
         )
+
+
+#: one GIN x PU cell in a fresh interpreter: its output saved to argv[1],
+#: its statistics without the host-measured compile seconds printed
+_BLAS_CELL = """
+import json, sys
+import numpy as np
+from repro import Engine
+engine = Engine()
+result = engine.infer(engine.compile("GIN", "PU", scale=0.3))
+np.save(sys.argv[1], result.output_dense())
+summary = result.to_dict()
+summary.pop("compile")
+print(json.dumps(summary))
+"""
+
+
+def test_blas_thread_count_moves_output_bits_only(tmp_path):
+    """Bit-exact claims hold at a fixed BLAS thread count: a threaded
+    dense product sums in another order, so the output may differ in the
+    last bits (GIN x PU does, at 1 and 2 OpenBLAS threads), within float32
+    summation error, while every modelled number stays identical."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs, stats = [], []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        path = tmp_path / f"out{threads}.npy"
+        done = subprocess.run([sys.executable, "-c", _BLAS_CELL, str(path)], env=env,
+                              capture_output=True, text=True, check=True)
+        stats.append(json.loads(done.stdout.splitlines()[-1]))
+        outs.append(np.load(path))
+    one, two = outs
+    eps = np.finfo(np.float32).eps
+    np.testing.assert_allclose(two, one, rtol=0, atol=16 * eps * np.abs(one).max())
+    assert stats[0] == stats[1]

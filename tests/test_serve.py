@@ -129,7 +129,7 @@ class TestProgramCache:
         assert charge1 > 0.0 and charge2 == 0.0
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 2 - 1)
-        assert stats.hit_rate == 0.5
+        assert stats.hits / (stats.hits + stats.misses) == 0.5
         assert stats.saved_s > 0.0
 
     def test_lru_eviction_order(self):

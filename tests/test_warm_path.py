@@ -865,3 +865,36 @@ def test_hetero_run_censuses_stored_operands_once(tiny_programs, monkeypatch):
     assert second == first
     # only the intermediates the run materialises itself are scanned again
     assert len(scans) - first_scans == first_scans - len(stored)
+
+
+class TestLanesShareRowCounts:
+    """Phase 1 counts each Y block's rows once per view: the lanes of a
+    sharded run and later runs over the same view share the count."""
+
+    def test_four_lanes_count_what_one_lane_counts(self, monkeypatch):
+        calls = []
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return row_counts(mat)
+
+        monkeypatch.setattr(partition_mod, "row_counts", counting)
+        data = load_dataset("PU", scale=0.2, seed=0)
+        runs = {}
+        for lanes in (1, 4):
+            program = Compiler().compile(
+                build_model("GIN", data.num_features, data.hidden_dim, data.num_classes),
+                data, seed=0)
+            plan = plan_shards(program, lanes) if lanes > 1 else None
+            devices = [Accelerator(program.config) for _ in range(lanes)]
+            del calls[:]
+            runs[lanes] = run_strategy(program, "Dynamic", devices if plan else devices[0],
+                                       plan=plan), len(calls)
+            run_strategy(program, "Dynamic", devices if plan else devices[0], plan=plan)
+            # the stored operands' counts stay with the program's views
+            assert len(calls) < 2 * runs[lanes][1]
+        (one, one_calls), (four, four_calls) = runs[1], runs[4]
+        assert one_calls == four_calls > 0
+        assert bits(one.output_dense()) == bits(four.output_dense())
+        assert [ks.macs for ks in one.kernel_stats] == [
+            sum(ks.macs for ks in layer.lanes) for layer in four.layers]
