@@ -6,9 +6,8 @@ so the whole Dynasparse workflow is four calls:
 
 1. `engine.compile(model, graph)` — cached per (model, graph, config)
    fingerprint;
-2. `engine.infer(handle, backend=...)` — the cycle-accurate simulator
-   (one device or sharded over the pool), the §IX heterogeneous platform,
-   or the CPU/GPU framework rooflines (`repro.BACKENDS` names them);
+2. `engine.infer(handle, backend=...)` — the cycle-accurate simulator,
+   on one device or sharded over the pool (`repro.BACKENDS` names them);
 3. `engine.mutate(handle, delta)` — dynamic-graph support: the compiled
    program is patched in place of a recompile;
 4. `engine.serve(requests)` — batched multi-device serving sharing the
@@ -36,7 +35,7 @@ def main() -> None:
           f"compile {handle.compile_s * 1e3:.2f} ms "
           f"(second call cache hit: {again.cache_hit})")
 
-    # 2. infer — every backend, same handle
+    # 2. infer — both simulator widths, same handle
     print("\nbackends:")
     for backend in BACKENDS:
         result = engine.infer(handle, backend=backend)

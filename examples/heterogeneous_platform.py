@@ -8,21 +8,23 @@ host — against FPGA-only execution, across the dataset sparsity spectrum.
 
 from repro import Engine
 from repro.harness import format_table, speedup_fmt
-from repro.hetero import HeterogeneousRuntime
+from repro.hetero import FPGA_DEVICE, HeterogeneousRuntime
 
 CONFIGS = [("CI", 0.5), ("PU", 0.5), ("FL", 0.1), ("RE", 0.02)]
 
 
 def main() -> None:
     engine = Engine()
-    # the "hetero" backend prices GEMM pairs on the GPU model and sparse
-    # pairs on the FPGA; the runtime also offers the FPGA-only baseline
+    # the default runtime prices GEMM pairs on the GPU model and sparse
+    # pairs on the FPGA; with the FPGA as its "GPU" every pair stays on
+    # the FPGA, the homogeneous baseline
     rt = HeterogeneousRuntime()
+    fpga_only = HeterogeneousRuntime(gpu=FPGA_DEVICE)
     rows = []
     for ds, scale in CONFIGS:
         handle = engine.compile("GCN", ds, scale=scale, seed=0)
-        het = engine.infer(handle, backend="hetero")
-        fpga = rt.run_fpga_only(handle.program)
+        het = rt.run(handle.program)
+        fpga = fpga_only.run(handle.program)
         rows.append([
             f"{ds} (x{scale})",
             f"{fpga.latency_ms:.4f}",

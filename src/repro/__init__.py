@@ -19,9 +19,11 @@ Quickstart::
     print(f"{result.latency_ms:.3f} ms", result.primitive_totals)
 
 The engine caches compiled programs, owns the simulated device pool, and
-runs a program on one of ``BACKENDS`` — ``engine.infer(handle,
-backend="hetero")`` prices the same program on the §IX CPU+GPU+FPGA
-platform, ``backend="cpu"``/``"gpu"`` on the Fig. 14 framework rooflines.
+simulates a program at one of ``BACKENDS`` (one device, or sharded over
+the pool).  The platform what-ifs are plain functions:
+``repro.hetero.HeterogeneousRuntime().run(program)`` prices a program on
+the §IX CPU+GPU+FPGA platform, ``repro.baselines.framework_latency(name,
+model, data)`` on a Fig. 14 framework roofline.
 Mutating workloads go through ``engine.mutate(handle, delta)`` and
 serving traffic through ``engine.serve(requests)``.  See MIGRATION.md
 for the mapping from the legacy ``Compiler``/``RuntimeSystem`` wiring.

@@ -4,7 +4,6 @@ The paper's core experiment, and the subsystems grown around it, without
 writing code:
 
     python -m repro run --model GCN --dataset CO --strategy Dynamic
-    python -m repro run --dataset RE --backend hetero --json
     python -m repro compare --model GCN --dataset CI
     python -m repro trace GCN PU --shards 4 --out trace.json
     python -m repro bench --names sharded_scaling
@@ -35,8 +34,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro import BACKENDS, Engine, estimate_resources, u250_default
-from repro.baselines.cpu_gpu import OutOfMemoryError
+from repro import Engine, estimate_resources, u250_default
 from repro.datasets import DATASET_NAMES, format_catalog
 from repro.gnn import MODEL_NAMES
 
@@ -67,9 +65,7 @@ def _compile(args, engine: Engine, **kwargs):
 
 def cmd_run(args) -> int:
     engine = Engine(u250_default())
-    return _emit(args, engine.infer(
-        _compile(args, engine), strategy=args.strategy, backend=args.backend
-    ))
+    return _emit(args, engine.infer(_compile(args, engine), strategy=args.strategy))
 
 
 def cmd_compare(args) -> int:
@@ -159,8 +155,6 @@ def main(argv=None) -> int:
     p_run = command("run", cmd_run, "run one model/dataset/strategy")
     common(p_run)
     strategy(p_run)
-    p_run.add_argument("--backend", choices=BACKENDS, default="simulated",
-                       help="how Engine.infer runs the program")
     as_json(p_run)
 
     common(command("compare", cmd_compare, "S1 vs S2 vs Dynamic"))
@@ -222,10 +216,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, OutOfMemoryError) as exc:
-        # the library's own message, whichever boundary raised it (an
-        # OutOfMemoryError is one of the paper's N/A cells, e.g. NELL on
-        # PyG-GPU): one clean line, not a traceback
+    except (ValueError, KeyError, FileNotFoundError) as exc:
+        # the library's own message, whichever boundary raised it: one
+        # clean line, not a traceback
         message = exc.args[0] if len(exc.args) == 1 else exc
         raise SystemExit(f"{args.command}: {message}")
 

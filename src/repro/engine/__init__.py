@@ -2,9 +2,8 @@
 
 One object — :class:`~repro.engine.core.Engine` — owns the program cache,
 the simulated-device pool, strategy selection and the graph registry, and
-runs a program on one of :data:`~repro.engine.core.BACKENDS`
-(``"simulated"`` / ``"sharded"`` cycle-accurate FPGA, ``"hetero"``
-CPU+GPU+FPGA what-if, ``"cpu"``/``"gpu"`` roofline baselines).  The
+simulates a program at one of :data:`~repro.engine.core.BACKENDS`
+(``"simulated"`` on one device, ``"sharded"`` over the pool).  The
 serving and dynamic-graph subsystems compose it instead of wiring
 caches, pools and patchers themselves.
 
@@ -16,7 +15,6 @@ Quickstart::
     handle = engine.compile("GCN", "CO")       # cached per fingerprint
     result = engine.infer(handle)              # InferenceResult
     print(f"{result.latency_ms:.3f} ms", result.primitive_totals)
-    print(engine.infer(handle, backend="hetero").latency_ms)
 """
 
 from repro.engine.cache import CacheStats, ProgramCache

@@ -16,10 +16,10 @@ those resources once:
   :class:`~repro.dyngraph.mutable.MutableGraph` instances and the
   :class:`~repro.dyngraph.patcher.ProgramPatcher` that keeps cached
   programs valid under mutation;
-- the **backends** (:data:`BACKENDS`) — the names :meth:`Engine.infer`
-  dispatches on: the simulated FPGA on one device or sharded over the
+- the **backends** (:data:`BACKENDS`) — the two widths
+  :meth:`Engine.infer` simulates at: one device or sharded over the
   pool (one driver and one result type; one device is the plan of width
-  1), the heterogeneous executor and the CPU/GPU rooflines.
+  1).
 
 Quickstart::
 
@@ -28,7 +28,6 @@ Quickstart::
     engine = Engine()
     handle = engine.compile("GCN", "CO")
     result = engine.infer(handle)              # cycle-accurate simulator
-    estimate = engine.infer(handle, backend="gpu")   # roofline what-if
 
 Serving is one call on the same engine: ``engine.serve(workload,
 max_batch_size=8)`` runs the serve loop (:mod:`repro.sched.scheduler`)
@@ -42,7 +41,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.baselines.cpu_gpu import FRAMEWORKS, RooflineResult
 from repro.compiler.compile import CompiledProgram, Compiler
 from repro.config import AcceleratorConfig, u250_default
 from repro.datasets.catalog import GraphData, load_dataset
@@ -54,11 +52,9 @@ from repro.engine.keys import dataset_fingerprint, program_key
 from repro.engine.pool import AcceleratorPool
 from repro.gnn.models import ModelSpec, build_model, init_weights
 from repro.gnn.pruning import prune_weights
-from repro.hetero.executor import HeterogeneousRuntime
 from repro.hw.accelerator import Accelerator
 from repro.obs.tracer import NULL_TRACER
 from repro.runtime.executor import run_strategy
-from repro.runtime.strategies import make_strategy
 from repro.shard.planner import plan_shards
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,12 +76,8 @@ __all__ = [
 MUTATION_POLICIES = ("patch", "evict")
 
 #: the ways :meth:`Engine.infer` runs a program: the simulator on device
-#: 0 or sharded over the pool, the §IX CPU+GPU+FPGA what-if, and the
-#: Fig. 14 framework rooflines
-BACKENDS = ("simulated", "sharded", "hetero", "cpu", "gpu")
-
-#: the framework each roofline backend prices
-_ROOFLINE_FRAMEWORKS = {"cpu": "DGL-CPU", "gpu": "PyG-GPU"}
+#: 0 or sharded over the pool
+BACKENDS = ("simulated", "sharded")
 
 
 @dataclass
@@ -355,23 +347,14 @@ class Engine:
         strategy: str = "Dynamic",
         backend: str | None = None,
     ):
-        """Execute a compiled program on one of :data:`BACKENDS`.
+        """Simulate a compiled program at one of :data:`BACKENDS`.
 
-        Returns the backend's native result: ``simulated`` (also
-        ``None``) and ``sharded`` an
-        :class:`~repro.runtime.executor.InferenceResult`, of a run on
-        device 0 (bit-identical to :func:`run_strategy`) or over the
-        handle's shard plan (else one shard per pool device; a pool of
-        one gives the same run), ``hetero`` a
-        :class:`~repro.hetero.executor.HeteroResult`, and ``cpu`` /
-        ``gpu`` a :class:`~repro.baselines.cpu_gpu.RooflineResult`
-        (DGL-CPU / PyG-GPU; their ``OutOfMemoryError`` propagates).  Every
-        result exposes ``latency_s`` and ``latency_ms``.  A simulated or
-        sharded run goes through :meth:`execute`: simulated anew on every
-        call, and left as the program's record for the serve path.  Only
-        the simulator's runs apply ``strategy`` (hetero always maps
-        dynamically, the frameworks never do), but every backend rejects
-        an unknown one.
+        Returns an :class:`~repro.runtime.executor.InferenceResult`:
+        ``simulated`` (also ``None``) runs on device 0 (bit-identical to
+        :func:`run_strategy`), ``sharded`` over the handle's shard plan
+        (else one shard per pool device; a pool of one gives the same
+        run).  Both go through :meth:`execute`: simulated anew on every
+        call, and left as the program's record for the serve path.
         """
         backend = backend or "simulated"
         if backend not in BACKENDS:
@@ -379,25 +362,11 @@ class Engine:
                 f"unknown execution backend {backend!r}; backends: "
                 f"{list(BACKENDS)}"
             )
-        make_strategy(strategy, self.config)  # raises, listing the names
         program = handle.program
         if backend == "simulated":
             return self.execute(program, strategy)
-        if backend == "sharded":
-            plan = handle.shard_plan or plan_shards(program, self.pool.num_devices)
-            return self.execute(program, strategy, plan=plan)
-        if backend == "hetero":
-            return HeterogeneousRuntime().run(program)
-        framework = _ROOFLINE_FRAMEWORKS[backend]
-        return RooflineResult(
-            backend=backend,
-            framework=framework,
-            model_name=handle.model_name,
-            data_name=handle.data_name,
-            latency_s=FRAMEWORKS[framework].latency_seconds(
-                handle.model, handle.data
-            ),
-        )
+        plan = handle.shard_plan or plan_shards(program, self.pool.num_devices)
+        return self.execute(program, strategy, plan=plan)
 
     def execute(
         self,

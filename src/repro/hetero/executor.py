@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,14 +66,11 @@ def materialize_intermediates(program: CompiledProgram) -> dict:
 class HeteroResult:
     """Outcome of a heterogeneous schedule."""
 
-    model_name: str
-    data_name: str
     total_seconds: float
     device_seconds: dict
     device_pairs: Counter
     transfer_seconds: float
     primitive_counts: Counter
-    backend: str = field(default="hetero", init=False)
 
     @property
     def latency_s(self) -> float:
@@ -83,37 +80,12 @@ class HeteroResult:
     def latency_ms(self) -> float:
         return self.total_seconds * 1e3
 
-    def format_report(self) -> str:
-        summary = self.to_dict()
-        per_dev = ", ".join(
-            f"{dev}: {s * 1e3:.4f} ms ({self.device_pairs.get(dev, 0)} pairs)"
-            for dev, s in self.device_seconds.items()
-        )
-        return (
-            f"{self.model_name} on {self.data_name} — backend {self.backend}\n"
-            f"  latency           : {self.latency_ms:.4f} ms "
-            f"(PCIe hops {self.transfer_seconds * 1e3:.4f} ms)\n"
-            f"  device seconds    : {per_dev}\n"
-            f"  primitives        : {summary['primitives']}"
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-serialisable summary (``repro run --backend hetero --json``)."""
-        prims = sorted(self.primitive_counts.items(), key=lambda kv: kv[0].value)
-        return {
-            "model": self.model_name,
-            "dataset": self.data_name,
-            "backend": self.backend,
-            "latency_ms": self.total_seconds * 1e3,
-            "device_seconds": dict(self.device_seconds),
-            "device_pairs": dict(self.device_pairs),
-            "transfer_seconds": self.transfer_seconds,
-            "primitives": {p.value: int(c) for p, c in prims},
-        }
-
 
 class HeterogeneousRuntime:
-    """Prices a compiled program on a CPU + GPU + FPGA platform."""
+    """Prices a compiled program on a CPU + GPU + FPGA platform.
+
+    ``HeterogeneousRuntime(gpu=FPGA_DEVICE)`` routes every pair to the
+    FPGA: the §IX baseline, what the homogeneous system does."""
 
     def __init__(
         self,
@@ -192,21 +164,9 @@ class HeterogeneousRuntime:
             total_s += kernel_s / max(cores, 1)
 
         return HeteroResult(
-            model_name=program.model.name,
-            data_name=program.data_name,
             total_seconds=total_s,
             device_seconds=device_seconds,
             device_pairs=device_pairs,
             transfer_seconds=transfer_s,
             primitive_counts=prims,
         )
-
-    def run_fpga_only(self, program: CompiledProgram) -> HeteroResult:
-        """Same schedule priced with every pair on the FPGA (the §IX
-        baseline: what the homogeneous system does)."""
-        saved = self.gpu
-        try:
-            self.gpu = self.fpga
-            return self.run(program)
-        finally:
-            self.gpu = saved

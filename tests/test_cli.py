@@ -29,30 +29,6 @@ class TestCLI:
         ]) == 0
         assert "latency" in capsys.readouterr().out
 
-    def test_run_with_hetero_backend(self, capsys):
-        assert main(["run", "--dataset", "CO", "--scale", "0.2",
-                     "--backend", "hetero"]) == 0
-        out = capsys.readouterr().out
-        assert "latency" in out and "device seconds" in out
-
-    def test_run_with_cpu_backend(self, capsys):
-        assert main(["run", "--dataset", "CO", "--scale", "0.2",
-                     "--backend", "cpu"]) == 0
-        assert "framework model" in capsys.readouterr().out
-
-    def test_run_backend_oom_is_a_clean_cli_error(self, monkeypatch):
-        # the paper's N/A cells (NELL on GPU) must not dump a traceback
-        from repro.baselines.cpu_gpu import OutOfMemoryError
-        from repro.engine import Engine
-
-        def boom(self, handle, **kwargs):
-            raise OutOfMemoryError("working set exceeds platform memory")
-
-        monkeypatch.setattr(Engine, "infer", boom)
-        with pytest.raises(SystemExit, match="working set"):
-            main(["run", "--dataset", "CO", "--scale", "0.1",
-                  "--backend", "gpu"])
-
     def test_compare_command(self, capsys):
         assert main(["compare", "--dataset", "CO", "--scale", "0.2"]) == 0
         out = capsys.readouterr().out
@@ -61,6 +37,12 @@ class TestCLI:
     def test_bad_model_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "--model", "GAT"])
+
+    def test_backend_flag_rejected(self):
+        # the platform what-ifs are library functions, not run backends
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--backend", "hetero"])
+        assert excinfo.value.code == 2
 
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
@@ -78,14 +60,6 @@ class TestJsonOutput:
         assert payload["model"] == "GCN" and payload["dataset"] == "CO"
         assert payload["latency_ms"] > 0
         assert all(k["waves"] >= 1 for k in payload["kernels"])
-
-    def test_run_json_roofline_backend(self, capsys):
-        import json
-
-        assert main(["run", "--dataset", "CO", "--scale", "0.2",
-                     "--backend", "cpu", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "cpu" and payload["latency_ms"] > 0
 
 
 class TestTraceCommand:
@@ -474,18 +448,6 @@ JSON_CELLS = {
     "run": (["run", "--dataset", "CO", "--scale", "0.2", "--json"],
             {**_INFERENCE, "backend": "str"},
             _merge({"kernels": [_MODELLED]}, _SHARD_KEYS)),
-    "run_cpu": (["run", "--dataset", "CO", "--scale", "0.2",
-                 "--backend", "cpu", "--json"],
-                {**_typed("str", "backend dataset framework model"),
-                 "latency_ms": "float"}, {}),
-    "run_hetero": (["run", "--dataset", "CO", "--scale", "0.2",
-                    "--backend", "hetero", "--json"],
-                   {**_typed("str", "backend dataset model"),
-                    "latency_ms": "float"},
-                   {"device_seconds": {"*": "float"},
-                    "device_pairs": {"*": "int"},
-                    "transfer_seconds": "float",
-                    "primitives": {"*": "int"}}),
     "serve_bench": (_serving_payload, _serving(_IN_FLIGHT), _PCIE,
                     {"sweeps": {"<sweep>": {"scheduler"}}}),
     "trace_analyze": (["trace-analyze", "{trace}", "--json", "--what-if",
@@ -545,19 +507,6 @@ class TestResultsReportThemselves:
             assert main([arg.format(trace=trace) for arg in argv]) == 0
             payload = json.loads(capsys.readouterr().out)
         assert _shape(payload) == _merge(_drop(recorded, *removed), added)
-
-    def test_hetero_json_carries_what_it_used_to_drop(self, capsys):
-        import json
-
-        assert main(["run", "--dataset", "CO", "--scale", "0.2",
-                     "--backend", "hetero", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["backend"] == "hetero"
-        assert set(payload["device_seconds"]) == {"GPU", "FPGA"}
-        executed = sum(count for prim, count in payload["primitives"].items()
-                       if prim != "SKIP")
-        assert sum(payload["device_pairs"].values()) == executed > 0
-        assert payload["transfer_seconds"] >= 0.0
 
     def test_every_result_type_reports_itself(self):
         import json

@@ -88,8 +88,8 @@ class TestBackendRegistry:
     def test_builtin_backends_all_run(self):
         engine = Engine(make_tiny_config())
         handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
-        assert set(BACKENDS) >= {"simulated", "cpu", "gpu", "hetero"}
-        for name in ("simulated", "cpu", "gpu", "hetero"):
+        assert BACKENDS == ("simulated", "sharded")
+        for name in BACKENDS:
             result = engine.infer(handle, backend=name)
             assert result.latency_s > 0
             assert result.latency_ms == pytest.approx(result.latency_s * 1e3)
@@ -100,8 +100,17 @@ class TestBackendRegistry:
         with pytest.raises(KeyError) as excinfo:
             engine.infer(handle, backend="warp-drive")
         message = str(excinfo.value)
-        for name in ("simulated", "cpu", "gpu", "hetero"):
+        for name in BACKENDS:
             assert name in message
+
+    @pytest.mark.parametrize("what_if", ["hetero", "cpu", "gpu"])
+    def test_platform_what_ifs_are_not_backends(self, what_if):
+        # HeterogeneousRuntime().run and framework_latency price them
+        engine = Engine(make_tiny_config())
+        handle = engine.compile("GCN", "CO", scale=SCALE, seed=3)
+        with pytest.raises(KeyError) as excinfo:
+            engine.infer(handle, backend=what_if)
+        assert excinfo.value.args[0].endswith("backends: ['simulated', 'sharded']")
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_every_backend_rejects_an_unknown_strategy(self, backend):

@@ -80,18 +80,17 @@ class TestHeterogeneousRuntime:
         assert rt.device_for(Primitive.SPMM).name == "FPGA"
 
     def test_dense_workload_benefits(self, dense_program):
-        rt = HeterogeneousRuntime()
-        het = rt.run(dense_program)
-        fpga_only = rt.run_fpga_only(dense_program)
+        het = HeterogeneousRuntime().run(dense_program)
+        fpga_only = HeterogeneousRuntime(gpu=FPGA_DEVICE).run(dense_program)
         assert het.device_pairs.get("GPU", 0) > 0
+        assert set(fpga_only.device_seconds) == {"FPGA"}
         assert het.total_seconds < fpga_only.total_seconds
 
     def test_sparse_workload_mostly_fpga(self, sparse_program):
-        rt = HeterogeneousRuntime()
-        het = rt.run(sparse_program)
+        het = HeterogeneousRuntime().run(sparse_program)
         assert het.device_pairs["FPGA"] > het.device_pairs.get("GPU", 0)
         # no dense work -> hetero cannot be much worse than FPGA-only
-        fpga_only = rt.run_fpga_only(sparse_program)
+        fpga_only = HeterogeneousRuntime(gpu=FPGA_DEVICE).run(sparse_program)
         assert het.total_seconds <= fpga_only.total_seconds * 1.1
 
     def test_result_accessors(self, dense_program):
@@ -99,6 +98,14 @@ class TestHeterogeneousRuntime:
         assert het.latency_ms == pytest.approx(het.total_seconds * 1e3)
         assert max(het.device_seconds, key=het.device_seconds.get) in ("GPU", "FPGA")
         assert sum(het.primitive_counts.values()) > 0
+
+    def test_result_carries_devices_pairs_and_transfers(self, sparse_program):
+        het = HeterogeneousRuntime().run(sparse_program)
+        assert set(het.device_seconds) == {"GPU", "FPGA"}
+        executed = sum(count for prim, count in het.primitive_counts.items()
+                       if prim is not Primitive.SKIP)
+        assert sum(het.device_pairs.values()) == executed > 0
+        assert het.transfer_seconds >= 0.0
 
     def test_fpga_parallel_cores_scaling(self, dense_program):
         r1 = HeterogeneousRuntime(fpga_parallel_cores=1).run(dense_program)

@@ -17,16 +17,20 @@ over every ``src/repro/**/*.py`` (parsed once per module):
 
 An exemption is an allowlist entry with its reason, here; there is no
 suppression comment.  Each check also has a fixture that must fire and
-one that must stay silent.  The last test keeps the ``python -m repro``
-commands of the CI workflows, the README and the verify skill in step
-with the CLI they call.
+one that must stay silent.  A layering test keeps the platform what-ifs
+(``repro.hetero``, ``repro.baselines``) out of ``import repro``.  The
+last test keeps the ``python -m repro`` commands of the CI workflows,
+the README and the verify skill in step with the CLI they call.
 """
 
 from __future__ import annotations
 
 import ast
 import builtins
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -378,6 +382,17 @@ class TestClockScoping:
         assert WALLCLOCK_ALLOWLIST[rel]
         assert list(clock_reads("src/repro/analysis/mod.py", shipped[rel])), (
             f"{rel} reads no host clock: drop its exemption")
+
+
+def test_import_repro_loads_no_platform_what_if():
+    # the CPU/GPU rooflines and the CPU+GPU+FPGA executor price a program;
+    # they are not a way to run one, so the engine may not import them
+    probe = ("import repro, sys; print(sorted(m for m in sys.modules "
+             "if m.startswith(('repro.hetero', 'repro.baselines'))))")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "[]", out
 
 
 def workflow_commands():
