@@ -7,7 +7,8 @@ kernel (:mod:`repro.runtime.vectorized`): one batched Analyzer decide
 over every (task, pair), batched operand byte/nnz arithmetic, grouped
 cycle reductions and one native product per operand pair.  The per-task
 loop survives in the test suite as ``execute_kernel_tasks_reference``
-(``tests/task_oracle.py``), the oracle this bench imports.  (The
+(``tests/task_oracle.py``), the oracle this bench imports in the task
+loop's signature (``execute_kernel_lanes_reference``, lane by lane).  (The
 CSR-native stripe split that rewrite also brought is no longer part of
 the ratio: ``PartitionedMatrix.block`` reads the same block-major layout
 as ``csr_blocks_for_row``, so the reference loop has it too.)
@@ -35,7 +36,7 @@ from repro.runtime.strategies import make_strategy
 _tests = str(Path(__file__).resolve().parent.parent / "tests")
 if _tests not in sys.path:
     sys.path.append(_tests)
-from task_oracle import execute_kernel_tasks_reference  # noqa: E402
+from task_oracle import execute_kernel_lanes_reference  # noqa: E402
 
 REPEATS = 3
 
@@ -54,7 +55,8 @@ TOLERANCES = {"speedup": 0.6, "speedup_min": 0.6}
 
 
 def _capture_kernel_calls(program):
-    """One normal run, recording every ``execute_kernel_tasks`` call.
+    """One normal run, recording every ``execute_kernel_tasks`` call (one
+    per kernel, with the block rows of each lane).
 
     The captured views/tasks/accumulate state are exactly what both loop
     variants consume, so replays differ only in the loop under test.
@@ -64,11 +66,12 @@ def _capture_kernel_calls(program):
     calls = []
     original = executor_mod.execute_kernel_tasks
 
-    def recorder(kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
-                 tasks, assembly, acc_view, act, **kw):
-        calls.append((kernel, xv, yv, x_ss, y_ss, tasks, acc_view, act))
-        return original(kernel, xv, yv, x_ss, y_ss, acc, strategy,
-                        timeline, tasks, assembly, acc_view, act, **kw)
+    def recorder(kernel, xv, yv, x_ss, y_ss, strategy, tasks, lanes,
+                 assembly, acc_view, act):
+        owned = [rows for _, _, rows in lanes]
+        calls.append((kernel, xv, yv, x_ss, y_ss, tasks, owned, acc_view, act))
+        return original(kernel, xv, yv, x_ss, y_ss, strategy, tasks, lanes,
+                        assembly, acc_view, act)
 
     executor_mod.execute_kernel_tasks = recorder
     try:
@@ -80,29 +83,33 @@ def _capture_kernel_calls(program):
 
 
 def _replay(calls, config, loop_fn):
-    """Run every captured kernel through ``loop_fn`` on a fresh device.
+    """Run every captured kernel through ``loop_fn`` on fresh devices, one
+    per lane.
 
-    Returns (seconds, per-kernel stats, timeline events, outputs) — the
+    Returns (seconds, per-lane stats, timeline events, outputs) — the
     full observable state the bit-exactness assertion compares.
     """
-    acc = Accelerator(config)
-    strategy = make_strategy("Dynamic", acc.config)
-    timeline = CoreTimeline(acc.num_cores)
+    strategy = make_strategy("Dynamic", config)
+    devices: list = []
     stats_list, outputs = [], []
     t0 = time.perf_counter()
-    for kernel, xv, yv, x_ss, y_ss, tasks, acc_view, act in calls:
+    for kernel, xv, yv, x_ss, y_ss, tasks, owned, acc_view, act in calls:
+        while len(devices) < len(owned):
+            acc = Accelerator(config)
+            devices.append((acc, CoreTimeline(acc.num_cores)))
+        lanes = [(acc, timeline, rows) for (acc, timeline), rows in zip(devices, owned)]
         assembly = KernelAssembly.for_kernel(xv, yv, kernel.exec_scheme)
-        stats = loop_fn(
-            kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
-            tasks, assembly, acc_view, act,
+        stats_list += loop_fn(
+            kernel, xv, yv, x_ss, y_ss, strategy, tasks, lanes,
+            assembly, acc_view, act,
         )
-        timeline.barrier()
-        stats_list.append(stats)
+        for _, timeline in devices:
+            timeline.barrier()
         outputs.append(assembly.finalize()[0])
     elapsed = time.perf_counter() - t0
     events = [
         (e.core, e.start, e.end, e.kernel_id, e.task_index)
-        for e in timeline.events
+        for _, timeline in devices for e in timeline.events
     ]
     return elapsed, stats_list, events, outputs
 
@@ -111,7 +118,7 @@ def _assert_bit_exact(ref, vec, label):
     _, ref_stats, ref_events, ref_outs = ref
     _, vec_stats, vec_events, vec_outs = vec
     assert ref_events == vec_events, f"{label}: timeline events differ"
-    for sr, sv in zip(ref_stats, vec_stats):
+    for sr, sv in zip(ref_stats, vec_stats, strict=True):
         assert sr.report == sv.report, f"{label}: CycleReport differs"
         assert sr.counts == sv.counts, f"{label}: primitive counts differ"
         assert sr.waves == sv.waves, f"{label}: wave counts differ"
@@ -131,7 +138,7 @@ def _time_cell(ds, model):
     for _ in range(REPEATS):
         vec = _replay(calls, program.config, execute_kernel_tasks)
         vec_s = min(vec_s, vec[0])
-        ref = _replay(calls, program.config, execute_kernel_tasks_reference)
+        ref = _replay(calls, program.config, execute_kernel_lanes_reference)
         ref_s = min(ref_s, ref[0])
     _assert_bit_exact(ref, vec, f"{ds}/{model}")
     return ref_s, vec_s

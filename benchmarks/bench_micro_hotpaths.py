@@ -54,6 +54,14 @@ these inner loops, each rewritten as single numpy / native passes:
    dispatch) apart from the report it ends in.  No "before" arm: the
    committed baseline is the layer's number, and two replays must report
    alike.
+8. The shard lanes, ``runtime.vectorized.execute_kernel_tasks``: a
+   four-lane inference's host time over the one-lane inference's of the
+   same program (``shard_sweep``'s GCN x PU@0.5).  The task loop runs
+   once per kernel at every width and a lane splits only the DDR share
+   and the dispatch, so the ratio stays near 1; a loop called once per
+   kernel and lane (the Analyzer pass, the pair bills and the
+   write-back four times) reads about 1.7x.  The "before" arm is the
+   one-lane run, and the two outputs must be bit-identical.
 
 Each bench times before/after on the same inputs, in alternating calls,
 asserts the results are bit-identical, and reports the speedup, the
@@ -143,6 +151,9 @@ SPLIT_CELLS = (
 CENSUS_CELL = ("PU", 0.5)
 #: share of the stored edges one mutation of ``serve_churn`` touches
 FIND_EDGE_FRACTION = 0.005
+#: hot path 8's program (``shard_sweep``'s GCN cell), its widest plan and
+#: the paired rounds
+SHARD_CELL, SHARD_LANES, SHARD_ROUNDS = ("GCN", "PU", 0.5), 4, 15
 
 
 def _grid_inputs():
@@ -827,4 +838,39 @@ def _serve_sweep_spec():
     return {
         "loop_us_per_request": Metric("loop_us_per_request", loop_us, "us"),
         "report_us_per_request": Metric("report_us_per_request", report_us, "us"),
+    }
+
+
+@register_bench(
+    "micro_shard_lanes",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath", "shard"),
+)
+def _shard_lanes_spec():
+    """Hot path 8: a four-lane inference's host time over one lane's."""
+    model, dataset, scale = SHARD_CELL
+    engine = Engine(pool_size=SHARD_LANES)
+    one = engine.compile(model, dataset, scale=scale, seed=0)
+    four = engine.compile(model, dataset, scale=scale, seed=0, shards=SHARD_LANES)
+    (single, sharded), (one_s, four_s), ratio = paired_speedups(
+        lambda: engine.infer(one), lambda: engine.infer(four, backend="sharded"),
+        repeats=SHARD_ROUNDS)
+    assert sharded.num_shards == SHARD_LANES
+    assert np.array_equal(sharded.output_dense(), single.output_dense())
+    overhead = ratio[1, 0]
+    emit("micro_shard_lanes", format_table(
+        ["run", "best (ms)", "host time over one lane"],
+        [
+            ["one lane", f"{one_s * 1e3:.3f}", "1.00x"],
+            [f"{SHARD_LANES} lanes", f"{four_s * 1e3:.3f}", f"{overhead:.2f}x"],
+        ],
+        title=(
+            f"M1h: {model} x {dataset}@{scale:g} on one device and over "
+            f"{SHARD_LANES}, median of {SHARD_ROUNDS} paired rounds"
+        ),
+    ))
+    assert overhead <= 1.15, f"{SHARD_LANES} lanes cost {overhead:.2f}x one lane's host time"
+    return {
+        "overhead": Metric("overhead", overhead, "x", "lower"),
+        "sharded_ms": Metric("sharded_ms", four_s * 1e3, "ms"),
     }

@@ -423,10 +423,14 @@ class PartitionedMatrix:
         one row when the block stores no zero, so its two rows agree."""
         counts = self._row_counts.get((i, j))
         if counts is None:
-            full = row_counts(self.block(i, j))
-            rows = 1 if np.array_equal(full[0], full[1]) else 2
-            counts = self._row_counts[i, j] = full[:rows].astype(np.int32)
-        return np.broadcast_to(counts, (2, counts.shape[1]))
+            blk = self.block(i, j)
+            if sp.issparse(blk) and blk.data[: blk.indptr[-1]].all():  # no stored zero
+                counts = np.diff(blk.indptr).astype(np.int32, copy=False)
+            else:
+                full = row_counts(blk)
+                counts = full[: 1 if np.array_equal(full[0], full[1]) else 2].astype(np.int32)
+            counts = self._row_counts[i, j] = np.broadcast_to(counts, (2, counts.shape[-1]))
+        return counts
 
     def dense_block(self, i: int, j: int) -> np.ndarray:
         return as_dense(self.block(i, j))

@@ -147,7 +147,7 @@ def batch_pair_cycles(
     return compute, transform, macs
 
 
-def writeback_stream(core: "ComputationCore", sizes, out_nnz, memory, transform):
+def writeback_stream(core: "ComputationCore", sizes, out_nnz, memory, transform, bpc):
     """How output partitions of ``sizes`` elements holding ``out_nnz``
     nonzeros (the Sparsity Profiler's count) leave ``core``, from tasks
     whose streams so far took ``memory`` DDR and ``transform`` AHM cycles:
@@ -155,11 +155,10 @@ def writeback_stream(core: "ComputationCore", sizes, out_nnz, memory, transform)
 
     A partition leaves as COO, 12 B a nonzero after a D2S pass, when that
     makes its task's :func:`repro.hw.report.stage_cycles` shorter than the
-    dense 4 B an element over the core's DDR share ``b`` (bytes a cycle
-    under the kernel's concurrency), compared with the streams both sides
+    dense 4 B an element over the task's DDR share ``bpc`` (bytes a cycle
+    under its device's concurrency), compared with the streams both sides
     share cancelled so no rounding of them decides a tie; ties go dense.
     """
-    bpc = core.memory.per_core_bytes_per_cycle(core.active_cores)
     d2s = core.d2s.cycles_for(sizes)
     coo = 4 * sizes - 12 * out_nnz > d2s * bpc  # serialised: the saved bytes outlast D2S
     if core.config.buffers.double_buffering:
@@ -176,6 +175,7 @@ def batch_task_writeback(
     merged: np.ndarray,
     memory: np.ndarray,
     transform: np.ndarray,
+    bpc: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """What each task's write-back bills on a core: the layout merger
     where transposed partials landed, the Sparsity Profiler, and the
@@ -184,9 +184,10 @@ def batch_task_writeback(
     ``sizes`` are output-partition element counts, ``out_nnz`` the exact
     nonzero counts, ``merged`` flags tasks whose partials needed the
     layout merger, ``memory`` / ``transform`` the tasks' summed pair
-    streams.  Returns per-task ``(profile, transform, write_bytes, coo)``:
-    the write-back's own int64 cycles and bytes and the COO mask.
+    streams, ``bpc`` their DDR shares.  Returns per-task ``(profile,
+    transform, write_bytes, coo)``: the write-back's own int64 cycles and
+    bytes and the COO mask.
     """
     merge = np.where(merged, core.merger.cycles_for(sizes), 0)
-    coo, d2s, write_bytes = writeback_stream(core, sizes, out_nnz, memory, transform + merge)
+    coo, d2s, write_bytes = writeback_stream(core, sizes, out_nnz, memory, transform + merge, bpc)
     return core.profiler.cycles_for(sizes), d2s + merge, write_bytes, coo

@@ -37,10 +37,10 @@ class TaskBatch:
     ``rows``/``cols`` hold each task's output partition coordinate;
     ``js`` is the flattened inner-block index of every (task, pair) and
     ``starts`` the CSR-style segment boundaries (``js[starts[t]:
-    starts[t+1]]`` are task ``t``'s pairs).  Built once per scheme (or per
-    shard slice) and reused across runs — rebuilding these arrays per
-    kernel execution is exactly the per-task Python overhead the
-    vectorised executor removes.
+    starts[t+1]]`` are task ``t``'s pairs).  Built once per scheme and
+    reused across runs and lanes — rebuilding these arrays per kernel
+    execution is exactly the per-task Python overhead the vectorised
+    executor removes.
     """
 
     rows: np.ndarray
@@ -59,28 +59,6 @@ class TaskBatch:
     @property
     def counts(self) -> np.ndarray:
         return np.diff(self.starts)
-
-    def subset(self, mask: np.ndarray) -> "TaskBatch":
-        """The batch restricted to tasks where ``mask`` is True (order
-        preserved)."""
-        mask = np.asarray(mask, dtype=bool)
-        counts = self.counts[mask]
-        starts = np.zeros(mask.sum() + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        pair_mask = np.repeat(mask, self.counts)
-        return TaskBatch(
-            rows=self.rows[mask],
-            cols=self.cols[mask],
-            js=self.js[pair_mask],
-            starts=starts,
-        )
-
-    def block_rows(self, lo: int, hi: int) -> "TaskBatch":
-        """The tasks whose output block row lies in ``[lo, hi)`` — how
-        the kernel driver slices one kernel's grid into lanes.  A range
-        covering the whole grid returns the batch itself."""
-        mask = (self.rows >= lo) & (self.rows < hi)
-        return self if mask.all() else self.subset(mask)
 
 
 def owned_block_rows(v0: int, v1: int, block_rows: int) -> tuple[int, int]:

@@ -586,10 +586,10 @@ def run_kernels(
 ) -> Iterator[tuple[KernelIR, list[KernelStats]]]:
     """The kernel driver: walk ``program`` in dependency order over ``lanes``.
 
-    Per kernel: resolve the operand/accumulate views, run each lane's
-    block rows of the task grid through the task loop on the lane's
-    device, assemble the output into ``store`` under the kernel's output
-    name with an on-the-fly storage-format decision, and yield the
+    Per kernel: resolve the operand/accumulate views, run the task grid
+    through the task loop once, each lane's block rows dispatched on the
+    lane's device, assemble the output into ``store`` under the kernel's
+    output name with an on-the-fly storage-format decision, and yield the
     kernel with one :class:`KernelStats` per lane.  Every lane writes
     disjoint blocks of one shared assembly, so the output does not
     depend on how the grid is split.  The caller owns what the numbers
@@ -637,22 +637,19 @@ def run_kernels(
         lineage_key = (kernel.kernel_id, strategy.name)
         carried = lineage.get(lineage_key) if kernel.kernel_id in carriable else None
         assembly = carried or KernelAssembly.for_kernel(xv, yv, scheme)
-        grid = scheme.task_batch()
+        busy_before = [lane.timeline.busy.copy() for lane in lanes]
+        lane_loops = execute_kernel_tasks(
+            kernel, xv, yv,
+            stored_sparse[kernel.x_name], stored_sparse[kernel.y_name],
+            strategy, scheme.task_batch(),
+            [(lane.accelerator, lane.timeline,
+              owned_block_rows(*lane.rows, scheme.out_blocking[0])) for lane in lanes],
+            assembly, acc_view, act,
+        )
 
         lane_stats = []
-        for lane in lanes:
-            acc, timeline = lane.accelerator, lane.timeline
-            tasks = grid.block_rows(
-                *owned_block_rows(*lane.rows, scheme.out_blocking[0])
-            )
-            busy_before = timeline.busy.copy()
-            stats = execute_kernel_tasks(
-                kernel, xv, yv,
-                stored_sparse[kernel.x_name], stored_sparse[kernel.y_name],
-                acc, strategy, timeline, tasks, assembly, acc_view, act,
-            )
-            cycles = timeline.barrier()
-            soft = acc.soft_processor
+        for lane, stats, busy0 in zip(lanes, lane_loops, busy_before):
+            cycles, soft = lane.timeline.barrier(), lane.accelerator.soft_processor
             analysis_s = (
                 soft.k2p_decision_seconds(stats.num_pairs)
                 if strategy.charges_analysis
@@ -661,18 +658,18 @@ def run_kernels(
             report = stats.report
             lane_stats.append(KernelStats(
                 kernel_id=kernel.kernel_id, ktype=kernel.ktype,
-                num_tasks=tasks.num_tasks, num_pairs=stats.num_pairs, cycles=cycles,
+                num_tasks=stats.num_tasks, num_pairs=stats.num_pairs, cycles=cycles,
                 primitive_counts=stats.counts, macs=report.macs,
                 bytes_read=report.bytes_read, bytes_written=report.bytes_written,
                 compute_cycles=report.compute, memory_cycles=report.memory,
                 transform_cycles=report.transform, profile_cycles=report.profile,
                 out_density=0.0,  # known once every lane has written
-                analysis_seconds=analysis_s, core_busy=timeline.busy - busy_before,
+                analysis_seconds=analysis_s, core_busy=lane.timeline.busy - busy0,
                 num_waves=stats.waves, tasks_executed=stats.tasks_executed,
                 coo_writebacks=stats.coo_writebacks,
                 exposed_cycles=float(exposed_stream(
                     soft.seconds_to_accel_cycles(analysis_s),
-                    tasks.num_tasks, cycles,
+                    stats.num_tasks, cycles,
                 )),
                 modelled_cycles=stats.modelled or {},
             ))

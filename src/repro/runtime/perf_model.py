@@ -57,7 +57,8 @@ class PairBatch:
     y_nnz: np.ndarray
     x_stored_sparse: bool
     y_stored_sparse: bool
-    #: task of each pair, and how many tasks the kernel dispatches at most
+    #: task of each pair (below ``num_tasks`` unless ``seeded``), and how
+    #: many tasks the kernel dispatches at most
     task: np.ndarray
     num_tasks: int
     #: every task is dispatched, live pair or not (``accumulate_into``)
@@ -65,13 +66,20 @@ class PairBatch:
     #: ``psys`` -> each pair's X-block SCP skew, asked only by a strategy
     #: that weighs SPMM; ``None``: balanced rows
     x_skew: Optional[Callable[[int], np.ndarray]] = None
+    #: the devices (lanes) the pairs run on: each one's first task and first
+    #: pair, each list closed by the end (``None``: one lane holding all)
+    lanes: Optional[tuple[list, list]] = None
 
     def __len__(self) -> int:
         return len(self.m)
 
+    def lane_bounds(self) -> tuple[list, list]:
+        """Each lane's first task and first pair, each list closed by the end."""
+        return self.lanes or ([0, self.num_tasks], [0, len(self)])
+
     @classmethod
     def of_tasks(cls, xv, yv, tasks, x_stored_sparse: bool, y_stored_sparse: bool,
-                 seeded: bool = False) -> "PairBatch":
+                 seeded: bool = False, lanes: Optional[tuple[list, list]] = None) -> "PairBatch":
         """Every (task, pair) of ``tasks`` (a ``TaskBatch``) over two views, in task order."""
         task = np.repeat(np.arange(tasks.num_tasks, dtype=np.int64), tasks.counts)
         i, j, k = tasks.rows[task], tasks.js, tasks.cols[task]
@@ -81,7 +89,7 @@ class PairBatch:
             x_nnz=xv.nnz_grid[i, j], y_nnz=yv.nnz_grid[j, k],
             x_stored_sparse=x_stored_sparse, y_stored_sparse=y_stored_sparse,
             task=task, num_tasks=tasks.num_tasks, seeded=seeded,
-            x_skew=lambda psys: xv.scp_skew_grid(psys)[i, j],
+            x_skew=lambda psys: xv.scp_skew_grid(psys)[i, j], lanes=lanes,
         )
 
 
@@ -130,24 +138,25 @@ def candidate_cycles(
       write-back over the core's DDR share, the same for every candidate.
 
     Write-back and merger are apportioned over the task's ``live`` pairs
-    (exact for one-pair tasks); the DDR share is that of the tasks holding
-    a live pair.
+    (exact for one-pair tasks); a pair's DDR share is that of the tasks of
+    its lane (:attr:`PairBatch.lanes`) holding a live pair.
     """
     m, n, d = batch.m, batch.n, batch.d
     elems_x, elems_y, out = m * n, n * d, m * d
     # sized by the ids present: a caller that prices each pair as a task of
     # its own (the patcher) numbers them past ``num_tasks``
     live_pairs = np.bincount(batch.task[live], minlength=batch.task.max(initial=-1) + 1)
-    dispatched = batch.num_tasks if batch.seeded else np.count_nonzero(live_pairs)
     share = np.maximum(live_pairs, 1)[batch.task]
-    bytes_per_cycle = config.memory.bytes_per_cycle(config.freq_hz) / max(
-        min(config.num_cores, dispatched), 1
-    )
     load = (
         stored_bytes(batch.x_nnz, elems_x, batch.x_stored_sparse)
         + stored_bytes(batch.y_nnz, elems_y, batch.y_stored_sparse)
         + 4 * out / share
-    ) / bytes_per_cycle
+    )
+    tasks_at, pairs_at = batch.lane_bounds()
+    ddr = config.memory.bytes_per_cycle(config.freq_hz)
+    for t0, t1, p0, p1 in zip(tasks_at, tasks_at[1:], pairs_at, pairs_at[1:]):
+        dispatched = t1 - t0 if batch.seeded else np.count_nonzero(live_pairs[t0:t1])
+        load[p0:p1] /= ddr / max(min(config.num_cores, dispatched), 1)
     transform = candidate_transform_cycles(
         config.psys, elems_x, elems_y, batch.x_stored_sparse, batch.y_stored_sparse
     ).astype(np.float64)

@@ -30,7 +30,7 @@ def mean_over_max(busy: np.ndarray) -> float:
 
 @dataclass
 class TaskLoopStats:
-    """Accounting one ``execute_kernel_tasks`` call accumulates.
+    """Accounting of one lane of an ``execute_kernel_tasks`` call.
 
     Lives here (not in :mod:`repro.runtime.executor`) so the task loop
     and its reference oracle can share it without an import cycle.
@@ -38,6 +38,7 @@ class TaskLoopStats:
 
     report: CycleReport = field(default_factory=CycleReport)
     counts: Counter = field(default_factory=Counter)
+    num_tasks: int = 0
     num_pairs: int = 0
     #: tasks actually dispatched to a core (all-zero partitions skip)
     tasks_executed: int = 0

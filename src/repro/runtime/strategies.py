@@ -53,8 +53,8 @@ class MappingStrategy(ABC):
         """Map all ``K`` pairs of ``batch`` (every pair of a kernel) at
         once: int8 primitive codes (:data:`repro.hw.report.CODE_ORDER`),
         the per-pair SpDMM ``transposed`` flags and, from a strategy that
-        weighs the candidates, what it weighed
-        (:attr:`~repro.runtime.stats.KernelStats.modelled_cycles`)."""
+        weighs the candidates, what it weighed, one record per lane of the
+        batch (:attr:`~repro.runtime.stats.KernelStats.modelled_cycles`)."""
 
 
 class DynamicMapping(MappingStrategy):
@@ -76,12 +76,13 @@ class DynamicMapping(MappingStrategy):
         cost = candidate_cycles(batch, self.config, live)
         pick = cost.argmin(axis=0)  # the first candidate at the minimum
         codes = np.where(live, _CANDIDATE_CODES[pick], np.int8(SKIP_CODE))
-        weighed = cost[:, live]
-        modelled = {
-            label: None if total == np.inf else total
-            for (label, _, _), total in zip(CANDIDATES, weighed.sum(axis=1).tolist())
-        }
-        modelled["chosen"] = float(weighed.min(axis=0).sum())
+        _, pairs_at = batch.lane_bounds()
+        modelled = []  # per lane, summed over its live pairs
+        for a, b in zip(pairs_at, pairs_at[1:]):
+            weighed = cost[:, a:b][:, live[a:b]]
+            modelled.append({label: None if total == np.inf else total for (label, _, _), total
+                             in zip(CANDIDATES, weighed.sum(axis=1).tolist())})
+            modelled[-1]["chosen"] = float(weighed.min(axis=0).sum())
         return codes, _CANDIDATE_TRANSPOSED[pick] & live, modelled
 
 

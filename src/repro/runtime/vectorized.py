@@ -6,9 +6,10 @@ execution path.  The loop it replaced walked one Python iteration per
 task and one operand pair per inner block — the dominant simulator cost
 on large graphs — and survives in the test suite as the bit-exactness
 oracle (``tests/task_oracle.py``).  :func:`execute_kernel_tasks` runs
-the same semantics as four batched passes over the whole kernel, billed
-by :func:`repro.hw.core.batch_pair_cycles` and
-:func:`repro.hw.core.batch_task_writeback`:
+the same semantics as four batched passes over the whole kernel and all
+its lanes (devices), billed by :func:`repro.hw.core.batch_pair_cycles`
+and :func:`repro.hw.core.batch_task_writeback`; a lane keeps only its
+DDR share, its dispatch and its totals:
 
 1. **Decide + account** — one ``strategy.decide_batch`` call over every
    (task, pair) of the kernel (one ``PairBatch``), followed by batched
@@ -58,17 +59,16 @@ by :func:`repro.hw.core.batch_pair_cycles` and
    batched profiler/merger cycles, and each output partition's
    dense-or-COO stream from its profiled count and its task's read
    streams (the core's rule, :func:`repro.hw.core.writeback_stream`).
-4. **Dispatch** — the only remaining sequential part: Algorithm 8's
+4. **Dispatch**, lane by lane — the only sequential part: Algorithm 8's
    earliest-available core choice (FIFO in task order) and the per-core
    mode-switch state machine.
 
-Bit-exactness against the oracle — outputs, CycleReport totals,
-primitive counts, wave counts and the timeline event set — is asserted
-by ``tests/test_executor_vectorised.py`` and the
+Bit-exactness of each lane against the oracle on that lane's tasks —
+outputs, CycleReport totals, primitive counts, waves and the timeline
+events — is asserted by ``tests/test_executor_vectorised.py`` and the
 ``bench_executor_vectorised`` BenchSpec.  A pair whose dense operand
 would overflow its buffer (BufferO or BufferP) raises
-:class:`~repro.hw.buffers.BufferOverflowError` *before any state
-mutation*.
+:class:`~repro.hw.buffers.BufferOverflowError` before any state mutation.
 """
 
 from __future__ import annotations
@@ -264,43 +264,42 @@ def execute_kernel_tasks(
     yv,
     x_stored_sparse: bool,
     y_stored_sparse: bool,
-    accelerator,
     strategy,
-    timeline,
     tasks: TaskBatch,
+    lanes,
     assembly,
     acc_view,
     act,
-) -> TaskLoopStats:
-    """Execute a slice of one kernel's task grid on one accelerator.
+) -> list[TaskLoopStats]:
+    """Execute one kernel's task grid over its lanes: one
+    :class:`TaskLoopStats` per lane, each bit-exact against the per-task
+    oracle of the test suite run on that lane's tasks alone.
 
-    ``tasks`` is any :class:`~repro.ir.scheme.TaskBatch` over the
-    kernel's grid (the whole grid, or one lane's block rows); writes
-    land in the shared ``assembly``.  Bit-exact against the per-task oracle
-    of the test suite, which takes the same arguments.
+    ``tasks`` is any :class:`~repro.ir.scheme.TaskBatch` over the grid in
+    output block row order; ``lanes`` are ``(accelerator, timeline, (lo,
+    hi))`` triples owning consecutive block rows ``[lo, hi)`` that cover
+    it.  Phases 1-3 run once over every pair, writing the shared
+    ``assembly``; a lane keeps its DDR share, its dispatch and its totals.
 
     Raises :class:`~repro.hw.buffers.BufferOverflowError` — without
     having mutated any accelerator, timeline, ledger or assembly state —
     when a pair does not fit the on-chip buffers.
     """
-    acc = accelerator
-    cfg = acc.config
-    soft = acc.soft_processor
-    mem = acc.memory
-    stats = TaskLoopStats()
-    events_before = len(timeline.events)
-
-    t_count = tasks.num_tasks
-    if t_count == 0:
-        for core in acc.cores:
-            core.active_cores = 0
-        return finalise_task_loop(stats, timeline, events_before)
-
-    rows, cols = tasks.rows, tasks.cols
+    cfg, stats = lanes[0][0].config, [TaskLoopStats() for _ in lanes]
+    events_before = [len(timeline.events) for _, timeline, _ in lanes]
+    rows, cols, t_count = tasks.rows, tasks.cols, tasks.num_tasks
+    edges = rows.searchsorted([row for *_, owned in lanes for row in owned]).tolist()
+    #: each lane's first task, then the end
+    bounds = edges[::2] + edges[-1:]
+    if edges[0] or edges[-1] != t_count or edges[1:-1:2] != edges[2::2]:
+        raise ValueError(f"kernel {kernel.kernel_id}: the lanes must own "
+                         "consecutive block rows covering the tasks")
     m_t, d_t = xv.row_block_sizes[rows], yv.col_block_sizes[cols]
+    #: each lane's first pair, then the end
+    pair_bounds = tasks.starts[bounds].tolist()
     batch = PairBatch.of_tasks(
         xv, yv, tasks, x_stored_sparse, y_stored_sparse,
-        seeded=acc_view is not None,
+        seeded=acc_view is not None, lanes=(bounds, pair_bounds),
     )
     p_count = len(batch)
     tix, js = batch.task, tasks.js
@@ -308,14 +307,14 @@ def execute_kernel_tasks(
     x_nnz_p, y_nnz_p = batch.x_nnz, batch.y_nnz
 
     # ---- phase 1: one whole-kernel Analyzer pass + cycle accounting ----
-    codes, transp, stats.modelled = strategy.decide_batch(kernel, batch)
+    codes, transp, modelled = strategy.decide_batch(kernel, batch)
     codes = np.array(codes, copy=True)
     transp = np.array(transp, dtype=bool)
 
     # SPMM capacity degrade (SPMM reads Y's rows at random, so Y must be
     # COO-resident in BufferU, 3 words a nonzero): a fixed mapping's, the
     # Analyzer weighs no candidate that does not fit
-    words = acc.config.buffers.words_per_buffer
+    words = cfg.buffers.words_per_buffer
     degrade = (codes == SPMM_CODE) & (3 * y_nnz_p > words)
     if degrade.any():
         codes[degrade] = SPDMM_CODE
@@ -346,16 +345,17 @@ def execute_kernel_tasks(
     lt = tix[lp]
     # a seeded task runs (its seed is its output) with every pair skipped
     executed_t = (np.bincount(lt, minlength=t_count) > 0) | (acc_view is not None)
-    dispatched = int(executed_t.sum())
 
-    # bandwidth shares come from tasks actually dispatched, not the
-    # pre-skip task count
-    concurrency = min(acc.num_cores, dispatched)
-    for core in acc.cores:
-        core.active_cores = concurrency
-    per_core_bpc = mem.per_core_bytes_per_cycle(concurrency)
+    # each lane's DDR share comes from the tasks it actually dispatches,
+    # not its pre-skip task count
+    bpc_t = np.empty(t_count)
+    for (acc, _, _), lo, hi in zip(lanes, bounds, bounds[1:]):
+        concurrency = min(acc.num_cores, np.count_nonzero(executed_t[lo:hi]))
+        for core in acc.cores:
+            core.active_cores = concurrency
+        bpc_t[lo:hi] = acc.memory.per_core_bytes_per_cycle(concurrency)
 
-    core0 = acc.cores[0]
+    core0 = lanes[0][0].cores[0]
     comp_p, tr_p, macs_p = batch_pair_cycles(
         core0, codes, transp, m_p, n_p, d_p, x_nnz_p, y_nnz_p,
         x_stored_sparse, y_stored_sparse,
@@ -363,7 +363,7 @@ def execute_kernel_tasks(
     xb_p = 12 * x_nnz_p if x_stored_sparse else 4 * elems_x
     yb_p = 12 * y_nnz_p if y_stored_sparse else 4 * elems_y
     read_bytes_p = np.where(live, xb_p + yb_p, 0)
-    read_cyc_p = read_bytes_p / per_core_bpc
+    read_cyc_p = read_bytes_p / bpc_t[tix]
 
     # per-core mode-switch state machine, split into the assignment-free
     # part (switches *within* a task) and the boundary switch resolved at
@@ -513,62 +513,67 @@ def execute_kernel_tasks(
                             (comp_p, tr_p, macs_p, read_bytes_p, read_cyc_p)):
         np.add.at(per_t, lt, per_p[lp])
     profile_t, wb_tr_t, write_bytes_t, coo_t = batch_task_writeback(
-        core0, m_t * d_t, out_nnz_t, merged_t, mem_t, trans_t
+        core0, m_t * d_t, out_nnz_t, merged_t, mem_t, trans_t, bpc_t
     )
     # a task never dispatched writes nothing; totals below read executed tasks only
     write_bytes_t = np.where(executed_t, write_bytes_t, 0)
-    stats.coo_writebacks = int(np.count_nonzero(coo_t & executed_t))
     trans_t = trans_t + wb_tr_t
-    mem_t = mem_t + write_bytes_t / per_core_bpc
+    mem_t = mem_t + write_bytes_t / bpc_t
     base_t = stage_cycles(comp_t, mem_t, trans_t, profile=profile_t,
                           double_buffering=cfg.buffers.double_buffering)
+    #: what each task bills toward its lane's integer totals
+    billed = np.where(executed_t, (comp_t, trans_t, profile_t, macs_t, read_bytes_t,
+                                   write_bytes_t, coo_t), 0)
 
-    # ---- phase 4: dispatch (Algorithm 8) -------------------------------
+    # ---- phase 4, per lane: dispatch (Algorithm 8) and the totals ------
     msc = cfg.mode_switch_cycles
-    last_codes = np.array([
-        -1 if c._last_primitive is None else PRIMITIVE_CODES[c._last_primitive]
-        for c in acc.cores
-    ], dtype=np.int64)
-    total_switches = 0
-    for t in exec_idx:
-        t = int(t)
-        core_id = timeline.peek_next_core()
-        fc = int(first_code_t[t])
-        sw = int(internal_t[t]) + int(fc >= 0 and 0 <= last_codes[core_id] != fc)
-        latency = float(base_t[t]) + sw * msc
-        dispatch_s = soft.dispatch_seconds(1) + soft.sparsity_receive_seconds(1)
-        duration = latency + soft.seconds_to_accel_cycles(dispatch_s)
-        timeline.assign_to(
-            core_id, duration, kernel_id=kernel.kernel_id, task_index=t
-        )
-        if fc >= 0:
-            last_codes[core_id] = last_code_t[t]
-        total_switches += sw
-    for core_id, core in enumerate(acc.cores):
-        code = int(last_codes[core_id])
-        core._last_primitive = CODE_ORDER[code] if code >= 0 else None
+    #: each lane's first executed task, then the end
+    exec_at = exec_idx.searchsorted(bounds).tolist()
+    for lane, (acc, timeline, _) in enumerate(lanes):
+        lo, hi = bounds[lane], bounds[lane + 1]
+        p0, p1 = pair_bounds[lane], pair_bounds[lane + 1]
+        st = stats[lane]
+        if hi > lo:
+            st.modelled = modelled and modelled[lane]
+        soft = acc.soft_processor
+        last_codes = np.array([
+            -1 if c._last_primitive is None else PRIMITIVE_CODES[c._last_primitive]
+            for c in acc.cores
+        ], dtype=np.int64)
+        total_switches = 0
+        for t in exec_idx[exec_at[lane]:exec_at[lane + 1]]:
+            t = int(t)
+            core_id = timeline.peek_next_core()
+            fc = int(first_code_t[t])
+            sw = int(internal_t[t]) + int(fc >= 0 and 0 <= last_codes[core_id] != fc)
+            latency = float(base_t[t]) + sw * msc
+            dispatch_s = soft.dispatch_seconds(1) + soft.sparsity_receive_seconds(1)
+            duration = latency + soft.seconds_to_accel_cycles(dispatch_s)
+            timeline.assign_to(
+                core_id, duration, kernel_id=kernel.kernel_id, task_index=t - lo
+            )
+            if fc >= 0:
+                last_codes[core_id] = last_code_t[t]
+            total_switches += sw
+        for core_id, core in enumerate(acc.cores):
+            code = int(last_codes[core_id])
+            core._last_primitive = CODE_ORDER[code] if code >= 0 else None
 
-    # ---- kernel-level totals -------------------------------------------
-    mem.ledger.bytes_read += int(read_bytes_t.sum())
-    mem.ledger.bytes_written += int(write_bytes_t.sum())
-
-    stats.num_pairs = p_count
-    code_counts = np.bincount(codes.astype(np.int64), minlength=len(CODE_ORDER))
-    for code_val, c in enumerate(code_counts):
-        if c:
-            stats.counts[CODE_ORDER[code_val]] += int(c)
-
-    rep = stats.report
-    rep.compute = float(comp_t[executed_t].sum())
-    exec_mem = mem_t[executed_t]
-    # kernel totals merge per-task reports sequentially in task order;
-    # np.add.accumulate is a strictly sequential scan, matching that
-    rep.memory = float(np.add.accumulate(exec_mem)[-1]) if exec_mem.size else 0.0
-    rep.transform = float(trans_t[executed_t].sum())
-    rep.profile = float(profile_t[executed_t].sum())
-    rep.macs = int(macs_t[executed_t].sum())
-    rep.bytes_read = int(read_bytes_t.sum())
-    rep.bytes_written = int(write_bytes_t.sum())
-    rep.mode_switches = int(total_switches)
-
-    return finalise_task_loop(stats, timeline, events_before)
+        compute, transform, profile, macs, read_bytes, write_bytes, coo = (
+            billed[:, lo:hi].sum(axis=1).tolist())
+        acc.memory.ledger.bytes_read += read_bytes
+        acc.memory.ledger.bytes_written += write_bytes
+        st.num_tasks, st.num_pairs, st.coo_writebacks = hi - lo, p1 - p0, coo
+        for code_val, c in enumerate(np.bincount(codes[p0:p1], minlength=len(CODE_ORDER))):
+            if c:
+                st.counts[CODE_ORDER[code_val]] += int(c)
+        exec_mem = mem_t[lo:hi][executed_t[lo:hi]]
+        # kernel totals merge per-task reports sequentially in task order;
+        # np.add.accumulate is a strictly sequential scan, matching that
+        rep = st.report
+        rep.memory = float(np.add.accumulate(exec_mem)[-1]) if exec_mem.size else 0.0
+        rep.compute, rep.transform, rep.profile = float(compute), float(transform), float(profile)
+        rep.macs, rep.bytes_read, rep.bytes_written = macs, read_bytes, write_bytes
+        rep.mode_switches = int(total_switches)
+        finalise_task_loop(st, timeline, events_before[lane])
+    return stats

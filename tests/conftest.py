@@ -125,18 +125,19 @@ def tiny_gcn_program(tiny_dataset, tiny_config):
 
 @pytest.fixture()
 def kernel_calls(monkeypatch):
-    """Every call of the one task loop, as ``(kernel id, device, tasks)``:
-    a recorder substituted for the kernel driver's module-level loop."""
+    """Every call of the one task loop, as ``(kernel id, devices, tasks
+    of each)``: a recorder substituted for the kernel driver's
+    module-level loop."""
     import repro.runtime.executor as executor_mod
 
     seen = []
     original = executor_mod.execute_kernel_tasks
 
-    def recorder(kernel, xv, yv, x_ss, y_ss, acc, strategy, timeline,
-                 tasks, *rest, **kw):
-        seen.append((kernel.kernel_id, acc, tasks.num_tasks))
-        return original(kernel, xv, yv, x_ss, y_ss, acc, strategy,
-                        timeline, tasks, *rest, **kw)
+    def recorder(kernel, *args, **kw):
+        lanes = original(kernel, *args, **kw)
+        devices = [acc for acc, _, _ in args[6]]
+        seen.append((kernel.kernel_id, devices, [st.num_tasks for st in lanes]))
+        return lanes
 
     monkeypatch.setattr(executor_mod, "execute_kernel_tasks", recorder)
     return seen

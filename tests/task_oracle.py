@@ -8,12 +8,14 @@ is the loop those batches replaced, one Python iteration per task and one
 a :class:`~repro.hw.core.ComputationCore`: :func:`execute_pair` (load,
 AHM passes, mode, product), :func:`execute_task` (Algorithm 4: ``K``
 partials into ``Z_ij``, then the write-back) and
-:func:`execute_kernel_tasks_reference` (the kernel).  Tests and
-``bench_executor_vectorised`` substitute the last for
+:func:`execute_kernel_tasks_reference` (the kernel on one device).
+Tests and ``bench_executor_vectorised`` substitute
+:func:`execute_kernel_lanes_reference`, the last run lane by lane, for
 ``repro.runtime.executor.execute_kernel_tasks`` and assert identical
 outputs, cycle totals, primitive counts, wave counts and timeline events.
 :func:`scheme_tasks` and :func:`batch_of` are the task list of Algorithms
-2/3 built one object per task, the oracle of ``ExecutionScheme.task_batch``.
+2/3 built one object per task, the oracle of ``ExecutionScheme.task_batch``;
+:func:`subset_of` filters a batch, the lane split the replay makes.
 """
 
 from __future__ import annotations
@@ -54,12 +56,14 @@ __all__ = [
     "check_capacity",
     "coo_fits",
     "copy_report",
+    "execute_kernel_lanes_reference",
     "execute_kernel_tasks_reference",
     "execute_pair",
     "execute_task",
     "merge_reports",
     "report_latency",
     "scheme_tasks",
+    "subset_of",
 ]
 
 
@@ -282,7 +286,8 @@ def execute_task(
     # after an on-the-fly D2S pass when that leaves the task shorter
     out_nnz = int(np.count_nonzero(z))
     report.profile += core.profiler.cycles_for(z.size)
-    wb = writeback_stream(core, z.size, out_nnz, report.memory, report.transform)
+    bpc = core.memory.per_core_bytes_per_cycle(core.active_cores)
+    wb = writeback_stream(core, z.size, out_nnz, report.memory, report.transform, bpc)
     coo, d2s, out_bytes = (int(v) for v in wb)
     report.transform += d2s
     report.memory += core.memory.write_cycles(
@@ -341,6 +346,15 @@ def batch_of(tasks: Sequence[Task]) -> TaskBatch:
     )
 
 
+def subset_of(tasks: TaskBatch, mask) -> TaskBatch:
+    """``tasks`` restricted to those where ``mask`` is True, in order."""
+    mask = np.asarray(mask, dtype=bool)
+    starts = np.zeros(mask.sum() + 1, dtype=np.int64)
+    np.cumsum(tasks.counts[mask], out=starts[1:])
+    return TaskBatch(rows=tasks.rows[mask], cols=tasks.cols[mask],
+                     js=tasks.js[np.repeat(mask, tasks.counts)], starts=starts)
+
+
 def execute_kernel_tasks_reference(
     kernel: KernelIR,
     xv: PartitionedMatrix,
@@ -355,12 +369,12 @@ def execute_kernel_tasks_reference(
     acc_view: Optional[PartitionedMatrix],
     act,
 ) -> TaskLoopStats:
-    """The per-task reference loop: one Python iteration per task.
+    """The per-task reference loop: one Python iteration per task, on one
+    device.
 
-    Same arguments as the task loop: ``tasks`` may be any slice of the
-    kernel's task grid; writes land in the shared ``assembly``.  Waves
-    are counted after the loop from the timeline events it recorded, as
-    the task loop counts them.
+    ``tasks`` may be any slice of the kernel's task grid; writes land in
+    the shared ``assembly``.  Waves are counted after the loop from the
+    timeline events it recorded, as the task loop counts them.
     """
     acc = accelerator
     soft = acc.soft_processor
@@ -379,7 +393,10 @@ def execute_kernel_tasks_reference(
         xv, yv, tasks, x_stored_sparse, y_stored_sparse,
         seeded=acc_view is not None,
     )
-    all_codes, all_transp, stats.modelled = strategy.decide_batch(kernel, batch)
+    all_codes, all_transp, modelled = strategy.decide_batch(kernel, batch)
+    # a lane with no task weighs nothing
+    stats.modelled = modelled[0] if modelled and tasks.num_tasks else None
+    stats.num_tasks = tasks.num_tasks
     starts = tasks.starts
 
     # only as many cores stream from DDR as there are concurrently
@@ -460,3 +477,20 @@ def execute_kernel_tasks_reference(
         assembly.write(i, k, result.z)
 
     return finalise_task_loop(stats, timeline, events_before)
+
+
+def execute_kernel_lanes_reference(
+    kernel, xv, yv, x_stored_sparse, y_stored_sparse, strategy, tasks, lanes,
+    assembly, acc_view, act,
+) -> list[TaskLoopStats]:
+    """The task loop's signature, lane by lane through
+    :func:`execute_kernel_tasks_reference`: each lane's block rows of
+    ``tasks`` alone on its own device, in lane order."""
+    return [
+        execute_kernel_tasks_reference(
+            kernel, xv, yv, x_stored_sparse, y_stored_sparse, acc, strategy,
+            timeline, subset_of(tasks, (tasks.rows >= lo) & (tasks.rows < hi)),
+            assembly, acc_view, act,
+        )
+        for acc, timeline, (lo, hi) in lanes
+    ]

@@ -577,7 +577,7 @@ class TestLineageTable:
             return run
 
         def recording_loop(kernel, *args):
-            loops.append((kernel.kernel_id, args[8].carried is None))
+            loops.append((kernel.kernel_id, args[7].carried is None))
             return task_loop(kernel, *args)
 
         monkeypatch.setattr(ProgramPatcher, "patch", recording_patch)

@@ -13,8 +13,10 @@ reference loop for the kernel driver's module-level task loop; nothing
 in ``src/`` selects between the two.
 """
 
+import copy
 import dataclasses
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -33,15 +35,19 @@ import repro.runtime.executor as executor_mod
 import repro.runtime.vectorized as vectorized_mod
 from repro.hw import Accelerator
 from repro.hw.buffers import BufferOverflowError
-from repro.hw.report import CycleReport
+from repro.hw.report import GEMM_CODE, CycleReport
 from repro.hw.spmm_unit import scp_cycles
 from repro.ir.scheme import TaskBatch
 from repro.runtime import CoreTimeline, execute_kernel_tasks, make_strategy
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
+from repro.runtime.strategies import Static2
 from repro.shard import plan_shards
 
 from conftest import make_tiny_config
-from task_oracle import batch_of, execute_kernel_tasks_reference, scheme_tasks
+from task_oracle import (
+    batch_of, execute_kernel_lanes_reference, execute_kernel_tasks_reference, scheme_tasks,
+    subset_of,
+)
 from unit_oracles import spmm_workloads_reference
 
 
@@ -61,7 +67,7 @@ def oracle_run(fn, *args, **kwargs):
     the driver's task loop — the whole-program oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
-            executor_mod, "execute_kernel_tasks", execute_kernel_tasks_reference
+            executor_mod, "execute_kernel_tasks", execute_kernel_lanes_reference
         )
         return fn(*args, **kwargs)
 
@@ -90,7 +96,7 @@ def assert_kernel_stats_identical(kv, kr):
     np.testing.assert_array_equal(kv.core_busy, kr.core_busy)
 
 
-def zero_slab_data(num_vertices=64, num_features=24, seed=0):
+def zero_slab_data(num_vertices=64, num_features=24, seed=0, slab=(16, 48)):
     """A graph whose adjacency has an all-zero row slab (vertices 16..47)
     wider than the partition size, so whole output partitions of the
     Aggregate kernel carry no work and the runtime skips their tasks."""
@@ -99,7 +105,7 @@ def zero_slab_data(num_vertices=64, num_features=24, seed=0):
         num_vertices, num_vertices, density=0.15, format="lil",
         dtype=np.float32, rng=rng,
     )
-    a[16:48, :] = 0
+    a[slice(*slab), :] = 0
     a = a.tocsr()
     a.data = rng.uniform(0.5, 1.5, a.data.shape).astype(np.float32)
     a.eliminate_zeros()
@@ -497,15 +503,15 @@ def crafted_loops(program, x, y, tasks=None):
     scheme = kernel.exec_scheme
     tasks = scheme.task_batch() if tasks is None else tasks
     runs = []
-    for loop in (execute_kernel_tasks, execute_kernel_tasks_reference):
+    for loop in (execute_kernel_tasks, execute_kernel_lanes_reference):
         xv = PartitionedMatrix(x, *scheme.x_blocking)
         yv = PartitionedMatrix(y, *scheme.y_blocking)
         acc = Accelerator(program.config)
         timeline = CoreTimeline(acc.num_cores)
         assembly = KernelAssembly.for_kernel(xv, yv, scheme)
-        stats = loop(
-            kernel, xv, yv, True, True, acc, make_strategy("S2", acc.config),
-            timeline, tasks, assembly, None, None,
+        (stats,) = loop(
+            kernel, xv, yv, True, True, make_strategy("S2", acc.config),
+            tasks, [(acc, timeline, EVERY_ROW)], assembly, None, None,
         )
         out, _ = assembly.finalize()
         events = [(e.core, e.start, e.end, e.task_index) for e in timeline.events]
@@ -597,9 +603,16 @@ class TestHeldSparseBuiltCases:
         assert not np.signbit(out).any()
 
 
+#: a lane's block rows when it owns every task
+EVERY_ROW = (0, sys.maxsize)
+#: where the task loop's arguments hold the strategy, the lanes, the
+#: assembly and the accumulate view
+STRATEGY, LANES, ASSEMBLY, ACC_VIEW = 5, 7, 8, 9
+
+
 def _loop_args(program, kernel, acc, tasks):
-    """Plumbing for a direct execute_kernel_tasks call on one kernel;
-    ``tasks`` is a TaskBatch or a Task list."""
+    """Plumbing for a direct execute_kernel_tasks call on one kernel, one
+    lane on ``acc``; ``tasks`` is a TaskBatch or a Task list."""
     if not isinstance(tasks, TaskBatch):
         tasks = batch_of(tasks)
     scheme = kernel.exec_scheme
@@ -607,13 +620,18 @@ def _loop_args(program, kernel, acc, tasks):
     yv = program.view(kernel.y_name, *scheme.y_blocking)
     assembly = KernelAssembly.for_kernel(xv, yv, scheme)
     timeline = CoreTimeline(acc.num_cores)
-    return (
+    return [
         kernel, xv, yv,
         program.stored_sparse[kernel.x_name],
         program.stored_sparse[kernel.y_name],
-        acc, make_strategy("Dynamic", acc.config), timeline,
-        tasks, assembly, None, None,
-    )
+        make_strategy("Dynamic", acc.config), tasks,
+        [(acc, timeline, EVERY_ROW)], assembly, None, None,
+    ]
+
+
+def _timeline(args):
+    """The first lane's timeline of :func:`_loop_args`' arguments."""
+    return args[LANES][0][1]
 
 
 def _first_input_kernel(program):
@@ -653,8 +671,8 @@ class TestActiveCoreAccounting:
         kernel = _aggregate_kernel(program)
         acc = Accelerator(program.config)
         args = _loop_args(program, kernel, acc, kernel.exec_scheme.task_batch())
-        loop = execute_kernel_tasks_reference if reference else execute_kernel_tasks
-        stats = loop(*args)
+        loop = execute_kernel_lanes_reference if reference else execute_kernel_tasks
+        (stats,) = loop(*args)
         assert stats.tasks_executed < kernel.exec_scheme.num_tasks
         expected = min(acc.num_cores, stats.tasks_executed)
         for core in acc.cores:
@@ -672,10 +690,10 @@ class TestActiveCoreAccounting:
         acc = Accelerator(program.config)
         all_tasks = scheme_tasks(scheme)
         args = _loop_args(program, kernel, acc, all_tasks)
-        stats = execute_kernel_tasks(*args)
+        execute_kernel_tasks(*args)
         dispatched_rows = {
             all_tasks[e.task_index].out_row
-            for e in args[7].events
+            for e in _timeline(args).events
         }
         live_row = min(dispatched_rows)
         skipped_row = next(
@@ -688,7 +706,7 @@ class TestActiveCoreAccounting:
         assert len(subset) == 2
         acc2 = Accelerator(program.config)
         args2 = _loop_args(program, kernel, acc2, subset)
-        stats2 = execute_kernel_tasks(*args2)
+        (stats2,) = execute_kernel_tasks(*args2)
         assert stats2.tasks_executed == 1
         for core in acc2.cores:
             assert core.active_cores == 1
@@ -712,7 +730,7 @@ class TestTaskBatch:
         batch = scheme.task_batch()
         rng = np.random.default_rng(0)
         mask = rng.random(len(tasks)) < 0.5
-        sub = batch.subset(mask)
+        sub = subset_of(batch, mask)
         want = batch_of(
             [t for t, m in zip(tasks, mask) if m]
         )
@@ -775,21 +793,21 @@ class TestDegenerateInputs:
         kernel = _first_input_kernel(program)
         acc = Accelerator(program.config)
         args = _loop_args(program, kernel, acc, [])
-        stats = execute_kernel_tasks(*args)
+        (stats,) = execute_kernel_tasks(*args)
         assert stats.tasks_executed == 0
         assert stats.waves == 0
         assert stats.num_pairs == 0
-        assert args[7].events == []
+        assert _timeline(args).events == []
 
     def test_single_task(self, co_programs):
         program = co_programs["GCN"]
         kernel = _first_input_kernel(program)
         tasks = scheme_tasks(kernel.exec_scheme)[:1]
         accs = [Accelerator(program.config) for _ in range(2)]
-        sv = execute_kernel_tasks(
+        (sv,) = execute_kernel_tasks(
             *_loop_args(program, kernel, accs[0], tasks)
         )
-        sr = execute_kernel_tasks_reference(
+        (sr,) = execute_kernel_lanes_reference(
             *_loop_args(program, kernel, accs[1], tasks)
         )
         assert sv.report == sr.report
@@ -806,16 +824,16 @@ class TestDegenerateInputs:
         probe = _loop_args(program, kernel, acc, all_tasks)
         execute_kernel_tasks(*probe)
         dispatched_rows = {
-            all_tasks[e.task_index].out_row for e in probe[7].events
+            all_tasks[e.task_index].out_row for e in _timeline(probe).events
         }
         dead = [t for t in all_tasks if t.out_row not in dispatched_rows]
         assert dead, "zero slab produced no dead tasks"
         acc2 = Accelerator(program.config)
         args = _loop_args(program, kernel, acc2, dead)
-        stats = execute_kernel_tasks(*args)
+        (stats,) = execute_kernel_tasks(*args)
         assert stats.tasks_executed == 0
         assert stats.report == CycleReport()
-        assert args[7].events == []
+        assert _timeline(args).events == []
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
@@ -829,13 +847,13 @@ class TestDegenerateInputs:
         accs = [Accelerator(program.config) for _ in range(2)]
         av = _loop_args(program, kernel, accs[0], subset)
         ar = _loop_args(program, kernel, accs[1], subset)
-        sv = execute_kernel_tasks(*av)
-        sr = execute_kernel_tasks_reference(*ar)
+        (sv,) = execute_kernel_tasks(*av)
+        (sr,) = execute_kernel_lanes_reference(*ar)
         assert sv.report == sr.report
         assert sv.counts == sr.counts
         assert sv.waves == sr.waves
-        evv = [(e.core, e.start, e.end, e.task_index) for e in av[7].events]
-        evr = [(e.core, e.start, e.end, e.task_index) for e in ar[7].events]
+        evv = [(e.core, e.start, e.end, e.task_index) for e in _timeline(av).events]
+        evr = [(e.core, e.start, e.end, e.task_index) for e in _timeline(ar).events]
         assert evv == evr
 
 
@@ -857,7 +875,7 @@ class TestBufferOverflow:
         )
         acc = Accelerator(small)
         args = _loop_args(program, kernel, acc, kernel.exec_scheme.task_batch())
-        timeline, assembly = args[7], args[9]
+        timeline, assembly = _timeline(args), args[ASSEMBLY]
         with pytest.raises(BufferOverflowError) as err:
             execute_kernel_tasks(*args)
         message = str(err.value)
@@ -888,3 +906,189 @@ class TestBufferOverflow:
         )
         with pytest.raises(BufferOverflowError, match="needs"):
             run_strategy(program, "Dynamic", accelerator=Accelerator(small))
+
+
+# -- one call per kernel, bit-exact per lane --------------------------------
+@pytest.fixture(scope="module")
+def lane_programs():
+    """GCN, GIN and GraphSAGE (its seeded ``accumulate_into`` kernel) on a
+    240-vertex graph with a zero slab, the tiny config with the paper's
+    seven cores: a lane dispatching fewer tasks than that streams at a DDR
+    share of its own."""
+    data = zero_slab_data(240, 64, seed=4, slab=(64, 128))
+    cfg = make_tiny_config(num_cores=7)
+    out = {}
+    for name in ("GCN", "GIN", "GraphSAGE"):
+        model = build_model(name, data.num_features, data.hidden_dim, data.num_classes)
+        out[name] = Compiler(cfg).compile(model, data, init_weights(model, seed=5))
+    return out
+
+
+def vertex_ranges(program, width):
+    """Each lane's vertex range: a ``width``-way plan, or (``"empty"``) a
+    middle lane that owns no block row of any kernel (what a plan of more
+    shards than block rows leaves a kernel blocked wider)."""
+    if width == "empty":
+        v, cut = program.store["H0"].shape[0], 2 * program.n1
+        return [(0, cut), (cut, cut), (cut, v)]
+    return [(s.v0, s.v1) for s in plan_shards(program, width).shards]
+
+
+def lane_state(acc, timeline):
+    """What a lane's device carries out of a kernel."""
+    return (
+        [(e.core, e.start, e.end, e.kernel_id, e.task_index) for e in timeline.events],
+        timeline.busy.tolist(), timeline.available.tolist(), timeline.now,
+        [(core._last_primitive, core.active_cores) for core in acc.cores],
+        (acc.memory.ledger.bytes_read, acc.memory.ledger.bytes_written),
+    )
+
+
+def assert_lanes_match_replay(program, strategy_name, ranges):
+    """Walk ``program`` over lanes on ``ranges`` through the kernel driver;
+    at every kernel, its one task-loop call must leave each lane what the
+    per-task reference leaves a copy of the lane run on the lane's tasks
+    alone: the loop's record, the device and timeline state, the output."""
+    original = vectorized_mod.execute_kernel_tasks
+    calls = []
+
+    def checked(kernel, xv, yv, xs, ys, strategy, tasks, lanes, assembly, acc_view, act):
+        devices = copy.deepcopy([(acc, tl) for acc, tl, _ in lanes])
+        twin_assembly = copy.deepcopy(assembly)
+        got = original(kernel, xv, yv, xs, ys, strategy, tasks, lanes, assembly, acc_view, act)
+        want = [
+            execute_kernel_tasks_reference(
+                kernel, xv, yv, xs, ys, acc, strategy, tl,
+                subset_of(tasks, (tasks.rows >= lo) & (tasks.rows < hi)),
+                twin_assembly, acc_view, act)
+            for (acc, tl), (*_, (lo, hi)) in zip(devices, lanes)
+        ]
+        assert got == want, kernel.kernel_id
+        for (acc, tl, _), (acc_r, tl_r) in zip(lanes, devices):
+            assert lane_state(acc, tl) == lane_state(acc_r, tl_r), kernel.kernel_id
+        np.testing.assert_array_equal(assembly.nnz_grid, twin_assembly.nnz_grid)
+        assert_same_blocks(assembly.blocks, twin_assembly.blocks)
+        if assembly.out_dense is not None:
+            assert _bits(assembly.out_dense) == _bits(twin_assembly.out_dense)
+        calls.append([st.num_tasks for st in got])
+        return got
+
+    lanes = [Lane(Accelerator(program.config), f"dev{s}", rows)
+             for s, rows in enumerate(ranges)]
+    strategy = make_strategy(strategy_name, program.config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(executor_mod, "execute_kernel_tasks", checked)
+        for _ in run_kernels(program, strategy, lanes, {}):
+            pass
+    assert len(calls) == program.num_kernels
+    return calls
+
+
+class TestOneCallPerKernel:
+    """``execute_kernel_tasks`` takes a kernel's whole grid and every lane
+    at once: phases 1-3 run over all pairs, each lane keeps its DDR share,
+    its dispatch and its totals.  Every lane's record is the per-task
+    oracle's on that lane's tasks alone, bit for bit.  Two traps: the
+    Analyzer prices a lane that dispatches nothing at full bandwidth, the
+    core at ``num_cores`` active (``ExternalMemory.per_core_bytes_per_cycle``
+    reads 0 as all); and ``report.memory`` is a sequential scan that
+    restarts at each lane's first task."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, "empty"])
+    @pytest.mark.parametrize("strategy", ["Dynamic", "S1", "S2"])
+    @pytest.mark.parametrize("model_name", ["GCN", "GIN", "GraphSAGE"])
+    def test_each_lane_is_the_reference_on_its_tasks(
+            self, lane_programs, model_name, strategy, width):
+        program = lane_programs[model_name]
+        calls = assert_lanes_match_replay(program, strategy, vertex_ranges(program, width))
+        if width == "empty":
+            assert all(tasks[1] == 0 for tasks in calls)
+
+    def test_a_lane_that_dispatches_nothing(self, zero_slab_program):
+        """The zero slab's lane holds tasks whose every pair skips: no
+        core of its device streams, its record bills nothing."""
+        ranges = [(0, 16), (16, 48), (48, 64)]
+        assert_lanes_match_replay(zero_slab_program, "Dynamic", ranges)
+        lanes = [Lane(Accelerator(zero_slab_program.config), f"dev{s}", rows)
+                 for s, rows in enumerate(ranges)]
+        strategy = make_strategy("Dynamic", zero_slab_program.config)
+        aggregate = _aggregate_kernel(zero_slab_program)
+        stats = next(ks for kernel, ks in run_kernels(zero_slab_program, strategy, lanes, {})
+                     if kernel is aggregate)
+        slab = stats[1]
+        assert slab.num_tasks > 0 and slab.tasks_executed == 0
+        assert slab.modelled_cycles == {label: 0.0 for label in slab.modelled_cycles}
+        assert stats[0].tasks_executed > 0
+
+    def test_overflow_names_todays_pair_and_touches_no_lane(self, co_programs):
+        """A pair that overflows in a later lane raises before any lane,
+        the first included, is touched, naming the pair the lane-by-lane
+        calls named."""
+        program = co_programs["GIN"]
+        kernel = _aggregate_kernel(program)  # A @ H0
+        scheme = kernel.exec_scheme
+        (n1, _), (_, n2) = scheme.x_blocking, scheme.y_blocking
+        assert n1 > n2  # SpDMM's dense Y block fits where GEMM's X block does not
+        small = program.config.replace(
+            buffers=dataclasses.replace(program.config.buffers, words_per_buffer=n1 * n2))
+        tasks = scheme.task_batch()
+        xv = program.view(kernel.x_name, *scheme.x_blocking)
+        yv = program.view(kernel.y_name, *scheme.y_blocking)
+        owned = [(0, 2), (2, 4), (4, sys.maxsize)]
+        # GEMM on the X blocks denser than any the first lane reads
+        above = int(xv.nnz_grid[:2].max())
+        assert (xv.nnz_grid[2:4] > above).any()
+
+        class GemmWhereDense(Static2):
+            name = "gemm-where-dense"
+
+            def decide_batch(self, kernel, batch):
+                codes, transposed, modelled = super().decide_batch(kernel, batch)
+                return np.where(batch.x_nnz > above, GEMM_CODE, codes), transposed, modelled
+
+        strategy = GemmWhereDense(small)
+
+        def call(lanes_owned):
+            devices = [(Accelerator(small), CoreTimeline(small.num_cores), rows)
+                       for rows in lanes_owned]
+            assembly = KernelAssembly.for_kernel(xv, yv, scheme)
+            args = [kernel, xv, yv, program.stored_sparse[kernel.x_name],
+                    program.stored_sparse[kernel.y_name], strategy, tasks, devices,
+                    assembly, None, None]
+            with pytest.raises(BufferOverflowError) as err:
+                execute_kernel_tasks(*args)
+            return str(err.value), devices, assembly
+
+        # the lane-by-lane calls: the first lane runs, the second raises
+        ran = []
+        with pytest.raises(BufferOverflowError) as today:
+            for rows in owned:
+                lane_tasks = subset_of(tasks, (tasks.rows >= rows[0]) & (tasks.rows < rows[1]))
+                execute_kernel_tasks(
+                    kernel, xv, yv, program.stored_sparse[kernel.x_name],
+                    program.stored_sparse[kernel.y_name], strategy, lane_tasks,
+                    [(Accelerator(small), CoreTimeline(small.num_cores), EVERY_ROW)],
+                    KernelAssembly.for_kernel(xv, yv, scheme), None, None)
+                ran.append(rows)
+        assert ran == owned[:1]
+        message, devices, assembly = call(owned)
+        assert message == str(today.value)
+        for acc, timeline, _ in devices:
+            assert timeline.events == [] and not timeline.busy.any()
+            assert all(core.active_cores is None and core._last_primitive is None
+                       for core in acc.cores)
+            assert acc.memory.ledger.bytes_read == acc.memory.ledger.bytes_written == 0
+        assert assembly.out_dense is None and assembly.blocks == {}
+        assert assembly.total_out_nnz == 0
+
+    def test_lanes_must_cover_the_grid(self, co_programs):
+        program = co_programs["GCN"]
+        kernel = _first_input_kernel(program)
+        args = _loop_args(program, kernel, Accelerator(program.config),
+                          kernel.exec_scheme.task_batch())
+        acc, timeline, _ = args[LANES][0]
+        for owned in ([(1, sys.maxsize)], [(0, 1)], [(0, 1), (2, sys.maxsize)]):
+            args[LANES] = [(acc, timeline, rows) for rows in owned]
+            with pytest.raises(ValueError, match="consecutive block rows"):
+                execute_kernel_tasks(*args)
+        assert timeline.events == []

@@ -43,6 +43,11 @@ def spec_from(mat, stored_sparse=False):
     )
 
 
+def share(core):
+    """The core's DDR share (bytes a cycle) under its kernel's concurrency."""
+    return core.memory.per_core_bytes_per_cycle(core.active_cores)
+
+
 def fresh_core():
     return ComputationCore(CFG, ExternalMemory(CFG))
 
@@ -218,7 +223,7 @@ class TestExecuteTask:
         reads = col_ex.report.transform + row_ex.report.transform + merger
         _, d2s, _ = writeback_stream(
             core, 16, result.output_nnz,
-            0.0 + col_ex.report.memory + row_ex.report.memory, reads,
+            0.0 + col_ex.report.memory + row_ex.report.memory, reads, share(core),
         )
         assert result.report.transform == reads + d2s
 
@@ -242,12 +247,12 @@ class TestExecuteTask:
         dense = max(read + 4 * size / b, reads_transform)
         coo = max(read + 12 * nnz / b, reads_transform + d2s)
         wrote_coo, billed_d2s, out_bytes = writeback_stream(
-            core, size, nnz, read, reads_transform
+            core, size, nnz, read, reads_transform, share(core)
         )
         assert wrote_coo == (coo < dense)
         assert (billed_d2s, out_bytes) == ((d2s, 12 * nnz) if wrote_coo else (0, 4 * size))
         profile, transform, write_bytes, batch_coo = batch_task_writeback(
-            core, *(np.array([v]) for v in (size, nnz, False, read, reads_transform))
+            core, *(np.array([v]) for v in (size, nnz, False, read, reads_transform, share(core)))
         )
         assert (transform[0], write_bytes[0], batch_coo[0]) == (
             billed_d2s, out_bytes, wrote_coo
@@ -257,7 +262,7 @@ class TestExecuteTask:
         z[:nnz] = 1.0
         r = execute_task(core, [], (m, d), accumulate_init=z.reshape(m, d))
         rep = r.report
-        empty = writeback_stream(core, size, nnz, 0.0, 0)
+        empty = writeback_stream(core, size, nnz, 0.0, 0, share(core))
         assert (r.coo_writeback, rep.transform, rep.bytes_written) == tuple(
             int(v) for v in empty
         )
@@ -286,7 +291,7 @@ class TestExecuteTask:
         for memory, transform, nnz, coo in (
             (0.0, 27, 11, False), (0.0, 26, 11, True), (0.3, 0, 88, False), (0.3, 0, 87, True)
         ):
-            assert bool(writeback_stream(core, 264, nnz, memory, transform)[0]) is coo
+            assert bool(writeback_stream(core, 264, nnz, memory, transform, share(core))[0]) is coo
         # serialised, 7 cores at 44 B each: 256 elements holding 12 nonzeros
         # save 880 B as COO, 20 cycles, and the D2S pass takes 16 + 4 = 20,
         # whatever the task read first (0.3 + 144/44 + 19 + 20 rounds below
@@ -297,7 +302,8 @@ class TestExecuteTask:
         core.active_cores = 7
         for memory, transform in ((0.0, 0), (0.3, 19), (2 / 3, 3)):
             for nnz, coo in ((12, False), (11, True)):
-                assert bool(writeback_stream(core, 256, nnz, memory, transform)[0]) is coo
+                wrote_coo = writeback_stream(core, 256, nnz, memory, transform, share(core))[0]
+                assert bool(wrote_coo) is coo
 
     @given(
         size=st.integers(1, 4096), fill=st.floats(0.0, 1.0),
@@ -327,7 +333,7 @@ class TestExecuteTask:
                 double_buffering=double_buffering,
             )
 
-        _, d2s, out_bytes = writeback_stream(core, size, nnz, memory, transform)
+        _, d2s, out_bytes = writeback_stream(core, size, nnz, memory, transform, b)
         chosen = task(out_bytes, d2s)
         for fixed_bytes, fixed_d2s in ((4 * size, 0), (12 * nnz, core.d2s.cycles_for(size))):
             fixed = task(fixed_bytes, fixed_d2s)

@@ -662,8 +662,9 @@ class TestVectorizedHotPaths:
         codes, transposed, modelled = strategy.decide_batch(kernel, batch)
         if isinstance(strategy, DynamicMapping):
             want = scalar_decide(batch, CFG, skip=strategy.skips_empty)
-            assert modelled["chosen"] <= min(
-                v for k, v in modelled.items() if k != "chosen" and v is not None)
+            (lane,) = modelled  # the batch is one lane
+            assert lane["chosen"] <= min(
+                v for k, v in lane.items() if k != "chosen" and v is not None)
         else:
             fixed = {"S1": Primitive.SPDMM, "S2": Primitive.SPDMM}.get(
                 strategy.name, Primitive.GEMM)

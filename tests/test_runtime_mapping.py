@@ -97,7 +97,7 @@ class TestAnalyzer:
         7's order keeps SpDMM)."""
         batch = batch_of([0.15] * 7, [0.09] * 7, m=720, n=500, d=16)
         assert region_primitive_batch(0.15, 0.09, CFG) == SPDMM_CODE  # transposed
-        codes, transposed, modelled = DynamicMapping(CFG).decide_batch(
+        codes, transposed, (modelled,) = DynamicMapping(CFG).decide_batch(
             upd_kernel(), batch)
         assert not transposed.any() and (codes == SPDMM_CODE).all()
         # 7 one-pair tasks on 7 cores, 44 B a cycle each: H's 54,000 and
@@ -127,7 +127,7 @@ class TestAnalyzer:
         cfg = dataclasses.replace(
             CFG, buffers=dataclasses.replace(CFG.buffers, double_buffering=overlap))
         batch = batch_of(ax, ay, d=d, x_sparse=x_sparse, y_sparse=y_sparse)
-        codes, transposed, modelled = DynamicMapping(cfg).decide_batch(
+        codes, transposed, (modelled,) = DynamicMapping(cfg).decide_batch(
             upd_kernel(), batch)
         live = (batch.x_nnz != 0) & (batch.y_nnz != 0)
         costs = pair_costs(batch, cfg, live)

@@ -381,7 +381,7 @@ def strip_wallclock(d: dict) -> dict:
 
 
 class TestContinuousServe:
-    def test_admission_and_autoscaler_run_on_the_default_server(self):
+    def test_admission_and_autoscaler_run_on_the_default_serve_loop(self):
         policy = SLOPolicy.default(bulk_queue_depth=4)
         _, serve = tiny_serving(slo_policy=policy,
                                 admission=AdmissionController(policy),

@@ -619,7 +619,7 @@ class TestShardedServingCounters:
         assert report.halo_bytes == 0 and report.halo_s == 0.0
         assert report.metrics["counters"]["serve.sharded_batches"] == 0
 
-    def test_sharded_outputs_stay_exact_through_the_server(self):
+    def test_sharded_outputs_stay_exact_through_serve(self):
         _, serve = tiny_serving(pool_size=2)
         report = serve([
             tiny_request(arrival_s=0.0, shards=2),

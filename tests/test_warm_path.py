@@ -42,10 +42,14 @@ from repro.runtime.strategies import MappingStrategy
 from repro.shard import plan_shards
 
 from conftest import make_tiny_config
-from task_oracle import execute_kernel_tasks_reference
+from task_oracle import execute_kernel_lanes_reference
 from unit_oracles import run_spmm_faithful
 from test_executor_vectorised import (
+    ACC_VIEW,
+    ASSEMBLY,
+    STRATEGY,
     _loop_args,
+    _timeline,
     assert_results_identical,
     oracle_run,
 )
@@ -320,16 +324,16 @@ def both_loops(program, kernel, strategy=None, acc_view=None):
     """One kernel through the task loop and the reference loop:
     ``[(output bits, stats, timeline events)] * 2``."""
     runs = []
-    for loop in (execute_kernel_tasks, execute_kernel_tasks_reference):
-        args = list(_loop_args(
+    for loop in (execute_kernel_tasks, execute_kernel_lanes_reference):
+        args = _loop_args(
             program, kernel, Accelerator(program.config),
             kernel.exec_scheme.task_batch(),
-        ))
+        )
         if strategy is not None:
-            args[6] = strategy
-        args[10] = acc_view
-        stats = loop(*args)
-        runs.append((bits(args[9].finalize()[0]), stats, args[7].events))
+            args[STRATEGY] = strategy
+        args[ACC_VIEW] = acc_view
+        (stats,) = loop(*args)
+        runs.append((bits(args[ASSEMBLY].finalize()[0]), stats, _timeline(args).events))
     return runs
 
 
@@ -545,7 +549,7 @@ class TestProfiledCensus:
     ):
         monkeypatch.setattr(vectorized_mod, "SPARSE_HOLDING", HOLDING[dense_assembly])
         monkeypatch.setattr(
-            executor_mod, "execute_kernel_tasks", execute_kernel_tasks_reference
+            executor_mod, "execute_kernel_tasks", execute_kernel_lanes_reference
         )
         for program in census_programs:
             for num_lanes in (1, 2):
@@ -873,12 +877,14 @@ class TestLanesShareRowCounts:
 
     def test_four_lanes_count_what_one_lane_counts(self, monkeypatch):
         calls = []
+        count = partition_mod.PartitionedMatrix.block_row_counts
 
-        def counting(mat):
-            calls.append(mat.shape)
-            return row_counts(mat)
+        def counting(self, i, j):
+            if (i, j) not in self._row_counts:  # a count is taken, not read back
+                calls.append((self.name, i, j))
+            return count(self, i, j)
 
-        monkeypatch.setattr(partition_mod, "row_counts", counting)
+        monkeypatch.setattr(partition_mod.PartitionedMatrix, "block_row_counts", counting)
         data = load_dataset("PU", scale=0.2, seed=0)
         runs = {}
         for lanes in (1, 4):
@@ -898,3 +904,27 @@ class TestLanesShareRowCounts:
         assert bits(one.output_dense()) == bits(four.output_dense())
         assert [ks.macs for ks in one.kernel_stats] == [
             sum(ks.macs for ks in layer.lanes) for layer in four.layers]
+
+    def test_a_block_count_is_row_counts(self):
+        """``block_row_counts`` is ``row_counts`` of the block as int32, one
+        row read twice where no stored zero parts the two: CSR blocks storing
+        zeros, ``-0.0``, ``NaN`` or nothing, and dense blocks."""
+        rng = np.random.default_rng(5)
+        csr = sp.random(24, 20, density=0.3, format="csr", dtype=DTYPE, rng=rng)
+        csr.data[[0, 5]], csr.data[9], csr.data[13] = 0.0, -0.0, np.nan
+        dense = csr.toarray()
+        for mat in (csr, dense):
+            pm = PartitionedMatrix(mat, 8, 10)
+            for i in range(pm.num_row_blocks):
+                for j in range(pm.num_col_blocks):
+                    got = pm.block_row_counts(i, j)
+                    want = row_counts(pm.block(i, j))
+                    assert got.dtype == np.int32 and got.shape == want.shape
+                    np.testing.assert_array_equal(got, want)
+                    assert not got.flags.writeable
+                    assert pm.block_row_counts(i, j) is got  # counted once per view
+        # one row read twice (stride 0) but where a stored zero parts them
+        pm = PartitionedMatrix(csr, 8, 10)
+        one_row = {pm.block_row_counts(i, j).strides[0] == 0
+                   for i in range(pm.num_row_blocks) for j in range(pm.num_col_blocks)}
+        assert one_row == {True, False}
