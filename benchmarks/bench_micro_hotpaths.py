@@ -62,6 +62,14 @@ these inner loops, each rewritten as single numpy / native passes:
    kernel and lane (the Analyzer pass, the pair bills and the
    write-back four times) reads about 1.7x.  The "before" arm is the
    one-lane run, and the two outputs must be bit-identical.
+9. A dense-input Aggregate, ``runtime.vectorized._fold_tasks``: GCN x
+   PU@0.5's two Aggregate calls on a freshly patched adjacency view (as
+   every patched program of ``serve_churn`` makes them), timed through
+   the per-task oracle (``tests/task_oracle.py``) and through the task
+   loop, which folds each task's pairs into two ``csr_matvecs`` over the
+   view's CSR and builds no block layout.  The number is the oracle's
+   time over the loop's; a loop that calls ``csr_matvecs`` pair by pair
+   off a block layout reads about 2.1x, the fold about 4.3x.
 
 Each bench times before/after on the same inputs, in alternating calls,
 asserts the results are bit-identical, and reports the speedup, the
@@ -93,10 +101,15 @@ from repro.gnn import build_adjacency_variants
 from repro.hw.spmm_unit import (
     row_counts, scp_cycles, spmm_census, spmm_compute_cycles, spmm_workloads,
 )
-from repro.runtime.executor import KernelAssembly
+import repro.runtime.executor as executor_mod
+from repro.hw import Accelerator
+from repro.ir.kernel import KernelType
+from repro.runtime import CoreTimeline, make_strategy
+from repro.runtime.executor import KernelAssembly, run_strategy
 from repro.runtime.perf_model import PairBatch
 from repro.runtime.strategies import DynamicMapping
 from repro.runtime.vectorized import (
+    execute_kernel_tasks,
     _NS_PER_CELL,
     _NS_PER_MAC,
     _NS_PER_ROW_CELL,
@@ -112,6 +125,7 @@ from repro.serve import synthesize
 _tests = str(Path(__file__).resolve().parent.parent / "tests")
 if _tests not in sys.path:
     sys.path.append(_tests)
+from task_oracle import execute_kernel_lanes_reference  # noqa: E402
 from unit_oracles import block_nnz_grid_reference  # noqa: E402
 
 #: default scale of both microbenches (identical in smoke and full: the
@@ -154,6 +168,10 @@ FIND_EDGE_FRACTION = 0.005
 #: hot path 8's program (``shard_sweep``'s GCN cell), its widest plan and
 #: the paired rounds
 SHARD_CELL, SHARD_LANES, SHARD_ROUNDS = ("GCN", "PU", 0.5), 4, 15
+#: hot path 9's program (``serve_churn``'s GCN cell) and the paired rounds
+FOLD_CELL, FOLD_ROUNDS = ("GCN", "PU", 0.5), 9
+#: the oracle's time over the task loop's that hot path 9 must beat
+FOLD_FLOOR = 3.0
 
 
 def _grid_inputs():
@@ -873,4 +891,77 @@ def _shard_lanes_spec():
     return {
         "overhead": Metric("overhead", overhead, "x", "lower"),
         "sharded_ms": Metric("sharded_ms", four_s * 1e3, "ms"),
+    }
+
+
+def _aggregate_calls():
+    """The arguments of GCN x PU@0.5's two Aggregate calls in one inference."""
+    model, dataset, scale = FOLD_CELL
+    engine = Engine()
+    program = engine.compile(model, dataset, scale=scale, seed=0).program
+    calls = []
+
+    def capture(kernel, xv, *args):
+        calls.append((kernel, xv, *args))
+        return execute_kernel_tasks(kernel, xv, *args)
+
+    executor_mod.execute_kernel_tasks = capture
+    try:
+        run_strategy(program, "Dynamic")
+    finally:
+        executor_mod.execute_kernel_tasks = execute_kernel_tasks
+    return program, [c for c in calls if c[0].ktype is KernelType.AGGREGATE]
+
+
+def _replay_aggregates(loop, program, calls):
+    """Both Aggregates through ``loop`` on a freshly patched view of the
+    adjacency (an empty delta: the census handed over, nothing derived
+    kept), each onto its own device and assembly: the two outputs."""
+    xv = calls[0][1]
+    view, _ = PartitionedMatrix.from_patched(xv, xv.matrix, *[np.empty(0, np.int64)] * 4)
+    outputs = []
+    for kernel, _, yv, xs, ys, _, tasks, _, _, acc_view, act in calls:
+        acc = Accelerator(program.config)
+        assembly = KernelAssembly.for_kernel(view, yv, kernel.exec_scheme)
+        loop(kernel, view, yv, xs, ys, make_strategy("Dynamic", program.config), tasks,
+             [(acc, CoreTimeline(acc.num_cores), (0, sys.maxsize))], assembly, acc_view, act)
+        outputs.append(assembly.finalize()[0])
+    return outputs
+
+
+@register_bench(
+    "micro_aggregate_fold",
+    tier=("smoke", "full"),
+    tags=("micro", "hotpath"),
+    tolerances={"speedup": 0.6},
+)
+def _aggregate_fold_spec():
+    """Hot path 9: a patched view's two dense-input Aggregates, oracle vs loop."""
+    program, calls = _aggregate_calls()
+    assert len(calls) == 2 and calls[0][1] is calls[1][1]
+    (ref, new), (ref_s, new_s), ratio = paired_speedups(
+        lambda: _replay_aggregates(execute_kernel_lanes_reference, program, calls),
+        lambda: _replay_aggregates(execute_kernel_tasks, program, calls),
+        repeats=FOLD_ROUNDS)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(ref, new, strict=True)), \
+        "the folded Aggregates must be the oracle's, bit for bit"
+    speedup = ratio[0, 1]
+    model, dataset, scale = FOLD_CELL
+    pairs = sum(c[6].num_pairs for c in calls)
+    emit("micro_aggregate_fold", format_table(
+        ["loop", "best (ms)", "speedup"],
+        [
+            ["per-task oracle (pair by pair, block layout)", f"{ref_s * 1e3:.3f}", "1.00x"],
+            ["task loop (folded: two csr_matvecs a kernel)", f"{new_s * 1e3:.3f}",
+             f"{speedup:.2f}x"],
+        ],
+        title=(
+            f"M1i: {model} x {dataset}@{scale:g}'s two Aggregates ({pairs} pairs) on a "
+            f"freshly patched view, median of {FOLD_ROUNDS} paired rounds"
+        ),
+    ))
+    assert speedup > FOLD_FLOOR, f"the task loop only {speedup:.2f}x faster than the oracle"
+    return {
+        "speedup": Metric("speedup", speedup, "x", "higher"),
+        "loop_ms": Metric("loop_ms", new_s * 1e3, "ms"),
     }

@@ -1,14 +1,11 @@
 #!/usr/bin/env python
-"""Post-run analysis: Gantt timeline, roofline regimes, strategy diff.
+"""Post-run analysis: where Dynamic beats S1.
 
-Runs GCN on PubMed under Dynamic and S1, then shows (a) the task schedule
-across the seven Computation Cores, (b) which kernels are compute- vs
-memory-bound — the regime split that decides where dynamic mapping can
-win — and (c) a per-kernel attribution of the SO-S1 speedup.
+Runs GCN on PubMed under Dynamic and S1, then attributes the SO-S1
+speedup kernel by kernel, with each kernel's primitive mix under both.
 """
 
 from repro import Engine
-from repro.analysis import classify_kernels, render_gantt
 from repro.analysis.compare import format_comparison
 
 
@@ -24,18 +21,8 @@ def main() -> None:
     dyn = results["Dynamic"]
     print(dyn.format_report())
 
-    print("\n--- schedule (Algorithm 8) ---")
-    print(render_gantt(dyn, width=90))
-
-    print("\n--- roofline regimes ---")
-    for c in classify_kernels(dyn):
-        print(" ", c.describe())
-
     print("\n--- Dynamic vs S1, per kernel ---")
     print(format_comparison(dyn, results["S1"]))
-    print("\nDynamic only beats S1 on compute-bound kernels whose "
-          "primitives it remapped;\nmemory-bound kernels cost the same "
-          "under any mapping.")
 
 
 if __name__ == "__main__":

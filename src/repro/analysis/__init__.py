@@ -1,21 +1,10 @@
-"""Post-run analysis: timelines, roofline classification, run diffing.
+"""Post-run analysis: run diffing.
 
-Utilities that turn an :class:`~repro.runtime.executor.InferenceResult`
-into the artefacts a performance engineer actually reads:
-
-- :func:`~repro.analysis.timeline.render_gantt` — ASCII Gantt chart of
-  task execution across Computation Cores (visualises Algorithm 8's
-  dynamic scheduling and the per-kernel barriers);
-- :func:`~repro.analysis.roofline.classify_kernels` — per-kernel
-  compute-bound vs memory-bound classification (which regime each
-  kernel's chosen primitives landed in);
-- :func:`~repro.analysis.compare.compare_runs` — side-by-side diff of two
-  runs (e.g. Dynamic vs S1) with per-kernel speedups and primitive-mix
-  changes.
+:func:`~repro.analysis.compare.compare_runs` is a side-by-side diff of two
+runs (e.g. Dynamic vs S1) with per-kernel speedups and primitive-mix
+changes.
 """
 
-from repro.analysis.timeline import render_gantt
-from repro.analysis.roofline import KernelRegime, classify_kernels
 from repro.analysis.compare import compare_runs
 
-__all__ = ["render_gantt", "classify_kernels", "KernelRegime", "compare_runs"]
+__all__ = ["compare_runs"]

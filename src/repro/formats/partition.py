@@ -13,11 +13,16 @@ This mirrors the hardware, where partitions are just address ranges in
 DDR, and lets the Aggregate kernel view ``H`` as ``N1 x N2`` fibers while
 the Update kernel views the *same* bytes as ``N2 x N2`` subfibers.
 
-A sparse operand is re-laid-out once per view, into **one block-major
-layout** (:class:`_BlockLayout`): its stored entries ordered by (block
-row, block column), row-major inside a block, so every block is a slice.
-``csr_blocks_for_row``, sparse ``block`` and ``dense_block`` read it; the
-first of them builds it, and its arrays are read-only.  Building it costs
+A sparse operand is re-laid-out at most once per view, into **one
+block-major layout** (:class:`_BlockLayout`): its stored entries ordered
+by (block row, block column), row-major inside a block, so every block is
+a slice.  Only block readers build it: ``csr_blocks_for_row``, sparse
+``block`` and ``dense_block`` read it, the first of them builds it, and
+its arrays are read-only.  What needs no block — the SCP skew
+(:func:`scp_skew`, counted from the CSR, from ``indptr`` alone when the
+view has one block column) and a task loop's fold over the adjacency —
+is derived from the stored CSR (:meth:`PartitionedMatrix.derived`), so a
+view that only such readers read never builds a layout.  A layout costs
 about one pass over what is stored — one radix sort of an 8- or 16-bit
 block id, no sort and no copy when the view has one block column — which
 is what a runtime whose operands change under it (``repro.dyngraph``
@@ -155,8 +160,6 @@ class _BlockLayout:
             blk.indptr.flags.writeable = False
         #: block row -> whether its stored data is all finite, on first ask
         self.finite: list[bool | None] = [None] * nr
-        #: psys -> :meth:`scp_skew` grid, on first ask
-        self.skew: dict[int, np.ndarray] = {}
 
     def block_row(self, i: int) -> list:
         """The CSR blocks of block row ``i``, split once."""
@@ -194,23 +197,6 @@ class _BlockLayout:
             blocks.append(blk)
         self.rows[i] = blocks
         return blocks
-
-    def scp_skew(self, psys: int) -> np.ndarray:
-        """Per block, the busiest Sparse Computation Pipeline's share of
-        its stored entries times ``psys`` (SPMM gives local row ``r`` to
-        pipeline ``r mod psys``, Algorithm 6): 1.0 is perfectly even, also
-        for an empty block.  Counted block row by block row, once."""
-        grid = self.skew.get(psys)
-        if grid is None:
-            grid = self.skew[psys] = np.ones((len(self.rows), self.nc))
-            for i in range(len(self.rows)):
-                counts = np.diff([blk.indptr for blk in self.block_row(i)])
-                loads = np.zeros((self.nc, -(-counts.shape[1] // psys) * psys), np.int64)
-                loads[:, : counts.shape[1]] = counts
-                loads = loads.reshape(self.nc, -1, psys).sum(axis=1)
-                total = loads.sum(axis=1)
-                np.divide(loads.max(axis=1) * psys, total, out=grid[i], where=total > 0)
-        return grid
 
 
 def block_nnz_grid(
@@ -269,15 +255,40 @@ def block_nnz_grid(
     return np.bincount(flat, minlength=nr * nc).reshape(nr, nc).astype(np.int64)
 
 
+def scp_skew(mat: sp.csr_matrix, block_rows: int, block_cols: int, psys: int) -> np.ndarray:
+    """Per block of ``mat``, the busiest Sparse Computation Pipeline's share
+    of its stored entries times ``psys`` (SPMM gives local row ``r`` to
+    pipeline ``r mod psys``, Algorithm 6): 1.0 is perfectly even, also for
+    an empty block.  Stored entries are counted per (block, pipeline)
+    straight from the CSR, one ``bincount``: of the row counts when there
+    is one block column, of every entry's key otherwise.  No block is split."""
+    nr, nc = grid_dims(mat.shape, block_rows, block_cols)
+    rows = np.arange(mat.shape[0])
+    key = rows // block_rows * (nc * psys) + rows % block_rows % psys
+    per_row = np.diff(mat.indptr)
+    if nc == 1:
+        loads = np.bincount(key, per_row, nr * psys)
+    else:
+        key = np.repeat(key, per_row)
+        key += mat.indices // block_cols * psys
+        loads = np.bincount(key, minlength=nr * nc * psys)
+    loads = loads.reshape(nr, nc, psys)
+    total = loads.sum(axis=2)
+    grid = np.ones((nr, nc))
+    np.divide(loads.max(axis=2) * psys, total, out=grid, where=total > 0)
+    return grid
+
+
 class PartitionedMatrix:
     """A matrix plus a block decomposition (Fig. 5) and its density table.
 
-    Sparse storage keeps one structure over the operand besides the
-    census: the block-major layout (:class:`_BlockLayout`), built by the
-    first block read and dropped when the view is rebound to a mutated
-    matrix.  Every block row is split once, however many there are, and
-    every reader (``block``, ``dense_block``, ``csr_blocks_for_row``) is
-    handed the same read-only block objects.
+    Sparse storage keeps, besides the census, the block-major layout
+    (:class:`_BlockLayout`), built by the first block read, and what
+    readers derive from the CSR (:meth:`derived`); both are dropped when
+    the view is rebound to a mutated matrix.  Every block row is split
+    once, however many there are, and every reader (``block``,
+    ``dense_block``, ``csr_blocks_for_row``) is handed the same read-only
+    block objects.
 
     Parameters
     ----------
@@ -341,6 +352,8 @@ class PartitionedMatrix:
         self._density_grid: np.ndarray | None = None
         #: (i, j) -> the block's row counts, counted on first ask
         self._row_counts: dict = {}
+        #: what readers derive from the stored matrix, by key (:meth:`derived`)
+        self._derived: dict = {}
 
     # -- geometry --------------------------------------------------------
     @property
@@ -390,6 +403,11 @@ class PartitionedMatrix:
         """
         return self._block_layout().block_row(i)
 
+    @property
+    def is_laid_out(self) -> bool:
+        """Whether a block read has built this view's block-major layout."""
+        return self._layout is not None
+
     def _block_layout(self) -> _BlockLayout:
         if not self.is_sparse_storage:
             raise TypeError("block layouts require sparse storage")
@@ -414,11 +432,20 @@ class PartitionedMatrix:
         counted."""
         if self.produced or not self.is_sparse_storage:
             return np.ones(self._nnz_grid.shape)
-        return self._block_layout().scp_skew(psys)
+        return self.derived(("skew", psys), lambda: scp_skew(
+            self.matrix, self.block_rows, self.block_cols, psys))
+
+    def derived(self, key, build):
+        """``build()``, kept under ``key`` until the view is rebound: what its
+        readers share and derive without a block layout (SCP skew, a fold)."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def block_row_counts(self, i: int, j: int) -> np.ndarray:
         """:func:`~repro.formats.csr.row_counts` of block ``(i, j)``, read
-        only, counted once per view and kept beside its SCP skew (every lane
+        only, counted once per view and kept with it (every lane
         and every run that reads this view shares the count): as int32, and
         one row when the block stores no zero, so its two rows agree."""
         counts = self._row_counts.get((i, j))
@@ -547,8 +574,9 @@ class PartitionedMatrix:
             self.matrix = np.ascontiguousarray(np.asarray(new_matrix, dtype=DTYPE))
         self._nnz_grid = grid
         self._density_grid = None
-        # the layout and row counts observe the old bytes; the next read rebuilds them
-        self._layout, self._row_counts = None, {}
+        # the layout, row counts and derived structures observe the old bytes;
+        # the next read rebuilds them
+        self._layout, self._row_counts, self._derived = None, {}, {}
         return dirty
 
     @classmethod

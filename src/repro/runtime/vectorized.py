@@ -27,9 +27,21 @@ DDR share, its dispatch and its totals:
    the tasks that hold their products as CSR: every live pair entry by
    entry, none transposed, no activation after, structural MACs below
    ``SPARSE_HOLDING`` of the partition.
-2. **Functional** — computes, counts nothing: per executed task
-   (original order, preserving the float32 accumulation order and
-   assembly write order bit for bit), one native call per operand pair.
+2. **Functional** — computes, counts nothing.  A kernel with X held as
+   CSR and Y dense computes its tasks at once from the view's CSR
+   (:func:`_fold_tasks`: no pair transposed or seeded, pairs ascending, Y
+   blocks at most ``_FOLD_WIDTH`` wide, no block layout yet, and the
+   per-pair calls saved outweighing the build, a function of counts).  An
+   output row is a left fold from ``+0.0`` over terms in pair order
+   (:func:`_fold_terms`, kept on the view): an entry of the task's first
+   live pair or a later pair's lone entry is ``x * Y[c]``, a later pair's
+   run of two or more one group sum ``G[g]``, a skipped pair's entry none;
+   two ``csr_matvecs`` fill ``G`` and fold ``[Y; G]``.  The bits are the
+   pair-by-pair path's: ``z + x * Y[c]`` is ``z + (0 + x * Y[c])`` as ``z``
+   is never ``-0.0`` and ``csr_matvecs`` rounds a product before its add
+   (no FMA); a group is that path's partial row.  Every other task goes
+   pair by pair (original order, preserving the float32 accumulation
+   order and assembly write order bit for bit), one native call a pair.
    A CSR X block (a slice of the view's block-major layout, which its
    first :meth:`PartitionedMatrix.csr_blocks_for_row` builds) against a
    CSR Y block goes entry by entry through ``csr_matmat``
@@ -73,6 +85,8 @@ would overflow its buffer (BufferO or BufferP) raises
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -114,6 +128,12 @@ _CSR_SUM_DUPLICATES = getattr(_sparsetools, "csr_sum_duplicates", None)
 _NS_PER_MAC = 9.0
 _NS_PER_CELL = 0.5
 _NS_PER_ROW_CELL = 0.25
+#: host nanoseconds of a dense-Y pair's own call (zero-fill and add included)
+#: and of a stored entry in a fold's terms (GCN x PU@0.5); the fold stacks
+#: ``[Y; G]``, so it takes Y blocks of at most ``_FOLD_WIDTH`` columns
+_NS_PER_PAIR = 8500.0
+_NS_PER_FOLD_ENTRY = 7.0
+_FOLD_WIDTH = 64
 #: the host holds an output partition (and a whole output) as CSR below this
 #: density (``micro_pair_product``: a CSR operand still pays at 10%, costs 2x
 #: at 30%); the off-chip format is ``choose_storage_format``'s, whatever this is
@@ -181,6 +201,56 @@ def _accumulate_csr_product(xblk, yblk, y_flat, s2d, out) -> None:
         y_flat.fill(0)
         _CSR_TODENSE(n, d, yblk.indptr, yblk.indices, yblk.data, y_flat)
     _CSR_MATVECS(m, n, d, xblk.indptr, xblk.indices, xblk.data, y_flat, out.ravel())
+
+
+def _fold_terms(x, block_rows: int, block_cols: int, live: np.ndarray) -> tuple:
+    """A fold's terms over the sorted CSR ``x`` and the pairs ``live`` marks
+    (a block grid, a row per task): CSR triplets ``(f, g)``.  Row ``r`` of
+    ``f`` lists output row ``r``'s terms in pair order: an entry of the
+    task's first live pair or alone in its pair stays itself, a later
+    pair's run of two or more is ``(n + g, 1.0)`` (row ``g`` of ``g`` holds
+    the run), an entry of a pair ``live`` does not mark is left out."""
+    (nr, nc), (rows, n), nnz = live.shape, x.shape, x.indptr[-1]
+    indptr, indices = x.indptr, x.indices[:nnz]
+    # each block's role: 0 skipped, 1 its task's first live pair, 2 a later one
+    role = live.astype(np.uint8) * 2
+    role[np.arange(nr), live.argmax(axis=1)] >>= 1
+    j = indices // block_cols
+    edges = indptr[np.minimum(np.arange(nr + 1) * block_rows, rows)]
+    j += np.repeat(np.arange(nr, dtype=j.dtype) * nc, np.diff(edges))
+    role = role.ravel().take(j)
+    # a run is a row's entries in one pair: it opens at a row or a pair change
+    start = np.ones(nnz + 1, dtype=bool)
+    np.not_equal(j[1:], j[:-1], out=start[1:-1])
+    start[indptr[:-1]] = True
+    # entries of a later pair's run of two or more go to a group
+    group = (role == 2) & ~(start[:-1] & start[1:])
+    opens = group & start[:-1]
+    term = (role != 0) & ~group | opens
+    idx = sp.get_index_dtype(maxval=max(n + nnz, rows))
+    ge = np.flatnonzero(group)
+    g_ptr = np.append(np.flatnonzero(opens[ge]), ge.size).astype(idx)
+    te = np.flatnonzero(term)
+    f_col, f_val = indices[te].astype(idx, copy=False), x.data[te]
+    at = np.flatnonzero(opens[te])
+    f_col[at], f_val[at] = np.arange(n, n + at.size), 1
+    counted = np.zeros(nnz + 1, dtype=idx)
+    np.cumsum(term, out=counted[1:])
+    return (counted[indptr], f_col, f_val), (g_ptr, indices[ge].astype(idx, copy=False), x.data[ge])
+
+
+def _fold_product(terms, y: np.ndarray) -> np.ndarray:
+    """Every output row of a fold (:func:`_fold_terms`) against the dense
+    ``y``: one ``csr_matvecs`` fills the group sums ``G`` below a copy of
+    ``y``, one more folds each row over ``[Y; G]`` from ``+0.0``."""
+    (f_ptr, f_col, f_val), (g_ptr, g_col, g_val) = terms
+    (n, d), ng = y.shape, g_ptr.size - 1
+    stacked = np.empty((n + ng, d), dtype=DTYPE)
+    stacked[:n], stacked[n:] = y, 0
+    _CSR_MATVECS(ng, n, d, g_ptr, g_col, g_val, stacked[:n].ravel(), stacked[n:].ravel())
+    z = np.zeros((f_ptr.size - 1, d), dtype=DTYPE)
+    _CSR_MATVECS(z.shape[0], n + ng, d, f_ptr, f_col, f_val, stacked.ravel(), z.ravel())
+    return z
 
 
 def _entry_route(x_nnz, y_nnz, m, n, d) -> np.ndarray:
@@ -256,6 +326,37 @@ def _merge_csr_products(m, d, products) -> sp.csr_matrix:
     if blk.nnz < bj.size:  # duplicates were summed: no slack past the entries
         blk.data, blk.indices = blk.data.copy(), blk.indices.copy()
     return blk
+
+
+def _fold_tasks(xv, yv, tasks, lp, lt, candidates, act, assembly) -> np.ndarray:
+    """Compute and write the ``candidates`` (none transposed or seeded) whose
+    pairs ascend and whose Y blocks stack, when that saves more than it
+    builds (:func:`_fold_product`); returns the tasks it wrote."""
+    rows, cols, js = tasks.rows, tasks.cols, tasks.js
+    pj = js[lp]
+    fold_t = candidates & (yv.col_block_sizes[cols] <= _FOLD_WIDTH)
+    fold_t[lt[1:][(lt[1:] == lt[:-1]) & (pj[1:] <= pj[:-1])]] = False
+    on = fold_t[lt]
+    # a view some block read laid out already gives the pairs their blocks
+    if (xv.is_laid_out or _NS_PER_PAIR * np.count_nonzero(on) <= _NS_PER_FOLD_ENTRY * xv.nnz
+            or not xv.matrix.has_sorted_indices):  # the pairs' entry order is the layout's
+        return np.zeros_like(fold_t)
+    folded = np.flatnonzero(fold_t)
+    for k in sorted_unique(cols[folded]).tolist():
+        live = np.zeros(xv.nnz_grid.shape, dtype=bool)
+        mine = on & (cols[lt] == k)
+        live[rows[lt[mine]], pj[mine]] = True
+        terms = xv.derived(("fold", live.tobytes()), functools.partial(
+            _fold_terms, xv.matrix, xv.block_rows, xv.block_cols, live))
+        c0 = k * yv.block_cols
+        z = _fold_product(terms, yv.matrix[:, c0 : c0 + yv.block_cols])
+        for t in folded[cols[folded] == k].tolist():
+            r0 = int(rows[t]) * xv.block_rows
+            zt = z[r0 : r0 + xv.block_rows]
+            if act is not None:
+                zt = np.asarray(act(zt), dtype=DTYPE)
+            assembly.write(int(rows[t]), k, zt)
+    return fold_t
 
 
 def execute_kernel_tasks(
@@ -428,6 +529,10 @@ def execute_kernel_tasks(
     if assembly.carried is not None:  # a lineage's product: counted, not recomputed
         out_nnz_t[exec_idx] = assembly.nnz_grid[rows[exec_idx], cols[exec_idx]]
         computed = exec_idx[:0]
+    elif native and not y_sparse and acc_view is None:
+        fold_t = _fold_tasks(xv, yv, tasks, lp, lt, executed_t & ~merged_t, act, assembly)
+        computed = exec_idx[~fold_t[exec_idx]]
+        out_nnz_t[fold_t] = assembly.nnz_grid[rows[fold_t], cols[fold_t]]
     # per-task live-pair segment boundaries in one pass (lt is sorted)
     seg_lo = np.searchsorted(lt, computed, "left")
     seg_hi = np.searchsorted(lt, computed, "right")

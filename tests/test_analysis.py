@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.analysis import (
-    KernelRegime,
-    classify_kernels,
-    compare_runs,
-    render_gantt,
-)
+from repro.analysis import compare_runs
 from repro.analysis.compare import format_comparison
-from repro.analysis.roofline import classify_kernel
 from repro.runtime.executor import run_strategy
 
 
@@ -17,78 +11,6 @@ from repro.runtime.executor import run_strategy
 def two_runs(tiny_gcn_program):
     program, _, _ = tiny_gcn_program
     return run_strategy(program, "Dynamic"), run_strategy(program, "S1")
-
-
-class TestGantt:
-    def test_renders_all_cores_and_kernels(self, two_runs):
-        dyn, _ = two_runs
-        chart = render_gantt(dyn, width=60)
-        assert "CC0" in chart
-        assert "legend:" in chart
-        for ks in dyn.kernel_stats:
-            assert ks.kernel_id in chart
-
-    def test_rows_have_uniform_width(self, two_runs):
-        dyn, _ = two_runs
-        lines = render_gantt(dyn, width=50).splitlines()[1:-1]
-        assert len({len(line) for line in lines}) == 1
-
-    def test_empty_timeline(self, two_runs):
-        dyn, _ = two_runs
-        import dataclasses
-
-        empty = dataclasses.replace(dyn, timeline_events=[])
-        assert "empty" in render_gantt(empty)
-
-
-class TestRoofline:
-    def test_every_kernel_classified(self, two_runs):
-        dyn, _ = two_runs
-        cls = classify_kernels(dyn)
-        assert len(cls) == len(dyn.kernel_stats)
-        for c in cls:
-            assert c.regime in KernelRegime
-            assert c.intensity_ratio >= 0
-            assert c.describe()
-
-    def test_regime_thresholds(self, two_runs):
-        dyn, _ = two_runs
-        import dataclasses
-
-        ks = dataclasses.replace(
-            dyn.kernel_stats[0], compute_cycles=1000.0, memory_cycles=10.0,
-            transform_cycles=0.0,
-        )
-        assert classify_kernel(ks).regime is KernelRegime.COMPUTE_BOUND
-        ks = dataclasses.replace(ks, compute_cycles=10.0, memory_cycles=1000.0)
-        assert classify_kernel(ks).regime is KernelRegime.MEMORY_BOUND
-        ks = dataclasses.replace(ks, compute_cycles=100.0, memory_cycles=100.0)
-        assert classify_kernel(ks).regime is KernelRegime.BALANCED
-
-    def test_the_longer_data_stream_binds(self, two_runs):
-        # the AHM transforms beside the transfer: 120 against max(100, 90)
-        # is ratio 1.2, where against their sum (0.63) it was memory-bound
-        dyn, _ = two_runs
-        import dataclasses
-
-        ks = dataclasses.replace(
-            dyn.kernel_stats[0], compute_cycles=120.0, memory_cycles=100.0,
-            transform_cycles=90.0,
-        )
-        c = classify_kernel(ks, balance_band=0.1)
-        assert c.regime is KernelRegime.COMPUTE_BOUND
-        assert (c.data_cycles, c.intensity_ratio) == (100.0, 1.2)
-        assert classify_kernel(ks).regime is KernelRegime.BALANCED
-
-    def test_zero_cycles_balanced(self, two_runs):
-        dyn, _ = two_runs
-        import dataclasses
-
-        ks = dataclasses.replace(
-            dyn.kernel_stats[0], compute_cycles=0.0, memory_cycles=0.0,
-            transform_cycles=0.0,
-        )
-        assert classify_kernel(ks).regime is KernelRegime.BALANCED
 
 
 class TestCompare:

@@ -31,12 +31,14 @@ from repro.datasets.catalog import DatasetSpec, GraphData
 from repro.formats.dense import DTYPE
 from repro.formats.partition import PartitionedMatrix
 from repro.gnn import build_model, init_weights
+from repro.gnn.activations import relu
 import repro.runtime.executor as executor_mod
 import repro.runtime.vectorized as vectorized_mod
 from repro.hw import Accelerator
 from repro.hw.buffers import BufferOverflowError
-from repro.hw.report import GEMM_CODE, CycleReport
+from repro.hw.report import GEMM_CODE, CycleReport, Primitive
 from repro.hw.spmm_unit import scp_cycles
+from repro.ir.kernel import KernelType
 from repro.ir.scheme import TaskBatch
 from repro.runtime import CoreTimeline, execute_kernel_tasks, make_strategy
 from repro.runtime.executor import KernelAssembly, Lane, run_kernels, run_strategy
@@ -494,24 +496,26 @@ def gin_tiny():
     return Compiler(make_tiny_config()).compile(model, data, init_weights(model, seed=7))
 
 
-def crafted_loops(program, x, y, tasks=None):
-    """The first Aggregate of ``program`` over the CSR operands ``x`` and
-    ``y`` under S2 (no pair transposed or skipped), its whole task grid
-    or ``tasks``, through the task loop and the reference loop: per loop
-    ``(output bits, nnz_grid, blocks, stats, events)``."""
+def crafted_loops(program, x, y, tasks=None, strategy="S2", act=None, xv=None):
+    """The first Aggregate of ``program`` over the CSR operand ``x`` and the
+    CSR or dense ``y``, by default under S2 (no pair transposed or skipped),
+    its whole task grid or ``tasks``, through the task loop (on ``xv`` when
+    given) and the reference loop: per loop ``(output bits, nnz_grid,
+    blocks, stats, events)``."""
     kernel = _aggregate_kernel(program)
     scheme = kernel.exec_scheme
     tasks = scheme.task_batch() if tasks is None else tasks
     runs = []
     for loop in (execute_kernel_tasks, execute_kernel_lanes_reference):
-        xv = PartitionedMatrix(x, *scheme.x_blocking)
+        if xv is None or loop is not execute_kernel_tasks:
+            xv = PartitionedMatrix(x, *scheme.x_blocking)
         yv = PartitionedMatrix(y, *scheme.y_blocking)
         acc = Accelerator(program.config)
         timeline = CoreTimeline(acc.num_cores)
         assembly = KernelAssembly.for_kernel(xv, yv, scheme)
         (stats,) = loop(
-            kernel, xv, yv, True, True, make_strategy("S2", acc.config),
-            tasks, [(acc, timeline, EVERY_ROW)], assembly, None, None,
+            kernel, xv, yv, True, sp.issparse(y), make_strategy(strategy, acc.config),
+            tasks, [(acc, timeline, EVERY_ROW)], assembly, None, act,
         )
         out, _ = assembly.finalize()
         events = [(e.core, e.start, e.end, e.task_index) for e in timeline.events]
@@ -519,10 +523,10 @@ def crafted_loops(program, x, y, tasks=None):
     return runs
 
 
-def assert_crafted_identical(program, x, y, tasks=None):
+def assert_crafted_identical(program, x, y, tasks=None, **kwargs):
     """Both loops agree on everything; the task loop's ``nnz_grid`` and
     CSR-held blocks are returned."""
-    (bv, gv, blv, sv, ev), (br, gr, blr, sr, er) = crafted_loops(program, x, y, tasks)
+    (bv, gv, blv, sv, ev), (br, gr, blr, sr, er) = crafted_loops(program, x, y, tasks, **kwargs)
     assert bv == br
     np.testing.assert_array_equal(gv, gr)
     assert_same_blocks(blv, blr)
@@ -652,6 +656,134 @@ def _aggregate_kernel(program):
         if kernel.ktype is KernelType.AGGREGATE and not kernel.accumulate_into:
             return kernel
     raise AssertionError("no standalone aggregate kernel in program")
+
+
+#: vertices of the fold cells' graph: 8-row blocks under the tiny config,
+#: the last block row ragged (6 rows); SGC's 24-row blocks end in 22
+FOLD_VERTICES = 70
+FOLD_MODELS = ("GCN", "GIN", "GraphSAGE", "SGC")
+
+
+def fold_program(name):
+    """``name`` on the fold cells' graph, freshly compiled: a view the oracle
+    has read holds a block layout, and the fold takes no view that does."""
+    data = zero_slab_data(num_vertices=FOLD_VERTICES)
+    model = build_model(name, data.num_features, data.hidden_dim, data.num_classes)
+    return Compiler(make_tiny_config()).compile(model, data, init_weights(model, seed=7))
+
+
+@pytest.fixture
+def folded(monkeypatch):
+    """The tasks each fold call computed, one mask per kernel call."""
+    calls = []
+    fold = vectorized_mod._fold_tasks
+
+    def spy(*args):
+        calls.append(fold(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(vectorized_mod, "_fold_tasks", spy)
+    return calls
+
+
+def fold_operands(d):
+    """GCN's first Aggregate operands, hand-built: ``y`` (70 x ``d``, its
+    block 4 all zero, so Dynamic skips every pair ``(i, 4)``) and a CSR
+    ``x`` whose block row 0 holds a run of 3 in its first pair, a run of 2
+    and a lone entry in later pairs and an entry of the skipped pair
+    (row 0), a row whose first entries sit in a later block (row 1), a run
+    of 3 after a lone first-pair entry (row 2), a stored zero, runs of
+    ``-0.0`` and of ``inf`` and ``NaN`` (row 3), lone ``-0.0`` entries
+    (row 4), and a ragged last block row (rows 64-69)."""
+    rng = np.random.default_rng(0)
+    y = rng.uniform(-1, 1, (FOLD_VERTICES, d)).astype(DTYPE)
+    y[32:40] = 0
+    entries = [
+        (0, 0, 1.5), (0, 1, -2.0), (0, 2, 0.5), (0, 8, 1.0), (0, 9, 0.25), (0, 16, 3.0),
+        (0, 33, 5.0), (1, 24, 1.0), (1, 25, -1.0), (1, 40, 2.0), (2, 3, 1.0),
+        (2, 10, 0.5), (2, 11, 0.75), (2, 12, -0.5), (3, 1, 0.0), (3, 9, -0.0),
+        (3, 10, -0.0), (3, 17, np.inf), (3, 18, np.nan), (3, 26, -np.inf),
+        (4, 2, -0.0), (4, 19, -0.0), (64, 0, 1.0), (64, 1, 1.0), (65, 60, 2.0),
+        (69, 5, 0.5), (69, 69, 1.0),
+    ]
+    for r in range(5, 64):
+        entries += [(r, int(c), rng.uniform(0.5, 1.5)) for c in rng.choice(FOLD_VERTICES, 3, False)]
+    return _csr((FOLD_VERTICES, FOLD_VERTICES), entries), y
+
+
+class TestFoldedAggregates:
+    """A dense-input Aggregate's tasks folded into two native calls over the
+    adjacency's CSR (``vectorized._fold_tasks``) against the per-task oracle,
+    bit for bit: outputs, reports, counts and events."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("strategy", ["Dynamic", "S1", "S2"])
+    def test_crafted_operands(self, strategy, folded):
+        program = fold_program("GCN")
+        x, y = fold_operands(_aggregate_kernel(program).input_dim)
+        (bv, _, _, sv, _), _ = crafted_loops(program, x, y, strategy=strategy, act=relu)
+        assert_crafted_identical(program, x, y, strategy=strategy, act=relu)
+        # every task folded, the activation applied after
+        assert [mask.all() for mask in folded] == [True, True]
+        assert not (np.frombuffer(bv, DTYPE) < 0).any()
+        if strategy == "Dynamic":
+            assert sv.counts[Primitive.SKIP] >= 9
+
+    @pytest.mark.parametrize("strategy", ["Dynamic", "S1", "S2"])
+    @pytest.mark.parametrize("model_name", FOLD_MODELS)
+    def test_whole_programs(self, model_name, strategy, folded):
+        program = fold_program(model_name)
+        result = run_strategy(program, strategy)
+        assert any(mask.any() for mask in folded)
+        assert_results_identical(result, oracle_run(run_strategy, program, strategy))
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_a_rebound_view_keeps_no_stale_fold(self, folded):
+        """Entries moved inside their blocks leave the nnz grid, and so every
+        decision and the fold's cache key, as they were: only dropping the
+        count and the terms with the old bytes keeps the fold exact."""
+        program = fold_program("GCN")
+        kernel = _aggregate_kernel(program)
+        x, y = fold_operands(kernel.input_dim)
+        xv = PartitionedMatrix(x, *kernel.exec_scheme.x_blocking)
+        crafted_loops(program, x, y, strategy="Dynamic", xv=xv)
+        assert xv._derived
+        moved = x.tolil()
+        moved[0, 1], moved[0, 3] = 0, -2.0  # block (0, 0), one row
+        moved[2, 3], moved[5, 3] = 0, 1.0  # block (0, 0), another SCP
+        moved = moved.tocsr()
+        delta = ([0, 5], [3, 3], [0, 2], [1, 3])
+        patched, _ = PartitionedMatrix.from_patched(xv, moved, *delta)
+        xv.apply_structural_delta(moved, *delta)
+        for view in (xv, patched):
+            np.testing.assert_array_equal(view.nnz_grid, xv.nnz_grid)
+            assert_crafted_identical(program, moved, y, strategy="Dynamic", xv=view)
+        assert all(mask.all() for mask in folded)
+
+    def test_the_terms_of_hand_built_rows(self):
+        """One 8-row block row, pairs 0-2 live: row 0's run of three in the
+        first pair stays three terms, its run of two in pair 1 is group 0,
+        its lone entry in pair 2 stays itself and its entry in pair 4 is
+        left out; row 1's first entries, a run of two in pair 1, are group 1
+        (columns past ``n = 40`` name the groups)."""
+        x = _csr((8, 40), [(0, 0, 1.0), (0, 1, 2.0), (0, 2, 3.0), (0, 8, 4.0), (0, 9, 5.0),
+                           (0, 16, 6.0), (0, 33, 7.0), (1, 10, 8.0), (1, 11, 9.0)])
+        live = np.zeros((1, 5), dtype=bool)
+        live[0, :3] = True
+        (f_ptr, f_col, f_val), g = vectorized_mod._fold_terms(x, 8, 8, live)
+        assert f_ptr.tolist() == [0, 5] + [6] * 7
+        assert f_col.tolist() == [0, 1, 2, 40, 16, 41]
+        assert f_val.tolist() == [1.0, 2.0, 3.0, 1.0, 6.0, 1.0]
+        assert [a.tolist() for a in g] == [[0, 2, 4], [8, 9, 10, 11], [4.0, 5.0, 8.0, 9.0]]
+
+    @pytest.mark.parametrize("strategy", ["Dynamic", "S1", "S2"])
+    def test_a_dense_input_aggregate_builds_no_layout(self, strategy):
+        program = fold_program("GCN")
+        run_strategy(program, strategy)
+        for kernel in program.graph.topo_order():
+            if kernel.ktype is KernelType.AGGREGATE:
+                view = program.view(kernel.x_name, *kernel.exec_scheme.x_blocking)
+                assert view._layout is None and view._derived, kernel.kernel_id
 
 
 class TestActiveCoreAccounting:

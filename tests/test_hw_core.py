@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import make_tiny_config, random_sparse
 from repro.formats.csr import as_dense
@@ -311,6 +311,9 @@ class TestExecuteTask:
         transform=st.integers(0, 5000), active=st.integers(1, 8),
         psys=st.sampled_from([2, 4, 16, 64]), double_buffering=st.booleans(),
     )
+    # an exact serialised tie (4 x 77 B saved = D2S's 8 cycles x 38.5 B)
+    @example(size=77, fill=0.0, compute=0.0, memory=0.1394989327829188, transform=8,
+             active=8, psys=64, double_buffering=False)
     @settings(max_examples=300, deadline=None)
     def test_write_back_never_lengthens_the_task(
         self, size, fill, compute, memory, transform, active, psys, double_buffering
@@ -333,9 +336,15 @@ class TestExecuteTask:
                 double_buffering=double_buffering,
             )
 
-        _, d2s, out_bytes = writeback_stream(core, size, nnz, memory, transform, b)
+        coo, d2s, out_bytes = writeback_stream(core, size, nnz, memory, transform, b)
         chosen = task(out_bytes, d2s)
-        for fixed_bytes, fixed_d2s in ((4 * size, 0), (12 * nnz, core.d2s.cycles_for(size))):
+        fixed_choices = [(4 * size, 0), (12 * nnz, core.d2s.cycles_for(size))]
+        if not double_buffering and 4 * size - 12 * nnz == fixed_choices[1][1] * b:
+            # an exact tie stays dense; the COO task adds its stages in
+            # another order, so its sum may round an ulp below the dense one
+            assert not coo
+            del fixed_choices[1]
+        for fixed_bytes, fixed_d2s in fixed_choices:
             fixed = task(fixed_bytes, fixed_d2s)
             assert chosen <= fixed
             if double_buffering:

@@ -727,6 +727,20 @@ class TestSpmmWorkloads:
 
 # -- the private SciPy entry points --------------------------------------
 class TestNativeEntryPoints:
+    def test_matvecs_rounds_each_product_before_its_add(self):
+        """The fold adds a lone entry's ``x * y`` straight into its row,
+        where the pair-by-pair path adds ``0 + x * y``: the same bits only
+        if ``csr_matvecs`` rounds the product before the add (no fused
+        multiply-add).  At ``z = -(1 + 2**-11)``, ``x = y = 1 + 2**-12`` the
+        rounded product is ``1 + 2**-11`` (a tie, to even) and the sum
+        ``0.0``; fused, it would be ``2**-24``."""
+        for index_dtype in (np.int32, np.int64):
+            z = np.array([-(1 + 2**-11)], dtype=DTYPE)
+            x = y = np.array([1 + 2**-12], dtype=DTYPE)
+            vectorized_mod._CSR_MATVECS(
+                1, 1, 1, np.array([0, 1], index_dtype), np.zeros(1, index_dtype), x, y, z)
+            assert z.tolist() == [0.0]
+
     def test_scipy_still_has_them_with_this_signature(self):
         """Fails by name on the SciPy release that moves or re-types one
         of the six, rather than silently costing a third of every warm
