@@ -22,10 +22,16 @@ execution in flight and its forming group per class; a mutation drops
 every resolution.  Any later request costs one template lookup: no key
 is hashed again, an unbounded class admits without a decision, and a
 program found in the cache since the cache last changed is a hit counted
-on the spot.  Its LRU touch is recorded and replayed into the cache, in
-last-touch order, before the cache next changes (a compile or a
-mutation) and when the sweep ends, so the cache's order, evictions and
-counters are those of one counted ``get`` per request.
+on the spot.  In an untraced sweep without an autoscaler, the loop itself
+answers such a hit that joins a running execution or is one more row of
+its unbounded class's forming group: one dict lookup, no call.  Tracing,
+an autoscaler, a bounded class, a deferred re-admission, a paused
+execution, a new group and a stale lookup take :meth:`_admit
+<ContinuousScheduler._admit>`.  A hit's LRU touch is recorded and
+replayed into the cache, in last-touch order, before the cache next
+changes (a compile or a mutation) and when the sweep ends, so the
+cache's order, evictions and counters are those of one counted ``get``
+per request.
 
 **Batch windows.**  A group closes once it holds ``max_batch_size``
 requests, or once its oldest request has waited its class's window
@@ -128,15 +134,13 @@ class _Template(NamedTuple):
     req: InferenceRequest  # bound to the live snapshot of a registered graph
     cls: SLOClass
     slot: _Slot
-    #: the class's index in the policy
-    ci: int
+    ci: int  # the class's index in the policy
     #: an unbounded class's admission counters (it admits every request
     #: without a decision); None: each request is decided
     admits: dict | None
 
 
-#: the lookup of a cache hit: no compile seconds charged
-_HIT = (0.0, True)
+_HIT = (0.0, True)  # the lookup of a cache hit: no compile seconds charged
 
 
 @dataclass(eq=False, slots=True)
@@ -153,25 +157,15 @@ class _Group:
     ready_s: float
     #: the sweep's open order: 0 for its first batch
     batch_id: int
-    #: when its window expires
-    deadline: float
-    #: devices the batch spans when it runs
-    shards: int
+    shards: int  # devices the batch spans when it runs
     #: (request, deferred by admission, its lookup: compile seconds
     #: charged, cache hit) of each of its requests, in admission order
     rows: list[tuple] = field(default_factory=list)
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
-    @property
-    def rank(self) -> tuple:
-        """Dispatch order: priority first, then open order (batch id)."""
-        return (-self.slo.priority, self.batch_id)
-
-
-_RANK = operator.attrgetter("rank")
+def _rank(group: _Group) -> tuple:
+    """Dispatch order: priority first, then open order (batch id)."""
+    return (-group.slo.priority, group.batch_id)
 
 
 #: an execution's states: running on its devices, paused at a layer
@@ -222,24 +216,11 @@ class _Execution:
         #: a preemption check is armed at the next join point: one timer
         #: per execution, however many outranking groups arrive meanwhile
         self.check = False
-        #: how many times it was paused
-        self.preemptions = 0
+        self.preemptions = 0  # how many times it was paused
 
     @property
     def size(self) -> int:
         return len(self.founders) + len(self.joiners)
-
-    def join_point(self, now: float):
-        """The layer boundary an arrival at ``now`` joins at: None while it
-        is paused (the resume attaches it), False when none is left (the
-        last is the start of the final segment: joining *at* the finish
-        would share a result without ever being part of the execution)."""
-        if self.state is PAUSED:
-            return None
-        bounds = self.boundaries
-        if not bounds or now > bounds[-1]:
-            return False
-        return bounds[bisect_left(bounds, now)]
 
 
 def check_shards(request: InferenceRequest, devices: int, most: int) -> None:
@@ -284,10 +265,8 @@ class ContinuousScheduler:
         autoscaler: PoolAutoscaler | None = None,
     ) -> None:
         if mutation_policy not in MUTATION_POLICIES:
-            raise ValueError(
-                f"mutation_policy must be one of {MUTATION_POLICIES}, "
-                f"got {mutation_policy!r}"
-            )
+            raise ValueError(f"mutation_policy must be one of {MUTATION_POLICIES}, "
+                             f"got {mutation_policy!r}")
         if not max_batch_size >= 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if not max_wait_s >= 0:
@@ -325,9 +304,7 @@ class ContinuousScheduler:
         #: device's DDR received this sweep
         self._resident: set[tuple] = set()
         #: seconds and evictions the metrics catalogue has no name for
-        self.patch_s = 0.0
-        self.halo_s = 0.0
-        self.mutation_evictions = 0
+        self.patch_s, self.halo_s, self.mutation_evictions = 0.0, 0.0, 0
 
         self._timers: list[tuple] = []
         self._seq = itertools.count()
@@ -417,8 +394,13 @@ class ContinuousScheduler:
         return self._report()
 
     def _drain(self, arrivals: list) -> None:
-        """Merge the sorted arrivals with the timers until both run out."""
+        """Merge the sorted arrivals with the timers until both run out,
+        answering a warm join or forming-group row inline (the module's
+        "What a request costs"); any other arrival takes :meth:`_admit`."""
         timers, ready, tracer, autoscaler = self._timers, self._ready, self.tracer, self.autoscaler
+        templates, cache, touched, full = (self._templates, self.cache, self._touched,
+                                           self.max_batch_size)
+        inline = not tracer.enabled and autoscaler is None
         for event in arrivals:
             t = event.arrival_s
             # strictly earlier timers only: a window ending at this very
@@ -432,7 +414,35 @@ class ContinuousScheduler:
             if isinstance(event, MutationRequest):
                 self._mutate(event, t)
             else:
-                self._admit(event, self._template(event), t, deferred=False)
+                key = _TEMPLATE(event)
+                if not isinstance(key[1], str):  # an inline graph is unhashable: by identity
+                    key = (key[0], id(key[1]), *key[2:])
+                template = templates.get(key) or self._template(event, key)
+                slot = template.slot
+                prog, exec_, group = slot.prog, slot.inflight, slot.forming[template.ci]
+                if (not inline or prog.epoch != self._epoch
+                        or exec_ is not None and exec_.state is PAUSED):
+                    self._admit(event, template, t, deferred=False)
+                elif exec_ is not None and (bounds := exec_.boundaries) and t <= bounds[-1]:
+                    cache.hits += 1  # a join, at the first layer boundary from now
+                    cache.saved_s += prog.saved_s
+                    touched.append(prog)
+                    exec_.joiners.append((event, bounds[bisect_left(bounds, t)], False, _HIT, True))
+                    continue  # a join moves neither the backlog nor the ready groups
+                elif group is None or template.admits is None:
+                    self._admit(event, template, t, deferred=False)
+                else:
+                    template.admits["admit"] += 1
+                    cache.hits += 1
+                    cache.saved_s += prog.saved_s
+                    touched.append(prog)
+                    group.rows.append((event, False, _HIT))
+                    ready_s = prog.ready_s if prog.ready_s > t else t
+                    if ready_s > group.ready_s:
+                        group.ready_s = ready_s
+                    self._waiting += 1
+                    if len(group.rows) >= full:
+                        self._close_group(group, t)
             depth = self._waiting + len(self._deferred)
             if depth > self._max_depth:
                 self._max_depth = depth
@@ -474,23 +484,17 @@ class ContinuousScheduler:
     def _program(self, key: tuple) -> _Program:
         return self._programs.get(key) or self._programs.setdefault(key, _Program(key))
 
-    def _template(self, req: InferenceRequest) -> _Template:
-        """The request's template, resolved on its first request."""
-        key = _TEMPLATE(req)
-        if not isinstance(key[1], str):
-            key = (key[0], id(key[1]), *key[2:])  # an inline graph, by identity
-        template = self._templates.get(key)
-        if template is None:
-            req = self.engine.resolve_request(req)
-            check_shards(req, self.pool.num_devices, self._max_shards)
-            cls, prog_key = self._class_of(req), req.program_key(self.config)
-            pkey = req.batch_key(self.config, prog_key)
-            slot = self._slots.get(pkey) or self._slots.setdefault(
-                pkey, _Slot(self._program(prog_key), [None] * len(self.classes.classes)))
-            admits = (self.admission.counters[cls.name] if cls.max_queue_depth is None
-                      else None)
-            template = self._templates[key] = _Template(
-                req, cls, slot, self.classes.classes.index(cls), admits)
+    def _template(self, req: InferenceRequest, key: tuple) -> _Template:
+        """Resolve the template ``key`` of ``req``, its first request."""
+        req = self.engine.resolve_request(req)
+        check_shards(req, self.pool.num_devices, self._max_shards)
+        cls, prog_key = self._class_of(req), req.program_key(self.config)
+        pkey = req.batch_key(self.config, prog_key)
+        slot = self._slots.get(pkey) or self._slots.setdefault(
+            pkey, _Slot(self._program(prog_key), [None] * len(self.classes.classes)))
+        admits = self.admission.counters[cls.name] if cls.max_queue_depth is None else None
+        template = self._templates[key] = _Template(
+            req, cls, slot, self.classes.classes.index(cls), admits)
         return template
 
     def _class_of(self, req: InferenceRequest) -> SLOClass:
@@ -504,20 +508,25 @@ class ContinuousScheduler:
 
     def _admit(self, req: InferenceRequest, template: _Template, now: float, *,
                deferred: bool) -> None:
+        """Join the request to its batch key's execution in flight, or admit
+        it into its class's forming group.  Either way its program is looked
+        up: one found in the cache since the cache last changed is a hit, its
+        touch kept for :meth:`_replay_touches`; any other is looked up in the
+        cache again, and compiled into it on a miss."""
         # join-in-flight first: a join consumes no capacity, so it is
-        # exempt from admission bounds — shedding a joinable request
-        # would refuse work that is already paid for
-        exec_ = template.slot.inflight
-        if exec_ is not None and (at := exec_.join_point(now)) is not False:
-            exec_.joiners.append((req, at, deferred, self._lookup(req, template, now)[1], True))
-            if self.tracer.enabled:
-                self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
-                                    exec_id=exec_.exec_id, slo=req.slo)
-            return
-
-        if not deferred and template.admits is not None:  # an unbounded class
+        # exempt from admission bounds (shedding a joinable request would
+        # refuse work already paid for).  It joins at the first layer
+        # boundary from now, or a paused execution's resume (None); none is
+        # left past the start of the final segment (joining *at* the finish
+        # would share a result without ever being part of the execution)
+        slot, exec_, at = template.slot, template.slot.inflight, False
+        if exec_ is not None and exec_.state is PAUSED:
+            at = None
+        elif exec_ is not None and (bounds := exec_.boundaries) and now <= bounds[-1]:
+            at = bounds[bisect_left(bounds, now)]
+        if at is False and not deferred and template.admits is not None:  # unbounded class
             template.admits["admit"] += 1
-        elif not deferred:
+        elif at is False and not deferred:
             decision = self.admission.decide(template.cls, self._waiting + len(self._deferred))
             if decision.action != "admit":
                 if decision.action == "defer":
@@ -529,36 +538,7 @@ class ContinuousScheduler:
                                         cat=decision.action, slo=req.slo, reason=decision.reason)
                 return
 
-        # into the forming group of its batch key and class
-        ready_s, lookup = self._lookup(req, template, now)
-        self._waiting += 1
-        slot, ci = template.slot, template.ci
-        group = slot.forming[ci]
-        if group is None:
-            cls = template.cls
-            wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
-            group = slot.forming[ci] = _Group(
-                slot, cls, ci, opened_s=now, ready_s=now, batch_id=next(self._order),
-                deadline=now + wait, shards=req.shards)
-            self._after(group.deadline, self._window_expired, group)
-            if req.shards > self.pool.num_active:
-                # a queued batch's width is a floor on the active set: it
-                # grows now, because no later event need come to grow it
-                self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
-        group.rows.append((req, deferred, lookup))
-        if ready_s > group.ready_s:
-            group.ready_s = ready_s
-        if len(group.rows) >= self.max_batch_size:
-            self._close_group(group, now)
-
-    def _lookup(self, req: InferenceRequest, template: _Template, now: float) -> tuple:
-        """The request's program-cache lookup + host-clock compile charge;
-        returns the virtual time its program is ready to run, and the
-        lookup's (compile seconds charged, cache hit).  A program found in
-        the cache since the cache last changed is a hit counted here, its
-        touch kept for :meth:`_replay_touches`; any other is looked up in
-        the cache again, and compiled into it on a miss."""
-        cache, prog = self.cache, template.slot.prog
+        cache, prog = self.cache, slot.prog
         lookup = _HIT
         if prog.epoch != self._epoch:
             program = cache.peek(prog.key)
@@ -569,22 +549,48 @@ class ContinuousScheduler:
                 self._epoch += 1  # the put may have evicted another program
                 lookup = (compile_s, False)
             prog.program, prog.saved_s, prog.epoch = program, program.timings.total_s, self._epoch
-        if lookup is _HIT:
-            cache.hits += 1
-            cache.saved_s += prog.saved_s
-            self._touched.append(prog)
         if self.tracer.enabled:
             self.tracer.instant("serve", f"req{req.request_id}/enqueue", now, cat="enqueue",
                                 model=str(req.model), cache="hit" if lookup[1] else "miss",
                                 shards=req.shards)
-        if lookup is not _HIT:
-            # the compile queues behind the host's in-flight work
+        if lookup is _HIT:
+            cache.hits += 1
+            cache.saved_s += prog.saved_s
+            self._touched.append(prog)
+        else:  # the compile queues behind the host's in-flight work
             compile_start = max(now, self._host_free_s)
             self._host_free_s = prog.ready_s = compile_start + lookup[0]
             if self.tracer.enabled:
                 self.tracer.span("host/compile", f"compile {req.model}/{req.dataset_name}",
                                  compile_start, self._host_free_s, cat="compile")
-        return max(now, prog.ready_s), lookup
+        if at is not False:
+            exec_.joiners.append((req, at, deferred, lookup, True))
+            if self.tracer.enabled:
+                self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
+                                    exec_id=exec_.exec_id, slo=req.slo)
+            return
+
+        # into the forming group of its batch key and class
+        ready_s = max(now, prog.ready_s)
+        self._waiting += 1
+        ci = template.ci
+        group = slot.forming[ci]
+        if group is None:
+            cls = template.cls
+            wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
+            group = slot.forming[ci] = _Group(
+                slot, cls, ci, opened_s=now, ready_s=now, batch_id=next(self._order),
+                shards=req.shards)
+            self._after(now + wait, self._window_expired, group)
+            if req.shards > self.pool.num_active:
+                # a queued batch's width is a floor on the active set: it
+                # grows now, because no later event need come to grow it
+                self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
+        group.rows.append((req, deferred, lookup))
+        if ready_s > group.ready_s:
+            group.ready_s = ready_s
+        if len(group.rows) >= self.max_batch_size:
+            self._close_group(group, now)
 
     def _replay_touches(self) -> None:
         """Move the programs hit since the last replay to the cache's most
@@ -606,10 +612,10 @@ class ContinuousScheduler:
             # the batch-formation window: first member's admission to
             # the size trigger or window expiry that closed the batch
             self.tracer.span("serve", f"batch{group.batch_id}/form", group.opened_s, now,
-                             cat="batch", size=group.size, key=str(group.rows[0][0].model),
+                             cat="batch", size=len(group.rows), key=str(group.rows[0][0].model),
                              slo=group.slo.name)
         if group.ready_s <= now:
-            insort(self._ready, group, key=_RANK)
+            insort(self._ready, group, key=_rank)
         else:
             # compile still running: becomes schedulable at ready_s
             self._unready.append(group)
@@ -619,7 +625,7 @@ class ContinuousScheduler:
         if group not in self._unready:
             return  # it boarded an execution of its program
         self._unready.remove(group)
-        insort(self._ready, group, key=_RANK)
+        insort(self._ready, group, key=_rank)
         self._schedule(now)
 
     def _forming(self) -> list[_Group]:
@@ -648,7 +654,7 @@ class ContinuousScheduler:
         self._count("serve.batches")
         if run.num_shards > 1:
             self._count("serve.sharded_batches")
-            self._count("serve.sharded_requests", group.size)
+            self._count("serve.sharded_requests", len(group.rows))
             self._count("serve.halo_bytes", run.halo_bytes)
             self.halo_s += run.halo_s
             width = self.metrics.gauge("serve.max_shard_width")
@@ -711,7 +717,7 @@ class ContinuousScheduler:
 
     def _start_execution(self, group: _Group, t: float, idle: list[int]) -> None:
         pool = self.pool
-        self._waiting -= group.size
+        self._waiting -= len(group.rows)
         ready_s = max(group.ready_s, t)
         run = self._prepare(group, ready_s)
         shards = run.num_shards
@@ -729,7 +735,7 @@ class ContinuousScheduler:
         group.slot.inflight = exec_
         if self.tracer.enabled:
             self.tracer.instant("sched", f"exec{exec_.exec_id}/start", exec_.start_s,
-                                cat="dispatch", size=group.size, slo=group.slo.name,
+                                cat="dispatch", size=len(group.rows), slo=group.slo.name,
                                 shards=shards, devices=str(chosen))
         # the backlog of its key boards it: any group its class does not
         # outrank, open or closed, whose program is ready by the start
@@ -737,15 +743,15 @@ class ContinuousScheduler:
         boarding = sorted((g for g in itertools.chain(slot.forming, self._ready, self._unready)
                            if g is not None and g.slot is slot
                            and g.slo.priority <= exec_.priority and g.ready_s <= start),
-                          key=_RANK)
+                          key=_rank)
         for g in boarding:
             if slot.forming[g.ci] is g:
                 slot.forming[g.ci] = None  # its window timer finds it gone
-            self._waiting -= g.size
+            self._waiting -= len(g.rows)
             exec_.joiners += [(r, start, deferred, lookup, True) for r, deferred, lookup in g.rows]
             if self.tracer.enabled:
                 self.tracer.instant("sched", f"exec{exec_.exec_id}/board", start, cat="join",
-                                    batch_id=g.batch_id, size=g.size, slo=g.slo.name)
+                                    batch_id=g.batch_id, size=len(g.rows), slo=g.slo.name)
         for queue in (self._ready, self._unready):
             queue[:] = [g for g in queue if g not in boarding]
 
@@ -797,14 +803,11 @@ class ContinuousScheduler:
         exec_.check = False
         if exec_.state is DONE:  # a zero-second final layer
             return
-        preemptor = None
-        for i, g in enumerate(self._ready):
-            if g.slo.priority <= exec_.priority:
-                break  # dispatch order: nothing behind ranks higher
-            if g.shards == 1:  # sharded groups wait for a full idle set
-                preemptor = i
-                break
-        if preemptor is None:
+        # in dispatch order, nothing behind a group it does not outrank
+        # ranks higher; sharded groups wait for a full idle set
+        preemptor = next((i for i, g in enumerate(self._ready)
+                          if g.slo.priority <= exec_.priority or g.shards == 1), None)
+        if preemptor is None or self._ready[preemptor].slo.priority <= exec_.priority:
             return
         group = self._ready.pop(preemptor)
         dev = exec_.devices[0]
@@ -839,8 +842,7 @@ class ContinuousScheduler:
             if self._paused_stack[dev]:
                 # LIFO resume keeps forward progress for preempted work;
                 # an interactive group can re-preempt at the next boundary
-                resumed = self._paused_stack[dev].pop()
-                self._assignment[dev] = resumed
+                resumed = self._assignment[dev] = self._paused_stack[dev].pop()
                 self._run_span(resumed, t)
             else:
                 self._occupied_count -= 1
@@ -986,13 +988,10 @@ class ContinuousScheduler:
             goodput_rps=met_total / span if span > 0 else 0.0,
             active_devices=pool.num_active,
             class_breakdown=class_breakdown,
-            autoscaler_events=[
-                e.to_dict() for e in (self.autoscaler.events if self.autoscaler else ())
-            ],
+            autoscaler_events=[e.to_dict() for e in (self.autoscaler.events
+                                                     if self.autoscaler else ())],
             metrics=metrics,
-            phase_breakdown={
-                phase: metrics["histograms"][f"serve.phase.{phase}_s"]
-                for phase in phases
-            },
+            phase_breakdown={phase: metrics["histograms"][f"serve.phase.{phase}_s"]
+                             for phase in phases},
             responses=answers,
         )

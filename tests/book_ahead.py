@@ -101,7 +101,7 @@ class BookAhead(loop.ContinuousScheduler):
 
     def _close_group(self, group, now: float) -> None:
         group.slot.forming[group.ci] = None
-        self._waiting -= group.size
+        self._waiting -= len(group.rows)
         self._booked.append((max(group.ready_s, now), len(self._booked), group))
 
     def _end_of_stream(self, t: float) -> None:
@@ -129,7 +129,7 @@ class BookAhead(loop.ContinuousScheduler):
         start, end = pool.book(
             devices, [service_s], ready_s,
             busy_s=[b + input_s / shards for b in run.shard_busy_s] or None,
-            batch_id=group.batch_id, batch_size=group.size,
+            batch_id=group.batch_id, batch_size=len(group.rows),
         )
         self.answers.service_s[group.batch_id] = service_s
         self.answers.add(

@@ -182,6 +182,24 @@ class TestScpSkew:
         np.testing.assert_array_equal(
             pm.scp_skew_grid(psys), self.brute_force(pm, psys))
 
+    @pytest.mark.parametrize("blocking", [(16, 16), (24, 60), (7, 5), (60, 7)])
+    @pytest.mark.parametrize("psys", [4, 16])
+    def test_unchanged_by_laying_the_view_out(self, blocking, psys):
+        """The skew is counted from the stored CSR, whether or not a block
+        read has split the view: asked before a split, after it, or only
+        after it, it is the same grid."""
+        mat = random_sparse(60, 60, 0.08, seed=5, zero_rows=True)
+        before = PartitionedMatrix(mat, *blocking)
+        skew = before.scp_skew_grid(psys)
+        split_first = PartitionedMatrix(mat, *blocking)
+        for pm in (before, split_first):
+            for i in range(pm.num_row_blocks):
+                pm.csr_blocks_for_row(i)
+            assert pm.is_laid_out
+        assert before.scp_skew_grid(psys) is skew
+        np.testing.assert_array_equal(split_first.scp_skew_grid(psys), skew)
+        np.testing.assert_array_equal(skew, self.brute_force(before, psys))
+
     def test_a_dense_held_operand_counts_as_balanced(self):
         pm = PartitionedMatrix(random_sparse(40, 40, 0.2, seed=3).toarray(), 16, 16)
         np.testing.assert_array_equal(pm.scp_skew_grid(16), np.ones((3, 3)))

@@ -488,7 +488,7 @@ class TestServingAccountingFixes:
         # a founder's row is (request, deferred, lookup): one without its
         # lookup cannot be answered
         group = _Group(None, SLOClass("bulk", 0), 0, opened_s=0.0, ready_s=0.0, batch_id=0,
-                       deadline=0.0, shards=1, rows=[(stray, False)])
+                       shards=1, rows=[(stray, False)])
         finished = _Execution(group, memo, [0.0], [0])
         with pytest.raises(ValueError):
             sweep._respond(finished, 1.0)

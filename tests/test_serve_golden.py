@@ -36,6 +36,7 @@ from repro.compiler.compile import CompileTimings
 from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph
 from repro.dyngraph.patcher import ProgramPatcher
+from repro.obs import Tracer
 from repro.sched import AdmissionController, PoolAutoscaler, SLOClass, SLOPolicy
 from repro.serve import (
     InferenceRequest,
@@ -534,6 +535,40 @@ def test_cells_reach_what_they_name():
     assert any(r.joined and r.shards == 2 for r in sharded.responses)
     assert sharded.sharded_requests == sum(r.shards == 2 for r in sharded.responses)
     assert sweep("continuous/cold/pinned").cache_misses == 4
+
+
+#: the cells whose sweeps join, preempt, shard, bound or defer, scale the
+#: pool or mutate: every case the loop answers inline, and every case it
+#: leaves to the general path
+TRACED_CELLS = (
+    "continuous/overload_joins", "continuous/preemption", "continuous/sharded_join",
+    "continuous/custom_classes", "continuous/admission_shed_and_defer",
+    "continuous/autoscaler_up_and_down", "continuous/churn/pinned",
+)
+
+
+def answered(key: str, report) -> list:
+    """The report dictionary and every response, output bits included."""
+    summary = report.to_dict()
+    if not key.endswith("/pinned"):
+        summary = strip_wallclock(summary)
+    rows = [exact(dataclasses.astuple(dataclasses.replace(r, output=None)))
+            + [None if r.output is None else (r.output.dtype.str, r.output.shape,
+                                              r.output.tobytes().hex())]
+            for r in report.responses]
+    return [exact(summary), rows]
+
+
+@pytest.mark.parametrize("key", TRACED_CELLS)
+def test_a_traced_sweep_answers_as_an_untraced_one(key):
+    """A traced sweep takes the loop's general path for every arrival; an
+    untraced one answers warm joins and forming-group rows inline.  Both
+    must answer alike, bit for bit."""
+    # every engine the cell builds gets a recording tracer
+    with mock.patch("repro.engine.core.NULL_TRACER", Tracer(task_spans=False)) as tracer:
+        traced = CELLS[key]()
+    assert tracer.spans, "the cell's engine was not traced"
+    assert answered(key, traced) == answered(key, sweep(key))
 
 
 if __name__ == "__main__":  # regenerate the table (only ever from a trusted commit)
