@@ -86,8 +86,8 @@ class ProgramCache:
 
     def touch(self, keys: list[tuple]) -> None:
         """Make cached ``keys`` the most recently used, in order, counting
-        nothing: the serve loop counts each hit as it is served and
-        replays the hits' touches before the cache next changes."""
+        nothing: the serve loop counts its hits itself when it replays
+        their touches, before the cache next changes."""
         for key in keys:
             self._entries.move_to_end(key)
 

@@ -19,19 +19,16 @@ sweep resolves it (binds a registered graph's live snapshot, checks shard
 width and SLO class, keys its program and ``batch_key``) to its batch
 key's slot, which holds that key's program and compile-ready time, its
 execution in flight and its forming group per class; a mutation drops
-every resolution.  Any later request costs one template lookup: no key
-is hashed again, an unbounded class admits without a decision, and a
-program found in the cache since the cache last changed is a hit counted
-on the spot.  In an untraced sweep without an autoscaler, the loop itself
-answers such a hit that joins a running execution or is one more row of
-its unbounded class's forming group: one dict lookup, no call.  Tracing,
-an autoscaler, a bounded class, a deferred re-admission, a paused
-execution, a new group and a stale lookup take :meth:`_admit
-<ContinuousScheduler._admit>`.  A hit's LRU touch is recorded and
-replayed into the cache, in last-touch order, before the cache next
-changes (a compile or a mutation) and when the sweep ends, so the
-cache's order, evictions and counters are those of one counted ``get``
-per request.
+every resolution.  Any later request costs one template lookup and one
+call of :meth:`_admit <ContinuousScheduler._admit>`, the one admission
+path of every sweep, traced, autoscaled or neither: no key is hashed
+again, an unbounded class admits without a decision, and a program found
+in the cache since the cache last changed is a hit, recorded as a touch.
+The touches are counted and replayed into the cache, in last-touch order,
+before the cache next changes (a compile or a mutation) and when the
+sweep ends, so the cache's order, evictions and counters are those of one
+counted ``get`` per request.  A traced sweep emits a request's
+``enqueue`` and ``join`` instants when its execution answers it.
 
 **Batch windows.**  A group closes once it holds ``max_batch_size``
 requests, or once its oldest request has waited its class's window
@@ -76,6 +73,7 @@ was charged (its segments alone, or a lane's work plus its input share).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -177,7 +175,7 @@ class _Execution:
     """One started execution: segments, devices, members, join state."""
 
     __slots__ = (
-        "exec_id", "slot", "run", "founders", "joiners",
+        "exec_id", "slot", "run", "founders", "joiners", "boarded",
         "segments", "intervals", "busy_s", "seg_idx", "span_s", "boundaries",
         "devices", "start_s", "priority", "state", "check", "preemptions",
     )
@@ -191,6 +189,7 @@ class _Execution:
         #: of the requests that joined or boarded it (boundary None: joined
         #: while it was paused, attached at the resume)
         self.joiners: list[tuple] = []
+        self.boarded = 0  # how many joiners boarded it at its start
         #: the seconds between join points, chained from a span's start:
         #: the input-PCIe transfer (0 s if resident), then one per layer
         self.intervals = [input_s, *map(float, run.segments_s)]
@@ -309,9 +308,10 @@ class ContinuousScheduler:
         self._timers: list[tuple] = []
         self._seq = itertools.count()
         self._order = itertools.count()
-        #: closed groups whose program is compiled, in dispatch order
+        #: closed groups whose program is compiled, in dispatch order, and
+        #: (keys, in closing order) those whose compile is still running
         self._ready: list[_Group] = []
-        self._unready: list[_Group] = []
+        self._unready: dict[_Group, None] = {}
         #: requests in open or closed-but-undispatched groups
         self._waiting = 0
         #: deepest backlog (waiting + parked) seen after an arrival
@@ -394,13 +394,9 @@ class ContinuousScheduler:
         return self._report()
 
     def _drain(self, arrivals: list) -> None:
-        """Merge the sorted arrivals with the timers until both run out,
-        answering a warm join or forming-group row inline (the module's
-        "What a request costs"); any other arrival takes :meth:`_admit`."""
+        """Merge the sorted arrivals with the timers until both run out."""
         timers, ready, tracer, autoscaler = self._timers, self._ready, self.tracer, self.autoscaler
-        templates, cache, touched, full = (self._templates, self.cache, self._touched,
-                                           self.max_batch_size)
-        inline = not tracer.enabled and autoscaler is None
+        admit, templates = self._admit, self._templates
         for event in arrivals:
             t = event.arrival_s
             # strictly earlier timers only: a window ending at this very
@@ -417,41 +413,14 @@ class ContinuousScheduler:
                 key = _TEMPLATE(event)
                 if not isinstance(key[1], str):  # an inline graph is unhashable: by identity
                     key = (key[0], id(key[1]), *key[2:])
-                template = templates.get(key) or self._template(event, key)
-                slot = template.slot
-                prog, exec_, group = slot.prog, slot.inflight, slot.forming[template.ci]
-                if (not inline or prog.epoch != self._epoch
-                        or exec_ is not None and exec_.state is PAUSED):
-                    self._admit(event, template, t, deferred=False)
-                elif exec_ is not None and (bounds := exec_.boundaries) and t <= bounds[-1]:
-                    cache.hits += 1  # a join, at the first layer boundary from now
-                    cache.saved_s += prog.saved_s
-                    touched.append(prog)
-                    exec_.joiners.append((event, bounds[bisect_left(bounds, t)], False, _HIT, True))
-                    continue  # a join moves neither the backlog nor the ready groups
-                elif group is None or template.admits is None:
-                    self._admit(event, template, t, deferred=False)
-                else:
-                    template.admits["admit"] += 1
-                    cache.hits += 1
-                    cache.saved_s += prog.saved_s
-                    touched.append(prog)
-                    group.rows.append((event, False, _HIT))
-                    ready_s = prog.ready_s if prog.ready_s > t else t
-                    if ready_s > group.ready_s:
-                        group.ready_s = ready_s
-                    self._waiting += 1
-                    if len(group.rows) >= full:
-                        self._close_group(group, t)
+                admit(event, templates.get(key) or self._template(event, key), t)
             depth = self._waiting + len(self._deferred)
             if depth > self._max_depth:
                 self._max_depth = depth
             if tracer.enabled:
                 tracer.counter("serve", "queue_depth", t, depth)
-            if autoscaler is not None:
+            if autoscaler is not None or len(ready) != before:
                 self._autoscale(t)
-                self._schedule(t)
-            elif len(ready) != before:
                 self._schedule(t)
         if arrivals:
             self._end_of_stream(arrivals[-1].arrival_s)
@@ -506,8 +475,8 @@ class ContinuousScheduler:
             )
         return cls
 
-    def _admit(self, req: InferenceRequest, template: _Template, now: float, *,
-               deferred: bool) -> None:
+    def _admit(self, req: InferenceRequest, template: _Template, now: float,
+               deferred: bool = False) -> None:
         """Join the request to its batch key's execution in flight, or admit
         it into its class's forming group.  Either way its program is looked
         up: one found in the cache since the cache last changed is a hit, its
@@ -519,7 +488,8 @@ class ContinuousScheduler:
         # boundary from now, or a paused execution's resume (None); none is
         # left past the start of the final segment (joining *at* the finish
         # would share a result without ever being part of the execution)
-        slot, exec_, at = template.slot, template.slot.inflight, False
+        slot = template.slot
+        exec_, prog, at = slot.inflight, slot.prog, False
         if exec_ is not None and exec_.state is PAUSED:
             at = None
         elif exec_ is not None and (bounds := exec_.boundaries) and now <= bounds[-1]:
@@ -538,48 +508,36 @@ class ContinuousScheduler:
                                         cat=decision.action, slo=req.slo, reason=decision.reason)
                 return
 
-        cache, prog = self.cache, slot.prog
         lookup = _HIT
         if prog.epoch != self._epoch:
-            program = cache.peek(prog.key)
-            if program is None:
+            program = self.cache.peek(prog.key)
+            if program is None:  # a miss: the compile queues behind the host's work
                 self._replay_touches()  # the compile's put evicts the least recent
-                program, compile_s, _ = cache.get_or_compile(
+                program, compile_s, _ = self.cache.get_or_compile(
                     prog.key, lambda: self.engine.compile_request(template.req))
                 self._epoch += 1  # the put may have evicted another program
-                lookup = (compile_s, False)
+                lookup, compile_start = (compile_s, False), max(now, self._host_free_s)
+                self._host_free_s = prog.ready_s = compile_start + compile_s
+                if self.tracer.enabled:
+                    self.tracer.span("host/compile", f"compile {req.model}/{req.dataset_name}",
+                                     compile_start, self._host_free_s, cat="compile")
             prog.program, prog.saved_s, prog.epoch = program, program.timings.total_s, self._epoch
-        if self.tracer.enabled:
-            self.tracer.instant("serve", f"req{req.request_id}/enqueue", now, cat="enqueue",
-                                model=str(req.model), cache="hit" if lookup[1] else "miss",
-                                shards=req.shards)
         if lookup is _HIT:
-            cache.hits += 1
-            cache.saved_s += prog.saved_s
             self._touched.append(prog)
-        else:  # the compile queues behind the host's in-flight work
-            compile_start = max(now, self._host_free_s)
-            self._host_free_s = prog.ready_s = compile_start + lookup[0]
-            if self.tracer.enabled:
-                self.tracer.span("host/compile", f"compile {req.model}/{req.dataset_name}",
-                                 compile_start, self._host_free_s, cat="compile")
+        if deferred and self.tracer.enabled:  # re-admitted: its instants are now
+            self._trace_admission(req, now, lookup, exec_ if at is not False else None)
         if at is not False:
             exec_.joiners.append((req, at, deferred, lookup, True))
-            if self.tracer.enabled:
-                self.tracer.instant("sched", f"req{req.request_id}/join", now, cat="join",
-                                    exec_id=exec_.exec_id, slo=req.slo)
             return
 
         # into the forming group of its batch key and class
-        ready_s = max(now, prog.ready_s)
         self._waiting += 1
-        ci = template.ci
-        group = slot.forming[ci]
+        group = slot.forming[template.ci]
         if group is None:
             cls = template.cls
             wait = cls.max_wait_s if cls.max_wait_s is not None else self.max_wait_s
-            group = slot.forming[ci] = _Group(
-                slot, cls, ci, opened_s=now, ready_s=now, batch_id=next(self._order),
+            group = slot.forming[template.ci] = _Group(
+                slot, cls, template.ci, opened_s=now, ready_s=now, batch_id=next(self._order),
                 shards=req.shards)
             self._after(now + wait, self._window_expired, group)
             if req.shards > self.pool.num_active:
@@ -587,18 +545,33 @@ class ContinuousScheduler:
                 # grows now, because no later event need come to grow it
                 self._resize(req.shards, now, f"queued batch spans {req.shards} devices")
         group.rows.append((req, deferred, lookup))
-        if ready_s > group.ready_s:
-            group.ready_s = ready_s
+        if prog.ready_s > group.ready_s:  # it starts past now anyway: only a compile counts
+            group.ready_s = prog.ready_s
         if len(group.rows) >= self.max_batch_size:
             self._close_group(group, now)
 
+    def _trace_admission(self, req: InferenceRequest, t: float, lookup: tuple,
+                         joined: _Execution | None) -> None:
+        """A request's enqueue instant, and its join of ``joined`` in flight."""
+        self.tracer.instant("serve", f"req{req.request_id}/enqueue", t, cat="enqueue",
+                            model=str(req.model), cache="hit" if lookup[1] else "miss",
+                            shards=req.shards)
+        if joined is not None:
+            self.tracer.instant("sched", f"req{req.request_id}/join", t, cat="join",
+                                exec_id=joined.exec_id, slo=req.slo)
+
     def _replay_touches(self) -> None:
-        """Move the programs hit since the last replay to the cache's most
-        recent end in the order of their last hits, as per-request gets
-        would have left them."""
-        last = dict.fromkeys(reversed(self._touched))
-        self.cache.touch([prog.key for prog in reversed(last)])
-        self._touched.clear()
+        """Count the hits since the last replay, and move their programs to
+        the cache's most recent end in the order of their last hits: the
+        counters, bit for bit, and the order per-request gets would have
+        left (a hit's ``saved_s`` is fixed until the cache next changes)."""
+        touched, cache = self._touched, self.cache
+        cache.hits += len(touched)
+        cache.saved_s = functools.reduce(operator.add, map(operator.attrgetter("saved_s"), touched),
+                                         cache.saved_s)
+        last = dict.fromkeys(reversed(touched))
+        cache.touch([prog.key for prog in reversed(last)])
+        touched.clear()
 
     # -- batch windows --------------------------------------------------
     def _window_expired(self, group: _Group, now: float) -> None:
@@ -618,15 +591,14 @@ class ContinuousScheduler:
             insort(self._ready, group, key=_rank)
         else:
             # compile still running: becomes schedulable at ready_s
-            self._unready.append(group)
+            self._unready[group] = None
             self._after(group.ready_s, self._group_ready, group)
 
     def _group_ready(self, group: _Group, now: float) -> None:
-        if group not in self._unready:
-            return  # it boarded an execution of its program
-        self._unready.remove(group)
-        insort(self._ready, group, key=_rank)
-        self._schedule(now)
+        if group in self._unready:  # else it boarded an execution of its program
+            del self._unready[group]
+            insort(self._ready, group, key=_rank)
+            self._schedule(now)
 
     def _forming(self) -> list[_Group]:
         """The open groups, in open order."""
@@ -692,7 +664,11 @@ class ContinuousScheduler:
                          run.barrier_s, run.total_cycles,
                          run.served_output() if self.return_outputs else None)
         if self.tracer.enabled:
-            for req, start, deferred, _, joined in rows:
+            joined_from = len(exec_.founders) + exec_.boarded
+            for i, (req, start, deferred, lookup, joined) in enumerate(rows):
+                if not deferred:  # a re-admission traced its instants when it was made
+                    self._trace_admission(req, req.arrival_s, lookup,
+                                          exec_ if i >= joined_from else None)
                 if start > req.arrival_s:
                     self.tracer.span(
                         f"sched/{req.slo}", f"req{req.request_id}/queue-wait", req.arrival_s,
@@ -747,13 +723,16 @@ class ContinuousScheduler:
         for g in boarding:
             if slot.forming[g.ci] is g:
                 slot.forming[g.ci] = None  # its window timer finds it gone
+            elif g in self._unready:
+                del self._unready[g]  # and its ready timer
+            else:
+                self._ready.remove(g)  # by identity: the rest keep their order
             self._waiting -= len(g.rows)
             exec_.joiners += [(r, start, deferred, lookup, True) for r, deferred, lookup in g.rows]
             if self.tracer.enabled:
                 self.tracer.instant("sched", f"exec{exec_.exec_id}/board", start, cat="join",
                                     batch_id=g.batch_id, size=len(g.rows), slo=g.slo.name)
-        for queue in (self._ready, self._unready):
-            queue[:] = [g for g in queue if g not in boarding]
+        exec_.boarded = len(exec_.joiners)
 
     # -- layer boundaries ------------------------------------------------
     def _run_span(self, exec_: _Execution, start: float) -> None:

@@ -104,6 +104,9 @@ class ServingReport:
         def ms(*seconds: float) -> str:
             return " / ".join(f"{s * 1e3:.3f}" for s in seconds)
 
+        def per_batch(requests: int) -> float:
+            return requests / self.num_batches if self.num_batches else 0.0
+
         util = ", ".join(
             f"dev{d}: {u * 100:5.1f}%" for d, u in enumerate(self.device_utilization)
         )
@@ -117,8 +120,10 @@ class ServingReport:
             f"(mean {ms(self.latency_mean_s)})",
             f"  queueing delay    : mean {ms(self.queue_mean_s)} ms, "
             f"p95 {ms(self.queue_p95_s)} ms",
-            f"  batching          : avg {self.avg_batch_size:.2f} req/batch "
-            f"(max {self.max_batch_size}, wait {self.max_wait_s * 1e3:.2f} ms)",
+            f"  batching          : avg {self.avg_batch_size:.2f} req/exec = "
+            f"{per_batch(self.num_requests - self.joined_requests):.2f} founders "
+            f"(max {self.max_batch_size}) + {per_batch(self.joined_requests):.2f} "
+            f"joined/boarded, wait {self.max_wait_s * 1e3:.2f} ms",
             f"  program cache     : {self.cache_hits} hits / "
             f"{self.cache_misses} misses (hit rate {self.cache_hit_rate * 100:.1f}%), "
             f"compile {self.compile_s * 1e3:.1f} ms, "

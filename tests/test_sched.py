@@ -883,6 +883,16 @@ class TestReportRoundTrip:
         if report.autoscaler_events:
             assert "autoscaler" in text
 
+    def test_format_report_splits_an_execution_into_founders_and_joiners(self, report):
+        """The batching line: founders (capped by ``max_batch_size``) and
+        joined or boarded requests per execution, counted off the responses."""
+        joined = sum(r.joined for r in report.responses)
+        founders = len(report.responses) - joined
+        line = next(ln for ln in report.format_report().splitlines() if "batching" in ln)
+        assert (f"{report.avg_batch_size:.2f} req/exec = "
+                f"{founders / report.num_batches:.2f} founders (max {report.max_batch_size}) + "
+                f"{joined / report.num_batches:.2f} joined/boarded") in line
+
     def test_report_defaults_stay_inert_without_targets(self):
         _, serve = tiny_serving()
         warm(serve)

@@ -17,6 +17,11 @@ the program cache measures on the host; those two fields are dropped.  The
 ``pinned`` cells replace every host-measured duration (compile time, patch
 time) by a constant, so compile queueing and host serialisation on the
 virtual clock are in the digest too and nothing is dropped.
+
+Every ``continuous/*`` cell is also served with a recording tracer: it
+must answer as the untraced sweep does, and ``TRACE_DIGESTS`` pins its
+trace records as a sorted multiset, so an instant may move in the loop
+but never change or go missing.
 """
 
 from __future__ import annotations
@@ -37,7 +42,13 @@ from repro.datasets import load_dataset
 from repro.dyngraph import GraphDelta, MutableGraph
 from repro.dyngraph.patcher import ProgramPatcher
 from repro.obs import Tracer
-from repro.sched import AdmissionController, PoolAutoscaler, SLOClass, SLOPolicy
+from repro.sched import (
+    AdmissionController,
+    ContinuousScheduler,
+    PoolAutoscaler,
+    SLOClass,
+    SLOPolicy,
+)
 from repro.serve import (
     InferenceRequest,
     MutationRequest,
@@ -487,6 +498,7 @@ GOLDEN_DIGESTS: dict[str, str] = {
 
 def test_table_is_complete():
     assert set(GOLDEN_DIGESTS) == set(CELLS)
+    assert set(TRACE_DIGESTS) == set(TRACED_CELLS)
 
 
 @pytest.mark.parametrize("key", CELLS)
@@ -537,14 +549,30 @@ def test_cells_reach_what_they_name():
     assert sweep("continuous/cold/pinned").cache_misses == 4
 
 
-#: the cells whose sweeps join, preempt, shard, bound or defer, scale the
-#: pool or mutate: every case the loop answers inline, and every case it
-#: leaves to the general path
-TRACED_CELLS = (
-    "continuous/overload_joins", "continuous/preemption", "continuous/sharded_join",
-    "continuous/custom_classes", "continuous/admission_shed_and_defer",
-    "continuous/autoscaler_up_and_down", "continuous/churn/pinned",
-)
+#: every ``continuous/*`` cell: joins, preemption, a sharded join, custom
+#: classes, bounded and deferred admission, a scaled pool, compiles and
+#: mutations
+TRACED_CELLS = tuple(key for key in CELLS if key.startswith("continuous/"))
+
+
+@functools.lru_cache(maxsize=None)
+def traced_sweep(key: str) -> tuple:
+    """The cell run with every engine it builds recording into one
+    :class:`Tracer`: its report, and the tracer holding the records of the
+    sweep that returned it (each sweep clears the tracer as it starts)."""
+    tracer, run, sweeps = Tracer(task_spans=False), ContinuousScheduler.run, []
+
+    def cleared(self, requests):
+        assert self.tracer is tracer, f"{key}: the cell's engine was not traced"
+        tracer.clear()
+        sweeps.append(self)
+        return run(self, requests)
+
+    with mock.patch("repro.engine.core.NULL_TRACER", tracer), \
+            mock.patch.object(ContinuousScheduler, "run", cleared):
+        report = CELLS[key]()
+    assert sweeps, f"{key} served no sweep"
+    return report, tracer
 
 
 def answered(key: str, report) -> list:
@@ -561,18 +589,73 @@ def answered(key: str, report) -> list:
 
 @pytest.mark.parametrize("key", TRACED_CELLS)
 def test_a_traced_sweep_answers_as_an_untraced_one(key):
-    """A traced sweep takes the loop's general path for every arrival; an
-    untraced one answers warm joins and forming-group rows inline.  Both
-    must answer alike, bit for bit."""
-    # every engine the cell builds gets a recording tracer
-    with mock.patch("repro.engine.core.NULL_TRACER", Tracer(task_spans=False)) as tracer:
-        traced = CELLS[key]()
-    assert tracer.spans, "the cell's engine was not traced"
-    assert answered(key, traced) == answered(key, sweep(key))
+    """A traced sweep runs the one admission path an untraced one runs:
+    only the tracer's records differ, so both answer alike, bit for bit."""
+    assert answered(key, traced_sweep(key)[0]) == answered(key, sweep(key))
 
 
-if __name__ == "__main__":  # regenerate the table (only ever from a trusted commit)
+def trace_records(key: str, tracer: Tracer) -> list:
+    """The tracer's spans, instants and counter samples as a sorted
+    multiset (the order they were emitted in dropped): track, name, times
+    as float hex, category and arguments.  Outside the ``/pinned`` cells a
+    ``host/compile`` span's times are host seconds, masked as
+    :func:`strip_wallclock` drops the report's."""
+    host_timed = not key.endswith("/pinned")
+    records = [[sp.kind, sp.track, sp.name,
+                None if host_timed and sp.track == "host/compile"
+                else exact([sp.start_s, sp.dur_s]),
+                sp.cat, exact(sp.args)] for sp in tracer.spans]
+    records += [["counter", c.track, c.name, exact([c.t_s, c.value])]
+                for c in tracer.counters]
+    return sorted(map(json.dumps, records))
+
+
+# Recorded with ``python tests/test_serve_golden.py`` at the commit before
+# every serve arrival took one admission path, where a traced sweep took
+# the general one: moving a request's ``enqueue`` / ``join`` instants from
+# its admission to the answer of its execution keeps each record.
+# Never regenerate the table to make a change pass.
+TRACE_DIGESTS: dict[str, str] = {
+    'continuous/overload_joins':
+        '43a6e394543eeb95fbc016ff54c4881aa594ef8daf9966ccaa1bf4a43d37ec4d',
+    'continuous/preemption':
+        'ffa3d891e0e609b7dc653070e75309040241134d3f3bfe79a58ca84913481fa3',
+    'continuous/admission_shed_and_defer':
+        '50548ec55ee9549ce851cd1c9544fbf4bfb1e0e78ffb095e984bc53117524d42',
+    'continuous/autoscaler_up_and_down':
+        '06133c6951012e29818c095003bd7cd6561af9ac75ad3f7370b152fba5874104',
+    'continuous/sharded_join':
+        '00274b485a28660019456b3a26a41101f0c12b32ae431f5a4ee1ce8cad62f529',
+    'continuous/custom_classes':
+        '7d8f986425f5743398cbe657cfa4724c620b90086f2e21eaebc47c5441a1a5ce',
+    'continuous/burst_one_device':
+        '828ff9b0c9e76d4fec47c6a9fb3a6c6e963e90e27248ce08fe87b2ba9a435b9f',
+    'continuous/mixed_shards':
+        'a38d13ee0fef18c57c4f440d807188f65ce9f8e956947df128356b9b0b9bd5a2',
+    'continuous/two_class_goodput':
+        'de07011f76b2aca9a8401f840388993ff3061407d0f5bf7b0d28cc9f97768eaa',
+    'continuous/empty_stream':
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945',
+    'continuous/mutation_only/pinned':
+        '5ac9e6c607a04d52d47509e4a6224898af084f939c7bb135493d48e52fe58ca7',
+    'continuous/cold/pinned':
+        '56efe810adc75352d1670c0c8a52ff1678d0c9a1daddfad0465b53d3465abbdf',
+    'continuous/churn/pinned':
+        '9b5417eb0114663acc97778ddb6592e4a82562692f497131797cb8857c788d57',
+}
+
+
+@pytest.mark.parametrize("key", TRACED_CELLS)
+def test_a_traced_sweep_records_what_was_recorded(key):
+    assert payload_digest(trace_records(key, traced_sweep(key)[1])) == TRACE_DIGESTS[key]
+
+
+if __name__ == "__main__":  # regenerate the tables (only ever from a trusted commit)
     print("GOLDEN_DIGESTS = {")
     for cell in CELLS:
         print(f"    {cell!r}:\n        {sweep_digest(cell, sweep(cell))!r},")
+    print("}\nTRACE_DIGESTS = {")
+    for cell in TRACED_CELLS:
+        records = trace_records(cell, traced_sweep(cell)[1])
+        print(f"    {cell!r}:\n        {payload_digest(records)!r},")
     print("}")
